@@ -30,64 +30,13 @@ fn main() {
     }
 
     if want("regexbench") {
-        eprintln!("[repro] regex engine: quadratic seed vs single-pass Pike VM (ISSUE 3) ...");
-        let len = 1 << 20;
-        let rows = rulellm_bench::regex_scan::compare(len, 42);
-        println!("{}", rulellm_bench::regex_scan::render(&rows, len));
         eprintln!("[repro] tiered matching: Teddy + lazy DFA vs AC + Pike VM (ISSUE 9) ...");
-        let stats = rulellm_bench::regexbench::compare(len, 42);
+        let stats = rulellm_bench::regexbench::compare(1 << 20, 42);
         println!("{}", rulellm_bench::regexbench::render(&stats));
-        let doc = rulellm_bench::regexbench::to_json(&stats);
-        match std::fs::write("BENCH_regex.json", doc.to_string_pretty()) {
-            Ok(()) => eprintln!("[repro] wrote BENCH_regex.json"),
-            Err(e) => eprintln!("[repro] could not write BENCH_regex.json: {e}"),
-        }
+        // Nothing else has touched the engines in this process, so the
+        // process-global counters are this run's.
+        println!("tier counters: {:?}\n", textmatch::engine_counters());
         if only.as_deref() == Some("regexbench") {
-            return;
-        }
-    }
-
-    if want("semgrepbench") {
-        eprintln!(
-            "[repro] semgrep matching: reparse-per-call seed vs compiled single pass (ISSUE 4) ..."
-        );
-        let stats = rulellm_bench::semgrep_scan::compare(100, 150, 40, 42);
-        println!("{}", rulellm_bench::semgrep_scan::render(&stats));
-        if only.as_deref() == Some("semgrepbench") {
-            return;
-        }
-    }
-
-    if want("scanhubbench") {
-        eprintln!(
-            "[repro] scanhub artifact cache: cold vs warm on a version-bump stream (ISSUE 5) ..."
-        );
-        let stats = rulellm_bench::scanhub_bench::compare(50, 20, 42);
-        println!("{}", rulellm_bench::scanhub_bench::render(&stats));
-        println!("{}", stats.warm_stats);
-        let mut doc = rulellm_bench::scanhub_bench::to_json(&stats);
-        eprintln!(
-            "[repro] incremental artifacts: full reparse vs diff-and-splice on one-line bumps (ISSUE 10) ..."
-        );
-        let oneline = rulellm_bench::scanhub_bench::compare_oneline(12, 360, 8);
-        println!("{}", rulellm_bench::scanhub_bench::render_oneline(&oneline));
-        doc.insert(
-            "version_bump_oneline",
-            rulellm_bench::scanhub_bench::to_json_oneline(&oneline),
-        );
-        eprintln!("[repro] retro-hunt: new rules vs scanned-digest history (ISSUE 7) ...");
-        let history = if cfg!(debug_assertions) { 600 } else { 10_000 };
-        let retro = rulellm_bench::retrohunt_bench::compare(history, 10, 42);
-        println!("{}", rulellm_bench::retrohunt_bench::render(&retro));
-        doc.insert(
-            "retro_hunt",
-            rulellm_bench::retrohunt_bench::to_json(&retro),
-        );
-        match std::fs::write("BENCH_scanhub.json", doc.to_string_pretty()) {
-            Ok(()) => eprintln!("[repro] wrote BENCH_scanhub.json"),
-            Err(e) => eprintln!("[repro] could not write BENCH_scanhub.json: {e}"),
-        }
-        if only.as_deref() == Some("scanhubbench") {
             return;
         }
     }

@@ -1,8 +1,8 @@
-//! `rulellm-bench` — benchmark harness and the `repro` binary.
+//! `rulellm-bench` — the `repro` binary and the per-regex-class table.
 //!
-//! The Criterion benches (one per table/figure, under `benches/`) measure
-//! the *cost* of each experiment; the `repro` binary regenerates the
-//! *content* of every table and figure in the paper's evaluation section:
+//! Timings live in `benchmark/` (see `benchmark/README.md`); the `repro`
+//! binary regenerates the *content* of every table and figure in the
+//! paper's evaluation section and writes no file:
 //!
 //! ```text
 //! cargo run -p rulellm-bench --bin repro --release            # everything
@@ -18,11 +18,7 @@
 
 use corpus::CorpusConfig;
 
-pub mod regex_scan;
 pub mod regexbench;
-pub mod retrohunt_bench;
-pub mod scanhub_bench;
-pub mod semgrep_scan;
 
 /// Resolves a scale name to a corpus configuration.
 ///
@@ -71,8 +67,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "rag",
     "robustness",
     "regexbench",
-    "semgrepbench",
-    "scanhubbench",
 ];
 
 #[cfg(test)]
@@ -88,11 +82,9 @@ mod tests {
 
     #[test]
     fn experiment_list_covers_all_tables_and_figures() {
-        assert_eq!(EXPERIMENTS.len(), 19);
+        assert_eq!(EXPERIMENTS.len(), 17);
         assert!(EXPERIMENTS.contains(&"robustness"));
         assert!(EXPERIMENTS.contains(&"regexbench"));
-        assert!(EXPERIMENTS.contains(&"semgrepbench"));
-        assert!(EXPERIMENTS.contains(&"scanhubbench"));
     }
 
     #[test]
@@ -100,10 +92,13 @@ mod tests {
         for known in EXPERIMENTS {
             assert_eq!(validate_experiment(known), Ok(()));
         }
-        let err = validate_experiment("tabel8").expect_err("typo must be rejected");
-        assert!(err.contains("unknown experiment tabel8"));
-        for known in EXPERIMENTS {
-            assert!(err.contains(known), "error must list {known}");
+        // A typo, and the two timing selectors that moved to `benchmark/`.
+        for bad in ["tabel8", "semgrepbench", "scanhubbench"] {
+            let err = validate_experiment(bad).expect_err("must be rejected");
+            assert!(err.contains(&format!("unknown experiment {bad};")));
+            for known in EXPERIMENTS {
+                assert!(err.contains(known), "error must list {known}");
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
-//! Tiered-matching bench: per-pattern-class speedup of the Teddy + lazy
-//! DFA pipeline over the plain Aho-Corasick + Pike VM path (ISSUE 9).
+//! Tiered-matching table: per-pattern-class speedup of the Teddy + lazy
+//! DFA pipeline over the plain Aho-Corasick + Pike VM path (ISSUE 9) —
+//! the one comparison `benchmark/` does not cover.
 //!
 //! One shared buffer carries a handful of *early* true matches for every
 //! class followed by a long near-miss tail — the shape registry scans
@@ -8,7 +9,8 @@
 //! points (lazy-DFA gate, Teddy prefilter) against the pure Pike VM /
 //! Aho-Corasick baselines, asserting byte-identical matches on every
 //! run, with the seed's [`ReferenceRegex`] as a second oracle. The
-//! headline number is the geometric mean of the per-class speedups.
+//! timings and their geometric mean are printed for reading and asserted
+//! nowhere; which tier ran is asserted exactly, in `tests/tier_counters.rs`.
 
 use std::time::Instant;
 
@@ -102,8 +104,8 @@ pub struct RegexBenchStats {
 }
 
 impl RegexBenchStats {
-    /// Geometric mean of the per-class speedups — the PR's headline
-    /// number, robust to one class dominating the sum.
+    /// Geometric mean of the per-class speedups, robust to one class
+    /// dominating the sum.
     pub fn geomean_speedup(&self) -> f64 {
         if self.rows.is_empty() {
             return 1.0;
@@ -276,42 +278,6 @@ pub fn render(stats: &RegexBenchStats) -> String {
     out
 }
 
-/// Serializes the stats (plus the engine counters the run produced) for
-/// the committed `BENCH_regex.json` artifact.
-pub fn to_json(stats: &RegexBenchStats) -> jsonmini::Value {
-    let mut doc = jsonmini::Value::object();
-    doc.insert("bench", "regex_tiered_matching");
-    doc.insert("buffer_len", stats.len);
-    doc.insert("geomean_speedup", stats.geomean_speedup());
-    let mut classes = Vec::new();
-    for r in &stats.rows {
-        let mut row = jsonmini::Value::object();
-        row.insert("class", r.class);
-        row.insert("matches", r.matches);
-        row.insert("baseline_ms", r.baseline_ms);
-        row.insert("tiered_ms", r.tiered_ms);
-        row.insert("speedup", r.speedup());
-        classes.push(row);
-    }
-    doc.insert("classes", classes);
-    let eng = textmatch::engine_counters();
-    let mut counters = jsonmini::Value::object();
-    counters.insert("teddy_scans", eng.teddy_scans as usize);
-    counters.insert("teddy_bytes_scanned", eng.teddy_bytes_scanned as usize);
-    counters.insert(
-        "teddy_chunks_classified",
-        eng.teddy_chunks_classified as usize,
-    );
-    counters.insert("teddy_chunks_verified", eng.teddy_chunks_verified as usize);
-    counters.insert("ac_fallback_scans", eng.ac_fallback_scans as usize);
-    counters.insert("dfa_scans", eng.dfa_scans as usize);
-    counters.insert("dfa_states_built", eng.dfa_states_built as usize);
-    counters.insert("dfa_cache_flushes", eng.dfa_cache_flushes as usize);
-    counters.insert("pikevm_fallbacks", eng.pikevm_fallbacks as usize);
-    doc.insert("engine_counters", counters);
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,39 +301,5 @@ mod tests {
             assert!(row.matches > 0, "class {} found nothing", row.class);
         }
         assert!(stats.geomean_speedup().is_finite());
-    }
-
-    #[test]
-    fn json_document_carries_classes_and_counters() {
-        let stats = compare(16 << 10, 3);
-        let doc = to_json(&stats);
-        let classes = doc
-            .get("classes")
-            .and_then(|c| c.as_array())
-            .expect("array");
-        assert_eq!(classes.len(), stats.rows.len());
-        let counters = doc.get("engine_counters").expect("counters");
-        let teddy = counters
-            .get("teddy_scans")
-            .and_then(jsonmini::Value::as_f64)
-            .expect("teddy_scans");
-        assert!(teddy > 0.0, "the bench itself must exercise the Teddy tier");
-    }
-
-    /// The PR's acceptance floor: ≥ 2x geometric-mean speedup over the
-    /// AC + Pike VM path on the pattern-class suite. Release-only —
-    /// debug timings measure the optimizer, not the algorithms.
-    #[test]
-    fn tiered_geomean_speedup_floor() {
-        if cfg!(debug_assertions) {
-            return;
-        }
-        let stats = compare(1 << 20, 42);
-        let geomean = stats.geomean_speedup();
-        assert!(
-            geomean >= 2.0,
-            "tiered pipeline geomean speedup {geomean:.2}x fell below the 2x floor:\n{}",
-            render(&stats)
-        );
     }
 }

