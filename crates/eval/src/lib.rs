@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod export;
 pub mod metrics;
 pub mod report;
 pub mod robustness;

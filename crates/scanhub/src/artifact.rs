@@ -19,7 +19,7 @@
 //! verdicts stay explainable.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use pysrc::{Module, SpannedToken, Stmt, StringTable, TokenKind, TokenRope, TokenView};
 use yara_engine::{FileHits, Scanner};
@@ -64,21 +64,12 @@ pub struct DecodedLayer {
     pub data: Vec<u8>,
 }
 
-/// Decoded-layer extraction thresholds.
+/// Which optional artifact products to compute.
 #[derive(Debug, Clone)]
 pub struct ArtifactConfig {
     /// Maximum decode recursion depth; 0 disables layer extraction
     /// entirely (the A/B lever for the layered-robustness measurement).
     pub max_decode_depth: u8,
-    /// Minimum encoded-literal length worth attempting (short literals
-    /// decode to nothing a rule could match).
-    pub min_encoded_len: usize,
-    /// Minimum Shannon entropy (bits/byte) of the literal text; prose
-    /// and repeated-character padding stay below it, encoded payloads
-    /// sit well above.
-    pub min_entropy: f64,
-    /// Hard per-file bound on extracted layers (decode-bomb guard).
-    pub max_layers: usize,
     /// Run the behavioral taint analysis and fold constant strings into
     /// synthetic [`LayerEncoding::Folded`] layers. The A/B lever for the
     /// taint-robustness measurement and the warm-overhead bench.
@@ -89,9 +80,6 @@ impl Default for ArtifactConfig {
     fn default() -> Self {
         ArtifactConfig {
             max_decode_depth: 2,
-            min_encoded_len: 12,
-            min_entropy: 2.5,
-            max_layers: 64,
             dataflow: true,
         }
     }
@@ -138,11 +126,8 @@ pub struct FileAnalysis {
     /// shares the unchanged prefix/suffix with its sibling artifact
     /// instead of deep-cloning every token.
     pub tokens: TokenRope,
-    /// The tolerant-parsed module (Python files only), materialized
-    /// lazily: a spliced artifact records *how* to assemble its module
-    /// from the sibling's and pays the statement clones only when an
-    /// engine actually walks the tree (see [`LazyModule`]).
-    pub module: Option<Arc<LazyModule>>,
+    /// The tolerant-parsed module (Python files only).
+    pub module: Option<LazyModule>,
     /// The interned string-literal table.
     pub strings: StringTable,
     /// Decoded payload layers, in discovery order. Includes synthetic
@@ -161,164 +146,48 @@ pub struct FileAnalysis {
     pub taint: Option<dataflow::TaintSummary>,
 }
 
-/// Line and shape of one top-level statement — the donor-module facts
-/// the splicer consults without materializing the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct StmtMeta {
-    /// 1-based source line of the statement.
-    line: usize,
-    /// An anonymous indent block (`Stmt::Block` with an empty keyword):
-    /// the tolerant parser stamps these with the line of the token
-    /// *after* the block, which defeats line-keyed splicing.
-    anonymous: bool,
-}
-
-/// How to assemble a spliced module from its donor: prefix statements
-/// before the window, the window's freshly parsed statements, and the
-/// donor's suffix statements shifted by the edit's net line count.
+/// A file's parsed module, assembled when the artifact is built — by a
+/// full parse, or by `splice_module` from the sibling's. It owns its
+/// statements outright, so no artifact holds a handle to the one it was
+/// spliced from and an evicted version's module is freed however many
+/// later versions descend from it.
 #[derive(Debug)]
-struct SpliceParts {
-    donor: Arc<LazyModule>,
-    window: Module,
-    /// Donor statements with `line < prefix_before_line` form the prefix.
-    prefix_before_line: usize,
-    /// Donor statements with `line >= suffix_from_line` form the suffix
-    /// (ignored when `has_suffix` is false — the window ran to EOF).
-    suffix_from_line: usize,
-    has_suffix: bool,
-    line_delta: isize,
-}
-
-/// A module that may not be assembled yet.
-///
-/// A full build stores its parsed [`Module`] directly. A spliced build
-/// stores [`SpliceParts`] — a handle to the donor's `LazyModule`, the
-/// window's parsed statements and the line ranges to cut at — and
-/// assembles the tree only when an engine first calls [`Self::get`]
-/// (Semgrep matching, the taint analysis, retro-hunt confirmation).
-/// Version-bump streams that never walk the AST therefore never pay the
-/// statement clones; the result is cached, so consumers that do walk it
-/// pay once per artifact. Assembly is iterative over the donor chain,
-/// so a long never-walked version history cannot overflow the stack.
-#[derive(Debug)]
-pub struct LazyModule {
-    summary: Vec<StmtMeta>,
-    cell: OnceLock<Module>,
-    parts: Option<SpliceParts>,
-}
-
-fn summarize(module: &Module) -> Vec<StmtMeta> {
-    module
-        .body
-        .iter()
-        .map(|stmt| StmtMeta {
-            line: stmt.line(),
-            anonymous: matches!(stmt, Stmt::Block { keyword, .. } if keyword.is_empty()),
-        })
-        .collect()
-}
+pub struct LazyModule(Module);
 
 impl LazyModule {
-    /// Wraps an eagerly parsed module (the full-build path).
-    fn full(module: Module) -> Arc<Self> {
-        let summary = summarize(&module);
-        let cell = OnceLock::new();
-        cell.set(module).expect("fresh cell");
-        Arc::new(LazyModule {
-            summary,
-            cell,
-            parts: None,
-        })
-    }
-
-    /// Records a splice recipe; the summary is composed from the
-    /// donor's without touching either tree.
-    fn spliced(
-        donor: Arc<LazyModule>,
-        window: Module,
-        prefix_before_line: usize,
-        suffix_from_line: usize,
-        has_suffix: bool,
-        line_delta: isize,
-    ) -> Arc<Self> {
-        let mut summary: Vec<StmtMeta> = donor
-            .summary
-            .iter()
-            .take_while(|m| m.line < prefix_before_line)
-            .copied()
-            .collect();
-        summary.extend(summarize(&window));
-        if has_suffix {
-            summary.extend(
-                donor
-                    .summary
-                    .iter()
-                    .skip_while(|m| m.line < suffix_from_line)
-                    .map(|m| StmtMeta {
-                        line: m.line.saturating_add_signed(line_delta),
-                        anonymous: m.anonymous,
-                    }),
-            );
-        }
-        Arc::new(LazyModule {
-            summary,
-            cell: OnceLock::new(),
-            parts: Some(SpliceParts {
-                donor,
-                window,
-                prefix_before_line,
-                suffix_from_line,
-                has_suffix,
-                line_delta,
-            }),
-        })
-    }
-
-    /// The module, assembling (and caching) it on first use.
+    /// The module.
     pub fn get(&self) -> &Module {
-        if let Some(module) = self.cell.get() {
-            return module;
-        }
-        // Walk down the donor chain to the deepest unassembled link —
-        // full builds are assembled by construction, so the walk always
-        // terminates — then assemble back up.
-        let mut chain: Vec<&LazyModule> = Vec::new();
-        let mut cur = self;
-        while cur.cell.get().is_none() {
-            chain.push(cur);
-            let parts = cur.parts.as_ref().expect("unassembled module has parts");
-            cur = &parts.donor;
-        }
-        for lazy in chain.into_iter().rev() {
-            lazy.cell.get_or_init(|| lazy.assemble());
-        }
-        self.cell.get().expect("assembled above")
+        &self.0
     }
+}
 
-    fn assemble(&self) -> Module {
-        let parts = self.parts.as_ref().expect("only spliced modules assemble");
-        let donor = parts.donor.cell.get().expect("donor assembled first");
-        let mut body: Vec<Stmt> = donor
-            .body
-            .iter()
-            .take_while(|stmt| stmt.line() < parts.prefix_before_line)
-            .cloned()
-            .collect();
-        body.extend(parts.window.body.iter().cloned());
-        if parts.has_suffix {
-            let first = donor
-                .body
-                .iter()
-                .position(|stmt| stmt.line() >= parts.suffix_from_line)
-                .unwrap_or(donor.body.len());
-            for stmt in &donor.body[first..] {
-                let mut stmt = stmt.clone();
-                stmt.shift_lines(parts.line_delta);
-                body.push(stmt);
-            }
-        }
-        Module { body }
+/// Assembles a spliced module: `donor` statements before the window keep
+/// their shapes and lines, the window's freshly parsed statements follow,
+/// and `donor` statements from `suffix_from_line` on shift by the edit's
+/// net line count (`None`: the window ran to EOF and there is no suffix).
+fn splice_module(
+    donor: &Module,
+    window: Module,
+    prefix_before_line: usize,
+    suffix_from_line: Option<usize>,
+    line_delta: isize,
+) -> Module {
+    let mut body: Vec<Stmt> = donor
+        .body
+        .iter()
+        .take_while(|stmt| stmt.line() < prefix_before_line)
+        .cloned()
+        .collect();
+    body.extend(window.body);
+    if let Some(from) = suffix_from_line {
+        let suffix = donor.body.iter().skip_while(|stmt| stmt.line() < from);
+        body.extend(suffix.map(|stmt| {
+            let mut stmt = stmt.clone();
+            stmt.shift_lines(line_delta);
+            stmt
+        }));
     }
+    Module { body }
 }
 
 impl FileAnalysis {
@@ -331,7 +200,7 @@ impl FileAnalysis {
         let (tokens, module) = if is_python {
             let text = String::from_utf8_lossy(&bytes);
             let tokens = TokenRope::from_tokens(pysrc::lex_spanned(&text));
-            let module = LazyModule::full(pysrc::parse_module(&text));
+            let module = LazyModule(pysrc::parse_module(&text));
             (tokens, Some(module))
         } else {
             (TokenRope::default(), None)
@@ -358,7 +227,7 @@ impl FileAnalysis {
         bytes: Arc<Vec<u8>>,
         is_python: bool,
         tokens: TokenRope,
-        module: Option<Arc<LazyModule>>,
+        module: Option<LazyModule>,
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
     ) -> Self {
@@ -455,7 +324,7 @@ impl FileAnalysis {
         if !entry.is_python() || !sibling.is_python {
             return None;
         }
-        let old_lazy = sibling.module.as_ref()?;
+        let old_module = sibling.module.as_ref()?.get();
         let bytes = entry.shared_bytes();
         let new_text = std::str::from_utf8(&bytes).ok()?;
         let old_text = std::str::from_utf8(&sibling.bytes).ok()?;
@@ -465,15 +334,14 @@ impl FileAnalysis {
         // sound when top-level statements sit in source order and take
         // their line from their own first token. Anonymous indent blocks
         // break the latter (the tolerant parser stamps them with the
-        // line of the token *after* the block). The checks read the
-        // sibling's statement summary, never the tree itself — a version
-        // chain that is only ever spliced stays unmaterialized.
+        // line of the token *after* the block).
         let mut last_line = 0usize;
-        for meta in &old_lazy.summary {
-            if meta.anonymous || meta.line < last_line {
+        for stmt in &old_module.body {
+            let anonymous = matches!(stmt, Stmt::Block { keyword, .. } if keyword.is_empty());
+            if anonymous || stmt.line() < last_line {
                 return None;
             }
-            last_line = meta.line;
+            last_line = stmt.line();
         }
 
         // Changed byte region: [p, q_old) in the old content. The common
@@ -586,26 +454,22 @@ impl FileAnalysis {
             }
         }
 
-        // Statement splice, recorded lazily: sibling statements strictly
-        // before the window keep their shapes and lines; the window's
-        // statements are parsed from its freshly relexed tokens; sibling
-        // statements strictly after it shift by the edit's net line
-        // count. In the run-to-EOF case there is no suffix — the window
-        // parse covers everything from `w` on. Only the tiny window is
-        // parsed here; the prefix/suffix statement clones are deferred
-        // until an engine walks the tree ([`LazyModule::get`]).
+        // Statement splice: only the window is parsed, from its freshly
+        // relexed tokens; the sibling's statements strictly before and
+        // strictly after it are cloned around it. In the run-to-EOF case
+        // there is no suffix — the window parse covers everything from
+        // `w` on.
         let lw = 1 + count_newlines(&old[..w]);
         let le_old = 1 + count_newlines(&old[..e_old]);
         let window_module =
             pysrc::parse_tokens(window_tokens.iter().map(|t| t.token.clone()).collect());
-        let module = LazyModule::spliced(
-            Arc::clone(old_lazy),
+        let module = LazyModule(splice_module(
+            old_module,
             window_module,
             lw,
-            le_old,
-            suffix_from.is_some(),
+            suffix_from.map(|_| le_old),
             line_delta,
-        );
+        ));
 
         // Token splice: the prefix and suffix share the sibling's rope
         // storage — the suffix as a lazily rebased segment (byte and
@@ -686,14 +550,14 @@ fn fold_layers(
     cfg: &ArtifactConfig,
 ) {
     for fc in &summary.folded {
-        if layers.len() >= cfg.max_layers {
+        if layers.len() >= MAX_LAYERS {
             break;
         }
         let data = fc.text.as_bytes().to_vec();
         if layers.iter().any(|l| l.data == data) || strings.literals.contains(&fc.text) {
             continue;
         }
-        if let Some((encoding, decoded)) = decode_candidate(&fc.text, cfg) {
+        if let Some((encoding, decoded)) = decode_candidate(&fc.text) {
             if cfg.max_decode_depth > 0 && !layers.iter().any(|l| l.data == decoded) {
                 layers.push(DecodedLayer {
                     encoding,
@@ -732,10 +596,10 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
         pending.push((lit.clone(), 1, first_lines[idx]));
     }
     while let Some((text, depth, line)) = pending.pop() {
-        if layers.len() >= cfg.max_layers {
+        if layers.len() >= MAX_LAYERS {
             break;
         }
-        let Some((encoding, data)) = decode_candidate(&text, cfg) else {
+        let Some((encoding, data)) = decode_candidate(&text) else {
             continue;
         };
         if layers.iter().any(|l| l.data == data) {
@@ -763,11 +627,21 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
     layers
 }
 
+/// Minimum encoded-literal length worth attempting (short literals
+/// decode to nothing a rule could match).
+const MIN_ENCODED_LEN: usize = 12;
+/// Minimum Shannon entropy (bits/byte) of the literal text; prose and
+/// repeated-character padding stay below it, encoded payloads sit well
+/// above.
+const MIN_ENTROPY: f64 = 2.5;
+/// Hard per-file bound on extracted layers (decode-bomb guard).
+const MAX_LAYERS: usize = 64;
+
 /// Attempts to decode one literal, preferring hex (every hex string is
 /// also base64-alphabet, so the more specific decoder goes first).
-fn decode_candidate(text: &str, cfg: &ArtifactConfig) -> Option<(LayerEncoding, Vec<u8>)> {
+fn decode_candidate(text: &str) -> Option<(LayerEncoding, Vec<u8>)> {
     let t = text.trim();
-    if t.len() < cfg.min_encoded_len || digest::shannon_entropy(t.as_bytes()) < cfg.min_entropy {
+    if t.len() < MIN_ENCODED_LEN || digest::shannon_entropy(t.as_bytes()) < MIN_ENTROPY {
         return None;
     }
     if looks_hex(t) {
@@ -924,7 +798,7 @@ mod tests {
             code.push_str(&format!("x{i} = '{payload}'\n"));
         }
         let a = analyze(&code);
-        assert!(a.layers.len() <= ArtifactConfig::default().max_layers);
+        assert!(a.layers.len() <= MAX_LAYERS);
         assert!(!a.layers.is_empty());
     }
 

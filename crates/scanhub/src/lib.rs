@@ -3,7 +3,7 @@
 //! The paper deploys LLM-generated YARA and Semgrep rules to screen OSS
 //! package uploads; this crate turns the one-shot batch loop of the
 //! original evaluation into a **service** shaped for heavy registry
-//! traffic. Four mechanisms carry the load:
+//! traffic. Five mechanisms carry the load:
 //!
 //! 1. **Parse-once analysis artifacts** ([`FileAnalysis`]) — a request
 //!    is a list of file entries (name + one shared copy of the bytes),
@@ -13,7 +13,16 @@
 //!    layer — is computed once and cached in a sha256-keyed LRU. A
 //!    re-uploaded package version re-analyzes only its changed files;
 //!    unchanged files cost one cache lookup
-//!    ([`HubStats::artifact_cache_hits`]).
+//!    ([`HubStats::artifact_cache_hits`]). A changed file whose previous
+//!    version is still cached is built by diff-and-splice
+//!    ([`FileAnalysis::build_spliced`]): only the edited window is
+//!    re-lexed and re-parsed, unchanged tokens are shared with the
+//!    sibling through [`pysrc::TokenRope`], and the module is assembled
+//!    at build time into one owned tree, so no artifact keeps the
+//!    version it was spliced from alive. A splice is O(window) for lex
+//!    and parse only — interning, taint and the YARA byte scan recompute
+//!    over the whole file by design, which is what keeps an artifact a
+//!    pure function of `(ruleset, bytes)`.
 //! 2. **Global literal prefilter** ([`PrefilterIndex`]) — one
 //!    case-insensitive Aho–Corasick automaton over the distinct
 //!    plain-text atoms of every compiled YARA rule (via
@@ -53,7 +62,8 @@
 //! wall time, bytes, digest, worker and fired rules with evidence
 //! provenance — in a bounded flight recorder, and the whole metric set
 //! exports as Prometheus text ([`ScanHub::export_prometheus`]) or JSON
-//! ([`ScanHub::export_json`]).
+//! ([`ScanHub::export_json`]). Every counter, gauge and stage is declared
+//! once, in the two tables at the top of `metrics.rs`.
 //!
 //! # Examples
 //!
@@ -77,21 +87,25 @@
 mod artifact;
 mod cache;
 mod hub;
+mod metrics;
 mod prefilter;
+mod queue;
 mod request;
 mod retrohunt;
-mod stats;
+mod store;
 mod trace;
 mod verdict;
+mod worker;
 
 pub use artifact::{ArtifactConfig, DecodedLayer, FileAnalysis, LayerEncoding, LazyModule};
 pub use cache::DigestKey;
-pub use hub::{HubConfig, ScanHub, Ticket};
+pub use hub::{HubConfig, ScanHub};
+pub use metrics::{HubStats, LatencyStat, StageLatencies, StageNanos};
 pub use prefilter::{
     ChangedRule, DeltaKind, PrefilterIndex, PrefilterScratch, Routing, RuleDelta, RuleEngine,
 };
+pub use queue::Ticket;
 pub use request::{FileEntry, ScanRequest};
 pub use retrohunt::{RetroReport, RetroRuleHits, RetroVerdict, RuleDeployment, TermProvenance};
-pub use stats::{HubStats, LatencyStat, StageLatencies};
-pub use trace::{FiredEngine, FiredRule, ScanTrace, StageNanos};
+pub use trace::{FiredEngine, FiredRule, ScanTrace};
 pub use verdict::{FlowRecord, LayerFinding, Verdict};

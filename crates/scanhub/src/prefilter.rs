@@ -36,7 +36,7 @@ pub struct Routing {
 
 impl Routing {
     /// An empty routing, ready to be filled by
-    /// [`PrefilterIndex::route_into`] (workers keep one per thread).
+    /// [`PrefilterIndex::route_artifacts_into`] (workers keep one per thread).
     pub fn empty() -> Self {
         Routing {
             yara: Vec::new(),
@@ -64,7 +64,7 @@ impl Routing {
     }
 }
 
-/// Reusable per-worker scratch for [`PrefilterIndex::route_into`]:
+/// Reusable per-worker scratch for [`PrefilterIndex::route_artifacts_into`]:
 /// generation-stamped per-atom seen marks, so repeated routing passes
 /// allocate nothing and never sweep the stamp array.
 #[derive(Debug, Default)]
@@ -360,39 +360,6 @@ impl PrefilterIndex {
         self.always.len()
     }
 
-    /// Routes one package: automaton passes mark the rules whose atoms
-    /// occur, plus every always-on rule.
-    ///
-    /// YARA rules are routed from `buffer` (what the scanner scans);
-    /// Semgrep rules are routed from `sources` (what the structural
-    /// matcher parses). Routing each engine from its own scan input is
-    /// what makes the skip sound for *any* request, including raw ones
-    /// whose sources are not substrings of the buffer.
-    pub fn route<S: AsRef<[u8]>>(&self, buffer: &[u8], sources: &[S]) -> Routing {
-        let mut routing = Routing::empty();
-        self.route_into(buffer, sources, &mut routing, &mut PrefilterScratch::new());
-        routing
-    }
-
-    /// Like [`PrefilterIndex::route`], reusing a caller-owned routing and
-    /// scratch — the zero-allocation entry point the hub workers use.
-    pub fn route_into<S: AsRef<[u8]>>(
-        &self,
-        buffer: &[u8],
-        sources: &[S],
-        routing: &mut Routing,
-        scratch: &mut PrefilterScratch,
-    ) {
-        routing.reset(self.yara_count, self.semgrep_count);
-        for id in &self.always {
-            routing.mark(*id);
-        }
-        self.mark_hits(buffer, routing, true, false, scratch);
-        for source in sources {
-            self.mark_hits(source.as_ref(), routing, false, true, scratch);
-        }
-    }
-
     /// Routes one package from its per-file analysis artifacts — the
     /// scan-path entry point since the parse-once refactor.
     ///
@@ -457,14 +424,8 @@ impl PrefilterIndex {
         });
     }
 
-    /// A routing that evaluates everything (prefilter disabled).
-    pub fn route_all(&self) -> Routing {
-        let mut routing = Routing::empty();
-        self.route_all_into(&mut routing);
-        routing
-    }
-
-    /// Like [`PrefilterIndex::route_all`], reusing a caller-owned routing.
+    /// A routing that evaluates everything (prefilter disabled), written
+    /// into a caller-owned routing.
     pub fn route_all_into(&self, routing: &mut Routing) {
         routing.yara.clear();
         routing.yara.resize(self.yara_count, true);
@@ -487,6 +448,39 @@ mod tests {
     use super::*;
 
     const NO_SOURCES: &[&str] = &[];
+
+    /// Raw-buffer routing for the unit tests below (the hub routes from
+    /// artifacts): YARA rules from `buffer`, Semgrep rules from `sources`.
+    impl PrefilterIndex {
+        fn route<S: AsRef<[u8]>>(&self, buffer: &[u8], sources: &[S]) -> Routing {
+            let mut routing = Routing::empty();
+            self.route_into(buffer, sources, &mut routing, &mut PrefilterScratch::new());
+            routing
+        }
+
+        fn route_into<S: AsRef<[u8]>>(
+            &self,
+            buffer: &[u8],
+            sources: &[S],
+            routing: &mut Routing,
+            scratch: &mut PrefilterScratch,
+        ) {
+            routing.reset(self.yara_count, self.semgrep_count);
+            for id in &self.always {
+                routing.mark(*id);
+            }
+            self.mark_hits(buffer, routing, true, false, scratch);
+            for source in sources {
+                self.mark_hits(source.as_ref(), routing, false, true, scratch);
+            }
+        }
+
+        fn route_all(&self) -> Routing {
+            let mut routing = Routing::empty();
+            self.route_all_into(&mut routing);
+            routing
+        }
+    }
 
     fn yara(src: &str) -> CompiledRules {
         yara_engine::compile(src).expect("yara compiles")

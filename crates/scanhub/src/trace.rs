@@ -12,69 +12,8 @@
 use std::borrow::Cow;
 use std::fmt;
 
+use crate::metrics::{fmt_ns, StageNanos};
 use crate::verdict::Verdict;
-
-/// Wall time spent in each pipeline stage of one request, in
-/// nanoseconds. Stages are disjoint intervals — except `splice`, which
-/// is nested inside `artifact` and therefore excluded from
-/// [`StageNanos::total`] — so the total is at most the request's wall
-/// time (the property suite pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageNanos {
-    /// Time the job sat in the bounded submission queue.
-    pub queue: u64,
-    /// Verdict-cache lookup on the submit path.
-    pub cache: u64,
-    /// Artifact get-or-build (lex, parse, string intern, layer decode,
-    /// ruleset byte scan — or one cache lookup per file when warm).
-    pub artifact: u64,
-    /// Incremental diff-and-splice artifact builds. Nested **inside**
-    /// `artifact` (a splice is one way a build resolves), so it is
-    /// reported but never added to the disjoint-stage total.
-    pub splice: u64,
-    /// Literal prefilter routing over bytes and decoded layers.
-    pub prefilter: u64,
-    /// YARA condition evaluation over the surface hit sets.
-    pub yara: u64,
-    /// Decoded-layer YARA evaluation (per-layer condition checks; the
-    /// decode itself is artifact work).
-    pub layers: u64,
-    /// Semgrep matchset walk over the cached modules.
-    pub semgrep: u64,
-    /// Taint-flow aggregation over the cached per-file summaries (the
-    /// analysis itself is artifact work, done once per digest).
-    pub dataflow: u64,
-    /// Verdict assembly (sort, dedup, normalize).
-    pub verdict: u64,
-}
-
-impl StageNanos {
-    /// The stage names in pipeline order, paired with their values.
-    pub fn named(&self) -> [(&'static str, u64); 10] {
-        [
-            ("queue", self.queue),
-            ("cache", self.cache),
-            ("artifact", self.artifact),
-            ("splice", self.splice),
-            ("prefilter", self.prefilter),
-            ("yara", self.yara),
-            ("layers", self.layers),
-            ("semgrep", self.semgrep),
-            ("dataflow", self.dataflow),
-            ("verdict", self.verdict),
-        ]
-    }
-
-    /// Sum over the disjoint stages (≤ the request's wall time).
-    /// `splice` is excluded: its samples are already inside `artifact`.
-    pub fn total(&self) -> u64 {
-        self.named()
-            .iter()
-            .filter(|(name, _)| *name != "splice")
-            .map(|(_, v)| v)
-            .sum()
-    }
-}
 
 /// Which engine produced a fired-rule record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -196,7 +135,7 @@ impl fmt::Display for ScanTrace {
             self.seq,
             self.files,
             self.bytes,
-            crate::stats::fmt_ns(self.wall_ns),
+            fmt_ns(self.wall_ns),
             match self.worker {
                 Some(w) => format!(", worker {w}"),
                 None => String::new(),
@@ -213,7 +152,7 @@ impl fmt::Display for ScanTrace {
             writeln!(
                 f,
                 "  {name:<9} {:>10}  ({:.1}%)",
-                crate::stats::fmt_ns(ns),
+                fmt_ns(ns),
                 ns as f64 / self.wall_ns.max(1) as f64 * 100.0
             )?;
         }
@@ -223,7 +162,7 @@ impl fmt::Display for ScanTrace {
                 f,
                 "  {:<9} {:>10}  ({:.1}%)",
                 "other",
-                crate::stats::fmt_ns(overhead),
+                fmt_ns(overhead),
                 overhead as f64 / self.wall_ns.max(1) as f64 * 100.0
             )?;
         }
@@ -289,41 +228,6 @@ mod tests {
         assert_eq!(fired[3].rule, "flow:net-fetch->proc-exec");
         assert!(fired[3].provenance.contains("dropper.py:3"));
         assert!(fired[3].provenance.contains("requests.get -> os.system"));
-    }
-
-    #[test]
-    fn stage_sum_and_names_line_up() {
-        let stages = StageNanos {
-            queue: 10,
-            cache: 1,
-            artifact: 500,
-            splice: 450,
-            prefilter: 20,
-            yara: 100,
-            layers: 30,
-            semgrep: 200,
-            dataflow: 40,
-            verdict: 5,
-        };
-        // `splice` is nested inside `artifact` and must not inflate the
-        // disjoint-stage sum.
-        assert_eq!(stages.total(), 906);
-        let names: Vec<&str> = stages.named().iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            [
-                "queue",
-                "cache",
-                "artifact",
-                "splice",
-                "prefilter",
-                "yara",
-                "layers",
-                "semgrep",
-                "dataflow",
-                "verdict"
-            ]
-        );
     }
 
     #[test]

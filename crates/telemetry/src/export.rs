@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use crate::hist::{bucket_bounds, HistogramSnapshot};
+use crate::hist::bucket_bounds;
 use crate::registry::{MetricHandle, Registry};
 
 impl Registry {
@@ -131,21 +131,6 @@ impl Registry {
         doc.insert("metrics", jsonmini::Value::Array(metrics));
         doc
     }
-}
-
-/// Renders the percentile summary of one histogram snapshot as a JSON
-/// object (`{count, sum, mean, p50, p90, p99, max}`) — the shape bench
-/// documents embed per stage.
-pub fn snapshot_json(snap: &HistogramSnapshot) -> jsonmini::Value {
-    let mut m = jsonmini::Value::object();
-    m.insert("count", snap.count as f64);
-    m.insert("sum", snap.sum as f64);
-    m.insert("mean", snap.mean());
-    m.insert("p50", snap.percentile(0.50) as f64);
-    m.insert("p90", snap.percentile(0.90) as f64);
-    m.insert("p99", snap.percentile(0.99) as f64);
-    m.insert("max", snap.max as f64);
-    m
 }
 
 fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
@@ -436,17 +421,5 @@ mod tests {
             text.contains(r#"path_gauge{path="C:\\temp\n\"quoted\""} 1"#),
             "unexpected render: {text}"
         );
-    }
-
-    #[test]
-    fn snapshot_json_carries_percentiles() {
-        let h = crate::Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let doc = snapshot_json(&h.snapshot());
-        assert_eq!(doc.get("count").and_then(|v| v.as_f64()), Some(1000.0));
-        let p99 = doc.get("p99").and_then(|v| v.as_f64()).unwrap();
-        assert!((990.0..=1056.0).contains(&p99), "p99 = {p99}");
     }
 }

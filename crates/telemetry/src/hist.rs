@@ -108,23 +108,6 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Adds every sample of `other` into `self` (bucket-wise; the two
-    /// layouts are identical by construction).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the bucket contents for quantile
     /// extraction and export.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -271,24 +254,6 @@ mod tests {
         assert_eq!(s.percentile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.count, 0);
-    }
-
-    #[test]
-    fn merge_accumulates_everything() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [5u64, 500, 5_000_000] {
-            a.record(v);
-        }
-        for v in [7u64, 70_000] {
-            b.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.sum(), 5 + 500 + 5_000_000 + 7 + 70_000);
-        assert_eq!(a.max(), 5_000_000);
-        let s = a.snapshot();
-        assert_eq!(s.buckets.iter().sum::<u64>(), 5);
     }
 
     #[test]

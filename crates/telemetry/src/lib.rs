@@ -10,14 +10,12 @@
 //! * [`Histogram`] — a lock-free **log-linear histogram**: unit-width
 //!   buckets below 16, then 16 linear sub-buckets per power-of-two
 //!   octave, so any quantile read is within 1/16 relative error of the
-//!   true sample. Recording is four relaxed atomic ops; histograms
-//!   merge bucket-wise; [`HistogramSnapshot`] extracts
-//!   p50/p90/p99/max/mean.
+//!   true sample. Recording is four relaxed atomic ops;
+//!   [`HistogramSnapshot`] extracts p50/p90/p99/max/mean.
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and [`Histogram`]s
 //!   behind get-or-create registration (name + label set), with a
-//!   global `enabled` switch. [`Registry::timer`] / [`Timer`] give an
-//!   RAII span API that records elapsed nanoseconds on drop and reads
-//!   **no clock at all** when the registry is disabled.
+//!   global `enabled` switch that timing code consults before it reads
+//!   a clock (the hub's `StageClock` reads none when it is off).
 //! * [`FlightRecorder`] — a bounded ring of the last N completed
 //!   records (the hub instantiates it with its `ScanTrace`), so every
 //!   verdict stays explainable after the fact without unbounded memory.
@@ -30,10 +28,7 @@
 //! ```
 //! let reg = telemetry::Registry::new();
 //! let hist = reg.histogram_with("stage_ns", "stage latency", &[("stage", "scan")]);
-//! {
-//!     let _span = telemetry::Timer::start(hist.clone(), reg.enabled());
-//!     // ... timed work ...
-//! }
+//! hist.record(1_250);
 //! assert_eq!(hist.count(), 1);
 //! telemetry::validate_prometheus(&reg.render_prometheus()).unwrap();
 //! ```
@@ -46,9 +41,9 @@ mod hist;
 mod recorder;
 mod registry;
 
-pub use export::{snapshot_json, validate_prometheus};
+pub use export::validate_prometheus;
 pub use hist::{
     bucket_bounds, bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS, SUB_BUCKETS,
 };
 pub use recorder::FlightRecorder;
-pub use registry::{Counter, Gauge, Registry, Timer};
+pub use registry::{Counter, Gauge, Registry};

@@ -1,15 +1,12 @@
-//! The metric registry: named counters, gauges and histograms, plus the
-//! RAII timer API.
+//! The metric registry: named counters, gauges and histograms.
 //!
 //! Metrics are registered once (get-or-create keyed by name + label
 //! set) and then updated through shared [`Arc`] handles, so the hot
-//! path never touches the registry lock. A global `enabled` flag turns
-//! the timer API into a no-op — when off, [`Registry::timer`] takes no
-//! clock reading at all.
+//! path never touches the registry lock. A global `enabled` flag is the
+//! switch timing code consults before it reads a clock.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::hist::Histogram;
 
@@ -109,13 +106,13 @@ impl Registry {
         }
     }
 
-    /// Whether timers record (counters and gauges always work — they
-    /// are too cheap to gate).
+    /// Whether callers should time and record spans (counters and gauges
+    /// always work — they are too cheap to gate).
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns the timer API on or off at runtime.
+    /// Turns span timing on or off at runtime.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -170,17 +167,6 @@ impl Registry {
         }
     }
 
-    /// Starts a timer whose drop records elapsed nanoseconds into the
-    /// histogram `name`. When the registry is disabled the guard is
-    /// inert: no clock is read on either end.
-    ///
-    /// The registry lock is taken to resolve `name`; hot paths that
-    /// time millions of spans should resolve the histogram handle once
-    /// and use [`Timer::start`] directly.
-    pub fn timer(&self, name: &str, help: &str) -> Timer {
-        Timer::start(self.histogram(name, help), self.enabled())
-    }
-
     fn get_or_insert(
         &self,
         name: &str,
@@ -230,49 +216,6 @@ impl Registry {
     }
 }
 
-/// An RAII span: created via [`Timer::start`] or [`Registry::timer`],
-/// records elapsed nanoseconds into its histogram when dropped (or
-/// explicitly via [`Timer::stop`]).
-#[must_use = "a timer records on drop; binding it to _ drops immediately"]
-pub struct Timer {
-    hist: Arc<Histogram>,
-    start: Option<Instant>,
-}
-
-impl Timer {
-    /// Starts timing into `hist`; inert (no clock read) when `enabled`
-    /// is false.
-    pub fn start(hist: Arc<Histogram>, enabled: bool) -> Timer {
-        Timer {
-            hist,
-            start: enabled.then(Instant::now),
-        }
-    }
-
-    /// Stops now, records, and returns the elapsed nanoseconds (0 when
-    /// the timer was inert).
-    pub fn stop(mut self) -> u64 {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> u64 {
-        match self.start.take() {
-            None => 0,
-            Some(t0) => {
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.hist.record(ns);
-                ns
-            }
-        }
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,29 +252,5 @@ mod tests {
         let reg = Registry::new();
         let _ = reg.counter("x", "");
         let _ = reg.gauge("x", "");
-    }
-
-    #[test]
-    fn timer_records_into_the_named_histogram() {
-        let reg = Registry::new();
-        {
-            let _t = reg.timer("stage_ns", "stage latency");
-            std::hint::black_box(());
-        }
-        let h = reg.histogram("stage_ns", "stage latency");
-        assert_eq!(h.count(), 1);
-        let ns = reg.timer("stage_ns", "stage latency").stop();
-        assert!(ns > 0, "a real timer observes elapsed time");
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn disabled_registry_timers_are_inert() {
-        let reg = Registry::new();
-        reg.set_enabled(false);
-        assert_eq!(reg.timer("stage_ns", "").stop(), 0);
-        assert_eq!(reg.histogram("stage_ns", "").count(), 0);
-        reg.set_enabled(true);
-        assert!(reg.enabled());
     }
 }

@@ -52,27 +52,6 @@ proptest! {
         prop_assert_eq!(snap.count, values.len() as u64);
         prop_assert_eq!(snap.sum, values.iter().sum::<u64>());
     }
-
-    /// Merged histograms equal the histogram of the concatenated data.
-    #[test]
-    fn merge_equals_recording_the_union(
-        a in prop::collection::vec(0u64..1_000_000_000, 0..100),
-        b in prop::collection::vec(0u64..1_000_000_000, 0..100),
-    ) {
-        let ha = Histogram::new();
-        let hb = Histogram::new();
-        let hu = Histogram::new();
-        for &v in &a {
-            ha.record(v);
-            hu.record(v);
-        }
-        for &v in &b {
-            hb.record(v);
-            hu.record(v);
-        }
-        ha.merge_from(&hb);
-        prop_assert_eq!(ha.snapshot(), hu.snapshot());
-    }
 }
 
 /// Concurrent recording from N threads loses no samples: the bucket

@@ -1,9 +1,10 @@
 //! The serving path's cost invariants as exact `HubStats` counts on one
 //! small version-bump stream through `HubConfig::default()`: bumps
 //! splice, nothing is built twice, taint and pattern compilation stay off
-//! the warm path, and a retro-hunt prunes without losing a hit. Counts
-//! repeat to the bit, so nothing here reads a clock; how fast the same
-//! paths run is `benchmark/`'s question.
+//! the warm path, a retro-hunt prunes without losing a hit, and every
+//! counter reaches both exporters. Counts repeat to the bit, so nothing
+//! here reads a clock; how fast the same paths run is `benchmark/`'s
+//! question.
 //!
 //! Nothing in this file may call `semgrep_engine::reference`: its re-parse
 //! counter is a process static, and the first test asserts it does not
@@ -154,4 +155,114 @@ fn retro_hunt_equals_the_rescan_and_prunes() {
         report.digests_indexed
     );
     assert_eq!(hub.stats().semgrep_pattern_reparses, 0);
+}
+
+/// Every series the exporters carried before the metric tables existed;
+/// none may be renamed or dropped.
+const ESTABLISHED_SERIES: [&str; 37] = [
+    "scanhub_stage_duration_ns",
+    "scanhub_scan_duration_ns",
+    "scanhub_submitted_total",
+    "scanhub_completed_total",
+    "scanhub_cache_hits_total",
+    "scanhub_bytes_scanned_total",
+    "scanhub_artifact_parses_total",
+    "scanhub_artifact_cache_hits_total",
+    "scanhub_incremental_relexes_total",
+    "scanhub_splice_fallbacks_total",
+    "scanhub_relexed_bytes_total",
+    "scanhub_layers_decoded_total",
+    "scanhub_taint_analyses_total",
+    "scanhub_flows_found_total",
+    "scanhub_consts_folded_total",
+    "scanhub_yara_rules_evaluated_total",
+    "scanhub_yara_rules_skipped_total",
+    "scanhub_semgrep_rules_evaluated_total",
+    "scanhub_semgrep_rules_skipped_total",
+    "scanhub_retro_hunts_total",
+    "scanhub_retro_candidates_total",
+    "scanhub_retro_confirm_scans_total",
+    "textmatch_teddy_scans_total",
+    "textmatch_teddy_bytes_scanned_total",
+    "textmatch_teddy_chunks_classified_total",
+    "textmatch_teddy_chunks_verified_total",
+    "textmatch_ac_fallback_scans_total",
+    "textmatch_dfa_scans_total",
+    "textmatch_dfa_states_built_total",
+    "textmatch_dfa_cache_flushes_total",
+    "textmatch_pikevm_fallbacks_total",
+    "scanhub_retro_index_atoms",
+    "scanhub_retro_index_digests",
+    "scanhub_cached_verdicts",
+    "scanhub_cached_artifacts",
+    "scanhub_artifact_bytes_resident",
+    "scanhub_flight_recorder_traces",
+];
+
+#[test]
+fn every_counter_reaches_both_exporters() {
+    let hub = hub();
+    ingest(&hub, &release_stream());
+    let stats = hub.stats();
+    let text = hub.export_prometheus();
+    telemetry::validate_prometheus(&text).expect("valid exposition format");
+    let json = hub.export_json();
+    let metrics = json
+        .get("metrics")
+        .and_then(|m| m.as_array())
+        .expect("metrics array");
+    let json_entry = |series: &str| {
+        metrics
+            .iter()
+            .find(|m| m.get("name").and_then(|n| n.as_str()) == Some(series))
+    };
+
+    // The seven counters `HubStats` always had but no exporter carried.
+    for (series, value) in [
+        ("scanhub_yara_scans_skipped_total", stats.yara_scans_skipped),
+        (
+            "scanhub_semgrep_parses_skipped_total",
+            stats.semgrep_parses_skipped,
+        ),
+        (
+            "scanhub_regex_strings_evaluated_total",
+            stats.regex_strings_evaluated,
+        ),
+        (
+            "scanhub_regex_bytes_scanned_total",
+            stats.regex_bytes_scanned,
+        ),
+        (
+            "scanhub_semgrep_stmts_visited_total",
+            stats.semgrep_stmts_visited,
+        ),
+        (
+            "scanhub_semgrep_pattern_reparses_total",
+            stats.semgrep_pattern_reparses,
+        ),
+        (
+            "scanhub_layer_bytes_scanned_total",
+            stats.layer_bytes_scanned,
+        ),
+    ] {
+        assert!(
+            text.lines().any(|l| l == format!("{series} {value}")),
+            "prometheus lacks `{series} {value}`"
+        );
+        let exported = json_entry(series).and_then(|m| m.get("value"));
+        assert_eq!(
+            exported.and_then(|v| v.as_f64()),
+            Some(value as f64),
+            "json {series}"
+        );
+    }
+    assert!(stats.semgrep_stmts_visited > 0, "the stream walked modules");
+
+    for series in ESTABLISHED_SERIES {
+        assert!(
+            text.contains(&format!("# TYPE {series} ")),
+            "prometheus lost {series}"
+        );
+        assert!(json_entry(series).is_some(), "json lost {series}");
+    }
 }
