@@ -94,21 +94,12 @@ pub fn scan_verdicts(
     targets: &[ScanTarget],
     max_decode_depth: u8,
 ) -> Vec<Verdict> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(targets.len().max(1));
-    let hub = ScanHub::new(
-        yara.cloned(),
-        semgrep.cloned(),
-        HubConfig {
-            workers,
-            max_decode_depth,
-            dataflow: false,
-            ..HubConfig::default()
-        },
-    );
-    hub.scan_ordered(targets.iter().map(|t| t.request.clone()))
+    let config = HubConfig {
+        max_decode_depth,
+        dataflow: false,
+        ..HubConfig::default()
+    };
+    batch_scan(yara, semgrep, config, targets)
 }
 
 /// Scans every target through a **rule-less** hub with the behavior
@@ -117,17 +108,29 @@ pub fn scan_verdicts(
 /// robustness experiment — rules key on spellings, flows key on
 /// structure, and this isolates the latter.
 pub fn scan_taint_verdicts(targets: &[ScanTarget]) -> Vec<Verdict> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(targets.len().max(1));
+    let config = HubConfig {
+        cache_capacity: 0,
+        ..HubConfig::default()
+    };
+    batch_scan(None, None, config, targets)
+}
+
+/// One `scan_ordered` call over a hub that lives exactly that long: the
+/// pool is sized to the batch, and no retro index is maintained — the
+/// hub is dropped before anything could deploy rules to it or hunt.
+fn batch_scan(
+    yara: Option<&CompiledRules>,
+    semgrep: Option<&CompiledSemgrepRules>,
+    config: HubConfig,
+    targets: &[ScanTarget],
+) -> Vec<Verdict> {
     let hub = ScanHub::new(
-        None,
-        None,
+        yara.cloned(),
+        semgrep.cloned(),
         HubConfig {
-            workers,
-            cache_capacity: 0,
-            ..HubConfig::default()
+            workers: config.workers.min(targets.len().max(1)),
+            retro_index: false,
+            ..config
         },
     );
     hub.scan_ordered(targets.iter().map(|t| t.request.clone()))

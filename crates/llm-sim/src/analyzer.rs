@@ -6,6 +6,8 @@
 //! extract. The noise model in [`crate::generate`] then degrades its
 //! output per model profile.
 
+use std::sync::OnceLock;
+
 use textmatch::Regex;
 
 /// Which Table II audit row an indicator belongs to.
@@ -199,6 +201,24 @@ const API_CATALOG: &[(&str, IndicatorKind)] = &[
     ("ImageGrab.grab", IndicatorKind::Network),
 ];
 
+/// The IOC regexes of [`analyze_code`], compiled once per process: the
+/// pipeline audits every basic unit of every package, and compiling
+/// cost far more than matching.
+struct IocRegexes {
+    url: Regex,
+    ip: Regex,
+    b64: Regex,
+}
+
+fn ioc_regexes() -> &'static IocRegexes {
+    static IOC: OnceLock<IocRegexes> = OnceLock::new();
+    IOC.get_or_init(|| IocRegexes {
+        url: Regex::new(r"https?://[\w.\-/]{6,80}").expect("static pattern"),
+        ip: Regex::new(r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}").expect("static pattern"),
+        b64: Regex::new(r"[A-Za-z0-9+/]{40,}={0,2}").expect("static pattern"),
+    })
+}
+
 /// Analyzes a code payload into Table II indicators.
 ///
 /// IOC extraction uses regexes for URLs, dotted-quad IPs, webhook paths
@@ -209,8 +229,8 @@ pub fn analyze_code(code: &str) -> Analysis {
     let bytes = code.as_bytes();
 
     // IOC regexes.
-    let url_re = Regex::new(r"https?://[\w.\-/]{6,80}").expect("static pattern");
-    for m in url_re.find_all(bytes).into_iter().take(8) {
+    let re = ioc_regexes();
+    for m in re.url.find_all(bytes).into_iter().take(8) {
         let url = String::from_utf8_lossy(&bytes[m.start..m.end]).into_owned();
         // Benign well-known hosts are not IOCs.
         if [
@@ -231,8 +251,7 @@ pub fn analyze_code(code: &str) -> Analysis {
             is_regex: false,
         });
     }
-    let ip_re = Regex::new(r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}").expect("static pattern");
-    for m in ip_re.find_all(bytes).into_iter().take(4) {
+    for m in re.ip.find_all(bytes).into_iter().take(4) {
         let ip = String::from_utf8_lossy(&bytes[m.start..m.end]).into_owned();
         if ip.starts_with("127.") || ip == "0.0.0.0" {
             continue;
@@ -244,8 +263,7 @@ pub fn analyze_code(code: &str) -> Analysis {
         });
     }
     // Long base64 blob — keep as a *regex* indicator (the Table I rule).
-    let b64_re = Regex::new(r"[A-Za-z0-9+/]{40,}={0,2}").expect("static pattern");
-    if b64_re.is_match(bytes) {
+    if re.b64.is_match(bytes) {
         indicators.push(Indicator {
             text: r"([A-Za-z0-9+/]{4}){10,}={0,2}".to_owned(),
             kind: IndicatorKind::Encryption,

@@ -28,7 +28,10 @@ pub struct KnowledgeEntry {
 /// A retrieval store of security knowledge.
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
-    entries: Vec<KnowledgeEntry>,
+    /// Each fact beside its compiled pattern. `None` for substring
+    /// entries, and for a regex entry whose pattern does not compile —
+    /// retrieval skips those.
+    entries: Vec<(KnowledgeEntry, Option<Regex>)>,
     /// Strings known to be ubiquitous in benign code; retrieval vetoes
     /// them out of analyses (anti-overgeneral knowledge).
     benign: Vec<&'static str>,
@@ -58,7 +61,7 @@ impl KnowledgeBase {
             ),
             (r"[\w.-]+\.onion", IndicatorKind::Ioc, "Tor hidden service"),
         ] {
-            kb.entries.push(KnowledgeEntry {
+            kb.push(KnowledgeEntry {
                 pattern: pattern.to_owned(),
                 is_regex: true,
                 kind,
@@ -94,7 +97,7 @@ impl KnowledgeBase {
                 "mining pool protocol",
             ),
         ] {
-            kb.entries.push(KnowledgeEntry {
+            kb.push(KnowledgeEntry {
                 pattern: pattern.to_owned(),
                 is_regex: false,
                 kind,
@@ -118,6 +121,16 @@ impl KnowledgeBase {
         kb
     }
 
+    /// Adds a fact, compiling a regex pattern here so retrieval never
+    /// does.
+    fn push(&mut self, entry: KnowledgeEntry) {
+        let compiled = entry
+            .is_regex
+            .then(|| Regex::new(&entry.pattern).ok())
+            .flatten();
+        self.entries.push((entry, compiled));
+    }
+
     /// Number of retrievable facts.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -132,9 +145,9 @@ impl KnowledgeBase {
     pub fn retrieve(&self, code: &str) -> Vec<Indicator> {
         let mut out = Vec::new();
         let bytes = code.as_bytes();
-        for entry in &self.entries {
+        for (entry, compiled) in &self.entries {
             if entry.is_regex {
-                let Ok(re) = Regex::new(&entry.pattern) else {
+                let Some(re) = compiled else {
                     continue;
                 };
                 for m in re.find_all(bytes).into_iter().take(3) {

@@ -7,6 +7,8 @@
 //! the unit; (3) close the unit at the next boundary; (4) split units
 //! larger than 4,000 characters.
 
+use std::sync::OnceLock;
+
 use textmatch::Regex;
 
 /// The paper's 4,000-character unit cap (§IV-A step 4).
@@ -27,9 +29,12 @@ pub struct BasicUnit {
 /// module unit. Indented continuation lines stay with their block.
 pub fn split_basic_units(source: &str) -> Vec<BasicUnit> {
     // The paper's boundary regex: block-opening keywords at column zero
-    // (top-level blocks) or decorators introducing them.
-    let boundary =
-        Regex::new(r"^(def |class |if |for |while |try:|with |@)").expect("static pattern");
+    // (top-level blocks) or decorators introducing them. Compiled once
+    // per process, not once per package.
+    static BOUNDARY: OnceLock<Regex> = OnceLock::new();
+    let boundary = BOUNDARY.get_or_init(|| {
+        Regex::new(r"^(def |class |if |for |while |try:|with |@)").expect("static pattern")
+    });
     let lines: Vec<&str> = source.lines().collect();
     let mut units = Vec::new();
     let mut current = String::new();

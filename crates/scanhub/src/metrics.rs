@@ -275,10 +275,10 @@ macro_rules! stages {
         const ALL_STAGES: usize = REQUEST_STAGES + [$(stringify!($hub)),*].len() + 1;
 
         /// Wall time spent in each pipeline stage of one request, in
-        /// nanoseconds. Stages are disjoint intervals — except `splice`, which
-        /// is nested inside `artifact` and therefore excluded from
-        /// [`StageNanos::total`] — so the total is at most the request's wall
-        /// time (the property suite pins this).
+        /// nanoseconds. Stages are disjoint intervals — except `splice` and
+        /// `retro_publish`, which are nested inside `artifact` and therefore
+        /// excluded from [`StageNanos::total`] — so the total is at most the
+        /// request's wall time (the property suite pins this).
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct StageNanos {
             $($(#[$rdoc])* pub $req: u64,)*
@@ -372,6 +372,11 @@ stages! {
         /// `artifact` (a splice is one way a build resolves), so it is
         /// reported but never added to the disjoint-stage total.
         splice,
+        /// Retro-index maintenance for the artifacts this request published:
+        /// gram collection (outside the index lock) plus eviction removals
+        /// and posting (under it). Nested **inside** `artifact` like
+        /// `splice`, and excluded from the total the same way.
+        retro_publish,
         /// Literal prefilter routing over bytes and decoded layers.
         prefilter,
         /// YARA condition evaluation over the surface hit sets.
@@ -401,9 +406,10 @@ stages! {
 
 impl StageNanos {
     /// Sum over the disjoint stages (≤ the request's wall time).
-    /// `splice` is excluded: its samples are already inside `artifact`.
+    /// `splice` and `retro_publish` are excluded: their samples are
+    /// already inside `artifact`.
     pub fn total(&self) -> u64 {
-        self.named().iter().map(|(_, ns)| ns).sum::<u64>() - self.splice
+        self.named().iter().map(|(_, ns)| ns).sum::<u64>() - self.splice - self.retro_publish
     }
 }
 
@@ -649,8 +655,8 @@ mod tests {
     use crate::HubConfig;
 
     /// The tables check themselves: no series is exported twice, the
-    /// three stage views agree on names and order, and `splice` is the
-    /// one stage outside the disjoint total.
+    /// three stage views agree on names and order, and `splice` and
+    /// `retro_publish` are the stages outside the disjoint total.
     #[test]
     fn tables_declare_each_metric_once_and_line_up() {
         let rows = HubStats::default().rows();
@@ -667,14 +673,19 @@ mod tests {
             cache: 2,
             artifact: 4,
             splice: 8,
-            prefilter: 16,
-            yara: 32,
-            layers: 64,
-            semgrep: 128,
-            dataflow: 256,
-            verdict: 512,
+            retro_publish: 16,
+            prefilter: 32,
+            yara: 64,
+            layers: 128,
+            semgrep: 256,
+            dataflow: 512,
+            verdict: 1024,
         };
-        assert_eq!(stages.total(), 1023 - 8, "total excludes exactly `splice`");
+        assert_eq!(
+            stages.total(),
+            2047 - 8 - 16,
+            "total excludes exactly the stages nested inside `artifact`"
+        );
         let mut names: Vec<&str> = stages.named().iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
@@ -683,6 +694,7 @@ mod tests {
                 "cache",
                 "artifact",
                 "splice",
+                "retro_publish",
                 "prefilter",
                 "yara",
                 "layers",

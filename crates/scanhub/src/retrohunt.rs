@@ -39,7 +39,7 @@
 //! pins the confirm-scan itself against a full hub scan restricted to
 //! the changed rules.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 use semgrep_engine::{CompiledSemgrepRules, Finding, MatchScratch, MatchSet};
@@ -75,6 +75,16 @@ struct Postings {
     layer: Vec<u32>,
 }
 
+impl Postings {
+    fn post(&mut self, provenance: TermProvenance, slot: u32) {
+        let list = match provenance {
+            TermProvenance::Surface => &mut self.surface,
+            TermProvenance::Layer => &mut self.layer,
+        };
+        push_slot(list, slot);
+    }
+}
+
 /// The inverted content index: folded 3-gram → digest slots, tagged by
 /// provenance. Maintained under the artifact store's retro lock; all
 /// mutation happens on the single-flight publish path and on eviction.
@@ -96,22 +106,119 @@ pub(crate) struct RetroIndex {
     dead: usize,
 }
 
-fn collect_grams(data: &[u8], out: &mut HashSet<[u8; GRAM_LEN]>) {
-    for w in data.windows(GRAM_LEN) {
-        out.insert([
-            w[0].to_ascii_lowercase(),
-            w[1].to_ascii_lowercase(),
-            w[2].to_ascii_lowercase(),
-        ]);
+/// Words of the per-worker presence bitmaps: one bit per packed 3-gram
+/// (2 MiB) and per packed pair (8 KiB).
+const SEEN3_WORDS: usize = (1 << (8 * GRAM_LEN)) / 64;
+const SEEN2_WORDS: usize = (1 << 16) / 64;
+
+/// Sets bit `key`; true when it was clear.
+fn first_sighting(seen: &mut [u64], key: usize) -> bool {
+    let (word, bit) = (key >> 6, 1u64 << (key & 63));
+    let fresh = seen[word] & bit == 0;
+    seen[word] |= bit;
+    fresh
+}
+
+/// The distinct folded grams of one provenance: single bytes as a
+/// 256-bit set, pairs and 3-grams as big-endian packed keys in
+/// first-sighting order.
+#[derive(Debug, Default)]
+struct GramSet {
+    g1: [u64; 4],
+    g2: Vec<u16>,
+    g3: Vec<u32>,
+}
+
+impl GramSet {
+    fn clear(&mut self) {
+        self.g1 = [0; 4];
+        self.g2.clear();
+        self.g3.clear();
+    }
+
+    /// One pass over one scan unit, adding the grams whose presence bit
+    /// is still clear. The rolling key restarts per unit, so no window
+    /// crosses a layer boundary.
+    fn scan(&mut self, data: &[u8], seen2: &mut [u64], seen3: &mut [u64]) {
+        let mut key = 0usize;
+        for (i, &b) in data.iter().enumerate() {
+            let b = b.to_ascii_lowercase() as usize;
+            key = (key << 8 | b) & 0xFF_FFFF;
+            self.g1[b >> 6] |= 1 << (b & 63);
+            if i >= 1 && first_sighting(seen2, key & 0xFFFF) {
+                self.g2.push(key as u16);
+            }
+            if i >= 2 && first_sighting(seen3, key) {
+                self.g3.push(key as u32);
+            }
+        }
+    }
+
+    /// Zeroes every bitmap word this set marked, keeping the lists.
+    fn unmark(&self, seen2: &mut [u64], seen3: &mut [u64]) {
+        for &k in &self.g2 {
+            seen2[k as usize >> 6] = 0;
+        }
+        for &k in &self.g3 {
+            seen3[k as usize >> 6] = 0;
+        }
+    }
+
+    fn singles(&self) -> impl Iterator<Item = u8> + '_ {
+        (0..=255u8).filter(|&b| self.g1[b as usize >> 6] >> (b & 63) & 1 == 1)
+    }
+
+    fn pairs(&self) -> impl Iterator<Item = [u8; 2]> + '_ {
+        self.g2.iter().map(|k| k.to_be_bytes())
+    }
+
+    fn triples(&self) -> impl Iterator<Item = [u8; GRAM_LEN]> + '_ {
+        self.g3.iter().map(|k| {
+            let [_, a, b, c] = k.to_be_bytes();
+            [a, b, c]
+        })
     }
 }
 
-fn collect_short_grams(data: &[u8], out1: &mut HashSet<u8>, out2: &mut HashSet<[u8; 2]>) {
-    for &b in data {
-        out1.insert(b.to_ascii_lowercase());
-    }
-    for w in data.windows(2) {
-        out2.insert([w[0].to_ascii_lowercase(), w[1].to_ascii_lowercase()]);
+/// Per-worker gram collector: one rolling pass per scan unit folds each
+/// byte once and records a gram the first time its presence bit is
+/// found clear. The bitmaps are all-zero between collections — cleared
+/// by walking the first-sighting lists, never by `fill` — so a publish
+/// allocates nothing once the lists have grown, and transient memory is
+/// the fixed bitmaps plus at most min(unit bytes, 2^24) keys per list.
+#[derive(Debug, Default)]
+pub(crate) struct GramScratch {
+    /// Empty until the first collection, so workers of an index-less
+    /// hub never pay for the bitmaps.
+    seen3: Vec<u64>,
+    seen2: Vec<u64>,
+    /// Identity of the collected artifact, posted with its grams.
+    digest: DigestKey,
+    is_python: bool,
+    surface: GramSet,
+    layer: GramSet,
+}
+
+impl GramScratch {
+    /// Collects the artifact's grams: `artifact.bytes` into the surface
+    /// set, the union over `artifact.layers` into the layer set. Takes
+    /// no lock.
+    pub(crate) fn collect(&mut self, artifact: &FileAnalysis) {
+        if self.seen3.is_empty() {
+            self.seen3 = vec![0; SEEN3_WORDS];
+            self.seen2 = vec![0; SEEN2_WORDS];
+        }
+        let (seen2, seen3) = (&mut self.seen2[..], &mut self.seen3[..]);
+        self.digest = artifact.digest;
+        self.is_python = artifact.is_python;
+        self.surface.clear();
+        self.surface.scan(&artifact.bytes, seen2, seen3);
+        self.surface.unmark(seen2, seen3);
+        self.layer.clear();
+        for layer in &artifact.layers {
+            self.layer.scan(&layer.data, seen2, seen3);
+        }
+        self.layer.unmark(seen2, seen3);
     }
 }
 
@@ -143,51 +250,50 @@ impl RetroIndex {
         self.postings.len() + self.grams1.len() + self.grams2.len()
     }
 
-    /// Indexes one published artifact. Idempotent: a digest already
-    /// indexed (the single-flight re-publish race) is left untouched.
-    pub(crate) fn insert_artifact(&mut self, artifact: &FileAnalysis) {
-        if self.by_digest.contains_key(&artifact.digest) {
+    /// Indexes the artifact `grams` was collected from, posting each
+    /// distinct gram once. Idempotent: a digest already indexed (rebuilt
+    /// after an eviction whose removal has not reached the index yet)
+    /// is left untouched.
+    pub(crate) fn insert_collected(&mut self, grams: &GramScratch) {
+        if self.by_digest.contains_key(&grams.digest) {
             return;
         }
+        let live = Some((grams.digest, grams.is_python));
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize] = Some((artifact.digest, artifact.is_python));
+                self.slots[s as usize] = live;
                 s
             }
             None => {
-                self.slots.push(Some((artifact.digest, artifact.is_python)));
+                self.slots.push(live);
                 (self.slots.len() - 1) as u32
             }
         };
-        self.by_digest.insert(artifact.digest, slot);
+        self.by_digest.insert(grams.digest, slot);
 
-        let mut grams: HashSet<[u8; GRAM_LEN]> = HashSet::new();
-        let mut g1: HashSet<u8> = HashSet::new();
-        let mut g2: HashSet<[u8; 2]> = HashSet::new();
-        collect_grams(&artifact.bytes, &mut grams);
-        collect_short_grams(&artifact.bytes, &mut g1, &mut g2);
-        for g in grams.drain() {
-            push_slot(&mut self.postings.entry(g).or_default().surface, slot);
+        let lists = [
+            (&grams.surface, TermProvenance::Surface),
+            (&grams.layer, TermProvenance::Layer),
+        ];
+        for (set, provenance) in lists {
+            for g in set.singles() {
+                self.grams1.entry(g).or_default().post(provenance, slot);
+            }
+            for g in set.pairs() {
+                self.grams2.entry(g).or_default().post(provenance, slot);
+            }
+            for g in set.triples() {
+                self.postings.entry(g).or_default().post(provenance, slot);
+            }
         }
-        for g in g1.drain() {
-            push_slot(&mut self.grams1.entry(g).or_default().surface, slot);
-        }
-        for g in g2.drain() {
-            push_slot(&mut self.grams2.entry(g).or_default().surface, slot);
-        }
-        for layer in &artifact.layers {
-            collect_grams(&layer.data, &mut grams);
-            collect_short_grams(&layer.data, &mut g1, &mut g2);
-        }
-        for g in grams.drain() {
-            push_slot(&mut self.postings.entry(g).or_default().layer, slot);
-        }
-        for g in g1.drain() {
-            push_slot(&mut self.grams1.entry(g).or_default().layer, slot);
-        }
-        for g in g2.drain() {
-            push_slot(&mut self.grams2.entry(g).or_default().layer, slot);
-        }
+    }
+
+    /// Collect-and-insert through a fresh scratch.
+    #[cfg(test)]
+    pub(crate) fn insert_artifact(&mut self, artifact: &FileAnalysis) {
+        let mut grams = GramScratch::default();
+        grams.collect(artifact);
+        self.insert_collected(&grams);
     }
 
     /// Drops a digest (cache eviction). The slot becomes a tombstone
@@ -725,6 +831,8 @@ pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Opti
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::artifact::ArtifactConfig;
     use crate::hub::tests::{hub, request, SEMGREP, YARA};
@@ -1003,5 +1111,225 @@ mod tests {
         let _ = no_index.submit(request("print('x')\n")).wait();
         assert!(no_index.retro_hunt(&deployment).is_none());
         assert_eq!(no_index.retro_index_size(), (0, 0));
+    }
+
+    // ---- The rolling collector against the per-byte hash sets it
+    // replaced, kept verbatim below as the oracle.
+
+    fn collect_grams(data: &[u8], out: &mut HashSet<[u8; GRAM_LEN]>) {
+        for w in data.windows(GRAM_LEN) {
+            out.insert([
+                w[0].to_ascii_lowercase(),
+                w[1].to_ascii_lowercase(),
+                w[2].to_ascii_lowercase(),
+            ]);
+        }
+    }
+
+    fn collect_short_grams(data: &[u8], out1: &mut HashSet<u8>, out2: &mut HashSet<[u8; 2]>) {
+        for &b in data {
+            out1.insert(b.to_ascii_lowercase());
+        }
+        for w in data.windows(2) {
+            out2.insert([w[0].to_ascii_lowercase(), w[1].to_ascii_lowercase()]);
+        }
+    }
+
+    /// One provenance's 1-, 2- and 3-grams as sorted vectors.
+    type Grams = (Vec<u8>, Vec<[u8; 2]>, Vec<[u8; GRAM_LEN]>);
+
+    /// What the hash-set collectors find over `units`, none of whose
+    /// windows cross a unit boundary.
+    fn oracle<'a>(units: impl IntoIterator<Item = &'a [u8]>) -> Grams {
+        let (mut g1, mut g2, mut g3) = (HashSet::new(), HashSet::new(), HashSet::new());
+        for unit in units {
+            collect_grams(unit, &mut g3);
+            collect_short_grams(unit, &mut g1, &mut g2);
+        }
+        let mut grams: Grams = (
+            g1.into_iter().collect(),
+            g2.into_iter().collect(),
+            g3.into_iter().collect(),
+        );
+        grams.0.sort_unstable();
+        grams.1.sort_unstable();
+        grams.2.sort_unstable();
+        grams
+    }
+
+    impl GramSet {
+        fn sorted(&self) -> Grams {
+            let mut grams: Grams = (
+                self.singles().collect(),
+                self.pairs().collect(),
+                self.triples().collect(),
+            );
+            grams.1.sort_unstable();
+            grams.2.sort_unstable();
+            grams
+        }
+    }
+
+    /// Collects `artifact` through `scratch` and returns its (surface,
+    /// layer) gram sets after checking both against the oracle.
+    fn collect_checked(scratch: &mut GramScratch, artifact: &FileAnalysis) -> (Grams, Grams) {
+        scratch.collect(artifact);
+        let found = (scratch.surface.sorted(), scratch.layer.sorted());
+        assert_eq!(found.0, oracle([&artifact.bytes[..]]), "surface grams");
+        let layers = artifact.layers.iter().map(|l| &l.data[..]);
+        assert_eq!(found.1, oracle(layers), "layer grams");
+        assert!(
+            scratch.seen2.iter().chain(&scratch.seen3).all(|&w| w == 0),
+            "a presence bit outlived its collection"
+        );
+        found
+    }
+
+    /// A non-Python artifact over exactly these scan units.
+    fn units(surface: &[u8], layers: &[&[u8]]) -> FileAnalysis {
+        let mut artifact = analyze("unit.bin", surface);
+        artifact.layers = layers
+            .iter()
+            .map(|data| crate::artifact::DecodedLayer {
+                encoding: crate::LayerEncoding::Base64,
+                depth: 1,
+                line: 1,
+                data: data.to_vec(),
+            })
+            .collect();
+        artifact
+    }
+
+    fn pseudo_random_bytes(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                // xorshift64
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rolling_collector_equals_the_hash_sets_on_edge_inputs() {
+        let all_bytes: Vec<u8> = (0..=255).collect();
+        let random = pseudo_random_bytes(64 * 1024, 0x9E37_79B9_7F4A_7C15);
+        let cases: [(&[u8], &[&[u8]]); 9] = [
+            (b"", &[]),
+            (b"a", &[b""]),
+            (b"aB", &[b"c"]),
+            (b"aBc", &[b"De", b"f"]),
+            (&all_bytes, &[&all_bytes, b"\xff\x00"]),
+            (b"AbCabcABCabc AbCabc", &[b"XyZ", b"xyz", b"XYZxyz"]),
+            // No window may join the end of one layer to the start of
+            // the next: "ab" + "cd" holds neither "bc", "abc" nor "bcd".
+            (b"", &[b"ab", b"cd"]),
+            (&random, &[&random[..4096], &random[4095..12_000]]),
+            (&[0u8; 70_000], &[&[b'Z'; 3]]),
+        ];
+        let mut scratch = GramScratch::default();
+        for (surface, layers) in cases {
+            collect_checked(&mut scratch, &units(surface, layers));
+        }
+        // Only `A`–`Z` fold: 256 byte values leave 256 − 26 distinct.
+        let (surface, _) = collect_checked(&mut scratch, &units(&all_bytes, &[]));
+        assert_eq!(surface.0.len(), 230);
+        assert!(surface.0.contains(&b'[') && surface.0.contains(&b'@'));
+        let (_, layer) = collect_checked(&mut scratch, &units(b"", &[b"ab", b"cd"]));
+        assert_eq!(layer.1, [*b"ab", *b"cd"]);
+        assert!(layer.2.is_empty());
+    }
+
+    #[test]
+    fn rolling_collector_equals_the_hash_sets_on_the_corpus_and_its_mutants() {
+        let dataset = corpus::Dataset::generate(&corpus::CorpusConfig::tiny());
+        let engine = obfuscate::Obfuscator::new(obfuscate::EvasionProfile::aggressive(), 7);
+        let config = ArtifactConfig::default();
+        let mut scratch = GramScratch::default();
+        let (mut files, mut layers) = (0, 0);
+        let packages = dataset
+            .unique_malware()
+            .into_iter()
+            .map(|m| &m.package)
+            .chain(dataset.legit.iter().map(|l| &l.package));
+        for package in packages {
+            for pkg in [package, &engine.obfuscate_package(package)] {
+                for entry in ScanRequest::from_package(pkg).files() {
+                    let artifact = FileAnalysis::build(entry, None, &config);
+                    collect_checked(&mut scratch, &artifact);
+                    files += 1;
+                    layers += artifact.layers.len();
+                }
+            }
+        }
+        assert!(files > 100 && layers > 0, "{files} files, {layers} layers");
+    }
+
+    #[test]
+    fn a_reused_scratch_collects_what_fresh_ones_do() {
+        let payload = digest::base64::encode(b"import os;os.system('id') # MZ");
+        let a = analyze(
+            "a.py",
+            format!("blob = '{payload}'\nos.system('a')\n").as_bytes(),
+        );
+        let b = units(&pseudo_random_bytes(8192, 42), &[b"socket.socket", b"MZ"]);
+        assert!(!a.layers.is_empty(), "payload must decode");
+        let mut reused = GramScratch::default();
+        for artifact in [&a, &b, &a] {
+            let fresh = collect_checked(&mut GramScratch::default(), artifact);
+            assert_eq!(collect_checked(&mut reused, artifact), fresh);
+        }
+
+        // An index posted through one scratch answers like one posted
+        // through a fresh scratch per artifact.
+        let files = [
+            analyze("a.py", b"import os\nos.system('id')\n"),
+            analyze("b.py", b"print('hello world')\n"),
+            analyze("c.py", b"OS.System('id')\n"),
+            analyze("d.bin", b"MZ\x90\x00"),
+            a,
+            b,
+        ];
+        let (mut shared, mut fresh) = (RetroIndex::new(), RetroIndex::new());
+        for artifact in &files {
+            reused.collect(artifact);
+            shared.insert_collected(&reused);
+            fresh.insert_artifact(artifact);
+        }
+        assert_eq!(shared.term_count(), fresh.term_count());
+        assert_eq!(shared.digest_count(), fresh.digest_count());
+        for atom in [
+            "os.system",
+            "os.SYSTEM",
+            "socket.socket",
+            "MZ",
+            "mz",
+            "(",
+            "q",
+            "qq",
+            "",
+        ] {
+            for provenance in [TermProvenance::Surface, TermProvenance::Layer] {
+                let answer = |index: &RetroIndex| {
+                    let hits = index.candidates_for_atom(atom, provenance);
+                    hits.map(|hits| digests(&hits))
+                };
+                assert_eq!(answer(&shared), answer(&fresh), "{atom:?} {provenance:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rolling_collector_equals_the_hash_sets_on_arbitrary_bytes(
+            surface in proptest::prop::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            layer in proptest::prop::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            split in 0usize..200,
+        ) {
+            let (head, tail) = layer.split_at(split.min(layer.len()));
+            collect_checked(&mut GramScratch::default(), &units(&surface, &[head, tail]));
+        }
     }
 }

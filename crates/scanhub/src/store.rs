@@ -8,7 +8,8 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use crate::artifact::FileAnalysis;
 use crate::cache::{ArtifactCache, DigestKey};
-use crate::retrohunt::RetroIndex;
+use crate::metrics::StageClock;
+use crate::retrohunt::{GramScratch, RetroIndex};
 
 /// The shared artifact cache plus a single-flight registry: when two
 /// workers race on the same cold digest, one builds and the others
@@ -60,20 +61,44 @@ pub(crate) struct BuildClaim<'a> {
 }
 
 impl BuildClaim<'_> {
-    pub fn publish(mut self, artifact: &Arc<FileAnalysis>) {
-        let evicted = self
-            .store
+    /// Publishes a freshly built artifact: caches it, indexes it and
+    /// wakes the waiters. Its grams are collected into the worker's
+    /// `grams` before the retro lock is taken, so the critical section
+    /// is eviction removals plus posting. Returns the nanoseconds of
+    /// index work (collection + posting) when `timed`, else 0.
+    pub fn publish(
+        self,
+        artifact: &Arc<FileAnalysis>,
+        grams: &mut GramScratch,
+        timed: bool,
+    ) -> u64 {
+        let store = self.store;
+        let mut clock = StageClock::start(timed && store.retro.is_some());
+        if store.retro.is_some() {
+            grams.collect(artifact);
+        }
+        let mut index_ns = clock.lap();
+        let evicted = store
             .cache
             .lock()
             .expect("artifact cache lock")
             .insert(self.digest, Arc::clone(artifact));
-        if let Some(retro) = &self.store.retro {
+        // The cache insert is not index work: restart the lap.
+        clock.lap();
+        if let Some(retro) = &store.retro {
             let mut retro = retro.lock().expect("retro index lock");
             for digest in &evicted {
                 retro.remove(digest);
             }
-            retro.insert_artifact(artifact);
+            retro.insert_collected(grams);
         }
+        index_ns += clock.lap();
+        self.release(artifact);
+        index_ns
+    }
+
+    /// Wakes the waiters with an artifact that is already published.
+    fn release(mut self, artifact: &Arc<FileAnalysis>) {
         self.store
             .resolve(&self.digest, InflightState::Ready(Arc::clone(artifact)));
         self.published = true;
@@ -187,11 +212,11 @@ impl ArtifactStore {
                 // published (cache insert happens before its inflight
                 // slot is removed) between our cache miss and our
                 // election. Re-checking under a fresh claim guarantees a
-                // published digest is never rebuilt; publishing the
-                // cached artifact releases any waiters already parked on
-                // our slot.
+                // published digest is never rebuilt; its builder cached
+                // and indexed it, so all that is left is to release any
+                // waiters already parked on our slot.
                 if let Some(artifact) = self.get(digest) {
-                    claim.publish(&artifact);
+                    claim.release(&artifact);
                     return Ok(artifact);
                 }
                 return Err(claim);

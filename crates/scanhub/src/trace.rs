@@ -151,7 +151,7 @@ impl fmt::Display for ScanTrace {
             }
             writeln!(
                 f,
-                "  {name:<9} {:>10}  ({:.1}%)",
+                "  {name:<13} {:>10}  ({:.1}%)",
                 fmt_ns(ns),
                 ns as f64 / self.wall_ns.max(1) as f64 * 100.0
             )?;
@@ -160,7 +160,7 @@ impl fmt::Display for ScanTrace {
         if overhead > 0 {
             writeln!(
                 f,
-                "  {:<9} {:>10}  ({:.1}%)",
+                "  {:<13} {:>10}  ({:.1}%)",
                 "other",
                 fmt_ns(overhead),
                 overhead as f64 / self.wall_ns.max(1) as f64 * 100.0

@@ -15,6 +15,7 @@ use crate::hub::Shared;
 use crate::metrics::{HubCounters, StageClock, StageNanos};
 use crate::prefilter::{PrefilterScratch, Routing};
 use crate::request::ScanRequest;
+use crate::retrohunt::GramScratch;
 use crate::verdict::{FlowRecord, LayerFinding, Verdict};
 
 /// Per-worker reusable scan state. Every slot is either generation-
@@ -29,6 +30,7 @@ struct WorkerScratch {
     ids: HashSet<String>,
     artifacts: Vec<Arc<FileAnalysis>>,
     layer_marks: Vec<bool>,
+    grams: GramScratch,
 }
 
 impl WorkerScratch {
@@ -42,6 +44,7 @@ impl WorkerScratch {
             ids: HashSet::new(),
             artifacts: Vec::new(),
             layer_marks: Vec::new(),
+            grams: GramScratch::default(),
         }
     }
 }
@@ -113,15 +116,18 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
 /// nothing. Routing still gates condition evaluation and the Semgrep
 /// walk downstream.
 ///
-/// Returns the nanoseconds spent in splice attempts (0 when telemetry is
-/// off) — nested inside the caller's `artifact` lap, reported as the
-/// `splice` stage.
+/// Adds the nanoseconds spent in splice attempts and in retro-index
+/// maintenance for the artifacts published here to `stages.splice` and
+/// `stages.retro_publish` (nothing when telemetry is off) — both nested
+/// inside the caller's `artifact` lap.
 fn gather_artifacts(
     shared: &Shared,
     scanner: Option<&Scanner<'_>>,
     request: &ScanRequest,
     out: &mut Vec<Arc<FileAnalysis>>,
-) -> u64 {
+    grams: &mut GramScratch,
+    stages: &mut StageNanos,
+) {
     let c = &shared.counters;
     // Downstream-product accounting shared by the full-build and splice
     // paths: a spliced artifact recomputes layers, taint and regex hits
@@ -155,7 +161,6 @@ fn gather_artifacts(
         built
     };
     let timing = shared.telemetry.enabled();
-    let mut splice_ns = 0u64;
     out.clear();
     for entry in request.files() {
         let artifact = match &shared.artifacts {
@@ -180,7 +185,7 @@ fn gather_artifacts(
                             &shared.artifact_config,
                         );
                         if let Some(at) = started {
-                            splice_ns += at.elapsed().as_nanos() as u64;
+                            stages.splice += at.elapsed().as_nanos() as u64;
                         }
                         if result.is_none() && sibling.is_python {
                             HubCounters::add(&c.splice_fallbacks, 1);
@@ -197,7 +202,7 @@ fn gather_artifacts(
                         }
                         None => build(entry),
                     };
-                    claim.publish(&built);
+                    stages.retro_publish += claim.publish(&built, grams, timing);
                     store.record_sibling(entry.name(), entry.digest());
                     built
                 }
@@ -205,7 +210,6 @@ fn gather_artifacts(
         };
         out.push(artifact);
     }
-    splice_ns
 }
 
 fn scan_job(
@@ -227,11 +231,12 @@ fn scan_job(
         ids,
         artifacts,
         layer_marks,
+        grams,
     } = scratch;
     // Phase 1: get-or-build every file's analysis artifact. This is the
     // only phase that touches file bytes; a warm artifact cache makes a
     // re-uploaded package version re-analyze only its changed files.
-    stages.splice = gather_artifacts(shared, scanner, request, artifacts);
+    gather_artifacts(shared, scanner, request, artifacts, grams, &mut stages);
     stages.artifact = clock.lap();
     // Phase 2: route the package from the artifacts (raw bytes, decoded
     // layers, Python sources).

@@ -42,13 +42,28 @@ fn every_generated_rule_deploys_without_errors() {
 fn pipeline_is_deterministic_end_to_end() {
     let dataset = Dataset::generate(&CorpusConfig::tiny());
     let a = run_rulellm(&dataset, PipelineConfig::full());
-    let b = run_rulellm(&dataset, PipelineConfig::full());
-    assert_eq!(a.yara.len(), b.yara.len());
-    assert_eq!(a.semgrep.len(), b.semgrep.len());
-    for (x, y) in a.yara.iter().zip(&b.yara) {
-        assert_eq!(x.text, y.text);
+    // Two more runs at once: the analyzers' regexes are compiled once per
+    // process and shared by every thread that audits code.
+    let start = std::sync::Barrier::new(2);
+    let run = || {
+        start.wait();
+        run_rulellm(&dataset, PipelineConfig::full())
+    };
+    let (b, c) = std::thread::scope(|s| {
+        let other = s.spawn(run);
+        (run(), other.join().expect("pipeline thread"))
+    });
+    for other in [&b, &c] {
+        assert_eq!(a.yara.len(), other.yara.len());
+        assert_eq!(a.semgrep.len(), other.semgrep.len());
+        for (x, y) in a.yara.iter().zip(&other.yara) {
+            assert_eq!(x.text, y.text);
+        }
+        for (x, y) in a.semgrep.iter().zip(&other.semgrep) {
+            assert_eq!(x.text, y.text);
+        }
+        assert_eq!(a.stats, other.stats);
     }
-    assert_eq!(a.stats, b.stats);
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The serving path's cost invariants as exact `HubStats` counts on one
 //! small version-bump stream through `HubConfig::default()`: bumps
 //! splice, nothing is built twice, taint and pattern compilation stay off
-//! the warm path, a retro-hunt prunes without losing a hit, and every
-//! counter reaches both exporters. Counts repeat to the bit, so nothing
+//! the warm path, a retro-hunt prunes without losing a hit — and finds
+//! the same at any worker count — and every counter reaches both
+//! exporters. Counts repeat to the bit, so nothing
 //! here reads a clock; how fast the same paths run is `benchmark/`'s
 //! question.
 //!
@@ -155,6 +156,59 @@ fn retro_hunt_equals_the_rescan_and_prunes() {
         report.digests_indexed
     );
     assert_eq!(hub.stats().semgrep_pattern_reparses, 0);
+}
+
+/// Each worker collects a published file's grams in its own scratch and
+/// posts them under the index lock, so what the index holds and what a
+/// hunt finds cannot depend on how many workers shared the stream: the
+/// tiny corpus through one worker and through four, then one generated
+/// rule the live bundle was built without.
+#[test]
+fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
+    let dataset = corpus::Dataset::generate(&corpus::CorpusConfig::tiny());
+    let output = eval::experiments::run_rulellm(&dataset, rulellm::PipelineConfig::full());
+    let (yara, semgrep) = eval::experiments::compile_output(&output);
+    let mut live = yara.clone();
+    let held_out = live.rules.remove(0).rule.name;
+    let requests: Vec<ScanRequest> = eval::scan::build_targets(&dataset)
+        .into_iter()
+        .map(|t| t.request)
+        .collect();
+
+    let mut seen = Vec::new();
+    for workers in [1, 4] {
+        let hub = ScanHub::new(
+            Some(live.clone()),
+            Some(semgrep.clone()),
+            HubConfig {
+                workers,
+                ..HubConfig::default()
+            },
+        );
+        hub.scan_ordered(requests.iter().cloned());
+        let deployment = hub.deploy_rules(Some(yara.clone()), Some(semgrep.clone()));
+        let changed: Vec<&str> = deployment
+            .delta
+            .changed
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(changed, [held_out.as_str()]);
+        let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+        let oracle = hub.retro_rescan(&deployment).expect("oracle");
+        assert!(
+            report.same_hits(&oracle),
+            "hunt diverged from rescan at {workers} workers"
+        );
+        assert!(report.total_hits() > 0, "the held-out rule hits its family");
+        seen.push((
+            hub.retro_index_size(),
+            report.candidates,
+            report.rules,
+            report.verdicts,
+        ));
+    }
+    assert_eq!(seen[0], seen[1], "1 worker vs 4");
 }
 
 /// Every series the exporters carried before the metric tables existed;

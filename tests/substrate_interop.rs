@@ -42,6 +42,57 @@ fn extraction_finds_the_malicious_unit() {
     );
 }
 
+/// The unit splitter's boundary regex is compiled once per process; this
+/// pins it, line by line over the whole corpus, to a regex compiled here
+/// from the paper's pattern. A probe line placed after one plain
+/// statement opens a second unit exactly when it is a boundary.
+#[test]
+fn unit_boundaries_equal_a_freshly_compiled_regex_on_every_corpus_line() {
+    let fresh = textmatch::Regex::new(r"^(def |class |if |for |while |try:|with |@)")
+        .expect("the paper's boundary pattern");
+    let dataset = corpus::Dataset::generate(&corpus::CorpusConfig::tiny());
+    let malware = dataset.malware.iter().map(|m| &m.package);
+    // One line per alternative and a near miss of each, whatever the
+    // corpus happens to hold.
+    let mut lines: std::collections::HashSet<String> = [
+        "def f():",
+        "class C:",
+        "if x:",
+        "for i in y:",
+        "while True:",
+        "try:",
+        "with open(p) as f:",
+        "@decorator",
+        "define = 1",
+        "classy = 1",
+        "iffy = 1",
+        "fork()",
+        "whiled = 1",
+        "try_again()",
+        "within = 1",
+        "x @ y",
+        "    def indented():",
+    ]
+    .map(str::to_owned)
+    .into();
+    for pkg in malware.chain(dataset.legit.iter().map(|l| &l.package)) {
+        for file in pkg.files() {
+            lines.extend(file.contents.lines().map(str::to_owned));
+        }
+    }
+    // A blank probe adds nothing to split off, and an oversized one is
+    // split by the 4,000-character cap instead.
+    lines.retain(|l| !l.trim().is_empty() && l.len() < rulellm::MAX_UNIT_CHARS / 2);
+    let mut boundaries = 0;
+    for line in &lines {
+        let expected = fresh.find(line.as_bytes()).is_some_and(|m| m.start == 0);
+        let units = rulellm::split_basic_units(&format!("x = 1\n{line}\n"));
+        assert_eq!(units.len() == 2, expected, "{line:?} split into {units:?}");
+        boundaries += usize::from(expected);
+    }
+    assert!(boundaries > 20 && boundaries < lines.len(), "{boundaries}");
+}
+
 #[test]
 fn craft_refine_align_chain_produces_deployable_rule() {
     let pkg = sample_malware();
