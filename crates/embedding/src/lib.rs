@@ -93,7 +93,7 @@ impl Embedder {
             .filter_map(|t| match t.kind {
                 TokenKind::Ident(w) => Some(w),
                 TokenKind::Number(n) => Some(n),
-                TokenKind::Op(o) => Some(o),
+                TokenKind::Op(o) => Some(o.to_owned()),
                 TokenKind::Str { value, .. } => Some(if value.len() > 24 {
                     "<str>".to_owned()
                 } else {

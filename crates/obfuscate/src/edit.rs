@@ -105,7 +105,7 @@ impl TokenView {
 
     /// True when token `i` is the given operator glyph.
     pub fn is_op(&self, i: usize, op: &str) -> bool {
-        matches!(self.tokens[i].kind(), TokenKind::Op(o) if o == op)
+        matches!(self.tokens[i].kind(), TokenKind::Op(o) if *o == op)
     }
 
     /// True when the token *before* `i` is the attribute dot (so `i` is

@@ -12,6 +12,30 @@ const OPERATORS: &[&str] = &[
     "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "@=",
 ];
 
+/// Every ASCII byte in order: a single-byte operator is the one-byte
+/// `'static` slice of this at its own value, so [`TokenKind::Op`] never
+/// allocates. (Bytes >= 0x80 lex as identifiers and never get here.)
+const ASCII: &str = {
+    const BYTES: [u8; 128] = {
+        let mut table = [0u8; 128];
+        let mut i = 0;
+        while i < 128 {
+            table[i] = i as u8;
+            i += 1;
+        }
+        table
+    };
+    match std::str::from_utf8(&BYTES) {
+        Ok(s) => s,
+        Err(_) => panic!("bytes below 0x80 are UTF-8"),
+    }
+};
+
+/// Source bytes per token the output vector is reserved for. Corpus
+/// files average ~5; reserving a little under that keeps the one
+/// up-front allocation from over-shooting, and `run` trims the rest.
+const BYTES_PER_TOKEN: usize = 6;
+
 /// Tokenizes Python `source` into a flat token stream ending in
 /// [`TokenKind::Eof`]. INDENT/DEDENT tokens are synthesized from leading
 /// whitespace; newlines inside `()`/`[]`/`{}` are suppressed.
@@ -116,7 +140,7 @@ impl<'a> Lexer<'a> {
             col: 0,
             depth: 0,
             indents: vec![0],
-            out: Vec::new(),
+            out: Vec::with_capacity(source.len() / BYTES_PER_TOKEN + 4),
             at_line_start: true,
             token_start: 0,
             clean_eof: false,
@@ -201,17 +225,21 @@ impl<'a> Lexer<'a> {
                 b if b.is_ascii_alphabetic() || b == b'_' || b >= 0x80 => {
                     let word =
                         self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80);
-                    // String prefix? (r'', b"", f''', rb'' ...)
-                    let lower = word.to_ascii_lowercase();
-                    if matches!(
-                        lower.as_str(),
-                        "r" | "b" | "f" | "u" | "rb" | "br" | "fr" | "rf"
-                    ) && matches!(self.peek(), Some(b'"') | Some(b'\''))
-                    {
-                        self.string(lower, line, col);
-                    } else {
-                        self.push(TokenKind::Ident(word), line, col);
+                    // String prefix? (r'', b"", f''', rb'' ...) Only a
+                    // word of at most two bytes right before a quote can
+                    // be one; every other identifier skips the lowercase
+                    // copy.
+                    if word.len() <= 2 && matches!(self.peek(), Some(b'"') | Some(b'\'')) {
+                        let lower = word.to_ascii_lowercase();
+                        if matches!(
+                            lower.as_str(),
+                            "r" | "b" | "f" | "u" | "rb" | "br" | "fr" | "rf"
+                        ) {
+                            self.string(lower, line, col);
+                            continue;
+                        }
                     }
+                    self.push(TokenKind::Ident(word), line, col);
                 }
                 _ => self.operator(line, col),
             }
@@ -229,6 +257,9 @@ impl<'a> Lexer<'a> {
             self.push(TokenKind::Dedent, self.line, 0);
         }
         self.push(TokenKind::Eof, self.line, self.col);
+        // Exact-size what gets stored: a resident artifact keeps this
+        // vector for as long as it is cached.
+        self.out.shrink_to_fit();
         std::mem::take(&mut self.out)
     }
 
@@ -236,7 +267,6 @@ impl<'a> Lexer<'a> {
     /// at end of input.
     fn handle_indentation(&mut self) -> bool {
         loop {
-            let start = self.pos;
             let mut width = 0usize;
             while let Some(b) = self.peek() {
                 match b {
@@ -290,7 +320,6 @@ impl<'a> Lexer<'a> {
                 }
             }
             self.at_line_start = false;
-            let _ = start;
             return true;
         }
     }
@@ -370,23 +399,47 @@ impl<'a> Lexer<'a> {
         self.push(TokenKind::Str { value, prefix }, line, col);
     }
 
+    /// Lexes one operator at `pos`. The caller has ruled out newlines,
+    /// whitespace, quotes, digits, identifier bytes and bytes >= 0x80.
     fn operator(&mut self, line: usize, col: usize) {
-        for op in OPERATORS {
-            if self.src[self.pos..].starts_with(op.as_bytes()) {
-                for _ in 0..op.len() {
-                    self.bump();
-                }
-                self.push(TokenKind::Op((*op).to_owned()), line, col);
-                return;
-            }
-        }
-        let b = self.bump().expect("caller checked a byte exists");
+        let rest = &self.src[self.pos..];
+        let b = rest[0];
+        // Only these bytes begin an entry of `OPERATORS`; brackets, commas
+        // and the rest skip the probe.
+        let multi = if matches!(
+            b,
+            b'*' | b'/'
+                | b'>'
+                | b'<'
+                | b'.'
+                | b'-'
+                | b':'
+                | b'='
+                | b'!'
+                | b'+'
+                | b'%'
+                | b'|'
+                | b'&'
+                | b'^'
+                | b'@'
+        ) {
+            OPERATORS
+                .iter()
+                .copied()
+                .find(|op| rest.starts_with(op.as_bytes()))
+        } else {
+            None
+        };
+        let op = multi.unwrap_or_else(|| &ASCII[usize::from(b)..usize::from(b) + 1]);
         match b {
             b'(' | b'[' | b'{' => self.depth += 1,
             b')' | b']' | b'}' => self.depth = self.depth.saturating_sub(1),
             _ => {}
         }
-        self.push(TokenKind::Op((b as char).to_string()), line, col);
+        // No operator contains a newline, so the line stays put.
+        self.pos += op.len();
+        self.col += op.len();
+        self.push(TokenKind::Op(op), line, col);
     }
 }
 
@@ -495,9 +548,9 @@ mod tests {
     #[test]
     fn multi_char_operators() {
         let k = kinds("a == b != c -> d\n");
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Op(o) if o == "==")));
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Op(o) if o == "!=")));
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Op(o) if o == "->")));
+        assert!(k.iter().any(|k| matches!(k, TokenKind::Op("=="))));
+        assert!(k.iter().any(|k| matches!(k, TokenKind::Op("!="))));
+        assert!(k.iter().any(|k| matches!(k, TokenKind::Op("->"))));
     }
 
     #[test]
@@ -539,7 +592,7 @@ mod tests {
                 TokenKind::Number(n) => assert_eq!(raw, n),
                 TokenKind::Str { .. } => assert_eq!(raw, "rb'pay\\load'"),
                 TokenKind::Comment(c) => assert_eq!(raw, c),
-                TokenKind::Op(o) => assert_eq!(raw, o),
+                TokenKind::Op(o) => assert_eq!(raw, *o),
                 TokenKind::Newline => assert_eq!(raw, "\n"),
                 TokenKind::Indent | TokenKind::Dedent | TokenKind::Eof => assert!(raw.is_empty()),
             }

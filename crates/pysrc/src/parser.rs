@@ -1,36 +1,43 @@
 //! Tolerant recursive-descent parser over the token stream.
 
+use std::borrow::Borrow;
+
 use crate::ast::{Arg, Expr, ImportedName, Module, Stmt};
-use crate::lexer::lex;
+use crate::lexer::lex_spanned;
 use crate::token::{Token, TokenKind};
 
-/// Parses Python `source` into a [`Module`].
+/// Parses Python `source` into a [`Module`]: [`parse_tokens`] over one
+/// [`lex_spanned`] pass.
 ///
 /// Never fails: statements the parser doesn't understand are preserved as
 /// [`Stmt::Other`] nodes carrying reconstructed text, so downstream
 /// matchers always see the full file.
 pub fn parse_module(source: &str) -> Module {
-    parse_tokens(lex(source))
+    parse_tokens(&lex_spanned(source))
 }
 
-/// Parses an already-lexed token stream into a [`Module`].
+/// Parses an already-lexed token stream, in place, into a [`Module`].
 ///
-/// This is the incremental splicer's entry point: it re-lexes only an
-/// edited window of a changed file and must not pay a second full lex
-/// inside the parser. Same tolerance guarantees as [`parse_module`].
-/// The stream should end with [`TokenKind::Eof`]; one is appended if
-/// missing (the parser treats the final token as a sticky sentinel).
-pub fn parse_tokens(mut tokens: Vec<Token>) -> Module {
-    if !matches!(tokens.last().map(|t| &t.kind), Some(TokenKind::Eof)) {
-        let (line, col) = tokens.last().map(|t| (t.line, t.col)).unwrap_or((1, 0));
-        tokens.push(Token {
-            kind: TokenKind::Eof,
-            line,
-            col,
-        });
-    }
+/// This is the parser's front door: a caller that holds the tokens — the
+/// artifact builder, which stores them, or the incremental splicer, which
+/// re-lexes only an edited window — lends them (plain [`Token`]s or
+/// [`crate::SpannedToken`]s) and pays no second lex and no copy. Only the
+/// text that ends up in the tree is cloned. Same tolerance guarantees as
+/// [`parse_module`]. A stream that does not end in [`TokenKind::Eof`] is
+/// read as if one followed at the last token's line and column.
+pub fn parse_tokens<T: Borrow<Token>>(tokens: &[T]) -> Module {
+    let (line, col) = tokens.last().map_or((1, 0), |t| {
+        let t: &Token = t.borrow();
+        (t.line, t.col)
+    });
+    let eof = Token {
+        kind: TokenKind::Eof,
+        line,
+        col,
+    };
     let mut p = Parser {
         tokens,
+        eof: &eof,
         pos: 0,
         block_depth: 0,
         expr_depth: 0,
@@ -50,24 +57,30 @@ const MAX_BLOCK_DEPTH: usize = 128;
 /// must not overflow the stack.
 const MAX_EXPR_DEPTH: usize = 96;
 
-struct Parser {
-    tokens: Vec<Token>,
+/// A cursor over a borrowed token slice. `peek`/`bump` hand out
+/// references that live as long as the slice (not as long as `&self`),
+/// so a caller can keep a token's text across later bumps and clone it
+/// only when it lands in the tree.
+struct Parser<'a, T> {
+    tokens: &'a [T],
+    /// Sticky sentinel read once `pos` passes the slice.
+    eof: &'a Token,
     pos: usize,
     block_depth: usize,
     expr_depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+impl<'a, T: Borrow<Token>> Parser<'a, T> {
+    fn peek(&self) -> &'a TokenKind {
+        &self.peek_token().kind
     }
 
-    fn peek_token(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    fn peek_token(&self) -> &'a Token {
+        self.tokens.get(self.pos).map_or(self.eof, Borrow::borrow)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    fn bump(&mut self) -> &'a Token {
+        let t = self.peek_token();
         if self.pos < self.tokens.len() {
             self.pos += 1;
         }
@@ -75,7 +88,7 @@ impl Parser {
     }
 
     fn eat_op(&mut self, op: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Op(o) if o == op) {
+        if matches!(self.peek(), TokenKind::Op(o) if *o == op) {
             self.bump();
             true
         } else {
@@ -143,37 +156,35 @@ impl Parser {
                     return self.block_stmt("async".into(), line);
                 }
                 "if" | "elif" | "else" | "for" | "while" | "try" | "except" | "finally"
-                | "with" => {
-                    let kw = word.clone();
-                    return self.block_stmt(kw, line);
-                }
+                | "with" => return self.block_stmt(word.clone(), line),
                 "pass" | "break" | "continue" => {
-                    let kw = word.clone();
                     self.bump();
                     self.consume_to_newline();
-                    return Stmt::Other { text: kw, line };
+                    return Stmt::Other {
+                        text: word.clone(),
+                        line,
+                    };
                 }
                 "raise" | "assert" | "del" | "global" | "nonlocal" | "yield" | "lambda" => {
                     let text = self.consume_to_newline();
                     return Stmt::Other { text, line };
                 }
-                "@" => {}
                 _ => {}
             }
         }
-        if matches!(self.peek(), TokenKind::Op(o) if o == "@") {
+        if matches!(self.peek(), TokenKind::Op("@")) {
             // Decorator — record as Other and continue.
             let text = self.consume_to_newline();
             return Stmt::Other { text, line };
         }
         // Expression or assignment.
         let expr = self.expression();
-        if matches!(self.peek(), TokenKind::Op(o) if o == "=") {
+        if matches!(self.peek(), TokenKind::Op("=")) {
             let mut targets = vec![expr.to_text()];
             let mut value = None;
             while self.eat_op("=") {
                 let next = self.expression();
-                if matches!(self.peek(), TokenKind::Op(o) if o == "=") {
+                if matches!(self.peek(), TokenKind::Op("=")) {
                     targets.push(next.to_text());
                 } else {
                     value = Some(next);
@@ -188,7 +199,7 @@ impl Parser {
             };
         }
         // Augmented assignment — keep RHS as the value.
-        if matches!(self.peek(), TokenKind::Op(o) if o.ends_with('=') && o.len() >= 2 && o != "==" && o != "!=" && o != ">=" && o != "<=")
+        if matches!(self.peek(), TokenKind::Op(o) if o.ends_with('=') && o.len() >= 2 && !matches!(*o, "==" | "!=" | ">=" | "<="))
         {
             self.bump();
             let value = self.expression();
@@ -255,7 +266,7 @@ impl Parser {
                             break;
                         }
                     }
-                    TokenKind::Op(o) if o == "*" => {
+                    TokenKind::Op("*") => {
                         self.bump();
                         names.push(ImportedName::plain("*"));
                         break;
@@ -278,7 +289,7 @@ impl Parser {
     fn dotted_name(&mut self) -> String {
         let mut parts = Vec::new();
         while let TokenKind::Ident(w) = self.peek() {
-            parts.push(w.clone());
+            parts.push(w.as_str());
             self.bump();
             if !self.eat_op(".") {
                 break;
@@ -303,15 +314,15 @@ impl Parser {
             let mut expect_param = true;
             while depth > 0 && !self.at_eof() {
                 match self.peek() {
-                    TokenKind::Op(o) if o == "(" || o == "[" || o == "{" => {
+                    TokenKind::Op("(" | "[" | "{") => {
                         depth += 1;
                         self.bump();
                     }
-                    TokenKind::Op(o) if o == ")" || o == "]" || o == "}" => {
+                    TokenKind::Op(")" | "]" | "}") => {
                         depth -= 1;
                         self.bump();
                     }
-                    TokenKind::Op(o) if o == "," && depth == 1 => {
+                    TokenKind::Op(",") if depth == 1 => {
                         expect_param = true;
                         self.bump();
                     }
@@ -349,11 +360,11 @@ impl Parser {
         if self.eat_op("(") {
             while !self.at_eof() {
                 match self.peek() {
-                    TokenKind::Op(o) if o == ")" => {
+                    TokenKind::Op(")") => {
                         self.bump();
                         break;
                     }
-                    TokenKind::Op(o) if o == "," => {
+                    TokenKind::Op(",") => {
                         self.bump();
                     }
                     _ => {
@@ -394,16 +405,16 @@ impl Parser {
         let mut depth = 0usize;
         loop {
             match self.peek() {
-                TokenKind::Op(o) if o == ":" && depth == 0 => {
+                TokenKind::Op(":") if depth == 0 => {
                     self.bump();
                     break;
                 }
-                TokenKind::Op(o) if o == "(" || o == "[" || o == "{" => {
+                TokenKind::Op(o @ ("(" | "[" | "{")) => {
                     depth += 1;
                     header.push_str(o);
                     self.bump();
                 }
-                TokenKind::Op(o) if o == ")" || o == "]" || o == "}" => {
+                TokenKind::Op(o @ (")" | "]" | "}")) => {
                     depth = depth.saturating_sub(1);
                     header.push_str(o);
                     self.bump();
@@ -411,7 +422,7 @@ impl Parser {
                 TokenKind::Newline | TokenKind::Eof => break,
                 other => {
                     header.push(' ');
-                    header.push_str(&render(other));
+                    render_into(&mut header, other);
                     self.bump();
                 }
             }
@@ -502,7 +513,7 @@ impl Parser {
                     if !text.is_empty() {
                         text.push(' ');
                     }
-                    text.push_str(&render(other));
+                    render_into(&mut text, other);
                     self.bump();
                 }
             }
@@ -519,34 +530,13 @@ impl Parser {
         let mut left = self.unary();
         loop {
             let op = match self.peek() {
-                TokenKind::Op(o)
-                    if matches!(
-                        o.as_str(),
-                        "+" | "-"
-                            | "*"
-                            | "/"
-                            | "%"
-                            | "//"
-                            | "**"
-                            | "|"
-                            | "&"
-                            | "^"
-                            | "=="
-                            | "!="
-                            | "<"
-                            | ">"
-                            | "<="
-                            | ">="
-                            | ">>"
-                            | "<<"
-                    ) =>
-                {
-                    o.clone()
-                }
-                TokenKind::Ident(w) if w == "and" || w == "or" || w == "in" || w == "is" => {
+                TokenKind::Op(
+                    o @ ("+" | "-" | "*" | "/" | "%" | "//" | "**" | "|" | "&" | "^" | "==" | "!="
+                    | "<" | ">" | "<=" | ">=" | ">>" | "<<"),
+                ) => (*o).to_owned(),
+                TokenKind::Ident(w) if matches!(w.as_str(), "and" | "or" | "in" | "is" | "not") => {
                     w.clone()
                 }
-                TokenKind::Ident(w) if w == "not" => w.clone(),
                 _ => break,
             };
             self.bump();
@@ -568,7 +558,7 @@ impl Parser {
             return Expr::Other(render(&self.bump().kind));
         }
         self.expr_depth += 1;
-        let expr = if matches!(self.peek(), TokenKind::Op(o) if o == "-" || o == "+" || o == "~")
+        let expr = if matches!(self.peek(), TokenKind::Op("-" | "+" | "~"))
             || matches!(self.peek(), TokenKind::Ident(w) if w == "not")
         {
             let op = render(self.peek());
@@ -586,20 +576,19 @@ impl Parser {
         let mut expr = self.atom();
         loop {
             match self.peek() {
-                TokenKind::Op(o) if o == "." => {
+                TokenKind::Op(".") => {
                     self.bump();
                     if let TokenKind::Ident(attr) = self.peek() {
-                        let attr = attr.clone();
                         self.bump();
                         expr = Expr::Attribute {
                             value: Box::new(expr),
-                            attr,
+                            attr: attr.clone(),
                         };
                     } else {
                         break;
                     }
                 }
-                TokenKind::Op(o) if o == "(" => {
+                TokenKind::Op("(") => {
                     self.bump();
                     let args = self.call_args();
                     expr = Expr::Call {
@@ -607,14 +596,14 @@ impl Parser {
                         args,
                     };
                 }
-                TokenKind::Op(o) if o == "[" => {
+                TokenKind::Op("[") => {
                     self.bump();
                     let mut depth = 1;
                     let mut text = String::new();
                     while depth > 0 && !self.at_eof() {
                         match self.peek() {
-                            TokenKind::Op(o) if o == "[" => depth += 1,
-                            TokenKind::Op(o) if o == "]" => {
+                            TokenKind::Op("[") => depth += 1,
+                            TokenKind::Op("]") => {
                                 depth -= 1;
                                 if depth == 0 {
                                     self.bump();
@@ -624,7 +613,7 @@ impl Parser {
                             _ => {}
                         }
                         if depth > 0 {
-                            text.push_str(&render(self.peek()));
+                            render_into(&mut text, self.peek());
                             self.bump();
                         }
                     }
@@ -640,15 +629,15 @@ impl Parser {
         let mut args = Vec::new();
         loop {
             match self.peek() {
-                TokenKind::Op(o) if o == ")" => {
+                TokenKind::Op(")") => {
                     self.bump();
                     break;
                 }
                 TokenKind::Eof => break,
-                TokenKind::Op(o) if o == "," => {
+                TokenKind::Op(",") => {
                     self.bump();
                 }
-                TokenKind::Op(o) if o == "*" || o == "**" => {
+                TokenKind::Op("*" | "**") => {
                     // *args / **kwargs forwarding.
                     self.bump();
                     let value = self.expression();
@@ -656,16 +645,16 @@ impl Parser {
                 }
                 _ => {
                     // keyword argument? ident '=' (not '==')
-                    if let TokenKind::Ident(name) = self.peek().clone() {
+                    if let TokenKind::Ident(name) = self.peek() {
                         if matches!(
-                            self.tokens.get(self.pos + 1).map(|t| &t.kind),
-                            Some(TokenKind::Op(o)) if o == "="
+                            self.tokens.get(self.pos + 1).map(|t| &t.borrow().kind),
+                            Some(TokenKind::Op("="))
                         ) {
                             self.bump(); // name
                             self.bump(); // '='
                             let value = self.expression();
                             args.push(Arg {
-                                name: Some(name),
+                                name: Some(name.clone()),
                                 value,
                             });
                             continue;
@@ -680,26 +669,26 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Expr {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Ident(w) => {
                 self.bump();
-                Expr::Name(w)
+                Expr::Name(w.clone())
             }
             TokenKind::Number(n) => {
                 self.bump();
-                Expr::Num(n)
+                Expr::Num(n.clone())
             }
             TokenKind::Str { value, .. } => {
                 self.bump();
                 // Adjacent string literal concatenation.
-                let mut v = value;
-                while let TokenKind::Str { value: more, .. } = self.peek().clone() {
-                    v.push_str(&more);
+                let mut v = value.clone();
+                while let TokenKind::Str { value: more, .. } = self.peek() {
+                    v.push_str(more);
                     self.bump();
                 }
                 Expr::Str(v)
             }
-            TokenKind::Op(o) if o == "(" => {
+            TokenKind::Op("(") => {
                 self.bump();
                 if self.eat_op(")") {
                     return Expr::Other("()".into());
@@ -707,10 +696,10 @@ impl Parser {
                 let inner = self.expression();
                 // Tuple or generator — flatten to Other but keep the first
                 // element visible for matching.
-                if matches!(self.peek(), TokenKind::Op(o) if o == ",") {
+                if matches!(self.peek(), TokenKind::Op(",")) {
                     let mut parts = vec![inner.to_text()];
                     while self.eat_op(",") {
-                        if matches!(self.peek(), TokenKind::Op(o) if o == ")") {
+                        if matches!(self.peek(), TokenKind::Op(")")) {
                             break;
                         }
                         parts.push(self.expression().to_text());
@@ -721,17 +710,16 @@ impl Parser {
                 self.eat_op(")");
                 inner
             }
-            TokenKind::Op(o) if o == "[" || o == "{" => {
+            TokenKind::Op(open @ ("[" | "{")) => {
                 // Collection literal — consume balanced and render.
-                let open = o.clone();
-                let close = if o == "[" { "]" } else { "}" };
+                let close = if *open == "[" { "]" } else { "}" };
                 self.bump();
                 let mut depth = 1;
                 let mut text = String::new();
                 while depth > 0 && !self.at_eof() {
                     match self.peek() {
-                        TokenKind::Op(x) if x == &open => depth += 1,
-                        TokenKind::Op(x) if x == close => {
+                        TokenKind::Op(x) if x == open => depth += 1,
+                        TokenKind::Op(x) if *x == close => {
                             depth -= 1;
                             if depth == 0 {
                                 self.bump();
@@ -741,7 +729,7 @@ impl Parser {
                         _ => {}
                     }
                     if depth > 0 {
-                        text.push_str(&render(self.peek()));
+                        render_into(&mut text, self.peek());
                         self.bump();
                     }
                 }
@@ -749,23 +737,33 @@ impl Parser {
             }
             other => {
                 self.bump();
-                Expr::Other(render(&other))
+                Expr::Other(render(other))
             }
         }
     }
 }
 
-fn render(kind: &TokenKind) -> String {
+/// Appends the source-like text of `kind` to `out`.
+fn render_into(out: &mut String, kind: &TokenKind) {
     match kind {
-        TokenKind::Ident(w) => w.clone(),
-        TokenKind::Number(n) => n.clone(),
-        TokenKind::Str { value, .. } => format!("'{value}'"),
-        TokenKind::Op(o) => o.clone(),
-        TokenKind::Comment(c) => c.clone(),
-        TokenKind::Newline => "\n".into(),
-        TokenKind::Indent | TokenKind::Dedent => String::new(),
-        TokenKind::Eof => String::new(),
+        TokenKind::Ident(text) | TokenKind::Number(text) | TokenKind::Comment(text) => {
+            out.push_str(text)
+        }
+        TokenKind::Str { value, .. } => {
+            out.push('\'');
+            out.push_str(value);
+            out.push('\'');
+        }
+        TokenKind::Op(o) => out.push_str(o),
+        TokenKind::Newline => out.push('\n'),
+        TokenKind::Indent | TokenKind::Dedent | TokenKind::Eof => {}
     }
+}
+
+fn render(kind: &TokenKind) -> String {
+    let mut out = String::new();
+    render_into(&mut out, kind);
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Token model for the Python lexer.
 
+use std::borrow::Borrow;
+
 /// The kind of a lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
@@ -15,7 +17,9 @@ pub enum TokenKind {
         prefix: String,
     },
     /// A single operator or punctuation glyph sequence (`==`, `.`, `(`...).
-    Op(String),
+    /// Operators come from a fixed set, so the text is a `'static` slice
+    /// of the lexer's tables: an operator token owns no heap memory.
+    Op(&'static str),
     /// Logical end of line.
     Newline,
     /// Indentation increased.
@@ -63,6 +67,14 @@ impl SpannedToken {
     }
 }
 
+/// Lets [`crate::parse_tokens`] read a spanned stream in place: the
+/// parser needs only the [`Token`] half of each element.
+impl Borrow<Token> for SpannedToken {
+    fn borrow(&self) -> &Token {
+        &self.token
+    }
+}
+
 impl Token {
     /// Returns the identifier text if this token is an identifier.
     pub fn as_ident(&self) -> Option<&str> {
@@ -74,7 +86,7 @@ impl Token {
 
     /// Returns true when the token is the given operator glyph.
     pub fn is_op(&self, op: &str) -> bool {
-        matches!(&self.kind, TokenKind::Op(s) if s == op)
+        matches!(self.kind, TokenKind::Op(s) if s == op)
     }
 }
 
@@ -113,7 +125,7 @@ mod tests {
         assert_eq!(t.as_ident(), Some("os"));
         assert!(!t.is_op("."));
         let op = Token {
-            kind: TokenKind::Op(".".into()),
+            kind: TokenKind::Op("."),
             line: 1,
             col: 2,
         };

@@ -84,6 +84,31 @@ proptest! {
         }
     }
 
+    /// One front door: a spanned stream, a plain stream and the source
+    /// itself parse to the same module, and a stream whose trailing EOF
+    /// was removed (the splice window's shape) reads as if it were there.
+    #[test]
+    fn parse_entry_points_agree(src in "[ -~\\n]{0,400}") {
+        let spanned = pysrc::lex_spanned(&src);
+        let plain = pysrc::lex(&src);
+        let module = pysrc::parse_module(&src);
+        prop_assert_eq!(&pysrc::parse_tokens(&spanned), &module);
+        prop_assert_eq!(&pysrc::parse_tokens(&plain), &module);
+        prop_assert_eq!(&pysrc::parse_tokens(&spanned[..spanned.len() - 1]), &module);
+        prop_assert_eq!(&pysrc::parse_tokens(&plain[..plain.len() - 1]), &module);
+    }
+
+    /// Operator tokens borrow their text from static tables; it must
+    /// still be exactly the bytes the token spans.
+    #[test]
+    fn op_payloads_slice_back_to_their_spans(src in "[ -~\\n]{0,400}") {
+        for t in pysrc::lex_spanned(&src) {
+            if let TokenKind::Op(op) = t.kind() {
+                prop_assert_eq!(&src[t.start..t.end], *op);
+            }
+        }
+    }
+
     #[test]
     fn string_literals_roundtrip(value in "[a-zA-Z0-9 ./:_-]{0,40}") {
         let src = format!("x = '{value}'\n");
@@ -124,5 +149,27 @@ proptest! {
         let module = pysrc::parse_module(&src);
         let calls = pysrc::collect_calls(&module);
         prop_assert_eq!(calls.len(), 1, "src:\n{}", src);
+    }
+}
+
+/// Every ASCII byte that is not whitespace, a quote, `#`, a digit or an
+/// identifier byte falls through to the operator lexer; alone on a line
+/// it must come back as a one-byte `Op` equal to itself.
+#[test]
+fn every_ascii_byte_that_reaches_the_operator_lexer_is_a_one_byte_op() {
+    for b in 0u8..0x80 {
+        if matches!(b, b'\n' | b'\r' | b' ' | b'\t' | b'"' | b'\'' | b'#' | b'_')
+            || b.is_ascii_alphanumeric()
+        {
+            continue;
+        }
+        let src = String::from_utf8(vec![b]).expect("ASCII");
+        let tokens = pysrc::lex_spanned(&src);
+        let first = &tokens[0];
+        assert!(
+            matches!(first.kind(), TokenKind::Op(op) if *op == src),
+            "byte {b:#04x} lexed to {first:?}"
+        );
+        assert_eq!((first.start, first.end), (0, 1), "byte {b:#04x}");
     }
 }

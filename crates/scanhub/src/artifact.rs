@@ -198,10 +198,11 @@ impl FileAnalysis {
         let bytes = entry.shared_bytes();
         let is_python = entry.is_python();
         let (tokens, module) = if is_python {
-            let text = String::from_utf8_lossy(&bytes);
-            let tokens = TokenRope::from_tokens(pysrc::lex_spanned(&text));
-            let module = LazyModule(pysrc::parse_module(&text));
-            (tokens, Some(module))
+            // One lex: the parser reads the spanned tokens in place,
+            // then the rope takes them over.
+            let tokens = pysrc::lex_spanned(&String::from_utf8_lossy(&bytes));
+            let module = LazyModule(pysrc::parse_tokens(&tokens));
+            (TokenRope::from_tokens(tokens), Some(module))
         } else {
             (TokenRope::default(), None)
         };
@@ -297,10 +298,10 @@ impl FileAnalysis {
     /// artifact is field-for-field identical to what a full
     /// [`FileAnalysis::build`] would produce for `entry` — the
     /// differential tests below pin tokens, module, string table,
-    /// layers, hits and taint. Only the lex/parse work is reused; every
-    /// downstream product is recomputed through the same [`Self::finish`]
-    /// the full build uses, so the artifact stays a pure function of its
-    /// bytes.
+    /// layers, hits and taint. Only the lex/parse work is reused (the
+    /// window's tokens are parsed in place, then spliced into the rope);
+    /// every downstream product is recomputed by the same code the full
+    /// build runs, so the artifact stays a pure function of its bytes.
     ///
     /// Returns `None` (the caller falls back to a full build) whenever
     /// the splice is not provably clean:
@@ -461,8 +462,7 @@ impl FileAnalysis {
         // `w` on.
         let lw = 1 + count_newlines(&old[..w]);
         let le_old = 1 + count_newlines(&old[..e_old]);
-        let window_module =
-            pysrc::parse_tokens(window_tokens.iter().map(|t| t.token.clone()).collect());
+        let window_module = pysrc::parse_tokens(&window_tokens);
         let module = LazyModule(splice_module(
             old_module,
             window_module,

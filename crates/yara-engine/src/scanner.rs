@@ -4,9 +4,16 @@
 //! tier-selecting multi-literal matchers (case-sensitive and `nocase`) —
 //! a Teddy-style SWAR prefilter for small/long pattern sets, Aho–Corasick
 //! otherwise — so scanning a package against hundreds of rules stays a
-//! two-pass operation; regexes run per string definition.
+//! two-pass operation. Regex strings are merged the same way: definitions
+//! that compile from the same `(pattern, nocase)` form one group, each
+//! group's regex runs once per scan unit, and every match lands in every
+//! member's slot — generated rulesets repeat a handful of indicator
+//! patterns across many rules, and a pass per definition would re-read
+//! the unit once per copy.
 
-use textmatch::{MatchKind, MultiLiteral};
+use std::collections::HashMap;
+
+use textmatch::{MatchKind, MultiLiteral, Regex};
 
 use crate::ast::{Condition, StringSet, StringValue};
 use crate::compiler::CompiledRules;
@@ -37,10 +44,11 @@ pub struct RuleMatch {
 /// packages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanMetrics {
-    /// Regex string definitions evaluated (excluded rules not counted).
+    /// Regex passes run: one per *distinct* `(pattern, nocase)` with at
+    /// least one included definition, however many definitions share it.
     pub regex_strings_evaluated: u64,
     /// Haystack bytes handed to the regex engine (buffer length times
-    /// evaluations — each evaluation is one single-pass scan).
+    /// passes — each pass is one single-pass scan).
     pub regex_bytes_scanned: u64,
 }
 
@@ -127,6 +135,20 @@ pub struct Scanner<'r> {
     /// (`slot = string_base[ri] + si`).
     string_base: Vec<usize>,
     total_strings: usize,
+    /// Regex string definitions, one group per distinct pattern.
+    regex_groups: Vec<RegexGroup<'r>>,
+}
+
+/// The regex string definitions compiled from one `(pattern, nocase)` —
+/// the only inputs `compile` feeds the regex constructor, so every
+/// member's compiled regex finds the same matches and one pass serves
+/// them all.
+#[derive(Debug)]
+struct RegexGroup<'r> {
+    /// The first member's compiled regex.
+    regex: &'r Regex,
+    /// `(rule index, dense string slot)` per member, declaration order.
+    members: Vec<(usize, usize)>,
 }
 
 impl<'r> Scanner<'r> {
@@ -168,6 +190,26 @@ impl<'r> Scanner<'r> {
             string_base.push(total_strings);
             total_strings += cr.rule.strings.len();
         }
+        let mut regex_groups: Vec<RegexGroup<'r>> = Vec::new();
+        let mut group_of: HashMap<(&str, bool), usize> = HashMap::new();
+        for (ri, cr) in rules.rules.iter().enumerate() {
+            for (si, s) in cr.rule.strings.iter().enumerate() {
+                if let (StringValue::Regex { pattern, nocase }, Some(regex)) =
+                    (&s.value, &cr.regexes[si])
+                {
+                    let gi = *group_of
+                        .entry((pattern.as_str(), *nocase))
+                        .or_insert_with(|| {
+                            regex_groups.push(RegexGroup {
+                                regex,
+                                members: Vec::new(),
+                            });
+                            regex_groups.len() - 1
+                        });
+                    regex_groups[gi].members.push((ri, string_base[ri] + si));
+                }
+            }
+        }
         Scanner {
             rules,
             cs: MultiLiteral::new(&cs_pats, MatchKind::CaseSensitive),
@@ -176,6 +218,7 @@ impl<'r> Scanner<'r> {
             ci_map,
             string_base,
             total_strings,
+            regex_groups,
         }
     }
 
@@ -233,18 +276,20 @@ impl<'r> Scanner<'r> {
             });
         }
 
-        for (ri, cr) in self.rules.rules.iter().enumerate() {
-            if !include(ri) {
+        // Regex strings: a group runs iff some member's rule is included
+        // — one accelerated forward pass over the buffer — and only
+        // included members record its matches.
+        for group in &self.regex_groups {
+            if !group.members.iter().any(|&(ri, _)| include(ri)) {
                 continue;
             }
-            // Regex strings: evaluated lazily per rule, each a single
-            // accelerated forward pass over the buffer.
-            for (si, regex) in cr.regexes.iter().enumerate() {
-                if let Some(re) = regex {
-                    metrics.regex_strings_evaluated += 1;
-                    metrics.regex_bytes_scanned += data.len() as u64;
-                    for m in re.find_all(data) {
-                        scratch.push(self.string_base[ri] + si, m.start);
+            metrics.regex_strings_evaluated += 1;
+            metrics.regex_bytes_scanned += data.len() as u64;
+            let matches = group.regex.find_all(data);
+            for &(ri, slot) in &group.members {
+                if include(ri) {
+                    for m in &matches {
+                        scratch.push(slot, m.start);
                     }
                 }
             }
@@ -277,14 +322,12 @@ impl<'r> Scanner<'r> {
             });
         }
         let mut metrics = ScanMetrics::default();
-        for (ri, cr) in self.rules.rules.iter().enumerate() {
-            for (si, regex) in cr.regexes.iter().enumerate() {
-                if let Some(re) = regex {
-                    metrics.regex_strings_evaluated += 1;
-                    metrics.regex_bytes_scanned += data.len() as u64;
-                    for m in re.find_all(data) {
-                        scratch.push(self.string_base[ri] + si, m.start);
-                    }
+        for group in &self.regex_groups {
+            metrics.regex_strings_evaluated += 1;
+            metrics.regex_bytes_scanned += data.len() as u64;
+            for m in group.regex.find_all(data) {
+                for &(_, slot) in &group.members {
+                    scratch.push(slot, m.start);
                 }
             }
         }
@@ -489,6 +532,224 @@ fn is_fullword(data: &[u8], start: usize, end: usize) -> bool {
 mod tests {
     use super::*;
     use crate::compiler::compile;
+
+    /// The per-definition regex pass the grouped pass replaced, kept
+    /// verbatim as the differential oracle: one `find_all` per regex
+    /// string definition, in rule order.
+    impl Scanner<'_> {
+        fn collect_hits_per_definition(&self, data: &[u8]) -> FileHits {
+            let mut scratch = ScanScratch::new();
+            scratch.begin(self.total_strings);
+            for (auto, map) in [(&self.cs, &self.cs_map), (&self.ci, &self.ci_map)] {
+                auto.for_each_match(data, |m| {
+                    let (ri, si, _wide, fullword) = map[m.pattern];
+                    if !fullword || is_fullword(data, m.start, m.end) {
+                        scratch.push(self.string_base[ri] + si, m.start);
+                    }
+                    true
+                });
+            }
+            let mut metrics = ScanMetrics::default();
+            for (ri, cr) in self.rules.rules.iter().enumerate() {
+                for (si, regex) in cr.regexes.iter().enumerate() {
+                    if let Some(re) = regex {
+                        metrics.regex_strings_evaluated += 1;
+                        metrics.regex_bytes_scanned += data.len() as u64;
+                        for m in re.find_all(data) {
+                            scratch.push(self.string_base[ri] + si, m.start);
+                        }
+                    }
+                }
+            }
+            let slots = (0..self.total_strings)
+                .filter_map(|slot| {
+                    scratch
+                        .get(slot)
+                        .map(|offs| (slot as u32, offs.iter().map(|&o| o as u32).collect()))
+                })
+                .collect();
+            FileHits { slots, metrics }
+        }
+
+        fn scan_rules_per_definition(
+            &self,
+            data: &[u8],
+            include: impl Fn(usize) -> bool,
+        ) -> (Vec<RuleMatch>, ScanMetrics) {
+            let mut scratch = ScanScratch::new();
+            let mut metrics = ScanMetrics::default();
+            scratch.begin(self.total_strings);
+            for (auto, map) in [(&self.cs, &self.cs_map), (&self.ci, &self.ci_map)] {
+                auto.for_each_match(data, |m| {
+                    let (ri, si, _wide, fullword) = map[m.pattern];
+                    if include(ri) && (!fullword || is_fullword(data, m.start, m.end)) {
+                        scratch.push(self.string_base[ri] + si, m.start);
+                    }
+                    true
+                });
+            }
+            for (ri, cr) in self.rules.rules.iter().enumerate() {
+                if !include(ri) {
+                    continue;
+                }
+                for (si, regex) in cr.regexes.iter().enumerate() {
+                    if let Some(re) = regex {
+                        metrics.regex_strings_evaluated += 1;
+                        metrics.regex_bytes_scanned += data.len() as u64;
+                        for m in re.find_all(data) {
+                            scratch.push(self.string_base[ri] + si, m.start);
+                        }
+                    }
+                }
+            }
+            (
+                self.eval_conditions(data.len() as i64, &include, &scratch),
+                metrics,
+            )
+        }
+    }
+
+    /// Asserts grouped ≡ per-definition on `data`: identical slots and
+    /// offsets, and metrics that count groups on one side, definitions on
+    /// the other.
+    fn assert_grouped_equals_per_definition(scanner: &Scanner<'_>, data: &[u8]) {
+        let grouped = scanner.collect_hits(data);
+        let oracle = scanner.collect_hits_per_definition(data);
+        assert_eq!(grouped.slots, oracle.slots);
+        let definitions: usize = scanner.regex_groups.iter().map(|g| g.members.len()).sum();
+        assert_eq!(oracle.metrics.regex_strings_evaluated, definitions as u64);
+        assert_eq!(
+            grouped.metrics.regex_strings_evaluated,
+            scanner.regex_groups.len() as u64
+        );
+        assert_eq!(
+            grouped.metrics.regex_bytes_scanned,
+            (scanner.regex_groups.len() * data.len()) as u64
+        );
+    }
+
+    /// A ruleset shaped like the generated one: the same base64-blob
+    /// indicator in one rule per cluster, beside each cluster's text atoms.
+    fn duplicated_b64_rules(copies: usize) -> String {
+        (0..copies)
+            .map(|i| {
+                format!(
+                    "rule cluster_{i} {{ strings: $blob = /([A-Za-z0-9+\\/]{{4}}){{10,}}={{0,2}}/ \
+                     $api = \"api_{i}\" condition: $blob and $api }}\n"
+                )
+            })
+            .collect()
+    }
+
+    /// Deterministic base64-heavy text: blob runs of varying length split
+    /// by quotes, spaces, newlines and `api_N` markers.
+    fn b64_heavy_buffer(len: usize) -> Vec<u8> {
+        const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut out = Vec::with_capacity(len + 128);
+        while out.len() < len {
+            let run = 3 + next() % 120;
+            for _ in 0..run {
+                out.push(ALPHABET[next() % 64]);
+            }
+            match next() % 5 {
+                0 => out.extend_from_slice(b"=='\n"),
+                1 => out.extend_from_slice(format!(" api_{} ", next() % 8).as_bytes()),
+                2 => out.extend_from_slice(b"\nx = '"),
+                3 => out.push(b'='),
+                _ => out.push(b' '),
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn grouped_regex_pass_equals_per_definition_pass() {
+        // Same pattern with and without `nocase` (two groups), twice in
+        // one rule, across rules, and next to a different pattern.
+        let src = r#"
+rule a { strings: $x = /ab+c/ $y = /ab+c/ condition: any of them }
+rule b { strings: $x = /ab+c/ nocase $t = "abc" condition: any of them }
+rule c { strings: $x = /ab+c/i $y = /\d{2,}/ condition: all of them }
+rule d { strings: $x = /ab+c/ condition: #x >= 2 }
+"#;
+        let compiled = compile(src).expect("compile");
+        let scanner = Scanner::new(&compiled);
+        let sizes: Vec<usize> = scanner
+            .regex_groups
+            .iter()
+            .map(|g| g.members.len())
+            .collect();
+        // /ab+c/ ×3, its nocase form ×2 (not merged with it), /\d{2,}/ ×1.
+        assert_eq!(sizes, vec![3, 2, 1]);
+        for data in [
+            b"".as_slice(),
+            b"abc",
+            b"ABBC abbbc 42 abc",
+            b"xabcabcABC007",
+            b"no hit at all",
+        ] {
+            assert_grouped_equals_per_definition(&scanner, data);
+            assert_eq!(
+                scanner.scan(data),
+                scanner.scan_rules_per_definition(data, |_| true).0
+            );
+        }
+        // The case-sensitive group must not have leaked into nocase slots.
+        let hits = scanner.scan(b"ABBC");
+        assert_eq!(
+            hits.iter().map(|m| m.rule.as_str()).collect::<Vec<_>>(),
+            vec!["b"]
+        );
+    }
+
+    #[test]
+    fn grouped_regex_pass_equals_per_definition_pass_on_a_heavy_buffer() {
+        let compiled = compile(&duplicated_b64_rules(6)).expect("compile");
+        let scanner = Scanner::new(&compiled);
+        assert_eq!(scanner.regex_groups.len(), 1);
+        let data = b64_heavy_buffer(1 << 20);
+        assert_grouped_equals_per_definition(&scanner, &data);
+        let hits = scanner.collect_hits(&data);
+        assert!(hits.hit_count() > 1000, "buffer is not base64-heavy");
+    }
+
+    #[test]
+    fn routed_scan_runs_a_group_iff_a_member_is_included() {
+        let compiled = compile(&duplicated_b64_rules(4)).expect("compile");
+        let scanner = Scanner::new(&compiled);
+        let data = b64_heavy_buffer(8 << 10);
+        let all = scanner.scan(&data);
+        assert_eq!(all.len(), 4);
+        type Mask = fn(usize) -> bool;
+        let masks: [(Mask, u64); 4] = [
+            (|ri| ri == 2, 1),            // only a non-first member
+            (|ri| ri == 1 || ri == 3, 1), // two non-first members
+            (|_| false, 0),               // no member
+            (|_| true, 1),                // every member
+        ];
+        for (include, passes) in masks {
+            let (got, metrics) = scanner.scan_rules_with_metrics(&data, include);
+            // The doc comment's promise: filtering `scan`'s output.
+            let expected: Vec<RuleMatch> = all
+                .iter()
+                .enumerate()
+                .filter(|(ri, _)| include(*ri))
+                .map(|(_, m)| m.clone())
+                .collect();
+            assert_eq!(got, expected);
+            assert_eq!(got, scanner.scan_rules_per_definition(&data, include).0);
+            assert_eq!(metrics.regex_strings_evaluated, passes);
+            assert_eq!(metrics.regex_bytes_scanned, passes * data.len() as u64);
+        }
+    }
 
     fn scan_one(rule: &str, data: &[u8]) -> Vec<RuleMatch> {
         let compiled = compile(rule).expect("compile");

@@ -158,6 +158,48 @@ fn retro_hunt_equals_the_rescan_and_prunes() {
     assert_eq!(hub.stats().semgrep_pattern_reparses, 0);
 }
 
+/// Generated rulesets repeat one indicator regex across many rules. The
+/// scanner runs each distinct pattern once per scan unit (a file's bytes
+/// or one decoded layer) and shares the matches, so three copies of the
+/// blob regex plus one address regex cost two passes, not four — and
+/// every rule still sees its own hits.
+#[test]
+fn duplicate_regexes_cost_one_pass() {
+    const RULES: &str = r#"
+rule blob_exec { strings: $b = /([A-Za-z0-9+\/]{4}){10,}={0,2}/ $t = "exec(" condition: all of them }
+rule blob_sock { strings: $b = /([A-Za-z0-9+\/]{4}){10,}={0,2}/ $t = "socket" condition: all of them }
+rule blob_any { strings: $b = /([A-Za-z0-9+\/]{4}){10,}={0,2}/ condition: $b }
+rule address { strings: $ip = /\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}/ condition: $ip }
+"#;
+    // base64 of a harmless print statement: long enough to match the
+    // blob regex and to be decoded as a layer (one more scan unit).
+    const BLOB: &str = "cHJpbnQoJ2hlbGxvIGZyb20gYSBoYXJtbGVzcyBwYXlsb2FkIG9mIGZvcnR5IGJ5dGVzJyk=";
+    let hub = ScanHub::new(
+        Some(yara_engine::compile(RULES).expect("yara")),
+        None,
+        HubConfig::default(),
+    );
+    let files = [
+        format!("import base64\nexec(base64.b64decode('{BLOB}'))\nhost = '10.1.2.3'\n"),
+        format!("import socket\ns = socket.socket()\ns.send(b'{BLOB}')\n"),
+    ];
+    let expected: [&[&str]; 2] = [
+        &["address", "blob_any", "blob_exec"],
+        &["blob_any", "blob_sock"],
+    ];
+    for (i, (code, rules)) in files.iter().zip(expected).enumerate() {
+        let entry = FileEntry::new(format!("pkg/mod_{i}.py"), code.clone().into_bytes());
+        let verdict = hub.submit(ScanRequest::from_files(vec![entry])).wait();
+        assert_eq!(verdict.yara, rules, "file {i}");
+    }
+    let stats = hub.stats();
+    assert!(stats.layers_decoded >= 2, "both blobs decode to a layer");
+    let units = files.len() as u64 + stats.layers_decoded;
+    let unit_bytes = files.iter().map(|f| f.len() as u64).sum::<u64>() + stats.layer_bytes_scanned;
+    assert_eq!(stats.regex_strings_evaluated, 2 * units);
+    assert_eq!(stats.regex_bytes_scanned, 2 * unit_bytes);
+}
+
 /// Each worker collects a published file's grams in its own scratch and
 /// posts them under the index lock, so what the index holds and what a
 /// hunt finds cannot depend on how many workers shared the stream: the

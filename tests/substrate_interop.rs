@@ -204,3 +204,62 @@ fn metadata_extraction_paths_agree_for_corpus_packages() {
     assert_eq!(meta.name, pkg.metadata().name);
     assert_eq!(meta.version, pkg.metadata().version);
 }
+
+/// The tier-1 entry of scanhub's splice ≡ full suite: a one-line
+/// insertion into a corpus file, spliced into the previous version's
+/// artifact, equals a full build of the new content on every product.
+#[test]
+fn one_line_splice_equals_the_full_build() {
+    use scanhub::{ArtifactConfig, FileAnalysis, FileEntry};
+
+    let pkg = corpus::generate_legit_package(0, 7);
+    let old = pkg
+        .files()
+        .iter()
+        .filter(|f| f.path.ends_with(".py"))
+        .max_by_key(|f| f.contents.len())
+        .expect("a Python file")
+        .contents
+        .clone();
+    // Insert in front of a column-zero statement that directly follows a
+    // real newline (no DEDENT between them): the boundary the splicer
+    // accepts as provably clean. The one nearest the middle of the file.
+    let tokens = pysrc::lex_spanned(&old);
+    let at = tokens
+        .windows(2)
+        .filter(|w| {
+            matches!(w[0].kind(), pysrc::TokenKind::Newline)
+                && w[0].end == w[0].start + 1
+                && w[1].token.col == 0
+                && w[1].end > w[1].start
+                && !matches!(w[1].kind(), pysrc::TokenKind::Comment(_))
+        })
+        .map(|w| w[1].start)
+        .min_by_key(|at| at.abs_diff(old.len() / 2))
+        .expect("a column-zero statement");
+    let new = format!("{}release_marker = 'v2'\n{}", &old[..at], &old[at..]);
+
+    let rules = yara_engine::compile(&baselines::scanners::yara_corpus()).expect("yara corpus");
+    let scanner = yara_engine::Scanner::new(&rules);
+    let cfg = ArtifactConfig::default();
+    let sibling = FileAnalysis::build(
+        &FileEntry::new("pkg/mod.py", old.into_bytes()),
+        Some(&scanner),
+        &cfg,
+    );
+    let entry = FileEntry::new("pkg/mod.py", new.into_bytes());
+    let spliced = FileAnalysis::build_spliced(&entry, &sibling, Some(&scanner), &cfg)
+        .expect("a one-line insertion splices")
+        .analysis;
+    let full = FileAnalysis::build(&entry, Some(&scanner), &cfg);
+    assert_eq!(spliced.tokens.to_vec(), full.tokens.to_vec());
+    assert_eq!(
+        spliced.module.as_ref().map(|m| m.get()),
+        full.module.as_ref().map(|m| m.get())
+    );
+    assert_eq!(spliced.strings, full.strings);
+    assert_eq!(spliced.layers, full.layers);
+    assert_eq!(spliced.yara_hits, full.yara_hits);
+    assert_eq!(spliced.layer_hits, full.layer_hits);
+    assert_eq!(spliced.taint, full.taint);
+}
