@@ -11,15 +11,18 @@
 //!   quotes, line continuations, INDENT/DEDENT synthesis).
 //! * [`lex_starts_at`] / [`lex_window`] — offset-based relexing of an
 //!   edited byte range in full-source coordinates, the primitive the
-//!   incremental artifact splicer builds on ([`parse_tokens`] is its
-//!   parser-side counterpart).
+//!   incremental artifact splicer builds on.
 //! * [`TokenRope`] — segment-shared token storage with lazy coordinate
 //!   rebasing, so a spliced version's stream reuses the previous
 //!   version's prefix and suffix without cloning a single token.
-//! * [`parse_module`] — a tolerant, lightweight parser producing a
-//!   statement/expression tree sufficient for pattern matching. Unparsable
-//!   lines degrade to [`Stmt::Other`] instead of failing: rule scanning
-//!   must survive obfuscated or broken malware code.
+//! * [`parse_tokens`] — the parser's front door: a tolerant, lightweight
+//!   parser producing a statement/expression tree sufficient for pattern
+//!   matching, over a token slice it borrows (plain [`Token`]s or
+//!   [`SpannedToken`]s; a whole file's stream or a relexed window), so a
+//!   caller that keeps the tokens lexes once. Unparsable lines degrade to
+//!   [`Stmt::Other`] instead of failing: rule scanning must survive
+//!   obfuscated or broken malware code. [`parse_module`] is the
+//!   convenience over it for callers that hold only source text.
 //! * Call/import/string collectors used by the analyzers.
 //! * [`intern_strings`] — a deduplicated string-literal table built from
 //!   the spanned token stream, the literal view that per-file analysis

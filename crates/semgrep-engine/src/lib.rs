@@ -15,7 +15,7 @@
 //!   metavariable unification and ellipsis argument matching. Pattern
 //!   text is parsed **once at compile time**; [`MatchSet`] then matches
 //!   a whole ruleset against a module in a single anchor-dispatched AST
-//!   walk, and [`reference`] keeps the seed's reparse-per-call matcher
+//!   walk, and [`mod@reference`] keeps the seed's reparse-per-call matcher
 //!   as the differential oracle.
 //!
 //! # Examples

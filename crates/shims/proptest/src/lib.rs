@@ -7,9 +7,10 @@
 //!   `#![proptest_config(...)]` inner attribute);
 //! * `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!` /
 //!   `prop_assume!`;
-//! * [`Strategy`] implementations for `&str` regex literals (character
-//!   classes with `{m,n}` repetition — the only regex shape the test
-//!   suite uses), integer ranges, [`any`] for primitives, tuples,
+//! * [`Strategy`](strategy::Strategy) implementations for `&str` regex
+//!   literals (character classes with `{m,n}` repetition — the only
+//!   regex shape the test suite uses), integer ranges,
+//!   [`any`](strategy::any) for primitives, tuples,
 //!   `prop::collection::{vec, btree_map}` and `prop::sample::select`;
 //! * the combinators `prop_map`, `prop_filter`, `Just` and the
 //!   [`prop_oneof!`] macro (uniform arms, no weights).

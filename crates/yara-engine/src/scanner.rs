@@ -260,7 +260,6 @@ impl<'r> Scanner<'r> {
         include: impl Fn(usize) -> bool,
         scratch: &mut ScanScratch,
     ) -> (Vec<RuleMatch>, ScanMetrics) {
-        let mut metrics = ScanMetrics::default();
         scratch.begin(self.total_strings);
 
         for (auto, map) in [(&self.cs, &self.cs_map), (&self.ci, &self.ci_map)] {
@@ -276,24 +275,7 @@ impl<'r> Scanner<'r> {
             });
         }
 
-        // Regex strings: a group runs iff some member's rule is included
-        // — one accelerated forward pass over the buffer — and only
-        // included members record its matches.
-        for group in &self.regex_groups {
-            if !group.members.iter().any(|&(ri, _)| include(ri)) {
-                continue;
-            }
-            metrics.regex_strings_evaluated += 1;
-            metrics.regex_bytes_scanned += data.len() as u64;
-            let matches = group.regex.find_all(data);
-            for &(ri, slot) in &group.members {
-                if include(ri) {
-                    for m in &matches {
-                        scratch.push(slot, m.start);
-                    }
-                }
-            }
-        }
+        let metrics = self.regex_pass(data, &include, scratch);
         (
             self.eval_conditions(data.len() as i64, &include, scratch),
             metrics,
@@ -321,16 +303,7 @@ impl<'r> Scanner<'r> {
                 true
             });
         }
-        let mut metrics = ScanMetrics::default();
-        for group in &self.regex_groups {
-            metrics.regex_strings_evaluated += 1;
-            metrics.regex_bytes_scanned += data.len() as u64;
-            for m in group.regex.find_all(data) {
-                for &(_, slot) in &group.members {
-                    scratch.push(slot, m.start);
-                }
-            }
-        }
+        let metrics = self.regex_pass(data, &|_| true, &mut scratch);
         let slots = (0..self.total_strings)
             .filter_map(|slot| {
                 scratch
@@ -339,6 +312,34 @@ impl<'r> Scanner<'r> {
             })
             .collect();
         FileHits { slots, metrics }
+    }
+
+    /// Runs every regex group with at least one member whose rule is
+    /// included — one accelerated forward pass over `data` per group —
+    /// and records each match under every included member's slot.
+    fn regex_pass(
+        &self,
+        data: &[u8],
+        include: &impl Fn(usize) -> bool,
+        scratch: &mut ScanScratch,
+    ) -> ScanMetrics {
+        let mut metrics = ScanMetrics::default();
+        for group in &self.regex_groups {
+            if !group.members.iter().any(|&(ri, _)| include(ri)) {
+                continue;
+            }
+            metrics.regex_strings_evaluated += 1;
+            metrics.regex_bytes_scanned += data.len() as u64;
+            let matches = group.regex.find_all(data);
+            for &(ri, slot) in &group.members {
+                if include(ri) {
+                    for m in &matches {
+                        scratch.push(slot, m.start);
+                    }
+                }
+            }
+        }
+        metrics
     }
 
     /// Marks in `out` (resized to the rule count) every rule with at
