@@ -34,7 +34,8 @@ const ASCII: &str = {
 /// Source bytes per token the output vector is reserved for. Files of
 /// the tiny corpus and its mutants run 3.2 to 7.4 bytes per token
 /// (mean 3.8), so this covers them in the one up-front allocation — no
-/// doubling, no copy — and `run` gives the unused tail back.
+/// doubling, no copy. No caller keeps the vector past its own analysis,
+/// so the unused tail is never trimmed.
 const BYTES_PER_TOKEN: usize = 3;
 
 /// Cap on that reservation (5.5 MiB of tokens): an attacker-sized file
@@ -82,8 +83,8 @@ pub struct WindowLex {
 /// indent stack is `[0]` there — e.g. offset 0, or just after the
 /// newline ending an unindented statement). Offsets inside brackets,
 /// strings or indented suites produce a best-effort tolerant lex of the
-/// window instead; callers splicing tokens must verify the boundary
-/// from an existing token stream.
+/// window instead; callers splicing a relexed window into products of
+/// the full lex take `start` from [`cut_points`].
 ///
 /// # Panics
 ///
@@ -107,15 +108,53 @@ pub fn lex_window(source: &str, start: usize, end: usize) -> WindowLex {
     }
 }
 
-/// Tokenizes the tail of `source` from `offset`, rebasing spans and
-/// line numbers so the tokens land in full-source coordinates — the
-/// offset-relex primitive the incremental artifact splicer builds on.
+/// A place where [`lex_window`] may start or stop: a real NEWLINE (width
+/// one, not the close-out's synthetic one) directly followed in the
+/// token stream by a column-zero content token. Such a pair proves the
+/// full lexer's indent stack is `[0]` at `at`, which is the state a
+/// window relex begins in; every shape where that proof fails is not a
+/// cut point:
 ///
-/// Equivalent to the `[offset..]` suffix of [`lex_spanned`] when
-/// `offset` sits at a column-zero statement boundary; see
-/// [`lex_window`] for the exact contract (and the panic conditions).
-pub fn lex_starts_at(source: &str, offset: usize) -> Vec<SpannedToken> {
-    lex_window(source, offset, source.len()).tokens
+/// * an INDENT/DEDENT successor (empty span) means the stack is not
+///   `[0]` — relexing from there with a fresh stack would drop the
+///   dedents;
+/// * a comment at column zero proves nothing about the stack
+///   (comment-only lines skip indent tracking entirely);
+/// * a non-zero column is not a line start.
+///
+/// The bytes between the two offsets hold no token: blank lines, or a
+/// backslash continuation. A continuation reaches `at` without going
+/// through indentation handling, so a window may *stop* there but must
+/// not *start* there — the caller reads the gap to tell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CutPoint {
+    /// Byte offset one past the NEWLINE.
+    pub newline_end: usize,
+    /// Byte offset of the column-zero token.
+    pub at: usize,
+}
+
+/// The cut points of a token stream, in source order: one per adjacent
+/// pair of tokens that satisfies [`CutPoint`]'s conditions.
+pub fn cut_points<'a, I>(tokens: I) -> impl Iterator<Item = CutPoint> + 'a
+where
+    I: IntoIterator<Item = &'a SpannedToken>,
+    I::IntoIter: 'a,
+{
+    let mut tokens = tokens.into_iter();
+    let mut last = tokens.next();
+    tokens.filter_map(move |next| {
+        let cur = last.replace(next)?;
+        let cut = matches!(cur.kind(), TokenKind::Newline)
+            && cur.end == cur.start + 1
+            && next.token.col == 0
+            && next.end > next.start
+            && !matches!(next.kind(), TokenKind::Comment(_));
+        cut.then_some(CutPoint {
+            newline_end: cur.end,
+            at: next.start,
+        })
+    })
 }
 
 struct Lexer<'a> {
@@ -263,9 +302,6 @@ impl<'a> Lexer<'a> {
             self.push(TokenKind::Dedent, self.line, 0);
         }
         self.push(TokenKind::Eof, self.line, self.col);
-        // Exact-size what gets stored: a resident artifact keeps this
-        // vector for as long as it is cached.
-        self.out.shrink_to_fit();
         std::mem::take(&mut self.out)
     }
 
@@ -630,35 +666,81 @@ mod tests {
     }
 
     #[test]
-    fn lex_starts_at_zero_is_lex_spanned() {
+    fn lex_window_over_the_whole_source_is_lex_spanned() {
         let src = "import os\n\ndef f(a):\n    return a\n\nx = f(1)\n";
-        assert_eq!(lex_starts_at(src, 0), lex_spanned(src));
+        assert_eq!(lex_window(src, 0, src.len()).tokens, lex_spanned(src));
     }
 
     #[test]
-    fn lex_starts_at_statement_boundary_matches_full_lex_suffix() {
-        let src = "import os\nx = 1\n\n# note\ndef f():\n    return x\n";
+    fn lex_window_from_a_cut_point_matches_the_full_lex_suffix() {
+        let src = "import os\nx = 1\n\n\nz = 3\n# note\ndef f():\n    return x\ny = 2\n";
         let full = lex_spanned(src);
-        // Every column-zero statement boundary after a real newline.
-        for (i, t) in full.iter().enumerate() {
-            if !matches!(t.kind(), TokenKind::Newline) || t.end - t.start != 1 {
-                continue;
-            }
-            let next = &full[i + 1];
-            if next.token.col != 0
-                || next.end == next.start
-                || matches!(next.kind(), TokenKind::Comment(_))
-            {
-                continue;
-            }
-            let suffix = lex_starts_at(src, next.start);
+        let cuts: Vec<CutPoint> = cut_points(&full).collect();
+        // `x`, and `z` behind two blank lines. Not `def` (its predecessor
+        // is a comment), not the indented `return`, not `y` (a DEDENT
+        // stands between it and the NEWLINE).
+        let at = |needle: &str| src.find(needle).expect("needle");
+        let expected = [
+            CutPoint {
+                newline_end: at("x = 1"),
+                at: at("x = 1"),
+            },
+            CutPoint {
+                newline_end: at("\n\nz"),
+                at: at("z = 3"),
+            },
+        ];
+        assert_eq!(cuts, expected);
+        for cut in cuts {
+            let from = full
+                .iter()
+                .position(|t| t.start == cut.at)
+                .expect("a token starts at every cut point");
             assert_eq!(
-                suffix,
-                full[i + 1..].to_vec(),
+                lex_window(src, cut.at, src.len()).tokens,
+                full[from..],
                 "suffix relex diverged at offset {}",
-                next.start
+                cut.at
             );
         }
+    }
+
+    /// What a splice does to the table: the cut points of an edited file
+    /// are the old file's before the window, the relexed window's read
+    /// between stand-ins for its two neighbours, and the old file's
+    /// after it moved by the byte delta.
+    #[test]
+    fn cut_points_splice_as_prefix_window_and_shifted_suffix() {
+        let v1 = "import os\nimport sys\nA = 'one'\nos.system('id')\nB = 2\n";
+        let v2 = "import os\nimport sys\nA = 'three'\n\nC = 0\nos.system('id')\nB = 2\n";
+        let old: Vec<CutPoint> = cut_points(&lex_spanned(v1)).collect();
+        // The window is the `A` line: it starts at the second cut point
+        // and stops at the third.
+        let (start, stop) = (old[1], old[2]);
+        assert_eq!(&v1[start.at..stop.at], "A = 'one'\n");
+        let delta = v2.len() - v1.len();
+        let marker = |kind, start| SpannedToken {
+            token: Token {
+                kind,
+                line: 0,
+                col: 0,
+            },
+            start,
+            end: start + 1,
+        };
+        let mut window = lex_window(v2, start.at, stop.at + delta).tokens;
+        assert_eq!(window.pop().map(|t| t.token.kind), Some(TokenKind::Eof));
+        window.insert(0, marker(TokenKind::Newline, start.newline_end - 1));
+        window.push(marker(TokenKind::Op("."), stop.at + delta));
+        let mut spliced = old[..1].to_vec();
+        spliced.extend(cut_points(&window));
+        spliced.extend(old[3..].iter().map(|c| CutPoint {
+            newline_end: c.newline_end + delta,
+            at: c.at + delta,
+        }));
+        let full: Vec<CutPoint> = cut_points(&lex_spanned(v2)).collect();
+        assert_eq!(spliced, full);
+        assert_eq!(full.len(), 5, "import sys, A, C, os.system, B");
     }
 
     #[test]

@@ -9,12 +9,10 @@
 //!
 //! * [`lex`] — an indentation-aware tokenizer (strings, comments, triple
 //!   quotes, line continuations, INDENT/DEDENT synthesis).
-//! * [`lex_starts_at`] / [`lex_window`] — offset-based relexing of an
-//!   edited byte range in full-source coordinates, the primitive the
-//!   incremental artifact splicer builds on.
-//! * [`TokenRope`] — segment-shared token storage with lazy coordinate
-//!   rebasing, so a spliced version's stream reuses the previous
-//!   version's prefix and suffix without cloning a single token.
+//! * [`lex_window`] — relexes one byte range in full-source coordinates,
+//!   the primitive the incremental artifact splicer builds on, and
+//!   [`cut_points`] — the offsets of a token stream where such a window
+//!   may start or stop, which is all of the stream a later splice reads.
 //! * [`parse_tokens`] — the parser's front door: a tolerant, lightweight
 //!   parser producing a statement/expression tree sufficient for pattern
 //!   matching, over a token slice it borrows (plain [`Token`]s or
@@ -26,7 +24,9 @@
 //! * Call/import/string collectors used by the analyzers.
 //! * [`intern_strings`] — a deduplicated string-literal table built from
 //!   the spanned token stream, the literal view that per-file analysis
-//!   artifacts carry for decoded-layer extraction.
+//!   artifacts carry for decoded-layer extraction;
+//!   [`StringTable::spliced`] derives an edited file's table from its
+//!   predecessor's and the relexed window.
 //!
 //! # Examples
 //!
@@ -42,15 +42,13 @@
 mod ast;
 mod lexer;
 mod parser;
-mod rope;
 mod strings;
 mod token;
 
 pub use ast::{Arg, Expr, ImportedName, Module, Stmt};
-pub use lexer::{lex, lex_spanned, lex_starts_at, lex_window, WindowLex};
+pub use lexer::{cut_points, lex, lex_spanned, lex_window, CutPoint, WindowLex};
 pub use parser::{parse_module, parse_tokens};
-pub use rope::{TokenRope, TokenView};
-pub use strings::{intern_rope, intern_strings, StringRef, StringTable};
+pub use strings::{intern_strings, StringRef, StringTable};
 pub use token::{is_keyword, SpannedToken, Token, TokenKind, KEYWORDS};
 
 /// Collects every call expression in the module, depth-first.

@@ -61,44 +61,78 @@ impl StringTable {
 /// interpolation holes, so the text is not a runtime string value.
 /// Raw and bytes literals are kept — encoded payloads ship in both.
 pub fn intern_strings(tokens: &[SpannedToken]) -> StringTable {
-    intern_iter(tokens.iter().map(|t| (&t.token.kind, t.token.line)))
+    let mut interner = Interner::default();
+    interner.push_tokens(tokens);
+    interner.table
 }
 
-/// [`intern_strings`] over a [`TokenRope`](crate::TokenRope), reading
-/// each occurrence's line through the rope's lazy rebase — a spliced
-/// stream interns to the exact table a full relex would produce,
-/// without materializing the shared tokens.
-pub fn intern_rope(rope: &crate::TokenRope) -> StringTable {
-    intern_iter(rope.iter().map(|v| (&v.token.kind, v.line)))
-}
-
-fn intern_iter<'a>(tokens: impl Iterator<Item = (&'a TokenKind, usize)>) -> StringTable {
-    let mut table = StringTable::default();
-    let mut ids: HashMap<&str, u32> = HashMap::new();
-    // The map borrows literal text from the tokens while the table
-    // accumulates owned copies.
-    for (kind, line) in tokens {
-        let TokenKind::Str { value, prefix } = kind else {
-            continue;
-        };
-        if prefix.contains('f') {
-            continue;
+impl StringTable {
+    /// The table of a file that differs from this table's file by one
+    /// edit whose relexed `window` replaces the donor's lines
+    /// `before_line..suffix_from_line` (to the end of the file when
+    /// `None`), moving what follows by `line_delta` lines: the table
+    /// [`intern_strings`] builds from the edited file's whole stream.
+    ///
+    /// Both bounds must be lines that begin at a token-stream cut point
+    /// (see [`crate::CutPoint`]): nothing before column zero of such a
+    /// line belongs to a later token, so `refs`' monotone lines split
+    /// exactly where the token stream does, and re-interning donor
+    /// occurrences before the window, the window's literals, then donor
+    /// occurrences after it meets every literal in token order.
+    ///
+    /// `None` when a shifted line does not fit a [`StringRef`].
+    pub fn spliced(
+        &self,
+        before_line: usize,
+        window: &[SpannedToken],
+        suffix_from_line: Option<usize>,
+        line_delta: isize,
+    ) -> Option<StringTable> {
+        let line_delta = i32::try_from(line_delta).ok()?;
+        let first_at = |line: usize| self.refs.partition_point(|r| (r.line as usize) < line);
+        let kept = first_at(before_line);
+        let resumed = suffix_from_line.map_or(self.refs.len(), first_at);
+        let mut interner = Interner::default();
+        interner.table.refs.reserve(self.refs.len());
+        for r in &self.refs[..kept] {
+            interner.push(&self.literals[r.literal as usize], r.line);
         }
-        let id = match ids.get(value.as_str()) {
-            Some(&id) => id,
-            None => {
-                let id = table.literals.len() as u32;
-                table.literals.push(value.clone());
-                ids.insert(value.as_str(), id);
-                id
-            }
-        };
-        table.refs.push(StringRef {
-            literal: id,
-            line: line as u32,
-        });
+        interner.push_tokens(window);
+        for r in &self.refs[resumed..] {
+            let line = r.line.checked_add_signed(line_delta)?;
+            interner.push(&self.literals[r.literal as usize], line);
+        }
+        Some(interner.table)
     }
-    table
+}
+
+/// A [`StringTable`] under construction. The map borrows literal text
+/// from its sources while the table accumulates owned copies.
+#[derive(Default)]
+struct Interner<'a> {
+    table: StringTable,
+    ids: HashMap<&'a str, u32>,
+}
+
+impl<'a> Interner<'a> {
+    fn push(&mut self, value: &'a str, line: u32) {
+        let literals = &mut self.table.literals;
+        let literal = *self.ids.entry(value).or_insert_with(|| {
+            literals.push(value.to_owned());
+            (literals.len() - 1) as u32
+        });
+        self.table.refs.push(StringRef { literal, line });
+    }
+
+    fn push_tokens(&mut self, tokens: &'a [SpannedToken]) {
+        for t in tokens {
+            if let TokenKind::Str { value, prefix } = t.kind() {
+                if !prefix.contains('f') {
+                    self.push(value, t.token.line as u32);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -110,12 +144,56 @@ mod tests {
         intern_strings(&lex_spanned(src))
     }
 
+    /// Replaces lines `range` of `old` with `with` and checks the
+    /// spliced table against the edited source's own.
+    fn splice(old: &str, range: std::ops::Range<usize>, to_eof: bool, with: &str) -> StringTable {
+        let line_start = |line: usize| {
+            old.split_inclusive('\n')
+                .take(line - 1)
+                .map(str::len)
+                .sum::<usize>()
+        };
+        let (w, e_old) = (line_start(range.start), line_start(range.end));
+        let new = format!("{}{with}{}", &old[..w], &old[e_old..]);
+        let window = crate::lex_window(&new, w, w + with.len()).tokens;
+        let delta = with.matches('\n').count() as isize - range.len() as isize;
+        let spliced = table(old)
+            .spliced(range.start, &window, (!to_eof).then_some(range.end), delta)
+            .expect("lines fit");
+        assert_eq!(spliced, table(&new), "{new:?}");
+        spliced
+    }
+
     #[test]
-    fn rope_interning_matches_slice_interning() {
-        let src = "a = 'x'\nb = 'y'\nc = 'x'\nd = f'{a}'\n";
-        let tokens = lex_spanned(src);
-        let rope = crate::TokenRope::from_tokens(tokens.clone());
-        assert_eq!(intern_rope(&rope), intern_strings(&tokens));
+    fn spliced_table_equals_the_edited_files_own() {
+        let old = "a = 'x'\nb = 'only-here'\nc = 'late'\nd = 'x'\ne = 'late'\n";
+        // A literal that occurred only inside the old window disappears,
+        // and one first seen in the suffix keeps its first-seen index.
+        let t = splice(old, 2..3, false, "b = 'new'\nb2 = 'late'\n");
+        assert_eq!(t.literals, ["x", "new", "late"]);
+        // The window relexes to nothing: 'late' moves up to index 1.
+        let t = splice(old, 2..3, false, "");
+        assert_eq!(t.literals, ["x", "late"]);
+        assert_eq!(t.refs.last().map(|r| r.line), Some(4));
+        // No prefix, and no suffix.
+        assert_eq!(splice(old, 1..2, false, "z = 'late'\n").literals[0], "late");
+        assert_eq!(splice(old, 4..6, true, "f = f'{a}'\n").literals.len(), 3);
+    }
+
+    #[test]
+    fn spliced_table_refuses_a_line_that_does_not_fit() {
+        let t = table("a = 'x'\nb = 'y'\n");
+        assert!(t.spliced(1, &[], Some(2), i32::MAX as isize).is_some());
+        assert!(t.spliced(1, &[], Some(2), i32::MAX as isize + 1).is_none());
+        let far = StringTable {
+            refs: vec![StringRef {
+                literal: 0,
+                line: u32::MAX,
+            }],
+            ..t.clone()
+        };
+        assert!(far.spliced(1, &[], Some(2), 1).is_none());
+        assert!(t.spliced(1, &[], Some(2), -3).is_none());
     }
 
     #[test]

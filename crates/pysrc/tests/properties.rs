@@ -61,26 +61,19 @@ proptest! {
         }
     }
 
-    /// Offset relexing agrees with the full lex at every column-zero
-    /// statement boundary — the exact contract the artifact splicer
-    /// relies on when it relexes only an edited window.
+    /// Relexing from a cut point to the end of the source agrees with
+    /// the full lex — the exact contract the artifact splicer relies on
+    /// when it relexes only an edited window.
     #[test]
-    fn lex_starts_at_agrees_with_full_lex_at_boundaries(
+    fn lex_window_agrees_with_full_lex_at_cut_points(
         lines in prop::collection::vec("[a-z][a-z0-9 =+.()']{0,20}", 1..8)
     ) {
         let src = format!("{}\n", lines.join("\n"));
         let full = pysrc::lex_spanned(&src);
-        for (i, t) in full.iter().enumerate() {
-            let boundary = matches!(t.kind(), TokenKind::Newline)
-                && t.end - t.start == 1
-                && full[i + 1].token.col == 0
-                && full[i + 1].end > full[i + 1].start
-                && !matches!(full[i + 1].kind(), TokenKind::Comment(_));
-            if !boundary {
-                continue;
-            }
-            let suffix = pysrc::lex_starts_at(&src, full[i + 1].start);
-            prop_assert_eq!(&suffix[..], &full[i + 1..], "diverged at {}", full[i + 1].start);
+        for cut in pysrc::cut_points(&full) {
+            let from = full.iter().position(|t| t.start == cut.at).expect("a token at the cut");
+            let suffix = pysrc::lex_window(&src, cut.at, src.len()).tokens;
+            prop_assert_eq!(&suffix[..], &full[from..], "diverged at {}", cut.at);
         }
     }
 

@@ -4,11 +4,14 @@
 //! yet the seed scan path treated every request as opaque bytes and
 //! re-ran lexing, parsing and string scanning per request. A
 //! [`FileAnalysis`] computes everything a file will ever be asked for —
-//! spanned tokens, the tolerant-parsed module, the interned
-//! string-literal table, **decoded layers** (base64/hex payloads hidden
-//! in literals) and the ruleset's string-definition hits on every layer
-//! — exactly once, keyed by content digest, so the artifact cache turns
-//! a version bump into `changed files` parses instead of `all files`.
+//! the tolerant-parsed module, the interned string-literal table,
+//! **decoded layers** (base64/hex payloads hidden in literals) and the
+//! ruleset's string-definition hits on every layer — exactly once, keyed
+//! by content digest, so the artifact cache turns a version bump into
+//! `changed files` parses instead of `all files`. The token stream all
+//! of that is read from lives for one build: no scan reads a token, and
+//! the next version's splice needs only where the stream can be cut
+//! ([`pysrc::cut_points`]), so that table is what the artifact keeps.
 //!
 //! Decoded layers close a measured evasion gap: `docs/threat_model.md`
 //! records a ~37-point recall collapse under string-encoding
@@ -21,7 +24,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pysrc::{Module, SpannedToken, Stmt, StringTable, TokenKind, TokenRope, TokenView};
+use pysrc::{CutPoint, Module, SpannedToken, Stmt, StringTable, Token, TokenKind};
 use yara_engine::{FileHits, Scanner};
 
 use crate::cache::DigestKey;
@@ -120,12 +123,12 @@ pub struct FileAnalysis {
     pub bytes: Arc<Vec<u8>>,
     /// Whether the file was analyzed as Python source.
     pub is_python: bool,
-    /// The spanned token stream (empty for non-Python files). Literals
-    /// survive here even inside statements the tolerant parser degraded
-    /// to `Stmt::Other`. Stored as a [`TokenRope`] so a spliced build
-    /// shares the unchanged prefix/suffix with its sibling artifact
-    /// instead of deep-cloning every token.
-    pub tokens: TokenRope,
+    /// Where a later version's splice may start or stop relexing: the
+    /// token stream's [`pysrc::cut_points`], sorted by offset (empty for
+    /// non-Python files). With `module`, `strings` and `bytes` this is
+    /// everything [`FileAnalysis::build_spliced`] reads of its donor —
+    /// the stream itself is dropped when the build returns.
+    pub cut_points: Vec<CutPoint>,
     /// The tolerant-parsed module (Python files only).
     pub module: Option<LazyModule>,
     /// The interned string-literal table.
@@ -195,48 +198,36 @@ impl FileAnalysis {
     /// in the scan path that lexes, parses, decodes or byte-scans file
     /// content; everything downstream consumes the result.
     pub fn build(entry: &FileEntry, scanner: Option<&Scanner<'_>>, cfg: &ArtifactConfig) -> Self {
-        let bytes = entry.shared_bytes();
-        let is_python = entry.is_python();
-        let (tokens, module) = if is_python {
-            // One lex: the parser reads the spanned tokens in place,
-            // then the rope takes them over.
-            let tokens = pysrc::lex_spanned(&String::from_utf8_lossy(&bytes));
-            let module = LazyModule(pysrc::parse_tokens(&tokens));
-            (TokenRope::from_tokens(tokens), Some(module))
+        let (cut_points, strings, module) = if entry.is_python() {
+            // One lex: the parser, the interner and the cut-point scan
+            // all read the same tokens, which are dropped right here.
+            let tokens = pysrc::lex_spanned(&String::from_utf8_lossy(entry.bytes()));
+            (
+                pysrc::cut_points(&tokens).collect(),
+                pysrc::intern_strings(&tokens),
+                Some(LazyModule(pysrc::parse_tokens(&tokens))),
+            )
         } else {
-            (TokenRope::default(), None)
+            (Vec::new(), StringTable::default(), None)
         };
-        Self::finish(
-            entry.digest(),
-            bytes,
-            is_python,
-            tokens,
-            module,
-            scanner,
-            cfg,
-        )
+        Self::finish(entry, cut_points, strings, module, scanner, cfg)
     }
 
-    /// Derives every downstream product (string table, decoded layers,
-    /// taint, YARA hits) from an already-built token stream and module.
-    /// Shared by the full build and the incremental splice so the two
-    /// paths cannot drift: splice ≡ full holds whenever the tokens and
-    /// module are equal, because everything below this line is a pure
-    /// function of them plus the bytes.
+    /// Derives every downstream product (decoded layers, taint, YARA
+    /// hits) from the products of the token stream. Shared by the full
+    /// build and the incremental splice so the two paths cannot drift:
+    /// splice ≡ full holds whenever cut points, string table and module
+    /// are equal, because everything below this line is a pure function
+    /// of them plus the bytes.
     fn finish(
-        digest: DigestKey,
-        bytes: Arc<Vec<u8>>,
-        is_python: bool,
-        tokens: TokenRope,
+        entry: &FileEntry,
+        cut_points: Vec<CutPoint>,
+        strings: StringTable,
         module: Option<LazyModule>,
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
     ) -> Self {
-        let strings = if is_python {
-            pysrc::intern_rope(&tokens)
-        } else {
-            StringTable::default()
-        };
+        let bytes = entry.shared_bytes();
         let mut layers = decode_layers(&strings, cfg);
         let taint = match (&module, cfg.dataflow) {
             (Some(m), true) => Some(dataflow::analyze(m.get())),
@@ -250,10 +241,10 @@ impl FileAnalysis {
             layers.iter().map(|l| s.collect_hits(&l.data)).collect()
         });
         FileAnalysis {
-            digest,
+            digest: entry.digest(),
             bytes,
-            is_python,
-            tokens,
+            is_python: entry.is_python(),
+            cut_points,
             module,
             strings,
             layers,
@@ -263,7 +254,9 @@ impl FileAnalysis {
         }
     }
 
-    /// Approximate heap footprint, for cache accounting.
+    /// Approximate heap footprint, for cache accounting. The parsed
+    /// `module` is not counted (no cheap measure of a tree exists); it is
+    /// the largest part this leaves out.
     pub fn stored_bytes(&self) -> usize {
         self.bytes.len()
             + self.layers.iter().map(|l| l.data.len() + 16).sum::<usize>()
@@ -274,7 +267,7 @@ impl FileAnalysis {
                 .map(|s| s.len() + 24)
                 .sum::<usize>()
             + self.strings.refs.len() * 8
-            + self.tokens.len() * 64
+            + std::mem::size_of_val(self.cut_points.as_slice())
             + self
                 .yara_hits
                 .as_ref()
@@ -297,11 +290,15 @@ impl FileAnalysis {
     /// The contract is strict equivalence: on `Some`, the returned
     /// artifact is field-for-field identical to what a full
     /// [`FileAnalysis::build`] would produce for `entry` — the
-    /// differential tests below pin tokens, module, string table,
+    /// differential tests below pin cut points, module, string table,
     /// layers, hits and taint. Only the lex/parse work is reused (the
-    /// window's tokens are parsed in place, then spliced into the rope);
-    /// every downstream product is recomputed by the same code the full
-    /// build runs, so the artifact stays a pure function of its bytes.
+    /// window's tokens are parsed and interned in place and the sibling's
+    /// statements, occurrences and cut points kept around them); every
+    /// downstream product is recomputed by the same code the full build
+    /// runs, so the artifact stays a pure function of its bytes. Cut
+    /// points, module, strings and bytes are all a splice reads of its
+    /// sibling, so their identity is what makes a chain of splices as
+    /// sound as one.
     ///
     /// Returns `None` (the caller falls back to a full build) whenever
     /// the splice is not provably clean:
@@ -315,7 +312,8 @@ impl FileAnalysis {
     ///   cheaper than cloning most of the sibling);
     /// * the window relex does not end cleanly at a statement boundary
     ///   (open bracket, unterminated string, trailing `\` continuation,
-    ///   or a changed region that removed the boundary newline).
+    ///   or a changed region that removed the boundary newline);
+    /// * an offset or line moved by the edit does not fit its type.
     pub fn build_spliced(
         entry: &FileEntry,
         sibling: &FileAnalysis,
@@ -362,48 +360,28 @@ impl FileAnalysis {
         let q_old = old.len() - s;
         let delta = new.len() as isize - old.len() as isize;
 
-        // Splice boundaries: column-zero statement starts of the OLD
-        // token stream where the lexer state is fully known (indent
-        // stack [0], fresh line — see `splice_boundary`). The window is
-        // the smallest boundary-delimited region covering the edit;
-        // offset 0 is always a valid start. No boundary after the edit
-        // means the edit runs to EOF and the window simply extends to
-        // the end of the new content.
-        let toks = &sibling.tokens;
-        let mut start = (0usize, 0usize);
-        let mut end: Option<(usize, usize)> = None;
-        for (i, (cur, next)) in toks.iter().zip(toks.iter().skip(1)).enumerate() {
-            if !splice_boundary(&cur, &next) {
-                continue;
-            }
-            let at = next.start;
-            // A window START additionally requires the byte gap between
-            // the NEWLINE and the boundary token to be blank lines only.
-            // The gap is token-free, so it can only hold blank lines or
-            // backslash continuations — and a continuation reaches the
-            // boundary token without going through indentation handling,
-            // while a relex window must begin in the fresh-lexer state.
-            // (An END tolerates a continuation gap: it lies inside the
-            // window, where it either survives into the new content and
-            // makes the relex end unclean, or was edited away.)
-            let blank_gap = old[cur.end..at]
+        // The window is the smallest region delimited by the sibling's
+        // cut points that covers the edit. Offset 0 is always a valid
+        // start; no cut point after the edit means the edit runs to EOF
+        // and the window simply extends to the end of the new content.
+        // A START must have a blank gap (see [`CutPoint`]: a relex window
+        // begins in the fresh-lexer state, and a continuation reaches
+        // the cut without going through indentation handling). An END
+        // tolerates a continuation gap: it lies inside the window, where
+        // it either survives into the new content and makes the relex
+        // end unclean, or was edited away.
+        let cuts = &sibling.cut_points;
+        let blank_gap = |c: &CutPoint| {
+            old[c.newline_end..c.at]
                 .iter()
-                .all(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'));
-            if at <= p && blank_gap {
-                start = (i + 1, at);
-            }
-            if at >= q_old {
-                end = Some((i + 1, at));
-                // Boundary positions strictly increase and q_old >= p,
-                // so no later boundary can move `start` either.
-                break;
-            }
-        }
-        let (prefix_len, w) = start;
-        let (e_old, suffix_from) = match end {
-            Some((idx, at)) => (at, Some(idx)),
-            None => (old.len(), None),
+                .all(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
         };
+        let start = cuts[..cuts.partition_point(|c| c.at <= p)]
+            .iter()
+            .rposition(blank_gap);
+        let end = Some(cuts.partition_point(|c| c.at < q_old)).filter(|&i| i < cuts.len());
+        let w = start.map_or(0, |i| cuts[i].at);
+        let e_old = end.map_or(old.len(), |i| cuts[i].at);
         let e_new = e_old.checked_add_signed(delta)?;
 
         // Profitability gate: relexing more than half the file gains
@@ -413,14 +391,14 @@ impl FileAnalysis {
         }
         // A mid-file window must end exactly at a line start, or the
         // suffix's first line would really be a continuation of the
-        // window's last. The old boundary guarantees `old[e_old-1]` is a
+        // window's last. The old cut point guarantees `old[e_old-1]` is a
         // newline, but an edit ending exactly at `q_old` can replace it.
-        if suffix_from.is_some() && e_new > w && new[e_new - 1] != b'\n' {
+        if end.is_some() && e_new > w && new[e_new - 1] != b'\n' {
             return None;
         }
 
         let window = pysrc::lex_window(new_text, w, e_new);
-        if suffix_from.is_some() && !window.ends_at_statement_boundary {
+        if end.is_some() && !window.ends_at_statement_boundary {
             return None;
         }
         let relexed_bytes = (e_new - w) as u64;
@@ -428,7 +406,7 @@ impl FileAnalysis {
             count_newlines(&new[w..e_new]) as isize - count_newlines(&old[w..e_old]) as isize;
 
         let mut window_tokens = window.tokens;
-        if suffix_from.is_some() {
+        if end.is_some() {
             // Drop the window's EOF and the close-out's synthetic
             // NEWLINE (width zero, emitted when the window ends in a
             // comment line): the full lexer emits neither mid-stream.
@@ -467,34 +445,46 @@ impl FileAnalysis {
             old_module,
             window_module,
             lw,
-            suffix_from.map(|_| le_old),
+            end.map(|_| le_old),
             line_delta,
         ));
 
-        // Token splice: the prefix and suffix share the sibling's rope
-        // storage — the suffix as a lazily rebased segment (byte and
-        // line deltas applied at read time) — and only the relexed
-        // window contributes fresh tokens. Long splice chains fragment
-        // the rope; consolidation copies it back into one segment every
-        // few dozen generations.
-        let mut tokens = toks.slice(0..prefix_len);
-        tokens.push_tokens(window_tokens);
-        if let Some(from) = suffix_from {
-            tokens.push_slice_shifted(toks, from..toks.len(), delta, line_delta);
+        // The sibling's occurrences and cut points outside the window
+        // carry over, the latter moved by the byte delta. Inside it the
+        // window's tokens are read between stand-ins for their two
+        // neighbours in the full stream — the NEWLINE the window starts
+        // behind and the column-zero token it stops at — so the cut
+        // points at both junctions come out as a full lex would set them.
+        let strings =
+            sibling
+                .strings
+                .spliced(lw, &window_tokens, end.map(|_| le_old), line_delta)?;
+        let marker = |kind, start| SpannedToken {
+            token: Token {
+                kind,
+                line: 0,
+                col: 0,
+            },
+            start,
+            end: start + 1,
+        };
+        let behind = start.map(|i| marker(TokenKind::Newline, cuts[i].newline_end - 1));
+        let stop = end.map(|_| marker(TokenKind::Op("."), e_new));
+        let mut cut_points = Vec::with_capacity(cuts.len());
+        cut_points.extend_from_slice(&cuts[..start.unwrap_or(0)]);
+        cut_points.extend(pysrc::cut_points(
+            behind.iter().chain(&window_tokens).chain(&stop),
+        ));
+        for c in end.map_or(&[][..], |i| &cuts[i + 1..]) {
+            cut_points.push(CutPoint {
+                newline_end: c.newline_end.checked_add_signed(delta)?,
+                at: c.at.checked_add_signed(delta)?,
+            });
         }
-        tokens.consolidate_if_fragmented(64);
 
         Some(Spliced {
             relexed_bytes,
-            analysis: Self::finish(
-                entry.digest(),
-                bytes,
-                true,
-                tokens,
-                Some(module),
-                scanner,
-                cfg,
-            ),
+            analysis: Self::finish(entry, cut_points, strings, Some(module), scanner, cfg),
         })
     }
 }
@@ -508,29 +498,6 @@ pub struct Spliced {
     pub analysis: FileAnalysis,
     /// Bytes of the new content covered by the re-lexed window.
     pub relexed_bytes: u64,
-}
-
-/// True when old token `cur` ends a statement at a point where the
-/// lexer state is provably `indent stack == [0]`: a real NEWLINE (width
-/// one) whose stream successor `next` is a column-zero content token.
-/// The successor conditions rule out every shape where that proof
-/// fails:
-///
-/// * an INDENT/DEDENT successor (empty span) means the stack is not
-///   `[0]` at the boundary — relexing from there with a fresh stack
-///   would drop the dedents;
-/// * a comment token at column zero proves nothing about the stack
-///   (comment-only lines skip indent tracking entirely);
-/// * a non-zero column means the boundary is not a line start.
-///
-/// A column-zero content token with no INDENT/DEDENT in front of it can
-/// only be lexed with the stack top — hence, the whole stack — at 0.
-fn splice_boundary(cur: &TokenView<'_>, next: &TokenView<'_>) -> bool {
-    matches!(cur.kind(), TokenKind::Newline)
-        && cur.end == cur.start + 1
-        && next.token.col == 0
-        && next.end > next.start
-        && !matches!(next.kind(), TokenKind::Comment(_))
 }
 
 fn count_newlines(bytes: &[u8]) -> usize {
@@ -699,10 +666,10 @@ mod tests {
     }
 
     #[test]
-    fn python_entry_carries_tokens_module_and_strings() {
+    fn python_entry_carries_cut_points_module_and_strings() {
         let a = analyze("import os\nc2 = 'bexlum.top'\nos.system('id')\n");
         assert!(a.is_python);
-        assert!(!a.tokens.is_empty());
+        assert_eq!(a.cut_points.len(), 2, "one per statement after the first");
         let module = a.module.as_ref().expect("parsed module");
         assert_eq!(module.get().body.len(), 3);
         assert!(a.strings.literals.contains(&"bexlum.top".to_owned()));
@@ -718,7 +685,7 @@ mod tests {
         );
         assert!(!a.is_python);
         assert!(a.module.is_none());
-        assert!(a.tokens.is_empty());
+        assert!(a.cut_points.is_empty());
         assert!(a.strings.is_empty());
         assert!(a.layers.is_empty());
     }
@@ -875,12 +842,7 @@ mod tests {
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.is_python, b.is_python);
         assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.tokens, b.tokens, "token streams diverge");
-        assert_eq!(
-            a.tokens.to_vec(),
-            b.tokens.to_vec(),
-            "materialized token streams diverge"
-        );
+        assert_eq!(a.cut_points, b.cut_points, "cut points diverge");
         assert_eq!(
             a.module.as_ref().map(|m| m.get()),
             b.module.as_ref().map(|m| m.get()),
@@ -893,22 +855,43 @@ mod tests {
         assert_eq!(a.taint, b.taint, "taint summaries diverge");
     }
 
-    /// Builds the sibling from `old_code`, attempts a splice to
-    /// `new_code`, and — when the splice engages — checks it against a
-    /// full build of the new content. Returns whether it engaged.
-    fn splice_vs_full(old_code: &str, new_code: &str, scanner: Option<&Scanner<'_>>) -> bool {
+    /// Attempts a splice of `new_code` onto `sibling` and — when the
+    /// splice engages — checks it against a full build of the new
+    /// content. Returns the new content's artifact, the spliced one when
+    /// there is one, and whether the splice engaged.
+    fn splice_onto(
+        sibling: &FileAnalysis,
+        new_code: &str,
+        scanner: Option<&Scanner<'_>>,
+    ) -> (FileAnalysis, bool) {
         let cfg = ArtifactConfig::default();
-        let sibling = FileAnalysis::build(&entry("mod.py", old_code), scanner, &cfg);
         let new_entry = entry("mod.py", new_code);
-        match FileAnalysis::build_spliced(&new_entry, &sibling, scanner, &cfg) {
+        let full = FileAnalysis::build(&new_entry, scanner, &cfg);
+        match FileAnalysis::build_spliced(&new_entry, sibling, scanner, &cfg) {
             Some(spliced) => {
-                let full = FileAnalysis::build(&new_entry, scanner, &cfg);
                 assert_identical(&spliced.analysis, &full);
                 assert!(spliced.relexed_bytes <= new_code.len() as u64);
-                true
+                (spliced.analysis, true)
             }
-            None => false,
+            None => (full, false),
         }
+    }
+
+    /// [`splice_onto`] a freshly built sibling; whether it engaged.
+    fn splice_vs_full(old_code: &str, new_code: &str, scanner: Option<&Scanner<'_>>) -> bool {
+        let sibling = FileAnalysis::build(
+            &entry("mod.py", old_code),
+            scanner,
+            &ArtifactConfig::default(),
+        );
+        splice_onto(&sibling, new_code, scanner).1
+    }
+
+    /// The spliced artifact of an edit that must engage.
+    fn spliced(old_code: &str, new_code: &str) -> FileAnalysis {
+        let (analysis, engaged) = splice_onto(&analyze(old_code), new_code, None);
+        assert!(engaged, "fell back: {new_code:?}");
+        analysis
     }
 
     const SPLICE_BASE: &str = "import os\nimport base64\n\nA = 'alpha'\nB = 'beta'\n\ndef handler(arg):\n    data = arg.strip()\n    return data\n\nif A:\n    os.system('echo hi')\n\nC = A + B\nprint(C)\nD = 'delta'\nE2 = len(D)\nF = D + A\nG = C + D\nH = F + G\nprint(H)\n";
@@ -980,6 +963,127 @@ mod tests {
             splice_vs_full(&old_code, &new_code, Some(&scanner)),
             "payload swap fell back"
         );
+    }
+
+    /// The offsets of an artifact's cut points.
+    fn cuts_at(a: &FileAnalysis) -> Vec<usize> {
+        a.cut_points.iter().map(|c| c.at).collect()
+    }
+
+    #[test]
+    fn junction_at_the_window_start() {
+        let at = |needle: &str| SPLICE_BASE.find(needle).expect("needle");
+        let base = analyze(SPLICE_BASE);
+        assert!(cuts_at(&base).contains(&at("A = 'alpha'")));
+        // A comment line in front: the window's first token is a comment,
+        // so neither it nor the statement behind it is a cut point.
+        let a = spliced(
+            SPLICE_BASE,
+            &SPLICE_BASE.replace("A = 'alpha'", "# note\nA = 'alpha'"),
+        );
+        assert!(!cuts_at(&a).contains(&at("A = 'alpha'")));
+        assert!(!cuts_at(&a).contains(&(at("A = 'alpha'") + "# note\n".len())));
+        // An indented line: INDENT stands between NEWLINE and token.
+        let a = spliced(
+            SPLICE_BASE,
+            &SPLICE_BASE.replace("A = 'alpha'", "    Q = 'alpha'"),
+        );
+        assert!(!cuts_at(&a).contains(&(at("A = 'alpha'") + 4)));
+        // Blank lines: the cut moves behind them, its NEWLINE stays put.
+        let a = spliced(
+            SPLICE_BASE,
+            &SPLICE_BASE.replace("A = 'alpha'", "\n\nA = 'alpha'"),
+        );
+        let moved = a.cut_points.iter().find(|c| c.at == at("A = 'alpha'") + 2);
+        assert_eq!(
+            moved.map(|c| c.newline_end),
+            Some(at("\nA = 'alpha'")),
+            "cut behind the blank lines"
+        );
+    }
+
+    #[test]
+    fn junction_at_the_window_end() {
+        let at = |needle: &str| SPLICE_BASE.find(needle).expect("needle");
+        // The window ends in a DEDENT: what follows was a cut point and
+        // no longer is.
+        let suite = SPLICE_BASE.replace("F = D + A\n", "if D:\n    pass\n");
+        assert!(cuts_at(&analyze(SPLICE_BASE)).contains(&at("G = C + D")));
+        let a = spliced(SPLICE_BASE, &suite);
+        assert!(!cuts_at(&a).contains(&suite.find("G = C + D").expect("G")));
+        // An edit that runs to EOF: no cut point behind it, no suffix.
+        let a = spliced(
+            SPLICE_BASE,
+            &SPLICE_BASE.replace("print(H)\n", "print(H, 1)\nZ = 'omega'\n"),
+        );
+        assert_eq!(a.strings.literals.last().map(String::as_str), Some("omega"));
+    }
+
+    #[test]
+    fn junction_of_an_empty_window() {
+        // Whole statements deleted: the window relexes to nothing and the
+        // two stand-ins meet — behind a prefix...
+        let a = spliced(SPLICE_BASE, &SPLICE_BASE.replace("B = 'beta'\n", ""));
+        assert_eq!(
+            a.cut_points.len(),
+            analyze(SPLICE_BASE).cut_points.len() - 1
+        );
+        // ...and at offset 0, where nothing stands in front.
+        let longer = format!("x = 1\n{SPLICE_BASE}");
+        let a = spliced(&longer, SPLICE_BASE);
+        assert_eq!(cuts_at(&a), cuts_at(&analyze(SPLICE_BASE)));
+        // An insertion exactly at a cut point: the old window is empty.
+        let a = spliced(
+            SPLICE_BASE,
+            &SPLICE_BASE.replace("print(C)\n", "Z = 0\nprint(C)\n"),
+        );
+        assert_eq!(
+            a.cut_points.len(),
+            analyze(SPLICE_BASE).cut_points.len() + 1
+        );
+        // An edit at offset 0.
+        spliced(
+            SPLICE_BASE,
+            &SPLICE_BASE.replacen("import os", "from os import path", 1),
+        );
+    }
+
+    #[test]
+    fn spliced_string_table_keeps_first_seen_order() {
+        assert_eq!(
+            analyze(SPLICE_BASE).strings.literals,
+            ["alpha", "beta", "echo hi", "delta"]
+        );
+        // 'beta' occurred only inside the old window; 'delta' is first
+        // seen in the suffix, behind the window's new literal.
+        let a = spliced(
+            SPLICE_BASE,
+            &SPLICE_BASE.replace("B = 'beta'", "B = 'delta' + 'b'"),
+        );
+        assert_eq!(a.strings.literals, ["alpha", "delta", "b", "echo hi"]);
+        let a = spliced(SPLICE_BASE, &SPLICE_BASE.replace("B = 'beta'", "B = 2"));
+        assert_eq!(a.strings.literals, ["alpha", "echo hi", "delta"]);
+    }
+
+    /// Fifty one-line releases, each spliced onto the artifact the
+    /// previous splice produced: the donor is never rebuilt, so an error
+    /// in what a splice leaves for the next one would accumulate.
+    #[test]
+    fn fifty_generation_chain_never_rebuilds_the_donor() {
+        let mut code = SPLICE_BASE.to_owned();
+        let mut donor = analyze(&code);
+        for generation in 1..=50 {
+            code = match generation % 5 {
+                0 => code.replacen("print(C)\n", &format!("R{generation} = 'r'\nprint(C)\n"), 1),
+                1 => code.replacen("import base64\n", "import base64\n\n", 1),
+                2 => code.replacen("'echo hi", "'echo hi!", 1),
+                3 => code.replacen("print(H", &format!("print(H, {generation}"), 1),
+                _ => code.replacen("A = 'alpha", "A = 'alpha+", 1),
+            };
+            let (next, engaged) = splice_onto(&donor, &code, None);
+            assert!(engaged, "generation {generation} fell back");
+            donor = next;
+        }
     }
 
     #[test]
@@ -1062,6 +1166,10 @@ mod tests {
         let mut rng = XorShift(0x1234_5678_9abc_def0);
         let mut engaged = 0usize;
         let mut current = SPLICE_BASE.to_owned();
+        // The donor is whatever the last round produced — the spliced
+        // artifact whenever a splice engaged — so chains of splices are
+        // compared with a full build at every link.
+        let mut donor = analyze(&current);
         for round in 0..300 {
             let pos = rng.below(current.len());
             let cut = rng.below(12).min(current.len() - pos);
@@ -1073,15 +1181,14 @@ mod tests {
             if edited == current {
                 continue;
             }
-            if splice_vs_full(&current, &edited, None) {
-                engaged += 1;
-            }
+            let (next, spliced) = splice_onto(&donor, &edited, None);
+            engaged += usize::from(spliced);
             // Chain versions like a registry stream, resetting whenever
             // the mutations have shredded the file into noise.
-            current = if round % 7 == 6 {
-                SPLICE_BASE.to_owned()
+            (current, donor) = if round % 7 == 6 {
+                (SPLICE_BASE.to_owned(), analyze(SPLICE_BASE))
             } else {
-                edited
+                (edited, next)
             };
         }
         assert!(

@@ -7,22 +7,23 @@
 //!
 //! 1. **Parse-once analysis artifacts** ([`FileAnalysis`]) — a request
 //!    is a list of file entries (name + one shared copy of the bytes),
-//!    and each file's full analysis — spanned tokens, tolerant-parsed
-//!    module, interned string-literal table, base64/hex **decoded
-//!    layers**, and the ruleset's string-definition hits on every
-//!    layer — is computed once and cached in a sha256-keyed LRU. A
+//!    and each file's full analysis — tolerant-parsed module, interned
+//!    string-literal table, the token stream's cut points, base64/hex
+//!    **decoded layers**, and the ruleset's string-definition hits on
+//!    every layer — is computed once and cached in a sha256-keyed LRU. A
 //!    re-uploaded package version re-analyzes only its changed files;
 //!    unchanged files cost one cache lookup
 //!    ([`HubStats::artifact_cache_hits`]). A changed file whose previous
 //!    version is still cached is built by diff-and-splice
 //!    ([`FileAnalysis::build_spliced`]): only the edited window is
-//!    re-lexed and re-parsed, unchanged tokens are shared with the
-//!    sibling through [`pysrc::TokenRope`], and the module is assembled
-//!    at build time into one owned tree, so no artifact keeps the
-//!    version it was spliced from alive. A splice is O(window) for lex
-//!    and parse only — interning, taint and the YARA byte scan recompute
-//!    over the whole file by design, which is what keeps an artifact a
-//!    pure function of `(ruleset, bytes)`.
+//!    re-lexed and re-parsed, between two of the sibling's
+//!    [`pysrc::CutPoint`]s found by binary search; the sibling's
+//!    statements, literal occurrences and cut points outside the window
+//!    are copied around it into owned products, so no artifact keeps the
+//!    version it was spliced from alive and none keeps a token. A splice
+//!    is O(window) for lex and parse only — taint and the YARA byte scan
+//!    recompute over the whole file by design, which is what keeps an
+//!    artifact a pure function of `(ruleset, bytes)`.
 //! 2. **Global literal prefilter** ([`PrefilterIndex`]) — one
 //!    case-insensitive Aho–Corasick automaton over the distinct
 //!    plain-text atoms of every compiled YARA rule (via

@@ -199,7 +199,7 @@ hub_metrics! {
         /// cache (sum of per-artifact `stored_bytes`). A gauge overlaid at
         /// snapshot time like the retro-index gauges; 0 when the artifact
         /// cache is disabled.
-        artifact_bytes_resident: "scanhub_artifact_bytes_resident", "Estimated heap bytes of all cache-resident file artifacts", NonZero;
+        artifact_bytes_resident: "scanhub_artifact_bytes_resident", "Estimated heap bytes of all cache-resident file artifacts, parsed modules not counted", NonZero;
         /// Distinct terms currently held by the retro index (folded content
         /// 3-grams realizing the atom posting lists); 0 when disabled.
         retro_index_atoms: "scanhub_retro_index_atoms", "Distinct indexed retro-hunt terms (folded content 3-grams)", Hunted;

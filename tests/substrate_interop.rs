@@ -221,20 +221,11 @@ fn one_line_splice_equals_the_full_build() {
         .expect("a Python file")
         .contents
         .clone();
-    // Insert in front of a column-zero statement that directly follows a
-    // real newline (no DEDENT between them): the boundary the splicer
-    // accepts as provably clean. The one nearest the middle of the file.
-    let tokens = pysrc::lex_spanned(&old);
-    let at = tokens
-        .windows(2)
-        .filter(|w| {
-            matches!(w[0].kind(), pysrc::TokenKind::Newline)
-                && w[0].end == w[0].start + 1
-                && w[1].token.col == 0
-                && w[1].end > w[1].start
-                && !matches!(w[1].kind(), pysrc::TokenKind::Comment(_))
-        })
-        .map(|w| w[1].start)
+    // Insert at a cut point — in front of a column-zero statement that
+    // directly follows a real newline, where the splicer may start a
+    // window. The one nearest the middle of the file.
+    let at = pysrc::cut_points(&pysrc::lex_spanned(&old))
+        .map(|cut| cut.at)
         .min_by_key(|at| at.abs_diff(old.len() / 2))
         .expect("a column-zero statement");
     let new = format!("{}release_marker = 'v2'\n{}", &old[..at], &old[at..]);
@@ -252,7 +243,7 @@ fn one_line_splice_equals_the_full_build() {
         .expect("a one-line insertion splices")
         .analysis;
     let full = FileAnalysis::build(&entry, Some(&scanner), &cfg);
-    assert_eq!(spliced.tokens.to_vec(), full.tokens.to_vec());
+    assert_eq!(spliced.cut_points, full.cut_points);
     assert_eq!(
         spliced.module.as_ref().map(|m| m.get()),
         full.module.as_ref().map(|m| m.get())
