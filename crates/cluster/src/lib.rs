@@ -92,7 +92,6 @@ impl KMeansResult {
 pub struct KMeans {
     k: usize,
     seed: u64,
-    max_iter: usize,
 }
 
 impl KMeans {
@@ -101,19 +100,12 @@ impl KMeans {
         KMeans {
             k,
             seed: PAPER_SEED,
-            max_iter: PAPER_MAX_ITER,
         }
     }
 
     /// Overrides the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the iteration cap.
-    pub fn with_max_iter(mut self, max_iter: usize) -> Self {
-        self.max_iter = max_iter;
         self
     }
 
@@ -139,7 +131,7 @@ impl KMeans {
         let mut centroids = kmeanspp_init(points, k, &mut rng);
         let mut labels = vec![0usize; points.len()];
         let mut iterations = 0;
-        for it in 0..self.max_iter {
+        for it in 0..PAPER_MAX_ITER {
             iterations = it + 1;
             // Assignment step.
             let mut changed = false;

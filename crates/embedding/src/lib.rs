@@ -88,9 +88,9 @@ impl Embedder {
     /// features. String literals longer than 24 bytes collapse to a
     /// `<str>` marker so that payload bytes don't dominate similarity.
     pub fn tokenize(&self, source: &str) -> Vec<String> {
-        pysrc::lex(source)
+        pysrc::lex_spanned(source)
             .into_iter()
-            .filter_map(|t| match t.kind {
+            .filter_map(|t| match t.token.kind {
                 TokenKind::Ident(w) => Some(w),
                 TokenKind::Number(n) => Some(n),
                 TokenKind::Op(o) => Some(o.to_owned()),

@@ -51,9 +51,9 @@ proptest! {
         let src = program(&fn_name, &var, &host, pad);
         for profile in profiles() {
             let out = Obfuscator::new(profile.clone(), seed).obfuscate_source(&src);
-            let tokens = pysrc::lex(&out);
+            let tokens = pysrc::lex_spanned(&out);
             prop_assert!(matches!(
-                tokens.last().map(|t| &t.kind),
+                tokens.last().map(|t| t.kind()),
                 Some(pysrc::TokenKind::Eof)
             ));
             let module = pysrc::parse_module(&out);

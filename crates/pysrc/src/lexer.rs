@@ -45,13 +45,9 @@ const MAX_RESERVED_TOKENS: usize = 1 << 16;
 
 /// Tokenizes Python `source` into a flat token stream ending in
 /// [`TokenKind::Eof`]. INDENT/DEDENT tokens are synthesized from leading
-/// whitespace; newlines inside `()`/`[]`/`{}` are suppressed.
-pub fn lex(source: &str) -> Vec<Token> {
-    lex_spanned(source).into_iter().map(|s| s.token).collect()
-}
-
-/// Like [`lex`], but each token carries the byte span it was lexed from,
-/// so source-to-source rewriters can splice replacements exactly.
+/// whitespace; newlines inside `()`/`[]`/`{}` are suppressed. Each token
+/// carries the byte span it was lexed from, so source-to-source rewriters
+/// can splice replacements exactly.
 pub fn lex_spanned(source: &str) -> Vec<SpannedToken> {
     Lexer::new(source).run()
 }
@@ -90,17 +86,21 @@ pub struct WindowLex {
 ///
 /// Panics if `start..end` is out of bounds or not on `char` boundaries.
 pub fn lex_window(source: &str, start: usize, end: usize) -> WindowLex {
-    let first_line = 1 + source.as_bytes()[..start]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count();
     let mut lexer = Lexer::new(&source[start..end]);
     let mut tokens = lexer.run();
     let boundary = lexer.clean_eof && !lexer.unterminated;
-    for t in &mut tokens {
-        t.start += start;
-        t.end += start;
-        t.token.line += first_line - 1;
+    // A window at offset 0 — a whole-file build's — is already in the
+    // source's coordinates.
+    if start > 0 {
+        let lines_before = source.as_bytes()[..start]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        for t in &mut tokens {
+            t.start += start;
+            t.end += start;
+            t.token.line += lines_before;
+        }
     }
     WindowLex {
         tokens,
@@ -490,7 +490,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
-        lex(src).into_iter().map(|t| t.kind).collect()
+        lex_spanned(src).into_iter().map(|t| t.token.kind).collect()
     }
 
     #[test]
@@ -787,11 +787,11 @@ mod tests {
 
     #[test]
     fn line_numbers_tracked() {
-        let toks = lex("a = 1\nb = 2\n");
+        let toks = lex_spanned("a = 1\nb = 2\n");
         let b_tok = toks
             .iter()
-            .find(|t| t.as_ident() == Some("b"))
+            .find(|t| t.token.as_ident() == Some("b"))
             .expect("b token");
-        assert_eq!(b_tok.line, 2);
+        assert_eq!(b_tok.token.line, 2);
     }
 }

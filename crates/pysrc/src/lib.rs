@@ -7,26 +7,29 @@
 //! needs a Python lexer (§V-A implements it with Python's `tokenize`
 //! module). This crate provides all three from scratch:
 //!
-//! * [`lex`] — an indentation-aware tokenizer (strings, comments, triple
-//!   quotes, line continuations, INDENT/DEDENT synthesis).
-//! * [`lex_window`] — relexes one byte range in full-source coordinates,
-//!   the primitive the incremental artifact splicer builds on, and
-//!   [`cut_points`] — the offsets of a token stream where such a window
-//!   may start or stop, which is all of the stream a later splice reads.
+//! * [`lex_spanned`] — an indentation-aware tokenizer (strings, comments,
+//!   triple quotes, line continuations, INDENT/DEDENT synthesis) whose
+//!   tokens carry their byte spans.
+//! * [`lex_window`] — relexes one byte range in full-source coordinates
+//!   (the whole source is the window at offset 0), the primitive every
+//!   artifact build runs on, and [`cut_points`] — the offsets of a token
+//!   stream where such a window may start or stop, which is all of the
+//!   stream a later splice reads.
 //! * [`parse_tokens`] — the parser's front door: a tolerant, lightweight
 //!   parser producing a statement/expression tree sufficient for pattern
-//!   matching, over a token slice it borrows (plain [`Token`]s or
-//!   [`SpannedToken`]s; a whole file's stream or a relexed window), so a
-//!   caller that keeps the tokens lexes once. Unparsable lines degrade to
-//!   [`Stmt::Other`] instead of failing: rule scanning must survive
-//!   obfuscated or broken malware code. [`parse_module`] is the
-//!   convenience over it for callers that hold only source text.
+//!   matching, over a [`SpannedToken`] slice it borrows (a whole file's
+//!   stream or a relexed window), so a caller that holds the tokens lexes
+//!   once. Unparsable lines degrade to [`Stmt::Other`] instead of
+//!   failing: rule scanning must survive obfuscated or broken malware
+//!   code. [`parse_module`] is the convenience over it for callers that
+//!   hold only source text.
 //! * Call/import/string collectors used by the analyzers.
 //! * [`intern_strings`] — a deduplicated string-literal table built from
 //!   the spanned token stream, the literal view that per-file analysis
 //!   artifacts carry for decoded-layer extraction;
 //!   [`StringTable::spliced`] derives an edited file's table from its
-//!   predecessor's and the relexed window.
+//!   predecessor's and the relexed window (from the empty table and the
+//!   whole stream it is `intern_strings`).
 //!
 //! # Examples
 //!
@@ -46,7 +49,7 @@ mod strings;
 mod token;
 
 pub use ast::{Arg, Expr, ImportedName, Module, Stmt};
-pub use lexer::{cut_points, lex, lex_spanned, lex_window, CutPoint, WindowLex};
+pub use lexer::{cut_points, lex_spanned, lex_window, CutPoint, WindowLex};
 pub use parser::{parse_module, parse_tokens};
 pub use strings::{intern_strings, StringRef, StringTable};
 pub use token::{is_keyword, SpannedToken, Token, TokenKind, KEYWORDS};

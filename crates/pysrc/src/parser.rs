@@ -1,10 +1,8 @@
 //! Tolerant recursive-descent parser over the token stream.
 
-use std::borrow::Borrow;
-
 use crate::ast::{Arg, Expr, ImportedName, Module, Stmt};
 use crate::lexer::lex_spanned;
-use crate::token::{Token, TokenKind};
+use crate::token::{SpannedToken, Token, TokenKind};
 
 /// Parses Python `source` into a [`Module`]: [`parse_tokens`] over one
 /// [`lex_spanned`] pass.
@@ -19,17 +17,16 @@ pub fn parse_module(source: &str) -> Module {
 /// Parses an already-lexed token stream, in place, into a [`Module`].
 ///
 /// This is the parser's front door: a caller that holds the tokens — the
-/// artifact builder, which stores them, or the incremental splicer, which
-/// re-lexes only an edited window — lends them (plain [`Token`]s or
-/// [`crate::SpannedToken`]s) and pays no second lex and no copy. Only the
-/// text that ends up in the tree is cloned. Same tolerance guarantees as
-/// [`parse_module`]. A stream that does not end in [`TokenKind::Eof`] is
-/// read as if one followed at the last token's line and column.
-pub fn parse_tokens<T: Borrow<Token>>(tokens: &[T]) -> Module {
-    let (line, col) = tokens.last().map_or((1, 0), |t| {
-        let t: &Token = t.borrow();
-        (t.line, t.col)
-    });
+/// artifact builder, over a whole file's stream or the relexed window of
+/// an incremental splice — lends them and pays no second lex and no copy.
+/// Only the text that ends up in the tree is cloned. Same tolerance
+/// guarantees as [`parse_module`]. A stream that does not end in
+/// [`TokenKind::Eof`] is read as if one followed at the last token's line
+/// and column.
+pub fn parse_tokens(tokens: &[SpannedToken]) -> Module {
+    let (line, col) = tokens
+        .last()
+        .map_or((1, 0), |t| (t.token.line, t.token.col));
     let eof = Token {
         kind: TokenKind::Eof,
         line,
@@ -61,8 +58,8 @@ const MAX_EXPR_DEPTH: usize = 96;
 /// references that live as long as the slice (not as long as `&self`),
 /// so a caller can keep a token's text across later bumps and clone it
 /// only when it lands in the tree.
-struct Parser<'a, T> {
-    tokens: &'a [T],
+struct Parser<'a> {
+    tokens: &'a [SpannedToken],
     /// Sticky sentinel read once `pos` passes the slice.
     eof: &'a Token,
     pos: usize,
@@ -70,13 +67,13 @@ struct Parser<'a, T> {
     expr_depth: usize,
 }
 
-impl<'a, T: Borrow<Token>> Parser<'a, T> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> &'a TokenKind {
         &self.peek_token().kind
     }
 
     fn peek_token(&self) -> &'a Token {
-        self.tokens.get(self.pos).map_or(self.eof, Borrow::borrow)
+        self.tokens.get(self.pos).map_or(self.eof, |t| &t.token)
     }
 
     fn bump(&mut self) -> &'a Token {
@@ -647,7 +644,7 @@ impl<'a, T: Borrow<Token>> Parser<'a, T> {
                     // keyword argument? ident '=' (not '==')
                     if let TokenKind::Ident(name) = self.peek() {
                         if matches!(
-                            self.tokens.get(self.pos + 1).map(|t| &t.borrow().kind),
+                            self.tokens.get(self.pos + 1).map(SpannedToken::kind),
                             Some(TokenKind::Op("="))
                         ) {
                             self.bump(); // name

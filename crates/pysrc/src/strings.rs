@@ -45,14 +45,6 @@ impl StringTable {
     pub fn is_empty(&self) -> bool {
         self.literals.is_empty()
     }
-
-    /// The first line on which `literals[index]` occurs, when known.
-    pub fn first_line(&self, index: u32) -> Option<u32> {
-        self.refs
-            .iter()
-            .find(|r| r.literal == index)
-            .map(|r| r.line)
-    }
 }
 
 /// Builds an interned [`StringTable`] from a spanned token stream.
@@ -140,8 +132,14 @@ mod tests {
     use super::*;
     use crate::lexer::lex_spanned;
 
+    /// The table of `src`, which is also what splicing its whole stream
+    /// into an empty table gives — how a full artifact build interns.
     fn table(src: &str) -> StringTable {
-        intern_strings(&lex_spanned(src))
+        let tokens = lex_spanned(src);
+        let table = intern_strings(&tokens);
+        let spliced = StringTable::default().spliced(1, &tokens, None, 0);
+        assert_eq!(spliced.as_ref(), Some(&table), "{src:?}");
+        table
     }
 
     /// Replaces lines `range` of `old` with `with` and checks the
@@ -209,7 +207,7 @@ mod tests {
     fn records_lines_per_occurrence() {
         let t = table("p = 'payload'\n\n\nq = 'payload'\n");
         assert_eq!(t.len(), 1);
-        assert_eq!(t.first_line(0), Some(1));
+        assert_eq!(t.refs[0].line, 1);
         assert_eq!(t.refs[1].line, 4);
     }
 
@@ -231,6 +229,6 @@ mod tests {
     fn empty_source_yields_empty_table() {
         let t = table("x = 1\n");
         assert!(t.is_empty());
-        assert_eq!(t.first_line(0), None);
+        assert!(t.refs.is_empty());
     }
 }

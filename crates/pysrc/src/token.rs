@@ -1,7 +1,5 @@
 //! Token model for the Python lexer.
 
-use std::borrow::Borrow;
-
 /// The kind of a lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
@@ -64,14 +62,6 @@ impl SpannedToken {
     /// The token kind (convenience passthrough).
     pub fn kind(&self) -> &TokenKind {
         &self.token.kind
-    }
-}
-
-/// Lets [`crate::parse_tokens`] read a spanned stream in place: the
-/// parser needs only the [`Token`] half of each element.
-impl Borrow<Token> for SpannedToken {
-    fn borrow(&self) -> &Token {
-        &self.token
     }
 }
 

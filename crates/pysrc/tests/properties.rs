@@ -12,11 +12,11 @@ proptest! {
 
     #[test]
     fn lexer_indents_and_dedents_balance(src in "[a-z(): \\n]{0,300}") {
-        let tokens = pysrc::lex(&src);
-        let indents = tokens.iter().filter(|t| t.kind == TokenKind::Indent).count();
-        let dedents = tokens.iter().filter(|t| t.kind == TokenKind::Dedent).count();
+        let tokens = pysrc::lex_spanned(&src);
+        let indents = tokens.iter().filter(|t| *t.kind() == TokenKind::Indent).count();
+        let dedents = tokens.iter().filter(|t| *t.kind() == TokenKind::Dedent).count();
         prop_assert_eq!(indents, dedents);
-        prop_assert_eq!(&tokens.last().expect("eof token").kind, &TokenKind::Eof);
+        prop_assert_eq!(tokens.last().expect("eof token").kind(), &TokenKind::Eof);
     }
 
     /// The splice's foundational assumption (ISSUE 10): spanned tokens
@@ -77,18 +77,15 @@ proptest! {
         }
     }
 
-    /// One front door: a spanned stream, a plain stream and the source
-    /// itself parse to the same module, and a stream whose trailing EOF
-    /// was removed (the splice window's shape) reads as if it were there.
+    /// One front door: a spanned stream and the source itself parse to
+    /// the same module, and a stream whose trailing EOF was removed (the
+    /// splice window's shape) reads as if it were there.
     #[test]
     fn parse_entry_points_agree(src in "[ -~\\n]{0,400}") {
         let spanned = pysrc::lex_spanned(&src);
-        let plain = pysrc::lex(&src);
         let module = pysrc::parse_module(&src);
         prop_assert_eq!(&pysrc::parse_tokens(&spanned), &module);
-        prop_assert_eq!(&pysrc::parse_tokens(&plain), &module);
         prop_assert_eq!(&pysrc::parse_tokens(&spanned[..spanned.len() - 1]), &module);
-        prop_assert_eq!(&pysrc::parse_tokens(&plain[..plain.len() - 1]), &module);
     }
 
     /// Operator tokens borrow their text from static tables; it must

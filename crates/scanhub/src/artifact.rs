@@ -1,16 +1,17 @@
 //! Per-file analysis artifacts: the parse-once IR every engine shares.
 //!
-//! Successive versions of a registry package share most of their files,
-//! yet the seed scan path treated every request as opaque bytes and
-//! re-ran lexing, parsing and string scanning per request. A
-//! [`FileAnalysis`] computes everything a file will ever be asked for —
+//! Successive versions of a registry package share most of their files.
+//! A [`FileAnalysis`] computes everything a file will ever be asked for —
 //! the tolerant-parsed module, the interned string-literal table,
 //! **decoded layers** (base64/hex payloads hidden in literals) and the
 //! ruleset's string-definition hits on every layer — exactly once, keyed
 //! by content digest, so the artifact cache turns a version bump into
-//! `changed files` parses instead of `all files`. The token stream all
-//! of that is read from lives for one build: no scan reads a token, and
-//! the next version's splice needs only where the stream can be cut
+//! `changed files` parses instead of `all files`. One pipeline builds it:
+//! a window of the text is lexed, parsed and set between what a donor
+//! version has outside it — the whole text over no donor for a full
+//! build, the cut-point-delimited region around the edit for a splice.
+//! The token stream lives for one build: no scan reads a token, and the
+//! next version's splice needs only where the stream can be cut
 //! ([`pysrc::cut_points`]), so that table is what the artifact keeps.
 //!
 //! Decoded layers close a measured evasion gap: `docs/threat_model.md`
@@ -22,6 +23,7 @@
 //! verdicts stay explainable.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pysrc::{CutPoint, Module, SpannedToken, Stmt, StringTable, Token, TokenKind};
@@ -75,7 +77,7 @@ pub struct ArtifactConfig {
     pub max_decode_depth: u8,
     /// Run the behavioral taint analysis and fold constant strings into
     /// synthetic [`LayerEncoding::Folded`] layers. The A/B lever for the
-    /// taint-robustness measurement and the warm-overhead bench.
+    /// taint-robustness measurement.
     pub dataflow: bool,
 }
 
@@ -149,11 +151,10 @@ pub struct FileAnalysis {
     pub taint: Option<dataflow::TaintSummary>,
 }
 
-/// A file's parsed module, assembled when the artifact is built — by a
-/// full parse, or by `splice_module` from the sibling's. It owns its
-/// statements outright, so no artifact holds a handle to the one it was
-/// spliced from and an evicted version's module is freed however many
-/// later versions descend from it.
+/// A file's parsed module, assembled by `splice_module` when the
+/// artifact is built. It owns its statements outright, so no artifact
+/// holds a handle to the one it was spliced from and an evicted version's
+/// module is freed however many later versions descend from it.
 #[derive(Debug)]
 pub struct LazyModule(Module);
 
@@ -164,26 +165,25 @@ impl LazyModule {
     }
 }
 
-/// Assembles a spliced module: `donor` statements before the window keep
-/// their shapes and lines, the window's freshly parsed statements follow,
-/// and `donor` statements from `suffix_from_line` on shift by the edit's
-/// net line count (`None`: the window ran to EOF and there is no suffix).
+/// Assembles a module from the statements parsed off a relexed `window`
+/// and the `donor` statements around it: those before the window keep
+/// their shapes and lines, and those from `suffix_from_line` on shift by
+/// the edit's net line count (`None`: the window ran to EOF and there is
+/// no suffix).
 fn splice_module(
-    donor: &Module,
+    donor: &[Stmt],
     window: Module,
     prefix_before_line: usize,
     suffix_from_line: Option<usize>,
     line_delta: isize,
 ) -> Module {
-    let mut body: Vec<Stmt> = donor
-        .body
-        .iter()
-        .take_while(|stmt| stmt.line() < prefix_before_line)
-        .cloned()
-        .collect();
-    body.extend(window.body);
+    // The window's statements stay in the `Vec` they were parsed into;
+    // the prefix — none, for a full build — is moved in before them.
+    let kept = donor.partition_point(|stmt| stmt.line() < prefix_before_line);
+    let mut body = window.body;
+    body.splice(0..0, donor[..kept].iter().cloned());
     if let Some(from) = suffix_from_line {
-        let suffix = donor.body.iter().skip_while(|stmt| stmt.line() < from);
+        let suffix = donor.iter().skip_while(|stmt| stmt.line() < from);
         body.extend(suffix.map(|stmt| {
             let mut stmt = stmt.clone();
             stmt.shift_lines(line_delta);
@@ -194,43 +194,131 @@ fn splice_module(
 }
 
 impl FileAnalysis {
-    /// Builds the artifact for one file entry. This is the only place
-    /// in the scan path that lexes, parses, decodes or byte-scans file
-    /// content; everything downstream consumes the result.
+    /// Builds the artifact for one file entry: the splice with no donor
+    /// and the whole text as its window. `assemble`, which both builds
+    /// run, is the only place in the scan path that lexes, parses, decodes
+    /// or byte-scans file content; everything downstream consumes it.
     pub fn build(entry: &FileEntry, scanner: Option<&Scanner<'_>>, cfg: &ArtifactConfig) -> Self {
-        let (cut_points, strings, module) = if entry.is_python() {
-            // One lex: the parser, the interner and the cut-point scan
-            // all read the same tokens, which are dropped right here.
-            let tokens = pysrc::lex_spanned(&String::from_utf8_lossy(entry.bytes()));
-            (
-                pysrc::cut_points(&tokens).collect(),
-                pysrc::intern_strings(&tokens),
-                Some(LazyModule(pysrc::parse_tokens(&tokens))),
-            )
-        } else {
-            (Vec::new(), StringTable::default(), None)
+        if !entry.is_python() {
+            return Self::finish(entry, Default::default(), scanner, cfg);
+        }
+        let text = String::from_utf8_lossy(entry.bytes());
+        Self::assemble(entry, &text, None, 0..text.len(), scanner, cfg)
+            .expect("a window that runs to the end of the file shifts nothing")
+    }
+
+    /// The one artifact pipeline. Lexes bytes `window` of `text` — one
+    /// lex, read by the parser, the interner and the cut-point scan, then
+    /// dropped — and sets its statements, literals and cut points between
+    /// those the `donor` has outside the window, which starts and ends at
+    /// a donor cut point or an end of the file. `None` when the window
+    /// cannot be joined to what follows it (the last two cases of
+    /// [`FileAnalysis::build_spliced`]).
+    fn assemble(
+        entry: &FileEntry,
+        text: &str,
+        donor: Option<&FileAnalysis>,
+        window: Range<usize>,
+        scanner: Option<&Scanner<'_>>,
+        cfg: &ArtifactConfig,
+    ) -> Option<Self> {
+        let no_strings = StringTable::default();
+        let (body, table, cuts, old): (&[Stmt], _, &[CutPoint], &[u8]) = match donor {
+            Some(d) => (
+                &d.module.as_ref()?.get().body,
+                &d.strings,
+                &d.cut_points,
+                &d.bytes,
+            ),
+            None => (&[], &no_strings, &[], &[]),
         };
-        Self::finish(entry, cut_points, strings, module, scanner, cfg)
+        // Both versions have the same bytes behind the window. Each of
+        // its edges is at a donor cut point or at an end of the file.
+        let (new, w, e_new) = (text.as_bytes(), window.start, window.end);
+        let e_old = old.len() - (new.len() - e_new);
+        let cut_at = |offset| cuts.binary_search_by_key(&offset, |c| c.at).ok();
+        let (start, end) = (cut_at(w), cut_at(e_old));
+
+        let lexed = pysrc::lex_window(text, w, e_new);
+        let mut tokens = lexed.tokens;
+        if end.is_some() {
+            if !lexed.ends_at_statement_boundary {
+                return None;
+            }
+            // Drop the window's EOF and the close-out's synthetic
+            // NEWLINE (width zero, emitted when the window ends in a
+            // comment line): the full lexer emits neither mid-stream.
+            // Close-out DEDENTs stay — the full lexer emits the same
+            // dedents at the suffix's column-zero statement, at the same
+            // position and line.
+            tokens.pop_if(|t| matches!(t.kind(), TokenKind::Eof));
+            let is_dedent = |t: &SpannedToken| matches!(t.kind(), TokenKind::Dedent);
+            if let Some(at) = tokens.iter().rposition(|t| !is_dedent(t)) {
+                let last = &tokens[at];
+                if matches!(last.kind(), TokenKind::Newline) && last.start == last.end {
+                    tokens.remove(at);
+                }
+            }
+        }
+
+        // Statement splice: only the window is parsed; the donor's
+        // statements strictly before and strictly after it are cloned
+        // around it. Nothing follows a window that runs to EOF, or moves.
+        let lw = 1 + count_newlines(&old[..w]);
+        let suffix_from = end.map(|_| 1 + count_newlines(&old[..e_old]));
+        let line_delta = suffix_from.map_or(0, |_| {
+            count_newlines(&new[w..e_new]) as isize - count_newlines(&old[w..e_old]) as isize
+        });
+        let parsed = pysrc::parse_tokens(&tokens);
+        let module = splice_module(body, parsed, lw, suffix_from, line_delta);
+
+        // The donor's occurrences and cut points outside the window
+        // carry over, the latter moved by the byte delta. Inside it the
+        // window's tokens are read between stand-ins for their two
+        // neighbours in the full stream — the NEWLINE the window starts
+        // behind and the column-zero token it stops at — so the cut
+        // points at both junctions come out as a full lex would set them.
+        let strings = table.spliced(lw, &tokens, suffix_from, line_delta)?;
+        let marker = |kind, start| SpannedToken {
+            token: Token {
+                kind,
+                line: 0,
+                col: 0,
+            },
+            start,
+            end: start + 1,
+        };
+        let behind = start.map(|i| marker(TokenKind::Newline, cuts[i].newline_end - 1));
+        let stop = end.map(|_| marker(TokenKind::Op("."), e_new));
+        let mut cut_points = Vec::with_capacity(cuts.len());
+        cut_points.extend_from_slice(&cuts[..start.unwrap_or(0)]);
+        cut_points.extend(pysrc::cut_points(behind.iter().chain(&tokens).chain(&stop)));
+        let delta = new.len() as isize - old.len() as isize;
+        for c in end.map_or(&[][..], |i| &cuts[i + 1..]) {
+            cut_points.push(CutPoint {
+                newline_end: c.newline_end.checked_add_signed(delta)?,
+                at: c.at.checked_add_signed(delta)?,
+            });
+        }
+        let products = (cut_points, strings, Some(module));
+        Some(Self::finish(entry, products, scanner, cfg))
     }
 
     /// Derives every downstream product (decoded layers, taint, YARA
-    /// hits) from the products of the token stream. Shared by the full
-    /// build and the incremental splice so the two paths cannot drift:
-    /// splice ≡ full holds whenever cut points, string table and module
-    /// are equal, because everything below this line is a pure function
-    /// of them plus the bytes.
+    /// hits) from the products of the token stream — none for a file that
+    /// is not Python. Everything below this line is a pure function of
+    /// them plus the bytes, so splice ≡ full is a statement about
+    /// [`FileAnalysis::build_spliced`]'s window selection alone.
     fn finish(
         entry: &FileEntry,
-        cut_points: Vec<CutPoint>,
-        strings: StringTable,
-        module: Option<LazyModule>,
+        (cut_points, strings, module): (Vec<CutPoint>, StringTable, Option<Module>),
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
     ) -> Self {
         let bytes = entry.shared_bytes();
         let mut layers = decode_layers(&strings, cfg);
         let taint = match (&module, cfg.dataflow) {
-            (Some(m), true) => Some(dataflow::analyze(m.get())),
+            (Some(m), true) => Some(dataflow::analyze(m)),
             _ => None,
         };
         if let Some(summary) = &taint {
@@ -245,7 +333,7 @@ impl FileAnalysis {
             bytes,
             is_python: entry.is_python(),
             cut_points,
-            module,
+            module: module.map(LazyModule),
             strings,
             layers,
             yara_hits,
@@ -291,14 +379,11 @@ impl FileAnalysis {
     /// artifact is field-for-field identical to what a full
     /// [`FileAnalysis::build`] would produce for `entry` — the
     /// differential tests below pin cut points, module, string table,
-    /// layers, hits and taint. Only the lex/parse work is reused (the
-    /// window's tokens are parsed and interned in place and the sibling's
-    /// statements, occurrences and cut points kept around them); every
-    /// downstream product is recomputed by the same code the full build
-    /// runs, so the artifact stays a pure function of its bytes. Cut
-    /// points, module, strings and bytes are all a splice reads of its
-    /// sibling, so their identity is what makes a chain of splices as
-    /// sound as one.
+    /// layers, hits and taint. The two run one pipeline and differ only
+    /// in the window they hand it: the whole text there, here the region
+    /// between two sibling cut points that covers the edit. Cut points,
+    /// module, strings and bytes are all a splice reads of its sibling, so
+    /// their identity is what makes a chain of splices as sound as one.
     ///
     /// Returns `None` (the caller falls back to a full build) whenever
     /// the splice is not provably clean:
@@ -329,11 +414,11 @@ impl FileAnalysis {
         let old_text = std::str::from_utf8(&sibling.bytes).ok()?;
         let (old, new) = (old_text.as_bytes(), new_text.as_bytes());
 
-        // Statement selection below keys on line numbers, which is only
-        // sound when top-level statements sit in source order and take
-        // their line from their own first token. Anonymous indent blocks
-        // break the latter (the tolerant parser stamps them with the
-        // line of the token *after* the block).
+        // Statement selection keys on line numbers, which is only sound
+        // when top-level statements sit in source order and take their
+        // line from their own first token. Anonymous indent blocks break
+        // the latter (the tolerant parser stamps them with the line of
+        // the token *after* the block).
         let mut last_line = 0usize;
         for stmt in &old_module.body {
             let anonymous = matches!(stmt, Stmt::Block { keyword, .. } if keyword.is_empty());
@@ -397,94 +482,9 @@ impl FileAnalysis {
             return None;
         }
 
-        let window = pysrc::lex_window(new_text, w, e_new);
-        if end.is_some() && !window.ends_at_statement_boundary {
-            return None;
-        }
-        let relexed_bytes = (e_new - w) as u64;
-        let line_delta =
-            count_newlines(&new[w..e_new]) as isize - count_newlines(&old[w..e_old]) as isize;
-
-        let mut window_tokens = window.tokens;
-        if end.is_some() {
-            // Drop the window's EOF and the close-out's synthetic
-            // NEWLINE (width zero, emitted when the window ends in a
-            // comment line): the full lexer emits neither mid-stream.
-            // Close-out DEDENTs stay — the full lexer emits the same
-            // dedents at the suffix's column-zero statement, at the same
-            // position and line.
-            if matches!(
-                window_tokens.last().map(SpannedToken::kind),
-                Some(TokenKind::Eof)
-            ) {
-                window_tokens.pop();
-            }
-            let dedents = window_tokens
-                .iter()
-                .rev()
-                .take_while(|t| matches!(t.kind(), TokenKind::Dedent))
-                .count();
-            if let Some(at) = window_tokens.len().checked_sub(dedents + 1) {
-                if matches!(window_tokens[at].kind(), TokenKind::Newline)
-                    && window_tokens[at].start == window_tokens[at].end
-                {
-                    window_tokens.remove(at);
-                }
-            }
-        }
-
-        // Statement splice: only the window is parsed, from its freshly
-        // relexed tokens; the sibling's statements strictly before and
-        // strictly after it are cloned around it. In the run-to-EOF case
-        // there is no suffix — the window parse covers everything from
-        // `w` on.
-        let lw = 1 + count_newlines(&old[..w]);
-        let le_old = 1 + count_newlines(&old[..e_old]);
-        let window_module = pysrc::parse_tokens(&window_tokens);
-        let module = LazyModule(splice_module(
-            old_module,
-            window_module,
-            lw,
-            end.map(|_| le_old),
-            line_delta,
-        ));
-
-        // The sibling's occurrences and cut points outside the window
-        // carry over, the latter moved by the byte delta. Inside it the
-        // window's tokens are read between stand-ins for their two
-        // neighbours in the full stream — the NEWLINE the window starts
-        // behind and the column-zero token it stops at — so the cut
-        // points at both junctions come out as a full lex would set them.
-        let strings =
-            sibling
-                .strings
-                .spliced(lw, &window_tokens, end.map(|_| le_old), line_delta)?;
-        let marker = |kind, start| SpannedToken {
-            token: Token {
-                kind,
-                line: 0,
-                col: 0,
-            },
-            start,
-            end: start + 1,
-        };
-        let behind = start.map(|i| marker(TokenKind::Newline, cuts[i].newline_end - 1));
-        let stop = end.map(|_| marker(TokenKind::Op("."), e_new));
-        let mut cut_points = Vec::with_capacity(cuts.len());
-        cut_points.extend_from_slice(&cuts[..start.unwrap_or(0)]);
-        cut_points.extend(pysrc::cut_points(
-            behind.iter().chain(&window_tokens).chain(&stop),
-        ));
-        for c in end.map_or(&[][..], |i| &cuts[i + 1..]) {
-            cut_points.push(CutPoint {
-                newline_end: c.newline_end.checked_add_signed(delta)?,
-                at: c.at.checked_add_signed(delta)?,
-            });
-        }
-
         Some(Spliced {
-            relexed_bytes,
-            analysis: Self::finish(entry, cut_points, strings, Some(module), scanner, cfg),
+            relexed_bytes: (e_new - w) as u64,
+            analysis: Self::assemble(entry, new_text, Some(sibling), w..e_new, scanner, cfg)?,
         })
     }
 }
@@ -550,8 +550,8 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
     if cfg.max_decode_depth == 0 {
         return layers;
     }
-    // One pass over the refs for first-occurrence lines: a per-literal
-    // `first_line` lookup would be O(literals × refs), quadratic on
+    // One pass over the refs for first-occurrence lines: a search per
+    // literal would be O(literals × refs), quadratic on
     // attacker-controlled input.
     let mut first_lines = vec![0u32; strings.literals.len()];
     for r in strings.refs.iter().rev() {

@@ -43,7 +43,7 @@ pub struct HubConfig {
     /// computed at artifact-build time (once per unique digest) and
     /// aggregated into [`Verdict::flows`]. Disabling skips both the
     /// analysis and the verdict stage (the A/B lever for the
-    /// taint-robustness measurement and the warm-overhead bench).
+    /// taint-robustness measurement).
     pub dataflow: bool,
     /// Literal prefilter routing; disabling scans every rule (A/B lever
     /// for the throughput benchmark and the equivalence property test).

@@ -276,11 +276,6 @@ impl PrefilterIndex {
         self.atom_ids.get(folded).copied()
     }
 
-    /// The folded atom texts, in interned-id order.
-    pub fn atom_texts(&self) -> &[String] {
-        &self.atoms
-    }
-
     /// Diffs this (old) index against a new one, by rule name.
     ///
     /// Atom sets are compared by *text*, so the diff is correct whether

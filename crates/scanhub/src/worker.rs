@@ -234,12 +234,15 @@ fn scan_job(
         grams,
     } = scratch;
     // Phase 1: get-or-build every file's analysis artifact. This is the
-    // only phase that touches file bytes; a warm artifact cache makes a
-    // re-uploaded package version re-analyze only its changed files.
+    // only phase that lexes, parses, decodes or regex-scans; a warm
+    // artifact cache makes a re-uploaded package version re-analyze only
+    // its changed files.
     gather_artifacts(shared, scanner, request, artifacts, grams, &mut stages);
     stages.artifact = clock.lap();
-    // Phase 2: route the package from the artifacts (raw bytes, decoded
-    // layers, Python sources).
+    // Phase 2: route the package from the artifacts. This reads bytes
+    // again: every file's raw bytes and every decoded layer go through
+    // the prefilter automaton on every request, artifact-cache hits
+    // included — routing is not cached with the artifact (ROADMAP 3).
     if shared.prefilter {
         shared
             .index

@@ -11,12 +11,13 @@
 //! * [`SemgrepRule`] — the rule schema: `id`, `languages`, `message`,
 //!   `severity`, `metadata`, and `pattern` / `patterns` /
 //!   `pattern-either` / `pattern-not` operators;
-//! * a structural [`matcher`](match_module) over the [`pysrc`] AST with
+//! * one structural matcher, [`MatchSet`], over the [`pysrc`] AST with
 //!   metavariable unification and ellipsis argument matching. Pattern
-//!   text is parsed **once at compile time**; [`MatchSet`] then matches
-//!   a whole ruleset against a module in a single anchor-dispatched AST
-//!   walk, and [`mod@reference`] keeps the seed's reparse-per-call matcher
-//!   as the differential oracle.
+//!   text is parsed **once at compile time**; the set then matches a
+//!   whole ruleset against a module in a single anchor-dispatched AST
+//!   walk ([`scan_module`] is the convenience over it), and
+//!   [`mod@reference`] keeps the seed's reparse-per-call matcher as the
+//!   differential oracle.
 //!
 //! # Examples
 //!
@@ -47,7 +48,7 @@ mod rule;
 pub mod yaml;
 
 pub use error::SemgrepError;
-pub use matcher::{match_module, Finding};
+pub use matcher::Finding;
 pub use matchset::{MatchScratch, MatchSet, SemgrepMetrics};
 pub use rule::{compile, CompiledSemgrepRules, PatternOp, SemgrepRule, Severity};
 
@@ -55,8 +56,8 @@ use pysrc::Module;
 
 /// Scans a parsed Python module with every rule, returning all findings.
 ///
-/// One single AST pass serves all rules (see [`MatchSet`]); the output is
-/// identical to calling [`match_module`] per rule in file order.
+/// One single AST pass serves all rules (see [`MatchSet`]); findings come
+/// out in rule file order, lines ascending within a rule.
 ///
 /// Convenience entry point: the anchor index is rebuilt on every call.
 /// Loops scanning many modules against one fixed ruleset should build a

@@ -9,14 +9,16 @@
 //! Pattern text is parsed **once, at rule-compile time** into a
 //! [`CompiledPattern`] (metavariables encoded, first statement kept as a
 //! [`pysrc`] AST); the scan path never calls [`pysrc::parse_module`] on
-//! pattern text. The original reparse-per-call matcher survives verbatim
-//! in [`crate::reference`] as the differential oracle.
+//! pattern text. This module holds what the live matcher
+//! ([`crate::MatchSet`]) and the reparse-per-call oracle
+//! ([`crate::reference`]) share: leaf compilation and anchors, statement
+//! matching, the statement walk and metavariable encoding.
 
 use std::collections::HashMap;
 
-use pysrc::{Arg, Expr, Module, Stmt};
+use pysrc::{Arg, Expr, Stmt};
 
-use crate::rule::{PatternOp, SemgrepRule, Severity};
+use crate::rule::{PatternOp, Severity};
 
 /// One rule match at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,126 +158,6 @@ fn expr_anchor(expr: &Expr) -> Option<String> {
         Expr::Name(n) if !is_metavar(n) => Some(n.clone()),
         _ => None,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Per-rule matching over compiled patterns
-// ---------------------------------------------------------------------------
-
-/// Matches one rule against a module, returning deduplicated findings.
-///
-/// Uses the pattern AST stored at compile time — no pattern text is
-/// re-parsed. For matching *many* rules against one module in a single
-/// AST pass, use [`crate::MatchSet`].
-pub fn match_module(rule: &SemgrepRule, module: &Module) -> Vec<Finding> {
-    let mut lines = eval_compiled(&rule.compiled.op, module);
-    lines.sort_unstable();
-    lines.dedup();
-    lines
-        .into_iter()
-        .map(|line| Finding {
-            rule_id: rule.id.clone(),
-            line,
-            message: rule.message.clone(),
-            severity: rule.severity,
-        })
-        .collect()
-}
-
-/// Shape classification of one pattern-operator tree node: lets the
-/// single shared evaluator ([`eval_tree`]) serve both the per-rule
-/// [`CompiledOp`] tree and the leaf-indexed tree in
-/// [`crate::MatchSet`], so the conjunction semantics live in exactly
-/// one place (plus the intentionally frozen oracle copy in
-/// [`crate::reference`]).
-pub(crate) enum OpShape<'a, N> {
-    /// A leaf, resolved to matching lines by the caller's provider.
-    Leaf,
-    /// Conjunction (`patterns:`).
-    All(&'a [N]),
-    /// Disjunction (`pattern-either:`).
-    Either(&'a [N]),
-    /// Negation (`pattern-not:`).
-    Not(&'a N),
-}
-
-/// A pattern-operator tree evaluable by [`eval_tree`].
-pub(crate) trait OpNode: Sized {
-    fn shape(&self) -> OpShape<'_, Self>;
-}
-
-impl OpNode for CompiledOp {
-    fn shape(&self) -> OpShape<'_, Self> {
-        match self {
-            CompiledOp::Leaf(_) => OpShape::Leaf,
-            CompiledOp::All(children) => OpShape::All(children),
-            CompiledOp::Either(children) => OpShape::Either(children),
-            CompiledOp::Not(inner) => OpShape::Not(inner),
-        }
-    }
-}
-
-/// Evaluates a pattern-operator tree to the set of matching lines,
-/// resolving leaves through `leaf_lines`.
-pub(crate) fn eval_tree<N: OpNode>(node: &N, leaf_lines: &impl Fn(&N) -> Vec<usize>) -> Vec<usize> {
-    match node.shape() {
-        OpShape::Leaf => leaf_lines(node),
-        OpShape::Either(children) => {
-            let mut out = Vec::new();
-            for c in children {
-                out.extend(eval_tree(c, leaf_lines));
-            }
-            out
-        }
-        OpShape::All(children) => {
-            // Conjunction: every positive child must match somewhere and no
-            // negative child may match anywhere; findings are reported at
-            // the first positive child's lines (a file-level approximation
-            // of semgrep's range intersection).
-            let mut result: Option<Vec<usize>> = None;
-            for c in children {
-                if let OpShape::Not(inner) = c.shape() {
-                    if !eval_tree(inner, leaf_lines).is_empty() {
-                        return Vec::new();
-                    }
-                } else {
-                    let lines = eval_tree(c, leaf_lines);
-                    if lines.is_empty() {
-                        return Vec::new();
-                    }
-                    if result.is_none() {
-                        result = Some(lines);
-                    }
-                }
-            }
-            result.unwrap_or_default()
-        }
-        // A top-level bare `pattern-not` (degenerate, but the LLM can
-        // produce it): matches nothing on its own.
-        OpShape::Not(_) => Vec::new(),
-    }
-}
-
-/// Evaluates a compiled operator tree against one module.
-fn eval_compiled(op: &CompiledOp, module: &Module) -> Vec<usize> {
-    eval_tree(op, &|n| match n {
-        CompiledOp::Leaf(leaf) => leaf_lines(leaf, module),
-        _ => unreachable!("eval_tree resolves only leaf shapes"),
-    })
-}
-
-/// All lines on which one pre-parsed leaf matches, in walk order.
-fn leaf_lines(leaf: &CompiledLeaf, module: &Module) -> Vec<usize> {
-    let Some(pat_stmt) = &leaf.stmt else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    walk_statements(&module.body, &mut |stmt| {
-        if stmt_matches(pat_stmt, stmt) {
-            out.push(stmt.line());
-        }
-    });
-    out
 }
 
 /// Replaces `$NAME` with `__MV_NAME` so the Python parser accepts the
@@ -579,18 +461,19 @@ fn seq_match<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rule::compile;
+    use crate::rule::{compile, CompiledSemgrepRules};
+    use crate::scan_module;
 
-    fn rule_with_pattern(pattern: &str) -> SemgrepRule {
+    fn rule_with_pattern(pattern: &str) -> CompiledSemgrepRules {
         let src = format!(
             "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: {pattern}\n"
         );
-        compile(&src).expect("compile").rules.remove(0)
+        compile(&src).expect("compile")
     }
 
     fn lines(pattern: &str, source: &str) -> Vec<usize> {
-        let rule = rule_with_pattern(pattern);
-        match_module(&rule, &pysrc::parse_module(source))
+        let rules = rule_with_pattern(pattern);
+        scan_module(&rules, &pysrc::parse_module(source))
             .into_iter()
             .map(|f| f.line)
             .collect()
@@ -724,8 +607,8 @@ rules:
         let rules = compile(src).expect("compile");
         let m_yes = pysrc::parse_module("import socket\ns.connect(addr)\n");
         let m_no = pysrc::parse_module("import socket\n");
-        assert_eq!(match_module(&rules.rules[0], &m_yes).len(), 1);
-        assert!(match_module(&rules.rules[0], &m_no).is_empty());
+        assert_eq!(scan_module(&rules, &m_yes).len(), 1);
+        assert!(scan_module(&rules, &m_no).is_empty());
     }
 
     #[test]
@@ -742,8 +625,8 @@ rules:
         let rules = compile(src).expect("compile");
         let hit = pysrc::parse_module("open(path, 'w')\n");
         let suppressed = pysrc::parse_module("open('log.txt', 'w')\n");
-        assert_eq!(match_module(&rules.rules[0], &hit).len(), 1);
-        assert!(match_module(&rules.rules[0], &suppressed).is_empty());
+        assert_eq!(scan_module(&rules, &hit).len(), 1);
+        assert!(scan_module(&rules, &suppressed).is_empty());
     }
 
     #[test]
@@ -759,23 +642,23 @@ rules:
 "#;
         let rules = compile(src).expect("compile");
         let m = pysrc::parse_module("eval(a)\nexec(b)\n");
-        assert_eq!(match_module(&rules.rules[0], &m).len(), 2);
+        assert_eq!(scan_module(&rules, &m).len(), 2);
     }
 
     #[test]
     fn findings_deduplicated() {
         // Same line matched through two sub-expressions reports once.
         let src = "f(g(h(x)))\n";
-        let rule = rule_with_pattern("h($X)");
+        let rules = rule_with_pattern("h($X)");
         let m = pysrc::parse_module(src);
-        assert_eq!(match_module(&rule, &m).len(), 1);
+        assert_eq!(scan_module(&rules, &m).len(), 1);
     }
 
     #[test]
     fn finding_carries_rule_fields() {
-        let rule = rule_with_pattern("eval($X)");
+        let rules = rule_with_pattern("eval($X)");
         let m = pysrc::parse_module("eval(x)\n");
-        let f = &match_module(&rule, &m)[0];
+        let f = &scan_module(&rules, &m)[0];
         assert_eq!(f.rule_id, "t");
         assert_eq!(f.message, "m");
         assert_eq!(f.severity, Severity::Warning);
@@ -805,15 +688,15 @@ rules:
         let _guard = crate::reference::TEST_COUNTER_LOCK
             .lock()
             .expect("counter lock");
-        let rule = rule_with_pattern("os.system($X)");
+        let rules = rule_with_pattern("os.system($X)");
         let module = pysrc::parse_module("os.system('id')\n");
         let before = crate::reference::pattern_reparse_count();
         for _ in 0..10 {
-            assert_eq!(match_module(&rule, &module).len(), 1);
+            assert_eq!(scan_module(&rules, &module).len(), 1);
         }
         assert_eq!(crate::reference::pattern_reparse_count(), before);
         // The oracle, by contrast, re-parses once per leaf per call.
-        let _ = crate::reference::match_module(&rule, &module);
+        let _ = crate::reference::match_module(&rules.rules[0], &module);
         assert_eq!(crate::reference::pattern_reparse_count(), before + 1);
     }
 

@@ -8,7 +8,7 @@
 //! call-head / attribute / name identifiers, import roots, `from`-import
 //! modules — so most rules never touch most statements. Leaves without a
 //! sound anchor are tested against every statement, preserving exact
-//! equivalence with the per-rule matcher (proven by the differential
+//! equivalence with matching rule by rule (proven by the differential
 //! property suite against [`crate::reference`]).
 //!
 //! All per-scan state lives in a caller-owned [`MatchScratch`] with
@@ -20,8 +20,7 @@ use std::collections::HashMap;
 use pysrc::{Expr, Module, Stmt};
 
 use crate::matcher::{
-    eval_tree, for_each_expr_root, stmt_matches, walk_statements, Anchor, CompiledOp, Finding,
-    OpNode, OpShape,
+    for_each_expr_root, stmt_matches, walk_statements, Anchor, CompiledOp, Finding,
 };
 use crate::rule::CompiledSemgrepRules;
 
@@ -38,7 +37,8 @@ pub struct SemgrepMetrics {
     /// by construction; the field is the hub's reporting surface, and the
     /// live tripwire for a reintroduced scan-path parse is the
     /// process-global [`crate::reference::pattern_reparse_count`], which
-    /// the CI throughput smoke asserts does not move during a hub run.
+    /// `tests/serving_invariants.rs` asserts does not move during a hub
+    /// run.
     pub pattern_reparses: u64,
 }
 
@@ -208,8 +208,9 @@ impl<'r> MatchSet<'r> {
     /// Matches every rule selected by `include` (called with each rule's
     /// file-order index) against `module` in a single AST walk.
     ///
-    /// Findings are identical to running [`crate::match_module`] per
-    /// selected rule, in rule order with lines ascending.
+    /// Findings are identical to running
+    /// [`crate::reference::match_module`] per selected rule, in rule
+    /// order with lines ascending.
     pub fn match_module_set(
         &self,
         module: &Module,
@@ -271,7 +272,7 @@ impl<'r> MatchSet<'r> {
             if !include(ri) {
                 continue;
             }
-            let mut lines = eval_node(&self.trees[ri], scratch);
+            let mut lines = eval_tree(&self.trees[ri], scratch);
             if lines.is_empty() {
                 continue;
             }
@@ -317,26 +318,48 @@ impl<'r> MatchSet<'r> {
     }
 }
 
-impl OpNode for Node {
-    fn shape(&self) -> OpShape<'_, Self> {
-        match self {
-            // Dead leaves resolve to no lines via the provider.
-            Node::Leaf(_) | Node::Dead => OpShape::Leaf,
-            Node::All(children) => OpShape::All(children),
-            Node::Either(children) => OpShape::Either(children),
-            Node::Not(inner) => OpShape::Not(inner),
-        }
-    }
-}
-
-/// Evaluates one rule's tree over the per-leaf line sets gathered during
-/// the walk, through the evaluator shared with the per-rule matcher.
-fn eval_node(node: &Node, scratch: &MatchScratch) -> Vec<usize> {
-    eval_tree(node, &|n| match n {
+/// Evaluates one rule's tree to its matching lines over the per-leaf
+/// line sets gathered during the walk. The conjunction semantics live
+/// here and in the intentionally frozen oracle copy in
+/// [`crate::reference`].
+fn eval_tree(node: &Node, scratch: &MatchScratch) -> Vec<usize> {
+    match node {
         Node::Leaf(li) => scratch.lines(*li).to_vec(),
         Node::Dead => Vec::new(),
-        _ => unreachable!("eval_tree resolves only leaf shapes"),
-    })
+        Node::Either(children) => {
+            let mut out = Vec::new();
+            for c in children {
+                out.extend(eval_tree(c, scratch));
+            }
+            out
+        }
+        Node::All(children) => {
+            // Conjunction: every positive child must match somewhere and no
+            // negative child may match anywhere; findings are reported at
+            // the first positive child's lines (a file-level approximation
+            // of semgrep's range intersection).
+            let mut result: Option<Vec<usize>> = None;
+            for c in children {
+                if let Node::Not(inner) = c {
+                    if !eval_tree(inner, scratch).is_empty() {
+                        return Vec::new();
+                    }
+                } else {
+                    let lines = eval_tree(c, scratch);
+                    if lines.is_empty() {
+                        return Vec::new();
+                    }
+                    if result.is_none() {
+                        result = Some(lines);
+                    }
+                }
+            }
+            result.unwrap_or_default()
+        }
+        // A top-level bare `pattern-not` (degenerate, but the LLM can
+        // produce it): matches nothing on its own.
+        Node::Not(_) => Vec::new(),
+    }
 }
 
 /// Yields every identifier a statement's expressions expose: bare names,
@@ -408,6 +431,9 @@ rules:
 
     #[test]
     fn set_matches_equal_per_rule_matches() {
+        let _guard = crate::reference::TEST_COUNTER_LOCK
+            .lock()
+            .expect("counter lock");
         let rules = compile(POOL).expect("compile");
         let set = MatchSet::new(&rules);
         let mut scratch = MatchScratch::new();
@@ -425,7 +451,7 @@ rules:
             let (set_findings, metrics) = set.match_module_set(&module, |_| true, &mut scratch);
             let mut per_rule = Vec::new();
             for rule in &rules.rules {
-                per_rule.extend(crate::match_module(rule, &module));
+                per_rule.extend(crate::reference::match_module(rule, &module));
             }
             assert_eq!(
                 ids_and_lines(&set_findings),
@@ -438,6 +464,9 @@ rules:
 
     #[test]
     fn include_filters_rules_exactly() {
+        let _guard = crate::reference::TEST_COUNTER_LOCK
+            .lock()
+            .expect("counter lock");
         let rules = compile(POOL).expect("compile");
         let set = MatchSet::new(&rules);
         let mut scratch = MatchScratch::new();
@@ -448,7 +477,7 @@ rules:
             let mut want = Vec::new();
             for (ri, rule) in rules.rules.iter().enumerate() {
                 if include(ri) {
-                    want.extend(crate::match_module(rule, &module));
+                    want.extend(crate::reference::match_module(rule, &module));
                 }
             }
             assert_eq!(ids_and_lines(&got), ids_and_lines(&want), "mask {mask:b}");

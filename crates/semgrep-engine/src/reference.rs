@@ -4,10 +4,10 @@
 //! [`match_module`] here re-encodes metavariables and re-parses every
 //! pattern string through [`pysrc::parse_module`] on **every call** —
 //! exactly the cost model the compiled matcher removed. The differential
-//! suites assert `matcher ≡ reference` and the benchmarks use it as the
-//! before-side of the speedup table. Every pattern-text re-parse bumps a
-//! process-global counter ([`pattern_reparse_count`]) so tests can prove
-//! the production scan path performs zero of them.
+//! suites assert `MatchSet ≡ reference`; nothing else calls it. Every
+//! pattern-text re-parse bumps a process-global counter
+//! ([`pattern_reparse_count`]) so tests can prove the production scan
+//! path performs zero of them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -134,13 +134,16 @@ rules:
             "print('clean')\n",
         ] {
             let module = pysrc::parse_module(src);
-            for rule in &rules.rules {
-                assert_eq!(
-                    super::match_module(rule, &module),
-                    crate::match_module(rule, &module),
-                    "divergence on {src:?}"
-                );
-            }
+            let oracle: Vec<_> = rules
+                .rules
+                .iter()
+                .flat_map(|rule| super::match_module(rule, &module))
+                .collect();
+            assert_eq!(
+                oracle,
+                crate::scan_module(&rules, &module),
+                "divergence on {src:?}"
+            );
         }
     }
 }

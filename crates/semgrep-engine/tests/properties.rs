@@ -192,13 +192,6 @@ proptest! {
             want.extend(semgrep_engine::reference::match_module(rule, &module));
         }
 
-        // Compiled per-rule matcher ≡ oracle.
-        let mut per_rule = Vec::new();
-        for rule in &rules.rules {
-            per_rule.extend(semgrep_engine::match_module(rule, &module));
-        }
-        prop_assert_eq!(pairs(&per_rule), pairs(&want), "per-rule diverged on {:?}", src);
-
         // Single-pass multi-rule matcher ≡ oracle, and it never parses
         // pattern text.
         let set = MatchSet::new(&rules);

@@ -81,11 +81,6 @@ impl CharClass {
         self.negated = !self.negated;
     }
 
-    /// Returns true when the class is negated.
-    pub fn is_negated(&self) -> bool {
-        self.negated
-    }
-
     /// Returns true when no positive ranges were added.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()

@@ -114,11 +114,6 @@ impl Teddy {
         self.patterns.len()
     }
 
-    /// Fingerprint length the classifier uses (1–3 bytes).
-    pub fn fingerprint_len(&self) -> usize {
-        self.fp_len
-    }
-
     /// Returns true when any pattern occurs in `haystack`.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
         let mut found = false;

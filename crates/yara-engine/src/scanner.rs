@@ -44,8 +44,8 @@ pub struct RuleMatch {
 /// packages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanMetrics {
-    /// Regex passes run: one per *distinct* `(pattern, nocase)` with at
-    /// least one included definition, however many definitions share it.
+    /// Regex passes run: one per *distinct* `(pattern, nocase)`, however
+    /// many definitions share it.
     pub regex_strings_evaluated: u64,
     /// Haystack bytes handed to the regex engine (buffer length times
     /// passes — each pass is one single-pass scan).
@@ -147,8 +147,8 @@ pub struct Scanner<'r> {
 struct RegexGroup<'r> {
     /// The first member's compiled regex.
     regex: &'r Regex,
-    /// `(rule index, dense string slot)` per member, declaration order.
-    members: Vec<(usize, usize)>,
+    /// Dense string slot per member, declaration order.
+    members: Vec<usize>,
 }
 
 impl<'r> Scanner<'r> {
@@ -206,7 +206,7 @@ impl<'r> Scanner<'r> {
                             });
                             regex_groups.len() - 1
                         });
-                    regex_groups[gi].members.push((ri, string_base[ri] + si));
+                    regex_groups[gi].members.push(string_base[ri] + si);
                 }
             }
         }
@@ -222,64 +222,13 @@ impl<'r> Scanner<'r> {
         }
     }
 
-    /// Scans `data` and returns every rule whose condition holds.
+    /// Scans `data` and returns every rule whose condition holds: one
+    /// unit's [`Scanner::collect_hits`] through [`Scanner::eval_hits`],
+    /// the path the hub runs per package.
     pub fn scan(&self, data: &[u8]) -> Vec<RuleMatch> {
-        self.scan_rules(data, |_| true)
-    }
-
-    /// Scans `data` against the subset of rules selected by `include`
-    /// (called with each rule's declaration index).
-    ///
-    /// Results are identical to filtering [`Scanner::scan`]'s output to
-    /// the selected rules, but excluded rules pay no regex evaluation and
-    /// no condition evaluation — the entry point for literal-prefilter
-    /// routing, where a caller has proven the excluded rules cannot
-    /// match.
-    pub fn scan_rules(&self, data: &[u8], include: impl Fn(usize) -> bool) -> Vec<RuleMatch> {
-        self.scan_rules_with_metrics(data, include).0
-    }
-
-    /// Like [`Scanner::scan_rules`], additionally reporting how much work
-    /// the regex engine performed ([`ScanMetrics`]).
-    pub fn scan_rules_with_metrics(
-        &self,
-        data: &[u8],
-        include: impl Fn(usize) -> bool,
-    ) -> (Vec<RuleMatch>, ScanMetrics) {
+        let hits = self.collect_hits(data);
         let mut scratch = ScanScratch::new();
-        self.scan_rules_scratch(data, include, &mut scratch)
-    }
-
-    /// Like [`Scanner::scan_rules_with_metrics`], but with caller-owned
-    /// scratch: a long-lived worker reuses one [`ScanScratch`] across
-    /// packages and the steady-state scan allocates nothing beyond the
-    /// returned matches.
-    pub fn scan_rules_scratch(
-        &self,
-        data: &[u8],
-        include: impl Fn(usize) -> bool,
-        scratch: &mut ScanScratch,
-    ) -> (Vec<RuleMatch>, ScanMetrics) {
-        scratch.begin(self.total_strings);
-
-        for (auto, map) in [(&self.cs, &self.cs_map), (&self.ci, &self.ci_map)] {
-            auto.for_each_match(data, |m| {
-                let (ri, si, _wide, fullword) = map[m.pattern];
-                // Excluded rules pay no offset bookkeeping: the routing
-                // proved their conditions cannot hold, so their text hits
-                // are dead weight.
-                if include(ri) && (!fullword || is_fullword(data, m.start, m.end)) {
-                    scratch.push(self.string_base[ri] + si, m.start);
-                }
-                true
-            });
-        }
-
-        let metrics = self.regex_pass(data, &include, scratch);
-        (
-            self.eval_conditions(data.len() as i64, &include, scratch),
-            metrics,
-        )
+        self.eval_hits([(0, &hits)], data.len() as i64, |_| true, &mut scratch)
     }
 
     /// Collects every string-definition hit of the **whole** ruleset on
@@ -303,7 +252,7 @@ impl<'r> Scanner<'r> {
                 true
             });
         }
-        let metrics = self.regex_pass(data, &|_| true, &mut scratch);
+        let metrics = self.regex_pass(data, &mut scratch);
         let slots = (0..self.total_strings)
             .filter_map(|slot| {
                 scratch
@@ -314,28 +263,17 @@ impl<'r> Scanner<'r> {
         FileHits { slots, metrics }
     }
 
-    /// Runs every regex group with at least one member whose rule is
-    /// included — one accelerated forward pass over `data` per group —
-    /// and records each match under every included member's slot.
-    fn regex_pass(
-        &self,
-        data: &[u8],
-        include: &impl Fn(usize) -> bool,
-        scratch: &mut ScanScratch,
-    ) -> ScanMetrics {
+    /// Runs every regex group — one accelerated forward pass over `data`
+    /// each — and records each match under every member's slot.
+    fn regex_pass(&self, data: &[u8], scratch: &mut ScanScratch) -> ScanMetrics {
         let mut metrics = ScanMetrics::default();
         for group in &self.regex_groups {
-            if !group.members.iter().any(|&(ri, _)| include(ri)) {
-                continue;
-            }
             metrics.regex_strings_evaluated += 1;
             metrics.regex_bytes_scanned += data.len() as u64;
             let matches = group.regex.find_all(data);
-            for &(ri, slot) in &group.members {
-                if include(ri) {
-                    for m in &matches {
-                        scratch.push(slot, m.start);
-                    }
+            for &slot in &group.members {
+                for m in &matches {
+                    scratch.push(slot, m.start);
                 }
             }
         }
@@ -388,17 +326,7 @@ impl<'r> Scanner<'r> {
                 }
             }
         }
-        self.eval_conditions(filesize, &include, scratch)
-    }
-
-    /// Evaluates every included rule's condition against the offsets
-    /// already accumulated in `scratch`, collecting matches.
-    fn eval_conditions(
-        &self,
-        filesize: i64,
-        include: &impl Fn(usize) -> bool,
-        scratch: &ScanScratch,
-    ) -> Vec<RuleMatch> {
+        let scratch = &*scratch;
         let mut out = Vec::new();
         for (ri, cr) in self.rules.rules.iter().enumerate() {
             if !include(ri) {
@@ -571,43 +499,6 @@ mod tests {
                 .collect();
             FileHits { slots, metrics }
         }
-
-        fn scan_rules_per_definition(
-            &self,
-            data: &[u8],
-            include: impl Fn(usize) -> bool,
-        ) -> (Vec<RuleMatch>, ScanMetrics) {
-            let mut scratch = ScanScratch::new();
-            let mut metrics = ScanMetrics::default();
-            scratch.begin(self.total_strings);
-            for (auto, map) in [(&self.cs, &self.cs_map), (&self.ci, &self.ci_map)] {
-                auto.for_each_match(data, |m| {
-                    let (ri, si, _wide, fullword) = map[m.pattern];
-                    if include(ri) && (!fullword || is_fullword(data, m.start, m.end)) {
-                        scratch.push(self.string_base[ri] + si, m.start);
-                    }
-                    true
-                });
-            }
-            for (ri, cr) in self.rules.rules.iter().enumerate() {
-                if !include(ri) {
-                    continue;
-                }
-                for (si, regex) in cr.regexes.iter().enumerate() {
-                    if let Some(re) = regex {
-                        metrics.regex_strings_evaluated += 1;
-                        metrics.regex_bytes_scanned += data.len() as u64;
-                        for m in re.find_all(data) {
-                            scratch.push(self.string_base[ri] + si, m.start);
-                        }
-                    }
-                }
-            }
-            (
-                self.eval_conditions(data.len() as i64, &include, &scratch),
-                metrics,
-            )
-        }
     }
 
     /// Asserts grouped ≡ per-definition on `data`: identical slots and
@@ -698,10 +589,6 @@ rule d { strings: $x = /ab+c/ condition: #x >= 2 }
             b"no hit at all",
         ] {
             assert_grouped_equals_per_definition(&scanner, data);
-            assert_eq!(
-                scanner.scan(data),
-                scanner.scan_rules_per_definition(data, |_| true).0
-            );
         }
         // The case-sensitive group must not have leaked into nocase slots.
         let hits = scanner.scan(b"ABBC");
@@ -720,36 +607,6 @@ rule d { strings: $x = /ab+c/ condition: #x >= 2 }
         assert_grouped_equals_per_definition(&scanner, &data);
         let hits = scanner.collect_hits(&data);
         assert!(hits.hit_count() > 1000, "buffer is not base64-heavy");
-    }
-
-    #[test]
-    fn routed_scan_runs_a_group_iff_a_member_is_included() {
-        let compiled = compile(&duplicated_b64_rules(4)).expect("compile");
-        let scanner = Scanner::new(&compiled);
-        let data = b64_heavy_buffer(8 << 10);
-        let all = scanner.scan(&data);
-        assert_eq!(all.len(), 4);
-        type Mask = fn(usize) -> bool;
-        let masks: [(Mask, u64); 4] = [
-            (|ri| ri == 2, 1),            // only a non-first member
-            (|ri| ri == 1 || ri == 3, 1), // two non-first members
-            (|_| false, 0),               // no member
-            (|_| true, 1),                // every member
-        ];
-        for (include, passes) in masks {
-            let (got, metrics) = scanner.scan_rules_with_metrics(&data, include);
-            // The doc comment's promise: filtering `scan`'s output.
-            let expected: Vec<RuleMatch> = all
-                .iter()
-                .enumerate()
-                .filter(|(ri, _)| include(*ri))
-                .map(|(_, m)| m.clone())
-                .collect();
-            assert_eq!(got, expected);
-            assert_eq!(got, scanner.scan_rules_per_definition(&data, include).0);
-            assert_eq!(metrics.regex_strings_evaluated, passes);
-            assert_eq!(metrics.regex_bytes_scanned, passes * data.len() as u64);
-        }
     }
 
     fn scan_one(rule: &str, data: &[u8]) -> Vec<RuleMatch> {
@@ -906,24 +763,6 @@ rule b { strings: $x = "beta" condition: $x }
     }
 
     #[test]
-    fn scan_rules_filters_without_changing_matches() {
-        let src = r#"
-rule a { strings: $x = "alpha" condition: $x }
-rule b { strings: $x = "beta" condition: $x }
-rule c { strings: $x = "gamma" condition: $x }
-"#;
-        let compiled = compile(src).expect("compile");
-        let scanner = Scanner::new(&compiled);
-        let data = b"alpha beta gamma";
-        let all = scanner.scan(data);
-        assert_eq!(all.len(), 3);
-        let subset = scanner.scan_rules(data, |ri| ri != 1);
-        let expected: Vec<RuleMatch> = all.iter().filter(|m| m.rule != "b").cloned().collect();
-        assert_eq!(subset, expected);
-        assert!(scanner.scan_rules(data, |_| false).is_empty());
-    }
-
-    #[test]
     fn scanner_reuse_across_inputs() {
         let compiled = compile("rule r { strings: $a = \"x1\" condition: $a }").expect("ok");
         let scanner = Scanner::new(&compiled);
@@ -942,15 +781,11 @@ rule url { strings: $re = /https?:\/\/[\w.\-\/]{4,}/ condition: $re }
         let compiled = compile(src).expect("compile");
         let scanner = Scanner::new(&compiled);
         let data = b"curl http://1.2.3.4/payload from 10.0.0.1";
-        let (hits, metrics) = scanner.scan_rules_with_metrics(data, |_| true);
-        assert_eq!(hits.len(), 2);
+        assert_eq!(scanner.scan(data).len(), 2);
         // Two regex strings, each one full pass over the buffer.
+        let metrics = scanner.collect_hits(data).metrics;
         assert_eq!(metrics.regex_strings_evaluated, 2);
         assert_eq!(metrics.regex_bytes_scanned, 2 * data.len() as u64);
-        // Excluded rules pay nothing.
-        let (_, metrics) = scanner.scan_rules_with_metrics(data, |ri| ri == 0);
-        assert_eq!(metrics.regex_strings_evaluated, 0);
-        assert_eq!(metrics.regex_bytes_scanned, 0);
     }
 
     #[test]
@@ -962,34 +797,18 @@ rule c { strings: $x = "GET" condition: #x >= 2 }
         let compiled = compile(src).expect("compile");
         let scanner = Scanner::new(&compiled);
         let mut scratch = ScanScratch::new();
-        let (hot, _) = scanner.scan_rules_scratch(b"alpha GET GET", |_| true, &mut scratch);
+        let mut eval = |data: &[u8]| {
+            let hits = scanner.collect_hits(data);
+            scanner.eval_hits([(0, &hits)], data.len() as i64, |_| true, &mut scratch)
+        };
+        let hot = eval(b"alpha GET GET");
         assert_eq!(hot.len(), 2);
-        // A clean buffer scanned with the dirty scratch must not see the
-        // previous buffer's offsets.
-        let (cold, _) = scanner.scan_rules_scratch(b"nothing here", |_| true, &mut scratch);
+        // A clean buffer evaluated with the dirty scratch must not see
+        // the previous buffer's offsets.
+        let cold = eval(b"nothing here");
         assert!(cold.is_empty(), "stale offsets leaked: {cold:?}");
-        // And a re-scan of the first buffer reproduces the fresh result.
-        let (again, _) = scanner.scan_rules_scratch(b"alpha GET GET", |_| true, &mut scratch);
-        assert_eq!(hot, again);
-    }
-
-    #[test]
-    fn excluded_rules_skip_offset_bookkeeping_without_changing_matches() {
-        // `all of them` across two rules sharing an atom: excluding rule b
-        // must not change rule a's matches even though b's hits are no
-        // longer recorded.
-        let src = r#"
-rule a { strings: $x = "one" condition: $x }
-rule b { strings: $x = "one" $y = "two" condition: all of them }
-"#;
-        let compiled = compile(src).expect("compile");
-        let scanner = Scanner::new(&compiled);
-        let data = b"one and two";
-        let all = scanner.scan(data);
-        assert_eq!(all.len(), 2);
-        let subset = scanner.scan_rules(data, |ri| ri == 0);
-        assert_eq!(subset.len(), 1);
-        assert_eq!(subset[0], all[0]);
+        // And the first buffer again reproduces the fresh result.
+        assert_eq!(hot, eval(b"alpha GET GET"));
     }
 
     #[test]

@@ -254,3 +254,67 @@ fn one_line_splice_equals_the_full_build() {
     assert_eq!(spliced.layer_hits, full.layer_hits);
     assert_eq!(spliced.taint, full.taint);
 }
+
+/// The tiny corpus with the rulesets the full pipeline generates from it.
+fn tiny_corpus_with_generated_rules() -> (
+    eval::experiments::ExperimentContext,
+    yara_engine::CompiledRules,
+    semgrep_engine::CompiledSemgrepRules,
+) {
+    let ctx = eval::experiments::ExperimentContext::new(&corpus::CorpusConfig::tiny());
+    let output = eval::experiments::run_rulellm(&ctx.dataset, rulellm::PipelineConfig::full());
+    let (yara, semgrep) = eval::experiments::compile_output(&output);
+    (ctx, yara, semgrep)
+}
+
+/// The tier-1 entry of semgrep-engine's differential suite: on every
+/// Python file of the tiny corpus, the one live matcher reports, rule by
+/// rule, what the reparse-per-call oracle reports for the generated
+/// ruleset.
+#[test]
+fn match_set_equals_the_reference_matcher_on_every_corpus_file() {
+    use semgrep_engine::{MatchScratch, MatchSet};
+
+    let (ctx, _, rules) = tiny_corpus_with_generated_rules();
+    assert!(!rules.rules.is_empty(), "the pipeline generated no rule");
+    let set = MatchSet::new(&rules);
+    let mut scratch = MatchScratch::new();
+    let (mut files, mut findings) = (0, 0);
+    for target in &ctx.targets {
+        for source in target.request.python_sources() {
+            let module = pysrc::parse_module(&source);
+            for (ri, rule) in rules.rules.iter().enumerate() {
+                let (got, _) = set.match_module_set(&module, |i| i == ri, &mut scratch);
+                let want = semgrep_engine::reference::match_module(rule, &module);
+                assert_eq!(got, want, "rule {} on target {}", rule.id, target.index);
+                findings += got.len();
+            }
+            files += 1;
+        }
+    }
+    assert!(
+        files > 100 && findings > 0,
+        "{files} files, {findings} findings"
+    );
+}
+
+/// `Scanner::scan` is the hub's own YARA path over one unit, so scanning
+/// a package's concatenation must name exactly the rules the hub's
+/// verdict names, for every package of the tiny corpus.
+#[test]
+fn direct_scan_of_the_concatenation_equals_the_hub_verdict() {
+    let (ctx, rules, _) = tiny_corpus_with_generated_rules();
+    let scanner = yara_engine::Scanner::new(&rules);
+    let verdicts = eval::scan::scan_all(Some(&rules), None, &ctx.targets);
+    assert!(verdicts.iter().any(|v| !v.yara.is_empty()), "nothing fired");
+    for (verdict, target) in verdicts.iter().zip(&ctx.targets) {
+        let mut direct: Vec<String> = scanner
+            .scan(&target.request.concat_buffer())
+            .into_iter()
+            .map(|m| m.rule)
+            .collect();
+        direct.sort();
+        direct.dedup();
+        assert_eq!(verdict.yara, direct, "target {}", target.index);
+    }
+}
