@@ -25,10 +25,10 @@
 //!    recompute over the whole file by design, which is what keeps an
 //!    artifact a pure function of `(ruleset, bytes)`.
 //! 2. **Global literal prefilter** ([`PrefilterIndex`]) — one
-//!    case-insensitive Aho–Corasick automaton over the distinct
+//!    case-insensitive multi-literal matcher over the distinct
 //!    plain-text atoms of every compiled YARA rule (via
 //!    [`yara_engine::literal_atoms`]) and every Semgrep pattern (via
-//!    [`semgrep_engine::SemgrepRule::literal_atoms`]). Automaton passes
+//!    [`semgrep_engine::SemgrepRule::literal_atoms`]). Matcher passes
 //!    over each file's bytes and decoded layers route the package to
 //!    exactly the rules whose atoms occur; rules with an exhaustive atom
 //!    set that did not hit are *provably* non-matching and skip
@@ -51,10 +51,14 @@
 //!    [`Verdict::flows`] with their full step chains. The analysis runs
 //!    at artifact-build time, so it obeys the same once-per-unique-
 //!    digest contract as parsing.
-//! 5. **Sharded worker pool + digest caches** ([`ScanHub`]) — a bounded
+//! 5. **Worker pool + digest caches** ([`ScanHub`]) — a bounded
 //!    submission queue provides backpressure; each worker owns reusable
 //!    scanner state; a sha256-keyed LRU serves byte-identical re-uploads
-//!    without scanning at all.
+//!    without scanning at all. Per-file builds are coordinated by the
+//!    artifact store, one state (cache, digests being built,
+//!    splice-donor registry) behind one lock: a cold file is claimed
+//!    with its donor and published in two critical sections while other
+//!    requesters of the digest wait; a hit is one.
 //!
 //! Throughput, cache-hit rates, artifact reuse and prefilter skip rate
 //! are exposed as [`HubStats`], which also carries per-stage latency

@@ -186,17 +186,17 @@ impl ScanRequest {
     }
 
     /// Content digest keying the verdict cache: sha256 over every
-    /// entry's name and bytes, length-prefixed so concatenation
-    /// boundaries cannot collide. Streamed straight into the hasher —
-    /// no flattening copy on the submit path; use
-    /// [`ScanRequest::digest_hex`] for display.
+    /// entry's length-prefixed name and its [`FileEntry::digest`], so
+    /// concatenation boundaries cannot collide and each file's bytes are
+    /// hashed once — the per-file digest is cached in the entry and keys
+    /// the artifact cache next. Use [`ScanRequest::digest_hex`] for
+    /// display.
     pub fn digest(&self) -> DigestKey {
         let mut hasher = digest::Sha256::new();
         for f in &self.files {
             hasher.update(&(f.name.len() as u64).to_le_bytes());
             hasher.update(f.name.as_bytes());
-            hasher.update(&(f.bytes.len() as u64).to_le_bytes());
-            hasher.update(&f.bytes);
+            hasher.update(&f.digest());
         }
         hasher.finalize()
     }
@@ -298,6 +298,29 @@ mod tests {
         let a = ScanRequest::from_bytes("a.py", b"x = 1\n".to_vec());
         let b = ScanRequest::from_bytes("b.py", b"x = 1\n".to_vec());
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn digest_covers_bytes_names_order_and_kind() {
+        // The request digest is derived from the per-file digests, which
+        // leave the name out: every way two uploads can differ must
+        // still reach it.
+        let pair = |a: (&str, &str), b: (&str, &str)| {
+            let entry = |(name, code): (&str, &str)| FileEntry::new(name, code.into());
+            ScanRequest::from_files(vec![entry(a), entry(b)])
+        };
+        let base = pair(("a.py", "x = 1\n"), ("b.py", "y = 2\n"));
+        let same = pair(("a.py", "x = 1\n"), ("b.py", "y = 2\n"));
+        assert_eq!(base.digest(), same.digest(), "equal requests agree");
+        for (what, other) in [
+            ("bytes", pair(("a.py", "x = 1\n"), ("b.py", "y = 3\n"))),
+            ("name", pair(("a.py", "x = 1\n"), ("c.py", "y = 2\n"))),
+            ("order", pair(("b.py", "y = 2\n"), ("a.py", "x = 1\n"))),
+            ("pairing", pair(("b.py", "x = 1\n"), ("a.py", "y = 2\n"))),
+            ("kind", pair(("a.txt", "x = 1\n"), ("b.py", "y = 2\n"))),
+        ] {
+            assert_ne!(base.digest(), other.digest(), "{what} must move it");
+        }
     }
 
     #[test]

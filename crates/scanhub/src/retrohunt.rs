@@ -52,6 +52,7 @@ use crate::metrics::{HubCounters, HubTelemetry};
 use crate::prefilter::{RuleDelta, RuleEngine};
 use crate::store::ArtifactStore;
 use crate::verdict::LayerFinding;
+use crate::worker::layer_findings;
 
 /// Width of the indexed content grams. Three bytes keeps the posting
 /// map small enough to live beside the artifact cache while still
@@ -612,25 +613,16 @@ fn confirm_scan(
                     verdict.yara.push(m.rule);
                 }
                 for layer in &artifact.layers {
-                    let layer_hits = scanner.collect_hits(&layer.data);
-                    if layer_hits.is_empty() {
-                        continue;
-                    }
-                    scanner.mark_rules_with_hits(&layer_hits, &mut marks);
-                    for m in scanner.eval_hits(
-                        [(0usize, &layer_hits)],
-                        layer.data.len() as i64,
-                        |ri| task.yara_mask[ri] && marks[ri],
+                    layer_findings(
+                        scanner,
+                        layer,
+                        &scanner.collect_hits(&layer.data),
+                        &hex,
+                        &task.yara_mask,
+                        &mut marks,
                         &mut yara_scratch,
-                    ) {
-                        verdict.layers.push(LayerFinding {
-                            rule: m.rule,
-                            file: hex.clone(),
-                            encoding: layer.encoding,
-                            depth: layer.depth,
-                            line: layer.line,
-                        });
-                    }
+                        &mut verdict.layers,
+                    );
                 }
             }
         }

@@ -1,114 +1,129 @@
-//! The shared artifact store: the digest-keyed artifact cache, a
-//! single-flight registry so each cold digest is built once, the
-//! retro-hunt index kept in lockstep with residency, and the sibling
-//! registry that finds a splice donor for the next version of a file.
+//! The shared artifact store: **one state behind one lock**.
+//!
+//! [`Resident`] — the digest-keyed artifact cache, the set of digests
+//! being built right now, and the sibling registry naming a splice donor
+//! for the next version of a file — sits behind one `Mutex`, with one
+//! store-wide `Condvar` notified whenever a digest leaves the building
+//! set. Get-or-build is two critical sections:
+//!
+//! * [`ArtifactStore::get_or_claim`]: a cache hit; or join the building
+//!   set and leave with a [`BuildClaim`] that already holds the donor;
+//!   or wait and look again. Lookup and election share the section, so
+//!   nothing can be published between them and nothing is re-checked.
+//! * [`BuildClaim::publish`]: insert into the cache, leave the building
+//!   set, record the sibling, notify. A claim dropped unpublished (a
+//!   panic on a hostile file) leaves the set and notifies too, so a
+//!   waiter claims the digest and rebuilds.
+//!
+//! The retro-hunt index keeps its own lock (posting a file's grams is
+//! ~90 µs) and is updated after the state lock is released — the two
+//! are **never held together**. A hit takes 1 lock acquisition (state);
+//! a cold file 3: claim (state), publish (state), index (retro).
+//!
+//! A woken waiter re-reads the cache instead of being handed the
+//! builder's `Arc`, so "exactly one analysis per unique digest" holds
+//! while the digest stays resident: an artifact evicted between its
+//! publish and the waiter's wake-up is rebuilt, like any later miss.
+//! Verdicts cannot change: artifacts are pure in `(ruleset, bytes)`.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::artifact::FileAnalysis;
 use crate::cache::{ArtifactCache, DigestKey};
 use crate::metrics::StageClock;
+use crate::request::FileEntry;
 use crate::retrohunt::{GramScratch, RetroIndex};
 
-/// The shared artifact cache plus a single-flight registry: when two
-/// workers race on the same cold digest, one builds and the others
-/// wait, so a hub run performs **exactly one** analysis per unique file
-/// digest regardless of worker count — the invariant the parse-count
-/// property test pins.
+struct Resident {
+    cache: ArtifactCache,
+    /// Digests under a [`BuildClaim`] not yet published or dropped.
+    building: HashSet<DigestKey>,
+    /// File name (registry-relative path) → digest last published under
+    /// it. Names are a hint, never an identity: a stale or evicted
+    /// mapping only costs a full build. Pruned on publish.
+    siblings: HashMap<String, DigestKey>,
+}
+
 pub(crate) struct ArtifactStore {
-    cache: Mutex<ArtifactCache>,
-    inflight: Mutex<HashMap<DigestKey, Arc<InflightSlot>>>,
-    /// The retro-hunt posting index, kept in lockstep with cache
-    /// residency on the publish path. Lock discipline: never held
-    /// together with `cache` — publish inserts into the cache, drops
-    /// that guard, then updates the index with the eviction report.
+    state: Mutex<Resident>,
+    /// Notified whenever a digest leaves `building`.
+    resolved: Condvar,
+    /// The retro-hunt posting index: having released `state`, publish
+    /// applies its insert and the insert's eviction report here.
     pub retro: Option<Mutex<RetroIndex>>,
-    /// Sibling registry: file name (registry-relative path) → digest of
-    /// the newest artifact built under that name. On a digest miss the
-    /// hub looks the name up here and, if the previous version is still
-    /// cache-resident, builds the new artifact by diff-and-splice
-    /// instead of a full reparse. Names are a hint, never an identity:
-    /// a stale or evicted mapping only costs a full build. Bounded by
-    /// periodic pruning against cache residency (see
-    /// [`ArtifactStore::record_sibling`]).
-    siblings: Mutex<HashMap<String, DigestKey>>,
     /// Artifact-cache capacity, kept for sibling-registry pruning.
     capacity: usize,
 }
 
-enum InflightState {
-    Building,
-    Ready(Arc<FileAnalysis>),
-    /// The building worker panicked before publishing; waiters go back
-    /// and re-claim instead of hanging.
-    Abandoned,
-}
-
-struct InflightSlot {
-    state: Mutex<InflightState>,
-    ready: Condvar,
-}
-
-/// A claimed build: the holder is the unique builder for `digest` until
-/// it publishes. Dropping the claim without publishing (a panic while
-/// analyzing a hostile file) abandons the slot and wakes any waiters so
-/// they can rebuild rather than deadlock.
+/// A claimed build: the holder is the unique builder of `entry`'s digest
+/// until it publishes the claim or drops it.
 pub(crate) struct BuildClaim<'a> {
     store: &'a ArtifactStore,
-    digest: DigestKey,
+    entry: &'a FileEntry,
+    /// The splice donor: the resident artifact last published under this
+    /// file name, read with [`crate::cache::LruCache::peek`] so old
+    /// versions are not kept alive by the versions diffed against them.
+    pub donor: Option<Arc<FileAnalysis>>,
     published: bool,
 }
 
 impl BuildClaim<'_> {
-    /// Publishes a freshly built artifact: caches it, indexes it and
-    /// wakes the waiters. Its grams are collected into the worker's
-    /// `grams` before the retro lock is taken, so the critical section
-    /// is eviction removals plus posting. Returns the nanoseconds of
-    /// index work (collection + posting) when `timed`, else 0.
+    /// Publishes a freshly built artifact: caches it, records it as its
+    /// name's sibling, wakes the waiters, then indexes it. Its grams are
+    /// collected into the worker's `grams` before any lock is taken, so
+    /// the retro critical section is eviction removals plus posting.
+    /// Returns the nanoseconds of index work (collection + posting)
+    /// when `timed`, else 0.
     pub fn publish(
-        self,
+        mut self,
         artifact: &Arc<FileAnalysis>,
         grams: &mut GramScratch,
         timed: bool,
     ) -> u64 {
-        let store = self.store;
-        let mut clock = StageClock::start(timed && store.retro.is_some());
-        if store.retro.is_some() {
+        let mut clock = StageClock::start(timed && self.store.retro.is_some());
+        if self.store.retro.is_some() {
             grams.collect(artifact);
         }
-        let mut index_ns = clock.lap();
-        let evicted = store
-            .cache
-            .lock()
-            .expect("artifact cache lock")
-            .insert(self.digest, Arc::clone(artifact));
+        let index_ns = clock.lap();
+        let digest = self.entry.digest();
+        let name = self.entry.name().to_owned();
+        let mut guard = self.store.lock();
+        let state = &mut *guard;
+        state.building.remove(&digest);
+        state.siblings.insert(name, digest);
+        let evicted = state.cache.insert(digest, Arc::clone(artifact));
+        // Once the registry outgrows the cache 4x (names whose digests
+        // were long since evicted), keep only the mappings that still
+        // point at a resident artifact.
+        if state.siblings.len() > self.store.capacity.saturating_mul(4).max(16) {
+            state.siblings.retain(|_, d| state.cache.peek(d).is_some());
+        }
+        drop(guard);
+        self.published = true;
+        self.store.resolved.notify_all();
         // The cache insert is not index work: restart the lap.
         clock.lap();
-        if let Some(retro) = &store.retro {
+        if let Some(retro) = &self.store.retro {
             let mut retro = retro.lock().expect("retro index lock");
             for digest in &evicted {
                 retro.remove(digest);
             }
             retro.insert_collected(grams);
         }
-        index_ns += clock.lap();
-        self.release(artifact);
-        index_ns
-    }
-
-    /// Wakes the waiters with an artifact that is already published.
-    fn release(mut self, artifact: &Arc<FileAnalysis>) {
-        self.store
-            .resolve(&self.digest, InflightState::Ready(Arc::clone(artifact)));
-        self.published = true;
+        index_ns + clock.lap()
     }
 }
 
 impl Drop for BuildClaim<'_> {
     fn drop(&mut self) {
         if !self.published {
-            self.store.resolve(&self.digest, InflightState::Abandoned);
+            // Abandoned. A drop must not panic, so a poisoned lock is
+            // left alone: the woken waiters meet the poison themselves.
+            if let Ok(mut state) = self.store.state.lock() {
+                state.building.remove(&self.entry.digest());
+            }
+            self.store.resolved.notify_all();
         }
     }
 }
@@ -116,27 +131,33 @@ impl Drop for BuildClaim<'_> {
 impl ArtifactStore {
     pub fn new(capacity: usize, retro_index: bool) -> Self {
         ArtifactStore {
-            cache: Mutex::new(ArtifactCache::new(capacity)),
-            inflight: Mutex::new(HashMap::new()),
+            state: Mutex::new(Resident {
+                cache: ArtifactCache::new(capacity),
+                building: HashSet::new(),
+                siblings: HashMap::new(),
+            }),
+            resolved: Condvar::new(),
             retro: retro_index.then(|| Mutex::new(RetroIndex::new())),
-            siblings: Mutex::new(HashMap::new()),
             capacity,
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Resident> {
+        self.state.lock().expect("artifact store lock")
+    }
+
     /// Number of resident artifacts.
     pub fn len(&self) -> usize {
-        self.cache.lock().expect("artifact cache lock").len()
+        self.lock().cache.len()
     }
 
     /// Sum of the resident artifacts' [`FileAnalysis::stored_bytes`].
     pub fn resident_bytes(&self) -> u64 {
-        let cache = self.cache.lock().expect("artifact cache lock");
-        cache.values().map(|a| a.stored_bytes() as u64).sum()
+        let state = self.lock();
+        state.cache.values().map(|a| a.stored_bytes() as u64).sum()
     }
 
-    /// Retro-index size as `(indexed terms, live digests)`; zeros when
-    /// the index is disabled.
+    /// Retro-index `(indexed terms, live digests)`; zeros when disabled.
     pub fn retro_size(&self) -> (u64, u64) {
         self.retro.as_ref().map_or((0, 0), |retro| {
             let retro = retro.lock().expect("retro index lock");
@@ -146,111 +167,123 @@ impl ArtifactStore {
 
     /// The resident artifact for `digest`, refreshing its recency.
     pub fn get(&self, digest: &DigestKey) -> Option<Arc<FileAnalysis>> {
-        self.cache.lock().expect("artifact cache lock").get(digest)
+        self.lock().cache.get(digest)
     }
 
-    /// The cache-resident artifact previously built under this file
-    /// name, if any — the splice donor for the next version of the same
-    /// file. Uses [`crate::cache::LruCache::peek`] so sibling reads never
-    /// refresh recency: an old version must not be kept alive over hot
-    /// entries just because new versions keep diffing against it.
-    pub fn sibling(&self, name: &str) -> Option<Arc<FileAnalysis>> {
-        let digest = *self
-            .siblings
-            .lock()
-            .expect("sibling registry lock")
-            .get(name)?;
-        self.cache
-            .lock()
-            .expect("artifact cache lock")
-            .peek(&digest)
-            .cloned()
-    }
-
-    /// Records `digest` as the newest artifact built under `name`.
-    /// When the registry outgrows cache residency by 4x (names whose
-    /// digests were long since evicted), drops every mapping that no
-    /// longer points at a resident artifact.
-    pub fn record_sibling(&self, name: &str, digest: DigestKey) {
-        let mut siblings = self.siblings.lock().expect("sibling registry lock");
-        siblings.insert(name.to_owned(), digest);
-        if siblings.len() > self.capacity.saturating_mul(4).max(16) {
-            let cache = self.cache.lock().expect("artifact cache lock");
-            siblings.retain(|_, d| cache.peek(d).is_some());
-        }
-    }
-
-    /// Returns the cached artifact, or the build claim when this caller
-    /// is elected to build; blocks behind another worker's in-progress
-    /// build of the same digest.
-    pub fn get_or_claim(&self, digest: &DigestKey) -> Result<Arc<FileAnalysis>, BuildClaim<'_>> {
+    /// Returns the cached artifact for `entry`'s digest, or the build
+    /// claim when this caller is elected to build it; blocks while
+    /// another worker holds the claim.
+    pub fn get_or_claim<'a>(
+        &'a self,
+        entry: &'a FileEntry,
+    ) -> Result<Arc<FileAnalysis>, BuildClaim<'a>> {
+        let digest = entry.digest();
+        let mut state = self.lock();
         loop {
-            if let Some(artifact) = self.get(digest) {
+            if let Some(artifact) = state.cache.get(&digest) {
                 return Ok(artifact);
             }
-            let (slot, leader) = {
-                let mut inflight = self.inflight.lock().expect("inflight lock");
-                match inflight.get(digest) {
-                    Some(slot) => (Arc::clone(slot), false),
-                    None => {
-                        let slot = Arc::new(InflightSlot {
-                            state: Mutex::new(InflightState::Building),
-                            ready: Condvar::new(),
-                        });
-                        inflight.insert(*digest, Arc::clone(&slot));
-                        (slot, true)
-                    }
-                }
-            };
-            if leader {
-                let claim = BuildClaim {
+            if state.building.insert(digest) {
+                let donor = state.siblings.get(entry.name());
+                let donor = donor.and_then(|d| state.cache.peek(d)).cloned();
+                return Err(BuildClaim {
                     store: self,
-                    digest: *digest,
+                    entry,
+                    donor,
                     published: false,
-                };
-                // Close the check/claim race: a previous leader may have
-                // published (cache insert happens before its inflight
-                // slot is removed) between our cache miss and our
-                // election. Re-checking under a fresh claim guarantees a
-                // published digest is never rebuilt; its builder cached
-                // and indexed it, so all that is left is to release any
-                // waiters already parked on our slot.
-                if let Some(artifact) = self.get(digest) {
-                    claim.release(&artifact);
-                    return Ok(artifact);
-                }
-                return Err(claim);
+                });
             }
-            let mut state = slot.state.lock().expect("inflight slot lock");
-            loop {
-                match &*state {
-                    InflightState::Building => {
-                        state = slot.ready.wait(state).expect("inflight wait");
-                    }
-                    InflightState::Ready(artifact) => return Ok(Arc::clone(artifact)),
-                    InflightState::Abandoned => break,
-                }
-            }
-            // The builder gave up: retry from the top (cache re-check,
-            // fresh claim).
-        }
-    }
-
-    /// Removes the inflight slot for `digest` and wakes its waiters
-    /// with the final state.
-    fn resolve(&self, digest: &DigestKey, outcome: InflightState) {
-        let slot = self.inflight.lock().expect("inflight lock").remove(digest);
-        if let Some(slot) = slot {
-            *slot.state.lock().expect("inflight slot lock") = outcome;
-            slot.ready.notify_all();
+            state = self.resolved.wait(state).expect("artifact store lock");
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc, Barrier};
+
+    use super::{ArtifactStore, BuildClaim};
+    use crate::artifact::{ArtifactConfig, FileAnalysis};
     use crate::hub::tests::{hub, request};
+    use crate::retrohunt::GramScratch;
     use crate::{FileEntry, HubConfig, ScanRequest};
+
+    fn build_and_publish(
+        claim: BuildClaim<'_>,
+        entry: &FileEntry,
+        grams: &mut GramScratch,
+    ) -> Arc<FileAnalysis> {
+        let built = Arc::new(FileAnalysis::build(entry, None, &ArtifactConfig::default()));
+        claim.publish(&built, grams, false);
+        built
+    }
+
+    #[test]
+    fn an_abandoned_claim_passes_to_the_waiter() {
+        let store = ArtifactStore::new(8, true);
+        let entry = FileEntry::new("pkg/mod.py", b"import os\n".to_vec());
+        let Err(abandoned) = store.get_or_claim(&entry) else {
+            panic!("the first caller on a cold digest is elected");
+        };
+        let (started, on_start) = mpsc::channel();
+        let built = std::thread::scope(|s| {
+            // The waiter finds the digest claimed and blocks (or, if it
+            // is scheduled late, arrives after the drop): either way
+            // nothing was published, so it must come back with the
+            // claim — not hang, and not be served.
+            let waiter = s.spawn(|| {
+                started.send(()).expect("main is listening");
+                let Err(claim) = store.get_or_claim(&entry) else {
+                    panic!("a digest nobody published was served");
+                };
+                build_and_publish(claim, &entry, &mut GramScratch::default())
+            });
+            on_start.recv().expect("the waiter started");
+            drop(abandoned);
+            waiter.join().expect("the waiter returned")
+        });
+        let Ok(served) = store.get_or_claim(&entry) else {
+            panic!("a published digest was claimed again");
+        };
+        assert!(
+            Arc::ptr_eq(&served, &built),
+            "the waiter's build, and only it"
+        );
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.retro_size().1, 1, "indexed once, by the publisher");
+    }
+
+    #[test]
+    fn two_callers_racing_on_a_cold_digest_elect_exactly_one() {
+        const ROUNDS: usize = 64;
+        let store = ArtifactStore::new(2 * ROUNDS, false);
+        let entries: Vec<FileEntry> = (0..ROUNDS)
+            .map(|i| FileEntry::new("pkg/mod.py", format!("x = {i}\n").into_bytes()))
+            .collect();
+        let (claims, barrier) = (AtomicUsize::new(0), Barrier::new(2));
+        let race = || -> Vec<Arc<FileAnalysis>> {
+            let mut grams = GramScratch::default();
+            let mut seen = Vec::new();
+            for entry in &entries {
+                barrier.wait();
+                seen.push(store.get_or_claim(entry).unwrap_or_else(|claim| {
+                    claims.fetch_add(1, Ordering::Relaxed);
+                    build_and_publish(claim, entry, &mut grams)
+                }));
+            }
+            seen
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(race);
+            (race(), other.join().expect("the second caller returned"))
+        });
+        // One election per digest, and the loser was handed the winner's
+        // artifact whether it waited or arrived after the publish.
+        assert_eq!(claims.load(Ordering::Relaxed), ROUNDS);
+        assert!(a.iter().zip(&b).all(|(x, y)| Arc::ptr_eq(x, y)));
+        assert_eq!(store.len(), ROUNDS);
+    }
 
     #[test]
     fn artifact_cache_serves_unchanged_files_across_requests() {

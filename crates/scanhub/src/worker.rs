@@ -5,12 +5,11 @@
 use std::collections::HashSet;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Instant;
 
 use semgrep_engine::{MatchScratch, MatchSet, SemgrepMetrics};
-use yara_engine::{ScanScratch, Scanner};
+use yara_engine::{FileHits, ScanScratch, Scanner};
 
-use crate::artifact::FileAnalysis;
+use crate::artifact::{DecodedLayer, FileAnalysis};
 use crate::hub::Shared;
 use crate::metrics::{HubCounters, StageClock, StageNanos};
 use crate::prefilter::{PrefilterScratch, Routing};
@@ -111,10 +110,8 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
 ///
 /// Building runs the whole ruleset's string scan and the full parse up
 /// front — artifacts are pure functions of `(ruleset, bytes)`, so they
-/// cannot depend on per-request routing. A never-seen digest therefore
-/// pays more than the seed's routed scan did; every repeat pays
-/// nothing. Routing still gates condition evaluation and the Semgrep
-/// walk downstream.
+/// cannot depend on per-request routing; a repeat pays nothing. Routing
+/// still gates condition evaluation and the Semgrep walk downstream.
 ///
 /// Adds the nanoseconds spent in splice attempts and in retro-index
 /// maintenance for the artifacts published here to `stages.splice` and
@@ -129,11 +126,49 @@ fn gather_artifacts(
     stages: &mut StageNanos,
 ) {
     let c = &shared.counters;
-    // Downstream-product accounting shared by the full-build and splice
-    // paths: a spliced artifact recomputes layers, taint and regex hits
-    // from scratch (only lex/parse is incremental), so it bumps the
-    // same work counters.
-    let tally = |built: &Arc<FileAnalysis>| {
+    let cfg = &shared.artifact_config;
+    let timing = shared.telemetry.enabled();
+    out.clear();
+    for entry in request.files() {
+        let claim = match &shared.artifacts {
+            None => None,
+            Some(store) => match store.get_or_claim(entry) {
+                Ok(artifact) => {
+                    HubCounters::add(&c.artifact_cache_hits, 1);
+                    out.push(artifact);
+                    continue;
+                }
+                Err(claim) => Some(claim),
+            },
+        };
+        // Digest miss: before paying a full reparse, try to splice the
+        // edit into the cache-resident previous version of the same file
+        // (ISSUE 10). Non-Python siblings are not splice candidates and
+        // count neither as relexes nor as fallbacks.
+        let donor = claim.as_ref().and_then(|claim| claim.donor.as_ref());
+        let spliced = donor.and_then(|sibling| {
+            let mut clock = StageClock::start(timing);
+            let result = FileAnalysis::build_spliced(entry, sibling, scanner, cfg);
+            stages.splice += clock.lap();
+            if result.is_none() && sibling.is_python {
+                HubCounters::add(&c.splice_fallbacks, 1);
+            }
+            result
+        });
+        let built = Arc::new(match spliced {
+            Some(spliced) => {
+                HubCounters::add(&c.incremental_relexes, 1);
+                HubCounters::add(&c.relexed_bytes, spliced.relexed_bytes);
+                spliced.analysis
+            }
+            None => {
+                HubCounters::add(&c.artifact_parses, 1);
+                FileAnalysis::build(entry, scanner, cfg)
+            }
+        });
+        // Downstream-product accounting, the same on both paths: a
+        // spliced artifact recomputes layers, taint and regex hits from
+        // scratch (only lex/parse is incremental).
         if let Some(taint) = &built.taint {
             HubCounters::add(&c.taint_analyses, 1);
             HubCounters::add(&c.flows_found, taint.flows.len() as u64);
@@ -153,62 +188,10 @@ fn gather_artifacts(
             );
             HubCounters::add(&c.regex_bytes_scanned, hits.metrics.regex_bytes_scanned);
         }
-    };
-    let build = |entry| {
-        HubCounters::add(&c.artifact_parses, 1);
-        let built = Arc::new(FileAnalysis::build(entry, scanner, &shared.artifact_config));
-        tally(&built);
-        built
-    };
-    let timing = shared.telemetry.enabled();
-    out.clear();
-    for entry in request.files() {
-        let artifact = match &shared.artifacts {
-            None => build(entry),
-            Some(store) => match store.get_or_claim(&entry.digest()) {
-                Ok(artifact) => {
-                    HubCounters::add(&c.artifact_cache_hits, 1);
-                    artifact
-                }
-                Err(claim) => {
-                    // Digest miss: before paying a full reparse, try to
-                    // splice the edit into the cache-resident previous
-                    // version of the same file (ISSUE 10). Non-Python
-                    // siblings are not splice candidates and count
-                    // neither as relexes nor as fallbacks.
-                    let spliced = store.sibling(entry.name()).and_then(|sibling| {
-                        let started = timing.then(Instant::now);
-                        let result = FileAnalysis::build_spliced(
-                            entry,
-                            &sibling,
-                            scanner,
-                            &shared.artifact_config,
-                        );
-                        if let Some(at) = started {
-                            stages.splice += at.elapsed().as_nanos() as u64;
-                        }
-                        if result.is_none() && sibling.is_python {
-                            HubCounters::add(&c.splice_fallbacks, 1);
-                        }
-                        result
-                    });
-                    let built = match spliced {
-                        Some(spliced) => {
-                            HubCounters::add(&c.incremental_relexes, 1);
-                            HubCounters::add(&c.relexed_bytes, spliced.relexed_bytes);
-                            let built = Arc::new(spliced.analysis);
-                            tally(&built);
-                            built
-                        }
-                        None => build(entry),
-                    };
-                    stages.retro_publish += claim.publish(&built, grams, timing);
-                    store.record_sibling(entry.name(), entry.digest());
-                    built
-                }
-            },
-        };
-        out.push(artifact);
+        if let Some(claim) = claim {
+            stages.retro_publish += claim.publish(&built, grams, timing);
+        }
+        out.push(built);
     }
 }
 
@@ -281,33 +264,16 @@ fn scan_job(
             stages.yara = clock.lap();
             for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
                 for (layer, layer_hits) in artifact.layers.iter().zip(&artifact.layer_hits) {
-                    // A layer with no string hit can only satisfy
-                    // stringless conditions (filesize, negations) that
-                    // say nothing about the payload: skip it.
-                    if layer_hits.is_empty() {
-                        continue;
-                    }
-                    // Restrict evaluation to rules with evidence *in*
-                    // this layer: stringless and negation-only
-                    // conditions are package-routed unconditionally and
-                    // would otherwise hold trivially against the tiny
-                    // unit-local filesize.
-                    scanner.mark_rules_with_hits(layer_hits, layer_marks);
-                    let matches = scanner.eval_hits(
-                        [(0usize, layer_hits)],
-                        layer.data.len() as i64,
-                        |ri| routing.yara[ri] && layer_marks[ri],
+                    layer_findings(
+                        scanner,
+                        layer,
+                        layer_hits,
+                        entry.name(),
+                        &routing.yara,
+                        layer_marks,
                         yara_scratch,
+                        &mut verdict.layers,
                     );
-                    for m in matches {
-                        verdict.layers.push(LayerFinding {
-                            rule: m.rule,
-                            file: entry.name().to_owned(),
-                            encoding: layer.encoding,
-                            depth: layer.depth,
-                            line: layer.line,
-                        });
-                    }
                 }
             }
             stages.layers = clock.lap();
@@ -370,6 +336,47 @@ fn scan_job(
     verdict.normalize();
     stages.verdict = clock.lap();
     (verdict, stages)
+}
+
+/// Evaluates one decoded layer as its own scan unit — on the live path
+/// and in a retro-hunt's confirm scan alike — and pushes a finding
+/// labelled `file` for every rule enabled in `mask` that matches.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn layer_findings(
+    scanner: &Scanner<'_>,
+    layer: &DecodedLayer,
+    layer_hits: &FileHits,
+    file: &str,
+    mask: &[bool],
+    marks: &mut Vec<bool>,
+    scratch: &mut ScanScratch,
+    out: &mut Vec<LayerFinding>,
+) {
+    // A layer with no string hit can only satisfy stringless conditions
+    // (filesize, negations) that say nothing about the payload: skip it.
+    if layer_hits.is_empty() {
+        return;
+    }
+    // Restrict evaluation to rules with evidence *in* this layer:
+    // stringless and negation-only conditions are package-routed
+    // unconditionally and would otherwise hold trivially against the
+    // tiny unit-local filesize.
+    scanner.mark_rules_with_hits(layer_hits, marks);
+    let matches = scanner.eval_hits(
+        [(0usize, layer_hits)],
+        layer.data.len() as i64,
+        |ri| mask[ri] && marks[ri],
+        scratch,
+    );
+    for m in matches {
+        out.push(LayerFinding {
+            rule: m.rule,
+            file: file.to_owned(),
+            encoding: layer.encoding,
+            depth: layer.depth,
+            line: layer.line,
+        });
+    }
 }
 
 fn count(counter: &AtomicU64, n: usize) {

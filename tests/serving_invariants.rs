@@ -201,10 +201,15 @@ rule address { strings: $ip = /\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}/ condition: $i
 }
 
 /// Each worker collects a published file's grams in its own scratch and
-/// posts them under the index lock, so what the index holds and what a
-/// hunt finds cannot depend on how many workers shared the stream: the
-/// tiny corpus through one worker and through four, then one generated
-/// rule the live bundle was built without.
+/// posts them under the index lock, and every worker claims, waits and
+/// publishes through the store's one lock, so what a scan returns and
+/// what a hunt finds cannot depend on how many workers shared the stream:
+/// the tiny corpus through one worker, four and eight, then one generated
+/// rule the live bundle was built without. A second pass keeps only a
+/// sliver of the artifacts resident, so claims, waiters and the index
+/// run under constant eviction; which digests survive then depends on
+/// scheduling, the verdicts and hunt ≡ rescan do not. The verdict cache
+/// is off so that every file entry goes through the artifact store.
 #[test]
 fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
     let dataset = corpus::Dataset::generate(&corpus::CorpusConfig::tiny());
@@ -216,41 +221,69 @@ fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
         .into_iter()
         .map(|t| t.request)
         .collect();
+    let entries: usize = requests.iter().map(|r| r.files().len()).sum();
 
-    let mut seen = Vec::new();
-    for workers in [1, 4] {
-        let hub = ScanHub::new(
-            Some(live.clone()),
-            Some(semgrep.clone()),
-            HubConfig {
-                workers,
-                ..HubConfig::default()
-            },
-        );
-        hub.scan_ordered(requests.iter().cloned());
-        let deployment = hub.deploy_rules(Some(yara.clone()), Some(semgrep.clone()));
-        let changed: Vec<&str> = deployment
-            .delta
-            .changed
-            .iter()
-            .map(|c| c.name.as_str())
-            .collect();
-        assert_eq!(changed, [held_out.as_str()]);
-        let report = hub.retro_hunt(&deployment).expect("retro index enabled");
-        let oracle = hub.retro_rescan(&deployment).expect("oracle");
-        assert!(
-            report.same_hits(&oracle),
-            "hunt diverged from rescan at {workers} workers"
-        );
-        assert!(report.total_hits() > 0, "the held-out rule hits its family");
-        seen.push((
-            hub.retro_index_size(),
-            report.candidates,
-            report.rules,
-            report.verdicts,
-        ));
+    let mut verdicts = Vec::new();
+    for churn in [false, true] {
+        let artifact_cache_capacity = if churn { 24 } else { 4096 };
+        let mut hunts = Vec::new();
+        for workers in [1, 4, 8] {
+            let hub = ScanHub::new(
+                Some(live.clone()),
+                Some(semgrep.clone()),
+                HubConfig {
+                    workers,
+                    cache_capacity: 0,
+                    artifact_cache_capacity,
+                    ..HubConfig::default()
+                },
+            );
+            verdicts.push(hub.scan_ordered(requests.iter().cloned()));
+            let stats = hub.stats();
+            assert_eq!(
+                stats.artifact_parses + stats.incremental_relexes + stats.artifact_cache_hits,
+                entries as u64,
+                "every entry is a build, a splice or a hit at {workers} workers"
+            );
+            if churn {
+                assert_eq!(hub.cached_artifacts(), artifact_cache_capacity, "evicting");
+            }
+            if workers == 1 {
+                // Publishes were sequential, so index and cache moved
+                // in step. (Concurrent publishers apply their eviction
+                // reports in retro-lock order, not cache order, and can
+                // leave evicted digests indexed: ROADMAP item 4.)
+                let (_, indexed) = hub.retro_index_size();
+                assert_eq!(indexed, hub.cached_artifacts() as u64);
+            }
+            let deployment = hub.deploy_rules(Some(yara.clone()), Some(semgrep.clone()));
+            let changed: Vec<&str> = deployment
+                .delta
+                .changed
+                .iter()
+                .map(|c| c.name.as_str())
+                .collect();
+            assert_eq!(changed, [held_out.as_str()]);
+            let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+            let oracle = hub.retro_rescan(&deployment).expect("oracle");
+            assert!(
+                report.same_hits(&oracle),
+                "hunt diverged from rescan at {workers} workers, churn: {churn}"
+            );
+            hunts.push((
+                hub.retro_index_size(),
+                report.candidates,
+                report.rules,
+                report.verdicts,
+            ));
+        }
+        if !churn {
+            let hits: usize = hunts[0].2.iter().map(|r| r.digests.len()).sum();
+            assert!(hits > 0, "the held-out rule hits its family");
+            assert!(hunts.iter().all(|h| *h == hunts[0]), "1 worker vs 4 vs 8");
+        }
     }
-    assert_eq!(seen[0], seen[1], "1 worker vs 4");
+    assert!(verdicts.iter().all(|v| *v == verdicts[0]), "verdicts moved");
 }
 
 /// An artifact keeps what later requests read — bytes, module, string
