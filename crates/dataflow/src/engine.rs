@@ -3,14 +3,19 @@
 //! One linear pass per scope: statements are processed in program
 //! order, sharing a mutable environment of variable → taint bindings
 //! and variable → constant-string bindings. Function and class bodies
-//! are analyzed in a child environment seeded from the enclosing one
+//! are analyzed in a child environment layered over the enclosing one
 //! (module-level constants and imports stay visible), with no
 //! cross-call propagation — the soundness boundary `docs/
 //! threat_model.md` documents. There is no fixpoint iteration, so cost
 //! is linear in statement count and output is deterministic.
+//!
+//! Names and constants borrow the module: a scope is keyed by slices of
+//! its statements' text, a literal evaluates to a borrowed constant,
+//! and a child scope overlays its parent instead of copying it. Callee
+//! paths are built in reusable buffers.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 
 use pysrc::{Arg, Expr, Module, Stmt};
 
@@ -42,31 +47,79 @@ struct Taint {
     steps: Vec<FlowStep>,
 }
 
-/// A lexical scope's environment. `BTreeMap` keeps iteration (and
-/// therefore every derived artifact) deterministic.
-#[derive(Debug, Clone, Default)]
-struct Scope {
-    /// Tainted bindings.
-    vars: BTreeMap<String, Vec<Taint>>,
+/// A lexical scope's environment over the module `'m`, layered on its
+/// enclosing scope: an entry here shadows the parent's, and a `None`
+/// entry hides it. `BTreeMap` keeps every table deterministic.
+struct Scope<'m, 'p> {
+    parent: Option<&'p Scope<'m, 'p>>,
+    /// Tainted bindings. A block header can bind a word that is not a
+    /// slice of the module (see [`ident_words`]), hence `Cow` keys.
+    vars: BTreeMap<Cow<'m, str>, Option<Vec<Taint>>>,
     /// Constant-string bindings (for folding through locals).
-    consts: BTreeMap<String, String>,
+    consts: BTreeMap<&'m str, Option<Cow<'m, str>>>,
     /// Import bindings: local name → canonical dotted path.
-    aliases: BTreeMap<String, String>,
+    aliases: BTreeMap<&'m str, Cow<'m, str>>,
     /// Every import binding anywhere in the module, used as a fallback
     /// when a name has no in-scope binding. Obfuscators rewrite call
     /// spellings textually — `ctx.post(...)` can appear in a function
     /// whose `import requests as ctx` lives in a sibling — and the
     /// fallback keeps those aliases resolvable.
-    globals: Arc<BTreeMap<String, String>>,
+    globals: &'p BTreeMap<&'m str, Cow<'m, str>>,
 }
 
-impl Scope {
+impl<'m, 'p> Scope<'m, 'p> {
+    /// The scope of a function or class body inside this one.
+    fn child(&self) -> Scope<'m, '_> {
+        Scope {
+            parent: Some(self),
+            vars: BTreeMap::new(),
+            consts: BTreeMap::new(),
+            aliases: BTreeMap::new(),
+            globals: self.globals,
+        }
+    }
+
+    /// The innermost entry for `name` in the table `table` picks.
+    fn find<'s, K: Ord + Borrow<str> + 's, E: 's>(
+        &'s self,
+        name: &str,
+        table: impl Fn(&'s Self) -> &'s BTreeMap<K, E>,
+    ) -> Option<&'s E> {
+        let mut scope = self;
+        loop {
+            if let Some(entry) = table(scope).get(name) {
+                return Some(entry);
+            }
+            scope = scope.parent?;
+        }
+    }
+
+    fn var(&self, name: &str) -> Option<&Vec<Taint>> {
+        self.find(name, |s| &s.vars)?.as_ref()
+    }
+
+    fn constant(&self, name: &str) -> Option<&Cow<'m, str>> {
+        self.find(name, |s| &s.consts)?.as_ref()
+    }
+
+    /// Binds (`Some`) or unbinds (`None`) a variable in this scope.
+    fn set_var(&mut self, name: Cow<'m, str>, taints: Option<Vec<Taint>>) {
+        let inherited = self.parent.is_some_and(|p| p.var(&name).is_some());
+        set(&mut self.vars, name, taints, inherited);
+    }
+
+    /// Binds (`Some`) or unbinds (`None`) a constant in this scope.
+    fn set_const(&mut self, name: &'m str, value: Option<Cow<'m, str>>) {
+        let inherited = self.parent.is_some_and(|p| p.constant(name).is_some());
+        set(&mut self.consts, name, value, inherited);
+    }
+
     /// Resolves an import alias: the in-scope binding wins; the
     /// module-wide table answers only for names with no local variable
     /// or constant binding (never hijack a local).
-    fn alias(&self, name: &str) -> Option<&String> {
-        self.aliases.get(name).or_else(|| {
-            if self.vars.contains_key(name) || self.consts.contains_key(name) {
+    fn alias(&self, name: &str) -> Option<&Cow<'m, str>> {
+        self.find(name, |s| &s.aliases).or_else(|| {
+            if self.var(name).is_some() || self.constant(name).is_some() {
                 None
             } else {
                 self.globals.get(name)
@@ -75,19 +128,35 @@ impl Scope {
     }
 }
 
-/// The value of an evaluated expression.
-#[derive(Debug, Clone, Default)]
-struct Value {
+/// Sets one scope's entry for `name`. Unbinding leaves a `None`
+/// tombstone only where an enclosing scope still binds the name.
+fn set<K: Ord + Borrow<str>, V>(
+    table: &mut BTreeMap<K, Option<V>>,
+    name: K,
+    value: Option<V>,
+    inherited: bool,
+) {
+    if value.is_none() && !inherited {
+        table.remove(name.borrow());
+    } else {
+        table.insert(name, value);
+    }
+}
+
+/// The value of an evaluated expression, borrowing constants from the
+/// expression's tree (`'e`).
+#[derive(Debug, Default)]
+struct Value<'e> {
     taints: Vec<Taint>,
     /// Constant string value, when the expression folds.
-    cval: Option<String>,
+    cval: Option<Cow<'e, str>>,
     /// True when a real folding operation produced `cval` (as opposed
     /// to a literal or a plain lookup).
     folded: bool,
 }
 
-impl Value {
-    fn constant(s: String) -> Value {
+impl<'e> Value<'e> {
+    fn constant(s: Cow<'e, str>) -> Value<'e> {
         Value {
             cval: Some(s),
             ..Value::default()
@@ -99,6 +168,9 @@ struct Analyzer {
     flows: Vec<FlowFinding>,
     flow_keys: HashSet<(String, String)>,
     folded: Vec<FoldedConst>,
+    /// Callee-path buffers, one per nesting level in use: a call holds
+    /// its path while its callee and arguments are evaluated.
+    paths: Vec<String>,
 }
 
 /// Runs the taint analysis over a parsed module.
@@ -107,12 +179,16 @@ pub fn analyze(module: &Module) -> TaintSummary {
         flows: Vec::new(),
         flow_keys: HashSet::new(),
         folded: Vec::new(),
+        paths: Vec::new(),
     };
     let mut globals = BTreeMap::new();
     collect_global_aliases(&module.body, &mut globals);
     let mut scope = Scope {
-        globals: Arc::new(globals),
-        ..Scope::default()
+        parent: None,
+        vars: BTreeMap::new(),
+        consts: BTreeMap::new(),
+        aliases: BTreeMap::new(),
+        globals: &globals,
     };
     a.walk(&module.body, &mut scope);
     a.flows.sort();
@@ -126,22 +202,22 @@ pub fn analyze(module: &Module) -> TaintSummary {
 }
 
 impl Analyzer {
-    fn walk(&mut self, body: &[Stmt], scope: &mut Scope) {
+    fn walk<'m>(&mut self, body: &'m [Stmt], scope: &mut Scope<'m, '_>) {
         for stmt in body {
             self.stmt(stmt, scope);
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt, scope: &mut Scope) {
+    fn stmt<'m>(&mut self, stmt: &'m Stmt, scope: &mut Scope<'m, '_>) {
         match stmt {
             Stmt::Import { modules, .. } => {
                 for m in modules {
                     let target = match &m.alias {
-                        Some(_) => m.path.clone(),
+                        Some(_) => m.path.as_str(),
                         // `import a.b` binds `a`, naming module `a`.
-                        None => m.binding().to_owned(),
+                        None => m.binding(),
                     };
-                    scope.aliases.insert(m.binding().to_owned(), target);
+                    scope.aliases.insert(m.binding(), Cow::Borrowed(target));
                 }
             }
             Stmt::FromImport { module, names, .. } => {
@@ -149,9 +225,8 @@ impl Analyzer {
                     if n.path == "*" {
                         continue;
                     }
-                    scope
-                        .aliases
-                        .insert(n.binding().to_owned(), format!("{module}.{}", n.path));
+                    let target = format!("{module}.{}", n.path);
+                    scope.aliases.insert(n.binding(), Cow::Owned(target));
                 }
             }
             Stmt::Assign {
@@ -166,28 +241,12 @@ impl Analyzer {
                     if base.is_empty() {
                         continue;
                     }
-                    match &v.cval {
-                        Some(c) => {
-                            scope.consts.insert(base.clone(), c.clone());
-                        }
-                        None => {
-                            scope.consts.remove(&base);
-                        }
-                    }
+                    scope.set_const(base, v.cval.clone());
                     if v.taints.is_empty() {
-                        scope.vars.remove(&base);
+                        scope.set_var(Cow::Borrowed(base), None);
                     } else {
-                        let note = clip(&format!("{base} = {}", expr_summary(value)));
-                        let stepped: Vec<Taint> = v
-                            .taints
-                            .iter()
-                            .map(|t| {
-                                let mut t = t.clone();
-                                push_step(&mut t.steps, *line, note.clone());
-                                t
-                            })
-                            .collect();
-                        scope.vars.insert(base, stepped);
+                        let note = clip(format!("{base} = {}", expr_summary(value)));
+                        scope.set_var(Cow::Borrowed(base), Some(stepped(&v.taints, *line, &note)));
                     }
                 }
             }
@@ -222,24 +281,23 @@ impl Analyzer {
             } => {
                 // Child scope: module bindings visible, parameters
                 // shadow (and are untainted — intra-procedural).
-                let mut child = scope.clone();
+                let mut child = scope.child();
                 for p in params {
-                    child.vars.remove(p);
-                    child.consts.remove(p);
+                    child.set_var(Cow::Borrowed(p), None);
+                    child.set_const(p, None);
                 }
                 self.walk(body, &mut child);
             }
-            Stmt::Other { text, line } => {
+            Stmt::Other { text, .. } => {
                 // Unparsed statements still get the identifier scan so
                 // taint is not silently laundered through them... but
                 // only to *detect* sink-looking text is too fragile;
                 // instead, kill constness/taint of any identifier
                 // assigned in the text to stay conservative.
-                let _ = line;
                 if let Some(eq) = text.find('=') {
                     let base = target_base(text[..eq].trim());
                     if !base.is_empty() {
-                        scope.consts.remove(&base);
+                        scope.set_const(base, None);
                     }
                 }
             }
@@ -247,14 +305,16 @@ impl Analyzer {
     }
 
     /// `with X as v:` / `for v in X:` headers bind names; conditions
-    /// can contain source/sink calls. The header text is re-parsed as
-    /// an expression and evaluated in the block's scope.
-    fn block_header(&mut self, keyword: &str, header: &str, scope: &mut Scope, line: usize) {
-        let rest = header
-            .strip_prefix(keyword)
-            .unwrap_or(header)
-            .trim()
-            .to_owned();
+    /// can contain source/sink calls. The header's expression is
+    /// re-parsed and evaluated in the block's scope.
+    fn block_header<'m>(
+        &mut self,
+        keyword: &str,
+        header: &'m str,
+        scope: &mut Scope<'m, '_>,
+        line: usize,
+    ) {
+        let rest = header.strip_prefix(keyword).unwrap_or(header).trim();
         if rest.is_empty() {
             return;
         }
@@ -264,75 +324,48 @@ impl Analyzer {
                 // top-level commas is overkill for the corpus; handle
                 // the common single item, last ` as ` wins.
                 let (expr_text, binding) = match rest.rfind(" as ") {
-                    Some(idx) => (rest[..idx].to_owned(), Some(rest[idx + 4..].to_owned())),
+                    Some(idx) => (&rest[..idx], Some(&rest[idx + 4..])),
                     None => (rest, None),
                 };
-                let v = self.eval_text(&expr_text, scope, line);
-                self.record_fold(line, &v);
+                let taints = self.eval_header(expr_text, scope, line);
                 if let Some(binding) = binding {
-                    self.bind_header_targets(&binding, &v, scope, line);
+                    bind_header_targets(binding, &taints, scope, line);
                 }
             }
             "for" => {
                 if let Some(idx) = rest.find(" in ") {
-                    let targets = rest[..idx].to_owned();
-                    let v = self.eval_text(&rest[idx + 4..], scope, line);
-                    self.record_fold(line, &v);
-                    self.bind_header_targets(&targets, &v, scope, line);
+                    let taints = self.eval_header(&rest[idx + 4..], scope, line);
+                    bind_header_targets(&rest[..idx], &taints, scope, line);
                 }
             }
             _ => {
                 // `if`/`while`/`elif` conditions can call sinks.
-                let v = self.eval_text(&rest, scope, line);
-                self.record_fold(line, &v);
+                self.eval_header(rest, scope, line);
             }
         }
     }
 
-    fn bind_header_targets(&mut self, targets: &str, v: &Value, scope: &mut Scope, line: usize) {
-        for name in ident_words(targets) {
-            if v.taints.is_empty() {
-                scope.vars.remove(&name);
-            } else {
-                let note = clip(&format!("{name} bound in block header"));
-                let stepped: Vec<Taint> = v
-                    .taints
-                    .iter()
-                    .map(|t| {
-                        let mut t = t.clone();
-                        push_step(&mut t.steps, line, note.clone());
-                        t
-                    })
-                    .collect();
-                scope.vars.insert(name, stepped);
-            }
-        }
-    }
-
-    /// Re-parses reconstructed header text and evaluates the leading
-    /// expression. Parse failures degrade to the identifier scan.
-    fn eval_text(&mut self, text: &str, scope: &mut Scope, line: usize) -> Value {
+    /// Parses header `text` and evaluates its leading expression; a text
+    /// that does not parse as one degrades to the identifier scan.
+    /// Records what folds and returns the taints.
+    fn eval_header(&mut self, text: &str, scope: &Scope<'_, '_>, line: usize) -> Vec<Taint> {
         let module = pysrc::parse_module(text);
-        match module.body.first() {
+        let v = match module.body.first() {
             Some(Stmt::Expr { value, .. }) => self.eval(value, scope, line),
             _ => self.scan_idents(text, scope),
-        }
+        };
+        self.record_fold(line, &v);
+        v.taints
     }
 
-    fn eval(&mut self, expr: &Expr, scope: &mut Scope, line: usize) -> Value {
+    fn eval<'e>(&mut self, expr: &'e Expr, scope: &Scope<'e, '_>, line: usize) -> Value<'e> {
         match expr {
-            Expr::Name(n) => {
-                let mut v = Value::default();
-                if let Some(ts) = scope.vars.get(n) {
-                    v.taints = ts.clone();
-                }
-                if let Some(c) = scope.consts.get(n) {
-                    v.cval = Some(c.clone());
-                }
-                v
-            }
-            Expr::Str(s) => Value::constant(s.clone()),
-            Expr::Num(n) => Value::constant(n.clone()),
+            Expr::Name(n) => Value {
+                taints: scope.var(n).cloned().unwrap_or_default(),
+                cval: scope.constant(n).cloned(),
+                folded: false,
+            },
+            Expr::Str(s) | Expr::Num(s) => Value::constant(Cow::Borrowed(s)),
             Expr::Attribute { value, .. } => {
                 // Taint flows through attribute access (`resp.text`),
                 // and a dotted path can itself be a source
@@ -340,7 +373,8 @@ impl Analyzer {
                 // method-call chains (`fromhex(..).decode(..)`) keep
                 // folding at the enclosing call.
                 let mut v = self.eval(value, scope, line);
-                let path = callee_path(expr, scope);
+                let mut path = self.paths.pop().unwrap_or_default();
+                callee_path(expr, scope, &mut path);
                 if let Some(kind) = source_of(&path) {
                     add_taint(
                         &mut v.taints,
@@ -349,11 +383,12 @@ impl Analyzer {
                             kind,
                             steps: vec![FlowStep {
                                 line: line as u32,
-                                note: clip(&format!("read {path}")),
+                                note: clip(format!("read {path}")),
                             }],
                         },
                     );
                 }
+                self.give_back(path);
                 v
             }
             Expr::BinOp { left, op, right } => {
@@ -368,12 +403,12 @@ impl Analyzer {
                 }
                 match (op.as_str(), &l.cval, &r.cval) {
                     ("+", Some(a), Some(b)) => {
-                        v.cval = Some(format!("{a}{b}"));
+                        v.cval = Some(Cow::Owned(format!("{a}{b}")));
                         v.folded = true;
                     }
                     ("%", Some(a), Some(b)) => {
                         if let Some(folded) = fold::fold_percent(a, b) {
-                            v.cval = Some(folded);
+                            v.cval = Some(Cow::Owned(folded));
                             v.folded = true;
                         }
                     }
@@ -386,15 +421,22 @@ impl Analyzer {
         }
     }
 
-    fn eval_call(&mut self, func: &Expr, args: &[Arg], scope: &mut Scope, line: usize) -> Value {
-        let path = callee_path_with_consts(func, scope, self, line);
+    fn eval_call<'e>(
+        &mut self,
+        func: &'e Expr,
+        args: &'e [Arg],
+        scope: &Scope<'e, '_>,
+        line: usize,
+    ) -> Value<'e> {
+        let mut path = self.paths.pop().unwrap_or_default();
+        self.callee_path_with_consts(func, scope, line, &mut path);
 
         // Receiver taints (method call on a tainted object) — also
         // evaluates any nested call in the callee position exactly once.
         let recv = self.eval(func, scope, line);
 
         // Arguments.
-        let mut arg_vals: Vec<Value> = Vec::with_capacity(args.len());
+        let mut arg_vals: Vec<Value<'e>> = Vec::with_capacity(args.len());
         for a in args {
             let v = self.eval(&a.value, scope, line);
             self.record_fold(line, &v);
@@ -412,7 +454,7 @@ impl Analyzer {
         }
 
         // Constant folding of decode/transform chains.
-        self.fold_call(&path, func, &arg_vals, &mut out, &recv);
+        fold_call(&path, func, &arg_vals, &mut out, &recv);
 
         // Sink check: tainted data reaching a cataloged sink.
         if let Some(kind) = sink_of(&path) {
@@ -440,7 +482,7 @@ impl Analyzer {
                     kind,
                     steps: vec![FlowStep {
                         line: line as u32,
-                        note: clip(&format!("call {path}(...)")),
+                        note: clip(format!("call {path}(...)")),
                     }],
                 },
             );
@@ -456,65 +498,68 @@ impl Analyzer {
                             kind: SourceKind::StartupOpen,
                             steps: vec![FlowStep {
                                 line: line as u32,
-                                note: clip(&format!("open startup path {target}")),
+                                note: clip(format!("open startup path {target}")),
                             }],
                         },
                     );
                 }
             }
         }
+        self.give_back(path);
         out
     }
 
-    /// Folds constant-producing calls: decode chains, const-preserving
-    /// string methods, `chr`, passthroughs.
-    fn fold_call(
+    /// Appends the canonical dotted path of a callee to `out`, like
+    /// [`callee_path`] but letting `getattr`'s name argument fold first
+    /// (`getattr(os, 'sys' + 'tem')`) and resolving `__import__('m')`.
+    fn callee_path_with_consts<'e>(
         &mut self,
-        path: &str,
-        func: &Expr,
-        arg_vals: &[Value],
-        out: &mut Value,
-        recv: &Value,
+        func: &'e Expr,
+        scope: &Scope<'e, '_>,
+        line: usize,
+        out: &mut String,
     ) {
-        let arg0 = arg_vals.first().and_then(|v| v.cval.as_deref());
-        match path {
-            "base64.b64decode" => {
-                if let Some(c) = arg0.and_then(fold::fold_b64decode) {
-                    out.cval = Some(c);
-                    out.folded = true;
-                }
-            }
-            "bytes.fromhex" => {
-                if let Some(c) = arg0.and_then(fold::fold_fromhex) {
-                    out.cval = Some(c);
-                    out.folded = true;
-                }
-            }
-            "chr" => {
-                if let Some(c) = arg0.and_then(fold::fold_chr) {
-                    out.cval = Some(c);
-                    out.folded = true;
-                }
-            }
-            "str" | "os.path.expanduser" | "os.fsdecode" => {
-                if let Some(c) = arg0 {
-                    out.cval = Some(c.to_owned());
-                    out.folded = arg_vals[0].folded;
-                }
-            }
-            _ => {
-                // `const.decode('utf-8')`, `.strip()`, ... — method on
-                // a constant receiver preserves the constant.
-                if let Expr::Attribute { attr, .. } = func {
-                    if fold::const_preserving_method(attr) {
-                        if let Some(c) = &recv.cval {
-                            out.cval = Some(c.clone());
-                            out.folded = recv.folded;
+        let start = out.len();
+        match func {
+            Expr::Call { func: inner, args } => {
+                self.callee_path_with_consts(inner, scope, line, out);
+                let head = &out[start..];
+                if head == "getattr" && args.len() >= 2 {
+                    out.truncate(start);
+                    self.callee_path_with_consts(&args[0].value, scope, line, out);
+                    match self.eval(&args[1].value, scope, line).cval {
+                        Some(name) => {
+                            if out.len() > start {
+                                out.push('.');
+                            }
+                            out.push_str(&name);
+                        }
+                        None => out.truncate(start),
+                    }
+                } else if head == "__import__" {
+                    out.truncate(start);
+                    if let Some(first) = args.first() {
+                        if let Some(m) = self.eval(&first.value, scope, line).cval {
+                            out.push_str(&m);
                         }
                     }
                 }
             }
+            Expr::Attribute { value, attr } => {
+                self.callee_path_with_consts(value, scope, line, out);
+                if out.len() > start {
+                    out.push('.');
+                }
+                out.push_str(attr);
+            }
+            _ => callee_path(func, scope, out),
         }
+    }
+
+    /// Returns a callee-path buffer to the pool.
+    fn give_back(&mut self, mut path: String) {
+        path.clear();
+        self.paths.push(path);
     }
 
     fn emit_flow(&mut self, taint: &Taint, sink: &str, kind: SinkKind, line: usize) {
@@ -523,7 +568,7 @@ impl Analyzer {
             return;
         }
         let mut steps = taint.steps.clone();
-        push_step(&mut steps, line, clip(&format!("reaches sink {sink}(...)")));
+        push_step(&mut steps, line, clip(format!("reaches sink {sink}(...)")));
         self.flows.push(FlowFinding {
             label: format!("flow:{}->{}", taint.kind.label(), kind.label()),
             source: taint.source.clone(),
@@ -536,10 +581,10 @@ impl Analyzer {
     /// list literals, subscripts and tuples degrade to text, but taint
     /// must still flow through them (`requests.post(url, json={'email':
     /// email})`).
-    fn scan_idents(&mut self, text: &str, scope: &Scope) -> Value {
+    fn scan_idents<'e>(&mut self, text: &str, scope: &Scope<'_, '_>) -> Value<'e> {
         let mut v = Value::default();
         for word in ident_words(text) {
-            if let Some(ts) = scope.vars.get(&word) {
+            if let Some(ts) = scope.var(&word) {
                 for t in ts {
                     add_taint(&mut v.taints, t.clone());
                 }
@@ -548,7 +593,7 @@ impl Analyzer {
         v
     }
 
-    fn record_fold(&mut self, line: usize, v: &Value) {
+    fn record_fold(&mut self, line: usize, v: &Value<'_>) {
         if !v.folded || self.folded.len() >= MAX_FOLDED {
             return;
         }
@@ -556,107 +601,102 @@ impl Analyzer {
             if c.len() >= MIN_FOLDED_LEN {
                 self.folded.push(FoldedConst {
                     line: line as u32,
-                    text: c.clone(),
+                    text: c.to_string(),
                 });
             }
         }
     }
 }
 
-/// Canonical dotted path of a callee, resolving import aliases,
-/// `getattr(obj, 'name')` and `__import__('m')` indirection. The
-/// `_with_consts` variant lets `getattr`'s name argument fold first
-/// (`getattr(os, 'sys' + 'tem')`).
-fn callee_path(expr: &Expr, scope: &Scope) -> String {
-    match expr {
-        Expr::Name(n) => scope.alias(n).cloned().unwrap_or_else(|| n.clone()),
-        Expr::Attribute { value, attr } => {
-            let base = callee_path(value, scope);
-            if base.is_empty() {
-                attr.clone()
-            } else {
-                format!("{base}.{attr}")
-            }
-        }
-        Expr::Call { func, .. } => callee_path(func, scope),
-        Expr::Other(_) => {
-            let p = expr.func_path();
-            if p.is_empty() {
-                p
-            } else {
-                resolve_first_segment(&p, scope)
-            }
-        }
-        _ => String::new(),
-    }
-}
-
-fn callee_path_with_consts(
+/// Folds constant-producing calls: decode chains, const-preserving
+/// string methods, `chr`, passthroughs.
+fn fold_call<'e>(
+    path: &str,
     func: &Expr,
-    scope: &mut Scope,
-    a: &mut Analyzer,
-    line: usize,
-) -> String {
-    if let Expr::Call { func: inner, args } = func {
-        let head = callee_path_with_consts(inner, scope, a, line);
-        if head == "getattr" && args.len() >= 2 {
-            let obj = callee_path_with_consts(&args[0].value, scope, a, line);
-            let name = a.eval(&args[1].value, scope, line).cval;
-            if let Some(name) = name {
-                return if obj.is_empty() {
-                    name
-                } else {
-                    format!("{obj}.{name}")
-                };
+    arg_vals: &[Value<'e>],
+    out: &mut Value<'e>,
+    recv: &Value<'e>,
+) {
+    let arg0 = arg_vals.first().and_then(|v| v.cval.as_deref());
+    let decoded = match path {
+        "base64.b64decode" => arg0.and_then(fold::fold_b64decode),
+        "bytes.fromhex" => arg0.and_then(fold::fold_fromhex),
+        "chr" => arg0.and_then(fold::fold_chr),
+        "str" | "os.path.expanduser" | "os.fsdecode" => {
+            if let Some(first) = arg_vals.first().filter(|v| v.cval.is_some()) {
+                out.cval = first.cval.clone();
+                out.folded = first.folded;
             }
-            return String::new();
+            None
         }
-        if head == "__import__" {
-            if let Some(first) = args.first() {
-                if let Some(m) = a.eval(&first.value, scope, line).cval {
-                    return m;
+        _ => {
+            // `const.decode('utf-8')`, `.strip()`, ... — method on a
+            // constant receiver preserves the constant.
+            if let Expr::Attribute { attr, .. } = func {
+                if fold::const_preserving_method(attr) && recv.cval.is_some() {
+                    out.cval = recv.cval.clone();
+                    out.folded = recv.folded;
                 }
             }
-            return String::new();
+            None
         }
-        return head;
+    };
+    if let Some(c) = decoded {
+        out.cval = Some(Cow::Owned(c));
+        out.folded = true;
     }
-    if let Expr::Attribute { value, attr } = func {
-        let base = callee_path_with_consts(value, scope, a, line);
-        return if base.is_empty() {
-            attr.clone()
-        } else {
-            format!("{base}.{attr}")
-        };
-    }
-    callee_path(func, scope)
 }
 
-fn resolve_first_segment(path: &str, scope: &Scope) -> String {
+/// Appends the canonical dotted path of a callee to `out`, resolving
+/// import aliases. Appends nothing for shapes without a path.
+fn callee_path(expr: &Expr, scope: &Scope<'_, '_>, out: &mut String) {
+    match expr {
+        Expr::Name(n) => out.push_str(scope.alias(n).map_or(n, |a| a.as_ref())),
+        Expr::Attribute { value, attr } => {
+            let start = out.len();
+            callee_path(value, scope, out);
+            if out.len() > start {
+                out.push('.');
+            }
+            out.push_str(attr);
+        }
+        Expr::Call { func, .. } => callee_path(func, scope, out),
+        Expr::Other(_) => {
+            let p = expr.func_path();
+            if !p.is_empty() {
+                resolve_first_segment(&p, scope, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn resolve_first_segment(path: &str, scope: &Scope<'_, '_>, out: &mut String) {
     match path.split_once('.') {
         Some((head, rest)) => match scope.alias(head) {
-            Some(full) => format!("{full}.{rest}"),
-            None => path.to_owned(),
+            Some(full) => {
+                out.push_str(full);
+                out.push('.');
+                out.push_str(rest);
+            }
+            None => out.push_str(path),
         },
-        None => scope
-            .alias(path)
-            .cloned()
-            .unwrap_or_else(|| path.to_owned()),
+        None => out.push_str(scope.alias(path).map_or(path, |a| a.as_ref())),
     }
 }
 
 /// Collects every import binding in the module, recursing into every
 /// nested body, for [`Scope::globals`].
-fn collect_global_aliases(body: &[Stmt], out: &mut BTreeMap<String, String>) {
+fn collect_global_aliases<'m>(body: &'m [Stmt], out: &mut BTreeMap<&'m str, Cow<'m, str>>) {
     for stmt in body {
         match stmt {
             Stmt::Import { modules, .. } => {
                 for m in modules {
                     let target = match &m.alias {
-                        Some(_) => m.path.clone(),
-                        None => m.binding().to_owned(),
+                        Some(_) => m.path.as_str(),
+                        None => m.binding(),
                     };
-                    out.entry(m.binding().to_owned()).or_insert(target);
+                    out.entry(m.binding()).or_insert(Cow::Borrowed(target));
                 }
             }
             Stmt::FromImport { module, names, .. } => {
@@ -664,8 +704,8 @@ fn collect_global_aliases(body: &[Stmt], out: &mut BTreeMap<String, String>) {
                     if n.path == "*" {
                         continue;
                     }
-                    out.entry(n.binding().to_owned())
-                        .or_insert_with(|| format!("{module}.{}", n.path));
+                    out.entry(n.binding())
+                        .or_insert_with(|| Cow::Owned(format!("{module}.{}", n.path)));
                 }
             }
             Stmt::FunctionDef { body, .. }
@@ -674,6 +714,37 @@ fn collect_global_aliases(body: &[Stmt], out: &mut BTreeMap<String, String>) {
             _ => {}
         }
     }
+}
+
+/// Binds each name of a `for`/`with` header's target text to the
+/// header value's `taints` (or unbinds it, when there are none).
+fn bind_header_targets<'m>(
+    targets: &'m str,
+    taints: &[Taint],
+    scope: &mut Scope<'m, '_>,
+    line: usize,
+) {
+    for name in ident_words(targets) {
+        if taints.is_empty() {
+            scope.set_var(name, None);
+        } else {
+            let note = clip(format!("{name} bound in block header"));
+            let taints = stepped(taints, line, &note);
+            scope.set_var(name, Some(taints));
+        }
+    }
+}
+
+/// Copies of `taints`, each carried one step further by `note`.
+fn stepped(taints: &[Taint], line: usize, note: &str) -> Vec<Taint> {
+    taints
+        .iter()
+        .map(|t| {
+            let mut t = t.clone();
+            push_step(&mut t.steps, line, note.to_owned());
+            t
+        })
+        .collect()
 }
 
 fn add_taint(taints: &mut Vec<Taint>, t: Taint) {
@@ -699,60 +770,82 @@ fn push_step(steps: &mut Vec<FlowStep>, line: usize, note: String) {
 
 /// The base identifier of an assignment target: `loot[t]` → `loot`,
 /// `obj.attr` → `obj`.
-fn target_base(target: &str) -> String {
-    target
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect()
+fn target_base(target: &str) -> &str {
+    let end = target
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(target.len());
+    &target[..end]
 }
 
-/// Identifier-shaped words in reconstructed text.
-fn ident_words(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    let mut quote = '\'';
-    for c in text.chars() {
-        if in_str {
-            if c == quote {
-                in_str = false;
+/// Identifier-shaped words in reconstructed text, skipping quoted runs
+/// and words that start with a digit. A quoted run does not end a word:
+/// `a'x'b` reads as `ab`, the one shape whose word is not a slice of
+/// `text` and so owns its bytes.
+fn ident_words(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        // The word so far: `start..end`, until a quoted run splits it.
+        let mut word: Option<(usize, usize)> = None;
+        let mut glued: Option<String> = None;
+        let mut quote = None;
+        loop {
+            let b = bytes.get(pos).copied();
+            pos += 1;
+            match (b, quote) {
+                (Some(b), Some(q)) => {
+                    if b == q {
+                        quote = None;
+                    }
+                }
+                (Some(b @ (b'\'' | b'"')), None) => quote = Some(b),
+                (Some(b), None) if b.is_ascii_alphanumeric() || b == b'_' => {
+                    let at = pos - 1;
+                    match (&mut glued, &mut word) {
+                        (Some(g), _) => g.push(char::from(b)),
+                        (None, Some((_, end))) if *end == at => *end += 1,
+                        (None, Some((start, end))) => {
+                            let mut g = text[*start..*end].to_owned();
+                            g.push(char::from(b));
+                            glued = Some(g);
+                        }
+                        (None, None) => word = Some((at, at + 1)),
+                    }
+                }
+                // A separator, or the end of the text (also inside an
+                // unclosed quote).
+                _ => {
+                    if let Some((start, end)) = word.take() {
+                        let owned = glued.take();
+                        if !bytes[start].is_ascii_digit() {
+                            return Some(
+                                owned.map_or(Cow::Borrowed(&text[start..end]), Cow::Owned),
+                            );
+                        }
+                    }
+                    // The end of the text ends the iteration.
+                    b?;
+                }
             }
-            continue;
         }
-        if c == '\'' || c == '"' {
-            in_str = true;
-            quote = c;
-            continue;
-        }
-        if c.is_ascii_alphanumeric() || c == '_' {
-            cur.push(c);
-        } else if !cur.is_empty() {
-            if !cur.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-                out.push(std::mem::take(&mut cur));
-            } else {
-                cur.clear();
-            }
-        }
-    }
-    if !cur.is_empty() && !cur.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.push(cur);
-    }
-    out
+    })
 }
 
 fn expr_summary(expr: &Expr) -> String {
-    clip(&expr.to_text())
+    clip(expr.to_text())
 }
 
-fn clip(s: &str) -> String {
+fn clip(mut s: String) -> String {
     if s.len() <= MAX_NOTE_LEN {
-        return s.to_owned();
+        return s;
     }
     let mut cut = MAX_NOTE_LEN;
     while !s.is_char_boundary(cut) {
         cut -= 1;
     }
-    format!("{}…", &s[..cut])
+    s.truncate(cut);
+    s.push('…');
+    s
 }
 
 #[cfg(test)]
@@ -984,6 +1077,25 @@ mod tests {
         let mut sorted = s.flows.clone();
         sorted.sort();
         assert_eq!(sorted, s.flows);
+    }
+
+    #[test]
+    fn a_function_scope_overlays_the_module_scope() {
+        // A parameter hides the module constant of its name, a sibling
+        // still sees it, and a function's own bindings stay inside it.
+        let src = "import os\nhost = 'c2.evil'\ndef f(host):\n    a = 'https://%s/a' % host\ndef g():\n    b = 'https://%s/b' % host\ndef h():\n    host = input()\nos.system(host)\nc = 'https://%s/c' % host\n";
+        let summary = analyze(&pysrc::parse_module(src));
+        let texts: Vec<&str> = summary.folded.iter().map(|f| f.text.as_str()).collect();
+        assert_eq!(texts, ["https://c2.evil/b", "https://c2.evil/c"]);
+        assert!(summary.flows.is_empty(), "{:?}", summary.flows);
+    }
+
+    #[test]
+    fn ident_words_read_through_quoted_runs() {
+        let words: Vec<Cow<'_, str>> = ident_words("a'x'b c1 9z 'q' _d \"e").collect();
+        assert_eq!(words, ["ab", "c1", "_d"]);
+        assert!(matches!(words[0], Cow::Owned(_)));
+        assert!(matches!(words[1], Cow::Borrowed(_)));
     }
 
     #[test]

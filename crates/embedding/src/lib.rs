@@ -91,9 +91,9 @@ impl Embedder {
         pysrc::lex_spanned(source)
             .into_iter()
             .filter_map(|t| match t.token.kind {
-                TokenKind::Ident(w) => Some(w),
-                TokenKind::Number(n) => Some(n),
-                TokenKind::Op(o) => Some(o.to_owned()),
+                TokenKind::Ident(text) | TokenKind::Number(text) | TokenKind::Op(text) => {
+                    Some(text.to_owned())
+                }
                 TokenKind::Str { value, .. } => Some(if value.len() > 24 {
                     "<str>".to_owned()
                 } else {

@@ -78,7 +78,7 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
         // a decoy in between would detach it.
         let glued = matches!(
             view.tokens[j].kind(),
-            TokenKind::Ident(w) if matches!(w.as_str(), "else" | "elif" | "except" | "finally")
+            TokenKind::Ident(w) if matches!(*w, "else" | "elif" | "except" | "finally")
         ) || view.is_op(j, "@");
         // The line this NEWLINE terminates: a decorator line must keep
         // the following statement attached, so it is no boundary either.

@@ -58,18 +58,18 @@ pub(crate) fn apply_edits(source: &str, mut edits: Vec<Edit>) -> String {
 }
 
 /// A lexed file plus the per-token context every transform needs.
-pub(crate) struct TokenView {
+pub(crate) struct TokenView<'src> {
     /// The spanned token stream.
-    pub tokens: Vec<SpannedToken>,
+    pub tokens: Vec<SpannedToken<'src>>,
     /// Per token: does it sit inside an `import ...` / `from ... import`
     /// logical line? (Those lines are rewritten only by the dedicated
     /// aliasing transform.)
     pub in_import: Vec<bool>,
 }
 
-impl TokenView {
+impl<'src> TokenView<'src> {
     /// Lexes `source` and computes token contexts.
-    pub fn new(source: &str) -> Self {
+    pub fn new(source: &'src str) -> Self {
         let tokens = pysrc::lex_spanned(source);
         let mut in_import = vec![false; tokens.len()];
         let mut line_start = true;
@@ -81,7 +81,7 @@ impl TokenView {
                     line_start = true;
                 }
                 TokenKind::Indent | TokenKind::Dedent | TokenKind::Comment(_) => {}
-                TokenKind::Ident(w) if line_start && (w == "import" || w == "from") => {
+                TokenKind::Ident("import" | "from") if line_start => {
                     marking = true;
                     in_import[i] = true;
                     line_start = false;
@@ -96,11 +96,8 @@ impl TokenView {
     }
 
     /// The identifier text of token `i`, if it is an identifier.
-    pub fn ident(&self, i: usize) -> Option<&str> {
-        match self.tokens[i].kind() {
-            TokenKind::Ident(w) => Some(w),
-            _ => None,
-        }
+    pub fn ident(&self, i: usize) -> Option<&'src str> {
+        self.tokens[i].token.as_ident()
     }
 
     /// True when token `i` is the given operator glyph.
@@ -152,7 +149,7 @@ impl TokenView {
         self.tokens
             .iter()
             .filter_map(|t| match t.kind() {
-                TokenKind::Ident(w) => Some(w.clone()),
+                TokenKind::Ident(w) => Some((*w).to_owned()),
                 _ => None,
             })
             .collect()

@@ -23,7 +23,7 @@ pub fn parse_module(source: &str) -> Module {
 /// guarantees as [`parse_module`]. A stream that does not end in
 /// [`TokenKind::Eof`] is read as if one followed at the last token's line
 /// and column.
-pub fn parse_tokens(tokens: &[SpannedToken]) -> Module {
+pub fn parse_tokens(tokens: &[SpannedToken<'_>]) -> Module {
     let (line, col) = tokens
         .last()
         .map_or((1, 0), |t| (t.token.line, t.token.col));
@@ -58,25 +58,25 @@ const MAX_EXPR_DEPTH: usize = 96;
 /// references that live as long as the slice (not as long as `&self`),
 /// so a caller can keep a token's text across later bumps and clone it
 /// only when it lands in the tree.
-struct Parser<'a> {
-    tokens: &'a [SpannedToken],
+struct Parser<'a, 'src> {
+    tokens: &'a [SpannedToken<'src>],
     /// Sticky sentinel read once `pos` passes the slice.
-    eof: &'a Token,
+    eof: &'a Token<'src>,
     pos: usize,
     block_depth: usize,
     expr_depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &'a TokenKind {
+impl<'a, 'src> Parser<'a, 'src> {
+    fn peek(&self) -> &'a TokenKind<'src> {
         &self.peek_token().kind
     }
 
-    fn peek_token(&self) -> &'a Token {
+    fn peek_token(&self) -> &'a Token<'src> {
         self.tokens.get(self.pos).map_or(self.eof, |t| &t.token)
     }
 
-    fn bump(&mut self) -> &'a Token {
+    fn bump(&mut self) -> &'a Token<'src> {
         let t = self.peek_token();
         if self.pos < self.tokens.len() {
             self.pos += 1;
@@ -138,7 +138,7 @@ impl<'a> Parser<'a> {
     fn statement(&mut self) -> Stmt {
         let line = self.peek_token().line;
         if let TokenKind::Ident(word) = self.peek() {
-            match word.as_str() {
+            match *word {
                 "import" => return self.import_stmt(line),
                 "from" => return self.parse_from_import(line),
                 "def" => return self.def_stmt(line),
@@ -147,18 +147,18 @@ impl<'a> Parser<'a> {
                 "async" => {
                     // `async def` — consume the marker and recurse.
                     self.bump();
-                    if matches!(self.peek(), TokenKind::Ident(w) if w == "def") {
+                    if matches!(self.peek(), TokenKind::Ident("def")) {
                         return self.def_stmt(line);
                     }
-                    return self.block_stmt("async".into(), line);
+                    return self.block_stmt("async", line);
                 }
                 "if" | "elif" | "else" | "for" | "while" | "try" | "except" | "finally"
-                | "with" => return self.block_stmt(word.clone(), line),
+                | "with" => return self.block_stmt(word, line),
                 "pass" | "break" | "continue" => {
                     self.bump();
                     self.consume_to_newline();
                     return Stmt::Other {
-                        text: word.clone(),
+                        text: (*word).to_owned(),
                         line,
                     };
                 }
@@ -222,10 +222,10 @@ impl<'a> Parser<'a> {
             // `import x as y` — keep the alias: it is the name the rest
             // of the file binds, and taint alias resolution needs it.
             let mut alias = None;
-            if matches!(self.peek(), TokenKind::Ident(w) if w == "as") {
+            if matches!(self.peek(), TokenKind::Ident("as")) {
                 self.bump();
                 if let TokenKind::Ident(a) = self.peek() {
-                    alias = Some(a.clone());
+                    alias = Some((*a).to_owned());
                 }
                 self.bump();
             }
@@ -242,19 +242,19 @@ impl<'a> Parser<'a> {
         self.bump(); // 'from'
         let module = self.dotted_name();
         let mut names = Vec::new();
-        if matches!(self.peek(), TokenKind::Ident(w) if w == "import") {
+        if matches!(self.peek(), TokenKind::Ident("import")) {
             self.bump();
             let parenthesized = self.eat_op("(");
             loop {
                 match self.peek() {
                     TokenKind::Ident(w) => {
-                        let name = w.clone();
+                        let name = (*w).to_owned();
                         self.bump();
                         let mut alias = None;
-                        if matches!(self.peek(), TokenKind::Ident(w) if w == "as") {
+                        if matches!(self.peek(), TokenKind::Ident("as")) {
                             self.bump();
                             if let TokenKind::Ident(a) = self.peek() {
-                                alias = Some(a.clone());
+                                alias = Some((*a).to_owned());
                             }
                             self.bump();
                         }
@@ -286,7 +286,7 @@ impl<'a> Parser<'a> {
     fn dotted_name(&mut self) -> String {
         let mut parts = Vec::new();
         while let TokenKind::Ident(w) = self.peek() {
-            parts.push(w.as_str());
+            parts.push(*w);
             self.bump();
             if !self.eat_op(".") {
                 break;
@@ -299,9 +299,8 @@ impl<'a> Parser<'a> {
         self.bump(); // 'def'
         let name = match self.peek() {
             TokenKind::Ident(w) => {
-                let n = w.clone();
                 self.bump();
-                n
+                (*w).to_owned()
             }
             _ => String::new(),
         };
@@ -324,7 +323,7 @@ impl<'a> Parser<'a> {
                         self.bump();
                     }
                     TokenKind::Ident(w) if depth == 1 && expect_param => {
-                        params.push(w.clone());
+                        params.push((*w).to_owned());
                         expect_param = false;
                         self.bump();
                     }
@@ -347,9 +346,8 @@ impl<'a> Parser<'a> {
         self.bump(); // 'class'
         let name = match self.peek() {
             TokenKind::Ident(w) => {
-                let n = w.clone();
                 self.bump();
-                n
+                (*w).to_owned()
             }
             _ => String::new(),
         };
@@ -395,10 +393,10 @@ impl<'a> Parser<'a> {
         Stmt::Return { value, line }
     }
 
-    fn block_stmt(&mut self, keyword: String, line: usize) -> Stmt {
+    fn block_stmt(&mut self, keyword: &str, line: usize) -> Stmt {
         self.bump(); // keyword
                      // Header: tokens until ':' at bracket depth zero.
-        let mut header = keyword.clone();
+        let mut header = keyword.to_owned();
         let mut depth = 0usize;
         loop {
             match self.peek() {
@@ -426,7 +424,7 @@ impl<'a> Parser<'a> {
         }
         let body = self.suite();
         Stmt::Block {
-            keyword,
+            keyword: keyword.to_owned(),
             header,
             body,
             line,
@@ -531,9 +529,7 @@ impl<'a> Parser<'a> {
                     o @ ("+" | "-" | "*" | "/" | "%" | "//" | "**" | "|" | "&" | "^" | "==" | "!="
                     | "<" | ">" | "<=" | ">=" | ">>" | "<<"),
                 ) => (*o).to_owned(),
-                TokenKind::Ident(w) if matches!(w.as_str(), "and" | "or" | "in" | "is" | "not") => {
-                    w.clone()
-                }
+                TokenKind::Ident(w @ ("and" | "or" | "in" | "is" | "not")) => (*w).to_owned(),
                 _ => break,
             };
             self.bump();
@@ -556,7 +552,7 @@ impl<'a> Parser<'a> {
         }
         self.expr_depth += 1;
         let expr = if matches!(self.peek(), TokenKind::Op("-" | "+" | "~"))
-            || matches!(self.peek(), TokenKind::Ident(w) if w == "not")
+            || matches!(self.peek(), TokenKind::Ident("not"))
         {
             let op = render(self.peek());
             self.bump();
@@ -579,7 +575,7 @@ impl<'a> Parser<'a> {
                         self.bump();
                         expr = Expr::Attribute {
                             value: Box::new(expr),
-                            attr: attr.clone(),
+                            attr: (*attr).to_owned(),
                         };
                     } else {
                         break;
@@ -651,7 +647,7 @@ impl<'a> Parser<'a> {
                             self.bump(); // '='
                             let value = self.expression();
                             args.push(Arg {
-                                name: Some(name.clone()),
+                                name: Some((*name).to_owned()),
                                 value,
                             });
                             continue;
@@ -669,16 +665,16 @@ impl<'a> Parser<'a> {
         match self.peek() {
             TokenKind::Ident(w) => {
                 self.bump();
-                Expr::Name(w.clone())
+                Expr::Name((*w).to_owned())
             }
             TokenKind::Number(n) => {
                 self.bump();
-                Expr::Num(n.clone())
+                Expr::Num((*n).to_owned())
             }
             TokenKind::Str { value, .. } => {
                 self.bump();
                 // Adjacent string literal concatenation.
-                let mut v = value.clone();
+                let mut v = value.to_string();
                 while let TokenKind::Str { value: more, .. } = self.peek() {
                     v.push_str(more);
                     self.bump();
@@ -741,7 +737,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Appends the source-like text of `kind` to `out`.
-fn render_into(out: &mut String, kind: &TokenKind) {
+fn render_into(out: &mut String, kind: &TokenKind<'_>) {
     match kind {
         TokenKind::Ident(text) | TokenKind::Number(text) | TokenKind::Comment(text) => {
             out.push_str(text)
@@ -757,7 +753,7 @@ fn render_into(out: &mut String, kind: &TokenKind) {
     }
 }
 
-fn render(kind: &TokenKind) -> String {
+fn render(kind: &TokenKind<'_>) -> String {
     let mut out = String::new();
     render_into(&mut out, kind);
     out

@@ -52,7 +52,7 @@ impl StringTable {
 /// f-strings are skipped: their lexed value still contains `{...}`
 /// interpolation holes, so the text is not a runtime string value.
 /// Raw and bytes literals are kept — encoded payloads ship in both.
-pub fn intern_strings(tokens: &[SpannedToken]) -> StringTable {
+pub fn intern_strings(tokens: &[SpannedToken<'_>]) -> StringTable {
     let mut interner = Interner::default();
     interner.push_tokens(tokens);
     interner.table
@@ -76,7 +76,7 @@ impl StringTable {
     pub fn spliced(
         &self,
         before_line: usize,
-        window: &[SpannedToken],
+        window: &[SpannedToken<'_>],
         suffix_from_line: Option<usize>,
         line_delta: isize,
     ) -> Option<StringTable> {
@@ -116,7 +116,7 @@ impl<'a> Interner<'a> {
         self.table.refs.push(StringRef { literal, line });
     }
 
-    fn push_tokens(&mut self, tokens: &'a [SpannedToken]) {
+    fn push_tokens(&mut self, tokens: &'a [SpannedToken<'_>]) {
         for t in tokens {
             if let TokenKind::Str { value, prefix } = t.kind() {
                 if !prefix.contains('f') {

@@ -1,18 +1,25 @@
 //! Token model for the Python lexer.
 
-/// The kind of a lexed token.
+use std::borrow::Cow;
+
+/// The kind of a lexed token. Text borrows the source it was lexed from
+/// (`'src`); only a string literal whose value differs from its source
+/// bytes owns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub enum TokenKind<'src> {
     /// Identifier or keyword (`def`, `import`, names, ...).
-    Ident(String),
+    Ident(&'src str),
     /// Integer or float literal, kept as text.
-    Number(String),
+    Number(&'src str),
     /// String literal with quotes stripped and prefix recorded.
     Str {
-        /// Decoded contents (no quotes).
-        value: String,
-        /// Prefix letters (`b`, `r`, `f`, ...), lowercased.
-        prefix: String,
+        /// Decoded contents (no quotes). Borrowed from the source unless
+        /// the literal holds a processed escape or a byte >= 0x80 (kept
+        /// byte-as-char), which make the value differ from its bytes.
+        value: Cow<'src, str>,
+        /// Prefix letters (`b`, `r`, `f`, ...), lowercased: one of the
+        /// lexer's fixed prefixes.
+        prefix: &'static str,
     },
     /// A single operator or punctuation glyph sequence (`==`, `.`, `(`...).
     /// Operators come from a fixed set, so the text is a `'static` slice
@@ -25,16 +32,16 @@ pub enum TokenKind {
     /// Indentation decreased.
     Dedent,
     /// `# ...` comment (kept: analyzers look for commented-out IOC hints).
-    Comment(String),
+    Comment(&'src str),
     /// End of input.
     Eof,
 }
 
 /// A token with its source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub struct Token<'src> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// 1-based line number.
     pub line: usize,
     /// 0-based column of the first byte.
@@ -49,26 +56,26 @@ pub struct Token {
 /// and prefixes for strings — which is what source-to-source rewriters
 /// (the `obfuscate` crate) splice against.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpannedToken {
+pub struct SpannedToken<'src> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'src>,
     /// Byte offset of the first byte of the token in the source.
     pub start: usize,
     /// Byte offset one past the last byte of the token.
     pub end: usize,
 }
 
-impl SpannedToken {
+impl<'src> SpannedToken<'src> {
     /// The token kind (convenience passthrough).
-    pub fn kind(&self) -> &TokenKind {
+    pub fn kind(&self) -> &TokenKind<'src> {
         &self.token.kind
     }
 }
 
-impl Token {
+impl<'src> Token<'src> {
     /// Returns the identifier text if this token is an identifier.
-    pub fn as_ident(&self) -> Option<&str> {
-        match &self.kind {
+    pub fn as_ident(&self) -> Option<&'src str> {
+        match self.kind {
             TokenKind::Ident(s) => Some(s),
             _ => None,
         }
@@ -108,7 +115,7 @@ mod tests {
     #[test]
     fn token_helpers() {
         let t = Token {
-            kind: TokenKind::Ident("os".into()),
+            kind: TokenKind::Ident("os"),
             line: 1,
             col: 0,
         };

@@ -252,7 +252,7 @@ impl FileAnalysis {
             // dedents at the suffix's column-zero statement, at the same
             // position and line.
             tokens.pop_if(|t| matches!(t.kind(), TokenKind::Eof));
-            let is_dedent = |t: &SpannedToken| matches!(t.kind(), TokenKind::Dedent);
+            let is_dedent = |t: &SpannedToken<'_>| matches!(t.kind(), TokenKind::Dedent);
             if let Some(at) = tokens.iter().rposition(|t| !is_dedent(t)) {
                 let last = &tokens[at];
                 if matches!(last.kind(), TokenKind::Newline) && last.start == last.end {

@@ -16,9 +16,14 @@
 //!   waiter claims the digest and rebuilds.
 //!
 //! The retro-hunt index keeps its own lock (posting a file's grams is
-//! ~90 µs) and is updated after the state lock is released — the two
-//! are **never held together**. A hit takes 1 lock acquisition (state);
-//! a cold file 3: claim (state), publish (state), index (retro).
+//! ~90 µs). **Lock order: state → retro.** A publish takes the retro
+//! lock before it releases the state lock, so index updates apply in
+//! the order of the cache inserts and evictions they mirror; the posting
+//! itself runs after the state lock is released. Hunts, the rescan
+//! oracle and size reads take the retro lock alone, and nothing takes
+//! state while holding retro, so the order has no cycle. A hit takes 1
+//! lock acquisition (state); a cold file 3: claim (state), publish
+//! (state), index (retro).
 //!
 //! A woken waiter re-reads the cache instead of being handed the
 //! builder's `Arc`, so "exactly one analysis per unique digest" holds
@@ -49,8 +54,9 @@ pub(crate) struct ArtifactStore {
     state: Mutex<Resident>,
     /// Notified whenever a digest leaves `building`.
     resolved: Condvar,
-    /// The retro-hunt posting index: having released `state`, publish
-    /// applies its insert and the insert's eviction report here.
+    /// The retro-hunt posting index: publish locks it before releasing
+    /// `state`, then applies its insert and the insert's eviction report
+    /// here.
     pub retro: Option<Mutex<RetroIndex>>,
     /// Artifact-cache capacity, kept for sibling-registry pruning.
     capacity: usize,
@@ -70,7 +76,8 @@ pub(crate) struct BuildClaim<'a> {
 
 impl BuildClaim<'_> {
     /// Publishes a freshly built artifact: caches it, records it as its
-    /// name's sibling, wakes the waiters, then indexes it. Its grams are
+    /// name's sibling, takes the index lock, wakes the waiters, then
+    /// indexes it. Its grams are
     /// collected into the worker's `grams` before any lock is taken, so
     /// the retro critical section is eviction removals plus posting.
     /// Returns the nanoseconds of index work (collection + posting)
@@ -99,13 +106,20 @@ impl BuildClaim<'_> {
         if state.siblings.len() > self.store.capacity.saturating_mul(4).max(16) {
             state.siblings.retain(|_, d| state.cache.peek(d).is_some());
         }
+        // Index updates follow cache order: a second publisher cannot
+        // reach the index between this cache insert and its index update,
+        // so an eviction is never applied after the re-insert it precedes.
+        let retro = self
+            .store
+            .retro
+            .as_ref()
+            .map(|r| r.lock().expect("retro index lock"));
         drop(guard);
         self.published = true;
         self.store.resolved.notify_all();
         // The cache insert is not index work: restart the lap.
         clock.lap();
-        if let Some(retro) = &self.store.retro {
-            let mut retro = retro.lock().expect("retro index lock");
+        if let Some(mut retro) = retro {
             for digest in &evicted {
                 retro.remove(digest);
             }

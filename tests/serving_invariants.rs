@@ -202,8 +202,9 @@ rule address { strings: $ip = /\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}/ condition: $i
 
 /// Each worker collects a published file's grams in its own scratch and
 /// posts them under the index lock, and every worker claims, waits and
-/// publishes through the store's one lock, so what a scan returns and
-/// what a hunt finds cannot depend on how many workers shared the stream:
+/// publishes through the store's one lock, so what a scan returns, what
+/// the index holds and what a hunt finds cannot depend on how many
+/// workers shared the stream:
 /// the tiny corpus through one worker, four and eight, then one generated
 /// rule the live bundle was built without. A second pass keeps only a
 /// sliver of the artifacts resident, so claims, waiters and the index
@@ -248,14 +249,15 @@ fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
             if churn {
                 assert_eq!(hub.cached_artifacts(), artifact_cache_capacity, "evicting");
             }
-            if workers == 1 {
-                // Publishes were sequential, so index and cache moved
-                // in step. (Concurrent publishers apply their eviction
-                // reports in retro-lock order, not cache order, and can
-                // leave evicted digests indexed: ROADMAP item 4.)
-                let (_, indexed) = hub.retro_index_size();
-                assert_eq!(indexed, hub.cached_artifacts() as u64);
-            }
+            // A publish takes the index lock before releasing the store
+            // lock, so concurrent publishers update the index in cache
+            // order: at a quiescent point it indexes exactly the residents.
+            let (_, indexed) = hub.retro_index_size();
+            assert_eq!(
+                indexed,
+                hub.cached_artifacts() as u64,
+                "index and cache diverged at {workers} workers, churn: {churn}"
+            );
             let deployment = hub.deploy_rules(Some(yara.clone()), Some(semgrep.clone()));
             let changed: Vec<&str> = deployment
                 .delta
