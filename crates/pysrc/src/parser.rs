@@ -119,14 +119,15 @@ impl<'a, 'src> Parser<'a, 'src> {
                 }
                 TokenKind::Indent => {
                     // Unexpected indent — parse it as an anonymous block so
-                    // nested statements are still visible.
-                    self.bump();
+                    // nested statements are still visible. It takes the
+                    // INDENT's line, where its first statement starts.
+                    let line = self.bump().line;
                     let inner = self.indented_body();
                     body.push(Stmt::Block {
                         keyword: String::new(),
                         header: String::new(),
                         body: inner,
-                        line: self.peek_token().line,
+                        line,
                     });
                 }
                 _ => body.push(self.statement()),

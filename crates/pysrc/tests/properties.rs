@@ -2,7 +2,7 @@
 //! the lexer's indentation bookkeeping must always balance.
 
 use proptest::prelude::*;
-use pysrc::TokenKind;
+use pysrc::{Stmt, TokenKind};
 
 proptest! {
     #[test]
@@ -99,6 +99,18 @@ proptest! {
         }
     }
 
+    /// Statement lines follow the source: siblings never go backwards
+    /// and no compound statement is stamped after its own body starts.
+    /// The splice selects donor statements by line, so it relies on
+    /// both. (No brackets in the alphabet, so every newline is a
+    /// logical line and indentation is tracked.)
+    #[test]
+    fn statement_lines_follow_the_source(src in "[a-z =:\\n]{0,200}") {
+        let module = pysrc::parse_module(&src);
+        let checked = lines_follow_the_source(&module.body);
+        prop_assert!(checked.is_ok(), "{checked:?} in {src:?}: {:?}", module.body);
+    }
+
     #[test]
     fn string_literals_roundtrip(value in "[a-zA-Z0-9 ./:_-]{0,40}") {
         let src = format!("x = '{value}'\n");
@@ -140,6 +152,32 @@ proptest! {
         let calls = pysrc::collect_calls(&module);
         prop_assert_eq!(calls.len(), 1, "src:\n{}", src);
     }
+}
+
+/// Checks `body` and, recursively, every nested body: sibling lines
+/// never decrease, and a compound statement's line is at most its first
+/// body statement's.
+fn lines_follow_the_source(body: &[Stmt]) -> Result<(), String> {
+    for pair in body.windows(2) {
+        let (prev, next) = (pair[0].line(), pair[1].line());
+        if next < prev {
+            return Err(format!("sibling lines {prev} then {next}"));
+        }
+    }
+    for stmt in body {
+        let (Stmt::FunctionDef { body: inner, .. }
+        | Stmt::ClassDef { body: inner, .. }
+        | Stmt::Block { body: inner, .. }) = stmt
+        else {
+            continue;
+        };
+        let (header, first) = (stmt.line(), inner.first().map_or(usize::MAX, Stmt::line));
+        if header > first {
+            return Err(format!("header line {header} after body line {first}"));
+        }
+        lines_follow_the_source(inner)?;
+    }
+    Ok(())
 }
 
 /// Every ASCII byte that is not whitespace, a quote, `#`, a digit or an

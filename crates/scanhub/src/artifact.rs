@@ -391,8 +391,6 @@ impl FileAnalysis {
     /// * either side is not Python, or the sibling carries no module;
     /// * either byte buffer is not strict UTF-8 (span offsets index the
     ///   decoded text, and lossy decoding changes byte widths);
-    /// * the sibling's statement layout defeats line-based selection
-    ///   (anonymous indent blocks, non-monotone statement lines);
     /// * the edited window exceeds half the file (a full build is
     ///   cheaper than cloning most of the sibling);
     /// * the window relex does not end cleanly at a statement boundary
@@ -405,28 +403,13 @@ impl FileAnalysis {
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
     ) -> Option<Spliced> {
-        if !entry.is_python() || !sibling.is_python {
+        if !entry.is_python() || !sibling.is_python || sibling.module.is_none() {
             return None;
         }
-        let old_module = sibling.module.as_ref()?.get();
         let bytes = entry.shared_bytes();
         let new_text = std::str::from_utf8(&bytes).ok()?;
         let old_text = std::str::from_utf8(&sibling.bytes).ok()?;
         let (old, new) = (old_text.as_bytes(), new_text.as_bytes());
-
-        // Statement selection keys on line numbers, which is only sound
-        // when top-level statements sit in source order and take their
-        // line from their own first token. Anonymous indent blocks break
-        // the latter (the tolerant parser stamps them with the line of
-        // the token *after* the block).
-        let mut last_line = 0usize;
-        for stmt in &old_module.body {
-            let anonymous = matches!(stmt, Stmt::Block { keyword, .. } if keyword.is_empty());
-            if anonymous || stmt.line() < last_line {
-                return None;
-            }
-            last_line = stmt.line();
-        }
 
         // Changed byte region: [p, q_old) in the old content. The common
         // suffix is measured after the common prefix so the two cannot
@@ -963,6 +946,34 @@ mod tests {
             splice_vs_full(&old_code, &new_code, Some(&scanner)),
             "payload swap fell back"
         );
+    }
+
+    /// A top-level anonymous indent block (an unexpected indent the
+    /// tolerant parser keeps as a keyword-less `Block`) in front of
+    /// ordinary statements. The block takes its INDENT's line, so the
+    /// donor statements around a window are selected by line as in any
+    /// other file.
+    const ANON_BASE: &str = "import os\nimport base64\n\n    k0 = 'pad-0'\n    k1 = k0 + 'pad-1'\n    k2 = k1 + 'pad-2'\n    k3 = k2 + 'pad-3'\n    k4 = k3 + 'pad-4'\n    os.system(k4)\nA = 'alpha'\nB = 'beta'\nC = A + B\nprint(C)\nD = 'delta'\nE2 = len(D)\nprint(E2)\n";
+
+    #[test]
+    fn splice_after_an_anonymous_block() {
+        let module = analyze(ANON_BASE).module.expect("python");
+        assert!(matches!(
+            &module.get().body[2],
+            Stmt::Block { keyword, line: 4, .. } if keyword.is_empty()
+        ));
+        for edited in [
+            ANON_BASE.replace("B = 'beta'", "B = 'beta-2'"),
+            ANON_BASE.replace("C = A + B\n", "C = A + B\nZ = C * 2\n"),
+            ANON_BASE.replace("print(E2)", "print(E2, B)"),
+        ] {
+            spliced(ANON_BASE, &edited);
+        }
+        // The statement behind the block follows its DEDENT and is no cut
+        // point, so the window reaches back over the whole block, past
+        // half the file, and the build falls back.
+        let behind = ANON_BASE.replace("A = 'alpha'", "A = 'alpha-2'");
+        assert!(!splice_vs_full(ANON_BASE, &behind, None));
     }
 
     /// The offsets of an artifact's cut points.

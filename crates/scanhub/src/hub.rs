@@ -50,7 +50,7 @@ pub struct HubConfig {
     pub prefilter: bool,
     /// Per-stage latency histograms and scan traces. When off, the scan
     /// path reads no clocks and records nothing; the cost per request is
-    /// one relaxed atomic load.
+    /// one branch on a plain `bool`.
     pub telemetry: bool,
     /// Flight-recorder ring size: the last N completed scan traces kept
     /// for after-the-fact explanation. 0 keeps histograms but no traces.
@@ -220,7 +220,7 @@ impl ScanHub {
 
     /// Whether per-stage timing and trace recording are on.
     pub fn telemetry_enabled(&self) -> bool {
-        self.shared.telemetry.enabled()
+        self.shared.telemetry.enabled
     }
 
     /// The flight recorder's current contents, oldest first.
@@ -253,20 +253,20 @@ impl ScanHub {
     /// Renders every hub metric — counters, gauges and stage histograms
     /// — in the Prometheus text exposition format.
     pub fn export_prometheus(&self) -> String {
-        self.mirrored().render_prometheus()
+        telemetry::render_prometheus(&self.series())
     }
 
     /// Renders every hub metric as a JSON document.
     pub fn export_json(&self) -> jsonmini::Value {
-        self.mirrored().render_json()
+        telemetry::render_json(&self.series())
     }
 
-    /// The registry, brought up to date with the counters and gauges.
-    fn mirrored(&self) -> &telemetry::Registry {
+    /// Every hub metric as of now, in export order.
+    fn series(&self) -> Vec<telemetry::Series<'_>> {
         let (verdicts, artifacts) = (self.cached_verdicts(), self.cached_artifacts());
         self.shared
             .telemetry
-            .mirror(&self.stats(), verdicts, artifacts)
+            .series(&self.stats(), verdicts, artifacts)
     }
 
     /// Number of verdicts currently cached.
@@ -286,7 +286,7 @@ impl ScanHub {
     pub fn submit(&self, request: ScanRequest) -> Ticket {
         let c = &self.shared.counters;
         let tel = &self.shared.telemetry;
-        let submitted_at = tel.enabled().then(Instant::now);
+        let submitted_at = tel.enabled.then(Instant::now);
         HubCounters::add(&c.submitted, 1);
         let digest = self.shared.cache.as_ref().map(|_| request.digest());
         // The cache stage covers digesting the request plus the verdict

@@ -9,16 +9,16 @@
 //! [`StageLatencies`], both `named()` views and the hub's histogram set.
 //! Adding a counter or a stage is one table row plus its increment or
 //! lap site; the scan path itself only ever touches plain relaxed
-//! atomics and pre-resolved histogram handles. (The three occupancy
-//! gauges that are not `HubStats` fields are listed in
-//! [`HubTelemetry::mirror`], their only use.)
+//! atomics and the hub's own histograms. Both exporters render the one
+//! list [`HubTelemetry::series`] builds from a [`HubStats`] snapshot at
+//! export time. (The three occupancy gauges that are not `HubStats`
+//! fields are listed there, their only use.)
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use telemetry::{FlightRecorder, Histogram, HistogramSnapshot, Registry};
+use telemetry::{FlightRecorder, Histogram, HistogramSnapshot, Sample, Series};
 use textmatch::EngineCounters;
 
 use crate::cache::DigestKey;
@@ -312,28 +312,35 @@ macro_rules! stages {
             }
         }
 
-        /// One histogram per table row, resolved from the registry once at
-        /// hub construction so recording never takes the registry lock.
+        /// One histogram per table row, owned by the hub.
+        #[derive(Default)]
         pub(crate) struct StageHistograms {
-            $($req: Arc<Histogram>,)*
-            $(pub $hub: Arc<Histogram>,)*
-            $wall: Arc<Histogram>,
+            $($req: Histogram,)*
+            $(pub $hub: Histogram,)*
+            $wall: Histogram,
         }
 
         impl StageHistograms {
-            fn new(registry: &Registry) -> Self {
-                let stage = |name| {
-                    registry.histogram_with(
-                        "scanhub_stage_duration_ns",
-                        "Per-stage scan pipeline latency in nanoseconds",
-                        &[("stage", name)],
-                    )
+            /// The histograms as exported series, in table order: every
+            /// stage as a `stage=` label of one family, then `scan` as its
+            /// own.
+            fn series(&self) -> [Series<'_>; ALL_STAGES] {
+                let stage = |name, hist| Series {
+                    name: "scanhub_stage_duration_ns",
+                    help: "Per-stage scan pipeline latency in nanoseconds",
+                    label: Some(("stage", name)),
+                    sample: Sample::Histogram(hist),
                 };
-                StageHistograms {
-                    $($req: stage(stringify!($req)),)*
-                    $($hub: stage(stringify!($hub)),)*
-                    $wall: registry.histogram($wall_series, $wall_help),
-                }
+                [
+                    $(stage(stringify!($req), &self.$req),)*
+                    $(stage(stringify!($hub), &self.$hub),)*
+                    Series {
+                        name: $wall_series,
+                        help: $wall_help,
+                        label: None,
+                        sample: Sample::Histogram(&self.$wall),
+                    },
+                ]
             }
 
             /// Records one request's stage laps and wall time. Stages that did
@@ -440,27 +447,22 @@ impl StageClock {
     }
 }
 
-/// Hub-owned metrics: the registry, the stage histograms, and the trace
-/// flight recorder.
+/// Hub-owned metrics: the timing switch, the stage histograms, and the
+/// trace flight recorder.
 pub(crate) struct HubTelemetry {
-    registry: Registry,
+    /// Whether stages are timed and traces recorded; counters always run.
+    pub enabled: bool,
     pub recorder: FlightRecorder<ScanTrace>,
     pub stages: StageHistograms,
 }
 
 impl HubTelemetry {
     pub fn new(enabled: bool, trace_capacity: usize) -> Self {
-        let registry = Registry::new();
-        registry.set_enabled(enabled);
         HubTelemetry {
-            stages: StageHistograms::new(&registry),
+            enabled,
+            stages: StageHistograms::default(),
             recorder: FlightRecorder::new(trace_capacity),
-            registry,
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.registry.enabled()
     }
 
     /// Closes out one request — a worker's scan, or with `worker: None` a
@@ -500,25 +502,30 @@ impl HubTelemetry {
         });
     }
 
-    /// Copies `stats` and the occupancy gauges it does not carry into
-    /// registry metrics and returns the registry to render: the scan path
-    /// keeps writing plain relaxed atomics and the registry stays the
-    /// single rendering point.
-    pub fn mirror(
+    /// Every exported series, in the order both exporters render them:
+    /// the stage histograms in table order, the `stats` rows in table
+    /// order, then the occupancy gauges `stats` does not carry.
+    pub fn series(
         &self,
         stats: &HubStats,
         cached_verdicts: usize,
         cached_artifacts: usize,
-    ) -> &Registry {
-        let reg = &self.registry;
-        for row in stats.rows() {
-            if row.gauge {
-                reg.gauge(row.series, row.help).set(row.value as i64);
+    ) -> Vec<Series<'_>> {
+        let plain = |name, help, sample| Series {
+            name,
+            help,
+            label: None,
+            sample,
+        };
+        let rows = stats.rows().into_iter().map(|row| {
+            let sample = if row.gauge {
+                Sample::Gauge(row.value as i64)
             } else {
-                reg.counter(row.series, row.help).set(row.value);
-            }
-        }
-        for (series, help, value) in [
+                Sample::Counter(row.value)
+            };
+            plain(row.series, row.help, sample)
+        });
+        let occupancy = [
             (
                 "scanhub_cached_verdicts",
                 "Verdicts currently cached",
@@ -534,10 +541,12 @@ impl HubTelemetry {
                 "Scan traces currently held in the flight recorder",
                 self.recorder.len(),
             ),
-        ] {
-            reg.gauge(series, help).set(value as i64);
-        }
-        reg
+        ]
+        .map(|(name, help, value)| plain(name, help, Sample::Gauge(value as i64)));
+        let mut series = Vec::from(self.stages.series());
+        series.extend(rows);
+        series.extend(occupancy);
+        series
     }
 }
 
@@ -708,8 +717,9 @@ mod tests {
         assert_eq!(latencies.map(|(n, _)| n).to_vec(), names);
 
         // Every stage but the last is a `stage=` label of one histogram
-        // family, registered in table order; `scan` is its own series.
-        let text = HubTelemetry::new(true, 0).registry.render_prometheus();
+        // family, listed in table order; `scan` is its own series.
+        let tel = HubTelemetry::new(true, 0);
+        let text = telemetry::render_prometheus(&tel.series(&HubStats::default(), 0, 0));
         let mut labels: Vec<&str> = text
             .split("stage=\"")
             .skip(1)

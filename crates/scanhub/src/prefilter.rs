@@ -177,11 +177,12 @@ impl PrefilterIndex {
 
     /// Builds the index with the atom interner seeded from a prior
     /// index: atoms shared with `prior` keep their interned ids, new
-    /// atoms extend the table. Stable interning is what lets an external
-    /// posting store (the retro-hunt index) key on atom ids across
-    /// ruleset deploys. Seeded-but-unused atoms stay in the automaton
-    /// with empty routes, which can only cost prefilter time, never
-    /// change a routing decision.
+    /// atoms extend the table, so [`PrefilterIndex::atom_id`] answers
+    /// stay comparable across ruleset deploys. Nothing in the hub keys on
+    /// atom ids: the retro-hunt index keys on folded content 3-grams and
+    /// [`PrefilterIndex::diff`] compares atom texts. Seeded-but-unused
+    /// atoms stay in the automaton with empty routes, which can only cost
+    /// prefilter time, never change a routing decision.
     pub fn build_seeded(
         yara: Option<&CompiledRules>,
         semgrep: Option<&CompiledSemgrepRules>,

@@ -699,7 +699,7 @@ pub(crate) fn hunt(
     telemetry: &HubTelemetry,
 ) -> Option<RetroReport> {
     let retro = store.retro.as_ref()?;
-    let query_clock = telemetry.enabled().then(Instant::now);
+    let query_clock = telemetry.enabled.then(Instant::now);
     HubCounters::add(&counters.retro_hunts, 1);
 
     let changed = &deployment.delta.changed;
@@ -788,9 +788,7 @@ pub(crate) fn hunt(
         digests_indexed,
         full_candidacy_rules,
     };
-    let timed = telemetry
-        .enabled()
-        .then(|| &*telemetry.stages.retro_confirm);
+    let timed = telemetry.enabled.then_some(&telemetry.stages.retro_confirm);
     let report = confirm_scan(deployment, plan, store, timed);
     HubCounters::add(&counters.retro_candidates, report.candidates);
     HubCounters::add(&counters.retro_confirm_scans, report.confirm_scans);

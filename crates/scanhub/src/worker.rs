@@ -127,7 +127,7 @@ fn gather_artifacts(
 ) {
     let c = &shared.counters;
     let cfg = &shared.artifact_config;
-    let timing = shared.telemetry.enabled();
+    let timing = shared.telemetry.enabled;
     out.clear();
     for entry in request.files() {
         let claim = match &shared.artifacts {
@@ -202,7 +202,7 @@ fn scan_job(
     scratch: &mut WorkerScratch,
     request: &ScanRequest,
 ) -> (Verdict, StageNanos) {
-    let mut clock = StageClock::start(shared.telemetry.enabled());
+    let mut clock = StageClock::start(shared.telemetry.enabled);
     let mut stages = StageNanos::default();
     let c = &shared.counters;
     let WorkerScratch {

@@ -1,121 +1,112 @@
-//! Exporters: Prometheus text exposition format and jsonmini JSON.
+//! Exporters: Prometheus text exposition format and jsonmini JSON, both
+//! rendering a list of [`Series`] the caller builds at export time.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use crate::hist::bucket_bounds;
-use crate::registry::{MetricHandle, Registry};
+use crate::hist::{bucket_bounds, Histogram};
 
-impl Registry {
-    /// Renders every registered metric in the Prometheus text
-    /// exposition format (`# HELP` / `# TYPE` headers once per metric
-    /// name, one sample line per series; histograms expand to
-    /// cumulative `_bucket{le=...}` lines plus `_sum` and `_count`).
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        self.for_each(|entry| {
-            let kind = match &entry.handle {
-                MetricHandle::Counter(_) => "counter",
-                MetricHandle::Gauge(_) => "gauge",
-                MetricHandle::Histogram(_) => "histogram",
-            };
-            if seen.insert(entry.name.clone()) {
-                if !entry.help.is_empty() {
-                    let _ = writeln!(out, "# HELP {} {}", entry.name, entry.help);
-                }
-                let _ = writeln!(out, "# TYPE {} {kind}", entry.name);
-            }
-            match &entry.handle {
-                MetricHandle::Counter(c) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        entry.name,
-                        label_block(&entry.labels, None),
-                        c.get()
-                    );
-                }
-                MetricHandle::Gauge(g) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        entry.name,
-                        label_block(&entry.labels, None),
-                        g.get()
-                    );
-                }
-                MetricHandle::Histogram(h) => {
-                    let snap = h.snapshot();
-                    let mut cum = 0u64;
-                    for (i, &c) in snap.buckets.iter().enumerate() {
-                        if c == 0 {
-                            continue;
-                        }
-                        cum += c;
-                        let le = bucket_bounds(i).1.to_string();
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {cum}",
-                            entry.name,
-                            label_block(&entry.labels, Some(&le))
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        entry.name,
-                        label_block(&entry.labels, Some("+Inf")),
-                        snap.count
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        entry.name,
-                        label_block(&entry.labels, None),
-                        snap.sum
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        entry.name,
-                        label_block(&entry.labels, None),
-                        snap.count
-                    );
-                }
-            }
-        });
-        out
+/// One exported series: a metric family name, its help text, at most
+/// one label, and the sample.
+#[derive(Debug, Clone, Copy)]
+pub struct Series<'a> {
+    /// Metric family name; series sharing it form one family.
+    pub name: &'a str,
+    /// Help text (the family's first series supplies it; empty omits
+    /// the `# HELP` line).
+    pub help: &'a str,
+    /// An optional `(key, value)` label.
+    pub label: Option<(&'a str, &'a str)>,
+    /// The value.
+    pub sample: Sample<'a>,
+}
+
+/// The value of one [`Series`].
+#[derive(Debug, Clone, Copy)]
+pub enum Sample<'a> {
+    /// A monotonically increasing count.
+    Counter(u64),
+    /// A value that can go up and down.
+    Gauge(i64),
+    /// A latency (or any magnitude) distribution, snapshotted at render.
+    Histogram(&'a Histogram),
+}
+
+impl Sample<'_> {
+    fn kind(&self) -> &'static str {
+        match self {
+            Sample::Counter(_) => "counter",
+            Sample::Gauge(_) => "gauge",
+            Sample::Histogram(_) => "histogram",
+        }
     }
+}
 
-    /// Renders every registered metric as a JSON document:
-    /// `{"metrics": [{name, type, labels, ...}]}`. Counters and gauges
-    /// carry `value`; histograms carry `count`, `sum`, `mean`, `p50`,
-    /// `p90`, `p99` and `max`.
-    pub fn render_json(&self) -> jsonmini::Value {
-        let mut metrics = Vec::new();
-        self.for_each(|entry| {
-            let mut m = jsonmini::Value::object();
-            m.insert("name", entry.name.as_str());
-            let mut labels = jsonmini::Value::object();
-            for (k, v) in &entry.labels {
-                labels.insert(k.as_str(), v.as_str());
+/// Renders `series` in order in the Prometheus text exposition format
+/// (`# HELP` / `# TYPE` headers once per family name, one sample line
+/// per series; histograms expand to cumulative `_bucket{le=...}` lines
+/// plus `_sum` and `_count`).
+pub fn render_prometheus(series: &[Series<'_>]) -> String {
+    let mut out = String::new();
+    let mut seen: HashSet<&str> = HashSet::new();
+    for s in series {
+        let name = s.name;
+        if seen.insert(name) {
+            if !s.help.is_empty() {
+                let _ = writeln!(out, "# HELP {name} {}", s.help);
             }
-            match &entry.handle {
-                MetricHandle::Counter(c) => {
-                    m.insert("type", "counter");
-                    m.insert("labels", labels);
-                    m.insert("value", c.get() as f64);
+            let _ = writeln!(out, "# TYPE {name} {}", s.sample.kind());
+        }
+        let labels = label_block(s.label, None);
+        match s.sample {
+            Sample::Counter(v) => {
+                let _ = writeln!(out, "{name}{labels} {v}");
+            }
+            Sample::Gauge(v) => {
+                let _ = writeln!(out, "{name}{labels} {v}");
+            }
+            Sample::Histogram(h) => {
+                let snap = h.snapshot();
+                let mut cum = 0u64;
+                for (i, &c) in snap.buckets.iter().enumerate() {
+                    if c == 0 {
+                        continue;
+                    }
+                    cum += c;
+                    let le = label_block(s.label, Some(&bucket_bounds(i).1.to_string()));
+                    let _ = writeln!(out, "{name}_bucket{le} {cum}");
                 }
-                MetricHandle::Gauge(g) => {
-                    m.insert("type", "gauge");
-                    m.insert("labels", labels);
-                    m.insert("value", g.get() as f64);
-                }
-                MetricHandle::Histogram(h) => {
+                let inf = label_block(s.label, Some("+Inf"));
+                let _ = writeln!(out, "{name}_bucket{inf} {}", snap.count);
+                let _ = writeln!(out, "{name}_sum{labels} {}", snap.sum);
+                let _ = writeln!(out, "{name}_count{labels} {}", snap.count);
+            }
+        }
+    }
+    out
+}
+
+/// Renders `series` in order as a JSON document:
+/// `{"metrics": [{name, type, labels, ...}]}`. Counters and gauges
+/// carry `value`; histograms carry `count`, `sum`, `mean`, `p50`,
+/// `p90`, `p99` and `max`.
+pub fn render_json(series: &[Series<'_>]) -> jsonmini::Value {
+    let metrics = series
+        .iter()
+        .map(|s| {
+            let mut m = jsonmini::Value::object();
+            m.insert("name", s.name);
+            m.insert("type", s.sample.kind());
+            let mut labels = jsonmini::Value::object();
+            if let Some((k, v)) = s.label {
+                labels.insert(k, v);
+            }
+            m.insert("labels", labels);
+            match s.sample {
+                Sample::Counter(v) => m.insert("value", v as f64),
+                Sample::Gauge(v) => m.insert("value", v as f64),
+                Sample::Histogram(h) => {
                     let snap = h.snapshot();
-                    m.insert("type", "histogram");
-                    m.insert("labels", labels);
                     m.insert("count", snap.count as f64);
                     m.insert("sum", snap.sum as f64);
                     m.insert("mean", snap.mean());
@@ -125,35 +116,21 @@ impl Registry {
                     m.insert("max", snap.max as f64);
                 }
             }
-            metrics.push(m);
-        });
-        let mut doc = jsonmini::Value::object();
-        doc.insert("metrics", jsonmini::Value::Array(metrics));
-        doc
-    }
+            m
+        })
+        .collect();
+    let mut doc = jsonmini::Value::object();
+    doc.insert("metrics", jsonmini::Value::Array(metrics));
+    doc
 }
 
-fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
+fn label_block(label: Option<(&str, &str)>, le: Option<&str>) -> String {
+    match (label, le) {
+        (None, None) => String::new(),
+        (Some((k, v)), None) => format!("{{{k}=\"{}\"}}", escape_label(v)),
+        (None, Some(le)) => format!("{{le=\"{le}\"}}"),
+        (Some((k, v)), Some(le)) => format!("{{{k}=\"{}\",le=\"{le}\"}}", escape_label(v)),
     }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
-        first = false;
-    }
-    if let Some(le) = le {
-        if !first {
-            out.push(',');
-        }
-        let _ = write!(out, "le=\"{le}\"");
-    }
-    out.push('}');
-    out
 }
 
 fn escape_label(v: &str) -> String {
@@ -319,23 +296,36 @@ fn valid_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
 
-    fn sample_registry() -> Registry {
-        let reg = Registry::new();
-        reg.counter("scans_total", "total scans").add(7);
-        reg.gauge_with("queue_depth", "jobs queued", &[("shard", "0")])
-            .set(3);
-        let h = reg.histogram_with("stage_ns", "stage latency", &[("stage", "yara")]);
+    fn sample_series(h: &Histogram) -> [Series<'_>; 3] {
         for v in [120u64, 4_500, 4_700, 1_000_000] {
             h.record(v);
         }
-        reg
+        [
+            Series {
+                name: "scans_total",
+                help: "total scans",
+                label: None,
+                sample: Sample::Counter(7),
+            },
+            Series {
+                name: "queue_depth",
+                help: "jobs queued",
+                label: Some(("shard", "0")),
+                sample: Sample::Gauge(3),
+            },
+            Series {
+                name: "stage_ns",
+                help: "stage latency",
+                label: Some(("stage", "yara")),
+                sample: Sample::Histogram(h),
+            },
+        ]
     }
 
     #[test]
     fn prometheus_output_is_well_formed() {
-        let text = sample_registry().render_prometheus();
+        let text = render_prometheus(&sample_series(&Histogram::new()));
         validate_prometheus(&text).expect("self-rendered output validates");
         assert!(text.contains("# TYPE scans_total counter"));
         assert!(text.contains("scans_total 7"));
@@ -349,7 +339,7 @@ mod tests {
 
     #[test]
     fn json_output_round_trips_through_jsonmini() {
-        let doc = sample_registry().render_json();
+        let doc = render_json(&sample_series(&Histogram::new()));
         let parsed = jsonmini::parse(&doc.to_string()).expect("parses back");
         let metrics = parsed.get("metrics").and_then(|m| m.as_array()).unwrap();
         assert_eq!(metrics.len(), 3);
@@ -411,11 +401,13 @@ mod tests {
 
     #[test]
     fn hostile_label_values_render_escaped_and_validate() {
-        let reg = Registry::new();
         let hostile = "C:\\temp\n\"quoted\"";
-        reg.gauge_with("path_gauge", "hostile label", &[("path", hostile)])
-            .set(1);
-        let text = reg.render_prometheus();
+        let text = render_prometheus(&[Series {
+            name: "path_gauge",
+            help: "hostile label",
+            label: Some(("path", hostile)),
+            sample: Sample::Gauge(1),
+        }]);
         validate_prometheus(&text).expect("escaped render validates");
         assert!(
             text.contains(r#"path_gauge{path="C:\\temp\n\"quoted\""} 1"#),

@@ -12,25 +12,39 @@
 //!   octave, so any quantile read is within 1/16 relative error of the
 //!   true sample. Recording is four relaxed atomic ops;
 //!   [`HistogramSnapshot`] extracts p50/p90/p99/max/mean.
-//! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and [`Histogram`]s
-//!   behind get-or-create registration (name + label set), with a
-//!   global `enabled` switch that timing code consults before it reads
-//!   a clock (the hub's `StageClock` reads none when it is off).
 //! * [`FlightRecorder`] — a bounded ring of the last N completed
 //!   records (the hub instantiates it with its `ScanTrace`), so every
 //!   verdict stays explainable after the fact without unbounded memory.
-//! * Exporters — [`Registry::render_prometheus`] (text exposition
-//!   format, checked by [`validate_prometheus`]) and
-//!   [`Registry::render_json`] (a `jsonmini` document).
+//! * Exporters — [`render_prometheus`] (text exposition format, checked
+//!   by [`validate_prometheus`]) and [`render_json`] (a `jsonmini`
+//!   document). Both render a list of [`Series`] the caller builds at
+//!   export time from whatever it already holds: counter values, gauge
+//!   values and references to its histograms. There is no registry.
 //!
 //! # Examples
 //!
 //! ```
-//! let reg = telemetry::Registry::new();
-//! let hist = reg.histogram_with("stage_ns", "stage latency", &[("stage", "scan")]);
+//! use telemetry::{Histogram, Sample, Series};
+//!
+//! let hist = Histogram::new();
 //! hist.record(1_250);
-//! assert_eq!(hist.count(), 1);
-//! telemetry::validate_prometheus(&reg.render_prometheus()).unwrap();
+//! let series = [
+//!     Series {
+//!         name: "stage_ns",
+//!         help: "stage latency",
+//!         label: Some(("stage", "scan")),
+//!         sample: Sample::Histogram(&hist),
+//!     },
+//!     Series {
+//!         name: "scans_total",
+//!         help: "scans finished",
+//!         label: None,
+//!         sample: Sample::Counter(1),
+//!     },
+//! ];
+//! let text = telemetry::render_prometheus(&series);
+//! assert!(text.contains("stage_ns_count{stage=\"scan\"} 1"));
+//! telemetry::validate_prometheus(&text).unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,11 +53,9 @@
 mod export;
 mod hist;
 mod recorder;
-mod registry;
 
-pub use export::validate_prometheus;
+pub use export::{render_json, render_prometheus, validate_prometheus, Sample, Series};
 pub use hist::{
     bucket_bounds, bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS, SUB_BUCKETS,
 };
 pub use recorder::FlightRecorder;
-pub use registry::{Counter, Gauge, Registry};

@@ -424,4 +424,70 @@ fn every_counter_reaches_both_exporters() {
         );
         assert!(json_entry(series).is_some(), "json lost {series}");
     }
+
+    // Both exporters render one list, so they name the same families in
+    // the same order.
+    let prometheus_families: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|rest| rest.split(' ').next().expect("family name"))
+        .collect();
+    let mut json_families: Vec<&str> = metrics
+        .iter()
+        .map(|m| m.get("name").and_then(|n| n.as_str()).expect("name"))
+        .collect();
+    json_families.dedup();
+    assert_eq!(prometheus_families, EXPORT_ORDER);
+    assert_eq!(json_families, EXPORT_ORDER);
 }
+
+/// Every metric family in export order: the stage family and the wall
+/// time, the `hub_metrics!` rows in table order (counters, gauges,
+/// matching tiers), then the occupancy gauges that are not `HubStats`
+/// fields.
+const EXPORT_ORDER: [&str; 44] = [
+    "scanhub_stage_duration_ns",
+    "scanhub_scan_duration_ns",
+    "scanhub_submitted_total",
+    "scanhub_completed_total",
+    "scanhub_cache_hits_total",
+    "scanhub_bytes_scanned_total",
+    "scanhub_artifact_parses_total",
+    "scanhub_artifact_cache_hits_total",
+    "scanhub_incremental_relexes_total",
+    "scanhub_splice_fallbacks_total",
+    "scanhub_relexed_bytes_total",
+    "scanhub_layers_decoded_total",
+    "scanhub_layer_bytes_scanned_total",
+    "scanhub_taint_analyses_total",
+    "scanhub_flows_found_total",
+    "scanhub_consts_folded_total",
+    "scanhub_yara_rules_evaluated_total",
+    "scanhub_yara_rules_skipped_total",
+    "scanhub_yara_scans_skipped_total",
+    "scanhub_regex_strings_evaluated_total",
+    "scanhub_regex_bytes_scanned_total",
+    "scanhub_semgrep_rules_evaluated_total",
+    "scanhub_semgrep_rules_skipped_total",
+    "scanhub_semgrep_parses_skipped_total",
+    "scanhub_semgrep_stmts_visited_total",
+    "scanhub_semgrep_pattern_reparses_total",
+    "scanhub_retro_hunts_total",
+    "scanhub_retro_candidates_total",
+    "scanhub_retro_confirm_scans_total",
+    "scanhub_artifact_bytes_resident",
+    "scanhub_retro_index_atoms",
+    "scanhub_retro_index_digests",
+    "textmatch_teddy_scans_total",
+    "textmatch_teddy_bytes_scanned_total",
+    "textmatch_teddy_chunks_classified_total",
+    "textmatch_teddy_chunks_verified_total",
+    "textmatch_ac_fallback_scans_total",
+    "textmatch_dfa_scans_total",
+    "textmatch_dfa_states_built_total",
+    "textmatch_dfa_cache_flushes_total",
+    "textmatch_pikevm_fallbacks_total",
+    "scanhub_cached_verdicts",
+    "scanhub_cached_artifacts",
+    "scanhub_flight_recorder_traces",
+];
