@@ -72,8 +72,10 @@ pub struct DecodedLayer {
 /// Which optional artifact products to compute.
 #[derive(Debug, Clone)]
 pub struct ArtifactConfig {
-    /// Maximum decode recursion depth; 0 disables layer extraction
-    /// entirely (the A/B lever for the layered-robustness measurement).
+    /// Maximum decode recursion depth; 0 turns decoding off (the A/B
+    /// lever for the layered-robustness measurement). Folded layers are
+    /// not decoded and are still built with `dataflow` on, so a
+    /// surface-only artifact also needs `dataflow: false`.
     pub max_decode_depth: u8,
     /// Run the behavioral taint analysis and fold constant strings into
     /// synthetic [`LayerEncoding::Folded`] layers. The A/B lever for the
@@ -91,7 +93,7 @@ impl Default for ArtifactConfig {
 }
 
 impl ArtifactConfig {
-    /// A config with layer extraction disabled.
+    /// A config with decoding disabled; folded layers are still built.
     pub fn without_layers() -> Self {
         ArtifactConfig {
             max_decode_depth: 0,
@@ -508,7 +510,8 @@ fn fold_layers(
             continue;
         }
         if let Some((encoding, decoded)) = decode_candidate(&fc.text) {
-            if cfg.max_decode_depth > 0 && !layers.iter().any(|l| l.data == decoded) {
+            // The decode sits one level below its folded layer.
+            if cfg.max_decode_depth >= 2 && !layers.iter().any(|l| l.data == decoded) {
                 layers.push(DecodedLayer {
                     encoding,
                     depth: 2,
@@ -805,6 +808,30 @@ mod tests {
             .iter()
             .any(|l| l.encoding == LayerEncoding::Folded && l.data == b"bexlum.top"));
         assert!(a.layer_hits.iter().any(|h| !h.is_empty()));
+    }
+
+    #[test]
+    fn a_folded_payload_decodes_within_the_depth_bound() {
+        // Neither half decodes alone; the folded whole decodes one level
+        // below its folded layer, at depth 2.
+        let payload = digest::base64::encode(b"import os;os.system('id')");
+        let (head, tail) = payload.split_at(payload.len() / 2 - 1);
+        let code = format!("x = '{head}' + '{tail}'\n");
+        let layers = |max_decode_depth| {
+            let config = ArtifactConfig {
+                max_decode_depth,
+                dataflow: true,
+            };
+            let a = FileAnalysis::build(&entry("mod.py", &code), None, &config);
+            a.layers
+                .iter()
+                .map(|l| (l.encoding, l.depth))
+                .collect::<Vec<_>>()
+        };
+        let folded = (LayerEncoding::Folded, 1);
+        assert_eq!(layers(0), [folded], "depth 0 still folds");
+        assert_eq!(layers(1), [folded], "a depth-2 layer at depth 1");
+        assert_eq!(layers(2), [(LayerEncoding::Base64, 2), folded]);
     }
 
     #[test]

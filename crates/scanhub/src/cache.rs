@@ -55,6 +55,11 @@ impl<V: Clone> LruCache<V> {
         self.map.len()
     }
 
+    /// The most values the cache holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Iterates over the resident values in unspecified order, without
     /// touching recency. Powers point-in-time gauges over cache contents
     /// (the hub's `artifact_bytes_resident`).

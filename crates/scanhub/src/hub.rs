@@ -35,9 +35,10 @@ pub struct HubConfig {
     /// Per-file artifact cache entries; 0 disables the cache (every
     /// request re-analyzes every file — the cold-path ablation lever).
     pub artifact_cache_capacity: usize,
-    /// Decoded-layer extraction depth; 0 turns layered scanning off
-    /// entirely, making verdicts identical to surface-only scanning
-    /// (the A/B lever for the layered-robustness measurement).
+    /// Decoded-layer extraction depth; 0 turns decoding off (the A/B
+    /// lever for the layered-robustness measurement). Verdicts are
+    /// identical to surface-only scanning only with `dataflow` off as
+    /// well: the taint engine's folded layers are scanned at any depth.
     pub max_decode_depth: u8,
     /// Behavioral taint engine: per-file source→sink dataflow summaries
     /// computed at artifact-build time (once per unique digest) and
@@ -168,7 +169,9 @@ impl ScanHub {
     /// Runs the deployment's changed rules over the cached package
     /// history by querying the retro index and confirm-scanning only
     /// candidate digests. Returns `None` when the artifact cache or the
-    /// retro index is disabled.
+    /// retro index is disabled. Confirm scans read the cached artifacts
+    /// without refreshing their recency, so screening history does not
+    /// keep it resident.
     ///
     /// Per-rule hit sets and per-digest verdicts are identical to
     /// [`ScanHub::retro_rescan`] (the exhaustive oracle) — pinned by
@@ -184,7 +187,8 @@ impl ScanHub {
     /// with every changed rule, no index consulted. This is both the
     /// full-rescan baseline the bench times and the ground truth the
     /// differential suite compares [`ScanHub::retro_hunt`] against.
-    /// Touches none of the retro counters or histograms.
+    /// Touches none of the retro counters or histograms, and, like a
+    /// hunt, leaves the artifact cache's recency alone.
     pub fn retro_rescan(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
         retrohunt::rescan(self.shared.artifacts.as_ref()?, deployment)
     }

@@ -91,6 +91,8 @@
 
 mod artifact;
 mod cache;
+#[cfg(test)]
+mod explore;
 mod hub;
 mod metrics;
 mod prefilter;
@@ -101,6 +103,15 @@ mod store;
 mod trace;
 mod verdict;
 mod worker;
+
+/// The artifact store's lock primitives: std's, and under test the
+/// explorer's, which schedule the threads of an exploration.
+mod sync {
+    #[cfg(test)]
+    pub(crate) use crate::explore::{Condvar, Mutex, MutexGuard};
+    #[cfg(not(test))]
+    pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
+}
 
 pub use artifact::{ArtifactConfig, DecodedLayer, FileAnalysis, LayerEncoding, LazyModule};
 pub use cache::DigestKey;

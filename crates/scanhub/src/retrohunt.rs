@@ -588,8 +588,9 @@ fn confirm_scan(
 
     for task in &plan.tasks {
         // A digest evicted between index query and confirm is simply
-        // gone from the history — nothing to report on it.
-        let Some(artifact) = store.get(&task.digest) else {
+        // gone from the history — nothing to report on it. A peek: the
+        // hunt must not keep its candidates alive in the serving cache.
+        let Some(artifact) = store.peek(&task.digest) else {
             continue;
         };
         let clock = Instant::now();
@@ -689,26 +690,14 @@ fn confirm_scan(
     }
 }
 
-/// [`crate::ScanHub::retro_hunt`]: plans per-digest confirm tasks from
-/// the retro index, then confirm-scans only those. `None` when the
-/// index is disabled.
-pub(crate) fn hunt(
-    store: &ArtifactStore,
-    deployment: &RuleDeployment,
-    counters: &HubCounters,
-    telemetry: &HubTelemetry,
-) -> Option<RetroReport> {
-    let retro = store.retro.as_ref()?;
-    let query_clock = telemetry.enabled.then(Instant::now);
-    HubCounters::add(&counters.retro_hunts, 1);
-
+/// Per-digest confirm tasks for the deployment's changed rules, from the
+/// index's candidates.
+fn plan(retro: &RetroIndex, deployment: &RuleDeployment) -> ConfirmPlan {
     let changed = &deployment.delta.changed;
     let (yara_len, semgrep_len) = deployment.subset_lens();
     let mut masks: HashMap<DigestKey, (Vec<bool>, Vec<bool>)> = HashMap::new();
     let mut candidates: Vec<u64> = Vec::with_capacity(changed.len());
     let mut full_candidacy_rules = 0u64;
-    let retro = retro.lock().expect("retro index lock");
-    let digests_indexed = retro.digest_count() as u64;
     for (ci, rule) in changed.iter().enumerate() {
         // Candidates for this rule: `None` means "cannot gate —
         // full candidacy" (no exhaustive atom set). Sub-gram
@@ -768,12 +757,6 @@ pub(crate) fn hunt(
             }
         }
     }
-    drop(retro);
-    if let Some(start) = query_clock {
-        let ns = start.elapsed().as_nanos() as u64;
-        telemetry.stages.retro_query.record(ns);
-    }
-
     let tasks = masks
         .into_iter()
         .map(|(digest, (yara_mask, semgrep_mask))| ConfirmTask {
@@ -782,12 +765,30 @@ pub(crate) fn hunt(
             semgrep_mask,
         })
         .collect();
-    let plan = ConfirmPlan {
+    ConfirmPlan {
         tasks,
         candidates,
-        digests_indexed,
+        digests_indexed: retro.digest_count() as u64,
         full_candidacy_rules,
-    };
+    }
+}
+
+/// [`crate::ScanHub::retro_hunt`]: plans per-digest confirm tasks from
+/// the retro index, then confirm-scans only those. `None` when the
+/// index is disabled.
+pub(crate) fn hunt(
+    store: &ArtifactStore,
+    deployment: &RuleDeployment,
+    counters: &HubCounters,
+    telemetry: &HubTelemetry,
+) -> Option<RetroReport> {
+    let query_clock = telemetry.enabled.then(Instant::now);
+    let plan = store.with_retro(|retro| plan(retro, deployment))?;
+    HubCounters::add(&counters.retro_hunts, 1);
+    if let Some(start) = query_clock {
+        let ns = start.elapsed().as_nanos() as u64;
+        telemetry.stages.retro_query.record(ns);
+    }
     let timed = telemetry.enabled.then_some(&telemetry.stages.retro_confirm);
     let report = confirm_scan(deployment, plan, store, timed);
     HubCounters::add(&counters.retro_candidates, report.candidates);
@@ -795,12 +796,12 @@ pub(crate) fn hunt(
     Some(report)
 }
 
-/// [`crate::ScanHub::retro_rescan`]: every resident digest against every
-/// changed rule, no index consulted, no counter or histogram touched.
+/// [`crate::ScanHub::retro_rescan`]: every indexed digest against every
+/// changed rule, no candidate query made, no counter, histogram or
+/// artifact recency touched.
 pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Option<RetroReport> {
-    let retro = store.retro.as_ref()?;
+    let all = store.with_retro(RetroIndex::all_digests)?;
     let (yara_len, semgrep_len) = deployment.subset_lens();
-    let all = retro.lock().expect("retro index lock").all_digests();
     let tasks = all
         .iter()
         .map(|(digest, _)| ConfirmTask {

@@ -1,44 +1,51 @@
-//! The shared artifact store: **one state behind one lock**.
+//! The shared artifact store, and the only module that takes its locks.
 //!
-//! [`Resident`] — the digest-keyed artifact cache, the set of digests
-//! being built right now, and the sibling registry naming a splice donor
-//! for the next version of a file — sits behind one `Mutex`, with one
-//! store-wide `Condvar` notified whenever a digest leaves the building
-//! set. Get-or-build is two critical sections:
+//! [`Resident`] — the digest-keyed artifact cache, the digests being
+//! built, and the sibling registry naming a splice donor for a file's
+//! next version — sits behind one `Mutex`, with a `Condvar` notified
+//! whenever a digest stops being built. Every line that locks, waits or
+//! notifies is in the one `impl ArtifactStore` block:
 //!
-//! * [`ArtifactStore::get_or_claim`]: a cache hit; or join the building
-//!   set and leave with a [`BuildClaim`] that already holds the donor;
-//!   or wait and look again. Lookup and election share the section, so
-//!   nothing can be published between them and nothing is re-checked.
-//! * [`BuildClaim::publish`]: insert into the cache, leave the building
-//!   set, record the sibling, notify. A claim dropped unpublished (a
-//!   panic on a hostile file) leaves the set and notifies too, so a
-//!   waiter claims the digest and rebuilds.
+//! * [`ArtifactStore::get_or_claim`]: a hit; or a single-flight claim,
+//!   leaving with the splice donor; or wait and look again. Lookup and
+//!   election share the section, so nothing is published between them.
+//! * [`BuildClaim::publish`]: cache, release the claim, record and prune
+//!   siblings, collect the evictions. A claim dropped unpublished (a
+//!   panic on a hostile file) only releases the claim. Both then notify,
+//!   so a waiter is served or claims the digest itself.
 //!
-//! The retro-hunt index keeps its own lock (posting a file's grams is
-//! ~90 µs). **Lock order: state → retro.** A publish takes the retro
-//! lock before it releases the state lock, so index updates apply in
-//! the order of the cache inserts and evictions they mirror; the posting
-//! itself runs after the state lock is released. Hunts, the rescan
-//! oracle and size reads take the retro lock alone, and nothing takes
-//! state while holding retro, so the order has no cycle. A hit takes 1
-//! lock acquisition (state); a cold file 3: claim (state), publish
-//! (state), index (retro).
+//! **Lock order: state → retro.** The retro-hunt index has its own lock
+//! (posting a file's grams is ~90 µs). A publish takes it before it
+//! releases the state lock, so index updates apply in cache order, and
+//! posts after. Hunts and the rescan oracle read the index through
+//! [`ArtifactStore::with_retro`] and artifacts through
+//! [`ArtifactStore::peek`], never both at once. A hit takes 1 lock
+//! acquisition; a cold file 3: claim, publish, index.
 //!
-//! A woken waiter re-reads the cache instead of being handed the
-//! builder's `Arc`, so "exactly one analysis per unique digest" holds
-//! while the digest stays resident: an artifact evicted between its
-//! publish and the waiter's wake-up is rebuilt, like any later miss.
-//! Verdicts cannot change: artifacts are pure in `(ruleset, bytes)`.
+//! A woken waiter re-reads the cache rather than taking the builder's
+//! `Arc`, so "one analysis per unique digest" holds while the digest
+//! stays resident; one evicted before the wake-up is rebuilt. Verdicts
+//! cannot change: artifacts are pure in `(ruleset, bytes)`.
+//!
+//! **The proof is exhaustive.** Under test the shell's locks come from
+//! `explore.rs`, which runs one thread at a time and switches at every
+//! lock and wait. The test below replays every schedule of 2 workers ×
+//! 1–2 files (shared and distinct digests, and successive versions under
+//! one name) at capacity 1 and 2, with and without the index, of a failed
+//! build's abandoned claim, and of a hunt racing publishers, and asserts
+//! after each: no digest claimed while resident or under a live claim;
+//! no thread left blocked; the index holds exactly the residents; a hunt
+//! finds what the rescan finds.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use crate::artifact::FileAnalysis;
 use crate::cache::{ArtifactCache, DigestKey};
 use crate::metrics::StageClock;
 use crate::request::FileEntry;
 use crate::retrohunt::{GramScratch, RetroIndex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 
 struct Resident {
     cache: ArtifactCache,
@@ -54,12 +61,7 @@ pub(crate) struct ArtifactStore {
     state: Mutex<Resident>,
     /// Notified whenever a digest leaves `building`.
     resolved: Condvar,
-    /// The retro-hunt posting index: publish locks it before releasing
-    /// `state`, then applies its insert and the insert's eviction report
-    /// here.
-    pub retro: Option<Mutex<RetroIndex>>,
-    /// Artifact-cache capacity, kept for sibling-registry pruning.
-    capacity: usize,
+    retro: Option<Mutex<RetroIndex>>,
 }
 
 /// A claimed build: the holder is the unique builder of `entry`'s digest
@@ -75,11 +77,8 @@ pub(crate) struct BuildClaim<'a> {
 }
 
 impl BuildClaim<'_> {
-    /// Publishes a freshly built artifact: caches it, records it as its
-    /// name's sibling, takes the index lock, wakes the waiters, then
-    /// indexes it. Its grams are
-    /// collected into the worker's `grams` before any lock is taken, so
-    /// the retro critical section is eviction removals plus posting.
+    /// Publishes a freshly built artifact, then indexes it. Its grams are
+    /// collected into the worker's `grams` before any lock is taken.
     /// Returns the nanoseconds of index work (collection + posting)
     /// when `timed`, else 0.
     pub fn publish(
@@ -92,52 +91,16 @@ impl BuildClaim<'_> {
         if self.store.retro.is_some() {
             grams.collect(artifact);
         }
-        let index_ns = clock.lap();
-        let digest = self.entry.digest();
-        let name = self.entry.name().to_owned();
-        let mut guard = self.store.lock();
-        let state = &mut *guard;
-        state.building.remove(&digest);
-        state.siblings.insert(name, digest);
-        let evicted = state.cache.insert(digest, Arc::clone(artifact));
-        // Once the registry outgrows the cache 4x (names whose digests
-        // were long since evicted), keep only the mappings that still
-        // point at a resident artifact.
-        if state.siblings.len() > self.store.capacity.saturating_mul(4).max(16) {
-            state.siblings.retain(|_, d| state.cache.peek(d).is_some());
-        }
-        // Index updates follow cache order: a second publisher cannot
-        // reach the index between this cache insert and its index update,
-        // so an eviction is never applied after the re-insert it precedes.
-        let retro = self
-            .store
-            .retro
-            .as_ref()
-            .map(|r| r.lock().expect("retro index lock"));
-        drop(guard);
+        let ns = clock.lap() + self.store.publish(self.entry, artifact, grams, &mut clock);
         self.published = true;
-        self.store.resolved.notify_all();
-        // The cache insert is not index work: restart the lap.
-        clock.lap();
-        if let Some(mut retro) = retro {
-            for digest in &evicted {
-                retro.remove(digest);
-            }
-            retro.insert_collected(grams);
-        }
-        index_ns + clock.lap()
+        ns
     }
 }
 
 impl Drop for BuildClaim<'_> {
     fn drop(&mut self) {
         if !self.published {
-            // Abandoned. A drop must not panic, so a poisoned lock is
-            // left alone: the woken waiters meet the poison themselves.
-            if let Ok(mut state) = self.store.state.lock() {
-                state.building.remove(&self.entry.digest());
-            }
-            self.store.resolved.notify_all();
+            self.store.abandon(&self.entry.digest());
         }
     }
 }
@@ -152,36 +115,11 @@ impl ArtifactStore {
             }),
             resolved: Condvar::new(),
             retro: retro_index.then(|| Mutex::new(RetroIndex::new())),
-            capacity,
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, Resident> {
         self.state.lock().expect("artifact store lock")
-    }
-
-    /// Number of resident artifacts.
-    pub fn len(&self) -> usize {
-        self.lock().cache.len()
-    }
-
-    /// Sum of the resident artifacts' [`FileAnalysis::stored_bytes`].
-    pub fn resident_bytes(&self) -> u64 {
-        let state = self.lock();
-        state.cache.values().map(|a| a.stored_bytes() as u64).sum()
-    }
-
-    /// Retro-index `(indexed terms, live digests)`; zeros when disabled.
-    pub fn retro_size(&self) -> (u64, u64) {
-        self.retro.as_ref().map_or((0, 0), |retro| {
-            let retro = retro.lock().expect("retro index lock");
-            (retro.term_count() as u64, retro.digest_count() as u64)
-        })
-    }
-
-    /// The resident artifact for `digest`, refreshing its recency.
-    pub fn get(&self, digest: &DigestKey) -> Option<Arc<FileAnalysis>> {
-        self.lock().cache.get(digest)
     }
 
     /// Returns the cached artifact for `entry`'s digest, or the build
@@ -210,18 +148,305 @@ impl ArtifactStore {
             state = self.resolved.wait(state).expect("artifact store lock");
         }
     }
+
+    /// [`BuildClaim::publish`] from the cache insert on: caches the
+    /// artifact, records it as its name's sibling, takes the index lock,
+    /// wakes the waiters, then indexes it. Returns the nanoseconds
+    /// `clock` laps over the index update.
+    fn publish(
+        &self,
+        entry: &FileEntry,
+        artifact: &Arc<FileAnalysis>,
+        grams: &GramScratch,
+        clock: &mut StageClock,
+    ) -> u64 {
+        let digest = entry.digest();
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        state.building.remove(&digest);
+        state.siblings.insert(entry.name().to_owned(), digest);
+        let evicted = state.cache.insert(digest, Arc::clone(artifact));
+        // Once the registry outgrows the cache 4x (names whose digests
+        // were long since evicted), keep only the mappings that still
+        // point at a resident artifact.
+        if state.siblings.len() > state.cache.capacity().saturating_mul(4).max(16) {
+            state.siblings.retain(|_, d| state.cache.peek(d).is_some());
+        }
+        // Index updates follow cache order: a second publisher cannot
+        // reach the index between this cache insert and its index update,
+        // so an eviction is never applied after the re-insert it precedes.
+        let retro = self
+            .retro
+            .as_ref()
+            .map(|r| r.lock().expect("retro index lock"));
+        drop(guard);
+        self.resolved.notify_all();
+        // The cache insert is not index work: restart the lap.
+        clock.lap();
+        if let Some(mut retro) = retro {
+            for digest in &evicted {
+                retro.remove(digest);
+            }
+            retro.insert_collected(grams);
+        }
+        clock.lap()
+    }
+
+    fn abandon(&self, digest: &DigestKey) {
+        // A drop must not panic, so a poisoned lock is left alone: the
+        // woken waiters meet the poison themselves.
+        if let Ok(mut state) = self.state.lock() {
+            state.building.remove(digest);
+        }
+        self.resolved.notify_all();
+    }
+
+    /// `f` of the retro index under its lock; `None` when it is disabled.
+    pub fn with_retro<R>(&self, f: impl FnOnce(&RetroIndex) -> R) -> Option<R> {
+        let retro = self.retro.as_ref()?;
+        Some(f(&retro.lock().expect("retro index lock")))
+    }
+
+    /// The resident artifact for `digest`, leaving its recency alone: a
+    /// confirm scan reads history without keeping it alive.
+    pub fn peek(&self, digest: &DigestKey) -> Option<Arc<FileAnalysis>> {
+        self.lock().cache.peek(digest).cloned()
+    }
+
+    /// Number of resident artifacts.
+    pub fn len(&self) -> usize {
+        self.lock().cache.len()
+    }
+
+    /// Sum of the resident artifacts' [`FileAnalysis::stored_bytes`].
+    pub fn resident_bytes(&self) -> u64 {
+        let state = self.lock();
+        state.cache.values().map(|a| a.stored_bytes() as u64).sum()
+    }
+
+    /// Retro-index `(indexed terms, live digests)`; zeros when disabled.
+    pub fn retro_size(&self) -> (u64, u64) {
+        let size = |r: &RetroIndex| (r.term_count() as u64, r.digest_count() as u64);
+        self.with_retro(size).unwrap_or((0, 0))
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc, Barrier};
 
     use super::{ArtifactStore, BuildClaim};
     use crate::artifact::{ArtifactConfig, FileAnalysis};
-    use crate::hub::tests::{hub, request};
-    use crate::retrohunt::GramScratch;
+    use crate::cache::DigestKey;
+    use crate::explore::explore;
+    use crate::hub::tests::{hub, request, SEMGREP, YARA};
+    use crate::metrics::{HubCounters, HubTelemetry};
+    use crate::retrohunt::{self, GramScratch, RetroIndex, RuleDeployment};
     use crate::{FileEntry, HubConfig, ScanRequest};
+
+    /// The explored files, kept tiny: posting grams is most of a
+    /// schedule's work. The hunted rule's atom is in 0 and 2. Files 0
+    /// and 1 are two versions of one file name, as are 2 and 3, so a
+    /// worker uploading both claims the second with a splice donor.
+    const FILES: [&str; 4] = ["a = 'curl'\n", "b = 1\n", "c = 'curl'\n", "d = 2\n"];
+
+    /// What every schedule shares: the entries, their prebuilt artifacts
+    /// (a build is pure, so a worker publishes these), one gram scratch
+    /// per thread, and a deployment adding one rule on "curl".
+    struct Fixture {
+        entries: Vec<FileEntry>,
+        artifacts: Vec<Arc<FileAnalysis>>,
+        /// Hex digests of the files carrying the atom.
+        carriers: Vec<String>,
+        scratches: Vec<std::sync::Mutex<GramScratch>>,
+        deployment: RuleDeployment,
+        counters: HubCounters,
+        telemetry: HubTelemetry,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let entries: Vec<FileEntry> = (0..FILES.len())
+                .map(|i| FileEntry::new(format!("pkg/m{}.py", i / 2), FILES[i].as_bytes().to_vec()))
+                .collect();
+            let config = ArtifactConfig::default();
+            let build = |e: &FileEntry| Arc::new(FileAnalysis::build(e, None, &config));
+            let next = format!("{YARA}\nrule curl {{ strings: $a = \"curl\" condition: $a }}");
+            let deployment = hub(HubConfig::default()).deploy_rules(
+                Some(yara_engine::compile(&next).expect("yara")),
+                Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
+            );
+            assert_eq!(deployment.delta.changed.len(), 1);
+            Fixture {
+                artifacts: entries.iter().map(build).collect(),
+                carriers: [0, 2]
+                    .map(|i| digest::to_hex(&entries[i].digest()))
+                    .to_vec(),
+                entries,
+                scratches: (0..3).map(|_| Default::default()).collect(),
+                deployment,
+                counters: HubCounters::default(),
+                telemetry: HubTelemetry::new(false, 0),
+            }
+        }
+    }
+
+    /// One schedule's store, and the digests under a claim the workers
+    /// hold — a ghost kept outside the store's locks.
+    struct World {
+        store: ArtifactStore,
+        claimed: std::sync::Mutex<HashSet<DigestKey>>,
+    }
+
+    /// One worker: get or claim each file in turn, then publish the
+    /// claim, or drop it when `fails` (a build that panicked).
+    fn work(fixture: &Fixture, world: &World, me: usize, files: &[usize], fails: bool) {
+        for &file in files {
+            let entry = &fixture.entries[file];
+            let digest = entry.digest();
+            match world.store.get_or_claim(entry) {
+                Ok(served) => {
+                    let published = &fixture.artifacts[file];
+                    assert!(Arc::ptr_eq(&served, published), "served another artifact");
+                }
+                Err(claim) => {
+                    // Nobody else has run since the claim section, so the
+                    // state is as that section left it.
+                    let resident = world
+                        .store
+                        .state
+                        .observe(|s| s.cache.peek(&digest).is_some());
+                    assert!(!resident.expect("unlocked"), "claimed a resident digest");
+                    let fresh = world.claimed.lock().expect("ghost").insert(digest);
+                    assert!(fresh, "claimed a digest under a live claim");
+                    if let Some(donor) = &claim.donor {
+                        let version = |j: usize| j != file && j / 2 == file / 2;
+                        let sibling = |j| version(j) && Arc::ptr_eq(donor, &fixture.artifacts[j]);
+                        let why = "the donor is not another version of the file";
+                        assert!((0..FILES.len()).any(sibling), "{why}");
+                    }
+                    if fails {
+                        drop(claim);
+                    } else {
+                        let grams = &mut fixture.scratches[me].lock().expect("scratch");
+                        claim.publish(&fixture.artifacts[file], grams, false);
+                    }
+                    // The claim ended in the section publish or abandon
+                    // ran. After it comes one switch point at most, the
+                    // index lock taken under the state lock, so no other
+                    // claim section has run since.
+                    world.claimed.lock().expect("ghost").remove(&digest);
+                }
+            }
+        }
+    }
+
+    fn hunt(fixture: &Fixture, world: &World) -> retrohunt::RetroReport {
+        let (deployment, counters) = (&fixture.deployment, &fixture.counters);
+        retrohunt::hunt(&world.store, deployment, counters, &fixture.telemetry)
+            .expect("retro index enabled")
+    }
+
+    /// The end state: no claim left and, with the index on, the index
+    /// equal to the residents and a hunt, the rescan and the truth naming
+    /// the same hits.
+    fn check(fixture: &Fixture, world: &World) {
+        let state = world.store.lock();
+        assert!(state.building.is_empty(), "a claim outlived its worker");
+        let mut resident: Vec<DigestKey> = state.cache.values().map(|a| a.digest).collect();
+        drop(state);
+        let Some(all) = world.store.with_retro(RetroIndex::all_digests) else {
+            return;
+        };
+        let mut indexed: Vec<DigestKey> = all.into_iter().map(|(d, _)| d).collect();
+        resident.sort_unstable();
+        indexed.sort_unstable();
+        assert_eq!(indexed, resident, "the index and the cache diverged");
+        let rescan = retrohunt::rescan(&world.store, &fixture.deployment).expect("index");
+        assert!(hunt(fixture, world).same_hits(&rescan), "hunt ≠ rescan");
+        let resident = resident.iter().map(digest::to_hex);
+        let truth: Vec<String> = resident.filter(|d| fixture.carriers.contains(d)).collect();
+        assert_eq!(rescan.rules[0].digests, truth);
+    }
+
+    /// A configuration: its name, the cache capacity, whether the store
+    /// keeps the retro index, and one spec per thread. A spec is a
+    /// worker's files in order (`"01"`: file 0, then file 1), ending in
+    /// `!` when each of its builds fails, or `"hunt"` for a thread that
+    /// runs one hunt.
+    type Config = (&'static str, usize, bool, &'static [&'static str]);
+
+    const CONFIGS: [Config; 17] = [
+        ("1 shared file", 1, true, &["0", "0"]),
+        ("2 versions of a file, one each", 1, true, &["0", "1"]),
+        ("2 shared versions", 1, true, &["01", "01"]),
+        ("2 shared versions", 2, true, &["01", "01"]),
+        ("2 shared versions, no index", 1, false, &["01", "01"]),
+        ("2 shared versions, no index", 2, false, &["01", "01"]),
+        ("2 shared versions, crossed", 1, true, &["01", "10"]),
+        ("2 shared versions, crossed", 2, true, &["01", "10"]),
+        ("2 versions each of 2 files", 1, true, &["01", "23"]),
+        ("2 versions each of 2 files", 2, true, &["01", "23"]),
+        ("a failed build of a shared file", 1, true, &["0!", "0"]),
+        (
+            "a failed build of a shared file, no index",
+            1,
+            false,
+            &["0!", "0"],
+        ),
+        ("a failed build, then 2 versions", 1, true, &["0!", "01"]),
+        ("a failed build, 2 waiters", 1, true, &["0!", "0", "0"]),
+        ("a hunt racing 3 publishes", 1, true, &["012", "hunt"]),
+        ("a hunt racing 3 publishes", 2, true, &["012", "hunt"]),
+        ("a hunt racing 2 workers", 1, true, &["0", "2", "hunt"]),
+    ];
+
+    /// Explores every schedule of one configuration; returns their count.
+    fn explore_config(fixture: &Fixture, (name, capacity, retro, specs): Config) -> usize {
+        let bodies: Vec<_> = (0..specs.len())
+            .map(|me| {
+                move |world: &World| match specs[me] {
+                    "hunt" => {
+                        let report = hunt(fixture, world);
+                        let false_hit = |h: &String| !fixture.carriers.contains(h);
+                        assert!(!report.rules[0].digests.iter().any(false_hit));
+                    }
+                    spec => {
+                        let files: Vec<usize> = spec
+                            .bytes()
+                            .filter(u8::is_ascii_digit)
+                            .map(|b| usize::from(b - b'0'))
+                            .collect();
+                        work(fixture, world, me, &files, spec.ends_with('!'));
+                    }
+                }
+            })
+            .collect();
+        let threads: Vec<&(dyn Fn(&World) + Sync)> = bodies.iter().map(|b| b as _).collect();
+        let name = format!("{name}, capacity {capacity}");
+        let setup = || World {
+            store: ArtifactStore::new(capacity, retro),
+            claimed: Default::default(),
+        };
+        let schedules = explore(&name, setup, &threads, |w| check(fixture, w));
+        println!("{name}: {schedules} schedules");
+        schedules
+    }
+
+    #[test]
+    fn every_schedule_of_the_store_keeps_its_invariants() {
+        let fixture = &Fixture::new();
+        let counts: Vec<usize> = CONFIGS.map(|c| explore_config(fixture, c)).to_vec();
+        // The exploration is deterministic: the largest, replayed, takes
+        // exactly as many schedules again.
+        let largest = (0..counts.len())
+            .max_by_key(|&i| counts[i])
+            .expect("configs");
+        let again = explore_config(fixture, CONFIGS[largest]);
+        assert_eq!(again, counts[largest], "a count moved");
+    }
 
     fn build_and_publish(
         claim: BuildClaim<'_>,

@@ -2,7 +2,8 @@
 //! small version-bump stream through `HubConfig::default()`: bumps
 //! splice, nothing is built twice, taint and pattern compilation stay off
 //! the warm path, a retro-hunt prunes without losing a hit — and finds
-//! the same at any worker count — resident artifacts hold nothing per
+//! the same at any worker count, without reordering the serving cache —
+//! resident artifacts hold nothing per
 //! token, and every counter reaches both exporters. Counts repeat to the
 //! bit, so nothing here reads a clock; how fast the same paths run is
 //! `benchmark/`'s question.
@@ -156,6 +157,45 @@ fn retro_hunt_equals_the_rescan_and_prunes() {
         report.digests_indexed
     );
     assert_eq!(hub.stats().semgrep_pattern_reparses, 0);
+}
+
+/// A hunt reads history; it does not serve it. Its confirm scans peek,
+/// so the digests a hunt scans are not kept alive over what requests
+/// served since. With room for two artifacts, `a.py` (the only carrier
+/// of the hunted atom) is served before `b.py`. After the hunt confirms
+/// `a.py`, the next new file evicts `a.py`, not `b.py`, and a re-upload
+/// of `a.py` is built again.
+#[test]
+fn a_hunt_leaves_the_serving_recency_alone() {
+    let hub = ScanHub::new(
+        Some(yara_engine::compile(YARA).expect("yara")),
+        Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
+        HubConfig {
+            workers: 1,
+            cache_capacity: 0,
+            artifact_cache_capacity: 2,
+            ..HubConfig::default()
+        },
+    );
+    let upload = |name: &str, code: &str| hub.submit(ScanRequest::from_source(name, code)).wait();
+    upload("a.py", "marker = 'payload'\n");
+    upload("b.py", "x = 1\n");
+    let next = format!("{YARA}\nrule hunted {{ strings: $a = \"payload\" condition: $a }}\n");
+    let deployment = hub.deploy_rules(
+        Some(yara_engine::compile(&next).expect("next")),
+        Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
+    );
+    let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+    assert_eq!((report.candidates, report.confirm_scans), (1, 1));
+    assert_eq!(report.total_hits(), 1);
+    upload("c.py", "y = 2\n");
+    let parses = hub.stats().artifact_parses;
+    upload("a.py", "marker = 'payload'\n");
+    assert_eq!(
+        hub.stats().artifact_parses,
+        parses + 1,
+        "the hunt kept a.py resident"
+    );
 }
 
 /// Generated rulesets repeat one indicator regex across many rules. The
