@@ -8,11 +8,20 @@
 //! here rather than in `pysrc`'s own tests because this is the lowest
 //! crate that already depends on `pysrc`, `obfuscate` and `digest`.
 //!
+//! The tree now points into its source by span and carries offsets, not
+//! lines, so `PARSE_DIGEST` folds [`legacy`]: the `Debug` text of the tree
+//! the parser built when every name was an owned `String` and every
+//! statement carried its line, printed from spans, the line index and
+//! `pysrc`'s own renderers.
+//!
 //! A change to either constant needs a stated reason in the commit that
 //! makes it.
 
+use std::fmt::Write;
+
 use corpus::{mutate_dataset, CorpusConfig, Dataset};
 use obfuscate::EvasionProfile;
+use pysrc::{Expr, ImportedName, Module, Stmt};
 
 /// Recorded at commit 309ca55 (before ISSUE 21 touched `pysrc`).
 const LEX_DIGEST: u64 = 0xf9d8_07f2_ca66_ad12;
@@ -47,6 +56,162 @@ fn lex_spanned_output_is_pinned() {
 
 #[test]
 fn parse_module_output_is_pinned() {
-    let got = fold(|src| format!("{:?}", pysrc::parse_module(src)));
+    let got = fold(|src| legacy(&pysrc::parse_module(src)));
     assert_eq!(got, PARSE_DIGEST, "parse digest is now {got:#018x}");
+}
+
+/// The `Debug` text of the owned-string tree `module` replaces:
+/// `Module { body: [Import { modules: [ImportedName { path: "os", alias:
+/// None }], line: 1 }, ..] }`. Names print as their text, import paths
+/// and class bases as dotted names, assignment targets and block headers
+/// as `pysrc` renders them, offsets as lines.
+fn legacy(module: &Module) -> String {
+    let mut out = String::from("Module { body: ");
+    stmts(module, &module.body, &mut out);
+    out.push_str(" }");
+    out
+}
+
+fn list<T>(items: &[T], out: &mut String, mut item: impl FnMut(&T, &mut String)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(x, out);
+    }
+    out.push(']');
+}
+
+fn stmts(m: &Module, body: &[Stmt], out: &mut String) {
+    list(body, out, |s, out| stmt(m, s, out));
+}
+
+fn names(m: &Module, names: &[ImportedName], out: &mut String) {
+    let src = m.source();
+    list(names, out, |n, out| {
+        let alias = n.alias.map(|a| a.text(src));
+        let _ = write!(
+            out,
+            "ImportedName {{ path: {:?}, alias: {alias:?} }}",
+            n.path.dotted(src)
+        );
+    });
+}
+
+fn stmt(m: &Module, stmt: &Stmt, out: &mut String) {
+    let src = m.source();
+    let line = m.line(stmt);
+    match stmt {
+        Stmt::Import { modules, .. } => {
+            out.push_str("Import { modules: ");
+            names(m, modules, out);
+        }
+        Stmt::FromImport {
+            module, names: n, ..
+        } => {
+            let _ = write!(
+                out,
+                "FromImport {{ module: {:?}, names: ",
+                module.dotted(src)
+            );
+            names(m, n, out);
+        }
+        Stmt::FunctionDef {
+            name, params, body, ..
+        }
+        | Stmt::ClassDef {
+            name,
+            bases: params,
+            body,
+            ..
+        } => {
+            let (kind, field) = match stmt {
+                Stmt::FunctionDef { .. } => ("FunctionDef", "params"),
+                _ => ("ClassDef", "bases"),
+            };
+            let _ = write!(out, "{kind} {{ name: {:?}, {field}: ", name.text(src));
+            list(params, out, |p, out| {
+                let _ = write!(out, "{:?}", p.dotted(src));
+            });
+            out.push_str(", body: ");
+            stmts(m, body, out);
+        }
+        Stmt::Assign { targets, value, .. } => {
+            out.push_str("Assign { targets: ");
+            list(targets, out, |t, out| {
+                let _ = write!(out, "{:?}", t.to_text(src));
+            });
+            out.push_str(", value: ");
+            expr(src, value, out);
+        }
+        Stmt::Expr { value, .. } => {
+            out.push_str("Expr { value: ");
+            expr(src, value, out);
+        }
+        Stmt::Return { value, .. } => {
+            out.push_str("Return { value: ");
+            match value {
+                Some(v) => {
+                    out.push_str("Some(");
+                    expr(src, v, out);
+                    out.push(')');
+                }
+                None => out.push_str("None"),
+            }
+        }
+        Stmt::Block { keyword, body, .. } => {
+            let header = stmt.to_text(src);
+            let _ = write!(
+                out,
+                "Block {{ keyword: {keyword:?}, header: {header:?}, body: "
+            );
+            stmts(m, body, out);
+        }
+        Stmt::Other { text, .. } => {
+            let _ = write!(out, "Other {{ text: {text:?}");
+        }
+    }
+    let _ = write!(out, ", line: {line} }}");
+}
+
+fn expr(src: &str, e: &Expr, out: &mut String) {
+    match e {
+        Expr::Name(s) => {
+            let _ = write!(out, "Name({:?})", s.text(src));
+        }
+        Expr::Str(s) => {
+            let _ = write!(out, "Str({:?})", s.text(src));
+        }
+        Expr::Num(s) => {
+            let _ = write!(out, "Num({:?})", s.text(src));
+        }
+        Expr::Attribute { value, attr } => {
+            out.push_str("Attribute { value: ");
+            expr(src, value, out);
+            let _ = write!(out, ", attr: {:?} }}", attr.text(src));
+        }
+        Expr::Call { func, args } => {
+            out.push_str("Call { func: ");
+            expr(src, func, out);
+            out.push_str(", args: ");
+            list(args, out, |a, out| {
+                let name = a.name.map(|n| n.text(src));
+                let _ = write!(out, "Arg {{ name: {name:?}, value: ");
+                expr(src, &a.value, out);
+                out.push_str(" }");
+            });
+            out.push_str(" }");
+        }
+        Expr::BinOp { left, op, right } => {
+            out.push_str("BinOp { left: ");
+            expr(src, left, out);
+            let _ = write!(out, ", op: {op:?}, right: ");
+            expr(src, right, out);
+            out.push_str(" }");
+        }
+        Expr::Other(text) => {
+            let _ = write!(out, "Other({text:?})");
+        }
+    }
 }

@@ -10,14 +10,15 @@
 //! is linear in statement count and output is deterministic.
 //!
 //! Names and constants borrow the module: a scope is keyed by slices of
-//! its statements' text, a literal evaluates to a borrowed constant,
-//! and a child scope overlays its parent instead of copying it. Callee
-//! paths are built in reusable buffers.
+//! its source text, a literal evaluates to a borrowed constant, and a
+//! child scope overlays its parent instead of copying it. Callee paths are
+//! built in reusable buffers. Block headers are evaluated from the
+//! expressions the parser already built ([`pysrc::Header`]).
 
 use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, HashSet};
 
-use pysrc::{Arg, Expr, Module, Stmt};
+use pysrc::{Arg, Expr, Header, Module, Stmt};
 
 use crate::catalog::{is_startup_path, sink_of, source_of, SinkKind, SourceKind};
 use crate::fold;
@@ -164,7 +165,8 @@ impl<'e> Value<'e> {
     }
 }
 
-struct Analyzer {
+struct Analyzer<'m> {
+    module: &'m Module,
     flows: Vec<FlowFinding>,
     flow_keys: HashSet<(String, String)>,
     folded: Vec<FoldedConst>,
@@ -176,13 +178,14 @@ struct Analyzer {
 /// Runs the taint analysis over a parsed module.
 pub fn analyze(module: &Module) -> TaintSummary {
     let mut a = Analyzer {
+        module,
         flows: Vec::new(),
         flow_keys: HashSet::new(),
         folded: Vec::new(),
         paths: Vec::new(),
     };
     let mut globals = BTreeMap::new();
-    collect_global_aliases(&module.body, &mut globals);
+    collect_global_aliases(&module.body, module.source(), &mut globals);
     let mut scope = Scope {
         parent: None,
         vars: BTreeMap::new(),
@@ -201,43 +204,41 @@ pub fn analyze(module: &Module) -> TaintSummary {
     }
 }
 
-impl Analyzer {
-    fn walk<'m>(&mut self, body: &'m [Stmt], scope: &mut Scope<'m, '_>) {
+impl<'m> Analyzer<'m> {
+    fn walk(&mut self, body: &'m [Stmt], scope: &mut Scope<'m, '_>) {
         for stmt in body {
             self.stmt(stmt, scope);
         }
     }
 
-    fn stmt<'m>(&mut self, stmt: &'m Stmt, scope: &mut Scope<'m, '_>) {
+    fn stmt(&mut self, stmt: &'m Stmt, scope: &mut Scope<'m, '_>) {
+        let (src, line) = (self.module.source(), self.module.line(stmt));
         match stmt {
             Stmt::Import { modules, .. } => {
                 for m in modules {
                     let target = match &m.alias {
-                        Some(_) => m.path.as_str(),
+                        Some(_) => m.path.dotted(src),
                         // `import a.b` binds `a`, naming module `a`.
-                        None => m.binding(),
+                        None => Cow::Borrowed(m.binding(src)),
                     };
-                    scope.aliases.insert(m.binding(), Cow::Borrowed(target));
+                    scope.aliases.insert(m.binding(src), target);
                 }
             }
             Stmt::FromImport { module, names, .. } => {
                 for n in names {
-                    if n.path == "*" {
+                    let name = n.path.text(src);
+                    if name == "*" {
                         continue;
                     }
-                    let target = format!("{module}.{}", n.path);
-                    scope.aliases.insert(n.binding(), Cow::Owned(target));
+                    let target = format!("{}.{name}", module.dotted(src));
+                    scope.aliases.insert(n.binding(src), Cow::Owned(target));
                 }
             }
-            Stmt::Assign {
-                targets,
-                value,
-                line,
-            } => {
-                let v = self.eval(value, scope, *line);
-                self.record_fold(*line, &v);
+            Stmt::Assign { targets, value, .. } => {
+                let v = self.eval(value, scope, line);
+                self.record_fold(line, &v);
                 for target in targets {
-                    let base = target_base(target);
+                    let base = target_base(target, src);
                     if base.is_empty() {
                         continue;
                     }
@@ -245,32 +246,27 @@ impl Analyzer {
                     if v.taints.is_empty() {
                         scope.set_var(Cow::Borrowed(base), None);
                     } else {
-                        let note = clip(format!("{base} = {}", expr_summary(value)));
-                        scope.set_var(Cow::Borrowed(base), Some(stepped(&v.taints, *line, &note)));
+                        let note = clip(format!("{base} = {}", clip(value.to_text(src))));
+                        scope.set_var(Cow::Borrowed(base), Some(stepped(&v.taints, line, &note)));
                     }
                 }
             }
-            Stmt::Expr { value, line } => {
-                let v = self.eval(value, scope, *line);
-                self.record_fold(*line, &v);
-            }
-            Stmt::Return { value, line } => {
-                // Not a sink: returning tainted data to an unknown
-                // caller is the legit half of the corpus (version
-                // strings, API lookups). Evaluate for sinks *inside*
-                // the returned expression only.
-                if let Some(value) = value {
-                    let v = self.eval(value, scope, *line);
-                    self.record_fold(*line, &v);
-                }
-            }
-            Stmt::Block {
-                keyword,
-                header,
-                body,
-                line,
+            Stmt::Expr { value, .. }
+            | Stmt::Return {
+                value: Some(value), ..
             } => {
-                self.block_header(keyword, header, scope, *line);
+                // A return is not a sink: returning tainted data to an
+                // unknown caller is the legit half of the corpus (version
+                // strings, API lookups). Evaluate for sinks *inside* the
+                // returned expression only.
+                let v = self.eval(value, scope, line);
+                self.record_fold(line, &v);
+            }
+            Stmt::Return { value: None, .. } => {}
+            Stmt::Block { parsed, body, .. } => {
+                if let Some(header) = parsed {
+                    self.block_header(header, scope, line);
+                }
                 self.walk(body, scope);
             }
             Stmt::FunctionDef { params, body, .. }
@@ -283,6 +279,8 @@ impl Analyzer {
                 // shadow (and are untainted — intra-procedural).
                 let mut child = scope.child();
                 for p in params {
+                    // A dotted base binds nothing a name could look up.
+                    let p = p.text(src);
                     child.set_var(Cow::Borrowed(p), None);
                     child.set_const(p, None);
                 }
@@ -295,7 +293,7 @@ impl Analyzer {
                 // instead, kill constness/taint of any identifier
                 // assigned in the text to stay conservative.
                 if let Some(eq) = text.find('=') {
-                    let base = target_base(text[..eq].trim());
+                    let base = leading_ident(text[..eq].trim());
                     if !base.is_empty() {
                         scope.set_const(base, None);
                     }
@@ -306,66 +304,25 @@ impl Analyzer {
 
     /// `with X as v:` / `for v in X:` headers bind names; conditions
     /// can contain source/sink calls. The header's expression is
-    /// re-parsed and evaluated in the block's scope.
-    fn block_header<'m>(
-        &mut self,
-        keyword: &str,
-        header: &'m str,
-        scope: &mut Scope<'m, '_>,
-        line: usize,
-    ) {
-        let rest = header.strip_prefix(keyword).unwrap_or(header).trim();
-        if rest.is_empty() {
-            return;
-        }
-        match keyword {
-            "with" => {
-                // `with EXPR as NAME[, EXPR as NAME]*:` — split items on
-                // top-level commas is overkill for the corpus; handle
-                // the common single item, last ` as ` wins.
-                let (expr_text, binding) = match rest.rfind(" as ") {
-                    Some(idx) => (&rest[..idx], Some(&rest[idx + 4..])),
-                    None => (rest, None),
-                };
-                let taints = self.eval_header(expr_text, scope, line);
-                if let Some(binding) = binding {
-                    bind_header_targets(binding, &taints, scope, line);
-                }
-            }
-            "for" => {
-                if let Some(idx) = rest.find(" in ") {
-                    let taints = self.eval_header(&rest[idx + 4..], scope, line);
-                    bind_header_targets(&rest[..idx], &taints, scope, line);
-                }
-            }
-            _ => {
-                // `if`/`while`/`elif` conditions can call sinks.
-                self.eval_header(rest, scope, line);
-            }
-        }
-    }
-
-    /// Parses header `text` and evaluates its leading expression; a text
-    /// that does not parse as one degrades to the identifier scan.
-    /// Records what folds and returns the taints.
-    fn eval_header(&mut self, text: &str, scope: &Scope<'_, '_>, line: usize) -> Vec<Taint> {
-        let module = pysrc::parse_module(text);
-        let v = match module.body.first() {
-            Some(Stmt::Expr { value, .. }) => self.eval(value, scope, line),
-            _ => self.scan_idents(text, scope),
-        };
+    /// evaluated in the block's scope.
+    fn block_header(&mut self, header: &'m Header, scope: &mut Scope<'m, '_>, line: usize) {
+        let v = self.eval(&header.value, scope, line);
         self.record_fold(line, &v);
-        v.taints
+        if let Some(target) = header.target {
+            bind_header_targets(target.text(self.module.source()), &v.taints, scope, line);
+        }
     }
 
-    fn eval<'e>(&mut self, expr: &'e Expr, scope: &Scope<'e, '_>, line: usize) -> Value<'e> {
+    fn eval(&mut self, expr: &'m Expr, scope: &Scope<'m, '_>, line: usize) -> Value<'m> {
+        let src = self.module.source();
         match expr {
             Expr::Name(n) => Value {
-                taints: scope.var(n).cloned().unwrap_or_default(),
-                cval: scope.constant(n).cloned(),
+                taints: scope.var(n.text(src)).cloned().unwrap_or_default(),
+                cval: scope.constant(n.text(src)).cloned(),
                 folded: false,
             },
-            Expr::Str(s) | Expr::Num(s) => Value::constant(Cow::Borrowed(s)),
+            Expr::Str(s) => Value::constant(Cow::Borrowed(s.text(src))),
+            Expr::Num(n) => Value::constant(Cow::Borrowed(n.text(src))),
             Expr::Attribute { value, .. } => {
                 // Taint flows through attribute access (`resp.text`),
                 // and a dotted path can itself be a source
@@ -374,7 +331,7 @@ impl Analyzer {
                 // folding at the enclosing call.
                 let mut v = self.eval(value, scope, line);
                 let mut path = self.paths.pop().unwrap_or_default();
-                callee_path(expr, scope, &mut path);
+                callee_path(expr, src, scope, &mut path);
                 if let Some(kind) = source_of(&path) {
                     add_taint(
                         &mut v.taints,
@@ -401,7 +358,7 @@ impl Analyzer {
                 for t in r.taints {
                     add_taint(&mut v.taints, t);
                 }
-                match (op.as_str(), &l.cval, &r.cval) {
+                match (*op, &l.cval, &r.cval) {
                     ("+", Some(a), Some(b)) => {
                         v.cval = Some(Cow::Owned(format!("{a}{b}")));
                         v.folded = true;
@@ -421,13 +378,13 @@ impl Analyzer {
         }
     }
 
-    fn eval_call<'e>(
+    fn eval_call(
         &mut self,
-        func: &'e Expr,
-        args: &'e [Arg],
-        scope: &Scope<'e, '_>,
+        func: &'m Expr,
+        args: &'m [Arg],
+        scope: &Scope<'m, '_>,
         line: usize,
-    ) -> Value<'e> {
+    ) -> Value<'m> {
         let mut path = self.paths.pop().unwrap_or_default();
         self.callee_path_with_consts(func, scope, line, &mut path);
 
@@ -436,7 +393,7 @@ impl Analyzer {
         let recv = self.eval(func, scope, line);
 
         // Arguments.
-        let mut arg_vals: Vec<Value<'e>> = Vec::with_capacity(args.len());
+        let mut arg_vals: Vec<Value<'m>> = Vec::with_capacity(args.len());
         for a in args {
             let v = self.eval(&a.value, scope, line);
             self.record_fold(line, &v);
@@ -454,7 +411,14 @@ impl Analyzer {
         }
 
         // Constant folding of decode/transform chains.
-        fold_call(&path, func, &arg_vals, &mut out, &recv);
+        fold_call(
+            &path,
+            func,
+            self.module.source(),
+            &arg_vals,
+            &mut out,
+            &recv,
+        );
 
         // Sink check: tainted data reaching a cataloged sink.
         if let Some(kind) = sink_of(&path) {
@@ -512,10 +476,10 @@ impl Analyzer {
     /// Appends the canonical dotted path of a callee to `out`, like
     /// [`callee_path`] but letting `getattr`'s name argument fold first
     /// (`getattr(os, 'sys' + 'tem')`) and resolving `__import__('m')`.
-    fn callee_path_with_consts<'e>(
+    fn callee_path_with_consts(
         &mut self,
-        func: &'e Expr,
-        scope: &Scope<'e, '_>,
+        func: &'m Expr,
+        scope: &Scope<'m, '_>,
         line: usize,
         out: &mut String,
     ) {
@@ -550,9 +514,9 @@ impl Analyzer {
                 if out.len() > start {
                     out.push('.');
                 }
-                out.push_str(attr);
+                out.push_str(attr.text(self.module.source()));
             }
-            _ => callee_path(func, scope, out),
+            _ => callee_path(func, self.module.source(), scope, out),
         }
     }
 
@@ -581,7 +545,7 @@ impl Analyzer {
     /// list literals, subscripts and tuples degrade to text, but taint
     /// must still flow through them (`requests.post(url, json={'email':
     /// email})`).
-    fn scan_idents<'e>(&mut self, text: &str, scope: &Scope<'_, '_>) -> Value<'e> {
+    fn scan_idents(&mut self, text: &str, scope: &Scope<'_, '_>) -> Value<'m> {
         let mut v = Value::default();
         for word in ident_words(text) {
             if let Some(ts) = scope.var(&word) {
@@ -613,6 +577,7 @@ impl Analyzer {
 fn fold_call<'e>(
     path: &str,
     func: &Expr,
+    src: &str,
     arg_vals: &[Value<'e>],
     out: &mut Value<'e>,
     recv: &Value<'e>,
@@ -633,7 +598,7 @@ fn fold_call<'e>(
             // `const.decode('utf-8')`, `.strip()`, ... — method on a
             // constant receiver preserves the constant.
             if let Expr::Attribute { attr, .. } = func {
-                if fold::const_preserving_method(attr) && recv.cval.is_some() {
+                if fold::const_preserving_method(attr.text(src)) && recv.cval.is_some() {
                     out.cval = recv.cval.clone();
                     out.folded = recv.folded;
                 }
@@ -649,20 +614,23 @@ fn fold_call<'e>(
 
 /// Appends the canonical dotted path of a callee to `out`, resolving
 /// import aliases. Appends nothing for shapes without a path.
-fn callee_path(expr: &Expr, scope: &Scope<'_, '_>, out: &mut String) {
+fn callee_path(expr: &Expr, src: &str, scope: &Scope<'_, '_>, out: &mut String) {
     match expr {
-        Expr::Name(n) => out.push_str(scope.alias(n).map_or(n, |a| a.as_ref())),
+        Expr::Name(n) => {
+            let n = n.text(src);
+            out.push_str(scope.alias(n).map_or(n, |a| a.as_ref()));
+        }
         Expr::Attribute { value, attr } => {
             let start = out.len();
-            callee_path(value, scope, out);
+            callee_path(value, src, scope, out);
             if out.len() > start {
                 out.push('.');
             }
-            out.push_str(attr);
+            out.push_str(attr.text(src));
         }
-        Expr::Call { func, .. } => callee_path(func, scope, out),
+        Expr::Call { func, .. } => callee_path(func, src, scope, out),
         Expr::Other(_) => {
-            let p = expr.func_path();
+            let p = expr.func_path(src);
             if !p.is_empty() {
                 resolve_first_segment(&p, scope, out);
             }
@@ -687,30 +655,34 @@ fn resolve_first_segment(path: &str, scope: &Scope<'_, '_>, out: &mut String) {
 
 /// Collects every import binding in the module, recursing into every
 /// nested body, for [`Scope::globals`].
-fn collect_global_aliases<'m>(body: &'m [Stmt], out: &mut BTreeMap<&'m str, Cow<'m, str>>) {
+fn collect_global_aliases<'m>(
+    body: &'m [Stmt],
+    src: &'m str,
+    out: &mut BTreeMap<&'m str, Cow<'m, str>>,
+) {
     for stmt in body {
         match stmt {
             Stmt::Import { modules, .. } => {
                 for m in modules {
-                    let target = match &m.alias {
-                        Some(_) => m.path.as_str(),
-                        None => m.binding(),
-                    };
-                    out.entry(m.binding()).or_insert(Cow::Borrowed(target));
+                    out.entry(m.binding(src)).or_insert_with(|| match &m.alias {
+                        Some(_) => m.path.dotted(src),
+                        None => Cow::Borrowed(m.binding(src)),
+                    });
                 }
             }
             Stmt::FromImport { module, names, .. } => {
                 for n in names {
-                    if n.path == "*" {
+                    let name = n.path.text(src);
+                    if name == "*" {
                         continue;
                     }
-                    out.entry(n.binding())
-                        .or_insert_with(|| Cow::Owned(format!("{module}.{}", n.path)));
+                    out.entry(n.binding(src))
+                        .or_insert_with(|| Cow::Owned(format!("{}.{name}", module.dotted(src))));
                 }
             }
             Stmt::FunctionDef { body, .. }
             | Stmt::ClassDef { body, .. }
-            | Stmt::Block { body, .. } => collect_global_aliases(body, out),
+            | Stmt::Block { body, .. } => collect_global_aliases(body, src, out),
             _ => {}
         }
     }
@@ -768,13 +740,25 @@ fn push_step(steps: &mut Vec<FlowStep>, line: usize, note: String) {
     });
 }
 
-/// The base identifier of an assignment target: `loot[t]` → `loot`,
-/// `obj.attr` → `obj`.
-fn target_base(target: &str) -> &str {
-    let end = target
+/// The base identifier of an assignment target, read off the front of
+/// its rendering: `loot[t]` → `loot`, `obj.attr` → `obj`, `'s'` → empty.
+fn target_base<'m>(target: &'m Expr, src: &'m str) -> &'m str {
+    match target {
+        Expr::Name(s) | Expr::Num(s) => leading_ident(s.text(src)),
+        Expr::Attribute { value: head, .. }
+        | Expr::Call { func: head, .. }
+        | Expr::BinOp { left: head, .. } => target_base(head, src),
+        Expr::Str(_) => "",
+        Expr::Other(text) => leading_ident(text),
+    }
+}
+
+/// The leading run of ASCII identifier bytes of `text`.
+fn leading_ident(text: &str) -> &str {
+    let end = text
         .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .unwrap_or(target.len());
-    &target[..end]
+        .unwrap_or(text.len());
+    &text[..end]
 }
 
 /// Identifier-shaped words in reconstructed text, skipping quoted runs
@@ -829,10 +813,6 @@ fn ident_words(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
             }
         }
     })
-}
-
-fn expr_summary(expr: &Expr) -> String {
-    clip(expr.to_text())
 }
 
 fn clip(mut s: String) -> String {
@@ -998,6 +978,16 @@ mod tests {
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].label, "flow:startup-open->startup-write");
         assert!(fs[0].source.contains(".bashrc"), "{fs:?}");
+    }
+
+    #[test]
+    fn async_blocks_read_their_headers_like_sync_ones() {
+        for prefix in ["", "async "] {
+            let src = format!("{prefix}with open(os.environ['K']) as f:\n    os.system(f)\n");
+            assert_eq!(flows(&src).len(), 1, "{src}");
+            let src = format!("{prefix}for line in os.popen('ps'):\n    os.kill(line, 9)\n");
+            assert_eq!(labels(&src), ["flow:proc-read->proc-control"], "{src}");
+        }
     }
 
     #[test]

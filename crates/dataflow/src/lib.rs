@@ -37,21 +37,18 @@
 //! # Allocation
 //!
 //! The engine borrows what the module already holds: scopes are keyed by
-//! slices of the module's text, a literal or a constant lookup yields a
+//! slices of the module's source, a literal or a constant lookup yields a
 //! borrowed constant, a function's scope overlays its parent's instead
-//! of copying it, and callee paths are built in reusable buffers. It
-//! still allocates for what it creates:
+//! of copying it, a block header is the expression the parser built for
+//! it, and callee paths are built in reusable buffers. It still allocates
+//! for what it creates:
 //!
 //! * **taint steps** — each binding a taint flows into gets its own copy
 //!   of the chain plus the new step's note;
 //! * **flow notes and findings** — the sink step, label, source and sink
 //!   of every reported [`FlowFinding`];
 //! * **folded constants** — every concatenation or decode that folds
-//!   builds its text, and a [`FoldedConst`] keeps a copy;
-//! * **block headers** — a header's text is re-parsed into an expression
-//!   tree: the lex borrows the text, the tree owns its names. Over the
-//!   tiny corpus and its mutants this is 110 338 of `analyze`'s 181 247
-//!   allocations (`tests/allocation_budget.rs`).
+//!   builds its text, and a [`FoldedConst`] keeps a copy.
 //!
 //! # Examples
 //!

@@ -177,7 +177,7 @@ mod tests {
                 .iter()
                 .filter(|s| {
                     matches!(s, pysrc::Stmt::Block { keyword, body, .. }
-                        if (keyword == "else" || keyword == "except") && !body.is_empty())
+                        if (*keyword == "else" || *keyword == "except") && !body.is_empty())
                 })
                 .count();
             assert_eq!(clause_bodies, 2, "seed {seed}: {out}");
@@ -194,7 +194,9 @@ mod tests {
             let out = apply(src, &mut StdRng::seed_from_u64(seed));
             let m = pysrc::parse_module(&out);
             let f = m.body.iter().find_map(|s| match s {
-                pysrc::Stmt::FunctionDef { name, body, .. } if name == "f" => Some(body.len()),
+                pysrc::Stmt::FunctionDef { name, body, .. } if name.text(&out) == "f" => {
+                    Some(body.len())
+                }
                 _ => None,
             });
             assert_eq!(f, Some(2), "seed {seed}: {out}");

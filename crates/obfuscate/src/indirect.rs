@@ -89,8 +89,9 @@ mod tests {
         let out = run(src, 3);
         let m = pysrc::parse_module(&out);
         let calls = pysrc::collect_calls(&m);
-        assert!(calls
-            .iter()
-            .any(|c| c.func_path().starts_with("getattr") || c.func_path().contains("Popen")));
+        assert!(calls.iter().any(|c| {
+            let path = c.func_path(&out);
+            path.starts_with("getattr") || path.contains("Popen")
+        }));
     }
 }

@@ -117,7 +117,7 @@ mod tests {
         // Still one def and one call of the same name.
         let m = pysrc::parse_module(&out);
         let name = match &m.body[0] {
-            pysrc::Stmt::FunctionDef { name, .. } => name.clone(),
+            pysrc::Stmt::FunctionDef { name, .. } => name.text(&out),
             other => panic!("unexpected {other:?}"),
         };
         assert!(out.contains(&format!("{name}()")));

@@ -159,20 +159,21 @@ pub fn render_setup_py(meta: &PackageMetadata, extra_body: &str) -> String {
 /// call and reading its keyword arguments.
 pub fn parse_setup_py(source: &str) -> Option<PackageMetadata> {
     let module = pysrc_parse(source);
+    let src = module.source();
     let calls = collect_calls(&module);
     for call in calls {
         if let pysrc::Expr::Call { func, args } = call {
-            if func.func_path() != "setup" {
+            if func.func_path(src) != "setup" {
                 continue;
             }
             let mut meta = PackageMetadata::default();
             for arg in args {
-                let Some(name) = arg.name.as_deref() else {
+                let Some(name) = arg.name.map(|n| n.text(src)) else {
                     continue;
                 };
                 let value = match &arg.value {
-                    pysrc::Expr::Str(s) => s.clone(),
-                    other => other.to_text(),
+                    pysrc::Expr::Str(s) => s.text(src).to_owned(),
+                    other => other.to_text(src),
                 };
                 match name {
                     "name" => meta.name = value,

@@ -31,7 +31,7 @@
 //!   predecessor's and the relexed window (from the empty table and the
 //!   whole stream it is `intern_strings`).
 //!
-//! # Tokens borrow the source
+//! # The tree borrows by span
 //!
 //! A [`SpannedToken<'src>`](SpannedToken) points into the text it was
 //! lexed from: identifiers, numbers and comments are `&'src str`,
@@ -43,15 +43,21 @@
 //! or a byte >= 0x80, which the lexer still appends byte-as-char (`'—'`
 //! lexes to `"â\u{80}\u{94}"`) until ROADMAP item 4 fixes that in its
 //! own PR. On the tiny corpus and its mutants 1 036 of 21 987 literals
-//! own their value. The parser and the interner copy each text once,
-//! where it enters the tree or the string table.
+//! own their value.
+//!
+//! The tree keeps the same discipline one level up. A [`Module`] copies
+//! its text once and its nodes hold [`Span`]s into it, so a parse
+//! allocates the tree's boxes and vectors, that copy and one
+//! [`LineIndex`]; it owns text only for a literal the lexer owns, for
+//! adjacent literals it concatenates and for what degrades to `Other`.
+//! The interner copies each distinct literal into the string table.
 //!
 //! # Examples
 //!
 //! ```
 //! let module = pysrc::parse_module("import os\nos.system('id')\n");
 //! let calls = pysrc::collect_calls(&module);
-//! assert_eq!(calls[0].func_path(), "os.system");
+//! assert_eq!(calls[0].func_path(module.source()), "os.system");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,13 +69,14 @@ mod parser;
 mod strings;
 mod token;
 
-pub use ast::{Arg, Expr, ImportedName, Module, Stmt};
+pub use ast::{Arg, Expr, Header, ImportedName, LineIndex, Literal, Module, Span, Stmt};
 pub use lexer::{cut_points, lex_spanned, lex_window, CutPoint, WindowLex};
 pub use parser::{parse_module, parse_tokens};
 pub use strings::{intern_strings, StringRef, StringTable};
 pub use token::{is_keyword, SpannedToken, Token, TokenKind, KEYWORDS};
 
-/// Collects every call expression in the module, depth-first.
+/// Collects every call expression in the module, depth-first. Block
+/// headers are not descended into: only the taint engine reads them.
 pub fn collect_calls(module: &Module) -> Vec<&Expr> {
     let mut out = Vec::new();
     for stmt in &module.body {
@@ -109,46 +116,50 @@ fn collect_calls_expr<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// Collects every string literal in the module (recursing into calls).
+/// Collects every string literal in the module (recursing into calls,
+/// not into block headers) with its statement's line.
 pub fn collect_strings(module: &Module) -> Vec<(&str, usize)> {
     let mut out = Vec::new();
     for stmt in &module.body {
-        collect_strings_stmt(stmt, &mut out);
+        collect_strings_stmt(module, stmt, &mut out);
     }
     out
 }
 
-fn collect_strings_stmt<'a>(stmt: &'a Stmt, out: &mut Vec<(&'a str, usize)>) {
+fn collect_strings_stmt<'a>(module: &'a Module, stmt: &'a Stmt, out: &mut Vec<(&'a str, usize)>) {
     match stmt {
-        Stmt::Expr { value, line } | Stmt::Assign { value, line, .. } => {
-            collect_strings_expr(value, *line, out)
-        }
-        Stmt::Return {
-            value: Some(value),
-            line,
-        } => collect_strings_expr(value, *line, out),
+        Stmt::Expr { value, .. }
+        | Stmt::Assign { value, .. }
+        | Stmt::Return {
+            value: Some(value), ..
+        } => collect_strings_expr(module, value, module.line(stmt), out),
         Stmt::FunctionDef { body, .. } | Stmt::ClassDef { body, .. } | Stmt::Block { body, .. } => {
             for s in body {
-                collect_strings_stmt(s, out);
+                collect_strings_stmt(module, s, out);
             }
         }
         _ => {}
     }
 }
 
-fn collect_strings_expr<'a>(expr: &'a Expr, line: usize, out: &mut Vec<(&'a str, usize)>) {
+fn collect_strings_expr<'a>(
+    module: &'a Module,
+    expr: &'a Expr,
+    line: usize,
+    out: &mut Vec<(&'a str, usize)>,
+) {
     match expr {
-        Expr::Str(s) => out.push((s.as_str(), line)),
+        Expr::Str(s) => out.push((s.text(module.source()), line)),
         Expr::Call { func, args } => {
-            collect_strings_expr(func, line, out);
+            collect_strings_expr(module, func, line, out);
             for a in args {
-                collect_strings_expr(&a.value, line, out);
+                collect_strings_expr(module, &a.value, line, out);
             }
         }
-        Expr::Attribute { value, .. } => collect_strings_expr(value, line, out),
+        Expr::Attribute { value, .. } => collect_strings_expr(module, value, line, out),
         Expr::BinOp { left, right, .. } => {
-            collect_strings_expr(left, line, out);
-            collect_strings_expr(right, line, out);
+            collect_strings_expr(module, left, line, out);
+            collect_strings_expr(module, right, line, out);
         }
         _ => {}
     }
@@ -157,26 +168,26 @@ fn collect_strings_expr<'a>(expr: &'a Expr, line: usize, out: &mut Vec<(&'a str,
 /// Collects imported module paths (`import x.y`, `from x import y`).
 pub fn collect_imports(module: &Module) -> Vec<String> {
     let mut out = Vec::new();
-    for stmt in &module.body {
-        collect_imports_stmt(stmt, &mut out);
-    }
+    collect_imports_stmts(&module.body, module.source(), &mut out);
     out
 }
 
-fn collect_imports_stmt(stmt: &Stmt, out: &mut Vec<String>) {
-    match stmt {
-        Stmt::Import { modules, .. } => out.extend(modules.iter().map(|m| m.path.clone())),
-        Stmt::FromImport { module, names, .. } => {
-            for n in names {
-                out.push(format!("{module}.{}", n.path));
+fn collect_imports_stmts(body: &[Stmt], src: &str, out: &mut Vec<String>) {
+    for stmt in body {
+        match stmt {
+            Stmt::Import { modules, .. } => {
+                out.extend(modules.iter().map(|m| m.path.dotted(src).into_owned()))
             }
-        }
-        Stmt::FunctionDef { body, .. } | Stmt::ClassDef { body, .. } | Stmt::Block { body, .. } => {
-            for s in body {
-                collect_imports_stmt(s, out);
+            Stmt::FromImport { module, names, .. } => {
+                for n in names {
+                    out.push(format!("{}.{}", module.dotted(src), n.path.text(src)));
+                }
             }
+            Stmt::FunctionDef { body, .. }
+            | Stmt::ClassDef { body, .. }
+            | Stmt::Block { body, .. } => collect_imports_stmts(body, src, out),
+            _ => {}
         }
-        _ => {}
     }
 }
 
@@ -188,7 +199,7 @@ mod tests {
     fn collect_calls_finds_nested() {
         let m = parse_module("exec(base64.b64decode(payload))\n");
         let calls = collect_calls(&m);
-        let names: Vec<String> = calls.iter().map(|c| c.func_path()).collect();
+        let names: Vec<String> = calls.iter().map(|c| c.func_path(m.source())).collect();
         assert!(names.contains(&"exec".to_owned()));
         assert!(names.contains(&"base64.b64decode".to_owned()));
     }

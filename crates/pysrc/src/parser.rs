@@ -1,6 +1,6 @@
 //! Tolerant recursive-descent parser over the token stream.
 
-use crate::ast::{Arg, Expr, ImportedName, Module, Stmt};
+use crate::ast::{offset, Arg, Expr, Header, ImportedName, Literal, Module, Span, Stmt};
 use crate::lexer::lex_spanned;
 use crate::token::{SpannedToken, Token, TokenKind};
 
@@ -11,36 +11,43 @@ use crate::token::{SpannedToken, Token, TokenKind};
 /// [`Stmt::Other`] nodes carrying reconstructed text, so downstream
 /// matchers always see the full file.
 pub fn parse_module(source: &str) -> Module {
-    parse_tokens(&lex_spanned(source))
+    parse_tokens(source, &lex_spanned(source))
 }
 
-/// Parses an already-lexed token stream, in place, into a [`Module`].
+/// Parses tokens lexed from `text`, in place, into a [`Module`] over a
+/// copy of `text`.
 ///
 /// This is the parser's front door: a caller that holds the tokens — the
 /// artifact builder, over a whole file's stream or the relexed window of
-/// an incremental splice — lends them and pays no second lex and no copy.
-/// Only the text that ends up in the tree is cloned. Same tolerance
-/// guarantees as [`parse_module`]. A stream that does not end in
-/// [`TokenKind::Eof`] is read as if one followed at the last token's line
-/// and column.
-pub fn parse_tokens(tokens: &[SpannedToken<'_>]) -> Module {
-    let (line, col) = tokens
+/// an incremental splice, both in `text`'s coordinates — lends them and
+/// pays no second lex. The tree points into `text` by span; it allocates
+/// its boxes and vectors, the module's one copy of `text` and its
+/// [`crate::LineIndex`], a value only for a literal the lexer owns or
+/// adjacent literals concatenate, and a rendering for what degrades to
+/// `Other`. Same tolerance guarantees as [`parse_module`]. A stream that
+/// does not end in [`TokenKind::Eof`] is read as if one followed at the
+/// last token.
+pub fn parse_tokens(text: &str, tokens: &[SpannedToken<'_>]) -> Module {
+    let eof = sentinel(tokens);
+    let body = Parser::new(text, tokens, &eof).statements(/*stop_at_dedent=*/ false);
+    Module::new(text, body)
+}
+
+/// An EOF token at the last token of `tokens`, read once a parser passes
+/// their end.
+fn sentinel<'src>(tokens: &[SpannedToken<'src>]) -> SpannedToken<'src> {
+    let (line, col, at) = tokens
         .last()
-        .map_or((1, 0), |t| (t.token.line, t.token.col));
-    let eof = Token {
-        kind: TokenKind::Eof,
-        line,
-        col,
-    };
-    let mut p = Parser {
-        tokens,
-        eof: &eof,
-        pos: 0,
-        block_depth: 0,
-        expr_depth: 0,
-    };
-    let body = p.statements(/*stop_at_dedent=*/ false);
-    Module { body }
+        .map_or((1, 0, 0), |t| (t.token.line, t.token.col, t.start));
+    SpannedToken {
+        token: Token {
+            kind: TokenKind::Eof,
+            line,
+            col,
+        },
+        start: at,
+        end: at,
+    }
 }
 
 /// Maximum nesting of indented blocks before the parser degrades the
@@ -54,34 +61,99 @@ const MAX_BLOCK_DEPTH: usize = 128;
 /// must not overflow the stack.
 const MAX_EXPR_DEPTH: usize = 96;
 
-/// A cursor over a borrowed token slice. `peek`/`bump` hand out
-/// references that live as long as the slice (not as long as `&self`),
-/// so a caller can keep a token's text across later bumps and clone it
-/// only when it lands in the tree.
+/// Keywords that open a [`Stmt::Block`].
+const BLOCK_KEYWORDS: [&str; 9] = [
+    "if", "elif", "else", "for", "while", "try", "except", "finally", "with",
+];
+
+/// Keywords kept as [`Expr::BinOp`] operators.
+const WORD_OPS: [&str; 5] = ["and", "or", "in", "is", "not"];
+
+/// A cursor over a borrowed token slice of `text`.
 struct Parser<'a, 'src> {
+    text: &'a str,
     tokens: &'a [SpannedToken<'src>],
     /// Sticky sentinel read once `pos` passes the slice.
-    eof: &'a Token<'src>,
+    eof: &'a SpannedToken<'src>,
     pos: usize,
     block_depth: usize,
     expr_depth: usize,
+    /// This parser reads one block header as a statement; a block header
+    /// inside it is not parsed (that statement degrades anyway), so a
+    /// chain of keywords cannot recurse.
+    in_header: bool,
+    /// The buffer `Other` renderings are built in (see
+    /// [`Parser::rendered`]).
+    scratch: String,
+}
+
+fn span(t: &SpannedToken<'_>) -> Span {
+    Span::new(t.start, t.end)
+}
+
+/// The span from the first of `tokens` to the last; empty at `at` when
+/// there are none.
+fn covering(tokens: &[SpannedToken<'_>], at: usize) -> Span {
+    let (first, last) = (tokens.first(), tokens.last());
+    Span::new(first.map_or(at, |t| t.start), last.map_or(at, |t| t.end))
+}
+
+fn is_bracket(kind: &TokenKind<'_>) -> bool {
+    matches!(kind, TokenKind::Op("(" | "[" | "{" | ")" | "]" | "}"))
+}
+
+/// `+=`, `//=`, ... (and `:=`): an operator that makes an assignment.
+fn is_augmented(op: &str) -> bool {
+    op.ends_with('=') && op.len() >= 2 && !matches!(op, "==" | "!=" | ">=" | "<=")
 }
 
 impl<'a, 'src> Parser<'a, 'src> {
+    fn new(text: &'a str, tokens: &'a [SpannedToken<'src>], eof: &'a SpannedToken<'src>) -> Self {
+        Parser {
+            text,
+            tokens,
+            eof,
+            pos: 0,
+            block_depth: 0,
+            expr_depth: 0,
+            in_header: false,
+            scratch: String::new(),
+        }
+    }
+
+    /// What `render` appends to an empty buffer, copied out at its exact
+    /// size: renderings are built in one buffer reused across the parse,
+    /// so each costs one allocation however it grew. (A rendering nested
+    /// in another builds in a buffer of its own.)
+    fn rendered(&mut self, render: impl FnOnce(&mut Self, &mut String)) -> String {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        render(self, &mut buf);
+        let text = buf.as_str().to_owned();
+        self.scratch = buf;
+        text
+    }
+
     fn peek(&self) -> &'a TokenKind<'src> {
-        &self.peek_token().kind
+        self.peek_token().kind()
     }
 
-    fn peek_token(&self) -> &'a Token<'src> {
-        self.tokens.get(self.pos).map_or(self.eof, |t| &t.token)
+    fn peek_token(&self) -> &'a SpannedToken<'src> {
+        self.tokens.get(self.pos).unwrap_or(self.eof)
     }
 
-    fn bump(&mut self) -> &'a Token<'src> {
+    fn bump(&mut self) -> &'a SpannedToken<'src> {
         let t = self.peek_token();
         if self.pos < self.tokens.len() {
             self.pos += 1;
         }
         t
+    }
+
+    /// An empty span at the next token: where a missing name would be.
+    fn nothing(&self) -> Span {
+        let at = self.peek_token().start;
+        Span::new(at, at)
     }
 
     fn eat_op(&mut self, op: &str) -> bool {
@@ -119,15 +191,16 @@ impl<'a, 'src> Parser<'a, 'src> {
                 }
                 TokenKind::Indent => {
                     // Unexpected indent — parse it as an anonymous block so
-                    // nested statements are still visible. It takes the
-                    // INDENT's line, where its first statement starts.
-                    let line = self.bump().line;
+                    // nested statements are still visible. It starts at
+                    // the INDENT, which is where its first statement is.
+                    let start = self.bump().start;
                     let inner = self.indented_body();
                     body.push(Stmt::Block {
-                        keyword: String::new(),
-                        header: String::new(),
+                        keyword: "",
+                        header: Span::new(start, start),
+                        parsed: None,
                         body: inner,
-                        line,
+                        start: offset(start),
                     });
                 }
                 _ => body.push(self.statement()),
@@ -137,109 +210,117 @@ impl<'a, 'src> Parser<'a, 'src> {
     }
 
     fn statement(&mut self) -> Stmt {
-        let line = self.peek_token().line;
+        let start = offset(self.peek_token().start);
         if let TokenKind::Ident(word) = self.peek() {
             match *word {
-                "import" => return self.import_stmt(line),
-                "from" => return self.parse_from_import(line),
-                "def" => return self.def_stmt(line),
-                "class" => return self.class_stmt(line),
-                "return" => return self.return_stmt(line),
+                "import" => return self.import_stmt(start),
+                "from" => return self.parse_from_import(start),
+                "def" => return self.def_stmt(start),
+                "class" => return self.class_stmt(start),
+                "return" => return self.return_stmt(start),
                 "async" => {
-                    // `async def` — consume the marker and recurse.
+                    // `async def` / `with` / `for` — consume the marker and
+                    // parse the synchronous form.
                     self.bump();
-                    if matches!(self.peek(), TokenKind::Ident("def")) {
-                        return self.def_stmt(line);
-                    }
-                    return self.block_stmt("async", line);
+                    return match self.peek() {
+                        TokenKind::Ident("def") => self.def_stmt(start),
+                        TokenKind::Ident("with") => self.block_stmt("with", start),
+                        TokenKind::Ident("for") => self.block_stmt("for", start),
+                        _ => self.block_stmt("async", start),
+                    };
                 }
-                "if" | "elif" | "else" | "for" | "while" | "try" | "except" | "finally"
-                | "with" => return self.block_stmt(word, line),
                 "pass" | "break" | "continue" => {
                     self.bump();
-                    self.consume_to_newline();
+                    self.finish_line(None);
                     return Stmt::Other {
                         text: (*word).to_owned(),
-                        line,
+                        start,
                     };
                 }
                 "raise" | "assert" | "del" | "global" | "nonlocal" | "yield" | "lambda" => {
-                    let text = self.consume_to_newline();
-                    return Stmt::Other { text, line };
+                    let text = self.line_text();
+                    return Stmt::Other { text, start };
                 }
-                _ => {}
+                _ => {
+                    if let Some(keyword) = BLOCK_KEYWORDS.iter().find(|k| *k == word) {
+                        return self.block_stmt(keyword, start);
+                    }
+                }
             }
         }
         if matches!(self.peek(), TokenKind::Op("@")) {
             // Decorator — record as Other and continue.
-            let text = self.consume_to_newline();
-            return Stmt::Other { text, line };
+            let text = self.line_text();
+            return Stmt::Other { text, start };
         }
         // Expression or assignment.
         let expr = self.expression();
         if matches!(self.peek(), TokenKind::Op("=")) {
-            let mut targets = vec![expr.to_text()];
+            let mut targets = vec![expr];
             let mut value = None;
             while self.eat_op("=") {
                 let next = self.expression();
                 if matches!(self.peek(), TokenKind::Op("=")) {
-                    targets.push(next.to_text());
+                    targets.push(next);
                 } else {
                     value = Some(next);
                     break;
                 }
             }
-            self.consume_to_newline();
+            self.finish_line(None);
             return Stmt::Assign {
                 targets,
                 value: value.unwrap_or(Expr::Other(String::new())),
-                line,
+                start,
             };
         }
         // Augmented assignment — keep RHS as the value.
-        if matches!(self.peek(), TokenKind::Op(o) if o.ends_with('=') && o.len() >= 2 && !matches!(*o, "==" | "!=" | ">=" | "<="))
-        {
+        if matches!(self.peek(), TokenKind::Op(o) if is_augmented(o)) {
             self.bump();
             let value = self.expression();
-            self.consume_to_newline();
+            self.finish_line(None);
             return Stmt::Assign {
-                targets: vec![expr.to_text()],
+                targets: vec![expr],
                 value,
-                line,
+                start,
             };
         }
-        self.consume_to_newline();
-        Stmt::Expr { value: expr, line }
+        self.finish_line(None);
+        Stmt::Expr { value: expr, start }
     }
 
-    fn import_stmt(&mut self, line: usize) -> Stmt {
+    /// After an `as`: the alias name, if one follows.
+    fn alias(&mut self) -> Option<Span> {
+        if !matches!(self.peek(), TokenKind::Ident("as")) {
+            return None;
+        }
+        self.bump();
+        let alias = matches!(self.peek(), TokenKind::Ident(_)).then(|| span(self.peek_token()));
+        self.bump();
+        alias
+    }
+
+    fn import_stmt(&mut self, start: u32) -> Stmt {
         self.bump(); // 'import'
         let mut modules = Vec::new();
         loop {
             let path = self.dotted_name();
-            if path.is_empty() {
+            if path.start == path.end {
                 break;
             }
             // `import x as y` — keep the alias: it is the name the rest
             // of the file binds, and taint alias resolution needs it.
-            let mut alias = None;
-            if matches!(self.peek(), TokenKind::Ident("as")) {
-                self.bump();
-                if let TokenKind::Ident(a) = self.peek() {
-                    alias = Some((*a).to_owned());
-                }
-                self.bump();
-            }
+            let alias = self.alias();
             modules.push(ImportedName { path, alias });
             if !self.eat_op(",") {
                 break;
             }
         }
-        self.consume_to_newline();
-        Stmt::Import { modules, line }
+        self.finish_line(None);
+        Stmt::Import { modules, start }
     }
 
-    fn parse_from_import(&mut self, line: usize) -> Stmt {
+    fn parse_from_import(&mut self, start: u32) -> Stmt {
         self.bump(); // 'from'
         let module = self.dotted_name();
         let mut names = Vec::new();
@@ -248,25 +329,17 @@ impl<'a, 'src> Parser<'a, 'src> {
             let parenthesized = self.eat_op("(");
             loop {
                 match self.peek() {
-                    TokenKind::Ident(w) => {
-                        let name = (*w).to_owned();
-                        self.bump();
-                        let mut alias = None;
-                        if matches!(self.peek(), TokenKind::Ident("as")) {
-                            self.bump();
-                            if let TokenKind::Ident(a) = self.peek() {
-                                alias = Some((*a).to_owned());
-                            }
-                            self.bump();
-                        }
-                        names.push(ImportedName { path: name, alias });
+                    TokenKind::Ident(_) => {
+                        let path = span(self.bump());
+                        let alias = self.alias();
+                        names.push(ImportedName { path, alias });
                         if !self.eat_op(",") {
                             break;
                         }
                     }
                     TokenKind::Op("*") => {
-                        self.bump();
-                        names.push(ImportedName::plain("*"));
+                        let path = span(self.bump());
+                        names.push(ImportedName { path, alias: None });
                         break;
                     }
                     _ => break,
@@ -276,62 +349,54 @@ impl<'a, 'src> Parser<'a, 'src> {
                 self.eat_op(")");
             }
         }
-        self.consume_to_newline();
+        self.finish_line(None);
         Stmt::FromImport {
             module,
             names,
-            line,
+            start,
         }
     }
 
-    fn dotted_name(&mut self) -> String {
-        let mut parts = Vec::new();
-        while let TokenKind::Ident(w) = self.peek() {
-            parts.push(*w);
-            self.bump();
+    /// `a.b.c`: from the first name to the last (empty when no name is
+    /// next; a trailing dot is consumed but not covered).
+    fn dotted_name(&mut self) -> Span {
+        let mut path = self.nothing();
+        while let TokenKind::Ident(_) = self.peek() {
+            path.end = span(self.bump()).end;
             if !self.eat_op(".") {
                 break;
             }
         }
-        parts.join(".")
+        path
     }
 
-    fn def_stmt(&mut self, line: usize) -> Stmt {
+    /// The name after `def` / `class`, or an empty span.
+    fn name(&mut self) -> Span {
+        match self.peek() {
+            TokenKind::Ident(_) => span(self.bump()),
+            _ => self.nothing(),
+        }
+    }
+
+    fn def_stmt(&mut self, start: u32) -> Stmt {
         self.bump(); // 'def'
-        let name = match self.peek() {
-            TokenKind::Ident(w) => {
-                self.bump();
-                (*w).to_owned()
-            }
-            _ => String::new(),
-        };
+        let name = self.name();
         let mut params = Vec::new();
         if self.eat_op("(") {
             let mut depth = 1usize;
             let mut expect_param = true;
             while depth > 0 && !self.at_eof() {
                 match self.peek() {
-                    TokenKind::Op("(" | "[" | "{") => {
-                        depth += 1;
-                        self.bump();
-                    }
-                    TokenKind::Op(")" | "]" | "}") => {
-                        depth -= 1;
-                        self.bump();
-                    }
-                    TokenKind::Op(",") if depth == 1 => {
-                        expect_param = true;
-                        self.bump();
-                    }
-                    TokenKind::Ident(w) if depth == 1 && expect_param => {
-                        params.push((*w).to_owned());
+                    TokenKind::Op("(" | "[" | "{") => depth += 1,
+                    TokenKind::Op(")" | "]" | "}") => depth -= 1,
+                    TokenKind::Op(",") if depth == 1 => expect_param = true,
+                    TokenKind::Ident(_) if depth == 1 && expect_param => {
+                        params.push(span(self.peek_token()));
                         expect_param = false;
-                        self.bump();
                     }
-                    _ => {
-                        self.bump();
-                    }
+                    _ => {}
                 }
+                self.bump();
             }
         }
         let body = self.suite();
@@ -339,19 +404,13 @@ impl<'a, 'src> Parser<'a, 'src> {
             name,
             params,
             body,
-            line,
+            start,
         }
     }
 
-    fn class_stmt(&mut self, line: usize) -> Stmt {
+    fn class_stmt(&mut self, start: u32) -> Stmt {
         self.bump(); // 'class'
-        let name = match self.peek() {
-            TokenKind::Ident(w) => {
-                self.bump();
-                (*w).to_owned()
-            }
-            _ => String::new(),
-        };
+        let name = self.name();
         let mut bases = Vec::new();
         if self.eat_op("(") {
             while !self.at_eof() {
@@ -365,7 +424,7 @@ impl<'a, 'src> Parser<'a, 'src> {
                     }
                     _ => {
                         let base = self.dotted_name();
-                        if base.is_empty() {
+                        if base.start == base.end {
                             self.bump();
                         } else {
                             bases.push(base);
@@ -379,57 +438,91 @@ impl<'a, 'src> Parser<'a, 'src> {
             name,
             bases,
             body,
-            line,
+            start,
         }
     }
 
-    fn return_stmt(&mut self, line: usize) -> Stmt {
+    fn return_stmt(&mut self, start: u32) -> Stmt {
         self.bump(); // 'return'
         let value = if matches!(self.peek(), TokenKind::Newline | TokenKind::Eof) {
             None
         } else {
             Some(self.expression())
         };
-        self.consume_to_newline();
-        Stmt::Return { value, line }
+        self.finish_line(None);
+        Stmt::Return { value, start }
     }
 
-    fn block_stmt(&mut self, keyword: &str, line: usize) -> Stmt {
-        self.bump(); // keyword
-                     // Header: tokens until ':' at bracket depth zero.
-        let mut header = keyword.to_owned();
-        let mut depth = 0usize;
-        loop {
-            match self.peek() {
-                TokenKind::Op(":") if depth == 0 => {
-                    self.bump();
-                    break;
-                }
-                TokenKind::Op(o @ ("(" | "[" | "{")) => {
-                    depth += 1;
-                    header.push_str(o);
-                    self.bump();
-                }
-                TokenKind::Op(o @ (")" | "]" | "}")) => {
-                    depth = depth.saturating_sub(1);
-                    header.push_str(o);
-                    self.bump();
-                }
-                TokenKind::Newline | TokenKind::Eof => break,
-                other => {
-                    header.push(' ');
-                    render_into(&mut header, other);
-                    self.bump();
-                }
-            }
-        }
+    fn block_stmt(&mut self, keyword: &'static str, start: u32) -> Stmt {
+        let after = self.bump().end; // keyword
+        let rest = &self.tokens[self.pos..];
+        let tokens = &rest[..header_len(rest)];
+        self.pos += tokens.len();
+        self.eat_op(":");
+        let header = covering(tokens, after);
+        let parsed = match self.in_header {
+            true => None,
+            false => self.header(keyword, tokens),
+        };
         let body = self.suite();
         Stmt::Block {
-            keyword: keyword.to_owned(),
+            keyword,
             header,
+            parsed,
             body,
-            line,
+            start,
         }
+    }
+
+    /// The taint engine's reading of a block header (see [`Header`]).
+    fn header(&mut self, keyword: &str, tokens: &[SpannedToken<'src>]) -> Option<Box<Header>> {
+        let cut = |word: &str, i: &usize| {
+            *i > 0
+                && matches!(tokens[*i].kind(), TokenKind::Ident(w) if *w == word)
+                && tokens.get(i + 1).is_some_and(|t| !is_bracket(t.kind()))
+        };
+        let (value, target) = match keyword {
+            "for" => {
+                let i = (0..tokens.len()).find(|i| cut("in", i))?;
+                (&tokens[i + 1..], Some(&tokens[..i]))
+            }
+            "with" => match (0..tokens.len()).rev().find(|i| cut("as", i)) {
+                Some(i) => (&tokens[..i], Some(&tokens[i + 1..])),
+                None => (tokens, None),
+            },
+            _ => (tokens, None),
+        };
+        if value.is_empty() {
+            return None;
+        }
+        let target = target.map(|t| covering(t, 0));
+        let value = self.header_expr(value);
+        Some(Box::new(Header { value, target }))
+    }
+
+    /// `tokens` read as a statement of their own: its expression when it
+    /// is an expression statement, else their rendering as
+    /// [`Expr::Other`].
+    fn header_expr(&mut self, tokens: &[SpannedToken<'src>]) -> Expr {
+        let eof = sentinel(tokens);
+        let mut p = Parser::new(self.text, tokens, &eof);
+        p.in_header = true;
+        p.scratch = std::mem::take(&mut self.scratch);
+        p.skip_newlines_and_comments();
+        let value = match p.at_eof() {
+            false => match p.statement() {
+                Stmt::Expr { value, .. } => Some(value),
+                _ => None,
+            },
+            true => None,
+        };
+        self.scratch = p.scratch;
+        value.unwrap_or_else(|| {
+            Expr::Other(self.rendered(|_, text| {
+                write_tokens(tokens, text);
+                trim(text);
+            }))
+        })
     }
 
     /// Parses an indented body whose INDENT was just consumed, degrading
@@ -449,11 +542,17 @@ impl<'a, 'src> Parser<'a, 'src> {
     /// already-consumed INDENT, reconstructing the text so the block stays
     /// visible to string-level matchers.
     fn skip_block_as_other(&mut self) -> Stmt {
-        let line = self.peek_token().line;
+        let start = offset(self.peek_token().start);
+        let text = self.rendered(|p, text| p.render_block(text));
+        Stmt::Other { text, start }
+    }
+
+    /// Consumes the rest of an indented block, rendering its tokens.
+    fn render_block(&mut self, text: &mut String) {
         let mut depth = 1usize;
-        let mut text = String::new();
         while !self.at_eof() {
-            match self.peek() {
+            let kind = self.peek();
+            match kind {
                 TokenKind::Indent => depth += 1,
                 TokenKind::Dedent => {
                     depth -= 1;
@@ -466,18 +565,15 @@ impl<'a, 'src> Parser<'a, 'src> {
             }
             // Bound the reconstruction: past 64 KiB the text is noise.
             if text.len() < 64 * 1024 {
-                let piece = render(self.peek());
-                if !piece.is_empty() && !text.ends_with([' ', '\n']) && !text.is_empty() {
+                let empty = matches!(kind, TokenKind::Indent | TokenKind::Dedent);
+                if !empty && !text.ends_with([' ', '\n']) && !text.is_empty() {
                     text.push(' ');
                 }
-                text.push_str(&piece);
+                render_into(text, kind);
             }
             self.bump();
         }
-        Stmt::Other {
-            text: text.trim().to_owned(),
-            line,
-        }
+        trim(text);
     }
 
     /// Parses the body after a colon: either an indented block or an
@@ -500,16 +596,19 @@ impl<'a, 'src> Parser<'a, 'src> {
         vec![self.statement()]
     }
 
-    fn consume_to_newline(&mut self) -> String {
-        let mut text = String::new();
+    /// Consumes the rest of the logical line and its NEWLINE, appending
+    /// the tokens' text, space-separated, to `text` when one is given.
+    fn finish_line(&mut self, mut text: Option<&mut String>) {
         loop {
             match self.peek() {
                 TokenKind::Newline | TokenKind::Eof | TokenKind::Dedent => break,
                 other => {
-                    if !text.is_empty() {
-                        text.push(' ');
+                    if let Some(text) = text.as_deref_mut() {
+                        if !text.is_empty() {
+                            text.push(' ');
+                        }
+                        render_into(text, other);
                     }
-                    render_into(&mut text, other);
                     self.bump();
                 }
             }
@@ -517,7 +616,11 @@ impl<'a, 'src> Parser<'a, 'src> {
         if matches!(self.peek(), TokenKind::Newline) {
             self.bump();
         }
-        text
+    }
+
+    /// The rest of the logical line as text (see [`Parser::finish_line`]).
+    fn line_text(&mut self) -> String {
+        self.rendered(|p, text| p.finish_line(Some(text)))
     }
 
     // ---- expressions ----
@@ -529,8 +632,11 @@ impl<'a, 'src> Parser<'a, 'src> {
                 TokenKind::Op(
                     o @ ("+" | "-" | "*" | "/" | "%" | "//" | "**" | "|" | "&" | "^" | "==" | "!="
                     | "<" | ">" | "<=" | ">=" | ">>" | "<<"),
-                ) => (*o).to_owned(),
-                TokenKind::Ident(w @ ("and" | "or" | "in" | "is" | "not")) => (*w).to_owned(),
+                ) => *o,
+                TokenKind::Ident(w) => match WORD_OPS.iter().find(|op| *op == w) {
+                    Some(op) => op,
+                    None => break,
+                },
                 _ => break,
             };
             self.bump();
@@ -549,16 +655,17 @@ impl<'a, 'src> Parser<'a, 'src> {
         // unary chains) passes through here; past the cap, consume one
         // token and degrade so hostile nesting cannot overflow the stack.
         if self.expr_depth >= MAX_EXPR_DEPTH {
-            return Expr::Other(render(&self.bump().kind));
+            return self.token_other();
         }
         self.expr_depth += 1;
         let expr = if matches!(self.peek(), TokenKind::Op("-" | "+" | "~"))
             || matches!(self.peek(), TokenKind::Ident("not"))
         {
-            let op = render(self.peek());
-            self.bump();
-            let inner = self.unary();
-            Expr::Other(format!("{op} {}", inner.to_text()))
+            Expr::Other(self.rendered(|p, text| {
+                render_into(text, p.bump().kind());
+                text.push(' ');
+                p.unary().write_text(p.text, text);
+            }))
         } else {
             self.postfix()
         };
@@ -572,11 +679,10 @@ impl<'a, 'src> Parser<'a, 'src> {
             match self.peek() {
                 TokenKind::Op(".") => {
                     self.bump();
-                    if let TokenKind::Ident(attr) = self.peek() {
-                        self.bump();
+                    if let TokenKind::Ident(_) = self.peek() {
                         expr = Expr::Attribute {
                             value: Box::new(expr),
-                            attr: (*attr).to_owned(),
+                            attr: span(self.bump()),
                         };
                     } else {
                         break;
@@ -592,31 +698,42 @@ impl<'a, 'src> Parser<'a, 'src> {
                 }
                 TokenKind::Op("[") => {
                     self.bump();
-                    let mut depth = 1;
-                    let mut text = String::new();
-                    while depth > 0 && !self.at_eof() {
-                        match self.peek() {
-                            TokenKind::Op("[") => depth += 1,
-                            TokenKind::Op("]") => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    self.bump();
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        if depth > 0 {
-                            render_into(&mut text, self.peek());
-                            self.bump();
-                        }
-                    }
-                    expr = Expr::Other(format!("{}[{}]", expr.to_text(), text));
+                    expr = Expr::Other(self.rendered(|p, text| {
+                        expr.write_text(p.text, text);
+                        text.push('[');
+                        p.render_balanced(text, "[", "]");
+                        text.push(']');
+                    }));
                 }
                 _ => break,
             }
         }
         expr
+    }
+
+    /// Consumes tokens through the `close` that balances an already
+    /// consumed `open`, appending all but that `close` to `text`.
+    /// The next token, consumed and kept as its rendering.
+    fn token_other(&mut self) -> Expr {
+        Expr::Other(self.rendered(|p, text| render_into(text, p.bump().kind())))
+    }
+
+    fn render_balanced(&mut self, text: &mut String, open: &str, close: &str) {
+        let mut depth = 1;
+        while !self.at_eof() {
+            match self.peek() {
+                TokenKind::Op(x) if *x == open => depth += 1,
+                TokenKind::Op(x) if *x == close => {
+                    depth -= 1;
+                    if depth == 0 {
+                        self.bump();
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            render_into(text, self.bump().kind());
+        }
     }
 
     fn call_args(&mut self) -> Vec<Arg> {
@@ -639,16 +756,16 @@ impl<'a, 'src> Parser<'a, 'src> {
                 }
                 _ => {
                     // keyword argument? ident '=' (not '==')
-                    if let TokenKind::Ident(name) = self.peek() {
+                    if let TokenKind::Ident(_) = self.peek() {
                         if matches!(
                             self.tokens.get(self.pos + 1).map(SpannedToken::kind),
                             Some(TokenKind::Op("="))
                         ) {
-                            self.bump(); // name
+                            let name = span(self.bump());
                             self.bump(); // '='
                             let value = self.expression();
                             args.push(Arg {
-                                name: Some((*name).to_owned()),
+                                name: Some(name),
                                 value,
                             });
                             continue;
@@ -662,25 +779,33 @@ impl<'a, 'src> Parser<'a, 'src> {
         args
     }
 
+    /// A literal's value: its source span where it is a slice of `text`
+    /// (the lexer borrowed it), else a copy.
+    fn literal(&self, value: &str) -> Literal {
+        let at = (value.as_ptr() as usize).wrapping_sub(self.text.as_ptr() as usize);
+        let end = at.checked_add(value.len());
+        match end.filter(|&end| self.text.get(at..end).is_some()) {
+            Some(end) => Literal::Source(Span::new(at, end)),
+            None => Literal::Owned(value.to_owned()),
+        }
+    }
+
     fn atom(&mut self) -> Expr {
         match self.peek() {
-            TokenKind::Ident(w) => {
-                self.bump();
-                Expr::Name((*w).to_owned())
-            }
-            TokenKind::Number(n) => {
-                self.bump();
-                Expr::Num((*n).to_owned())
-            }
+            TokenKind::Ident(_) => Expr::Name(span(self.bump())),
+            TokenKind::Number(_) => Expr::Num(span(self.bump())),
             TokenKind::Str { value, .. } => {
                 self.bump();
+                if !matches!(self.peek(), TokenKind::Str { .. }) {
+                    return Expr::Str(self.literal(value));
+                }
                 // Adjacent string literal concatenation.
                 let mut v = value.to_string();
                 while let TokenKind::Str { value: more, .. } = self.peek() {
                     v.push_str(more);
                     self.bump();
                 }
-                Expr::Str(v)
+                Expr::Str(Literal::Owned(v))
             }
             TokenKind::Op("(") => {
                 self.bump();
@@ -691,15 +816,19 @@ impl<'a, 'src> Parser<'a, 'src> {
                 // Tuple or generator — flatten to Other but keep the first
                 // element visible for matching.
                 if matches!(self.peek(), TokenKind::Op(",")) {
-                    let mut parts = vec![inner.to_text()];
-                    while self.eat_op(",") {
-                        if matches!(self.peek(), TokenKind::Op(")")) {
-                            break;
+                    return Expr::Other(self.rendered(|p, text| {
+                        text.push('(');
+                        inner.write_text(p.text, text);
+                        while p.eat_op(",") {
+                            if matches!(p.peek(), TokenKind::Op(")")) {
+                                break;
+                            }
+                            text.push_str(", ");
+                            p.expression().write_text(p.text, text);
                         }
-                        parts.push(self.expression().to_text());
-                    }
-                    self.eat_op(")");
-                    return Expr::Other(format!("({})", parts.join(", ")));
+                        p.eat_op(")");
+                        text.push(')');
+                    }));
                 }
                 self.eat_op(")");
                 inner
@@ -708,33 +837,54 @@ impl<'a, 'src> Parser<'a, 'src> {
                 // Collection literal — consume balanced and render.
                 let close = if *open == "[" { "]" } else { "}" };
                 self.bump();
-                let mut depth = 1;
-                let mut text = String::new();
-                while depth > 0 && !self.at_eof() {
-                    match self.peek() {
-                        TokenKind::Op(x) if x == open => depth += 1,
-                        TokenKind::Op(x) if *x == close => {
-                            depth -= 1;
-                            if depth == 0 {
-                                self.bump();
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if depth > 0 {
-                        render_into(&mut text, self.peek());
-                        self.bump();
-                    }
-                }
-                Expr::Other(format!("{open}{text}{close}"))
+                Expr::Other(self.rendered(|p, text| {
+                    text.push_str(open);
+                    p.render_balanced(text, open, close);
+                    text.push_str(close);
+                }))
             }
-            other => {
-                self.bump();
-                Expr::Other(render(other))
-            }
+            _ => self.token_other(),
         }
     }
+}
+
+/// How many of `tokens` a block header spans: up to a `:` outside
+/// brackets, a NEWLINE or the end.
+fn header_len(tokens: &[SpannedToken<'_>]) -> usize {
+    let mut depth = 0usize;
+    for (i, t) in tokens.iter().enumerate() {
+        match t.kind() {
+            TokenKind::Op(":") if depth == 0 => return i,
+            TokenKind::Newline | TokenKind::Eof => return i,
+            TokenKind::Op("(" | "[" | "{") => depth += 1,
+            TokenKind::Op(")" | "]" | "}") => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    tokens.len()
+}
+
+/// Appends the rendering of the block header `tokens` begin with (see
+/// [`Stmt::to_text`]).
+pub(crate) fn write_header(tokens: &[SpannedToken<'_>], out: &mut String) {
+    write_tokens(&tokens[..header_len(tokens)], out);
+}
+
+/// Appends `tokens`, each bracket glued on and every other token after
+/// one space.
+fn write_tokens(tokens: &[SpannedToken<'_>], out: &mut String) {
+    for t in tokens {
+        if !is_bracket(t.kind()) {
+            out.push(' ');
+        }
+        render_into(out, t.kind());
+    }
+}
+
+/// Trims `text`'s surrounding whitespace in place.
+fn trim(text: &mut String) {
+    text.truncate(text.trim_end().len());
+    text.drain(..text.len() - text.trim_start().len());
 }
 
 /// Appends the source-like text of `kind` to `out`.
@@ -754,211 +904,265 @@ fn render_into(out: &mut String, kind: &TokenKind<'_>) {
     }
 }
 
-fn render(kind: &TokenKind<'_>) -> String {
-    let mut out = String::new();
-    render_into(&mut out, kind);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_imports() {
-        let m = parse_module("import os\nimport sys, json\n");
-        assert_eq!(m.body.len(), 2);
-        match &m.body[1] {
-            Stmt::Import { modules, .. } => {
-                assert_eq!(
-                    modules,
-                    &vec![ImportedName::plain("sys"), ImportedName::plain("json")]
-                )
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+    /// The first statement of `src`, with the text its spans point into.
+    fn first(src: &str) -> (Module, Stmt) {
+        let m = parse_module(src);
+        let stmt = m.body[0].clone();
+        (m, stmt)
+    }
+
+    fn paths(names: &[ImportedName], src: &str) -> Vec<(String, Option<String>)> {
+        names
+            .iter()
+            .map(|n| {
+                let alias = n.alias.map(|a| a.text(src).to_owned());
+                (n.path.dotted(src).into_owned(), alias)
+            })
+            .collect()
+    }
+
+    fn plain(path: &str) -> (String, Option<String>) {
+        (path.to_owned(), None)
     }
 
     #[test]
-    fn parses_dotted_import() {
-        let m = parse_module("import os.path\n");
-        match &m.body[0] {
-            Stmt::Import { modules, .. } => assert_eq!(modules[0], ImportedName::plain("os.path")),
-            other => panic!("unexpected {other:?}"),
-        }
+    fn parses_imports() {
+        let src = "import os\nimport sys, json\nimport os.path\n";
+        let m = parse_module(src);
+        assert_eq!(m.body.len(), 3);
+        let Stmt::Import { modules, .. } = &m.body[1] else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(paths(modules, src), [plain("sys"), plain("json")]);
+        let Stmt::Import { modules, .. } = &m.body[2] else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(paths(modules, src), [plain("os.path")]);
     }
 
     #[test]
     fn parses_from_import() {
-        let m = parse_module("from subprocess import Popen, PIPE\n");
-        match &m.body[0] {
-            Stmt::FromImport { module, names, .. } => {
-                assert_eq!(module, "subprocess");
-                assert_eq!(
-                    names,
-                    &vec![ImportedName::plain("Popen"), ImportedName::plain("PIPE")]
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let src = "from subprocess import Popen, PIPE\nfrom x import *\n";
+        let m = parse_module(src);
+        let Stmt::FromImport { module, names, .. } = &m.body[0] else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(module.text(src), "subprocess");
+        assert_eq!(paths(names, src), [plain("Popen"), plain("PIPE")]);
+        let Stmt::FromImport { names, .. } = &m.body[1] else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(paths(names, src), [plain("*")]);
     }
 
     #[test]
     fn import_aliases_are_retained() {
-        let m = parse_module("import os as o, base64\nfrom subprocess import run as r\n");
-        match &m.body[0] {
-            Stmt::Import { modules, .. } => {
-                assert_eq!(
-                    modules,
-                    &vec![
-                        ImportedName::aliased("os", "o"),
-                        ImportedName::plain("base64")
-                    ]
-                );
-                assert_eq!(modules[0].binding(), "o");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &m.body[1] {
-            Stmt::FromImport { module, names, .. } => {
-                assert_eq!(module, "subprocess");
-                assert_eq!(names, &vec![ImportedName::aliased("run", "r")]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_function_def() {
-        let src = "def install(target, mode):\n    os.system(target)\n";
+        let src = "import os as o, base64\nfrom subprocess import run as r\n";
         let m = parse_module(src);
-        match &m.body[0] {
-            Stmt::FunctionDef {
-                name, params, body, ..
-            } => {
-                assert_eq!(name, "install");
-                assert_eq!(params, &vec!["target".to_owned(), "mode".to_owned()]);
-                assert_eq!(body.len(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let Stmt::Import { modules, .. } = &m.body[0] else {
+            panic!("{:?}", m.body)
+        };
+        let aliased = ("os".to_owned(), Some("o".to_owned()));
+        assert_eq!(paths(modules, src), [aliased, plain("base64")]);
+        assert_eq!(modules[0].binding(src), "o");
+        let Stmt::FromImport { module, names, .. } = &m.body[1] else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(module.text(src), "subprocess");
+        assert_eq!(
+            paths(names, src),
+            [("run".to_owned(), Some("r".to_owned()))]
+        );
     }
 
     #[test]
-    fn parses_class_def() {
+    fn parses_function_and_class_defs() {
+        let src = "def install(target, mode=f(a, b)):\n    os.system(target)\n";
+        let (_, stmt) = first(src);
+        let Stmt::FunctionDef {
+            name, params, body, ..
+        } = stmt
+        else {
+            panic!("{stmt:?}")
+        };
+        assert_eq!(name.text(src), "install");
+        let params: Vec<&str> = params.iter().map(|p| p.text(src)).collect();
+        assert_eq!(params, ["target", "mode"]);
+        assert_eq!(body.len(), 1);
         let src = "class Installer(setuptools.Command):\n    pass\n";
-        let m = parse_module(src);
-        match &m.body[0] {
-            Stmt::ClassDef { name, bases, .. } => {
-                assert_eq!(name, "Installer");
-                assert_eq!(bases[0], "setuptools.Command");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let (_, stmt) = first(src);
+        let Stmt::ClassDef { name, bases, .. } = stmt else {
+            panic!("{stmt:?}")
+        };
+        assert_eq!(name.text(src), "Installer");
+        assert_eq!(bases[0].text(src), "setuptools.Command");
     }
 
     #[test]
-    fn parses_call_with_keyword_args() {
-        let m = parse_module("subprocess.Popen(cmd, shell=True)\n");
-        match &m.body[0] {
-            Stmt::Expr { value, .. } => match value {
-                Expr::Call { func, args } => {
-                    assert_eq!(func.func_path(), "subprocess.Popen");
-                    assert_eq!(args.len(), 2);
-                    assert_eq!(args[1].name.as_deref(), Some("shell"));
-                    assert_eq!(args[1].value, Expr::Name("True".into()));
+    fn parses_calls_with_keyword_args_and_nesting() {
+        let src = "subprocess.Popen(cmd, shell=True)\nexec(base64.b64decode('cGF5bG9hZA=='))\n";
+        let m = parse_module(src);
+        let Stmt::Expr {
+            value: Expr::Call { func, args },
+            ..
+        } = &m.body[0]
+        else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(func.func_path(src), "subprocess.Popen");
+        assert_eq!(args.len(), 2);
+        assert_eq!(args[1].name.map(|n| n.text(src)), Some("shell"));
+        assert!(matches!(args[1].value, Expr::Name(n) if n.text(src) == "True"));
+        let Stmt::Expr {
+            value: Expr::Call { func, args },
+            ..
+        } = &m.body[1]
+        else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(func.func_path(src), "exec");
+        let Expr::Call { func, args } = &args[0].value else {
+            panic!("{args:?}")
+        };
+        assert_eq!(func.func_path(src), "base64.b64decode");
+        assert!(
+            matches!(&args[0].value, Expr::Str(Literal::Source(s)) if s.text(src) == "cGF5bG9hZA==")
+        );
+    }
+
+    #[test]
+    fn parses_assignments() {
+        let src = "url = 'http://evil.example'\nself.url = get()\na = b = get_payload()\nx += 1\n";
+        let m = parse_module(src);
+        let targets = |i: usize| match &m.body[i] {
+            Stmt::Assign { targets, .. } => {
+                targets.iter().map(|t| t.to_text(src)).collect::<Vec<_>>()
+            }
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(targets(0), ["url"]);
+        assert_eq!(targets(1), ["self.url"]);
+        assert_eq!(targets(2), ["a", "b"]);
+        assert_eq!(targets(3), ["x"]);
+        let Stmt::Assign { value, .. } = &m.body[2] else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(value.func_path(src), "get_payload");
+    }
+
+    #[test]
+    fn parses_blocks_and_their_headers() {
+        let src = "if platform.system() == 'Windows':\n    run()\ntry:\n    risky()\nexcept Exception:\n    pass\nif debug: print(x)\n";
+        let m = parse_module(src);
+        let keywords: Vec<&str> = m
+            .body
+            .iter()
+            .map(|s| match s {
+                Stmt::Block { keyword, body, .. } => {
+                    assert_eq!(body.len(), 1);
+                    *keyword
                 }
                 other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
+            })
+            .collect();
+        assert_eq!(keywords, ["if", "try", "except", "if"]);
+        assert_eq!(
+            m.body[0].to_text(src),
+            "if platform . system() == 'Windows'"
+        );
+        assert_eq!(m.body[1].to_text(src), "try");
+        let Stmt::Block {
+            parsed: Some(header),
+            ..
+        } = &m.body[0]
+        else {
+            panic!("{:?}", m.body)
+        };
+        assert_eq!(header.value.to_text(src), "platform.system() == 'Windows'");
+        assert!(matches!(&m.body[1], Stmt::Block { parsed: None, .. }));
+    }
+
+    /// `for` cuts at the first ` in ` and `with` at the last ` as ` of
+    /// the rendered header: an `in` / `as` token that is not the first
+    /// and is not followed by a bracket.
+    #[test]
+    fn block_headers_split_like_their_rendered_text() {
+        let header = |src: &str| {
+            let (m, stmt) = first(src);
+            let Stmt::Block { parsed, .. } = stmt else {
+                panic!("{stmt:?}")
+            };
+            parsed.map(|h| {
+                let target = h.target.map(|t| t.text(m.source()).to_owned());
+                (h.value.to_text(m.source()), target)
+            })
+        };
+        let split =
+            |value: &str, target: Option<&str>| Some((value.to_owned(), target.map(str::to_owned)));
+        assert_eq!(
+            header("for k, v in d.items():\n    pass\n"),
+            split("d.items()", Some("k, v"))
+        );
+        assert_eq!(
+            header("for x in [y for y in z]:\n    pass\n"),
+            split("z", Some("x in [y for y"))
+        );
+        assert_eq!(header("for x in (a, b):\n    pass\n"), None);
+        assert_eq!(
+            header("with open(p) as f:\n    pass\n"),
+            split("open(p)", Some("f"))
+        );
+        assert_eq!(
+            header("with a as b, c as d:\n    pass\n"),
+            split("a", Some("d"))
+        );
+        assert_eq!(header("with lock:\n    pass\n"), split("lock", None));
+        assert_eq!(
+            header("while (n := 3) > 1:\n    pass\n"),
+            split("( n := 3) > 1", None)
+        );
+        assert_eq!(header("else:\n    pass\n"), None);
     }
 
     #[test]
-    fn parses_nested_calls() {
-        let m = parse_module("exec(base64.b64decode('cGF5bG9hZA=='))\n");
-        match &m.body[0] {
-            Stmt::Expr { value, .. } => match value {
-                Expr::Call { func, args } => {
-                    assert_eq!(func.func_path(), "exec");
-                    match &args[0].value {
-                        Expr::Call { func, args } => {
-                            assert_eq!(func.func_path(), "base64.b64decode");
-                            assert_eq!(args[0].value, Expr::Str("cGF5bG9hZA==".into()));
-                        }
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
+    fn async_statements_parse_as_their_synchronous_forms() {
+        let src = "async with open(os.environ['K']) as f:\n    os.system(f)\nasync for x in y:\n    pass\nasync def g():\n    pass\n";
+        let m = parse_module(src);
+        let shapes: Vec<(&str, String)> = m
+            .body
+            .iter()
+            .map(|s| match s {
+                Stmt::Block { keyword, .. } => (*keyword, s.to_text(src)),
+                Stmt::FunctionDef { .. } => ("def", s.to_text(src)),
                 other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_assignment() {
-        let m = parse_module("url = 'http://evil.example'\n");
-        match &m.body[0] {
-            Stmt::Assign { targets, value, .. } => {
-                assert_eq!(targets[0], "url");
-                assert_eq!(value, &Expr::Str("http://evil.example".into()));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_attribute_assignment_target() {
-        let m = parse_module("self.url = get()\n");
-        match &m.body[0] {
-            Stmt::Assign { targets, .. } => assert_eq!(targets[0], "self.url"),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_if_block() {
-        let src = "if platform.system() == 'Windows':\n    run()\n";
-        let m = parse_module(src);
-        match &m.body[0] {
-            Stmt::Block { keyword, body, .. } => {
-                assert_eq!(keyword, "if");
-                assert_eq!(body.len(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_try_except() {
-        let src = "try:\n    risky()\nexcept Exception:\n    pass\n";
-        let m = parse_module(src);
-        assert_eq!(m.body.len(), 2);
-        assert!(matches!(&m.body[0], Stmt::Block { keyword, .. } if keyword == "try"));
-        assert!(matches!(&m.body[1], Stmt::Block { keyword, .. } if keyword == "except"));
-    }
-
-    #[test]
-    fn parses_inline_suite() {
-        let m = parse_module("if debug: print(x)\n");
-        match &m.body[0] {
-            Stmt::Block { body, .. } => assert_eq!(body.len(), 1),
-            other => panic!("unexpected {other:?}"),
-        }
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            [
+                ("with", "with open( os . environ[ 'K']) as f".to_owned()),
+                ("for", "for x in y".to_owned()),
+                ("def", "def g".to_owned()),
+            ]
+        );
+        assert_eq!(m.line(&m.body[1]), 3);
     }
 
     #[test]
     fn parses_return() {
-        let m = parse_module("def f():\n    return os.environ\n");
-        match &m.body[0] {
-            Stmt::FunctionDef { body, .. } => match &body[0] {
-                Stmt::Return { value: Some(v), .. } => {
-                    assert_eq!(v.func_path(), "os.environ");
-                }
-                other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
+        let src = "def f():\n    return os.environ\n";
+        let (_, stmt) = first(src);
+        let Stmt::FunctionDef { body, .. } = stmt else {
+            panic!("{stmt:?}")
+        };
+        let Stmt::Return { value: Some(v), .. } = &body[0] else {
+            panic!("{body:?}")
+        };
+        assert_eq!(v.func_path(src), "os.environ");
     }
 
     #[test]
@@ -969,41 +1173,46 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_string_concatenation() {
-        let m = parse_module("u = 'http://' 'evil.com'\n");
-        match &m.body[0] {
-            Stmt::Assign { value, .. } => {
-                assert_eq!(value, &Expr::Str("http://evil.com".into()));
-            }
+    fn literals_borrow_the_source_unless_their_value_differs() {
+        let src = "u = 'http://' 'evil.com'\nv = 'a\\nb'\nw = 'plain'\n";
+        let m = parse_module(src);
+        let value = |i: usize| match &m.body[i] {
+            Stmt::Assign {
+                value: Expr::Str(s),
+                ..
+            } => s.clone(),
             other => panic!("unexpected {other:?}"),
-        }
+        };
+        assert_eq!(value(0), Literal::Owned("http://evil.com".into()));
+        assert_eq!(value(1), Literal::Owned("a\nb".into()));
+        assert!(matches!(value(2), Literal::Source(s) if s.text(src) == "plain"));
     }
 
     #[test]
     fn string_percent_format_binop() {
-        let m = parse_module("cmd = 'curl %s' % url\n");
-        match &m.body[0] {
-            Stmt::Assign { value, .. } => {
-                assert!(matches!(value, Expr::BinOp { op, .. } if op == "%"));
+        let (_, stmt) = first("cmd = 'curl %s' % url\n");
+        assert!(matches!(
+            stmt,
+            Stmt::Assign {
+                value: Expr::BinOp { op: "%", .. },
+                ..
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        ));
     }
 
     #[test]
     fn multiline_call_parses() {
         let src = "setup(\n    name='evil',\n    version='0.0.0',\n)\n";
-        let m = parse_module(src);
-        match &m.body[0] {
-            Stmt::Expr { value, .. } => match value {
-                Expr::Call { func, args } => {
-                    assert_eq!(func.func_path(), "setup");
-                    assert_eq!(args.len(), 2);
-                }
-                other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
+        let (_, stmt) = first(src);
+        let Stmt::Expr {
+            value: Expr::Call { func, args },
+            ..
+        } = stmt
+        else {
+            panic!("{stmt:?}")
+        };
+        assert_eq!(func.func_path(src), "setup");
+        assert_eq!(args.len(), 2);
     }
 
     #[test]
@@ -1013,19 +1222,7 @@ mod tests {
         assert!(m
             .body
             .iter()
-            .any(|s| matches!(s, Stmt::FunctionDef { name, .. } if name == "boom")));
-    }
-
-    #[test]
-    fn chained_assignment_targets() {
-        let m = parse_module("a = b = get_payload()\n");
-        match &m.body[0] {
-            Stmt::Assign { targets, value, .. } => {
-                assert_eq!(targets.len(), 2);
-                assert_eq!(value.func_path(), "get_payload");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+            .any(|s| matches!(s, Stmt::FunctionDef { name, .. } if name.text(src) == "boom")));
     }
 
     #[test]
@@ -1037,10 +1234,14 @@ mod tests {
     }
 
     #[test]
-    fn pathological_unary_chain_does_not_overflow_stack() {
-        let src = format!("x = {}1\n", "-".repeat(100_000));
-        let m = parse_module(&src);
-        assert!(!m.body.is_empty());
+    fn pathological_unary_and_header_keyword_chains_do_not_overflow_stack() {
+        for src in [
+            format!("x = {}1\n", "-".repeat(100_000)),
+            format!("{}x:\n    pass\n", "if ".repeat(100_000)),
+        ] {
+            let m = parse_module(&src);
+            assert!(!m.body.is_empty());
+        }
     }
 
     #[test]
@@ -1061,7 +1262,6 @@ mod tests {
                 Stmt::Block { body, .. }
                 | Stmt::FunctionDef { body, .. }
                 | Stmt::ClassDef { body, .. } => contains(body, needle),
-                Stmt::Expr { value, .. } => value.to_text().contains(needle),
                 _ => false,
             })
         }

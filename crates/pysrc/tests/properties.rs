@@ -2,7 +2,7 @@
 //! the lexer's indentation bookkeeping must always balance.
 
 use proptest::prelude::*;
-use pysrc::{Stmt, TokenKind};
+use pysrc::{Expr, Header, Literal, Module, Span, SpannedToken, Stmt, TokenKind};
 
 proptest! {
     #[test]
@@ -84,8 +84,8 @@ proptest! {
     fn parse_entry_points_agree(src in "[ -~\\n]{0,400}") {
         let spanned = pysrc::lex_spanned(&src);
         let module = pysrc::parse_module(&src);
-        prop_assert_eq!(&pysrc::parse_tokens(&spanned), &module);
-        prop_assert_eq!(&pysrc::parse_tokens(&spanned[..spanned.len() - 1]), &module);
+        prop_assert_eq!(&pysrc::parse_tokens(&src, &spanned), &module);
+        prop_assert_eq!(&pysrc::parse_tokens(&src, &spanned[..spanned.len() - 1]), &module);
     }
 
     /// Operator tokens borrow their text from static tables; it must
@@ -107,8 +107,29 @@ proptest! {
     #[test]
     fn statement_lines_follow_the_source(src in "[a-z =:\\n]{0,200}") {
         let module = pysrc::parse_module(&src);
-        let checked = lines_follow_the_source(&module.body);
+        let checked = lines_follow_the_source(&module, &module.body);
         prop_assert!(checked.is_ok(), "{checked:?} in {src:?}: {:?}", module.body);
+    }
+
+    /// Every span of the tree lies in the source on character
+    /// boundaries; a name, attribute, number or parameter span is exactly
+    /// its token's; and a statement's line is its first token's.
+    #[test]
+    fn spans_point_at_their_tokens(src in "[ -~\\n\\r\\té—]{0,300}") {
+        check_spans(&src)?;
+    }
+
+    #[test]
+    fn indented_spans_point_at_their_tokens(
+        lines in prop::collection::vec("( {0,4}|\\t)[a-z(),.:='é]{0,24}", 0..10),
+        crlf in any::<bool>(),
+        final_newline in any::<bool>(),
+    ) {
+        let mut src = lines.join(if crlf { "\r\n" } else { "\n" });
+        if final_newline {
+            src.push('\n');
+        }
+        check_spans(&src)?;
     }
 
     #[test]
@@ -126,7 +147,7 @@ proptest! {
         let module = pysrc::parse_module(&src);
         let calls = pysrc::collect_calls(&module);
         prop_assert_eq!(calls.len(), 1);
-        prop_assert_eq!(calls[0].func_path(), format!("{a}.{b}.{c}"));
+        prop_assert_eq!(calls[0].func_path(module.source()), format!("{a}.{b}.{c}"));
     }
 
     #[test]
@@ -157,9 +178,9 @@ proptest! {
 /// Checks `body` and, recursively, every nested body: sibling lines
 /// never decrease, and a compound statement's line is at most its first
 /// body statement's.
-fn lines_follow_the_source(body: &[Stmt]) -> Result<(), String> {
+fn lines_follow_the_source(module: &Module, body: &[Stmt]) -> Result<(), String> {
     for pair in body.windows(2) {
-        let (prev, next) = (pair[0].line(), pair[1].line());
+        let (prev, next) = (module.line(&pair[0]), module.line(&pair[1]));
         if next < prev {
             return Err(format!("sibling lines {prev} then {next}"));
         }
@@ -171,11 +192,12 @@ fn lines_follow_the_source(body: &[Stmt]) -> Result<(), String> {
         else {
             continue;
         };
-        let (header, first) = (stmt.line(), inner.first().map_or(usize::MAX, Stmt::line));
+        let first = inner.first().map_or(usize::MAX, |s| module.line(s));
+        let header = module.line(stmt);
         if header > first {
             return Err(format!("header line {header} after body line {first}"));
         }
-        lines_follow_the_source(inner)?;
+        lines_follow_the_source(module, inner)?;
     }
     Ok(())
 }
@@ -199,5 +221,158 @@ fn every_ascii_byte_that_reaches_the_operator_lexer_is_a_one_byte_op() {
             "byte {b:#04x} lexed to {first:?}"
         );
         assert_eq!((first.start, first.end), (0, 1), "byte {b:#04x}");
+    }
+}
+
+#[test]
+fn span_edge_cases() {
+    for src in [
+        "",
+        "x",
+        "a = 1\r\nif b:\r\n    c(d)\r\n",
+        "import os . path as p\nfrom . import (a, b as c)\n",
+        "class C(a.b, \\\n  c):\n    def f(self, x=1, *a, **k): pass\n",
+        "for k, v in d.items(): g(k=v)\nwith open('f') as h: pass\n",
+        "x = 'a' 'b'\ny = 'é\\n'\nz = 0x1F + 3.5\n",
+        "async with a as b:\n    pass\n",
+        "    indented = 1\nback = 2",
+    ] {
+        check_spans(src).unwrap_or_else(|e| panic!("{src:?}: {e:?}"));
+    }
+    // An offset on a `\n` belongs to the line the `\n` ends.
+    let module = pysrc::parse_module("a\nb\n");
+    assert_eq!(module.lines().line_of(1), 1);
+    assert_eq!(module.lines().line_of(2), 2);
+}
+
+/// What a span must slice to: exactly one token, or any text.
+#[derive(Clone, Copy, PartialEq)]
+enum Expect {
+    Ident,
+    Number,
+    Any,
+}
+
+fn check_spans(src: &str) -> Result<(), TestCaseError> {
+    let module = pysrc::parse_module(src);
+    let tokens = pysrc::lex_spanned(src);
+    let mut spans = Vec::new();
+    let mut starts = Vec::new();
+    collect_stmts(&module.body, &mut spans, &mut starts);
+    for (span, expect) in spans {
+        let (start, end) = (span.start as usize, span.end as usize);
+        prop_assert!(
+            start <= end && end <= src.len(),
+            "{span:?} out of {}",
+            src.len()
+        );
+        prop_assert!(
+            src.is_char_boundary(start) && src.is_char_boundary(end),
+            "{span:?}"
+        );
+        if expect == Expect::Any {
+            continue;
+        }
+        let token = tokens.iter().find(|t| t.start == start && t.end > t.start);
+        let kind_ok = |t: &SpannedToken<'_>| match expect {
+            Expect::Ident => matches!(t.kind(), TokenKind::Ident(_)),
+            _ => matches!(t.kind(), TokenKind::Number(_)),
+        };
+        prop_assert!(
+            token.is_some_and(|t| t.end == end && kind_ok(t)),
+            "{span:?} ({:?}) is not one token",
+            span.text(src)
+        );
+    }
+    for start in starts {
+        let token = tokens.iter().find(|t| t.start == start as usize);
+        prop_assert!(token.is_some(), "no token at statement start {start}");
+        let line = token.map_or(0, |t| t.token.line);
+        prop_assert_eq!(
+            module.lines().line_of(start),
+            line,
+            "statement at {}",
+            start
+        );
+    }
+    Ok(())
+}
+
+fn collect_stmts(body: &[Stmt], spans: &mut Vec<(Span, Expect)>, starts: &mut Vec<u32>) {
+    for stmt in body {
+        starts.push(stmt.start());
+        match stmt {
+            Stmt::Import { modules: names, .. } | Stmt::FromImport { names, .. } => {
+                if let Stmt::FromImport { module, .. } = stmt {
+                    spans.push((*module, Expect::Any));
+                }
+                for n in names {
+                    spans.push((n.path, Expect::Any));
+                    spans.extend(n.alias.map(|a| (a, Expect::Ident)));
+                }
+            }
+            Stmt::FunctionDef {
+                name, params, body, ..
+            } => {
+                spans.push((*name, Expect::Any));
+                spans.extend(params.iter().map(|p| (*p, Expect::Ident)));
+                collect_stmts(body, spans, starts);
+            }
+            Stmt::ClassDef {
+                name, bases, body, ..
+            } => {
+                spans.push((*name, Expect::Any));
+                spans.extend(bases.iter().map(|b| (*b, Expect::Any)));
+                collect_stmts(body, spans, starts);
+            }
+            Stmt::Assign { targets, value, .. } => {
+                for t in targets {
+                    collect_expr(t, spans);
+                }
+                collect_expr(value, spans);
+            }
+            Stmt::Expr { value, .. }
+            | Stmt::Return {
+                value: Some(value), ..
+            } => collect_expr(value, spans),
+            Stmt::Block {
+                header,
+                parsed,
+                body,
+                ..
+            } => {
+                spans.push((*header, Expect::Any));
+                if let Some(Header { value, target }) = parsed.as_deref() {
+                    collect_expr(value, spans);
+                    spans.extend(target.map(|t| (t, Expect::Any)));
+                }
+                collect_stmts(body, spans, starts);
+            }
+            Stmt::Return { value: None, .. } | Stmt::Other { .. } => {}
+        }
+    }
+}
+
+fn collect_expr(expr: &Expr, spans: &mut Vec<(Span, Expect)>) {
+    match expr {
+        Expr::Name(s) => spans.push((*s, Expect::Ident)),
+        Expr::Num(s) => spans.push((*s, Expect::Number)),
+        Expr::Str(Literal::Source(s)) => spans.push((*s, Expect::Any)),
+        Expr::Attribute { value, attr } => {
+            spans.push((*attr, Expect::Ident));
+            collect_expr(value, spans);
+        }
+        Expr::Call { func, args } => {
+            collect_expr(func, spans);
+            for a in args {
+                spans.extend(a.name.map(|n| (n, Expect::Ident)));
+                collect_expr(&a.value, spans);
+            }
+        }
+        Expr::BinOp { left, right, .. } => {
+            collect_expr(left, spans);
+            collect_expr(right, spans);
+        }
+        Expr::Str(Literal::Owned(_)) | Expr::Other(_) => {}
     }
 }

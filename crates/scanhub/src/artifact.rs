@@ -154,9 +154,11 @@ pub struct FileAnalysis {
 }
 
 /// A file's parsed module, assembled by `splice_module` when the
-/// artifact is built. It owns its statements outright, so no artifact
-/// holds a handle to the one it was spliced from and an evicted version's
-/// module is freed however many later versions descend from it.
+/// artifact is built: the file's text once, its line index, and
+/// statements that point into that text by span. It owns all three
+/// outright, so no artifact holds a handle to the one it was spliced from
+/// and an evicted version's module is freed however many later versions
+/// descend from it.
 #[derive(Debug)]
 pub struct LazyModule(Module);
 
@@ -167,32 +169,31 @@ impl LazyModule {
     }
 }
 
-/// Assembles a module from the statements parsed off a relexed `window`
-/// and the `donor` statements around it: those before the window keep
-/// their shapes and lines, and those from `suffix_from_line` on shift by
-/// the edit's net line count (`None`: the window ran to EOF and there is
-/// no suffix).
+/// Assembles a module from `window` — the statements parsed off a
+/// relexed window, over the whole edited text — and the `donor`
+/// statements around it: those starting before byte `window_start` are
+/// cloned as they are (the bytes in front of the window did not move),
+/// and those from the donor's byte `suffix_from` on are cloned `delta`
+/// bytes further on (`None`: the window ran to EOF and there is no
+/// suffix). No line is touched: lines come from the module's index.
 fn splice_module(
     donor: &[Stmt],
-    window: Module,
-    prefix_before_line: usize,
-    suffix_from_line: Option<usize>,
-    line_delta: isize,
+    mut window: Module,
+    window_start: usize,
+    suffix_from: Option<usize>,
+    delta: isize,
 ) -> Module {
     // The window's statements stay in the `Vec` they were parsed into;
     // the prefix — none, for a full build — is moved in before them.
-    let kept = donor.partition_point(|stmt| stmt.line() < prefix_before_line);
-    let mut body = window.body;
-    body.splice(0..0, donor[..kept].iter().cloned());
-    if let Some(from) = suffix_from_line {
-        let suffix = donor.iter().skip_while(|stmt| stmt.line() < from);
-        body.extend(suffix.map(|stmt| {
-            let mut stmt = stmt.clone();
-            stmt.shift_lines(line_delta);
-            stmt
-        }));
+    let kept = donor.partition_point(|stmt| (stmt.start() as usize) < window_start);
+    window.body.splice(0..0, donor[..kept].iter().cloned());
+    if let Some(from) = suffix_from {
+        let suffix = donor
+            .iter()
+            .skip_while(|stmt| (stmt.start() as usize) < from);
+        window.body.extend(suffix.map(|stmt| stmt.shifted(delta)));
     }
-    Module { body }
+    window
 }
 
 impl FileAnalysis {
@@ -266,20 +267,22 @@ impl FileAnalysis {
         // Statement splice: only the window is parsed; the donor's
         // statements strictly before and strictly after it are cloned
         // around it. Nothing follows a window that runs to EOF, or moves.
+        let delta = new.len() as isize - old.len() as isize;
+        let parsed = pysrc::parse_tokens(text, &tokens);
+        let module = splice_module(body, parsed, w, end.map(|_| e_old), delta);
+
+        // The donor's literal occurrences outside the window carry over,
+        // those behind it moved by the edit's net line count, and so do its
+        // cut points, moved by the byte delta. Inside it the window's
+        // tokens are read between stand-ins for their two neighbours in
+        // the full stream — the NEWLINE the window starts behind and the
+        // column-zero token it stops at — so the cut points at both
+        // junctions come out as a full lex would set them.
         let lw = 1 + count_newlines(&old[..w]);
         let suffix_from = end.map(|_| 1 + count_newlines(&old[..e_old]));
         let line_delta = suffix_from.map_or(0, |_| {
             count_newlines(&new[w..e_new]) as isize - count_newlines(&old[w..e_old]) as isize
         });
-        let parsed = pysrc::parse_tokens(&tokens);
-        let module = splice_module(body, parsed, lw, suffix_from, line_delta);
-
-        // The donor's occurrences and cut points outside the window
-        // carry over, the latter moved by the byte delta. Inside it the
-        // window's tokens are read between stand-ins for their two
-        // neighbours in the full stream — the NEWLINE the window starts
-        // behind and the column-zero token it stops at — so the cut
-        // points at both junctions come out as a full lex would set them.
         let strings = table.spliced(lw, &tokens, suffix_from, line_delta)?;
         let marker = |kind, start| SpannedToken {
             token: Token {
@@ -295,7 +298,6 @@ impl FileAnalysis {
         let mut cut_points = Vec::with_capacity(cuts.len());
         cut_points.extend_from_slice(&cuts[..start.unwrap_or(0)]);
         cut_points.extend(pysrc::cut_points(behind.iter().chain(&tokens).chain(&stop)));
-        let delta = new.len() as isize - old.len() as isize;
         for c in end.map_or(&[][..], |i| &cuts[i + 1..]) {
             cut_points.push(CutPoint {
                 newline_end: c.newline_end.checked_add_signed(delta)?,
@@ -985,10 +987,9 @@ mod tests {
     #[test]
     fn splice_after_an_anonymous_block() {
         let module = analyze(ANON_BASE).module.expect("python");
-        assert!(matches!(
-            &module.get().body[2],
-            Stmt::Block { keyword, line: 4, .. } if keyword.is_empty()
-        ));
+        let block = &module.get().body[2];
+        assert!(matches!(block, Stmt::Block { keyword: "", .. }));
+        assert_eq!(module.get().line(block), 4);
         for edited in [
             ANON_BASE.replace("B = 'beta'", "B = 'beta-2'"),
             ANON_BASE.replace("C = A + B\n", "C = A + B\nZ = C * 2\n"),
@@ -1001,6 +1002,49 @@ mod tests {
         // half the file, and the build falls back.
         let behind = ANON_BASE.replace("A = 'alpha'", "A = 'alpha-2'");
         assert!(!splice_vs_full(ANON_BASE, &behind, None));
+    }
+
+    /// Every statement of `body`, nested ones after their parent.
+    fn every_stmt<'a>(body: &'a [Stmt], out: &mut Vec<&'a Stmt>) {
+        for stmt in body {
+            out.push(stmt);
+            if let Stmt::FunctionDef { body, .. }
+            | Stmt::ClassDef { body, .. }
+            | Stmt::Block { body, .. } = stmt
+            {
+                every_stmt(body, out);
+            }
+        }
+    }
+
+    /// A line that grows and then shrinks ahead of a suffix holding every
+    /// shape that carries a span: each splice clones the suffix the byte
+    /// delta further on, and the result is a full build's module, every
+    /// statement rendering and reporting its line as there.
+    #[test]
+    fn a_length_changing_edit_moves_every_span_of_the_suffix() {
+        let suffix = "import os.path as osp, base64\nfrom subprocess import run as r\n\ndef handler(arg, *rest, key=None):\n    for k, v in arg.items():\n        print(k, v)\n    return arg\n\nclass Installer(setuptools.Command, object):\n    with open(osp.join('a', 'b')) as fh:\n        data = fh.read()\n\nX = 'tab\\there'\nY = 'http://' 'evil.example'\nr(Y, shell=True)\n";
+        let base = format!("A = 'alpha'\nB = 1\n{suffix}");
+        let grown = base.replace("B = 1", "B = 'a much longer value'\nB2 = B");
+        let shrunk = grown.replace("B = 'a much longer value'\nB2 = B", "B=0");
+        let mut donor = analyze(&base);
+        for code in [grown, shrunk] {
+            let (next, engaged) = splice_onto(&donor, &code, None);
+            assert!(engaged, "fell back: {code:?}");
+            let full = analyze(&code);
+            let (a, b) = (next.module.as_ref(), full.module.as_ref());
+            let (a, b) = (a.expect("python").get(), b.expect("python").get());
+            let (mut sa, mut sb) = (Vec::new(), Vec::new());
+            every_stmt(&a.body, &mut sa);
+            every_stmt(&b.body, &mut sb);
+            assert_eq!(sa.len(), sb.len());
+            assert!(sa.len() >= 14, "{}", sa.len());
+            for (x, y) in sa.into_iter().zip(sb) {
+                assert_eq!(x.to_text(a.source()), y.to_text(b.source()));
+                assert_eq!(a.line(x), b.line(y), "{}", y.to_text(b.source()));
+            }
+            donor = next;
+        }
     }
 
     /// The offsets of an artifact's cut points.

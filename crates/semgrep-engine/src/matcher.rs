@@ -7,16 +7,18 @@
 //! assignment patterns (`$VAR = requests.get(...)`).
 //!
 //! Pattern text is parsed **once, at rule-compile time** into a
-//! [`CompiledPattern`] (metavariables encoded, first statement kept as a
-//! [`pysrc`] AST); the scan path never calls [`pysrc::parse_module`] on
-//! pattern text. This module holds what the live matcher
-//! ([`crate::MatchSet`]) and the reparse-per-call oracle
-//! ([`crate::reference`]) share: leaf compilation and anchors, statement
-//! matching, the statement walk and metavariable encoding.
+//! [`CompiledPattern`] (metavariables encoded, the pattern kept as a
+//! [`pysrc`] module); the scan path never calls [`pysrc::parse_module`] on
+//! pattern text. A pattern's tree and a target's point into different
+//! texts, so names, literals, metavariable bindings, assignment targets
+//! and `Other` text compare by text, never by span. This module holds
+//! what the live matcher ([`crate::MatchSet`]) and the reparse-per-call
+//! oracle ([`crate::reference`]) share: leaf compilation and anchors,
+//! statement matching, the statement walk and metavariable encoding.
 
 use std::collections::HashMap;
 
-use pysrc::{Arg, Expr, Stmt};
+use pysrc::{Arg, Expr, Module, Stmt};
 
 use crate::rule::{PatternOp, Severity};
 
@@ -60,10 +62,10 @@ pub(crate) enum Anchor {
 /// One pattern leaf, pre-parsed at rule-compile time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CompiledLeaf {
-    /// The metavar-encoded pattern's first statement; `None` when the
-    /// text parses to an empty module (the leaf never matches).
-    pub(crate) stmt: Option<Stmt>,
-    /// Dispatch anchor derived from `stmt`.
+    /// The metavar-encoded pattern; its first statement is the one
+    /// matched (a pattern without one never matches).
+    pub(crate) pattern: Module,
+    /// Dispatch anchor derived from that statement.
     pub(crate) anchor: Anchor,
 }
 
@@ -106,16 +108,15 @@ fn compile_op(op: &PatternOp) -> CompiledOp {
 }
 
 pub(crate) fn compile_leaf(text: &str) -> CompiledLeaf {
-    let encoded = encode_metavars(text);
-    let stmt = pysrc::parse_module(&encoded).body.into_iter().next();
-    let anchor = anchor_of(stmt.as_ref());
-    CompiledLeaf { stmt, anchor }
+    let pattern = pysrc::parse_module(&encode_metavars(text));
+    let anchor = anchor_of(pattern.body.first(), pattern.source());
+    CompiledLeaf { pattern, anchor }
 }
 
 /// The dispatch anchor of a pattern statement (see [`Anchor`]). Soundness
 /// contract: whenever [`stmt_matches`]`(pattern, target)` holds, the
 /// anchor fact holds for `target`.
-fn anchor_of(stmt: Option<&Stmt>) -> Anchor {
+fn anchor_of(stmt: Option<&Stmt>, src: &str) -> Anchor {
     let Some(stmt) = stmt else {
         return Anchor::Dead;
     };
@@ -124,12 +125,14 @@ fn anchor_of(stmt: Option<&Stmt>) -> Anchor {
         // target; an assignment pattern requires its value to match the
         // target's value — both walk the target's expression roots.
         Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => {
-            expr_anchor(value).map_or(Anchor::Always, Anchor::Ident)
+            expr_anchor(value, src).map_or(Anchor::Always, |a| Anchor::Ident(a.to_owned()))
         }
-        Stmt::Import { modules, .. } => modules
-            .first()
-            .map_or(Anchor::Always, |m| Anchor::ImportRoot(m.path.clone())),
-        Stmt::FromImport { module, .. } => Anchor::FromImportModule(module.clone()),
+        Stmt::Import { modules, .. } => modules.first().map_or(Anchor::Always, |m| {
+            Anchor::ImportRoot(m.path.dotted(src).into_owned())
+        }),
+        Stmt::FromImport { module, .. } => {
+            Anchor::FromImportModule(module.dotted(src).into_owned())
+        }
         Stmt::Other { text, .. } => {
             if text.is_empty() {
                 Anchor::Dead
@@ -148,14 +151,14 @@ fn anchor_of(stmt: Option<&Stmt>) -> Anchor {
 
 /// The identifier any expression matching `expr` must contain, or `None`
 /// when no such identifier exists (metavariable head, literal, binop, …).
-fn expr_anchor(expr: &Expr) -> Option<String> {
+fn expr_anchor<'s>(expr: &Expr, src: &'s str) -> Option<&'s str> {
     match expr {
         // A call pattern requires the target to be a call whose callee
         // matches the pattern's callee.
-        Expr::Call { func, .. } => expr_anchor(func),
+        Expr::Call { func, .. } => expr_anchor(func, src),
         // `expr_matches` requires the target attribute name to be equal.
-        Expr::Attribute { attr, .. } => Some(attr.clone()),
-        Expr::Name(n) if !is_metavar(n) => Some(n.clone()),
+        Expr::Attribute { attr, .. } => Some(attr.text(src)),
+        Expr::Name(n) if !is_metavar(n.text(src)) => Some(n.text(src)),
         _ => None,
     }
 }
@@ -214,14 +217,22 @@ pub(crate) fn for_each_expr_root<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr
     }
 }
 
-pub(crate) fn stmt_matches(pattern: &Stmt, target: &Stmt) -> bool {
+/// The texts a pattern statement and a target statement point into.
+#[derive(Clone, Copy)]
+pub(crate) struct Sources<'s> {
+    pub(crate) pattern: &'s str,
+    pub(crate) target: &'s str,
+}
+
+pub(crate) fn stmt_matches(pattern: &Stmt, target: &Stmt, src: Sources<'_>) -> bool {
+    let (ps, ts) = (src.pattern, src.target);
     match (pattern, target) {
         (Stmt::Expr { value: pv, .. }, _) => {
             // An expression pattern matches any statement containing a
             // matching sub-expression.
             target_expressions(target)
                 .iter()
-                .any(|te| expr_matches_with_fresh_bindings(pv, te))
+                .any(|te| expr_matches(pv, te, src, &mut HashMap::new()))
         }
         (
             Stmt::Assign {
@@ -235,16 +246,22 @@ pub(crate) fn stmt_matches(pattern: &Stmt, target: &Stmt) -> bool {
                 ..
             },
         ) => {
-            let target_ok = pt
-                .iter()
-                .all(|p| is_metavar(p) || tt.iter().any(|t| t == p));
-            target_ok && expr_matches_with_fresh_bindings(pv, tv)
+            // Targets compare as rendered; one whose rendering starts
+            // with a metavariable matches any.
+            let target_ok = pt.iter().all(|p| {
+                is_metavar(head_text(p, ps)) || {
+                    let p = p.to_text(ps);
+                    tt.iter().any(|t| t.to_text(ts) == p)
+                }
+            });
+            target_ok && expr_matches(pv, tv, src, &mut HashMap::new())
         }
         (Stmt::Import { modules: pm, .. }, Stmt::Import { modules: tm, .. }) => {
             // Compare module paths only: `import os` matches
             // `import os as o` — the alias changes the binding, not
             // which module the package pulls in.
-            pm.iter().all(|m| tm.iter().any(|t| t.path == m.path))
+            pm.iter()
+                .all(|m| tm.iter().any(|t| t.path.dotted(ts) == m.path.dotted(ps)))
         }
         (
             Stmt::FromImport {
@@ -258,64 +275,37 @@ pub(crate) fn stmt_matches(pattern: &Stmt, target: &Stmt) -> bool {
                 ..
             },
         ) => {
-            pm == tm
-                && pn
-                    .iter()
-                    .all(|n| n.path == "*" || tn.iter().any(|t| t.path == n.path))
+            pm.dotted(ps) == tm.dotted(ts)
+                && pn.iter().all(|n| {
+                    let name = n.path.text(ps);
+                    name == "*" || tn.iter().any(|t| t.path.text(ts) == name)
+                })
         }
         (Stmt::Other { text: pt, .. }, _) => {
             // Fallback for pattern shapes the lightweight parser didn't
             // model: textual containment on the reconstructed statement.
-            !pt.is_empty() && stmt_text(target).contains(pt.as_str())
+            !pt.is_empty() && target.to_text(ts).contains(pt.as_str())
         }
         _ => false,
     }
 }
 
-fn render_imported(names: &[pysrc::ImportedName]) -> String {
-    names
-        .iter()
-        .map(|n| match &n.alias {
-            Some(a) => format!("{} as {a}", n.path),
-            None => n.path.clone(),
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn stmt_text(stmt: &Stmt) -> String {
-    match stmt {
-        Stmt::Expr { value, .. } => value.to_text(),
-        Stmt::Assign { targets, value, .. } => {
-            format!("{} = {}", targets.join(" = "), value.to_text())
-        }
-        Stmt::Return { value, .. } => match value {
-            Some(v) => format!("return {}", v.to_text()),
-            None => "return".into(),
-        },
-        Stmt::Other { text, .. } => text.clone(),
-        Stmt::Block { header, .. } => header.clone(),
-        Stmt::Import { modules, .. } => format!("import {}", render_imported(modules)),
-        Stmt::FromImport { module, names, .. } => {
-            format!("from {module} import {}", render_imported(names))
-        }
-        Stmt::FunctionDef { name, .. } => format!("def {name}"),
-        Stmt::ClassDef { name, .. } => format!("class {name}"),
+/// The text an expression's rendering starts with: its leftmost leaf's.
+fn head_text<'s>(expr: &'s Expr, src: &'s str) -> &'s str {
+    match expr {
+        Expr::Name(s) | Expr::Num(s) => s.text(src),
+        Expr::Attribute { value: head, .. }
+        | Expr::Call { func: head, .. }
+        | Expr::BinOp { left: head, .. } => head_text(head, src),
+        Expr::Str(_) => "'",
+        Expr::Other(text) => text,
     }
 }
 
 /// Every expression (with nesting) reachable from a statement.
 fn target_expressions(stmt: &Stmt) -> Vec<&Expr> {
-    let mut roots = Vec::new();
-    match stmt {
-        Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => roots.push(value),
-        Stmt::Return { value: Some(v), .. } => roots.push(v),
-        _ => {}
-    }
     let mut out = Vec::new();
-    for r in roots {
-        collect_subexpressions(r, &mut out);
-    }
+    for_each_expr_root(stmt, &mut |root| collect_subexpressions(root, &mut out));
     out
 }
 
@@ -337,39 +327,42 @@ fn collect_subexpressions<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-fn expr_matches_with_fresh_bindings(pattern: &Expr, target: &Expr) -> bool {
-    let mut bindings = HashMap::new();
-    expr_matches(pattern, target, &mut bindings)
-}
+/// Metavariable name → the target expression it is bound to.
+type Bindings<'p, 't> = HashMap<&'p str, &'t Expr>;
 
-fn expr_matches<'t>(
-    pattern: &Expr,
+fn expr_matches<'p, 't>(
+    pattern: &'p Expr,
     target: &'t Expr,
-    bindings: &mut HashMap<String, &'t Expr>,
-) -> bool {
+    src: Sources<'p>,
+    bindings: &mut Bindings<'p, 't>,
+) -> bool
+where
+    't: 'p,
+{
+    let (ps, ts) = (src.pattern, src.target);
     match pattern {
-        Expr::Name(n) if is_metavar(n) => match bindings.get(n) {
-            Some(bound) => *bound == target,
+        Expr::Name(n) if is_metavar(n.text(ps)) => match bindings.get(n.text(ps)) {
+            Some(bound) => same_expr(bound, target, ts),
             None => {
-                bindings.insert(n.clone(), target);
+                bindings.insert(n.text(ps), target);
                 true
             }
         },
         Expr::Other(t) if t == "..." => true,
-        Expr::Name(n) => matches!(target, Expr::Name(tn) if tn == n),
-        Expr::Str(s) if s == "..." => matches!(target, Expr::Str(_)),
-        Expr::Str(s) => matches!(target, Expr::Str(ts) if ts == s),
-        Expr::Num(n) => matches!(target, Expr::Num(tn) if tn == n),
+        Expr::Name(n) => matches!(target, Expr::Name(tn) if tn.text(ts) == n.text(ps)),
+        Expr::Str(s) if s.text(ps) == "..." => matches!(target, Expr::Str(_)),
+        Expr::Str(s) => matches!(target, Expr::Str(t) if t.text(ts) == s.text(ps)),
+        Expr::Num(n) => matches!(target, Expr::Num(tn) if tn.text(ts) == n.text(ps)),
         Expr::Attribute { value, attr } => match target {
             Expr::Attribute {
                 value: tv,
                 attr: ta,
-            } => attr == ta && expr_matches(value, tv, bindings),
+            } => attr.text(ps) == ta.text(ts) && expr_matches(value, tv, src, bindings),
             _ => false,
         },
         Expr::Call { func, args } => match target {
             Expr::Call { func: tf, args: ta } => {
-                expr_matches(func, tf, bindings) && args_match(args, ta, bindings)
+                expr_matches(func, tf, src, bindings) && args_match(args, ta, src, bindings)
             }
             _ => false,
         },
@@ -378,20 +371,58 @@ fn expr_matches<'t>(
                 left: tl,
                 op: to,
                 right: tr,
-            } => op == to && expr_matches(left, tl, bindings) && expr_matches(right, tr, bindings),
+            } => {
+                op == to
+                    && expr_matches(left, tl, src, bindings)
+                    && expr_matches(right, tr, src, bindings)
+            }
             _ => false,
         },
         Expr::Other(t) => match target {
             Expr::Other(tt) => t == tt,
-            _ => *t == target.to_text(),
+            _ => *t == target.to_text(ts),
         },
     }
 }
 
-fn args_match<'t>(
-    pattern: &[Arg],
+/// Whether two expressions of one text are the same expression, by text.
+fn same_expr(a: &Expr, b: &Expr, src: &str) -> bool {
+    match (a, b) {
+        (Expr::Name(x), Expr::Name(y)) | (Expr::Num(x), Expr::Num(y)) => x.text(src) == y.text(src),
+        (Expr::Str(x), Expr::Str(y)) => x.text(src) == y.text(src),
+        (
+            Expr::Attribute { value, attr },
+            Expr::Attribute {
+                value: bv,
+                attr: ba,
+            },
+        ) => attr.text(src) == ba.text(src) && same_expr(value, bv, src),
+        (Expr::Call { func, args }, Expr::Call { func: bf, args: ba }) => {
+            same_expr(func, bf, src)
+                && args.len() == ba.len()
+                && args.iter().zip(ba).all(|(x, y)| {
+                    x.name.map(|n| n.text(src)) == y.name.map(|n| n.text(src))
+                        && same_expr(&x.value, &y.value, src)
+                })
+        }
+        (
+            Expr::BinOp { left, op, right },
+            Expr::BinOp {
+                left: bl,
+                op: bo,
+                right: br,
+            },
+        ) => op == bo && same_expr(left, bl, src) && same_expr(right, br, src),
+        (Expr::Other(x), Expr::Other(y)) => x == y,
+        _ => false,
+    }
+}
+
+fn args_match<'p, 't: 'p>(
+    pattern: &'p [Arg],
     target: &'t [Arg],
-    bindings: &mut HashMap<String, &'t Expr>,
+    src: Sources<'p>,
+    bindings: &mut Bindings<'p, 't>,
 ) -> bool {
     let has_ellipsis = pattern
         .iter()
@@ -399,17 +430,17 @@ fn args_match<'t>(
 
     // Keyword arguments: every pattern kwarg must match a target kwarg of
     // the same name.
+    let name = |a: &Arg, text: &'p str| a.name.map(|n| n.text(text));
     let pat_kwargs: Vec<&Arg> = pattern.iter().filter(|a| a.name.is_some()).collect();
     let tgt_kwargs: Vec<&Arg> = target.iter().filter(|a| a.name.is_some()).collect();
     for pk in &pat_kwargs {
-        let name = pk.name.as_deref().expect("filtered on is_some");
         let Some(tk) = tgt_kwargs
             .iter()
-            .find(|tk| tk.name.as_deref() == Some(name))
+            .find(|tk| name(tk, src.target) == name(pk, src.pattern))
         else {
             return false;
         };
-        if !expr_matches(&pk.value, &tk.value, bindings) {
+        if !expr_matches(&pk.value, &tk.value, src, bindings) {
             return false;
         }
     }
@@ -420,13 +451,14 @@ fn args_match<'t>(
     // Positional arguments: sequence match with ellipsis gaps.
     let pat_pos: Vec<&Arg> = pattern.iter().filter(|a| a.name.is_none()).collect();
     let tgt_pos: Vec<&Arg> = target.iter().filter(|a| a.name.is_none()).collect();
-    seq_match(&pat_pos, &tgt_pos, bindings)
+    seq_match(&pat_pos, &tgt_pos, src, bindings)
 }
 
-fn seq_match<'t>(
-    pattern: &[&Arg],
+fn seq_match<'p, 't: 'p>(
+    pattern: &[&'p Arg],
     target: &[&'t Arg],
-    bindings: &mut HashMap<String, &'t Expr>,
+    src: Sources<'p>,
+    bindings: &mut Bindings<'p, 't>,
 ) -> bool {
     match pattern.split_first() {
         None => target.is_empty(),
@@ -434,7 +466,7 @@ fn seq_match<'t>(
             // Ellipsis absorbs zero or more target args (backtracking).
             for skip in 0..=target.len() {
                 let mut trial = bindings.clone();
-                if seq_match(rest, &target[skip..], &mut trial) {
+                if seq_match(rest, &target[skip..], src, &mut trial) {
                     *bindings = trial;
                     return true;
                 }
@@ -444,8 +476,8 @@ fn seq_match<'t>(
         Some((first, rest)) => match target.split_first() {
             Some((tfirst, trest)) => {
                 let mut trial = bindings.clone();
-                if expr_matches(&first.value, &tfirst.value, &mut trial)
-                    && seq_match(rest, trest, &mut trial)
+                if expr_matches(&first.value, &tfirst.value, src, &mut trial)
+                    && seq_match(rest, trest, src, &mut trial)
                 {
                     *bindings = trial;
                     true

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use pysrc::{Expr, Module, Stmt};
 
 use crate::matcher::{
-    for_each_expr_root, stmt_matches, walk_statements, Anchor, CompiledOp, Finding,
+    for_each_expr_root, stmt_matches, walk_statements, Anchor, CompiledOp, Finding, Sources,
 };
 use crate::rule::CompiledSemgrepRules;
 
@@ -51,9 +51,11 @@ impl SemgrepMetrics {
     }
 }
 
-/// One dispatchable pre-parsed leaf.
+/// One dispatchable pre-parsed leaf: its statement and the text it
+/// points into.
 struct LeafEntry<'r> {
     stmt: &'r Stmt,
+    src: &'r str,
     rule: usize,
 }
 
@@ -162,14 +164,15 @@ impl<'r> MatchSet<'r> {
     fn build_node(&mut self, op: &'r CompiledOp, rule: usize) -> Node {
         match op {
             CompiledOp::Leaf(leaf) => {
-                let Some(stmt) = &leaf.stmt else {
+                let Some(stmt) = leaf.pattern.body.first() else {
                     return Node::Dead;
                 };
                 if leaf.anchor == Anchor::Dead {
                     return Node::Dead;
                 }
                 let id = self.leaves.len() as u32;
-                self.leaves.push(LeafEntry { stmt, rule });
+                let src = leaf.pattern.source();
+                self.leaves.push(LeafEntry { stmt, src, rule });
                 match &leaf.anchor {
                     Anchor::Ident(name) => {
                         self.ident_index.entry(name).or_default().push(id);
@@ -233,37 +236,35 @@ impl<'r> MatchSet<'r> {
     ) -> SemgrepMetrics {
         scratch.begin(self.leaves.len());
         let mut metrics = SemgrepMetrics::default();
+        let src = module.source();
         walk_statements(&module.body, &mut |stmt| {
             metrics.stmts_visited += 1;
             scratch.stmt_gen += 1;
-            for i in 0..self.always.len() {
-                self.try_leaf(self.always[i], stmt, &include, scratch, &mut metrics);
-            }
+            let mut try_leaves = |ids: &[u32], scratch: &mut MatchScratch| {
+                for &id in ids {
+                    self.try_leaf(id, module, stmt, &include, scratch, &mut metrics);
+                }
+            };
+            try_leaves(&self.always, scratch);
             match stmt {
                 Stmt::Import { modules, .. } => {
                     for m in modules {
-                        if let Some(ids) = self.import_index.get(m.path.as_str()) {
-                            for &id in ids {
-                                self.try_leaf(id, stmt, &include, scratch, &mut metrics);
-                            }
+                        if let Some(ids) = self.import_index.get(&*m.path.dotted(src)) {
+                            try_leaves(ids, scratch);
                         }
                     }
                 }
                 Stmt::FromImport { module, .. } => {
-                    if let Some(ids) = self.from_import_index.get(module.as_str()) {
-                        for &id in ids {
-                            self.try_leaf(id, stmt, &include, scratch, &mut metrics);
-                        }
+                    if let Some(ids) = self.from_import_index.get(&*module.dotted(src)) {
+                        try_leaves(ids, scratch);
                     }
                 }
                 _ => {}
             }
             for_each_expr_root(stmt, &mut |root| {
-                walk_idents(root, &mut |ident| {
+                walk_idents(root, src, &mut |ident| {
                     if let Some(ids) = self.ident_index.get(ident) {
-                        for &id in ids {
-                            self.try_leaf(id, stmt, &include, scratch, &mut metrics);
-                        }
+                        try_leaves(ids, scratch);
                     }
                 });
             });
@@ -291,6 +292,7 @@ impl<'r> MatchSet<'r> {
     fn try_leaf(
         &self,
         id: u32,
+        module: &Module,
         stmt: &Stmt,
         include: &impl Fn(usize) -> bool,
         scratch: &mut MatchScratch,
@@ -308,12 +310,16 @@ impl<'r> MatchSet<'r> {
             return;
         }
         metrics.leaf_tests += 1;
-        if stmt_matches(entry.stmt, stmt) {
+        let src = Sources {
+            pattern: entry.src,
+            target: module.source(),
+        };
+        if stmt_matches(entry.stmt, stmt, src) {
             if scratch.line_stamps[li] != scratch.scan_gen {
                 scratch.line_stamps[li] = scratch.scan_gen;
                 scratch.leaf_lines[li].clear();
             }
-            scratch.leaf_lines[li].push(stmt.line());
+            scratch.leaf_lines[li].push(module.line(stmt));
         }
     }
 }
@@ -364,22 +370,22 @@ fn eval_tree(node: &Node, scratch: &MatchScratch) -> Vec<usize> {
 
 /// Yields every identifier a statement's expressions expose: bare names,
 /// attribute names, callee heads — the facts [`Anchor::Ident`] keys on.
-fn walk_idents<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a str)) {
+fn walk_idents<'a>(expr: &Expr, src: &'a str, f: &mut impl FnMut(&'a str)) {
     match expr {
-        Expr::Name(n) => f(n),
+        Expr::Name(n) => f(n.text(src)),
         Expr::Attribute { value, attr } => {
-            f(attr);
-            walk_idents(value, f);
+            f(attr.text(src));
+            walk_idents(value, src, f);
         }
         Expr::Call { func, args } => {
-            walk_idents(func, f);
+            walk_idents(func, src, f);
             for a in args {
-                walk_idents(&a.value, f);
+                walk_idents(&a.value, src, f);
             }
         }
         Expr::BinOp { left, right, .. } => {
-            walk_idents(left, f);
-            walk_idents(right, f);
+            walk_idents(left, src, f);
+            walk_idents(right, src, f);
         }
         Expr::Str(_) | Expr::Num(_) | Expr::Other(_) => {}
     }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pysrc::Module;
 
-use crate::matcher::{encode_metavars, stmt_matches, walk_statements, Finding};
+use crate::matcher::{encode_metavars, stmt_matches, walk_statements, Finding, Sources};
 use crate::rule::{PatternOp, SemgrepRule};
 
 /// Pattern-text re-parses performed by this module since process start.
@@ -90,10 +90,14 @@ fn pattern_lines(pattern: &str, module: &Module) -> Vec<usize> {
     let Some(pat_stmt) = pat_module.body.first() else {
         return Vec::new();
     };
+    let src = Sources {
+        pattern: pat_module.source(),
+        target: module.source(),
+    };
     let mut out = Vec::new();
     walk_statements(&module.body, &mut |stmt| {
-        if stmt_matches(pat_stmt, stmt) {
-            out.push(stmt.line());
+        if stmt_matches(pat_stmt, stmt, src) {
+            out.push(module.line(stmt));
         }
     });
     out
