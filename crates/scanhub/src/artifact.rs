@@ -22,6 +22,7 @@
 //! decoded layer as its own unit, with findings tagged by layer so
 //! verdicts stay explainable.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -545,11 +546,15 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
     for r in strings.refs.iter().rev() {
         first_lines[r.literal as usize] = r.line;
     }
-    // (text to examine, depth it would decode at, anchor line)
-    let mut pending: Vec<(String, u8, u32)> = Vec::new();
-    for (idx, lit) in strings.literals.iter().enumerate() {
-        pending.push((lit.clone(), 1, first_lines[idx]));
-    }
+    // (text to examine, depth it would decode at, anchor line): surface
+    // literals are examined where the table holds them, and only what a
+    // decode produced is owned.
+    let mut pending: Vec<(Cow<'_, str>, u8, u32)> = strings
+        .literals
+        .iter()
+        .zip(first_lines)
+        .map(|(lit, line)| (Cow::Borrowed(lit.as_str()), 1, line))
+        .collect();
     while let Some((text, depth, line)) = pending.pop() {
         if layers.len() >= MAX_LAYERS {
             break;
@@ -566,10 +571,10 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
                 // own literals (attackers double-encode); a bare blob
                 // may simply be encoded a second time.
                 let inner_strings = pysrc::intern_strings(&pysrc::lex_spanned(inner));
-                for lit in &inner_strings.literals {
-                    pending.push((lit.clone(), depth + 1, line));
+                for lit in inner_strings.literals {
+                    pending.push((Cow::Owned(lit), depth + 1, line));
                 }
-                pending.push((inner.to_owned(), depth + 1, line));
+                pending.push((Cow::Owned(inner.to_owned()), depth + 1, line));
             }
         }
         layers.push(DecodedLayer {

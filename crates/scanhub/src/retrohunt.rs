@@ -23,10 +23,13 @@
 //! "digests whose content can contain this atom", and it answers for
 //! atoms the index has *never seen before* (the whole point of a rule
 //! deploy). Atoms shorter than the gram width go through exact 1/2-gram
-//! posting maps maintained alongside the 3-gram index, so a rule gated
-//! on `"MZ"` nominates only digests whose content actually contains the
-//! two bytes instead of forcing an exhaustive confirm-scan; only rules
-//! without an exhaustive atom set fall back to full candidacy.
+//! postings maintained alongside the 3-grams, so a rule gated on `"MZ"`
+//! nominates only digests whose content actually contains the two bytes
+//! instead of forcing an exhaustive confirm-scan; only rules without an
+//! exhaustive atom set fall back to full candidacy. Singles and pairs
+//! find their term through flat tables, 3-grams through an
+//! open-addressed one, and every posting list is a chain of fixed-size
+//! blocks in one arena (see [`RetroIndex`]).
 //!
 //! # Verdict semantics
 //!
@@ -68,41 +71,176 @@ pub enum TermProvenance {
     Layer,
 }
 
-#[derive(Debug, Default)]
-struct Postings {
-    /// Slots whose raw bytes contain the gram, sorted ascending.
-    surface: Vec<u32>,
-    /// Slots with the gram in some decoded layer, sorted ascending.
-    layer: Vec<u32>,
+/// No block, or no slot: the end of a posting chain, and a vacant
+/// [`GramTable`] entry (no packed 3-gram reaches it).
+const NIL: u32 = u32::MAX;
+
+/// Slots per posting block. With its link a block is 32 bytes, and most
+/// grams are posted by few digests, so a list is usually one block.
+const BLOCK_SLOTS: usize = 7;
+
+/// A run of one posting list's slots.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    slots: [u32; BLOCK_SLOTS],
+    /// The list's next block, or `NIL`.
+    next: u32,
 }
 
-impl Postings {
-    fn post(&mut self, provenance: TermProvenance, slot: u32) {
-        let list = match provenance {
-            TermProvenance::Surface => &mut self.surface,
-            TermProvenance::Layer => &mut self.layer,
-        };
-        push_slot(list, slot);
+/// One term's posting list in one provenance: `len` ascending slots in a
+/// chain of arena blocks from `head` to `tail` (neither read while `len`
+/// is 0).
+#[derive(Debug, Clone, Copy, Default)]
+struct List {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// A term's posting lists, indexed by `TermProvenance as usize`.
+type Term = [List; 2];
+
+/// Every posting list of an index, as chained fixed-size blocks in one
+/// vector: posting a slot writes one word, or pushes one block.
+#[derive(Debug, Default)]
+struct Arena {
+    blocks: Vec<Block>,
+}
+
+impl Arena {
+    /// Appends `slot`, which exceeds every slot already in `list`.
+    fn push(&mut self, list: &mut List, slot: u32) {
+        let at = list.len as usize % BLOCK_SLOTS;
+        if at == 0 {
+            let fresh = self.blocks.len() as u32;
+            let block = Block {
+                slots: [0; BLOCK_SLOTS],
+                next: NIL,
+            };
+            self.blocks.push(block);
+            if list.len == 0 {
+                list.head = fresh;
+            } else {
+                self.blocks[list.tail as usize].next = fresh;
+            }
+            list.tail = fresh;
+        }
+        let block = &mut self.blocks[list.tail as usize];
+        debug_assert!(at == 0 || block.slots[at - 1] < slot, "lists stay sorted");
+        block.slots[at] = slot;
+        list.len += 1;
+    }
+
+    /// `list`'s slots, ascending.
+    fn slots(&self, list: List) -> impl Iterator<Item = u32> + '_ {
+        let first = (list.len > 0).then_some(list.head);
+        let chain = std::iter::successors(first, |&b| {
+            Some(self.blocks[b as usize].next).filter(|&next| next != NIL)
+        });
+        chain
+            .flat_map(|b| self.blocks[b as usize].slots)
+            .take(list.len as usize)
     }
 }
 
-/// The inverted content index: folded 3-gram → digest slots, tagged by
+/// Open-addressed map from packed 3-gram to term: linear probing from a
+/// multiplicative hash, at most half full. Entries are never removed one
+/// at a time; a compaction renumbers the table whole.
+#[derive(Debug, Default)]
+struct GramTable {
+    /// `(packed gram, term)`; a vacant entry is `(NIL, 0)`.
+    entries: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl GramTable {
+    /// Capacity of the first table an insert allocates.
+    const MIN_ENTRIES: usize = 1 << 10;
+
+    /// The index of `gram`'s entry, or of the vacant entry it would take.
+    fn find(&self, gram: u32) -> usize {
+        let mask = self.entries.len() - 1;
+        let shift = 32 - self.entries.len().trailing_zeros();
+        let mut at = (gram.wrapping_mul(0x9E37_79B9) >> shift) as usize;
+        while self.entries[at].0 != gram && self.entries[at].0 != NIL {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// `gram`'s term, 0 when it has none.
+    fn get(&self, gram: u32) -> u32 {
+        if self.entries.is_empty() {
+            return 0;
+        }
+        self.entries[self.find(gram)].1
+    }
+
+    /// `gram`'s term, entered as 0 when it has none.
+    fn entry(&mut self, gram: u32) -> &mut u32 {
+        if 2 * (self.len + 1) > self.entries.len() {
+            let entries = (2 * self.entries.len()).max(Self::MIN_ENTRIES);
+            self.rehash(entries, |term| term);
+        }
+        let at = self.find(gram);
+        if self.entries[at].0 == NIL {
+            self.entries[at].0 = gram;
+            self.len += 1;
+        }
+        &mut self.entries[at].1
+    }
+
+    /// Rebuilds the table with `entries` entries, mapping every term
+    /// through `renumber` and dropping the grams it maps to 0.
+    fn rehash(&mut self, entries: usize, renumber: impl Fn(u32) -> u32) {
+        let old = std::mem::replace(&mut self.entries, vec![(NIL, 0); entries]);
+        self.len = 0;
+        for (gram, term) in old {
+            let term = renumber(term);
+            if term != 0 {
+                let at = self.find(gram);
+                self.entries[at] = (gram, term);
+                self.len += 1;
+            }
+        }
+    }
+}
+
+/// Posts `slot` to the `provenance` list of term `*id`, first creating the
+/// term when `*id` is 0.
+fn post(terms: &mut Vec<Term>, arena: &mut Arena, id: &mut u32, prov: TermProvenance, slot: u32) {
+    if *id == 0 {
+        *id = terms.len() as u32;
+        terms.push(Term::default());
+    }
+    arena.push(&mut terms[*id as usize][prov as usize], slot);
+}
+
+/// The inverted content index: folded 1/2/3-gram → digest slots, tagged by
 /// provenance. Maintained under the artifact store's retro lock; all
 /// mutation happens on the single-flight publish path and on eviction.
-#[derive(Debug, Default)]
+///
+/// Slots are handed out in ascending order and never reused before a
+/// compaction, which renumbers the live ones densely in the same order,
+/// so every posting list is sorted by construction. A gram finds its term
+/// through a flat table (singles, pairs) or the 3-gram [`GramTable`]; a
+/// term's two lists are block chains in one [`Arena`].
+#[derive(Debug)]
 pub(crate) struct RetroIndex {
     /// Slot → (digest, analyzed-as-python) for live digests; `None`
     /// marks a tombstone awaiting compaction.
     slots: Vec<Option<(DigestKey, bool)>>,
     by_digest: HashMap<DigestKey, u32>,
-    postings: HashMap<[u8; GRAM_LEN], Postings>,
-    /// Exact single-byte postings, so 1-byte atoms stay gateable.
-    grams1: HashMap<u8, Postings>,
-    /// Exact byte-pair postings, so 2-byte atoms (`"MZ"`) stay gateable.
-    grams2: HashMap<[u8; 2], Postings>,
-    /// Slots freed by the last compaction, safe to reuse (their posting
-    /// entries are gone).
-    free: Vec<u32>,
+    /// Term → posting lists. Term 0 has none: it is every gram no digest
+    /// has posted.
+    terms: Vec<Term>,
+    /// Byte → term, so 1-byte atoms stay gateable.
+    singles: Vec<u32>,
+    /// Packed byte pair → term, so 2-byte atoms (`"MZ"`) stay gateable.
+    pairs: Vec<u32>,
+    /// Packed 3-gram → term.
+    triples: GramTable,
+    arena: Arena,
     /// Tombstones not yet swept from the posting lists.
     dead: usize,
 }
@@ -168,17 +306,6 @@ impl GramSet {
     fn singles(&self) -> impl Iterator<Item = u8> + '_ {
         (0..=255u8).filter(|&b| self.g1[b as usize >> 6] >> (b & 63) & 1 == 1)
     }
-
-    fn pairs(&self) -> impl Iterator<Item = [u8; 2]> + '_ {
-        self.g2.iter().map(|k| k.to_be_bytes())
-    }
-
-    fn triples(&self) -> impl Iterator<Item = [u8; GRAM_LEN]> + '_ {
-        self.g3.iter().map(|k| {
-            let [_, a, b, c] = k.to_be_bytes();
-            [a, b, c]
-        })
-    }
 }
 
 /// Per-worker gram collector: one rolling pass per scan unit folds each
@@ -223,21 +350,18 @@ impl GramScratch {
     }
 }
 
-/// Appends `slot` keeping the list sorted. Fresh slots always go at the
-/// end; a slot reused after compaction may land mid-list.
-fn push_slot(list: &mut Vec<u32>, slot: u32) {
-    match list.last() {
-        Some(&last) if last > slot => {
-            let at = list.partition_point(|&s| s < slot);
-            list.insert(at, slot);
-        }
-        _ => list.push(slot),
-    }
-}
-
 impl RetroIndex {
     pub(crate) fn new() -> Self {
-        Self::default()
+        RetroIndex {
+            slots: Vec::new(),
+            by_digest: HashMap::new(),
+            terms: vec![Term::default()],
+            singles: vec![0; 1 << 8],
+            pairs: vec![0; 1 << 16],
+            triples: GramTable::default(),
+            arena: Arena::default(),
+            dead: 0,
+        }
     }
 
     /// Number of live digests.
@@ -246,9 +370,9 @@ impl RetroIndex {
     }
 
     /// Number of distinct indexed terms (folded 1/2/3-grams with at
-    /// least one posting list).
+    /// least one posting).
     pub(crate) fn term_count(&self) -> usize {
-        self.postings.len() + self.grams1.len() + self.grams2.len()
+        self.terms.len() - 1
     }
 
     /// Indexes the artifact `grams` was collected from, posting each
@@ -259,32 +383,24 @@ impl RetroIndex {
         if self.by_digest.contains_key(&grams.digest) {
             return;
         }
-        let live = Some((grams.digest, grams.is_python));
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = live;
-                s
-            }
-            None => {
-                self.slots.push(live);
-                (self.slots.len() - 1) as u32
-            }
-        };
+        let slot = self.slots.len() as u32;
+        self.slots.push(Some((grams.digest, grams.is_python)));
         self.by_digest.insert(grams.digest, slot);
 
+        let (terms, arena) = (&mut self.terms, &mut self.arena);
         let lists = [
             (&grams.surface, TermProvenance::Surface),
             (&grams.layer, TermProvenance::Layer),
         ];
-        for (set, provenance) in lists {
+        for (set, prov) in lists {
             for g in set.singles() {
-                self.grams1.entry(g).or_default().post(provenance, slot);
+                post(terms, arena, &mut self.singles[usize::from(g)], prov, slot);
             }
-            for g in set.pairs() {
-                self.grams2.entry(g).or_default().post(provenance, slot);
+            for &g in &set.g2 {
+                post(terms, arena, &mut self.pairs[usize::from(g)], prov, slot);
             }
-            for g in set.triples() {
-                self.postings.entry(g).or_default().post(provenance, slot);
+            for &g in &set.g3 {
+                post(terms, arena, self.triples.entry(g), prov, slot);
             }
         }
     }
@@ -311,22 +427,48 @@ impl RetroIndex {
         }
     }
 
+    /// Sweeps the tombstones: renumbers the live slots densely, in order,
+    /// and rewrites every list into a fresh arena without its dead slots.
+    /// A term left with no posting is dropped. The buffers keep their
+    /// capacity, so refilling them allocates nothing.
     fn compact(&mut self) {
-        let slots = &self.slots;
-        let sweep = |p: &mut Postings| {
-            p.surface.retain(|&s| slots[s as usize].is_some());
-            p.layer.retain(|&s| slots[s as usize].is_some());
-            !p.surface.is_empty() || !p.layer.is_empty()
-        };
-        self.postings.retain(|_, p| sweep(p));
-        self.grams1.retain(|_, p| sweep(p));
-        self.grams2.retain(|_, p| sweep(p));
-        self.free.clear();
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.is_none() {
-                self.free.push(i as u32);
+        let mut renumbered = vec![NIL; self.slots.len()];
+        let live_slots = self.slots.iter().enumerate().filter(|(_, s)| s.is_some());
+        for (new, (old, _)) in live_slots.enumerate() {
+            renumbered[old] = new as u32;
+        }
+        self.slots.retain(Option::is_some);
+        for slot in self.by_digest.values_mut() {
+            *slot = renumbered[*slot as usize];
+        }
+
+        let blocks = Vec::with_capacity(self.arena.blocks.capacity());
+        let old_arena = std::mem::replace(&mut self.arena, Arena { blocks });
+        let terms = Vec::with_capacity(self.terms.capacity());
+        let old_terms = std::mem::replace(&mut self.terms, terms);
+        // Old term → new term, 0 for a dropped one (and for term 0).
+        let mut term_ids = vec![0u32; old_terms.len()];
+        self.terms.push(Term::default());
+        for (old, lists) in old_terms.iter().enumerate().skip(1) {
+            let mut term = Term::default();
+            for (list, old_list) in term.iter_mut().zip(lists) {
+                for slot in old_arena.slots(*old_list) {
+                    match renumbered[slot as usize] {
+                        NIL => {}
+                        live => self.arena.push(list, live),
+                    }
+                }
+            }
+            if term.iter().any(|list| list.len > 0) {
+                term_ids[old] = self.terms.len() as u32;
+                self.terms.push(term);
             }
         }
+        for id in self.singles.iter_mut().chain(&mut self.pairs) {
+            *id = term_ids[*id as usize];
+        }
+        let entries = self.triples.entries.len();
+        self.triples.rehash(entries, |term| term_ids[term as usize]);
         self.dead = 0;
     }
 
@@ -337,56 +479,36 @@ impl RetroIndex {
 
     /// Candidate digests that can contain `atom` (folded text) with the
     /// given provenance. Atoms shorter than the gram width answer from
-    /// the exact 1/2-gram posting maps; only an empty atom returns
-    /// `None` (the caller must fall back to full candidacy).
+    /// the exact 1/2-gram postings; only an empty atom returns `None`
+    /// (the caller must fall back to full candidacy).
     pub(crate) fn candidates_for_atom(
         &self,
         atom: &str,
         provenance: TermProvenance,
     ) -> Option<Vec<(DigestKey, bool)>> {
         let folded: Vec<u8> = atom.bytes().map(|b| b.to_ascii_lowercase()).collect();
-        if folded.len() < GRAM_LEN {
-            let postings = match folded.as_slice() {
-                [] => return None,
-                [b] => self.grams1.get(b),
-                [a, b] => self.grams2.get(&[*a, *b]),
-                _ => unreachable!(),
-            };
-            let Some(p) = postings else {
-                return Some(Vec::new());
-            };
-            let list = match provenance {
-                TermProvenance::Surface => &p.surface,
-                TermProvenance::Layer => &p.layer,
-            };
-            return Some(
-                list.iter()
-                    .filter_map(|&s| self.slots[s as usize])
-                    .collect(),
-            );
-        }
-        let mut lists: Vec<&Vec<u32>> = Vec::with_capacity(folded.len() - GRAM_LEN + 1);
-        for w in folded.windows(GRAM_LEN) {
-            let g = [w[0], w[1], w[2]];
-            let Some(p) = self.postings.get(&g) else {
-                return Some(Vec::new());
-            };
-            let list = match provenance {
-                TermProvenance::Surface => &p.surface,
-                TermProvenance::Layer => &p.layer,
-            };
-            if list.is_empty() {
-                return Some(Vec::new());
-            }
-            lists.push(list);
-        }
-        lists.sort_by_key(|l| l.len());
-        let mut acc: Vec<u32> = lists[0].clone();
-        for list in &lists[1..] {
-            acc.retain(|s| list.binary_search(s).is_ok());
+        let list = |term: u32| self.terms[term as usize][provenance as usize];
+        let mut lists: Vec<List> = match folded.as_slice() {
+            [] => return None,
+            [b] => vec![list(self.singles[usize::from(*b)])],
+            [a, b] => vec![list(self.pairs[usize::from(u16::from_be_bytes([*a, *b]))])],
+            _ => folded
+                .windows(GRAM_LEN)
+                .map(|w| list(self.triples.get(u32::from_be_bytes([0, w[0], w[1], w[2]]))))
+                .collect(),
+        };
+        lists.sort_by_key(|l| l.len);
+        let mut acc: Vec<u32> = self.arena.slots(lists[0]).collect();
+        for &other in &lists[1..] {
             if acc.is_empty() {
                 break;
             }
+            // Both sides ascend: one merge pass keeps the common slots.
+            let mut postings = self.arena.slots(other).peekable();
+            acc.retain(|&s| {
+                while postings.next_if(|&p| p < s).is_some() {}
+                postings.next_if_eq(&s).is_some()
+            });
         }
         Some(
             acc.into_iter()
@@ -1149,6 +1271,17 @@ mod tests {
     }
 
     impl GramSet {
+        fn pairs(&self) -> impl Iterator<Item = [u8; 2]> + '_ {
+            self.g2.iter().map(|k| k.to_be_bytes())
+        }
+
+        fn triples(&self) -> impl Iterator<Item = [u8; GRAM_LEN]> + '_ {
+            self.g3.iter().map(|k| {
+                let [_, a, b, c] = k.to_be_bytes();
+                [a, b, c]
+            })
+        }
+
         fn sorted(&self) -> Grams {
             let mut grams: Grams = (
                 self.singles().collect(),
@@ -1312,7 +1445,361 @@ mod tests {
         }
     }
 
+    /// Where `v`'s buffer lives, and its capacity.
+    fn buffer<T>(v: &Vec<T>) -> (usize, usize) {
+        (v.as_ptr() as usize, v.capacity())
+    }
+
+    /// A publish — collecting an artifact's grams, posting them — into an
+    /// index that has held as much before allocates nothing: every buffer
+    /// the collector and the posting path write stays where it was, at its
+    /// capacity. The crate forbids `unsafe`, so no counting allocator can
+    /// be installed here. The digest map, a std `HashMap`, is left out: its
+    /// reported capacity moves when an insert reuses a tombstone, without
+    /// allocating, and where it lands depends on the process's hash keys.
+    #[test]
+    fn a_publish_into_a_grown_index_allocates_nothing() {
+        // 33 files: removing them all compacts exactly once, at the last
+        // removal, which leaves the index empty with its buffers grown.
+        let files: Vec<FileAnalysis> = (0..33)
+            .map(|i| {
+                let payload = digest::base64::encode(format!("os.system('stage {i}')").as_bytes());
+                let code = format!("import os\nos.system('id {i}')\nblob = '{payload}'\n");
+                analyze(&format!("m{i}.py"), code.as_bytes())
+            })
+            .collect();
+        assert!(
+            files.iter().all(|f| !f.layers.is_empty()),
+            "payloads decode"
+        );
+        let (mut index, mut grams) = (RetroIndex::new(), GramScratch::default());
+        for file in &files {
+            grams.collect(file);
+            index.insert_collected(&grams);
+        }
+        let grown = (index.term_count(), index.digest_count());
+        for file in &files {
+            index.remove(&file.digest);
+        }
+        assert_eq!((index.term_count(), index.digest_count()), (0, 0));
+        assert!(
+            index.slots.is_empty() && index.arena.blocks.is_empty(),
+            "compacted"
+        );
+        let buffers = |grams: &GramScratch, index: &RetroIndex| {
+            let (surface, layer) = (&grams.surface, &grams.layer);
+            [
+                buffer(&grams.seen3),
+                buffer(&grams.seen2),
+                buffer(&surface.g2),
+                buffer(&surface.g3),
+                buffer(&layer.g2),
+                buffer(&layer.g3),
+                buffer(&index.slots),
+                buffer(&index.terms),
+                buffer(&index.singles),
+                buffer(&index.pairs),
+                buffer(&index.triples.entries),
+                buffer(&index.arena.blocks),
+            ]
+        };
+        for file in &files {
+            let before = buffers(&grams, &index);
+            grams.collect(file);
+            index.insert_collected(&grams);
+            assert_eq!(buffers(&grams, &index), before, "a buffer moved");
+        }
+        assert_eq!((index.term_count(), index.digest_count()), grown);
+    }
+
+    // ---- The arena index against the map index it replaced, kept
+    // below as the oracle: a `HashMap` per gram width, one `Vec` per
+    // list, and freed slots reused after a compaction.
+
+    #[derive(Debug, Default)]
+    struct Postings {
+        surface: Vec<u32>,
+        layer: Vec<u32>,
+    }
+
+    impl Postings {
+        fn post(&mut self, provenance: TermProvenance, slot: u32) {
+            let list = match provenance {
+                TermProvenance::Surface => &mut self.surface,
+                TermProvenance::Layer => &mut self.layer,
+            };
+            // A slot reused after compaction may land mid-list.
+            match list.last() {
+                Some(&last) if last > slot => {
+                    let at = list.partition_point(|&s| s < slot);
+                    list.insert(at, slot);
+                }
+                _ => list.push(slot),
+            }
+        }
+    }
+
+    #[derive(Debug, Default)]
+    struct MapIndex {
+        slots: Vec<Option<(DigestKey, bool)>>,
+        by_digest: HashMap<DigestKey, u32>,
+        postings: HashMap<[u8; GRAM_LEN], Postings>,
+        grams1: HashMap<u8, Postings>,
+        grams2: HashMap<[u8; 2], Postings>,
+        free: Vec<u32>,
+        dead: usize,
+    }
+
+    impl MapIndex {
+        fn term_count(&self) -> usize {
+            self.postings.len() + self.grams1.len() + self.grams2.len()
+        }
+
+        fn insert_collected(&mut self, grams: &GramScratch) {
+            if self.by_digest.contains_key(&grams.digest) {
+                return;
+            }
+            let live = Some((grams.digest, grams.is_python));
+            let slot = match self.free.pop() {
+                Some(s) => {
+                    self.slots[s as usize] = live;
+                    s
+                }
+                None => {
+                    self.slots.push(live);
+                    (self.slots.len() - 1) as u32
+                }
+            };
+            self.by_digest.insert(grams.digest, slot);
+            let lists = [
+                (&grams.surface, TermProvenance::Surface),
+                (&grams.layer, TermProvenance::Layer),
+            ];
+            for (set, provenance) in lists {
+                for g in set.singles() {
+                    self.grams1.entry(g).or_default().post(provenance, slot);
+                }
+                for g in set.pairs() {
+                    self.grams2.entry(g).or_default().post(provenance, slot);
+                }
+                for g in set.triples() {
+                    self.postings.entry(g).or_default().post(provenance, slot);
+                }
+            }
+        }
+
+        fn remove(&mut self, digest: &DigestKey) {
+            let Some(slot) = self.by_digest.remove(digest) else {
+                return;
+            };
+            self.slots[slot as usize] = None;
+            self.dead += 1;
+            if self.dead > self.by_digest.len().max(32) {
+                let slots = &self.slots;
+                let sweep = |p: &mut Postings| {
+                    p.surface.retain(|&s| slots[s as usize].is_some());
+                    p.layer.retain(|&s| slots[s as usize].is_some());
+                    !p.surface.is_empty() || !p.layer.is_empty()
+                };
+                self.postings.retain(|_, p| sweep(p));
+                self.grams1.retain(|_, p| sweep(p));
+                self.grams2.retain(|_, p| sweep(p));
+                self.free = (0..self.slots.len() as u32)
+                    .filter(|&s| self.slots[s as usize].is_none())
+                    .collect();
+                self.dead = 0;
+            }
+        }
+
+        fn candidates_for_atom(
+            &self,
+            atom: &str,
+            provenance: TermProvenance,
+        ) -> Option<Vec<(DigestKey, bool)>> {
+            let folded: Vec<u8> = atom.bytes().map(|b| b.to_ascii_lowercase()).collect();
+            let pick = |p: &Postings| match provenance {
+                TermProvenance::Surface => p.surface.clone(),
+                TermProvenance::Layer => p.layer.clone(),
+            };
+            let lists: Vec<Vec<u32>> = match folded.as_slice() {
+                [] => return None,
+                [b] => vec![self.grams1.get(b).map(pick).unwrap_or_default()],
+                [a, b] => vec![self.grams2.get(&[*a, *b]).map(pick).unwrap_or_default()],
+                _ => folded
+                    .windows(GRAM_LEN)
+                    .map(|w| {
+                        let g = [w[0], w[1], w[2]];
+                        self.postings.get(&g).map(pick).unwrap_or_default()
+                    })
+                    .collect(),
+            };
+            let mut acc = lists[0].clone();
+            for list in &lists[1..] {
+                acc.retain(|s| list.binary_search(s).is_ok());
+            }
+            Some(
+                acc.into_iter()
+                    .filter_map(|s| self.slots[s as usize])
+                    .collect(),
+            )
+        }
+    }
+
+    /// Both indexes hold the same digests and terms, and name the same
+    /// candidates for every atom in both provenances.
+    fn assert_same_index(index: &RetroIndex, oracle: &MapIndex, atoms: &[String]) {
+        assert_eq!(index.digest_count(), oracle.by_digest.len(), "digest_count");
+        assert_eq!(index.term_count(), oracle.term_count(), "term_count");
+        for atom in atoms {
+            for provenance in [TermProvenance::Surface, TermProvenance::Layer] {
+                let answer = |hits: Option<Vec<(DigestKey, bool)>>| {
+                    hits.map(|mut hits| {
+                        hits.sort_unstable();
+                        hits
+                    })
+                };
+                assert_eq!(
+                    answer(index.candidates_for_atom(atom, provenance)),
+                    answer(oracle.candidates_for_atom(atom, provenance)),
+                    "{atom:?} {provenance:?}"
+                );
+            }
+        }
+    }
+
+    /// The pool's byte alphabet: few bytes, so grams repeat across
+    /// artifacts, and upper case, so folding matters.
+    const ALPHABET: &[u8] = b"abcAB.0 ";
+
+    /// `count` small artifacts over [`ALPHABET`] — alternately Python and
+    /// not, with up to two layers — and every atom worth asking about them:
+    /// each ASCII byte, each pair and triple over the alphabet, and every
+    /// 4- to 6-byte window of their units.
+    fn pool(seed: u64, count: usize) -> (Vec<FileAnalysis>, Vec<String>) {
+        let bytes = pseudo_random_bytes(count * 64, seed);
+        let text = |at: usize, len: usize| -> Vec<u8> {
+            let window = &bytes[at..at + len % 25];
+            window
+                .iter()
+                .map(|&b| ALPHABET[b as usize % ALPHABET.len()])
+                .collect()
+        };
+        let artifacts: Vec<FileAnalysis> = (0..count)
+            .map(|i| {
+                let at = i * 64;
+                let name = if i % 2 == 0 { "u.py" } else { "u.bin" };
+                let mut artifact = analyze(name, &text(at, usize::from(bytes[at])));
+                artifact.layers = (0..bytes[at + 1] % 3)
+                    .map(|l| crate::artifact::DecodedLayer {
+                        encoding: crate::LayerEncoding::Base64,
+                        depth: 1,
+                        line: 1,
+                        data: text(
+                            at + 26 + 13 * usize::from(l),
+                            usize::from(bytes[at + 2]) / 2,
+                        ),
+                    })
+                    .collect();
+                artifact
+            })
+            .collect();
+        let mut atoms: Vec<String> = (0..128u8).map(|b| char::from(b).to_string()).collect();
+        for &a in ALPHABET {
+            for &b in ALPHABET {
+                atoms.push(String::from_utf8(vec![a, b]).expect("ascii"));
+                for &c in ALPHABET {
+                    atoms.push(String::from_utf8(vec![a, b, c]).expect("ascii"));
+                }
+            }
+        }
+        for artifact in &artifacts {
+            let units = std::iter::once(&artifact.bytes[..]);
+            for unit in units.chain(artifact.layers.iter().map(|l| &l.data[..])) {
+                for width in 4..=6 {
+                    for w in unit.windows(width) {
+                        atoms.push(String::from_utf8(w.to_vec()).expect("ascii"));
+                    }
+                }
+            }
+        }
+        atoms.sort_unstable();
+        atoms.dedup();
+        (artifacts, atoms)
+    }
+
+    /// Applies one insert or remove to both indexes; true when the arena
+    /// index compacted (its slot table shrank).
+    fn apply(
+        (index, oracle): (&mut RetroIndex, &mut MapIndex),
+        grams: &mut GramScratch,
+        artifact: &FileAnalysis,
+        insert: bool,
+    ) -> bool {
+        let slots = index.slots.len();
+        if insert {
+            grams.collect(artifact);
+            index.insert_collected(grams);
+            oracle.insert_collected(grams);
+        } else {
+            index.remove(&artifact.digest);
+            oracle.remove(&artifact.digest);
+        }
+        index.slots.len() < slots
+    }
+
+    #[test]
+    fn the_arena_index_answers_like_the_map_index_on_a_fixed_history() {
+        let (artifacts, atoms) = pool(0x5EED, 40);
+        let (mut index, mut oracle) = (RetroIndex::new(), MapIndex::default());
+        let mut grams = GramScratch::default();
+        let mut compactions = 0;
+        // Insert all, drop every other, re-insert, drop all: two
+        // compactions, then slots the map index reuses and this one not.
+        for (round, insert) in [(1, true), (2, false), (1, true), (1, false), (1, true)] {
+            for artifact in artifacts.iter().step_by(round) {
+                let both = (&mut index, &mut oracle);
+                compactions += usize::from(apply(both, &mut grams, artifact, insert));
+            }
+            assert_same_index(&index, &oracle, &atoms);
+        }
+        assert!(compactions >= 1, "no compaction ran");
+        assert!(index.term_count() > 200, "{} terms", index.term_count());
+    }
+
     proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn the_arena_index_answers_like_the_map_index(
+            seed in proptest::prelude::any::<u64>(),
+            ops in proptest::prop::collection::vec((0u8..3, 0usize..40), 0..400),
+        ) {
+            let (artifacts, atoms) = pool(seed, 40);
+            let (mut index, mut oracle) = (RetroIndex::new(), MapIndex::default());
+            let mut grams = GramScratch::default();
+            let mut compactions = 0;
+            for (i, &(op, at)) in ops.iter().enumerate() {
+                let both = (&mut index, &mut oracle);
+                compactions += usize::from(apply(both, &mut grams, &artifacts[at], op < 2));
+                proptest::prop_assert_eq!(index.term_count(), oracle.term_count());
+                proptest::prop_assert_eq!(index.digest_count(), oracle.by_digest.len());
+                if i % 100 == 99 {
+                    assert_same_index(&index, &oracle, &atoms);
+                }
+            }
+            assert_same_index(&index, &oracle, &atoms);
+            // Then the whole pool in and out, which compacts at least
+            // once, and in again over the reused (map) / fresh (arena)
+            // slots.
+            for insert in [false, true, false, true] {
+                for artifact in &artifacts {
+                    let both = (&mut index, &mut oracle);
+                    compactions += usize::from(apply(both, &mut grams, artifact, insert));
+                }
+            }
+            assert_same_index(&index, &oracle, &atoms);
+            proptest::prop_assert!(compactions > 0);
+        }
+
         #[test]
         fn rolling_collector_equals_the_hash_sets_on_arbitrary_bytes(
             surface in proptest::prop::collection::vec(proptest::prelude::any::<u8>(), 0..600),

@@ -225,7 +225,7 @@ fn scan_job(
     // Phase 2: route the package from the artifacts. This reads bytes
     // again: every file's raw bytes and every decoded layer go through
     // the prefilter automaton on every request, artifact-cache hits
-    // included — routing is not cached with the artifact (ROADMAP 3).
+    // included — routing is not cached with the artifact (ROADMAP item 7).
     if shared.prefilter {
         shared
             .index

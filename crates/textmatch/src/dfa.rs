@@ -112,20 +112,31 @@ pub(crate) fn analyze_dfa(program: &Program) -> Option<DfaPrefab> {
 }
 
 struct State {
-    /// Sorted `Byte`-instruction pcs (the live thread set).
-    pcs: Box<[u32]>,
-    /// Sorted `AssertEnd` pcs blocked mid-closure; resolved at input end.
-    pending_end: Box<[u32]>,
-    /// A `Match` was epsilon-reachable when this state was built.
-    matched: bool,
+    /// The interning key `[matched, pcs.len(), pcs.., pending_end..]`:
+    /// whether a `Match` was epsilon-reachable when the state was built,
+    /// the sorted `Byte`-instruction pcs (the live thread set) and the
+    /// sorted `AssertEnd` pcs blocked mid-closure, resolved at input end.
+    /// The flag participates because two closures can share pcs yet
+    /// differ on whether `Match` was reachable (e.g. `^` at offset 0 vs
+    /// interior).
+    key: Box<[u32]>,
     /// Lazily filled transitions, one per byte class.
     trans: Box<[u32]>,
 }
 
-/// Interning key: thread set + blocked-`$` set + matched flag. The flag
-/// participates because two closures can share pcs yet differ on whether
-/// `Match` was epsilon-reachable (e.g. `^` at offset 0 vs interior).
-type StateKey = (Box<[u32]>, Box<[u32]>, bool);
+impl State {
+    fn matched(&self) -> bool {
+        self.key[0] != 0
+    }
+
+    fn pcs(&self) -> &[u32] {
+        &self.key[2..2 + self.key[1] as usize]
+    }
+
+    fn pending_end(&self) -> &[u32] {
+        &self.key[2 + self.key[1] as usize..]
+    }
+}
 
 /// Epsilon-closure scratch, separate from the state table so closure
 /// traversal can borrow the program while mutating accumulators.
@@ -136,6 +147,9 @@ struct Scratch {
     pcs: Vec<u32>,
     pending: Vec<u32>,
     matched: bool,
+    /// The closure's [`State::key`], rebuilt in place by
+    /// [`Scratch::key`], so looking a state up allocates nothing.
+    key: Vec<u32>,
 }
 
 impl Scratch {
@@ -147,6 +161,7 @@ impl Scratch {
             pcs: Vec::new(),
             pending: Vec::new(),
             matched: false,
+            key: Vec::new(),
         }
     }
 
@@ -215,32 +230,39 @@ impl Scratch {
         }
     }
 
-    fn key(&mut self) -> StateKey {
+    /// The closure's interning key (see [`State::key`]).
+    fn key(&mut self) -> &[u32] {
         self.pcs.sort_unstable();
         self.pcs.dedup();
         self.pending.sort_unstable();
         self.pending.dedup();
-        (
-            self.pcs.clone().into_boxed_slice(),
-            self.pending.clone().into_boxed_slice(),
-            self.matched,
-        )
+        self.key.clear();
+        self.key.push(u32::from(self.matched));
+        self.key.push(self.pcs.len() as u32);
+        self.key.extend_from_slice(&self.pcs);
+        self.key.extend_from_slice(&self.pending);
+        &self.key
     }
 }
 
-/// One scan's lazy DFA: per-call construction (no cross-thread sharing),
-/// reusable across the iterations of a `find_all` loop so the state
-/// cache amortizes over the whole haystack.
+/// A lazy DFA over one program, with no cross-thread sharing. Its state
+/// table persists across calls — the iterations of a `find_all` loop,
+/// and the scan units of a [`crate::RegexCache`] — so a state is
+/// determinized once, not once per haystack. The engine counters are
+/// booked per call by [`LazyDfa::record_call`].
 pub struct LazyDfa<'p> {
     program: &'p Program,
     prefab: &'p DfaPrefab,
     states: Vec<State>,
-    map: HashMap<StateKey, u32>,
+    map: HashMap<Box<[u32]>, u32>,
     scratch: Scratch,
+    /// This call's tally, booked and reset by [`LazyDfa::record_call`].
     states_built: u64,
-    total_flushes: u64,
-    flushes_this_scan: u32,
+    flushes: u64,
     gave_up: bool,
+    /// Flushes in the running [`LazyDfa::earliest_end`], against
+    /// [`MAX_FLUSHES_PER_SCAN`].
+    flushes_this_scan: u32,
 }
 
 impl<'p> LazyDfa<'p> {
@@ -252,10 +274,27 @@ impl<'p> LazyDfa<'p> {
             map: HashMap::new(),
             scratch: Scratch::new(program.insts.len()),
             states_built: 0,
-            total_flushes: 0,
-            flushes_this_scan: 0,
+            flushes: 0,
             gave_up: false,
+            flushes_this_scan: 0,
         }
+    }
+
+    /// Books the call that just ended in the engine counters — one
+    /// `dfa_scans`, the states it built and flushes it made, and a
+    /// `pikevm_fallback` if it gave up — and starts the next call's tally.
+    pub(crate) fn record_call(&mut self) {
+        crate::counters::record_dfa_scan(self.states_built, self.flushes, self.gave_up);
+        self.states_built = 0;
+        self.flushes = 0;
+        self.gave_up = false;
+    }
+
+    /// A fresh DFA's one call: [`LazyDfa::earliest_end`], booked.
+    pub(crate) fn once(mut self, hay: &[u8], from: usize, scan: &ScanInfo) -> DfaOutcome {
+        let outcome = self.earliest_end(hay, from, scan);
+        self.record_call();
+        outcome
     }
 
     /// Earliest offset at which any match (starting at or after `from`)
@@ -271,7 +310,7 @@ impl<'p> LazyDfa<'p> {
         } else {
             interior
         };
-        if self.states[cur as usize].matched {
+        if self.states[cur as usize].matched() {
             return DfaOutcome::MatchEnd(from);
         }
         let mut pos = from;
@@ -302,10 +341,10 @@ impl<'p> LazyDfa<'p> {
             pos += 1;
             cur = next;
             let st = &self.states[cur as usize];
-            if st.matched {
+            if st.matched() {
                 return DfaOutcome::MatchEnd(pos);
             }
-            if st.pcs.is_empty() && st.pending_end.is_empty() {
+            if st.pcs().is_empty() && st.pending_end().is_empty() {
                 // Truly dead (anchored pattern whose window passed): the
                 // re-seed survives in every unanchored program, so an
                 // empty state means nothing downstream can match.
@@ -323,7 +362,11 @@ impl<'p> LazyDfa<'p> {
     fn build_start(&mut self, at_start: bool) -> u32 {
         self.scratch.begin();
         self.scratch.close(self.program, 0, at_start);
-        self.intern()
+        let key = self.scratch.key();
+        match self.map.get(key) {
+            Some(&id) => id,
+            None => self.add_state(),
+        }
     }
 
     /// Transition `cur` on byte-class `class`, determinizing on demand.
@@ -336,8 +379,8 @@ impl<'p> LazyDfa<'p> {
         let repr = self.repr_byte(class);
         self.scratch.begin();
         // Byte moves from the current thread set...
-        for i in 0..self.states[cur as usize].pcs.len() {
-            let pc = self.states[cur as usize].pcs[i];
+        for i in 0..self.states[cur as usize].pcs().len() {
+            let pc = self.states[cur as usize].pcs()[i];
             let advances = match &self.program.insts[pc as usize] {
                 Inst::Byte(set) => set.matches(repr),
                 _ => false,
@@ -348,21 +391,24 @@ impl<'p> LazyDfa<'p> {
         }
         // ...plus the unanchored re-seed at the new position.
         self.scratch.close(self.program, 0, false);
+        let key = self.scratch.key();
         let mut flushed = false;
-        if self.states.len() >= MAX_DFA_STATES {
-            let key = self.scratch.key();
-            if !self.map.contains_key(&key) {
-                self.flushes_this_scan += 1;
-                self.total_flushes += 1;
-                if self.flushes_this_scan > MAX_FLUSHES_PER_SCAN {
-                    return None;
+        let next = match self.map.get(key) {
+            Some(&id) => id,
+            None => {
+                if self.states.len() >= MAX_DFA_STATES {
+                    self.flushes_this_scan += 1;
+                    self.flushes += 1;
+                    if self.flushes_this_scan > MAX_FLUSHES_PER_SCAN {
+                        return None;
+                    }
+                    self.states.clear();
+                    self.map.clear();
+                    flushed = true;
                 }
-                self.states.clear();
-                self.map.clear();
-                flushed = true;
+                self.add_state()
             }
-        }
-        let next = self.intern();
+        };
         if !flushed {
             self.states[cur as usize].trans[class as usize] = next;
         }
@@ -379,16 +425,12 @@ impl<'p> LazyDfa<'p> {
             .unwrap_or(0) as u8
     }
 
-    fn intern(&mut self) -> u32 {
-        let key = self.scratch.key();
-        if let Some(&id) = self.map.get(&key) {
-            return id;
-        }
+    /// Adds the state whose key [`Scratch::key`] last built.
+    fn add_state(&mut self) -> u32 {
+        let key: Box<[u32]> = self.scratch.key.as_slice().into();
         let id = self.states.len() as u32;
         self.states.push(State {
-            pcs: key.0.clone(),
-            pending_end: key.1.clone(),
-            matched: key.2,
+            key: key.clone(),
             trans: vec![UNKNOWN; self.prefab.class_count].into_boxed_slice(),
         });
         self.map.insert(key, id);
@@ -400,17 +442,11 @@ impl<'p> LazyDfa<'p> {
     /// `at_start` is true only for an empty haystack scanned from 0.
     fn end_matches(&mut self, state: u32, at_start: bool) -> bool {
         self.scratch.begin();
-        for i in 0..self.states[state as usize].pending_end.len() {
-            let pc = self.states[state as usize].pending_end[i];
+        for i in 0..self.states[state as usize].pending_end().len() {
+            let pc = self.states[state as usize].pending_end()[i];
             self.scratch.close_at_end(self.program, pc + 1, at_start);
         }
         self.scratch.matched
-    }
-}
-
-impl Drop for LazyDfa<'_> {
-    fn drop(&mut self) {
-        crate::counters::record_dfa_scan(self.states_built, self.total_flushes, self.gave_up);
     }
 }
 

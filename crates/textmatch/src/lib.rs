@@ -25,7 +25,10 @@
 //! * [`Regex`] transparently runs a bounded lazy DFA (built on demand
 //!   from the same NFA) as an existence gate before Pike-VM span
 //!   extraction, falling back to the Pike VM when a program is
-//!   ineligible (word boundaries) or the state cache thrashes.
+//!   ineligible (word boundaries) or the state cache thrashes. A
+//!   [`RegexCache`] keeps both machines across haystacks, so a scanner
+//!   running one pattern over many units determinizes each DFA state
+//!   once ([`Regex::find_each`]).
 //!
 //! Tier activity is observable through [`engine_counters`].
 //!
@@ -71,7 +74,7 @@ pub use dfa::{DfaOutcome, MAX_DFA_STATES, MAX_FLUSHES_PER_SCAN};
 pub use error::RegexError;
 pub use literal::ScanInfo;
 pub use multi::{MultiLiteral, MAX_TEDDY_PATTERNS, MIN_TEDDY_PATTERN_LEN};
-pub use nfa::{Match, Program, Regex};
+pub use nfa::{Match, Program, Regex, RegexCache, DFA_MIN_HAYSTACK};
 pub use parser::parse;
 pub use reference::ReferenceRegex;
 pub use teddy::Teddy;

@@ -14,6 +14,8 @@
 //!
 //! [`ScanInfo`]: crate::ScanInfo
 
+use std::fmt;
+
 use crate::ast::{Ast, Quantifier};
 use crate::charclass::CharClass;
 use crate::dfa::{DfaOutcome, DfaPrefab, LazyDfa};
@@ -125,9 +127,26 @@ pub struct Regex {
     dfa: Option<DfaPrefab>,
 }
 
+/// A [`Regex`]'s matching state kept across haystacks: its Pike VM's
+/// thread sets and — built on the first haystack the DFA gates — its lazy
+/// DFA's state table. Made by [`Regex::cache`]; pass it to that regex's
+/// [`Regex::find_each`].
+pub struct RegexCache<'r> {
+    vm: Vm<'r>,
+    dfa: Option<LazyDfa<'r>>,
+}
+
+impl fmt::Debug for RegexCache<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RegexCache")
+            .field("dfa", &self.dfa.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
 /// Haystacks shorter than this skip the lazy-DFA gate: per-call setup
 /// would dominate, and the Pike VM finishes tiny inputs immediately.
-const DFA_MIN_HAYSTACK: usize = 64;
+pub const DFA_MIN_HAYSTACK: usize = 64;
 
 impl Regex {
     /// Compiles `pattern` into an executable program.
@@ -207,8 +226,7 @@ impl Regex {
     /// any match is known to exist.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
         if let Some(prefab) = self.dfa_for(haystack) {
-            let mut dfa = LazyDfa::new(&self.program, prefab);
-            match dfa.earliest_end(haystack, 0, &self.scan) {
+            match LazyDfa::new(&self.program, prefab).once(haystack, 0, &self.scan) {
                 DfaOutcome::NoMatch => return false,
                 DfaOutcome::MatchEnd(_) => return true,
                 DfaOutcome::GaveUp => {}
@@ -230,8 +248,7 @@ impl Regex {
     #[doc(hidden)]
     pub fn dfa_earliest_end(&self, haystack: &[u8], from: usize) -> Option<DfaOutcome> {
         let prefab = self.dfa.as_ref()?;
-        let mut dfa = LazyDfa::new(&self.program, prefab);
-        Some(dfa.earliest_end(haystack, from, &self.scan))
+        Some(LazyDfa::new(&self.program, prefab).once(haystack, from, &self.scan))
     }
 
     /// Finds the leftmost-longest match.
@@ -246,8 +263,7 @@ impl Regex {
     /// per byte); only a yes pays for Pike-VM span extraction.
     pub fn find_at(&self, haystack: &[u8], from: usize) -> Option<Match> {
         if let Some(prefab) = self.dfa_for(haystack) {
-            let mut dfa = LazyDfa::new(&self.program, prefab);
-            match dfa.earliest_end(haystack, from, &self.scan) {
+            match LazyDfa::new(&self.program, prefab).once(haystack, from, &self.scan) {
                 DfaOutcome::NoMatch => return None,
                 DfaOutcome::MatchEnd(_) | DfaOutcome::GaveUp => {}
             }
@@ -255,37 +271,74 @@ impl Regex {
         Vm::new(&self.program).find(haystack, from, &self.scan)
     }
 
-    /// Returns all non-overlapping leftmost-longest matches.
-    ///
-    /// Empty matches advance the scan position by one byte so the iteration
-    /// always terminates. The lazy DFA gates each iteration: the final
-    /// (matchless) tail — the whole haystack, in the common no-hit case —
-    /// is scanned at DFA speed instead of thread-set speed, and the state
-    /// cache is shared across iterations.
+    /// Returns all non-overlapping leftmost-longest matches:
+    /// [`Regex::find_each`] over a fresh cache.
     pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
-        let mut vm = Vm::new(&self.program);
-        let mut dfa = self
-            .dfa_for(haystack)
-            .map(|prefab| LazyDfa::new(&self.program, prefab));
+        self.find_each(&mut self.cache(), haystack, |m| out.push(m));
+        out
+    }
+
+    /// A fresh [`RegexCache`] for this regex.
+    pub fn cache(&self) -> RegexCache<'_> {
+        RegexCache {
+            vm: Vm::new(&self.program),
+            dfa: None,
+        }
+    }
+
+    /// Streams every non-overlapping leftmost-longest match to `each`, in
+    /// order, running on `cache`'s Pike VM and lazy DFA, which it keeps:
+    /// a caller scanning many haystacks with one regex allocates them and
+    /// determinizes each DFA state once.
+    ///
+    /// Empty matches advance the scan position by one byte so the
+    /// iteration always terminates. The lazy DFA gates each iteration:
+    /// the final (matchless) tail — the whole haystack, in the common
+    /// no-hit case — is scanned at DFA speed instead of thread-set speed.
+    /// A DFA that gives up (its state cache thrashed) sits out the rest of
+    /// this call and is tried again on the next.
+    ///
+    /// # Panics
+    ///
+    /// When `cache` was made by another regex.
+    pub fn find_each<'r>(
+        &'r self,
+        cache: &mut RegexCache<'r>,
+        haystack: &[u8],
+        mut each: impl FnMut(Match),
+    ) {
+        let vm = &mut cache.vm;
+        assert!(
+            std::ptr::eq(vm.program, &self.program),
+            "a RegexCache serves the regex that made it"
+        );
+        let mut dfa = self.dfa_for(haystack).map(|prefab| {
+            cache
+                .dfa
+                .get_or_insert_with(|| LazyDfa::new(&self.program, prefab))
+        });
+        let mut gated = dfa.is_some();
         let mut pos = 0;
         while pos <= haystack.len() {
-            if let Some(d) = dfa.as_mut() {
+            if let Some(d) = dfa.as_mut().filter(|_| gated) {
                 match d.earliest_end(haystack, pos, &self.scan) {
                     DfaOutcome::NoMatch => break,
                     DfaOutcome::MatchEnd(_) => {}
-                    DfaOutcome::GaveUp => dfa = None,
+                    DfaOutcome::GaveUp => gated = false,
                 }
             }
             match vm.find(haystack, pos, &self.scan) {
                 Some(m) => {
                     pos = if m.end > m.start { m.end } else { m.start + 1 };
-                    out.push(m);
+                    each(m);
                 }
                 None => break,
             }
         }
-        out
+        if let Some(d) = dfa {
+            d.record_call();
+        }
     }
 
     /// Pike-VM-only `find_all` — the pre-DFA baseline, kept public
@@ -862,6 +915,25 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0], Match { start: 0, end: 2 });
         assert_eq!(all[1], Match { start: 2, end: 4 });
+    }
+
+    #[test]
+    fn a_kept_cache_finds_what_fresh_ones_do() {
+        let r = re("(ab|cd)+ef");
+        let mut cache = r.cache();
+        let long = b"abef ".repeat(40);
+        for hay in [&b"cdabef abef"[..], b"", &long, b"cdx", &long[3..]] {
+            let mut kept = Vec::new();
+            r.find_each(&mut cache, hay, |m| kept.push(m));
+            assert_eq!(kept, r.find_all(hay));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "serves the regex that made it")]
+    fn a_cache_serves_only_its_regex() {
+        let (a, b) = (re("a"), re("a"));
+        b.find_each(&mut a.cache(), b"a", |_| {});
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! patterns across many rules, and a pass per definition would re-read
 //! the unit once per copy.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-use textmatch::{MatchKind, MultiLiteral, Regex};
+use textmatch::{MatchKind, MultiLiteral, Regex, RegexCache};
 
 use crate::ast::{Condition, StringSet, StringValue};
 use crate::compiler::CompiledRules;
@@ -123,6 +124,13 @@ impl ScanScratch {
 }
 
 /// A reusable scanner over a compiled ruleset.
+///
+/// It keeps what one scan unit leaves behind for the next — the
+/// string-offset scratch and, per regex group, a Pike VM and a lazy DFA
+/// whose states stay determinized — behind a `RefCell`, so after warm-up
+/// [`Scanner::collect_hits`] allocates only the [`FileHits`] it returns.
+/// That makes a scanner `Send` but not `Sync`: build one on the thread
+/// that uses it, as every hub worker does.
 #[derive(Debug)]
 pub struct Scanner<'r> {
     rules: &'r CompiledRules,
@@ -137,6 +145,15 @@ pub struct Scanner<'r> {
     total_strings: usize,
     /// Regex string definitions, one group per distinct pattern.
     regex_groups: Vec<RegexGroup<'r>>,
+    warm: RefCell<Warm<'r>>,
+}
+
+/// The state [`Scanner::collect_hits`] carries from one unit to the next.
+#[derive(Debug)]
+struct Warm<'r> {
+    scratch: ScanScratch,
+    /// One per regex group, parallel to `Scanner::regex_groups`.
+    regexes: Vec<RegexCache<'r>>,
 }
 
 /// The regex string definitions compiled from one `(pattern, nocase)` —
@@ -218,6 +235,10 @@ impl<'r> Scanner<'r> {
             ci_map,
             string_base,
             total_strings,
+            warm: RefCell::new(Warm {
+                scratch: ScanScratch::new(),
+                regexes: regex_groups.iter().map(|g| g.regex.cache()).collect(),
+            }),
             regex_groups,
         }
     }
@@ -227,8 +248,8 @@ impl<'r> Scanner<'r> {
     /// the path the hub runs per package.
     pub fn scan(&self, data: &[u8]) -> Vec<RuleMatch> {
         let hits = self.collect_hits(data);
-        let mut scratch = ScanScratch::new();
-        self.eval_hits([(0, &hits)], data.len() as i64, |_| true, &mut scratch)
+        let scratch = &mut self.warm.borrow_mut().scratch;
+        self.eval_hits([(0, &hits)], data.len() as i64, |_| true, scratch)
     }
 
     /// Collects every string-definition hit of the **whole** ruleset on
@@ -241,7 +262,8 @@ impl<'r> Scanner<'r> {
     /// evaluate any routed rule subset against any combination of cached
     /// units without touching the bytes again.
     pub fn collect_hits(&self, data: &[u8]) -> FileHits {
-        let mut scratch = ScanScratch::new();
+        let mut warm = self.warm.borrow_mut();
+        let Warm { scratch, regexes } = &mut *warm;
         scratch.begin(self.total_strings);
         for (auto, map) in [(&self.cs, &self.cs_map), (&self.ci, &self.ci_map)] {
             auto.for_each_match(data, |m| {
@@ -252,30 +274,35 @@ impl<'r> Scanner<'r> {
                 true
             });
         }
-        let metrics = self.regex_pass(data, &mut scratch);
-        let slots = (0..self.total_strings)
-            .filter_map(|slot| {
-                scratch
-                    .get(slot)
-                    .map(|offs| (slot as u32, offs.iter().map(|&o| o as u32).collect()))
-            })
-            .collect();
+        let metrics = self.regex_pass(data, scratch, regexes);
+        let hit = |slot: usize| scratch.get(slot).map(|offs| (slot, offs));
+        let mut slots = Vec::with_capacity((0..self.total_strings).filter_map(hit).count());
+        slots.extend(
+            (0..self.total_strings)
+                .filter_map(hit)
+                .map(|(slot, offs)| (slot as u32, offs.iter().map(|&o| o as u32).collect())),
+        );
         FileHits { slots, metrics }
     }
 
     /// Runs every regex group — one accelerated forward pass over `data`
-    /// each — and records each match under every member's slot.
-    fn regex_pass(&self, data: &[u8], scratch: &mut ScanScratch) -> ScanMetrics {
+    /// each, on the group's kept machines — and records each match under
+    /// every member's slot.
+    fn regex_pass(
+        &self,
+        data: &[u8],
+        scratch: &mut ScanScratch,
+        regexes: &mut [RegexCache<'r>],
+    ) -> ScanMetrics {
         let mut metrics = ScanMetrics::default();
-        for group in &self.regex_groups {
+        for (group, cache) in self.regex_groups.iter().zip(regexes) {
             metrics.regex_strings_evaluated += 1;
             metrics.regex_bytes_scanned += data.len() as u64;
-            let matches = group.regex.find_all(data);
-            for &slot in &group.members {
-                for m in &matches {
+            group.regex.find_each(cache, data, |m| {
+                for &slot in &group.members {
                     scratch.push(slot, m.start);
                 }
-            }
+            });
         }
         metrics
     }
