@@ -21,7 +21,7 @@ use std::fmt::Write;
 
 use corpus::{mutate_dataset, CorpusConfig, Dataset};
 use obfuscate::EvasionProfile;
-use pysrc::{Expr, ImportedName, Module, Stmt};
+use pysrc::{Expr, ImportedName, Module, Stmt, Suite};
 
 /// Recorded at commit 309ca55 (before ISSUE 21 touched `pysrc`).
 const LEX_DIGEST: u64 = 0xf9d8_07f2_ca66_ad12;
@@ -67,14 +67,18 @@ fn parse_module_output_is_pinned() {
 /// as `pysrc` renders them, offsets as lines.
 fn legacy(module: &Module) -> String {
     let mut out = String::from("Module { body: ");
-    stmts(module, &module.body, &mut out);
+    stmts(module, module.top_level(), &mut out);
     out.push_str(" }");
     out
 }
 
-fn list<T>(items: &[T], out: &mut String, mut item: impl FnMut(&T, &mut String)) {
+fn list<T>(
+    items: impl IntoIterator<Item = T>,
+    out: &mut String,
+    mut item: impl FnMut(T, &mut String),
+) {
     out.push('[');
-    for (i, x) in items.iter().enumerate() {
+    for (i, x) in items.into_iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -83,7 +87,7 @@ fn list<T>(items: &[T], out: &mut String, mut item: impl FnMut(&T, &mut String))
     out.push(']');
 }
 
-fn stmts(m: &Module, body: &[Stmt], out: &mut String) {
+fn stmts(m: &Module, body: Suite<'_>, out: &mut String) {
     list(body, out, |s, out| stmt(m, s, out));
 }
 
@@ -102,10 +106,10 @@ fn names(m: &Module, names: &[ImportedName], out: &mut String) {
 fn stmt(m: &Module, stmt: &Stmt, out: &mut String) {
     let src = m.source();
     let line = m.line(stmt);
-    match stmt {
+    match *stmt {
         Stmt::Import { modules, .. } => {
             out.push_str("Import { modules: ");
-            names(m, modules, out);
+            names(m, m.imports(modules), out);
         }
         Stmt::FromImport {
             module, names: n, ..
@@ -115,7 +119,7 @@ fn stmt(m: &Module, stmt: &Stmt, out: &mut String) {
                 "FromImport {{ module: {:?}, names: ",
                 module.dotted(src)
             );
-            names(m, n, out);
+            names(m, m.imports(n), out);
         }
         Stmt::FunctionDef {
             name, params, body, ..
@@ -131,87 +135,88 @@ fn stmt(m: &Module, stmt: &Stmt, out: &mut String) {
                 _ => ("ClassDef", "bases"),
             };
             let _ = write!(out, "{kind} {{ name: {:?}, {field}: ", name.text(src));
-            list(params, out, |p, out| {
+            list(m.names(params), out, |p, out| {
                 let _ = write!(out, "{:?}", p.dotted(src));
             });
             out.push_str(", body: ");
-            stmts(m, body, out);
+            stmts(m, m.suite(body), out);
         }
         Stmt::Assign { targets, value, .. } => {
             out.push_str("Assign { targets: ");
-            list(targets, out, |t, out| {
-                let _ = write!(out, "{:?}", t.to_text(src));
+            list(m.targets(targets), out, |t, out| {
+                let _ = write!(out, "{:?}", t.to_text(m));
             });
             out.push_str(", value: ");
-            expr(src, value, out);
+            expr(m, m.expr(value), out);
         }
         Stmt::Expr { value, .. } => {
             out.push_str("Expr { value: ");
-            expr(src, value, out);
+            expr(m, m.expr(value), out);
         }
         Stmt::Return { value, .. } => {
             out.push_str("Return { value: ");
             match value {
                 Some(v) => {
                     out.push_str("Some(");
-                    expr(src, v, out);
+                    expr(m, m.expr(v), out);
                     out.push(')');
                 }
                 None => out.push_str("None"),
             }
         }
         Stmt::Block { keyword, body, .. } => {
-            let header = stmt.to_text(src);
+            let header = stmt.to_text(m);
             let _ = write!(
                 out,
                 "Block {{ keyword: {keyword:?}, header: {header:?}, body: "
             );
-            stmts(m, body, out);
+            stmts(m, m.suite(body), out);
         }
         Stmt::Other { text, .. } => {
-            let _ = write!(out, "Other {{ text: {text:?}");
+            let _ = write!(out, "Other {{ text: {:?}", m.owned(text));
         }
     }
     let _ = write!(out, ", line: {line} }}");
 }
 
-fn expr(src: &str, e: &Expr, out: &mut String) {
-    match e {
+fn expr(m: &Module, e: &Expr, out: &mut String) {
+    let src = m.source();
+    match *e {
         Expr::Name(s) => {
             let _ = write!(out, "Name({:?})", s.text(src));
         }
         Expr::Str(s) => {
-            let _ = write!(out, "Str({:?})", s.text(src));
+            let _ = write!(out, "Str({:?})", s.text(m));
         }
         Expr::Num(s) => {
             let _ = write!(out, "Num({:?})", s.text(src));
         }
         Expr::Attribute { value, attr } => {
             out.push_str("Attribute { value: ");
-            expr(src, value, out);
+            expr(m, m.expr(value), out);
             let _ = write!(out, ", attr: {:?} }}", attr.text(src));
         }
         Expr::Call { func, args } => {
             out.push_str("Call { func: ");
-            expr(src, func, out);
+            expr(m, m.expr(func), out);
             out.push_str(", args: ");
-            list(args, out, |a, out| {
+            list(m.args(args), out, |a, out| {
                 let name = a.name.map(|n| n.text(src));
                 let _ = write!(out, "Arg {{ name: {name:?}, value: ");
-                expr(src, &a.value, out);
+                expr(m, m.expr(a.value), out);
                 out.push_str(" }");
             });
             out.push_str(" }");
         }
         Expr::BinOp { left, op, right } => {
             out.push_str("BinOp { left: ");
-            expr(src, left, out);
+            expr(m, m.expr(left), out);
             let _ = write!(out, ", op: {op:?}, right: ");
-            expr(src, right, out);
+            expr(m, m.expr(right), out);
             out.push_str(" }");
         }
         Expr::Other(text) => {
-            let _ = write!(out, "Other({text:?})");
+            let _ = write!(out, "Other({:?})", m.owned(text));
         }
     }
 }

@@ -18,7 +18,7 @@
 use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, HashSet};
 
-use pysrc::{Arg, Expr, Header, Module, Stmt};
+use pysrc::{Arg, Expr, Header, Module, Stmt, Suite};
 
 use crate::catalog::{is_startup_path, sink_of, source_of, SinkKind, SourceKind};
 use crate::fold;
@@ -185,7 +185,7 @@ pub fn analyze(module: &Module) -> TaintSummary {
         paths: Vec::new(),
     };
     let mut globals = BTreeMap::new();
-    collect_global_aliases(&module.body, module.source(), &mut globals);
+    collect_global_aliases(module, &mut globals);
     let mut scope = Scope {
         parent: None,
         vars: BTreeMap::new(),
@@ -193,7 +193,7 @@ pub fn analyze(module: &Module) -> TaintSummary {
         aliases: BTreeMap::new(),
         globals: &globals,
     };
-    a.walk(&module.body, &mut scope);
+    a.walk(module.top_level(), &mut scope);
     a.flows.sort();
     a.flows.dedup();
     a.folded.sort();
@@ -205,17 +205,18 @@ pub fn analyze(module: &Module) -> TaintSummary {
 }
 
 impl<'m> Analyzer<'m> {
-    fn walk(&mut self, body: &'m [Stmt], scope: &mut Scope<'m, '_>) {
+    fn walk(&mut self, body: Suite<'m>, scope: &mut Scope<'m, '_>) {
         for stmt in body {
             self.stmt(stmt, scope);
         }
     }
 
     fn stmt(&mut self, stmt: &'m Stmt, scope: &mut Scope<'m, '_>) {
-        let (src, line) = (self.module.source(), self.module.line(stmt));
-        match stmt {
+        let module = self.module;
+        let (src, line) = (module.source(), module.line(stmt));
+        match *stmt {
             Stmt::Import { modules, .. } => {
-                for m in modules {
+                for m in module.imports(modules) {
                     let target = match &m.alias {
                         Some(_) => m.path.dotted(src),
                         // `import a.b` binds `a`, naming module `a`.
@@ -224,21 +225,26 @@ impl<'m> Analyzer<'m> {
                     scope.aliases.insert(m.binding(src), target);
                 }
             }
-            Stmt::FromImport { module, names, .. } => {
-                for n in names {
+            Stmt::FromImport {
+                module: from,
+                names,
+                ..
+            } => {
+                for n in module.imports(names) {
                     let name = n.path.text(src);
                     if name == "*" {
                         continue;
                     }
-                    let target = format!("{}.{name}", module.dotted(src));
+                    let target = format!("{}.{name}", from.dotted(src));
                     scope.aliases.insert(n.binding(src), Cow::Owned(target));
                 }
             }
             Stmt::Assign { targets, value, .. } => {
+                let value = module.expr(value);
                 let v = self.eval(value, scope, line);
                 self.record_fold(line, &v);
-                for target in targets {
-                    let base = target_base(target, src);
+                for target in module.targets(targets) {
+                    let base = target_base(target, module);
                     if base.is_empty() {
                         continue;
                     }
@@ -246,7 +252,7 @@ impl<'m> Analyzer<'m> {
                     if v.taints.is_empty() {
                         scope.set_var(Cow::Borrowed(base), None);
                     } else {
-                        let note = clip(format!("{base} = {}", clip(value.to_text(src))));
+                        let note = clip(format!("{base} = {}", clip(value.to_text(module))));
                         scope.set_var(Cow::Borrowed(base), Some(stepped(&v.taints, line, &note)));
                     }
                 }
@@ -259,7 +265,7 @@ impl<'m> Analyzer<'m> {
                 // unknown caller is the legit half of the corpus (version
                 // strings, API lookups). Evaluate for sinks *inside* the
                 // returned expression only.
-                let v = self.eval(value, scope, line);
+                let v = self.eval(module.expr(value), scope, line);
                 self.record_fold(line, &v);
             }
             Stmt::Return { value: None, .. } => {}
@@ -267,7 +273,7 @@ impl<'m> Analyzer<'m> {
                 if let Some(header) = parsed {
                     self.block_header(header, scope, line);
                 }
-                self.walk(body, scope);
+                self.walk(module.suite(body), scope);
             }
             Stmt::FunctionDef { params, body, .. }
             | Stmt::ClassDef {
@@ -278,15 +284,16 @@ impl<'m> Analyzer<'m> {
                 // Child scope: module bindings visible, parameters
                 // shadow (and are untainted — intra-procedural).
                 let mut child = scope.child();
-                for p in params {
+                for p in module.names(params) {
                     // A dotted base binds nothing a name could look up.
                     let p = p.text(src);
                     child.set_var(Cow::Borrowed(p), None);
                     child.set_const(p, None);
                 }
-                self.walk(body, &mut child);
+                self.walk(module.suite(body), &mut child);
             }
             Stmt::Other { text, .. } => {
+                let text = module.owned(text);
                 // Unparsed statements still get the identifier scan so
                 // taint is not silently laundered through them... but
                 // only to *detect* sink-looking text is too fragile;
@@ -305,8 +312,8 @@ impl<'m> Analyzer<'m> {
     /// `with X as v:` / `for v in X:` headers bind names; conditions
     /// can contain source/sink calls. The header's expression is
     /// evaluated in the block's scope.
-    fn block_header(&mut self, header: &'m Header, scope: &mut Scope<'m, '_>, line: usize) {
-        let v = self.eval(&header.value, scope, line);
+    fn block_header(&mut self, header: Header, scope: &mut Scope<'m, '_>, line: usize) {
+        let v = self.eval(self.module.expr(header.value), scope, line);
         self.record_fold(line, &v);
         if let Some(target) = header.target {
             bind_header_targets(target.text(self.module.source()), &v.taints, scope, line);
@@ -314,14 +321,15 @@ impl<'m> Analyzer<'m> {
     }
 
     fn eval(&mut self, expr: &'m Expr, scope: &Scope<'m, '_>, line: usize) -> Value<'m> {
-        let src = self.module.source();
-        match expr {
+        let module = self.module;
+        let src = module.source();
+        match *expr {
             Expr::Name(n) => Value {
                 taints: scope.var(n.text(src)).cloned().unwrap_or_default(),
                 cval: scope.constant(n.text(src)).cloned(),
                 folded: false,
             },
-            Expr::Str(s) => Value::constant(Cow::Borrowed(s.text(src))),
+            Expr::Str(s) => Value::constant(Cow::Borrowed(s.text(module))),
             Expr::Num(n) => Value::constant(Cow::Borrowed(n.text(src))),
             Expr::Attribute { value, .. } => {
                 // Taint flows through attribute access (`resp.text`),
@@ -329,9 +337,9 @@ impl<'m> Analyzer<'m> {
                 // (`os.environ`). A constant receiver is preserved so
                 // method-call chains (`fromhex(..).decode(..)`) keep
                 // folding at the enclosing call.
-                let mut v = self.eval(value, scope, line);
+                let mut v = self.eval(module.expr(value), scope, line);
                 let mut path = self.paths.pop().unwrap_or_default();
-                callee_path(expr, src, scope, &mut path);
+                callee_path(expr, module, scope, &mut path);
                 if let Some(kind) = source_of(&path) {
                     add_taint(
                         &mut v.taints,
@@ -349,8 +357,8 @@ impl<'m> Analyzer<'m> {
                 v
             }
             Expr::BinOp { left, op, right } => {
-                let l = self.eval(left, scope, line);
-                let r = self.eval(right, scope, line);
+                let l = self.eval(module.expr(left), scope, line);
+                let r = self.eval(module.expr(right), scope, line);
                 let mut v = Value {
                     taints: l.taints,
                     ..Value::default()
@@ -358,7 +366,7 @@ impl<'m> Analyzer<'m> {
                 for t in r.taints {
                     add_taint(&mut v.taints, t);
                 }
-                match (*op, &l.cval, &r.cval) {
+                match (op, &l.cval, &r.cval) {
                     ("+", Some(a), Some(b)) => {
                         v.cval = Some(Cow::Owned(format!("{a}{b}")));
                         v.folded = true;
@@ -373,8 +381,10 @@ impl<'m> Analyzer<'m> {
                 }
                 v
             }
-            Expr::Call { func, args } => self.eval_call(func, args, scope, line),
-            Expr::Other(text) => self.scan_idents(text, scope),
+            Expr::Call { func, args } => {
+                self.eval_call(module.expr(func), module.args(args), scope, line)
+            }
+            Expr::Other(text) => self.scan_idents(module.owned(text), scope),
         }
     }
 
@@ -395,7 +405,7 @@ impl<'m> Analyzer<'m> {
         // Arguments.
         let mut arg_vals: Vec<Value<'m>> = Vec::with_capacity(args.len());
         for a in args {
-            let v = self.eval(&a.value, scope, line);
+            let v = self.eval(self.module.expr(a.value), scope, line);
             self.record_fold(line, &v);
             arg_vals.push(v);
         }
@@ -411,14 +421,7 @@ impl<'m> Analyzer<'m> {
         }
 
         // Constant folding of decode/transform chains.
-        fold_call(
-            &path,
-            func,
-            self.module.source(),
-            &arg_vals,
-            &mut out,
-            &recv,
-        );
+        fold_call(&path, func, self.module, &arg_vals, &mut out, &recv);
 
         // Sink check: tainted data reaching a cataloged sink.
         if let Some(kind) = sink_of(&path) {
@@ -483,15 +486,17 @@ impl<'m> Analyzer<'m> {
         line: usize,
         out: &mut String,
     ) {
+        let module = self.module;
         let start = out.len();
-        match func {
+        match *func {
             Expr::Call { func: inner, args } => {
-                self.callee_path_with_consts(inner, scope, line, out);
+                let args = module.args(args);
+                self.callee_path_with_consts(module.expr(inner), scope, line, out);
                 let head = &out[start..];
                 if head == "getattr" && args.len() >= 2 {
                     out.truncate(start);
-                    self.callee_path_with_consts(&args[0].value, scope, line, out);
-                    match self.eval(&args[1].value, scope, line).cval {
+                    self.callee_path_with_consts(module.expr(args[0].value), scope, line, out);
+                    match self.eval(module.expr(args[1].value), scope, line).cval {
                         Some(name) => {
                             if out.len() > start {
                                 out.push('.');
@@ -503,20 +508,20 @@ impl<'m> Analyzer<'m> {
                 } else if head == "__import__" {
                     out.truncate(start);
                     if let Some(first) = args.first() {
-                        if let Some(m) = self.eval(&first.value, scope, line).cval {
+                        if let Some(m) = self.eval(module.expr(first.value), scope, line).cval {
                             out.push_str(&m);
                         }
                     }
                 }
             }
             Expr::Attribute { value, attr } => {
-                self.callee_path_with_consts(value, scope, line, out);
+                self.callee_path_with_consts(module.expr(value), scope, line, out);
                 if out.len() > start {
                     out.push('.');
                 }
-                out.push_str(attr.text(self.module.source()));
+                out.push_str(attr.text(module.source()));
             }
-            _ => callee_path(func, self.module.source(), scope, out),
+            _ => callee_path(func, module, scope, out),
         }
     }
 
@@ -577,7 +582,7 @@ impl<'m> Analyzer<'m> {
 fn fold_call<'e>(
     path: &str,
     func: &Expr,
-    src: &str,
+    module: &Module,
     arg_vals: &[Value<'e>],
     out: &mut Value<'e>,
     recv: &Value<'e>,
@@ -598,7 +603,8 @@ fn fold_call<'e>(
             // `const.decode('utf-8')`, `.strip()`, ... — method on a
             // constant receiver preserves the constant.
             if let Expr::Attribute { attr, .. } = func {
-                if fold::const_preserving_method(attr.text(src)) && recv.cval.is_some() {
+                if fold::const_preserving_method(attr.text(module.source())) && recv.cval.is_some()
+                {
                     out.cval = recv.cval.clone();
                     out.folded = recv.folded;
                 }
@@ -614,23 +620,24 @@ fn fold_call<'e>(
 
 /// Appends the canonical dotted path of a callee to `out`, resolving
 /// import aliases. Appends nothing for shapes without a path.
-fn callee_path(expr: &Expr, src: &str, scope: &Scope<'_, '_>, out: &mut String) {
-    match expr {
+fn callee_path(expr: &Expr, module: &Module, scope: &Scope<'_, '_>, out: &mut String) {
+    let src = module.source();
+    match *expr {
         Expr::Name(n) => {
             let n = n.text(src);
             out.push_str(scope.alias(n).map_or(n, |a| a.as_ref()));
         }
         Expr::Attribute { value, attr } => {
             let start = out.len();
-            callee_path(value, src, scope, out);
+            callee_path(module.expr(value), module, scope, out);
             if out.len() > start {
                 out.push('.');
             }
             out.push_str(attr.text(src));
         }
-        Expr::Call { func, .. } => callee_path(func, src, scope, out),
+        Expr::Call { func, .. } => callee_path(module.expr(func), module, scope, out),
         Expr::Other(_) => {
-            let p = expr.func_path(src);
+            let p = expr.func_path(module);
             if !p.is_empty() {
                 resolve_first_segment(&p, scope, out);
             }
@@ -655,34 +662,32 @@ fn resolve_first_segment(path: &str, scope: &Scope<'_, '_>, out: &mut String) {
 
 /// Collects every import binding in the module, recursing into every
 /// nested body, for [`Scope::globals`].
-fn collect_global_aliases<'m>(
-    body: &'m [Stmt],
-    src: &'m str,
-    out: &mut BTreeMap<&'m str, Cow<'m, str>>,
-) {
-    for stmt in body {
-        match stmt {
+fn collect_global_aliases<'m>(module: &'m Module, out: &mut BTreeMap<&'m str, Cow<'m, str>>) {
+    let src = module.source();
+    for stmt in module.statements() {
+        match *stmt {
             Stmt::Import { modules, .. } => {
-                for m in modules {
+                for m in module.imports(modules) {
                     out.entry(m.binding(src)).or_insert_with(|| match &m.alias {
                         Some(_) => m.path.dotted(src),
                         None => Cow::Borrowed(m.binding(src)),
                     });
                 }
             }
-            Stmt::FromImport { module, names, .. } => {
-                for n in names {
+            Stmt::FromImport {
+                module: from,
+                names,
+                ..
+            } => {
+                for n in module.imports(names) {
                     let name = n.path.text(src);
                     if name == "*" {
                         continue;
                     }
                     out.entry(n.binding(src))
-                        .or_insert_with(|| Cow::Owned(format!("{}.{name}", module.dotted(src))));
+                        .or_insert_with(|| Cow::Owned(format!("{}.{name}", from.dotted(src))));
                 }
             }
-            Stmt::FunctionDef { body, .. }
-            | Stmt::ClassDef { body, .. }
-            | Stmt::Block { body, .. } => collect_global_aliases(body, src, out),
             _ => {}
         }
     }
@@ -742,14 +747,14 @@ fn push_step(steps: &mut Vec<FlowStep>, line: usize, note: String) {
 
 /// The base identifier of an assignment target, read off the front of
 /// its rendering: `loot[t]` → `loot`, `obj.attr` → `obj`, `'s'` → empty.
-fn target_base<'m>(target: &'m Expr, src: &'m str) -> &'m str {
-    match target {
-        Expr::Name(s) | Expr::Num(s) => leading_ident(s.text(src)),
+fn target_base<'m>(target: &'m Expr, module: &'m Module) -> &'m str {
+    match *target {
+        Expr::Name(s) | Expr::Num(s) => leading_ident(s.text(module.source())),
         Expr::Attribute { value: head, .. }
         | Expr::Call { func: head, .. }
-        | Expr::BinOp { left: head, .. } => target_base(head, src),
+        | Expr::BinOp { left: head, .. } => target_base(module.expr(head), module),
         Expr::Str(_) => "",
-        Expr::Other(text) => leading_ident(text),
+        Expr::Other(text) => leading_ident(module.owned(text)),
     }
 }
 

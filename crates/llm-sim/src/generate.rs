@@ -329,7 +329,7 @@ fn render_semgrep(analysis: &Analysis, code: &str) -> String {
     let module = pysrc::parse_module(code);
     let mut patterns: Vec<String> = Vec::new();
     for call in pysrc::collect_calls(&module) {
-        let path = call.func_path(module.source());
+        let path = call.func_path(&module);
         if PATTERN_CALLEES.contains(&path.as_str())
             && !patterns.iter().any(|p| p.starts_with(&path))
         {

@@ -77,8 +77,7 @@ mod tests {
         // Statements survive with identical values.
         let m = pysrc::parse_module(&out);
         let assigns = m
-            .body
-            .iter()
+            .top_level()
             .filter(|s| matches!(s, pysrc::Stmt::Assign { .. }))
             .count();
         assert_eq!(assigns, 4);
@@ -89,8 +88,8 @@ mod tests {
         let src = "def f():\n    a = 1\n    b = 2\n    return a + b\n";
         let out = apply(src, &mut StdRng::seed_from_u64(9));
         let m = pysrc::parse_module(&out);
-        match &m.body[0] {
-            pysrc::Stmt::FunctionDef { body, .. } => assert_eq!(body.len(), 3),
+        match m.top_level().next() {
+            Some(pysrc::Stmt::FunctionDef { body, .. }) => assert_eq!(m.suite(*body).count(), 3),
             other => panic!("unexpected {other:?}"),
         }
     }

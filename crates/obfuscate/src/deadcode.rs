@@ -136,8 +136,7 @@ mod tests {
         assert!(out.len() > src.len());
         let m = pysrc::parse_module(&out);
         assert!(m
-            .body
-            .iter()
+            .top_level()
             .any(|s| matches!(s, pysrc::Stmt::FunctionDef { .. })));
     }
 
@@ -173,8 +172,7 @@ mod tests {
             let m = pysrc::parse_module(&out);
             // The else/except clauses keep their bodies attached...
             let clause_bodies = m
-                .body
-                .iter()
+                .top_level()
                 .filter(|s| {
                     matches!(s, pysrc::Stmt::Block { keyword, body, .. }
                         if (*keyword == "else" || *keyword == "except") && !body.is_empty())
@@ -193,9 +191,9 @@ mod tests {
         for seed in 0..8 {
             let out = apply(src, &mut StdRng::seed_from_u64(seed));
             let m = pysrc::parse_module(&out);
-            let f = m.body.iter().find_map(|s| match s {
+            let f = m.top_level().find_map(|s| match s {
                 pysrc::Stmt::FunctionDef { name, body, .. } if name.text(&out) == "f" => {
-                    Some(body.len())
+                    Some(m.suite(*body).count())
                 }
                 _ => None,
             });

@@ -90,7 +90,7 @@ mod tests {
         let m = pysrc::parse_module(&out);
         let calls = pysrc::collect_calls(&m);
         assert!(calls.iter().any(|c| {
-            let path = c.func_path(&out);
+            let path = c.func_path(&m);
             path.starts_with("getattr") || path.contains("Popen")
         }));
     }

@@ -103,22 +103,13 @@ proptest! {
         prop_assert!(!out.contains(&fn_name), "rename failed:\n{out}");
         // ...and the mutant still declares exactly one function.
         let module = pysrc::parse_module(&out);
-        let defs = count_defs(&module.body);
+        let defs = module
+            .statements()
+            .iter()
+            .filter(|s| matches!(s, pysrc::Stmt::FunctionDef { .. }))
+            .count();
         prop_assert!(defs >= 1, "function lost:\n{out}");
     }
-}
-
-fn count_defs(stmts: &[pysrc::Stmt]) -> usize {
-    stmts
-        .iter()
-        .map(|s| match s {
-            pysrc::Stmt::FunctionDef { body, .. } => 1 + count_defs(body),
-            pysrc::Stmt::ClassDef { body, .. } | pysrc::Stmt::Block { body, .. } => {
-                count_defs(body)
-            }
-            _ => 0,
-        })
-        .sum()
 }
 
 /// Transforms never mangle a file so badly the lexer loses the payload

@@ -162,18 +162,18 @@ pub fn parse_setup_py(source: &str) -> Option<PackageMetadata> {
     let src = module.source();
     let calls = collect_calls(&module);
     for call in calls {
-        if let pysrc::Expr::Call { func, args } = call {
-            if func.func_path(src) != "setup" {
+        if let pysrc::Expr::Call { func, args } = *call {
+            if module.expr(func).func_path(&module) != "setup" {
                 continue;
             }
             let mut meta = PackageMetadata::default();
-            for arg in args {
+            for arg in module.args(args) {
                 let Some(name) = arg.name.map(|n| n.text(src)) else {
                     continue;
                 };
-                let value = match &arg.value {
-                    pysrc::Expr::Str(s) => s.text(src).to_owned(),
-                    other => other.to_text(src),
+                let value = match *module.expr(arg.value) {
+                    pysrc::Expr::Str(s) => s.text(&module).to_owned(),
+                    other => other.to_text(&module),
                 };
                 match name {
                     "name" => meta.name = value,

@@ -1,4 +1,4 @@
-//! Lightweight Python AST that points into its source.
+//! Lightweight Python AST, stored flat and pointing into its source.
 //!
 //! Only the shapes that rule matching needs are modelled precisely
 //! (imports, defs, classes, calls, attributes, assignments, strings);
@@ -12,19 +12,44 @@
 //! names, attributes, numbers, parameters, def and class names, keyword
 //! argument names and import paths. A [`Span`] is only meaningful against
 //! the text of the module whose tree holds it, so every reader takes that
-//! text ([`Module::source`]) alongside the node, and two trees parsed
-//! from different texts compare by text, never by span. Two kinds of
-//! text are owned: an [`Expr::Other`] / [`Stmt::Other`] rendering (the
-//! degrade path, whose text is not a source slice) and a string literal
-//! whose value differs from its bytes ([`Literal::Owned`]).
+//! module alongside the node, and two trees parsed from different texts
+//! compare by text, never by span. Two kinds of text are owned, in one
+//! side buffer of the module ([`Module::owned`]): an [`Expr::Other`] /
+//! [`Stmt::Other`] rendering (the degrade path, whose text is not a source
+//! slice) and a string literal whose value differs from its bytes
+//! ([`Literal::Owned`]).
 //!
 //! A statement carries the offset of its first token, not a line. The
 //! module's [`LineIndex`] holds one entry per line start and maps an
 //! offset to its 1-based line by binary search, counting `\n` only, as
-//! the lexer does. Splicing an edit therefore moves the statements behind
-//! it by the byte delta ([`Stmt::shifted`]) and never touches a line.
+//! the lexer does.
+//!
+//! # A few arrays
+//!
+//! The tree is not boxed. A module keeps its statements, expressions,
+//! call arguments, assignment-target ids, parameter and base spans and
+//! imported names in one array each, and a node names a child by its
+//! index ([`StmtId`], [`ExprId`]) or a [`Run`] of consecutive entries;
+//! [`Stmt`], [`Expr`], [`Arg`] and [`Header`] are plain `Copy` values. A
+//! parse therefore allocates per array, not per node. Like a span, an id
+//! or a run means something only to the module whose tree holds it:
+//! another module's accessors panic on it or read an unrelated node.
+//!
+//! Statements are stored in pre-order — a statement, the statements of its
+//! body, then its next sibling — so a compound statement's `body` is the
+//! run of all its descendants, [`Module::suite`] steps over a body's
+//! children, and [`Module::statements`] is every statement in walk order.
+//! An expression is stored after its operands.
+//!
+//! The parser finishes one top-level statement's nodes before it starts
+//! the next, so each top-level statement owns one contiguous run of every
+//! array. Splicing an edit ([`crate::parse_spliced`]) copies three slices
+//! per array: the donor's nodes in front of the edit as they are, the
+//! window's, and the donor's behind it with ids rebased by the difference
+//! in node counts and offsets moved by the byte delta.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A byte range `start..end` of a module's source text.
@@ -67,12 +92,71 @@ impl Span {
             Cow::Borrowed(text)
         }
     }
+
+    /// This span `by` bytes further into its text.
+    fn moved(self, by: isize) -> Span {
+        Span {
+            start: moved(self.start, by),
+            end: moved(self.end, by),
+        }
+    }
 }
 
 /// `offset` as a span offset, saturating past `u32::MAX` (such a span
 /// slices to nothing rather than to the wrong text).
 pub(crate) fn offset(offset: usize) -> u32 {
     u32::try_from(offset).unwrap_or(u32::MAX)
+}
+
+/// `at` moved `by` bytes, saturating like [`offset`].
+fn moved(at: u32, by: isize) -> u32 {
+    offset((at as usize).checked_add_signed(by).unwrap_or(usize::MAX))
+}
+
+/// The index of a statement in its module's statement array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StmtId(u32);
+
+/// The index of an expression in its module's expression array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExprId(u32);
+
+/// A run of consecutive entries of one of a module's arrays; which one
+/// is fixed by the field that holds it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Run {
+    start: u32,
+    end: u32,
+}
+
+impl Run {
+    pub(crate) fn new(start: usize, end: usize) -> Run {
+        Run {
+            start: offset(start),
+            end: offset(end),
+        }
+    }
+
+    /// How many entries the run covers.
+    pub fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Whether the run covers no entry.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    fn plus(self, by: u32) -> Run {
+        Run {
+            start: self.start.wrapping_add(by),
+            end: self.end.wrapping_add(by),
+        }
+    }
 }
 
 /// The start offset of every line of a text, for offset → line lookups.
@@ -100,22 +184,336 @@ impl LineIndex {
     }
 }
 
+/// How many entries each of a tree's arrays holds (or held, at a mark);
+/// as a shift, how far each kind of id moves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Counts {
+    pub(crate) stmts: u32,
+    exprs: u32,
+    args: u32,
+    targets: u32,
+    names: u32,
+    imports: u32,
+    text: u32,
+}
+
+impl Counts {
+    fn zip(self, o: Counts, f: impl Fn(u32, u32) -> u32) -> Counts {
+        Counts {
+            stmts: f(self.stmts, o.stmts),
+            exprs: f(self.exprs, o.exprs),
+            args: f(self.args, o.args),
+            targets: f(self.targets, o.targets),
+            names: f(self.names, o.names),
+            imports: f(self.imports, o.imports),
+            text: f(self.text, o.text),
+        }
+    }
+
+    /// `self + by`, field by field, modulo 2³² (a shift may be negative).
+    fn plus(self, by: Counts) -> Counts {
+        self.zip(by, u32::wrapping_add)
+    }
+
+    fn minus(self, by: Counts) -> Counts {
+        self.zip(by, u32::wrapping_sub)
+    }
+}
+
+/// A tree's arrays: what a [`Module`] keeps of its statements, and what
+/// the parser builds them in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Nodes {
+    /// Every statement, in pre-order.
+    pub(crate) stmts: Vec<Stmt>,
+    /// Every expression, each after its operands.
+    pub(crate) exprs: Vec<Expr>,
+    /// The arguments of every call, each call's contiguous.
+    pub(crate) args: Vec<Arg>,
+    /// The targets of every assignment, each assignment's contiguous.
+    pub(crate) targets: Vec<ExprId>,
+    /// Function parameters and class bases.
+    pub(crate) names: Vec<Span>,
+    /// The names of every import statement.
+    pub(crate) imports: Vec<ImportedName>,
+    /// `Other` renderings and owned literal values.
+    pub(crate) text: String,
+}
+
+impl Nodes {
+    pub(crate) fn counts(&self) -> Counts {
+        Counts {
+            stmts: offset(self.stmts.len()),
+            exprs: offset(self.exprs.len()),
+            args: offset(self.args.len()),
+            targets: offset(self.targets.len()),
+            names: offset(self.names.len()),
+            imports: offset(self.imports.len()),
+            text: offset(self.text.len()),
+        }
+    }
+
+    /// Drops every node pushed since `mark` was taken.
+    pub(crate) fn truncate(&mut self, mark: Counts) {
+        self.stmts.truncate(mark.stmts as usize);
+        self.exprs.truncate(mark.exprs as usize);
+        self.args.truncate(mark.args as usize);
+        self.targets.truncate(mark.targets as usize);
+        self.names.truncate(mark.names as usize);
+        self.imports.truncate(mark.imports as usize);
+        self.text.truncate(mark.text as usize);
+    }
+
+    /// The heap the arrays hold: capacity times element size.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.stmts)
+            + bytes(&self.exprs)
+            + bytes(&self.args)
+            + bytes(&self.targets)
+            + bytes(&self.names)
+            + bytes(&self.imports)
+            + self.text.capacity()
+    }
+
+    pub(crate) fn push_expr(&mut self, expr: Expr) -> ExprId {
+        self.exprs.push(expr);
+        ExprId(offset(self.exprs.len() - 1))
+    }
+
+    /// Appends `text` to the side buffer.
+    pub(crate) fn push_text(&mut self, text: &str) -> Run {
+        let start = self.text.len();
+        self.text.push_str(text);
+        Run::new(start, self.text.len())
+    }
+
+    fn expr(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.0 as usize]
+    }
+
+    fn owned(&self, text: Run) -> &str {
+        &self.text[text.range()]
+    }
+
+    fn literal<'a>(&'a self, src: &'a str, lit: Literal) -> &'a str {
+        match lit {
+            Literal::Source(span) => span.text(src),
+            Literal::Owned(text) => self.owned(text),
+        }
+    }
+
+    /// Appends [`Expr::to_text`]'s rendering of expression `id` to `out`.
+    pub(crate) fn write_expr(&self, src: &str, id: ExprId, out: &mut String) {
+        self.write_text(src, self.expr(id), out);
+    }
+
+    /// Appends [`Expr::to_text`]'s rendering of `expr` to `out`.
+    fn write_text(&self, src: &str, expr: &Expr, out: &mut String) {
+        match *expr {
+            Expr::Name(s) | Expr::Num(s) => out.push_str(s.text(src)),
+            Expr::Str(value) => {
+                out.push('\'');
+                out.push_str(self.literal(src, value));
+                out.push('\'');
+            }
+            Expr::Attribute { value, attr } => {
+                self.write_expr(src, value, out);
+                out.push('.');
+                out.push_str(attr.text(src));
+            }
+            Expr::Call { func, args } => {
+                self.write_expr(src, func, out);
+                out.push('(');
+                for (i, arg) in self.args[args.range()].iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    if let Some(name) = arg.name {
+                        out.push_str(name.text(src));
+                        out.push('=');
+                    }
+                    self.write_expr(src, arg.value, out);
+                }
+                out.push(')');
+            }
+            Expr::BinOp { left, op, right } => {
+                self.write_expr(src, left, out);
+                out.push(' ');
+                out.push_str(op);
+                out.push(' ');
+                self.write_expr(src, right, out);
+            }
+            Expr::Other(t) => out.push_str(self.owned(t)),
+        }
+    }
+
+    fn write_func_path(&self, src: &str, expr: &Expr, out: &mut String) {
+        match *expr {
+            Expr::Name(n) => out.push_str(n.text(src)),
+            Expr::Attribute { value, attr } => {
+                let start = out.len();
+                self.write_func_path(src, self.expr(value), out);
+                if out.len() > start {
+                    out.push('.');
+                }
+                out.push_str(attr.text(src));
+            }
+            Expr::Call { func, .. } => self.write_func_path(src, self.expr(func), out),
+            Expr::Other(text) => write_other_path(self.owned(text), out),
+            Expr::Str(_) | Expr::Num(_) | Expr::BinOp { .. } => {}
+        }
+    }
+}
+
+/// The statements a window's parse is set between: a previous version of
+/// the same file (see [`crate::parse_spliced`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Donor<'m> {
+    /// The previous version's module.
+    pub module: &'m Module,
+    /// The window's first byte. The donor's top-level statements that
+    /// start in front of it are kept as they are (the bytes in front of
+    /// the window did not move).
+    pub window_start: usize,
+    /// The donor byte the window ended at, when text follows it: the
+    /// donor's top-level statements from there on are kept, moved by the
+    /// difference in text length. `None` when the window runs to the end.
+    pub suffix_from: Option<usize>,
+}
+
 /// A parsed source file: its text, its line index and its statements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Module {
     source: Arc<str>,
     lines: LineIndex,
-    /// Top-level statements.
-    pub body: Vec<Stmt>,
+    /// Top-level statements, in source order.
+    pub body: Vec<StmtId>,
+    nodes: Nodes,
+    /// Each top-level statement's first entry in every array.
+    marks: Vec<Counts>,
 }
 
 impl Module {
-    /// A module over a copy of `source`.
-    pub(crate) fn new(source: &str, body: Vec<Stmt>) -> Module {
+    /// The module of `text` holding the top-level statements of `donor`
+    /// in front of the window, those of the window — its `parsed` nodes,
+    /// whose top-level statements begin at `starts` — then those of
+    /// `donor` behind it: three slice copies per array, each sized once.
+    pub(crate) fn assemble(
+        text: &str,
+        (parsed, starts): (&Nodes, &[Counts]),
+        donor: Option<Donor<'_>>,
+    ) -> Module {
+        let no_nodes = Nodes::default();
+        let (nodes, marks, kept, resumed, bytes) = match donor {
+            Some(d) => {
+                let m = d.module;
+                let before = |at: usize| {
+                    m.body
+                        .partition_point(|&id| (m.stmt(id).start() as usize) < at)
+                };
+                let resumed = d.suffix_from.map_or(m.body.len(), before);
+                let bytes = text.len() as isize - m.source.len() as isize;
+                (
+                    &m.nodes,
+                    &m.marks[..],
+                    before(d.window_start),
+                    resumed,
+                    bytes,
+                )
+            }
+            None => (&no_nodes, &[][..], 0, 0, 0),
+        };
+        let mark = |k: usize| marks.get(k).copied().unwrap_or_else(|| nodes.counts());
+        let (front, back) = (mark(kept), mark(resumed));
+        let into_window = Shift {
+            ids: front,
+            bytes: 0,
+        };
+        let behind = Shift {
+            ids: front.plus(parsed.counts()).minus(back),
+            bytes,
+        };
+        // Per array: the donor's entries in front of the window, the
+        // window's, and the donor's behind it.
+        fn splice<T: Copy>(
+            (donor, window): (&[T], &[T]),
+            (front, back): (u32, u32),
+            shifts: (&Shift, &Shift),
+            rebase: impl Fn(T, &Shift) -> T,
+        ) -> Vec<T> {
+            let (front, behind) = (&donor[..front as usize], &donor[back as usize..]);
+            let mut out = Vec::with_capacity(front.len() + window.len() + behind.len());
+            out.extend_from_slice(front);
+            out.extend(window.iter().map(|&x| rebase(x, shifts.0)));
+            out.extend(behind.iter().map(|&x| rebase(x, shifts.1)));
+            out
+        }
+        let shifts = (&into_window, &behind);
+        let w = parsed;
+        let ends = |f: fn(Counts) -> u32| (f(front), f(back));
+        let mut owned = String::with_capacity(
+            front.text as usize + w.text.len() + nodes.text.len() - back.text as usize,
+        );
+        owned.push_str(&nodes.text[..front.text as usize]);
+        owned.push_str(&w.text);
+        owned.push_str(&nodes.text[back.text as usize..]);
+        let marks = splice(
+            (marks, starts),
+            (offset(kept), offset(resumed)),
+            shifts,
+            |m, s| m.plus(s.ids),
+        );
+        let nodes = Nodes {
+            stmts: splice(
+                (&nodes.stmts, &w.stmts),
+                ends(|c| c.stmts),
+                shifts,
+                Stmt::rebased,
+            ),
+            exprs: splice(
+                (&nodes.exprs, &w.exprs),
+                ends(|c| c.exprs),
+                shifts,
+                Expr::rebased,
+            ),
+            args: splice((&nodes.args, &w.args), ends(|c| c.args), shifts, |a, s| {
+                Arg {
+                    name: a.name.map(|n| n.moved(s.bytes)),
+                    value: s.expr(a.value),
+                }
+            }),
+            targets: splice(
+                (&nodes.targets, &w.targets),
+                ends(|c| c.targets),
+                shifts,
+                |t, s| s.expr(t),
+            ),
+            names: splice(
+                (&nodes.names, &w.names),
+                ends(|c| c.names),
+                shifts,
+                |n, s| n.moved(s.bytes),
+            ),
+            imports: splice(
+                (&nodes.imports, &w.imports),
+                ends(|c| c.imports),
+                shifts,
+                |n, s| ImportedName {
+                    path: n.path.moved(s.bytes),
+                    alias: n.alias.map(|a| a.moved(s.bytes)),
+                },
+            ),
+            text: owned,
+        };
         Module {
-            source: Arc::from(source),
-            lines: LineIndex::new(source),
-            body,
+            source: Arc::from(text),
+            lines: LineIndex::new(text),
+            body: marks.iter().map(|m| StmtId(m.stmts)).collect(),
+            nodes,
+            marks,
         }
     }
 
@@ -133,11 +531,117 @@ impl Module {
     pub fn line(&self, stmt: &Stmt) -> usize {
         self.lines.line_of(stmt.start())
     }
+
+    /// The statement `id` of this module.
+    pub fn stmt(&self, id: StmtId) -> &Stmt {
+        &self.nodes.stmts[id.0 as usize]
+    }
+
+    /// The expression `id` of this module.
+    pub fn expr(&self, id: ExprId) -> &Expr {
+        self.nodes.expr(id)
+    }
+
+    /// Every statement of the module in walk order: each one before its
+    /// body, its body before its next sibling.
+    pub fn statements(&self) -> &[Stmt] {
+        &self.nodes.stmts
+    }
+
+    /// The top-level statements, in source order.
+    pub fn top_level(&self) -> Suite<'_> {
+        self.suite(Run::new(0, self.nodes.stmts.len()))
+    }
+
+    /// The statements of a compound statement's `body`, in source order
+    /// (the nested ones they hold are not yielded).
+    pub fn suite(&self, body: Run) -> Suite<'_> {
+        Suite {
+            stmts: &self.nodes.stmts,
+            at: body.start as usize,
+            end: body.end as usize,
+        }
+    }
+
+    /// The arguments of a call, in order.
+    pub fn args(&self, args: Run) -> &[Arg] {
+        &self.nodes.args[args.range()]
+    }
+
+    /// The targets of an assignment, in order.
+    pub fn targets(&self, targets: Run) -> impl Iterator<Item = &Expr> {
+        self.nodes.targets[targets.range()]
+            .iter()
+            .map(|&id| self.expr(id))
+    }
+
+    /// Function parameters or class bases.
+    pub fn names(&self, names: Run) -> &[Span] {
+        &self.nodes.names[names.range()]
+    }
+
+    /// The names of an import statement.
+    pub fn imports(&self, names: Run) -> &[ImportedName] {
+        &self.nodes.imports[names.range()]
+    }
+
+    /// Owned text: an `Other` rendering or a literal's value.
+    pub fn owned(&self, text: Run) -> &str {
+        self.nodes.owned(text)
+    }
+
+    /// The heap the module holds: its text, its line index and every
+    /// array, each at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.source.len()
+            + self.lines.starts.capacity() * std::mem::size_of::<u32>()
+            + self.body.capacity() * std::mem::size_of::<StmtId>()
+            + self.marks.capacity() * std::mem::size_of::<Counts>()
+            + self.nodes.heap_bytes()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn expr_count(&self) -> usize {
+        self.nodes.exprs.len()
+    }
+}
+
+/// The statements of one body (see [`Module::suite`]).
+#[derive(Debug, Clone)]
+pub struct Suite<'m> {
+    stmts: &'m [Stmt],
+    at: usize,
+    end: usize,
+}
+
+impl<'m> Iterator for Suite<'m> {
+    type Item = &'m Stmt;
+
+    fn next(&mut self) -> Option<&'m Stmt> {
+        if self.at >= self.end {
+            return None;
+        }
+        let stmt = self.stmts.get(self.at)?;
+        self.at = stmt.body().map_or(self.at + 1, |body| body.end as usize);
+        Some(stmt)
+    }
+}
+
+/// How far the ids and offsets of a run of nodes move.
+struct Shift {
+    ids: Counts,
+    bytes: isize,
+}
+
+impl Shift {
+    fn expr(&self, id: ExprId) -> ExprId {
+        ExprId(id.0.wrapping_add(self.ids.exprs))
+    }
 }
 
 /// One name bound by an import statement: the dotted path as written
 /// plus the `as` alias, when one was given.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImportedName {
     /// Dotted module path (`os.path`, read with [`Span::dotted`]),
     /// imported name (`environ`) or `*`.
@@ -162,12 +666,13 @@ impl ImportedName {
 }
 
 /// A statement. `start` is the offset of its first token.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stmt {
     /// `import a, b.c as d`
     Import {
-        /// Dotted module paths with optional aliases.
-        modules: Vec<ImportedName>,
+        /// Dotted module paths with optional aliases
+        /// ([`Module::imports`]).
+        modules: Run,
         /// Offset of the first token.
         start: u32,
     },
@@ -175,8 +680,8 @@ pub enum Stmt {
     FromImport {
         /// The source module path (read with [`Span::dotted`]).
         module: Span,
-        /// Imported names with optional aliases.
-        names: Vec<ImportedName>,
+        /// Imported names with optional aliases ([`Module::imports`]).
+        names: Run,
         /// Offset of the first token.
         start: u32,
     },
@@ -184,10 +689,11 @@ pub enum Stmt {
     FunctionDef {
         /// Function name (empty when missing).
         name: Span,
-        /// Parameter names (annotations/defaults stripped).
-        params: Vec<Span>,
-        /// Nested statements.
-        body: Vec<Stmt>,
+        /// Parameter names, annotations and defaults stripped
+        /// ([`Module::names`]).
+        params: Run,
+        /// Nested statements ([`Module::suite`]).
+        body: Run,
         /// Offset of the `def` (or of its `async`).
         start: u32,
     },
@@ -195,33 +701,35 @@ pub enum Stmt {
     ClassDef {
         /// Class name (empty when missing).
         name: Span,
-        /// Dotted base-class names (read with [`Span::dotted`]).
-        bases: Vec<Span>,
-        /// Nested statements.
-        body: Vec<Stmt>,
+        /// Dotted base-class names ([`Module::names`], each read with
+        /// [`Span::dotted`]).
+        bases: Run,
+        /// Nested statements ([`Module::suite`]).
+        body: Run,
         /// Offset of the `class`.
         start: u32,
     },
     /// `target = value` (chained targets flattened).
     Assign {
-        /// Assignment targets (`x`, `obj.attr`, `d[k]`).
-        targets: Vec<Expr>,
+        /// Assignment targets (`x`, `obj.attr`, `d[k]`;
+        /// [`Module::targets`]).
+        targets: Run,
         /// Right-hand side.
-        value: Expr,
+        value: ExprId,
         /// Offset of the first token.
         start: u32,
     },
     /// A bare expression statement (usually a call).
     Expr {
         /// The expression.
-        value: Expr,
+        value: ExprId,
         /// Offset of the first token.
         start: u32,
     },
     /// `return [value]`
     Return {
         /// Returned expression, if any.
-        value: Option<Expr>,
+        value: Option<ExprId>,
         /// Offset of the `return`.
         start: u32,
     },
@@ -235,16 +743,16 @@ pub enum Stmt {
         header: Span,
         /// The header's expression, parsed once for the taint engine;
         /// `None` when there is nothing to evaluate.
-        parsed: Option<Box<Header>>,
-        /// Nested statements.
-        body: Vec<Stmt>,
+        parsed: Option<Header>,
+        /// Nested statements ([`Module::suite`]).
+        body: Run,
         /// Offset of the keyword (of the INDENT for an anonymous block).
         start: u32,
     },
     /// Anything unparsable, kept as reconstructed text.
     Other {
-        /// Reconstructed source text.
-        text: String,
+        /// Reconstructed source text ([`Module::owned`]).
+        text: Run,
         /// Offset of the first token.
         start: u32,
     },
@@ -259,11 +767,11 @@ pub enum Stmt {
 /// nor followed by a bracket. A `for` without such a cut has no header.
 /// A header side that does not read as one expression statement is kept
 /// as an [`Expr::Other`] rendering.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
     /// The evaluated expression: the condition, the iterable or the
     /// context manager.
-    pub value: Expr,
+    pub value: ExprId,
     /// The names a `for` or `with ... as` binds, as written.
     pub target: Option<Span>,
 }
@@ -284,10 +792,15 @@ impl Stmt {
         }
     }
 
-    /// A copy of this statement `delta` bytes further into its text, as
-    /// the statements behind a spliced edit move.
-    pub fn shifted(&self, delta: isize) -> Stmt {
-        self.moved(delta)
+    /// The body of a `def`, `class` or block: every statement nested in
+    /// it, which [`Module::suite`] reads as its direct children.
+    pub fn body(&self) -> Option<Run> {
+        match self {
+            Stmt::FunctionDef { body, .. }
+            | Stmt::ClassDef { body, .. }
+            | Stmt::Block { body, .. } => Some(*body),
+            _ => None,
+        }
     }
 
     /// A one-line rendering of the statement: expressions as
@@ -295,25 +808,26 @@ impl Stmt {
     /// x`, `def f`, `class C`, a block's keyword and its header's tokens
     /// (brackets glued, every other token after one space), or the
     /// degraded text.
-    pub fn to_text(&self, src: &str) -> String {
+    pub fn to_text(&self, m: &Module) -> String {
+        let (src, nodes) = (m.source(), &m.nodes);
         let mut out = String::new();
-        match self {
-            Stmt::Expr { value, .. } => value.write_text(src, &mut out),
+        match *self {
+            Stmt::Expr { value, .. } => nodes.write_expr(src, value, &mut out),
             Stmt::Assign { targets, value, .. } => {
-                for target in targets {
-                    target.write_text(src, &mut out);
+                for &target in &nodes.targets[targets.range()] {
+                    nodes.write_expr(src, target, &mut out);
                     out.push_str(" = ");
                 }
-                value.write_text(src, &mut out);
+                nodes.write_expr(src, value, &mut out);
             }
             Stmt::Return { value, .. } => {
                 out.push_str("return");
                 if let Some(v) = value {
                     out.push(' ');
-                    v.write_text(src, &mut out);
+                    nodes.write_expr(src, v, &mut out);
                 }
             }
-            Stmt::Other { text, .. } => out.push_str(text),
+            Stmt::Other { text, .. } => out.push_str(nodes.owned(text)),
             Stmt::Block {
                 keyword, header, ..
             } => {
@@ -323,13 +837,13 @@ impl Stmt {
             }
             Stmt::Import { modules, .. } => {
                 out.push_str("import ");
-                write_imported(modules, src, &mut out);
+                write_imported(m.imports(modules), src, &mut out);
             }
             Stmt::FromImport { module, names, .. } => {
                 out.push_str("from ");
                 out.push_str(&module.dotted(src));
                 out.push_str(" import ");
-                write_imported(names, src, &mut out);
+                write_imported(m.imports(names), src, &mut out);
             }
             Stmt::FunctionDef { name, .. } => {
                 out.push_str("def ");
@@ -341,6 +855,71 @@ impl Stmt {
             }
         }
         out
+    }
+
+    fn rebased(self, s: &Shift) -> Stmt {
+        let (ids, at) = (s.ids, |span: Span| span.moved(s.bytes));
+        let start = moved(self.start(), s.bytes);
+        match self {
+            Stmt::Import { modules, .. } => Stmt::Import {
+                modules: modules.plus(ids.imports),
+                start,
+            },
+            Stmt::FromImport { module, names, .. } => Stmt::FromImport {
+                module: at(module),
+                names: names.plus(ids.imports),
+                start,
+            },
+            Stmt::FunctionDef {
+                name, params, body, ..
+            } => Stmt::FunctionDef {
+                name: at(name),
+                params: params.plus(ids.names),
+                body: body.plus(ids.stmts),
+                start,
+            },
+            Stmt::ClassDef {
+                name, bases, body, ..
+            } => Stmt::ClassDef {
+                name: at(name),
+                bases: bases.plus(ids.names),
+                body: body.plus(ids.stmts),
+                start,
+            },
+            Stmt::Assign { targets, value, .. } => Stmt::Assign {
+                targets: targets.plus(ids.targets),
+                value: s.expr(value),
+                start,
+            },
+            Stmt::Expr { value, .. } => Stmt::Expr {
+                value: s.expr(value),
+                start,
+            },
+            Stmt::Return { value, .. } => Stmt::Return {
+                value: value.map(|v| s.expr(v)),
+                start,
+            },
+            Stmt::Block {
+                keyword,
+                header,
+                parsed,
+                body,
+                ..
+            } => Stmt::Block {
+                keyword,
+                header: at(header),
+                parsed: parsed.map(|h| Header {
+                    value: s.expr(h.value),
+                    target: h.target.map(at),
+                }),
+                body: body.plus(ids.stmts),
+                start,
+            },
+            Stmt::Other { text, .. } => Stmt::Other {
+                text: text.plus(ids.text),
+                start,
+            },
+        }
     }
 }
 
@@ -358,7 +937,7 @@ fn write_imported(names: &[ImportedName], src: &str, out: &mut String) {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expr {
     /// A bare name.
     Name(Span),
@@ -369,146 +948,114 @@ pub enum Expr {
     /// `value.attr`
     Attribute {
         /// The object expression.
-        value: Box<Expr>,
+        value: ExprId,
         /// The attribute name.
         attr: Span,
     },
     /// `func(args...)`
     Call {
         /// The callee expression.
-        func: Box<Expr>,
-        /// Positional and keyword arguments, in order.
-        args: Vec<Arg>,
+        func: ExprId,
+        /// Positional and keyword arguments, in order
+        /// ([`Module::args`]).
+        args: Run,
     },
     /// `left op right` for binary operators we keep (`+`, `%`, ...).
     BinOp {
         /// Left operand.
-        left: Box<Expr>,
+        left: ExprId,
         /// Operator glyph (or `and`, `in`, ...).
         op: &'static str,
         /// Right operand.
-        right: Box<Expr>,
+        right: ExprId,
     },
-    /// Anything else, as reconstructed text.
-    Other(String),
+    /// Anything else, as reconstructed text ([`Module::owned`]).
+    Other(Run),
 }
 
 /// A string literal's value (quotes and prefix stripped).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Literal {
     /// The value is these bytes of the source.
     Source(Span),
     /// The value differs from the source: a processed escape, a byte
-    /// >= 0x80, or adjacent literals concatenated.
-    Owned(String),
+    /// >= 0x80, or adjacent literals concatenated ([`Module::owned`]).
+    Owned(Run),
 }
 
 impl Literal {
-    /// The value, reading a [`Literal::Source`] span from `src`.
-    pub fn text<'a>(&'a self, src: &'a str) -> &'a str {
-        match self {
-            Literal::Source(span) => span.text(src),
-            Literal::Owned(value) => value,
-        }
+    /// The value, read from `m`, the module whose tree holds it.
+    pub fn text(self, m: &Module) -> &str {
+        m.nodes.literal(m.source(), self)
     }
 }
 
 /// One call argument.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arg {
     /// Keyword name for `name=value` arguments.
     pub name: Option<Span>,
     /// Argument value.
-    pub value: Expr,
+    pub value: ExprId,
 }
 
 impl Expr {
     /// Renders the dotted path of a callee: `os.system` for
     /// `Attribute(Name(os), system)`, `exec` for `Name(exec)`. For a call,
     /// its callee's. Empty for shapes without a sensible path.
-    pub fn func_path(&self, src: &str) -> String {
+    pub fn func_path(&self, m: &Module) -> String {
         let mut out = String::new();
-        self.write_func_path(src, &mut out);
+        m.nodes.write_func_path(m.source(), self, &mut out);
         out
-    }
-
-    fn write_func_path(&self, src: &str, out: &mut String) {
-        let start = out.len();
-        match self {
-            Expr::Name(n) => out.push_str(n.text(src)),
-            Expr::Attribute { value, attr } => {
-                value.write_func_path(src, out);
-                if out.len() > start {
-                    out.push('.');
-                }
-                out.push_str(attr.text(src));
-            }
-            Expr::Call { func, .. } => func.write_func_path(src, out),
-            // A parenthesized or otherwise unmodelled callee whose
-            // reconstructed text is a plain dotted path still names a
-            // resolvable callee: `(os.system)(cmd)` must dispatch like
-            // `os.system(cmd)`.
-            Expr::Other(text) => {
-                let mut t = text.trim();
-                while t.starts_with('(') && t.ends_with(')') && t.len() >= 2 {
-                    t = t[1..t.len() - 1].trim();
-                }
-                out.extend(t.chars().filter(|c| !c.is_whitespace()));
-                if !is_dotted_path(&out[start..]) {
-                    out.truncate(start);
-                }
-            }
-            Expr::Str(_) | Expr::Num(_) | Expr::BinOp { .. } => {}
-        }
     }
 
     /// Renders the expression back to approximate source text: names and
     /// numbers as written, a literal's value in single quotes,
     /// `f(a, k=v)`, `a + b`, or the degraded text.
-    pub fn to_text(&self, src: &str) -> String {
+    pub fn to_text(&self, m: &Module) -> String {
         let mut out = String::new();
-        self.write_text(src, &mut out);
+        m.nodes.write_text(m.source(), self, &mut out);
         out
     }
 
-    /// Appends [`Expr::to_text`]'s rendering to `out`.
-    pub(crate) fn write_text(&self, src: &str, out: &mut String) {
+    fn rebased(self, s: &Shift) -> Expr {
+        let at = |span: Span| span.moved(s.bytes);
         match self {
-            Expr::Name(s) | Expr::Num(s) => out.push_str(s.text(src)),
-            Expr::Str(value) => {
-                out.push('\'');
-                out.push_str(value.text(src));
-                out.push('\'');
-            }
-            Expr::Attribute { value, attr } => {
-                value.write_text(src, out);
-                out.push('.');
-                out.push_str(attr.text(src));
-            }
-            Expr::Call { func, args } => {
-                func.write_text(src, out);
-                out.push('(');
-                for (i, arg) in args.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    if let Some(name) = arg.name {
-                        out.push_str(name.text(src));
-                        out.push('=');
-                    }
-                    arg.value.write_text(src, out);
-                }
-                out.push(')');
-            }
-            Expr::BinOp { left, op, right } => {
-                left.write_text(src, out);
-                out.push(' ');
-                out.push_str(op);
-                out.push(' ');
-                right.write_text(src, out);
-            }
-            Expr::Other(t) => out.push_str(t),
+            Expr::Name(n) => Expr::Name(at(n)),
+            Expr::Num(n) => Expr::Num(at(n)),
+            Expr::Str(Literal::Source(v)) => Expr::Str(Literal::Source(at(v))),
+            Expr::Str(Literal::Owned(v)) => Expr::Str(Literal::Owned(v.plus(s.ids.text))),
+            Expr::Attribute { value, attr } => Expr::Attribute {
+                value: s.expr(value),
+                attr: at(attr),
+            },
+            Expr::Call { func, args } => Expr::Call {
+                func: s.expr(func),
+                args: args.plus(s.ids.args),
+            },
+            Expr::BinOp { left, op, right } => Expr::BinOp {
+                left: s.expr(left),
+                op,
+                right: s.expr(right),
+            },
+            Expr::Other(text) => Expr::Other(text.plus(s.ids.text)),
         }
+    }
+}
+
+/// Appends the callee path an `Other` rendering names, if any. A
+/// parenthesized or otherwise unmodelled callee whose reconstructed text
+/// is a plain dotted path still names a resolvable callee:
+/// `(os.system)(cmd)` must dispatch like `os.system(cmd)`.
+fn write_other_path(text: &str, out: &mut String) {
+    let start = out.len();
+    let mut t = text.trim();
+    while t.starts_with('(') && t.ends_with(')') && t.len() >= 2 {
+        t = t[1..t.len() - 1].trim();
+    }
+    out.extend(t.chars().filter(|c| !c.is_whitespace()));
+    if !is_dotted_path(&out[start..]) {
+        out.truncate(start);
     }
 }
 
@@ -527,172 +1074,16 @@ fn is_dotted_path(s: &str) -> bool {
         })
 }
 
-/// A deep copy whose spans and offsets lie `by` bytes further on.
-trait Moved {
-    fn moved(&self, by: isize) -> Self;
-}
-
-impl Moved for u32 {
-    fn moved(&self, by: isize) -> u32 {
-        offset(
-            (*self as usize)
-                .checked_add_signed(by)
-                .unwrap_or(usize::MAX),
-        )
-    }
-}
-
-impl Moved for Span {
-    fn moved(&self, by: isize) -> Span {
-        Span {
-            start: self.start.moved(by),
-            end: self.end.moved(by),
-        }
-    }
-}
-
-impl<T: Moved> Moved for Vec<T> {
-    fn moved(&self, by: isize) -> Vec<T> {
-        self.iter().map(|x| x.moved(by)).collect()
-    }
-}
-
-impl<T: Moved> Moved for Option<T> {
-    fn moved(&self, by: isize) -> Option<T> {
-        self.as_ref().map(|x| x.moved(by))
-    }
-}
-
-impl<T: Moved> Moved for Box<T> {
-    fn moved(&self, by: isize) -> Box<T> {
-        Box::new(T::moved(self, by))
-    }
-}
-
-impl Moved for ImportedName {
-    fn moved(&self, by: isize) -> ImportedName {
-        ImportedName {
-            path: self.path.moved(by),
-            alias: self.alias.moved(by),
-        }
-    }
-}
-
-impl Moved for Header {
-    fn moved(&self, by: isize) -> Header {
-        Header {
-            value: self.value.moved(by),
-            target: self.target.moved(by),
-        }
-    }
-}
-
-impl Moved for Arg {
-    fn moved(&self, by: isize) -> Arg {
-        Arg {
-            name: self.name.moved(by),
-            value: self.value.moved(by),
-        }
-    }
-}
-
-impl Moved for Expr {
-    fn moved(&self, by: isize) -> Expr {
-        match self {
-            Expr::Name(s) => Expr::Name(s.moved(by)),
-            Expr::Num(s) => Expr::Num(s.moved(by)),
-            Expr::Str(Literal::Source(s)) => Expr::Str(Literal::Source(s.moved(by))),
-            Expr::Attribute { value, attr } => Expr::Attribute {
-                value: value.moved(by),
-                attr: attr.moved(by),
-            },
-            Expr::Call { func, args } => Expr::Call {
-                func: func.moved(by),
-                args: args.moved(by),
-            },
-            Expr::BinOp { left, op, right } => Expr::BinOp {
-                left: left.moved(by),
-                op,
-                right: right.moved(by),
-            },
-            Expr::Str(Literal::Owned(_)) | Expr::Other(_) => self.clone(),
-        }
-    }
-}
-
-impl Moved for Stmt {
-    fn moved(&self, by: isize) -> Stmt {
-        let start = self.start().moved(by);
-        match self {
-            Stmt::Import { modules, .. } => Stmt::Import {
-                modules: modules.moved(by),
-                start,
-            },
-            Stmt::FromImport { module, names, .. } => Stmt::FromImport {
-                module: module.moved(by),
-                names: names.moved(by),
-                start,
-            },
-            Stmt::FunctionDef {
-                name, params, body, ..
-            } => Stmt::FunctionDef {
-                name: name.moved(by),
-                params: params.moved(by),
-                body: body.moved(by),
-                start,
-            },
-            Stmt::ClassDef {
-                name, bases, body, ..
-            } => Stmt::ClassDef {
-                name: name.moved(by),
-                bases: bases.moved(by),
-                body: body.moved(by),
-                start,
-            },
-            Stmt::Assign { targets, value, .. } => Stmt::Assign {
-                targets: targets.moved(by),
-                value: value.moved(by),
-                start,
-            },
-            Stmt::Expr { value, .. } => Stmt::Expr {
-                value: value.moved(by),
-                start,
-            },
-            Stmt::Return { value, .. } => Stmt::Return {
-                value: value.moved(by),
-                start,
-            },
-            Stmt::Block {
-                keyword,
-                header,
-                parsed,
-                body,
-                ..
-            } => Stmt::Block {
-                keyword,
-                header: header.moved(by),
-                parsed: parsed.moved(by),
-                body: body.moved(by),
-                start,
-            },
-            Stmt::Other { text, .. } => Stmt::Other {
-                text: text.clone(),
-                start,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_module;
+    use crate::{lex_window, parse_module, parse_spliced};
 
-    /// The first statement's first expression root of `src`.
+    /// The first statement's expression of `src`, with its module.
     fn expr(src: &str) -> (Module, Expr) {
         let m = parse_module(src);
-        let e = match &m.body[0] {
-            Stmt::Expr { value, .. } => value.clone(),
+        let e = match *m.stmt(m.body[0]) {
+            Stmt::Expr { value, .. } => *m.expr(value),
             other => panic!("unexpected {other:?}"),
         };
         (m, e)
@@ -701,44 +1092,46 @@ mod tests {
     #[test]
     fn func_path_of_dotted_call_and_plain_name() {
         let (m, e) = expr("os.system(x)\n");
-        assert_eq!(e.func_path(m.source()), "os.system");
+        assert_eq!(e.func_path(&m), "os.system");
         let (m, e) = expr("exec\n");
-        assert_eq!(e.func_path(m.source()), "exec");
+        assert_eq!(e.func_path(&m), "exec");
     }
 
     #[test]
     fn to_text_roundtrips_call_shape() {
         let (m, e) = expr("requests(url = \"http://x\", *a)\n");
-        assert_eq!(e.to_text(m.source()), "requests(url='http://x', a)");
+        assert_eq!(e.to_text(&m), "requests(url='http://x', a)");
     }
 
     #[test]
     fn func_path_resolves_other_wrapped_dotted_text() {
-        let path = |text: &str| Expr::Other(text.into()).func_path("");
+        let path = |text: &str| {
+            let mut out = String::from("kept:");
+            write_other_path(text, &mut out);
+            out
+        };
         // A parenthesized callee the parser kept as raw text.
-        assert_eq!(path("( os.system )"), "os.system");
+        assert_eq!(path("( os.system )"), "kept:os.system");
         assert_eq!(
             path("(( urllib.request.urlopen ))"),
-            "urllib.request.urlopen"
+            "kept:urllib.request.urlopen"
         );
-        // Call through an Other callee.
-        let e = Expr::Call {
-            func: Box::new(Expr::Other("(subprocess.run)".into())),
-            args: vec![],
-        };
-        assert_eq!(e.func_path(""), "subprocess.run");
         for rejected in ["a + b", "[1, 2]", "f(x).g", "", "3.14"] {
-            assert_eq!(path(rejected), "", "{rejected:?}");
+            assert_eq!(path(rejected), "kept:", "{rejected:?}");
         }
+        // A call through a subscripted callee resolves no path.
+        let (m, e) = expr("handlers['x'](cmd)\n");
+        assert_eq!(e.func_path(&m), "");
     }
 
     #[test]
     fn imported_name_binding_and_dotted_paths() {
         let src = "import os, os . path, os as o, os.path as p\n";
         let m = parse_module(src);
-        let Stmt::Import { modules, .. } = &m.body[0] else {
-            panic!("{:?}", m.body)
+        let Stmt::Import { modules, .. } = *m.stmt(m.body[0]) else {
+            panic!("{m:?}")
         };
+        let modules = m.imports(modules);
         let bindings: Vec<&str> = modules.iter().map(|n| n.binding(src)).collect();
         assert_eq!(bindings, ["os", "os", "o", "p"]);
         assert_eq!(modules[1].path.text(src), "os . path");
@@ -761,13 +1154,64 @@ mod tests {
     }
 
     #[test]
-    fn a_shifted_statement_slices_the_same_text_further_on() {
-        let src = "def f(a, b='x\\n'):\n    for k in d: g(k=a)\n";
+    fn statements_are_stored_in_walk_order() {
+        let src = "def f(a):\n    if a:\n        g(a)\n    return a\nclass C:\n    x = 1\ny = 2\n";
         let m = parse_module(src);
-        let moved = format!("\n\n{src}");
-        let shifted = m.body[0].shifted(2);
-        assert_eq!(shifted.to_text(&moved), m.body[0].to_text(src));
-        assert_eq!(parse_module(&moved).body[0], shifted);
-        assert_eq!(shifted.shifted(-2), m.body[0]);
+        fn walk<'m>(m: &'m Module, suite: Suite<'m>, out: &mut Vec<&'m Stmt>) {
+            for stmt in suite {
+                out.push(stmt);
+                if let Some(body) = stmt.body() {
+                    walk(m, m.suite(body), out);
+                }
+            }
+        }
+        let mut walked = Vec::new();
+        walk(&m, m.top_level(), &mut walked);
+        let stored: Vec<&Stmt> = m.statements().iter().collect();
+        assert_eq!(walked, stored);
+        assert_eq!(walked.len(), 7);
+        let top: Vec<&Stmt> = m.body.iter().map(|&id| m.stmt(id)).collect();
+        assert_eq!(m.top_level().collect::<Vec<_>>(), top);
+    }
+
+    /// A window parsed between a donor's statements is the full parse of
+    /// the edited text: the prefix is copied as it is and the suffix — one
+    /// statement of every shape that holds an id, a run or an offset —
+    /// with every id rebased and every offset moved, whether the window
+    /// grew or shrank its text and its node counts.
+    #[test]
+    fn a_window_set_between_donor_statements_is_the_full_parse() {
+        let suffix = "import os.path as osp, base64\nfrom subprocess import run as r\n\ndef handler(arg, *rest, key=None):\n    for k, v in arg.items():\n        print(k, -v)\n    return arg\n\nclass Installer(setuptools.Command, object):\n    with open(osp.join('a', 'b')) as fh:\n        data = x = fh.read()[0]\n    pass\n\nX = 'tab\\there'\nY = 'http://' 'evil.example'\nr(Y, shell=True)\n";
+        let base = format!("A = 'alpha'\nB = 1\n{suffix}");
+        let mut donor = parse_module(&base);
+        for (old, new) in [
+            ("B = 1", "B = f('a much longer value', (p, q))\nB2 = B"),
+            ("B = f('a much longer value', (p, q))\nB2 = B", "B=0"),
+        ] {
+            let before = donor.source().to_owned();
+            let text = before.replace(old, new);
+            let w = before.find(old).expect("edit");
+            let (e_old, e_new) = (w + old.len() + 1, w + new.len() + 1);
+            let tokens = lex_window(&text, w, e_new).tokens;
+            let spliced = parse_spliced(
+                &text,
+                &tokens,
+                Some(Donor {
+                    module: &donor,
+                    window_start: w,
+                    suffix_from: Some(e_old),
+                }),
+            );
+            assert_eq!(spliced, parse_module(&text), "{text}");
+            donor = spliced;
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_text_and_every_node() {
+        let m = parse_module(&"x = f(a, 'b' 'c', [d])\n".repeat(50));
+        let nodes =
+            std::mem::size_of_val(m.statements()) + m.expr_count() * std::mem::size_of::<Expr>();
+        assert!(m.heap_bytes() > m.source().len() + nodes);
     }
 }

@@ -17,12 +17,13 @@
 //!   stream a later splice reads.
 //! * [`parse_tokens`] — the parser's front door: a tolerant, lightweight
 //!   parser producing a statement/expression tree sufficient for pattern
-//!   matching, over a [`SpannedToken`] slice it borrows (a whole file's
-//!   stream or a relexed window), so a caller that holds the tokens lexes
-//!   once. Unparsable lines degrade to [`Stmt::Other`] instead of
-//!   failing: rule scanning must survive obfuscated or broken malware
-//!   code. [`parse_module`] is the convenience over it for callers that
-//!   hold only source text.
+//!   matching, over a [`SpannedToken`] slice it borrows, so a caller that
+//!   holds the tokens lexes once. Unparsable lines degrade to
+//!   [`Stmt::Other`] instead of failing: rule scanning must survive
+//!   obfuscated or broken malware code. [`parse_module`] is the
+//!   convenience over it for callers that hold only source text, and
+//!   [`parse_spliced`] parses a relexed window between the statements of
+//!   a previous version of the file.
 //! * Call/import/string collectors used by the analyzers.
 //! * [`intern_strings`] — a deduplicated string-literal table built from
 //!   the spanned token stream, the literal view that per-file analysis
@@ -46,18 +47,24 @@
 //! own their value.
 //!
 //! The tree keeps the same discipline one level up. A [`Module`] copies
-//! its text once and its nodes hold [`Span`]s into it, so a parse
-//! allocates the tree's boxes and vectors, that copy and one
-//! [`LineIndex`]; it owns text only for a literal the lexer owns, for
-//! adjacent literals it concatenates and for what degrades to `Other`.
-//! The interner copies each distinct literal into the string table.
+//! its text once and its nodes hold [`Span`]s into it; it owns text only
+//! for a literal the lexer owns, for adjacent literals it concatenates
+//! and for what degrades to `Other`, all in one side buffer. Nor is the
+//! tree boxed: its statements, expressions, call arguments and the rest
+//! are a few arrays, its nodes name each other by index, and the parser
+//! builds them in arrays it keeps per thread and copies each out at its
+//! final length. A parse allocates per array — the text copy, one
+//! [`LineIndex`] and a handful of buffers — not per node, and
+//! [`parse_spliced`] sets a relexed window's statements between a
+//! previous version's by copying slices of its arrays. The interner
+//! copies each distinct literal into the string table.
 //!
 //! # Examples
 //!
 //! ```
 //! let module = pysrc::parse_module("import os\nos.system('id')\n");
 //! let calls = pysrc::collect_calls(&module);
-//! assert_eq!(calls[0].func_path(module.source()), "os.system");
+//! assert_eq!(calls[0].func_path(&module), "os.system");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,9 +76,12 @@ mod parser;
 mod strings;
 mod token;
 
-pub use ast::{Arg, Expr, Header, ImportedName, LineIndex, Literal, Module, Span, Stmt};
+pub use ast::{
+    Arg, Donor, Expr, ExprId, Header, ImportedName, LineIndex, Literal, Module, Run, Span, Stmt,
+    StmtId, Suite,
+};
 pub use lexer::{cut_points, lex_spanned, lex_window, CutPoint, WindowLex};
-pub use parser::{parse_module, parse_tokens};
+pub use parser::{parse_module, parse_spliced, parse_tokens};
 pub use strings::{intern_strings, StringRef, StringTable};
 pub use token::{is_keyword, SpannedToken, Token, TokenKind, KEYWORDS};
 
@@ -79,40 +89,45 @@ pub use token::{is_keyword, SpannedToken, Token, TokenKind, KEYWORDS};
 /// headers are not descended into: only the taint engine reads them.
 pub fn collect_calls(module: &Module) -> Vec<&Expr> {
     let mut out = Vec::new();
-    for stmt in &module.body {
-        collect_calls_stmt(stmt, &mut out);
+    for stmt in module.statements() {
+        if let Some(root) = expr_root(stmt) {
+            walk(module, module.expr(root), &mut |e| {
+                if matches!(e, Expr::Call { .. }) {
+                    out.push(e);
+                }
+            });
+        }
     }
     out
 }
 
-fn collect_calls_stmt<'a>(stmt: &'a Stmt, out: &mut Vec<&'a Expr>) {
-    match stmt {
-        Stmt::Expr { value, .. }
-        | Stmt::Assign { value, .. }
-        | Stmt::Return {
-            value: Some(value), ..
-        } => collect_calls_expr(value, out),
-        Stmt::FunctionDef { body, .. } | Stmt::ClassDef { body, .. } | Stmt::Block { body, .. } => {
-            for s in body {
-                collect_calls_stmt(s, out);
-            }
-        }
-        _ => {}
+/// The expression a statement evaluates outside any block header: an
+/// expression statement's, an assignment's value or a returned value.
+fn expr_root(stmt: &Stmt) -> Option<ExprId> {
+    match *stmt {
+        Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => Some(value),
+        Stmt::Return { value, .. } => value,
+        _ => None,
     }
 }
 
-fn collect_calls_expr<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Call { args, func, .. } = expr {
-        out.push(expr);
-        collect_calls_expr(func, out);
-        for arg in args {
-            collect_calls_expr(&arg.value, out);
+/// Every expression of `expr` that `collect_calls` and `collect_strings`
+/// recurse into, parents before their operands, handed to `f`.
+fn walk<'m>(module: &'m Module, expr: &'m Expr, f: &mut impl FnMut(&'m Expr)) {
+    f(expr);
+    match *expr {
+        Expr::Call { func, args } => {
+            walk(module, module.expr(func), f);
+            for arg in module.args(args) {
+                walk(module, module.expr(arg.value), f);
+            }
         }
-    } else if let Expr::Attribute { value, .. } = expr {
-        collect_calls_expr(value, out);
-    } else if let Expr::BinOp { left, right, .. } = expr {
-        collect_calls_expr(left, out);
-        collect_calls_expr(right, out);
+        Expr::Attribute { value, .. } => walk(module, module.expr(value), f),
+        Expr::BinOp { left, right, .. } => {
+            walk(module, module.expr(left), f);
+            walk(module, module.expr(right), f);
+        }
+        _ => {}
     }
 }
 
@@ -120,75 +135,44 @@ fn collect_calls_expr<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
 /// not into block headers) with its statement's line.
 pub fn collect_strings(module: &Module) -> Vec<(&str, usize)> {
     let mut out = Vec::new();
-    for stmt in &module.body {
-        collect_strings_stmt(module, stmt, &mut out);
+    for stmt in module.statements() {
+        if let Some(root) = expr_root(stmt) {
+            let line = module.line(stmt);
+            walk(module, module.expr(root), &mut |e| {
+                if let Expr::Str(s) = *e {
+                    out.push((s.text(module), line));
+                }
+            });
+        }
     }
     out
-}
-
-fn collect_strings_stmt<'a>(module: &'a Module, stmt: &'a Stmt, out: &mut Vec<(&'a str, usize)>) {
-    match stmt {
-        Stmt::Expr { value, .. }
-        | Stmt::Assign { value, .. }
-        | Stmt::Return {
-            value: Some(value), ..
-        } => collect_strings_expr(module, value, module.line(stmt), out),
-        Stmt::FunctionDef { body, .. } | Stmt::ClassDef { body, .. } | Stmt::Block { body, .. } => {
-            for s in body {
-                collect_strings_stmt(module, s, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn collect_strings_expr<'a>(
-    module: &'a Module,
-    expr: &'a Expr,
-    line: usize,
-    out: &mut Vec<(&'a str, usize)>,
-) {
-    match expr {
-        Expr::Str(s) => out.push((s.text(module.source()), line)),
-        Expr::Call { func, args } => {
-            collect_strings_expr(module, func, line, out);
-            for a in args {
-                collect_strings_expr(module, &a.value, line, out);
-            }
-        }
-        Expr::Attribute { value, .. } => collect_strings_expr(module, value, line, out),
-        Expr::BinOp { left, right, .. } => {
-            collect_strings_expr(module, left, line, out);
-            collect_strings_expr(module, right, line, out);
-        }
-        _ => {}
-    }
 }
 
 /// Collects imported module paths (`import x.y`, `from x import y`).
 pub fn collect_imports(module: &Module) -> Vec<String> {
+    let src = module.source();
     let mut out = Vec::new();
-    collect_imports_stmts(&module.body, module.source(), &mut out);
-    out
-}
-
-fn collect_imports_stmts(body: &[Stmt], src: &str, out: &mut Vec<String>) {
-    for stmt in body {
-        match stmt {
-            Stmt::Import { modules, .. } => {
-                out.extend(modules.iter().map(|m| m.path.dotted(src).into_owned()))
-            }
-            Stmt::FromImport { module, names, .. } => {
-                for n in names {
-                    out.push(format!("{}.{}", module.dotted(src), n.path.text(src)));
+    for stmt in module.statements() {
+        match *stmt {
+            Stmt::Import { modules, .. } => out.extend(
+                module
+                    .imports(modules)
+                    .iter()
+                    .map(|m| m.path.dotted(src).into_owned()),
+            ),
+            Stmt::FromImport {
+                module: from,
+                names,
+                ..
+            } => {
+                for n in module.imports(names) {
+                    out.push(format!("{}.{}", from.dotted(src), n.path.text(src)));
                 }
             }
-            Stmt::FunctionDef { body, .. }
-            | Stmt::ClassDef { body, .. }
-            | Stmt::Block { body, .. } => collect_imports_stmts(body, src, out),
             _ => {}
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -199,7 +183,7 @@ mod tests {
     fn collect_calls_finds_nested() {
         let m = parse_module("exec(base64.b64decode(payload))\n");
         let calls = collect_calls(&m);
-        let names: Vec<String> = calls.iter().map(|c| c.func_path(m.source())).collect();
+        let names: Vec<String> = calls.iter().map(|c| c.func_path(&m)).collect();
         assert!(names.contains(&"exec".to_owned()));
         assert!(names.contains(&"base64.b64decode".to_owned()));
     }

@@ -1,6 +1,11 @@
 //! Tolerant recursive-descent parser over the token stream.
 
-use crate::ast::{offset, Arg, Expr, Header, ImportedName, Literal, Module, Span, Stmt};
+use std::cell::Cell;
+
+use crate::ast::{
+    offset, Arg, Counts, Donor, Expr, ExprId, Header, ImportedName, Literal, Module, Nodes, Run,
+    Span, Stmt,
+};
 use crate::lexer::lex_spanned;
 use crate::token::{SpannedToken, Token, TokenKind};
 
@@ -17,21 +22,83 @@ pub fn parse_module(source: &str) -> Module {
 /// Parses tokens lexed from `text`, in place, into a [`Module`] over a
 /// copy of `text`.
 ///
-/// This is the parser's front door: a caller that holds the tokens — the
-/// artifact builder, over a whole file's stream or the relexed window of
-/// an incremental splice, both in `text`'s coordinates — lends them and
-/// pays no second lex. The tree points into `text` by span; it allocates
-/// its boxes and vectors, the module's one copy of `text` and its
-/// [`crate::LineIndex`], a value only for a literal the lexer owns or
-/// adjacent literals concatenate, and a rendering for what degrades to
-/// `Other`. Same tolerance guarantees as [`parse_module`]. A stream that
-/// does not end in [`TokenKind::Eof`] is read as if one followed at the
-/// last token.
+/// This is the parser's front door: a caller that holds the tokens lends
+/// them and pays no second lex. Same tolerance guarantees as
+/// [`parse_module`]. A stream that does not end in [`TokenKind::Eof`] is
+/// read as if one followed at the last token. [`parse_spliced`] with no
+/// donor.
 pub fn parse_tokens(text: &str, tokens: &[SpannedToken<'_>]) -> Module {
-    let eof = sentinel(tokens);
-    let body = Parser::new(text, tokens, &eof).statements(/*stop_at_dedent=*/ false);
-    Module::new(text, body)
+    parse_spliced(text, tokens, None)
 }
+
+/// Parses `tokens`, lexed from a window of `text` in `text`'s
+/// coordinates, and sets their top-level statements between the
+/// `donor`'s outside the window: the module a full parse of `text` would
+/// build, when the donor is a previous version of the file that differs
+/// from `text` only inside the window.
+///
+/// The tree is built in arrays kept per thread between parses, then copied
+/// out once per array at its final length, between the donor's slices
+/// (see [`crate::Module`]). A parse therefore allocates the module's copy
+/// of `text`, its [`crate::LineIndex`], and one buffer per non-empty
+/// array; owned literal values and `Other` renderings share one of them.
+pub fn parse_spliced(text: &str, tokens: &[SpannedToken<'_>], donor: Option<Donor<'_>>) -> Module {
+    let eof = sentinel(tokens);
+    let mut p = Parser::new(text, tokens, &eof);
+    p.b = SCRATCH.take();
+    p.statements(/*stop_at_dedent=*/ false);
+    let module = Module::assemble(text, (&p.b.nodes, &p.b.marks), donor);
+    p.b.clear();
+    if p.b.heap_bytes() <= MAX_KEPT_SCRATCH {
+        SCRATCH.set(p.b);
+    }
+    module
+}
+
+/// What a parse builds its tree in: the tree's arrays, plus the stacks
+/// on which lists whose entries interleave with their children's are
+/// gathered before they are copied into an array in one piece.
+#[derive(Default)]
+struct Builder {
+    nodes: Nodes,
+    /// The counts at the start of each top-level statement.
+    marks: Vec<Counts>,
+    /// The arguments of the calls being parsed, the innermost's last.
+    args: Vec<Arg>,
+    /// The targets of the assignment, or the elements of the tuples,
+    /// being parsed.
+    exprs: Vec<ExprId>,
+    /// The buffer an `Other` rendering is built in.
+    render: String,
+}
+
+impl Builder {
+    fn clear(&mut self) {
+        self.nodes.truncate(Counts::default());
+        self.marks.clear();
+        self.args.clear();
+        self.exprs.clear();
+        self.render.clear();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.nodes.heap_bytes()
+            + self.marks.capacity() * std::mem::size_of::<Counts>()
+            + self.args.capacity() * std::mem::size_of::<Arg>()
+            + self.exprs.capacity() * std::mem::size_of::<ExprId>()
+            + self.render.capacity()
+    }
+}
+
+thread_local! {
+    /// This thread's builder, between parses: grown to the largest tree
+    /// it has held, so that a parse allocates only its module's arrays.
+    static SCRATCH: Cell<Builder> = Cell::default();
+}
+
+/// A builder that grew past this many bytes is freed after its parse
+/// rather than kept: one hostile file must not pin its tree's memory.
+const MAX_KEPT_SCRATCH: usize = 4 << 20;
 
 /// An EOF token at the last token of `tokens`, read once a parser passes
 /// their end.
@@ -82,9 +149,8 @@ struct Parser<'a, 'src> {
     /// inside it is not parsed (that statement degrades anyway), so a
     /// chain of keywords cannot recurse.
     in_header: bool,
-    /// The buffer `Other` renderings are built in (see
-    /// [`Parser::rendered`]).
-    scratch: String,
+    /// The tree being built.
+    b: Builder,
 }
 
 fn span(t: &SpannedToken<'_>) -> Span {
@@ -117,21 +183,48 @@ impl<'a, 'src> Parser<'a, 'src> {
             block_depth: 0,
             expr_depth: 0,
             in_header: false,
-            scratch: String::new(),
+            b: Builder::default(),
         }
     }
 
-    /// What `render` appends to an empty buffer, copied out at its exact
-    /// size: renderings are built in one buffer reused across the parse,
-    /// so each costs one allocation however it grew. (A rendering nested
-    /// in another builds in a buffer of its own.)
-    fn rendered(&mut self, render: impl FnOnce(&mut Self, &mut String)) -> String {
-        let mut buf = std::mem::take(&mut self.scratch);
+    /// Where every array of the tree ends now.
+    fn mark(&self) -> Counts {
+        self.b.nodes.counts()
+    }
+
+    fn push(&mut self, expr: Expr) -> ExprId {
+        self.b.nodes.push_expr(expr)
+    }
+
+    /// Appends the rendering of expression `id` to `out`.
+    fn write(&self, id: ExprId, out: &mut String) {
+        self.b.nodes.write_expr(self.text, id, out);
+    }
+
+    /// What `render` appends to an empty buffer, as owned text, after the
+    /// nodes pushed since `mark` — what it rendered, if anything — are
+    /// dropped: the tree keeps them as that text only.
+    fn rendered(&mut self, mark: Counts, render: impl FnOnce(&mut Self, &mut String)) -> Run {
+        let mut buf = std::mem::take(&mut self.b.render);
         buf.clear();
         render(self, &mut buf);
-        let text = buf.as_str().to_owned();
-        self.scratch = buf;
+        self.b.nodes.truncate(mark);
+        let text = self.b.nodes.push_text(&buf);
+        self.b.render = buf;
         text
+    }
+
+    /// An [`Expr::Other`] of what `render` renders (see
+    /// [`Parser::rendered`]).
+    fn other(&mut self, mark: Counts, render: impl FnOnce(&mut Self, &mut String)) -> ExprId {
+        let text = self.rendered(mark, render);
+        self.push(Expr::Other(text))
+    }
+
+    /// An [`Expr::Other`] of `text`.
+    fn other_text(&mut self, text: &str) -> ExprId {
+        let text = self.b.nodes.push_text(text);
+        self.push(Expr::Other(text))
     }
 
     fn peek(&self) -> &'a TokenKind<'src> {
@@ -175,11 +268,14 @@ impl<'a, 'src> Parser<'a, 'src> {
         }
     }
 
-    fn statements(&mut self, stop_at_dedent: bool) -> Vec<Stmt> {
-        let mut body = Vec::new();
+    /// Parses statements up to the end, or through the DEDENT that closes
+    /// the block, when `stop_at_dedent`. At the top level, marks where
+    /// each statement's nodes begin.
+    fn statements(&mut self, stop_at_dedent: bool) {
         loop {
             self.skip_newlines_and_comments();
-            match self.peek() {
+            let kind = self.peek();
+            match kind {
                 TokenKind::Eof => break,
                 TokenKind::Dedent if stop_at_dedent => {
                     self.bump();
@@ -188,28 +284,53 @@ impl<'a, 'src> Parser<'a, 'src> {
                 TokenKind::Dedent => {
                     // Stray dedent at top level (inconsistent input).
                     self.bump();
+                    continue;
                 }
-                TokenKind::Indent => {
-                    // Unexpected indent — parse it as an anonymous block so
-                    // nested statements are still visible. It starts at
-                    // the INDENT, which is where its first statement is.
-                    let start = self.bump().start;
-                    let inner = self.indented_body();
-                    body.push(Stmt::Block {
-                        keyword: "",
-                        header: Span::new(start, start),
-                        parsed: None,
-                        body: inner,
-                        start: offset(start),
-                    });
-                }
-                _ => body.push(self.statement()),
+                _ => {}
             }
+            if !stop_at_dedent {
+                let mark = self.mark();
+                self.b.marks.push(mark);
+            }
+            if !matches!(kind, TokenKind::Indent) {
+                self.statement();
+                continue;
+            }
+            // Unexpected indent — parse it as an anonymous block so nested
+            // statements are still visible. It starts at the INDENT, which
+            // is where its first statement is.
+            let start = self.bump().start;
+            let at = self.reserve();
+            let body = self.indented_body();
+            self.b.nodes.stmts[at] = Stmt::Block {
+                keyword: "",
+                header: Span::new(start, start),
+                parsed: None,
+                body,
+                start: offset(start),
+            };
         }
-        body
     }
 
-    fn statement(&mut self) -> Stmt {
+    /// A place for the statement about to be parsed, ahead of the
+    /// statements of its body: statements are stored in pre-order.
+    fn reserve(&mut self) -> usize {
+        let stmts = &mut self.b.nodes.stmts;
+        stmts.push(Stmt::Other {
+            text: Run::default(),
+            start: 0,
+        });
+        stmts.len() - 1
+    }
+
+    /// Parses one statement into the tree.
+    fn statement(&mut self) {
+        let at = self.reserve();
+        let stmt = self.stmt();
+        self.b.nodes.stmts[at] = stmt;
+    }
+
+    fn stmt(&mut self) -> Stmt {
         let start = offset(self.peek_token().start);
         if let TokenKind::Ident(word) = self.peek() {
             match *word {
@@ -232,10 +353,8 @@ impl<'a, 'src> Parser<'a, 'src> {
                 "pass" | "break" | "continue" => {
                     self.bump();
                     self.finish_line(None);
-                    return Stmt::Other {
-                        text: (*word).to_owned(),
-                        start,
-                    };
+                    let text = self.b.nodes.push_text(word);
+                    return Stmt::Other { text, start };
                 }
                 "raise" | "assert" | "del" | "global" | "nonlocal" | "yield" | "lambda" => {
                     let text = self.line_text();
@@ -256,21 +375,26 @@ impl<'a, 'src> Parser<'a, 'src> {
         // Expression or assignment.
         let expr = self.expression();
         if matches!(self.peek(), TokenKind::Op("=")) {
-            let mut targets = vec![expr];
+            let base = self.b.exprs.len();
+            self.b.exprs.push(expr);
             let mut value = None;
             while self.eat_op("=") {
                 let next = self.expression();
                 if matches!(self.peek(), TokenKind::Op("=")) {
-                    targets.push(next);
+                    self.b.exprs.push(next);
                 } else {
                     value = Some(next);
                     break;
                 }
             }
             self.finish_line(None);
+            let value = value.unwrap_or_else(|| self.other_text(""));
+            let targets = &mut self.b.nodes.targets;
+            let first = targets.len();
+            targets.extend(self.b.exprs.drain(base..));
             return Stmt::Assign {
-                targets,
-                value: value.unwrap_or(Expr::Other(String::new())),
+                targets: Run::new(first, targets.len()),
+                value,
                 start,
             };
         }
@@ -279,8 +403,10 @@ impl<'a, 'src> Parser<'a, 'src> {
             self.bump();
             let value = self.expression();
             self.finish_line(None);
+            let targets = &mut self.b.nodes.targets;
+            targets.push(expr);
             return Stmt::Assign {
-                targets: vec![expr],
+                targets: Run::new(targets.len() - 1, targets.len()),
                 value,
                 start,
             };
@@ -302,7 +428,7 @@ impl<'a, 'src> Parser<'a, 'src> {
 
     fn import_stmt(&mut self, start: u32) -> Stmt {
         self.bump(); // 'import'
-        let mut modules = Vec::new();
+        let first = self.b.nodes.imports.len();
         loop {
             let path = self.dotted_name();
             if path.start == path.end {
@@ -311,19 +437,22 @@ impl<'a, 'src> Parser<'a, 'src> {
             // `import x as y` — keep the alias: it is the name the rest
             // of the file binds, and taint alias resolution needs it.
             let alias = self.alias();
-            modules.push(ImportedName { path, alias });
+            self.b.nodes.imports.push(ImportedName { path, alias });
             if !self.eat_op(",") {
                 break;
             }
         }
         self.finish_line(None);
-        Stmt::Import { modules, start }
+        Stmt::Import {
+            modules: Run::new(first, self.b.nodes.imports.len()),
+            start,
+        }
     }
 
     fn parse_from_import(&mut self, start: u32) -> Stmt {
         self.bump(); // 'from'
         let module = self.dotted_name();
-        let mut names = Vec::new();
+        let first = self.b.nodes.imports.len();
         if matches!(self.peek(), TokenKind::Ident("import")) {
             self.bump();
             let parenthesized = self.eat_op("(");
@@ -332,14 +461,15 @@ impl<'a, 'src> Parser<'a, 'src> {
                     TokenKind::Ident(_) => {
                         let path = span(self.bump());
                         let alias = self.alias();
-                        names.push(ImportedName { path, alias });
+                        self.b.nodes.imports.push(ImportedName { path, alias });
                         if !self.eat_op(",") {
                             break;
                         }
                     }
                     TokenKind::Op("*") => {
                         let path = span(self.bump());
-                        names.push(ImportedName { path, alias: None });
+                        let star = ImportedName { path, alias: None };
+                        self.b.nodes.imports.push(star);
                         break;
                     }
                     _ => break,
@@ -352,7 +482,7 @@ impl<'a, 'src> Parser<'a, 'src> {
         self.finish_line(None);
         Stmt::FromImport {
             module,
-            names,
+            names: Run::new(first, self.b.nodes.imports.len()),
             start,
         }
     }
@@ -381,7 +511,7 @@ impl<'a, 'src> Parser<'a, 'src> {
     fn def_stmt(&mut self, start: u32) -> Stmt {
         self.bump(); // 'def'
         let name = self.name();
-        let mut params = Vec::new();
+        let first = self.b.nodes.names.len();
         if self.eat_op("(") {
             let mut depth = 1usize;
             let mut expect_param = true;
@@ -391,7 +521,8 @@ impl<'a, 'src> Parser<'a, 'src> {
                     TokenKind::Op(")" | "]" | "}") => depth -= 1,
                     TokenKind::Op(",") if depth == 1 => expect_param = true,
                     TokenKind::Ident(_) if depth == 1 && expect_param => {
-                        params.push(span(self.peek_token()));
+                        let param = span(self.peek_token());
+                        self.b.nodes.names.push(param);
                         expect_param = false;
                     }
                     _ => {}
@@ -399,6 +530,7 @@ impl<'a, 'src> Parser<'a, 'src> {
                 self.bump();
             }
         }
+        let params = Run::new(first, self.b.nodes.names.len());
         let body = self.suite();
         Stmt::FunctionDef {
             name,
@@ -411,7 +543,7 @@ impl<'a, 'src> Parser<'a, 'src> {
     fn class_stmt(&mut self, start: u32) -> Stmt {
         self.bump(); // 'class'
         let name = self.name();
-        let mut bases = Vec::new();
+        let first = self.b.nodes.names.len();
         if self.eat_op("(") {
             while !self.at_eof() {
                 match self.peek() {
@@ -427,12 +559,13 @@ impl<'a, 'src> Parser<'a, 'src> {
                         if base.start == base.end {
                             self.bump();
                         } else {
-                            bases.push(base);
+                            self.b.nodes.names.push(base);
                         }
                     }
                 }
             }
         }
+        let bases = Run::new(first, self.b.nodes.names.len());
         let body = self.suite();
         Stmt::ClassDef {
             name,
@@ -475,7 +608,7 @@ impl<'a, 'src> Parser<'a, 'src> {
     }
 
     /// The taint engine's reading of a block header (see [`Header`]).
-    fn header(&mut self, keyword: &str, tokens: &[SpannedToken<'src>]) -> Option<Box<Header>> {
+    fn header(&mut self, keyword: &str, tokens: &[SpannedToken<'src>]) -> Option<Header> {
         let cut = |word: &str, i: &usize| {
             *i > 0
                 && matches!(tokens[*i].kind(), TokenKind::Ident(w) if *w == word)
@@ -497,54 +630,65 @@ impl<'a, 'src> Parser<'a, 'src> {
         }
         let target = target.map(|t| covering(t, 0));
         let value = self.header_expr(value);
-        Some(Box::new(Header { value, target }))
+        Some(Header { value, target })
     }
 
     /// `tokens` read as a statement of their own: its expression when it
     /// is an expression statement, else their rendering as
-    /// [`Expr::Other`].
-    fn header_expr(&mut self, tokens: &[SpannedToken<'src>]) -> Expr {
+    /// [`Expr::Other`]. The statement itself is not kept, nor is anything
+    /// parsed for it outside that expression.
+    fn header_expr(&mut self, tokens: &[SpannedToken<'src>]) -> ExprId {
+        let mark = self.mark();
         let eof = sentinel(tokens);
         let mut p = Parser::new(self.text, tokens, &eof);
         p.in_header = true;
-        p.scratch = std::mem::take(&mut self.scratch);
+        p.b = std::mem::take(&mut self.b);
         p.skip_newlines_and_comments();
         let value = match p.at_eof() {
-            false => match p.statement() {
-                Stmt::Expr { value, .. } => Some(value),
-                _ => None,
-            },
+            false => {
+                p.statement();
+                match p.b.nodes.stmts[mark.stmts as usize] {
+                    Stmt::Expr { value, .. } => Some(value),
+                    _ => None,
+                }
+            }
             true => None,
         };
-        self.scratch = p.scratch;
-        value.unwrap_or_else(|| {
-            Expr::Other(self.rendered(|_, text| {
+        self.b = p.b;
+        match value {
+            Some(value) => {
+                self.b.nodes.stmts.truncate(mark.stmts as usize);
+                value
+            }
+            None => self.other(mark, |_, text| {
                 write_tokens(tokens, text);
                 trim(text);
-            }))
-        })
+            }),
+        }
     }
 
     /// Parses an indented body whose INDENT was just consumed, degrading
     /// to a flat [`Stmt::Other`] past [`MAX_BLOCK_DEPTH`] so hostile
     /// indentation cannot overflow the stack.
-    fn indented_body(&mut self) -> Vec<Stmt> {
+    fn indented_body(&mut self) -> Run {
+        let first = self.b.nodes.stmts.len();
         if self.block_depth >= MAX_BLOCK_DEPTH {
-            return vec![self.skip_block_as_other()];
+            self.skip_block_as_other();
+        } else {
+            self.block_depth += 1;
+            self.statements(true);
+            self.block_depth -= 1;
         }
-        self.block_depth += 1;
-        let body = self.statements(true);
-        self.block_depth -= 1;
-        body
+        Run::new(first, self.b.nodes.stmts.len())
     }
 
     /// Consumes tokens up to (and including) the DEDENT matching an
     /// already-consumed INDENT, reconstructing the text so the block stays
     /// visible to string-level matchers.
-    fn skip_block_as_other(&mut self) -> Stmt {
+    fn skip_block_as_other(&mut self) {
         let start = offset(self.peek_token().start);
-        let text = self.rendered(|p, text| p.render_block(text));
-        Stmt::Other { text, start }
+        let text = self.rendered(self.mark(), |p, text| p.render_block(text));
+        self.b.nodes.stmts.push(Stmt::Other { text, start });
     }
 
     /// Consumes the rest of an indented block, rendering its tokens.
@@ -578,22 +722,21 @@ impl<'a, 'src> Parser<'a, 'src> {
 
     /// Parses the body after a colon: either an indented block or an
     /// inline statement.
-    fn suite(&mut self) -> Vec<Stmt> {
+    fn suite(&mut self) -> Run {
         // Consume optional colon remaining (def/class paths).
         self.eat_op(":");
+        let first = self.b.nodes.stmts.len();
         if matches!(self.peek(), TokenKind::Newline) {
             self.skip_newlines_and_comments();
             if matches!(self.peek(), TokenKind::Indent) {
                 self.bump();
                 return self.indented_body();
             }
-            return Vec::new();
+        } else if !matches!(self.peek(), TokenKind::Eof | TokenKind::Dedent) {
+            // Inline suite: `if x: do()`
+            self.statement();
         }
-        // Inline suite: `if x: do()`
-        if matches!(self.peek(), TokenKind::Eof | TokenKind::Dedent) {
-            return Vec::new();
-        }
-        vec![self.statement()]
+        Run::new(first, self.b.nodes.stmts.len())
     }
 
     /// Consumes the rest of the logical line and its NEWLINE, appending
@@ -619,13 +762,13 @@ impl<'a, 'src> Parser<'a, 'src> {
     }
 
     /// The rest of the logical line as text (see [`Parser::finish_line`]).
-    fn line_text(&mut self) -> String {
-        self.rendered(|p, text| p.finish_line(Some(text)))
+    fn line_text(&mut self) -> Run {
+        self.rendered(self.mark(), |p, text| p.finish_line(Some(text)))
     }
 
     // ---- expressions ----
 
-    fn expression(&mut self) -> Expr {
+    fn expression(&mut self) -> ExprId {
         let mut left = self.unary();
         loop {
             let op = match self.peek() {
@@ -641,16 +784,12 @@ impl<'a, 'src> Parser<'a, 'src> {
             };
             self.bump();
             let right = self.unary();
-            left = Expr::BinOp {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
+            left = self.push(Expr::BinOp { left, op, right });
         }
         left
     }
 
-    fn unary(&mut self) -> Expr {
+    fn unary(&mut self) -> ExprId {
         // Every level of expression nesting (parentheses, call arguments,
         // unary chains) passes through here; past the cap, consume one
         // token and degrade so hostile nesting cannot overflow the stack.
@@ -661,11 +800,14 @@ impl<'a, 'src> Parser<'a, 'src> {
         let expr = if matches!(self.peek(), TokenKind::Op("-" | "+" | "~"))
             || matches!(self.peek(), TokenKind::Ident("not"))
         {
-            Expr::Other(self.rendered(|p, text| {
-                render_into(text, p.bump().kind());
+            let mark = self.mark();
+            let op = self.bump().kind();
+            let operand = self.unary();
+            self.other(mark, |p, text| {
+                render_into(text, op);
                 text.push(' ');
-                p.unary().write_text(p.text, text);
-            }))
+                p.write(operand, text);
+            })
         } else {
             self.postfix()
         };
@@ -673,17 +815,16 @@ impl<'a, 'src> Parser<'a, 'src> {
         expr
     }
 
-    fn postfix(&mut self) -> Expr {
+    fn postfix(&mut self) -> ExprId {
+        let mark = self.mark();
         let mut expr = self.atom();
         loop {
             match self.peek() {
                 TokenKind::Op(".") => {
                     self.bump();
                     if let TokenKind::Ident(_) = self.peek() {
-                        expr = Expr::Attribute {
-                            value: Box::new(expr),
-                            attr: span(self.bump()),
-                        };
+                        let attr = span(self.bump());
+                        expr = self.push(Expr::Attribute { value: expr, attr });
                     } else {
                         break;
                     }
@@ -691,19 +832,16 @@ impl<'a, 'src> Parser<'a, 'src> {
                 TokenKind::Op("(") => {
                     self.bump();
                     let args = self.call_args();
-                    expr = Expr::Call {
-                        func: Box::new(expr),
-                        args,
-                    };
+                    expr = self.push(Expr::Call { func: expr, args });
                 }
                 TokenKind::Op("[") => {
                     self.bump();
-                    expr = Expr::Other(self.rendered(|p, text| {
-                        expr.write_text(p.text, text);
+                    expr = self.other(mark, |p, text| {
+                        p.write(expr, text);
                         text.push('[');
                         p.render_balanced(text, "[", "]");
                         text.push(']');
-                    }));
+                    });
                 }
                 _ => break,
             }
@@ -711,13 +849,13 @@ impl<'a, 'src> Parser<'a, 'src> {
         expr
     }
 
-    /// Consumes tokens through the `close` that balances an already
-    /// consumed `open`, appending all but that `close` to `text`.
     /// The next token, consumed and kept as its rendering.
-    fn token_other(&mut self) -> Expr {
-        Expr::Other(self.rendered(|p, text| render_into(text, p.bump().kind())))
+    fn token_other(&mut self) -> ExprId {
+        self.other(self.mark(), |p, text| render_into(text, p.bump().kind()))
     }
 
+    /// Consumes tokens through the `close` that balances an already
+    /// consumed `open`, appending all but that `close` to `text`.
     fn render_balanced(&mut self, text: &mut String, open: &str, close: &str) {
         let mut depth = 1;
         while !self.at_eof() {
@@ -736,8 +874,8 @@ impl<'a, 'src> Parser<'a, 'src> {
         }
     }
 
-    fn call_args(&mut self) -> Vec<Arg> {
-        let mut args = Vec::new();
+    fn call_args(&mut self) -> Run {
+        let base = self.b.args.len();
         loop {
             match self.peek() {
                 TokenKind::Op(")") => {
@@ -752,96 +890,116 @@ impl<'a, 'src> Parser<'a, 'src> {
                     // *args / **kwargs forwarding.
                     self.bump();
                     let value = self.expression();
-                    args.push(Arg { name: None, value });
+                    self.b.args.push(Arg { name: None, value });
                 }
                 _ => {
                     // keyword argument? ident '=' (not '==')
+                    let mut name = None;
                     if let TokenKind::Ident(_) = self.peek() {
                         if matches!(
                             self.tokens.get(self.pos + 1).map(SpannedToken::kind),
                             Some(TokenKind::Op("="))
                         ) {
-                            let name = span(self.bump());
+                            name = Some(span(self.bump()));
                             self.bump(); // '='
-                            let value = self.expression();
-                            args.push(Arg {
-                                name: Some(name),
-                                value,
-                            });
-                            continue;
                         }
                     }
                     let value = self.expression();
-                    args.push(Arg { name: None, value });
+                    self.b.args.push(Arg { name, value });
                 }
             }
         }
-        args
+        // The arguments of the calls nested in these are in the array
+        // already; these go in behind them, in one piece.
+        let args = &mut self.b.nodes.args;
+        let first = args.len();
+        args.extend(self.b.args.drain(base..));
+        Run::new(first, args.len())
     }
 
     /// A literal's value: its source span where it is a slice of `text`
     /// (the lexer borrowed it), else a copy.
-    fn literal(&self, value: &str) -> Literal {
+    fn literal(&mut self, value: &str) -> Literal {
         let at = (value.as_ptr() as usize).wrapping_sub(self.text.as_ptr() as usize);
         let end = at.checked_add(value.len());
         match end.filter(|&end| self.text.get(at..end).is_some()) {
             Some(end) => Literal::Source(Span::new(at, end)),
-            None => Literal::Owned(value.to_owned()),
+            None => Literal::Owned(self.b.nodes.push_text(value)),
         }
     }
 
-    fn atom(&mut self) -> Expr {
+    fn atom(&mut self) -> ExprId {
         match self.peek() {
-            TokenKind::Ident(_) => Expr::Name(span(self.bump())),
-            TokenKind::Number(_) => Expr::Num(span(self.bump())),
+            TokenKind::Ident(_) => {
+                let name = span(self.bump());
+                self.push(Expr::Name(name))
+            }
+            TokenKind::Number(_) => {
+                let number = span(self.bump());
+                self.push(Expr::Num(number))
+            }
             TokenKind::Str { value, .. } => {
                 self.bump();
                 if !matches!(self.peek(), TokenKind::Str { .. }) {
-                    return Expr::Str(self.literal(value));
+                    let value = self.literal(value);
+                    return self.push(Expr::Str(value));
                 }
                 // Adjacent string literal concatenation.
-                let mut v = value.to_string();
+                let first = self.b.nodes.text.len();
+                self.b.nodes.text.push_str(value);
                 while let TokenKind::Str { value: more, .. } = self.peek() {
-                    v.push_str(more);
+                    self.b.nodes.text.push_str(more);
                     self.bump();
                 }
-                Expr::Str(Literal::Owned(v))
+                let value = Run::new(first, self.b.nodes.text.len());
+                self.push(Expr::Str(Literal::Owned(value)))
             }
             TokenKind::Op("(") => {
+                let mark = self.mark();
                 self.bump();
                 if self.eat_op(")") {
-                    return Expr::Other("()".into());
+                    return self.other_text("()");
                 }
                 let inner = self.expression();
+                if !matches!(self.peek(), TokenKind::Op(",")) {
+                    self.eat_op(")");
+                    return inner;
+                }
                 // Tuple or generator — flatten to Other but keep the first
                 // element visible for matching.
-                if matches!(self.peek(), TokenKind::Op(",")) {
-                    return Expr::Other(self.rendered(|p, text| {
-                        text.push('(');
-                        inner.write_text(p.text, text);
-                        while p.eat_op(",") {
-                            if matches!(p.peek(), TokenKind::Op(")")) {
-                                break;
-                            }
-                            text.push_str(", ");
-                            p.expression().write_text(p.text, text);
-                        }
-                        p.eat_op(")");
-                        text.push(')');
-                    }));
+                let base = self.b.exprs.len();
+                self.b.exprs.push(inner);
+                while self.eat_op(",") {
+                    if matches!(self.peek(), TokenKind::Op(")")) {
+                        break;
+                    }
+                    let element = self.expression();
+                    self.b.exprs.push(element);
                 }
                 self.eat_op(")");
-                inner
+                let tuple = self.other(mark, |p, text| {
+                    text.push('(');
+                    for (i, &element) in p.b.exprs[base..].iter().enumerate() {
+                        if i > 0 {
+                            text.push_str(", ");
+                        }
+                        p.write(element, text);
+                    }
+                    text.push(')');
+                });
+                self.b.exprs.truncate(base);
+                tuple
             }
             TokenKind::Op(open @ ("[" | "{")) => {
                 // Collection literal — consume balanced and render.
                 let close = if *open == "[" { "]" } else { "}" };
+                let mark = self.mark();
                 self.bump();
-                Expr::Other(self.rendered(|p, text| {
+                self.other(mark, |p, text| {
                     text.push_str(open);
                     p.render_balanced(text, open, close);
                     text.push_str(close);
-                }))
+                })
             }
             _ => self.token_other(),
         }
@@ -908,15 +1066,21 @@ fn render_into(out: &mut String, kind: &TokenKind<'_>) {
 mod tests {
     use super::*;
 
-    /// The first statement of `src`, with the text its spans point into.
+    /// Top-level statement `i` of `m`.
+    fn top(m: &Module, i: usize) -> Stmt {
+        *m.stmt(m.body[i])
+    }
+
+    /// The first statement of `src`, with the module that holds it.
     fn first(src: &str) -> (Module, Stmt) {
         let m = parse_module(src);
-        let stmt = m.body[0].clone();
+        let stmt = top(&m, 0);
         (m, stmt)
     }
 
-    fn paths(names: &[ImportedName], src: &str) -> Vec<(String, Option<String>)> {
-        names
+    fn paths(m: &Module, names: Run) -> Vec<(String, Option<String>)> {
+        let src = m.source();
+        m.imports(names)
             .iter()
             .map(|n| {
                 let alias = n.alias.map(|a| a.text(src).to_owned());
@@ -934,55 +1098,52 @@ mod tests {
         let src = "import os\nimport sys, json\nimport os.path\n";
         let m = parse_module(src);
         assert_eq!(m.body.len(), 3);
-        let Stmt::Import { modules, .. } = &m.body[1] else {
-            panic!("{:?}", m.body)
+        let Stmt::Import { modules, .. } = top(&m, 1) else {
+            panic!("{m:?}")
         };
-        assert_eq!(paths(modules, src), [plain("sys"), plain("json")]);
-        let Stmt::Import { modules, .. } = &m.body[2] else {
-            panic!("{:?}", m.body)
+        assert_eq!(paths(&m, modules), [plain("sys"), plain("json")]);
+        let Stmt::Import { modules, .. } = top(&m, 2) else {
+            panic!("{m:?}")
         };
-        assert_eq!(paths(modules, src), [plain("os.path")]);
+        assert_eq!(paths(&m, modules), [plain("os.path")]);
     }
 
     #[test]
     fn parses_from_import() {
         let src = "from subprocess import Popen, PIPE\nfrom x import *\n";
         let m = parse_module(src);
-        let Stmt::FromImport { module, names, .. } = &m.body[0] else {
-            panic!("{:?}", m.body)
+        let Stmt::FromImport { module, names, .. } = top(&m, 0) else {
+            panic!("{m:?}")
         };
         assert_eq!(module.text(src), "subprocess");
-        assert_eq!(paths(names, src), [plain("Popen"), plain("PIPE")]);
-        let Stmt::FromImport { names, .. } = &m.body[1] else {
-            panic!("{:?}", m.body)
+        assert_eq!(paths(&m, names), [plain("Popen"), plain("PIPE")]);
+        let Stmt::FromImport { names, .. } = top(&m, 1) else {
+            panic!("{m:?}")
         };
-        assert_eq!(paths(names, src), [plain("*")]);
+        assert_eq!(paths(&m, names), [plain("*")]);
     }
 
     #[test]
     fn import_aliases_are_retained() {
         let src = "import os as o, base64\nfrom subprocess import run as r\n";
         let m = parse_module(src);
-        let Stmt::Import { modules, .. } = &m.body[0] else {
-            panic!("{:?}", m.body)
+        let Stmt::Import { modules, .. } = top(&m, 0) else {
+            panic!("{m:?}")
         };
         let aliased = ("os".to_owned(), Some("o".to_owned()));
-        assert_eq!(paths(modules, src), [aliased, plain("base64")]);
-        assert_eq!(modules[0].binding(src), "o");
-        let Stmt::FromImport { module, names, .. } = &m.body[1] else {
-            panic!("{:?}", m.body)
+        assert_eq!(paths(&m, modules), [aliased, plain("base64")]);
+        assert_eq!(m.imports(modules)[0].binding(src), "o");
+        let Stmt::FromImport { module, names, .. } = top(&m, 1) else {
+            panic!("{m:?}")
         };
         assert_eq!(module.text(src), "subprocess");
-        assert_eq!(
-            paths(names, src),
-            [("run".to_owned(), Some("r".to_owned()))]
-        );
+        assert_eq!(paths(&m, names), [("run".to_owned(), Some("r".to_owned()))]);
     }
 
     #[test]
     fn parses_function_and_class_defs() {
         let src = "def install(target, mode=f(a, b)):\n    os.system(target)\n";
-        let (_, stmt) = first(src);
+        let (m, stmt) = first(src);
         let Stmt::FunctionDef {
             name, params, body, ..
         } = stmt
@@ -990,68 +1151,67 @@ mod tests {
             panic!("{stmt:?}")
         };
         assert_eq!(name.text(src), "install");
-        let params: Vec<&str> = params.iter().map(|p| p.text(src)).collect();
+        let params: Vec<&str> = m.names(params).iter().map(|p| p.text(src)).collect();
         assert_eq!(params, ["target", "mode"]);
-        assert_eq!(body.len(), 1);
+        assert_eq!(m.suite(body).count(), 1);
         let src = "class Installer(setuptools.Command):\n    pass\n";
-        let (_, stmt) = first(src);
+        let (m, stmt) = first(src);
         let Stmt::ClassDef { name, bases, .. } = stmt else {
             panic!("{stmt:?}")
         };
         assert_eq!(name.text(src), "Installer");
-        assert_eq!(bases[0].text(src), "setuptools.Command");
+        assert_eq!(m.names(bases)[0].text(src), "setuptools.Command");
     }
 
     #[test]
     fn parses_calls_with_keyword_args_and_nesting() {
         let src = "subprocess.Popen(cmd, shell=True)\nexec(base64.b64decode('cGF5bG9hZA=='))\n";
         let m = parse_module(src);
-        let Stmt::Expr {
-            value: Expr::Call { func, args },
-            ..
-        } = &m.body[0]
-        else {
-            panic!("{:?}", m.body)
+        let call = |i: usize| match top(&m, i) {
+            Stmt::Expr { value, .. } => *m.expr(value),
+            other => panic!("unexpected {other:?}"),
         };
-        assert_eq!(func.func_path(src), "subprocess.Popen");
+        let Expr::Call { func, args } = call(0) else {
+            panic!("{m:?}")
+        };
+        assert_eq!(m.expr(func).func_path(&m), "subprocess.Popen");
+        let args = m.args(args);
         assert_eq!(args.len(), 2);
         assert_eq!(args[1].name.map(|n| n.text(src)), Some("shell"));
-        assert!(matches!(args[1].value, Expr::Name(n) if n.text(src) == "True"));
-        let Stmt::Expr {
-            value: Expr::Call { func, args },
-            ..
-        } = &m.body[1]
-        else {
-            panic!("{:?}", m.body)
+        assert!(matches!(m.expr(args[1].value), Expr::Name(n) if n.text(src) == "True"));
+        let Expr::Call { func, args } = call(1) else {
+            panic!("{m:?}")
         };
-        assert_eq!(func.func_path(src), "exec");
-        let Expr::Call { func, args } = &args[0].value else {
-            panic!("{args:?}")
+        assert_eq!(m.expr(func).func_path(&m), "exec");
+        let Expr::Call { func, args } = *m.expr(m.args(args)[0].value) else {
+            panic!("{m:?}")
         };
-        assert_eq!(func.func_path(src), "base64.b64decode");
-        assert!(
-            matches!(&args[0].value, Expr::Str(Literal::Source(s)) if s.text(src) == "cGF5bG9hZA==")
-        );
+        assert_eq!(m.expr(func).func_path(&m), "base64.b64decode");
+        assert!(matches!(
+            m.expr(m.args(args)[0].value),
+            Expr::Str(Literal::Source(s)) if s.text(src) == "cGF5bG9hZA=="
+        ));
     }
 
     #[test]
     fn parses_assignments() {
         let src = "url = 'http://evil.example'\nself.url = get()\na = b = get_payload()\nx += 1\n";
         let m = parse_module(src);
-        let targets = |i: usize| match &m.body[i] {
-            Stmt::Assign { targets, .. } => {
-                targets.iter().map(|t| t.to_text(src)).collect::<Vec<_>>()
-            }
+        let targets = |i: usize| match top(&m, i) {
+            Stmt::Assign { targets, .. } => m
+                .targets(targets)
+                .map(|t| t.to_text(&m))
+                .collect::<Vec<_>>(),
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(targets(0), ["url"]);
         assert_eq!(targets(1), ["self.url"]);
         assert_eq!(targets(2), ["a", "b"]);
         assert_eq!(targets(3), ["x"]);
-        let Stmt::Assign { value, .. } = &m.body[2] else {
-            panic!("{:?}", m.body)
+        let Stmt::Assign { value, .. } = top(&m, 2) else {
+            panic!("{m:?}")
         };
-        assert_eq!(value.func_path(src), "get_payload");
+        assert_eq!(m.expr(value).func_path(&m), "get_payload");
     }
 
     #[test]
@@ -1059,11 +1219,10 @@ mod tests {
         let src = "if platform.system() == 'Windows':\n    run()\ntry:\n    risky()\nexcept Exception:\n    pass\nif debug: print(x)\n";
         let m = parse_module(src);
         let keywords: Vec<&str> = m
-            .body
-            .iter()
+            .top_level()
             .map(|s| match s {
                 Stmt::Block { keyword, body, .. } => {
-                    assert_eq!(body.len(), 1);
+                    assert_eq!(m.suite(*body).count(), 1);
                     *keyword
                 }
                 other => panic!("unexpected {other:?}"),
@@ -1071,19 +1230,22 @@ mod tests {
             .collect();
         assert_eq!(keywords, ["if", "try", "except", "if"]);
         assert_eq!(
-            m.body[0].to_text(src),
+            top(&m, 0).to_text(&m),
             "if platform . system() == 'Windows'"
         );
-        assert_eq!(m.body[1].to_text(src), "try");
+        assert_eq!(top(&m, 1).to_text(&m), "try");
         let Stmt::Block {
             parsed: Some(header),
             ..
-        } = &m.body[0]
+        } = top(&m, 0)
         else {
-            panic!("{:?}", m.body)
+            panic!("{m:?}")
         };
-        assert_eq!(header.value.to_text(src), "platform.system() == 'Windows'");
-        assert!(matches!(&m.body[1], Stmt::Block { parsed: None, .. }));
+        assert_eq!(
+            m.expr(header.value).to_text(&m),
+            "platform.system() == 'Windows'"
+        );
+        assert!(matches!(top(&m, 1), Stmt::Block { parsed: None, .. }));
     }
 
     /// `for` cuts at the first ` in ` and `with` at the last ` as ` of
@@ -1098,7 +1260,7 @@ mod tests {
             };
             parsed.map(|h| {
                 let target = h.target.map(|t| t.text(m.source()).to_owned());
-                (h.value.to_text(m.source()), target)
+                (m.expr(h.value).to_text(&m), target)
             })
         };
         let split =
@@ -1133,11 +1295,10 @@ mod tests {
         let src = "async with open(os.environ['K']) as f:\n    os.system(f)\nasync for x in y:\n    pass\nasync def g():\n    pass\n";
         let m = parse_module(src);
         let shapes: Vec<(&str, String)> = m
-            .body
-            .iter()
+            .top_level()
             .map(|s| match s {
-                Stmt::Block { keyword, .. } => (*keyword, s.to_text(src)),
-                Stmt::FunctionDef { .. } => ("def", s.to_text(src)),
+                Stmt::Block { keyword, .. } => (*keyword, s.to_text(&m)),
+                Stmt::FunctionDef { .. } => ("def", s.to_text(&m)),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -1149,69 +1310,68 @@ mod tests {
                 ("def", "def g".to_owned()),
             ]
         );
-        assert_eq!(m.line(&m.body[1]), 3);
+        assert_eq!(m.line(&top(&m, 1)), 3);
     }
 
     #[test]
     fn parses_return() {
         let src = "def f():\n    return os.environ\n";
-        let (_, stmt) = first(src);
-        let Stmt::FunctionDef { body, .. } = stmt else {
-            panic!("{stmt:?}")
+        let (m, stmt) = first(src);
+        let Some(Stmt::Return { value: Some(v), .. }) = stmt.body().and_then(|b| m.suite(b).next())
+        else {
+            panic!("{m:?}")
         };
-        let Stmt::Return { value: Some(v), .. } = &body[0] else {
-            panic!("{body:?}")
-        };
-        assert_eq!(v.func_path(src), "os.environ");
+        assert_eq!(m.expr(*v).func_path(&m), "os.environ");
     }
 
     #[test]
     fn tolerates_garbage() {
         let m = parse_module("??? !!! ***\nx = 1\n");
         assert!(m.body.len() >= 2);
-        assert!(matches!(m.body.last().expect("x=1"), Stmt::Assign { .. }));
+        assert!(matches!(
+            m.top_level().last().expect("x=1"),
+            Stmt::Assign { .. }
+        ));
     }
 
     #[test]
     fn literals_borrow_the_source_unless_their_value_differs() {
         let src = "u = 'http://' 'evil.com'\nv = 'a\\nb'\nw = 'plain'\n";
         let m = parse_module(src);
-        let value = |i: usize| match &m.body[i] {
-            Stmt::Assign {
-                value: Expr::Str(s),
-                ..
-            } => s.clone(),
+        let value = |i: usize| match top(&m, i) {
+            Stmt::Assign { value, .. } => match *m.expr(value) {
+                Expr::Str(s) => s,
+                other => panic!("unexpected {other:?}"),
+            },
             other => panic!("unexpected {other:?}"),
         };
-        assert_eq!(value(0), Literal::Owned("http://evil.com".into()));
-        assert_eq!(value(1), Literal::Owned("a\nb".into()));
+        for (i, text) in [(0, "http://evil.com"), (1, "a\nb")] {
+            assert!(matches!(value(i), Literal::Owned(_)));
+            assert_eq!(value(i).text(&m), text);
+        }
         assert!(matches!(value(2), Literal::Source(s) if s.text(src) == "plain"));
     }
 
     #[test]
     fn string_percent_format_binop() {
-        let (_, stmt) = first("cmd = 'curl %s' % url\n");
-        assert!(matches!(
-            stmt,
-            Stmt::Assign {
-                value: Expr::BinOp { op: "%", .. },
-                ..
-            }
-        ));
+        let (m, stmt) = first("cmd = 'curl %s' % url\n");
+        let Stmt::Assign { value, .. } = stmt else {
+            panic!("{stmt:?}")
+        };
+        assert!(matches!(m.expr(value), Expr::BinOp { op: "%", .. }));
     }
 
     #[test]
     fn multiline_call_parses() {
         let src = "setup(\n    name='evil',\n    version='0.0.0',\n)\n";
-        let (_, stmt) = first(src);
-        let Stmt::Expr {
-            value: Expr::Call { func, args },
-            ..
-        } = stmt
-        else {
+        let (m, stmt) = first(src);
+        let Stmt::Expr { value, .. } = stmt else {
             panic!("{stmt:?}")
         };
-        assert_eq!(func.func_path(src), "setup");
+        let Expr::Call { func, args } = *m.expr(value) else {
+            panic!("{m:?}")
+        };
+        assert_eq!(m.expr(func).func_path(&m), "setup");
         assert_eq!(args.len(), 2);
     }
 
@@ -1220,9 +1380,70 @@ mod tests {
         let src = "@atexit.register\ndef boom():\n    leak()\n";
         let m = parse_module(src);
         assert!(m
-            .body
-            .iter()
+            .top_level()
             .any(|s| matches!(s, Stmt::FunctionDef { name, .. } if name.text(src) == "boom")));
+    }
+
+    /// What a parse reads and then keeps only as text — a tuple's
+    /// elements, a unary operand, a subscripted chain, a block header that
+    /// is no expression statement — leaves no node behind: every
+    /// expression is reachable from a statement exactly once, and every
+    /// statement from the top level.
+    #[test]
+    fn rendered_nodes_leave_nothing_behind() {
+        fn reach(m: &Module, expr: &Expr, n: &mut usize) {
+            *n += 1;
+            match *expr {
+                Expr::Attribute { value, .. } => reach(m, m.expr(value), n),
+                Expr::Call { func, args } => {
+                    reach(m, m.expr(func), n);
+                    for a in m.args(args) {
+                        reach(m, m.expr(a.value), n);
+                    }
+                }
+                Expr::BinOp { left, right, .. } => {
+                    reach(m, m.expr(left), n);
+                    reach(m, m.expr(right), n);
+                }
+                _ => {}
+            }
+        }
+        fn walk(m: &Module, stmts: crate::Suite<'_>, (s, e): (&mut usize, &mut usize)) {
+            for stmt in stmts {
+                *s += 1;
+                let roots: Vec<&Expr> = match *stmt {
+                    Stmt::Assign { targets, value, .. } => {
+                        m.targets(targets).chain([m.expr(value)]).collect()
+                    }
+                    Stmt::Expr { value, .. }
+                    | Stmt::Return {
+                        value: Some(value), ..
+                    } => vec![m.expr(value)],
+                    Stmt::Block {
+                        parsed: Some(h), ..
+                    } => vec![m.expr(h.value)],
+                    _ => vec![],
+                };
+                for root in roots {
+                    reach(m, root, e);
+                }
+                if let Some(body) = stmt.body() {
+                    walk(m, m.suite(body), (&mut *s, &mut *e));
+                }
+            }
+        }
+        for src in [
+            "x = (a, f(b), -c)\ny = -(-g(h))[k](l)\n",
+            "if def f(a)[x:y]: pass\nfor q in (r, s): t(u)\nwith a.b[c] as d: e()\n",
+            "while (n := 3) > 1:\n    z = {'k': v(w)}[0]\n",
+            "a = b = c(d, *e, **f)\nclass K(m.n): pass\n",
+        ] {
+            let m = parse_module(src);
+            let (mut stmts, mut exprs) = (0, 0);
+            walk(&m, m.top_level(), (&mut stmts, &mut exprs));
+            assert_eq!(stmts, m.statements().len(), "{src:?}");
+            assert_eq!(exprs, m.expr_count(), "{src:?}");
+        }
     }
 
     #[test]
@@ -1255,19 +1476,15 @@ mod tests {
         src.push_str("os.system('deep')\n");
         let m = parse_module(&src);
         assert!(!m.body.is_empty());
-        // The payload text survives somewhere in the degraded tree.
-        fn contains(stmts: &[Stmt], needle: &str) -> bool {
-            stmts.iter().any(|s| match s {
-                Stmt::Other { text, .. } => text.contains(needle),
-                Stmt::Block { body, .. }
-                | Stmt::FunctionDef { body, .. }
-                | Stmt::ClassDef { body, .. } => contains(body, needle),
-                _ => false,
-            })
-        }
-        // Token-level reconstruction spaces glyphs apart, so probe for the
-        // string payload rather than the dotted call.
-        assert!(contains(&m.body, "deep"), "payload text lost");
+        // The payload text survives somewhere in the degraded tree. Token-
+        // level reconstruction spaces glyphs apart, so probe for the string
+        // payload rather than the dotted call.
+        assert!(
+            m.statements()
+                .iter()
+                .any(|s| matches!(s, Stmt::Other { text, .. } if m.owned(*text).contains("deep"))),
+            "payload text lost"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the lexer's indentation bookkeeping must always balance.
 
 use proptest::prelude::*;
-use pysrc::{Expr, Header, Literal, Module, Span, SpannedToken, Stmt, TokenKind};
+use pysrc::{Expr, Header, Literal, Module, Span, SpannedToken, Stmt, Suite, TokenKind};
 
 proptest! {
     #[test]
@@ -107,8 +107,8 @@ proptest! {
     #[test]
     fn statement_lines_follow_the_source(src in "[a-z =:\\n]{0,200}") {
         let module = pysrc::parse_module(&src);
-        let checked = lines_follow_the_source(&module, &module.body);
-        prop_assert!(checked.is_ok(), "{checked:?} in {src:?}: {:?}", module.body);
+        let checked = lines_follow_the_source(&module, module.top_level());
+        prop_assert!(checked.is_ok(), "{checked:?} in {src:?}: {module:?}");
     }
 
     /// Every span of the tree lies in the source on character
@@ -147,7 +147,7 @@ proptest! {
         let module = pysrc::parse_module(&src);
         let calls = pysrc::collect_calls(&module);
         prop_assert_eq!(calls.len(), 1);
-        prop_assert_eq!(calls[0].func_path(module.source()), format!("{a}.{b}.{c}"));
+        prop_assert_eq!(calls[0].func_path(&module), format!("{a}.{b}.{c}"));
     }
 
     #[test]
@@ -178,26 +178,27 @@ proptest! {
 /// Checks `body` and, recursively, every nested body: sibling lines
 /// never decrease, and a compound statement's line is at most its first
 /// body statement's.
-fn lines_follow_the_source(module: &Module, body: &[Stmt]) -> Result<(), String> {
-    for pair in body.windows(2) {
-        let (prev, next) = (module.line(&pair[0]), module.line(&pair[1]));
+fn lines_follow_the_source(module: &Module, body: Suite<'_>) -> Result<(), String> {
+    let stmts: Vec<&Stmt> = body.collect();
+    for pair in stmts.windows(2) {
+        let (prev, next) = (module.line(pair[0]), module.line(pair[1]));
         if next < prev {
             return Err(format!("sibling lines {prev} then {next}"));
         }
     }
-    for stmt in body {
-        let (Stmt::FunctionDef { body: inner, .. }
-        | Stmt::ClassDef { body: inner, .. }
-        | Stmt::Block { body: inner, .. }) = stmt
-        else {
+    for stmt in stmts {
+        let Some(inner) = stmt.body() else {
             continue;
         };
-        let first = inner.first().map_or(usize::MAX, |s| module.line(s));
+        let first = module
+            .suite(inner)
+            .next()
+            .map_or(usize::MAX, |s| module.line(s));
         let header = module.line(stmt);
         if header > first {
             return Err(format!("header line {header} after body line {first}"));
         }
-        lines_follow_the_source(module, inner)?;
+        lines_follow_the_source(module, module.suite(inner))?;
     }
     Ok(())
 }
@@ -258,7 +259,7 @@ fn check_spans(src: &str) -> Result<(), TestCaseError> {
     let tokens = pysrc::lex_spanned(src);
     let mut spans = Vec::new();
     let mut starts = Vec::new();
-    collect_stmts(&module.body, &mut spans, &mut starts);
+    collect_stmts(&module, &mut spans, &mut starts);
     for (span, expect) in spans {
         let (start, end) = (span.start as usize, span.end as usize);
         prop_assert!(
@@ -298,80 +299,68 @@ fn check_spans(src: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn collect_stmts(body: &[Stmt], spans: &mut Vec<(Span, Expect)>, starts: &mut Vec<u32>) {
-    for stmt in body {
+fn collect_stmts(m: &Module, spans: &mut Vec<(Span, Expect)>, starts: &mut Vec<u32>) {
+    for stmt in m.statements() {
         starts.push(stmt.start());
-        match stmt {
+        match *stmt {
             Stmt::Import { modules: names, .. } | Stmt::FromImport { names, .. } => {
                 if let Stmt::FromImport { module, .. } = stmt {
                     spans.push((*module, Expect::Any));
                 }
-                for n in names {
+                for n in m.imports(names) {
                     spans.push((n.path, Expect::Any));
                     spans.extend(n.alias.map(|a| (a, Expect::Ident)));
                 }
             }
-            Stmt::FunctionDef {
-                name, params, body, ..
-            } => {
-                spans.push((*name, Expect::Any));
-                spans.extend(params.iter().map(|p| (*p, Expect::Ident)));
-                collect_stmts(body, spans, starts);
+            Stmt::FunctionDef { name, params, .. } => {
+                spans.push((name, Expect::Any));
+                spans.extend(m.names(params).iter().map(|p| (*p, Expect::Ident)));
             }
-            Stmt::ClassDef {
-                name, bases, body, ..
-            } => {
-                spans.push((*name, Expect::Any));
-                spans.extend(bases.iter().map(|b| (*b, Expect::Any)));
-                collect_stmts(body, spans, starts);
+            Stmt::ClassDef { name, bases, .. } => {
+                spans.push((name, Expect::Any));
+                spans.extend(m.names(bases).iter().map(|b| (*b, Expect::Any)));
             }
             Stmt::Assign { targets, value, .. } => {
-                for t in targets {
-                    collect_expr(t, spans);
+                for t in m.targets(targets) {
+                    collect_expr(m, t, spans);
                 }
-                collect_expr(value, spans);
+                collect_expr(m, m.expr(value), spans);
             }
             Stmt::Expr { value, .. }
             | Stmt::Return {
                 value: Some(value), ..
-            } => collect_expr(value, spans),
-            Stmt::Block {
-                header,
-                parsed,
-                body,
-                ..
-            } => {
-                spans.push((*header, Expect::Any));
-                if let Some(Header { value, target }) = parsed.as_deref() {
-                    collect_expr(value, spans);
+            } => collect_expr(m, m.expr(value), spans),
+            Stmt::Block { header, parsed, .. } => {
+                spans.push((header, Expect::Any));
+                if let Some(Header { value, target }) = parsed {
+                    collect_expr(m, m.expr(value), spans);
                     spans.extend(target.map(|t| (t, Expect::Any)));
                 }
-                collect_stmts(body, spans, starts);
             }
             Stmt::Return { value: None, .. } | Stmt::Other { .. } => {}
         }
     }
 }
 
-fn collect_expr(expr: &Expr, spans: &mut Vec<(Span, Expect)>) {
-    match expr {
-        Expr::Name(s) => spans.push((*s, Expect::Ident)),
-        Expr::Num(s) => spans.push((*s, Expect::Number)),
-        Expr::Str(Literal::Source(s)) => spans.push((*s, Expect::Any)),
+fn collect_expr(m: &Module, expr: &Expr, spans: &mut Vec<(Span, Expect)>) {
+    match *expr {
+        Expr::Name(s) => spans.push((s, Expect::Ident)),
+        Expr::Num(s) => spans.push((s, Expect::Number)),
+        Expr::Str(Literal::Source(s)) => spans.push((s, Expect::Any)),
         Expr::Attribute { value, attr } => {
-            spans.push((*attr, Expect::Ident));
-            collect_expr(value, spans);
+            spans.push((attr, Expect::Ident));
+            collect_expr(m, m.expr(value), spans);
         }
         Expr::Call { func, args } => {
-            collect_expr(func, spans);
-            for a in args {
+            collect_expr(m, m.expr(func), spans);
+            for a in m.args(args) {
                 spans.extend(a.name.map(|n| (n, Expect::Ident)));
-                collect_expr(&a.value, spans);
+                collect_expr(m, m.expr(a.value), spans);
             }
         }
         Expr::BinOp { left, right, .. } => {
-            collect_expr(left, spans);
-            collect_expr(right, spans);
+            collect_expr(m, m.expr(left), spans);
+            collect_expr(m, m.expr(right), spans);
         }
         Expr::Str(Literal::Owned(_)) | Expr::Other(_) => {}
     }

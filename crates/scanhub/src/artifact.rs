@@ -27,7 +27,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use pysrc::{CutPoint, Module, SpannedToken, Stmt, StringTable, Token, TokenKind};
+use pysrc::{CutPoint, Donor, Module, SpannedToken, StringTable, Token, TokenKind};
 use yara_engine::{FileHits, Scanner};
 
 use crate::cache::DigestKey;
@@ -154,12 +154,13 @@ pub struct FileAnalysis {
     pub taint: Option<dataflow::TaintSummary>,
 }
 
-/// A file's parsed module, assembled by `splice_module` when the
-/// artifact is built: the file's text once, its line index, and
-/// statements that point into that text by span. It owns all three
-/// outright, so no artifact holds a handle to the one it was spliced from
-/// and an evicted version's module is freed however many later versions
-/// descend from it.
+/// A file's parsed module, built by [`pysrc::parse_spliced`] when the
+/// artifact is built: the file's text once, its line index, and the
+/// tree's few arrays, whose nodes point into that text by span and into
+/// each other by index. It owns all of them outright — a splice copies
+/// the donor's slices, it does not share them — so no artifact holds a
+/// handle to the one it was spliced from and an evicted version's module
+/// is freed however many later versions descend from it.
 #[derive(Debug)]
 pub struct LazyModule(Module);
 
@@ -168,33 +169,6 @@ impl LazyModule {
     pub fn get(&self) -> &Module {
         &self.0
     }
-}
-
-/// Assembles a module from `window` — the statements parsed off a
-/// relexed window, over the whole edited text — and the `donor`
-/// statements around it: those starting before byte `window_start` are
-/// cloned as they are (the bytes in front of the window did not move),
-/// and those from the donor's byte `suffix_from` on are cloned `delta`
-/// bytes further on (`None`: the window ran to EOF and there is no
-/// suffix). No line is touched: lines come from the module's index.
-fn splice_module(
-    donor: &[Stmt],
-    mut window: Module,
-    window_start: usize,
-    suffix_from: Option<usize>,
-    delta: isize,
-) -> Module {
-    // The window's statements stay in the `Vec` they were parsed into;
-    // the prefix — none, for a full build — is moved in before them.
-    let kept = donor.partition_point(|stmt| (stmt.start() as usize) < window_start);
-    window.body.splice(0..0, donor[..kept].iter().cloned());
-    if let Some(from) = suffix_from {
-        let suffix = donor
-            .iter()
-            .skip_while(|stmt| (stmt.start() as usize) < from);
-        window.body.extend(suffix.map(|stmt| stmt.shifted(delta)));
-    }
-    window
 }
 
 impl FileAnalysis {
@@ -227,14 +201,14 @@ impl FileAnalysis {
         cfg: &ArtifactConfig,
     ) -> Option<Self> {
         let no_strings = StringTable::default();
-        let (body, table, cuts, old): (&[Stmt], _, &[CutPoint], &[u8]) = match donor {
+        let (module, table, cuts, old): (_, _, &[CutPoint], &[u8]) = match donor {
             Some(d) => (
-                &d.module.as_ref()?.get().body,
+                Some(d.module.as_ref()?.get()),
                 &d.strings,
                 &d.cut_points,
                 &d.bytes,
             ),
-            None => (&[], &no_strings, &[], &[]),
+            None => (None, &no_strings, &[], &[]),
         };
         // Both versions have the same bytes behind the window. Each of
         // its edges is at a donor cut point or at an end of the file.
@@ -265,12 +239,17 @@ impl FileAnalysis {
             }
         }
 
-        // Statement splice: only the window is parsed; the donor's
-        // statements strictly before and strictly after it are cloned
-        // around it. Nothing follows a window that runs to EOF, or moves.
+        // Statement splice: only the window is parsed; each array of the
+        // tree is the donor's slice in front of it, the window's nodes and
+        // the donor's slice behind it, rebased. Nothing follows a window
+        // that runs to EOF.
         let delta = new.len() as isize - old.len() as isize;
-        let parsed = pysrc::parse_tokens(text, &tokens);
-        let module = splice_module(body, parsed, w, end.map(|_| e_old), delta);
+        let donor = module.map(|module| Donor {
+            module,
+            window_start: w,
+            suffix_from: end.map(|_| e_old),
+        });
+        let module = pysrc::parse_spliced(text, &tokens, donor);
 
         // The donor's literal occurrences outside the window carry over,
         // those behind it moved by the edit's net line count, and so do its
@@ -347,11 +326,11 @@ impl FileAnalysis {
         }
     }
 
-    /// Approximate heap footprint, for cache accounting. The parsed
-    /// `module` is not counted (no cheap measure of a tree exists); it is
-    /// the largest part this leaves out.
+    /// Approximate heap footprint, for cache accounting, the parsed
+    /// module's arrays included at their capacity.
     pub fn stored_bytes(&self) -> usize {
         self.bytes.len()
+            + self.module.as_ref().map_or(0, |m| m.get().heap_bytes())
             + self.layers.iter().map(|l| l.data.len() + 16).sum::<usize>()
             + self
                 .strings
@@ -397,7 +376,7 @@ impl FileAnalysis {
     /// * either byte buffer is not strict UTF-8 (span offsets index the
     ///   decoded text, and lossy decoding changes byte widths);
     /// * the edited window exceeds half the file (a full build is
-    ///   cheaper than cloning most of the sibling);
+    ///   cheaper than relexing most of it);
     /// * the window relex does not end cleanly at a statement boundary
     ///   (open bracket, unterminated string, trailing `\` continuation,
     ///   or a changed region that removed the boundary newline);
@@ -649,6 +628,7 @@ fn looks_base64(t: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pysrc::Stmt;
 
     fn entry(name: &str, code: &str) -> FileEntry {
         FileEntry::new(name, code.as_bytes().to_vec())
@@ -992,9 +972,10 @@ mod tests {
     #[test]
     fn splice_after_an_anonymous_block() {
         let module = analyze(ANON_BASE).module.expect("python");
-        let block = &module.get().body[2];
+        let m = module.get();
+        let block = m.stmt(m.body[2]);
         assert!(matches!(block, Stmt::Block { keyword: "", .. }));
-        assert_eq!(module.get().line(block), 4);
+        assert_eq!(m.line(block), 4);
         for edited in [
             ANON_BASE.replace("B = 'beta'", "B = 'beta-2'"),
             ANON_BASE.replace("C = A + B\n", "C = A + B\nZ = C * 2\n"),
@@ -1009,23 +990,10 @@ mod tests {
         assert!(!splice_vs_full(ANON_BASE, &behind, None));
     }
 
-    /// Every statement of `body`, nested ones after their parent.
-    fn every_stmt<'a>(body: &'a [Stmt], out: &mut Vec<&'a Stmt>) {
-        for stmt in body {
-            out.push(stmt);
-            if let Stmt::FunctionDef { body, .. }
-            | Stmt::ClassDef { body, .. }
-            | Stmt::Block { body, .. } = stmt
-            {
-                every_stmt(body, out);
-            }
-        }
-    }
-
     /// A line that grows and then shrinks ahead of a suffix holding every
-    /// shape that carries a span: each splice clones the suffix the byte
-    /// delta further on, and the result is a full build's module, every
-    /// statement rendering and reporting its line as there.
+    /// shape that carries a span: each splice copies the suffix's nodes
+    /// the byte delta further on, and the result is a full build's module,
+    /// every statement rendering and reporting its line as there.
     #[test]
     fn a_length_changing_edit_moves_every_span_of_the_suffix() {
         let suffix = "import os.path as osp, base64\nfrom subprocess import run as r\n\ndef handler(arg, *rest, key=None):\n    for k, v in arg.items():\n        print(k, v)\n    return arg\n\nclass Installer(setuptools.Command, object):\n    with open(osp.join('a', 'b')) as fh:\n        data = fh.read()\n\nX = 'tab\\there'\nY = 'http://' 'evil.example'\nr(Y, shell=True)\n";
@@ -1039,14 +1007,12 @@ mod tests {
             let full = analyze(&code);
             let (a, b) = (next.module.as_ref(), full.module.as_ref());
             let (a, b) = (a.expect("python").get(), b.expect("python").get());
-            let (mut sa, mut sb) = (Vec::new(), Vec::new());
-            every_stmt(&a.body, &mut sa);
-            every_stmt(&b.body, &mut sb);
+            let (sa, sb) = (a.statements(), b.statements());
             assert_eq!(sa.len(), sb.len());
             assert!(sa.len() >= 14, "{}", sa.len());
-            for (x, y) in sa.into_iter().zip(sb) {
-                assert_eq!(x.to_text(a.source()), y.to_text(b.source()));
-                assert_eq!(a.line(x), b.line(y), "{}", y.to_text(b.source()));
+            for (x, y) in sa.iter().zip(sb) {
+                assert_eq!(x.to_text(a), y.to_text(b));
+                assert_eq!(a.line(x), b.line(y), "{}", y.to_text(b));
             }
             donor = next;
         }

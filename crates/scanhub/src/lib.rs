@@ -17,11 +17,13 @@
 //!    version is still cached is built by diff-and-splice
 //!    ([`FileAnalysis::build_spliced`]): only the edited window is
 //!    re-lexed and re-parsed, between two of the sibling's
-//!    [`pysrc::CutPoint`]s found by binary search; the sibling's
-//!    statements, literal occurrences and cut points outside the window
-//!    are copied around it into owned products, so no artifact keeps the
-//!    version it was spliced from alive and none keeps a token. A splice
-//!    is O(window) for lex and parse only — taint and the YARA byte scan
+//!    [`pysrc::CutPoint`]s found by binary search. Each array of the
+//!    sibling's flat tree outside the window is copied around the
+//!    window's as one slice, rebased ([`pysrc::parse_spliced`]), and its
+//!    literal occurrences and cut points likewise, into owned products:
+//!    no artifact keeps the version it was spliced from alive and none
+//!    keeps a token. A splice lexes and parses O(window) and allocates
+//!    per array, not per statement — taint and the YARA byte scan
 //!    recompute over the whole file by design, which is what keeps an
 //!    artifact a pure function of `(ruleset, bytes)`.
 //! 2. **Global literal prefilter** ([`PrefilterIndex`]) — one

@@ -9,12 +9,12 @@
 //! Pattern text is parsed **once, at rule-compile time** into a
 //! [`CompiledPattern`] (metavariables encoded, the pattern kept as a
 //! [`pysrc`] module); the scan path never calls [`pysrc::parse_module`] on
-//! pattern text. A pattern's tree and a target's point into different
-//! texts, so names, literals, metavariable bindings, assignment targets
-//! and `Other` text compare by text, never by span. This module holds
+//! pattern text. A pattern's tree and a target's are different modules,
+//! so names, literals, metavariable bindings, assignment targets and
+//! `Other` text compare by text, never by span or id. This module holds
 //! what the live matcher ([`crate::MatchSet`]) and the reparse-per-call
 //! oracle ([`crate::reference`]) share: leaf compilation and anchors,
-//! statement matching, the statement walk and metavariable encoding.
+//! statement matching and metavariable encoding.
 
 use std::collections::HashMap;
 
@@ -73,7 +73,7 @@ pub(crate) struct CompiledLeaf {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum CompiledOp {
     /// A single pre-parsed pattern.
-    Leaf(CompiledLeaf),
+    Leaf(Box<CompiledLeaf>),
     /// Conjunction (`patterns:`).
     All(Vec<CompiledOp>),
     /// Disjunction (`pattern-either:`).
@@ -98,7 +98,7 @@ impl CompiledPattern {
 
 fn compile_op(op: &PatternOp) -> CompiledOp {
     match op {
-        PatternOp::Pattern(text) => CompiledOp::Leaf(compile_leaf(text)),
+        PatternOp::Pattern(text) => CompiledOp::Leaf(Box::new(compile_leaf(text))),
         PatternOp::All(children) => CompiledOp::All(children.iter().map(compile_op).collect()),
         PatternOp::Either(children) => {
             CompiledOp::Either(children.iter().map(compile_op).collect())
@@ -109,27 +109,37 @@ fn compile_op(op: &PatternOp) -> CompiledOp {
 
 pub(crate) fn compile_leaf(text: &str) -> CompiledLeaf {
     let pattern = pysrc::parse_module(&encode_metavars(text));
-    let anchor = anchor_of(pattern.body.first(), pattern.source());
+    let anchor = anchor_of(&pattern);
     CompiledLeaf { pattern, anchor }
 }
 
-/// The dispatch anchor of a pattern statement (see [`Anchor`]). Soundness
+/// The statement a pattern module matches with: its first.
+pub(crate) fn pattern_stmt(pattern: &Module) -> Option<&Stmt> {
+    pattern.top_level().next()
+}
+
+/// The dispatch anchor of a pattern (see [`Anchor`]). Soundness
 /// contract: whenever [`stmt_matches`]`(pattern, target)` holds, the
 /// anchor fact holds for `target`.
-fn anchor_of(stmt: Option<&Stmt>, src: &str) -> Anchor {
-    let Some(stmt) = stmt else {
+fn anchor_of(pattern: &Module) -> Anchor {
+    let Some(stmt) = pattern_stmt(pattern) else {
         return Anchor::Dead;
     };
-    match stmt {
+    let src = pattern.source();
+    match *stmt {
         // An expression pattern matches via a sub-expression of the
         // target; an assignment pattern requires its value to match the
         // target's value — both walk the target's expression roots.
         Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => {
-            expr_anchor(value, src).map_or(Anchor::Always, |a| Anchor::Ident(a.to_owned()))
+            expr_anchor(pattern, pattern.expr(value))
+                .map_or(Anchor::Always, |a| Anchor::Ident(a.to_owned()))
         }
-        Stmt::Import { modules, .. } => modules.first().map_or(Anchor::Always, |m| {
-            Anchor::ImportRoot(m.path.dotted(src).into_owned())
-        }),
+        Stmt::Import { modules, .. } => pattern
+            .imports(modules)
+            .first()
+            .map_or(Anchor::Always, |m| {
+                Anchor::ImportRoot(m.path.dotted(src).into_owned())
+            }),
         Stmt::FromImport { module, .. } => {
             Anchor::FromImportModule(module.dotted(src).into_owned())
         }
@@ -151,11 +161,12 @@ fn anchor_of(stmt: Option<&Stmt>, src: &str) -> Anchor {
 
 /// The identifier any expression matching `expr` must contain, or `None`
 /// when no such identifier exists (metavariable head, literal, binop, …).
-fn expr_anchor<'s>(expr: &Expr, src: &'s str) -> Option<&'s str> {
-    match expr {
+fn expr_anchor<'s>(pattern: &'s Module, expr: &Expr) -> Option<&'s str> {
+    let src = pattern.source();
+    match *expr {
         // A call pattern requires the target to be a call whose callee
         // matches the pattern's callee.
-        Expr::Call { func, .. } => expr_anchor(func, src),
+        Expr::Call { func, .. } => expr_anchor(pattern, pattern.expr(func)),
         // `expr_matches` requires the target attribute name to be equal.
         Expr::Attribute { attr, .. } => Some(attr.text(src)),
         Expr::Name(n) if !is_metavar(n.text(src)) => Some(n.text(src)),
@@ -192,47 +203,37 @@ pub(crate) fn is_metavar(name: &str) -> bool {
     name.starts_with("__MV_")
 }
 
-fn is_ellipsis(expr: &Expr) -> bool {
-    matches!(expr, Expr::Other(t) if t == "...")
-}
-
-pub(crate) fn walk_statements<'a>(body: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
-    for stmt in body {
-        f(stmt);
-        match stmt {
-            Stmt::FunctionDef { body, .. }
-            | Stmt::ClassDef { body, .. }
-            | Stmt::Block { body, .. } => walk_statements(body, f),
-            _ => {}
-        }
-    }
+fn is_ellipsis(m: &Module, expr: &Expr) -> bool {
+    matches!(*expr, Expr::Other(t) if m.owned(t) == "...")
 }
 
 /// The expression roots a statement exposes to expression patterns.
-pub(crate) fn for_each_expr_root<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
-    match stmt {
-        Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => f(value),
-        Stmt::Return { value: Some(v), .. } => f(v),
+pub(crate) fn for_each_expr_root<'a>(m: &'a Module, stmt: &Stmt, f: &mut impl FnMut(&'a Expr)) {
+    match *stmt {
+        Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => f(m.expr(value)),
+        Stmt::Return { value: Some(v), .. } => f(m.expr(v)),
         _ => {}
     }
 }
 
-/// The texts a pattern statement and a target statement point into.
+/// The modules a pattern statement and a target statement belong to.
 #[derive(Clone, Copy)]
-pub(crate) struct Sources<'s> {
-    pub(crate) pattern: &'s str,
-    pub(crate) target: &'s str,
+pub(crate) struct Trees<'s> {
+    pub(crate) pattern: &'s Module,
+    pub(crate) target: &'s Module,
 }
 
-pub(crate) fn stmt_matches(pattern: &Stmt, target: &Stmt, src: Sources<'_>) -> bool {
-    let (ps, ts) = (src.pattern, src.target);
-    match (pattern, target) {
+pub(crate) fn stmt_matches(pattern: &Stmt, target: &Stmt, trees: Trees<'_>) -> bool {
+    let (pm, tm) = (trees.pattern, trees.target);
+    let (ps, ts) = (pm.source(), tm.source());
+    match (*pattern, *target) {
         (Stmt::Expr { value: pv, .. }, _) => {
             // An expression pattern matches any statement containing a
             // matching sub-expression.
-            target_expressions(target)
+            let pv = pm.expr(pv);
+            target_expressions(tm, target)
                 .iter()
-                .any(|te| expr_matches(pv, te, src, &mut HashMap::new()))
+                .any(|te| expr_matches(pv, te, trees, &mut HashMap::new()))
         }
         (
             Stmt::Assign {
@@ -248,161 +249,173 @@ pub(crate) fn stmt_matches(pattern: &Stmt, target: &Stmt, src: Sources<'_>) -> b
         ) => {
             // Targets compare as rendered; one whose rendering starts
             // with a metavariable matches any.
-            let target_ok = pt.iter().all(|p| {
-                is_metavar(head_text(p, ps)) || {
-                    let p = p.to_text(ps);
-                    tt.iter().any(|t| t.to_text(ts) == p)
+            let target_ok = pm.targets(pt).all(|p| {
+                is_metavar(head_text(pm, p)) || {
+                    let p = p.to_text(pm);
+                    tm.targets(tt).any(|t| t.to_text(tm) == p)
                 }
             });
-            target_ok && expr_matches(pv, tv, src, &mut HashMap::new())
+            target_ok && expr_matches(pm.expr(pv), tm.expr(tv), trees, &mut HashMap::new())
         }
-        (Stmt::Import { modules: pm, .. }, Stmt::Import { modules: tm, .. }) => {
+        (Stmt::Import { modules: pn, .. }, Stmt::Import { modules: tn, .. }) => {
             // Compare module paths only: `import os` matches
             // `import os as o` — the alias changes the binding, not
             // which module the package pulls in.
-            pm.iter()
-                .all(|m| tm.iter().any(|t| t.path.dotted(ts) == m.path.dotted(ps)))
+            pm.imports(pn).iter().all(|m| {
+                tm.imports(tn)
+                    .iter()
+                    .any(|t| t.path.dotted(ts) == m.path.dotted(ps))
+            })
         }
         (
             Stmt::FromImport {
-                module: pm,
+                module: pf,
                 names: pn,
                 ..
             },
             Stmt::FromImport {
-                module: tm,
+                module: tf,
                 names: tn,
                 ..
             },
         ) => {
-            pm.dotted(ps) == tm.dotted(ts)
-                && pn.iter().all(|n| {
+            pf.dotted(ps) == tf.dotted(ts)
+                && pm.imports(pn).iter().all(|n| {
                     let name = n.path.text(ps);
-                    name == "*" || tn.iter().any(|t| t.path.text(ts) == name)
+                    name == "*" || tm.imports(tn).iter().any(|t| t.path.text(ts) == name)
                 })
         }
         (Stmt::Other { text: pt, .. }, _) => {
             // Fallback for pattern shapes the lightweight parser didn't
             // model: textual containment on the reconstructed statement.
-            !pt.is_empty() && target.to_text(ts).contains(pt.as_str())
+            let pt = pm.owned(pt);
+            !pt.is_empty() && target.to_text(tm).contains(pt)
         }
         _ => false,
     }
 }
 
 /// The text an expression's rendering starts with: its leftmost leaf's.
-fn head_text<'s>(expr: &'s Expr, src: &'s str) -> &'s str {
-    match expr {
-        Expr::Name(s) | Expr::Num(s) => s.text(src),
+fn head_text<'s>(m: &'s Module, expr: &Expr) -> &'s str {
+    match *expr {
+        Expr::Name(s) | Expr::Num(s) => s.text(m.source()),
         Expr::Attribute { value: head, .. }
         | Expr::Call { func: head, .. }
-        | Expr::BinOp { left: head, .. } => head_text(head, src),
+        | Expr::BinOp { left: head, .. } => head_text(m, m.expr(head)),
         Expr::Str(_) => "'",
-        Expr::Other(text) => text,
+        Expr::Other(text) => m.owned(text),
     }
 }
 
 /// Every expression (with nesting) reachable from a statement.
-fn target_expressions(stmt: &Stmt) -> Vec<&Expr> {
+fn target_expressions<'a>(m: &'a Module, stmt: &Stmt) -> Vec<&'a Expr> {
     let mut out = Vec::new();
-    for_each_expr_root(stmt, &mut |root| collect_subexpressions(root, &mut out));
+    for_each_expr_root(m, stmt, &mut |root| {
+        collect_subexpressions(m, root, &mut out)
+    });
     out
 }
 
-fn collect_subexpressions<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
+fn collect_subexpressions<'a>(m: &'a Module, expr: &'a Expr, out: &mut Vec<&'a Expr>) {
     out.push(expr);
-    match expr {
+    match *expr {
         Expr::Call { func, args } => {
-            collect_subexpressions(func, out);
-            for a in args {
-                collect_subexpressions(&a.value, out);
+            collect_subexpressions(m, m.expr(func), out);
+            for a in m.args(args) {
+                collect_subexpressions(m, m.expr(a.value), out);
             }
         }
-        Expr::Attribute { value, .. } => collect_subexpressions(value, out),
+        Expr::Attribute { value, .. } => collect_subexpressions(m, m.expr(value), out),
         Expr::BinOp { left, right, .. } => {
-            collect_subexpressions(left, out);
-            collect_subexpressions(right, out);
+            collect_subexpressions(m, m.expr(left), out);
+            collect_subexpressions(m, m.expr(right), out);
         }
         _ => {}
     }
 }
 
 /// Metavariable name → the target expression it is bound to.
-type Bindings<'p, 't> = HashMap<&'p str, &'t Expr>;
+type Bindings<'a> = HashMap<&'a str, &'a Expr>;
 
-fn expr_matches<'p, 't>(
-    pattern: &'p Expr,
-    target: &'t Expr,
-    src: Sources<'p>,
-    bindings: &mut Bindings<'p, 't>,
-) -> bool
-where
-    't: 'p,
-{
-    let (ps, ts) = (src.pattern, src.target);
-    match pattern {
+fn expr_matches<'a>(
+    pattern: &'a Expr,
+    target: &'a Expr,
+    trees: Trees<'a>,
+    bindings: &mut Bindings<'a>,
+) -> bool {
+    let (pm, tm) = (trees.pattern, trees.target);
+    let (ps, ts) = (pm.source(), tm.source());
+    match *pattern {
         Expr::Name(n) if is_metavar(n.text(ps)) => match bindings.get(n.text(ps)) {
-            Some(bound) => same_expr(bound, target, ts),
+            Some(bound) => same_expr(tm, bound, target),
             None => {
                 bindings.insert(n.text(ps), target);
                 true
             }
         },
-        Expr::Other(t) if t == "..." => true,
-        Expr::Name(n) => matches!(target, Expr::Name(tn) if tn.text(ts) == n.text(ps)),
-        Expr::Str(s) if s.text(ps) == "..." => matches!(target, Expr::Str(_)),
-        Expr::Str(s) => matches!(target, Expr::Str(t) if t.text(ts) == s.text(ps)),
-        Expr::Num(n) => matches!(target, Expr::Num(tn) if tn.text(ts) == n.text(ps)),
-        Expr::Attribute { value, attr } => match target {
+        Expr::Other(t) if pm.owned(t) == "..." => true,
+        Expr::Name(n) => matches!(*target, Expr::Name(tn) if tn.text(ts) == n.text(ps)),
+        Expr::Str(s) if s.text(pm) == "..." => matches!(target, Expr::Str(_)),
+        Expr::Str(s) => matches!(*target, Expr::Str(t) if t.text(tm) == s.text(pm)),
+        Expr::Num(n) => matches!(*target, Expr::Num(tn) if tn.text(ts) == n.text(ps)),
+        Expr::Attribute { value, attr } => match *target {
             Expr::Attribute {
                 value: tv,
                 attr: ta,
-            } => attr.text(ps) == ta.text(ts) && expr_matches(value, tv, src, bindings),
-            _ => false,
-        },
-        Expr::Call { func, args } => match target {
-            Expr::Call { func: tf, args: ta } => {
-                expr_matches(func, tf, src, bindings) && args_match(args, ta, src, bindings)
+            } => {
+                attr.text(ps) == ta.text(ts)
+                    && expr_matches(pm.expr(value), tm.expr(tv), trees, bindings)
             }
             _ => false,
         },
-        Expr::BinOp { left, op, right } => match target {
+        Expr::Call { func, args } => match *target {
+            Expr::Call { func: tf, args: ta } => {
+                expr_matches(pm.expr(func), tm.expr(tf), trees, bindings)
+                    && args_match(pm.args(args), tm.args(ta), trees, bindings)
+            }
+            _ => false,
+        },
+        Expr::BinOp { left, op, right } => match *target {
             Expr::BinOp {
                 left: tl,
                 op: to,
                 right: tr,
             } => {
                 op == to
-                    && expr_matches(left, tl, src, bindings)
-                    && expr_matches(right, tr, src, bindings)
+                    && expr_matches(pm.expr(left), tm.expr(tl), trees, bindings)
+                    && expr_matches(pm.expr(right), tm.expr(tr), trees, bindings)
             }
             _ => false,
         },
-        Expr::Other(t) => match target {
-            Expr::Other(tt) => t == tt,
-            _ => *t == target.to_text(ts),
+        Expr::Other(t) => match *target {
+            Expr::Other(tt) => pm.owned(t) == tm.owned(tt),
+            _ => pm.owned(t) == target.to_text(tm),
         },
     }
 }
 
-/// Whether two expressions of one text are the same expression, by text.
-fn same_expr(a: &Expr, b: &Expr, src: &str) -> bool {
-    match (a, b) {
+/// Whether two expressions of one module are the same expression, by
+/// text.
+fn same_expr(m: &Module, a: &Expr, b: &Expr) -> bool {
+    let src = m.source();
+    let same = |x, y| same_expr(m, m.expr(x), m.expr(y));
+    match (*a, *b) {
         (Expr::Name(x), Expr::Name(y)) | (Expr::Num(x), Expr::Num(y)) => x.text(src) == y.text(src),
-        (Expr::Str(x), Expr::Str(y)) => x.text(src) == y.text(src),
+        (Expr::Str(x), Expr::Str(y)) => x.text(m) == y.text(m),
         (
             Expr::Attribute { value, attr },
             Expr::Attribute {
                 value: bv,
                 attr: ba,
             },
-        ) => attr.text(src) == ba.text(src) && same_expr(value, bv, src),
+        ) => attr.text(src) == ba.text(src) && same(value, bv),
         (Expr::Call { func, args }, Expr::Call { func: bf, args: ba }) => {
-            same_expr(func, bf, src)
+            let (args, ba) = (m.args(args), m.args(ba));
+            same(func, bf)
                 && args.len() == ba.len()
                 && args.iter().zip(ba).all(|(x, y)| {
                     x.name.map(|n| n.text(src)) == y.name.map(|n| n.text(src))
-                        && same_expr(&x.value, &y.value, src)
+                        && same(x.value, y.value)
                 })
         }
         (
@@ -412,35 +425,33 @@ fn same_expr(a: &Expr, b: &Expr, src: &str) -> bool {
                 op: bo,
                 right: br,
             },
-        ) => op == bo && same_expr(left, bl, src) && same_expr(right, br, src),
-        (Expr::Other(x), Expr::Other(y)) => x == y,
+        ) => op == bo && same(left, bl) && same(right, br),
+        (Expr::Other(x), Expr::Other(y)) => m.owned(x) == m.owned(y),
         _ => false,
     }
 }
 
-fn args_match<'p, 't: 'p>(
-    pattern: &'p [Arg],
-    target: &'t [Arg],
-    src: Sources<'p>,
-    bindings: &mut Bindings<'p, 't>,
+fn args_match<'a>(
+    pattern: &'a [Arg],
+    target: &'a [Arg],
+    trees: Trees<'a>,
+    bindings: &mut Bindings<'a>,
 ) -> bool {
+    let (pm, tm) = (trees.pattern, trees.target);
     let has_ellipsis = pattern
         .iter()
-        .any(|a| a.name.is_none() && is_ellipsis(&a.value));
+        .any(|a| a.name.is_none() && is_ellipsis(pm, pm.expr(a.value)));
 
     // Keyword arguments: every pattern kwarg must match a target kwarg of
     // the same name.
-    let name = |a: &Arg, text: &'p str| a.name.map(|n| n.text(text));
+    let name = |a: &Arg, m: &'a Module| a.name.map(|n| n.text(m.source()));
     let pat_kwargs: Vec<&Arg> = pattern.iter().filter(|a| a.name.is_some()).collect();
     let tgt_kwargs: Vec<&Arg> = target.iter().filter(|a| a.name.is_some()).collect();
     for pk in &pat_kwargs {
-        let Some(tk) = tgt_kwargs
-            .iter()
-            .find(|tk| name(tk, src.target) == name(pk, src.pattern))
-        else {
+        let Some(tk) = tgt_kwargs.iter().find(|tk| name(tk, tm) == name(pk, pm)) else {
             return false;
         };
-        if !expr_matches(&pk.value, &tk.value, src, bindings) {
+        if !expr_matches(pm.expr(pk.value), tm.expr(tk.value), trees, bindings) {
             return false;
         }
     }
@@ -451,22 +462,23 @@ fn args_match<'p, 't: 'p>(
     // Positional arguments: sequence match with ellipsis gaps.
     let pat_pos: Vec<&Arg> = pattern.iter().filter(|a| a.name.is_none()).collect();
     let tgt_pos: Vec<&Arg> = target.iter().filter(|a| a.name.is_none()).collect();
-    seq_match(&pat_pos, &tgt_pos, src, bindings)
+    seq_match(&pat_pos, &tgt_pos, trees, bindings)
 }
 
-fn seq_match<'p, 't: 'p>(
-    pattern: &[&'p Arg],
-    target: &[&'t Arg],
-    src: Sources<'p>,
-    bindings: &mut Bindings<'p, 't>,
+fn seq_match<'a>(
+    pattern: &[&'a Arg],
+    target: &[&'a Arg],
+    trees: Trees<'a>,
+    bindings: &mut Bindings<'a>,
 ) -> bool {
+    let (pm, tm) = (trees.pattern, trees.target);
     match pattern.split_first() {
         None => target.is_empty(),
-        Some((first, rest)) if is_ellipsis(&first.value) => {
+        Some((first, rest)) if is_ellipsis(pm, pm.expr(first.value)) => {
             // Ellipsis absorbs zero or more target args (backtracking).
             for skip in 0..=target.len() {
                 let mut trial = bindings.clone();
-                if seq_match(rest, &target[skip..], src, &mut trial) {
+                if seq_match(rest, &target[skip..], trees, &mut trial) {
                     *bindings = trial;
                     return true;
                 }
@@ -476,8 +488,12 @@ fn seq_match<'p, 't: 'p>(
         Some((first, rest)) => match target.split_first() {
             Some((tfirst, trest)) => {
                 let mut trial = bindings.clone();
-                if expr_matches(&first.value, &tfirst.value, src, &mut trial)
-                    && seq_match(rest, trest, src, &mut trial)
+                if expr_matches(
+                    pm.expr(first.value),
+                    tm.expr(tfirst.value),
+                    trees,
+                    &mut trial,
+                ) && seq_match(rest, trest, trees, &mut trial)
                 {
                     *bindings = trial;
                     true

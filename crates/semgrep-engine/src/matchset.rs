@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use pysrc::{Expr, Module, Stmt};
 
 use crate::matcher::{
-    for_each_expr_root, stmt_matches, walk_statements, Anchor, CompiledOp, Finding, Sources,
+    for_each_expr_root, pattern_stmt, stmt_matches, Anchor, CompiledOp, Finding, Trees,
 };
 use crate::rule::CompiledSemgrepRules;
 
@@ -51,11 +51,11 @@ impl SemgrepMetrics {
     }
 }
 
-/// One dispatchable pre-parsed leaf: its statement and the text it
-/// points into.
+/// One dispatchable pre-parsed leaf: its statement and the module that
+/// holds it.
 struct LeafEntry<'r> {
     stmt: &'r Stmt,
-    src: &'r str,
+    pattern: &'r Module,
     rule: usize,
 }
 
@@ -164,15 +164,18 @@ impl<'r> MatchSet<'r> {
     fn build_node(&mut self, op: &'r CompiledOp, rule: usize) -> Node {
         match op {
             CompiledOp::Leaf(leaf) => {
-                let Some(stmt) = leaf.pattern.body.first() else {
+                let Some(stmt) = pattern_stmt(&leaf.pattern) else {
                     return Node::Dead;
                 };
                 if leaf.anchor == Anchor::Dead {
                     return Node::Dead;
                 }
                 let id = self.leaves.len() as u32;
-                let src = leaf.pattern.source();
-                self.leaves.push(LeafEntry { stmt, src, rule });
+                self.leaves.push(LeafEntry {
+                    stmt,
+                    pattern: &leaf.pattern,
+                    rule,
+                });
                 match &leaf.anchor {
                     Anchor::Ident(name) => {
                         self.ident_index.entry(name).or_default().push(id);
@@ -237,7 +240,7 @@ impl<'r> MatchSet<'r> {
         scratch.begin(self.leaves.len());
         let mut metrics = SemgrepMetrics::default();
         let src = module.source();
-        walk_statements(&module.body, &mut |stmt| {
+        for stmt in module.statements() {
             metrics.stmts_visited += 1;
             scratch.stmt_gen += 1;
             let mut try_leaves = |ids: &[u32], scratch: &mut MatchScratch| {
@@ -246,29 +249,29 @@ impl<'r> MatchSet<'r> {
                 }
             };
             try_leaves(&self.always, scratch);
-            match stmt {
+            match *stmt {
                 Stmt::Import { modules, .. } => {
-                    for m in modules {
+                    for m in module.imports(modules) {
                         if let Some(ids) = self.import_index.get(&*m.path.dotted(src)) {
                             try_leaves(ids, scratch);
                         }
                     }
                 }
-                Stmt::FromImport { module, .. } => {
-                    if let Some(ids) = self.from_import_index.get(&*module.dotted(src)) {
+                Stmt::FromImport { module: from, .. } => {
+                    if let Some(ids) = self.from_import_index.get(&*from.dotted(src)) {
                         try_leaves(ids, scratch);
                     }
                 }
                 _ => {}
             }
-            for_each_expr_root(stmt, &mut |root| {
-                walk_idents(root, src, &mut |ident| {
+            for_each_expr_root(module, stmt, &mut |root| {
+                walk_idents(module, root, &mut |ident| {
                     if let Some(ids) = self.ident_index.get(ident) {
                         try_leaves(ids, scratch);
                     }
                 });
             });
-        });
+        }
         for (ri, rule) in self.rules.rules.iter().enumerate() {
             if !include(ri) {
                 continue;
@@ -310,11 +313,11 @@ impl<'r> MatchSet<'r> {
             return;
         }
         metrics.leaf_tests += 1;
-        let src = Sources {
-            pattern: entry.src,
-            target: module.source(),
+        let trees = Trees {
+            pattern: entry.pattern,
+            target: module,
         };
-        if stmt_matches(entry.stmt, stmt, src) {
+        if stmt_matches(entry.stmt, stmt, trees) {
             if scratch.line_stamps[li] != scratch.scan_gen {
                 scratch.line_stamps[li] = scratch.scan_gen;
                 scratch.leaf_lines[li].clear();
@@ -370,22 +373,23 @@ fn eval_tree(node: &Node, scratch: &MatchScratch) -> Vec<usize> {
 
 /// Yields every identifier a statement's expressions expose: bare names,
 /// attribute names, callee heads — the facts [`Anchor::Ident`] keys on.
-fn walk_idents<'a>(expr: &Expr, src: &'a str, f: &mut impl FnMut(&'a str)) {
-    match expr {
+fn walk_idents<'a>(m: &'a Module, expr: &Expr, f: &mut impl FnMut(&'a str)) {
+    let src = m.source();
+    match *expr {
         Expr::Name(n) => f(n.text(src)),
         Expr::Attribute { value, attr } => {
             f(attr.text(src));
-            walk_idents(value, src, f);
+            walk_idents(m, m.expr(value), f);
         }
         Expr::Call { func, args } => {
-            walk_idents(func, src, f);
-            for a in args {
-                walk_idents(&a.value, src, f);
+            walk_idents(m, m.expr(func), f);
+            for a in m.args(args) {
+                walk_idents(m, m.expr(a.value), f);
             }
         }
         Expr::BinOp { left, right, .. } => {
-            walk_idents(left, src, f);
-            walk_idents(right, src, f);
+            walk_idents(m, m.expr(left), f);
+            walk_idents(m, m.expr(right), f);
         }
         Expr::Str(_) | Expr::Num(_) | Expr::Other(_) => {}
     }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pysrc::Module;
 
-use crate::matcher::{encode_metavars, stmt_matches, walk_statements, Finding, Sources};
+use crate::matcher::{encode_metavars, pattern_stmt, stmt_matches, Finding, Trees};
 use crate::rule::{PatternOp, SemgrepRule};
 
 /// Pattern-text re-parses performed by this module since process start.
@@ -87,20 +87,19 @@ fn pattern_lines(pattern: &str, module: &Module) -> Vec<usize> {
     let encoded = encode_metavars(pattern);
     REPARSES.fetch_add(1, Ordering::Relaxed);
     let pat_module = pysrc::parse_module(&encoded);
-    let Some(pat_stmt) = pat_module.body.first() else {
+    let Some(pat_stmt) = pattern_stmt(&pat_module) else {
         return Vec::new();
     };
-    let src = Sources {
-        pattern: pat_module.source(),
-        target: module.source(),
+    let trees = Trees {
+        pattern: &pat_module,
+        target: module,
     };
-    let mut out = Vec::new();
-    walk_statements(&module.body, &mut |stmt| {
-        if stmt_matches(pat_stmt, stmt, src) {
-            out.push(module.line(stmt));
-        }
-    });
-    out
+    module
+        .statements()
+        .iter()
+        .filter(|stmt| stmt_matches(pat_stmt, stmt, trees))
+        .map(|stmt| module.line(stmt))
+        .collect()
 }
 
 /// Serializes unit tests that assert on the process-global reparse
