@@ -8,15 +8,16 @@
 //! class is timed twice over identical input: the public tiered entry
 //! points (lazy-DFA gate, Teddy prefilter) against the pure Pike VM /
 //! Aho-Corasick baselines, asserting byte-identical matches on every
-//! run, with the seed's [`ReferenceRegex`] as a second oracle. The
-//! timings and their geometric mean are printed for reading and asserted
-//! nowhere; which tier ran is asserted exactly, in `tests/tier_counters.rs`.
+//! run. The timings and their geometric mean are printed for reading and
+//! asserted nowhere; which tier ran is asserted exactly, in
+//! `tests/tier_counters.rs`, and the seed's restart-per-offset engine
+//! checks the same classes in this module's tests.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use textmatch::{AhoCorasick, MatchKind, MultiLiteral, ReferenceRegex, Regex};
+use textmatch::{AhoCorasick, MatchKind, MultiLiteral, Regex};
 
 /// The regex pattern classes the tiered pipeline is judged on. Each
 /// stresses a different tier-selection path:
@@ -190,20 +191,13 @@ pub fn class_buffer(len: usize, seed: u64) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics if any pair of engines disagrees — the bench doubles as an
-/// end-to-end differential check (Pike VM on the full buffer, the
-/// seed's `ReferenceRegex` on a prefix sized to keep its
-/// restart-per-offset cost affordable).
+/// end-to-end differential check against the Pike VM and Aho-Corasick
+/// on the full buffer.
 pub fn compare(len: usize, seed: u64) -> RegexBenchStats {
     let data = class_buffer(len, seed);
-    let oracle_len = len.min(32 << 10);
     let mut rows = Vec::new();
     for (class, pattern, nocase) in REGEX_CLASSES {
-        let re = if *nocase {
-            Regex::new_nocase(pattern)
-        } else {
-            Regex::new(pattern)
-        }
-        .expect("bench pattern compiles");
+        let re = class_regex(pattern, *nocase);
         let t = Instant::now();
         let tiered = re.find_all(&data);
         let tiered_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -211,12 +205,6 @@ pub fn compare(len: usize, seed: u64) -> RegexBenchStats {
         let baseline = re.find_all_pike(&data);
         let baseline_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(tiered, baseline, "tiered != Pike VM on class {class}");
-        let reference = ReferenceRegex::from_regex(&re);
-        assert_eq!(
-            re.find_all(&data[..oracle_len]),
-            reference.find_all(&data[..oracle_len]),
-            "tiered != ReferenceRegex on class {class}"
-        );
         assert!(!tiered.is_empty(), "class {class} must match the buffer");
         rows.push(ClassRow {
             class,
@@ -244,6 +232,15 @@ pub fn compare(len: usize, seed: u64) -> RegexBenchStats {
         tiered_ms,
     });
     RegexBenchStats { len, rows }
+}
+
+fn class_regex(pattern: &str, nocase: bool) -> Regex {
+    if nocase {
+        Regex::new_nocase(pattern)
+    } else {
+        Regex::new(pattern)
+    }
+    .expect("bench pattern compiles")
 }
 
 /// Renders the comparison as an aligned text table.
@@ -293,13 +290,27 @@ mod tests {
 
     #[test]
     fn every_class_matches_and_engines_agree() {
-        // `compare` asserts tiered == Pike == Reference internally; a
-        // small buffer keeps debug builds affordable.
+        // `compare` asserts tiered == Pike internally; a small buffer
+        // keeps debug builds affordable.
         let stats = compare(32 << 10, 7);
         assert_eq!(stats.rows.len(), REGEX_CLASSES.len() + 1);
         for row in &stats.rows {
             assert!(row.matches > 0, "class {} found nothing", row.class);
         }
         assert!(stats.geomean_speedup().is_finite());
+    }
+
+    /// The seed's restart-per-offset engine agrees with the tiered path
+    /// on the first 32 KiB of the buffer `repro` runs, `compare(1 << 20, 42)`.
+    #[test]
+    fn the_reference_engine_agrees_on_the_repro_buffer_prefix() {
+        let data = class_buffer(1 << 20, 42);
+        let prefix = &data[..32 << 10];
+        for (class, pattern, nocase) in REGEX_CLASSES {
+            let re = class_regex(pattern, *nocase);
+            let want = oracles::ReferenceRegex::from_regex(&re).find_all(prefix);
+            assert!(!want.is_empty(), "class {class} must match the prefix");
+            assert_eq!(re.find_all(prefix), want, "tiered != reference on {class}");
+        }
     }
 }

@@ -3,18 +3,12 @@
 //! This is the engine the single-pass Pike VM replaced: `find_at`
 //! restarts a fully anchored breadth-first simulation at every byte
 //! offset, making `find`/`find_all` `O(len^2 * insts)` on adversarial
-//! input. It is kept for two jobs only:
-//!
-//! 1. **Differential oracle** — the property tests and the YARA-corpus
-//!    equivalence suite pit [`crate::Regex`] against this engine and
-//!    require byte-identical matches;
-//! 2. **Bench baseline** — the regex-throughput benchmark measures the
-//!    quadratic-vs-linear speedup against it.
-//!
-//! Do not use it in scanning paths.
+//! input. It is the differential oracle only: the property tests, the
+//! YARA-corpus equivalence suite and the regex-class table's test pit
+//! [`Regex`] against it and require byte-identical matches.
 
-use crate::error::RegexError;
-use crate::nfa::{is_word_byte, Inst, Match, Program, Regex};
+use textmatch::internals::{is_word_byte, Inst};
+use textmatch::{Match, Regex, RegexError};
 
 /// A compiled regular expression executed by the original quadratic scan.
 ///
@@ -56,13 +50,13 @@ impl ReferenceRegex {
         }
     }
 
-    fn program(&self) -> &Program {
-        self.inner.program()
+    fn insts(&self) -> &[Inst] {
+        self.inner.program().insts()
     }
 
     /// Tests whether the pattern matches anywhere in `haystack`.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
-        let mut vm = RefVm::new(self.program());
+        let mut vm = RefVm::new(self.insts());
         vm.any_match(haystack)
     }
 
@@ -73,7 +67,7 @@ impl ReferenceRegex {
 
     /// Finds the leftmost-longest match starting at or after `from`.
     pub fn find_at(&self, haystack: &[u8], from: usize) -> Option<Match> {
-        let mut vm = RefVm::new(self.program());
+        let mut vm = RefVm::new(self.insts());
         for start in from..=haystack.len() {
             if let Some(end) = vm.longest_end(haystack, start) {
                 return Some(Match { start, end });
@@ -106,7 +100,7 @@ impl ReferenceRegex {
 /// Breadth-first NFA simulator with thread de-duplication per step — the
 /// seed implementation, anchored at one offset per run.
 struct RefVm<'p> {
-    program: &'p Program,
+    insts: &'p [Inst],
     current: Vec<usize>,
     next: Vec<usize>,
     on_current: Vec<bool>,
@@ -114,10 +108,10 @@ struct RefVm<'p> {
 }
 
 impl<'p> RefVm<'p> {
-    fn new(program: &'p Program) -> Self {
-        let n = program.insts.len();
+    fn new(insts: &'p [Inst]) -> Self {
+        let n = insts.len();
         RefVm {
-            program,
+            insts,
             current: Vec::with_capacity(n),
             next: Vec::with_capacity(n),
             on_current: vec![false; n],
@@ -153,8 +147,7 @@ impl<'p> RefVm<'p> {
             }
             seen[pc] = true;
         }
-        let program = self.program;
-        match &program.insts[pc] {
+        match &self.insts[pc] {
             Inst::Jmp(t) => {
                 self.add_thread(*t, pos, haystack, into_next, matched);
             }
@@ -212,9 +205,9 @@ impl<'p> RefVm<'p> {
             }
             let byte = haystack[pos];
             let current = std::mem::take(&mut self.current);
-            let program = self.program;
+            let insts = self.insts;
             for pc in &current {
-                if let Inst::Byte(class) = &program.insts[*pc] {
+                if let Inst::Byte(class) = &insts[*pc] {
                     if class.matches(byte) {
                         let mut m = false;
                         self.add_thread(pc + 1, pos + 1, haystack, true, &mut m);
@@ -250,10 +243,10 @@ impl<'p> RefVm<'p> {
             }
             let byte = haystack[pos];
             let current = std::mem::take(&mut self.current);
-            let program = self.program;
+            let insts = self.insts;
             let mut any_match = false;
             for pc in &current {
-                if let Inst::Byte(class) = &program.insts[*pc] {
+                if let Inst::Byte(class) = &insts[*pc] {
                     if class.matches(byte) {
                         self.add_thread(pc + 1, pos + 1, haystack, true, &mut any_match);
                     }
@@ -287,7 +280,7 @@ mod tests {
 
     #[test]
     fn from_regex_preserves_case_mode() {
-        let nocase = crate::Regex::new_nocase("shell").expect("compile");
+        let nocase = Regex::new_nocase("shell").expect("compile");
         let r = ReferenceRegex::from_regex(&nocase);
         assert!(r.is_match(b"POWERSHELL"));
     }

@@ -1,35 +1,20 @@
-//! The seed's reparse-per-call structural matcher, kept as the
-//! differential oracle (repo convention, see `textmatch::reference`).
+//! The seed's reparse-per-call structural matcher.
 //!
-//! [`match_module`] here re-encodes metavariables and re-parses every
-//! pattern string through [`pysrc::parse_module`] on **every call** —
-//! exactly the cost model the compiled matcher removed. The differential
-//! suites assert `MatchSet ≡ reference`; nothing else calls it. Every
-//! pattern-text re-parse bumps a process-global counter
-//! ([`pattern_reparse_count`]) so tests can prove the production scan
-//! path performs zero of them.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`match_module`] re-encodes metavariables and re-parses every pattern
+//! string through [`pysrc::parse_module`] on **every call** — exactly the
+//! cost model the compiled matcher removed. It shares the leaf matcher
+//! ([`stmt_matches`]) with [`semgrep_engine::MatchSet`], so the two differ
+//! only in when pattern text is parsed and how rules are dispatched. The
+//! differential suites assert `MatchSet ≡ reference`.
 
 use pysrc::Module;
-
-use crate::matcher::{encode_metavars, pattern_stmt, stmt_matches, Finding, Trees};
-use crate::rule::{PatternOp, SemgrepRule};
-
-/// Pattern-text re-parses performed by this module since process start.
-static REPARSES: AtomicU64 = AtomicU64::new(0);
-
-/// How many times pattern text has been re-parsed on a match path. The
-/// compiled matcher never adds to this; only the oracle does.
-pub fn pattern_reparse_count() -> u64 {
-    REPARSES.load(Ordering::Relaxed)
-}
+use semgrep_engine::internals::{encode_metavars, pattern_stmt, stmt_matches, Trees};
+use semgrep_engine::{Finding, PatternOp, SemgrepRule};
 
 /// Matches one rule against a module by re-parsing each pattern leaf —
 /// the seed implementation, preserved as the equivalence oracle.
 pub fn match_module(rule: &SemgrepRule, module: &Module) -> Vec<Finding> {
-    let lines = eval_op(&rule.pattern, module);
-    let mut lines: Vec<usize> = lines.into_iter().collect();
+    let mut lines = eval_op(&rule.pattern, module);
     lines.sort_unstable();
     lines.dedup();
     lines
@@ -76,16 +61,12 @@ fn eval_op(op: &PatternOp, module: &Module) -> Vec<usize> {
             }
             result.unwrap_or_default()
         }
-        PatternOp::Not(inner) => {
-            let _ = eval_op(inner, module);
-            Vec::new()
-        }
+        PatternOp::Not(_) => Vec::new(),
     }
 }
 
 fn pattern_lines(pattern: &str, module: &Module) -> Vec<usize> {
     let encoded = encode_metavars(pattern);
-    REPARSES.fetch_add(1, Ordering::Relaxed);
     let pat_module = pysrc::parse_module(&encoded);
     let Some(pat_stmt) = pattern_stmt(&pat_module) else {
         return Vec::new();
@@ -102,18 +83,12 @@ fn pattern_lines(pattern: &str, module: &Module) -> Vec<usize> {
         .collect()
 }
 
-/// Serializes unit tests that assert on the process-global reparse
-/// counter (in-crate tests run in parallel threads).
-#[cfg(test)]
-pub(crate) static TEST_COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
-    use crate::rule::compile;
+    use semgrep_engine::compile;
 
     #[test]
     fn oracle_agrees_with_compiled_matcher_on_basics() {
-        let _guard = super::TEST_COUNTER_LOCK.lock().expect("counter lock");
         let rules = compile(
             r#"
 rules:
@@ -144,7 +119,7 @@ rules:
                 .collect();
             assert_eq!(
                 oracle,
-                crate::scan_module(&rules, &module),
+                semgrep_engine::scan_module(&rules, &module),
                 "divergence on {src:?}"
             );
         }

@@ -174,17 +174,13 @@ hub_metrics! {
         semgrep_rules_evaluated: "scanhub_semgrep_rules_evaluated_total", "Semgrep rule evaluations", Always;
         /// Semgrep rule evaluations avoided by the literal prefilter.
         semgrep_rules_skipped: "scanhub_semgrep_rules_skipped_total", "Semgrep evaluations skipped by the prefilter", Always;
-        /// Packages whose Python sources were never parsed for Semgrep
-        /// (no rule routed).
+        /// Packages whose Semgrep walk was skipped: no rule routed, or no
+        /// Python module to walk. (The hub never parses for Semgrep; the
+        /// artifact build parsed each module already.)
         semgrep_parses_skipped: "scanhub_semgrep_parses_skipped_total", "Packages whose Semgrep walk was skipped entirely", Always;
         /// Python statements visited by the Semgrep matcher's single-pass
         /// module walks (one walk serves every routed rule).
         semgrep_stmts_visited: "scanhub_semgrep_stmts_visited_total", "Python statements visited by Semgrep module walks", Always;
-        /// Pattern-text re-parses on the Semgrep scan path. Patterns are
-        /// parsed once at rule-compile time, so this must stay **0** in
-        /// steady state — a non-zero value means the seed's
-        /// reparse-per-call cost model has returned.
-        semgrep_pattern_reparses: "scanhub_semgrep_pattern_reparses_total", "Pattern-text re-parses on the Semgrep scan path (must stay 0)", Always;
         /// Retro-hunt deployments executed ([`crate::ScanHub::retro_hunt`]).
         retro_hunts: "scanhub_retro_hunts_total", "Retro-hunt deployments executed", Hunted;
         /// Digests the retro index nominated as candidates, summed over all
@@ -674,7 +670,7 @@ mod tests {
         let counters = rows
             .iter()
             .filter(|r| r.series.starts_with("scanhub_") && !r.gauge);
-        assert_eq!(counters.count(), 27);
+        assert_eq!(counters.count(), 26);
 
         // One distinct bit per stage, so the total names its exclusions.
         let stages = StageNanos {

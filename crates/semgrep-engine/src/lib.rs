@@ -15,9 +15,11 @@
 //!   metavariable unification and ellipsis argument matching. Pattern
 //!   text is parsed **once at compile time**; the set then matches a
 //!   whole ruleset against a module in a single anchor-dispatched AST
-//!   walk ([`scan_module`] is the convenience over it), and
-//!   [`mod@reference`] keeps the seed's reparse-per-call matcher as the
-//!   differential oracle.
+//!   walk ([`scan_module`] is the convenience over it).
+//!
+//! The seed's reparse-per-call matcher is not shipped here: it lives in
+//! the dev-only `oracles` crate as the differential oracle, and runs this
+//! crate's leaf matcher through the hidden `internals` module.
 //!
 //! # Examples
 //!
@@ -43,7 +45,6 @@
 mod error;
 mod matcher;
 mod matchset;
-pub mod reference;
 mod rule;
 pub mod yaml;
 
@@ -51,6 +52,13 @@ pub use error::SemgrepError;
 pub use matcher::Finding;
 pub use matchset::{MatchScratch, MatchSet, SemgrepMetrics};
 pub use rule::{compile, CompiledSemgrepRules, PatternOp, SemgrepRule, Severity};
+
+/// What the `oracles` crate's reparse-per-call matcher reads, so that it
+/// runs the exact leaf matcher [`MatchSet`] runs. Not a stable API.
+#[doc(hidden)]
+pub mod internals {
+    pub use crate::matcher::{encode_metavars, pattern_stmt, stmt_matches, Trees};
+}
 
 use pysrc::Module;
 

@@ -12,9 +12,9 @@
 //! pattern text. A pattern's tree and a target's are different modules,
 //! so names, literals, metavariable bindings, assignment targets and
 //! `Other` text compare by text, never by span or id. This module holds
-//! what the live matcher ([`crate::MatchSet`]) and the reparse-per-call
-//! oracle ([`crate::reference`]) share: leaf compilation and anchors,
-//! statement matching and metavariable encoding.
+//! leaf compilation and anchors, statement matching and metavariable
+//! encoding; the last two are also what the reparse-per-call oracle in
+//! the `oracles` crate runs, through [`crate::internals`].
 
 use std::collections::HashMap;
 
@@ -114,7 +114,7 @@ pub(crate) fn compile_leaf(text: &str) -> CompiledLeaf {
 }
 
 /// The statement a pattern module matches with: its first.
-pub(crate) fn pattern_stmt(pattern: &Module) -> Option<&Stmt> {
+pub fn pattern_stmt(pattern: &Module) -> Option<&Stmt> {
     pattern.top_level().next()
 }
 
@@ -178,7 +178,7 @@ fn expr_anchor<'s>(pattern: &'s Module, expr: &Expr) -> Option<&'s str> {
 /// pattern text. Byte-faithful outside the rewritten metavariable
 /// sigils: non-ASCII pattern content (string literals, comments) passes
 /// through unchanged.
-pub(crate) fn encode_metavars(pattern: &str) -> String {
+pub fn encode_metavars(pattern: &str) -> String {
     let bytes = pattern.as_bytes();
     let mut out = String::with_capacity(pattern.len() + 16);
     let mut start = 0;
@@ -218,12 +218,16 @@ pub(crate) fn for_each_expr_root<'a>(m: &'a Module, stmt: &Stmt, f: &mut impl Fn
 
 /// The modules a pattern statement and a target statement belong to.
 #[derive(Clone, Copy)]
-pub(crate) struct Trees<'s> {
-    pub(crate) pattern: &'s Module,
-    pub(crate) target: &'s Module,
+pub struct Trees<'s> {
+    /// The pattern statement's module.
+    pub pattern: &'s Module,
+    /// The target statement's module.
+    pub target: &'s Module,
 }
 
-pub(crate) fn stmt_matches(pattern: &Stmt, target: &Stmt, trees: Trees<'_>) -> bool {
+/// Whether `target` matches the pattern statement `pattern` (see the
+/// module docs for the supported shapes).
+pub fn stmt_matches(pattern: &Stmt, target: &Stmt, trees: Trees<'_>) -> bool {
     let (pm, tm) = (trees.pattern, trees.target);
     let (ps, ts) = (pm.source(), tm.source());
     match (*pattern, *target) {
@@ -726,26 +730,6 @@ rules:
     fn non_ascii_string_literal_pattern_matches() {
         assert_eq!(lines("log('héllo')", "log('héllo')\n"), vec![1]);
         assert!(lines("log('héllo')", "log('hello')\n").is_empty());
-    }
-
-    #[test]
-    fn scan_time_never_reparses_pattern_text() {
-        // Pattern parsing happens inside `compile`; matching afterwards
-        // must not touch `pysrc::parse_module` on pattern text. The
-        // reparse counter is maintained by the reference oracle only.
-        let _guard = crate::reference::TEST_COUNTER_LOCK
-            .lock()
-            .expect("counter lock");
-        let rules = rule_with_pattern("os.system($X)");
-        let module = pysrc::parse_module("os.system('id')\n");
-        let before = crate::reference::pattern_reparse_count();
-        for _ in 0..10 {
-            assert_eq!(scan_module(&rules, &module).len(), 1);
-        }
-        assert_eq!(crate::reference::pattern_reparse_count(), before);
-        // The oracle, by contrast, re-parses once per leaf per call.
-        let _ = crate::reference::match_module(&rules.rules[0], &module);
-        assert_eq!(crate::reference::pattern_reparse_count(), before + 1);
     }
 
     #[test]

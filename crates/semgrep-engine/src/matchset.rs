@@ -9,11 +9,14 @@
 //! modules — so most rules never touch most statements. Leaves without a
 //! sound anchor are tested against every statement, preserving exact
 //! equivalence with matching rule by rule (proven by the differential
-//! property suite against [`crate::reference`]).
+//! property suite against the seed's reparse-per-call matcher in the
+//! `oracles` crate).
 //!
 //! All per-scan state lives in a caller-owned [`MatchScratch`] with
-//! generation-stamped slots, so a long-lived worker allocates nothing on
-//! the steady-state scan path.
+//! generation-stamped slots, so a long-lived worker allocates no scan
+//! state: a warm scan allocates its findings, the match state of its leaf
+//! tests and each matching rule's line list, and never pattern text
+//! (`tests/allocation_budget.rs` pins the count).
 
 use std::collections::HashMap;
 
@@ -32,23 +35,6 @@ pub struct SemgrepMetrics {
     /// Pattern-leaf structural match attempts actually performed (after
     /// anchor dispatch and routing filtered the rest).
     pub leaf_tests: u64,
-    /// Pattern-text re-parses on the scan path. The compiled engine is
-    /// structurally parse-free (it matches stored ASTs), so this stays 0
-    /// by construction; the field is the hub's reporting surface, and the
-    /// live tripwire for a reintroduced scan-path parse is the
-    /// process-global [`crate::reference::pattern_reparse_count`], which
-    /// `tests/serving_invariants.rs` asserts does not move during a hub
-    /// run.
-    pub pattern_reparses: u64,
-}
-
-impl SemgrepMetrics {
-    /// Accumulates another pass's counters.
-    pub fn absorb(&mut self, other: SemgrepMetrics) {
-        self.stmts_visited += other.stmts_visited;
-        self.leaf_tests += other.leaf_tests;
-        self.pattern_reparses += other.pattern_reparses;
-    }
 }
 
 /// One dispatchable pre-parsed leaf: its statement and the module that
@@ -82,7 +68,7 @@ enum Node {
 /// let module = pysrc::parse_module("eval(x)\n");
 /// let (findings, metrics) = set.match_module_set(&module, |_| true, &mut scratch);
 /// assert_eq!(findings.len(), 1);
-/// assert_eq!(metrics.pattern_reparses, 0);
+/// assert_eq!(metrics.stmts_visited, 1);
 /// # Ok::<(), semgrep_engine::SemgrepError>(())
 /// ```
 pub struct MatchSet<'r> {
@@ -103,7 +89,7 @@ pub struct MatchSet<'r> {
 ///
 /// Slots are invalidated by generation stamps instead of clearing, so a
 /// reused scratch costs zero writes per scan beyond the slots actually
-/// touched; after warm-up the scan path performs no allocation.
+/// touched; after warm-up its slots are not reallocated.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     /// Current scan generation; `leaf_lines[i]` is valid iff
@@ -214,9 +200,8 @@ impl<'r> MatchSet<'r> {
     /// Matches every rule selected by `include` (called with each rule's
     /// file-order index) against `module` in a single AST walk.
     ///
-    /// Findings are identical to running
-    /// [`crate::reference::match_module`] per selected rule, in rule
-    /// order with lines ascending.
+    /// Findings are identical to running the seed's reparse-per-call
+    /// matcher per selected rule, in rule order with lines ascending.
     pub fn match_module_set(
         &self,
         module: &Module,
@@ -329,8 +314,8 @@ impl<'r> MatchSet<'r> {
 
 /// Evaluates one rule's tree to its matching lines over the per-leaf
 /// line sets gathered during the walk. The conjunction semantics live
-/// here and in the intentionally frozen oracle copy in
-/// [`crate::reference`].
+/// here and in the intentionally frozen oracle copy in the `oracles`
+/// crate.
 fn eval_tree(node: &Node, scratch: &MatchScratch) -> Vec<usize> {
     match node {
         Node::Leaf(li) => scratch.lines(*li).to_vec(),
@@ -400,132 +385,6 @@ mod tests {
     use super::*;
     use crate::rule::compile;
 
-    const POOL: &str = r#"
-rules:
-  - id: sys
-    languages: [python]
-    message: m
-    pattern: os.system($X)
-  - id: dyn
-    languages: [python]
-    message: m
-    pattern-either:
-      - pattern: eval($X)
-      - pattern: exec($X)
-  - id: conj
-    languages: [python]
-    message: m
-    patterns:
-      - pattern: open($F, 'w')
-      - pattern-not: open('log.txt', 'w')
-  - id: opaque
-    languages: [python]
-    message: m
-    pattern: $A(marker_zz)
-  - id: imp
-    languages: [python]
-    message: m
-    pattern: import socket
-  - id: fromimp
-    languages: [python]
-    message: m
-    pattern: from subprocess import Popen
-"#;
-
-    fn ids_and_lines(findings: &[Finding]) -> Vec<(String, usize)> {
-        findings
-            .iter()
-            .map(|f| (f.rule_id.clone(), f.line))
-            .collect()
-    }
-
-    #[test]
-    fn set_matches_equal_per_rule_matches() {
-        let _guard = crate::reference::TEST_COUNTER_LOCK
-            .lock()
-            .expect("counter lock");
-        let rules = compile(POOL).expect("compile");
-        let set = MatchSet::new(&rules);
-        let mut scratch = MatchScratch::new();
-        for src in [
-            "import os\nos.system('id')\n",
-            "eval(a)\nexec(b)\n",
-            "open(p, 'w')\n",
-            "open('log.txt', 'w')\n",
-            "f(marker_zz)\n",
-            "import os, socket\nfrom subprocess import Popen, PIPE\n",
-            "print('clean')\n",
-            "def f():\n    os.system(x)\n    return eval(y)\n",
-        ] {
-            let module = pysrc::parse_module(src);
-            let (set_findings, metrics) = set.match_module_set(&module, |_| true, &mut scratch);
-            let mut per_rule = Vec::new();
-            for rule in &rules.rules {
-                per_rule.extend(crate::reference::match_module(rule, &module));
-            }
-            assert_eq!(
-                ids_and_lines(&set_findings),
-                ids_and_lines(&per_rule),
-                "divergence on {src:?}"
-            );
-            assert_eq!(metrics.pattern_reparses, 0);
-        }
-    }
-
-    #[test]
-    fn include_filters_rules_exactly() {
-        let _guard = crate::reference::TEST_COUNTER_LOCK
-            .lock()
-            .expect("counter lock");
-        let rules = compile(POOL).expect("compile");
-        let set = MatchSet::new(&rules);
-        let mut scratch = MatchScratch::new();
-        let module = pysrc::parse_module("os.system('id')\neval(a)\nimport socket\n");
-        for mask in 0u32..(1 << 6) {
-            let include = |ri: usize| mask & (1 << ri) != 0;
-            let (got, _) = set.match_module_set(&module, include, &mut scratch);
-            let mut want = Vec::new();
-            for (ri, rule) in rules.rules.iter().enumerate() {
-                if include(ri) {
-                    want.extend(crate::reference::match_module(rule, &module));
-                }
-            }
-            assert_eq!(ids_and_lines(&got), ids_and_lines(&want), "mask {mask:b}");
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_is_stateless_across_modules() {
-        let rules = compile(POOL).expect("compile");
-        let set = MatchSet::new(&rules);
-        let mut reused = MatchScratch::new();
-        let hot = pysrc::parse_module("os.system('id')\neval(a)\n");
-        let cold = pysrc::parse_module("print('clean')\n");
-        let (hot1, _) = set.match_module_set(&hot, |_| true, &mut reused);
-        // A clean module scanned with the dirty scratch must find nothing.
-        let (cold1, _) = set.match_module_set(&cold, |_| true, &mut reused);
-        assert!(cold1.is_empty(), "stale leaf lines leaked: {cold1:?}");
-        let (hot2, _) = set.match_module_set(&hot, |_| true, &mut reused);
-        assert_eq!(ids_and_lines(&hot1), ids_and_lines(&hot2));
-    }
-
-    #[test]
-    fn anchor_dispatch_skips_unrelated_leaves() {
-        let rules = compile(POOL).expect("compile");
-        let set = MatchSet::new(&rules);
-        assert_eq!(set.leaf_count(), 8);
-        // Only `opaque` ($A(...)) lacks an anchor.
-        assert_eq!(set.always_on_count(), 1);
-        let mut scratch = MatchScratch::new();
-        let module = pysrc::parse_module("print('hello')\nx = 1\n");
-        let (findings, metrics) = set.match_module_set(&module, |_| true, &mut scratch);
-        assert!(findings.is_empty());
-        // Two statements, and only the single always-on leaf was tested
-        // on each: anchored leaves never ran.
-        assert_eq!(metrics.stmts_visited, 2);
-        assert_eq!(metrics.leaf_tests, 2);
-    }
-
     #[test]
     fn repeated_anchor_tests_leaf_once_per_statement() {
         let rules = compile(
@@ -539,22 +398,5 @@ rules:
         let (findings, metrics) = set.match_module_set(&module, |_| true, &mut scratch);
         assert_eq!(findings.len(), 1);
         assert_eq!(metrics.leaf_tests, 1);
-    }
-
-    #[test]
-    fn metrics_absorb_accumulates() {
-        let mut a = SemgrepMetrics {
-            stmts_visited: 2,
-            leaf_tests: 3,
-            pattern_reparses: 0,
-        };
-        a.absorb(SemgrepMetrics {
-            stmts_visited: 5,
-            leaf_tests: 7,
-            pattern_reparses: 1,
-        });
-        assert_eq!(a.stmts_visited, 7);
-        assert_eq!(a.leaf_tests, 10);
-        assert_eq!(a.pattern_reparses, 1);
     }
 }

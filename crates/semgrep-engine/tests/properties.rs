@@ -2,9 +2,10 @@
 //! plus the differential suite proving the compiled matchers equivalent
 //! to the seed's reparse-per-call oracle on generated rule/corpus pairs.
 
+use oracles::semgrep as reference;
 use proptest::prelude::*;
 use semgrep_engine::yaml::{self, Yaml};
-use semgrep_engine::{Finding, MatchScratch, MatchSet};
+use semgrep_engine::{compile, Finding, MatchScratch, MatchSet};
 
 /// A small shared name pool so generated rules and sources collide often
 /// (high hit rate exercises the anchored dispatch, not just the skips).
@@ -91,6 +92,119 @@ fn pairs(findings: &[Finding]) -> Vec<(String, usize)> {
         .iter()
         .map(|f| (f.rule_id.clone(), f.line))
         .collect()
+}
+
+/// One rule per anchor class and operator, for the hand-written cases.
+const POOL: &str = r#"
+rules:
+  - id: sys
+    languages: [python]
+    message: m
+    pattern: os.system($X)
+  - id: dyn
+    languages: [python]
+    message: m
+    pattern-either:
+      - pattern: eval($X)
+      - pattern: exec($X)
+  - id: conj
+    languages: [python]
+    message: m
+    patterns:
+      - pattern: open($F, 'w')
+      - pattern-not: open('log.txt', 'w')
+  - id: opaque
+    languages: [python]
+    message: m
+    pattern: $A(marker_zz)
+  - id: imp
+    languages: [python]
+    message: m
+    pattern: import socket
+  - id: fromimp
+    languages: [python]
+    message: m
+    pattern: from subprocess import Popen
+"#;
+
+#[test]
+fn set_matches_equal_per_rule_matches() {
+    let rules = compile(POOL).expect("compile");
+    let set = MatchSet::new(&rules);
+    let mut scratch = MatchScratch::new();
+    for src in [
+        "import os\nos.system('id')\n",
+        "eval(a)\nexec(b)\n",
+        "open(p, 'w')\n",
+        "open('log.txt', 'w')\n",
+        "f(marker_zz)\n",
+        "import os, socket\nfrom subprocess import Popen, PIPE\n",
+        "print('clean')\n",
+        "def f():\n    os.system(x)\n    return eval(y)\n",
+    ] {
+        let module = pysrc::parse_module(src);
+        let (set_findings, _) = set.match_module_set(&module, |_| true, &mut scratch);
+        let mut per_rule = Vec::new();
+        for rule in &rules.rules {
+            per_rule.extend(crate::reference::match_module(rule, &module));
+        }
+        assert_eq!(
+            pairs(&set_findings),
+            pairs(&per_rule),
+            "divergence on {src:?}"
+        );
+    }
+}
+
+#[test]
+fn include_filters_rules_exactly() {
+    let rules = compile(POOL).expect("compile");
+    let set = MatchSet::new(&rules);
+    let mut scratch = MatchScratch::new();
+    let module = pysrc::parse_module("os.system('id')\neval(a)\nimport socket\n");
+    for mask in 0u32..(1 << 6) {
+        let include = |ri: usize| mask & (1 << ri) != 0;
+        let (got, _) = set.match_module_set(&module, include, &mut scratch);
+        let mut want = Vec::new();
+        for (ri, rule) in rules.rules.iter().enumerate() {
+            if include(ri) {
+                want.extend(crate::reference::match_module(rule, &module));
+            }
+        }
+        assert_eq!(pairs(&got), pairs(&want), "mask {mask:b}");
+    }
+}
+
+#[test]
+fn scratch_reuse_is_stateless_across_modules() {
+    let rules = compile(POOL).expect("compile");
+    let set = MatchSet::new(&rules);
+    let mut reused = MatchScratch::new();
+    let hot = pysrc::parse_module("os.system('id')\neval(a)\n");
+    let cold = pysrc::parse_module("print('clean')\n");
+    let (hot1, _) = set.match_module_set(&hot, |_| true, &mut reused);
+    // A clean module scanned with the dirty scratch must find nothing.
+    let (cold1, _) = set.match_module_set(&cold, |_| true, &mut reused);
+    assert!(cold1.is_empty(), "stale leaf lines leaked: {cold1:?}");
+    let (hot2, _) = set.match_module_set(&hot, |_| true, &mut reused);
+    assert_eq!(pairs(&hot1), pairs(&hot2));
+}
+
+#[test]
+fn anchor_dispatch_skips_unrelated_leaves() {
+    let rules = compile(POOL).expect("compile");
+    let set = MatchSet::new(&rules);
+    assert_eq!(set.leaf_count(), 8);
+    // Only `opaque` ($A(...)) lacks an anchor.
+    assert_eq!(set.always_on_count(), 1);
+    let mut scratch = MatchScratch::new();
+    let module = pysrc::parse_module("print('hello')\nx = 1\n");
+    let (findings, metrics) = set.match_module_set(&module, |_| true, &mut scratch);
+    assert!(findings.is_empty());
+    // Two statements, and only the single always-on leaf was tested
+    // on each: anchored leaves never ran.
+    assert_eq!(metrics.stmts_visited, 2);
+    assert_eq!(metrics.leaf_tests, 2);
 }
 
 proptest! {
@@ -189,16 +303,15 @@ proptest! {
         // The oracle: the seed's reparse-per-call matcher, rule by rule.
         let mut want = Vec::new();
         for rule in &rules.rules {
-            want.extend(semgrep_engine::reference::match_module(rule, &module));
+            want.extend(reference::match_module(rule, &module));
         }
 
         // Single-pass multi-rule matcher ≡ oracle, and it never parses
         // pattern text.
         let set = MatchSet::new(&rules);
         let mut scratch = MatchScratch::new();
-        let (got, metrics) = set.match_module_set(&module, |_| true, &mut scratch);
+        let (got, _) = set.match_module_set(&module, |_| true, &mut scratch);
         prop_assert_eq!(pairs(&got), pairs(&want), "match_module_set diverged on {:?}", src);
-        prop_assert_eq!(metrics.pattern_reparses, 0);
 
         // Routed subset ≡ filtered oracle (the hub's prefilter path),
         // reusing the scratch from the previous pass.
@@ -209,7 +322,7 @@ proptest! {
             .iter()
             .enumerate()
             .filter(|(ri, _)| include(*ri))
-            .flat_map(|(_, r)| semgrep_engine::reference::match_module(r, &module))
+            .flat_map(|(_, r)| reference::match_module(r, &module))
             .collect();
         prop_assert_eq!(pairs(&subset), pairs(&masked), "routed subset diverged on {:?}", src);
     }
@@ -226,7 +339,7 @@ proptest! {
         let module = pysrc::parse_module(&body);
         let mut want = Vec::new();
         for rule in &rules.rules {
-            want.extend(semgrep_engine::reference::match_module(rule, &module));
+            want.extend(reference::match_module(rule, &module));
         }
         let got = semgrep_engine::scan_module(&rules, &module);
         prop_assert_eq!(pairs(&got), pairs(&want), "diverged on {:?}", body);

@@ -13,8 +13,6 @@
 //!   mandatory first bytes, literal prefixes) skip hopeless offsets.
 //! * [`AhoCorasick`] — a multi-pattern substring scanner used to match the
 //!   `strings:` section of many YARA rules against a package in one pass.
-//! * [`ReferenceRegex`] — the original restart-per-offset quadratic scan,
-//!   kept as the differential-testing oracle and benchmark baseline.
 //!
 //! On top of those sit the **tiered fast paths** the scan services use:
 //!
@@ -30,7 +28,10 @@
 //!   running one pattern over many units determinizes each DFA state
 //!   once ([`Regex::find_each`]).
 //!
-//! Tier activity is observable through [`engine_counters`].
+//! Tier activity is observable through [`engine_counters`]. The seed's
+//! restart-per-offset scan that the Pike VM replaced is not shipped here:
+//! it lives in the dev-only `oracles` crate, which runs the programs this
+//! crate compiles through the hidden `internals` module.
 //!
 //! # Examples
 //!
@@ -63,7 +64,6 @@ mod literal;
 mod multi;
 mod nfa;
 mod parser;
-mod reference;
 mod teddy;
 
 pub use ac::{AcMatch, AhoCorasick, MatchKind};
@@ -76,5 +76,19 @@ pub use literal::ScanInfo;
 pub use multi::{MultiLiteral, MAX_TEDDY_PATTERNS, MIN_TEDDY_PATTERN_LEN};
 pub use nfa::{Match, Program, Regex, RegexCache, DFA_MIN_HAYSTACK};
 pub use parser::parse;
-pub use reference::ReferenceRegex;
 pub use teddy::Teddy;
+
+/// What the `oracles` crate's seed regex engine reads, so that it runs
+/// the exact program a [`Regex`] compiled. Not a stable API.
+#[doc(hidden)]
+pub mod internals {
+    pub use crate::nfa::{is_word_byte, ByteSet, Inst};
+
+    impl crate::Program {
+        /// The program's instructions; execution starts at index 0.
+        #[doc(hidden)]
+        pub fn insts(&self) -> &[Inst] {
+            &self.insts
+        }
+    }
+}

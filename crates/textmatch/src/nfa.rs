@@ -5,8 +5,8 @@
 //! and leftmost-longest semantics fall out of thread priority (earliest
 //! start wins, then longest end), so `find`/`find_all` cost
 //! `O(len * insts)` instead of the restart-per-offset `O(len^2 * insts)`
-//! (that engine survives as [`crate::ReferenceRegex`], the differential
-//! oracle and bench baseline). A compile-time [`ScanInfo`] analysis adds
+//! (that engine survives in the dev-only `oracles` crate as the
+//! differential oracle). A compile-time [`ScanInfo`] analysis adds
 //! literal acceleration: a mandatory-prefix skip loop and a
 //! start-anchored fast path that seeds offset 0 only. Bounded
 //! repetitions are expanded at compile time (the parser caps bounds at
@@ -27,7 +27,7 @@ use crate::parser::parse;
 /// in the VM's innermost loop is a single shift-and-mask instead of a
 /// range scan.
 #[derive(Debug, Clone)]
-pub(crate) struct ByteSet([u64; 4]);
+pub struct ByteSet([u64; 4]);
 
 impl ByteSet {
     fn from_class(class: &CharClass) -> Self {
@@ -40,15 +40,16 @@ impl ByteSet {
         ByteSet(words)
     }
 
+    /// Whether `b` is in the set.
     #[inline]
-    pub(crate) fn matches(&self, b: u8) -> bool {
+    pub fn matches(&self, b: u8) -> bool {
         (self.0[(b >> 6) as usize] >> (b & 63)) & 1 != 0
     }
 }
 
 /// A single VM instruction.
 #[derive(Debug, Clone)]
-pub(crate) enum Inst {
+pub enum Inst {
     /// Consume one byte matching the class.
     Byte(ByteSet),
     /// Fork execution; the first target has priority.
@@ -67,8 +68,7 @@ pub(crate) enum Inst {
 
 /// A compiled regular-expression program.
 ///
-/// Obtain one through [`Regex::new`]; exposed for size introspection in
-/// benchmarks.
+/// Read one through [`Regex::program`]; its length is the compiled size.
 #[derive(Debug, Clone)]
 pub struct Program {
     pub(crate) insts: Vec<Inst>,
@@ -741,7 +741,8 @@ impl<'p> Vm<'p> {
     }
 }
 
-pub(crate) fn is_word_byte(b: u8) -> bool {
+/// Whether `b` is a word byte for `\b` / `\B`: ASCII alphanumeric or `_`.
+pub fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

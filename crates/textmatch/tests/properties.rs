@@ -2,8 +2,9 @@
 //! Pike VM against the seed's reference engine, the Teddy prefilter
 //! against Aho-Corasick, and the lazy DFA against the Pike VM.
 
+use oracles::ReferenceRegex;
 use proptest::prelude::*;
-use textmatch::{AhoCorasick, DfaOutcome, MatchKind, MultiLiteral, ReferenceRegex, Regex, Teddy};
+use textmatch::{AhoCorasick, DfaOutcome, MatchKind, MultiLiteral, Regex, Teddy};
 
 /// A corpus of patterns exercising every engine feature: literals,
 /// classes, shorthands, quantifiers (greedy/bounded/nullable),

@@ -8,7 +8,8 @@
 //! throughout the repo's test suites.
 
 use eval::experiments::ExperimentContext;
-use textmatch::{DfaOutcome, ReferenceRegex, Regex};
+use oracles::ReferenceRegex;
+use textmatch::{DfaOutcome, Regex};
 
 /// Every regex-string pattern that appears in rules across the repo's
 /// test corpora (engine unit tests, scanhub suites, the paper's Table I

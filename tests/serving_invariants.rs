@@ -1,16 +1,12 @@
 //! The serving path's cost invariants as exact `HubStats` counts on one
 //! small version-bump stream through `HubConfig::default()`: bumps
-//! splice, nothing is built twice, taint and pattern compilation stay off
-//! the warm path, a retro-hunt prunes without losing a hit — and finds
+//! splice, nothing is built twice, taint stays off the warm path, a
+//! retro-hunt prunes without losing a hit — and finds
 //! the same at any worker count, without reordering the serving cache —
 //! resident artifacts hold nothing per
 //! token, and every counter reaches both exporters. Counts repeat to the
 //! bit, so nothing here reads a clock; how fast the same paths run is
 //! `benchmark/`'s question.
-//!
-//! Nothing in this file may call `semgrep_engine::reference`: its re-parse
-//! counter is a process static, and the first test asserts it does not
-//! move.
 
 use std::collections::HashSet;
 
@@ -78,7 +74,6 @@ fn ingest(hub: &ScanHub, requests: &[ScanRequest]) {
 
 #[test]
 fn bumps_splice_and_nothing_is_built_twice() {
-    let reparses_before = semgrep_engine::reference::pattern_reparse_count();
     let hub = hub();
     let requests = release_stream();
     ingest(&hub, &requests);
@@ -125,13 +120,6 @@ fn bumps_splice_and_nothing_is_built_twice() {
     assert_eq!(warm.incremental_relexes, cold.incremental_relexes);
     assert_eq!(warm.splice_fallbacks, 0);
     assert_eq!(warm.taint_analyses, cold.taint_analyses);
-
-    // Patterns were compiled at deploy; no scan parsed one again.
-    assert_eq!(warm.semgrep_pattern_reparses, 0);
-    assert_eq!(
-        semgrep_engine::reference::pattern_reparse_count(),
-        reparses_before
-    );
 }
 
 #[test]
@@ -156,7 +144,6 @@ fn retro_hunt_equals_the_rescan_and_prunes() {
         report.confirm_scans,
         report.digests_indexed
     );
-    assert_eq!(hub.stats().semgrep_pattern_reparses, 0);
 }
 
 /// A hunt reads history; it does not serve it. Its confirm scans peek,
@@ -430,7 +417,7 @@ fn every_counter_reaches_both_exporters() {
             .find(|m| m.get("name").and_then(|n| n.as_str()) == Some(series))
     };
 
-    // The seven counters `HubStats` always had but no exporter carried.
+    // The six counters `HubStats` always had but no exporter carried.
     for (series, value) in [
         ("scanhub_yara_scans_skipped_total", stats.yara_scans_skipped),
         (
@@ -448,10 +435,6 @@ fn every_counter_reaches_both_exporters() {
         (
             "scanhub_semgrep_stmts_visited_total",
             stats.semgrep_stmts_visited,
-        ),
-        (
-            "scanhub_semgrep_pattern_reparses_total",
-            stats.semgrep_pattern_reparses,
         ),
         (
             "scanhub_layer_bytes_scanned_total",
@@ -499,7 +482,7 @@ fn every_counter_reaches_both_exporters() {
 /// time, the `hub_metrics!` rows in table order (counters, gauges,
 /// matching tiers), then the occupancy gauges that are not `HubStats`
 /// fields.
-const EXPORT_ORDER: [&str; 44] = [
+const EXPORT_ORDER: [&str; 43] = [
     "scanhub_stage_duration_ns",
     "scanhub_scan_duration_ns",
     "scanhub_submitted_total",
@@ -525,7 +508,6 @@ const EXPORT_ORDER: [&str; 44] = [
     "scanhub_semgrep_rules_skipped_total",
     "scanhub_semgrep_parses_skipped_total",
     "scanhub_semgrep_stmts_visited_total",
-    "scanhub_semgrep_pattern_reparses_total",
     "scanhub_retro_hunts_total",
     "scanhub_retro_candidates_total",
     "scanhub_retro_confirm_scans_total",

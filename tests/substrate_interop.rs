@@ -4,6 +4,7 @@
 
 use corpus::{generate_malware_package, FAMILIES};
 use llm_sim::{LlmSim, ModelProfile, Prompt, RuleFormat};
+use oracles::semgrep as reference;
 use oss_registry::{Archive, Package};
 use rulellm::align_rule;
 
@@ -285,7 +286,7 @@ fn match_set_equals_the_reference_matcher_on_every_corpus_file() {
             let module = pysrc::parse_module(&source);
             for (ri, rule) in rules.rules.iter().enumerate() {
                 let (got, _) = set.match_module_set(&module, |i| i == ri, &mut scratch);
-                let want = semgrep_engine::reference::match_module(rule, &module);
+                let want = reference::match_module(rule, &module);
                 assert_eq!(got, want, "rule {} on target {}", rule.id, target.index);
                 findings += got.len();
             }
