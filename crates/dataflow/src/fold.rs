@@ -6,44 +6,43 @@
 //! .decode('utf-8')`. Each helper here inverts one of those runtime
 //! shapes given already-constant operands; the engine composes them
 //! bottom-up so arbitrarily nested chains collapse to the original
-//! literal.
+//! literal. The decoders write into a buffer the caller keeps.
 
-/// `base64.b64decode(const)` — returns the decoded text.
-pub fn fold_b64decode(arg: &str) -> Option<String> {
-    let decoded = digest::base64::decode(arg.trim()).ok()?;
-    Some(lossy_text(&decoded))
+/// `base64.b64decode(arg)`: decodes into `bytes`, false when `arg` is not
+/// base64.
+pub fn b64decode(arg: &str, bytes: &mut Vec<u8>) -> bool {
+    bytes.clear();
+    digest::base64::decode_into(arg.trim(), bytes).is_ok()
 }
 
-/// `bytes.fromhex(const)` — returns the decoded text.
-pub fn fold_fromhex(arg: &str) -> Option<String> {
-    let compact: String = arg.chars().filter(|c| !c.is_whitespace()).collect();
-    if compact.is_empty() || !compact.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(compact.len() / 2);
-    let bytes = compact.as_bytes();
-    for pair in bytes.chunks(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Some(lossy_text(&out))
-}
-
-/// `chr(const_num)` — returns the one-character string.
-pub fn fold_chr(arg: &str) -> Option<String> {
-    let n: u32 = arg.trim().parse().ok()?;
-    char::from_u32(n).map(|c| c.to_string())
-}
-
-/// `fmt % value` with a single conversion — substitutes `%s`/`%d`/`%r`.
-pub fn fold_percent(fmt: &str, value: &str) -> Option<String> {
-    for conv in ["%s", "%d", "%r"] {
-        if fmt.matches(conv).count() == 1 && fmt.matches('%').count() == 1 {
-            return Some(fmt.replacen(conv, value, 1));
+/// `bytes.fromhex(arg)`: decodes into `bytes`, false unless `arg` is a
+/// non-empty, even run of hex digits once whitespace is dropped.
+pub fn fromhex(arg: &str, bytes: &mut Vec<u8>) -> bool {
+    bytes.clear();
+    let mut high = None;
+    for c in arg.chars().filter(|c| !c.is_whitespace()) {
+        let Some(digit) = c.to_digit(16) else {
+            return false;
+        };
+        match high.take() {
+            None => high = Some(digit),
+            Some(h) => bytes.push((h * 16 + digit) as u8),
         }
     }
-    None
+    high.is_none() && !bytes.is_empty()
+}
+
+/// `chr(arg)` for a constant number.
+pub fn chr(arg: &str) -> Option<char> {
+    char::from_u32(arg.trim().parse().ok()?)
+}
+
+/// `fmt % value` with a single conversion: the offset of the `%s`, `%d`
+/// or `%r` that `value` replaces.
+pub fn percent_at(fmt: &str) -> Option<usize> {
+    let at = fmt.find('%')?;
+    let single = fmt.matches('%').count() == 1;
+    (single && fmt[at + 1..].starts_with(['s', 'd', 'r'])).then_some(at)
 }
 
 /// True for string methods that preserve a constant receiver
@@ -55,12 +54,13 @@ pub fn const_preserving_method(name: &str) -> bool {
     )
 }
 
-/// Decoded bytes as text: UTF-8 when valid, Latin-1-style fallback
-/// otherwise (mirrors the tolerant lexer, keeps every byte visible).
-fn lossy_text(bytes: &[u8]) -> String {
+/// Appends decoded bytes as text: UTF-8 when valid, Latin-1-style
+/// fallback otherwise (mirrors the tolerant lexer, keeps every byte
+/// visible).
+pub fn push_lossy(bytes: &[u8], out: &mut String) {
     match std::str::from_utf8(bytes) {
-        Ok(s) => s.to_owned(),
-        Err(_) => bytes.iter().map(|&b| b as char).collect(),
+        Ok(s) => out.push_str(s),
+        Err(_) => out.extend(bytes.iter().map(|&b| b as char)),
     }
 }
 
@@ -68,30 +68,43 @@ fn lossy_text(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
 
+    fn text(ok: bool, bytes: &[u8]) -> Option<String> {
+        let mut out = String::new();
+        push_lossy(bytes, &mut out);
+        ok.then_some(out)
+    }
+
     #[test]
     fn b64_roundtrip() {
+        let mut bytes = Vec::new();
         let enc = digest::base64::encode(b"evil.com/payload");
-        assert_eq!(fold_b64decode(&enc).as_deref(), Some("evil.com/payload"));
-        assert_eq!(fold_b64decode("!!!"), None);
+        let ok = b64decode(&enc, &mut bytes);
+        assert_eq!(text(ok, &bytes).as_deref(), Some("evil.com/payload"));
+        assert!(!b64decode("!!!", &mut bytes));
     }
 
     #[test]
     fn hex_roundtrip() {
-        assert_eq!(fold_fromhex("6576696c"), Some("evil".into()));
-        assert_eq!(fold_fromhex("65 76 69 6c"), Some("evil".into()));
-        assert_eq!(fold_fromhex("zz"), None);
-        assert_eq!(fold_fromhex("657"), None);
+        let mut bytes = Vec::new();
+        let ok = fromhex("6576696c", &mut bytes);
+        assert_eq!(text(ok, &bytes).as_deref(), Some("evil"));
+        let ok = fromhex("65 76 69 6c", &mut bytes);
+        assert_eq!(text(ok, &bytes).as_deref(), Some("evil"));
+        for bad in ["zz", "657", "", "6é"] {
+            assert!(!fromhex(bad, &mut bytes), "{bad}");
+        }
+        let ok = fromhex("ff", &mut bytes);
+        assert_eq!(text(ok, &bytes).as_deref(), Some("ÿ"));
     }
 
     #[test]
     fn chr_and_percent() {
-        assert_eq!(fold_chr("101").as_deref(), Some("e"));
-        assert_eq!(fold_chr("xx"), None);
-        assert_eq!(
-            fold_percent("https://%s/x", "c2.evil").as_deref(),
-            Some("https://c2.evil/x")
-        );
+        assert_eq!(chr("101"), Some('e'));
+        assert_eq!(chr("xx"), None);
+        assert_eq!(percent_at("https://%s/x"), Some(8));
+        assert_eq!(percent_at("%d"), Some(0));
         // Two conversions can't be filled from one value.
-        assert_eq!(fold_percent("%s:%s", "a"), None);
+        assert_eq!(percent_at("%s:%s"), None);
+        assert_eq!(percent_at("100%"), None);
     }
 }

@@ -36,19 +36,16 @@
 //!
 //! # Allocation
 //!
-//! The engine borrows what the module already holds: scopes are keyed by
-//! slices of the module's source, a literal or a constant lookup yields a
-//! borrowed constant, a function's scope overlays its parent's instead
-//! of copying it, a block header is the expression the parser built for
-//! it, and callee paths are built in reusable buffers. It still allocates
-//! for what it creates:
-//!
-//! * **taint steps** — each binding a taint flows into gets its own copy
-//!   of the chain plus the new step's note;
-//! * **flow notes and findings** — the sink step, label, source and sink
-//!   of every reported [`FlowFinding`];
-//! * **folded constants** — every concatenation or decode that folds
-//!   builds its text, and a [`FoldedConst`] keeps a copy.
+//! A warm [`analyze`] allocates the [`TaintSummary`] it returns and
+//! nothing else: as many allocations as cloning the summary takes, none
+//! for a module without flows or folded constants. Everything the
+//! analysis builds lives in scratch its thread keeps between calls (freed
+//! instead once it grows past 4 MiB), holding ids and byte ranges: names
+//! interned to dense slots that a `def` body restores on exit, constants
+//! as spans of the module or of one text arena, a call's arguments on one
+//! stack, taint chains as `(parent, line, note)` nodes. A note, a label
+//! or a line becomes text only when its chain reaches a sink, and a
+//! folded constant is copied out once it survives sorting and dedup.
 //!
 //! # Examples
 //!

@@ -55,8 +55,19 @@ pub fn encode(data: &[u8]) -> String {
 /// Returns [`DecodeError`] on characters outside the alphabet or
 /// mis-placed padding.
 pub fn decode(input: &str) -> Result<Vec<u8>, DecodeError> {
+    let mut out = Vec::with_capacity(input.len() / 4 * 3);
+    decode_into(input, &mut out)?;
+    Ok(out)
+}
+
+/// Appends the decoding of base64 `input` to `out`, like [`decode`]; on
+/// an error, `out` holds whatever decoded before it.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_into(input: &str, out: &mut Vec<u8>) -> Result<(), DecodeError> {
     let bytes = input.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
     let mut quad = [0u8; 4];
     let mut quad_len = 0;
     let mut pad = 0;
@@ -78,7 +89,7 @@ pub fn decode(input: &str) -> Result<Vec<u8>, DecodeError> {
                 quad[quad_len] = 0;
                 quad_len += 1;
                 if quad_len == 4 {
-                    flush(&quad, pad, &mut out);
+                    flush(&quad, pad, out);
                     quad_len = 0;
                 }
                 continue;
@@ -92,7 +103,7 @@ pub fn decode(input: &str) -> Result<Vec<u8>, DecodeError> {
         quad[quad_len] = v;
         quad_len += 1;
         if quad_len == 4 {
-            flush(&quad, 0, &mut out);
+            flush(&quad, 0, out);
             quad_len = 0;
         }
     }
@@ -101,7 +112,7 @@ pub fn decode(input: &str) -> Result<Vec<u8>, DecodeError> {
             position: input.len(),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 fn flush(quad: &[u8; 4], pad: usize, out: &mut Vec<u8>) {

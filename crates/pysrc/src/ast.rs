@@ -87,10 +87,17 @@ impl Span {
     pub fn dotted(self, src: &str) -> Cow<'_, str> {
         let text = self.text(src);
         if text.contains(GAP) {
-            Cow::Owned(text.chars().filter(|c| !GAP.contains(c)).collect())
+            let mut out = String::new();
+            self.write_dotted(src, &mut out);
+            Cow::Owned(out)
         } else {
             Cow::Borrowed(text)
         }
+    }
+
+    /// Appends [`Span::dotted`]'s text to `out`.
+    pub fn write_dotted(self, src: &str, out: &mut String) {
+        out.extend(self.text(src).chars().filter(|c| !GAP.contains(c)));
     }
 
     /// This span `by` bytes further into its text.
@@ -1005,8 +1012,13 @@ impl Expr {
     /// its callee's. Empty for shapes without a sensible path.
     pub fn func_path(&self, m: &Module) -> String {
         let mut out = String::new();
-        m.nodes.write_func_path(m.source(), self, &mut out);
+        self.write_func_path(m, &mut out);
         out
+    }
+
+    /// Appends [`Expr::func_path`]'s text to `out`.
+    pub fn write_func_path(&self, m: &Module, out: &mut String) {
+        m.nodes.write_func_path(m.source(), self, out);
     }
 
     /// Renders the expression back to approximate source text: names and
@@ -1014,8 +1026,13 @@ impl Expr {
     /// `f(a, k=v)`, `a + b`, or the degraded text.
     pub fn to_text(&self, m: &Module) -> String {
         let mut out = String::new();
-        m.nodes.write_text(m.source(), self, &mut out);
+        self.write_text(m, &mut out);
         out
+    }
+
+    /// Appends [`Expr::to_text`]'s text to `out`.
+    pub fn write_text(&self, m: &Module, out: &mut String) {
+        m.nodes.write_text(m.source(), self, out);
     }
 
     fn rebased(self, s: &Shift) -> Expr {

@@ -124,8 +124,10 @@ fn sentinel<'src>(tokens: &[SpannedToken<'src>]) -> SpannedToken<'src> {
 const MAX_BLOCK_DEPTH: usize = 128;
 
 /// Maximum expression nesting (parentheses, call arguments, unary
-/// chains) before degrading to [`Expr::Other`]. A file of 100k `(` bytes
-/// must not overflow the stack.
+/// chains, operator spines, attribute/call/subscript chains) before
+/// degrading to [`Expr::Other`]. A file of 100k `(` bytes, or of one
+/// 64k-term `+` or `.b` chain, must not overflow the stack of the parser
+/// or of anything that walks its tree.
 const MAX_EXPR_DEPTH: usize = 96;
 
 /// Keywords that open a [`Stmt::Block`].
@@ -768,24 +770,49 @@ impl<'a, 'src> Parser<'a, 'src> {
 
     // ---- expressions ----
 
+    /// The binary operator the next token is, if it is one.
+    fn binary_op(&self) -> Option<&'static str> {
+        match self.peek() {
+            TokenKind::Op(
+                o @ ("+" | "-" | "*" | "/" | "%" | "//" | "**" | "|" | "&" | "^" | "==" | "!="
+                | "<" | ">" | "<=" | ">=" | ">>" | "<<"),
+            ) => Some(o),
+            TokenKind::Ident(w) => WORD_OPS.iter().find(|op| *op == w).copied(),
+            _ => None,
+        }
+    }
+
+    /// An operator spine. Each link nests the tree one level deeper, so it
+    /// counts toward [`MAX_EXPR_DEPTH`] like a parenthesis; past the cap
+    /// the whole expression degrades to one [`Expr::Other`] whose
+    /// remaining operands are parsed one at a time and rendered flat.
     fn expression(&mut self) -> ExprId {
+        let (mark, depth) = (self.mark(), self.expr_depth);
         let mut left = self.unary();
-        loop {
-            let op = match self.peek() {
-                TokenKind::Op(
-                    o @ ("+" | "-" | "*" | "/" | "%" | "//" | "**" | "|" | "&" | "^" | "==" | "!="
-                    | "<" | ">" | "<=" | ">=" | ">>" | "<<"),
-                ) => *o,
-                TokenKind::Ident(w) => match WORD_OPS.iter().find(|op| *op == w) {
-                    Some(op) => op,
-                    None => break,
-                },
-                _ => break,
-            };
+        while let Some(op) = self.binary_op() {
+            if self.expr_depth >= MAX_EXPR_DEPTH {
+                self.expr_depth = depth;
+                left = self.other(mark, |p, text| {
+                    p.write(left, text);
+                    while let Some(op) = p.binary_op() {
+                        p.bump();
+                        text.push(' ');
+                        text.push_str(op);
+                        text.push(' ');
+                        let at = p.mark();
+                        let right = p.unary();
+                        p.write(right, text);
+                        p.b.nodes.truncate(at);
+                    }
+                });
+                break;
+            }
             self.bump();
+            self.expr_depth += 1;
             let right = self.unary();
             left = self.push(Expr::BinOp { left, op, right });
         }
+        self.expr_depth = depth;
         left
     }
 
@@ -815,13 +842,44 @@ impl<'a, 'src> Parser<'a, 'src> {
         expr
     }
 
+    /// An atom and its chain of attributes, calls and subscripts. Each
+    /// link counts toward [`MAX_EXPR_DEPTH`]; past the cap the chain
+    /// degrades to one [`Expr::Other`] with the rest of it rendered flat.
     fn postfix(&mut self) -> ExprId {
-        let mark = self.mark();
+        let (mark, depth) = (self.mark(), self.expr_depth);
         let mut expr = self.atom();
-        loop {
-            match self.peek() {
+        while matches!(self.peek(), TokenKind::Op("." | "(" | "[")) {
+            if self.expr_depth >= MAX_EXPR_DEPTH {
+                self.expr_depth = depth;
+                expr = self.other(mark, |p, text| {
+                    p.write(expr, text);
+                    while let TokenKind::Op(open @ ("." | "(" | "[")) = p.peek() {
+                        p.bump();
+                        text.push_str(open);
+                        match *open {
+                            "." => match p.peek() {
+                                TokenKind::Ident(attr) => {
+                                    text.push_str(attr);
+                                    p.bump();
+                                }
+                                _ => break,
+                            },
+                            "(" => {
+                                p.render_balanced(text, "(", ")");
+                                text.push(')');
+                            }
+                            _ => {
+                                p.render_balanced(text, "[", "]");
+                                text.push(']');
+                            }
+                        }
+                    }
+                });
+                break;
+            }
+            self.expr_depth += 1;
+            match self.bump().kind() {
                 TokenKind::Op(".") => {
-                    self.bump();
                     if let TokenKind::Ident(_) = self.peek() {
                         let attr = span(self.bump());
                         expr = self.push(Expr::Attribute { value: expr, attr });
@@ -830,12 +888,10 @@ impl<'a, 'src> Parser<'a, 'src> {
                     }
                 }
                 TokenKind::Op("(") => {
-                    self.bump();
                     let args = self.call_args();
                     expr = self.push(Expr::Call { func: expr, args });
                 }
-                TokenKind::Op("[") => {
-                    self.bump();
+                _ => {
                     expr = self.other(mark, |p, text| {
                         p.write(expr, text);
                         text.push('[');
@@ -843,9 +899,9 @@ impl<'a, 'src> Parser<'a, 'src> {
                         text.push(']');
                     });
                 }
-                _ => break,
             }
         }
+        self.expr_depth = depth;
         expr
     }
 
@@ -1462,6 +1518,37 @@ mod tests {
         ] {
             let m = parse_module(&src);
             assert!(!m.body.is_empty());
+        }
+    }
+
+    #[test]
+    fn operator_spines_and_postfix_chains_nest_no_deeper_than_the_cap() {
+        fn depth(m: &Module, id: ExprId) -> usize {
+            1 + match *m.expr(id) {
+                Expr::Attribute { value, .. } => depth(m, value),
+                Expr::Call { func, args } => m
+                    .args(args)
+                    .iter()
+                    .map(|a| depth(m, a.value))
+                    .fold(depth(m, func), usize::max),
+                Expr::BinOp { left, right, .. } => depth(m, left).max(depth(m, right)),
+                _ => 0,
+            }
+        }
+        let n = 64_000;
+        for link in [" + 'a'", ".b", "()", ".strip()", "[0]"] {
+            for src in [
+                format!("x = a{}\n", link.repeat(n)),
+                format!("x = f(a{})\n", link.repeat(n)),
+            ] {
+                let m = parse_module(&src);
+                let Stmt::Assign { value, .. } = top(&m, 0) else {
+                    panic!("{link}");
+                };
+                assert!(depth(&m, value) <= MAX_EXPR_DEPTH + 2, "{link}");
+                // The rest of the chain stays visible, as text.
+                assert!(m.expr(value).to_text(&m).len() >= 2 * n, "{link}");
+            }
         }
     }
 

@@ -31,6 +31,7 @@ use pysrc::{CutPoint, Donor, Module, SpannedToken, StringTable, Token, TokenKind
 use yara_engine::{FileHits, Scanner};
 
 use crate::cache::DigestKey;
+use crate::metrics::Stage;
 use crate::request::FileEntry;
 
 /// How a decoded layer was recovered from its source literal.
@@ -177,6 +178,7 @@ impl FileAnalysis {
     /// run, is the only place in the scan path that lexes, parses, decodes
     /// or byte-scans file content; everything downstream consumes it.
     pub fn build(entry: &FileEntry, scanner: Option<&Scanner<'_>>, cfg: &ArtifactConfig) -> Self {
+        let _outer = Stage::nested();
         if !entry.is_python() {
             return Self::finish(entry, Default::default(), scanner, cfg);
         }
@@ -217,6 +219,7 @@ impl FileAnalysis {
         let cut_at = |offset| cuts.binary_search_by_key(&offset, |c| c.at).ok();
         let (start, end) = (cut_at(w), cut_at(e_old));
 
+        Stage::Lex.enter();
         let lexed = pysrc::lex_window(text, w, e_new);
         let mut tokens = lexed.tokens;
         if end.is_some() {
@@ -249,6 +252,7 @@ impl FileAnalysis {
             window_start: w,
             suffix_from: end.map(|_| e_old),
         });
+        Stage::Parse.enter();
         let module = pysrc::parse_spliced(text, &tokens, donor);
 
         // The donor's literal occurrences outside the window carry over,
@@ -263,7 +267,9 @@ impl FileAnalysis {
         let line_delta = suffix_from.map_or(0, |_| {
             count_newlines(&new[w..e_new]) as isize - count_newlines(&old[w..e_old]) as isize
         });
+        Stage::Intern.enter();
         let strings = table.spliced(lw, &tokens, suffix_from, line_delta)?;
+        Stage::Assemble.enter();
         let marker = |kind, start| SpannedToken {
             token: Token {
                 kind,
@@ -300,18 +306,25 @@ impl FileAnalysis {
         cfg: &ArtifactConfig,
     ) -> Self {
         let bytes = entry.shared_bytes();
+        Stage::Decode.enter();
         let mut layers = decode_layers(&strings, cfg);
         let taint = match (&module, cfg.dataflow) {
-            (Some(m), true) => Some(dataflow::analyze(m)),
+            (Some(m), true) => {
+                Stage::Taint.enter();
+                Some(dataflow::analyze(m))
+            }
             _ => None,
         };
         if let Some(summary) = &taint {
+            Stage::Decode.enter();
             fold_layers(&mut layers, &strings, summary, cfg);
         }
+        Stage::Hits.enter();
         let yara_hits = scanner.map(|s| s.collect_hits(&bytes));
         let layer_hits = scanner.map_or_else(Vec::new, |s| {
             layers.iter().map(|l| s.collect_hits(&l.data)).collect()
         });
+        Stage::Assemble.enter();
         FileAnalysis {
             digest: entry.digest(),
             bytes,
@@ -390,6 +403,7 @@ impl FileAnalysis {
         if !entry.is_python() || !sibling.is_python || sibling.module.is_none() {
             return None;
         }
+        let _outer = Stage::nested();
         let bytes = entry.shared_bytes();
         let new_text = std::str::from_utf8(&bytes).ok()?;
         let old_text = std::str::from_utf8(&sibling.bytes).ok()?;

@@ -118,7 +118,7 @@ mod sync {
 pub use artifact::{ArtifactConfig, DecodedLayer, FileAnalysis, LayerEncoding, LazyModule};
 pub use cache::DigestKey;
 pub use hub::{HubConfig, ScanHub};
-pub use metrics::{HubStats, LatencyStat, StageLatencies, StageNanos};
+pub use metrics::{HubStats, LatencyStat, Stage, StageLatencies, StageNanos};
 pub use prefilter::{
     ChangedRule, DeltaKind, PrefilterIndex, PrefilterScratch, Routing, RuleDelta, RuleEngine,
 };

@@ -14,6 +14,7 @@
 //! export time. (The three occupancy gauges that are not `HubStats`
 //! fields are listed there, their only use.)
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -416,21 +417,123 @@ impl StageNanos {
     }
 }
 
+/// The serving step a thread is in, kept in one thread-local byte for
+/// allocation accounting: a counting allocator books each allocation to
+/// [`Stage::current`]. Every lap of a stage clock and every step of an
+/// artifact build sets it, with telemetry on or off; setting it reads no
+/// clock and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Stage {
+    /// Outside any step below: between jobs, or not a worker.
+    Idle,
+    /// Artifact lookups, claims and bookkeeping around the build steps.
+    Artifact,
+    /// Lexing a file or a splice window.
+    Lex,
+    /// Parsing the tokens into a module.
+    Parse,
+    /// Interning the string-literal table.
+    Intern,
+    /// Decoding payload layers, folded layers included.
+    Decode,
+    /// The taint analysis.
+    Taint,
+    /// The ruleset's string hits on bytes and layers.
+    Hits,
+    /// Cut points and the artifact itself.
+    Assemble,
+    /// Publishing an artifact to the store and the retro index.
+    Publish,
+    /// Prefilter routing.
+    Prefilter,
+    /// YARA condition evaluation.
+    Yara,
+    /// Decoded-layer condition evaluation.
+    Layers,
+    /// The Semgrep walk.
+    Semgrep,
+    /// Taint-flow aggregation into the verdict.
+    Dataflow,
+    /// Verdict assembly.
+    Verdict,
+    /// The verdict-cache insert, the trace and the ticket.
+    Complete,
+}
+
+thread_local! {
+    // Const-initialised and without a destructor, so an allocator may
+    // read it.
+    static STAGE: Cell<Stage> = const { Cell::new(Stage::Idle) };
+}
+
+impl Stage {
+    /// Every stage, in declaration order (`ALL[s as usize] == s`).
+    pub const ALL: [Stage; 17] = [
+        Stage::Idle,
+        Stage::Artifact,
+        Stage::Lex,
+        Stage::Parse,
+        Stage::Intern,
+        Stage::Decode,
+        Stage::Taint,
+        Stage::Hits,
+        Stage::Assemble,
+        Stage::Publish,
+        Stage::Prefilter,
+        Stage::Yara,
+        Stage::Layers,
+        Stage::Semgrep,
+        Stage::Dataflow,
+        Stage::Verdict,
+        Stage::Complete,
+    ];
+
+    /// The stage this thread is in ([`Stage::Idle`] on a thread being
+    /// torn down).
+    pub fn current() -> Stage {
+        STAGE.try_with(Cell::get).unwrap_or(Stage::Idle)
+    }
+
+    /// Enters this stage.
+    pub(crate) fn enter(self) {
+        let _ = STAGE.try_with(|s| s.set(self));
+    }
+
+    /// A scope for steps nested in the current stage, which the thread
+    /// re-enters when the scope drops.
+    pub(crate) fn nested() -> StageScope {
+        StageScope(Stage::current())
+    }
+}
+
+/// See [`Stage::nested`].
+pub(crate) struct StageScope(Stage);
+
+impl Drop for StageScope {
+    fn drop(&mut self) {
+        self.0.enter();
+    }
+}
+
 /// One `Instant` origin for a chain of sequential stage measurements;
-/// `lap` returns the nanoseconds since the previous lap. Reads **no
-/// clock at all** when telemetry is disabled (every lap is 0).
+/// `lap` returns the nanoseconds since the previous lap and enters the
+/// next [`Stage`]. Reads **no clock at all** when telemetry is disabled
+/// (every lap is 0).
 pub(crate) struct StageClock {
     last: Option<Instant>,
 }
 
 impl StageClock {
-    pub fn start(enabled: bool) -> Self {
+    pub fn start(enabled: bool, stage: Stage) -> Self {
+        stage.enter();
         StageClock {
             last: enabled.then(Instant::now),
         }
     }
 
-    pub fn lap(&mut self) -> u64 {
+    pub fn lap(&mut self, next: Stage) -> u64 {
+        next.enter();
         match &mut self.last {
             None => 0,
             Some(last) => {

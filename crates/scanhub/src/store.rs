@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use crate::artifact::FileAnalysis;
 use crate::cache::{ArtifactCache, DigestKey};
-use crate::metrics::StageClock;
+use crate::metrics::{Stage, StageClock};
 use crate::request::FileEntry;
 use crate::retrohunt::{GramScratch, RetroIndex};
 use crate::sync::{Condvar, Mutex, MutexGuard};
@@ -88,11 +88,13 @@ impl BuildClaim<'_> {
         grams: &mut GramScratch,
         timed: bool,
     ) -> u64 {
-        let mut clock = StageClock::start(timed && self.store.retro.is_some());
+        let _outer = Stage::nested();
+        let mut clock = StageClock::start(timed && self.store.retro.is_some(), Stage::Publish);
         if self.store.retro.is_some() {
             grams.collect(artifact);
         }
-        let ns = clock.lap() + self.store.publish(self.entry, artifact, grams, &mut clock);
+        let ns =
+            clock.lap(Stage::Publish) + self.store.publish(self.entry, artifact, grams, &mut clock);
         self.published = true;
         ns
     }
@@ -183,14 +185,14 @@ impl ArtifactStore {
         drop(guard);
         self.resolved.notify_all();
         // The cache insert is not index work: restart the lap.
-        clock.lap();
+        clock.lap(Stage::Publish);
         if let Some(mut retro) = retro {
             for digest in &evicted {
                 retro.remove(digest);
             }
             retro.insert_collected(grams);
         }
-        clock.lap()
+        clock.lap(Stage::Publish)
     }
 
     fn abandon(&self, digest: &DigestKey) {

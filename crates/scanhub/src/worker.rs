@@ -11,7 +11,7 @@ use yara_engine::{FileHits, ScanScratch, Scanner};
 
 use crate::artifact::{DecodedLayer, FileAnalysis};
 use crate::hub::Shared;
-use crate::metrics::{HubCounters, StageClock, StageNanos};
+use crate::metrics::{HubCounters, Stage, StageClock, StageNanos};
 use crate::prefilter::{PrefilterScratch, Routing};
 use crate::request::ScanRequest;
 use crate::retrohunt::GramScratch;
@@ -102,6 +102,7 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
                     .fulfill(Err(format!("scan worker panicked: {msg}")));
             }
         }
+        Stage::Idle.enter();
     }
 }
 
@@ -147,9 +148,9 @@ fn gather_artifacts(
         // count neither as relexes nor as fallbacks.
         let donor = claim.as_ref().and_then(|claim| claim.donor.as_ref());
         let spliced = donor.and_then(|sibling| {
-            let mut clock = StageClock::start(timing);
+            let mut clock = StageClock::start(timing, Stage::Artifact);
             let result = FileAnalysis::build_spliced(entry, sibling, scanner, cfg);
-            stages.splice += clock.lap();
+            stages.splice += clock.lap(Stage::Artifact);
             if result.is_none() && sibling.is_python {
                 HubCounters::add(&c.splice_fallbacks, 1);
             }
@@ -202,7 +203,7 @@ fn scan_job(
     scratch: &mut WorkerScratch,
     request: &ScanRequest,
 ) -> (Verdict, StageNanos) {
-    let mut clock = StageClock::start(shared.telemetry.enabled);
+    let mut clock = StageClock::start(shared.telemetry.enabled, Stage::Artifact);
     let mut stages = StageNanos::default();
     let c = &shared.counters;
     let WorkerScratch {
@@ -221,7 +222,7 @@ fn scan_job(
     // artifact cache makes a re-uploaded package version re-analyze only
     // its changed files.
     gather_artifacts(shared, scanner, request, artifacts, grams, &mut stages);
-    stages.artifact = clock.lap();
+    stages.artifact = clock.lap(Stage::Prefilter);
     // Phase 2: route the package from the artifacts. This reads bytes
     // again: every file's raw bytes and every decoded layer go through
     // the prefilter automaton on every request, artifact-cache hits
@@ -233,7 +234,7 @@ fn scan_job(
     } else {
         shared.index.route_all_into(routing);
     }
-    stages.prefilter = clock.lap();
+    stages.prefilter = clock.lap(Stage::Yara);
     let total_len = request.scan_len();
     HubCounters::add(&c.bytes_scanned, total_len as u64);
 
@@ -261,7 +262,7 @@ fn scan_job(
             for hit in hits {
                 verdict.yara.push(hit.rule);
             }
-            stages.yara = clock.lap();
+            stages.yara = clock.lap(Stage::Layers);
             for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
                 for (layer, layer_hits) in artifact.layers.iter().zip(&artifact.layer_hits) {
                     layer_findings(
@@ -276,11 +277,12 @@ fn scan_job(
                     );
                 }
             }
-            stages.layers = clock.lap();
+            stages.layers = clock.lap(Stage::Semgrep);
         }
     }
     // Phase 4: Semgrep — one anchored walk per cached module; nothing on
     // this path parses Python or pattern text.
+    Stage::Semgrep.enter();
     if let Some(matcher) = matcher {
         let routed = routing.semgrep_routed();
         count(&c.semgrep_rules_evaluated, routed);
@@ -309,7 +311,7 @@ fn scan_job(
             }
             HubCounters::add(&c.semgrep_stmts_visited, stmts_visited);
             verdict.semgrep = ids.drain().collect();
-            stages.semgrep = clock.lap();
+            stages.semgrep = clock.lap(Stage::Dataflow);
         }
     }
     // Phase 5: behavior engine — aggregate the cached per-file taint
@@ -317,6 +319,7 @@ fn scan_job(
     // artifact work (exactly once per unique digest); this stage only
     // copies flows out, so its warm cost is proportional to findings,
     // not file content.
+    Stage::Dataflow.enter();
     if shared.artifact_config.dataflow {
         for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
             let Some(summary) = &artifact.taint else {
@@ -329,12 +332,13 @@ fn scan_job(
                 });
             }
         }
-        stages.dataflow = clock.lap();
+        stages.dataflow = clock.lap(Stage::Verdict);
     }
     // Drop the artifact handles so cache eviction can actually free.
+    Stage::Verdict.enter();
     artifacts.clear();
     verdict.normalize();
-    stages.verdict = clock.lap();
+    stages.verdict = clock.lap(Stage::Complete);
     (verdict, stages)
 }
 

@@ -2,10 +2,13 @@
 //!
 //! Allocation counts repeat to the bit where timings do not, so they are
 //! what a tier-1 test can hold the lexer, the parser, the taint engine,
-//! the YARA scanner, a whole artifact build and the Semgrep walk to. This binary installs its own counting `#[global_allocator]`; each
-//! thread counts into its own thread-local, so tests running in parallel
-//! do not see each other's allocations. A `realloc` counts as one allocation, as in
-//! the benchmark's counter (`benchmark/src/alloc.rs`).
+//! the YARA scanner, a whole artifact build and the Semgrep walk to. This
+//! binary installs its own counting `#[global_allocator]`; each thread
+//! counts into its own thread-locals, so tests running in parallel do not
+//! see each other's allocations. A `realloc` counts as one allocation, as
+//! in the benchmark's counter (`benchmark/src/alloc.rs`). Each allocation
+//! is also booked to the [`Stage`] its thread is in, so a budget can name
+//! the step of an artifact build that broke it.
 //!
 //! Every budget runs over the files of the tiny corpus and of its
 //! aggressive mutants (seed 42): the front end's over their Python files,
@@ -22,21 +25,26 @@ use corpus::{mutate_dataset, CorpusConfig, Dataset};
 use obfuscate::EvasionProfile;
 use oss_registry::Package;
 use pysrc::TokenKind;
-use scanhub::{ArtifactConfig, FileAnalysis, FileEntry, ScanRequest};
+use scanhub::{ArtifactConfig, FileAnalysis, FileEntry, ScanRequest, Stage};
 use semgrep_engine::{CompiledSemgrepRules, MatchScratch, MatchSet};
 use yara_engine::{CompiledRules, Scanner};
 
 struct Counting;
 
+const STAGES: usize = Stage::ALL.len();
+
 thread_local! {
     // Const-initialised and without a destructor: touching it from inside
     // the allocator neither allocates nor registers anything.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BY_STAGE: [Cell<u64>; STAGES] = const { [const { Cell::new(0) }; STAGES] };
 }
 
 fn record() {
     // A thread being torn down has no slot left; its calls go uncounted.
     let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let stage = Stage::current() as usize;
+    let _ = BY_STAGE.try_with(|ledger| ledger[stage].set(ledger[stage].get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -75,6 +83,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = CALLS.with(Cell::get);
     let out = f();
     (out, CALLS.with(Cell::get) - before)
+}
+
+/// The allocations this thread made while running `f`, by stage.
+fn ledger(f: impl FnOnce()) -> [u64; STAGES] {
+    let read = || BY_STAGE.with(|ledger| ledger.each_ref().map(Cell::get));
+    let before = read();
+    f();
+    let after = read();
+    std::array::from_fn(|i| after[i] - before[i])
 }
 
 /// Every package of the tiny corpus and its aggressive mutants.
@@ -190,22 +207,74 @@ fn a_parse_allocates_its_tree_not_its_text() {
     assert!(total <= BUDGET, "parse_module made {total} allocations");
 }
 
-/// `dataflow::analyze` over the corpus stays within the allocations this
-/// engine was measured at: 70 026. It made 181 247 while it
-/// re-lexed and re-parsed every block header's rendered text (110 338 of
-/// them), and the engine at commit 705df2b — which cloned every constant
-/// it evaluated, cloned the whole scope at each `def` and lexed every
-/// header into owned token text — made 589 277 on the same files.
+/// A warm `dataflow::analyze` allocates the summary it returns and
+/// nothing else: over the corpus, exactly as many allocations as cloning
+/// the summaries takes, none for a module whose summary is empty, and the
+/// same count for a module of 40 call statements as for one of 320. The
+/// engine builds in scratch its thread keeps, grown here by a first pass.
+/// It made 70 026 allocations over these files when each call collected
+/// its argument values in a fresh vector, each binding copied its taint
+/// chain and each fold built its own string; 181 247 while it re-lexed and
+/// re-parsed every block header's rendered text; and 589 277 at commit
+/// 705df2b, which cloned every constant it evaluated, cloned the whole
+/// scope at each `def` and lexed every header into owned token text.
 #[test]
 fn the_taint_engine_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 71_000;
-    let mut total = 0u64;
-    for src in python_sources() {
-        let module = pysrc::parse_module(&src);
-        total += counted(|| dataflow::analyze(&module)).1;
+    let modules: Vec<pysrc::Module> = python_sources()
+        .iter()
+        .map(|src| pysrc::parse_module(src))
+        .collect();
+    for module in &modules {
+        dataflow::analyze(module);
     }
-    println!("analyze made {total} allocations");
-    assert!(total <= BUDGET, "analyze made {total} allocations");
+    let (mut total, mut empty) = (0u64, 0usize);
+    for module in &modules {
+        let (summary, calls) = counted(|| dataflow::analyze(module));
+        let (_, own) = counted(|| summary.clone());
+        assert_eq!(calls, own, "{summary:?}");
+        total += calls;
+        empty += usize::from(calls == 0);
+    }
+    println!(
+        "analyze made {total} allocations over {} modules, none for {empty}",
+        modules.len()
+    );
+    // Vacuity guard: some summaries are empty and some are not.
+    assert!(
+        empty > 0 && total > 0,
+        "{empty} empty summaries, {total} allocations"
+    );
+    let calls = |n: usize| {
+        let mut src = String::from("import os, requests\nc = requests.get('http://x').text\n");
+        src.push_str(&"os.system(c + 'x')\n".repeat(n));
+        let module = pysrc::parse_module(&src);
+        dataflow::analyze(&module);
+        counted(|| dataflow::analyze(&module)).1
+    };
+    assert_eq!(calls(40), calls(320));
+}
+
+/// A thread keeps its parse arrays and its taint scratch between calls
+/// unless a call grew them past 4 MiB; then they are freed, and the next
+/// call allocates them again.
+#[test]
+fn a_scratch_grown_past_four_mib_is_freed() {
+    let small = "import os\nx = input()\nos.system(x)\n";
+    let big: String = (0..100_000).map(|i| format!("v{i} = w{i}\n")).collect();
+    let parse = |src: &str| counted(|| pysrc::parse_module(src)).1;
+    parse(small);
+    let warm = parse(small);
+    parse(&big);
+    assert!(parse(small) > warm, "the parse arrays were kept");
+    assert_eq!(parse(small), warm);
+
+    let (small, big) = (pysrc::parse_module(small), pysrc::parse_module(&big));
+    let analyze = |module: &pysrc::Module| counted(|| dataflow::analyze(module)).1;
+    analyze(&small);
+    let warm = analyze(&small);
+    analyze(&big);
+    assert!(analyze(&small) > warm, "the taint scratch was kept");
+    assert_eq!(analyze(&small), warm);
 }
 
 /// A warmed scanner keeps its offset scratch and its regex machines, so
@@ -237,16 +306,17 @@ fn a_warm_collect_hits_allocates_only_its_hits() {
 }
 
 /// `FileAnalysis::build` with a warmed scanner, over every upload file,
-/// stays within the allocations it was measured at: 98 517 for the lex,
+/// stays within the allocations it was measured at: 32 727 for the lex,
 /// parse, intern, decode, taint and YARA passes of every file together,
-/// its parse arrays grown by a first pass as the scanner is warmed.
-/// With a boxed tree (commit 3628db6) the same builds made 304 968, and
-/// at commit 05c0f47, where each scan unit also got a fresh offset
-/// scratch, Pike VM and lazy DFA and the decoder cloned every literal into
-/// its queue, 369 384.
+/// its parse arrays and taint scratch grown by a first pass as the scanner
+/// is warmed. While the taint engine allocated per call, binding and fold
+/// the same builds made 98 517; with a boxed tree as well (commit 3628db6),
+/// 304 968; and at commit 05c0f47, where each scan unit also got a fresh
+/// offset scratch, Pike VM and lazy DFA and the decoder cloned every
+/// literal into its queue, 369 384.
 #[test]
 fn an_artifact_build_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 101_500;
+    const BUDGET: u64 = 33_500;
     let entries = upload_entries();
     let scanner = warmed_scanner(&entries);
     let config = ArtifactConfig::default();
@@ -339,4 +409,79 @@ fn a_warm_semgrep_walk_stays_within_its_allocation_budget() {
         modules.len()
     );
     assert!(total <= BUDGET, "the Semgrep walk made {total} allocations");
+}
+
+/// The allocations of one cold package's artifact builds and of one
+/// one-line splice, each booked to the build step it was made in, stay
+/// within that step's budget; a failure names the step. Scanner, parse
+/// arrays and taint scratch are warmed first, as a worker's are. Cold, the
+/// taint step allocates only the package's summaries; a splice re-runs it,
+/// and the decode and hits steps, over the whole file.
+#[test]
+fn each_build_step_stays_within_its_allocation_budget() {
+    let check = |what: &str, spent: [u64; STAGES], budgets: &[(Stage, u64)]| {
+        println!("{what}: {spent:?}");
+        for (stage, spent) in Stage::ALL.into_iter().zip(spent) {
+            let budget = budgets.iter().find(|b| b.0 == stage).map_or(0, |b| b.1);
+            assert!(
+                spent <= budget,
+                "{what}: the {stage:?} step made {spent} allocations, over its budget of {budget}"
+            );
+        }
+    };
+    let entries = upload_entries();
+    let scanner = warmed_scanner(&entries);
+    let config = ArtifactConfig::default();
+    for entry in &entries {
+        FileAnalysis::build(entry, Some(&scanner), &config);
+    }
+    let package = ScanRequest::from_package(&packages()[0]);
+    let cold = ledger(|| {
+        for entry in package.files() {
+            FileAnalysis::build(entry, Some(&scanner), &config);
+        }
+    });
+    check(
+        "a cold package",
+        cold,
+        &[
+            (Stage::Lex, 4),
+            (Stage::Parse, 22),
+            (Stage::Intern, 46),
+            (Stage::Decode, 5),
+            (Stage::Taint, 9),
+            (Stage::Hits, 17),
+            (Stage::Assemble, 3),
+        ],
+    );
+
+    let code = |bump: &str| -> Vec<u8> {
+        let line = |i: usize| {
+            format!(
+                "v{i} = os.getenv('K{i}'){}\n",
+                if i == 20 { bump } else { "" }
+            )
+        };
+        let body: String = (0..40).map(line).collect();
+        (body + "os.system(v20)\n").into_bytes()
+    };
+    let donor = FileAnalysis::build(&FileEntry::new("mod.py", code("")), Some(&scanner), &config);
+    let bumped = FileEntry::new("mod.py", code(" + 'x'"));
+    let splice = ledger(|| {
+        let spliced = FileAnalysis::build_spliced(&bumped, &donor, Some(&scanner), &config);
+        assert!(spliced.is_some(), "the splice fell back");
+    });
+    check(
+        "a one-line splice",
+        splice,
+        &[
+            (Stage::Lex, 1),
+            (Stage::Parse, 9),
+            (Stage::Intern, 58),
+            (Stage::Decode, 3),
+            (Stage::Taint, 9),
+            (Stage::Hits, 5),
+            (Stage::Assemble, 2),
+        ],
+    );
 }

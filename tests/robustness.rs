@@ -301,6 +301,47 @@ fn scanhub_decoded_layer_smoke() {
     assert_eq!(seeing.yara, blind.yara);
 }
 
+/// A hostile upload costs one verdict, not the hub. An operator spine or
+/// an attribute, call or method chain of 64 000 links used to recurse once
+/// per link in the parser, the taint engine or a later stage, and a stack
+/// overflow on a worker thread aborts the whole process. Past the parser's
+/// depth cap the rest of such an expression is flat text, so a default hub
+/// with the generated YARA and Semgrep rules answers each upload and then
+/// serves the next benign one.
+#[test]
+fn hostile_expression_chains_cost_one_verdict_not_the_hub() {
+    let dataset = Dataset::generate(&CorpusConfig::tiny());
+    let packages: Vec<&Package> = dataset
+        .unique_malware()
+        .into_iter()
+        .map(|m| &m.package)
+        .collect();
+    let output = Pipeline::new(PipelineConfig::full()).run(&packages);
+    let (yara, semgrep) = eval::experiments::compile_output(&output);
+    let hub = ScanHub::new(Some(yara), Some(semgrep), HubConfig::default());
+    let upload = |name: &str, setup: String| {
+        let pkg = Package::new(
+            PackageMetadata::new(name, "1.0"),
+            vec![SourceFile::new("setup.py", setup)],
+            Ecosystem::PyPi,
+        );
+        hub.submit(ScanRequest::from_package(&pkg)).wait()
+    };
+    let links = 64_000;
+    for (name, head, link) in [
+        ("spine", "x = 'aaaaaaaa'", " + 'aaaaaaaa'"),
+        ("attributes", "a", ".b"),
+        ("calls", "f", "()"),
+        ("methods", "'a'", ".strip()"),
+    ] {
+        let verdict = upload(name, format!("{head}{}\n", link.repeat(links)));
+        assert!(!verdict.from_cache, "{name}");
+    }
+    let benign = upload("benign", "VERSION = '1.0'\n".to_owned());
+    assert!(!benign.from_cache && benign.flows.is_empty(), "{benign:?}");
+    assert_eq!(hub.stats().completed, 5);
+}
+
 /// Obfuscating the obfuscated: the engine applied to its own output must
 /// still produce parsable code the pipeline accepts (attackers iterate).
 #[test]

@@ -40,3 +40,33 @@ fn analyze_output_is_pinned() {
     }
     assert_eq!(acc, TAINT_DIGEST, "taint digest is now {acc:#018x}");
 }
+
+/// The engine keeps its scratch per thread between calls, so a summary
+/// must not depend on what ran on the thread before: every module's
+/// summary is the same in forward order, in reverse order, and on a
+/// fresh thread.
+#[test]
+fn summaries_do_not_depend_on_what_ran_before() {
+    let base = Dataset::generate(&CorpusConfig::tiny());
+    let mutants = mutate_dataset(&base, &EvasionProfile::aggressive(), 42);
+    let modules: Vec<pysrc::Module> = [&base, &mutants]
+        .iter()
+        .flat_map(|d| {
+            let malware = d.malware.iter().map(|m| &m.package);
+            malware.chain(d.legit.iter().map(|l| &l.package))
+        })
+        .flat_map(|p| p.files().iter().filter(|f| f.path.ends_with(".py")))
+        .map(|f| pysrc::parse_module(&f.contents))
+        .collect();
+    let forward: Vec<_> = modules.iter().map(dataflow::analyze).collect();
+    let mut reverse: Vec<_> = modules.iter().rev().map(dataflow::analyze).collect();
+    reverse.reverse();
+    assert!(forward == reverse, "reverse order changed a summary");
+    let fresh = std::thread::scope(|s| {
+        s.spawn(|| modules.iter().map(dataflow::analyze).collect::<Vec<_>>())
+            .join()
+            .expect("analysis thread")
+    });
+    assert!(forward == fresh, "a fresh thread changed a summary");
+    assert!(forward.iter().any(|s| !s.flows.is_empty()));
+}
