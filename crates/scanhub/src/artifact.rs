@@ -94,24 +94,6 @@ impl Default for ArtifactConfig {
     }
 }
 
-impl ArtifactConfig {
-    /// A config with decoding disabled; folded layers are still built.
-    pub fn without_layers() -> Self {
-        ArtifactConfig {
-            max_decode_depth: 0,
-            ..ArtifactConfig::default()
-        }
-    }
-
-    /// A config with the taint/fold stage disabled.
-    pub fn without_dataflow() -> Self {
-        ArtifactConfig {
-            dataflow: false,
-            ..ArtifactConfig::default()
-        }
-    }
-}
-
 /// The parse-once, content-addressed analysis of one file.
 ///
 /// Everything here is a pure function of `(file bytes, python-ness,
@@ -739,7 +721,10 @@ mod tests {
         let a = FileAnalysis::build(
             &entry("mod.py", &format!("blob = '{payload}'\n")),
             None,
-            &ArtifactConfig::without_layers(),
+            &ArtifactConfig {
+                max_decode_depth: 0,
+                ..ArtifactConfig::default()
+            },
         );
         assert!(a.layers.is_empty());
     }
@@ -786,7 +771,10 @@ mod tests {
         let off = FileAnalysis::build(
             &entry("mod.py", "x = 1\n"),
             None,
-            &ArtifactConfig::without_dataflow(),
+            &ArtifactConfig {
+                dataflow: false,
+                ..ArtifactConfig::default()
+            },
         );
         assert!(off.taint.is_none());
     }

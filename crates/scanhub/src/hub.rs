@@ -5,14 +5,13 @@
 
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use semgrep_engine::CompiledSemgrepRules;
 use yara_engine::CompiledRules;
 
 use crate::artifact::ArtifactConfig;
 use crate::cache::VerdictCache;
-use crate::metrics::{HubCounters, HubStats, HubTelemetry, StageNanos};
+use crate::metrics::{HubCounters, HubStats, HubTelemetry, Stage, StageClock};
 use crate::prefilter::PrefilterIndex;
 use crate::queue::{Job, JobQueue, Ticket};
 use crate::request::ScanRequest;
@@ -198,28 +197,12 @@ impl ScanHub {
     pub fn stats(&self) -> HubStats {
         let mut stats = self.shared.counters.snapshot();
         stats.latency = self.shared.telemetry.stages.latencies();
-        (stats.retro_index_atoms, stats.retro_index_digests) = self.retro_index_size();
-        stats.artifact_bytes_resident = self.artifact_bytes_resident();
+        if let Some(store) = &self.shared.artifacts {
+            (stats.retro_index_atoms, stats.retro_index_digests) = store.retro_size();
+            stats.artifact_bytes_resident = store.resident_bytes();
+        }
         stats.engine = textmatch::engine_counters();
         stats
-    }
-
-    /// Estimated heap bytes of every artifact resident in the artifact
-    /// cache (sum of per-artifact [`crate::FileAnalysis::stored_bytes`]);
-    /// 0 when the cache is disabled. A point-in-time gauge — capacity
-    /// bounds entry count, this reports what those entries weigh.
-    pub fn artifact_bytes_resident(&self) -> u64 {
-        let store = self.shared.artifacts.as_ref();
-        store.map_or(0, ArtifactStore::resident_bytes)
-    }
-
-    /// Current retro-index size as `(indexed terms, live digests)` —
-    /// both 0 when the index is disabled. Terms are folded content
-    /// 3-grams (the realization of atom posting lists), so the gauge
-    /// tracks index growth independent of which atoms rules use.
-    pub fn retro_index_size(&self) -> (u64, u64) {
-        let store = self.shared.artifacts.as_ref();
-        store.map_or((0, 0), ArtifactStore::retro_size)
     }
 
     /// Whether per-stage timing and trace recording are on.
@@ -290,36 +273,34 @@ impl ScanHub {
     pub fn submit(&self, request: ScanRequest) -> Ticket {
         let c = &self.shared.counters;
         let tel = &self.shared.telemetry;
-        let submitted_at = tel.enabled.then(Instant::now);
+        // The submitter's own tag is back as it was once this returns.
+        let _tag = Stage::nested();
+        // The cache stage covers digesting the request plus the verdict
+        // lookup; on a miss its lap rides along on the job and lands in
+        // the worker's trace.
+        let mut clock = StageClock::start(tel.histograms(), Stage::Cache);
         HubCounters::add(&c.submitted, 1);
         let digest = self.shared.cache.as_ref().map(|_| request.digest());
-        // The cache stage covers digesting the request plus the verdict
-        // lookup; on a miss it rides along on the job and lands in the
-        // worker's trace.
-        let mut cache_ns = 0u64;
         if let (Some(cache), Some(d)) = (&self.shared.cache, &digest) {
             let hit = cache.lock().expect("cache lock").get(d);
-            cache_ns = submitted_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
             if let Some(mut verdict) = hit {
+                clock.lap(Stage::Complete);
                 verdict.from_cache = true;
                 HubCounters::add(&c.cache_hits, 1);
                 HubCounters::add(&c.completed, 1);
-                let stages = StageNanos {
-                    cache: cache_ns,
-                    ..StageNanos::default()
-                };
-                tel.complete(submitted_at, None, Some(d), &request, &verdict, stages);
+                tel.complete(clock.stop(), None, Some(d), &request, &verdict);
                 return Ticket::ready(verdict);
             }
+            clock.lap(Stage::Queue);
+        } else {
+            Stage::Queue.enter();
         }
         let (ticket, state) = Ticket::pending();
         self.shared.queue.push(Job {
             request,
             digest,
             ticket: state,
-            submitted_at,
-            enqueued_at: None,
-            cache_ns,
+            laps: clock.stop(),
         });
         ticket
     }

@@ -5,8 +5,13 @@
 //! counter (field, exported series, help text, when `Display` shows it)
 //! and generates the live atomics, their snapshot, the [`HubStats`]
 //! fields and the rows the exporters and `Display` iterate. `stages!`
-//! lists every timed stage and generates [`StageNanos`],
-//! [`StageLatencies`], both `named()` views and the hub's histogram set.
+//! lists every stage once — a request lap (a nested one names its
+//! parent), a hub sample, or a build step that only tags the allocation
+//! ledger — and generates [`Stage`] and `Stage::ALL`, [`StageNanos`] and
+//! its disjoint `total()`, [`StageLatencies`], both `named()` views and
+//! the hub's histogram set. Every timing on the serving path is a
+//! [`StageClock`] lap naming the stage it enters; it books the time
+//! since the previous lap into the stage the thread's tag names.
 //! Adding a counter or a stage is one table row plus its increment or
 //! lap site; the scan path itself only ever touches plain relaxed
 //! atomics and the hub's own histograms. Both exporters render the one
@@ -263,19 +268,59 @@ impl LatencyStat {
 }
 
 macro_rules! stages {
+    // A lap nested in a parent lap is already inside it, so only the
+    // others add up to `StageNanos::total`.
+    (@disjoint $ns:expr) => { $ns };
+    (@disjoint $ns:expr, $parent:ident) => { 0 };
     (
-        request { $($(#[$rdoc:meta])* $req:ident,)* }
-        hub { $($(#[$hdoc:meta])* $hub:ident,)* }
+        request { $($(#[$rdoc:meta])* $req:ident: $rvar:ident $(in $parent:ident)?,)* }
+        hub { $($(#[$hdoc:meta])* $hub:ident: $hvar:ident,)* }
+        steps { $($(#[$sdoc:meta])* $svar:ident,)* }
         wall { $(#[$wdoc:meta])* $wall:ident: $wall_series:literal, $wall_help:literal, }
     ) => {
         const REQUEST_STAGES: usize = [$(stringify!($req)),*].len();
         const ALL_STAGES: usize = REQUEST_STAGES + [$(stringify!($hub)),*].len() + 1;
+        const STAGE_TAGS: usize = ALL_STAGES - 1 + [$(stringify!($svar)),*].len();
+
+        /// The serving step a thread is in, kept in one thread-local byte.
+        /// A counting allocator books each allocation to
+        /// [`Stage::current`], and the hub books the time since its
+        /// previous stage lap to it: a request stage into the request's
+        /// [`StageNanos`], a hub stage as one histogram sample, a build
+        /// step nowhere. Setting it reads no clock and allocates nothing.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum Stage {
+            $($(#[$rdoc])* $rvar,)*
+            $($(#[$hdoc])* $hvar,)*
+            $($(#[$sdoc])* $svar,)*
+        }
+
+        impl Stage {
+            /// Every stage, in declaration order (`ALL[s as usize] == s`).
+            pub const ALL: [Stage; STAGE_TAGS] =
+                [$(Stage::$rvar,)* $(Stage::$hvar,)* $(Stage::$svar,)*];
+
+            /// Books `ns` of this stage: into its `nanos` field (and its
+            /// parent's, when nested), as one sample of its histogram, or,
+            /// for a build step, nowhere.
+            fn book(self, ns: u64, nanos: &mut StageNanos, histograms: &StageHistograms) {
+                match self {
+                    $(Stage::$rvar => {
+                        nanos.$req += ns;
+                        $(nanos.$parent += ns;)?
+                    })*
+                    $(Stage::$hvar => histograms.$hub.record(ns),)*
+                    $(Stage::$svar)|* => {}
+                }
+            }
+        }
 
         /// Wall time spent in each pipeline stage of one request, in
-        /// nanoseconds. Stages are disjoint intervals — except `splice` and
-        /// `retro_publish`, which are nested inside `artifact` and therefore
-        /// excluded from [`StageNanos::total`] — so the total is at most the
-        /// request's wall time (the property suite pins this).
+        /// nanoseconds. Stages are disjoint intervals — except the ones
+        /// nested inside a parent stage, which [`StageNanos::total`] leaves
+        /// out — so the total is at most the request's wall time (the
+        /// property suite pins this).
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct StageNanos {
             $($(#[$rdoc])* pub $req: u64,)*
@@ -285,6 +330,11 @@ macro_rules! stages {
             /// The stage names in pipeline order, paired with their values.
             pub fn named(&self) -> [(&'static str, u64); REQUEST_STAGES] {
                 [$((stringify!($req), self.$req),)*]
+            }
+
+            /// Sum over the disjoint stages (≤ the request's wall time).
+            pub fn total(&self) -> u64 {
+                0 $(+ stages!(@disjoint self.$req $(, $parent)?))*
             }
         }
 
@@ -309,11 +359,11 @@ macro_rules! stages {
             }
         }
 
-        /// One histogram per table row, owned by the hub.
+        /// One histogram per timed stage plus the wall, owned by the hub.
         #[derive(Default)]
         pub(crate) struct StageHistograms {
             $($req: Histogram,)*
-            $(pub $hub: Histogram,)*
+            $($hub: Histogram,)*
             $wall: Histogram,
         }
 
@@ -365,100 +415,72 @@ macro_rules! stages {
 
 stages! {
     request {
-        /// Time the job sat in the bounded submission queue.
-        queue,
+        /// Time the job waited to enter, and then sat in, the bounded
+        /// submission queue.
+        queue: Queue,
         /// Verdict-cache lookup (request digest included) on the submit path.
-        cache,
+        cache: Cache,
         /// Artifact get-or-build (lex, parse, string intern, layer decode,
         /// ruleset byte scan — or one cache lookup per file when warm).
-        artifact,
+        artifact: Artifact,
         /// Incremental diff-and-splice artifact builds. Nested **inside**
         /// `artifact` (a splice is one way a build resolves), so it is
         /// reported but never added to the disjoint-stage total.
-        splice,
+        splice: Splice in artifact,
         /// Retro-index maintenance for the artifacts this request published:
         /// gram collection (outside the index lock) plus eviction removals
         /// and posting (under it). Nested **inside** `artifact` like
         /// `splice`, and excluded from the total the same way.
-        retro_publish,
+        retro_publish: RetroPublish in artifact,
         /// Literal prefilter routing over bytes and decoded layers.
-        prefilter,
+        prefilter: Prefilter,
         /// YARA condition evaluation over the surface hit sets.
-        yara,
+        yara: Yara,
         /// Decoded-layer YARA evaluation (per-layer condition checks; the
         /// decode itself is artifact work).
-        layers,
+        layers: Layers,
         /// Semgrep matchset walk over the cached modules.
-        semgrep,
+        semgrep: Semgrep,
         /// Taint-flow aggregation over the cached per-file summaries (the
         /// analysis itself is artifact work, done once per digest).
-        dataflow,
+        dataflow: Dataflow,
         /// Verdict assembly (sort, dedup, normalize).
-        verdict,
+        verdict: Verdict,
     }
     hub {
         /// Retro-hunt index query (one sample per hunt).
-        retro_query,
+        retro_query: RetroQuery,
         /// Retro-hunt confirm scans (one sample per digest scanned).
-        retro_confirm,
+        retro_confirm: RetroConfirm,
+    }
+    steps {
+        /// Outside any stage: between jobs, between a hunt's confirm
+        /// scans, or not a worker.
+        Idle,
+        /// Lexing a file or a splice window.
+        Lex,
+        /// Parsing the tokens into a module.
+        Parse,
+        /// Interning the string-literal table.
+        Intern,
+        /// Decoding payload layers, folded layers included.
+        Decode,
+        /// The taint analysis.
+        Taint,
+        /// The ruleset's string hits on bytes and layers.
+        Hits,
+        /// Cut points and the artifact itself.
+        Assemble,
+        /// Publishing an artifact to the store: the cache insert, the
+        /// claim's release and the sibling registry.
+        Publish,
+        /// The verdict-cache insert, the trace and the ticket.
+        Complete,
     }
     wall {
         /// End-to-end submit-to-verdict wall time.
         scan: "scanhub_scan_duration_ns", "End-to-end submit-to-verdict wall time in nanoseconds",
     }
-}
-
-impl StageNanos {
-    /// Sum over the disjoint stages (≤ the request's wall time).
-    /// `splice` and `retro_publish` are excluded: their samples are
-    /// already inside `artifact`.
-    pub fn total(&self) -> u64 {
-        self.named().iter().map(|(_, ns)| ns).sum::<u64>() - self.splice - self.retro_publish
-    }
-}
-
-/// The serving step a thread is in, kept in one thread-local byte for
-/// allocation accounting: a counting allocator books each allocation to
-/// [`Stage::current`]. Every lap of a stage clock and every step of an
-/// artifact build sets it, with telemetry on or off; setting it reads no
-/// clock and allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Stage {
-    /// Outside any step below: between jobs, or not a worker.
-    Idle,
-    /// Artifact lookups, claims and bookkeeping around the build steps.
-    Artifact,
-    /// Lexing a file or a splice window.
-    Lex,
-    /// Parsing the tokens into a module.
-    Parse,
-    /// Interning the string-literal table.
-    Intern,
-    /// Decoding payload layers, folded layers included.
-    Decode,
-    /// The taint analysis.
-    Taint,
-    /// The ruleset's string hits on bytes and layers.
-    Hits,
-    /// Cut points and the artifact itself.
-    Assemble,
-    /// Publishing an artifact to the store and the retro index.
-    Publish,
-    /// Prefilter routing.
-    Prefilter,
-    /// YARA condition evaluation.
-    Yara,
-    /// Decoded-layer condition evaluation.
-    Layers,
-    /// The Semgrep walk.
-    Semgrep,
-    /// Taint-flow aggregation into the verdict.
-    Dataflow,
-    /// Verdict assembly.
-    Verdict,
-    /// The verdict-cache insert, the trace and the ticket.
-    Complete,
 }
 
 thread_local! {
@@ -468,34 +490,14 @@ thread_local! {
 }
 
 impl Stage {
-    /// Every stage, in declaration order (`ALL[s as usize] == s`).
-    pub const ALL: [Stage; 17] = [
-        Stage::Idle,
-        Stage::Artifact,
-        Stage::Lex,
-        Stage::Parse,
-        Stage::Intern,
-        Stage::Decode,
-        Stage::Taint,
-        Stage::Hits,
-        Stage::Assemble,
-        Stage::Publish,
-        Stage::Prefilter,
-        Stage::Yara,
-        Stage::Layers,
-        Stage::Semgrep,
-        Stage::Dataflow,
-        Stage::Verdict,
-        Stage::Complete,
-    ];
-
     /// The stage this thread is in ([`Stage::Idle`] on a thread being
     /// torn down).
     pub fn current() -> Stage {
         STAGE.try_with(Cell::get).unwrap_or(Stage::Idle)
     }
 
-    /// Enters this stage.
+    /// Enters this stage without booking the time since the last lap: a
+    /// phase that does not run hands its time to the next one that does.
     pub(crate) fn enter(self) {
         let _ = STAGE.try_with(|s| s.set(self));
     }
@@ -516,33 +518,65 @@ impl Drop for StageScope {
     }
 }
 
-/// One `Instant` origin for a chain of sequential stage measurements;
-/// `lap` returns the nanoseconds since the previous lap and enters the
-/// next [`Stage`]. Reads **no clock at all** when telemetry is disabled
-/// (every lap is 0).
-pub(crate) struct StageClock {
-    last: Option<Instant>,
+/// A request's timing between two threads: its start, its last lap and
+/// its stage laps so far.
+pub(crate) struct Laps {
+    started: Instant,
+    last: Instant,
+    nanos: StageNanos,
 }
 
-impl StageClock {
-    pub fn start(enabled: bool, stage: Stage) -> Self {
+/// The only timer of the serving path: one `Instant` origin for a chain
+/// of sequential stages. [`StageClock::lap`] books the time since the
+/// previous lap to the stage the thread is in (see [`Stage`]), then
+/// enters the next one, so the allocation ledger's tag and the timed
+/// stage are one piece of state. Untimed (telemetry off), it reads **no
+/// clock at all** and only moves the tag.
+pub(crate) struct StageClock<'h> {
+    timing: Option<(&'h StageHistograms, Laps)>,
+}
+
+impl<'h> StageClock<'h> {
+    /// Enters `stage`, timing when given the hub's histograms.
+    pub fn start(histograms: Option<&'h StageHistograms>, stage: Stage) -> Self {
+        let laps = histograms.map(|_| {
+            let now = Instant::now();
+            Laps {
+                started: now,
+                last: now,
+                nanos: StageNanos::default(),
+            }
+        });
+        Self::resume(histograms, laps, stage)
+    }
+
+    /// Enters `stage` with the laps another thread [`StageClock::stop`]ped.
+    pub fn resume(
+        histograms: Option<&'h StageHistograms>,
+        laps: Option<Laps>,
+        stage: Stage,
+    ) -> Self {
         stage.enter();
         StageClock {
-            last: enabled.then(Instant::now),
+            timing: histograms.zip(laps),
         }
     }
 
-    pub fn lap(&mut self, next: Stage) -> u64 {
-        next.enter();
-        match &mut self.last {
-            None => 0,
-            Some(last) => {
-                let now = Instant::now();
-                let ns = now.duration_since(*last).as_nanos() as u64;
-                *last = now;
-                ns
-            }
+    /// Books the time since the previous lap to the current stage, then
+    /// enters `next`.
+    pub fn lap(&mut self, next: Stage) {
+        if let Some((histograms, laps)) = &mut self.timing {
+            let now = Instant::now();
+            let ns = now.duration_since(laps.last).as_nanos() as u64;
+            laps.last = now;
+            Stage::current().book(ns, &mut laps.nanos, histograms);
         }
+        next.enter();
+    }
+
+    /// The laps so far; `None` when untimed.
+    pub fn stop(self) -> Option<Laps> {
+        self.timing.map(|(_, laps)| laps)
     }
 }
 
@@ -564,29 +598,34 @@ impl HubTelemetry {
         }
     }
 
+    /// The stage histograms when telemetry is on: what a [`StageClock`]
+    /// needs to time.
+    pub fn histograms(&self) -> Option<&StageHistograms> {
+        self.enabled.then_some(&self.stages)
+    }
+
     /// Closes out one request — a worker's scan, or with `worker: None` a
     /// verdict-cache hit answered on the submit path: stage laps and wall
     /// time (submit entry to now) into the histograms, then its trace
-    /// into the flight recorder. No-op — no clock read — when
-    /// `submitted_at` is `None` (telemetry off). The trace's `seq` is
-    /// assigned under the ring lock so ring order and sequence order agree
-    /// across racing workers, and when the ring is disabled
-    /// (`trace_capacity: 0`) the trace — fired-rule expansion included —
-    /// is never materialized at all.
+    /// into the flight recorder. No-op — no clock read — when `laps` is
+    /// `None` (telemetry off). The trace's `seq` is assigned under the
+    /// ring lock so ring order and sequence order agree across racing
+    /// workers, and when the ring is disabled (`trace_capacity: 0`) the
+    /// trace — fired-rule expansion included — is never materialized at
+    /// all.
     pub fn complete(
         &self,
-        submitted_at: Option<Instant>,
+        laps: Option<Laps>,
         worker: Option<usize>,
         digest: Option<&DigestKey>,
         request: &ScanRequest,
         verdict: &Verdict,
-        stages: StageNanos,
     ) {
-        let Some(submitted_at) = submitted_at else {
+        let Some(laps) = laps else {
             return;
         };
-        let wall_ns = submitted_at.elapsed().as_nanos() as u64;
-        self.stages.record(&stages, wall_ns);
+        let wall_ns = laps.started.elapsed().as_nanos() as u64;
+        self.stages.record(&laps.nanos, wall_ns);
         self.recorder.record_with(|seq| ScanTrace {
             seq,
             worker,
@@ -595,7 +634,7 @@ impl HubTelemetry {
             bytes: request.scan_len() as u64,
             from_cache: verdict.from_cache,
             flagged: verdict.flagged(),
-            stages,
+            stages: laps.nanos,
             wall_ns,
             fired: fired_from_verdict(verdict),
         });
@@ -762,9 +801,10 @@ mod tests {
     use crate::hub::tests::{hub, request, versioned_body};
     use crate::HubConfig;
 
-    /// The tables check themselves: no series is exported twice, the
-    /// three stage views agree on names and order, and `splice` and
-    /// `retro_publish` are the stages outside the disjoint total.
+    /// The tables check themselves: no series is exported twice, every
+    /// timed stage's lap lands in exactly its own view, the stage views
+    /// and the exported labels agree on names and order, and the total
+    /// counts each lap once.
     #[test]
     fn tables_declare_each_metric_once_and_line_up() {
         let rows = HubStats::default().rows();
@@ -775,45 +815,48 @@ mod tests {
             .filter(|r| r.series.starts_with("scanhub_") && !r.gauge);
         assert_eq!(counters.count(), 26);
 
-        // One distinct bit per stage, so the total names its exclusions.
-        let stages = StageNanos {
-            queue: 1,
-            cache: 2,
-            artifact: 4,
-            splice: 8,
-            retro_publish: 16,
-            prefilter: 32,
-            yara: 64,
-            layers: 128,
-            semgrep: 256,
-            dataflow: 512,
-            verdict: 1024,
+        // Book one distinct bit to every stage; a stage's field or
+        // histogram is named like its variant, in snake case.
+        let snake = |stage: Stage| {
+            let mut name = String::new();
+            for c in format!("{stage:?}").chars() {
+                if c.is_ascii_uppercase() && !name.is_empty() {
+                    name.push('_');
+                }
+                name.push(c.to_ascii_lowercase());
+            }
+            name
         };
-        assert_eq!(
-            stages.total(),
-            2047 - 8 - 16,
-            "total excludes exactly the stages nested inside `artifact`"
-        );
-        let mut names: Vec<&str> = stages.named().iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            [
-                "queue",
-                "cache",
-                "artifact",
-                "splice",
-                "retro_publish",
-                "prefilter",
-                "yara",
-                "layers",
-                "semgrep",
-                "dataflow",
-                "verdict"
-            ]
-        );
-        names.extend(["retro_query", "retro_confirm", "scan"]);
-        let latencies = StageLatencies::default().named();
-        assert_eq!(latencies.map(|(n, _)| n).to_vec(), names);
+        let bit = |stage: Stage| 1u64 << stage as u32;
+        let (mut nanos, histograms) = (StageNanos::default(), StageHistograms::default());
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "`ALL` is in declaration order");
+            stage.book(bit(stage), &mut nanos, &histograms);
+        }
+        let request = nanos.named();
+        let latencies = histograms.latencies().named();
+        let mut booked_once = 0;
+        for stage in Stage::ALL {
+            let name = snake(stage);
+            let field = request.iter().find(|(n, _)| *n == name);
+            let sampled = latencies.iter().find(|(n, _)| *n == name);
+            match (field, sampled) {
+                (Some(&(_, ns)), Some(_)) => {
+                    assert_ne!(ns & bit(stage), 0, "{name} missed its own lap");
+                    booked_once += bit(stage);
+                }
+                (None, Some((_, stat))) => assert_eq!(stat.count, 1, "{name} missed its sample"),
+                (None, None) => {} // a build step: a ledger tag only
+                (Some(_), None) => panic!("{name} has a field but no histogram"),
+            }
+        }
+        // A nested lap lands in its own field and its parent's, and the
+        // total counts it once, through the parent.
+        assert_eq!(nanos.total(), booked_once);
+        let request: Vec<&str> = request.iter().map(|(n, _)| *n).collect();
+        let names: Vec<&str> = latencies.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names[..request.len()], request[..], "request stages first");
+        assert_eq!(names.last(), Some(&"scan"));
 
         // Every stage but the last is a `stage=` label of one histogram
         // family, listed in table order; `scan` is its own series.

@@ -164,9 +164,6 @@ pub struct PrefilterIndex {
     /// Per-rule atom metadata, in ruleset order, for delta diffs.
     yara_info: Vec<RuleAtomInfo>,
     semgrep_info: Vec<RuleAtomInfo>,
-    yara_count: usize,
-    semgrep_count: usize,
-    atom_count: usize,
 }
 
 impl PrefilterIndex {
@@ -257,7 +254,6 @@ impl PrefilterIndex {
             }
         }
 
-        let atom_count = atoms.len();
         PrefilterIndex {
             automaton: MultiLiteral::new(&atoms, MatchKind::CaseInsensitive),
             routes,
@@ -266,9 +262,6 @@ impl PrefilterIndex {
             atom_ids,
             yara_info,
             semgrep_info,
-            yara_count: yara.map_or(0, CompiledRules::len),
-            semgrep_count: semgrep.map_or(0, CompiledSemgrepRules::len),
-            atom_count,
         }
     }
 
@@ -348,7 +341,7 @@ impl PrefilterIndex {
 
     /// Number of distinct atoms in the automaton.
     pub fn atom_count(&self) -> usize {
-        self.atom_count
+        self.atoms.len()
     }
 
     /// Number of rules that bypass the prefilter.
@@ -371,7 +364,7 @@ impl PrefilterIndex {
         routing: &mut Routing,
         scratch: &mut PrefilterScratch,
     ) {
-        routing.reset(self.yara_count, self.semgrep_count);
+        routing.reset(self.yara_info.len(), self.semgrep_info.len());
         for id in &self.always {
             routing.mark(*id);
         }
@@ -395,14 +388,14 @@ impl PrefilterIndex {
         mark_semgrep: bool,
         scratch: &mut PrefilterScratch,
     ) {
-        if self.atom_count == 0 {
+        if self.atoms.is_empty() {
             return;
         }
         scratch.generation += 1;
         if scratch.seen.len() < self.routes.len() {
             scratch.seen.resize(self.routes.len(), 0);
         }
-        let mut unseen = self.atom_count;
+        let mut unseen = self.atoms.len();
         self.automaton.for_each_match(text, |m| {
             if scratch.seen[m.pattern] == scratch.generation {
                 return true;
@@ -424,9 +417,9 @@ impl PrefilterIndex {
     /// into a caller-owned routing.
     pub fn route_all_into(&self, routing: &mut Routing) {
         routing.yara.clear();
-        routing.yara.resize(self.yara_count, true);
+        routing.yara.resize(self.yara_info.len(), true);
         routing.semgrep.clear();
-        routing.semgrep.resize(self.semgrep_count, true);
+        routing.semgrep.resize(self.semgrep_info.len(), true);
     }
 }
 
@@ -461,7 +454,7 @@ mod tests {
             routing: &mut Routing,
             scratch: &mut PrefilterScratch,
         ) {
-            routing.reset(self.yara_count, self.semgrep_count);
+            routing.reset(self.yara_info.len(), self.semgrep_info.len());
             for id in &self.always {
                 routing.mark(*id);
             }
@@ -701,7 +694,10 @@ rule hidden { strings: $x = "os.system" condition: $x }
         let bare = Arc::new(FileAnalysis::build(
             &entry,
             None,
-            &ArtifactConfig::without_layers(),
+            &ArtifactConfig {
+                max_decode_depth: 0,
+                ..ArtifactConfig::default()
+            },
         ));
         index.route_artifacts_into(std::slice::from_ref(&bare), &mut routing, &mut scratch);
         assert_eq!(routing.yara, vec![false, false]);

@@ -6,6 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cache::DigestKey;
+use crate::metrics::Laps;
 use crate::request::ScanRequest;
 use crate::verdict::Verdict;
 
@@ -13,14 +14,9 @@ pub(crate) struct Job {
     pub request: ScanRequest,
     pub digest: Option<DigestKey>,
     pub ticket: Arc<TicketState>,
-    /// Submit-entry timestamp (`None` when telemetry is off): the origin
-    /// for end-to-end wall time.
-    pub submitted_at: Option<Instant>,
-    /// Enqueue timestamp; pop-minus-enqueue is the queue-wait stage.
-    pub enqueued_at: Option<Instant>,
-    /// Digest + verdict-cache lookup time already spent on the submit
-    /// path, attributed to this job's `cache` stage.
-    pub cache_ns: u64,
+    /// The request's stage laps from the submit path, the queue lap
+    /// running (`None` when telemetry is off).
+    pub laps: Option<Laps>,
 }
 
 struct QueueState {
@@ -50,14 +46,12 @@ impl JobQueue {
         }
     }
 
-    /// Enqueues `job`, blocking while the queue is full; stamps
-    /// `enqueued_at` once there is room (only when the job is timed).
-    pub fn push(&self, mut job: Job) {
+    /// Enqueues `job`, blocking while the queue is full.
+    pub fn push(&self, job: Job) {
         let mut state = self.state.lock().expect("queue lock");
         while state.jobs.len() >= self.capacity && !state.closed {
             state = self.not_full.wait(state).expect("queue wait");
         }
-        job.enqueued_at = job.submitted_at.map(|_| Instant::now());
         state.jobs.push_back(job);
         drop(state);
         self.not_empty.notify_one();
@@ -141,14 +135,8 @@ impl Ticket {
     /// Propagates a worker panic that occurred while scanning this
     /// request (the worker itself survives and keeps serving the queue).
     pub fn wait(&self) -> Verdict {
-        let mut slot = self.state.slot.lock().expect("ticket lock");
-        loop {
-            match slot.as_ref() {
-                Some(Ok(v)) => return v.clone(),
-                Some(Err(msg)) => panic!("{msg}"),
-                None => slot = self.state.ready.wait(slot).expect("ticket wait"),
-            }
-        }
+        self.wait_until(None)
+            .expect("a wait without a deadline returns only with the verdict")
     }
 
     /// Blocks for at most `timeout`; returns `None` if the verdict is
@@ -159,15 +147,20 @@ impl Ticket {
     ///
     /// Propagates a worker panic, exactly like [`Ticket::wait`].
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Verdict> {
-        let deadline = Instant::now().checked_add(timeout);
+        // A deadline `Instant` can't represent (`Duration::MAX` overflows
+        // `checked_add`) is infinitely far away, not already expired:
+        // block exactly like `wait()`.
+        self.wait_until(Instant::now().checked_add(timeout))
+    }
+
+    /// Blocks until the verdict is available or `deadline`, if any,
+    /// passes. Without a deadline it reads no clock.
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<Verdict> {
         let mut slot = self.state.slot.lock().expect("ticket lock");
         loop {
             match slot.as_ref() {
                 Some(Ok(v)) => return Some(v.clone()),
                 Some(Err(msg)) => panic!("{msg}"),
-                // A deadline `Instant` can't represent (`Duration::MAX`
-                // overflows `checked_add`) is infinitely far away, not
-                // already expired: block exactly like `wait()`.
                 None => match deadline {
                     None => slot = self.state.ready.wait(slot).expect("ticket wait"),
                     Some(deadline) => {

@@ -43,15 +43,13 @@
 //! the changed rules.
 
 use std::collections::{BTreeSet, HashMap};
-use std::time::Instant;
 
 use semgrep_engine::{CompiledSemgrepRules, Finding, MatchScratch, MatchSet};
-use telemetry::Histogram;
 use yara_engine::{CompiledRules, ScanScratch, Scanner};
 
 use crate::artifact::FileAnalysis;
 use crate::cache::DigestKey;
-use crate::metrics::{HubCounters, HubTelemetry};
+use crate::metrics::{HubCounters, HubTelemetry, Stage, StageClock};
 use crate::prefilter::{RuleDelta, RuleEngine};
 use crate::store::ArtifactStore;
 use crate::verdict::LayerFinding;
@@ -684,12 +682,13 @@ struct ConfirmPlan {
 /// deployment's subset rulesets, strictly gated per rule — a rule is
 /// evaluated on a digest only if that digest was nominated for it, which
 /// keeps the differential proof against the exhaustive oracle sharp.
-/// Each scan's wall time lands in `timed` when one is given.
+/// Entered and left [`Stage::Idle`]; each scan is one `retro_confirm`
+/// lap of `clock`.
 fn confirm_scan(
     deployment: &RuleDeployment,
     mut plan: ConfirmPlan,
     store: &ArtifactStore,
-    timed: Option<&Histogram>,
+    clock: &mut StageClock<'_>,
 ) -> RetroReport {
     plan.tasks.sort_by_key(|task| task.digest);
     let scanner = deployment.yara.as_ref().map(Scanner::new);
@@ -715,7 +714,7 @@ fn confirm_scan(
         let Some(artifact) = store.peek(&task.digest) else {
             continue;
         };
-        let clock = Instant::now();
+        clock.lap(Stage::RetroConfirm);
         scans += 1;
         let hex = digest::to_hex(&task.digest);
         let mut verdict = RetroVerdict {
@@ -782,9 +781,7 @@ fn confirm_scan(
                 rule_digests[ci].insert(hex.clone());
             }
         }
-        if let Some(hist) = timed {
-            hist.record(clock.elapsed().as_nanos() as u64);
-        }
+        clock.lap(Stage::Idle);
         if verdict.flagged() {
             verdicts.push(verdict);
         }
@@ -904,24 +901,23 @@ pub(crate) fn hunt(
     counters: &HubCounters,
     telemetry: &HubTelemetry,
 ) -> Option<RetroReport> {
-    let query_clock = telemetry.enabled.then(Instant::now);
+    // The caller's own tag is back as it was once this returns.
+    let _tag = Stage::nested();
+    let mut clock = StageClock::start(telemetry.histograms(), Stage::RetroQuery);
     let plan = store.with_retro(|retro| plan(retro, deployment))?;
     HubCounters::add(&counters.retro_hunts, 1);
-    if let Some(start) = query_clock {
-        let ns = start.elapsed().as_nanos() as u64;
-        telemetry.stages.retro_query.record(ns);
-    }
-    let timed = telemetry.enabled.then_some(&telemetry.stages.retro_confirm);
-    let report = confirm_scan(deployment, plan, store, timed);
+    clock.lap(Stage::Idle);
+    let report = confirm_scan(deployment, plan, store, &mut clock);
     HubCounters::add(&counters.retro_candidates, report.candidates);
     HubCounters::add(&counters.retro_confirm_scans, report.confirm_scans);
     Some(report)
 }
 
 /// [`crate::ScanHub::retro_rescan`]: every indexed digest against every
-/// changed rule, no candidate query made, no counter, histogram or
-/// artifact recency touched.
+/// changed rule, no candidate query made, no clock read, no counter,
+/// histogram or artifact recency touched.
 pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Option<RetroReport> {
+    let _tag = Stage::nested();
     let all = store.with_retro(RetroIndex::all_digests)?;
     let (yara_len, semgrep_len) = deployment.subset_lens();
     let tasks = all
@@ -939,7 +935,8 @@ pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Opti
         digests_indexed: all.len() as u64,
         full_candidacy_rules: rules as u64,
     };
-    Some(confirm_scan(deployment, plan, store, None))
+    let mut untimed = StageClock::start(None, Stage::Idle);
+    Some(confirm_scan(deployment, plan, store, &mut untimed))
 }
 
 #[cfg(test)]
@@ -1223,7 +1220,8 @@ mod tests {
         });
         let _ = no_index.submit(request("print('x')\n")).wait();
         assert!(no_index.retro_hunt(&deployment).is_none());
-        assert_eq!(no_index.retro_index_size(), (0, 0));
+        let stats = no_index.stats();
+        assert_eq!((stats.retro_index_atoms, stats.retro_index_digests), (0, 0));
     }
 
     // ---- The rolling collector against the per-byte hash sets it

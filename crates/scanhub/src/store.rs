@@ -80,23 +80,22 @@ pub(crate) struct BuildClaim<'a> {
 impl BuildClaim<'_> {
     /// Publishes a freshly built artifact, then indexes it. Its grams are
     /// collected into the worker's `grams` before any lock is taken.
-    /// Returns the nanoseconds of index work (collection + posting)
-    /// when `timed`, else 0.
+    /// The collection and the index update are `clock`'s
+    /// `retro_publish` laps; the cache insert between them is the
+    /// [`Stage::Publish`] step.
     pub fn publish(
         mut self,
         artifact: &Arc<FileAnalysis>,
         grams: &mut GramScratch,
-        timed: bool,
-    ) -> u64 {
-        let _outer = Stage::nested();
-        let mut clock = StageClock::start(timed && self.store.retro.is_some(), Stage::Publish);
+        clock: &mut StageClock<'_>,
+    ) {
         if self.store.retro.is_some() {
+            clock.lap(Stage::RetroPublish);
             grams.collect(artifact);
         }
-        let ns =
-            clock.lap(Stage::Publish) + self.store.publish(self.entry, artifact, grams, &mut clock);
+        clock.lap(Stage::Publish);
+        self.store.publish(self.entry, artifact, grams, clock);
         self.published = true;
-        ns
     }
 }
 
@@ -154,15 +153,15 @@ impl ArtifactStore {
 
     /// [`BuildClaim::publish`] from the cache insert on: caches the
     /// artifact, records it as its name's sibling, takes the index lock,
-    /// wakes the waiters, then indexes it. Returns the nanoseconds
-    /// `clock` laps over the index update.
+    /// wakes the waiters, then indexes it, and returns to the `artifact`
+    /// stage.
     fn publish(
         &self,
         entry: &FileEntry,
         artifact: &Arc<FileAnalysis>,
         grams: &GramScratch,
-        clock: &mut StageClock,
-    ) -> u64 {
+        clock: &mut StageClock<'_>,
+    ) {
         let digest = entry.digest();
         let mut guard = self.lock();
         let state = &mut *guard;
@@ -184,15 +183,14 @@ impl ArtifactStore {
             .map(|r| r.lock().expect("retro index lock"));
         drop(guard);
         self.resolved.notify_all();
-        // The cache insert is not index work: restart the lap.
-        clock.lap(Stage::Publish);
         if let Some(mut retro) = retro {
+            clock.lap(Stage::RetroPublish);
             for digest in &evicted {
                 retro.remove(digest);
             }
             retro.insert_collected(grams);
         }
-        clock.lap(Stage::Publish)
+        clock.lap(Stage::Artifact);
     }
 
     fn abandon(&self, digest: &DigestKey) {
@@ -245,9 +243,13 @@ mod tests {
     use crate::cache::DigestKey;
     use crate::explore::explore;
     use crate::hub::tests::{hub, request, SEMGREP, YARA};
-    use crate::metrics::{HubCounters, HubTelemetry};
+    use crate::metrics::{HubCounters, HubTelemetry, Stage, StageClock};
     use crate::retrohunt::{self, GramScratch, RetroIndex, RuleDeployment};
     use crate::{FileEntry, HubConfig, ScanRequest};
+
+    fn untimed() -> StageClock<'static> {
+        StageClock::start(None, Stage::Artifact)
+    }
 
     /// The explored files, kept tiny: posting grams is most of a
     /// schedule's work. The hunted rule's atom is in 0 and 2. Files 0
@@ -334,7 +336,7 @@ mod tests {
                         drop(claim);
                     } else {
                         let grams = &mut fixture.scratches[me].lock().expect("scratch");
-                        claim.publish(&fixture.artifacts[file], grams, false);
+                        claim.publish(&fixture.artifacts[file], grams, &mut untimed());
                     }
                     // The claim ended in the section publish or abandon
                     // ran. After it comes one switch point at most, the
@@ -457,7 +459,7 @@ mod tests {
         grams: &mut GramScratch,
     ) -> Arc<FileAnalysis> {
         let built = Arc::new(FileAnalysis::build(entry, None, &ArtifactConfig::default()));
-        claim.publish(&built, grams, false);
+        claim.publish(&built, grams, &mut untimed());
         built
     }
 

@@ -11,7 +11,7 @@ use yara_engine::{FileHits, ScanScratch, Scanner};
 
 use crate::artifact::{DecodedLayer, FileAnalysis};
 use crate::hub::Shared;
-use crate::metrics::{HubCounters, Stage, StageClock, StageNanos};
+use crate::metrics::{HubCounters, Stage, StageClock};
 use crate::prefilter::{PrefilterScratch, Routing};
 use crate::request::ScanRequest;
 use crate::retrohunt::GramScratch;
@@ -55,8 +55,10 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
     let scanner = shared.yara.as_ref().map(Scanner::new);
     let matcher = shared.semgrep.as_ref().map(MatchSet::new);
     let mut scratch = WorkerScratch::new();
+    let histograms = shared.telemetry.histograms();
     while let Some(job) = shared.queue.pop() {
-        let queue_ns = job.enqueued_at.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let mut clock = StageClock::resume(histograms, job.laps, Stage::Queue);
+        clock.lap(Stage::Artifact);
         // A panic while scanning one hostile package must neither strand
         // the caller on an unfulfilled ticket nor take the worker down.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -66,10 +68,11 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
                 matcher.as_ref(),
                 &mut scratch,
                 &job.request,
+                &mut clock,
             )
         }));
         match outcome {
-            Ok((verdict, mut stages)) => {
+            Ok(verdict) => {
                 if let (Some(cache), Some(d)) = (&shared.cache, &job.digest) {
                     cache
                         .lock()
@@ -77,18 +80,15 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
                         .insert(*d, verdict.clone());
                 }
                 HubCounters::add(&shared.counters.completed, 1);
-                stages.queue = queue_ns;
-                stages.cache = job.cache_ns;
                 // The trace lands in the recorder *before* the ticket
                 // resolves: a caller returning from `wait` can always
                 // find its own scan.
                 shared.telemetry.complete(
-                    job.submitted_at,
+                    clock.stop(),
                     Some(worker_id),
                     job.digest.as_ref(),
                     &job.request,
                     &verdict,
-                    stages,
                 );
                 job.ticket.fulfill(Ok(verdict));
             }
@@ -114,21 +114,19 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
 /// cannot depend on per-request routing; a repeat pays nothing. Routing
 /// still gates condition evaluation and the Semgrep walk downstream.
 ///
-/// Adds the nanoseconds spent in splice attempts and in retro-index
-/// maintenance for the artifacts published here to `stages.splice` and
-/// `stages.retro_publish` (nothing when telemetry is off) — both nested
-/// inside the caller's `artifact` lap.
+/// Runs in the `artifact` stage, and laps splice attempts and the
+/// retro-index upkeep of the artifacts published here as the stages
+/// nested inside it.
 fn gather_artifacts(
     shared: &Shared,
     scanner: Option<&Scanner<'_>>,
     request: &ScanRequest,
     out: &mut Vec<Arc<FileAnalysis>>,
     grams: &mut GramScratch,
-    stages: &mut StageNanos,
+    clock: &mut StageClock<'_>,
 ) {
     let c = &shared.counters;
     let cfg = &shared.artifact_config;
-    let timing = shared.telemetry.enabled;
     out.clear();
     for entry in request.files() {
         let claim = match &shared.artifacts {
@@ -148,9 +146,9 @@ fn gather_artifacts(
         // count neither as relexes nor as fallbacks.
         let donor = claim.as_ref().and_then(|claim| claim.donor.as_ref());
         let spliced = donor.and_then(|sibling| {
-            let mut clock = StageClock::start(timing, Stage::Artifact);
+            clock.lap(Stage::Splice);
             let result = FileAnalysis::build_spliced(entry, sibling, scanner, cfg);
-            stages.splice += clock.lap(Stage::Artifact);
+            clock.lap(Stage::Artifact);
             if result.is_none() && sibling.is_python {
                 HubCounters::add(&c.splice_fallbacks, 1);
             }
@@ -190,7 +188,7 @@ fn gather_artifacts(
             HubCounters::add(&c.regex_bytes_scanned, hits.metrics.regex_bytes_scanned);
         }
         if let Some(claim) = claim {
-            stages.retro_publish += claim.publish(&built, grams, timing);
+            claim.publish(&built, grams, clock);
         }
         out.push(built);
     }
@@ -202,9 +200,8 @@ fn scan_job(
     matcher: Option<&MatchSet<'_>>,
     scratch: &mut WorkerScratch,
     request: &ScanRequest,
-) -> (Verdict, StageNanos) {
-    let mut clock = StageClock::start(shared.telemetry.enabled, Stage::Artifact);
-    let mut stages = StageNanos::default();
+    clock: &mut StageClock<'_>,
+) -> Verdict {
     let c = &shared.counters;
     let WorkerScratch {
         routing,
@@ -221,8 +218,8 @@ fn scan_job(
     // only phase that lexes, parses, decodes or regex-scans; a warm
     // artifact cache makes a re-uploaded package version re-analyze only
     // its changed files.
-    gather_artifacts(shared, scanner, request, artifacts, grams, &mut stages);
-    stages.artifact = clock.lap(Stage::Prefilter);
+    gather_artifacts(shared, scanner, request, artifacts, grams, clock);
+    clock.lap(Stage::Prefilter);
     // Phase 2: route the package from the artifacts. This reads bytes
     // again: every file's raw bytes and every decoded layer go through
     // the prefilter automaton on every request, artifact-cache hits
@@ -234,7 +231,7 @@ fn scan_job(
     } else {
         shared.index.route_all_into(routing);
     }
-    stages.prefilter = clock.lap(Stage::Yara);
+    clock.lap(Stage::Yara);
     let total_len = request.scan_len();
     HubCounters::add(&c.bytes_scanned, total_len as u64);
 
@@ -262,7 +259,7 @@ fn scan_job(
             for hit in hits {
                 verdict.yara.push(hit.rule);
             }
-            stages.yara = clock.lap(Stage::Layers);
+            clock.lap(Stage::Layers);
             for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
                 for (layer, layer_hits) in artifact.layers.iter().zip(&artifact.layer_hits) {
                     layer_findings(
@@ -277,7 +274,7 @@ fn scan_job(
                     );
                 }
             }
-            stages.layers = clock.lap(Stage::Semgrep);
+            clock.lap(Stage::Semgrep);
         }
     }
     // Phase 4: Semgrep — one anchored walk per cached module; nothing on
@@ -311,7 +308,7 @@ fn scan_job(
             }
             HubCounters::add(&c.semgrep_stmts_visited, stmts_visited);
             verdict.semgrep = ids.drain().collect();
-            stages.semgrep = clock.lap(Stage::Dataflow);
+            clock.lap(Stage::Dataflow);
         }
     }
     // Phase 5: behavior engine — aggregate the cached per-file taint
@@ -332,14 +329,14 @@ fn scan_job(
                 });
             }
         }
-        stages.dataflow = clock.lap(Stage::Verdict);
+        clock.lap(Stage::Verdict);
     }
     // Drop the artifact handles so cache eviction can actually free.
     Stage::Verdict.enter();
     artifacts.clear();
     verdict.normalize();
-    stages.verdict = clock.lap(Stage::Complete);
-    (verdict, stages)
+    clock.lap(Stage::Complete);
+    verdict
 }
 
 /// Evaluates one decoded layer as its own scan unit — on the live path

@@ -206,7 +206,7 @@ proptest! {
         for req in planted_uploads() {
             hub.submit(req).wait();
         }
-        let (_, digests) = hub.retro_index_size();
+        let digests = hub.stats().retro_index_digests;
         prop_assert!(digests as usize <= capacity, "index outgrew the cache");
 
         let (yara, semgrep) = next_bundle();

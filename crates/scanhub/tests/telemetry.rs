@@ -163,6 +163,78 @@ fn recorder_stays_bounded_under_concurrent_submitters() {
     );
 }
 
+/// Each stage's histogram gains exactly one sample per run of its phase
+/// (a hunt's confirm stage one per digest scanned), so a fixed stream
+/// pins every stage's count: a lap booked into the wrong stage, or a
+/// skipped phase that records a sample, moves one.
+#[test]
+fn every_stage_counts_exactly_the_phases_that_ran() {
+    let hub = hub(HubConfig {
+        workers: 1,
+        ..HubConfig::default()
+    });
+    let body = |marker: &str| {
+        let blob = digest::base64::encode(b"import os;os.system('id')");
+        let mut code =
+            format!("import os\ncmd = os.getenv('CMD')\nos.system(cmd)\nblob = '{blob}'\n");
+        for i in 0..16 {
+            code.push_str(&format!("pad_{i} = {i} * {i} + len('padding')\n"));
+        }
+        code + &format!("marker = '{marker}'\n")
+    };
+    let submit = |name: &str, code: &str| {
+        hub.submit(ScanRequest::from_source(name, code.to_owned()))
+            .wait()
+    };
+    // Cold: YARA, a decoded layer, Semgrep and a taint flow all fire.
+    let cold = submit("pkg/mod.py", &body("v1"));
+    assert!(!cold.yara.is_empty() && !cold.layers.is_empty());
+    assert!(!cold.semgrep.is_empty() && !cold.flows.is_empty());
+    // A one-line bump of the same file: a splice.
+    let _ = submit("pkg/mod.py", &body("v2"));
+    // No rule's atom anywhere: the YARA, layer and Semgrep phases do
+    // not run.
+    let clean = submit("pkg/util.py", "def add(a, b):\n    return a + b\n");
+    assert!(!clean.flagged());
+    // An identical re-upload: a verdict-cache hit.
+    assert!(submit("pkg/mod.py", &body("v2")).from_cache);
+    let next = format!("{YARA}\nrule env {{ strings: $a = \"getenv\" condition: $a }}");
+    let deployment = hub.deploy_rules(
+        Some(yara_engine::compile(&next).expect("yara")),
+        Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
+    );
+    let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+    assert_eq!(report.confirm_scans, 2);
+
+    let stats = hub.stats();
+    assert_eq!(stats.incremental_relexes, 1, "the bump spliced");
+    let counts: Vec<(&str, u64)> = stats
+        .latency
+        .named()
+        .iter()
+        .map(|(name, stat)| (*name, stat.count))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("queue", 3),
+            ("cache", 4),
+            ("artifact", 3),
+            ("splice", 1),
+            ("retro_publish", 3),
+            ("prefilter", 3),
+            ("yara", 2),
+            ("layers", 2),
+            ("semgrep", 2),
+            ("dataflow", 3),
+            ("verdict", 3),
+            ("retro_query", 1),
+            ("retro_confirm", 2),
+            ("scan", 4),
+        ]
+    );
+}
+
 /// Zero trace capacity keeps histograms but records no traces.
 #[test]
 fn zero_trace_capacity_disables_the_ring_but_not_histograms() {

@@ -420,8 +420,10 @@ fn a_warm_semgrep_walk_stays_within_its_allocation_budget() {
 #[test]
 fn each_build_step_stays_within_its_allocation_budget() {
     let check = |what: &str, spent: [u64; STAGES], budgets: &[(Stage, u64)]| {
-        println!("{what}: {spent:?}");
-        for (stage, spent) in Stage::ALL.into_iter().zip(spent) {
+        let steps = Stage::ALL.into_iter().zip(spent);
+        let booked: Vec<_> = steps.clone().filter(|(_, n)| *n > 0).collect();
+        println!("{what}: {booked:?}");
+        for (stage, spent) in steps {
             let budget = budgets.iter().find(|b| b.0 == stage).map_or(0, |b| b.1);
             assert!(
                 spent <= budget,

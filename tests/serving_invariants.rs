@@ -279,7 +279,7 @@ fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
             // A publish takes the index lock before releasing the store
             // lock, so concurrent publishers update the index in cache
             // order: at a quiescent point it indexes exactly the residents.
-            let (_, indexed) = hub.retro_index_size();
+            let indexed = hub.stats().retro_index_digests;
             assert_eq!(
                 indexed,
                 hub.cached_artifacts() as u64,
@@ -300,7 +300,10 @@ fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
                 "hunt diverged from rescan at {workers} workers, churn: {churn}"
             );
             hunts.push((
-                hub.retro_index_size(),
+                {
+                    let stats = hub.stats();
+                    (stats.retro_index_atoms, stats.retro_index_digests)
+                },
                 report.candidates,
                 report.rules,
                 report.verdicts,
