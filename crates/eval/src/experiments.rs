@@ -90,39 +90,53 @@ pub fn confusion_at(
     c
 }
 
+/// A table row named `name`: the confusion, at one matched rule, of
+/// scanning the context's targets with these rules. Also returns the
+/// scan.
+fn scan_row(
+    ctx: &ExperimentContext,
+    name: &str,
+    yara: Option<&CompiledRules>,
+    semgrep: Option<&CompiledSemgrepRules>,
+) -> (MetricsRow, Vec<TargetMatches>) {
+    let matches = scan_all(yara, semgrep, &ctx.targets);
+    let confusion = confusion_at(&matches, &ctx.targets, 1);
+    let row = MetricsRow {
+        name: name.into(),
+        confusion,
+    };
+    (row, matches)
+}
+
+/// [`scan_row`] for the rules the RuleLLM pipeline generates with
+/// `config`.
+fn rulellm_row(
+    ctx: &ExperimentContext,
+    name: &str,
+    config: PipelineConfig,
+) -> (MetricsRow, Vec<TargetMatches>) {
+    let (yara, semgrep) = compile_output(&run_rulellm(&ctx.dataset, config));
+    scan_row(ctx, name, Some(&yara), Some(&semgrep))
+}
+
 // ---------------------------------------------------------------- Table VIII
 
 /// Table VIII: RuleLLM vs the scanner corpora vs the score-based
 /// generator. Returns `(rows, rulellm_matches)` so downstream figures can
 /// reuse the expensive scan.
 pub fn table8(ctx: &ExperimentContext) -> (Vec<MetricsRow>, Vec<TargetMatches>) {
-    let mut rows = Vec::new();
-
     // RuleLLM, full configuration.
-    let output = run_rulellm(&ctx.dataset, PipelineConfig::full());
-    let (yara, semgrep) = compile_output(&output);
-    let rulellm_matches = scan_all(Some(&yara), Some(&semgrep), &ctx.targets);
-    rows.push(MetricsRow {
-        name: "RuleLLM".into(),
-        confusion: confusion_at(&rulellm_matches, &ctx.targets, 1),
-    });
+    let (rulellm, rulellm_matches) = rulellm_row(ctx, "RuleLLM", PipelineConfig::full());
+    let mut rows = vec![rulellm];
 
     // Yara scanner corpus.
     let yara_corpus =
         yara_engine::compile(&baselines::scanners::yara_corpus()).expect("scanner corpus compiles");
-    let m = scan_all(Some(&yara_corpus), None, &ctx.targets);
-    rows.push(MetricsRow {
-        name: "Yara scanner".into(),
-        confusion: confusion_at(&m, &ctx.targets, 1),
-    });
+    rows.push(scan_row(ctx, "Yara scanner", Some(&yara_corpus), None).0);
 
     // Semgrep scanner corpus.
     let semgrep_corpus = compile_semgrep_set(&baselines::scanners::semgrep_corpus());
-    let m = scan_all(None, Some(&semgrep_corpus), &ctx.targets);
-    rows.push(MetricsRow {
-        name: "Semgrep scanner".into(),
-        confusion: confusion_at(&m, &ctx.targets, 1),
-    });
+    rows.push(scan_row(ctx, "Semgrep scanner", None, Some(&semgrep_corpus)).0);
 
     // Score-based generator.
     let unique: Vec<&oss_registry::Package> = ctx
@@ -135,11 +149,7 @@ pub fn table8(ctx: &ExperimentContext) -> (Vec<MetricsRow>, Vec<TargetMatches>) 
     let scored_rules = baselines::scored::generate_rules(&unique, &legit, 42);
     let scored_text = scored_rules.join("\n");
     let scored = yara_engine::compile(&scored_text).expect("score-based rules compile");
-    let m = scan_all(Some(&scored), None, &ctx.targets);
-    rows.push(MetricsRow {
-        name: "Score-based".into(),
-        confusion: confusion_at(&m, &ctx.targets, 1),
-    });
+    rows.push(scan_row(ctx, "Score-based", Some(&scored), None).0);
 
     (rows, rulellm_matches)
 }
@@ -148,18 +158,11 @@ pub fn table8(ctx: &ExperimentContext) -> (Vec<MetricsRow>, Vec<TargetMatches>) 
 
 /// Table IX: the pipeline under each LLM profile.
 pub fn table9(ctx: &ExperimentContext) -> Vec<MetricsRow> {
-    let mut rows = Vec::new();
-    for profile in ModelProfile::all() {
-        let name = profile.name.to_owned();
-        let output = run_rulellm(&ctx.dataset, PipelineConfig::full().with_model(profile));
-        let (yara, semgrep) = compile_output(&output);
-        let matches = scan_all(Some(&yara), Some(&semgrep), &ctx.targets);
-        rows.push(MetricsRow {
-            name,
-            confusion: confusion_at(&matches, &ctx.targets, 1),
-        });
-    }
-    rows
+    let row = |profile: ModelProfile| {
+        let name = profile.name;
+        rulellm_row(ctx, name, PipelineConfig::full().with_model(profile)).0
+    };
+    ModelProfile::all().into_iter().map(row).collect()
 }
 
 // ------------------------------------------------------------------- Table X
@@ -180,17 +183,8 @@ pub fn ablation_configs() -> Vec<(&'static str, PipelineConfig)> {
 /// Table X: component ablation. Rows report precision/recall like the
 /// paper.
 pub fn table10(ctx: &ExperimentContext) -> Vec<MetricsRow> {
-    let mut rows = Vec::new();
-    for (name, config) in ablation_configs() {
-        let output = run_rulellm(&ctx.dataset, config);
-        let (yara, semgrep) = compile_output(&output);
-        let matches = scan_all(Some(&yara), Some(&semgrep), &ctx.targets);
-        rows.push(MetricsRow {
-            name: name.into(),
-            confusion: confusion_at(&matches, &ctx.targets, 1),
-        });
-    }
-    rows
+    let row = |(name, config)| rulellm_row(ctx, name, config).0;
+    ablation_configs().into_iter().map(row).collect()
 }
 
 // ------------------------------------------------------------------ Table XI
@@ -378,20 +372,10 @@ pub fn fig11(output: &PipelineOutput) -> Vec<Vec<usize>> {
 /// hallucinated strings, so it should never hurt and typically lifts
 /// precision.
 pub fn rag_ablation(ctx: &ExperimentContext) -> Vec<MetricsRow> {
-    let mut rows = Vec::new();
-    for (name, config) in [
-        ("RuleLLM (no RAG)", PipelineConfig::full()),
-        ("RuleLLM + RAG", PipelineConfig::full_with_rag()),
-    ] {
-        let output = run_rulellm(&ctx.dataset, config);
-        let (yara, semgrep) = compile_output(&output);
-        let matches = scan_all(Some(&yara), Some(&semgrep), &ctx.targets);
-        rows.push(MetricsRow {
-            name: name.into(),
-            confusion: confusion_at(&matches, &ctx.targets, 1),
-        });
-    }
-    rows
+    vec![
+        rulellm_row(ctx, "RuleLLM (no RAG)", PipelineConfig::full()).0,
+        rulellm_row(ctx, "RuleLLM + RAG", PipelineConfig::full_with_rag()).0,
+    ]
 }
 
 // ------------------------------------------------------------------ Variants

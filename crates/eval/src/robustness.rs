@@ -11,6 +11,7 @@
 use corpus::Dataset;
 use obfuscate::{EvasionProfile, Transform};
 use rulellm::PipelineConfig;
+use scanhub::Verdict;
 use semgrep_engine::CompiledSemgrepRules;
 use yara_engine::CompiledRules;
 
@@ -195,7 +196,8 @@ pub struct LayeredRecovery {
     pub legit_flagged_on: u64,
 }
 
-fn flagged_recall(verdicts: &[scanhub::Verdict], targets: &[ScanTarget]) -> f64 {
+/// The share of malicious targets whose verdict is `detected`.
+fn recall(verdicts: &[Verdict], targets: &[ScanTarget], detected: fn(&Verdict) -> bool) -> f64 {
     let malicious = targets.iter().filter(|t| t.is_malicious).count();
     if malicious == 0 {
         return 0.0;
@@ -203,9 +205,26 @@ fn flagged_recall(verdicts: &[scanhub::Verdict], targets: &[ScanTarget]) -> f64 
     let hit = verdicts
         .iter()
         .zip(targets)
-        .filter(|(v, t)| t.is_malicious && v.flagged())
+        .filter(|(v, t)| t.is_malicious && detected(v))
         .count();
     hit as f64 / malicious as f64
+}
+
+/// The legitimate targets whose verdict is `detected`.
+fn legit_detected(
+    verdicts: &[Verdict],
+    targets: &[ScanTarget],
+    detected: fn(&Verdict) -> bool,
+) -> u64 {
+    verdicts
+        .iter()
+        .zip(targets)
+        .filter(|(v, t)| !t.is_malicious && detected(v))
+        .count() as u64
+}
+
+fn has_flows(verdict: &Verdict) -> bool {
+    !verdict.flows.is_empty()
 }
 
 /// Runs the layered-recovery measurement over `ctx` with mutation
@@ -222,26 +241,18 @@ pub fn layered_recovery(ctx: &ExperimentContext, seed: u64) -> LayeredRecovery {
     LayeredRecovery {
         seed,
         arm: profile.name,
-        recall_pristine: flagged_recall(&pristine, &ctx.targets),
-        recall_layers_off: flagged_recall(&off, &targets),
-        recall_layers_on: flagged_recall(&on, &targets),
+        recall_pristine: recall(&pristine, &ctx.targets, Verdict::flagged),
+        recall_layers_off: recall(&off, &targets, Verdict::flagged),
+        recall_layers_on: recall(&on, &targets, Verdict::flagged),
         layer_findings: on
             .iter()
             .zip(&targets)
             .filter(|(_, t)| t.is_malicious)
             .map(|(v, _)| v.layers.len() as u64)
             .sum(),
-        legit_flagged_off: count_flagged_legit(&off, &targets),
-        legit_flagged_on: count_flagged_legit(&on, &targets),
+        legit_flagged_off: legit_detected(&off, &targets, Verdict::flagged),
+        legit_flagged_on: legit_detected(&on, &targets, Verdict::flagged),
     }
-}
-
-fn count_flagged_legit(verdicts: &[scanhub::Verdict], targets: &[ScanTarget]) -> u64 {
-    verdicts
-        .iter()
-        .zip(targets)
-        .filter(|(v, t)| !t.is_malicious && v.flagged())
-        .count() as u64
 }
 
 /// Taint recall of one evasion arm.
@@ -296,27 +307,6 @@ impl TaintRobustness {
     }
 }
 
-fn taint_recall(verdicts: &[scanhub::Verdict], targets: &[ScanTarget]) -> f64 {
-    let malicious = targets.iter().filter(|t| t.is_malicious).count();
-    if malicious == 0 {
-        return 0.0;
-    }
-    let hit = verdicts
-        .iter()
-        .zip(targets)
-        .filter(|(v, t)| t.is_malicious && !v.flows.is_empty())
-        .count();
-    hit as f64 / malicious as f64
-}
-
-fn count_flow_legit(verdicts: &[scanhub::Verdict], targets: &[ScanTarget]) -> u64 {
-    verdicts
-        .iter()
-        .zip(targets)
-        .filter(|(v, t)| !t.is_malicious && !v.flows.is_empty())
-        .count() as u64
-}
-
 /// Runs the taint robustness measurement over `ctx` with mutation
 /// `seed`: the pristine corpus, then each standard composite profile.
 pub fn taint_robustness(ctx: &ExperimentContext, seed: u64) -> TaintRobustness {
@@ -329,8 +319,8 @@ pub fn taint_robustness(ctx: &ExperimentContext, seed: u64) -> TaintRobustness {
         .sum();
     let mut report = TaintRobustness {
         seed,
-        recall_pristine: taint_recall(&pristine, &ctx.targets),
-        legit_flagged_pristine: count_flow_legit(&pristine, &ctx.targets),
+        recall_pristine: recall(&pristine, &ctx.targets, has_flows),
+        legit_flagged_pristine: legit_detected(&pristine, &ctx.targets, has_flows),
         flows_on_malware,
         rows: Vec::new(),
     };
@@ -340,8 +330,8 @@ pub fn taint_robustness(ctx: &ExperimentContext, seed: u64) -> TaintRobustness {
         let verdicts = crate::scan::scan_taint_verdicts(&targets);
         report.rows.push(TaintDecayRow {
             arm: profile.name.clone(),
-            recall: taint_recall(&verdicts, &targets),
-            legit_flagged: count_flow_legit(&verdicts, &targets),
+            recall: recall(&verdicts, &targets, has_flows),
+            legit_flagged: legit_detected(&verdicts, &targets, has_flows),
         });
     }
     report

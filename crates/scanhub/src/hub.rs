@@ -166,16 +166,14 @@ impl ScanHub {
     }
 
     /// Runs the deployment's changed rules over the cached package
-    /// history by querying the retro index and confirm-scanning only
-    /// candidate digests. Returns `None` when the artifact cache or the
-    /// retro index is disabled. Confirm scans read the cached artifacts
-    /// without refreshing their recency, so screening history does not
-    /// keep it resident.
-    ///
-    /// Per-rule hit sets and per-digest verdicts are identical to
-    /// [`ScanHub::retro_rescan`] (the exhaustive oracle) — pinned by
-    /// the differential suite; only the candidate/scan counts differ,
-    /// which is exactly the speedup.
+    /// history: queries the retro index, then confirm-scans only the
+    /// candidate digests, with the evaluator a worker scans requests
+    /// with. `None` when the artifact cache or the retro index is
+    /// disabled. Confirm scans leave the artifacts' recency alone, so
+    /// screening history does not keep it resident. Per-rule hit sets
+    /// and per-digest verdicts equal [`ScanHub::retro_rescan`]'s (pinned
+    /// by the differential suite); only the candidate and scan counts
+    /// differ, which is the speedup.
     pub fn retro_hunt(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
         let shared = &self.shared;
         let store = shared.artifacts.as_ref()?;
@@ -183,11 +181,11 @@ impl ScanHub {
     }
 
     /// The exhaustive oracle: confirm-scans **every** resident digest
-    /// with every changed rule, no index consulted. This is both the
-    /// full-rescan baseline the bench times and the ground truth the
-    /// differential suite compares [`ScanHub::retro_hunt`] against.
-    /// Touches none of the retro counters or histograms, and, like a
-    /// hunt, leaves the artifact cache's recency alone.
+    /// with every changed rule, no index consulted — the ground truth
+    /// that the differential suite and the benchmark check
+    /// [`ScanHub::retro_hunt`] against. Touches none of the retro
+    /// counters or histograms, and, like a hunt, leaves the artifact
+    /// cache's recency alone.
     pub fn retro_rescan(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
         retrohunt::rescan(self.shared.artifacts.as_ref()?, deployment)
     }

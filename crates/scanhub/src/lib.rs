@@ -3,7 +3,7 @@
 //! The paper deploys LLM-generated YARA and Semgrep rules to screen OSS
 //! package uploads; this crate turns the one-shot batch loop of the
 //! original evaluation into a **service** shaped for heavy registry
-//! traffic. Five mechanisms carry the load:
+//! traffic. Six mechanisms carry the load:
 //!
 //! 1. **Parse-once analysis artifacts** ([`FileAnalysis`]) — a request
 //!    is a list of file entries (name + one shared copy of the bytes),
@@ -61,6 +61,11 @@
 //!    splice-donor registry) behind one lock: a cold file is claimed
 //!    with its donor and published in two critical sections while other
 //!    requesters of the digest wait; a hit is one.
+//! 6. **Retro-hunt** ([`ScanHub::retro_hunt`]) — a rule deploy screens
+//!    the cached history with its changed rules only: an index from
+//!    folded content grams to digests, kept up on every artifact publish
+//!    and eviction, nominates candidates, and each is confirm-scanned by
+//!    the evaluator a worker scans requests with.
 //!
 //! Throughput, cache-hit rates, artifact reuse and prefilter skip rate
 //! are exposed as [`HubStats`], which also carries per-stage latency
@@ -124,6 +129,6 @@ pub use prefilter::{
 };
 pub use queue::Ticket;
 pub use request::{FileEntry, ScanRequest};
-pub use retrohunt::{RetroReport, RetroRuleHits, RetroVerdict, RuleDeployment, TermProvenance};
+pub use retrohunt::{RetroReport, RetroRuleHits, RuleDeployment, TermProvenance};
 pub use trace::{FiredEngine, FiredRule, ScanTrace};
 pub use verdict::{FlowRecord, LayerFinding, Verdict};

@@ -24,6 +24,7 @@ use textmatch::{MatchKind, MultiLiteral};
 use yara_engine::CompiledRules;
 
 use crate::artifact::FileAnalysis;
+use crate::retrohunt::TermProvenance;
 
 /// Which rules of each engine a package must be scanned with.
 #[derive(Debug, Clone)]
@@ -80,11 +81,8 @@ impl PrefilterScratch {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RuleId {
-    Yara(usize),
-    Semgrep(usize),
-}
+/// A rule: its engine, and its position in that engine's ruleset.
+pub(crate) type RuleId = (RuleEngine, usize);
 
 /// Which engine a rule in a [`RuleDelta`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -93,6 +91,19 @@ pub enum RuleEngine {
     Yara,
     /// A Semgrep rule (indexed by file order).
     Semgrep,
+}
+
+impl RuleEngine {
+    /// Whether this engine reads a scan unit of `provenance` in a file,
+    /// Python or not: YARA reads every file's bytes and every decoded
+    /// layer, Semgrep only a Python file's bytes. Routing and retro-hunt
+    /// candidacy both follow it, which keeps their skips sound.
+    pub(crate) fn reads(self, provenance: TermProvenance, is_python: bool) -> bool {
+        match self {
+            RuleEngine::Yara => true,
+            RuleEngine::Semgrep => provenance == TermProvenance::Surface && is_python,
+        }
+    }
 }
 
 /// How a changed rule differs from the previous index.
@@ -214,11 +225,11 @@ impl PrefilterIndex {
                     // never match (e.g. `condition: false`): no routes.
                     for atom in &ra.atoms {
                         let id = intern(atom, &mut atoms, &mut routes);
-                        routes[id].push(RuleId::Yara(ri));
+                        routes[id].push((RuleEngine::Yara, ri));
                         ids.push(id as u32);
                     }
                 } else {
-                    always.push(RuleId::Yara(ri));
+                    always.push((RuleEngine::Yara, ri));
                 }
                 ids.sort_unstable();
                 ids.dedup();
@@ -238,11 +249,11 @@ impl PrefilterIndex {
                         exhaustive = true;
                         for atom in &rule_atoms {
                             let id = intern(atom, &mut atoms, &mut routes);
-                            routes[id].push(RuleId::Semgrep(ri));
+                            routes[id].push((RuleEngine::Semgrep, ri));
                             ids.push(id as u32);
                         }
                     }
-                    _ => always.push(RuleId::Semgrep(ri)),
+                    _ => always.push((RuleEngine::Semgrep, ri)),
                 }
                 ids.sort_unstable();
                 ids.dedup();
@@ -352,12 +363,12 @@ impl PrefilterIndex {
     /// Routes one package from its per-file analysis artifacts — the
     /// scan-path entry point since the parse-once refactor.
     ///
-    /// YARA rules are routed from every file's raw bytes **and every
-    /// decoded layer** (an atom hidden behind base64 still routes its
-    /// rule, or layered scanning could never fire); Semgrep rules are
-    /// routed from the Python files' bytes (what the structural matcher
-    /// parses). Routing each engine from its own scan input keeps the
-    /// skip sound for any request shape.
+    /// Each engine is routed from the scan units it reads
+    /// (`RuleEngine::reads`): YARA from every file's raw bytes **and
+    /// every decoded layer** (an atom hidden behind base64 still routes
+    /// its rule, or layered scanning could never fire), Semgrep from the
+    /// Python files' bytes (what the structural matcher parses). That
+    /// keeps the skip sound for any request shape.
     pub fn route_artifacts_into(
         &self,
         artifacts: &[Arc<FileAnalysis>],
@@ -369,23 +380,24 @@ impl PrefilterIndex {
             routing.mark(*id);
         }
         for artifact in artifacts {
-            self.mark_hits(&artifact.bytes, routing, true, artifact.is_python, scratch);
-            for layer in &artifact.layers {
-                self.mark_hits(&layer.data, routing, true, false, scratch);
+            let reads = |provenance| move |e: RuleEngine| e.reads(provenance, artifact.is_python);
+            let (surface, layer) = (reads(TermProvenance::Surface), reads(TermProvenance::Layer));
+            self.mark_hits(&artifact.bytes, routing, surface, scratch);
+            for unit in &artifact.layers {
+                self.mark_hits(&unit.data, routing, layer, scratch);
             }
         }
     }
 
     /// One streaming automaton pass over `text`, marking hit atoms'
-    /// routes for the selected engine(s). The pass stops early once every
-    /// atom has been seen — at that point every route is already marked
-    /// and the rest of the text cannot change the routing.
+    /// routes for the engines that read it. The pass stops early once
+    /// every atom has been seen — at that point every route is already
+    /// marked and the rest of the text cannot change the routing.
     fn mark_hits(
         &self,
         text: &[u8],
         routing: &mut Routing,
-        mark_yara: bool,
-        mark_semgrep: bool,
+        reads: impl Fn(RuleEngine) -> bool,
         scratch: &mut PrefilterScratch,
     ) {
         if self.atoms.is_empty() {
@@ -402,11 +414,9 @@ impl PrefilterIndex {
             }
             scratch.seen[m.pattern] = scratch.generation;
             unseen -= 1;
-            for id in &self.routes[m.pattern] {
-                match id {
-                    RuleId::Yara(_) if mark_yara => routing.mark(*id),
-                    RuleId::Semgrep(_) if mark_semgrep => routing.mark(*id),
-                    _ => {}
+            for &id in &self.routes[m.pattern] {
+                if reads(id.0) {
+                    routing.mark(id);
                 }
             }
             unseen > 0
@@ -424,10 +434,11 @@ impl PrefilterIndex {
 }
 
 impl Routing {
-    fn mark(&mut self, id: RuleId) {
-        match id {
-            RuleId::Yara(i) => self.yara[i] = true,
-            RuleId::Semgrep(i) => self.semgrep[i] = true,
+    /// Marks one rule for evaluation.
+    pub(crate) fn mark(&mut self, (engine, i): RuleId) {
+        match engine {
+            RuleEngine::Yara => self.yara[i] = true,
+            RuleEngine::Semgrep => self.semgrep[i] = true,
         }
     }
 }
@@ -458,9 +469,10 @@ mod tests {
             for id in &self.always {
                 routing.mark(*id);
             }
-            self.mark_hits(buffer, routing, true, false, scratch);
+            self.mark_hits(buffer, routing, |e| e == RuleEngine::Yara, scratch);
             for source in sources {
-                self.mark_hits(source.as_ref(), routing, false, true, scratch);
+                let semgrep = |e| e == RuleEngine::Semgrep;
+                self.mark_hits(source.as_ref(), routing, semgrep, scratch);
             }
         }
 

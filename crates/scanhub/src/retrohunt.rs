@@ -34,26 +34,27 @@
 //! # Verdict semantics
 //!
 //! [`crate::ScanHub::retro_hunt`] confirm-scans each candidate digest
-//! with exactly the changed rules, using the same per-unit evaluation
-//! the hub scan path uses (surface bytes at offset zero, each decoded
-//! layer as its own unit, Semgrep over the cached parsed module). The
-//! differential suite pins `retro_hunt` ≡ `retro_rescan` (the
-//! exhaustive oracle that confirm-scans every resident digest), and
-//! pins the confirm-scan itself against a full hub scan restricted to
+//! with exactly the changed rules, masked per digest by a [`Routing`],
+//! through the evaluator a hub worker scans requests with (surface bytes
+//! at offset zero, each decoded layer as its own unit, Semgrep over the
+//! cached module), and normalizes each flagged digest's [`Verdict`].
+//! Candidacy follows the units each engine `reads`, as routing does. The
+//! differential suite pins `retro_hunt` ≡ `retro_rescan` (the exhaustive
+//! oracle), and the confirm scan against a full hub scan restricted to
 //! the changed rules.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use semgrep_engine::{CompiledSemgrepRules, Finding, MatchScratch, MatchSet};
-use yara_engine::{CompiledRules, ScanScratch, Scanner};
+use semgrep_engine::CompiledSemgrepRules;
+use yara_engine::CompiledRules;
 
 use crate::artifact::FileAnalysis;
 use crate::cache::DigestKey;
 use crate::metrics::{HubCounters, HubTelemetry, Stage, StageClock};
-use crate::prefilter::{RuleDelta, RuleEngine};
+use crate::prefilter::{ChangedRule, Routing, RuleDelta, RuleEngine};
 use crate::store::ArtifactStore;
-use crate::verdict::LayerFinding;
-use crate::worker::layer_findings;
+use crate::verdict::Verdict;
+use crate::worker::Evaluator;
 
 /// Width of the indexed content grams. Three bytes keeps the posting
 /// map small enough to live beside the artifact cache while still
@@ -530,8 +531,6 @@ pub struct RuleDeployment {
     /// Subset compiled ruleset of the changed Semgrep rules, in
     /// `delta.changed` order.
     pub(crate) semgrep: Option<CompiledSemgrepRules>,
-    /// `delta.changed[i]` → position in its engine's subset ruleset.
-    pub(crate) subset_pos: Vec<usize>,
 }
 
 impl RuleDeployment {
@@ -540,30 +539,18 @@ impl RuleDeployment {
         yara: Option<&CompiledRules>,
         semgrep: Option<&CompiledSemgrepRules>,
     ) -> Self {
-        let mut yara_rules = Vec::new();
-        let mut semgrep_rules = Vec::new();
-        let mut subset_pos = Vec::with_capacity(delta.changed.len());
-        for changed in &delta.changed {
-            match changed.engine {
-                RuleEngine::Yara => {
-                    subset_pos.push(yara_rules.len());
-                    let rules = yara.expect("changed YARA rule implies a YARA ruleset");
-                    yara_rules.push(rules.rules[changed.index].clone());
-                }
-                RuleEngine::Semgrep => {
-                    subset_pos.push(semgrep_rules.len());
-                    let rules = semgrep.expect("changed Semgrep rule implies a Semgrep ruleset");
-                    semgrep_rules.push(rules.rules[changed.index].clone());
-                }
-            }
+        // One engine's changed rules, in delta order; `None` for none.
+        fn subset<R: Clone>(delta: &RuleDelta, engine: RuleEngine, all: &[R]) -> Option<Vec<R>> {
+            let changed = delta.changed.iter().filter(|c| c.engine == engine);
+            let rules: Vec<R> = changed.map(|c| all[c.index].clone()).collect();
+            (!rules.is_empty()).then_some(rules)
         }
+        let yara = yara.and_then(|all| subset(&delta, RuleEngine::Yara, &all.rules));
+        let semgrep = semgrep.and_then(|all| subset(&delta, RuleEngine::Semgrep, &all.rules));
         RuleDeployment {
+            yara: yara.map(|rules| CompiledRules { rules }),
+            semgrep: semgrep.map(|rules| CompiledSemgrepRules { rules }),
             delta,
-            yara: (!yara_rules.is_empty()).then_some(CompiledRules { rules: yara_rules }),
-            semgrep: (!semgrep_rules.is_empty()).then_some(CompiledSemgrepRules {
-                rules: semgrep_rules,
-            }),
-            subset_pos,
         }
     }
 
@@ -572,12 +559,12 @@ impl RuleDeployment {
         self.delta.changed.is_empty()
     }
 
-    /// Sizes of the per-engine subset rulesets.
-    pub(crate) fn subset_lens(&self) -> (usize, usize) {
-        (
-            self.yara.as_ref().map_or(0, |r| r.rules.len()),
-            self.semgrep.as_ref().map_or(0, |r| r.rules.len()),
-        )
+    /// A mask over the subset rulesets with every rule set to `on`.
+    fn routing(&self, on: bool) -> Routing {
+        Routing {
+            yara: vec![on; self.yara.as_ref().map_or(0, |r| r.rules.len())],
+            semgrep: vec![on; self.semgrep.as_ref().map_or(0, |r| r.rules.len())],
+        }
     }
 }
 
@@ -595,26 +582,15 @@ pub struct RetroRuleHits {
     pub digests: Vec<String>,
 }
 
-/// Findings for one digest, restricted to the deployed delta rules.
-/// Mirrors [`crate::Verdict`] semantics; `file` fields of layer
-/// findings carry the hex digest (a retro-hunt sees content, not the
-/// upload names that referenced it).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetroVerdict {
-    /// Hex content digest.
-    pub digest: String,
-    /// Matching YARA rule names (surface evaluation), sorted.
-    pub yara: Vec<String>,
-    /// Matching Semgrep rule ids, sorted.
-    pub semgrep: Vec<String>,
-    /// Decoded-layer findings, sorted.
-    pub layers: Vec<LayerFinding>,
-}
-
-impl RetroVerdict {
-    /// True when at least one delta rule fired on this digest.
-    pub fn flagged(&self) -> bool {
-        !self.yara.is_empty() || !self.semgrep.is_empty() || !self.layers.is_empty()
+impl RetroRuleHits {
+    /// The rule before its confirm scans: nominated, nothing confirmed.
+    fn unconfirmed(rule: &ChangedRule, candidates: usize) -> Self {
+        RetroRuleHits {
+            engine: rule.engine,
+            rule: rule.name.clone(),
+            candidates: candidates as u64,
+            digests: Vec::new(),
+        }
     }
 }
 
@@ -623,9 +599,11 @@ impl RetroVerdict {
 pub struct RetroReport {
     /// Per changed rule, in delta order: candidates and confirmed hits.
     pub rules: Vec<RetroRuleHits>,
-    /// Flagged digests with their delta-restricted verdicts, sorted by
-    /// digest.
-    pub verdicts: Vec<RetroVerdict>,
+    /// Each flagged digest, in hex, with its verdict restricted to the
+    /// changed rules, sorted by digest. A layer finding's `file` is the
+    /// hex digest (a retro-hunt sees content, not the upload names that
+    /// referenced it); `flows` is empty.
+    pub verdicts: Vec<(String, Verdict)>,
     /// Digests resident in the index when the hunt ran.
     pub digests_indexed: u64,
     /// Total per-rule candidate nominations (a digest nominated by two
@@ -634,8 +612,7 @@ pub struct RetroReport {
     /// Distinct digests confirm-scanned.
     pub confirm_scans: u64,
     /// Changed rules that fell back to full candidacy (no exhaustive
-    /// atom set — regex-only or always-on rules). Short atoms no
-    /// longer force fallback: they answer from exact 1/2-gram postings.
+    /// atom set: regex-only or always-on rules).
     pub full_candidacy_rules: u64,
 }
 
@@ -659,237 +636,128 @@ impl RetroReport {
     }
 }
 
-/// One confirm-scan work item: a digest and, per engine, which subset
-/// rules to evaluate on it.
-#[derive(Debug)]
-struct ConfirmTask {
-    digest: DigestKey,
-    yara_mask: Vec<bool>,
-    semgrep_mask: Vec<bool>,
-}
-
-/// What to confirm-scan, with the nomination accounting the report
-/// carries alongside the findings.
-struct ConfirmPlan {
-    tasks: Vec<ConfirmTask>,
-    /// Per changed rule, in delta order: digests nominated for it.
-    candidates: Vec<u64>,
-    digests_indexed: u64,
-    full_candidacy_rules: u64,
-}
-
 /// Confirm-scans each task's digest (in digest order) with the
 /// deployment's subset rulesets, strictly gated per rule — a rule is
 /// evaluated on a digest only if that digest was nominated for it, which
-/// keeps the differential proof against the exhaustive oracle sharp.
+/// keeps the differential proof against the exhaustive oracle sharp —
+/// and completes `report`, whose rules carry their candidate counts.
 /// Entered and left [`Stage::Idle`]; each scan is one `retro_confirm`
 /// lap of `clock`.
 fn confirm_scan(
     deployment: &RuleDeployment,
-    mut plan: ConfirmPlan,
+    mut tasks: Vec<(DigestKey, Routing)>,
+    mut report: RetroReport,
     store: &ArtifactStore,
     clock: &mut StageClock<'_>,
 ) -> RetroReport {
-    plan.tasks.sort_by_key(|task| task.digest);
-    let scanner = deployment.yara.as_ref().map(Scanner::new);
-    let matcher = deployment.semgrep.as_ref().map(MatchSet::new);
-    let mut yara_scratch = ScanScratch::new();
-    let mut semgrep_scratch = MatchScratch::new();
-    let mut marks: Vec<bool> = Vec::new();
-    let mut findings: Vec<Finding> = Vec::new();
-
-    let changed = &deployment.delta.changed;
-    let mut by_name: HashMap<(RuleEngine, &str), usize> = HashMap::new();
-    for (ci, c) in changed.iter().enumerate() {
-        by_name.insert((c.engine, c.name.as_str()), ci);
-    }
-    let mut rule_digests: Vec<BTreeSet<String>> = vec![BTreeSet::new(); changed.len()];
-    let mut verdicts: Vec<RetroVerdict> = Vec::new();
-    let mut scans = 0u64;
-
-    for task in &plan.tasks {
+    tasks.sort_by_key(|(digest, _)| *digest);
+    let mut eval = Evaluator::new(deployment.yara.as_ref(), deployment.semgrep.as_ref());
+    for (digest, mask) in &tasks {
         // A digest evicted between index query and confirm is simply
         // gone from the history — nothing to report on it. A peek: the
         // hunt must not keep its candidates alive in the serving cache.
-        let Some(artifact) = store.peek(&task.digest) else {
+        let Some(artifact) = store.peek(digest) else {
             continue;
         };
         clock.lap(Stage::RetroConfirm);
-        scans += 1;
-        let hex = digest::to_hex(&task.digest);
-        let mut verdict = RetroVerdict {
-            digest: hex.clone(),
-            yara: Vec::new(),
-            semgrep: Vec::new(),
-            layers: Vec::new(),
-        };
-        if let Some(scanner) = &scanner {
-            if task.yara_mask.iter().any(|&b| b) {
-                let hits = scanner.collect_hits(&artifact.bytes);
-                for m in scanner.eval_hits(
-                    [(0usize, &hits)],
-                    artifact.bytes.len() as i64,
-                    |ri| task.yara_mask[ri],
-                    &mut yara_scratch,
-                ) {
-                    verdict.yara.push(m.rule);
-                }
-                for layer in &artifact.layers {
-                    layer_findings(
-                        scanner,
-                        layer,
-                        &scanner.collect_hits(&layer.data),
-                        &hex,
-                        &task.yara_mask,
-                        &mut marks,
-                        &mut yara_scratch,
-                        &mut verdict.layers,
-                    );
-                }
+        report.confirm_scans += 1;
+        let hex = digest::to_hex(digest);
+        let mut verdict = Verdict::default();
+        // The artifact's cached hits are the live bundle's, so the
+        // subset rules collect their own.
+        if mask.yara.contains(&true) {
+            let hits = eval.collect_hits(&artifact.bytes);
+            let len = artifact.bytes.len();
+            eval.surface([(0, &hits)], len, &mask.yara, &mut verdict.yara);
+            for layer in &artifact.layers {
+                let hits = eval.collect_hits(&layer.data);
+                eval.layer(layer, &hits, &hex, &mask.yara, &mut verdict.layers);
             }
         }
-        if let (Some(matcher), Some(module)) = (&matcher, artifact.module.as_ref()) {
-            if task.semgrep_mask.iter().any(|&b| b) {
-                findings.clear();
-                matcher.match_module_set_into(
-                    module.get(),
-                    |ri| task.semgrep_mask[ri],
-                    &mut semgrep_scratch,
-                    &mut findings,
-                );
-                let ids: BTreeSet<String> = findings.drain(..).map(|f| f.rule_id).collect();
-                verdict.semgrep = ids.into_iter().collect();
-            }
+        let module = artifact.module.as_ref();
+        if let Some(module) = module.filter(|_| mask.semgrep.contains(&true)) {
+            eval.semgrep(module.get(), &mask.semgrep, |id| verdict.semgrep.push(id));
         }
-        verdict.yara.sort_unstable();
-        verdict.yara.dedup();
-        verdict.layers.sort();
-        verdict.layers.dedup();
-
-        for name in &verdict.yara {
-            if let Some(&ci) = by_name.get(&(RuleEngine::Yara, name.as_str())) {
-                rule_digests[ci].insert(hex.clone());
-            }
-        }
-        for finding in &verdict.layers {
-            if let Some(&ci) = by_name.get(&(RuleEngine::Yara, finding.rule.as_str())) {
-                rule_digests[ci].insert(hex.clone());
-            }
-        }
-        for id in &verdict.semgrep {
-            if let Some(&ci) = by_name.get(&(RuleEngine::Semgrep, id.as_str())) {
-                rule_digests[ci].insert(hex.clone());
-            }
-        }
+        verdict.normalize();
         clock.lap(Stage::Idle);
         if verdict.flagged() {
-            verdicts.push(verdict);
+            report.verdicts.push((hex, verdict));
         }
     }
-
-    verdicts.sort_by(|a, b| a.digest.cmp(&b.digest));
-    let rules = changed
-        .iter()
-        .zip(rule_digests)
-        .zip(&plan.candidates)
-        .map(|((c, digests), &candidates)| RetroRuleHits {
-            engine: c.engine,
-            rule: c.name.clone(),
-            candidates,
-            digests: digests.into_iter().collect(),
-        })
-        .collect();
-    RetroReport {
-        rules,
-        verdicts,
-        digests_indexed: plan.digests_indexed,
-        candidates: plan.candidates.iter().sum(),
-        confirm_scans: scans,
-        full_candidacy_rules: plan.full_candidacy_rules,
+    // Digest order is hex order, so each rule's digests come out sorted.
+    for hits in &mut report.rules {
+        let fired = |v: &Verdict| match hits.engine {
+            RuleEngine::Yara => {
+                v.yara.binary_search(&hits.rule).is_ok()
+                    || v.layers.iter().any(|l| l.rule == hits.rule)
+            }
+            RuleEngine::Semgrep => v.semgrep.binary_search(&hits.rule).is_ok(),
+        };
+        let flagged = report.verdicts.iter().filter(|(_, v)| fired(v));
+        hits.digests = flagged.map(|(hex, _)| hex.clone()).collect();
     }
+    report.candidates = report.rules.iter().map(|r| r.candidates).sum();
+    report
 }
 
 /// Per-digest confirm tasks for the deployment's changed rules, from the
-/// index's candidates.
-fn plan(retro: &RetroIndex, deployment: &RuleDeployment) -> ConfirmPlan {
+/// index's candidates, and the report they will complete.
+fn plan(
+    retro: &RetroIndex,
+    deployment: &RuleDeployment,
+) -> (Vec<(DigestKey, Routing)>, RetroReport) {
     let changed = &deployment.delta.changed;
-    let (yara_len, semgrep_len) = deployment.subset_lens();
-    let mut masks: HashMap<DigestKey, (Vec<bool>, Vec<bool>)> = HashMap::new();
-    let mut candidates: Vec<u64> = Vec::with_capacity(changed.len());
-    let mut full_candidacy_rules = 0u64;
-    for (ci, rule) in changed.iter().enumerate() {
-        // Candidates for this rule: `None` means "cannot gate —
-        // full candidacy" (no exhaustive atom set). Sub-gram
-        // atoms answer exactly from the 1/2-gram postings.
-        let gated: Option<Vec<(DigestKey, bool)>> = if !rule.exhaustive {
-            None
-        } else if rule.atoms.is_empty() {
-            // Exhaustive and atomless: the rule can never match
-            // (`condition: false`), so zero candidates is sound.
-            Some(Vec::new())
-        } else {
-            let mut acc: HashMap<DigestKey, bool> = HashMap::new();
-            let mut fallback = false;
-            for atom in &rule.atoms {
-                let Some(surface) = retro.candidates_for_atom(atom, TermProvenance::Surface) else {
-                    fallback = true;
-                    break;
-                };
-                match rule.engine {
-                    // YARA scans raw bytes and every decoded
-                    // layer; any-of atom semantics unions.
-                    RuleEngine::Yara => {
-                        acc.extend(surface);
-                        let layer = retro
-                            .candidates_for_atom(atom, TermProvenance::Layer)
-                            .expect("same atom was surface-queryable");
-                        acc.extend(layer);
-                    }
-                    // Semgrep parses Python surface text only.
-                    RuleEngine::Semgrep => {
-                        acc.extend(surface.into_iter().filter(|(_, python)| *python));
-                    }
+    let mut masks: HashMap<DigestKey, Routing> = HashMap::new();
+    let mut report = RetroReport {
+        rules: Vec::with_capacity(changed.len()),
+        digests_indexed: retro.digest_count() as u64,
+        ..RetroReport::default()
+    };
+    // Per engine, the position of the next changed rule in its subset
+    // ruleset, which holds them in delta order.
+    let mut next = [0usize; 2];
+    let unmarked = || deployment.routing(false);
+    for rule in changed {
+        let id = (rule.engine, next[rule.engine as usize]);
+        next[rule.engine as usize] += 1;
+        // Candidates: the union over the rule's atoms (any-of semantics)
+        // and the units its engine reads; sub-gram atoms answer exactly
+        // from the 1/2-gram postings. An exhaustive rule without atoms can
+        // never match (`condition: false`): none. `None` — no exhaustive
+        // atom set, or an atom the index cannot gate — is full candidacy.
+        let mut gated = rule.exhaustive.then(HashMap::new);
+        for atom in &rule.atoms {
+            for provenance in [TermProvenance::Surface, TermProvenance::Layer] {
+                if !rule.engine.reads(provenance, true) {
+                    continue; // a unit the engine reads in no file
                 }
-            }
-            (!fallback).then(|| acc.into_iter().collect())
-        };
-        let list: Vec<(DigestKey, bool)> = match gated {
-            Some(list) => list,
-            None => {
-                full_candidacy_rules += 1;
-                let all = retro.all_digests();
-                match rule.engine {
-                    RuleEngine::Yara => all,
-                    RuleEngine::Semgrep => all.into_iter().filter(|(_, python)| *python).collect(),
+                let Some(acc) = gated.as_mut() else { break };
+                match retro.candidates_for_atom(atom, provenance) {
+                    Some(mut list) => {
+                        list.retain(|&(_, python)| rule.engine.reads(provenance, python));
+                        acc.extend(list);
+                    }
+                    None => gated = None,
                 }
-            }
-        };
-        candidates.push(list.len() as u64);
-        let subset = deployment.subset_pos[ci];
-        for (digest, _) in list {
-            let entry = masks
-                .entry(digest)
-                .or_insert_with(|| (vec![false; yara_len], vec![false; semgrep_len]));
-            match rule.engine {
-                RuleEngine::Yara => entry.0[subset] = true,
-                RuleEngine::Semgrep => entry.1[subset] = true,
             }
         }
+        let list: Vec<(DigestKey, bool)> = match gated {
+            Some(acc) => acc.into_iter().collect(),
+            None => {
+                report.full_candidacy_rules += 1;
+                // Every unit an engine reads lies in a file whose bytes it reads.
+                let mut all = retro.all_digests();
+                all.retain(|&(_, python)| rule.engine.reads(TermProvenance::Surface, python));
+                all
+            }
+        };
+        let hits = RetroRuleHits::unconfirmed(rule, list.len());
+        report.rules.push(hits);
+        for (digest, _) in list {
+            masks.entry(digest).or_insert_with(unmarked).mark(id);
+        }
     }
-    let tasks = masks
-        .into_iter()
-        .map(|(digest, (yara_mask, semgrep_mask))| ConfirmTask {
-            digest,
-            yara_mask,
-            semgrep_mask,
-        })
-        .collect();
-    ConfirmPlan {
-        tasks,
-        candidates,
-        digests_indexed: retro.digest_count() as u64,
-        full_candidacy_rules,
-    }
+    (masks.into_iter().collect(), report)
 }
 
 /// [`crate::ScanHub::retro_hunt`]: plans per-digest confirm tasks from
@@ -904,10 +772,10 @@ pub(crate) fn hunt(
     // The caller's own tag is back as it was once this returns.
     let _tag = Stage::nested();
     let mut clock = StageClock::start(telemetry.histograms(), Stage::RetroQuery);
-    let plan = store.with_retro(|retro| plan(retro, deployment))?;
+    let (tasks, report) = store.with_retro(|retro| plan(retro, deployment))?;
     HubCounters::add(&counters.retro_hunts, 1);
     clock.lap(Stage::Idle);
-    let report = confirm_scan(deployment, plan, store, &mut clock);
+    let report = confirm_scan(deployment, tasks, report, store, &mut clock);
     HubCounters::add(&counters.retro_candidates, report.candidates);
     HubCounters::add(&counters.retro_confirm_scans, report.confirm_scans);
     Some(report)
@@ -919,24 +787,20 @@ pub(crate) fn hunt(
 pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Option<RetroReport> {
     let _tag = Stage::nested();
     let all = store.with_retro(RetroIndex::all_digests)?;
-    let (yara_len, semgrep_len) = deployment.subset_lens();
+    let changed = &deployment.delta.changed;
+    let hits = |rule| RetroRuleHits::unconfirmed(rule, all.len());
+    let report = RetroReport {
+        rules: changed.iter().map(hits).collect(),
+        digests_indexed: all.len() as u64,
+        full_candidacy_rules: changed.len() as u64,
+        ..RetroReport::default()
+    };
     let tasks = all
         .iter()
-        .map(|(digest, _)| ConfirmTask {
-            digest: *digest,
-            yara_mask: vec![true; yara_len],
-            semgrep_mask: vec![true; semgrep_len],
-        })
+        .map(|&(d, _)| (d, deployment.routing(true)))
         .collect();
-    let rules = deployment.delta.changed.len();
-    let plan = ConfirmPlan {
-        tasks,
-        candidates: vec![all.len() as u64; rules],
-        digests_indexed: all.len() as u64,
-        full_candidacy_rules: rules as u64,
-    };
     let mut untimed = StageClock::start(None, Stage::Idle);
-    Some(confirm_scan(deployment, plan, store, &mut untimed))
+    Some(confirm_scan(deployment, tasks, report, store, &mut untimed))
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@ use std::collections::HashSet;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use semgrep_engine::{MatchScratch, MatchSet};
-use yara_engine::{FileHits, ScanScratch, Scanner};
+use pysrc::Module;
+use semgrep_engine::{CompiledSemgrepRules, Finding, MatchScratch, MatchSet};
+use yara_engine::{CompiledRules, FileHits, ScanScratch, Scanner};
 
 use crate::artifact::{DecodedLayer, FileAnalysis};
 use crate::hub::Shared;
@@ -17,18 +18,135 @@ use crate::request::ScanRequest;
 use crate::retrohunt::GramScratch;
 use crate::verdict::{FlowRecord, LayerFinding, Verdict};
 
+/// One rule bundle's matchers and their reusable scratch, through which
+/// requests and retro-hunt confirm scans alike evaluate rules over cached
+/// artifacts. Each step evaluates only the rules its mask enables, and
+/// finds nothing if the bundle lacks its engine. Built once per worker
+/// or hunt, not per package; nothing here parses pattern text.
+pub(crate) struct Evaluator<'r> {
+    scanner: Option<Scanner<'r>>,
+    matcher: Option<MatchSet<'r>>,
+    yara: ScanScratch,
+    semgrep: MatchScratch,
+    /// Per YARA rule: has the layer being evaluated a hit for it?
+    marks: Vec<bool>,
+    findings: Vec<Finding>,
+}
+
+impl<'r> Evaluator<'r> {
+    pub(crate) fn new(
+        yara: Option<&'r CompiledRules>,
+        semgrep: Option<&'r CompiledSemgrepRules>,
+    ) -> Self {
+        Evaluator {
+            scanner: yara.map(Scanner::new),
+            matcher: semgrep.map(MatchSet::new),
+            yara: ScanScratch::new(),
+            semgrep: MatchScratch::new(),
+            marks: Vec::new(),
+            findings: Vec::new(),
+        }
+    }
+
+    /// The bundle's YARA scanner.
+    pub(crate) fn scanner(&self) -> Option<&Scanner<'r>> {
+        self.scanner.as_ref()
+    }
+
+    /// The bundle's string hits on a unit no artifact build scanned with it.
+    pub(crate) fn collect_hits(&self, data: &[u8]) -> FileHits {
+        let scanner = self.scanner.as_ref();
+        scanner.map_or_else(FileHits::default, |s| s.collect_hits(data))
+    }
+
+    /// Surface YARA: evaluates the rules `mask` enables over the union
+    /// of `parts`, each hit set rebased to its unit's offset in a
+    /// `len`-byte whole, and pushes each matching rule's name.
+    pub(crate) fn surface<'h>(
+        &mut self,
+        parts: impl IntoIterator<Item = (usize, &'h FileHits)>,
+        len: usize,
+        mask: &[bool],
+        out: &mut Vec<String>,
+    ) {
+        let Some(scanner) = &self.scanner else {
+            return;
+        };
+        for hit in scanner.eval_hits(parts, len as i64, |ri| mask[ri], &mut self.yara) {
+            out.push(hit.rule);
+        }
+    }
+
+    /// Evaluates one decoded layer as its own scan unit and pushes a
+    /// finding labelled `file` for every rule enabled in `mask` that
+    /// matches.
+    pub(crate) fn layer(
+        &mut self,
+        layer: &DecodedLayer,
+        hits: &FileHits,
+        file: &str,
+        mask: &[bool],
+        out: &mut Vec<LayerFinding>,
+    ) {
+        // A layer with no string hit can only satisfy stringless
+        // conditions (filesize, negations) that say nothing about the
+        // payload: skip it.
+        let Some(scanner) = self.scanner.as_ref().filter(|_| !hits.is_empty()) else {
+            return;
+        };
+        // Restrict evaluation to rules with evidence *in* this layer:
+        // stringless and negation-only conditions are package-routed
+        // unconditionally and would otherwise hold trivially against the
+        // tiny unit-local filesize.
+        let marks = &mut self.marks;
+        scanner.mark_rules_with_hits(hits, marks);
+        let matches = scanner.eval_hits(
+            [(0usize, hits)],
+            layer.data.len() as i64,
+            |ri| mask[ri] && marks[ri],
+            &mut self.yara,
+        );
+        for m in matches {
+            out.push(LayerFinding {
+                rule: m.rule,
+                file: file.to_owned(),
+                encoding: layer.encoding,
+                depth: layer.depth,
+                line: layer.line,
+            });
+        }
+    }
+
+    /// One Semgrep walk over `module` with the rules `mask` enables,
+    /// handing each finding's rule id to `found`. Returns the statements
+    /// visited.
+    pub(crate) fn semgrep(
+        &mut self,
+        module: &Module,
+        mask: &[bool],
+        mut found: impl FnMut(String),
+    ) -> u64 {
+        let Some(matcher) = &self.matcher else {
+            return 0;
+        };
+        let (scratch, findings) = (&mut self.semgrep, &mut self.findings);
+        findings.clear();
+        let walk = matcher.match_module_set_into(module, |ri| mask[ri], scratch, findings);
+        for finding in findings.drain(..) {
+            found(finding.rule_id);
+        }
+        walk.stmts_visited
+    }
+}
+
 /// Per-worker reusable scan state. Every slot is either generation-
 /// stamped or cleared before use, so a worker's steady-state scan path
 /// performs no allocation beyond actual findings and cold artifacts.
 struct WorkerScratch {
     routing: Routing,
     prefilter: PrefilterScratch,
-    yara: ScanScratch,
-    semgrep: MatchScratch,
-    findings: Vec<semgrep_engine::Finding>,
     ids: HashSet<String>,
     artifacts: Vec<Arc<FileAnalysis>>,
-    layer_marks: Vec<bool>,
     grams: GramScratch,
 }
 
@@ -37,23 +155,15 @@ impl WorkerScratch {
         WorkerScratch {
             routing: Routing::empty(),
             prefilter: PrefilterScratch::new(),
-            yara: ScanScratch::new(),
-            semgrep: MatchScratch::new(),
-            findings: Vec::new(),
             ids: HashSet::new(),
             artifacts: Vec::new(),
-            layer_marks: Vec::new(),
             grams: GramScratch::default(),
         }
     }
 }
 
 pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
-    // Per-worker reusable matcher state: the merged Aho–Corasick
-    // automatons and the Semgrep anchor index are built once per worker,
-    // not once per package — and neither ever parses pattern text.
-    let scanner = shared.yara.as_ref().map(Scanner::new);
-    let matcher = shared.semgrep.as_ref().map(MatchSet::new);
+    let mut eval = Evaluator::new(shared.yara.as_ref(), shared.semgrep.as_ref());
     let mut scratch = WorkerScratch::new();
     let histograms = shared.telemetry.histograms();
     while let Some(job) = shared.queue.pop() {
@@ -62,14 +172,7 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
         // A panic while scanning one hostile package must neither strand
         // the caller on an unfulfilled ticket nor take the worker down.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scan_job(
-                shared,
-                scanner.as_ref(),
-                matcher.as_ref(),
-                &mut scratch,
-                &job.request,
-                &mut clock,
-            )
+            scan_job(shared, &mut eval, &mut scratch, &job.request, &mut clock)
         }));
         match outcome {
             Ok(verdict) => {
@@ -196,8 +299,7 @@ fn gather_artifacts(
 
 fn scan_job(
     shared: &Shared,
-    scanner: Option<&Scanner<'_>>,
-    matcher: Option<&MatchSet<'_>>,
+    eval: &mut Evaluator<'_>,
     scratch: &mut WorkerScratch,
     request: &ScanRequest,
     clock: &mut StageClock<'_>,
@@ -206,19 +308,15 @@ fn scan_job(
     let WorkerScratch {
         routing,
         prefilter,
-        yara: yara_scratch,
-        semgrep: semgrep_scratch,
-        findings,
         ids,
         artifacts,
-        layer_marks,
         grams,
     } = scratch;
     // Phase 1: get-or-build every file's analysis artifact. This is the
     // only phase that lexes, parses, decodes or regex-scans; a warm
     // artifact cache makes a re-uploaded package version re-analyze only
     // its changed files.
-    gather_artifacts(shared, scanner, request, artifacts, grams, clock);
+    gather_artifacts(shared, eval.scanner(), request, artifacts, grams, clock);
     clock.lap(Stage::Prefilter);
     // Phase 2: route the package from the artifacts. This reads bytes
     // again: every file's raw bytes and every decoded layer go through
@@ -239,7 +337,7 @@ fn scan_job(
     // Phase 3: YARA — evaluate routed conditions over the union of the
     // files' cached hit sets (no byte is re-scanned), then each decoded
     // layer as its own unit, tagging layer findings by provenance.
-    if let Some(scanner) = scanner {
+    if shared.yara.is_some() {
         let routed = routing.yara_routed();
         count(&c.yara_rules_evaluated, routed);
         count(&c.yara_rules_skipped, routing.yara.len() - routed);
@@ -254,24 +352,13 @@ fn scan_job(
                 offset += a.bytes.len() + 1;
                 (base, a.yara_hits.as_ref().expect("scanner built hits"))
             });
-            let hits =
-                scanner.eval_hits(parts, total_len as i64, |ri| routing.yara[ri], yara_scratch);
-            for hit in hits {
-                verdict.yara.push(hit.rule);
-            }
+            let mask = &routing.yara;
+            eval.surface(parts, total_len, mask, &mut verdict.yara);
             clock.lap(Stage::Layers);
             for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
-                for (layer, layer_hits) in artifact.layers.iter().zip(&artifact.layer_hits) {
-                    layer_findings(
-                        scanner,
-                        layer,
-                        layer_hits,
-                        entry.name(),
-                        &routing.yara,
-                        layer_marks,
-                        yara_scratch,
-                        &mut verdict.layers,
-                    );
+                let file = entry.name();
+                for (layer, hits) in artifact.layers.iter().zip(&artifact.layer_hits) {
+                    eval.layer(layer, hits, file, mask, &mut verdict.layers);
                 }
             }
             clock.lap(Stage::Semgrep);
@@ -280,7 +367,7 @@ fn scan_job(
     // Phase 4: Semgrep — one anchored walk per cached module; nothing on
     // this path parses Python or pattern text.
     Stage::Semgrep.enter();
-    if let Some(matcher) = matcher {
+    if shared.semgrep.is_some() {
         let routed = routing.semgrep_routed();
         count(&c.semgrep_rules_evaluated, routed);
         count(&c.semgrep_rules_skipped, routing.semgrep.len() - routed);
@@ -294,17 +381,9 @@ fn scan_job(
                 let Some(module) = &artifact.module else {
                     continue;
                 };
-                findings.clear();
-                let walk = matcher.match_module_set_into(
-                    module.get(),
-                    |ri| routing.semgrep[ri],
-                    semgrep_scratch,
-                    findings,
-                );
-                stmts_visited += walk.stmts_visited;
-                for finding in findings.drain(..) {
-                    ids.insert(finding.rule_id);
-                }
+                stmts_visited += eval.semgrep(module.get(), &routing.semgrep, |id| {
+                    ids.insert(id);
+                });
             }
             HubCounters::add(&c.semgrep_stmts_visited, stmts_visited);
             verdict.semgrep = ids.drain().collect();
@@ -337,47 +416,6 @@ fn scan_job(
     verdict.normalize();
     clock.lap(Stage::Complete);
     verdict
-}
-
-/// Evaluates one decoded layer as its own scan unit — on the live path
-/// and in a retro-hunt's confirm scan alike — and pushes a finding
-/// labelled `file` for every rule enabled in `mask` that matches.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn layer_findings(
-    scanner: &Scanner<'_>,
-    layer: &DecodedLayer,
-    layer_hits: &FileHits,
-    file: &str,
-    mask: &[bool],
-    marks: &mut Vec<bool>,
-    scratch: &mut ScanScratch,
-    out: &mut Vec<LayerFinding>,
-) {
-    // A layer with no string hit can only satisfy stringless conditions
-    // (filesize, negations) that say nothing about the payload: skip it.
-    if layer_hits.is_empty() {
-        return;
-    }
-    // Restrict evaluation to rules with evidence *in* this layer:
-    // stringless and negation-only conditions are package-routed
-    // unconditionally and would otherwise hold trivially against the
-    // tiny unit-local filesize.
-    scanner.mark_rules_with_hits(layer_hits, marks);
-    let matches = scanner.eval_hits(
-        [(0usize, layer_hits)],
-        layer.data.len() as i64,
-        |ri| mask[ri] && marks[ri],
-        scratch,
-    );
-    for m in matches {
-        out.push(LayerFinding {
-            rule: m.rule,
-            file: file.to_owned(),
-            encoding: layer.encoding,
-            depth: layer.depth,
-            line: layer.line,
-        });
-    }
 }
 
 fn count(counter: &AtomicU64, n: usize) {

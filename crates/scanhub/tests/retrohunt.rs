@@ -309,7 +309,7 @@ fn confirmed_verdicts_match_a_fresh_full_scan_of_each_file() {
     let verdicts: HashMap<&str, _> = report
         .verdicts
         .iter()
-        .map(|v| (v.digest.as_str(), v))
+        .map(|(digest, v)| (digest.as_str(), v))
         .collect();
 
     let fresh = ScanHub::new(

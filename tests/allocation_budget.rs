@@ -25,7 +25,7 @@ use corpus::{mutate_dataset, CorpusConfig, Dataset};
 use obfuscate::EvasionProfile;
 use oss_registry::Package;
 use pysrc::TokenKind;
-use scanhub::{ArtifactConfig, FileAnalysis, FileEntry, ScanRequest, Stage};
+use scanhub::{ArtifactConfig, FileAnalysis, FileEntry, HubConfig, ScanHub, ScanRequest, Stage};
 use semgrep_engine::{CompiledSemgrepRules, MatchScratch, MatchSet};
 use yara_engine::{CompiledRules, Scanner};
 
@@ -411,6 +411,22 @@ fn a_warm_semgrep_walk_stays_within_its_allocation_budget() {
     assert!(total <= BUDGET, "the Semgrep walk made {total} allocations");
 }
 
+/// Prints the stages `spent` booked allocations to, then asserts each
+/// stays within its budget (0 for a stage `budgets` does not name),
+/// naming the stage that did not.
+fn check_ledger(what: &str, spent: [u64; STAGES], budgets: &[(Stage, u64)]) {
+    let steps = Stage::ALL.into_iter().zip(spent);
+    let booked: Vec<_> = steps.clone().filter(|(_, n)| *n > 0).collect();
+    println!("{what}: {booked:?}");
+    for (stage, spent) in steps {
+        let budget = budgets.iter().find(|b| b.0 == stage).map_or(0, |b| b.1);
+        assert!(
+            spent <= budget,
+            "{what}: the {stage:?} step made {spent} allocations, over its budget of {budget}"
+        );
+    }
+}
+
 /// The allocations of one cold package's artifact builds and of one
 /// one-line splice, each booked to the build step it was made in, stay
 /// within that step's budget; a failure names the step. Scanner, parse
@@ -419,18 +435,6 @@ fn a_warm_semgrep_walk_stays_within_its_allocation_budget() {
 /// and the decode and hits steps, over the whole file.
 #[test]
 fn each_build_step_stays_within_its_allocation_budget() {
-    let check = |what: &str, spent: [u64; STAGES], budgets: &[(Stage, u64)]| {
-        let steps = Stage::ALL.into_iter().zip(spent);
-        let booked: Vec<_> = steps.clone().filter(|(_, n)| *n > 0).collect();
-        println!("{what}: {booked:?}");
-        for (stage, spent) in steps {
-            let budget = budgets.iter().find(|b| b.0 == stage).map_or(0, |b| b.1);
-            assert!(
-                spent <= budget,
-                "{what}: the {stage:?} step made {spent} allocations, over its budget of {budget}"
-            );
-        }
-    };
     let entries = upload_entries();
     let scanner = warmed_scanner(&entries);
     let config = ArtifactConfig::default();
@@ -443,7 +447,7 @@ fn each_build_step_stays_within_its_allocation_budget() {
             FileAnalysis::build(entry, Some(&scanner), &config);
         }
     });
-    check(
+    check_ledger(
         "a cold package",
         cold,
         &[
@@ -473,7 +477,7 @@ fn each_build_step_stays_within_its_allocation_budget() {
         let spliced = FileAnalysis::build_spliced(&bumped, &donor, Some(&scanner), &config);
         assert!(spliced.is_some(), "the splice fell back");
     });
-    check(
+    check_ledger(
         "a one-line splice",
         splice,
         &[
@@ -486,4 +490,88 @@ fn each_build_step_stays_within_its_allocation_budget() {
             (Stage::Assemble, 2),
         ],
     );
+}
+
+/// The allocations of one retro-hunt and of its exhaustive rescan, each
+/// booked to the stage it was made in, stay within that stage's budget;
+/// a failure names the stage. A one-worker hub over the serving rules
+/// holds every upload of the corpus and its mutants; the deployment adds
+/// a YARA atom rule, a regex-only YARA rule (full candidacy) and a
+/// Semgrep rule to that bundle. The hunt books its index query to
+/// `RetroQuery`, each confirm scan to `RetroConfirm`, and the evaluator's
+/// construction and the report's assembly to `Idle`; the rescan queries
+/// no index.
+#[test]
+fn a_retro_hunt_stays_within_its_allocation_budget() {
+    let (live_yara, live_semgrep) = serving_rules();
+    let hub = ScanHub::new(
+        Some(live_yara.clone()),
+        Some(live_semgrep.clone()),
+        HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        },
+    );
+    for package in packages() {
+        hub.submit(ScanRequest::from_package(&package)).wait();
+    }
+    let (mut yara, mut semgrep) = (live_yara.clone(), live_semgrep.clone());
+    let added = yara_engine::compile(
+        r#"
+rule hunt_atom { strings: $a = "subprocess" condition: $a }
+rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/ condition: $r }
+"#,
+    )
+    .expect("new YARA rules compile");
+    yara.rules.extend(added.rules);
+    let added = semgrep_engine::compile(
+        "rules:\n  - id: hunt-exec\n    languages: [python]\n    message: m\n    pattern: exec($X)\n",
+    )
+    .expect("new Semgrep rule compiles");
+    semgrep.rules.extend(added.rules);
+    let deployment = hub.deploy_rules(Some(yara), Some(semgrep));
+    let changed: Vec<&str> = deployment
+        .delta
+        .changed
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
+    assert_eq!(changed, ["hunt_atom", "hunt_regex", "hunt-exec"]);
+
+    let mut hunt = None;
+    let spent = ledger(|| hunt = hub.retro_hunt(&deployment));
+    let hunt = hunt.expect("retro index enabled");
+    // While the confirm scan kept its own evaluation path, per-rule digest
+    // sets and name map, the same hunt made RetroQuery 648, RetroConfirm
+    // 1 023 and Idle 39.
+    check_ledger(
+        "a retro-hunt",
+        spent,
+        &[
+            (Stage::RetroQuery, 648),
+            (Stage::RetroConfirm, 660),
+            (Stage::Idle, 68),
+        ],
+    );
+    let mut rescan = None;
+    let spent = ledger(|| rescan = hub.retro_rescan(&deployment));
+    let rescan = rescan.expect("retro index enabled");
+    // RetroConfirm 1 023 and Idle 657 then.
+    check_ledger(
+        "its rescan",
+        spent,
+        &[(Stage::RetroConfirm, 660), (Stage::Idle, 689)],
+    );
+
+    // Vacuity guards: the atom rules pruned, the regex-only rule fell
+    // back to every digest, and every new rule confirmed hits, as in the
+    // rescan.
+    assert!(hunt.same_hits(&rescan), "hunt ≡ rescan");
+    assert_eq!(hunt.full_candidacy_rules, 1);
+    assert_eq!(hunt.confirm_scans, hunt.digests_indexed);
+    assert!(hunt.rules[0].candidates < hunt.digests_indexed);
+    assert!(hunt.rules[2].candidates < hunt.digests_indexed);
+    for rule in &hunt.rules {
+        assert!(!rule.digests.is_empty(), "{} confirmed nothing", rule.rule);
+    }
 }
