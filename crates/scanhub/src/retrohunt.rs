@@ -674,10 +674,9 @@ fn confirm_scan(
                 eval.layer(layer, &hits, &hex, &mask.yara, &mut verdict.layers);
             }
         }
-        let module = artifact.module.as_ref();
-        if let Some(module) = module.filter(|_| mask.semgrep.contains(&true)) {
-            eval.semgrep(module.get(), &mask.semgrep, |id| verdict.semgrep.push(id));
-        }
+        let module = artifact.module.as_ref().map(|m| m.get());
+        let module = module.filter(|_| mask.semgrep.contains(&true));
+        eval.semgrep(module, &mask.semgrep, &mut verdict.semgrep);
         verdict.normalize();
         clock.lap(Stage::Idle);
         if verdict.flagged() {

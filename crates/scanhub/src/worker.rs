@@ -2,12 +2,11 @@
 //! artifacts (full build or diff-and-splice), route, evaluate both
 //! engines over the cached artifacts, and fulfill the ticket.
 
-use std::collections::HashSet;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use pysrc::Module;
-use semgrep_engine::{CompiledSemgrepRules, Finding, MatchScratch, MatchSet};
+use semgrep_engine::{CompiledSemgrepRules, MatchScratch, MatchSet};
 use yara_engine::{CompiledRules, FileHits, ScanScratch, Scanner};
 
 use crate::artifact::{DecodedLayer, FileAnalysis};
@@ -30,7 +29,8 @@ pub(crate) struct Evaluator<'r> {
     semgrep: MatchScratch,
     /// Per YARA rule: has the layer being evaluated a hit for it?
     marks: Vec<bool>,
-    findings: Vec<Finding>,
+    /// Per Semgrep rule: has it matched a module of the package?
+    matched: Vec<bool>,
 }
 
 impl<'r> Evaluator<'r> {
@@ -44,7 +44,7 @@ impl<'r> Evaluator<'r> {
             yara: ScanScratch::new(),
             semgrep: MatchScratch::new(),
             marks: Vec::new(),
-            findings: Vec::new(),
+            matched: Vec::new(),
         }
     }
 
@@ -72,9 +72,8 @@ impl<'r> Evaluator<'r> {
         let Some(scanner) = &self.scanner else {
             return;
         };
-        for hit in scanner.eval_hits(parts, len as i64, |ri| mask[ri], &mut self.yara) {
-            out.push(hit.rule);
-        }
+        let found = |_, rule: &str| out.push(rule.to_owned());
+        scanner.eval_rules(parts, len as i64, |ri| mask[ri], &mut self.yara, found);
     }
 
     /// Evaluates one decoded layer as its own scan unit and pushes a
@@ -100,52 +99,55 @@ impl<'r> Evaluator<'r> {
         // tiny unit-local filesize.
         let marks = &mut self.marks;
         scanner.mark_rules_with_hits(hits, marks);
-        let matches = scanner.eval_hits(
-            [(0usize, hits)],
-            layer.data.len() as i64,
-            |ri| mask[ri] && marks[ri],
-            &mut self.yara,
-        );
-        for m in matches {
+        let len = layer.data.len() as i64;
+        let include = |ri: usize| mask[ri] && marks[ri];
+        scanner.eval_rules([(0, hits)], len, include, &mut self.yara, |_, rule| {
             out.push(LayerFinding {
-                rule: m.rule,
+                rule: rule.to_owned(),
                 file: file.to_owned(),
                 encoding: layer.encoding,
                 depth: layer.depth,
                 line: layer.line,
-            });
-        }
+            })
+        });
     }
 
-    /// One Semgrep walk over `module` with the rules `mask` enables,
-    /// handing each finding's rule id to `found`. Returns the statements
-    /// visited.
-    pub(crate) fn semgrep(
+    /// One Semgrep walk per module of `modules` with the rules `mask`
+    /// enables, pushing the id of each rule that matches any of them once.
+    /// Returns the statements visited.
+    pub(crate) fn semgrep<'m>(
         &mut self,
-        module: &Module,
+        modules: impl IntoIterator<Item = &'m Module>,
         mask: &[bool],
-        mut found: impl FnMut(String),
+        out: &mut Vec<String>,
     ) -> u64 {
         let Some(matcher) = &self.matcher else {
             return 0;
         };
-        let (scratch, findings) = (&mut self.semgrep, &mut self.findings);
-        findings.clear();
-        let walk = matcher.match_module_set_into(module, |ri| mask[ri], scratch, findings);
-        for finding in findings.drain(..) {
-            found(finding.rule_id);
+        let (scratch, matched) = (&mut self.semgrep, &mut self.matched);
+        matched.clear();
+        matched.resize(mask.len(), false);
+        let mut found = |ri: usize, _: &[usize]| {
+            if !std::mem::replace(&mut matched[ri], true) {
+                out.push(matcher.rules().rules[ri].id.clone());
+            }
+        };
+        let (include, mut stmts_visited) = (|ri: usize| mask[ri], 0);
+        for module in modules {
+            let walk = matcher.match_rules(module, include, scratch, &mut found);
+            stmts_visited += walk.stmts_visited;
         }
-        walk.stmts_visited
+        stmts_visited
     }
 }
 
-/// Per-worker reusable scan state. Every slot is either generation-
-/// stamped or cleared before use, so a worker's steady-state scan path
-/// performs no allocation beyond actual findings and cold artifacts.
+/// Per-worker reusable scan state, beside the worker's [`Evaluator`].
+/// Every slot is either generation-stamped or cleared before use, so once
+/// warm a worker evaluating cached artifacts allocates only its verdict:
+/// one string per rule name and layer file, and the lists that hold them.
 struct WorkerScratch {
     routing: Routing,
     prefilter: PrefilterScratch,
-    ids: HashSet<String>,
     artifacts: Vec<Arc<FileAnalysis>>,
     grams: GramScratch,
 }
@@ -155,7 +157,6 @@ impl WorkerScratch {
         WorkerScratch {
             routing: Routing::empty(),
             prefilter: PrefilterScratch::new(),
-            ids: HashSet::new(),
             artifacts: Vec::new(),
             grams: GramScratch::default(),
         }
@@ -308,7 +309,6 @@ fn scan_job(
     let WorkerScratch {
         routing,
         prefilter,
-        ids,
         artifacts,
         grams,
     } = scratch;
@@ -375,18 +375,10 @@ fn scan_job(
         if routed == 0 || !has_python {
             HubCounters::add(&c.semgrep_parses_skipped, 1);
         } else {
-            ids.clear();
-            let mut stmts_visited = 0;
-            for artifact in artifacts.iter() {
-                let Some(module) = &artifact.module else {
-                    continue;
-                };
-                stmts_visited += eval.semgrep(module.get(), &routing.semgrep, |id| {
-                    ids.insert(id);
-                });
-            }
+            let modules = artifacts.iter().filter_map(|a| a.module.as_ref());
+            let modules = modules.map(|module| module.get());
+            let stmts_visited = eval.semgrep(modules, &routing.semgrep, &mut verdict.semgrep);
             HubCounters::add(&c.semgrep_stmts_visited, stmts_visited);
-            verdict.semgrep = ids.drain().collect();
             clock.lap(Stage::Dataflow);
         }
     }

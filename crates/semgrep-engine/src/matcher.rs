@@ -16,8 +16,6 @@
 //! encoding; the last two are also what the reparse-per-call oracle in
 //! the `oracles` crate runs, through [`crate::internals`].
 
-use std::collections::HashMap;
-
 use pysrc::{Arg, Expr, Module, Stmt};
 
 use crate::rule::{PatternOp, Severity};
@@ -207,12 +205,12 @@ fn is_ellipsis(m: &Module, expr: &Expr) -> bool {
     matches!(*expr, Expr::Other(t) if m.owned(t) == "...")
 }
 
-/// The expression roots a statement exposes to expression patterns.
-pub(crate) fn for_each_expr_root<'a>(m: &'a Module, stmt: &Stmt, f: &mut impl FnMut(&'a Expr)) {
+/// The expression root a statement exposes to expression patterns.
+pub(crate) fn expr_root<'a>(m: &'a Module, stmt: &Stmt) -> Option<&'a Expr> {
     match *stmt {
-        Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => f(m.expr(value)),
-        Stmt::Return { value: Some(v), .. } => f(m.expr(v)),
-        _ => {}
+        Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => Some(m.expr(value)),
+        Stmt::Return { value: Some(v), .. } => Some(m.expr(v)),
+        _ => None,
     }
 }
 
@@ -234,10 +232,13 @@ pub fn stmt_matches(pattern: &Stmt, target: &Stmt, trees: Trees<'_>) -> bool {
         (Stmt::Expr { value: pv, .. }, _) => {
             // An expression pattern matches any statement containing a
             // matching sub-expression.
-            let pv = pm.expr(pv);
-            target_expressions(tm, target)
-                .iter()
-                .any(|te| expr_matches(pv, te, trees, &mut HashMap::new()))
+            let (pv, mut bindings) = (pm.expr(pv), Bindings::default());
+            expr_root(tm, target).is_some_and(|root| {
+                any_subexpr(tm, root, &mut |te| {
+                    bindings.undo(0);
+                    expr_matches(pv, te, trees, &mut bindings)
+                })
+            })
         }
         (
             Stmt::Assign {
@@ -259,7 +260,8 @@ pub fn stmt_matches(pattern: &Stmt, target: &Stmt, trees: Trees<'_>) -> bool {
                     tm.targets(tt).any(|t| t.to_text(tm) == p)
                 }
             });
-            target_ok && expr_matches(pm.expr(pv), tm.expr(tv), trees, &mut HashMap::new())
+            let mut bindings = Bindings::default();
+            target_ok && expr_matches(pm.expr(pv), tm.expr(tv), trees, &mut bindings)
         }
         (Stmt::Import { modules: pn, .. }, Stmt::Import { modules: tn, .. }) => {
             // Compare module paths only: `import os` matches
@@ -311,35 +313,59 @@ fn head_text<'s>(m: &'s Module, expr: &Expr) -> &'s str {
     }
 }
 
-/// Every expression (with nesting) reachable from a statement.
-fn target_expressions<'a>(m: &'a Module, stmt: &Stmt) -> Vec<&'a Expr> {
-    let mut out = Vec::new();
-    for_each_expr_root(m, stmt, &mut |root| {
-        collect_subexpressions(m, root, &mut out)
-    });
-    out
-}
-
-fn collect_subexpressions<'a>(m: &'a Module, expr: &'a Expr, out: &mut Vec<&'a Expr>) {
-    out.push(expr);
+/// Whether `f` holds for `expr` or any expression nested in it, tried
+/// outermost first.
+fn any_subexpr<'a>(m: &'a Module, expr: &'a Expr, f: &mut impl FnMut(&'a Expr) -> bool) -> bool {
+    if f(expr) {
+        return true;
+    }
+    let mut any = |id| any_subexpr(m, m.expr(id), f);
     match *expr {
-        Expr::Call { func, args } => {
-            collect_subexpressions(m, m.expr(func), out);
-            for a in m.args(args) {
-                collect_subexpressions(m, m.expr(a.value), out);
-            }
-        }
-        Expr::Attribute { value, .. } => collect_subexpressions(m, m.expr(value), out),
-        Expr::BinOp { left, right, .. } => {
-            collect_subexpressions(m, m.expr(left), out);
-            collect_subexpressions(m, m.expr(right), out);
-        }
-        _ => {}
+        Expr::Call { func, args } => any(func) || m.args(args).iter().any(|a| any(a.value)),
+        Expr::Attribute { value, .. } => any(value),
+        Expr::BinOp { left, right, .. } => any(left) || any(right),
+        _ => false,
     }
 }
 
-/// Metavariable name → the target expression it is bound to.
-type Bindings<'a> = HashMap<&'a str, &'a Expr>;
+/// Metavariables this many or fewer are bound without allocating.
+const INLINE_BINDINGS: usize = 8;
+
+/// Metavariable bindings (name → bound target expression) as an undo log
+/// that a failed trial truncates back to its mark. The first
+/// [`INLINE_BINDINGS`] are held inline; only more spill to the heap.
+#[derive(Default)]
+struct Bindings<'a> {
+    len: usize,
+    inline: [Option<(&'a str, &'a Expr)>; INLINE_BINDINGS],
+    spill: Vec<(&'a str, &'a Expr)>,
+}
+
+impl<'a> Bindings<'a> {
+    fn get(&self, name: &str) -> Option<&'a Expr> {
+        let inline = self.inline[..self.len.min(INLINE_BINDINGS)]
+            .iter()
+            .flatten();
+        inline
+            .chain(&self.spill)
+            .find(|(n, _)| *n == name)
+            .map(|&(_, e)| e)
+    }
+
+    fn bind(&mut self, name: &'a str, expr: &'a Expr) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = Some((name, expr)),
+            None => self.spill.push((name, expr)),
+        }
+        self.len += 1;
+    }
+
+    /// Drops every binding made since the log was `mark` entries long.
+    fn undo(&mut self, mark: usize) {
+        self.len = mark;
+        self.spill.truncate(mark.saturating_sub(INLINE_BINDINGS));
+    }
+}
 
 fn expr_matches<'a>(
     pattern: &'a Expr,
@@ -353,7 +379,7 @@ fn expr_matches<'a>(
         Expr::Name(n) if is_metavar(n.text(ps)) => match bindings.get(n.text(ps)) {
             Some(bound) => same_expr(tm, bound, target),
             None => {
-                bindings.insert(n.text(ps), target);
+                bindings.bind(n.text(ps), target);
                 true
             }
         },
@@ -449,64 +475,58 @@ fn args_match<'a>(
     // Keyword arguments: every pattern kwarg must match a target kwarg of
     // the same name.
     let name = |a: &Arg, m: &'a Module| a.name.map(|n| n.text(m.source()));
-    let pat_kwargs: Vec<&Arg> = pattern.iter().filter(|a| a.name.is_some()).collect();
-    let tgt_kwargs: Vec<&Arg> = target.iter().filter(|a| a.name.is_some()).collect();
-    for pk in &pat_kwargs {
-        let Some(tk) = tgt_kwargs.iter().find(|tk| name(tk, tm) == name(pk, pm)) else {
+    let keywords = |args: &'a [Arg]| args.iter().filter(|a| a.name.is_some());
+    for pk in keywords(pattern) {
+        let Some(tk) = target.iter().find(|tk| name(tk, tm) == name(pk, pm)) else {
             return false;
         };
         if !expr_matches(pm.expr(pk.value), tm.expr(tk.value), trees, bindings) {
             return false;
         }
     }
-    if !has_ellipsis && tgt_kwargs.len() != pat_kwargs.len() {
+    if !has_ellipsis && keywords(target).count() != keywords(pattern).count() {
         return false;
     }
 
     // Positional arguments: sequence match with ellipsis gaps.
-    let pat_pos: Vec<&Arg> = pattern.iter().filter(|a| a.name.is_none()).collect();
-    let tgt_pos: Vec<&Arg> = target.iter().filter(|a| a.name.is_none()).collect();
-    seq_match(&pat_pos, &tgt_pos, trees, bindings)
+    seq_match(pattern, target, trees, bindings)
 }
 
+/// `args` from its first positional argument on.
+fn positional(args: &[Arg]) -> &[Arg] {
+    let first = args.iter().position(|a| a.name.is_none());
+    &args[first.unwrap_or(args.len())..]
+}
+
+/// Matches positional arguments in sequence, skipping keyword ones.
 fn seq_match<'a>(
-    pattern: &[&'a Arg],
-    target: &[&'a Arg],
+    pattern: &'a [Arg],
+    target: &'a [Arg],
     trees: Trees<'a>,
     bindings: &mut Bindings<'a>,
 ) -> bool {
     let (pm, tm) = (trees.pattern, trees.target);
+    let (pattern, mut target) = (positional(pattern), positional(target));
     match pattern.split_first() {
         None => target.is_empty(),
         Some((first, rest)) if is_ellipsis(pm, pm.expr(first.value)) => {
             // Ellipsis absorbs zero or more target args (backtracking).
-            for skip in 0..=target.len() {
-                let mut trial = bindings.clone();
-                if seq_match(rest, &target[skip..], trees, &mut trial) {
-                    *bindings = trial;
+            let mark = bindings.len;
+            loop {
+                if seq_match(rest, target, trees, bindings) {
                     return true;
                 }
+                bindings.undo(mark);
+                let Some((_, tail)) = target.split_first() else {
+                    return false;
+                };
+                target = positional(tail);
             }
-            false
         }
-        Some((first, rest)) => match target.split_first() {
-            Some((tfirst, trest)) => {
-                let mut trial = bindings.clone();
-                if expr_matches(
-                    pm.expr(first.value),
-                    tm.expr(tfirst.value),
-                    trees,
-                    &mut trial,
-                ) && seq_match(rest, trest, trees, &mut trial)
-                {
-                    *bindings = trial;
-                    true
-                } else {
-                    false
-                }
-            }
-            None => false,
-        },
+        Some((first, rest)) => target.split_first().is_some_and(|(tfirst, trest)| {
+            expr_matches(pm.expr(first.value), tm.expr(tfirst.value), trees, bindings)
+                && seq_match(rest, trest, trees, bindings)
+        }),
     }
 }
 

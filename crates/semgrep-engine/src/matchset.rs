@@ -13,18 +13,16 @@
 //! `oracles` crate).
 //!
 //! All per-scan state lives in a caller-owned [`MatchScratch`] with
-//! generation-stamped slots, so a long-lived worker allocates no scan
-//! state: a warm scan allocates its findings, the match state of its leaf
-//! tests and each matching rule's line list, and never pattern text
-//! (`tests/allocation_budget.rs` pins the count).
+//! generation-stamped slots, and leaf tests bind metavariables in an
+//! inline undo log, so a warm [`MatchSet::match_rules`] allocates nothing
+//! and a warm [`MatchSet::match_module_set`] only its findings' rule ids
+//! and messages (`tests/allocation_budget.rs` pins the count).
 
 use std::collections::HashMap;
 
 use pysrc::{Expr, Module, Stmt};
 
-use crate::matcher::{
-    for_each_expr_root, pattern_stmt, stmt_matches, Anchor, CompiledOp, Finding, Trees,
-};
+use crate::matcher::{expr_root, pattern_stmt, stmt_matches, Anchor, CompiledOp, Finding, Trees};
 use crate::rule::CompiledSemgrepRules;
 
 /// Work counters for one [`MatchSet::match_module_set`] pass.
@@ -101,6 +99,8 @@ pub struct MatchScratch {
     /// statement (`tried[i] == stmt_gen` marks it done).
     stmt_gen: u64,
     tried: Vec<u64>,
+    /// The lines of the rule tree being evaluated (see `eval_tree`).
+    lines: Vec<usize>,
 }
 
 impl MatchScratch {
@@ -197,6 +197,11 @@ impl<'r> MatchSet<'r> {
         self.always.len()
     }
 
+    /// The ruleset this set matches.
+    pub fn rules(&self) -> &'r CompiledSemgrepRules {
+        self.rules
+    }
+
     /// Matches every rule selected by `include` (called with each rule's
     /// file-order index) against `module` in a single AST walk.
     ///
@@ -221,6 +226,27 @@ impl<'r> MatchSet<'r> {
         include: impl Fn(usize) -> bool,
         scratch: &mut MatchScratch,
         out: &mut Vec<Finding>,
+    ) -> SemgrepMetrics {
+        self.match_rules(module, include, scratch, |ri, lines| {
+            let rule = &self.rules.rules[ri];
+            out.extend(lines.iter().map(|&line| Finding {
+                rule_id: rule.id.clone(),
+                line,
+                message: rule.message.clone(),
+                severity: rule.severity,
+            }));
+        })
+    }
+
+    /// [`MatchSet::match_module_set`] without the findings: hands each
+    /// matching rule's index and its lines (ascending, distinct) to
+    /// `matched`, in rule order, allocating nothing once `scratch` is warm.
+    pub fn match_rules(
+        &self,
+        module: &Module,
+        include: impl Fn(usize) -> bool,
+        scratch: &mut MatchScratch,
+        mut matched: impl FnMut(usize, &[usize]),
     ) -> SemgrepMetrics {
         scratch.begin(self.leaves.len());
         let mut metrics = SemgrepMetrics::default();
@@ -249,31 +275,25 @@ impl<'r> MatchSet<'r> {
                 }
                 _ => {}
             }
-            for_each_expr_root(module, stmt, &mut |root| {
+            if let Some(root) = expr_root(module, stmt) {
                 walk_idents(module, root, &mut |ident| {
                     if let Some(ids) = self.ident_index.get(ident) {
                         try_leaves(ids, scratch);
                     }
                 });
-            });
-        }
-        for (ri, rule) in self.rules.rules.iter().enumerate() {
-            if !include(ri) {
-                continue;
             }
-            let mut lines = eval_tree(&self.trees[ri], scratch);
-            if lines.is_empty() {
-                continue;
-            }
-            lines.sort_unstable();
-            lines.dedup();
-            out.extend(lines.into_iter().map(|line| Finding {
-                rule_id: rule.id.clone(),
-                line,
-                message: rule.message.clone(),
-                severity: rule.severity,
-            }));
         }
+        let mut lines = std::mem::take(&mut scratch.lines);
+        for (ri, tree) in self.trees.iter().enumerate().filter(|(ri, _)| include(*ri)) {
+            lines.clear();
+            eval_tree(tree, scratch, &mut lines);
+            if !lines.is_empty() {
+                lines.sort_unstable();
+                lines.dedup();
+                matched(ri, &lines);
+            }
+        }
+        scratch.lines = lines;
         metrics
     }
 
@@ -312,47 +332,42 @@ impl<'r> MatchSet<'r> {
     }
 }
 
-/// Evaluates one rule's tree to its matching lines over the per-leaf
-/// line sets gathered during the walk. The conjunction semantics live
-/// here and in the intentionally frozen oracle copy in the `oracles`
-/// crate.
-fn eval_tree(node: &Node, scratch: &MatchScratch) -> Vec<usize> {
+/// Appends one rule tree's matching lines to `out` from the leaf lines of
+/// the walk, truncating what a subtree appended once its verdict is read.
+/// The conjunction semantics live here and in the intentionally frozen
+/// oracle copy in the `oracles` crate.
+fn eval_tree(node: &Node, scratch: &MatchScratch, out: &mut Vec<usize>) {
     match node {
-        Node::Leaf(li) => scratch.lines(*li).to_vec(),
-        Node::Dead => Vec::new(),
-        Node::Either(children) => {
-            let mut out = Vec::new();
-            for c in children {
-                out.extend(eval_tree(c, scratch));
-            }
-            out
-        }
+        Node::Leaf(li) => out.extend_from_slice(scratch.lines(*li)),
+        Node::Dead => {}
+        Node::Either(children) => children.iter().for_each(|c| eval_tree(c, scratch, out)),
         Node::All(children) => {
             // Conjunction: every positive child must match somewhere and no
             // negative child may match anywhere; findings are reported at
             // the first positive child's lines (a file-level approximation
             // of semgrep's range intersection).
-            let mut result: Option<Vec<usize>> = None;
+            let (start, mut result) = (out.len(), false);
             for c in children {
-                if let Node::Not(inner) = c {
-                    if !eval_tree(inner, scratch).is_empty() {
-                        return Vec::new();
-                    }
-                } else {
-                    let lines = eval_tree(c, scratch);
-                    if lines.is_empty() {
-                        return Vec::new();
-                    }
-                    if result.is_none() {
-                        result = Some(lines);
-                    }
+                let mark = out.len();
+                let (child, negated) = match c {
+                    Node::Not(inner) => (&**inner, true),
+                    c => (c, false),
+                };
+                eval_tree(child, scratch, out);
+                let hit = out.len() > mark;
+                if hit == negated {
+                    out.truncate(start);
+                    return;
                 }
+                if negated || result {
+                    out.truncate(mark);
+                }
+                result |= !negated;
             }
-            result.unwrap_or_default()
         }
         // A top-level bare `pattern-not` (degenerate, but the LLM can
         // produce it): matches nothing on its own.
-        Node::Not(_) => Vec::new(),
+        Node::Not(_) => {}
     }
 }
 

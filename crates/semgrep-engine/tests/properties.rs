@@ -2,6 +2,10 @@
 //! plus the differential suite proving the compiled matchers equivalent
 //! to the seed's reparse-per-call oracle on generated rule/corpus pairs.
 
+use std::sync::OnceLock;
+
+use corpus::{mutate_dataset, CorpusConfig, Dataset};
+use obfuscate::EvasionProfile;
 use oracles::semgrep as reference;
 use proptest::prelude::*;
 use semgrep_engine::yaml::{self, Yaml};
@@ -205,6 +209,119 @@ fn anchor_dispatch_skips_unrelated_leaves() {
     // on each: anchored leaves never ran.
     assert_eq!(metrics.stmts_visited, 2);
     assert_eq!(metrics.leaf_tests, 2);
+}
+
+/// Backtracking over metavariable bindings: a trial that fails must
+/// leave no binding behind, in the inline part of the undo log and past
+/// it (the last two patterns bind nine and ten metavariables). Each case
+/// has its known verdict, and `MatchSet` agrees with the oracle on it.
+#[test]
+fn bindings_backtrack_through_their_undo_log() {
+    let nine = "f($A, $B, $C, $D, $E, $F, $G, $H, ..., $I, $I)";
+    let ten = "f($A, $B, $C, $D, $E, $F, $G, $H, $I, ..., $J, $J, $A)";
+    for (pattern, source, matches) in [
+        ("f($X, ..., $X)", "f(a, b, a)", true),
+        ("f($X, ..., $X)", "f(a, b, c)", false),
+        ("f(..., $X, $X)", "f(a, b, b)", true),
+        ("f(..., $X, $X)", "f(b, b, a)", false),
+        // The keyword binds `$X` first; the positional then fails, and the
+        // next trial must bind `$X` afresh.
+        ("f(..., g($X, k=$X))", "f(g(b, k=a), g(c, k=c))", true),
+        ("f(..., g($X, k=$X))", "f(g(b, k=a), g(c, k=d))", false),
+        (nine, "f(1, 2, 3, 4, 5, 6, 7, 8, x, y, y)", true),
+        (nine, "f(1, 2, 3, 4, 5, 6, 7, 8, x, y, z)", false),
+        (ten, "f(1, 2, 3, 4, 5, 6, 7, 8, 9, x, y, y, 1)", true),
+        (ten, "f(1, 2, 3, 4, 5, 6, 7, 8, 9, x, y, y, 2)", false),
+    ] {
+        let rules = compile(&format!(
+            "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: {pattern}\n"
+        ))
+        .expect("compile");
+        let module = pysrc::parse_module(&format!("{source}\n"));
+        let got = pairs(&semgrep_engine::scan_module(&rules, &module));
+        let want = pairs(&reference::match_module(&rules.rules[0], &module));
+        assert_eq!(got, want, "{pattern} on {source}");
+        assert_eq!(!got.is_empty(), matches, "{pattern} on {source}");
+    }
+}
+
+/// Every Python module of the tiny corpus and its aggressive mutants
+/// (seed 42).
+fn corpus_modules() -> &'static [pysrc::Module] {
+    static MODULES: OnceLock<Vec<pysrc::Module>> = OnceLock::new();
+    MODULES.get_or_init(|| {
+        let base = Dataset::generate(&CorpusConfig::tiny());
+        let mutants = mutate_dataset(&base, &EvasionProfile::aggressive(), 42);
+        let mut out = Vec::new();
+        for dataset in [&base, &mutants] {
+            let packages = dataset
+                .malware
+                .iter()
+                .map(|m| &m.package)
+                .chain(dataset.legit.iter().map(|l| &l.package));
+            for file in packages.flat_map(|p| p.files()) {
+                if file.path.ends_with(".py") {
+                    out.push(pysrc::parse_module(&file.contents));
+                }
+            }
+        }
+        out
+    })
+}
+
+/// Shapes the corpus's packages contain, beside [`POOL`]'s.
+const CORPUS_RULES: &str = r#"
+  - id: sock
+    languages: [python]
+    message: m
+    pattern: $V = socket.socket(...)
+  - id: b64
+    languages: [python]
+    message: m
+    pattern-either:
+      - pattern: base64.b64decode($X)
+      - pattern: import base64
+  - id: net
+    languages: [python]
+    message: m
+    patterns:
+      - pattern: requests.get(...)
+      - pattern-not: requests.get('https://pypi.org')
+"#;
+
+proptest! {
+    #[test]
+    fn match_rules_reports_the_rules_match_module_set_finds(mask in any::<u32>()) {
+        let rules = compile(&format!("{POOL}{CORPUS_RULES}")).expect("compile");
+        let set = MatchSet::new(&rules);
+        let mut scratch = MatchScratch::new();
+        let include = |ri: usize| mask & (1 << ri) != 0;
+        for module in corpus_modules() {
+            let (findings, want_metrics) = set.match_module_set(module, include, &mut scratch);
+            let mut want: Vec<&str> = findings.iter().map(|f| f.rule_id.as_str()).collect();
+            want.dedup();
+            let mut got = Vec::new();
+            let metrics = set.match_rules(module, include, &mut scratch, |ri, _| {
+                got.push(rules.rules[ri].id.as_str())
+            });
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(metrics, want_metrics);
+        }
+    }
+}
+
+/// Vacuity guard of the property above: each rule of [`CORPUS_RULES`]
+/// matches some module of the corpus.
+#[test]
+fn the_corpus_rules_match_the_corpus() {
+    let rules = compile(&format!("rules:\n{CORPUS_RULES}")).expect("compile");
+    let set = MatchSet::new(&rules);
+    let mut scratch = MatchScratch::new();
+    let mut matched = vec![false; rules.rules.len()];
+    for module in corpus_modules() {
+        set.match_rules(module, |_| true, &mut scratch, |ri, _| matched[ri] = true);
+    }
+    assert_eq!(matched, [true; 3]);
 }
 
 proptest! {

@@ -330,7 +330,9 @@ impl<'r> Scanner<'r> {
     }
 
     /// Evaluates rule conditions over the union of pre-collected hit
-    /// sets, each rebased to its unit's global offset.
+    /// sets, each rebased to its unit's global offset, and returns each
+    /// rule `include` enables whose condition holds, with its strings'
+    /// offsets.
     ///
     /// `parts` yields `(base, hits)` pairs; every offset in `hits` is
     /// shifted by `base` before condition evaluation, so concatenating
@@ -345,6 +347,46 @@ impl<'r> Scanner<'r> {
         include: impl Fn(usize) -> bool,
         scratch: &mut ScanScratch,
     ) -> Vec<RuleMatch> {
+        let mut out = Vec::new();
+        self.eval_core(parts, filesize, include, scratch, |ri, scratch| {
+            let (def, base) = (&self.rules.rules[ri].rule, self.string_base[ri]);
+            let strings = def.strings.iter().enumerate().filter_map(|(si, s)| {
+                let mut offsets = scratch.get(base + si)?.to_vec();
+                offsets.sort_unstable();
+                offsets.dedup();
+                let id = s.id.clone();
+                Some(StringMatch { id, offsets })
+            });
+            let (rule, strings) = (def.name.clone(), strings.collect());
+            out.push(RuleMatch { rule, strings });
+        });
+        out
+    }
+
+    /// [`Scanner::eval_hits`] without the assembly: hands each matching rule's
+    /// index and name to `matched`, in rule order; a warm `scratch` allocates nothing.
+    pub fn eval_rules<'h>(
+        &self,
+        parts: impl IntoIterator<Item = (usize, &'h FileHits)>,
+        filesize: i64,
+        include: impl Fn(usize) -> bool,
+        scratch: &mut ScanScratch,
+        mut matched: impl FnMut(usize, &'r str),
+    ) {
+        self.eval_core(parts, filesize, include, scratch, |ri, _| {
+            matched(ri, &self.rules.rules[ri].rule.name)
+        });
+    }
+
+    /// The condition loop of both: fills `scratch`, then reports matches.
+    fn eval_core<'h>(
+        &self,
+        parts: impl IntoIterator<Item = (usize, &'h FileHits)>,
+        filesize: i64,
+        include: impl Fn(usize) -> bool,
+        scratch: &mut ScanScratch,
+        mut matched: impl FnMut(usize, &ScanScratch),
+    ) {
         scratch.begin(self.total_strings);
         for (base, hits) in parts {
             for (slot, offs) in &hits.slots {
@@ -354,7 +396,6 @@ impl<'r> Scanner<'r> {
             }
         }
         let scratch = &*scratch;
-        let mut out = Vec::new();
         for (ri, cr) in self.rules.rules.iter().enumerate() {
             if !include(ri) {
                 continue;
@@ -366,25 +407,9 @@ impl<'r> Scanner<'r> {
                 filesize,
             };
             if ctx.eval(&cr.rule.condition) {
-                let mut strings = Vec::new();
-                for (si, s) in cr.rule.strings.iter().enumerate() {
-                    if let Some(offs) = scratch.get(self.string_base[ri] + si) {
-                        let mut offs = offs.to_vec();
-                        offs.sort_unstable();
-                        offs.dedup();
-                        strings.push(StringMatch {
-                            id: s.id.clone(),
-                            offsets: offs,
-                        });
-                    }
-                }
-                out.push(RuleMatch {
-                    rule: cr.rule.name.clone(),
-                    strings,
-                });
+                matched(ri, scratch);
             }
         }
-        out
     }
 
     /// Convenience: does any rule match?
@@ -416,24 +441,13 @@ impl Context<'_> {
         self.count(id) > 0
     }
 
-    fn covered_ids(&self, set: &StringSet) -> Vec<&str> {
-        match set {
-            StringSet::Them => self
-                .rule
-                .rule
-                .strings
-                .iter()
-                .map(|s| s.id.as_str())
-                .collect(),
-            StringSet::Patterns(pats) => self
-                .rule
-                .rule
-                .strings
-                .iter()
-                .filter(|s| pats.iter().any(|p| p.matches(&s.id)))
-                .map(|s| s.id.as_str())
-                .collect(),
-        }
+    /// The ids of this rule's strings that `set` covers.
+    fn covered<'s>(&'s self, set: &'s StringSet) -> impl Iterator<Item = &'s str> + Clone {
+        let strings = self.rule.rule.strings.iter().map(|s| s.id.as_str());
+        strings.filter(move |id| match set {
+            StringSet::Them => true,
+            StringSet::Patterns(pats) => pats.iter().any(|p| p.matches(id)),
+        })
     }
 
     fn eval(&self, cond: &Condition) -> bool {
@@ -441,16 +455,12 @@ impl Context<'_> {
             Condition::Bool(b) => *b,
             Condition::StringRef(id) => self.matched(id),
             Condition::AllOf(set) => {
-                let ids = self.covered_ids(set);
-                !ids.is_empty() && ids.iter().all(|id| self.matched(id))
+                let mut ids = self.covered(set);
+                ids.clone().next().is_some() && ids.all(|id| self.matched(id))
             }
-            Condition::AnyOf(set) => self.covered_ids(set).iter().any(|id| self.matched(id)),
+            Condition::AnyOf(set) => self.covered(set).any(|id| self.matched(id)),
             Condition::NOf(n, set) => {
-                let hit = self
-                    .covered_ids(set)
-                    .iter()
-                    .filter(|id| self.matched(id))
-                    .count() as i64;
+                let hit = self.covered(set).filter(|id| self.matched(id)).count() as i64;
                 hit >= *n
             }
             Condition::Count { id, op, value } => cmp(self.count(id), op, *value),

@@ -8,7 +8,9 @@
 //! see each other's allocations. A `realloc` counts as one allocation, as
 //! in the benchmark's counter (`benchmark/src/alloc.rs`). Each allocation
 //! is also booked to the [`Stage`] its thread is in, so a budget can name
-//! the step of an artifact build that broke it.
+//! the step of an artifact build that broke it, and to a process-wide
+//! ledger of the same stages, which is how a test reads what a hub's
+//! worker threads spent.
 //!
 //! Every budget runs over the files of the tiny corpus and of its
 //! aggressive mutants (seed 42): the front end's over their Python files,
@@ -19,7 +21,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use corpus::{mutate_dataset, CorpusConfig, Dataset};
 use obfuscate::EvasionProfile;
@@ -40,11 +43,19 @@ thread_local! {
     static BY_STAGE: [Cell<u64>; STAGES] = const { [const { Cell::new(0) }; STAGES] };
 }
 
+/// Every thread's allocations, by stage.
+static ALL_BY_STAGE: [AtomicU64; STAGES] = [const { AtomicU64::new(0) }; STAGES];
+
+/// Held by each test that runs a hub, so that no other hub's workers book
+/// into [`ALL_BY_STAGE`] while a test reads it.
+static HUB: Mutex<()> = Mutex::new(());
+
 fn record() {
     // A thread being torn down has no slot left; its calls go uncounted.
     let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
     let stage = Stage::current() as usize;
     let _ = BY_STAGE.try_with(|ledger| ledger[stage].set(ledger[stage].get() + 1));
+    ALL_BY_STAGE[stage].fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -365,18 +376,19 @@ fn a_splice_allocates_per_array_not_per_statement() {
     assert_eq!(small, large);
 }
 
-/// A warm Semgrep walk, the hub's per-module `MatchSet` pass with one
-/// reused `MatchScratch` and one reused findings buffer, stays within the
+/// A warm Semgrep walk, `MatchSet::match_module_set_into` with one reused
+/// `MatchScratch` and one reused findings buffer, stays within the
 /// allocations it was measured at over every Python module of the
-/// corpus: 14 157 for 3 810 leaf tests and 365 findings. Each finding
-/// owns its rule id and message (730 of them); the rest are the leaf
-/// tests' expression lists and metavariable bindings and each matching
-/// rule's line list. Nothing is allocated for pattern text, which
-/// `compile` parsed: parsing a leaf's pattern again at each leaf test
-/// would add a module's text, line index and arrays per test.
+/// corpus: 730 for 3 810 leaf tests and 365 findings, which are the
+/// findings' rule ids and messages. The leaf tests bind metavariables in
+/// an inline undo log and each rule's lines land in one buffer the
+/// scratch keeps. While each leaf test collected the target's
+/// expressions in a list and cloned a map of bindings at each argument,
+/// and each matching rule got its own line list, the same walk made
+/// 14 157; parsing a leaf's pattern again at each test makes 48 417.
 #[test]
 fn a_warm_semgrep_walk_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 14_500;
+    const BUDGET: u64 = 730;
     let set = MatchSet::new(&serving_rules().1);
     let modules: Vec<pysrc::Module> = python_sources()
         .iter()
@@ -503,6 +515,7 @@ fn each_build_step_stays_within_its_allocation_budget() {
 /// no index.
 #[test]
 fn a_retro_hunt_stays_within_its_allocation_budget() {
+    let _hub = HUB.lock().unwrap_or_else(|e| e.into_inner());
     let (live_yara, live_semgrep) = serving_rules();
     let hub = ScanHub::new(
         Some(live_yara.clone()),
@@ -541,26 +554,27 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     let mut hunt = None;
     let spent = ledger(|| hunt = hub.retro_hunt(&deployment));
     let hunt = hunt.expect("retro index enabled");
-    // While the confirm scan kept its own evaluation path, per-rule digest
-    // sets and name map, the same hunt made RetroQuery 648, RetroConfirm
-    // 1 023 and Idle 39.
+    // While the evaluator collected findings and string matches to keep
+    // only their names, the same hunt made RetroConfirm 660; while the
+    // confirm scan kept its own evaluation path, per-rule digest sets and
+    // name map, RetroQuery 648, RetroConfirm 1 023 and Idle 39.
     check_ledger(
         "a retro-hunt",
         spent,
         &[
             (Stage::RetroQuery, 648),
-            (Stage::RetroConfirm, 660),
+            (Stage::RetroConfirm, 488),
             (Stage::Idle, 68),
         ],
     );
     let mut rescan = None;
     let spent = ledger(|| rescan = hub.retro_rescan(&deployment));
     let rescan = rescan.expect("retro index enabled");
-    // RetroConfirm 1 023 and Idle 657 then.
+    // RetroConfirm 660, and 1 023 with Idle 657 before that.
     check_ledger(
         "its rescan",
         spent,
-        &[(Stage::RetroConfirm, 660), (Stage::Idle, 689)],
+        &[(Stage::RetroConfirm, 488), (Stage::Idle, 689)],
     );
 
     // Vacuity guards: the atom rules pruned, the regex-only rule fell
@@ -574,4 +588,79 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     for rule in &hunt.rules {
         assert!(!rule.digests.is_empty(), "{} confirmed nothing", rule.rule);
     }
+}
+
+/// The allocations a list makes growing to `n` items one push at a time.
+fn list_growth(n: usize) -> u64 {
+    counted(|| {
+        let mut list = Vec::new();
+        for _ in 0..n {
+            list.push(String::new());
+        }
+    })
+    .1
+}
+
+/// Evaluating rules over cached artifacts allocates only the verdict. A
+/// one-worker hub over the serving rules, with its verdict cache off,
+/// scans every upload of the corpus and its mutants, then scans them all
+/// again, every file an artifact hit. On the second pass the `Yara`,
+/// `Layers` and `Semgrep` stages of each package book exactly what its
+/// verdict holds: one string per YARA rule name, two per layer finding
+/// (rule and file), one per Semgrep rule id, and the growth of each of
+/// the three lists; a failure names the stage and the package.
+#[test]
+fn evaluating_cached_artifacts_allocates_only_the_verdict() {
+    let _hub = HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let (yara, semgrep) = serving_rules();
+    let hub = ScanHub::new(
+        Some(yara.clone()),
+        Some(semgrep.clone()),
+        HubConfig {
+            workers: 1,
+            cache_capacity: 0,
+            ..HubConfig::default()
+        },
+    );
+    let requests: Vec<ScanRequest> = packages().iter().map(ScanRequest::from_package).collect();
+    for request in &requests {
+        hub.submit(request.clone()).wait();
+    }
+    let files: usize = requests.iter().map(|r| r.files().len()).sum();
+    let (before, mut found) = (hub.stats(), [0usize; 3]);
+    for (i, request) in requests.iter().enumerate() {
+        let read = || ALL_BY_STAGE.each_ref().map(|n| n.load(Ordering::Relaxed));
+        let start = read();
+        let verdict = hub.submit(request.clone()).wait();
+        let spent = read();
+        let own = [
+            (Stage::Yara, verdict.yara.len(), 1),
+            (Stage::Layers, verdict.layers.len(), 2),
+            (Stage::Semgrep, verdict.semgrep.len(), 1),
+        ];
+        for (k, (stage, n, strings)) in own.into_iter().enumerate() {
+            let booked = spent[stage as usize] - start[stage as usize];
+            let verdict_own = strings * n as u64 + list_growth(n);
+            assert_eq!(
+                booked, verdict_own,
+                "package {i}: the {stage:?} stage made {booked} allocations for {n} findings"
+            );
+            found[k] += n;
+        }
+    }
+    println!(
+        "{} packages re-scanned: {} YARA names, {} layer findings, {} Semgrep ids",
+        requests.len(),
+        found[0],
+        found[1],
+        found[2]
+    );
+    let after = hub.stats();
+    assert_eq!(
+        after.artifact_cache_hits - before.artifact_cache_hits,
+        files as u64
+    );
+    assert_eq!(after.artifact_parses, before.artifact_parses);
+    // Vacuity guard: every list was filled somewhere.
+    assert!(found.iter().all(|&n| n > 0), "{found:?} findings");
 }

@@ -9,7 +9,9 @@
 //! DFA flushes and gives up to the Pike VM between ordinary units. Each
 //! unit's `FileHits` must equal a fresh scanner's, and `textmatch`'s
 //! `dfa_scans` counter must rise by exactly one per regex group the DFA
-//! gates, whatever the kept state table holds.
+//! gates, whatever the kept state table holds. On every unit, the rules
+//! `Scanner::eval_rules` reports under a mask must be, in order and by
+//! name, those `Scanner::eval_hits` returns.
 //!
 //! The counters are process-global, so this file holds exactly one test:
 //! an integration-test file is its own process.
@@ -127,7 +129,7 @@ fn a_warm_scanner_collects_what_a_fresh_one_does() {
 
     let warm = Scanner::new(&rules);
     let (mut warm_work, mut fresh_states) = (EngineCounters::default(), 0);
-    let (mut thrash_hits, mut slots_hit) = (0, 0);
+    let (mut thrash_hits, mut slots_hit, mut rules_matched) = (0, 0, 0);
     for (i, unit) in units.iter().enumerate() {
         let before = engine_counters();
         let hits = warm.collect_hits(unit);
@@ -150,6 +152,19 @@ fn a_warm_scanner_collects_what_a_fresh_one_does() {
         fresh_states += since(&before).dfa_states_built;
         assert_eq!(hits, fresh, "unit {i}: warm and fresh hits differ");
         slots_hit += usize::from(!hits.is_empty());
+
+        let (len, scratch) = (unit.len() as i64, &mut yara_engine::ScanScratch::new());
+        let include = |ri: usize| !(ri + i).is_multiple_of(3);
+        let assembled = warm.eval_hits([(0, &hits)], len, include, scratch);
+        let mut reported = Vec::new();
+        warm.eval_rules([(0, &hits)], len, include, scratch, |ri, name| {
+            assert_eq!(name, rules.rules[ri].rule.name, "unit {i}: rule {ri}");
+            reported.push(name);
+        });
+        let names = assembled.iter().map(|m| m.rule.as_str());
+        assert!(names.eq(reported), "unit {i}: eval_rules ≠ eval_hits");
+        rules_matched += assembled.len();
+
         let thrash = rules.rules.len() - 1;
         let thrash_matched = warm
             .eval_hits(
@@ -177,6 +192,7 @@ fn a_warm_scanner_collects_what_a_fresh_one_does() {
         "the DFA never thrashed: {warm_work:?} (bound {MAX_DFA_STATES} states)"
     );
     assert!(thrash_hits > 0, "no planted match was found");
+    assert!(rules_matched > 0, "no rule matched a unit");
     assert!(
         slots_hit > units.len() / 4,
         "{slots_hit} of {} units hit",
