@@ -177,7 +177,8 @@ impl ScanHub {
     pub fn retro_hunt(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
         let shared = &self.shared;
         let store = shared.artifacts.as_ref()?;
-        retrohunt::hunt(store, deployment, &shared.counters, &shared.telemetry)
+        let live = shared.yara.as_ref();
+        retrohunt::hunt(store, deployment, live, &shared.counters, &shared.telemetry)
     }
 
     /// The exhaustive oracle: confirm-scans **every** resident digest

@@ -195,6 +195,9 @@ hub_metrics! {
         /// Digests confirm-scanned by retro-hunts. The gap to a full rescan
         /// (`retro_hunts × digests resident`) is the work the index saved.
         retro_confirm_scans: "scanhub_retro_confirm_scans_total", "Digests confirm-scanned by retro-hunts", Hunted;
+        /// Surface and layer bytes confirm scans handed to a string scan
+        /// (a changed string the live bundle defines reads cached hits).
+        retro_confirm_bytes_scanned: "scanhub_retro_confirm_bytes_scanned_total", "Bytes retro-hunt confirm scans ran through a string scan", Hunted;
     }
     gauges {
         /// Estimated heap bytes of all artifacts resident in the artifact
@@ -450,7 +453,8 @@ stages! {
     hub {
         /// Retro-hunt index query (one sample per hunt).
         retro_query: RetroQuery,
-        /// Retro-hunt confirm scans (one sample per digest scanned).
+        /// Retro-hunt confirm scans (one sample per digest scanned): cached
+        /// and residual string hits evaluated, then the Semgrep walk.
         retro_confirm: RetroConfirm,
     }
     steps {
@@ -813,7 +817,7 @@ mod tests {
         let counters = rows
             .iter()
             .filter(|r| r.series.starts_with("scanhub_") && !r.gauge);
-        assert_eq!(counters.count(), 26);
+        assert_eq!(counters.count(), 27);
 
         // Book one distinct bit to every stage; a stage's field or
         // histogram is named like its variant, in snake case.

@@ -46,7 +46,7 @@
 use std::collections::HashMap;
 
 use semgrep_engine::CompiledSemgrepRules;
-use yara_engine::CompiledRules;
+use yara_engine::{CompiledRules, FileHits, Part};
 
 use crate::artifact::FileAnalysis;
 use crate::cache::DigestKey;
@@ -611,6 +611,8 @@ pub struct RetroReport {
     pub candidates: u64,
     /// Distinct digests confirm-scanned.
     pub confirm_scans: u64,
+    /// Surface and layer bytes the confirm scans handed to a string scan.
+    pub bytes_scanned: u64,
     /// Changed rules that fell back to full candidacy (no exhaustive
     /// atom set: regex-only or always-on rules).
     pub full_candidacy_rules: u64,
@@ -641,17 +643,23 @@ impl RetroReport {
 /// evaluated on a digest only if that digest was nominated for it, which
 /// keeps the differential proof against the exhaustive oracle sharp —
 /// and completes `report`, whose rules carry their candidate counts.
+/// A changed string that `live`, the bundle the artifacts' hits came
+/// from, defines identically is read from those hits; a digest's bytes
+/// are read only when its mask enables a rule with another string. The
+/// rescan passes no `live` bundle and reads every byte.
 /// Entered and left [`Stage::Idle`]; each scan is one `retro_confirm`
 /// lap of `clock`.
 fn confirm_scan(
     deployment: &RuleDeployment,
+    live: Option<&CompiledRules>,
     mut tasks: Vec<(DigestKey, Routing)>,
     mut report: RetroReport,
     store: &ArtifactStore,
     clock: &mut StageClock<'_>,
 ) -> RetroReport {
-    tasks.sort_by_key(|(digest, _)| *digest);
-    let mut eval = Evaluator::new(deployment.yara.as_ref(), deployment.semgrep.as_ref());
+    tasks.sort_unstable_by_key(|(digest, _)| *digest);
+    let (yara, semgrep) = (deployment.yara.as_ref(), deployment.semgrep.as_ref());
+    let mut eval = Evaluator::new(yara, semgrep, live);
     for (digest, mask) in &tasks {
         // A digest evicted between index query and confirm is simply
         // gone from the history — nothing to report on it. A peek: the
@@ -661,25 +669,40 @@ fn confirm_scan(
         };
         clock.lap(Stage::RetroConfirm);
         report.confirm_scans += 1;
-        let hex = digest::to_hex(digest);
         let mut verdict = Verdict::default();
-        // The artifact's cached hits are the live bundle's, so the
-        // subset rules collect their own.
         if mask.yara.contains(&true) {
-            let hits = eval.collect_hits(&artifact.bytes);
+            // A unit's hits: its cached live ones, translated, plus the
+            // residual strings' when an enabled rule has one. Layer
+            // findings are labelled once the verdict is flagged.
+            let read = eval.reads_bytes(&mask.yara);
+            if read {
+                let layers = artifact.layers.iter().map(|l| l.data.len());
+                report.bytes_scanned += (artifact.bytes.len() + layers.sum::<usize>()) as u64;
+            }
+            let own = read.then(|| eval.collect_hits(&artifact.bytes));
+            let hits = unit_hits(live.and(artifact.yara_hits.as_ref()), own.as_ref());
             let len = artifact.bytes.len();
-            eval.surface([(0, &hits)], len, &mask.yara, &mut verdict.yara);
-            for layer in &artifact.layers {
-                let hits = eval.collect_hits(&layer.data);
-                eval.layer(layer, &hits, &hex, &mask.yara, &mut verdict.layers);
+            eval.surface(hits, len, &mask.yara, &mut verdict.yara);
+            for (i, layer) in artifact.layers.iter().enumerate() {
+                let own = read.then(|| eval.collect_hits(&layer.data));
+                let hits = unit_hits(live.and(artifact.layer_hits.get(i)), own.as_ref());
+                eval.layer(layer, hits, "", &mask.yara, &mut verdict.layers);
             }
         }
         let module = artifact.module.as_ref().map(|m| m.get());
         let module = module.filter(|_| mask.semgrep.contains(&true));
         eval.semgrep(module, &mask.semgrep, &mut verdict.semgrep);
         verdict.normalize();
+        // Only a flagged verdict renders its digest.
+        let hex = verdict.flagged().then(|| {
+            let hex = digest::to_hex(digest);
+            for finding in &mut verdict.layers {
+                finding.file.clone_from(&hex);
+            }
+            hex
+        });
         clock.lap(Stage::Idle);
-        if verdict.flagged() {
+        if let Some(hex) = hex {
             report.verdicts.push((hex, verdict));
         }
     }
@@ -697,6 +720,18 @@ fn confirm_scan(
     }
     report.candidates = report.rules.iter().map(|r| r.candidates).sum();
     report
+}
+
+/// A unit's hits at offset 0: the cached live ones and the residual scan's.
+fn unit_hits<'h>(
+    cached: Option<&'h FileHits>,
+    own: Option<&'h FileHits>,
+) -> impl Iterator<Item = Part<'h>> + Clone {
+    let parts = [
+        cached.map(|h| Part::Live(0, h)),
+        own.map(|h| Part::Own(0, h)),
+    ];
+    parts.into_iter().flatten()
 }
 
 /// Per-digest confirm tasks for the deployment's changed rules, from the
@@ -765,6 +800,7 @@ fn plan(
 pub(crate) fn hunt(
     store: &ArtifactStore,
     deployment: &RuleDeployment,
+    live: Option<&CompiledRules>,
     counters: &HubCounters,
     telemetry: &HubTelemetry,
 ) -> Option<RetroReport> {
@@ -774,9 +810,10 @@ pub(crate) fn hunt(
     let (tasks, report) = store.with_retro(|retro| plan(retro, deployment))?;
     HubCounters::add(&counters.retro_hunts, 1);
     clock.lap(Stage::Idle);
-    let report = confirm_scan(deployment, tasks, report, store, &mut clock);
+    let report = confirm_scan(deployment, live, tasks, report, store, &mut clock);
     HubCounters::add(&counters.retro_candidates, report.candidates);
     HubCounters::add(&counters.retro_confirm_scans, report.confirm_scans);
+    HubCounters::add(&counters.retro_confirm_bytes_scanned, report.bytes_scanned);
     Some(report)
 }
 
@@ -799,7 +836,8 @@ pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Opti
         .map(|&(d, _)| (d, deployment.routing(true)))
         .collect();
     let mut untimed = StageClock::start(None, Stage::Idle);
-    Some(confirm_scan(deployment, tasks, report, store, &mut untimed))
+    let report = confirm_scan(deployment, None, tasks, report, store, &mut untimed);
+    Some(report)
 }
 
 #[cfg(test)]

@@ -350,7 +350,7 @@ mod tests {
 
     fn hunt(fixture: &Fixture, world: &World) -> retrohunt::RetroReport {
         let (deployment, counters) = (&fixture.deployment, &fixture.counters);
-        retrohunt::hunt(&world.store, deployment, counters, &fixture.telemetry)
+        retrohunt::hunt(&world.store, deployment, None, counters, &fixture.telemetry)
             .expect("retro index enabled")
     }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pysrc::Module;
 use semgrep_engine::{CompiledSemgrepRules, MatchScratch, MatchSet};
-use yara_engine::{CompiledRules, FileHits, ScanScratch, Scanner};
+use yara_engine::{CompiledRules, FileHits, Part, ScanScratch, Scanner};
 
 use crate::artifact::{DecodedLayer, FileAnalysis};
 use crate::hub::Shared;
@@ -34,12 +34,15 @@ pub(crate) struct Evaluator<'r> {
 }
 
 impl<'r> Evaluator<'r> {
+    /// An evaluator for `yara` + `semgrep` that reads the hits of strings
+    /// `live` defines from the artifacts' cache ([`Scanner::reusing`]).
     pub(crate) fn new(
         yara: Option<&'r CompiledRules>,
         semgrep: Option<&'r CompiledSemgrepRules>,
+        live: Option<&CompiledRules>,
     ) -> Self {
         Evaluator {
-            scanner: yara.map(Scanner::new),
+            scanner: yara.map(|rules| Scanner::reusing(rules, live)),
             matcher: semgrep.map(MatchSet::new),
             yara: ScanScratch::new(),
             semgrep: MatchScratch::new(),
@@ -53,7 +56,13 @@ impl<'r> Evaluator<'r> {
         self.scanner.as_ref()
     }
 
-    /// The bundle's string hits on a unit no artifact build scanned with it.
+    /// True when a YARA rule `mask` enables has a string no cache holds.
+    pub(crate) fn reads_bytes(&self, mask: &[bool]) -> bool {
+        let reads = |s: &Scanner<'_>| (0..mask.len()).any(|ri| mask[ri] && s.reads_bytes(ri));
+        self.scanner.as_ref().is_some_and(reads)
+    }
+
+    /// The bundle's hits on a unit for the strings it does not reuse.
     pub(crate) fn collect_hits(&self, data: &[u8]) -> FileHits {
         let scanner = self.scanner.as_ref();
         scanner.map_or_else(FileHits::default, |s| s.collect_hits(data))
@@ -64,7 +73,7 @@ impl<'r> Evaluator<'r> {
     /// `len`-byte whole, and pushes each matching rule's name.
     pub(crate) fn surface<'h>(
         &mut self,
-        parts: impl IntoIterator<Item = (usize, &'h FileHits)>,
+        parts: impl IntoIterator<Item = impl Into<Part<'h>>>,
         len: usize,
         mask: &[bool],
         out: &mut Vec<String>,
@@ -76,13 +85,13 @@ impl<'r> Evaluator<'r> {
         scanner.eval_rules(parts, len as i64, |ri| mask[ri], &mut self.yara, found);
     }
 
-    /// Evaluates one decoded layer as its own scan unit and pushes a
-    /// finding labelled `file` for every rule enabled in `mask` that
-    /// matches.
-    pub(crate) fn layer(
+    /// Evaluates one decoded layer, whose hits are the union of `parts`,
+    /// as its own scan unit and pushes a finding labelled `file` for every
+    /// rule enabled in `mask` that matches.
+    pub(crate) fn layer<'h>(
         &mut self,
         layer: &DecodedLayer,
-        hits: &FileHits,
+        parts: impl IntoIterator<Item = impl Into<Part<'h>>> + Clone,
         file: &str,
         mask: &[bool],
         out: &mut Vec<LayerFinding>,
@@ -90,18 +99,21 @@ impl<'r> Evaluator<'r> {
         // A layer with no string hit can only satisfy stringless
         // conditions (filesize, negations) that say nothing about the
         // payload: skip it.
-        let Some(scanner) = self.scanner.as_ref().filter(|_| !hits.is_empty()) else {
+        let empty = |p| matches!(p, Part::Own(_, h) | Part::Live(_, h) if h.is_empty());
+        let hitless = parts.clone().into_iter().all(|p| empty(p.into()));
+        let Some(scanner) = self.scanner.as_ref().filter(|_| !hitless) else {
             return;
         };
         // Restrict evaluation to rules with evidence *in* this layer:
         // stringless and negation-only conditions are package-routed
         // unconditionally and would otherwise hold trivially against the
-        // tiny unit-local filesize.
+        // tiny unit-local filesize. Live hits are evidence only through
+        // the changed strings they translate to.
         let marks = &mut self.marks;
-        scanner.mark_rules_with_hits(hits, marks);
+        scanner.mark_rules(parts.clone(), marks);
         let len = layer.data.len() as i64;
         let include = |ri: usize| mask[ri] && marks[ri];
-        scanner.eval_rules([(0, hits)], len, include, &mut self.yara, |_, rule| {
+        scanner.eval_rules(parts, len, include, &mut self.yara, |_, rule| {
             out.push(LayerFinding {
                 rule: rule.to_owned(),
                 file: file.to_owned(),
@@ -164,7 +176,7 @@ impl WorkerScratch {
 }
 
 pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
-    let mut eval = Evaluator::new(shared.yara.as_ref(), shared.semgrep.as_ref());
+    let mut eval = Evaluator::new(shared.yara.as_ref(), shared.semgrep.as_ref(), None);
     let mut scratch = WorkerScratch::new();
     let histograms = shared.telemetry.histograms();
     while let Some(job) = shared.queue.pop() {
@@ -358,7 +370,7 @@ fn scan_job(
             for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
                 let file = entry.name();
                 for (layer, hits) in artifact.layers.iter().zip(&artifact.layer_hits) {
-                    eval.layer(layer, hits, file, mask, &mut verdict.layers);
+                    eval.layer(layer, [(0, hits)], file, mask, &mut verdict.layers);
                 }
             }
             clock.lap(Stage::Semgrep);

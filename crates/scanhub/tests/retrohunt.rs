@@ -8,14 +8,16 @@
 //! dead rules — and each confirmed verdict must equal a fresh full scan
 //! of that file restricted to the changed rules.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use corpus::FAMILIES;
 use obfuscate::{EvasionProfile, Obfuscator};
 use proptest::prelude::*;
-use scanhub::{FileEntry, HubConfig, RuleEngine, ScanHub, ScanRequest};
+use scanhub::{
+    ArtifactConfig, FileAnalysis, FileEntry, HubConfig, RuleEngine, ScanHub, ScanRequest,
+};
 use semgrep_engine::CompiledSemgrepRules;
-use yara_engine::CompiledRules;
+use yara_engine::{CompiledRules, FileHits, Part, Scanner};
 
 /// The bundle the hub is *live* with while history accumulates.
 const LIVE_YARA: &str = r#"
@@ -384,4 +386,196 @@ fn confirmed_verdicts_match_a_fresh_full_scan_of_each_file() {
             }
         }
     }
+}
+
+/// A live bundle with a regex string, for the reuse cases below.
+const REUSE_LIVE_YARA: &str = r#"
+rule shell { strings: $a = "os.system" condition: $a }
+rule beacon { strings: $a = "requests.get" $b = "requests.post" condition: any of them }
+rule blob { strings: $r = /([A-Za-z0-9+\/]{4}){6,}={0,2}/ condition: $r }
+rule fetch { strings: $a = "wget http" condition: $a }
+"#;
+
+/// Changed rules whose strings a confirm scan may read from the
+/// artifacts' cached live hits: a live string beside a new one, live
+/// texts under other modifiers (which must not reuse them), the live
+/// regex, and a stringless rule.
+const REUSE_CHANGED_YARA: &str = r#"
+rule mixed { strings: $live = "os.system" $new = "getpass.getuser" condition: $live and $new }
+rule modifiers { strings: $a = "os.system" nocase $b = "requests.get" fullword $c = "wget http" wide condition: any of them }
+rule same_regex { strings: $r = /([A-Za-z0-9+\/]{4}){6,}={0,2}/ condition: #r >= 2 }
+rule stringless { condition: filesize < 100000 }
+"#;
+
+/// Uploads that separate each reused definition from its look-alikes,
+/// and a decoded layer whose only hits are live strings no changed rule
+/// has.
+fn reuse_uploads() -> Vec<ScanRequest> {
+    let wide: String = "wget http".chars().flat_map(|c| [c, '\0']).collect();
+    let layer = digest::base64::encode(b"requests.post(url, data=stolen)");
+    let both = digest::base64::encode(b"import os, getpass;os.system(getpass.getuser())");
+    let sources = [
+        (
+            "mixed.py",
+            "import os, getpass\nos.system(getpass.getuser())\n".to_owned(),
+        ),
+        (
+            "caseless.py",
+            "import os\nOS.SYSTEM('id')\nrequests.getter()\n".to_owned(),
+        ),
+        ("fullword.py", "r = requests.get(u)\n".to_owned()),
+        ("wide.py", format!("w = '{wide}'\n")),
+        ("layer.py", format!("blob = '{layer}'\n")),
+        ("mixed_layer.py", format!("blob = '{both}'\n")),
+    ];
+    let uploads = sources.into_iter();
+    uploads
+        .map(|(name, code)| ScanRequest::from_source(name, code))
+        .collect()
+}
+
+/// The reuse hub's history: corpus packages, their mutants, the planted
+/// uploads of both suites.
+fn reuse_history() -> Vec<ScanRequest> {
+    let mut history = reuse_uploads();
+    history.extend(planted_uploads());
+    for (i, family) in FAMILIES.iter().take(4).enumerate() {
+        let malware = corpus::generate_malware_package(family, 0, i as u64).0;
+        let profile = EvasionProfile::standard().swap_remove(i % 3);
+        let mutant = Obfuscator::new(profile, i as u64).obfuscate_package(&malware);
+        let legit = corpus::generate_legit_package(i, i as u64);
+        for pkg in [&malware, &mutant, &legit] {
+            history.push(ScanRequest::from_package(pkg));
+        }
+    }
+    history
+}
+
+/// Each string slot's offsets on `data`, as the reusing scanner reads
+/// them — translated from `live` plus its own residual scan — or, with
+/// `live` `None`, as a scanner of every string collects them.
+fn slot_offsets(
+    scanner: &Scanner<'_>,
+    live: Option<&FileHits>,
+    data: &[u8],
+) -> BTreeMap<usize, Vec<u32>> {
+    let own = scanner.collect_hits(data);
+    let mut slots = BTreeMap::new();
+    let mut record = |slot: usize, offsets: &[u32]| {
+        let twice = slots.insert(slot, offsets.to_vec());
+        assert!(twice.is_none(), "slot {slot} both translated and collected");
+    };
+    if let Some(hits) = live {
+        scanner.for_each_hit(Part::Live(0, hits), &mut record);
+    }
+    scanner.for_each_hit(Part::Own(0, &own), &mut record);
+    slots
+}
+
+#[test]
+fn reused_live_hits_equal_what_the_changed_rules_collect() {
+    let live = yara_engine::compile(REUSE_LIVE_YARA).expect("live yara");
+    let changed = yara_engine::compile(REUSE_CHANGED_YARA).expect("changed yara");
+    let (live_scanner, full) = (Scanner::new(&live), Scanner::new(&changed));
+    let reusing = Scanner::reusing(&changed, Some(&live));
+    // Only `mixed.$live` and `same_regex.$r` are defined identically.
+    let reads: Vec<bool> = (0..4).map(|ri| reusing.reads_bytes(ri)).collect();
+    assert_eq!(reads, [true, true, false, false]);
+
+    let config = ArtifactConfig {
+        max_decode_depth: 2,
+        ..ArtifactConfig::default()
+    };
+    let (mut units, mut translated) = (0, 0);
+    for request in reuse_history() {
+        for entry in request.files() {
+            let artifact = FileAnalysis::build(entry, Some(&live_scanner), &config);
+            let surface = (&artifact.bytes[..], artifact.yara_hits.as_ref());
+            let layers = artifact.layers.iter().map(|l| &l.data[..]);
+            let layers = layers.zip(artifact.layer_hits.iter().map(Some));
+            for (data, cached) in std::iter::once(surface).chain(layers) {
+                let got = slot_offsets(&reusing, cached, data);
+                assert_eq!(got, slot_offsets(&full, None, data), "{}", entry.name());
+                units += 1;
+                translated += got.keys().filter(|&&slot| slot == 0 || slot == 5).count();
+            }
+        }
+    }
+    assert!(
+        units > 50 && translated > 10,
+        "{units} units, {translated} translated"
+    );
+}
+
+#[test]
+fn a_hunt_reading_cached_hits_equals_the_byte_reading_rescan() {
+    let live = yara_engine::compile(REUSE_LIVE_YARA).expect("live yara");
+    let hub = ScanHub::new(
+        Some(live),
+        None,
+        HubConfig {
+            workers: 2,
+            cache_capacity: 0,
+            max_decode_depth: 2,
+            ..HubConfig::default()
+        },
+    );
+    for request in reuse_history() {
+        hub.submit(request).wait();
+    }
+    let hunt = |changed: &str| {
+        let next = yara_engine::compile(&format!("{REUSE_LIVE_YARA}{changed}"));
+        let deployment = hub.deploy_rules(Some(next.expect("next yara")), None);
+        let before = hub.stats().retro_confirm_bytes_scanned;
+        let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+        let scanned = hub.stats().retro_confirm_bytes_scanned - before;
+        assert_eq!(scanned, report.bytes_scanned);
+        let rescan = hub.retro_rescan(&deployment).expect("oracle");
+        assert!(
+            report.same_hits(&rescan),
+            "the hunt diverged from the rescan:\n{:?}\nvs\n{:?}",
+            report.verdicts,
+            rescan.verdicts
+        );
+        (deployment, report, rescan)
+    };
+
+    let (deployment, report, _) = hunt(REUSE_CHANGED_YARA);
+    let names: Vec<&str> = deployment
+        .delta
+        .changed
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
+    assert_eq!(names, ["mixed", "modifiers", "same_regex", "stringless"]);
+    for rule in &report.rules {
+        assert!(!rule.digests.is_empty(), "{} confirmed nothing", rule.rule);
+    }
+    // The stringless rule fires on surfaces only: the planted layer holds
+    // hits of live strings, none of them a changed rule's.
+    let layered = report.verdicts.iter().flat_map(|(_, v)| &v.layers);
+    assert!(layered.clone().all(|l| l.rule != "stringless"));
+    assert!(
+        layered.clone().any(|l| l.rule == "mixed"),
+        "no layer reused a hit"
+    );
+    assert!(
+        report.bytes_scanned > 0,
+        "the residual strings were never scanned"
+    );
+
+    let all_live = r#"
+rule all_live { strings: $a = "os.system" $r = /([A-Za-z0-9+\/]{4}){6,}={0,2}/ condition: any of them }
+"#;
+    let (_, report, rescan) = hunt(all_live);
+    assert_eq!(report.confirm_scans, report.digests_indexed);
+    assert!(
+        !report.rules[0].digests.is_empty(),
+        "all_live confirmed nothing"
+    );
+    assert_eq!(
+        report.bytes_scanned, 0,
+        "a hunt over live strings read bytes"
+    );
+    assert!(rescan.bytes_scanned > 0);
 }

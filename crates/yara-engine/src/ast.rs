@@ -54,7 +54,7 @@ pub struct StringDef {
 }
 
 /// The pattern of a string definition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StringValue {
     /// A plain text pattern with modifiers.
     Text {
@@ -73,7 +73,7 @@ pub enum StringValue {
 }
 
 /// Text-string modifiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StringMods {
     /// Case-insensitive matching.
     pub nocase: bool,

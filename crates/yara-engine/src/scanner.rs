@@ -123,6 +123,23 @@ impl ScanScratch {
     }
 }
 
+/// One scan unit's hits as evaluation reads them, `(unit base, hits)`:
+/// this scanner's own [`FileHits`], or the live ruleset's that
+/// [`Scanner::reusing`] translates slot by slot.
+#[derive(Debug, Clone, Copy)]
+pub enum Part<'h> {
+    /// Hits in this scanner's string slots.
+    Own(usize, &'h FileHits),
+    /// Hits in the live ruleset's string slots.
+    Live(usize, &'h FileHits),
+}
+
+impl<'h> From<(usize, &'h FileHits)> for Part<'h> {
+    fn from((base, hits): (usize, &'h FileHits)) -> Self {
+        Part::Own(base, hits)
+    }
+}
+
 /// A reusable scanner over a compiled ruleset.
 ///
 /// It keeps what one scan unit leaves behind for the next — the
@@ -145,6 +162,9 @@ pub struct Scanner<'r> {
     total_strings: usize,
     /// Regex string definitions, one group per distinct pattern.
     regex_groups: Vec<RegexGroup<'r>>,
+    /// `(live slot, own slot)` for each string the live ruleset defines
+    /// identically, sorted: `collect_hits` never scans for those.
+    from_live: Vec<(u32, u32)>,
     warm: RefCell<Warm<'r>>,
 }
 
@@ -168,16 +188,49 @@ struct RegexGroup<'r> {
     members: Vec<usize>,
 }
 
+/// Every string definition of `rules`, in dense slot order.
+fn definitions(rules: &CompiledRules) -> impl Iterator<Item = &StringValue> {
+    let strings = rules.rules.iter().flat_map(|cr| &cr.rule.strings);
+    strings.map(|s| &s.value)
+}
+
 impl<'r> Scanner<'r> {
     /// Builds a scanner for `rules`.
     pub fn new(rules: &'r CompiledRules) -> Self {
+        Self::reusing(rules, None)
+    }
+
+    /// Builds a scanner for `rules` whose [`Scanner::collect_hits`] scans
+    /// only for the strings `live` does not define identically (same text
+    /// and modifiers, or same regex pattern and `nocase`). A string's hits
+    /// are a pure function of its definition and the unit's bytes, so
+    /// evaluation reads the others from `live`'s hits as a [`Part::Live`].
+    pub fn reusing(rules: &'r CompiledRules, live: Option<&CompiledRules>) -> Self {
+        let mut string_base = Vec::with_capacity(rules.rules.len());
+        let mut total_strings = 0usize;
+        for cr in &rules.rules {
+            string_base.push(total_strings);
+            total_strings += cr.rule.strings.len();
+        }
+        let live_strings = live.map_or(0, |live| definitions(live).count());
+        let mut live_slot: HashMap<&StringValue, u32> = HashMap::with_capacity(live_strings);
+        for (slot, value) in live.into_iter().flat_map(definitions).enumerate() {
+            live_slot.entry(value).or_insert(slot as u32);
+        }
+        let own = definitions(rules).enumerate();
+        let mut from_live: Vec<(u32, u32)> = own
+            .filter_map(|(slot, value)| Some((*live_slot.get(value)?, slot as u32)))
+            .collect();
+        from_live.sort_unstable();
+        let collected = |slot: usize| !from_live.iter().any(|&(_, own)| own as usize == slot);
         let mut cs_pats: Vec<Vec<u8>> = Vec::new();
         let mut ci_pats: Vec<Vec<u8>> = Vec::new();
         let mut cs_map = Vec::new();
         let mut ci_map = Vec::new();
         for (ri, cr) in rules.rules.iter().enumerate() {
             for (si, s) in cr.rule.strings.iter().enumerate() {
-                if let StringValue::Text { text, mods } = &s.value {
+                let slot = string_base[ri] + si;
+                if let (StringValue::Text { text, mods }, true) = (&s.value, collected(slot)) {
                     let bytes = text.as_bytes().to_vec();
                     if mods.ascii {
                         if mods.nocase {
@@ -201,18 +254,13 @@ impl<'r> Scanner<'r> {
                 }
             }
         }
-        let mut string_base = Vec::with_capacity(rules.rules.len());
-        let mut total_strings = 0usize;
-        for cr in &rules.rules {
-            string_base.push(total_strings);
-            total_strings += cr.rule.strings.len();
-        }
         let mut regex_groups: Vec<RegexGroup<'r>> = Vec::new();
         let mut group_of: HashMap<(&str, bool), usize> = HashMap::new();
         for (ri, cr) in rules.rules.iter().enumerate() {
             for (si, s) in cr.rule.strings.iter().enumerate() {
-                if let (StringValue::Regex { pattern, nocase }, Some(regex)) =
-                    (&s.value, &cr.regexes[si])
+                let slot = string_base[ri] + si;
+                if let (StringValue::Regex { pattern, nocase }, Some(regex), true) =
+                    (&s.value, &cr.regexes[si], collected(slot))
                 {
                     let gi = *group_of
                         .entry((pattern.as_str(), *nocase))
@@ -223,7 +271,7 @@ impl<'r> Scanner<'r> {
                             });
                             regex_groups.len() - 1
                         });
-                    regex_groups[gi].members.push(string_base[ri] + si);
+                    regex_groups[gi].members.push(slot);
                 }
             }
         }
@@ -235,12 +283,20 @@ impl<'r> Scanner<'r> {
             ci_map,
             string_base,
             total_strings,
+            from_live,
             warm: RefCell::new(Warm {
                 scratch: ScanScratch::new(),
                 regexes: regex_groups.iter().map(|g| g.regex.cache()).collect(),
             }),
             regex_groups,
         }
+    }
+
+    /// True when [`Scanner::collect_hits`] scans for a string of rule `ri`.
+    pub fn reads_bytes(&self, ri: usize) -> bool {
+        let base = self.string_base[ri];
+        let mut slots = base..base + self.rules.rules[ri].rule.strings.len();
+        slots.any(|slot| !self.from_live.iter().any(|&(_, own)| own as usize == slot))
     }
 
     /// Scans `data` and returns every rule whose condition holds: one
@@ -316,16 +372,40 @@ impl<'r> Scanner<'r> {
     /// trivially against tiny unit-local sizes and would otherwise
     /// produce spurious matches.
     pub fn mark_rules_with_hits(&self, hits: &FileHits, out: &mut Vec<bool>) {
+        self.mark_rules([(0, hits)], out);
+    }
+
+    /// [`Scanner::mark_rules_with_hits`] over the union of `parts`.
+    pub fn mark_rules<'h>(
+        &self,
+        parts: impl IntoIterator<Item = impl Into<Part<'h>>>,
+        out: &mut Vec<bool>,
+    ) {
         out.clear();
         out.resize(self.rules.rules.len(), false);
-        for (slot, _) in &hits.slots {
-            // string_base is the prefix-sum of per-rule string counts:
-            // the owning rule is the last base <= slot.
-            let ri = self
-                .string_base
-                .partition_point(|&base| base <= *slot as usize)
-                - 1;
-            out[ri] = true;
+        for part in parts {
+            self.for_each_hit(part.into(), |slot, _| {
+                // string_base is the prefix-sum of per-rule string counts:
+                // the owning rule is the last base <= slot.
+                let ri = self.string_base.partition_point(|&base| base <= slot) - 1;
+                out[ri] = true;
+            });
+        }
+    }
+
+    /// Calls `f` with each of this scanner's string slots that `part` has
+    /// hits for, and their unit-relative offsets; a live part yields only
+    /// the slots its strings translate to.
+    pub fn for_each_hit<'h>(&self, part: Part<'h>, mut f: impl FnMut(usize, &'h [u32])) {
+        match part {
+            Part::Own(_, hits) => hits.slots.iter().for_each(|(s, offs)| f(*s as usize, offs)),
+            Part::Live(_, hits) => {
+                for &(live, own) in &self.from_live {
+                    if let Ok(i) = hits.slots.binary_search_by_key(&live, |(s, _)| *s) {
+                        f(own as usize, &hits.slots[i].1);
+                    }
+                }
+            }
         }
     }
 
@@ -363,11 +443,12 @@ impl<'r> Scanner<'r> {
         out
     }
 
-    /// [`Scanner::eval_hits`] without the assembly: hands each matching rule's
-    /// index and name to `matched`, in rule order; a warm `scratch` allocates nothing.
+    /// [`Scanner::eval_hits`] over [`Part`]s, without the assembly: hands
+    /// each matching rule's index and name to `matched`, in rule order; a
+    /// warm `scratch` allocates nothing.
     pub fn eval_rules<'h>(
         &self,
-        parts: impl IntoIterator<Item = (usize, &'h FileHits)>,
+        parts: impl IntoIterator<Item = impl Into<Part<'h>>>,
         filesize: i64,
         include: impl Fn(usize) -> bool,
         scratch: &mut ScanScratch,
@@ -381,19 +462,21 @@ impl<'r> Scanner<'r> {
     /// The condition loop of both: fills `scratch`, then reports matches.
     fn eval_core<'h>(
         &self,
-        parts: impl IntoIterator<Item = (usize, &'h FileHits)>,
+        parts: impl IntoIterator<Item = impl Into<Part<'h>>>,
         filesize: i64,
         include: impl Fn(usize) -> bool,
         scratch: &mut ScanScratch,
         mut matched: impl FnMut(usize, &ScanScratch),
     ) {
         scratch.begin(self.total_strings);
-        for (base, hits) in parts {
-            for (slot, offs) in &hits.slots {
+        for part in parts {
+            let part = part.into();
+            let (Part::Own(base, _) | Part::Live(base, _)) = part;
+            self.for_each_hit(part, |slot, offs| {
                 for &o in offs {
-                    scratch.push(*slot as usize, base + o as usize);
+                    scratch.push(slot, base + o as usize);
                 }
-            }
+            });
         }
         let scratch = &*scratch;
         for (ri, cr) in self.rules.rules.iter().enumerate() {

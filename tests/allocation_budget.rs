@@ -30,7 +30,7 @@ use oss_registry::Package;
 use pysrc::TokenKind;
 use scanhub::{ArtifactConfig, FileAnalysis, FileEntry, HubConfig, ScanHub, ScanRequest, Stage};
 use semgrep_engine::{CompiledSemgrepRules, MatchScratch, MatchSet};
-use yara_engine::{CompiledRules, Scanner};
+use yara_engine::{CompiledRules, Scanner, StringValue};
 
 struct Counting;
 
@@ -512,7 +512,9 @@ fn each_build_step_stays_within_its_allocation_budget() {
 /// Semgrep rule to that bundle. The hunt books its index query to
 /// `RetroQuery`, each confirm scan to `RetroConfirm`, and the evaluator's
 /// construction and the report's assembly to `Idle`; the rescan queries
-/// no index.
+/// no index. A second deployment adds one rule whose only string is the
+/// live bundle's base64 regex: its hunt reads the artifacts' cached hits,
+/// so its confirm scans allocate fewer than its byte-reading rescan's.
 #[test]
 fn a_retro_hunt_stays_within_its_allocation_budget() {
     let _hub = HUB.lock().unwrap_or_else(|e| e.into_inner());
@@ -554,27 +556,29 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     let mut hunt = None;
     let spent = ledger(|| hunt = hub.retro_hunt(&deployment));
     let hunt = hunt.expect("retro index enabled");
-    // While the evaluator collected findings and string matches to keep
-    // only their names, the same hunt made RetroConfirm 660; while the
-    // confirm scan kept its own evaluation path, per-rule digest sets and
-    // name map, RetroQuery 648, RetroConfirm 1 023 and Idle 39.
+    // While every confirm scan rendered its digest's hex, the same hunt
+    // made RetroConfirm 488; while the evaluator collected findings and
+    // string matches to keep only their names, 660; while the confirm
+    // scan kept its own evaluation path, per-rule digest sets and name
+    // map, RetroQuery 648, RetroConfirm 1 023 and Idle 39.
     check_ledger(
         "a retro-hunt",
         spent,
         &[
             (Stage::RetroQuery, 648),
-            (Stage::RetroConfirm, 488),
+            (Stage::RetroConfirm, 212),
             (Stage::Idle, 68),
         ],
     );
     let mut rescan = None;
     let spent = ledger(|| rescan = hub.retro_rescan(&deployment));
     let rescan = rescan.expect("retro index enabled");
-    // RetroConfirm 660, and 1 023 with Idle 657 before that.
+    // RetroConfirm 488 and Idle 689, 660 before that, and 1 023 with
+    // Idle 657 before that.
     check_ledger(
         "its rescan",
         spent,
-        &[(Stage::RetroConfirm, 488), (Stage::Idle, 689)],
+        &[(Stage::RetroConfirm, 212), (Stage::Idle, 688)],
     );
 
     // Vacuity guards: the atom rules pruned, the regex-only rule fell
@@ -588,6 +592,54 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     for rule in &hunt.rules {
         assert!(!rule.digests.is_empty(), "{} confirmed nothing", rule.rule);
     }
+
+    // A rule whose only string is the live bundle's base64 regex reads
+    // every digest's cached hits and no byte; its rescan collects them
+    // all again.
+    let mut strings = live_yara.rules.iter().flat_map(|cr| &cr.rule.strings);
+    let blob = strings
+        .find_map(|s| match &s.value {
+            StringValue::Regex { pattern, .. } if pattern.contains("{10,}") => Some(pattern),
+            _ => None,
+        })
+        .expect("the live bundle has the base64 regex");
+    let mut yara = live_yara.clone();
+    let blob = blob.replace('/', "\\/");
+    let source = format!("rule hunt_blob {{ strings: $r = /{blob}/ condition: #r >= 2 }}");
+    let added = yara_engine::compile(&source).expect("the reusing rule compiles");
+    yara.rules.extend(added.rules);
+    let deployment = hub.deploy_rules(Some(yara), Some(live_semgrep.clone()));
+    let mut hunt = None;
+    let hunt_spent = ledger(|| hunt = hub.retro_hunt(&deployment));
+    let hunt = hunt.expect("retro index enabled");
+    check_ledger(
+        "a hunt reusing the live regex",
+        hunt_spent,
+        &[
+            (Stage::RetroQuery, 323),
+            (Stage::RetroConfirm, 200),
+            (Stage::Idle, 81),
+        ],
+    );
+    let mut rescan = None;
+    let spent = ledger(|| rescan = hub.retro_rescan(&deployment));
+    let rescan = rescan.expect("retro index enabled");
+    check_ledger(
+        "its rescan",
+        spent,
+        &[(Stage::RetroConfirm, 570), (Stage::Idle, 403)],
+    );
+    let confirm = |spent: [u64; STAGES]| spent[Stage::RetroConfirm as usize];
+    assert!(confirm(hunt_spent) < confirm(spent), "reuse saved nothing");
+    assert!(hunt.same_hits(&rescan), "hunt ≡ rescan");
+    assert_eq!(hunt.full_candidacy_rules, 1);
+    assert_eq!(hunt.confirm_scans, hunt.digests_indexed);
+    assert!(
+        !hunt.rules[0].digests.is_empty(),
+        "hunt_blob confirmed nothing"
+    );
+    assert_eq!(hunt.bytes_scanned, 0, "a reused string read bytes");
+    assert!(rescan.bytes_scanned > 0);
 }
 
 /// The allocations a list makes growing to `n` items one push at a time.

@@ -485,7 +485,7 @@ fn every_counter_reaches_both_exporters() {
 /// time, the `hub_metrics!` rows in table order (counters, gauges,
 /// matching tiers), then the occupancy gauges that are not `HubStats`
 /// fields.
-const EXPORT_ORDER: [&str; 43] = [
+const EXPORT_ORDER: [&str; 44] = [
     "scanhub_stage_duration_ns",
     "scanhub_scan_duration_ns",
     "scanhub_submitted_total",
@@ -514,6 +514,7 @@ const EXPORT_ORDER: [&str; 43] = [
     "scanhub_retro_hunts_total",
     "scanhub_retro_candidates_total",
     "scanhub_retro_confirm_scans_total",
+    "scanhub_retro_confirm_bytes_scanned_total",
     "scanhub_artifact_bytes_resident",
     "scanhub_retro_index_atoms",
     "scanhub_retro_index_digests",
