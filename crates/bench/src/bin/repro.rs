@@ -33,6 +33,12 @@ fn main() {
         eprintln!("[repro] tiered matching: Teddy + lazy DFA vs AC + Pike VM (ISSUE 9) ...");
         let stats = rulellm_bench::regexbench::compare(1 << 20, 42);
         println!("{}", rulellm_bench::regexbench::render(&stats));
+        let units = rulellm_bench::regexbench::corpus_units();
+        let short = rulellm_bench::regexbench::compare_short_haystacks(&units);
+        println!(
+            "{}",
+            rulellm_bench::regexbench::render_short_haystacks(&short)
+        );
         // Nothing else has touched the engines in this process, so the
         // process-global counters are this run's.
         println!("tier counters: {:?}\n", textmatch::engine_counters());

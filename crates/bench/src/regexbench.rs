@@ -12,12 +12,18 @@
 //! asserted nowhere; which tier ran is asserted exactly, in
 //! `tests/tier_counters.rs`, and the seed's restart-per-offset engine
 //! checks the same classes in this module's tests.
+//!
+//! A second table, [`compare_short_haystacks`], prices per-call setup: the
+//! unit audit's IOC regexes run over every basic unit of the tiny corpus,
+//! once building fresh machines per call and once on a kept
+//! [`textmatch::RegexCache`], and must find the same matches both ways.
 
 use std::time::Instant;
 
+use corpus::{CorpusConfig, Dataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use textmatch::{AhoCorasick, MatchKind, MultiLiteral, Regex};
+use textmatch::{AhoCorasick, Match, MatchKind, MultiLiteral, Regex};
 
 /// The regex pattern classes the tiered pipeline is judged on. Each
 /// stresses a different tier-selection path:
@@ -275,6 +281,133 @@ pub fn render(stats: &RegexBenchStats) -> String {
     out
 }
 
+/// One IOC regex over many short haystacks.
+#[derive(Debug, Clone)]
+pub struct ShortRow {
+    /// The pattern's name in [`llm_sim::IOC_PATTERNS`].
+    pub pattern: &'static str,
+    /// What the unit audit asks of it: every match, or whether any exists.
+    pub call: &'static str,
+    /// Matches found (or haystacks matched, for an existence test);
+    /// identical both ways by assertion.
+    pub matches: usize,
+    /// Wall-clock milliseconds with fresh machines per call.
+    pub fresh_ms: f64,
+    /// Wall-clock milliseconds on one kept [`textmatch::RegexCache`].
+    pub kept_ms: f64,
+}
+
+/// The many-short-haystacks comparison.
+#[derive(Debug, Clone)]
+pub struct ShortHaystackStats {
+    /// Haystacks: the basic units of the tiny corpus's Python files.
+    pub haystacks: usize,
+    /// Their total length in bytes.
+    pub bytes: usize,
+    /// One row per IOC pattern, [`llm_sim::IOC_PATTERNS`] order.
+    pub rows: Vec<ShortRow>,
+}
+
+/// The basic units of every Python file of the tiny corpus: the haystacks
+/// RuleLLM's unit audit runs its IOC regexes on.
+pub fn corpus_units() -> Vec<String> {
+    let dataset = Dataset::generate(&CorpusConfig::tiny());
+    let malware = dataset.malware.iter().map(|m| &m.package);
+    let packages = malware.chain(dataset.legit.iter().map(|l| &l.package));
+    let files = packages.flat_map(|p| p.files().iter().filter(|f| f.path.ends_with(".py")));
+    files
+        .flat_map(|f| rulellm::split_basic_units(&f.contents))
+        .map(|u| u.code)
+        .collect()
+}
+
+/// Runs each IOC regex over every one of `units`, the way the unit audit
+/// calls it (every URL and IP match; whether a base64 blob exists), once
+/// with fresh machines per call and once on one kept cache.
+///
+/// # Panics
+///
+/// Panics if the two ways disagree on any haystack.
+pub fn compare_short_haystacks(units: &[String]) -> ShortHaystackStats {
+    let mut rows = Vec::new();
+    for (name, pattern) in llm_sim::IOC_PATTERNS {
+        let re = Regex::new(pattern).expect("IOC pattern compiles");
+        let exists = name == "base64";
+        // Per haystack, its matches: every span, or one empty span when
+        // an existence test says yes.
+        let hit = |yes: bool| Vec::from_iter(yes.then_some(Match { start: 0, end: 0 }));
+        let (fresh, fresh_ms) = timed(|| {
+            let each = |u: &String| {
+                if exists {
+                    hit(re.is_match(u.as_bytes()))
+                } else {
+                    re.find_all(u.as_bytes())
+                }
+            };
+            units.iter().map(each).collect::<Vec<_>>()
+        });
+        let mut cache = re.cache();
+        let (kept, kept_ms) = timed(|| {
+            let mut each = |u: &String| {
+                if exists {
+                    hit(re.is_match_in(&mut cache, u.as_bytes()))
+                } else {
+                    let mut out = Vec::new();
+                    re.find_each(&mut cache, u.as_bytes(), |m| out.push(m));
+                    out
+                }
+            };
+            units.iter().map(&mut each).collect::<Vec<_>>()
+        });
+        assert_eq!(fresh, kept, "fresh != kept machines for {name}");
+        rows.push(ShortRow {
+            pattern: name,
+            call: if exists { "exists" } else { "find all" },
+            matches: kept.iter().map(Vec::len).sum(),
+            fresh_ms,
+            kept_ms,
+        });
+    }
+    ShortHaystackStats {
+        haystacks: units.len(),
+        bytes: units.iter().map(String::len).sum(),
+        rows,
+    }
+}
+
+/// `f`'s result and the wall-clock milliseconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t = Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64() * 1e3)
+}
+
+/// Renders the many-short-haystacks comparison as an aligned text table.
+pub fn render_short_haystacks(stats: &ShortHaystackStats) -> String {
+    let mut out = format!(
+        "Many short haystacks: fresh machines per call vs a kept RegexCache \
+         ({} basic units, {} KiB)\n",
+        stats.haystacks,
+        stats.bytes / 1024
+    );
+    out.push_str(&format!(
+        "{:<8} {:<9} {:>8} {:>10} {:>9} {:>9}\n",
+        "pattern", "call", "matches", "fresh (ms)", "kept (ms)", "speedup"
+    ));
+    for r in &stats.rows {
+        let speedup = if r.kept_ms > 0.0 {
+            r.fresh_ms / r.kept_ms
+        } else {
+            f64::INFINITY
+        };
+        out.push_str(&format!(
+            "{:<8} {:<9} {:>8} {:>10.2} {:>9.2} {:>8.1}x\n",
+            r.pattern, r.call, r.matches, r.fresh_ms, r.kept_ms, speedup
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,6 +431,17 @@ mod tests {
             assert!(row.matches > 0, "class {} found nothing", row.class);
         }
         assert!(stats.geomean_speedup().is_finite());
+    }
+
+    #[test]
+    fn short_haystack_rows_find_matches_both_ways() {
+        // `compare_short_haystacks` asserts fresh == kept internally.
+        let stats = compare_short_haystacks(&corpus_units());
+        assert_eq!(stats.rows.len(), llm_sim::IOC_PATTERNS.len());
+        assert!(stats.haystacks > 1000, "{} units", stats.haystacks);
+        for row in &stats.rows {
+            assert!(row.matches > 0, "{} found nothing", row.pattern);
+        }
     }
 
     /// The seed's restart-per-offset engine agrees with the tiered path

@@ -5,10 +5,17 @@
 //! analyzer that finds the indicators a competent malware analyst would
 //! extract. The noise model in [`crate::generate`] then degrades its
 //! output per model profile.
+//!
+//! [`analyze_code`] runs once per basic unit of every package, so its IOC
+//! regexes are compiled once per process and matched on machines each
+//! thread keeps: a call pays for its scans, not for building a Pike VM
+//! and a lazy DFA per regex per unit.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use textmatch::Regex;
+use textmatch::{Regex, RegexCache};
 
 /// Which Table II audit row an indicator belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -201,6 +208,23 @@ const API_CATALOG: &[(&str, IndicatorKind)] = &[
     ("ImageGrab.grab", IndicatorKind::Network),
 ];
 
+/// The IOC patterns of [`analyze_code`], by name: URLs, dotted-quad IPs
+/// and long base64 blobs.
+pub const IOC_PATTERNS: [(&str, &str); 3] = [
+    ("url", r"https?://[\w.\-/]{6,80}"),
+    ("ip", r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}"),
+    ("base64", r"[A-Za-z0-9+/]{40,}={0,2}"),
+];
+
+/// Well-known hosts whose URLs are not IOCs.
+const BENIGN_HOSTS: [&str; 5] = [
+    "readthedocs.io",
+    "github.com",
+    "githubusercontent",
+    "python.org",
+    "example.org",
+];
+
 /// The IOC regexes of [`analyze_code`], compiled once per process: the
 /// pipeline audits every basic unit of every package, and compiling
 /// cost far more than matching.
@@ -212,64 +236,89 @@ struct IocRegexes {
 
 fn ioc_regexes() -> &'static IocRegexes {
     static IOC: OnceLock<IocRegexes> = OnceLock::new();
-    IOC.get_or_init(|| IocRegexes {
-        url: Regex::new(r"https?://[\w.\-/]{6,80}").expect("static pattern"),
-        ip: Regex::new(r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}").expect("static pattern"),
-        b64: Regex::new(r"[A-Za-z0-9+/]{40,}={0,2}").expect("static pattern"),
+    IOC.get_or_init(|| {
+        let [url, ip, b64] =
+            IOC_PATTERNS.map(|(_, pattern)| Regex::new(pattern).expect("static pattern"));
+        IocRegexes { url, ip, b64 }
     })
+}
+
+/// One thread's kept matching state for each IOC regex.
+struct IocCaches {
+    url: RegexCache<'static>,
+    ip: RegexCache<'static>,
+    b64: RegexCache<'static>,
+}
+
+thread_local! {
+    static IOC_CACHES: RefCell<IocCaches> = RefCell::new({
+        let re = ioc_regexes();
+        IocCaches {
+            url: re.url.cache(),
+            ip: re.ip.cache(),
+            b64: re.b64.cache(),
+        }
+    });
+}
+
+/// Streams the text of `regex`'s first `cap` matches in `bytes` to `each`.
+fn first_matches<'b>(
+    regex: &'static Regex,
+    cache: &mut RegexCache<'static>,
+    bytes: &'b [u8],
+    cap: usize,
+    mut each: impl FnMut(Cow<'b, str>),
+) {
+    let mut seen = 0;
+    regex.find_each(cache, bytes, |m| {
+        if seen < cap {
+            seen += 1;
+            each(String::from_utf8_lossy(&bytes[m.start..m.end]));
+        }
+    });
 }
 
 /// Analyzes a code payload into Table II indicators.
 ///
 /// IOC extraction uses regexes for URLs, dotted-quad IPs, webhook paths
-/// and long base64 blobs; API extraction is substring-based over the
-/// catalog.
+/// and long base64 blobs, on the calling thread's kept [`RegexCache`]s;
+/// API extraction is substring-based over the catalog. The first eight
+/// URLs and the first four IPs are considered, before the benign-host and
+/// loopback filters.
 pub fn analyze_code(code: &str) -> Analysis {
     let mut indicators = Vec::new();
     let bytes = code.as_bytes();
 
     // IOC regexes.
     let re = ioc_regexes();
-    for m in re.url.find_all(bytes).into_iter().take(8) {
-        let url = String::from_utf8_lossy(&bytes[m.start..m.end]).into_owned();
-        // Benign well-known hosts are not IOCs.
-        if [
-            "readthedocs.io",
-            "github.com",
-            "githubusercontent",
-            "python.org",
-            "example.org",
-        ]
-        .iter()
-        .any(|ok| url.contains(ok))
-        {
-            continue;
+    IOC_CACHES.with_borrow_mut(|caches| {
+        first_matches(&re.url, &mut caches.url, bytes, 8, |url| {
+            if !BENIGN_HOSTS.iter().any(|ok| url.contains(ok)) {
+                indicators.push(Indicator {
+                    text: url.into_owned(),
+                    kind: IndicatorKind::Ioc,
+                    is_regex: false,
+                });
+            }
+        });
+        first_matches(&re.ip, &mut caches.ip, bytes, 4, |ip| {
+            if !(ip.starts_with("127.") || ip == "0.0.0.0") {
+                indicators.push(Indicator {
+                    text: ip.into_owned(),
+                    kind: IndicatorKind::Ioc,
+                    is_regex: false,
+                });
+            }
+        });
+        // Long base64 blob — keep as a *regex* indicator (the Table I rule).
+        if re.b64.is_match_in(&mut caches.b64, bytes) {
+            indicators.push(Indicator {
+                text: r"([A-Za-z0-9+/]{4}){10,}={0,2}".to_owned(),
+                kind: IndicatorKind::Encryption,
+                is_regex: true,
+            });
         }
-        indicators.push(Indicator {
-            text: url,
-            kind: IndicatorKind::Ioc,
-            is_regex: false,
-        });
-    }
-    for m in re.ip.find_all(bytes).into_iter().take(4) {
-        let ip = String::from_utf8_lossy(&bytes[m.start..m.end]).into_owned();
-        if ip.starts_with("127.") || ip == "0.0.0.0" {
-            continue;
-        }
-        indicators.push(Indicator {
-            text: ip,
-            kind: IndicatorKind::Ioc,
-            is_regex: false,
-        });
-    }
-    // Long base64 blob — keep as a *regex* indicator (the Table I rule).
-    if re.b64.is_match(bytes) {
-        indicators.push(Indicator {
-            text: r"([A-Za-z0-9+/]{4}){10,}={0,2}".to_owned(),
-            kind: IndicatorKind::Encryption,
-            is_regex: true,
-        });
-    }
+    });
 
     // API catalog pass.
     for (needle, kind) in API_CATALOG {

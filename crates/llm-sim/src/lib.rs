@@ -49,7 +49,9 @@ mod profile;
 mod prompt;
 pub mod rag;
 
-pub use analyzer::{analyze_code, analyze_metadata, Analysis, Indicator, IndicatorKind};
+pub use analyzer::{
+    analyze_code, analyze_metadata, Analysis, Indicator, IndicatorKind, IOC_PATTERNS,
+};
 pub use profile::ModelProfile;
 pub use prompt::{Prompt, PromptKind, RuleFormat};
 pub use rag::KnowledgeBase;

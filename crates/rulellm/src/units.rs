@@ -6,10 +6,19 @@
 //! `for `, `while `, `try:`, `with `; (2) accumulate following lines into
 //! the unit; (3) close the unit at the next boundary; (4) split units
 //! larger than 4,000 characters.
+//!
+//! Step (1)'s regex is `^(def |class |if |for |while |try:|with |@)`: a
+//! `^`-anchored alternation of literals, so a line matches it exactly when
+//! it starts with one of the alternatives. The splitter runs that prefix
+//! test (`BOUNDARY_PREFIXES`) rather than a regex engine per line; it
+//! is the paper's regex, not an approximation of it.
 
-use std::sync::OnceLock;
-
-use textmatch::Regex;
+/// The line prefixes that open a basic unit (§IV-A step 1): block-opening
+/// keywords at column zero (top-level blocks) or decorators introducing
+/// them.
+const BOUNDARY_PREFIXES: [&str; 8] = [
+    "def ", "class ", "if ", "for ", "while ", "try:", "with ", "@",
+];
 
 /// The paper's 4,000-character unit cap (§IV-A step 4).
 pub const MAX_UNIT_CHARS: usize = 4000;
@@ -28,19 +37,12 @@ pub struct BasicUnit {
 /// Top-level statements before the first block boundary form a leading
 /// module unit. Indented continuation lines stay with their block.
 pub fn split_basic_units(source: &str) -> Vec<BasicUnit> {
-    // The paper's boundary regex: block-opening keywords at column zero
-    // (top-level blocks) or decorators introducing them. Compiled once
-    // per process, not once per package.
-    static BOUNDARY: OnceLock<Regex> = OnceLock::new();
-    let boundary = BOUNDARY.get_or_init(|| {
-        Regex::new(r"^(def |class |if |for |while |try:|with |@)").expect("static pattern")
-    });
     let lines: Vec<&str> = source.lines().collect();
     let mut units = Vec::new();
     let mut current = String::new();
     let mut current_start = 1usize;
     for (i, line) in lines.iter().enumerate() {
-        let is_boundary = boundary.find(line.as_bytes()).is_some_and(|m| m.start == 0);
+        let is_boundary = BOUNDARY_PREFIXES.iter().any(|p| line.starts_with(p));
         // A `def`/`class` immediately following decorator lines belongs to
         // the same unit as its decorators.
         let decorator_continuation = (line.starts_with("def ") || line.starts_with("class "))

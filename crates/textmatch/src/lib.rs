@@ -26,7 +26,9 @@
 //!   ineligible (word boundaries) or the state cache thrashes. A
 //!   [`RegexCache`] keeps both machines across haystacks, so a scanner
 //!   running one pattern over many units determinizes each DFA state
-//!   once ([`Regex::find_each`]).
+//!   once ([`Regex::find_each`], [`Regex::is_match_in`]). The uncached
+//!   entry points ([`Regex::is_match`], [`Regex::find_at`],
+//!   [`Regex::find_all`]) are those calls over a fresh cache.
 //!
 //! Tier activity is observable through [`engine_counters`]. The seed's
 //! restart-per-offset scan that the Pike VM replaced is not shipped here:

@@ -130,7 +130,7 @@ pub struct Regex {
 /// A [`Regex`]'s matching state kept across haystacks: its Pike VM's
 /// thread sets and — built on the first haystack the DFA gates — its lazy
 /// DFA's state table. Made by [`Regex::cache`]; pass it to that regex's
-/// [`Regex::find_each`].
+/// [`Regex::find_each`] or [`Regex::is_match_in`].
 pub struct RegexCache<'r> {
     vm: Vm<'r>,
     dfa: Option<LazyDfa<'r>>,
@@ -141,6 +141,26 @@ impl fmt::Debug for RegexCache<'_> {
         f.debug_struct("RegexCache")
             .field("dfa", &self.dfa.is_some())
             .finish_non_exhaustive()
+    }
+}
+
+impl<'r> RegexCache<'r> {
+    /// This cache's Pike VM and — when `regex`'s lazy DFA gates
+    /// `haystack` — its DFA, built on the first haystack that needs it.
+    fn machines(
+        &mut self,
+        regex: &'r Regex,
+        haystack: &[u8],
+    ) -> (&mut Vm<'r>, Option<&mut LazyDfa<'r>>) {
+        assert!(
+            std::ptr::eq(self.vm.program, &regex.program),
+            "a RegexCache serves the regex that made it"
+        );
+        let dfa = regex.dfa_for(haystack).map(|prefab| {
+            self.dfa
+                .get_or_insert_with(|| LazyDfa::new(&regex.program, prefab))
+        });
+        (&mut self.vm, dfa)
     }
 }
 
@@ -219,20 +239,38 @@ impl Regex {
         }
     }
 
-    /// Tests whether the pattern matches anywhere in `haystack`.
+    /// Tests whether the pattern matches anywhere in `haystack`:
+    /// [`Regex::is_match_in`] over a fresh cache.
+    ///
+    /// Each call builds a fresh Pike VM and lazy DFA and discards them; a
+    /// caller testing many haystacks should keep a [`RegexCache`] and call
+    /// [`Regex::is_match_in`].
+    pub fn is_match(&self, haystack: &[u8]) -> bool {
+        self.is_match_in(&mut self.cache(), haystack)
+    }
+
+    /// Tests whether the pattern matches anywhere in `haystack`, running
+    /// on `cache`'s Pike VM and lazy DFA, which it keeps.
     ///
     /// Eligible patterns run the lazy DFA (one table transition per byte);
     /// ineligible or thrashing scans use the Pike VM. Returns as soon as
     /// any match is known to exist.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        if let Some(prefab) = self.dfa_for(haystack) {
-            match LazyDfa::new(&self.program, prefab).once(haystack, 0, &self.scan) {
+    ///
+    /// # Panics
+    ///
+    /// When `cache` was made by another regex.
+    pub fn is_match_in<'r>(&'r self, cache: &mut RegexCache<'r>, haystack: &[u8]) -> bool {
+        let (vm, dfa) = cache.machines(self, haystack);
+        if let Some(d) = dfa {
+            let outcome = d.earliest_end(haystack, 0, &self.scan);
+            d.record_call();
+            match outcome {
                 DfaOutcome::NoMatch => return false,
                 DfaOutcome::MatchEnd(_) => return true,
                 DfaOutcome::GaveUp => {}
             }
         }
-        Vm::new(&self.program).exists(haystack, &self.scan)
+        vm.exists(haystack, &self.scan)
     }
 
     /// Pike-VM-only existence test — the pre-DFA baseline, kept public
@@ -251,28 +289,35 @@ impl Regex {
         Some(LazyDfa::new(&self.program, prefab).once(haystack, from, &self.scan))
     }
 
-    /// Finds the leftmost-longest match.
+    /// Finds the leftmost-longest match. Builds fresh machines per call,
+    /// as [`Regex::find_at`] does.
     pub fn find(&self, haystack: &[u8]) -> Option<Match> {
         self.find_at(haystack, 0)
     }
 
-    /// Finds the leftmost-longest match starting at or after `from`.
+    /// Finds the leftmost-longest match starting at or after `from`: the
+    /// first match [`Regex::find_each`] would stream from `from`, over a
+    /// fresh cache.
     ///
     /// The lazy DFA answers "is there any match at all?" first (a no is
     /// the common case on scan workloads and costs one table transition
-    /// per byte); only a yes pays for Pike-VM span extraction.
+    /// per byte); only a yes pays for Pike-VM span extraction. Each call
+    /// builds a fresh Pike VM and lazy DFA; a caller searching many
+    /// haystacks should keep a [`RegexCache`] and call
+    /// [`Regex::find_each`].
     pub fn find_at(&self, haystack: &[u8], from: usize) -> Option<Match> {
-        if let Some(prefab) = self.dfa_for(haystack) {
-            match LazyDfa::new(&self.program, prefab).once(haystack, from, &self.scan) {
-                DfaOutcome::NoMatch => return None,
-                DfaOutcome::MatchEnd(_) | DfaOutcome::GaveUp => {}
-            }
-        }
-        Vm::new(&self.program).find(haystack, from, &self.scan)
+        let mut first = None;
+        self.scan_from(&mut self.cache(), haystack, from, |m| {
+            first = Some(m);
+            false
+        });
+        first
     }
 
     /// Returns all non-overlapping leftmost-longest matches:
-    /// [`Regex::find_each`] over a fresh cache.
+    /// [`Regex::find_each`] over a fresh cache, so each call builds fresh
+    /// machines; a caller searching many haystacks should keep a
+    /// [`RegexCache`] and call [`Regex::find_each`].
     pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
         self.find_each(&mut self.cache(), haystack, |m| out.push(m));
@@ -308,18 +353,26 @@ impl Regex {
         haystack: &[u8],
         mut each: impl FnMut(Match),
     ) {
-        let vm = &mut cache.vm;
-        assert!(
-            std::ptr::eq(vm.program, &self.program),
-            "a RegexCache serves the regex that made it"
-        );
-        let mut dfa = self.dfa_for(haystack).map(|prefab| {
-            cache
-                .dfa
-                .get_or_insert_with(|| LazyDfa::new(&self.program, prefab))
+        self.scan_from(cache, haystack, 0, |m| {
+            each(m);
+            true
         });
+    }
+
+    /// The match loop of [`Regex::find_each`] and [`Regex::find_at`]:
+    /// streams matches at or after `from` to `each` until it returns
+    /// false. A gated call books one `dfa_scans`, however many matches it
+    /// streams.
+    fn scan_from<'r>(
+        &'r self,
+        cache: &mut RegexCache<'r>,
+        haystack: &[u8],
+        from: usize,
+        mut each: impl FnMut(Match) -> bool,
+    ) {
+        let (vm, mut dfa) = cache.machines(self, haystack);
         let mut gated = dfa.is_some();
-        let mut pos = 0;
+        let mut pos = from;
         while pos <= haystack.len() {
             if let Some(d) = dfa.as_mut().filter(|_| gated) {
                 match d.earliest_end(haystack, pos, &self.scan) {
@@ -331,7 +384,9 @@ impl Regex {
             match vm.find(haystack, pos, &self.scan) {
                 Some(m) => {
                     pos = if m.end > m.start { m.end } else { m.start + 1 };
-                    each(m);
+                    if !each(m) {
+                        break;
+                    }
                 }
                 None => break,
             }

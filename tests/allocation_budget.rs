@@ -2,10 +2,10 @@
 //!
 //! Allocation counts repeat to the bit where timings do not, so they are
 //! what a tier-1 test can hold the lexer, the parser, the taint engine,
-//! the YARA scanner, a whole artifact build and the Semgrep walk to. This
-//! binary installs its own counting `#[global_allocator]`; each thread
-//! counts into its own thread-locals, so tests running in parallel do not
-//! see each other's allocations. A `realloc` counts as one allocation, as
+//! the YARA scanner, a whole artifact build, the Semgrep walk and
+//! RuleLLM's unit audit to. This binary installs its own counting
+//! `#[global_allocator]`; each thread counts into its own thread-locals,
+//! so tests running in parallel do not see each other's allocations. A `realloc` counts as one allocation, as
 //! in the benchmark's counter (`benchmark/src/alloc.rs`). Each allocation
 //! is also booked to the [`Stage`] its thread is in, so a budget can name
 //! the step of an artifact build that broke it, and to a process-wide
@@ -16,7 +16,9 @@
 //! aggressive mutants (seed 42): the front end's over their Python files,
 //! the file set of the front-end golden digests, and those of
 //! `FileAnalysis::build` and the YARA scanner over every file of every
-//! upload, `PKG-INFO` included.
+//! upload, `PKG-INFO` included, and the unit audit's over every basic unit
+//! of their Python files. RuleLLM's extraction runs over the tiny corpus's
+//! unique malware, as the pipeline does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
@@ -715,4 +717,82 @@ fn evaluating_cached_artifacts_allocates_only_the_verdict() {
     assert_eq!(after.artifact_parses, before.artifact_parses);
     // Vacuity guard: every list was filled somewhere.
     assert!(found.iter().all(|&n| n > 0), "{found:?} findings");
+}
+
+/// The unique malware of the tiny corpus: RuleLLM's extraction input.
+fn unique_malware() -> Vec<Package> {
+    let dataset = Dataset::generate(&CorpusConfig::tiny());
+    let unique = dataset.unique_malware();
+    unique.into_iter().map(|m| m.package.clone()).collect()
+}
+
+/// RuleLLM's knowledge extraction (metadata, code, basic units, the unit
+/// audit, embeddings, grouping) over the tiny corpus's unique malware
+/// stays within the 17 945 allocations it was measured at, this thread's
+/// IOC regex caches warmed by a first pass. While each unit's audit built
+/// a fresh Pike VM and lazy DFA per IOC regex and the splitter ran a
+/// fresh Pike VM per line, the same extraction made 191 559.
+#[test]
+fn rulellm_extraction_stays_within_its_allocation_budget() {
+    const BUDGET: u64 = 17_945;
+    let packages = unique_malware();
+    let packages: Vec<&Package> = packages.iter().collect();
+    rulellm::extract_knowledge(&packages, None);
+    let (groups, total) = counted(|| rulellm::extract_knowledge(&packages, None));
+    let units: usize = groups.packages.iter().map(|p| p.units.len()).sum();
+    println!(
+        "extract_knowledge made {total} allocations over {} packages, {units} units",
+        packages.len()
+    );
+    assert!(
+        total <= BUDGET,
+        "extract_knowledge made {total} allocations"
+    );
+}
+
+/// A warm unit audit allocates only the analysis it returns: one string
+/// per indicator, the summary, and the indicator list's growth. Its IOC
+/// regexes match on machines the thread keeps, so no call builds a Pike
+/// VM or a lazy DFA, and a URL or IP the filters drop is never copied.
+#[test]
+fn a_warm_unit_audit_allocates_only_its_analysis() {
+    let mut units = Vec::new();
+    for package in packages() {
+        for file in package.files().iter().filter(|f| f.path.ends_with(".py")) {
+            units.extend(rulellm::split_basic_units(&file.contents));
+        }
+    }
+    // Determinize every DFA state these units reach first.
+    for unit in &units {
+        llm_sim::analyze_code(&unit.code);
+    }
+    let (mut total, mut found, mut iocs, mut regexes) = (0u64, 0usize, 0usize, 0usize);
+    for unit in &units {
+        let (analysis, calls) = counted(|| llm_sim::analyze_code(&unit.code));
+        let n = analysis.indicators.len();
+        assert_eq!(
+            calls,
+            n as u64 + 1 + list_growth(n),
+            "{n} indicators in {:?}",
+            unit.code
+        );
+        total += calls;
+        found += n;
+        let kinds = analysis.indicators.iter();
+        iocs += kinds
+            .clone()
+            .filter(|i| i.kind == llm_sim::IndicatorKind::Ioc)
+            .count();
+        regexes += kinds.filter(|i| i.is_regex).count();
+    }
+    println!(
+        "analyze_code made {total} allocations over {} units: {found} indicators, \
+         {iocs} IOCs, {regexes} base64 blobs",
+        units.len()
+    );
+    // Vacuity guard: all three IOC regexes found something somewhere.
+    assert!(
+        iocs > 0 && regexes > 0,
+        "{iocs} IOCs, {regexes} base64 blobs"
+    );
 }

@@ -43,8 +43,8 @@ fn extraction_finds_the_malicious_unit() {
     );
 }
 
-/// The unit splitter's boundary regex is compiled once per process; this
-/// pins it, line by line over the whole corpus, to a regex compiled here
+/// The unit splitter tests eight line prefixes, not a regex; this pins
+/// it, line by line over the whole corpus, to a regex compiled here
 /// from the paper's pattern. A probe line placed after one plain
 /// statement opens a second unit exactly when it is a boundary.
 #[test]
@@ -92,6 +92,82 @@ fn unit_boundaries_equal_a_freshly_compiled_regex_on_every_corpus_line() {
         boundaries += usize::from(expected);
     }
     assert!(boundaries > 20 && boundaries < lines.len(), "{boundaries}");
+}
+
+/// A unit audit matches its IOC regexes on machines its thread keeps. On
+/// every basic unit of the tiny corpus and of its aggressive mutants (seed
+/// 42), audited on one thread in order, in reverse and in order again,
+/// `analyze_code` returns what it returns on a freshly spawned thread,
+/// whose machines are new. Three planted units pin the caps: only the
+/// first eight URLs and the first four IPs are considered, before benign
+/// hosts and loopback addresses are dropped.
+#[test]
+fn a_warm_unit_audit_equals_a_fresh_one() {
+    let base = corpus::Dataset::generate(&corpus::CorpusConfig::tiny());
+    let mutants = corpus::mutate_dataset(&base, &obfuscate::EvasionProfile::aggressive(), 42);
+    let (mut units, mut seen) = (Vec::new(), std::collections::HashSet::new());
+    for dataset in [&base, &mutants] {
+        let malware = dataset.malware.iter().map(|m| &m.package);
+        for pkg in malware.chain(dataset.legit.iter().map(|l| &l.package)) {
+            for file in pkg.files().iter().filter(|f| f.path.ends_with(".py")) {
+                let split = rulellm::split_basic_units(&file.contents);
+                units.extend(
+                    split
+                        .into_iter()
+                        .map(|u| u.code)
+                        .filter(|c| seen.insert(c.clone())),
+                );
+            }
+        }
+    }
+    let urls = |hosts: &[&str]| -> String {
+        let line = |(i, host): (usize, &&str)| format!("u{i} = 'https://{host}/p{i}'\n");
+        hosts.iter().enumerate().map(line).collect()
+    };
+    let planted = [
+        (urls(&["c2.evil.example"; 12]), 8),
+        (
+            urls(&[&["github.com"; 2][..], &["c2.evil.example"; 10]].concat()),
+            6,
+        ),
+        (
+            "hosts = ['185.62.190.159', '127.0.0.1', '10.0.0.8', '0.0.0.0', '45.9.148.3']\n"
+                .to_owned(),
+            2,
+        ),
+    ];
+    units.extend(planted.iter().map(|(code, _)| code.clone()));
+    // A few fresh threads at a time, each auditing one unit.
+    let fresh: Vec<llm_sim::Analysis> = units
+        .chunks(8)
+        .flat_map(|chunk| {
+            std::thread::scope(|scope| {
+                let audits: Vec<_> = chunk
+                    .iter()
+                    .map(|code| scope.spawn(|| llm_sim::analyze_code(code)))
+                    .collect();
+                let done = audits.into_iter().map(|a| a.join().expect("a fresh audit"));
+                done.collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let n = units.len();
+    for i in (0..n).chain((0..n).rev()).chain(0..n) {
+        let warm = llm_sim::analyze_code(&units[i]);
+        assert_eq!(warm, fresh[i], "unit {i}: {:?}", units[i]);
+    }
+    for ((code, iocs), analysis) in planted.iter().zip(&fresh[n - planted.len()..]) {
+        let found = analysis.indicators.iter();
+        let found = found
+            .filter(|i| i.kind == llm_sim::IndicatorKind::Ioc)
+            .count();
+        assert_eq!(found, *iocs, "{code:?}: {analysis:?}");
+    }
+    // Vacuity guard: the corpus units hold IOCs and base64 blobs.
+    let corpus = &fresh[..n - planted.len()];
+    let kinds = corpus.iter().flat_map(|a| &a.indicators);
+    assert!(kinds.clone().any(|i| i.kind == llm_sim::IndicatorKind::Ioc));
+    assert!(kinds.clone().any(|i| i.is_regex));
 }
 
 #[test]
