@@ -22,14 +22,11 @@
 //! its 3-grams, so the intersection is a sound over-approximation of
 //! "digests whose content can contain this atom", and it answers for
 //! atoms the index has *never seen before* (the whole point of a rule
-//! deploy). Atoms shorter than the gram width go through exact 1/2-gram
-//! postings maintained alongside the 3-grams, so a rule gated on `"MZ"`
-//! nominates only digests whose content actually contains the two bytes
-//! instead of forcing an exhaustive confirm-scan; only rules without an
-//! exhaustive atom set fall back to full candidacy. Singles and pairs
-//! find their term through flat tables, 3-grams through an
-//! open-addressed one, and every posting list is a chain of fixed-size
-//! blocks in one arena (see [`RetroIndex`]).
+//! deploy). An atom shorter than the gram width cannot be gated, so its
+//! rule falls back to full candidacy, as a rule without an exhaustive
+//! atom set does. A 3-gram finds its term through an open-addressed
+//! table, and every posting list is a chain of fixed-size blocks in one
+//! arena (see [`RetroIndex`]).
 //!
 //! # Verdict semantics
 //!
@@ -215,15 +212,15 @@ fn post(terms: &mut Vec<Term>, arena: &mut Arena, id: &mut u32, prov: TermProven
     arena.push(&mut terms[*id as usize][prov as usize], slot);
 }
 
-/// The inverted content index: folded 1/2/3-gram → digest slots, tagged by
+/// The inverted content index: folded 3-gram → digest slots, tagged by
 /// provenance. Maintained under the artifact store's retro lock; all
 /// mutation happens on the single-flight publish path and on eviction.
 ///
 /// Slots are handed out in ascending order and never reused before a
 /// compaction, which renumbers the live ones densely in the same order,
 /// so every posting list is sorted by construction. A gram finds its term
-/// through a flat table (singles, pairs) or the 3-gram [`GramTable`]; a
-/// term's two lists are block chains in one [`Arena`].
+/// through the [`GramTable`]; a term's two lists are block chains in one
+/// [`Arena`].
 #[derive(Debug)]
 pub(crate) struct RetroIndex {
     /// Slot → (digest, analyzed-as-python) for live digests; `None`
@@ -233,10 +230,6 @@ pub(crate) struct RetroIndex {
     /// Term → posting lists. Term 0 has none: it is every gram no digest
     /// has posted.
     terms: Vec<Term>,
-    /// Byte → term, so 1-byte atoms stay gateable.
-    singles: Vec<u32>,
-    /// Packed byte pair → term, so 2-byte atoms (`"MZ"`) stay gateable.
-    pairs: Vec<u32>,
     /// Packed 3-gram → term.
     triples: GramTable,
     arena: Arena,
@@ -244,10 +237,9 @@ pub(crate) struct RetroIndex {
     dead: usize,
 }
 
-/// Words of the per-worker presence bitmaps: one bit per packed 3-gram
-/// (2 MiB) and per packed pair (8 KiB).
+/// Words of the per-worker presence bitmap: one bit per packed 3-gram
+/// (2 MiB).
 const SEEN3_WORDS: usize = (1 << (8 * GRAM_LEN)) / 64;
-const SEEN2_WORDS: usize = (1 << 16) / 64;
 
 /// Sets bit `key`; true when it was clear.
 fn first_sighting(seen: &mut [u64], key: usize) -> bool {
@@ -257,68 +249,46 @@ fn first_sighting(seen: &mut [u64], key: usize) -> bool {
     fresh
 }
 
-/// The distinct folded grams of one provenance: single bytes as a
-/// 256-bit set, pairs and 3-grams as big-endian packed keys in
-/// first-sighting order.
+/// The distinct folded 3-grams of one provenance, as big-endian packed
+/// keys in first-sighting order.
 #[derive(Debug, Default)]
 struct GramSet {
-    g1: [u64; 4],
-    g2: Vec<u16>,
     g3: Vec<u32>,
 }
 
 impl GramSet {
-    fn clear(&mut self) {
-        self.g1 = [0; 4];
-        self.g2.clear();
-        self.g3.clear();
-    }
-
     /// One pass over one scan unit, adding the grams whose presence bit
     /// is still clear. The rolling key restarts per unit, so no window
     /// crosses a layer boundary.
-    fn scan(&mut self, data: &[u8], seen2: &mut [u64], seen3: &mut [u64]) {
+    fn scan(&mut self, data: &[u8], seen3: &mut [u64]) {
         let mut key = 0usize;
         for (i, &b) in data.iter().enumerate() {
-            let b = b.to_ascii_lowercase() as usize;
-            key = (key << 8 | b) & 0xFF_FFFF;
-            self.g1[b >> 6] |= 1 << (b & 63);
-            if i >= 1 && first_sighting(seen2, key & 0xFFFF) {
-                self.g2.push(key as u16);
-            }
+            key = (key << 8 | b.to_ascii_lowercase() as usize) & 0xFF_FFFF;
             if i >= 2 && first_sighting(seen3, key) {
                 self.g3.push(key as u32);
             }
         }
     }
 
-    /// Zeroes every bitmap word this set marked, keeping the lists.
-    fn unmark(&self, seen2: &mut [u64], seen3: &mut [u64]) {
-        for &k in &self.g2 {
-            seen2[k as usize >> 6] = 0;
-        }
+    /// Zeroes every bitmap word this set marked, keeping the list.
+    fn unmark(&self, seen3: &mut [u64]) {
         for &k in &self.g3 {
             seen3[k as usize >> 6] = 0;
         }
-    }
-
-    fn singles(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..=255u8).filter(|&b| self.g1[b as usize >> 6] >> (b & 63) & 1 == 1)
     }
 }
 
 /// Per-worker gram collector: one rolling pass per scan unit folds each
 /// byte once and records a gram the first time its presence bit is
-/// found clear. The bitmaps are all-zero between collections — cleared
-/// by walking the first-sighting lists, never by `fill` — so a publish
+/// found clear. The bitmap is all-zero between collections — cleared by
+/// walking the first-sighting lists, never by `fill` — so a publish
 /// allocates nothing once the lists have grown, and transient memory is
-/// the fixed bitmaps plus at most min(unit bytes, 2^24) keys per list.
+/// the fixed bitmap plus at most min(unit bytes, 2^24) keys per list.
 #[derive(Debug, Default)]
 pub(crate) struct GramScratch {
     /// Empty until the first collection, so workers of an index-less
-    /// hub never pay for the bitmaps.
+    /// hub never pay for the bitmap.
     seen3: Vec<u64>,
-    seen2: Vec<u64>,
     /// Identity of the collected artifact, posted with its grams.
     digest: DigestKey,
     is_python: bool,
@@ -333,19 +303,18 @@ impl GramScratch {
     pub(crate) fn collect(&mut self, artifact: &FileAnalysis) {
         if self.seen3.is_empty() {
             self.seen3 = vec![0; SEEN3_WORDS];
-            self.seen2 = vec![0; SEEN2_WORDS];
         }
-        let (seen2, seen3) = (&mut self.seen2[..], &mut self.seen3[..]);
+        let seen3 = &mut self.seen3[..];
         self.digest = artifact.digest;
         self.is_python = artifact.is_python;
-        self.surface.clear();
-        self.surface.scan(&artifact.bytes, seen2, seen3);
-        self.surface.unmark(seen2, seen3);
-        self.layer.clear();
+        self.surface.g3.clear();
+        self.surface.scan(&artifact.bytes, seen3);
+        self.surface.unmark(seen3);
+        self.layer.g3.clear();
         for layer in &artifact.layers {
-            self.layer.scan(&layer.data, seen2, seen3);
+            self.layer.scan(&layer.data, seen3);
         }
-        self.layer.unmark(seen2, seen3);
+        self.layer.unmark(seen3);
     }
 }
 
@@ -355,8 +324,6 @@ impl RetroIndex {
             slots: Vec::new(),
             by_digest: HashMap::new(),
             terms: vec![Term::default()],
-            singles: vec![0; 1 << 8],
-            pairs: vec![0; 1 << 16],
             triples: GramTable::default(),
             arena: Arena::default(),
             dead: 0,
@@ -368,8 +335,8 @@ impl RetroIndex {
         self.by_digest.len()
     }
 
-    /// Number of distinct indexed terms (folded 1/2/3-grams with at
-    /// least one posting).
+    /// Number of distinct indexed terms (folded 3-grams with at least
+    /// one posting).
     pub(crate) fn term_count(&self) -> usize {
         self.terms.len() - 1
     }
@@ -392,12 +359,6 @@ impl RetroIndex {
             (&grams.layer, TermProvenance::Layer),
         ];
         for (set, prov) in lists {
-            for g in set.singles() {
-                post(terms, arena, &mut self.singles[usize::from(g)], prov, slot);
-            }
-            for &g in &set.g2 {
-                post(terms, arena, &mut self.pairs[usize::from(g)], prov, slot);
-            }
             for &g in &set.g3 {
                 post(terms, arena, self.triples.entry(g), prov, slot);
             }
@@ -463,9 +424,6 @@ impl RetroIndex {
                 self.terms.push(term);
             }
         }
-        for id in self.singles.iter_mut().chain(&mut self.pairs) {
-            *id = term_ids[*id as usize];
-        }
         let entries = self.triples.entries.len();
         self.triples.rehash(entries, |term| term_ids[term as usize]);
         self.dead = 0;
@@ -477,25 +435,23 @@ impl RetroIndex {
     }
 
     /// Candidate digests that can contain `atom` (folded text) with the
-    /// given provenance. Atoms shorter than the gram width answer from
-    /// the exact 1/2-gram postings; only an empty atom returns `None`
-    /// (the caller must fall back to full candidacy).
+    /// given provenance; `None` for an atom shorter than the gram width,
+    /// which no posting gates (the caller must fall back to full
+    /// candidacy).
     pub(crate) fn candidates_for_atom(
         &self,
         atom: &str,
         provenance: TermProvenance,
     ) -> Option<Vec<(DigestKey, bool)>> {
+        if atom.len() < GRAM_LEN {
+            return None;
+        }
         let folded: Vec<u8> = atom.bytes().map(|b| b.to_ascii_lowercase()).collect();
-        let list = |term: u32| self.terms[term as usize][provenance as usize];
-        let mut lists: Vec<List> = match folded.as_slice() {
-            [] => return None,
-            [b] => vec![list(self.singles[usize::from(*b)])],
-            [a, b] => vec![list(self.pairs[usize::from(u16::from_be_bytes([*a, *b]))])],
-            _ => folded
-                .windows(GRAM_LEN)
-                .map(|w| list(self.triples.get(u32::from_be_bytes([0, w[0], w[1], w[2]]))))
-                .collect(),
-        };
+        let mut lists: Vec<List> = folded
+            .windows(GRAM_LEN)
+            .map(|w| self.triples.get(u32::from_be_bytes([0, w[0], w[1], w[2]])))
+            .map(|term| self.terms[term as usize][provenance as usize])
+            .collect();
         lists.sort_by_key(|l| l.len);
         let mut acc: Vec<u32> = self.arena.slots(lists[0]).collect();
         for &other in &lists[1..] {
@@ -614,7 +570,8 @@ pub struct RetroReport {
     /// Surface and layer bytes the confirm scans handed to a string scan.
     pub bytes_scanned: u64,
     /// Changed rules that fell back to full candidacy (no exhaustive
-    /// atom set: regex-only or always-on rules).
+    /// atom set: regex-only or always-on rules; or an atom shorter than a
+    /// 3-gram).
     pub full_candidacy_rules: u64,
 }
 
@@ -755,10 +712,10 @@ fn plan(
         let id = (rule.engine, next[rule.engine as usize]);
         next[rule.engine as usize] += 1;
         // Candidates: the union over the rule's atoms (any-of semantics)
-        // and the units its engine reads; sub-gram atoms answer exactly
-        // from the 1/2-gram postings. An exhaustive rule without atoms can
-        // never match (`condition: false`): none. `None` — no exhaustive
-        // atom set, or an atom the index cannot gate — is full candidacy.
+        // and the units its engine reads. An exhaustive rule without atoms
+        // can never match (`condition: false`): none. `None` — no
+        // exhaustive atom set, or an atom shorter than a 3-gram — is full
+        // candidacy.
         let mut gated = rule.exhaustive.then(HashMap::new);
         for atom in &rule.atoms {
             for provenance in [TermProvenance::Surface, TermProvenance::Layer] {
@@ -888,89 +845,6 @@ mod tests {
             .candidates_for_atom("os.SYSTEM", TermProvenance::Surface)
             .expect("queryable");
         assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn short_atoms_answer_from_exact_gram_postings() {
-        let mut index = RetroIndex::new();
-        let magic = analyze("a.bin", b"MZ\x90\x00");
-        let other = analyze("b.py", b"print('hello')\n");
-        index.insert_artifact(&magic);
-        index.insert_artifact(&other);
-        // 2-byte atom: exact, folded, and it prunes.
-        let hits = index
-            .candidates_for_atom("MZ", TermProvenance::Surface)
-            .expect("2-byte atoms are queryable");
-        assert_eq!(digests(&hits), digests(&[(magic.digest, false)]));
-        let hits = index
-            .candidates_for_atom("mz", TermProvenance::Surface)
-            .expect("folded like every other query");
-        assert_eq!(digests(&hits), digests(&[(magic.digest, false)]));
-        // 1-byte atom present in exactly one artifact.
-        let hits = index
-            .candidates_for_atom("(", TermProvenance::Surface)
-            .expect("1-byte atoms are queryable");
-        assert_eq!(digests(&hits), digests(&[(other.digest, true)]));
-        // Never-seen short grams nominate nothing rather than everyone.
-        let miss = index
-            .candidates_for_atom("q", TermProvenance::Surface)
-            .expect("queryable");
-        assert!(miss.is_empty());
-        let miss = index
-            .candidates_for_atom("qq", TermProvenance::Surface)
-            .expect("queryable");
-        assert!(miss.is_empty());
-        // Only the empty atom is un-gateable.
-        assert!(index
-            .candidates_for_atom("", TermProvenance::Surface)
-            .is_none());
-    }
-
-    #[test]
-    fn short_gram_provenance_is_tracked_separately() {
-        let payload = digest::base64::encode(b"MZ\x90\x00 decoded payload");
-        let code = format!("blob = '{payload}'\n");
-        let mut index = RetroIndex::new();
-        let a = analyze("a.py", code.as_bytes());
-        assert!(!a.layers.is_empty(), "payload must decode");
-        index.insert_artifact(&a);
-        // "MZ" only exists inside the decoded layer — unless the random
-        // base64 text happens to contain "mz", surface must miss.
-        if !code.to_ascii_lowercase().contains("mz") {
-            let surface = index
-                .candidates_for_atom("MZ", TermProvenance::Surface)
-                .expect("queryable");
-            assert!(surface.is_empty(), "atom only exists decoded");
-        }
-        let layer = index
-            .candidates_for_atom("MZ", TermProvenance::Layer)
-            .expect("queryable");
-        assert_eq!(layer.len(), 1);
-    }
-
-    #[test]
-    fn eviction_and_compaction_sweep_short_gram_postings() {
-        let mut index = RetroIndex::new();
-        let keep = analyze("keep.bin", b"PK\x03\x04 archive");
-        index.insert_artifact(&keep);
-        let mut evicted = Vec::new();
-        for i in 0..100 {
-            let a = analyze("x.bin", format!("MZ stub {i}").as_bytes());
-            index.insert_artifact(&a);
-            evicted.push(a.digest);
-        }
-        for d in &evicted {
-            index.remove(d);
-        }
-        assert_eq!(index.digest_count(), 1);
-        let hits = index
-            .candidates_for_atom("MZ", TermProvenance::Surface)
-            .expect("queryable");
-        assert!(hits.is_empty(), "evicted digests must drop out of 2-grams");
-        let hits = index
-            .candidates_for_atom("PK", TermProvenance::Surface)
-            .expect("queryable");
-        assert_eq!(digests(&hits), digests(&[(keep.digest, false)]));
     }
 
     #[test]
@@ -1138,42 +1012,22 @@ mod tests {
         }
     }
 
-    fn collect_short_grams(data: &[u8], out1: &mut HashSet<u8>, out2: &mut HashSet<[u8; 2]>) {
-        for &b in data {
-            out1.insert(b.to_ascii_lowercase());
-        }
-        for w in data.windows(2) {
-            out2.insert([w[0].to_ascii_lowercase(), w[1].to_ascii_lowercase()]);
-        }
-    }
+    /// One provenance's 3-grams as a sorted vector.
+    type Grams = Vec<[u8; GRAM_LEN]>;
 
-    /// One provenance's 1-, 2- and 3-grams as sorted vectors.
-    type Grams = (Vec<u8>, Vec<[u8; 2]>, Vec<[u8; GRAM_LEN]>);
-
-    /// What the hash-set collectors find over `units`, none of whose
+    /// What the hash-set collector finds over `units`, none of whose
     /// windows cross a unit boundary.
     fn oracle<'a>(units: impl IntoIterator<Item = &'a [u8]>) -> Grams {
-        let (mut g1, mut g2, mut g3) = (HashSet::new(), HashSet::new(), HashSet::new());
+        let mut g3 = HashSet::new();
         for unit in units {
             collect_grams(unit, &mut g3);
-            collect_short_grams(unit, &mut g1, &mut g2);
         }
-        let mut grams: Grams = (
-            g1.into_iter().collect(),
-            g2.into_iter().collect(),
-            g3.into_iter().collect(),
-        );
-        grams.0.sort_unstable();
-        grams.1.sort_unstable();
-        grams.2.sort_unstable();
+        let mut grams: Grams = g3.into_iter().collect();
+        grams.sort_unstable();
         grams
     }
 
     impl GramSet {
-        fn pairs(&self) -> impl Iterator<Item = [u8; 2]> + '_ {
-            self.g2.iter().map(|k| k.to_be_bytes())
-        }
-
         fn triples(&self) -> impl Iterator<Item = [u8; GRAM_LEN]> + '_ {
             self.g3.iter().map(|k| {
                 let [_, a, b, c] = k.to_be_bytes();
@@ -1182,13 +1036,8 @@ mod tests {
         }
 
         fn sorted(&self) -> Grams {
-            let mut grams: Grams = (
-                self.singles().collect(),
-                self.pairs().collect(),
-                self.triples().collect(),
-            );
-            grams.1.sort_unstable();
-            grams.2.sort_unstable();
+            let mut grams: Grams = self.triples().collect();
+            grams.sort_unstable();
             grams
         }
     }
@@ -1202,7 +1051,7 @@ mod tests {
         let layers = artifact.layers.iter().map(|l| &l.data[..]);
         assert_eq!(found.1, oracle(layers), "layer grams");
         assert!(
-            scratch.seen2.iter().chain(&scratch.seen3).all(|&w| w == 0),
+            scratch.seen3.iter().all(|&w| w == 0),
             "a presence bit outlived its collection"
         );
         found
@@ -1256,13 +1105,14 @@ mod tests {
         for (surface, layers) in cases {
             collect_checked(&mut scratch, &units(surface, layers));
         }
-        // Only `A`–`Z` fold: 256 byte values leave 256 − 26 distinct.
+        // Only `A`–`Z` fold: of the 254 windows over every byte value, the
+        // 24 that lie inside `A`–`Z` fold onto their lower-case twins, and
+        // the windows reaching past either end stay distinct.
         let (surface, _) = collect_checked(&mut scratch, &units(&all_bytes, &[]));
-        assert_eq!(surface.0.len(), 230);
-        assert!(surface.0.contains(&b'[') && surface.0.contains(&b'@'));
+        assert_eq!(surface.len(), 230);
+        assert!(surface.contains(b"yz[") && surface.contains(b"@ab"));
         let (_, layer) = collect_checked(&mut scratch, &units(b"", &[b"ab", b"cd"]));
-        assert_eq!(layer.1, [*b"ab", *b"cd"]);
-        assert!(layer.2.is_empty());
+        assert!(layer.is_empty());
     }
 
     #[test]
@@ -1389,15 +1239,10 @@ mod tests {
             let (surface, layer) = (&grams.surface, &grams.layer);
             [
                 buffer(&grams.seen3),
-                buffer(&grams.seen2),
-                buffer(&surface.g2),
                 buffer(&surface.g3),
-                buffer(&layer.g2),
                 buffer(&layer.g3),
                 buffer(&index.slots),
                 buffer(&index.terms),
-                buffer(&index.singles),
-                buffer(&index.pairs),
                 buffer(&index.triples.entries),
                 buffer(&index.arena.blocks),
             ]
@@ -1412,8 +1257,8 @@ mod tests {
     }
 
     // ---- The arena index against the map index it replaced, kept
-    // below as the oracle: a `HashMap` per gram width, one `Vec` per
-    // list, and freed slots reused after a compaction.
+    // below as the oracle: a `HashMap` over 3-grams, one `Vec` per list,
+    // and freed slots reused after a compaction.
 
     #[derive(Debug, Default)]
     struct Postings {
@@ -1443,15 +1288,13 @@ mod tests {
         slots: Vec<Option<(DigestKey, bool)>>,
         by_digest: HashMap<DigestKey, u32>,
         postings: HashMap<[u8; GRAM_LEN], Postings>,
-        grams1: HashMap<u8, Postings>,
-        grams2: HashMap<[u8; 2], Postings>,
         free: Vec<u32>,
         dead: usize,
     }
 
     impl MapIndex {
         fn term_count(&self) -> usize {
-            self.postings.len() + self.grams1.len() + self.grams2.len()
+            self.postings.len()
         }
 
         fn insert_collected(&mut self, grams: &GramScratch) {
@@ -1475,12 +1318,6 @@ mod tests {
                 (&grams.layer, TermProvenance::Layer),
             ];
             for (set, provenance) in lists {
-                for g in set.singles() {
-                    self.grams1.entry(g).or_default().post(provenance, slot);
-                }
-                for g in set.pairs() {
-                    self.grams2.entry(g).or_default().post(provenance, slot);
-                }
                 for g in set.triples() {
                     self.postings.entry(g).or_default().post(provenance, slot);
                 }
@@ -1501,8 +1338,6 @@ mod tests {
                     !p.surface.is_empty() || !p.layer.is_empty()
                 };
                 self.postings.retain(|_, p| sweep(p));
-                self.grams1.retain(|_, p| sweep(p));
-                self.grams2.retain(|_, p| sweep(p));
                 self.free = (0..self.slots.len() as u32)
                     .filter(|&s| self.slots[s as usize].is_none())
                     .collect();
@@ -1516,22 +1351,20 @@ mod tests {
             provenance: TermProvenance,
         ) -> Option<Vec<(DigestKey, bool)>> {
             let folded: Vec<u8> = atom.bytes().map(|b| b.to_ascii_lowercase()).collect();
+            if folded.len() < GRAM_LEN {
+                return None;
+            }
             let pick = |p: &Postings| match provenance {
                 TermProvenance::Surface => p.surface.clone(),
                 TermProvenance::Layer => p.layer.clone(),
             };
-            let lists: Vec<Vec<u32>> = match folded.as_slice() {
-                [] => return None,
-                [b] => vec![self.grams1.get(b).map(pick).unwrap_or_default()],
-                [a, b] => vec![self.grams2.get(&[*a, *b]).map(pick).unwrap_or_default()],
-                _ => folded
-                    .windows(GRAM_LEN)
-                    .map(|w| {
-                        let g = [w[0], w[1], w[2]];
-                        self.postings.get(&g).map(pick).unwrap_or_default()
-                    })
-                    .collect(),
-            };
+            let lists: Vec<Vec<u32>> = folded
+                .windows(GRAM_LEN)
+                .map(|w| {
+                    let g = [w[0], w[1], w[2]];
+                    self.postings.get(&g).map(pick).unwrap_or_default()
+                })
+                .collect();
             let mut acc = lists[0].clone();
             for list in &lists[1..] {
                 acc.retain(|s| list.binary_search(s).is_ok());
@@ -1662,7 +1495,7 @@ mod tests {
             assert_same_index(&index, &oracle, &atoms);
         }
         assert!(compactions >= 1, "no compaction ran");
-        assert!(index.term_count() > 200, "{} terms", index.term_count());
+        assert!(index.term_count() > 150, "{} terms", index.term_count());
     }
 
     proptest::proptest! {

@@ -38,7 +38,7 @@ const LIVE_SEMGREP: &str = "rules:
 /// `retuned` keeps its name but swaps its atom, and the additions cover
 /// every candidacy path — plain atom, layer-only atom, regex-only
 /// (non-exhaustive → full candidacy), `nocase`, a sub-gram atom
-/// (`"MZ"` < 3 bytes → exact 2-gram postings, still gated), a dead
+/// (`"MZ"` < 3 bytes → full candidacy), a dead
 /// rule (zero candidates), a Semgrep atom rule and a Semgrep always-on
 /// rule.
 const NEXT_YARA: &str = r#"
@@ -180,14 +180,12 @@ proptest! {
         // zero hits, no fallback.
         prop_assert_eq!(rule("dead").candidates, 0);
         prop_assert!(rule("dead").digests.is_empty());
-        // Regex-only atoms cannot be indexed: candidacy falls back to
-        // the whole history, never to silence. Sub-gram atoms like
-        // `"MZ"` now answer from exact 2-gram postings, so they gate
-        // (at minimum, `planted_fetch.py` contains no "mz" byte pair)
-        // and no longer count as full-candidacy fallbacks.
+        // Regex-only atoms and sub-gram atoms like `"MZ"` cannot be
+        // indexed: candidacy falls back to the whole history, never to
+        // silence.
         prop_assert_eq!(rule("regex_only").candidates, report.digests_indexed);
-        prop_assert!(rule("magic").candidates < report.digests_indexed);
-        prop_assert_eq!(report.full_candidacy_rules, 1, "only regex_only falls back now");
+        prop_assert_eq!(rule("magic").candidates, report.digests_indexed);
+        prop_assert_eq!(report.full_candidacy_rules, 2, "regex_only and magic fall back");
         // Exhaustive-atom rules actually prune.
         prop_assert!(rule("layered_ioc").candidates < report.digests_indexed);
     }
@@ -222,12 +220,10 @@ proptest! {
 }
 
 #[test]
-fn short_atom_rules_gate_through_exact_gram_postings() {
-    // Regression: atoms shorter than the 3-gram width used to force
-    // full candidacy (`candidates_for_atom` returned `None`), so a
-    // rule like `"MZ"` rescanned the entire history on every deploy.
-    // They now answer from exact 1/2-gram postings — pinned against
-    // the exhaustive rescan oracle.
+fn short_atom_rules_fall_back_to_full_candidacy() {
+    // Atoms shorter than the 3-gram width have no posting to gate on:
+    // a rule like `"MZ"` is a full-candidacy rule, pinned against the
+    // exhaustive rescan oracle.
     let hub = live_hub(4096);
     hub.submit(ScanRequest::from_source(
         "dropper.py",
@@ -254,9 +250,9 @@ rule magic1 { strings: $a = "~" condition: $a }
         report.rules,
         oracle.rules
     );
-    // Neither rule fell back to full candidacy, and both actually
-    // prune: the planted uploads contain neither "mz" nor "~".
-    assert_eq!(report.full_candidacy_rules, 0);
+    // Both rules fell back to full candidacy: every indexed digest is a
+    // candidate, and each still finds its planted hit.
+    assert_eq!(report.full_candidacy_rules, 2);
     let rule = |name: &str| {
         report
             .rules
@@ -265,12 +261,7 @@ rule magic1 { strings: $a = "~" condition: $a }
             .unwrap_or_else(|| panic!("{name} missing from report"))
     };
     for name in ["magic2", "magic1"] {
-        assert!(
-            rule(name).candidates < report.digests_indexed,
-            "{name} did not prune: {} candidates of {} digests",
-            rule(name).candidates,
-            report.digests_indexed
-        );
+        assert_eq!(rule(name).candidates, report.digests_indexed, "{name}");
         assert!(
             !rule(name).digests.is_empty(),
             "{name} lost its planted hit"

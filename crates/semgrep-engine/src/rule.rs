@@ -43,26 +43,6 @@ pub enum PatternOp {
 }
 
 impl PatternOp {
-    /// All positive leaf patterns (ignoring `pattern-not` subtrees) —
-    /// used by taxonomy classification and the refiner.
-    pub fn positive_leaves(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.walk_positive(&mut out);
-        out
-    }
-
-    fn walk_positive<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            PatternOp::Pattern(p) => out.push(p),
-            PatternOp::All(children) | PatternOp::Either(children) => {
-                for c in children {
-                    c.walk_positive(out);
-                }
-            }
-            PatternOp::Not(_) => {}
-        }
-    }
-
     /// Literal atoms with *any-of* semantics: when `Some(atoms)` is
     /// returned, a source text containing **none** of the atoms cannot
     /// match this operator tree, so a prefilter may skip the rule.
@@ -542,8 +522,8 @@ rules:
           $CLIENT.torrents_info(torrent_hashes=$HASH)
 "#;
         let rules = compile(src).expect("compile");
-        let leaves = rules.rules[0].pattern.positive_leaves();
-        assert_eq!(leaves, vec!["$CLIENT.torrents_info(torrent_hashes=$HASH)"]);
+        let pattern = PatternOp::Pattern("$CLIENT.torrents_info(torrent_hashes=$HASH)".into());
+        assert_eq!(rules.rules[0].pattern, PatternOp::All(vec![pattern]));
     }
 
     #[test]
@@ -622,14 +602,5 @@ rules:
     fn literal_atoms_not_only_is_none() {
         let op = PatternOp::Not(Box::new(PatternOp::Pattern("f()".into())));
         assert_eq!(PatternOp::literal_atoms_of(&op), None);
-    }
-
-    #[test]
-    fn positive_leaves_skip_not() {
-        let op = PatternOp::All(vec![
-            PatternOp::Pattern("a()".into()),
-            PatternOp::Not(Box::new(PatternOp::Pattern("b()".into()))),
-        ]);
-        assert_eq!(op.positive_leaves(), vec!["a()"]);
     }
 }

@@ -13,6 +13,9 @@
 //!   sets amortize the automaton well, and 0/1-byte patterns would make
 //!   the Teddy candidate mask fire on nearly every chunk.
 //!
+//! A set of no patterns has no tier: it reads no haystack and books no
+//! counter.
+//!
 //! Both tiers report identical match streams (pinned by the differential
 //! property suite), so callers never observe the routing decision except
 //! through the engine counters.
@@ -31,6 +34,7 @@ pub const MIN_TEDDY_PATTERN_LEN: usize = 2;
 
 #[derive(Debug, Clone)]
 enum Tier {
+    Empty,
     // Boxed: the Teddy tables are ~1 KiB, far larger than the AC handle.
     Teddy(Box<Teddy>),
     Ac(AhoCorasick),
@@ -60,12 +64,13 @@ impl MultiLiteral {
     /// Empty patterns are permitted but never match; ids follow
     /// construction order in both tiers.
     pub fn new<S: AsRef<[u8]>>(patterns: &[S], kind: MatchKind) -> Self {
-        let eligible = !patterns.is_empty()
-            && patterns.len() <= MAX_TEDDY_PATTERNS
+        let eligible = patterns.len() <= MAX_TEDDY_PATTERNS
             && patterns
                 .iter()
                 .all(|p| p.as_ref().len() >= MIN_TEDDY_PATTERN_LEN);
-        let tier = if eligible {
+        let tier = if patterns.is_empty() {
+            Tier::Empty
+        } else if eligible {
             Tier::Teddy(Box::new(Teddy::new(patterns, kind)))
         } else {
             Tier::Ac(AhoCorasick::new(patterns, kind))
@@ -89,6 +94,7 @@ impl MultiLiteral {
     /// Returns true when any pattern occurs in `haystack`.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
         match &self.tier {
+            Tier::Empty => false,
             Tier::Teddy(t) => t.is_match(haystack),
             Tier::Ac(ac) => {
                 counters::record_ac_fallback_scan();
@@ -101,6 +107,7 @@ impl MultiLiteral {
     /// [`AhoCorasick::find_all`]'s order regardless of tier.
     pub fn find_all(&self, haystack: &[u8]) -> Vec<AcMatch> {
         match &self.tier {
+            Tier::Empty => Vec::new(),
             Tier::Teddy(t) => t.find_all(haystack),
             Tier::Ac(ac) => {
                 counters::record_ac_fallback_scan();
@@ -115,6 +122,7 @@ impl MultiLiteral {
     /// match *set* is identical — aggregating callers are order-blind.
     pub fn for_each_match(&self, haystack: &[u8], visit: impl FnMut(AcMatch) -> bool) {
         match &self.tier {
+            Tier::Empty => {}
             Tier::Teddy(t) => t.for_each_match(haystack, visit),
             Tier::Ac(ac) => {
                 counters::record_ac_fallback_scan();
@@ -126,6 +134,7 @@ impl MultiLiteral {
     /// Returns, for each pattern, the ascending list of match offsets.
     pub fn find_per_pattern(&self, haystack: &[u8]) -> Vec<Vec<usize>> {
         match &self.tier {
+            Tier::Empty => Vec::new(),
             Tier::Teddy(t) => t.find_per_pattern(haystack),
             Tier::Ac(ac) => {
                 counters::record_ac_fallback_scan();

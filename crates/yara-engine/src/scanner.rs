@@ -1,15 +1,17 @@
 //! Rule scanner: matches compiled rules against byte buffers.
 //!
-//! All plain-text strings across the whole ruleset are merged into two
-//! tier-selecting multi-literal matchers (case-sensitive and `nocase`) —
-//! a Teddy-style SWAR prefilter for small/long pattern sets, Aho–Corasick
-//! otherwise — so scanning a package against hundreds of rules stays a
-//! two-pass operation. Regex strings are merged the same way: definitions
-//! that compile from the same `(pattern, nocase)` form one group, each
-//! group's regex runs once per scan unit, and every match lands in every
-//! member's slot — generated rulesets repeat a handful of indicator
-//! patterns across many rules, and a pass per definition would re-read
-//! the unit once per copy.
+//! Every literal form (ascii and wide) of every plain-text string across
+//! the whole ruleset is merged into one tier-selecting multi-literal
+//! matcher — a Teddy-style SWAR prefilter for small/long pattern sets,
+//! Aho–Corasick otherwise — so scanning a package against hundreds of
+//! rules reads it once for all of them. The matcher folds case only when
+//! some string is `nocase`; a case-sensitive form's match then counts
+//! only if its bytes equal the form's. Regex strings are merged the same
+//! way: definitions that compile from the same `(pattern, nocase)` form
+//! one group, each group's regex runs once per scan unit, and every match
+//! lands in every member's slot — generated rulesets repeat a handful of
+//! indicator patterns across many rules, and a pass per definition would
+//! re-read the unit once per copy.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -151,11 +153,10 @@ impl<'h> From<(usize, &'h FileHits)> for Part<'h> {
 #[derive(Debug)]
 pub struct Scanner<'r> {
     rules: &'r CompiledRules,
-    cs: MultiLiteral,
-    ci: MultiLiteral,
-    /// automaton pattern index -> (rule idx, string idx, wide, fullword)
-    cs_map: Vec<(usize, usize, bool, bool)>,
-    ci_map: Vec<(usize, usize, bool, bool)>,
+    /// Every literal form of every collected text string.
+    literals: MultiLiteral,
+    /// Per automaton pattern, what its match reports to.
+    forms: Vec<Form>,
     /// Per rule, the base index of its dense string-slot range
     /// (`slot = string_base[ri] + si`).
     string_base: Vec<usize>,
@@ -166,6 +167,18 @@ pub struct Scanner<'r> {
     /// identically, sorted: `collect_hits` never scans for those.
     from_live: Vec<(u32, u32)>,
     warm: RefCell<Warm<'r>>,
+}
+
+/// One pattern of [`Scanner::literals`]: an ascii or wide form of a text
+/// string.
+#[derive(Debug)]
+struct Form {
+    /// The string's dense slot.
+    slot: u32,
+    fullword: bool,
+    /// The form's bytes when the matcher folds case and the string is
+    /// case-sensitive: a match counts only if it equals them.
+    exact: Option<Box<[u8]>>,
 }
 
 /// The state [`Scanner::collect_hits`] carries from one unit to the next.
@@ -189,7 +202,7 @@ struct RegexGroup<'r> {
 }
 
 /// Every string definition of `rules`, in dense slot order.
-fn definitions(rules: &CompiledRules) -> impl Iterator<Item = &StringValue> {
+fn definitions(rules: &CompiledRules) -> impl Iterator<Item = &StringValue> + Clone {
     let strings = rules.rules.iter().flat_map(|cr| &cr.rule.strings);
     strings.map(|s| &s.value)
 }
@@ -223,37 +236,35 @@ impl<'r> Scanner<'r> {
             .collect();
         from_live.sort_unstable();
         let collected = |slot: usize| !from_live.iter().any(|&(_, own)| own as usize == slot);
-        let mut cs_pats: Vec<Vec<u8>> = Vec::new();
-        let mut ci_pats: Vec<Vec<u8>> = Vec::new();
-        let mut cs_map = Vec::new();
-        let mut ci_map = Vec::new();
-        for (ri, cr) in rules.rules.iter().enumerate() {
-            for (si, s) in cr.rule.strings.iter().enumerate() {
-                let slot = string_base[ri] + si;
-                if let (StringValue::Text { text, mods }, true) = (&s.value, collected(slot)) {
-                    let bytes = text.as_bytes().to_vec();
-                    if mods.ascii {
-                        if mods.nocase {
-                            ci_pats.push(bytes.clone());
-                            ci_map.push((ri, si, false, mods.fullword));
-                        } else {
-                            cs_pats.push(bytes.clone());
-                            cs_map.push((ri, si, false, mods.fullword));
-                        }
-                    }
-                    if mods.wide {
-                        let wide: Vec<u8> = bytes.iter().flat_map(|&b| [b, 0u8]).collect();
-                        if mods.nocase {
-                            ci_pats.push(wide);
-                            ci_map.push((ri, si, true, mods.fullword));
-                        } else {
-                            cs_pats.push(wide);
-                            cs_map.push((ri, si, true, mods.fullword));
-                        }
-                    }
-                }
+        let texts = definitions(rules)
+            .enumerate()
+            .filter_map(|(slot, value)| match value {
+                StringValue::Text { text, mods } if collected(slot) => Some((slot, text, mods)),
+                _ => None,
+            });
+        let fold = texts.clone().any(|(_, _, mods)| mods.nocase);
+        let (mut patterns, mut forms) = (Vec::new(), Vec::new());
+        for (slot, text, mods) in texts {
+            let text = text.as_bytes();
+            let wide = mods
+                .wide
+                .then(|| text.iter().flat_map(|&b| [b, 0]).collect());
+            for form in mods.ascii.then(|| text.to_vec()).into_iter().chain(wide) {
+                let exact = (fold && !mods.nocase).then(|| form.clone().into_boxed_slice());
+                forms.push(Form {
+                    slot: slot as u32,
+                    fullword: mods.fullword,
+                    exact,
+                });
+                patterns.push(form);
             }
         }
+        let kind = if fold {
+            MatchKind::CaseInsensitive
+        } else {
+            MatchKind::CaseSensitive
+        };
+        let literals = MultiLiteral::new(&patterns, kind);
         let mut regex_groups: Vec<RegexGroup<'r>> = Vec::new();
         let mut group_of: HashMap<(&str, bool), usize> = HashMap::new();
         for (ri, cr) in rules.rules.iter().enumerate() {
@@ -277,10 +288,8 @@ impl<'r> Scanner<'r> {
         }
         Scanner {
             rules,
-            cs: MultiLiteral::new(&cs_pats, MatchKind::CaseSensitive),
-            ci: MultiLiteral::new(&ci_pats, MatchKind::CaseInsensitive),
-            cs_map,
-            ci_map,
+            literals,
+            forms,
             string_base,
             total_strings,
             from_live,
@@ -321,15 +330,17 @@ impl<'r> Scanner<'r> {
         let mut warm = self.warm.borrow_mut();
         let Warm { scratch, regexes } = &mut *warm;
         scratch.begin(self.total_strings);
-        for (auto, map) in [(&self.cs, &self.cs_map), (&self.ci, &self.ci_map)] {
-            auto.for_each_match(data, |m| {
-                let (ri, si, _wide, fullword) = map[m.pattern];
-                if !fullword || is_fullword(data, m.start, m.end) {
-                    scratch.push(self.string_base[ri] + si, m.start);
-                }
-                true
-            });
-        }
+        self.literals.for_each_match(data, |m| {
+            let form = &self.forms[m.pattern];
+            let exact = form
+                .exact
+                .as_ref()
+                .is_none_or(|e| e[..] == data[m.start..m.end]);
+            if exact && (!form.fullword || is_fullword(data, m.start, m.end)) {
+                scratch.push(form.slot as usize, m.start);
+            }
+            true
+        });
         let metrics = self.regex_pass(data, scratch, regexes);
         let hit = |slot: usize| scratch.get(slot).map(|offs| (slot, offs));
         let mut slots = Vec::with_capacity((0..self.total_strings).filter_map(hit).count());
@@ -582,21 +593,40 @@ mod tests {
     use super::*;
     use crate::compiler::compile;
 
-    /// The per-definition regex pass the grouped pass replaced, kept
-    /// verbatim as the differential oracle: one `find_all` per regex
-    /// string definition, in rule order.
+    /// The differential oracle, sharing no matcher with the scanner: a
+    /// naive search per text definition and form (ASCII-folded for
+    /// `nocase`, UTF-16LE for `wide`, `fullword` checked at the unit's
+    /// edges), and the per-definition regex pass the grouped pass
+    /// replaced — one `find_all` per regex string definition, in rule
+    /// order.
     impl Scanner<'_> {
         fn collect_hits_per_definition(&self, data: &[u8]) -> FileHits {
             let mut scratch = ScanScratch::new();
             scratch.begin(self.total_strings);
-            for (auto, map) in [(&self.cs, &self.cs_map), (&self.ci, &self.ci_map)] {
-                auto.for_each_match(data, |m| {
-                    let (ri, si, _wide, fullword) = map[m.pattern];
-                    if !fullword || is_fullword(data, m.start, m.end) {
-                        scratch.push(self.string_base[ri] + si, m.start);
+            for (slot, value) in definitions(self.rules).enumerate() {
+                let StringValue::Text { text, mods } = value else {
+                    continue;
+                };
+                let ascii = text.as_bytes().to_vec();
+                let wide: Vec<u8> = ascii.iter().flat_map(|&b| [b, 0]).collect();
+                for (on, form) in [(mods.ascii, ascii), (mods.wide, wide)] {
+                    if !on || form.is_empty() {
+                        continue;
                     }
-                    true
-                });
+                    for (start, window) in data.windows(form.len()).enumerate() {
+                        let equal = if mods.nocase {
+                            window.eq_ignore_ascii_case(&form)
+                        } else {
+                            window == form
+                        };
+                        let edge = |at: Option<&u8>| at.is_none_or(|b| !b.is_ascii_alphanumeric());
+                        let word = edge(start.checked_sub(1).map(|i| &data[i]))
+                            && edge(data.get(start + form.len()));
+                        if equal && (!mods.fullword || word) {
+                            scratch.push(slot, start);
+                        }
+                    }
+                }
             }
             let mut metrics = ScanMetrics::default();
             for (ri, cr) in self.rules.rules.iter().enumerate() {
@@ -621,13 +651,24 @@ mod tests {
         }
     }
 
+    /// Each slot's offsets as a set: forms of one string reach their slot
+    /// in the matcher's stream order, the oracle's form by form.
+    fn offset_sets(hits: &FileHits) -> Vec<(u32, Vec<u32>)> {
+        let mut slots = hits.slots.clone();
+        for (_, offsets) in &mut slots {
+            offsets.sort_unstable();
+            offsets.dedup();
+        }
+        slots
+    }
+
     /// Asserts grouped ≡ per-definition on `data`: identical slots and
     /// offsets, and metrics that count groups on one side, definitions on
     /// the other.
     fn assert_grouped_equals_per_definition(scanner: &Scanner<'_>, data: &[u8]) {
         let grouped = scanner.collect_hits(data);
         let oracle = scanner.collect_hits_per_definition(data);
-        assert_eq!(grouped.slots, oracle.slots);
+        assert_eq!(offset_sets(&grouped), offset_sets(&oracle));
         let definitions: usize = scanner.regex_groups.iter().map(|g| g.members.len()).sum();
         assert_eq!(oracle.metrics.regex_strings_evaluated, definitions as u64);
         assert_eq!(
@@ -716,6 +757,81 @@ rule d { strings: $x = /ab+c/ condition: #x >= 2 }
             hits.iter().map(|m| m.rule.as_str()).collect::<Vec<_>>(),
             vec!["b"]
         );
+    }
+
+    /// One rule of short text strings over `abAB` and a haystack strewn
+    /// with them, case-flipped and spread as UTF-16LE. Modifiers mix
+    /// case-sensitive, `wide`, `ascii wide` and `fullword` forms; when
+    /// `fold`, `nocase` ones too, with the first string `nocase` and the
+    /// second not, so the matcher folds and must check exact bytes.
+    fn mixed_literal_case(seed: u64, fold: bool) -> (String, Vec<u8>) {
+        const PLAIN: [&str; 5] = ["", "wide", "ascii wide", "fullword", "wide fullword"];
+        const NOCASE: [&str; 4] = [
+            "nocase",
+            "nocase wide",
+            "nocase ascii wide",
+            "nocase fullword",
+        ];
+        let mut state = seed | 1;
+        let mut next = move |n: usize| {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as usize % n
+        };
+        let count = 2 + next(6);
+        let words: Vec<Vec<u8>> = (0..count)
+            .map(|_| (0..1 + next(4)).map(|_| b"abAB"[next(4)]).collect())
+            .collect();
+        let mut src = String::from("rule r { strings: ");
+        for (i, word) in words.iter().enumerate() {
+            let nocase = fold && (i == 0 || (i > 1 && next(2) == 0));
+            let mods = if nocase {
+                NOCASE[next(NOCASE.len())]
+            } else {
+                PLAIN[next(PLAIN.len())]
+            };
+            let word = std::str::from_utf8(word).expect("ascii");
+            src += &format!("$s{i} = \"{word}\" {mods} ");
+        }
+        src += "condition: any of them }";
+        let mut hay = Vec::new();
+        for _ in 0..48 {
+            if next(3) == 0 {
+                hay.push(b" _aB\0x"[next(6)]);
+                continue;
+            }
+            let wide = next(2) == 0;
+            for &b in &words[next(count)] {
+                hay.push(if next(2) == 0 { b ^ 0x20 } else { b });
+                if wide {
+                    hay.push(0);
+                }
+            }
+        }
+        (src, hay)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn one_literal_matcher_equals_the_naive_search(
+            seed in proptest::prelude::any::<u64>(),
+            fold in proptest::prelude::any::<bool>(),
+        ) {
+            let (src, hay) = mixed_literal_case(seed, fold);
+            let compiled = compile(&src).expect("generated rules compile");
+            let scanner = Scanner::new(&compiled);
+            let folding = scanner.forms.iter().any(|f| f.exact.is_some());
+            proptest::prop_assert_eq!(folding, fold, "{}", src);
+            proptest::prop_assert_eq!(
+                offset_sets(&scanner.collect_hits(&hay)),
+                offset_sets(&scanner.collect_hits_per_definition(&hay)),
+                "{}",
+                src
+            );
+        }
     }
 
     #[test]
