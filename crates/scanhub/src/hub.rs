@@ -147,20 +147,17 @@ impl ScanHub {
 
     /// Diffs a candidate rule bundle against the hub's live one.
     ///
-    /// Builds the new bundle's prefilter index with the atom interner
-    /// seeded from the live index (stable interning — shared atoms keep
-    /// their ids) and reports exactly which rules are new or changed
-    /// their atom sets and which atoms the old index had never seen,
-    /// packaged with changed-rules-only subset rulesets ready for
-    /// [`ScanHub::retro_hunt`]. The hub itself keeps scanning with its
+    /// Builds the new bundle's prefilter index and reports exactly which
+    /// rules are new or changed their atom sets and which atoms no live
+    /// rule gates on, packaged with changed-rules-only subset rulesets
+    /// ready for [`ScanHub::retro_hunt`]. The hub itself keeps scanning with its
     /// current bundle: a retro-hunt is pre-swap screening of history.
     pub fn deploy_rules(
         &self,
         yara: Option<CompiledRules>,
         semgrep: Option<CompiledSemgrepRules>,
     ) -> RuleDeployment {
-        let new_index =
-            PrefilterIndex::build_seeded(yara.as_ref(), semgrep.as_ref(), Some(&self.shared.index));
+        let new_index = PrefilterIndex::build(yara.as_ref(), semgrep.as_ref());
         let delta = self.shared.index.diff(&new_index);
         RuleDeployment::build(delta, yara.as_ref(), semgrep.as_ref())
     }

@@ -435,7 +435,7 @@ stages! {
         /// and posting (under it). Nested **inside** `artifact` like
         /// `splice`, and excluded from the total the same way.
         retro_publish: RetroPublish in artifact,
-        /// Literal prefilter routing over bytes and decoded layers.
+        /// Prefilter routing: YARA from cached hits, Semgrep over Python sources.
         prefilter: Prefilter,
         /// YARA condition evaluation over the surface hit sets.
         yara: Yara,

@@ -1,27 +1,22 @@
-//! The global literal prefilter index.
+//! The prefilter: which rules of a bundle can fire on a package.
 //!
-//! One case-insensitive multi-literal matcher ([`MultiLiteral`]: a
-//! Teddy-style SWAR prefilter for small/long atom sets, Aho–Corasick
-//! otherwise) is built over the distinct plain-text atoms of every
-//! compiled YARA rule plus the string atoms of every Semgrep pattern.
-//! Matcher passes over each engine's own scan input (the package buffer
-//! for YARA, the Python sources for Semgrep)
-//! then route the package to exactly the rules whose atoms occur; rules
-//! with an *exhaustive* atom set (see [`yara_engine::RuleAtoms`] and
-//! [`semgrep_engine::SemgrepRule::literal_atoms`]) that did not hit are
-//! provably non-matching and are skipped without condition evaluation.
-//! Rules without such a guarantee are routed always.
-//!
-//! Case-insensitive matching over-approximates both case-sensitive and
-//! `nocase` strings, so folding everything into one automaton can only
-//! add spurious routes (a perf loss), never drop a true match.
+//! A YARA rule with an *exhaustive* atom set ([`yara_engine::RuleAtoms`])
+//! cannot match unless one of its atom-backed strings has a hit, and each
+//! artifact caches every string's hits on its bytes and decoded layers,
+//! so [`yara_engine::HitGate`] routes it from those hits; a case-sensitive
+//! string whose atom occurs only in another case routes nothing. Semgrep
+//! rules are routed by one case-insensitive [`MultiLiteral`] (Teddy or
+//! Aho–Corasick) over their atoms
+//! ([`semgrep_engine::SemgrepRule::literal_atoms`]), run over the Python
+//! sources. Rules of either engine without an exhaustive atom set are
+//! routed always.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use semgrep_engine::CompiledSemgrepRules;
 use textmatch::{MatchKind, MultiLiteral};
-use yara_engine::CompiledRules;
+use yara_engine::{CompiledRules, HitGate};
 
 use crate::artifact::FileAnalysis;
 use crate::retrohunt::TermProvenance;
@@ -62,6 +57,14 @@ impl Routing {
         self.yara.resize(yara_count, false);
         self.semgrep.clear();
         self.semgrep.resize(semgrep_count, false);
+    }
+
+    /// Marks one rule for evaluation.
+    pub(crate) fn mark(&mut self, (engine, i): RuleId) {
+        match engine {
+            RuleEngine::Yara => self.yara[i] = true,
+            RuleEngine::Semgrep => self.semgrep[i] = true,
+        }
     }
 }
 
@@ -137,13 +140,14 @@ pub struct ChangedRule {
 
 /// The diff between two prefilter indexes (old → new), keyed by rule
 /// name: exactly which rules' atom sets changed and which atoms the new
-/// index interned that the old one had never seen.
+/// bundle's rules gate on that no rule of the old one did.
 #[derive(Debug, Clone, Default)]
 pub struct RuleDelta {
     /// Rules that are new or whose atom sets changed, in new-ruleset
     /// order (YARA first, then Semgrep).
     pub changed: Vec<ChangedRule>,
-    /// Folded atom texts present in the new index but not the old one.
+    /// Folded atom texts of the new bundle's rules absent from the old
+    /// bundle's, sorted.
     pub new_atoms: Vec<String>,
     /// Rules present in both indexes with identical atom sets.
     pub unchanged: usize,
@@ -155,23 +159,39 @@ pub struct RuleDelta {
 #[derive(Debug, Clone)]
 struct RuleAtomInfo {
     name: String,
-    /// Sorted, deduplicated interned atom ids.
-    atoms: Vec<u32>,
+    /// Sorted, deduplicated folded atom texts; empty unless exhaustive.
+    atoms: Vec<String>,
     exhaustive: bool,
+}
+
+impl RuleAtomInfo {
+    /// A rule's info from its atoms, `None` when it has no exhaustive set.
+    fn new(name: &str, atoms: Option<Vec<String>>) -> Self {
+        let exhaustive = atoms.is_some();
+        let mut atoms = atoms.unwrap_or_default();
+        atoms.iter_mut().for_each(|a| a.make_ascii_lowercase());
+        atoms.sort_unstable();
+        atoms.dedup();
+        let name = name.to_owned();
+        RuleAtomInfo {
+            name,
+            atoms,
+            exhaustive,
+        }
+    }
 }
 
 /// The compiled prefilter over one rule bundle.
 #[derive(Debug)]
 pub struct PrefilterIndex {
+    /// Routes YARA rules from an artifact's cached hits.
+    gate: HitGate,
+    /// The Semgrep atoms, folded.
     automaton: MultiLiteral,
-    /// Automaton pattern index → rules gated on that atom.
-    routes: Vec<Vec<RuleId>>,
+    /// Automaton pattern index → Semgrep rules gated on that atom.
+    routes: Vec<Vec<usize>>,
     /// Rules that must always be evaluated (no exhaustive atom set).
     always: Vec<RuleId>,
-    /// Interned folded atom texts, aligned with automaton pattern ids.
-    atoms: Vec<String>,
-    /// Folded atom text → interned id (the interner, kept for seeding).
-    atom_ids: HashMap<String, usize>,
     /// Per-rule atom metadata, in ruleset order, for delta diffs.
     yara_info: Vec<RuleAtomInfo>,
     semgrep_info: Vec<RuleAtomInfo>,
@@ -180,179 +200,109 @@ pub struct PrefilterIndex {
 impl PrefilterIndex {
     /// Builds the index over the given rule sets.
     pub fn build(yara: Option<&CompiledRules>, semgrep: Option<&CompiledSemgrepRules>) -> Self {
-        Self::build_seeded(yara, semgrep, None)
+        // An exhaustive empty atom set means the rule can never match
+        // (e.g. `condition: false`): never routed.
+        let yara_info = yara.iter().flat_map(|rules| &rules.rules).map(|rule| {
+            let ra = rule.literal_atoms();
+            RuleAtomInfo::new(&rule.rule.name, ra.exhaustive.then_some(ra.atoms))
+        });
+        let semgrep_info = semgrep.iter().flat_map(|rules| &rules.rules).map(|rule| {
+            let atoms = rule.literal_atoms().filter(|atoms| !atoms.is_empty());
+            RuleAtomInfo::new(&rule.id, atoms)
+        });
+        let (yara_info, semgrep_info) = (yara_info.collect(), semgrep_info.collect::<Vec<_>>());
+        let mut routes: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (ri, info) in semgrep_info.iter().enumerate() {
+            for atom in &info.atoms {
+                routes.entry(atom).or_default().push(ri);
+            }
+        }
+        let (atoms, routes): (Vec<&str>, Vec<Vec<usize>>) = routes.into_iter().unzip();
+        let mut index = PrefilterIndex {
+            gate: yara.map(HitGate::new).unwrap_or_default(),
+            automaton: MultiLiteral::new(&atoms, MatchKind::CaseInsensitive),
+            routes,
+            always: Vec::new(),
+            yara_info,
+            semgrep_info,
+        };
+        let always = index.infos().filter(|(_, info)| !info.exhaustive);
+        index.always = always.map(|(id, _)| id).collect();
+        index
     }
 
-    /// Builds the index with the atom interner seeded from a prior
-    /// index: atoms shared with `prior` keep their interned ids, new
-    /// atoms extend the table, so [`PrefilterIndex::atom_id`] answers
-    /// stay comparable across ruleset deploys. Nothing in the hub keys on
-    /// atom ids: the retro-hunt index keys on folded content 3-grams and
-    /// [`PrefilterIndex::diff`] compares atom texts. Seeded-but-unused
-    /// atoms stay in the automaton with empty routes, which can only cost
-    /// prefilter time, never change a routing decision.
+    /// [`PrefilterIndex::build`]; `prior` is not read. The index holds no
+    /// state that a prior one could seed, and nothing keys on it across
+    /// deployments: [`PrefilterIndex::diff`] compares atom texts.
     pub fn build_seeded(
         yara: Option<&CompiledRules>,
         semgrep: Option<&CompiledSemgrepRules>,
-        prior: Option<&PrefilterIndex>,
+        _prior: Option<&PrefilterIndex>,
     ) -> Self {
-        let mut atoms: Vec<String> = Vec::new();
-        let mut atom_ids: HashMap<String, usize> = HashMap::new();
-        if let Some(prior) = prior {
-            atoms = prior.atoms.clone();
-            atom_ids = prior.atom_ids.clone();
-        }
-        let mut routes: Vec<Vec<RuleId>> = vec![Vec::new(); atoms.len()];
-        let mut always: Vec<RuleId> = Vec::new();
-        let mut yara_info: Vec<RuleAtomInfo> = Vec::new();
-        let mut semgrep_info: Vec<RuleAtomInfo> = Vec::new();
-
-        let mut intern = |atom: &str, atoms: &mut Vec<String>, routes: &mut Vec<Vec<RuleId>>| {
-            let folded = atom.to_ascii_lowercase();
-            *atom_ids.entry(folded.clone()).or_insert_with(|| {
-                atoms.push(folded);
-                routes.push(Vec::new());
-                atoms.len() - 1
-            })
-        };
-
-        if let Some(rules) = yara {
-            for (ri, rule) in rules.rules.iter().enumerate() {
-                let ra = rule.literal_atoms();
-                let mut ids: Vec<u32> = Vec::new();
-                if ra.exhaustive {
-                    // An exhaustive empty atom set means the rule can
-                    // never match (e.g. `condition: false`): no routes.
-                    for atom in &ra.atoms {
-                        let id = intern(atom, &mut atoms, &mut routes);
-                        routes[id].push((RuleEngine::Yara, ri));
-                        ids.push(id as u32);
-                    }
-                } else {
-                    always.push((RuleEngine::Yara, ri));
-                }
-                ids.sort_unstable();
-                ids.dedup();
-                yara_info.push(RuleAtomInfo {
-                    name: rule.rule.name.clone(),
-                    atoms: ids,
-                    exhaustive: ra.exhaustive,
-                });
-            }
-        }
-        if let Some(rules) = semgrep {
-            for (ri, rule) in rules.rules.iter().enumerate() {
-                let mut ids: Vec<u32> = Vec::new();
-                let mut exhaustive = false;
-                match rule.literal_atoms() {
-                    Some(rule_atoms) if !rule_atoms.is_empty() => {
-                        exhaustive = true;
-                        for atom in &rule_atoms {
-                            let id = intern(atom, &mut atoms, &mut routes);
-                            routes[id].push((RuleEngine::Semgrep, ri));
-                            ids.push(id as u32);
-                        }
-                    }
-                    _ => always.push((RuleEngine::Semgrep, ri)),
-                }
-                ids.sort_unstable();
-                ids.dedup();
-                semgrep_info.push(RuleAtomInfo {
-                    name: rule.id.clone(),
-                    atoms: ids,
-                    exhaustive,
-                });
-            }
-        }
-
-        PrefilterIndex {
-            automaton: MultiLiteral::new(&atoms, MatchKind::CaseInsensitive),
-            routes,
-            always,
-            atoms,
-            atom_ids,
-            yara_info,
-            semgrep_info,
-        }
+        Self::build(yara, semgrep)
     }
 
-    /// The interned id of a folded atom text, if present.
-    pub fn atom_id(&self, folded: &str) -> Option<usize> {
-        self.atom_ids.get(folded).copied()
-    }
-
-    /// Diffs this (old) index against a new one, by rule name.
-    ///
-    /// Atom sets are compared by *text*, so the diff is correct whether
-    /// or not `new` was seeded from `self`; `ChangedRule::atoms` carries
-    /// texts for the same reason — they are meaningful to any consumer.
+    /// Diffs this (old) index against a new one, by rule name and atom
+    /// text.
     pub fn diff(&self, new: &PrefilterIndex) -> RuleDelta {
         let mut delta = RuleDelta::default();
-
-        let texts = |index: &PrefilterIndex, info: &RuleAtomInfo| -> Vec<String> {
-            let mut v: Vec<String> = info
-                .atoms
-                .iter()
-                .map(|&id| index.atoms[id as usize].clone())
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let mut old_by_name: HashMap<(RuleEngine, &str), (Vec<String>, bool)> = HashMap::new();
-        for (engine, infos) in [
-            (RuleEngine::Yara, &self.yara_info),
-            (RuleEngine::Semgrep, &self.semgrep_info),
-        ] {
-            for info in infos.iter() {
-                old_by_name.insert(
-                    (engine, info.name.as_str()),
-                    (texts(self, info), info.exhaustive),
-                );
-            }
-        }
-
+        let old_by_name: HashMap<(RuleEngine, &str), &RuleAtomInfo> = self
+            .infos()
+            .map(|((engine, _), info)| ((engine, info.name.as_str()), info))
+            .collect();
+        let old_atoms: BTreeSet<&str> = self.atoms().collect();
         let mut matched = 0usize;
-        for (engine, infos) in [
-            (RuleEngine::Yara, &new.yara_info),
-            (RuleEngine::Semgrep, &new.semgrep_info),
-        ] {
-            for (ri, info) in infos.iter().enumerate() {
-                let atoms = texts(new, info);
-                let kind = match old_by_name.get(&(engine, info.name.as_str())) {
-                    None => DeltaKind::Added,
-                    Some((old_atoms, old_exhaustive)) => {
-                        matched += 1;
-                        if *old_atoms == atoms && *old_exhaustive == info.exhaustive {
-                            delta.unchanged += 1;
-                            continue;
-                        }
-                        DeltaKind::AtomsChanged
+        for ((engine, index), info) in new.infos() {
+            let kind = match old_by_name.get(&(engine, info.name.as_str())) {
+                None => DeltaKind::Added,
+                Some(old) => {
+                    matched += 1;
+                    if old.atoms == info.atoms && old.exhaustive == info.exhaustive {
+                        delta.unchanged += 1;
+                        continue;
                     }
-                };
-                delta.changed.push(ChangedRule {
-                    engine,
-                    index: ri,
-                    name: info.name.clone(),
-                    atoms,
-                    exhaustive: info.exhaustive,
-                    kind,
-                });
-            }
+                    DeltaKind::AtomsChanged
+                }
+            };
+            delta.changed.push(ChangedRule {
+                engine,
+                index,
+                name: info.name.clone(),
+                atoms: info.atoms.clone(),
+                exhaustive: info.exhaustive,
+                kind,
+            });
         }
         delta.removed = old_by_name.len().saturating_sub(matched);
-        delta.new_atoms = new
-            .atoms
-            .iter()
-            .filter(|a| !self.atom_ids.contains_key(a.as_str()))
-            .cloned()
-            .collect();
-        delta.new_atoms.sort_unstable();
+        let fresh: BTreeSet<&str> = new.atoms().filter(|a| !old_atoms.contains(a)).collect();
+        delta.new_atoms = fresh.into_iter().map(str::to_owned).collect();
         delta
     }
 
-    /// Number of distinct atoms in the automaton.
+    /// Number of distinct folded atoms across the bundle's exhaustive
+    /// rules, both engines: what gates them, whether routing reads it
+    /// from cached YARA hits or the Semgrep automaton.
     pub fn atom_count(&self) -> usize {
-        self.atoms.len()
+        self.atoms().collect::<BTreeSet<_>>().len()
+    }
+
+    /// Every rule's atom metadata, in delta order.
+    fn infos(&self) -> impl Iterator<Item = (RuleId, &RuleAtomInfo)> {
+        let (yara, semgrep) = (self.yara_info.iter(), self.semgrep_info.iter());
+        let yara = yara
+            .enumerate()
+            .map(|(i, info)| ((RuleEngine::Yara, i), info));
+        yara.chain(
+            semgrep
+                .enumerate()
+                .map(|(i, info)| ((RuleEngine::Semgrep, i), info)),
+        )
+    }
+
+    /// Every rule's folded atoms, with repeats.
+    fn atoms(&self) -> impl Iterator<Item = &str> {
+        self.infos()
+            .flat_map(|(_, info)| info.atoms.iter().map(String::as_str))
     }
 
     /// Number of rules that bypass the prefilter.
@@ -360,15 +310,13 @@ impl PrefilterIndex {
         self.always.len()
     }
 
-    /// Routes one package from its per-file analysis artifacts — the
-    /// scan-path entry point since the parse-once refactor.
+    /// Routes one package from its per-file analysis artifacts.
     ///
-    /// Each engine is routed from the scan units it reads
-    /// (`RuleEngine::reads`): YARA from every file's raw bytes **and
-    /// every decoded layer** (an atom hidden behind base64 still routes
-    /// its rule, or layered scanning could never fire), Semgrep from the
-    /// Python files' bytes (what the structural matcher parses). That
-    /// keeps the skip sound for any request shape.
+    /// YARA rules are routed through the gate from every unit's cached
+    /// hits (each file's bytes and each decoded layer, so an atom hidden
+    /// behind base64 still routes its rule); Semgrep rules by one
+    /// automaton pass over each unit `RuleEngine::reads` gives Semgrep,
+    /// a Python file's bytes. No other byte is read.
     pub fn route_artifacts_into(
         &self,
         artifacts: &[Arc<FileAnalysis>],
@@ -380,44 +328,36 @@ impl PrefilterIndex {
             routing.mark(*id);
         }
         for artifact in artifacts {
-            let reads = |provenance| move |e: RuleEngine| e.reads(provenance, artifact.is_python);
-            let (surface, layer) = (reads(TermProvenance::Surface), reads(TermProvenance::Layer));
-            self.mark_hits(&artifact.bytes, routing, surface, scratch);
-            for unit in &artifact.layers {
-                self.mark_hits(&unit.data, routing, layer, scratch);
+            for hits in artifact.yara_hits.iter().chain(&artifact.layer_hits) {
+                self.gate.mark(hits, &mut routing.yara);
+            }
+            if RuleEngine::Semgrep.reads(TermProvenance::Surface, artifact.is_python) {
+                self.mark_semgrep(&artifact.bytes, &mut routing.semgrep, scratch);
             }
         }
     }
 
     /// One streaming automaton pass over `text`, marking hit atoms'
-    /// routes for the engines that read it. The pass stops early once
-    /// every atom has been seen — at that point every route is already
-    /// marked and the rest of the text cannot change the routing.
-    fn mark_hits(
-        &self,
-        text: &[u8],
-        routing: &mut Routing,
-        reads: impl Fn(RuleEngine) -> bool,
-        scratch: &mut PrefilterScratch,
-    ) {
-        if self.atoms.is_empty() {
+    /// Semgrep rules. The pass stops early once every atom has been seen
+    /// — at that point every route is already marked and the rest of the
+    /// text cannot change the routing.
+    fn mark_semgrep(&self, text: &[u8], routed: &mut [bool], scratch: &mut PrefilterScratch) {
+        if self.routes.is_empty() {
             return;
         }
         scratch.generation += 1;
         if scratch.seen.len() < self.routes.len() {
             scratch.seen.resize(self.routes.len(), 0);
         }
-        let mut unseen = self.atoms.len();
+        let mut unseen = self.routes.len();
         self.automaton.for_each_match(text, |m| {
             if scratch.seen[m.pattern] == scratch.generation {
                 return true;
             }
             scratch.seen[m.pattern] = scratch.generation;
             unseen -= 1;
-            for &id in &self.routes[m.pattern] {
-                if reads(id.0) {
-                    routing.mark(id);
-                }
+            for &ri in &self.routes[m.pattern] {
+                routed[ri] = true;
             }
             unseen > 0
         });
@@ -433,218 +373,228 @@ impl PrefilterIndex {
     }
 }
 
-impl Routing {
-    /// Marks one rule for evaluation.
-    pub(crate) fn mark(&mut self, (engine, i): RuleId) {
-        match engine {
-            RuleEngine::Yara => self.yara[i] = true,
-            RuleEngine::Semgrep => self.semgrep[i] = true,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::ArtifactConfig;
+    use crate::request::FileEntry;
+    use yara_engine::Scanner;
 
-    const NO_SOURCES: &[&str] = &[];
+    /// A bundle's index beside its YARA rules, routing the way a hub
+    /// worker does: the file is built into an artifact with a scanner
+    /// over the rules, and the artifact is routed.
+    struct Router {
+        yara: Option<CompiledRules>,
+        index: PrefilterIndex,
+    }
 
-    /// Raw-buffer routing for the unit tests below (the hub routes from
-    /// artifacts): YARA rules from `buffer`, Semgrep rules from `sources`.
-    impl PrefilterIndex {
-        fn route<S: AsRef<[u8]>>(&self, buffer: &[u8], sources: &[S]) -> Routing {
+    impl Router {
+        fn new(yara: Option<&str>, semgrep: Option<&str>) -> Self {
+            let yara = yara.map(|src| yara_engine::compile(src).expect("yara compiles"));
+            let semgrep =
+                semgrep.map(|src| semgrep_engine::compile(src).expect("semgrep compiles"));
+            let index = PrefilterIndex::build(yara.as_ref(), semgrep.as_ref());
+            Router { yara, index }
+        }
+
+        fn artifact(&self, name: &str, bytes: &[u8], cfg: &ArtifactConfig) -> Arc<FileAnalysis> {
+            let scanner = self.yara.as_ref().map(Scanner::new);
+            let entry = FileEntry::new(name, bytes.to_vec());
+            Arc::new(FileAnalysis::build(&entry, scanner.as_ref(), cfg))
+        }
+
+        /// Routes a one-file package, `name` holding `bytes`.
+        fn route(&self, name: &str, bytes: &[u8]) -> Routing {
             let mut routing = Routing::empty();
-            self.route_into(buffer, sources, &mut routing, &mut PrefilterScratch::new());
+            self.route_into(name, bytes, &mut routing, &mut PrefilterScratch::new());
             routing
         }
 
-        fn route_into<S: AsRef<[u8]>>(
+        fn route_into(
             &self,
-            buffer: &[u8],
-            sources: &[S],
+            name: &str,
+            bytes: &[u8],
             routing: &mut Routing,
             scratch: &mut PrefilterScratch,
         ) {
-            routing.reset(self.yara_info.len(), self.semgrep_info.len());
-            for id in &self.always {
-                routing.mark(*id);
-            }
-            self.mark_hits(buffer, routing, |e| e == RuleEngine::Yara, scratch);
-            for source in sources {
-                let semgrep = |e| e == RuleEngine::Semgrep;
-                self.mark_hits(source.as_ref(), routing, semgrep, scratch);
-            }
-        }
-
-        fn route_all(&self) -> Routing {
-            let mut routing = Routing::empty();
-            self.route_all_into(&mut routing);
-            routing
+            let artifact = self.artifact(name, bytes, &ArtifactConfig::default());
+            let artifacts = std::slice::from_ref(&artifact);
+            self.index.route_artifacts_into(artifacts, routing, scratch);
         }
     }
 
-    fn yara(src: &str) -> CompiledRules {
-        yara_engine::compile(src).expect("yara compiles")
+    fn yara(src: &str) -> Router {
+        Router::new(Some(src), None)
     }
 
-    fn semgrep(src: &str) -> CompiledSemgrepRules {
-        semgrep_engine::compile(src).expect("semgrep compiles")
+    fn semgrep(src: &str) -> Router {
+        Router::new(None, Some(src))
     }
 
     #[test]
     fn routes_only_rules_whose_atoms_occur() {
-        let rules = yara(
+        let router = yara(
             r#"
 rule a { strings: $x = "os.system" condition: $x }
 rule b { strings: $x = "socket.socket" condition: $x }
 "#,
         );
-        let index = PrefilterIndex::build(Some(&rules), None);
-        let routing = index.route(b"import os\nos.system('id')\n", NO_SOURCES);
+        let routing = router.route("setup.py", b"import os\nos.system('id')\n");
         assert_eq!(routing.yara, vec![true, false]);
-        let routing = index.route(b"nothing suspicious", NO_SOURCES);
+        let routing = router.route("setup.py", b"nothing suspicious");
         assert_eq!(routing.yara_routed(), 0);
     }
 
     #[test]
-    fn case_insensitive_routing_over_approximates() {
-        let rules = yara("rule a { strings: $x = \"OS.System\" condition: $x }");
-        let index = PrefilterIndex::build(Some(&rules), None);
-        // The case-sensitive rule cannot match, but the prefilter must
-        // still route it (only the scanner decides the final verdict).
-        assert_eq!(index.route(b"os.system", NO_SOURCES).yara, vec![true]);
+    fn a_case_sensitive_string_routes_only_on_its_own_case() {
+        let router = yara(
+            r#"
+rule exact { strings: $x = "OS.System" condition: $x }
+rule folded { strings: $x = "OS.System" nocase condition: $x }
+"#,
+        );
+        // The atom occurs case-insensitively, but the case-sensitive
+        // string has no hit, so its rule cannot match and is not routed.
+        assert_eq!(router.route("m.py", b"os.system").yara, vec![false, true]);
+        assert_eq!(router.route("m.py", b"OS.System").yara, vec![true, true]);
+    }
+
+    #[test]
+    fn hits_of_strings_without_an_atom_route_nothing() {
+        // Exhaustive on `$a`: a regex or wide hit alone cannot satisfy it.
+        let router = yara(
+            r#"
+rule rx { strings: $a = "marker" $r = /b+c/ condition: $a and $r }
+rule utf16 { strings: $a = "marker" $w = "cmd" wide condition: $a and $w }
+"#,
+        );
+        assert_eq!(
+            router.route("x.bin", b"bbbc c\0m\0d\0").yara,
+            vec![false, false]
+        );
+        assert_eq!(router.route("x.bin", b"marker").yara, vec![true, true]);
     }
 
     #[test]
     fn non_exhaustive_rules_are_always_routed() {
-        let rules = yara("rule re { strings: $r = /a+b/ condition: $r }");
-        let index = PrefilterIndex::build(Some(&rules), None);
-        assert_eq!(index.always_on_count(), 1);
-        assert_eq!(index.route(b"zzz", NO_SOURCES).yara, vec![true]);
+        let router = yara(
+            r#"
+rule re { strings: $r = /a+b/ condition: $r }
+rule utf16 { strings: $w = "cmd" wide condition: $w }
+"#,
+        );
+        assert_eq!(router.index.always_on_count(), 2);
+        assert_eq!(router.route("m.py", b"zzz").yara, vec![true, true]);
     }
 
     #[test]
     fn never_matching_rule_is_never_routed() {
-        let rules = yara("rule dead { condition: false }");
-        let index = PrefilterIndex::build(Some(&rules), None);
-        assert_eq!(index.always_on_count(), 0);
-        assert_eq!(index.route(b"anything", NO_SOURCES).yara, vec![false]);
+        let router = yara("rule dead { condition: false }");
+        assert_eq!(router.index.always_on_count(), 0);
+        assert_eq!(router.route("m.py", b"anything").yara, vec![false]);
     }
 
     #[test]
     fn semgrep_any_of_semantics() {
-        let rules = semgrep(
+        let router = semgrep(
             "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern-either:\n      - pattern: eval($X)\n      - pattern: exec($X)\n",
         );
-        let index = PrefilterIndex::build(None, Some(&rules));
-        assert_eq!(index.route(b"", &["exec(code)"]).semgrep, vec![true]);
-        assert_eq!(index.route(b"", &["eval(code)"]).semgrep, vec![true]);
-        assert_eq!(index.route(b"", &["print(code)"]).semgrep, vec![false]);
+        assert_eq!(router.route("m.py", b"exec(code)").semgrep, vec![true]);
+        assert_eq!(router.route("m.py", b"eval(code)").semgrep, vec![true]);
+        assert_eq!(router.route("m.py", b"print(code)").semgrep, vec![false]);
     }
 
     #[test]
-    fn engines_route_from_their_own_scan_input() {
-        let yara_rules = yara("rule a { strings: $x = \"os.system\" condition: $x }");
-        let semgrep_rules = semgrep(
-            "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: os.system($X)\n",
+    fn a_non_python_file_routes_no_semgrep_rule() {
+        let router = Router::new(
+            Some("rule a { strings: $x = \"os.system\" condition: $x }"),
+            Some("rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: os.system($X)\n"),
         );
-        let index = PrefilterIndex::build(Some(&yara_rules), Some(&semgrep_rules));
-        // Atom only in a source: Semgrep must be routed even though the
-        // buffer (what YARA scans) is clean — raw requests make no
-        // sources-are-a-substring-of-buffer promise.
-        let routing = index.route(b"clean buffer", &["os.system('x')"]);
-        assert_eq!(routing.yara, vec![false]);
-        assert_eq!(routing.semgrep, vec![true]);
-        // Atom only in the buffer: YARA routed, Semgrep not.
-        let routing = index.route(b"os.system('x')", &["clean source"]);
+        // YARA reads every file, Semgrep only Python sources.
+        let routing = router.route("README.txt", b"os.system('x')");
         assert_eq!(routing.yara, vec![true]);
         assert_eq!(routing.semgrep, vec![false]);
+        let routing = router.route("setup.py", b"os.system('x')");
+        assert_eq!(routing.yara, vec![true]);
+        assert_eq!(routing.semgrep, vec![true]);
     }
 
     #[test]
     fn atoms_are_deduplicated_across_rules() {
-        let rules = yara(
+        let router = yara(
             r#"
 rule a { strings: $x = "os.system" condition: $x }
-rule b { strings: $x = "os.system" $y = "curl" condition: all of them }
+rule b { strings: $x = "OS.System" $y = "curl" condition: all of them }
 "#,
         );
-        let index = PrefilterIndex::build(Some(&rules), None);
-        assert_eq!(index.atom_count(), 2);
+        assert_eq!(router.index.atom_count(), 2, "counted folded");
         // `curl` alone routes rule b (any-of semantics), which the
         // scanner then rejects — routing is a superset of matching.
-        let routing = index.route(b"curl http://x", NO_SOURCES);
+        let routing = router.route("m.sh", b"curl http://x");
         assert_eq!(routing.yara, vec![false, true]);
     }
 
     #[test]
     fn empty_rule_sets() {
-        let index = PrefilterIndex::build(None, None);
-        let routing = index.route(b"data", NO_SOURCES);
+        let router = Router::new(None, None);
+        let routing = router.route("m.py", b"data");
         assert!(routing.yara.is_empty() && routing.semgrep.is_empty());
     }
 
     #[test]
-    fn empty_buffer_routes_only_always_on_rules() {
+    fn empty_file_routes_only_always_on_rules() {
         // An empty upload must not route atom-gated rules, but always-on
         // rules (regex-only, filesize conditions) still run.
-        let rules = yara(
+        let router = yara(
             r#"
 rule atom { strings: $a = "os.system" condition: $a }
 rule rx { strings: $r = /ab+c/ condition: $r }
 rule size { condition: filesize > 10 }
 "#,
         );
-        let index = PrefilterIndex::build(Some(&rules), None);
-        let routing = index.route(b"", NO_SOURCES);
+        let routing = router.route("m.py", b"");
         assert_eq!(routing.yara, vec![false, true, true]);
-        assert_eq!(routing.yara_routed(), index.always_on_count());
+        assert_eq!(routing.yara_routed(), router.index.always_on_count());
     }
 
     #[test]
-    fn empty_sources_route_no_semgrep_atom_rules() {
-        let rules = semgrep(
+    fn empty_python_source_routes_no_semgrep_atom_rules() {
+        let router = semgrep(
             "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: eval($X)\n",
         );
-        let index = PrefilterIndex::build(None, Some(&rules));
-        // No sources at all: nothing to parse, nothing routed.
-        let routing = index.route(b"eval marker only in buffer", NO_SOURCES);
-        assert_eq!(routing.semgrep, vec![false]);
-        // An empty source string: still nothing routed.
-        let routing = index.route(b"", &[""]);
-        assert_eq!(routing.semgrep, vec![false]);
+        assert_eq!(router.route("m.py", b"").semgrep, vec![false]);
     }
 
     #[test]
     fn route_all_covers_every_rule_even_dead_ones() {
-        let rules = yara("rule dead { condition: false }");
-        let index = PrefilterIndex::build(Some(&rules), None);
-        assert_eq!(index.route_all().yara, vec![true]);
+        let router = yara("rule dead { condition: false }");
+        let mut routing = Routing::empty();
+        router.index.route_all_into(&mut routing);
+        assert_eq!(routing.yara, vec![true]);
     }
 
     #[test]
     fn route_into_reuse_matches_fresh_route() {
-        let yara_rules = yara(
-            r#"
+        let router = Router::new(
+            Some(
+                r#"
 rule a { strings: $x = "os.system" condition: $x }
 rule b { strings: $x = "socket.socket" condition: $x }
 "#,
+            ),
+            Some("rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: eval($X)\n"),
         );
-        let semgrep_rules = semgrep(
-            "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: eval($X)\n",
-        );
-        let index = PrefilterIndex::build(Some(&yara_rules), Some(&semgrep_rules));
         let mut routing = Routing::empty();
         let mut scratch = PrefilterScratch::new();
-        let cases: [(&[u8], &[&str]); 4] = [
-            (b"import os\nos.system('id')\n", &["eval(x)"]),
-            (b"socket.socket()", &[]),
-            (b"nothing", &["print(1)"]),
-            (b"os.system socket.socket", &["eval(a)"]),
+        let cases: [(&str, &[u8]); 4] = [
+            ("a.py", b"import os\nos.system('id')\neval(x)\n"),
+            ("b.txt", b"socket.socket() eval(x)"),
+            ("c.py", b"print(1)"),
+            ("d.py", b"os.system socket.socket\neval(a)\n"),
         ];
-        for (buffer, sources) in cases {
-            index.route_into(buffer, sources, &mut routing, &mut scratch);
-            let fresh = index.route(buffer, sources);
+        for (name, bytes) in cases {
+            router.route_into(name, bytes, &mut routing, &mut scratch);
+            let fresh = router.route(name, bytes);
             assert_eq!(routing.yara, fresh.yara);
             assert_eq!(routing.semgrep, fresh.semgrep);
         }
@@ -652,50 +602,43 @@ rule b { strings: $x = "socket.socket" condition: $x }
 
     #[test]
     fn early_exit_after_all_atoms_seen_routes_everything() {
-        let rules = yara(
-            r#"
-rule a { strings: $x = "aa" condition: $x }
-rule b { strings: $x = "bb" condition: $x }
-"#,
+        let router = semgrep(
+            "rules:\n  - id: e\n    languages: [python]\n    message: m\n    pattern: eval($X)\n  - id: x\n    languages: [python]\n    message: m\n    pattern: exec($X)\n",
         );
-        let index = PrefilterIndex::build(Some(&rules), None);
         // Both atoms occur early; the trailing text is skipped but the
         // routing is already complete.
-        let mut buffer = b"aabb".to_vec();
-        buffer.extend(std::iter::repeat_n(b'z', 1 << 16));
-        buffer.extend_from_slice(b"aa");
-        assert_eq!(index.route(&buffer, NO_SOURCES).yara, vec![true, true]);
+        let mut source = b"eval(a)\nexec(b)\n".to_vec();
+        source.extend(std::iter::repeat_n(b'z', 1 << 16));
+        source.extend_from_slice(b"\neval(c)\n");
+        assert_eq!(router.route("m.py", &source).semgrep, vec![true, true]);
     }
 
     #[test]
-    fn artifact_routing_sees_decoded_layers_and_python_sources() {
-        use crate::artifact::{ArtifactConfig, FileAnalysis};
-        use crate::request::FileEntry;
-        use std::sync::Arc;
+    fn an_atom_at_the_end_of_a_source_is_found() {
+        let router = semgrep(
+            "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: eval($X)\n",
+        );
+        let mut source = vec![b'x'; 4096];
+        source.extend_from_slice(b"\neval(a)");
+        assert_eq!(router.route("m.py", &source).semgrep, vec![true]);
+    }
 
-        let yara_rules = yara(
-            r#"
+    #[test]
+    fn a_layer_only_atom_routes_its_rule() {
+        let router = Router::new(
+            Some(
+                r#"
 rule surface { strings: $x = "requests.post" condition: $x }
 rule hidden { strings: $x = "os.system" condition: $x }
 "#,
+            ),
+            Some("rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: eval($X)\n"),
         );
-        let semgrep_rules = semgrep(
-            "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: eval($X)\n",
-        );
-        let index = PrefilterIndex::build(Some(&yara_rules), Some(&semgrep_rules));
         // The only occurrence of `os.system` is base64-encoded inside a
         // literal; `eval` appears in the python surface text.
         let payload = digest::base64::encode(b"import os;os.system('id')");
         let code = format!("blob = '{payload}'\neval(blob)\n");
-        let entry = FileEntry::new("mod.py", code.into_bytes());
-        let artifact = Arc::new(FileAnalysis::build(
-            &entry,
-            None,
-            &ArtifactConfig::default(),
-        ));
-        let mut routing = Routing::empty();
-        let mut scratch = PrefilterScratch::new();
-        index.route_artifacts_into(std::slice::from_ref(&artifact), &mut routing, &mut scratch);
+        let routing = router.route("mod.py", code.as_bytes());
         assert_eq!(
             routing.yara,
             vec![false, true],
@@ -703,78 +646,46 @@ rule hidden { strings: $x = "os.system" condition: $x }
         );
         assert_eq!(routing.semgrep, vec![true]);
         // With layer extraction disabled the hidden atom is invisible.
-        let bare = Arc::new(FileAnalysis::build(
-            &entry,
-            None,
-            &ArtifactConfig {
-                max_decode_depth: 0,
-                ..ArtifactConfig::default()
-            },
-        ));
-        index.route_artifacts_into(std::slice::from_ref(&bare), &mut routing, &mut scratch);
+        let cfg = ArtifactConfig {
+            max_decode_depth: 0,
+            ..ArtifactConfig::default()
+        };
+        let bare = router.artifact("mod.py", code.as_bytes(), &cfg);
+        let mut routing = Routing::empty();
+        let mut scratch = PrefilterScratch::new();
+        let artifacts = std::slice::from_ref(&bare);
+        router
+            .index
+            .route_artifacts_into(artifacts, &mut routing, &mut scratch);
         assert_eq!(routing.yara, vec![false, false]);
     }
 
-    #[test]
-    fn seeded_rebuild_keeps_atom_ids_stable() {
-        let old_rules = yara(
-            r#"
-rule a { strings: $x = "os.system" condition: $x }
-rule b { strings: $x = "socket.socket" condition: $x }
-"#,
-        );
-        let old = PrefilterIndex::build(Some(&old_rules), None);
-        // The new bundle reorders rules, drops one atom, adds another.
-        let new_rules = yara(
-            r#"
-rule c { strings: $x = "curl http" condition: $x }
-rule a { strings: $x = "os.system" condition: $x }
-"#,
-        );
-        let new = PrefilterIndex::build_seeded(Some(&new_rules), None, Some(&old));
-        // Shared atoms keep their interned ids; the dropped atom's id is
-        // not recycled; the new atom extends the table.
-        assert_eq!(new.atom_id("os.system"), old.atom_id("os.system"));
-        assert_eq!(new.atom_id("socket.socket"), old.atom_id("socket.socket"));
-        assert_eq!(new.atom_id("curl http"), Some(2));
-        // Seeded-but-unused atoms never route anything...
-        let routing = new.route(b"socket.socket()", NO_SOURCES);
-        assert_eq!(routing.yara_routed(), 0);
-        // ...and routing decisions match an unseeded build.
-        let unseeded = PrefilterIndex::build(Some(&new_rules), None);
-        for buffer in [
-            b"curl http://x".as_slice(),
-            b"os.system('id')",
-            b"nothing here",
-        ] {
-            assert_eq!(
-                new.route(buffer, NO_SOURCES).yara,
-                unseeded.route(buffer, NO_SOURCES).yara
-            );
-        }
+    fn compiled(src: &str) -> CompiledRules {
+        yara_engine::compile(src).expect("yara compiles")
     }
 
     #[test]
     fn diff_reports_exactly_the_changed_rules() {
-        let old_yara = yara(
+        let old_yara = compiled(
             r#"
 rule same { strings: $x = "os.system" condition: $x }
 rule retuned { strings: $x = "curl" condition: $x }
 rule dropped { strings: $x = "wget" condition: $x }
 "#,
         );
-        let old_semgrep = semgrep(
+        let old_semgrep = semgrep_engine::compile(
             "rules:\n  - id: sg-same\n    languages: [python]\n    message: m\n    pattern: eval($X)\n",
-        );
+        )
+        .expect("semgrep compiles");
         let old = PrefilterIndex::build(Some(&old_yara), Some(&old_semgrep));
-        let new_yara = yara(
+        let new_yara = compiled(
             r#"
 rule same { strings: $x = "os.system" condition: $x }
 rule retuned { strings: $x = "curl -fsSL" condition: $x }
 rule added { strings: $x = "nc -e" condition: $x }
 "#,
         );
-        let new = PrefilterIndex::build_seeded(Some(&new_yara), Some(&old_semgrep), Some(&old));
+        let new = PrefilterIndex::build(Some(&new_yara), Some(&old_semgrep));
         let delta = old.diff(&new);
         assert_eq!(delta.unchanged, 2, "`same` and `sg-same`");
         assert_eq!(delta.removed, 1, "`dropped`");
@@ -798,17 +709,18 @@ rule added { strings: $x = "nc -e" condition: $x }
             "folded, sorted, old atoms excluded"
         );
         // Exhaustive-flag flips count as changes even with equal atoms.
-        let relaxed = yara("rule same { strings: $x = /os\\.system/ condition: $x }");
+        let relaxed = compiled("rule same { strings: $x = /os\\.system/ condition: $x }");
         let relaxed_index = PrefilterIndex::build(Some(&relaxed), None);
         let flip = old.diff(&relaxed_index);
         assert_eq!(flip.changed.len(), 1);
         assert_eq!(flip.changed[0].kind, DeltaKind::AtomsChanged);
         assert!(!flip.changed[0].exhaustive);
+        assert!(flip.changed[0].atoms.is_empty());
     }
 
     #[test]
     fn diff_against_an_identical_bundle_is_empty() {
-        let rules = yara("rule a { strings: $x = \"os.system\" condition: $x }");
+        let rules = compiled("rule a { strings: $x = \"os.system\" condition: $x }");
         let old = PrefilterIndex::build(Some(&rules), None);
         let new = PrefilterIndex::build_seeded(Some(&rules), None, Some(&old));
         let delta = old.diff(&new);
@@ -816,15 +728,5 @@ rule added { strings: $x = "nc -e" condition: $x }
         assert!(delta.new_atoms.is_empty());
         assert_eq!(delta.unchanged, 1);
         assert_eq!(delta.removed, 0);
-    }
-
-    #[test]
-    fn atom_spanning_buffer_end_is_found() {
-        let rules = yara("rule a { strings: $x = \"needle\" condition: $x }");
-        let index = PrefilterIndex::build(Some(&rules), None);
-        let mut buffer = vec![b'x'; 4096];
-        buffer.extend_from_slice(b"need");
-        buffer.extend_from_slice(b"le");
-        assert_eq!(index.route(&buffer, NO_SOURCES).yara, vec![true]);
     }
 }

@@ -330,10 +330,10 @@ fn scan_job(
     // its changed files.
     gather_artifacts(shared, eval.scanner(), request, artifacts, grams, clock);
     clock.lap(Stage::Prefilter);
-    // Phase 2: route the package from the artifacts. This reads bytes
-    // again: every file's raw bytes and every decoded layer go through
-    // the prefilter automaton on every request, artifact-cache hits
-    // included — routing is not cached with the artifact (ROADMAP item 7).
+    // Phase 2: route the package from the artifacts. YARA rules are
+    // routed from each unit's cached hits; only the Python files' bytes
+    // are read again, by the Semgrep atom automaton, on every request,
+    // artifact-cache hits included (ROADMAP item 7).
     if shared.prefilter {
         shared
             .index

@@ -186,6 +186,7 @@ proptest! {
         let hub = prefilter_hub();
         let off = nofilter_hub();
         let layered = hub_with(true, 2);
+        let layered_off = hub_with(false, 2);
         let family = &FAMILIES[family_idx];
         let original = corpus::generate_malware_package(family, variant, seed).0;
         let profile = EvasionProfile::standard().swap_remove(profile_idx);
@@ -194,6 +195,7 @@ proptest! {
         let fast = hub.submit(request.clone()).wait();
         let unrouted = off.submit(request.clone()).wait();
         let with_layers = layered.submit(request.clone()).wait();
+        let layers_unrouted = layered_off.submit(request.clone()).wait();
         let slow = exhaustive(&yara, &semgrep, &request);
         prop_assert_eq!(
             &fast.yara, &slow.yara,
@@ -212,6 +214,10 @@ proptest! {
             "layered scanning changed the surface yara verdict"
         );
         prop_assert_eq!(&with_layers.semgrep, &fast.semgrep);
+        prop_assert_eq!(
+            &with_layers, &layers_unrouted,
+            "layered prefilter on/off diverged on {} mutant of {}", profile.name, original.metadata().name
+        );
     }
 
     #[test]

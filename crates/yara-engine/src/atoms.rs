@@ -15,9 +15,13 @@
 //! contain the ASCII atom bytes — evaluate to *unknown*, as do
 //! `filesize` comparisons. Only a condition that is provably false under
 //! that assumption makes the rule skippable.
+//!
+//! A [`HitGate`] routes from hits a scanner already collected: an
+//! exhaustive rule that matches has a hit of an atom-backed string.
 
 use crate::ast::{Condition, StringSet, StringValue};
-use crate::compiler::CompiledRule;
+use crate::compiler::{CompiledRule, CompiledRules};
+use crate::scanner::FileHits;
 
 /// The prefilter contract for one rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,23 +69,62 @@ pub fn literal_atoms(rule: &CompiledRule) -> RuleAtoms {
         .strings
         .iter()
         .filter_map(|s| match &s.value {
-            StringValue::Text { text, mods } if mods.ascii && !mods.wide => Some(text.clone()),
+            StringValue::Text { text, .. } if backs(&s.value) => Some(text.clone()),
             _ => None,
         })
         .collect();
-    let zero = eval_zero(rule, &rule.rule.condition);
     RuleAtoms {
-        exhaustive: zero == Tri::False,
+        exhaustive: exhaustive(rule),
         atoms,
     }
+}
+
+/// Routes rules from collected hits: per dense string slot, the rule a
+/// hit routes, set only for an atom-backed string of an exhaustive rule.
+/// Such a hit is a case-insensitive occurrence of the string's atom, so
+/// the gate never routes a rule that atom routing would skip.
+#[derive(Debug, Clone, Default)]
+pub struct HitGate {
+    rule_of: Vec<Option<usize>>,
+}
+
+impl HitGate {
+    /// The gate over `rules`, whose scanner's hits it will read.
+    pub fn new(rules: &CompiledRules) -> Self {
+        let mut rule_of = Vec::new();
+        for (ri, rule) in rules.rules.iter().enumerate() {
+            let gated = exhaustive(rule);
+            let strings = rule.rule.strings.iter();
+            rule_of.extend(strings.map(|s| (gated && backs(&s.value)).then_some(ri)));
+        }
+        HitGate { rule_of }
+    }
+
+    /// Marks in `out` (indexed by rule) every rule that `hits`, one
+    /// unit's hits of this gate's ruleset, routes.
+    pub fn mark(&self, hits: &FileHits, out: &mut [bool]) {
+        for ri in hits.slot_ids().filter_map(|slot| self.rule_of[slot]) {
+            out[ri] = true;
+        }
+    }
+}
+
+/// Whether a string with this value is backed by an atom: an `ascii`,
+/// non-`wide` text string, whose every match contains its text.
+fn backs(value: &StringValue) -> bool {
+    matches!(value, StringValue::Text { mods, .. } if mods.ascii && !mods.wide)
+}
+
+/// Whether `rule` cannot match when its atom-backed strings have no match.
+fn exhaustive(rule: &CompiledRule) -> bool {
+    eval_zero(rule, &rule.rule.condition) == Tri::False
 }
 
 /// Whether string `id` is backed by an atom (so "no atom occurred"
 /// implies it has zero matches).
 fn atom_backed(rule: &CompiledRule, id: &str) -> bool {
-    rule.rule.strings.iter().any(|s| {
-        s.id == id && matches!(&s.value, StringValue::Text { mods, .. } if mods.ascii && !mods.wide)
-    })
+    let strings = &rule.rule.strings;
+    strings.iter().any(|s| s.id == id && backs(&s.value))
 }
 
 fn covered_ids<'r>(rule: &'r CompiledRule, set: &StringSet) -> Vec<&'r str> {

@@ -52,7 +52,7 @@ mod parser;
 mod scanner;
 
 pub use ast::{Condition, MetaValue, Rule, RuleSet, StringDef, StringMods, StringValue};
-pub use atoms::{literal_atoms, RuleAtoms};
+pub use atoms::{literal_atoms, HitGate, RuleAtoms};
 pub use compiler::{compile, CompiledRule, CompiledRules};
 pub use error::CompileError;
 pub use lexer::{lex, Token, TokenKind};

@@ -86,6 +86,11 @@ impl FileHits {
     pub fn stored_bytes(&self) -> usize {
         self.slots.iter().map(|(_, offs)| 8 + 4 * offs.len()).sum()
     }
+
+    /// The dense string slots with at least one hit, ascending.
+    pub(crate) fn slot_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().map(|(slot, _)| *slot as usize)
+    }
 }
 
 /// Reusable per-worker scan state: one offset list per string definition,

@@ -54,7 +54,7 @@ fn main() {
     let compiled = yara_engine::compile(&output.yara_ruleset()).expect("rules compile");
     let hub = ScanHub::new(Some(compiled), None, HubConfig::default());
     println!(
-        "scanhub up: {} atoms indexed, {} always-on rules\n",
+        "scanhub up: {} distinct rule atoms, {} always-on rules\n",
         hub.prefilter_index().atom_count(),
         hub.prefilter_index().always_on_count(),
     );
