@@ -25,7 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pysrc::TokenKind;
+use pysrc::Kind;
 
 /// Embedding dimensionality. 128 keeps K-Means over thousands of snippets
 /// fast while leaving hash collisions rare enough for separation.
@@ -88,20 +88,21 @@ impl Embedder {
     /// features. String literals longer than 24 bytes collapse to a
     /// `<str>` marker so that payload bytes don't dominate similarity.
     pub fn tokenize(&self, source: &str) -> Vec<String> {
-        pysrc::lex_spanned(source)
-            .into_iter()
-            .filter_map(|t| match t.token.kind {
-                TokenKind::Ident(text) | TokenKind::Number(text) | TokenKind::Op(text) => {
-                    Some(text.to_owned())
-                }
-                TokenKind::Str { value, .. } => Some(if value.len() > 24 {
+        let tokens = pysrc::lex(source);
+        let mut features = Vec::with_capacity(tokens.len());
+        features.extend(tokens.iter().filter_map(|t| match t.kind {
+            Kind::IDENT | Kind::NUMBER => Some(t.text(source).to_owned()),
+            Kind::STR => {
+                let value = t.value(source);
+                Some(if value.len() > 24 {
                     "<str>".to_owned()
                 } else {
                     format!("'{value}'")
-                }),
-                _ => None,
-            })
-            .collect()
+                })
+            }
+            op => op.op_text().map(str::to_owned),
+        }));
+        features
     }
 
     /// Splits tokens into fixed-length segments (paper step 1).

@@ -839,8 +839,8 @@ impl Stmt {
                 keyword, header, ..
             } => {
                 out.push_str(keyword);
-                let tokens = crate::lex_spanned(header.text(src));
-                crate::parser::write_header(&tokens, &mut out);
+                let header = header.text(src);
+                crate::parser::write_header(header, &crate::lex(header), &mut out);
             }
             Stmt::Import { modules, .. } => {
                 out.push_str("import ");

@@ -4,70 +4,199 @@
 //! produces best-effort tokens rather than errors, because the scanner must
 //! process deliberately obfuscated malware sources.
 //!
-//! Token text borrows the source, so a lex makes one allocation — its
-//! output vector — plus one per string literal that owns its value (see
-//! [`TokenKind::Str`]).
+//! There is one lexer. It emits [`Lexeme`]s, 16 bytes of plain data each,
+//! into a token buffer its thread keeps between lexes ([`lex`],
+//! [`lex_window`]), so a warm lex allocates nothing; [`lex_spanned`]
+//! renders the same lexemes as [`SpannedToken`]s as they are emitted.
+//!
+//! Offsets are `u32`. A source longer than `u32::MAX` bytes lexes as its
+//! longest prefix of whole characters that is at most `u32::MAX` bytes
+//! long, as if the file ended there: its tokens end in that prefix's
+//! close-out NEWLINE, DEDENTs and EOF, and the rest is not read.
 
-use std::borrow::Cow;
+use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
 
-use crate::token::{SpannedToken, Token, TokenKind};
-
-/// Multi-character operators, longest first so maximal munch works.
-const OPERATORS: &[&str] = &[
-    "**=", "//=", ">>=", "<<=", "...", "->", ":=", "==", "!=", "<=", ">=", "//", "**", ">>", "<<",
-    "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "@=",
-];
-
-/// String prefixes, lowercased: a [`TokenKind::Str`] prefix is one of
-/// these or empty.
-const STRING_PREFIXES: [&str; 8] = ["r", "b", "f", "u", "rb", "br", "fr", "rf"];
-
-/// Every ASCII byte in order: a single-byte operator is the one-byte
-/// `'static` slice of this at its own value, so [`TokenKind::Op`] never
-/// allocates. (Bytes >= 0x80 lex as identifiers and never get here.)
-const ASCII: &str = {
-    const BYTES: [u8; 128] = {
-        let mut table = [0u8; 128];
-        let mut i = 0;
-        while i < 128 {
-            table[i] = i as u8;
-            i += 1;
-        }
-        table
-    };
-    match std::str::from_utf8(&BYTES) {
-        Ok(s) => s,
-        Err(_) => panic!("bytes below 0x80 are UTF-8"),
-    }
+use crate::ast::offset;
+use crate::parser::MAX_KEPT_SCRATCH;
+use crate::token::{
+    flag, Kind, Lexeme, SpannedToken, Token, TokenKind, OPERATORS, STRING_PREFIXES,
 };
 
-/// Source bytes per token the output vector is reserved for. Files of
-/// the tiny corpus and its mutants run 3.2 to 7.4 bytes per token
-/// (mean 3.8), so this covers them in the one up-front allocation — no
-/// doubling, no copy. No caller keeps the vector past its own analysis,
-/// so the unused tail is never trimmed.
+/// Source bytes per token the output is reserved for. Files of the tiny
+/// corpus and its mutants run 3.2 to 7.4 bytes per token (mean 3.8), so
+/// this covers them in the one up-front reservation — no doubling, no
+/// copy.
 const BYTES_PER_TOKEN: usize = 3;
 
-/// Cap on that reservation (5.5 MiB of tokens): an attacker-sized file
-/// that is one long literal must not reserve 29 bytes per source byte
-/// up front. Past it the vector grows by doubling as before.
+/// Cap on that reservation: 1 MiB of lexemes, 4.5 MiB of rendered
+/// tokens. An attacker-sized file that is one long literal must not
+/// reserve 5 (lexemes) or 24 (rendered) bytes per source byte up front.
+/// Past it the buffer grows by doubling.
 const MAX_RESERVED_TOKENS: usize = 1 << 16;
 
+/// The longest source whose offsets fit a [`Lexeme`].
+const MAX_SOURCE: usize = u32::MAX as usize;
+
+/// The tokens reserved for `len` source bytes.
+fn reservation(len: usize) -> usize {
+    (len / BYTES_PER_TOKEN + 4).min(MAX_RESERVED_TOKENS)
+}
+
+/// The longest prefix of `source` of whole characters that is at most
+/// `limit` bytes long: what the lexer reads of it.
+fn lexable(source: &str, limit: usize) -> &str {
+    let mut end = source.len().min(limit);
+    while !source.is_char_boundary(end) {
+        end -= 1;
+    }
+    &source[..end]
+}
+
+thread_local! {
+    /// This thread's token buffer, between lexes: grown to the most
+    /// tokens a lex on it has emitted, so that a warm lex allocates
+    /// nothing.
+    static KEPT: Cell<Vec<Lexeme>> = const { Cell::new(Vec::new()) };
+}
+
+/// A lex's tokens, in the buffer its thread keeps. Dropping them hands
+/// the buffer back for the thread's next lex, unless it grew past the
+/// parser's 4 MiB limit on kept scratch: one hostile file must not pin its
+/// tokens' memory.
+#[derive(Debug)]
+pub struct Lexemes(Vec<Lexeme>);
+
+impl Deref for Lexemes {
+    type Target = Vec<Lexeme>;
+
+    fn deref(&self) -> &Vec<Lexeme> {
+        &self.0
+    }
+}
+
+impl DerefMut for Lexemes {
+    fn deref_mut(&mut self) -> &mut Vec<Lexeme> {
+        &mut self.0
+    }
+}
+
+impl Drop for Lexemes {
+    fn drop(&mut self) {
+        let mut tokens = std::mem::take(&mut self.0);
+        if tokens.capacity() * std::mem::size_of::<Lexeme>() > MAX_KEPT_SCRATCH {
+            return;
+        }
+        tokens.clear();
+        // A lex that ran inside another's lifetime keeps the larger
+        // buffer of the two.
+        let _ = KEPT.try_with(|kept| {
+            let other = kept.take();
+            kept.set(if other.capacity() > tokens.capacity() {
+                other
+            } else {
+                tokens
+            });
+        });
+    }
+}
+
 /// Tokenizes Python `source` into a flat token stream ending in
-/// [`TokenKind::Eof`]. INDENT/DEDENT tokens are synthesized from leading
-/// whitespace; newlines inside `()`/`[]`/`{}` are suppressed. Each token
-/// carries the byte span it was lexed from, so source-to-source rewriters
-/// can splice replacements exactly.
+/// [`Kind::EOF`], in this thread's token buffer. INDENT/DEDENT tokens are
+/// synthesized from leading whitespace; newlines inside `()`/`[]`/`{}` are
+/// suppressed. Each token carries the byte span it was lexed from.
+pub fn lex(source: &str) -> Lexemes {
+    lex_window(source, 0, source.len()).tokens
+}
+
+/// [`lex`]'s tokens rendered as [`SpannedToken`]s, with their text: the
+/// view source-to-source rewriters (the `obfuscate` crate) splice
+/// against. It allocates its vector, plus one buffer per string literal
+/// whose value is owned (see [`Lexeme::value`]).
 pub fn lex_spanned(source: &str) -> Vec<SpannedToken<'_>> {
-    Lexer::new(source).run()
+    let source = lexable(source, MAX_SOURCE);
+    let mut view = Render::new(source, reservation(source.len()));
+    Lexer::new(source.as_bytes(), 0, 1, |t, col| view.push(t, col)).run();
+    view.out
+}
+
+/// `tokens`, lexed from `source`, rendered as [`lex_spanned`] renders
+/// them. A token's column is counted from the start of its line in
+/// `source`, so a window relexed from a line start renders as the same
+/// tokens of a whole-source lex do.
+pub fn render<'src>(source: &'src str, tokens: &[Lexeme]) -> Vec<SpannedToken<'src>> {
+    let mut view = Render::new(source, tokens.len());
+    let (mut line, mut line_start) = (0, 0);
+    for &t in tokens {
+        // A token's line counts the newlines in front of it, so only a
+        // token on a new line moves the line start: to just past the
+        // nearest newline behind the token.
+        let start = t.start as usize;
+        if t.line != line {
+            line = t.line;
+            let before = source.as_bytes().get(..start).unwrap_or_default();
+            line_start = before
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |nl| nl + 1);
+        }
+        let col = match t.kind {
+            Kind::INDENT | Kind::DEDENT => 0,
+            _ => start.saturating_sub(line_start),
+        };
+        view.push(t, col);
+    }
+    view.out
+}
+
+/// Renders lexemes of one source, in order, as [`SpannedToken`]s.
+struct Render<'src> {
+    source: &'src str,
+    out: Vec<SpannedToken<'src>>,
+}
+
+impl<'src> Render<'src> {
+    fn new(source: &'src str, capacity: usize) -> Self {
+        Render {
+            source,
+            out: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Renders `t`, which starts at column `col`.
+    fn push(&mut self, t: Lexeme, col: usize) {
+        let (start, end) = (t.start as usize, t.end as usize);
+        let text = t.text(self.source);
+        let kind = match t.kind {
+            Kind::IDENT => TokenKind::Ident(text),
+            Kind::NUMBER => TokenKind::Number(text),
+            Kind::STR => TokenKind::Str {
+                value: t.value(self.source),
+                prefix: t.prefix(),
+            },
+            Kind::COMMENT => TokenKind::Comment(text),
+            Kind::NEWLINE => TokenKind::Newline,
+            Kind::INDENT => TokenKind::Indent,
+            Kind::DEDENT => TokenKind::Dedent,
+            Kind::EOF => TokenKind::Eof,
+            op => TokenKind::Op(op.op_text().unwrap_or_default()),
+        };
+        let line = t.line as usize;
+        self.out.push(SpannedToken {
+            token: Token { kind, line, col },
+            start,
+            end,
+        });
+    }
 }
 
 /// Result of re-lexing a byte window of a larger source (see
 /// [`lex_window`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowLex<'src> {
-    /// Tokens with spans and line numbers rebased to the full source.
-    pub tokens: Vec<SpannedToken<'src>>,
+#[derive(Debug)]
+pub struct WindowLex {
+    /// Tokens with spans and line numbers in the full source's
+    /// coordinates.
+    pub tokens: Lexemes,
     /// True when the relex ran out of input *at a line start* — every
     /// trailing byte was consumed as complete statements plus blank or
     /// comment lines — rather than inside an open bracket, an
@@ -80,42 +209,44 @@ pub struct WindowLex<'src> {
 
 /// Re-lexes `source[start..end]` as if the lexer had just crossed a
 /// top-level statement boundary at `start`: fresh indentation stack,
-/// bracket depth zero, column zero. Spans are rebased by `start` and
-/// line numbers by the newline count of `source[..start]`, so the
+/// bracket depth zero, column zero. Spans are in `source`'s coordinates
+/// and line numbers count the newlines of `source[..start]`, so the
 /// tokens drop into the full source's coordinate system.
 ///
-/// The output equals the `[start..end)` slice of `lex_spanned(source)`
-/// **only if** `start` really is such a boundary (the full lexer's
-/// indent stack is `[0]` there — e.g. offset 0, or just after the
-/// newline ending an unindented statement). Offsets inside brackets,
-/// strings or indented suites produce a best-effort tolerant lex of the
-/// window instead; callers splicing a relexed window into products of
-/// the full lex take `start` from [`cut_points`].
+/// The output equals the `[start..end)` slice of `lex(source)` **only
+/// if** `start` really is such a boundary (the full lexer's indent stack
+/// is `[0]` there — e.g. offset 0, or just after the newline ending an
+/// unindented statement). Offsets inside brackets, strings or indented
+/// suites produce a best-effort tolerant lex of the window instead;
+/// callers splicing a relexed window into products of the full lex take
+/// `start` from [`cut_points`]. Bytes past `u32::MAX` are not read (see
+/// the module docs).
 ///
 /// # Panics
 ///
 /// Panics if `start..end` is out of bounds or not on `char` boundaries.
-pub fn lex_window(source: &str, start: usize, end: usize) -> WindowLex<'_> {
-    let mut lexer = Lexer::new(&source[start..end]);
-    let mut tokens = lexer.run();
-    let boundary = lexer.clean_eof && !lexer.unterminated;
-    // A window at offset 0 — a whole-file build's — is already in the
-    // source's coordinates.
-    if start > 0 {
-        let lines_before = source.as_bytes()[..start]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count();
-        for t in &mut tokens {
-            t.start += start;
-            t.end += start;
-            t.token.line += lines_before;
-        }
-    }
+pub fn lex_window(source: &str, start: usize, end: usize) -> WindowLex {
+    let _ = &source[start..end];
+    let source = lexable(source, MAX_SOURCE);
+    let (start, end) = (start.min(source.len()), end.min(source.len()));
+    let lines_before = count_newlines(&source.as_bytes()[..start]);
+    let mut tokens = KEPT.try_with(Cell::take).unwrap_or_default();
+    tokens.reserve_exact(reservation(end - start));
+    let lexer = Lexer::new(
+        &source.as_bytes()[start..end],
+        start,
+        offset(lines_before).saturating_add(1),
+        |t, _| tokens.push(t),
+    );
+    let boundary = lexer.run();
     WindowLex {
-        tokens,
+        tokens: Lexemes(tokens),
         ends_at_statement_boundary: boundary,
     }
+}
+
+fn count_newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
 /// A place where [`lex_window`] may start or stop: a real NEWLINE (width
@@ -144,25 +275,64 @@ pub struct CutPoint {
     pub at: usize,
 }
 
+/// A token [`cut_points`] reads: a [`Lexeme`], or a [`SpannedToken`]
+/// rendered from one.
+pub trait CutToken {
+    /// Whether this is a real NEWLINE: one byte wide.
+    fn is_real_newline(&self) -> bool;
+    /// Whether this is a content token at column zero: a non-empty span
+    /// that is not a comment.
+    fn opens_line(&self) -> bool;
+    /// Its span.
+    fn span(&self) -> (usize, usize);
+}
+
+impl CutToken for Lexeme {
+    fn is_real_newline(&self) -> bool {
+        self.kind == Kind::NEWLINE && self.end == self.start.saturating_add(1)
+    }
+
+    fn opens_line(&self) -> bool {
+        self.at_column_zero() && self.end > self.start && self.kind != Kind::COMMENT
+    }
+
+    fn span(&self) -> (usize, usize) {
+        (self.start as usize, self.end as usize)
+    }
+}
+
+impl CutToken for SpannedToken<'_> {
+    fn is_real_newline(&self) -> bool {
+        matches!(self.kind(), TokenKind::Newline) && self.end == self.start + 1
+    }
+
+    fn opens_line(&self) -> bool {
+        self.token.col == 0
+            && self.end > self.start
+            && !matches!(self.kind(), TokenKind::Comment(_))
+    }
+
+    fn span(&self) -> (usize, usize) {
+        (self.start, self.end)
+    }
+}
+
 /// The cut points of a token stream, in source order: one per adjacent
 /// pair of tokens that satisfies [`CutPoint`]'s conditions.
-pub fn cut_points<'a, I>(tokens: I) -> impl Iterator<Item = CutPoint> + 'a
+pub fn cut_points<'a, T, I>(tokens: I) -> impl Iterator<Item = CutPoint> + 'a
 where
-    I: IntoIterator<Item = &'a SpannedToken<'a>>,
+    T: CutToken + 'a,
+    I: IntoIterator<Item = &'a T>,
     I::IntoIter: 'a,
 {
     let mut tokens = tokens.into_iter();
     let mut last = tokens.next();
     tokens.filter_map(move |next| {
         let cur = last.replace(next)?;
-        let cut = matches!(cur.kind(), TokenKind::Newline)
-            && cur.end == cur.start + 1
-            && next.token.col == 0
-            && next.end > next.start
-            && !matches!(next.kind(), TokenKind::Comment(_));
-        cut.then_some(CutPoint {
-            newline_end: cur.end,
-            at: next.start,
+        let cut = cur.is_real_newline() && next.opens_line();
+        cut.then(|| CutPoint {
+            newline_end: cur.span().1,
+            at: next.span().0,
         })
     })
 }
@@ -219,15 +389,22 @@ impl Indents {
     }
 }
 
-struct Lexer<'a> {
-    text: &'a str,
+/// The lexer over one window of a source, handing each token and its
+/// column to `emit`.
+struct Lexer<'a, E> {
+    /// The window's bytes.
     src: &'a [u8],
+    /// The window's offset in its source.
+    base: usize,
     pos: usize,
-    line: usize,
-    col: usize,
+    line: u32,
+    /// Where the line `pos` is on starts: columns count from here.
+    line_start: usize,
     depth: usize,
     indents: Indents,
-    out: Vec<SpannedToken<'a>>,
+    emit: E,
+    /// The kind of the last token emitted.
+    last: Option<Kind>,
     at_line_start: bool,
     /// Byte offset where the token currently being lexed started.
     token_start: usize,
@@ -239,17 +416,18 @@ struct Lexer<'a> {
     unterminated: bool,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(source: &'a str) -> Self {
+impl<'a, E: FnMut(Lexeme, usize)> Lexer<'a, E> {
+    fn new(src: &'a [u8], base: usize, line: u32, emit: E) -> Self {
         Lexer {
-            text: source,
-            src: source.as_bytes(),
+            src,
+            base,
             pos: 0,
-            line: 1,
-            col: 0,
+            line,
+            line_start: 0,
             depth: 0,
             indents: Indents::new(),
-            out: Vec::with_capacity((source.len() / BYTES_PER_TOKEN + 4).min(MAX_RESERVED_TOKENS)),
+            emit,
+            last: None,
             at_line_start: true,
             token_start: 0,
             clean_eof: false,
@@ -269,23 +447,30 @@ impl<'a> Lexer<'a> {
         let b = self.peek()?;
         self.pos += 1;
         if b == b'\n' {
-            self.line += 1;
-            self.col = 0;
-        } else {
-            self.col += 1;
+            self.line = self.line.saturating_add(1);
+            self.line_start = self.pos;
         }
         Some(b)
     }
 
-    fn push(&mut self, kind: TokenKind<'a>, line: usize, col: usize) {
-        self.out.push(SpannedToken {
-            token: Token { kind, line, col },
-            start: self.token_start.min(self.pos),
-            end: self.pos,
-        });
+    /// The line and column of `pos`.
+    fn here(&self) -> (u32, usize) {
+        (self.line, self.pos - self.line_start)
     }
 
-    fn run(&mut self) -> Vec<SpannedToken<'a>> {
+    /// Emits a token of `kind` from `token_start` to here, starting at
+    /// `(line, column)`.
+    fn push(&mut self, kind: Kind, flags: u8, (line, col): (u32, usize)) {
+        let start = self.token_start.min(self.pos);
+        let flags = flags | if col == 0 { flag::COLUMN_ZERO } else { 0 };
+        let at = |pos| offset(self.base + pos);
+        (self.emit)(Lexeme::new(kind, flags, at(start), at(self.pos), line), col);
+        self.last = Some(kind);
+    }
+
+    /// Lexes the window; true when it ended at a statement boundary (see
+    /// [`WindowLex::ends_at_statement_boundary`]).
+    fn run(mut self) -> bool {
         loop {
             if self.at_line_start && self.depth == 0 && !self.handle_indentation() {
                 // EOF while scanning line starts: a clean exit, unless a
@@ -293,7 +478,7 @@ impl<'a> Lexer<'a> {
                 self.clean_eof = true;
                 break;
             }
-            let (line, col) = (self.line, self.col);
+            let at = self.here();
             self.token_start = self.pos;
             let Some(b) = self.peek() else { break };
             match b {
@@ -301,19 +486,13 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     if self.depth == 0 {
                         // Collapse duplicate newlines.
-                        if !matches!(
-                            self.out.last().map(|t| &t.token.kind),
-                            Some(TokenKind::Newline) | Some(TokenKind::Indent) | None
-                        ) {
-                            self.push(TokenKind::Newline, line, col);
+                        if !matches!(self.last, Some(Kind::NEWLINE | Kind::INDENT) | None) {
+                            self.push(Kind::NEWLINE, 0, at);
                         }
                         self.at_line_start = true;
                     }
                 }
-                b'\r' => {
-                    self.bump();
-                }
-                b' ' | b'\t' => {
+                b'\r' | b' ' | b'\t' => {
                     self.bump();
                 }
                 b'\\' if self.peek2() == Some(b'\n') => {
@@ -322,48 +501,44 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 b'#' => {
-                    let text = self.take_while(|b| b != b'\n');
-                    self.push(TokenKind::Comment(text), line, col);
+                    self.skip_while(|b| b != b'\n');
+                    self.push(Kind::COMMENT, 0, at);
                 }
-                b'"' | b'\'' => self.string("", line, col),
+                b'"' | b'\'' => self.string(0, at),
                 b'0'..=b'9' => {
-                    let text =
-                        self.take_while(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_');
-                    self.push(TokenKind::Number(text), line, col);
+                    self.skip_while(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_');
+                    self.push(Kind::NUMBER, 0, at);
                 }
                 b if b.is_ascii_alphabetic() || b == b'_' || b >= 0x80 => {
-                    let word =
-                        self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80);
+                    self.skip_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80);
                     // String prefix? (r'', b"", f''', rb'' ...) Only a
                     // word of at most two bytes right before a quote can
                     // be one.
+                    let word = &self.src[self.token_start..self.pos];
                     if word.len() <= 2 && matches!(self.peek(), Some(b'"') | Some(b'\'')) {
-                        if let Some(prefix) = STRING_PREFIXES
-                            .into_iter()
-                            .find(|p| p.eq_ignore_ascii_case(word))
+                        if let Some(i) = STRING_PREFIXES
+                            .iter()
+                            .position(|p| p.as_bytes().eq_ignore_ascii_case(word))
                         {
-                            self.string(prefix, line, col);
+                            self.string(i as u8 + 1, at);
                             continue;
                         }
                     }
-                    self.push(TokenKind::Ident(word), line, col);
+                    self.push(Kind::IDENT, 0, at);
                 }
-                _ => self.operator(line, col),
+                _ => self.operator(at),
             }
         }
         // Close out: final newline + remaining dedents.
         self.token_start = self.pos;
-        if !matches!(
-            self.out.last().map(|t| &t.token.kind),
-            Some(TokenKind::Newline) | None
-        ) {
-            self.push(TokenKind::Newline, self.line, self.col);
+        if !matches!(self.last, Some(Kind::NEWLINE) | None) {
+            self.push(Kind::NEWLINE, 0, self.here());
         }
         while self.indents.pop() {
-            self.push(TokenKind::Dedent, self.line, 0);
+            self.push(Kind::DEDENT, 0, (self.line, 0));
         }
-        self.push(TokenKind::Eof, self.line, self.col);
-        std::mem::take(&mut self.out)
+        self.push(Kind::EOF, 0, self.here());
+        self.clean_eof && !self.unterminated
     }
 
     /// Measures leading whitespace and emits INDENT/DEDENT. Returns false
@@ -386,20 +561,15 @@ impl<'a> Lexer<'a> {
             }
             match self.peek() {
                 // Blank or comment-only lines don't affect indentation.
-                Some(b'\n') => {
-                    self.bump();
-                    continue;
-                }
-                Some(b'\r') => {
+                Some(b'\n') | Some(b'\r') => {
                     self.bump();
                     continue;
                 }
                 Some(b'#') => {
-                    let line = self.line;
-                    let col = self.col;
+                    let at = self.here();
                     self.token_start = self.pos;
-                    let text = self.take_while(|b| b != b'\n');
-                    self.push(TokenKind::Comment(text), line, col);
+                    self.skip_while(|b| b != b'\n');
+                    self.push(Kind::COMMENT, 0, at);
                     continue;
                 }
                 None => return false,
@@ -407,20 +577,21 @@ impl<'a> Lexer<'a> {
             }
             self.token_start = self.pos;
             let current = self.indents.top();
+            let line_start = (self.line, 0);
             if width > current {
                 self.indents.push(width);
-                self.push(TokenKind::Indent, self.line, 0);
+                self.push(Kind::INDENT, 0, line_start);
             } else if width < current {
                 // The bottom level is 0 <= width, so this stops above it.
                 while self.indents.top() > width {
                     self.indents.pop();
-                    self.push(TokenKind::Dedent, self.line, 0);
+                    self.push(Kind::DEDENT, 0, line_start);
                 }
                 // Inconsistent dedent (common in mangled malware) — treat
                 // the nearest level as the new one.
                 if self.indents.top() != width {
                     self.indents.push(width);
-                    self.push(TokenKind::Indent, self.line, 0);
+                    self.push(Kind::INDENT, 0, line_start);
                 }
             }
             self.at_line_start = false;
@@ -428,70 +599,63 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Consumes the run of bytes matching `pred` and returns it. Every
-    /// caller's run stops at an ASCII byte or the end of input and
-    /// starts at a character boundary, so the slice is whole characters.
-    fn take_while(&mut self, pred: impl Fn(u8) -> bool) -> &'a str {
-        let start = self.pos;
+    /// Consumes the run of bytes matching `pred`. Every caller's run
+    /// stops at an ASCII byte or the end of input and starts at a
+    /// character boundary, so the span is whole characters.
+    fn skip_while(&mut self, pred: impl Fn(u8) -> bool) {
         while matches!(self.peek(), Some(b) if pred(b)) {
             self.bump();
         }
-        &self.text[start..self.pos]
     }
 
-    fn string(&mut self, prefix: &'static str, line: usize, col: usize) {
+    /// Lexes a string literal whose quote is next; `prefix` is its
+    /// prefix's index in [`STRING_PREFIXES`] plus one, or 0.
+    fn string(&mut self, prefix: u8, at: (u32, usize)) {
         let quote = self.bump().expect("caller checked quote");
         let triple = self.peek() == Some(quote) && self.peek2() == Some(quote);
         if triple {
             self.bump();
             self.bump();
         }
-        let from = self.pos;
+        let raw = STRING_PREFIXES
+            .get(usize::from(prefix).wrapping_sub(1))
+            .is_some_and(|p| p.contains('r'));
         let body = LiteralBody {
             src: self.src,
             quote,
             triple,
-            raw: prefix.contains('r'),
+            raw,
         };
-        // First pass: is the value the source bytes, and if not, how long
-        // is it?
-        let (mut verbatim, mut len) = (true, 0usize);
-        let end = body.scan(from, |piece| match piece {
-            Piece::Byte(b) => {
-                verbatim &= b.is_ascii();
-                len += char::from(b).len_utf8();
-            }
-            Piece::Escape(c) => {
-                verbatim = false;
-                len += c.map_or(0, char::len_utf8);
-            }
+        // Is the value the source bytes? Only then can a reader borrow it.
+        let mut verbatim = true;
+        let end = body.scan(self.pos, |piece| {
+            verbatim &= matches!(piece, Piece::Byte(b) if b.is_ascii());
         });
-        let value = if verbatim {
-            // All ASCII between two ASCII delimiters: a `str` slice.
-            Cow::Borrowed(&self.text[from..end.value_end])
-        } else if len == 0 {
-            Cow::Borrowed("")
-        } else {
-            // Second pass into a buffer of the exact size.
-            let mut value = String::with_capacity(len);
-            body.scan(from, |piece| match piece {
-                Piece::Byte(b) => value.push(char::from(b)),
-                Piece::Escape(c) => value.extend(c),
-            });
-            Cow::Owned(value)
-        };
         // Unterminated — tolerated, but remembered for window relexing:
         // the token absorbed the rest of the input.
         self.unterminated |= end.unterminated;
-        while self.pos < end.end {
-            self.bump();
+        let literal = &self.src[self.pos..end.end];
+        if let Some(last) = literal.iter().rposition(|&b| b == b'\n') {
+            self.line = self.line.saturating_add(offset(count_newlines(literal)));
+            self.line_start = self.pos + last + 1;
         }
-        self.push(TokenKind::Str { value, prefix }, line, col);
+        self.pos = end.end;
+        let mut flags = prefix;
+        if triple {
+            flags |= flag::TRIPLE;
+        }
+        if !end.unterminated && end.value_end < end.end {
+            flags |= flag::CLOSED;
+        }
+        if !verbatim {
+            flags |= flag::DECODED;
+        }
+        self.push(Kind::STR, flags, at);
     }
 
     /// Lexes one operator at `pos`. The caller has ruled out newlines,
     /// whitespace, quotes, digits, identifier bytes and bytes >= 0x80.
-    fn operator(&mut self, line: usize, col: usize) {
+    fn operator(&mut self, at: (u32, usize)) {
         let rest = &self.src[self.pos..];
         let b = rest[0];
         // Only these bytes begin an entry of `OPERATORS`; brackets, commas
@@ -515,26 +679,27 @@ impl<'a> Lexer<'a> {
         ) {
             OPERATORS
                 .iter()
-                .copied()
-                .find(|op| rest.starts_with(op.as_bytes()))
+                .position(|op| rest.starts_with(op.as_bytes()))
         } else {
             None
         };
-        let op = multi.unwrap_or_else(|| &ASCII[usize::from(b)..usize::from(b) + 1]);
+        let (kind, len) = match multi {
+            Some(i) => (Kind::multi(i), OPERATORS[i].len()),
+            None => (Kind(b), 1),
+        };
         match b {
             b'(' | b'[' | b'{' => self.depth += 1,
             b')' | b']' | b'}' => self.depth = self.depth.saturating_sub(1),
             _ => {}
         }
         // No operator contains a newline, so the line stays put.
-        self.pos += op.len();
-        self.col += op.len();
-        self.push(TokenKind::Op(op), line, col);
+        self.pos += len;
+        self.push(kind, 0, at);
     }
 }
 
 /// One piece of a string literal's value, in body order.
-enum Piece {
+pub(crate) enum Piece {
     /// A source byte that stands for itself. It is appended byte-as-char,
     /// so a byte >= 0x80 becomes U+0080..U+00FF (ROADMAP item 4).
     Byte(u8),
@@ -542,8 +707,26 @@ enum Piece {
     Escape(Option<char>),
 }
 
+impl Piece {
+    /// The piece's length in the value.
+    pub(crate) fn len_utf8(&self) -> usize {
+        match *self {
+            Piece::Byte(b) => char::from(b).len_utf8(),
+            Piece::Escape(c) => c.map_or(0, char::len_utf8),
+        }
+    }
+
+    /// Appends the piece to a value.
+    pub(crate) fn push_to(&self, value: &mut String) {
+        match *self {
+            Piece::Byte(b) => value.push(char::from(b)),
+            Piece::Escape(c) => value.extend(c),
+        }
+    }
+}
+
 /// Where a literal's body stopped.
-struct BodyEnd {
+pub(crate) struct BodyEnd {
     /// One past the value's last byte: the closing quote, the newline
     /// ending an unterminated single-quoted literal, or end of input.
     value_end: usize,
@@ -554,17 +737,17 @@ struct BodyEnd {
 }
 
 /// The body of one string literal: the bytes after its opening quotes.
-struct LiteralBody<'a> {
-    src: &'a [u8],
-    quote: u8,
-    triple: bool,
-    raw: bool,
+pub(crate) struct LiteralBody<'a> {
+    pub(crate) src: &'a [u8],
+    pub(crate) quote: u8,
+    pub(crate) triple: bool,
+    pub(crate) raw: bool,
 }
 
 impl LiteralBody<'_> {
     /// Scans from `pos`, handing each piece of the value to `emit`. Pure
     /// over the bytes, so a second scan emits the same pieces.
-    fn scan(&self, mut pos: usize, mut emit: impl FnMut(Piece)) -> BodyEnd {
+    pub(crate) fn scan(&self, mut pos: usize, mut emit: impl FnMut(Piece)) -> BodyEnd {
         let (quote, src) = (self.quote, self.src);
         let stop = |value_end, end, unterminated| BodyEnd {
             value_end,
@@ -622,6 +805,8 @@ impl LiteralBody<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::borrow::Cow;
+
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind<'_>> {
@@ -834,10 +1019,60 @@ mod tests {
         }
     }
 
+    /// The rendered tokens of a window relex.
+    fn window(src: &str, start: usize, end: usize) -> Vec<SpannedToken<'_>> {
+        render(src, &lex_window(src, start, end).tokens)
+    }
+
     #[test]
     fn lex_window_over_the_whole_source_is_lex_spanned() {
         let src = "import os\n\ndef f(a):\n    return a\n\nx = f(1)\n";
-        assert_eq!(lex_window(src, 0, src.len()).tokens, lex_spanned(src));
+        assert_eq!(window(src, 0, src.len()), lex_spanned(src));
+        assert_eq!(render(src, &lex(src)), lex_spanned(src));
+    }
+
+    #[test]
+    fn a_source_past_the_offset_limit_lexes_as_its_prefix() {
+        assert_eq!(lexable("a\u{e9}b", 2), "a");
+        assert_eq!(lexable("a\u{e9}b", 3), "a\u{e9}");
+        assert_eq!(lexable("ab", 9), "ab");
+        // Offsets past the limit saturate rather than wrap.
+        let mut tokens = Vec::new();
+        Lexer::new(b"x = 1\n", MAX_SOURCE - 2, 7, |t, _| tokens.push(t)).run();
+        assert_eq!((tokens[0].start, tokens[0].line), (u32::MAX - 2, 7));
+        assert!(tokens[1..]
+            .iter()
+            .all(|t| t.start == u32::MAX && t.end == u32::MAX));
+    }
+
+    #[test]
+    fn lexemes_read_their_text_and_values_back_from_the_source() {
+        let src = "x = rb'pay\\load' + '\u{2014}' + \"\"\"t\"\"\" + 'open";
+        let tokens = lex(src);
+        let strs: Vec<&Lexeme> = tokens.iter().filter(|t| t.kind == Kind::STR).collect();
+        let got: Vec<(&str, &str, String, bool)> = strs
+            .iter()
+            .map(|t| {
+                (
+                    t.text(src),
+                    t.prefix(),
+                    t.value(src).into_owned(),
+                    t.is_decoded(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("rb'pay\\load'", "rb", "pay\\load".to_owned(), false),
+                ("'\u{2014}'", "", "\u{e2}\u{80}\u{94}".to_owned(), true),
+                ("\"\"\"t\"\"\"", "", "t".to_owned(), false),
+                ("'open", "", "open".to_owned(), false),
+            ]
+        );
+        assert_eq!(tokens[0].kind, Kind::IDENT);
+        assert_eq!(tokens[1].kind, Kind::op("="));
+        assert_eq!(tokens[1].kind.op_text(), Some("="));
     }
 
     #[test]
@@ -866,7 +1101,7 @@ mod tests {
                 .position(|t| t.start == cut.at)
                 .expect("a token starts at every cut point");
             assert_eq!(
-                lex_window(src, cut.at, src.len()).tokens,
+                window(src, cut.at, src.len()),
                 full[from..],
                 "suffix relex diverged at offset {}",
                 cut.at
@@ -888,21 +1123,12 @@ mod tests {
         let (start, stop) = (old[1], old[2]);
         assert_eq!(&v1[start.at..stop.at], "A = 'one'\n");
         let delta = v2.len() - v1.len();
-        let marker = |kind, start| SpannedToken {
-            token: Token {
-                kind,
-                line: 0,
-                col: 0,
-            },
-            start,
-            end: start + 1,
-        };
         let mut window = lex_window(v2, start.at, stop.at + delta).tokens;
-        assert_eq!(window.pop().map(|t| t.token.kind), Some(TokenKind::Eof));
-        window.insert(0, marker(TokenKind::Newline, start.newline_end - 1));
-        window.push(marker(TokenKind::Op("."), stop.at + delta));
+        assert_eq!(window.pop().map(|t| t.kind), Some(Kind::EOF));
+        window.insert(0, Lexeme::stand_in(Kind::NEWLINE, start.newline_end - 1));
+        window.push(Lexeme::stand_in(Kind::op("."), stop.at + delta));
         let mut spliced = old[..1].to_vec();
-        spliced.extend(cut_points(&window));
+        spliced.extend(cut_points(window.iter()));
         spliced.extend(old[3..].iter().map(|c| CutPoint {
             newline_end: c.newline_end + delta,
             at: c.at + delta,
@@ -937,6 +1163,7 @@ mod tests {
         let full = lex_spanned(src);
         let w = lex_window(src, 6, 12);
         assert!(w.ends_at_statement_boundary);
+        let tokens = render(src, &w.tokens);
         let expected: Vec<SpannedToken> = full
             .iter()
             .filter(|t| t.start >= 6 && t.end <= 12 && t.end > t.start)
@@ -944,8 +1171,7 @@ mod tests {
             .collect();
         // The window's content tokens (everything but the close-out EOF)
         // are exactly the full lex's tokens over those bytes.
-        let content: Vec<SpannedToken> = w
-            .tokens
+        let content: Vec<SpannedToken> = tokens
             .iter()
             .filter(|t| !matches!(t.kind(), TokenKind::Eof))
             .cloned()

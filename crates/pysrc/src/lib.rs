@@ -7,9 +7,10 @@
 //! needs a Python lexer (§V-A implements it with Python's `tokenize`
 //! module). This crate provides all three from scratch:
 //!
-//! * [`lex_spanned`] — an indentation-aware tokenizer (strings, comments,
+//! * [`lex`] — an indentation-aware tokenizer (strings, comments,
 //!   triple quotes, line continuations, INDENT/DEDENT synthesis) whose
-//!   tokens carry their byte spans.
+//!   [`Lexeme`]s carry their byte spans; [`lex_spanned`] renders them with
+//!   their text as [`SpannedToken`]s for source-to-source rewriters.
 //! * [`lex_window`] — relexes one byte range in full-source coordinates
 //!   (the whole source is the window at offset 0), the primitive every
 //!   artifact build runs on, and [`cut_points`] — the offsets of a token
@@ -17,7 +18,7 @@
 //!   stream a later splice reads.
 //! * [`parse_tokens`] — the parser's front door: a tolerant, lightweight
 //!   parser producing a statement/expression tree sufficient for pattern
-//!   matching, over a [`SpannedToken`] slice it borrows, so a caller that
+//!   matching, over a [`Lexeme`] slice it borrows, so a caller that
 //!   holds the tokens lexes once. Unparsable lines degrade to
 //!   [`Stmt::Other`] instead of failing: rule scanning must survive
 //!   obfuscated or broken malware code. [`parse_module`] is the
@@ -25,30 +26,31 @@
 //!   [`parse_spliced`] parses a relexed window between the statements of
 //!   a previous version of the file.
 //! * Call/import/string collectors used by the analyzers.
-//! * [`intern_strings`] — a deduplicated string-literal table built from
-//!   the spanned token stream, the literal view that per-file analysis
-//!   artifacts carry for decoded-layer extraction;
-//!   [`StringTable::spliced`] derives an edited file's table from its
-//!   predecessor's and the relexed window (from the empty table and the
-//!   whole stream it is `intern_strings`).
+//! * [`StringTable::of`] — a deduplicated string-literal table built from
+//!   the token stream, the literal view that per-file analysis artifacts
+//!   carry for decoded-layer extraction; [`StringTable::spliced`] derives
+//!   an edited file's table from its predecessor's and the relexed window
+//!   (from the empty table and the whole stream it is `StringTable::of`),
+//!   and [`intern_strings`] builds it from rendered tokens.
 //!
 //! # The tree borrows by span
 //!
-//! A [`SpannedToken<'src>`](SpannedToken) points into the text it was
-//! lexed from: identifiers, numbers and comments are `&'src str`,
-//! operators and string prefixes `&'static str` from the lexer's tables.
-//! A lex therefore makes one allocation, its token vector, plus one per
-//! string literal that owns its value: [`TokenKind::Str`] holds a
-//! `Cow<'src, str>` that is owned only when the value differs from the
-//! source bytes — a processed escape (`\n`, `\'`, a line continuation),
-//! or a byte >= 0x80, which the lexer still appends byte-as-char (`'—'`
-//! lexes to `"â\u{80}\u{94}"`) until ROADMAP item 4 fixes that in its
-//! own PR. On the tiny corpus and its mutants 1 036 of 21 987 literals
-//! own their value.
+//! A [`Lexeme`] is 16 bytes of plain data: a [`Kind`] code (one per
+//! operator, plus identifier, number, string, comment, NEWLINE, INDENT,
+//! DEDENT and EOF), a few flag bits, `u32` start and end offsets and a
+//! `u32` line. Its text is read back from the source it was lexed from,
+//! `&source[start..end]`. A string's value is the bytes between its
+//! quotes unless a flag says it differs from them — a processed escape
+//! (`\n`, `\'`, a line continuation), or a byte >= 0x80, which is still
+//! read byte-as-char (`'—'` reads `"â\u{80}\u{94}"`) until ROADMAP item 4
+//! fixes that in its own PR; only then is it decoded from the span
+//! ([`Lexeme::value`]); on the tiny corpus and its mutants 1 036 of
+//! 21 987 literals own a decoded value. The lexer writes into a token
+//! buffer its thread keeps between lexes, so a warm lex allocates nothing.
 //!
 //! The tree keeps the same discipline one level up. A [`Module`] copies
 //! its text once and its nodes hold [`Span`]s into it; it owns text only
-//! for a literal the lexer owns, for adjacent literals it concatenates
+//! for a decoded literal, for adjacent literals it concatenates
 //! and for what degrades to `Other`, all in one side buffer. Nor is the
 //! tree boxed: its statements, expressions, call arguments and the rest
 //! are a few arrays, its nodes name each other by index, and the parser
@@ -57,7 +59,8 @@
 //! [`LineIndex`] and a handful of buffers — not per node, and
 //! [`parse_spliced`] sets a relexed window's statements between a
 //! previous version's by copying slices of its arrays. The interner
-//! copies each distinct literal into the string table.
+//! decodes each decoded literal into a buffer it reuses and copies each
+//! distinct value into the string table.
 //!
 //! # Examples
 //!
@@ -80,10 +83,12 @@ pub use ast::{
     Arg, Donor, Expr, ExprId, Header, ImportedName, LineIndex, Literal, Module, Run, Span, Stmt,
     StmtId, Suite,
 };
-pub use lexer::{cut_points, lex_spanned, lex_window, CutPoint, WindowLex};
+pub use lexer::{
+    cut_points, lex, lex_spanned, lex_window, render, CutPoint, CutToken, Lexemes, WindowLex,
+};
 pub use parser::{parse_module, parse_spliced, parse_tokens};
 pub use strings::{intern_strings, StringRef, StringTable};
-pub use token::{is_keyword, SpannedToken, Token, TokenKind, KEYWORDS};
+pub use token::{is_keyword, Kind, Lexeme, SpannedToken, Token, TokenKind, KEYWORDS};
 
 /// Collects every call expression in the module, depth-first. Block
 /// headers are not descended into: only the taint engine reads them.

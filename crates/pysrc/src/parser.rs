@@ -3,20 +3,19 @@
 use std::cell::Cell;
 
 use crate::ast::{
-    offset, Arg, Counts, Donor, Expr, ExprId, Header, ImportedName, Literal, Module, Nodes, Run,
-    Span, Stmt,
+    Arg, Counts, Donor, Expr, ExprId, Header, ImportedName, Literal, Module, Nodes, Run, Span, Stmt,
 };
-use crate::lexer::lex_spanned;
-use crate::token::{SpannedToken, Token, TokenKind};
+use crate::lexer::lex;
+use crate::token::{Kind, Lexeme};
 
 /// Parses Python `source` into a [`Module`]: [`parse_tokens`] over one
-/// [`lex_spanned`] pass.
+/// [`lex`] pass.
 ///
 /// Never fails: statements the parser doesn't understand are preserved as
 /// [`Stmt::Other`] nodes carrying reconstructed text, so downstream
 /// matchers always see the full file.
 pub fn parse_module(source: &str) -> Module {
-    parse_tokens(source, &lex_spanned(source))
+    parse_tokens(source, &lex(source))
 }
 
 /// Parses tokens lexed from `text`, in place, into a [`Module`] over a
@@ -24,10 +23,10 @@ pub fn parse_module(source: &str) -> Module {
 ///
 /// This is the parser's front door: a caller that holds the tokens lends
 /// them and pays no second lex. Same tolerance guarantees as
-/// [`parse_module`]. A stream that does not end in [`TokenKind::Eof`] is
+/// [`parse_module`]. A stream that does not end in [`Kind::EOF`] is
 /// read as if one followed at the last token. [`parse_spliced`] with no
 /// donor.
-pub fn parse_tokens(text: &str, tokens: &[SpannedToken<'_>]) -> Module {
+pub fn parse_tokens(text: &str, tokens: &[Lexeme]) -> Module {
     parse_spliced(text, tokens, None)
 }
 
@@ -42,9 +41,8 @@ pub fn parse_tokens(text: &str, tokens: &[SpannedToken<'_>]) -> Module {
 /// (see [`crate::Module`]). A parse therefore allocates the module's copy
 /// of `text`, its [`crate::LineIndex`], and one buffer per non-empty
 /// array; owned literal values and `Other` renderings share one of them.
-pub fn parse_spliced(text: &str, tokens: &[SpannedToken<'_>], donor: Option<Donor<'_>>) -> Module {
-    let eof = sentinel(tokens);
-    let mut p = Parser::new(text, tokens, &eof);
+pub fn parse_spliced(text: &str, tokens: &[Lexeme], donor: Option<Donor<'_>>) -> Module {
+    let mut p = Parser::new(text, tokens);
     p.b = SCRATCH.take();
     p.statements(/*stop_at_dedent=*/ false);
     let module = Module::assemble(text, (&p.b.nodes, &p.b.marks), donor);
@@ -97,24 +95,15 @@ thread_local! {
 }
 
 /// A builder that grew past this many bytes is freed after its parse
-/// rather than kept: one hostile file must not pin its tree's memory.
-const MAX_KEPT_SCRATCH: usize = 4 << 20;
+/// rather than kept: one hostile file must not pin its tree's memory. The
+/// lexer's token buffer is kept under the same limit.
+pub(crate) const MAX_KEPT_SCRATCH: usize = 4 << 20;
 
 /// An EOF token at the last token of `tokens`, read once a parser passes
 /// their end.
-fn sentinel<'src>(tokens: &[SpannedToken<'src>]) -> SpannedToken<'src> {
-    let (line, col, at) = tokens
-        .last()
-        .map_or((1, 0, 0), |t| (t.token.line, t.token.col, t.start));
-    SpannedToken {
-        token: Token {
-            kind: TokenKind::Eof,
-            line,
-            col,
-        },
-        start: at,
-        end: at,
-    }
+fn sentinel(tokens: &[Lexeme]) -> Lexeme {
+    let (line, at) = tokens.last().map_or((1, 0), |t| (t.line, t.start));
+    Lexeme::new(Kind::EOF, 0, at, at, line)
 }
 
 /// Maximum nesting of indented blocks before the parser degrades the
@@ -138,12 +127,30 @@ const BLOCK_KEYWORDS: [&str; 9] = [
 /// Keywords kept as [`Expr::BinOp`] operators.
 const WORD_OPS: [&str; 5] = ["and", "or", "in", "is", "not"];
 
+/// The operator kinds the parser reads.
+const LPAR: Kind = Kind::op("(");
+const RPAR: Kind = Kind::op(")");
+const LSQB: Kind = Kind::op("[");
+const RSQB: Kind = Kind::op("]");
+const LBRACE: Kind = Kind::op("{");
+const RBRACE: Kind = Kind::op("}");
+const DOT: Kind = Kind::op(".");
+const COMMA: Kind = Kind::op(",");
+const COLON: Kind = Kind::op(":");
+const EQUAL: Kind = Kind::op("=");
+const STAR: Kind = Kind::op("*");
+const DOUBLE_STAR: Kind = Kind::op("**");
+const AT: Kind = Kind::op("@");
+const MINUS: Kind = Kind::op("-");
+const PLUS: Kind = Kind::op("+");
+const TILDE: Kind = Kind::op("~");
+
 /// A cursor over a borrowed token slice of `text`.
-struct Parser<'a, 'src> {
+struct Parser<'a> {
     text: &'a str,
-    tokens: &'a [SpannedToken<'src>],
+    tokens: &'a [Lexeme],
     /// Sticky sentinel read once `pos` passes the slice.
-    eof: &'a SpannedToken<'src>,
+    eof: Lexeme,
     pos: usize,
     block_depth: usize,
     expr_depth: usize,
@@ -155,32 +162,40 @@ struct Parser<'a, 'src> {
     b: Builder,
 }
 
-fn span(t: &SpannedToken<'_>) -> Span {
-    Span::new(t.start, t.end)
+fn span(t: Lexeme) -> Span {
+    Span {
+        start: t.start,
+        end: t.end,
+    }
 }
 
 /// The span from the first of `tokens` to the last; empty at `at` when
 /// there are none.
-fn covering(tokens: &[SpannedToken<'_>], at: usize) -> Span {
+fn covering(tokens: &[Lexeme], at: u32) -> Span {
     let (first, last) = (tokens.first(), tokens.last());
-    Span::new(first.map_or(at, |t| t.start), last.map_or(at, |t| t.end))
+    Span {
+        start: first.map_or(at, |t| t.start),
+        end: last.map_or(at, |t| t.end),
+    }
 }
 
-fn is_bracket(kind: &TokenKind<'_>) -> bool {
-    matches!(kind, TokenKind::Op("(" | "[" | "{" | ")" | "]" | "}"))
+fn is_bracket(kind: Kind) -> bool {
+    matches!(kind, LPAR | LSQB | LBRACE | RPAR | RSQB | RBRACE)
 }
 
 /// `+=`, `//=`, ... (and `:=`): an operator that makes an assignment.
-fn is_augmented(op: &str) -> bool {
-    op.ends_with('=') && op.len() >= 2 && !matches!(op, "==" | "!=" | ">=" | "<=")
+fn is_augmented(kind: Kind) -> bool {
+    kind.op_text().is_some_and(|op| {
+        op.ends_with('=') && op.len() >= 2 && !matches!(op, "==" | "!=" | ">=" | "<=")
+    })
 }
 
-impl<'a, 'src> Parser<'a, 'src> {
-    fn new(text: &'a str, tokens: &'a [SpannedToken<'src>], eof: &'a SpannedToken<'src>) -> Self {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str, tokens: &'a [Lexeme]) -> Self {
         Parser {
             text,
             tokens,
-            eof,
+            eof: sentinel(tokens),
             pos: 0,
             block_depth: 0,
             expr_depth: 0,
@@ -229,15 +244,21 @@ impl<'a, 'src> Parser<'a, 'src> {
         self.push(Expr::Other(text))
     }
 
-    fn peek(&self) -> &'a TokenKind<'src> {
-        self.peek_token().kind()
+    fn peek(&self) -> Kind {
+        self.peek_token().kind
     }
 
-    fn peek_token(&self) -> &'a SpannedToken<'src> {
-        self.tokens.get(self.pos).unwrap_or(self.eof)
+    fn peek_token(&self) -> Lexeme {
+        self.tokens.get(self.pos).copied().unwrap_or(self.eof)
     }
 
-    fn bump(&mut self) -> &'a SpannedToken<'src> {
+    /// The next token's text, when it is an identifier.
+    fn peek_ident(&self) -> Option<&'a str> {
+        let t = self.peek_token();
+        (t.kind == Kind::IDENT).then(|| t.text(self.text))
+    }
+
+    fn bump(&mut self) -> Lexeme {
         let t = self.peek_token();
         if self.pos < self.tokens.len() {
             self.pos += 1;
@@ -248,11 +269,11 @@ impl<'a, 'src> Parser<'a, 'src> {
     /// An empty span at the next token: where a missing name would be.
     fn nothing(&self) -> Span {
         let at = self.peek_token().start;
-        Span::new(at, at)
+        Span { start: at, end: at }
     }
 
-    fn eat_op(&mut self, op: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Op(o) if *o == op) {
+    fn eat_op(&mut self, op: Kind) -> bool {
+        if self.peek() == op {
             self.bump();
             true
         } else {
@@ -261,11 +282,11 @@ impl<'a, 'src> Parser<'a, 'src> {
     }
 
     fn at_eof(&self) -> bool {
-        matches!(self.peek(), TokenKind::Eof)
+        self.peek() == Kind::EOF
     }
 
     fn skip_newlines_and_comments(&mut self) {
-        while matches!(self.peek(), TokenKind::Newline | TokenKind::Comment(_)) {
+        while matches!(self.peek(), Kind::NEWLINE | Kind::COMMENT) {
             self.bump();
         }
     }
@@ -278,12 +299,12 @@ impl<'a, 'src> Parser<'a, 'src> {
             self.skip_newlines_and_comments();
             let kind = self.peek();
             match kind {
-                TokenKind::Eof => break,
-                TokenKind::Dedent if stop_at_dedent => {
+                Kind::EOF => break,
+                Kind::DEDENT if stop_at_dedent => {
                     self.bump();
                     break;
                 }
-                TokenKind::Dedent => {
+                Kind::DEDENT => {
                     // Stray dedent at top level (inconsistent input).
                     self.bump();
                     continue;
@@ -294,7 +315,7 @@ impl<'a, 'src> Parser<'a, 'src> {
                 let mark = self.mark();
                 self.b.marks.push(mark);
             }
-            if !matches!(kind, TokenKind::Indent) {
+            if kind != Kind::INDENT {
                 self.statement();
                 continue;
             }
@@ -306,10 +327,10 @@ impl<'a, 'src> Parser<'a, 'src> {
             let body = self.indented_body();
             self.b.nodes.stmts[at] = Stmt::Block {
                 keyword: "",
-                header: Span::new(start, start),
+                header: Span { start, end: start },
                 parsed: None,
                 body,
-                start: offset(start),
+                start,
             };
         }
     }
@@ -333,9 +354,9 @@ impl<'a, 'src> Parser<'a, 'src> {
     }
 
     fn stmt(&mut self) -> Stmt {
-        let start = offset(self.peek_token().start);
-        if let TokenKind::Ident(word) = self.peek() {
-            match *word {
+        let start = self.peek_token().start;
+        if let Some(word) = self.peek_ident() {
+            match word {
                 "import" => return self.import_stmt(start),
                 "from" => return self.parse_from_import(start),
                 "def" => return self.def_stmt(start),
@@ -345,10 +366,10 @@ impl<'a, 'src> Parser<'a, 'src> {
                     // `async def` / `with` / `for` — consume the marker and
                     // parse the synchronous form.
                     self.bump();
-                    return match self.peek() {
-                        TokenKind::Ident("def") => self.def_stmt(start),
-                        TokenKind::Ident("with") => self.block_stmt("with", start),
-                        TokenKind::Ident("for") => self.block_stmt("for", start),
+                    return match self.peek_ident() {
+                        Some("def") => self.def_stmt(start),
+                        Some("with") => self.block_stmt("with", start),
+                        Some("for") => self.block_stmt("for", start),
                         _ => self.block_stmt("async", start),
                     };
                 }
@@ -363,26 +384,26 @@ impl<'a, 'src> Parser<'a, 'src> {
                     return Stmt::Other { text, start };
                 }
                 _ => {
-                    if let Some(keyword) = BLOCK_KEYWORDS.iter().find(|k| *k == word) {
+                    if let Some(keyword) = BLOCK_KEYWORDS.iter().find(|k| **k == word) {
                         return self.block_stmt(keyword, start);
                     }
                 }
             }
         }
-        if matches!(self.peek(), TokenKind::Op("@")) {
+        if self.peek() == AT {
             // Decorator — record as Other and continue.
             let text = self.line_text();
             return Stmt::Other { text, start };
         }
         // Expression or assignment.
         let expr = self.expression();
-        if matches!(self.peek(), TokenKind::Op("=")) {
+        if self.peek() == EQUAL {
             let base = self.b.exprs.len();
             self.b.exprs.push(expr);
             let mut value = None;
-            while self.eat_op("=") {
+            while self.eat_op(EQUAL) {
                 let next = self.expression();
-                if matches!(self.peek(), TokenKind::Op("=")) {
+                if self.peek() == EQUAL {
                     self.b.exprs.push(next);
                 } else {
                     value = Some(next);
@@ -401,7 +422,7 @@ impl<'a, 'src> Parser<'a, 'src> {
             };
         }
         // Augmented assignment — keep RHS as the value.
-        if matches!(self.peek(), TokenKind::Op(o) if is_augmented(o)) {
+        if is_augmented(self.peek()) {
             self.bump();
             let value = self.expression();
             self.finish_line(None);
@@ -419,11 +440,11 @@ impl<'a, 'src> Parser<'a, 'src> {
 
     /// After an `as`: the alias name, if one follows.
     fn alias(&mut self) -> Option<Span> {
-        if !matches!(self.peek(), TokenKind::Ident("as")) {
+        if self.peek_ident() != Some("as") {
             return None;
         }
         self.bump();
-        let alias = matches!(self.peek(), TokenKind::Ident(_)).then(|| span(self.peek_token()));
+        let alias = (self.peek() == Kind::IDENT).then(|| span(self.peek_token()));
         self.bump();
         alias
     }
@@ -440,7 +461,7 @@ impl<'a, 'src> Parser<'a, 'src> {
             // of the file binds, and taint alias resolution needs it.
             let alias = self.alias();
             self.b.nodes.imports.push(ImportedName { path, alias });
-            if !self.eat_op(",") {
+            if !self.eat_op(COMMA) {
                 break;
             }
         }
@@ -455,20 +476,20 @@ impl<'a, 'src> Parser<'a, 'src> {
         self.bump(); // 'from'
         let module = self.dotted_name();
         let first = self.b.nodes.imports.len();
-        if matches!(self.peek(), TokenKind::Ident("import")) {
+        if self.peek_ident() == Some("import") {
             self.bump();
-            let parenthesized = self.eat_op("(");
+            let parenthesized = self.eat_op(LPAR);
             loop {
                 match self.peek() {
-                    TokenKind::Ident(_) => {
+                    Kind::IDENT => {
                         let path = span(self.bump());
                         let alias = self.alias();
                         self.b.nodes.imports.push(ImportedName { path, alias });
-                        if !self.eat_op(",") {
+                        if !self.eat_op(COMMA) {
                             break;
                         }
                     }
-                    TokenKind::Op("*") => {
+                    STAR => {
                         let path = span(self.bump());
                         let star = ImportedName { path, alias: None };
                         self.b.nodes.imports.push(star);
@@ -478,7 +499,7 @@ impl<'a, 'src> Parser<'a, 'src> {
                 }
             }
             if parenthesized {
-                self.eat_op(")");
+                self.eat_op(RPAR);
             }
         }
         self.finish_line(None);
@@ -493,9 +514,9 @@ impl<'a, 'src> Parser<'a, 'src> {
     /// next; a trailing dot is consumed but not covered).
     fn dotted_name(&mut self) -> Span {
         let mut path = self.nothing();
-        while let TokenKind::Ident(_) = self.peek() {
-            path.end = span(self.bump()).end;
-            if !self.eat_op(".") {
+        while self.peek() == Kind::IDENT {
+            path.end = self.bump().end;
+            if !self.eat_op(DOT) {
                 break;
             }
         }
@@ -505,7 +526,7 @@ impl<'a, 'src> Parser<'a, 'src> {
     /// The name after `def` / `class`, or an empty span.
     fn name(&mut self) -> Span {
         match self.peek() {
-            TokenKind::Ident(_) => span(self.bump()),
+            Kind::IDENT => span(self.bump()),
             _ => self.nothing(),
         }
     }
@@ -514,15 +535,15 @@ impl<'a, 'src> Parser<'a, 'src> {
         self.bump(); // 'def'
         let name = self.name();
         let first = self.b.nodes.names.len();
-        if self.eat_op("(") {
+        if self.eat_op(LPAR) {
             let mut depth = 1usize;
             let mut expect_param = true;
             while depth > 0 && !self.at_eof() {
                 match self.peek() {
-                    TokenKind::Op("(" | "[" | "{") => depth += 1,
-                    TokenKind::Op(")" | "]" | "}") => depth -= 1,
-                    TokenKind::Op(",") if depth == 1 => expect_param = true,
-                    TokenKind::Ident(_) if depth == 1 && expect_param => {
+                    LPAR | LSQB | LBRACE => depth += 1,
+                    RPAR | RSQB | RBRACE => depth -= 1,
+                    COMMA if depth == 1 => expect_param = true,
+                    Kind::IDENT if depth == 1 && expect_param => {
                         let param = span(self.peek_token());
                         self.b.nodes.names.push(param);
                         expect_param = false;
@@ -546,14 +567,14 @@ impl<'a, 'src> Parser<'a, 'src> {
         self.bump(); // 'class'
         let name = self.name();
         let first = self.b.nodes.names.len();
-        if self.eat_op("(") {
+        if self.eat_op(LPAR) {
             while !self.at_eof() {
                 match self.peek() {
-                    TokenKind::Op(")") => {
+                    RPAR => {
                         self.bump();
                         break;
                     }
-                    TokenKind::Op(",") => {
+                    COMMA => {
                         self.bump();
                     }
                     _ => {
@@ -579,7 +600,7 @@ impl<'a, 'src> Parser<'a, 'src> {
 
     fn return_stmt(&mut self, start: u32) -> Stmt {
         self.bump(); // 'return'
-        let value = if matches!(self.peek(), TokenKind::Newline | TokenKind::Eof) {
+        let value = if matches!(self.peek(), Kind::NEWLINE | Kind::EOF) {
             None
         } else {
             Some(self.expression())
@@ -593,7 +614,7 @@ impl<'a, 'src> Parser<'a, 'src> {
         let rest = &self.tokens[self.pos..];
         let tokens = &rest[..header_len(rest)];
         self.pos += tokens.len();
-        self.eat_op(":");
+        self.eat_op(COLON);
         let header = covering(tokens, after);
         let parsed = match self.in_header {
             true => None,
@@ -610,11 +631,14 @@ impl<'a, 'src> Parser<'a, 'src> {
     }
 
     /// The taint engine's reading of a block header (see [`Header`]).
-    fn header(&mut self, keyword: &str, tokens: &[SpannedToken<'src>]) -> Option<Header> {
+    fn header(&mut self, keyword: &str, tokens: &'a [Lexeme]) -> Option<Header> {
+        let text = self.text;
         let cut = |word: &str, i: &usize| {
+            let t = tokens[*i];
             *i > 0
-                && matches!(tokens[*i].kind(), TokenKind::Ident(w) if *w == word)
-                && tokens.get(i + 1).is_some_and(|t| !is_bracket(t.kind()))
+                && t.kind == Kind::IDENT
+                && t.text(text) == word
+                && tokens.get(i + 1).is_some_and(|t| !is_bracket(t.kind))
         };
         let (value, target) = match keyword {
             "for" => {
@@ -639,10 +663,9 @@ impl<'a, 'src> Parser<'a, 'src> {
     /// is an expression statement, else their rendering as
     /// [`Expr::Other`]. The statement itself is not kept, nor is anything
     /// parsed for it outside that expression.
-    fn header_expr(&mut self, tokens: &[SpannedToken<'src>]) -> ExprId {
+    fn header_expr(&mut self, tokens: &[Lexeme]) -> ExprId {
         let mark = self.mark();
-        let eof = sentinel(tokens);
-        let mut p = Parser::new(self.text, tokens, &eof);
+        let mut p = Parser::new(self.text, tokens);
         p.in_header = true;
         p.b = std::mem::take(&mut self.b);
         p.skip_newlines_and_comments();
@@ -662,8 +685,8 @@ impl<'a, 'src> Parser<'a, 'src> {
                 self.b.nodes.stmts.truncate(mark.stmts as usize);
                 value
             }
-            None => self.other(mark, |_, text| {
-                write_tokens(tokens, text);
+            None => self.other(mark, |p, text| {
+                write_tokens(p.text, tokens, text);
                 trim(text);
             }),
         }
@@ -688,7 +711,7 @@ impl<'a, 'src> Parser<'a, 'src> {
     /// already-consumed INDENT, reconstructing the text so the block stays
     /// visible to string-level matchers.
     fn skip_block_as_other(&mut self) {
-        let start = offset(self.peek_token().start);
+        let start = self.peek_token().start;
         let text = self.rendered(self.mark(), |p, text| p.render_block(text));
         self.b.nodes.stmts.push(Stmt::Other { text, start });
     }
@@ -697,10 +720,10 @@ impl<'a, 'src> Parser<'a, 'src> {
     fn render_block(&mut self, text: &mut String) {
         let mut depth = 1usize;
         while !self.at_eof() {
-            let kind = self.peek();
-            match kind {
-                TokenKind::Indent => depth += 1,
-                TokenKind::Dedent => {
+            let token = self.peek_token();
+            match token.kind {
+                Kind::INDENT => depth += 1,
+                Kind::DEDENT => {
                     depth -= 1;
                     if depth == 0 {
                         self.bump();
@@ -711,11 +734,11 @@ impl<'a, 'src> Parser<'a, 'src> {
             }
             // Bound the reconstruction: past 64 KiB the text is noise.
             if text.len() < 64 * 1024 {
-                let empty = matches!(kind, TokenKind::Indent | TokenKind::Dedent);
+                let empty = matches!(token.kind, Kind::INDENT | Kind::DEDENT);
                 if !empty && !text.ends_with([' ', '\n']) && !text.is_empty() {
                     text.push(' ');
                 }
-                render_into(text, kind);
+                render_into(text, self.text, token);
             }
             self.bump();
         }
@@ -726,15 +749,15 @@ impl<'a, 'src> Parser<'a, 'src> {
     /// inline statement.
     fn suite(&mut self) -> Run {
         // Consume optional colon remaining (def/class paths).
-        self.eat_op(":");
+        self.eat_op(COLON);
         let first = self.b.nodes.stmts.len();
-        if matches!(self.peek(), TokenKind::Newline) {
+        if self.peek() == Kind::NEWLINE {
             self.skip_newlines_and_comments();
-            if matches!(self.peek(), TokenKind::Indent) {
+            if self.peek() == Kind::INDENT {
                 self.bump();
                 return self.indented_body();
             }
-        } else if !matches!(self.peek(), TokenKind::Eof | TokenKind::Dedent) {
+        } else if !matches!(self.peek(), Kind::EOF | Kind::DEDENT) {
             // Inline suite: `if x: do()`
             self.statement();
         }
@@ -746,19 +769,19 @@ impl<'a, 'src> Parser<'a, 'src> {
     fn finish_line(&mut self, mut text: Option<&mut String>) {
         loop {
             match self.peek() {
-                TokenKind::Newline | TokenKind::Eof | TokenKind::Dedent => break,
-                other => {
+                Kind::NEWLINE | Kind::EOF | Kind::DEDENT => break,
+                _ => {
+                    let token = self.bump();
                     if let Some(text) = text.as_deref_mut() {
                         if !text.is_empty() {
                             text.push(' ');
                         }
-                        render_into(text, other);
+                        render_into(text, self.text, token);
                     }
-                    self.bump();
                 }
             }
         }
-        if matches!(self.peek(), TokenKind::Newline) {
+        if self.peek() == Kind::NEWLINE {
             self.bump();
         }
     }
@@ -772,12 +795,32 @@ impl<'a, 'src> Parser<'a, 'src> {
 
     /// The binary operator the next token is, if it is one.
     fn binary_op(&self) -> Option<&'static str> {
+        const BINARY: [Kind; 18] = [
+            PLUS,
+            MINUS,
+            STAR,
+            Kind::op("/"),
+            Kind::op("%"),
+            Kind::op("//"),
+            DOUBLE_STAR,
+            Kind::op("|"),
+            Kind::op("&"),
+            Kind::op("^"),
+            Kind::op("=="),
+            Kind::op("!="),
+            Kind::op("<"),
+            Kind::op(">"),
+            Kind::op("<="),
+            Kind::op(">="),
+            Kind::op(">>"),
+            Kind::op("<<"),
+        ];
         match self.peek() {
-            TokenKind::Op(
-                o @ ("+" | "-" | "*" | "/" | "%" | "//" | "**" | "|" | "&" | "^" | "==" | "!="
-                | "<" | ">" | "<=" | ">=" | ">>" | "<<"),
-            ) => Some(o),
-            TokenKind::Ident(w) => WORD_OPS.iter().find(|op| *op == w).copied(),
+            Kind::IDENT => {
+                let word = self.peek_token().text(self.text);
+                WORD_OPS.iter().find(|op| **op == word).copied()
+            }
+            op if BINARY.contains(&op) => op.op_text(),
             _ => None,
         }
     }
@@ -824,20 +867,19 @@ impl<'a, 'src> Parser<'a, 'src> {
             return self.token_other();
         }
         self.expr_depth += 1;
-        let expr = if matches!(self.peek(), TokenKind::Op("-" | "+" | "~"))
-            || matches!(self.peek(), TokenKind::Ident("not"))
-        {
-            let mark = self.mark();
-            let op = self.bump().kind();
-            let operand = self.unary();
-            self.other(mark, |p, text| {
-                render_into(text, op);
-                text.push(' ');
-                p.write(operand, text);
-            })
-        } else {
-            self.postfix()
-        };
+        let expr =
+            if matches!(self.peek(), MINUS | PLUS | TILDE) || self.peek_ident() == Some("not") {
+                let mark = self.mark();
+                let op = self.bump();
+                let operand = self.unary();
+                self.other(mark, |p, text| {
+                    render_into(text, p.text, op);
+                    text.push(' ');
+                    p.write(operand, text);
+                })
+            } else {
+                self.postfix()
+            };
         self.expr_depth -= 1;
         expr
     }
@@ -848,28 +890,28 @@ impl<'a, 'src> Parser<'a, 'src> {
     fn postfix(&mut self) -> ExprId {
         let (mark, depth) = (self.mark(), self.expr_depth);
         let mut expr = self.atom();
-        while matches!(self.peek(), TokenKind::Op("." | "(" | "[")) {
+        while matches!(self.peek(), DOT | LPAR | LSQB) {
             if self.expr_depth >= MAX_EXPR_DEPTH {
                 self.expr_depth = depth;
                 expr = self.other(mark, |p, text| {
                     p.write(expr, text);
-                    while let TokenKind::Op(open @ ("." | "(" | "[")) = p.peek() {
+                    while let open @ (DOT | LPAR | LSQB) = p.peek() {
                         p.bump();
-                        text.push_str(open);
-                        match *open {
-                            "." => match p.peek() {
-                                TokenKind::Ident(attr) => {
+                        text.push_str(open.op_text().unwrap_or_default());
+                        match open {
+                            DOT => match p.peek_ident() {
+                                Some(attr) => {
                                     text.push_str(attr);
                                     p.bump();
                                 }
-                                _ => break,
+                                None => break,
                             },
-                            "(" => {
-                                p.render_balanced(text, "(", ")");
+                            LPAR => {
+                                p.render_balanced(text, LPAR, RPAR);
                                 text.push(')');
                             }
                             _ => {
-                                p.render_balanced(text, "[", "]");
+                                p.render_balanced(text, LSQB, RSQB);
                                 text.push(']');
                             }
                         }
@@ -878,16 +920,16 @@ impl<'a, 'src> Parser<'a, 'src> {
                 break;
             }
             self.expr_depth += 1;
-            match self.bump().kind() {
-                TokenKind::Op(".") => {
-                    if let TokenKind::Ident(_) = self.peek() {
+            match self.bump().kind {
+                DOT => {
+                    if self.peek() == Kind::IDENT {
                         let attr = span(self.bump());
                         expr = self.push(Expr::Attribute { value: expr, attr });
                     } else {
                         break;
                     }
                 }
-                TokenKind::Op("(") => {
+                LPAR => {
                     let args = self.call_args();
                     expr = self.push(Expr::Call { func: expr, args });
                 }
@@ -895,7 +937,7 @@ impl<'a, 'src> Parser<'a, 'src> {
                     expr = self.other(mark, |p, text| {
                         p.write(expr, text);
                         text.push('[');
-                        p.render_balanced(text, "[", "]");
+                        p.render_balanced(text, LSQB, RSQB);
                         text.push(']');
                     });
                 }
@@ -907,17 +949,20 @@ impl<'a, 'src> Parser<'a, 'src> {
 
     /// The next token, consumed and kept as its rendering.
     fn token_other(&mut self) -> ExprId {
-        self.other(self.mark(), |p, text| render_into(text, p.bump().kind()))
+        self.other(self.mark(), |p, text| {
+            let token = p.bump();
+            render_into(text, p.text, token);
+        })
     }
 
     /// Consumes tokens through the `close` that balances an already
     /// consumed `open`, appending all but that `close` to `text`.
-    fn render_balanced(&mut self, text: &mut String, open: &str, close: &str) {
+    fn render_balanced(&mut self, text: &mut String, open: Kind, close: Kind) {
         let mut depth = 1;
         while !self.at_eof() {
             match self.peek() {
-                TokenKind::Op(x) if *x == open => depth += 1,
-                TokenKind::Op(x) if *x == close => {
+                x if x == open => depth += 1,
+                x if x == close => {
                     depth -= 1;
                     if depth == 0 {
                         self.bump();
@@ -926,7 +971,8 @@ impl<'a, 'src> Parser<'a, 'src> {
                 }
                 _ => {}
             }
-            render_into(text, self.bump().kind());
+            let token = self.bump();
+            render_into(text, self.text, token);
         }
     }
 
@@ -934,15 +980,15 @@ impl<'a, 'src> Parser<'a, 'src> {
         let base = self.b.args.len();
         loop {
             match self.peek() {
-                TokenKind::Op(")") => {
+                RPAR => {
                     self.bump();
                     break;
                 }
-                TokenKind::Eof => break,
-                TokenKind::Op(",") => {
+                Kind::EOF => break,
+                COMMA => {
                     self.bump();
                 }
-                TokenKind::Op("*" | "**") => {
+                STAR | DOUBLE_STAR => {
                     // *args / **kwargs forwarding.
                     self.bump();
                     let value = self.expression();
@@ -951,14 +997,11 @@ impl<'a, 'src> Parser<'a, 'src> {
                 _ => {
                     // keyword argument? ident '=' (not '==')
                     let mut name = None;
-                    if let TokenKind::Ident(_) = self.peek() {
-                        if matches!(
-                            self.tokens.get(self.pos + 1).map(SpannedToken::kind),
-                            Some(TokenKind::Op("="))
-                        ) {
-                            name = Some(span(self.bump()));
-                            self.bump(); // '='
-                        }
+                    if self.peek() == Kind::IDENT
+                        && self.tokens.get(self.pos + 1).map(|t| t.kind) == Some(EQUAL)
+                    {
+                        name = Some(span(self.bump()));
+                        self.bump(); // '='
                     }
                     let value = self.expression();
                     self.b.args.push(Arg { name, value });
@@ -973,66 +1016,67 @@ impl<'a, 'src> Parser<'a, 'src> {
         Run::new(first, args.len())
     }
 
-    /// A literal's value: its source span where it is a slice of `text`
-    /// (the lexer borrowed it), else a copy.
-    fn literal(&mut self, value: &str) -> Literal {
-        let at = (value.as_ptr() as usize).wrapping_sub(self.text.as_ptr() as usize);
-        let end = at.checked_add(value.len());
-        match end.filter(|&end| self.text.get(at..end).is_some()) {
-            Some(end) => Literal::Source(Span::new(at, end)),
-            None => Literal::Owned(self.b.nodes.push_text(value)),
+    /// A string token's value: its source span where the lexer read it
+    /// verbatim, else decoded into the tree's owned text.
+    fn literal(&mut self, token: Lexeme) -> Literal {
+        if token.is_decoded() {
+            let first = self.b.nodes.text.len();
+            token.push_value(self.text, &mut self.b.nodes.text);
+            return Literal::Owned(Run::new(first, self.b.nodes.text.len()));
         }
+        let body = token.body_range();
+        Literal::Source(Span::new(body.start, body.end))
     }
 
     fn atom(&mut self) -> ExprId {
         match self.peek() {
-            TokenKind::Ident(_) => {
+            Kind::IDENT => {
                 let name = span(self.bump());
                 self.push(Expr::Name(name))
             }
-            TokenKind::Number(_) => {
+            Kind::NUMBER => {
                 let number = span(self.bump());
                 self.push(Expr::Num(number))
             }
-            TokenKind::Str { value, .. } => {
-                self.bump();
-                if !matches!(self.peek(), TokenKind::Str { .. }) {
-                    let value = self.literal(value);
+            Kind::STR => {
+                let token = self.bump();
+                if self.peek() != Kind::STR {
+                    let value = self.literal(token);
                     return self.push(Expr::Str(value));
                 }
                 // Adjacent string literal concatenation.
                 let first = self.b.nodes.text.len();
-                self.b.nodes.text.push_str(value);
-                while let TokenKind::Str { value: more, .. } = self.peek() {
-                    self.b.nodes.text.push_str(more);
-                    self.bump();
+                token.push_value(self.text, &mut self.b.nodes.text);
+                while self.peek() == Kind::STR {
+                    let more = self.bump();
+                    more.push_value(self.text, &mut self.b.nodes.text);
                 }
                 let value = Run::new(first, self.b.nodes.text.len());
                 self.push(Expr::Str(Literal::Owned(value)))
             }
-            TokenKind::Op("(") => {
+            LPAR => {
                 let mark = self.mark();
                 self.bump();
-                if self.eat_op(")") {
+                if self.eat_op(RPAR) {
                     return self.other_text("()");
                 }
                 let inner = self.expression();
-                if !matches!(self.peek(), TokenKind::Op(",")) {
-                    self.eat_op(")");
+                if self.peek() != COMMA {
+                    self.eat_op(RPAR);
                     return inner;
                 }
                 // Tuple or generator — flatten to Other but keep the first
                 // element visible for matching.
                 let base = self.b.exprs.len();
                 self.b.exprs.push(inner);
-                while self.eat_op(",") {
-                    if matches!(self.peek(), TokenKind::Op(")")) {
+                while self.eat_op(COMMA) {
+                    if self.peek() == RPAR {
                         break;
                     }
                     let element = self.expression();
                     self.b.exprs.push(element);
                 }
-                self.eat_op(")");
+                self.eat_op(RPAR);
                 let tuple = self.other(mark, |p, text| {
                     text.push('(');
                     for (i, &element) in p.b.exprs[base..].iter().enumerate() {
@@ -1046,15 +1090,15 @@ impl<'a, 'src> Parser<'a, 'src> {
                 self.b.exprs.truncate(base);
                 tuple
             }
-            TokenKind::Op(open @ ("[" | "{")) => {
+            open @ (LSQB | LBRACE) => {
                 // Collection literal — consume balanced and render.
-                let close = if *open == "[" { "]" } else { "}" };
+                let close = if open == LSQB { RSQB } else { RBRACE };
                 let mark = self.mark();
                 self.bump();
                 self.other(mark, |p, text| {
-                    text.push_str(open);
+                    text.push_str(open.op_text().unwrap_or_default());
                     p.render_balanced(text, open, close);
-                    text.push_str(close);
+                    text.push_str(close.op_text().unwrap_or_default());
                 })
             }
             _ => self.token_other(),
@@ -1064,34 +1108,34 @@ impl<'a, 'src> Parser<'a, 'src> {
 
 /// How many of `tokens` a block header spans: up to a `:` outside
 /// brackets, a NEWLINE or the end.
-fn header_len(tokens: &[SpannedToken<'_>]) -> usize {
+fn header_len(tokens: &[Lexeme]) -> usize {
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate() {
-        match t.kind() {
-            TokenKind::Op(":") if depth == 0 => return i,
-            TokenKind::Newline | TokenKind::Eof => return i,
-            TokenKind::Op("(" | "[" | "{") => depth += 1,
-            TokenKind::Op(")" | "]" | "}") => depth = depth.saturating_sub(1),
+        match t.kind {
+            COLON if depth == 0 => return i,
+            Kind::NEWLINE | Kind::EOF => return i,
+            LPAR | LSQB | LBRACE => depth += 1,
+            RPAR | RSQB | RBRACE => depth = depth.saturating_sub(1),
             _ => {}
         }
     }
     tokens.len()
 }
 
-/// Appends the rendering of the block header `tokens` begin with (see
-/// [`Stmt::to_text`]).
-pub(crate) fn write_header(tokens: &[SpannedToken<'_>], out: &mut String) {
-    write_tokens(&tokens[..header_len(tokens)], out);
+/// Appends the rendering of the block header `tokens`, lexed from
+/// `text`, begin with (see [`Stmt::to_text`]).
+pub(crate) fn write_header(text: &str, tokens: &[Lexeme], out: &mut String) {
+    write_tokens(text, &tokens[..header_len(tokens)], out);
 }
 
-/// Appends `tokens`, each bracket glued on and every other token after
-/// one space.
-fn write_tokens(tokens: &[SpannedToken<'_>], out: &mut String) {
-    for t in tokens {
-        if !is_bracket(t.kind()) {
+/// Appends `tokens`, lexed from `text`, each bracket glued on and every
+/// other token after one space.
+fn write_tokens(text: &str, tokens: &[Lexeme], out: &mut String) {
+    for &t in tokens {
+        if !is_bracket(t.kind) {
             out.push(' ');
         }
-        render_into(out, t.kind());
+        render_into(out, text, t);
     }
 }
 
@@ -1101,20 +1145,18 @@ fn trim(text: &mut String) {
     text.drain(..text.len() - text.trim_start().len());
 }
 
-/// Appends the source-like text of `kind` to `out`.
-fn render_into(out: &mut String, kind: &TokenKind<'_>) {
-    match kind {
-        TokenKind::Ident(text) | TokenKind::Number(text) | TokenKind::Comment(text) => {
-            out.push_str(text)
-        }
-        TokenKind::Str { value, .. } => {
+/// Appends the source-like text of `token`, lexed from `text`, to `out`.
+fn render_into(out: &mut String, text: &str, token: Lexeme) {
+    match token.kind {
+        Kind::IDENT | Kind::NUMBER | Kind::COMMENT => out.push_str(token.text(text)),
+        Kind::STR => {
             out.push('\'');
-            out.push_str(value);
+            token.push_value(text, out);
             out.push('\'');
         }
-        TokenKind::Op(o) => out.push_str(o),
-        TokenKind::Newline => out.push('\n'),
-        TokenKind::Indent | TokenKind::Dedent | TokenKind::Eof => {}
+        Kind::NEWLINE => out.push('\n'),
+        Kind::INDENT | Kind::DEDENT | Kind::EOF => {}
+        op => out.push_str(op.op_text().unwrap_or_default()),
     }
 }
 

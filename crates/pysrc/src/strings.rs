@@ -8,9 +8,12 @@
 //! from the **token stream** rather than the AST means literals survive
 //! even inside statements the tolerant parser degraded to `Stmt::Other`.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
-use crate::token::{SpannedToken, TokenKind};
+use crate::ast::offset;
+use crate::token::{Kind, Lexeme, SpannedToken, TokenKind};
 
 /// One occurrence of a string literal in a source file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,23 +50,38 @@ impl StringTable {
     }
 }
 
-/// Builds an interned [`StringTable`] from a spanned token stream.
+/// Builds an interned [`StringTable`] from a rendered token stream.
 ///
 /// f-strings are skipped: their lexed value still contains `{...}`
 /// interpolation holes, so the text is not a runtime string value.
 /// Raw and bytes literals are kept — encoded payloads ship in both.
 pub fn intern_strings(tokens: &[SpannedToken<'_>]) -> StringTable {
     let mut interner = Interner::default();
-    interner.push_tokens(tokens);
+    for t in tokens {
+        if let TokenKind::Str { value, prefix } = t.kind() {
+            if !prefix.contains('f') {
+                interner.push(value, offset(t.token.line));
+            }
+        }
+    }
     interner.table
 }
 
 impl StringTable {
+    /// The table of `tokens`, lexed from `source`: what
+    /// [`intern_strings`] builds from their rendering.
+    pub fn of(source: &str, tokens: &[Lexeme]) -> StringTable {
+        let mut interner = Interner::default();
+        interner.push_tokens(source, tokens);
+        interner.table
+    }
+
     /// The table of a file that differs from this table's file by one
-    /// edit whose relexed `window` replaces the donor's lines
-    /// `before_line..suffix_from_line` (to the end of the file when
-    /// `None`), moving what follows by `line_delta` lines: the table
-    /// [`intern_strings`] builds from the edited file's whole stream.
+    /// edit whose relexed `window`, lexed from `source`, replaces the
+    /// donor's lines `before_line..suffix_from_line` (to the end of the
+    /// file when `None`), moving what follows by `line_delta` lines: the
+    /// table [`StringTable::of`] builds from the edited file's whole
+    /// stream.
     ///
     /// Both bounds must be lines that begin at a token-stream cut point
     /// (see [`crate::CutPoint`]): nothing before column zero of such a
@@ -76,7 +94,8 @@ impl StringTable {
     pub fn spliced(
         &self,
         before_line: usize,
-        window: &[SpannedToken<'_>],
+        source: &str,
+        window: &[Lexeme],
         suffix_from_line: Option<usize>,
         line_delta: isize,
     ) -> Option<StringTable> {
@@ -89,7 +108,7 @@ impl StringTable {
         for r in &self.refs[..kept] {
             interner.push(&self.literals[r.literal as usize], r.line);
         }
-        interner.push_tokens(window);
+        interner.push_tokens(source, window);
         for r in &self.refs[resumed..] {
             let line = r.line.checked_add_signed(line_delta)?;
             interner.push(&self.literals[r.literal as usize], line);
@@ -98,30 +117,72 @@ impl StringTable {
     }
 }
 
-/// A [`StringTable`] under construction. The map borrows literal text
-/// from its sources while the table accumulates owned copies.
+/// A [`StringTable`] under construction. Its index holds literal ids by
+/// the hash of their value, so a value is looked up before it is copied
+/// into the table, and a decoded one is decoded into a buffer the
+/// interner reuses.
 #[derive(Default)]
-struct Interner<'a> {
+struct Interner {
     table: StringTable,
-    ids: HashMap<&'a str, u32>,
+    /// Hashes literal values, with keys drawn per interner.
+    hasher: RandomState,
+    /// Each literal's id at the hash of its value, or, when another
+    /// value took that slot, at the first free successor of the hash.
+    ids: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+    decoded: String,
 }
 
-impl<'a> Interner<'a> {
-    fn push(&mut self, value: &'a str, line: u32) {
+/// The hasher of a map whose `u64` keys are hashes already: a key is its
+/// own hash.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+impl Interner {
+    fn push(&mut self, value: &str, line: u32) {
         let literals = &mut self.table.literals;
-        let literal = *self.ids.entry(value).or_insert_with(|| {
-            literals.push(value.to_owned());
-            (literals.len() - 1) as u32
-        });
+        let mut slot = self.hasher.hash_one(value);
+        let literal = loop {
+            match self.ids.entry(slot) {
+                Entry::Occupied(id) if literals[*id.get() as usize] == value => break *id.get(),
+                Entry::Occupied(_) => slot = slot.wrapping_add(1),
+                Entry::Vacant(free) => {
+                    literals.push(value.to_owned());
+                    break *free.insert((literals.len() - 1) as u32);
+                }
+            }
+        };
         self.table.refs.push(StringRef { literal, line });
     }
 
-    fn push_tokens(&mut self, tokens: &'a [SpannedToken<'_>]) {
-        for t in tokens {
-            if let TokenKind::Str { value, prefix } = t.kind() {
-                if !prefix.contains('f') {
-                    self.push(value, t.token.line as u32);
-                }
+    fn push_tokens(&mut self, source: &str, tokens: &[Lexeme]) {
+        for &t in tokens {
+            if t.kind != Kind::STR || t.prefix().contains('f') {
+                continue;
+            }
+            if t.is_decoded() {
+                let mut value = std::mem::take(&mut self.decoded);
+                value.clear();
+                t.push_value(source, &mut value);
+                self.push(&value, t.line);
+                self.decoded = value;
+            } else {
+                self.push(&t.value(source), t.line);
             }
         }
     }
@@ -132,12 +193,14 @@ mod tests {
     use super::*;
     use crate::lexer::lex_spanned;
 
-    /// The table of `src`, which is also what splicing its whole stream
-    /// into an empty table gives — how a full artifact build interns.
+    /// The table of `src`, which is also the table of its rendered
+    /// tokens and what splicing its whole stream into an empty table
+    /// gives — how a full artifact build interns.
     fn table(src: &str) -> StringTable {
-        let tokens = lex_spanned(src);
-        let table = intern_strings(&tokens);
-        let spliced = StringTable::default().spliced(1, &tokens, None, 0);
+        let tokens = crate::lex(src);
+        let table = StringTable::of(src, &tokens);
+        assert_eq!(intern_strings(&lex_spanned(src)), table, "{src:?}");
+        let spliced = StringTable::default().spliced(1, src, &tokens, None, 0);
         assert_eq!(spliced.as_ref(), Some(&table), "{src:?}");
         table
     }
@@ -156,7 +219,13 @@ mod tests {
         let window = crate::lex_window(&new, w, w + with.len()).tokens;
         let delta = with.matches('\n').count() as isize - range.len() as isize;
         let spliced = table(old)
-            .spliced(range.start, &window, (!to_eof).then_some(range.end), delta)
+            .spliced(
+                range.start,
+                &new,
+                &window,
+                (!to_eof).then_some(range.end),
+                delta,
+            )
             .expect("lines fit");
         assert_eq!(spliced, table(&new), "{new:?}");
         spliced
@@ -181,8 +250,10 @@ mod tests {
     #[test]
     fn spliced_table_refuses_a_line_that_does_not_fit() {
         let t = table("a = 'x'\nb = 'y'\n");
-        assert!(t.spliced(1, &[], Some(2), i32::MAX as isize).is_some());
-        assert!(t.spliced(1, &[], Some(2), i32::MAX as isize + 1).is_none());
+        assert!(t.spliced(1, "", &[], Some(2), i32::MAX as isize).is_some());
+        assert!(t
+            .spliced(1, "", &[], Some(2), i32::MAX as isize + 1)
+            .is_none());
         let far = StringTable {
             refs: vec![StringRef {
                 literal: 0,
@@ -190,8 +261,35 @@ mod tests {
             }],
             ..t.clone()
         };
-        assert!(far.spliced(1, &[], Some(2), 1).is_none());
-        assert!(t.spliced(1, &[], Some(2), -3).is_none());
+        assert!(far.spliced(1, "", &[], Some(2), 1).is_none());
+        assert!(t.spliced(1, "", &[], Some(2), -3).is_none());
+    }
+
+    /// Escaped and non-ASCII literals are decoded once each into the
+    /// interner's buffer and copied into the table only when new.
+    #[test]
+    fn decoded_literals_intern_by_value() {
+        let src = "a = 'x\\ny'\nb = 'x\\ny'\nc = r'x\\ny'\nd = '\u{e9}'\ne = 'plain'\n";
+        let t = table(src);
+        assert_eq!(t.literals, ["x\ny", "x\\ny", "\u{c3}\u{a9}", "plain"]);
+        let ids: Vec<u32> = t.refs.iter().map(|r| r.literal).collect();
+        assert_eq!(ids, [0, 0, 1, 2, 3]);
+    }
+
+    /// A value whose hash slot another value took interns at the next
+    /// free slot, and is found there again.
+    #[test]
+    fn values_that_share_a_slot_intern_apart() {
+        let mut interner = Interner::default();
+        interner.push("p", 1);
+        let q = interner.hasher.hash_one("q");
+        interner.ids.insert(q, 0);
+        for (value, line) in [("q", 2), ("q", 3), ("p", 4)] {
+            interner.push(value, line);
+        }
+        assert_eq!(interner.table.literals, ["p", "q"]);
+        let ids: Vec<u32> = interner.table.refs.iter().map(|r| r.literal).collect();
+        assert_eq!(ids, [0, 1, 1, 0]);
     }
 
     #[test]

@@ -73,19 +73,20 @@ proptest! {
         for cut in pysrc::cut_points(&full) {
             let from = full.iter().position(|t| t.start == cut.at).expect("a token at the cut");
             let suffix = pysrc::lex_window(&src, cut.at, src.len()).tokens;
+            let suffix = pysrc::render(&src, &suffix);
             prop_assert_eq!(&suffix[..], &full[from..], "diverged at {}", cut.at);
         }
     }
 
-    /// One front door: a spanned stream and the source itself parse to
+    /// One front door: a token stream and the source itself parse to
     /// the same module, and a stream whose trailing EOF was removed (the
     /// splice window's shape) reads as if it were there.
     #[test]
     fn parse_entry_points_agree(src in "[ -~\\n]{0,400}") {
-        let spanned = pysrc::lex_spanned(&src);
+        let tokens = pysrc::lex(&src);
         let module = pysrc::parse_module(&src);
-        prop_assert_eq!(&pysrc::parse_tokens(&src, &spanned), &module);
-        prop_assert_eq!(&pysrc::parse_tokens(&src, &spanned[..spanned.len() - 1]), &module);
+        prop_assert_eq!(&pysrc::parse_tokens(&src, &tokens), &module);
+        prop_assert_eq!(&pysrc::parse_tokens(&src, &tokens[..tokens.len() - 1]), &module);
     }
 
     /// Operator tokens borrow their text from static tables; it must

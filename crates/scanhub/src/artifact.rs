@@ -10,9 +10,12 @@
 //! a window of the text is lexed, parsed and set between what a donor
 //! version has outside it — the whole text over no donor for a full
 //! build, the cut-point-delimited region around the edit for a splice.
-//! The token stream lives for one build: no scan reads a token, and the
-//! next version's splice needs only where the stream can be cut
-//! ([`pysrc::cut_points`]), so that table is what the artifact keeps.
+//! The token stream is compact lexemes in the token buffer the building
+//! thread keeps, so a warm build's lex allocates nothing. It lives for
+//! one build: the parser, the interner and the cut-point scan read it,
+//! no scan reads a token, and the next version's splice needs only where
+//! the stream can be cut ([`pysrc::cut_points`]), so that table is what
+//! the artifact keeps.
 //!
 //! Decoded layers close a measured evasion gap: `docs/threat_model.md`
 //! records a ~37-point recall collapse under string-encoding
@@ -27,7 +30,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use pysrc::{CutPoint, Donor, Module, SpannedToken, StringTable, Token, TokenKind};
+use pysrc::{CutPoint, Donor, Kind, Lexeme, Module, StringTable};
 use yara_engine::{FileHits, Scanner};
 
 use crate::cache::DigestKey;
@@ -171,11 +174,11 @@ impl FileAnalysis {
 
     /// The one artifact pipeline. Lexes bytes `window` of `text` — one
     /// lex, read by the parser, the interner and the cut-point scan, then
-    /// dropped — and sets its statements, literals and cut points between
-    /// those the `donor` has outside the window, which starts and ends at
-    /// a donor cut point or an end of the file. `None` when the window
-    /// cannot be joined to what follows it (the last two cases of
-    /// [`FileAnalysis::build_spliced`]).
+    /// handed back to the thread — and sets its statements, literals and
+    /// cut points between those the `donor` has outside the window, which
+    /// starts and ends at a donor cut point or an end of the file. `None`
+    /// when the window cannot be joined to what follows it (the last two
+    /// cases of [`FileAnalysis::build_spliced`]).
     fn assemble(
         entry: &FileEntry,
         text: &str,
@@ -214,11 +217,10 @@ impl FileAnalysis {
             // Close-out DEDENTs stay — the full lexer emits the same
             // dedents at the suffix's column-zero statement, at the same
             // position and line.
-            tokens.pop_if(|t| matches!(t.kind(), TokenKind::Eof));
-            let is_dedent = |t: &SpannedToken<'_>| matches!(t.kind(), TokenKind::Dedent);
-            if let Some(at) = tokens.iter().rposition(|t| !is_dedent(t)) {
-                let last = &tokens[at];
-                if matches!(last.kind(), TokenKind::Newline) && last.start == last.end {
+            tokens.pop_if(|t| t.kind == Kind::EOF);
+            if let Some(at) = tokens.iter().rposition(|t| t.kind != Kind::DEDENT) {
+                let last = tokens[at];
+                if last.kind == Kind::NEWLINE && last.start == last.end {
                     tokens.remove(at);
                 }
             }
@@ -250,22 +252,18 @@ impl FileAnalysis {
             count_newlines(&new[w..e_new]) as isize - count_newlines(&old[w..e_old]) as isize
         });
         Stage::Intern.enter();
-        let strings = table.spliced(lw, &tokens, suffix_from, line_delta)?;
+        let strings = table.spliced(lw, text, &tokens, suffix_from, line_delta)?;
         Stage::Assemble.enter();
-        let marker = |kind, start| SpannedToken {
-            token: Token {
-                kind,
-                line: 0,
-                col: 0,
-            },
-            start,
-            end: start + 1,
-        };
-        let behind = start.map(|i| marker(TokenKind::Newline, cuts[i].newline_end - 1));
-        let stop = end.map(|_| marker(TokenKind::Op("."), e_new));
+        let behind = start.map(|i| Lexeme::stand_in(Kind::NEWLINE, cuts[i].newline_end - 1));
+        let stop = end.map(|_| Lexeme::stand_in(Kind::op("."), e_new));
         let mut cut_points = Vec::with_capacity(cuts.len());
         cut_points.extend_from_slice(&cuts[..start.unwrap_or(0)]);
-        cut_points.extend(pysrc::cut_points(behind.iter().chain(&tokens).chain(&stop)));
+        cut_points.extend(pysrc::cut_points(
+            behind.iter().chain(&*tokens).chain(&stop),
+        ));
+        // The token buffer goes back to the thread before a decoded layer
+        // lexes.
+        drop(tokens);
         for c in end.map_or(&[][..], |i| &cuts[i + 1..]) {
             cut_points.push(CutPoint {
                 newline_end: c.newline_end.checked_add_signed(delta)?,
@@ -545,7 +543,7 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
                 // A decoded payload that is itself Python carries its
                 // own literals (attackers double-encode); a bare blob
                 // may simply be encoded a second time.
-                let inner_strings = pysrc::intern_strings(&pysrc::lex_spanned(inner));
+                let inner_strings = StringTable::of(inner, &pysrc::lex(inner));
                 for lit in inner_strings.literals {
                     pending.push((Cow::Owned(lit), depth + 1, line));
                 }

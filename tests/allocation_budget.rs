@@ -195,18 +195,43 @@ fn a_lex_allocates_its_token_vector_and_owned_literals_only() {
     );
 }
 
-/// `parse_module` over the corpus stays within the 4 470 allocations it
-/// was measured at, the lex's 1 338 included: per file, one copy of the
-/// text, one `LineIndex`, the top-level ids and marks, and one buffer per
-/// non-empty array of the tree (owned literal values and `Other`
-/// renderings share one). The parser builds in arrays it keeps per
-/// thread, grown here by a first pass, so that count does not depend on
-/// what ran on the thread before. It made 210 921 at commit 3628db6,
-/// when the tree was boxed and allocated its boxes, vectors and strings
-/// per node, and 434 766 when it also owned every name as a `String`.
+/// A lex writes its tokens into the buffer its thread keeps, so once a
+/// first pass has grown that buffer, lexing every file of the corpus
+/// allocates nothing.
+#[test]
+fn a_warm_lex_allocates_nothing() {
+    let sources = python_sources();
+    for src in &sources {
+        pysrc::lex(src);
+    }
+    let mut tokens = 0usize;
+    for src in &sources {
+        let (n, calls) = counted(|| pysrc::lex(src).len());
+        assert_eq!(calls, 0, "{src:?}");
+        tokens += n;
+    }
+    // Vacuity guard.
+    assert!(
+        sources.len() > 100 && tokens > 100_000,
+        "{} files, {tokens} tokens",
+        sources.len()
+    );
+}
+
+/// `parse_module` over the corpus stays within the 3 132 allocations it
+/// was measured at: per file, one copy of the text, one `LineIndex`, the
+/// top-level ids and marks, and one buffer per non-empty array of the
+/// tree (owned literal values and `Other` renderings share one). The lex
+/// allocates nothing: the lexer and the parser build in buffers they keep
+/// per thread, grown here by a first pass, so that count does not depend
+/// on what ran on the thread before. It made 4 470 while each lex
+/// allocated its token vector and each literal value that differs from
+/// its bytes (1 338 of them), 210 921 at commit 3628db6, when the tree
+/// was boxed and allocated its boxes, vectors and strings per node, and
+/// 434 766 when it also owned every name as a `String`.
 #[test]
 fn a_parse_allocates_its_tree_not_its_text() {
-    const BUDGET: u64 = 4_600;
+    const BUDGET: u64 = 3_132;
     let sources = python_sources();
     // Grow this thread's parse arrays first, whatever ran on it before.
     for src in &sources {
@@ -267,13 +292,20 @@ fn the_taint_engine_stays_within_its_allocation_budget() {
     assert_eq!(calls(40), calls(320));
 }
 
-/// A thread keeps its parse arrays and its taint scratch between calls
-/// unless a call grew them past 4 MiB; then they are freed, and the next
-/// call allocates them again.
+/// A thread keeps its token buffer, its parse arrays and its taint
+/// scratch between calls unless a call grew them past 4 MiB; then they
+/// are freed, and the next call allocates them again.
 #[test]
 fn a_scratch_grown_past_four_mib_is_freed() {
     let small = "import os\nx = input()\nos.system(x)\n";
     let big: String = (0..100_000).map(|i| format!("v{i} = w{i}\n")).collect();
+    let lex = |src: &str| counted(|| pysrc::lex(src).len()).1;
+    lex(small);
+    let warm = lex(small);
+    lex(&big);
+    assert!(lex(small) > warm, "the token buffer was kept");
+    assert_eq!(lex(small), warm);
+
     let parse = |src: &str| counted(|| pysrc::parse_module(src)).1;
     parse(small);
     let warm = parse(small);
@@ -319,17 +351,19 @@ fn a_warm_collect_hits_allocates_only_its_hits() {
 }
 
 /// `FileAnalysis::build` with a warmed scanner, over every upload file,
-/// stays within the allocations it was measured at: 32 727 for the lex,
+/// stays within the allocations it was measured at: 31 023 for the lex,
 /// parse, intern, decode, taint and YARA passes of every file together,
-/// its parse arrays and taint scratch grown by a first pass as the scanner
-/// is warmed. While the taint engine allocated per call, binding and fold
-/// the same builds made 98 517; with a boxed tree as well (commit 3628db6),
+/// its token buffer, parse arrays and taint scratch grown by a first pass
+/// as the scanner is warmed. While each lex allocated its token vector and
+/// owned literal values the same builds made 32 727; while the taint
+/// engine allocated per call, binding and fold, 98 517; with a boxed tree
+/// as well (commit 3628db6),
 /// 304 968; and at commit 05c0f47, where each scan unit also got a fresh
 /// offset scratch, Pike VM and lazy DFA and the decoder cloned every
 /// literal into its queue, 369 384.
 #[test]
 fn an_artifact_build_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 33_500;
+    const BUDGET: u64 = 31_023;
     let entries = upload_entries();
     let scanner = warmed_scanner(&entries);
     let config = ArtifactConfig::default();
@@ -443,10 +477,11 @@ fn check_ledger(what: &str, spent: [u64; STAGES], budgets: &[(Stage, u64)]) {
 
 /// The allocations of one cold package's artifact builds and of one
 /// one-line splice, each booked to the build step it was made in, stay
-/// within that step's budget; a failure names the step. Scanner, parse
-/// arrays and taint scratch are warmed first, as a worker's are. Cold, the
-/// taint step allocates only the package's summaries; a splice re-runs it,
-/// and the decode and hits steps, over the whole file.
+/// within that step's budget; a failure names the step. Scanner, token
+/// buffer, parse arrays and taint scratch are warmed first, as a worker's
+/// are, so neither lex allocates. Cold, the taint step allocates only the
+/// package's summaries; a splice re-runs it, and the decode and hits
+/// steps, over the whole file.
 #[test]
 fn each_build_step_stays_within_its_allocation_budget() {
     let entries = upload_entries();
@@ -465,7 +500,6 @@ fn each_build_step_stays_within_its_allocation_budget() {
         "a cold package",
         cold,
         &[
-            (Stage::Lex, 4),
             (Stage::Parse, 22),
             (Stage::Intern, 46),
             (Stage::Decode, 5),
@@ -495,7 +529,6 @@ fn each_build_step_stays_within_its_allocation_budget() {
         "a one-line splice",
         splice,
         &[
-            (Stage::Lex, 1),
             (Stage::Parse, 9),
             (Stage::Intern, 58),
             (Stage::Decode, 3),
@@ -730,13 +763,14 @@ fn unique_malware() -> Vec<Package> {
 
 /// RuleLLM's knowledge extraction (metadata, code, basic units, the unit
 /// audit, embeddings, grouping) over the tiny corpus's unique malware
-/// stays within the 17 945 allocations it was measured at, this thread's
-/// IOC regex caches warmed by a first pass. While each unit's audit built
-/// a fresh Pike VM and lazy DFA per IOC regex and the splitter ran a
-/// fresh Pike VM per line, the same extraction made 191 559.
+/// stays within the 17 914 allocations it was measured at, this thread's
+/// IOC regex caches and token buffer warmed by a first pass. It made
+/// 17 945 while each embedding's lex allocated its token vector, and
+/// 191 559 while each unit's audit built a fresh Pike VM and lazy DFA per
+/// IOC regex and the splitter ran a fresh Pike VM per line.
 #[test]
 fn rulellm_extraction_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 17_945;
+    const BUDGET: u64 = 17_914;
     let packages = unique_malware();
     let packages: Vec<&Package> = packages.iter().collect();
     rulellm::extract_knowledge(&packages, None);
