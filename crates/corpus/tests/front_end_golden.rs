@@ -2,11 +2,14 @@
 //!
 //! The lexer and parser sit under every artifact, verdict and generated
 //! rule, so a refactor of either must reproduce the token stream and the
-//! module to the byte. The two constants fold an FNV-1a of the `Debug`
+//! module to the byte. Two constants fold an FNV-1a of the `Debug`
 //! rendering of `lex_spanned` / `parse_module` over every Python file of
-//! the tiny corpus and of its aggressive mutants (seed 42). They live
-//! here rather than in `pysrc`'s own tests because this is the lowest
-//! crate that already depends on `pysrc`, `obfuscate` and `digest`.
+//! the tiny corpus and of its aggressive mutants (seed 42). A third,
+//! `MUTANT_DIGEST`, folds the mutants themselves — every `.py` file the
+//! light, medium, aggressive and single-transform profiles write at seeds
+//! 1, 2 and 42 — so a rewrite of `obfuscate` must keep every mutant byte.
+//! They live here rather than in `pysrc`'s own tests because this is the
+//! lowest crate that already depends on `pysrc`, `obfuscate` and `digest`.
 //!
 //! The tree now points into its source by span and carries offsets, not
 //! lines, so `PARSE_DIGEST` folds [`legacy`]: the `Debug` text of the tree
@@ -14,38 +17,69 @@
 //! statement carried its line, printed from spans, the line index and
 //! `pysrc`'s own renderers.
 //!
-//! A change to either constant needs a stated reason in the commit that
+//! A change to any of the constants needs a stated reason in the commit that
 //! makes it.
 
 use std::fmt::Write;
 
 use corpus::{mutate_dataset, CorpusConfig, Dataset};
-use obfuscate::EvasionProfile;
+use obfuscate::{EvasionProfile, Transform};
 use pysrc::{Expr, ImportedName, Module, Stmt, Suite};
 
 /// Recorded at commit 309ca55 (before ISSUE 21 touched `pysrc`).
 const LEX_DIGEST: u64 = 0xf9d8_07f2_ca66_ad12;
 const PARSE_DIGEST: u64 = 0xdd96_00fe_83e3_5a70;
+/// Recorded before `obfuscate` read lexemes in place of the rendered
+/// token view: every mutant of [`fold_mutants`] is byte-identical since.
+const MUTANT_DIGEST: u64 = 0x433b_bce1_913d_b911;
 
 fn fold(render: impl Fn(&str) -> String) -> u64 {
     let base = Dataset::generate(&CorpusConfig::tiny());
     let mutants = mutate_dataset(&base, &EvasionProfile::aggressive(), 42);
     let mut acc = 0u64;
     for dataset in [&base, &mutants] {
-        let packages = dataset
-            .malware
-            .iter()
-            .map(|m| &m.package)
-            .chain(dataset.legit.iter().map(|l| &l.package));
-        for package in packages {
-            for file in package.files().iter().filter(|f| f.path.ends_with(".py")) {
-                let mut bytes = acc.to_le_bytes().to_vec();
-                bytes.extend_from_slice(render(&file.contents).as_bytes());
-                acc = digest::fnv1a(&bytes);
-            }
+        fold_into(&mut acc, dataset, &render);
+    }
+    acc
+}
+
+/// Folds `render` of every Python file of `dataset` into `acc`.
+fn fold_into(acc: &mut u64, dataset: &Dataset, render: &impl Fn(&str) -> String) {
+    let packages = dataset
+        .malware
+        .iter()
+        .map(|m| &m.package)
+        .chain(dataset.legit.iter().map(|l| &l.package));
+    for package in packages {
+        for file in package.files().iter().filter(|f| f.path.ends_with(".py")) {
+            let mut bytes = acc.to_le_bytes().to_vec();
+            bytes.extend_from_slice(render(&file.contents).as_bytes());
+            *acc = digest::fnv1a(&bytes);
+        }
+    }
+}
+
+/// The mutant digest: every `.py` file `mutate_dataset` writes for the
+/// tiny corpus (malware and legit), per profile and seed, folded as text.
+fn fold_mutants() -> u64 {
+    let base = Dataset::generate(&CorpusConfig::tiny());
+    let profiles = EvasionProfile::standard()
+        .into_iter()
+        .chain(Transform::ALL.iter().map(|&t| EvasionProfile::single(t)));
+    let mut acc = 0u64;
+    for profile in profiles {
+        for seed in [1, 2, 42] {
+            let mutants = mutate_dataset(&base, &profile, seed);
+            fold_into(&mut acc, &mutants, &str::to_owned);
         }
     }
     acc
+}
+
+#[test]
+fn obfuscated_mutants_are_pinned() {
+    let got = fold_mutants();
+    assert_eq!(got, MUTANT_DIGEST, "mutant digest is now {got:#018x}");
 }
 
 #[test]

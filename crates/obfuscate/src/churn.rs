@@ -7,7 +7,7 @@
 //! trivially semantics-preserving, yet it shifts every byte offset and
 //! breaks naive offset- or context-anchored signatures.
 
-use pysrc::TokenKind;
+use pysrc::Kind;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -40,22 +40,24 @@ fn decoy_comment(rng: &mut StdRng) -> String {
 pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
     let view = TokenView::new(source);
     let mut edits = Vec::new();
-    for t in &view.tokens {
-        match t.kind() {
+    for &t in view.tokens.iter() {
+        let text = t.text(source);
+        match t.kind {
             // Drop most existing comments (keep shebang/coding lines).
-            TokenKind::Comment(c)
-                if !c.starts_with("#!") && !c.contains("coding") && rng.gen_bool(0.7) =>
+            Kind::COMMENT
+                if !text.starts_with("#!") && !text.contains("coding") && rng.gen_bool(0.7) =>
             {
-                edits.push(Edit::replace(t.start, t.end, ""));
+                edits.push(Edit::token(t, ""));
             }
             // After a statement boundary, occasionally inject churn.
             // NEWLINE tokens only exist at bracket depth zero, so the
             // insertion point is always a real line boundary.
-            TokenKind::Newline if t.end > t.start => {
+            Kind::NEWLINE if t.end > t.start => {
+                let end = t.end as usize;
                 if rng.gen_bool(0.2) {
-                    edits.push(Edit::insert(t.end, decoy_comment(rng)));
+                    edits.push(Edit::insert(end, decoy_comment(rng)));
                 } else if rng.gen_bool(0.15) {
-                    edits.push(Edit::insert(t.end, "\n".to_owned()));
+                    edits.push(Edit::insert(end, "\n".to_owned()));
                 }
             }
             _ => {}

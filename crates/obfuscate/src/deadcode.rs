@@ -9,11 +9,11 @@
 
 use std::collections::HashSet;
 
-use pysrc::TokenKind;
+use pysrc::Kind;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::edit::{apply_edits, fresh_ident, Edit, TokenView};
+use crate::edit::{apply_edits, fresh_ident, Edit, TokenView, AT};
 
 /// A decoy helper. Deliberately vocabulary-restricted: arithmetic,
 /// strings, lists — no imports, no I/O, no dynamic execution.
@@ -55,15 +55,15 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
     // DEDENT synthesis).
     let mut points = Vec::new();
     for i in 0..n {
-        let t = &view.tokens[i];
-        if !matches!(t.kind(), TokenKind::Newline) || t.end == t.start {
+        let t = view.tokens[i];
+        if t.kind != Kind::NEWLINE || t.end == t.start {
             continue;
         }
         let mut j = i + 1;
         while j < n
             && matches!(
-                view.tokens[j].kind(),
-                TokenKind::Dedent | TokenKind::Comment(_) | TokenKind::Newline
+                view.tokens[j].kind,
+                Kind::DEDENT | Kind::COMMENT | Kind::NEWLINE
             )
         {
             j += 1;
@@ -76,27 +76,25 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
         // A continuation clause (`else:`/`elif`/`except`/`finally`) or a
         // decorator must stay glued to its neighbor statement: splicing
         // a decoy in between would detach it.
-        let glued = matches!(
-            view.tokens[j].kind(),
-            TokenKind::Ident(w) if matches!(*w, "else" | "elif" | "except" | "finally")
-        ) || view.is_op(j, "@");
+        let glued =
+            matches!(view.ident(j), Some("else" | "elif" | "except" | "finally")) || view.is(j, AT);
         // The line this NEWLINE terminates: a decorator line must keep
         // the following statement attached, so it is no boundary either.
         let mut first_of_line = None;
         for k in (0..i).rev() {
-            match view.tokens[k].kind() {
-                TokenKind::Newline | TokenKind::Indent | TokenKind::Dedent => break,
-                TokenKind::Comment(_) => continue,
+            match view.tokens[k].kind {
+                Kind::NEWLINE | Kind::INDENT | Kind::DEDENT => break,
+                Kind::COMMENT => continue,
                 _ => first_of_line = Some(k),
             }
         }
-        let after_decorator = first_of_line.is_some_and(|k| view.is_op(k, "@"));
-        if view.tokens[j].token.col == 0
+        let after_decorator = first_of_line.is_some_and(|k| view.is(k, AT));
+        if view.tokens[j].at_column_zero()
             && !glued
             && !after_decorator
-            && !matches!(view.tokens[j].kind(), TokenKind::Eof | TokenKind::Indent)
+            && !matches!(view.tokens[j].kind, Kind::EOF | Kind::INDENT)
         {
-            points.push(t.end);
+            points.push(t.end as usize);
         }
     }
 

@@ -1,14 +1,14 @@
 //! Span-edit machinery shared by every transform.
 //!
 //! Transforms never regenerate source wholesale: they lex the file with
-//! [`pysrc::lex_spanned`], decide on a set of byte-range replacements,
-//! and splice them back in. Everything a transform did not explicitly
-//! touch — indentation, spacing, escapes — survives byte-for-byte, which
-//! is what keeps the mutations semantics-preserving.
+//! [`pysrc::lex`], decide on a set of byte-range replacements over the
+//! lexemes' spans, and splice them back in. Everything a transform did
+//! not explicitly touch — indentation, spacing, escapes — survives
+//! byte-for-byte, which is what keeps the mutations semantics-preserving.
 
 use std::collections::HashSet;
 
-use pysrc::{SpannedToken, TokenKind};
+use pysrc::{Kind, Lexeme, Lexemes};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -37,7 +37,19 @@ impl Edit {
     pub fn insert(at: usize, text: impl Into<String>) -> Self {
         Edit::replace(at, at, text)
     }
+
+    /// Replacement of token `t`'s whole span with `text`.
+    pub fn token(t: Lexeme, text: impl Into<String>) -> Self {
+        Edit::replace(t.start as usize, t.end as usize, text)
+    }
 }
+
+/// The operators the transforms look for.
+pub(crate) const DOT: Kind = Kind::op(".");
+pub(crate) const OPEN_PAREN: Kind = Kind::op("(");
+pub(crate) const COMMA: Kind = Kind::op(",");
+pub(crate) const ASSIGN: Kind = Kind::op("=");
+pub(crate) const AT: Kind = Kind::op("@");
 
 /// Applies non-overlapping edits to `source`; on overlap the earlier
 /// (lower-start) edit wins and the later one is dropped.
@@ -59,8 +71,10 @@ pub(crate) fn apply_edits(source: &str, mut edits: Vec<Edit>) -> String {
 
 /// A lexed file plus the per-token context every transform needs.
 pub(crate) struct TokenView<'src> {
-    /// The spanned token stream.
-    pub tokens: Vec<SpannedToken<'src>>,
+    /// The source the tokens were lexed from.
+    source: &'src str,
+    /// The token stream.
+    pub tokens: Lexemes,
     /// Per token: does it sit inside an `import ...` / `from ... import`
     /// logical line? (Those lines are rewritten only by the dedicated
     /// aliasing transform.)
@@ -70,18 +84,18 @@ pub(crate) struct TokenView<'src> {
 impl<'src> TokenView<'src> {
     /// Lexes `source` and computes token contexts.
     pub fn new(source: &'src str) -> Self {
-        let tokens = pysrc::lex_spanned(source);
+        let tokens = pysrc::lex(source);
         let mut in_import = vec![false; tokens.len()];
         let mut line_start = true;
         let mut marking = false;
         for (i, t) in tokens.iter().enumerate() {
-            match t.kind() {
-                TokenKind::Newline => {
+            match t.kind {
+                Kind::NEWLINE => {
                     marking = false;
                     line_start = true;
                 }
-                TokenKind::Indent | TokenKind::Dedent | TokenKind::Comment(_) => {}
-                TokenKind::Ident("import" | "from") if line_start => {
+                Kind::INDENT | Kind::DEDENT | Kind::COMMENT => {}
+                Kind::IDENT if line_start && matches!(t.text(source), "import" | "from") => {
                     marking = true;
                     in_import[i] = true;
                     line_start = false;
@@ -92,32 +106,37 @@ impl<'src> TokenView<'src> {
                 }
             }
         }
-        TokenView { tokens, in_import }
+        TokenView {
+            source,
+            tokens,
+            in_import,
+        }
     }
 
     /// The identifier text of token `i`, if it is an identifier.
     pub fn ident(&self, i: usize) -> Option<&'src str> {
-        self.tokens[i].token.as_ident()
+        let t = self.tokens[i];
+        (t.kind == Kind::IDENT).then(|| t.text(self.source))
     }
 
-    /// True when token `i` is the given operator glyph.
-    pub fn is_op(&self, i: usize, op: &str) -> bool {
-        matches!(self.tokens[i].kind(), TokenKind::Op(o) if *o == op)
+    /// True when token `i` is of `kind`.
+    pub fn is(&self, i: usize, kind: Kind) -> bool {
+        self.tokens[i].kind == kind
     }
 
     /// True when the token *before* `i` is the attribute dot (so `i` is
     /// an attribute name, never a bare binding).
     pub fn follows_dot(&self, i: usize) -> bool {
-        i > 0 && self.is_op(i - 1, ".")
+        i > 0 && self.is(i - 1, DOT)
     }
 
     /// True when token `i` starts a logical line (preceded by nothing or
     /// by NEWLINE/INDENT/DEDENT/comment tokens only).
     pub fn at_line_start(&self, i: usize) -> bool {
         for j in (0..i).rev() {
-            match self.tokens[j].kind() {
-                TokenKind::Indent | TokenKind::Dedent | TokenKind::Comment(_) => continue,
-                TokenKind::Newline => return true,
+            match self.tokens[j].kind {
+                Kind::INDENT | Kind::DEDENT | Kind::COMMENT => continue,
+                Kind::NEWLINE => return true,
                 _ => return false,
             }
         }
@@ -128,15 +147,15 @@ impl<'src> TokenView<'src> {
     /// (`f(name=...)`) or as a defaulted parameter (`def f(name=...)`).
     /// Renaming such a name is entangled with a calling convention the
     /// rewriter cannot see whole, so transforms exclude them outright.
-    pub fn kwarg_like_names(&self) -> HashSet<String> {
+    pub fn kwarg_like_names(&self) -> HashSet<&'src str> {
         let mut out = HashSet::new();
         for i in 1..self.tokens.len() {
             if let Some(w) = self.ident(i) {
-                if (self.is_op(i - 1, "(") || self.is_op(i - 1, ","))
+                if (self.is(i - 1, OPEN_PAREN) || self.is(i - 1, COMMA))
                     && i + 1 < self.tokens.len()
-                    && self.is_op(i + 1, "=")
+                    && self.is(i + 1, ASSIGN)
                 {
-                    out.insert(w.to_owned());
+                    out.insert(w);
                 }
             }
         }
@@ -144,15 +163,15 @@ impl<'src> TokenView<'src> {
     }
 
     /// Every distinct identifier in the file (collision avoidance when
-    /// minting fresh names).
+    /// minting fresh names), each copied once.
     pub fn all_idents(&self) -> HashSet<String> {
-        self.tokens
-            .iter()
-            .filter_map(|t| match t.kind() {
-                TokenKind::Ident(w) => Some((*w).to_owned()),
-                _ => None,
-            })
-            .collect()
+        let mut out = HashSet::new();
+        for w in (0..self.tokens.len()).filter_map(|i| self.ident(i)) {
+            if !out.contains(w) {
+                out.insert(w.to_owned());
+            }
+        }
+        out
     }
 }
 
@@ -199,12 +218,9 @@ mod tests {
     #[test]
     fn import_lines_marked() {
         let v = TokenView::new("import os\nx = os.path\nfrom sys import argv\n");
-        let marked: Vec<&str> = v
-            .tokens
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| v.in_import[*i])
-            .filter_map(|(_, t)| t.token.as_ident())
+        let marked: Vec<&str> = (0..v.tokens.len())
+            .filter(|&i| v.in_import[i])
+            .filter_map(|i| v.ident(i))
             .collect();
         assert!(marked.contains(&"os"));
         assert!(marked.contains(&"argv"));

@@ -7,7 +7,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use pysrc::TokenKind;
+use pysrc::Kind;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -20,18 +20,18 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
     // Aliasable sites: a logical line that is exactly `import X` for a
     // single dot-free module. Anything fancier (dotted paths, commas,
     // existing aliases, `from` forms) is left alone.
-    let mut aliasable: Vec<(usize, String)> = Vec::new(); // (ident index, module)
-    let mut blocked: HashSet<String> = HashSet::new();
+    let mut aliasable: Vec<(usize, &str)> = Vec::new(); // (ident index, module)
+    let mut blocked: HashSet<&str> = HashSet::new();
     for i in 0..n {
         if view.ident(i) != Some("import") || !view.in_import[i] || !view.at_line_start(i) {
             continue;
         }
-        let Some(module) = view.ident(i + 1).map(str::to_owned) else {
+        let Some(module) = view.ident(i + 1) else {
             continue;
         };
         let simple = matches!(
-            view.tokens.get(i + 2).map(|t| t.kind()),
-            Some(TokenKind::Newline) | Some(TokenKind::Comment(_)) | Some(TokenKind::Eof) | None
+            view.tokens.get(i + 2).map(|t| t.kind),
+            Some(Kind::NEWLINE | Kind::COMMENT | Kind::EOF) | None
         );
         if simple {
             aliasable.push((i + 1, module));
@@ -45,35 +45,33 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
     for i in 0..n {
         if view.ident(i) == Some("from") && view.in_import[i] {
             if let Some(m) = view.ident(i + 1) {
-                blocked.insert(m.to_owned());
+                blocked.insert(m);
             }
         }
     }
     blocked.extend(view.kwarg_like_names());
     let mut counts: HashMap<&str, usize> = HashMap::new();
-    for (_, m) in &aliasable {
-        *counts.entry(m.as_str()).or_default() += 1;
+    for &(_, m) in &aliasable {
+        *counts.entry(m).or_default() += 1;
     }
 
     let mut taken = view.all_idents();
-    let mut alias_of: HashMap<String, String> = HashMap::new();
+    let mut alias_of: HashMap<&str, String> = HashMap::new();
     let mut edits = Vec::new();
-    for (idx, module) in &aliasable {
+    for &(idx, module) in &aliasable {
         if blocked.contains(module)
-            || counts[module.as_str()] > 1
+            || counts[module] > 1
             || alias_of.contains_key(module)
             || !rng.gen_bool(0.85)
         {
             continue;
         }
         let alias = fresh_ident(rng, &mut taken);
-        let t = &view.tokens[*idx];
-        edits.push(Edit::replace(
-            t.start,
-            t.end,
+        edits.push(Edit::token(
+            view.tokens[idx],
             format!("{module} as {alias}"),
         ));
-        alias_of.insert(module.clone(), alias);
+        alias_of.insert(module, alias);
     }
     if alias_of.is_empty() {
         return source.to_owned();
@@ -90,8 +88,7 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
         if view.in_import[i] || view.follows_dot(i) {
             continue;
         }
-        let t = &view.tokens[i];
-        edits.push(Edit::replace(t.start, t.end, alias.clone()));
+        edits.push(Edit::token(view.tokens[i], alias.clone()));
     }
     apply_edits(source, edits)
 }

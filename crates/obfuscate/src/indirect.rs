@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::edit::{apply_edits, Edit, TokenView};
+use crate::edit::{apply_edits, Edit, TokenView, AT, DOT, OPEN_PAREN};
 
 pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
     let view = TokenView::new(source);
@@ -21,23 +21,23 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
             if view.follows_dot(i)
                 || view.in_import[i]
                 || pysrc::is_keyword(base)
-                || (i > 0 && view.is_op(i - 1, "@"))
+                || (i > 0 && view.is(i - 1, AT))
             {
                 return None;
             }
-            if !view.is_op(i + 1, ".") {
+            if !view.is(i + 1, DOT) {
                 return None;
             }
             let attr = view.ident(i + 2)?;
-            if pysrc::is_keyword(attr) || !view.is_op(i + 3, "(") {
+            if pysrc::is_keyword(attr) || !view.is(i + 3, OPEN_PAREN) {
                 return None;
             }
-            Some((base.to_owned(), attr.to_owned()))
+            Some((base, attr))
         })();
         if let Some((base, attr)) = matched {
             if rng.gen_bool(0.7) {
-                let start = view.tokens[i].start;
-                let end = view.tokens[i + 2].end;
+                let start = view.tokens[i].start as usize;
+                let end = view.tokens[i + 2].end as usize;
                 edits.push(Edit::replace(
                     start,
                     end,

@@ -7,8 +7,8 @@
 //! observed in live registry malware — renaming, string encoding,
 //! dead-code padding, import aliasing, call indirection. This crate
 //! implements those evasions as composable source-to-source
-//! [`Transform`]s over [`pysrc::lex_spanned`] token spans, so the
-//! evaluation can *measure* detection decay instead of guessing at it.
+//! [`Transform`]s over [`pysrc::lex`] token spans, so the evaluation
+//! can *measure* detection decay instead of guessing at it.
 //!
 //! Design rules:
 //!

@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::edit::{apply_edits, fresh_ident, Edit, TokenView};
+use crate::edit::{apply_edits, fresh_ident, Edit, TokenView, ASSIGN};
 
 /// Names never renamed even when assigned: rebinding these is either a
 /// Python special form or too entangled with runtime semantics.
@@ -47,7 +47,7 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
     // position are excluded wholesale: renaming them consistently would
     // require call-convention knowledge this rewriter does not have.
     let kwarg_like = view.kwarg_like_names();
-    let mut candidates: Vec<(String, bool)> = Vec::new();
+    let mut candidates: Vec<(&str, bool)> = Vec::new();
     let mut seen: HashSet<&str> = HashSet::new();
     for i in 0..n {
         let Some(w) = view.ident(i) else { continue };
@@ -65,9 +65,9 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
             && matches!(view.ident(i - 1), Some("def") | Some("class"))
             && !view.in_import[i - 1];
         let is_assign_target =
-            view.at_line_start(i) && i + 1 < n && view.is_op(i + 1, "=") && !view.follows_dot(i);
+            view.at_line_start(i) && i + 1 < n && view.is(i + 1, ASSIGN) && !view.follows_dot(i);
         if (is_def_name || is_assign_target) && seen.insert(w) {
-            candidates.push((w.to_owned(), is_def_name));
+            candidates.push((w, is_def_name));
         }
     }
 
@@ -75,9 +75,9 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
     // targets rename with high probability so mutants vary in coverage.
     let mut taken = view.all_idents();
     let mut map: HashMap<&str, String> = HashMap::new();
-    for (name, is_def) in &candidates {
-        if *is_def || rng.gen_bool(0.9) {
-            map.insert(name.as_str(), fresh_ident(rng, &mut taken));
+    for &(name, is_def) in &candidates {
+        if is_def || rng.gen_bool(0.9) {
+            map.insert(name, fresh_ident(rng, &mut taken));
         }
     }
     if map.is_empty() {
@@ -94,8 +94,7 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
         if view.follows_dot(i) || view.in_import[i] {
             continue;
         }
-        let t = &view.tokens[i];
-        edits.push(Edit::replace(t.start, t.end, new.clone()));
+        edits.push(Edit::token(view.tokens[i], new.clone()));
     }
     apply_edits(source, edits)
 }

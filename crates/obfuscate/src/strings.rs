@@ -6,7 +6,7 @@
 //! YARA rule keys on, while `bytes.fromhex(...)`/`b64decode(...)` keep
 //! the runtime value byte-identical.
 
-use pysrc::TokenKind;
+use pysrc::Kind;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -69,20 +69,18 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
     let n = view.tokens.len();
     let mut edits = Vec::new();
     for i in 0..n {
-        let TokenKind::Str { value, prefix } = view.tokens[i].kind() else {
-            continue;
-        };
+        let t = view.tokens[i];
         // Only plain strings: raw/bytes/f-strings have different runtime
         // types or interpolation, and rewriting them would change
         // behavior.
-        if !prefix.is_empty() || view.in_import[i] {
+        if t.kind != Kind::STR || !t.prefix().is_empty() || view.in_import[i] {
             continue;
         }
         // Implicit adjacent-literal concatenation: replacing one half
         // with a parenthesized expression would turn it into a call.
         let neighbor_str = |j: Option<usize>| {
             j.and_then(|j| view.tokens.get(j))
-                .is_some_and(|t| matches!(t.kind(), TokenKind::Str { .. }))
+                .is_some_and(|t| t.kind == Kind::STR)
         };
         if neighbor_str(i.checked_sub(1)) || neighbor_str(Some(i + 1)) {
             continue;
@@ -90,16 +88,16 @@ pub(crate) fn apply(source: &str, rng: &mut StdRng) -> String {
         // Non-ASCII values are left alone: the tolerant lexer decodes
         // high bytes as Latin-1, so re-encoding them would change the
         // runtime string and break the semantics-preserving contract.
+        let value = t.value(source);
         if value.len() < 4 || value.len() > 256 || !value.is_ascii() || !rng.gen_bool(0.85) {
             continue;
         }
-        let t = &view.tokens[i];
         let replacement = match rng.gen_range(0..3u32) {
-            0 => split_expr(value, rng),
-            1 => hex_expr(value),
-            _ => base64_expr(value),
+            0 => split_expr(&value, rng),
+            1 => hex_expr(&value),
+            _ => base64_expr(&value),
         };
-        edits.push(Edit::replace(t.start, t.end, replacement));
+        edits.push(Edit::token(t, replacement));
     }
     apply_edits(source, edits)
 }

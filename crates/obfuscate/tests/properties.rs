@@ -51,11 +51,8 @@ proptest! {
         let src = program(&fn_name, &var, &host, pad);
         for profile in profiles() {
             let out = Obfuscator::new(profile.clone(), seed).obfuscate_source(&src);
-            let tokens = pysrc::lex_spanned(&out);
-            prop_assert!(matches!(
-                tokens.last().map(|t| t.kind()),
-                Some(pysrc::TokenKind::Eof)
-            ));
+            let tokens = pysrc::lex(&out);
+            prop_assert_eq!(tokens.last().map(|t| t.kind), Some(pysrc::Kind::EOF));
             let module = pysrc::parse_module(&out);
             prop_assert!(
                 !module.body.is_empty(),

@@ -538,7 +538,7 @@ impl<'a> Lexer<'a> {
 /// One piece of a string literal's value, in body order.
 enum Piece {
     /// A source byte that stands for itself. It is appended byte-as-char,
-    /// so a byte >= 0x80 becomes U+0080..U+00FF (ROADMAP item 4).
+    /// so a byte >= 0x80 becomes U+0080..U+00FF (ROADMAP item 19).
     Byte(u8),
     /// An escape sequence, replaced by this character or by nothing.
     Escape(Option<char>),

@@ -6,8 +6,7 @@
 //!
 //! There is one lexer. It emits [`Lexeme`]s, 16 bytes of plain data each,
 //! into a token buffer its thread keeps between lexes ([`lex`],
-//! [`lex_window`]), so a warm lex allocates nothing; [`lex_spanned`]
-//! renders the same lexemes as [`SpannedToken`]s as they are emitted.
+//! [`lex_window`]), so a warm lex allocates nothing.
 //!
 //! Offsets are `u32`. A source longer than `u32::MAX` bytes lexes as its
 //! longest prefix of whole characters that is at most `u32::MAX` bytes
@@ -19,9 +18,7 @@ use std::ops::{Deref, DerefMut};
 
 use crate::ast::offset;
 use crate::parser::MAX_KEPT_SCRATCH;
-use crate::token::{
-    flag, Kind, Lexeme, SpannedToken, Token, TokenKind, OPERATORS, STRING_PREFIXES,
-};
+use crate::token::{flag, Kind, Lexeme, OPERATORS, STRING_PREFIXES};
 
 /// Source bytes per token the output is reserved for. Files of the tiny
 /// corpus and its mutants run 3.2 to 7.4 bytes per token (mean 3.8), so
@@ -36,16 +33,16 @@ const BYTES_PER_TOKEN: usize = 3;
 const MAX_RESERVED_TOKENS: usize = 1 << 16;
 
 /// The longest source whose offsets fit a [`Lexeme`].
-const MAX_SOURCE: usize = u32::MAX as usize;
+pub(crate) const MAX_SOURCE: usize = u32::MAX as usize;
 
 /// The tokens reserved for `len` source bytes.
-fn reservation(len: usize) -> usize {
+pub(crate) fn reservation(len: usize) -> usize {
     (len / BYTES_PER_TOKEN + 4).min(MAX_RESERVED_TOKENS)
 }
 
 /// The longest prefix of `source` of whole characters that is at most
 /// `limit` bytes long: what the lexer reads of it.
-fn lexable(source: &str, limit: usize) -> &str {
+pub(crate) fn lexable(source: &str, limit: usize) -> &str {
     let mut end = source.len().min(limit);
     while !source.is_char_boundary(end) {
         end -= 1;
@@ -107,87 +104,6 @@ impl Drop for Lexemes {
 /// suppressed. Each token carries the byte span it was lexed from.
 pub fn lex(source: &str) -> Lexemes {
     lex_window(source, 0, source.len()).tokens
-}
-
-/// [`lex`]'s tokens rendered as [`SpannedToken`]s, with their text: the
-/// view source-to-source rewriters (the `obfuscate` crate) splice
-/// against. It allocates its vector, plus one buffer per string literal
-/// whose value is owned (see [`Lexeme::value`]).
-pub fn lex_spanned(source: &str) -> Vec<SpannedToken<'_>> {
-    let source = lexable(source, MAX_SOURCE);
-    let mut view = Render::new(source, reservation(source.len()));
-    Lexer::new(source.as_bytes(), 0, 1, |t, col| view.push(t, col)).run();
-    view.out
-}
-
-/// `tokens`, lexed from `source`, rendered as [`lex_spanned`] renders
-/// them. A token's column is counted from the start of its line in
-/// `source`, so a window relexed from a line start renders as the same
-/// tokens of a whole-source lex do.
-pub fn render<'src>(source: &'src str, tokens: &[Lexeme]) -> Vec<SpannedToken<'src>> {
-    let mut view = Render::new(source, tokens.len());
-    let (mut line, mut line_start) = (0, 0);
-    for &t in tokens {
-        // A token's line counts the newlines in front of it, so only a
-        // token on a new line moves the line start: to just past the
-        // nearest newline behind the token.
-        let start = t.start as usize;
-        if t.line != line {
-            line = t.line;
-            let before = source.as_bytes().get(..start).unwrap_or_default();
-            line_start = before
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |nl| nl + 1);
-        }
-        let col = match t.kind {
-            Kind::INDENT | Kind::DEDENT => 0,
-            _ => start.saturating_sub(line_start),
-        };
-        view.push(t, col);
-    }
-    view.out
-}
-
-/// Renders lexemes of one source, in order, as [`SpannedToken`]s.
-struct Render<'src> {
-    source: &'src str,
-    out: Vec<SpannedToken<'src>>,
-}
-
-impl<'src> Render<'src> {
-    fn new(source: &'src str, capacity: usize) -> Self {
-        Render {
-            source,
-            out: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Renders `t`, which starts at column `col`.
-    fn push(&mut self, t: Lexeme, col: usize) {
-        let (start, end) = (t.start as usize, t.end as usize);
-        let text = t.text(self.source);
-        let kind = match t.kind {
-            Kind::IDENT => TokenKind::Ident(text),
-            Kind::NUMBER => TokenKind::Number(text),
-            Kind::STR => TokenKind::Str {
-                value: t.value(self.source),
-                prefix: t.prefix(),
-            },
-            Kind::COMMENT => TokenKind::Comment(text),
-            Kind::NEWLINE => TokenKind::Newline,
-            Kind::INDENT => TokenKind::Indent,
-            Kind::DEDENT => TokenKind::Dedent,
-            Kind::EOF => TokenKind::Eof,
-            op => TokenKind::Op(op.op_text().unwrap_or_default()),
-        };
-        let line = t.line as usize;
-        self.out.push(SpannedToken {
-            token: Token { kind, line, col },
-            start,
-            end,
-        });
-    }
 }
 
 /// Result of re-lexing a byte window of a larger source (see
@@ -275,64 +191,27 @@ pub struct CutPoint {
     pub at: usize,
 }
 
-/// A token [`cut_points`] reads: a [`Lexeme`], or a [`SpannedToken`]
-/// rendered from one.
-pub trait CutToken {
-    /// Whether this is a real NEWLINE: one byte wide.
-    fn is_real_newline(&self) -> bool;
-    /// Whether this is a content token at column zero: a non-empty span
-    /// that is not a comment.
-    fn opens_line(&self) -> bool;
-    /// Its span.
-    fn span(&self) -> (usize, usize);
-}
-
-impl CutToken for Lexeme {
-    fn is_real_newline(&self) -> bool {
-        self.kind == Kind::NEWLINE && self.end == self.start.saturating_add(1)
-    }
-
-    fn opens_line(&self) -> bool {
-        self.at_column_zero() && self.end > self.start && self.kind != Kind::COMMENT
-    }
-
-    fn span(&self) -> (usize, usize) {
-        (self.start as usize, self.end as usize)
-    }
-}
-
-impl CutToken for SpannedToken<'_> {
-    fn is_real_newline(&self) -> bool {
-        matches!(self.kind(), TokenKind::Newline) && self.end == self.start + 1
-    }
-
-    fn opens_line(&self) -> bool {
-        self.token.col == 0
-            && self.end > self.start
-            && !matches!(self.kind(), TokenKind::Comment(_))
-    }
-
-    fn span(&self) -> (usize, usize) {
-        (self.start, self.end)
-    }
-}
-
 /// The cut points of a token stream, in source order: one per adjacent
 /// pair of tokens that satisfies [`CutPoint`]'s conditions.
-pub fn cut_points<'a, T, I>(tokens: I) -> impl Iterator<Item = CutPoint> + 'a
+pub fn cut_points<'a, I>(tokens: I) -> impl Iterator<Item = CutPoint> + 'a
 where
-    T: CutToken + 'a,
-    I: IntoIterator<Item = &'a T>,
+    I: IntoIterator<Item = &'a Lexeme>,
     I::IntoIter: 'a,
 {
     let mut tokens = tokens.into_iter();
     let mut last = tokens.next();
     tokens.filter_map(move |next| {
         let cur = last.replace(next)?;
-        let cut = cur.is_real_newline() && next.opens_line();
-        cut.then(|| CutPoint {
-            newline_end: cur.span().1,
-            at: next.span().0,
+        // A real NEWLINE is one byte wide; a content token has a
+        // non-empty span and is not a comment.
+        let cut = cur.kind == Kind::NEWLINE
+            && cur.end == cur.start.saturating_add(1)
+            && next.at_column_zero()
+            && next.end > next.start
+            && next.kind != Kind::COMMENT;
+        cut.then_some(CutPoint {
+            newline_end: cur.end as usize,
+            at: next.start as usize,
         })
     })
 }
@@ -391,7 +270,7 @@ impl Indents {
 
 /// The lexer over one window of a source, handing each token and its
 /// column to `emit`.
-struct Lexer<'a, E> {
+pub(crate) struct Lexer<'a, E> {
     /// The window's bytes.
     src: &'a [u8],
     /// The window's offset in its source.
@@ -417,7 +296,7 @@ struct Lexer<'a, E> {
 }
 
 impl<'a, E: FnMut(Lexeme, usize)> Lexer<'a, E> {
-    fn new(src: &'a [u8], base: usize, line: u32, emit: E) -> Self {
+    pub(crate) fn new(src: &'a [u8], base: usize, line: u32, emit: E) -> Self {
         Lexer {
             src,
             base,
@@ -470,7 +349,7 @@ impl<'a, E: FnMut(Lexeme, usize)> Lexer<'a, E> {
 
     /// Lexes the window; true when it ended at a statement boundary (see
     /// [`WindowLex::ends_at_statement_boundary`]).
-    fn run(mut self) -> bool {
+    pub(crate) fn run(mut self) -> bool {
         loop {
             if self.at_line_start && self.depth == 0 && !self.handle_indentation() {
                 // EOF while scanning line starts: a clean exit, unless a
@@ -701,7 +580,7 @@ impl<'a, E: FnMut(Lexeme, usize)> Lexer<'a, E> {
 /// One piece of a string literal's value, in body order.
 pub(crate) enum Piece {
     /// A source byte that stands for itself. It is appended byte-as-char,
-    /// so a byte >= 0x80 becomes U+0080..U+00FF (ROADMAP item 4).
+    /// so a byte >= 0x80 becomes U+0080..U+00FF (ROADMAP item 19).
     Byte(u8),
     /// An escape sequence, replaced by this character or by nothing.
     Escape(Option<char>),
@@ -809,86 +688,73 @@ mod tests {
 
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
-        lex_spanned(src).into_iter().map(|t| t.token.kind).collect()
+    /// Each token's kind and text.
+    fn kinds(src: &str) -> Vec<(Kind, &str)> {
+        lex(src).iter().map(|t| (t.kind, t.text(src))).collect()
+    }
+
+    /// How many tokens of `kind` `src` lexes to.
+    fn count(src: &str, kind: Kind) -> usize {
+        lex(src).iter().filter(|t| t.kind == kind).count()
+    }
+
+    /// Each string literal's value.
+    fn values(src: &str) -> Vec<Cow<'_, str>> {
+        let tokens = lex(src);
+        let strs = tokens.iter().filter(|t| t.kind == Kind::STR);
+        strs.map(|t| t.value(src)).collect()
     }
 
     #[test]
     fn simple_statement() {
-        let k = kinds("import os\n");
         assert_eq!(
-            k,
-            vec![
-                TokenKind::Ident("import"),
-                TokenKind::Ident("os"),
-                TokenKind::Newline,
-                TokenKind::Eof,
+            kinds("import os\n"),
+            [
+                (Kind::IDENT, "import"),
+                (Kind::IDENT, "os"),
+                (Kind::NEWLINE, "\n"),
+                (Kind::EOF, ""),
             ]
         );
     }
 
     #[test]
     fn indentation_tokens() {
-        let k = kinds("def f():\n    pass\n");
-        assert!(k.contains(&TokenKind::Indent));
-        assert!(k.contains(&TokenKind::Dedent));
+        let src = "def f():\n    pass\n";
+        assert_eq!((count(src, Kind::INDENT), count(src, Kind::DEDENT)), (1, 1));
     }
 
     #[test]
     fn nested_indentation() {
         let src = "if a:\n    if b:\n        pass\n";
-        let k = kinds(src);
-        let indents = k.iter().filter(|k| **k == TokenKind::Indent).count();
-        let dedents = k.iter().filter(|k| **k == TokenKind::Dedent).count();
-        assert_eq!(indents, 2);
-        assert_eq!(dedents, 2);
+        assert_eq!((count(src, Kind::INDENT), count(src, Kind::DEDENT)), (2, 2));
     }
 
     #[test]
     fn string_literals() {
-        let k = kinds("x = 'hello'\n");
-        assert!(k
-            .iter()
-            .any(|k| matches!(k, TokenKind::Str { value, .. } if value == "hello")));
+        assert_eq!(values("x = 'hello'\n"), ["hello"]);
     }
 
     #[test]
     fn string_escapes() {
-        let k = kinds(r#"x = "a\nb""#);
-        assert!(k
-            .iter()
-            .any(|k| matches!(k, TokenKind::Str { value, .. } if value == "a\nb")));
+        assert_eq!(values(r#"x = "a\nb""#), ["a\nb"]);
     }
 
     #[test]
     fn raw_string_keeps_backslash() {
-        let k = kinds(r"x = r'a\nb'");
-        assert!(k
-            .iter()
-            .any(|k| matches!(k, TokenKind::Str { value, .. } if value == r"a\nb")));
+        assert_eq!(values(r"x = r'a\nb'"), [r"a\nb"]);
     }
 
     #[test]
     fn triple_quoted_string() {
-        let k = kinds("s = \"\"\"line1\nline2\"\"\"\n");
-        assert!(k
-            .iter()
-            .any(|k| matches!(k, TokenKind::Str { value, .. } if value == "line1\nline2")));
+        assert_eq!(values("s = \"\"\"line1\nline2\"\"\"\n"), ["line1\nline2"]);
     }
 
     /// A literal borrows the source unless its value differs from its
     /// bytes: a processed escape, or a byte >= 0x80 (kept byte-as-char).
     #[test]
     fn literals_borrow_unless_their_value_differs_from_their_bytes() {
-        let value = |src: &'static str| {
-            lex_spanned(src)
-                .into_iter()
-                .find_map(|t| match t.token.kind {
-                    TokenKind::Str { value, .. } => Some(value),
-                    _ => None,
-                })
-                .expect("a literal")
-        };
+        let value = |src: &'static str| values(src).pop().expect("a literal");
         for (src, expected) in [
             ("'plain'", "plain"),
             (r"'\q'", r"\q"),
@@ -918,117 +784,70 @@ mod tests {
 
     #[test]
     fn bytes_prefix_recorded() {
-        let k = kinds("p = b'payload'\n");
-        assert!(k
+        let tokens = lex("p = b'payload'\n");
+        assert!(tokens
             .iter()
-            .any(|k| matches!(k, TokenKind::Str { prefix: "b", .. })));
+            .any(|t| t.kind == Kind::STR && t.prefix() == "b"));
     }
 
     #[test]
     fn newline_suppressed_inside_brackets() {
-        let k = kinds("f(a,\n  b)\n");
-        let newlines = k.iter().filter(|k| **k == TokenKind::Newline).count();
-        assert_eq!(newlines, 1);
+        assert_eq!(count("f(a,\n  b)\n", Kind::NEWLINE), 1);
     }
 
     #[test]
     fn comments_captured() {
-        let k = kinds("# C2: 1.2.3.4\nx = 1\n");
-        assert!(k
-            .iter()
-            .any(|k| matches!(k, TokenKind::Comment(c) if c.contains("C2"))));
+        assert!(kinds("# C2: 1.2.3.4\nx = 1\n").contains(&(Kind::COMMENT, "# C2: 1.2.3.4")));
     }
 
     #[test]
     fn blank_lines_dont_dedent() {
-        let src = "def f():\n    a = 1\n\n    b = 2\n";
-        let k = kinds(src);
-        let dedents = k.iter().filter(|k| **k == TokenKind::Dedent).count();
-        assert_eq!(dedents, 1);
+        assert_eq!(count("def f():\n    a = 1\n\n    b = 2\n", Kind::DEDENT), 1);
     }
 
     #[test]
     fn multi_char_operators() {
         let k = kinds("a == b != c -> d\n");
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Op("=="))));
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Op("!="))));
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Op("->"))));
+        for op in ["==", "!=", "->"] {
+            assert!(k.contains(&(Kind::op(op), op)), "{op}");
+        }
     }
 
     #[test]
     fn unterminated_string_tolerated() {
-        let k = kinds("x = 'oops\ny = 2\n");
-        assert!(k
-            .iter()
-            .any(|k| matches!(k, TokenKind::Str { value, .. } if value == "oops")));
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Ident("y"))));
+        let src = "x = 'oops\ny = 2\n";
+        assert_eq!(values(src), ["oops"]);
+        assert!(kinds(src).contains(&(Kind::IDENT, "y")));
     }
 
     #[test]
     fn line_continuation() {
-        let k = kinds("x = 1 + \\\n    2\n");
-        let newlines = k.iter().filter(|k| **k == TokenKind::Newline).count();
-        assert_eq!(newlines, 1);
+        assert_eq!(count("x = 1 + \\\n    2\n", Kind::NEWLINE), 1);
     }
 
     #[test]
     fn numbers() {
         let k = kinds("x = 0xFF + 3.14\n");
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Number("0xFF"))));
-        assert!(k.iter().any(|k| matches!(k, TokenKind::Number("3.14"))));
-    }
-
-    #[test]
-    fn spans_slice_back_to_raw_source() {
-        let src = "x = rb'pay\\load'  # note\ny = 0xFF\n";
-        for st in lex_spanned(src) {
-            let raw = &src[st.start..st.end];
-            match &st.token.kind {
-                TokenKind::Ident(w) => assert_eq!(raw, *w),
-                TokenKind::Number(n) => assert_eq!(raw, *n),
-                TokenKind::Str { .. } => assert_eq!(raw, "rb'pay\\load'"),
-                TokenKind::Comment(c) => assert_eq!(raw, *c),
-                TokenKind::Op(o) => assert_eq!(raw, *o),
-                TokenKind::Newline => assert_eq!(raw, "\n"),
-                TokenKind::Indent | TokenKind::Dedent | TokenKind::Eof => assert!(raw.is_empty()),
-            }
-        }
+        assert!(k.contains(&(Kind::NUMBER, "0xFF")));
+        assert!(k.contains(&(Kind::NUMBER, "3.14")));
     }
 
     #[test]
     fn spans_cover_triple_quoted_strings() {
         let src = "s = \"\"\"line1\nline2\"\"\"\nz = 1\n";
-        let toks = lex_spanned(src);
-        let s = toks
-            .iter()
-            .find(|t| matches!(t.kind(), TokenKind::Str { .. }))
-            .expect("string token");
-        assert_eq!(&src[s.start..s.end], "\"\"\"line1\nline2\"\"\"");
+        assert!(kinds(src).contains(&(Kind::STR, "\"\"\"line1\nline2\"\"\"")));
     }
 
     #[test]
     fn spans_are_monotone_and_in_bounds() {
         let src = "def f(a):\n    if a:\n        return 'x'\n";
-        let toks = lex_spanned(src);
-        let mut last = 0usize;
-        for t in &toks {
+        let mut last = 0;
+        for t in lex(src).iter() {
             assert!(t.start <= t.end);
-            assert!(t.end <= src.len());
+            assert!(t.end as usize <= src.len());
             assert!(t.start >= last || t.start == t.end, "overlap at {t:?}");
             last = last.max(t.end);
         }
-    }
-
-    /// The rendered tokens of a window relex.
-    fn window(src: &str, start: usize, end: usize) -> Vec<SpannedToken<'_>> {
-        render(src, &lex_window(src, start, end).tokens)
-    }
-
-    #[test]
-    fn lex_window_over_the_whole_source_is_lex_spanned() {
-        let src = "import os\n\ndef f(a):\n    return a\n\nx = f(1)\n";
-        assert_eq!(window(src, 0, src.len()), lex_spanned(src));
-        assert_eq!(render(src, &lex(src)), lex_spanned(src));
     }
 
     #[test]
@@ -1078,8 +897,8 @@ mod tests {
     #[test]
     fn lex_window_from_a_cut_point_matches_the_full_lex_suffix() {
         let src = "import os\nx = 1\n\n\nz = 3\n# note\ndef f():\n    return x\ny = 2\n";
-        let full = lex_spanned(src);
-        let cuts: Vec<CutPoint> = cut_points(&full).collect();
+        let full = lex(src);
+        let cuts: Vec<CutPoint> = cut_points(full.iter()).collect();
         // `x`, and `z` behind two blank lines. Not `def` (its predecessor
         // is a comment), not the indented `return`, not `y` (a DEDENT
         // stands between it and the NEWLINE).
@@ -1098,10 +917,10 @@ mod tests {
         for cut in cuts {
             let from = full
                 .iter()
-                .position(|t| t.start == cut.at)
+                .position(|t| t.start as usize == cut.at)
                 .expect("a token starts at every cut point");
             assert_eq!(
-                window(src, cut.at, src.len()),
+                lex_window(src, cut.at, src.len()).tokens[..],
                 full[from..],
                 "suffix relex diverged at offset {}",
                 cut.at
@@ -1117,7 +936,7 @@ mod tests {
     fn cut_points_splice_as_prefix_window_and_shifted_suffix() {
         let v1 = "import os\nimport sys\nA = 'one'\nos.system('id')\nB = 2\n";
         let v2 = "import os\nimport sys\nA = 'three'\n\nC = 0\nos.system('id')\nB = 2\n";
-        let old: Vec<CutPoint> = cut_points(&lex_spanned(v1)).collect();
+        let old: Vec<CutPoint> = cut_points(lex(v1).iter()).collect();
         // The window is the `A` line: it starts at the second cut point
         // and stops at the third.
         let (start, stop) = (old[1], old[2]);
@@ -1133,7 +952,7 @@ mod tests {
             newline_end: c.newline_end + delta,
             at: c.at + delta,
         }));
-        let full: Vec<CutPoint> = cut_points(&lex_spanned(v2)).collect();
+        let full: Vec<CutPoint> = cut_points(lex(v2).iter()).collect();
         assert_eq!(spliced, full);
         assert_eq!(full.len(), 5, "import sys, A, C, os.system, B");
     }
@@ -1158,35 +977,10 @@ mod tests {
     }
 
     #[test]
-    fn lex_window_rebases_spans_and_lines() {
-        let src = "a = 1\nb = 2\nc = 3\n";
-        let full = lex_spanned(src);
-        let w = lex_window(src, 6, 12);
-        assert!(w.ends_at_statement_boundary);
-        let tokens = render(src, &w.tokens);
-        let expected: Vec<SpannedToken> = full
-            .iter()
-            .filter(|t| t.start >= 6 && t.end <= 12 && t.end > t.start)
-            .cloned()
-            .collect();
-        // The window's content tokens (everything but the close-out EOF)
-        // are exactly the full lex's tokens over those bytes.
-        let content: Vec<SpannedToken> = tokens
-            .iter()
-            .filter(|t| !matches!(t.kind(), TokenKind::Eof))
-            .cloned()
-            .collect();
-        assert_eq!(content, expected);
-        assert_eq!(content[0].token.line, 2);
-    }
-
-    #[test]
     fn line_numbers_tracked() {
-        let toks = lex_spanned("a = 1\nb = 2\n");
-        let b_tok = toks
-            .iter()
-            .find(|t| t.token.as_ident() == Some("b"))
-            .expect("b token");
-        assert_eq!(b_tok.token.line, 2);
+        let src = "a = 1\nb = 2\n";
+        let tokens = lex(src);
+        let b = tokens.iter().find(|t| t.text(src) == "b").expect("b token");
+        assert_eq!(b.line, 2);
     }
 }

@@ -9,13 +9,15 @@
 //!
 //! * [`lex`] — an indentation-aware tokenizer (strings, comments,
 //!   triple quotes, line continuations, INDENT/DEDENT synthesis) whose
-//!   [`Lexeme`]s carry their byte spans; [`lex_spanned`] renders them with
-//!   their text as [`SpannedToken`]s for source-to-source rewriters.
+//!   [`Lexeme`]s carry their byte spans. It is the one token type: the
+//!   parser, the string table, the splice and source-to-source rewriters
+//!   (the `obfuscate` crate) all read a kind and a span, and the text is
+//!   a slice of the source.
 //! * [`lex_window`] — relexes one byte range in full-source coordinates
 //!   (the whole source is the window at offset 0), the primitive every
-//!   artifact build runs on, and [`cut_points`] — the offsets of a token
-//!   stream where such a window may start or stop, which is all of the
-//!   stream a later splice reads.
+//!   artifact build runs on, and [`cut_points`] — the offsets of a
+//!   lexeme stream where such a window may start or stop, which is all of
+//!   the stream a later splice reads.
 //! * [`parse_tokens`] — the parser's front door: a tolerant, lightweight
 //!   parser producing a statement/expression tree sufficient for pattern
 //!   matching, over a [`Lexeme`] slice it borrows, so a caller that
@@ -30,8 +32,7 @@
 //!   the token stream, the literal view that per-file analysis artifacts
 //!   carry for decoded-layer extraction; [`StringTable::spliced`] derives
 //!   an edited file's table from its predecessor's and the relexed window
-//!   (from the empty table and the whole stream it is `StringTable::of`),
-//!   and [`intern_strings`] builds it from rendered tokens.
+//!   (from the empty table and the whole stream it is `StringTable::of`).
 //!
 //! # The tree borrows by span
 //!
@@ -42,7 +43,7 @@
 //! `&source[start..end]`. A string's value is the bytes between its
 //! quotes unless a flag says it differs from them — a processed escape
 //! (`\n`, `\'`, a line continuation), or a byte >= 0x80, which is still
-//! read byte-as-char (`'—'` reads `"â\u{80}\u{94}"`) until ROADMAP item 4
+//! read byte-as-char (`'—'` reads `"â\u{80}\u{94}"`) until ROADMAP item 19
 //! fixes that in its own PR; only then is it decoded from the span
 //! ([`Lexeme::value`]); on the tiny corpus and its mutants 1 036 of
 //! 21 987 literals own a decoded value. The lexer writes into a token
@@ -62,6 +63,10 @@
 //! decodes each decoded literal into a buffer it reuses and copies each
 //! distinct value into the string table.
 //!
+//! The token shape lexemes replaced is the hidden `compat` module,
+//! re-exported at the crate root for the repository benchmark and the
+//! equivalence tests that still read it. Nothing else uses it.
+//!
 //! # Examples
 //!
 //! ```
@@ -74,6 +79,8 @@
 #![warn(missing_docs)]
 
 mod ast;
+#[doc(hidden)]
+pub mod compat;
 mod lexer;
 mod parser;
 mod strings;
@@ -83,12 +90,12 @@ pub use ast::{
     Arg, Donor, Expr, ExprId, Header, ImportedName, LineIndex, Literal, Module, Run, Span, Stmt,
     StmtId, Suite,
 };
-pub use lexer::{
-    cut_points, lex, lex_spanned, lex_window, render, CutPoint, CutToken, Lexemes, WindowLex,
-};
+#[doc(hidden)]
+pub use compat::{intern_strings, lex_spanned, render, SpannedToken, Token, TokenKind};
+pub use lexer::{cut_points, lex, lex_window, CutPoint, Lexemes, WindowLex};
 pub use parser::{parse_module, parse_spliced, parse_tokens};
-pub use strings::{intern_strings, StringRef, StringTable};
-pub use token::{is_keyword, Kind, Lexeme, SpannedToken, Token, TokenKind, KEYWORDS};
+pub use strings::{StringRef, StringTable};
+pub use token::{is_keyword, Kind, Lexeme, KEYWORDS};
 
 /// Collects every call expression in the module, depth-first. Block
 /// headers are not descended into: only the taint engine reads them.

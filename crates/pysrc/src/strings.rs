@@ -12,8 +12,7 @@ use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
-use crate::ast::offset;
-use crate::token::{Kind, Lexeme, SpannedToken, TokenKind};
+use crate::token::{Kind, Lexeme};
 
 /// One occurrence of a string literal in a source file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,28 +47,12 @@ impl StringTable {
     pub fn is_empty(&self) -> bool {
         self.literals.is_empty()
     }
-}
 
-/// Builds an interned [`StringTable`] from a rendered token stream.
-///
-/// f-strings are skipped: their lexed value still contains `{...}`
-/// interpolation holes, so the text is not a runtime string value.
-/// Raw and bytes literals are kept — encoded payloads ship in both.
-pub fn intern_strings(tokens: &[SpannedToken<'_>]) -> StringTable {
-    let mut interner = Interner::default();
-    for t in tokens {
-        if let TokenKind::Str { value, prefix } = t.kind() {
-            if !prefix.contains('f') {
-                interner.push(value, offset(t.token.line));
-            }
-        }
-    }
-    interner.table
-}
-
-impl StringTable {
-    /// The table of `tokens`, lexed from `source`: what
-    /// [`intern_strings`] builds from their rendering.
+    /// The table of `tokens`, lexed from `source`.
+    ///
+    /// f-strings are skipped: their lexed value still contains `{...}`
+    /// interpolation holes, so the text is not a runtime string value.
+    /// Raw and bytes literals are kept — encoded payloads ship in both.
     pub fn of(source: &str, tokens: &[Lexeme]) -> StringTable {
         let mut interner = Interner::default();
         interner.push_tokens(source, tokens);
@@ -122,8 +105,8 @@ impl StringTable {
 /// into the table, and a decoded one is decoded into a buffer the
 /// interner reuses.
 #[derive(Default)]
-struct Interner {
-    table: StringTable,
+pub(crate) struct Interner {
+    pub(crate) table: StringTable,
     /// Hashes literal values, with keys drawn per interner.
     hasher: RandomState,
     /// Each literal's id at the hash of its value, or, when another
@@ -154,7 +137,7 @@ impl Hasher for Prehashed {
 }
 
 impl Interner {
-    fn push(&mut self, value: &str, line: u32) {
+    pub(crate) fn push(&mut self, value: &str, line: u32) {
         let literals = &mut self.table.literals;
         let mut slot = self.hasher.hash_one(value);
         let literal = loop {
@@ -191,7 +174,7 @@ impl Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex_spanned;
+    use crate::compat::{intern_strings, lex_spanned};
 
     /// The table of `src`, which is also the table of its rendered
     /// tokens and what splicing its whole stream into an empty table

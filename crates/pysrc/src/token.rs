@@ -1,5 +1,5 @@
 //! Token model for the Python lexer: the compact [`Lexeme`] every reader
-//! on the scan path takes, and the rendered [`SpannedToken`] view of it.
+//! takes, its [`Kind`] codes and the keyword table.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -189,8 +189,9 @@ impl Lexeme {
             .unwrap_or_default()
     }
 
-    /// Whether the token starts at column zero.
-    pub(crate) fn at_column_zero(self) -> bool {
+    /// Whether the token starts at column zero. INDENT and DEDENT always
+    /// do.
+    pub fn at_column_zero(self) -> bool {
         self.flags & flag::COLUMN_ZERO != 0
     }
 
@@ -213,7 +214,7 @@ impl Lexeme {
     /// bytes between its quotes, borrowed, unless [`Lexeme::is_decoded`].
     /// Then it is decoded from the span — escapes processed, and each
     /// byte of 0x80 or above appended byte-as-char (`'—'` reads
-    /// `"â\u{80}\u{94}"`, until ROADMAP item 4 fixes that in its own PR) —
+    /// `"â\u{80}\u{94}"`, until ROADMAP item 19 fixes that in its own PR) —
     /// and owned unless it is empty. Empty for a token that is not a
     /// string.
     pub fn value(self, source: &str) -> Cow<'_, str> {
@@ -296,88 +297,6 @@ impl Lexeme {
     }
 }
 
-/// The kind of a rendered token (see [`SpannedToken`]). Text borrows the
-/// source it was lexed from (`'src`); only a string literal whose value
-/// differs from its source bytes owns it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind<'src> {
-    /// Identifier or keyword (`def`, `import`, names, ...).
-    Ident(&'src str),
-    /// Integer or float literal, kept as text.
-    Number(&'src str),
-    /// String literal with quotes stripped and prefix recorded.
-    Str {
-        /// Decoded contents (no quotes): [`Lexeme::value`].
-        value: Cow<'src, str>,
-        /// Prefix letters (`b`, `r`, `f`, ...), lowercased: one of the
-        /// lexer's fixed prefixes.
-        prefix: &'static str,
-    },
-    /// A single operator or punctuation glyph sequence (`==`, `.`, `(`...).
-    /// Operators come from a fixed set, so the text is a `'static` slice
-    /// of the lexer's tables: an operator token owns no heap memory.
-    Op(&'static str),
-    /// Logical end of line.
-    Newline,
-    /// Indentation increased.
-    Indent,
-    /// Indentation decreased.
-    Dedent,
-    /// `# ...` comment (kept: analyzers look for commented-out IOC hints).
-    Comment(&'src str),
-    /// End of input.
-    Eof,
-}
-
-/// A rendered token with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token<'src> {
-    /// What was lexed.
-    pub kind: TokenKind<'src>,
-    /// 1-based line number.
-    pub line: usize,
-    /// 0-based column of the first byte.
-    pub col: usize,
-}
-
-/// A [`Lexeme`] rendered with its text, for source-to-source rewriters
-/// (the `obfuscate` crate) and tools that print tokens: see
-/// [`crate::lex_spanned`]. Nothing on the scan path builds one.
-///
-/// `source[start..end]` is the lexeme's span, which is what rewriters
-/// splice against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpannedToken<'src> {
-    /// The token.
-    pub token: Token<'src>,
-    /// Byte offset of the first byte of the token in the source.
-    pub start: usize,
-    /// Byte offset one past the last byte of the token.
-    pub end: usize,
-}
-
-impl<'src> SpannedToken<'src> {
-    /// The token kind (convenience passthrough).
-    pub fn kind(&self) -> &TokenKind<'src> {
-        &self.token.kind
-    }
-}
-
-impl<'src> Token<'src> {
-    /// Returns the identifier text if this token is an identifier.
-    pub fn as_ident(&self) -> Option<&'src str> {
-        match self.kind {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns true when the token is the given operator glyph.
-    pub fn is_op(&self, op: &str) -> bool {
-        matches!(self.kind, TokenKind::Op(s) if s == op)
-    }
-}
-
 /// Python keywords recognised by the block splitter (§IV-A of the paper
 /// keys basic-unit boundaries on these).
 pub const KEYWORDS: &[&str] = &[
@@ -401,23 +320,6 @@ mod tests {
         assert!(is_keyword("def"));
         assert!(is_keyword("class"));
         assert!(!is_keyword("definitely"));
-    }
-
-    #[test]
-    fn token_helpers() {
-        let t = Token {
-            kind: TokenKind::Ident("os"),
-            line: 1,
-            col: 0,
-        };
-        assert_eq!(t.as_ident(), Some("os"));
-        assert!(!t.is_op("."));
-        let op = Token {
-            kind: TokenKind::Op("."),
-            line: 1,
-            col: 2,
-        };
-        assert!(op.is_op("."));
     }
 
     #[test]

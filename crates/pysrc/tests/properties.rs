@@ -70,7 +70,8 @@ proptest! {
     ) {
         let src = format!("{}\n", lines.join("\n"));
         let full = pysrc::lex_spanned(&src);
-        for cut in pysrc::cut_points(&full) {
+        let cuts: Vec<pysrc::CutPoint> = pysrc::cut_points(pysrc::lex(&src).iter()).collect();
+        for cut in cuts {
             let from = full.iter().position(|t| t.start == cut.at).expect("a token at the cut");
             let suffix = pysrc::lex_window(&src, cut.at, src.len()).tokens;
             let suffix = pysrc::render(&src, &suffix);

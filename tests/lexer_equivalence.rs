@@ -9,8 +9,9 @@
 //! and of its aggressive mutants (seed 42) and over generated sources
 //! built from the bytes lexers get wrong: non-ASCII text, escapes, `\r\n`,
 //! tabs, `\` continuations, string prefixes, triple-quoted and
-//! unterminated strings. A window relexed from a cut point must render
-//! as the reference relexes it.
+//! unterminated strings. The live cut points of the lexemes must be the
+//! reference's own cut points of its tokens, and a window relexed from
+//! one must render as the reference relexes it.
 
 use std::borrow::Cow;
 
@@ -66,16 +67,20 @@ fn same(got: &[SpannedToken<'_>], want: &[SpannedToken<'_>]) -> Result<(), Strin
 }
 
 /// The view and the rendering of [`pysrc::lex`] equal the reference lex
-/// of `src`, and so does every window relexed from one of its cut points,
-/// to the end of the file and to the next cut point.
+/// of `src`, the lexemes' cut points are the reference's, and every
+/// window relexed from one of them equals the reference's relex, to the
+/// end of the file and to the next cut point.
 fn check(src: &str) -> Result<usize, String> {
     let reference = oracles::lexer::lex_spanned(src);
     same(&pysrc::lex_spanned(src), &reference).map_err(|e| format!("lex_spanned: {e}"))?;
     same(&pysrc::render(src, &pysrc::lex(src)), &reference).map_err(|e| format!("lex: {e}"))?;
-    let cuts: Vec<pysrc::CutPoint> = pysrc::cut_points(&reference).collect();
-    let live: Vec<pysrc::CutPoint> = pysrc::cut_points(pysrc::lex(src).iter()).collect();
-    if live != cuts {
-        return Err(format!("cut points {live:?}, reference {cuts:?}"));
+    let cuts: Vec<oracles::lexer::CutPoint> = oracles::lexer::cut_points(&reference).collect();
+    let want: Vec<(usize, usize)> = cuts.iter().map(|c| (c.newline_end, c.at)).collect();
+    let live: Vec<(usize, usize)> = pysrc::cut_points(pysrc::lex(src).iter())
+        .map(|c| (c.newline_end, c.at))
+        .collect();
+    if live != want {
+        return Err(format!("cut points {live:?}, reference {want:?}"));
     }
     let ends = cuts.iter().skip(1).map(|c| c.at).chain([src.len()]);
     for (cut, end) in cuts.iter().zip(ends) {

@@ -301,7 +301,7 @@ fn one_line_splice_equals_the_full_build() {
     // Insert at a cut point — in front of a column-zero statement that
     // directly follows a real newline, where the splicer may start a
     // window. The one nearest the middle of the file.
-    let at = pysrc::cut_points(&pysrc::lex_spanned(&old))
+    let at = pysrc::cut_points(pysrc::lex(&old).iter())
         .map(|cut| cut.at)
         .min_by_key(|at| at.abs_diff(old.len() / 2))
         .expect("a column-zero statement");
