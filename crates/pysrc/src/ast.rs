@@ -174,13 +174,37 @@ pub struct LineIndex {
 }
 
 impl LineIndex {
-    /// Indexes `text`: one allocation, sized by a first count of `\n`.
-    pub(crate) fn new(text: &str) -> LineIndex {
-        let newlines = text.bytes().filter(|&b| b == b'\n').count();
-        let mut starts = Vec::with_capacity(1 + newlines);
-        starts.push(0);
-        let ends = text.bytes().enumerate().filter(|&(_, b)| b == b'\n');
-        starts.extend(ends.map(|(i, _)| offset(i + 1)));
+    /// Indexes `text`, reading only the window of a `donor` (a previous
+    /// version of `text` that differs from it only there, as in
+    /// [`crate::parse_spliced`]): the line starts in front of the window
+    /// are the donor's, those behind it the donor's moved by the change
+    /// in length. With no donor the window is the whole text. One
+    /// allocation, sized by a first count of the window's `\n`s.
+    pub(crate) fn new(text: &str, donor: Option<Donor<'_>>) -> LineIndex {
+        let first = [0];
+        // The donor's line starts, the window's first byte, and, when
+        // text follows the window, its end in the donor and in `text`.
+        let (old, window_start, window_ends) = match donor {
+            Some(d) => {
+                let unchanged = |e_old: usize| d.module.source.len() - e_old;
+                let ends = d.suffix_from.map(|e| (e, text.len() - unchanged(e)));
+                (&d.module.lines.starts[..], d.window_start, ends)
+            }
+            None => (&first[..], 0, None),
+        };
+        let behind = |at: usize| old.partition_point(|&start| start as usize <= at);
+        let kept = behind(window_start);
+        let (resumed, window_end, bytes) = match window_ends {
+            Some((e_old, e_new)) => (behind(e_old), e_new, e_new as isize - e_old as isize),
+            None => (old.len(), text.len(), 0),
+        };
+        let window = &text.as_bytes()[window_start..window_end];
+        let newlines = window.iter().filter(|&&b| b == b'\n').count();
+        let mut starts = Vec::with_capacity(kept + newlines + old.len() - resumed);
+        starts.extend_from_slice(&old[..kept]);
+        let line_ends = window.iter().enumerate().filter(|&(_, &b)| b == b'\n');
+        starts.extend(line_ends.map(|(i, _)| offset(window_start + i + 1)));
+        starts.extend(old[resumed..].iter().map(|&start| moved(start, bytes)));
         LineIndex { starts }
     }
 
@@ -517,7 +541,7 @@ impl Module {
         };
         Module {
             source: Arc::from(text),
-            lines: LineIndex::new(text),
+            lines: LineIndex::new(text, donor),
             body: marks.iter().map(|m| StmtId(m.stmts)).collect(),
             nodes,
             marks,
@@ -1161,13 +1185,13 @@ mod tests {
 
     #[test]
     fn line_index_counts_newlines_only() {
-        let lines = LineIndex::new("a\r\nb\n\nc");
+        let lines = LineIndex::new("a\r\nb\n\nc", None);
         let at = |offset| lines.line_of(offset);
         assert_eq!(
             [at(0), at(2), at(3), at(4), at(5), at(6), at(99)],
             [1, 1, 2, 2, 3, 4, 4]
         );
-        assert_eq!(LineIndex::new("").line_of(0), 1);
+        assert_eq!(LineIndex::new("", None).line_of(0), 1);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use pysrc::{CutPoint, Donor, Kind, Lexeme, Module, StringTable};
-use yara_engine::{FileHits, Scanner};
+use yara_engine::{FileHits, HitDonor, Scanner};
 
 use crate::cache::DigestKey;
 use crate::metrics::Stage;
@@ -165,7 +165,7 @@ impl FileAnalysis {
     pub fn build(entry: &FileEntry, scanner: Option<&Scanner<'_>>, cfg: &ArtifactConfig) -> Self {
         let _outer = Stage::nested();
         if !entry.is_python() {
-            return Self::finish(entry, Default::default(), scanner, cfg);
+            return Self::finish(entry, Default::default(), None, scanner, cfg);
         }
         let text = String::from_utf8_lossy(entry.bytes());
         Self::assemble(entry, &text, None, 0..text.len(), scanner, cfg)
@@ -197,6 +197,13 @@ impl FileAnalysis {
             ),
             None => (None, &no_strings, &[], &[]),
         };
+        let hit_donor = donor
+            .and_then(|d| d.yara_hits.as_ref())
+            .map(|hits| HitDonor {
+                old,
+                hits,
+                window: window.clone(),
+            });
         // Both versions have the same bytes behind the window. Each of
         // its edges is at a donor cut point or at an end of the file.
         let (new, w, e_new) = (text.as_bytes(), window.start, window.end);
@@ -245,11 +252,16 @@ impl FileAnalysis {
         // tokens are read between stand-ins for their two neighbours in
         // the full stream — the NEWLINE the window starts behind and the
         // column-zero token it stops at — so the cut points at both
-        // junctions come out as a full lex would set them.
-        let lw = 1 + count_newlines(&old[..w]);
-        let suffix_from = end.map(|_| 1 + count_newlines(&old[..e_old]));
-        let line_delta = suffix_from.map_or(0, |_| {
-            count_newlines(&new[w..e_new]) as isize - count_newlines(&old[w..e_old]) as isize
+        // junctions come out as a full lex would set them. The window's
+        // lines are counted; the donor's are its line index's.
+        let line_of = |at: usize| {
+            let at = u32::try_from(at).unwrap_or(u32::MAX);
+            donor.map_or(1, |d| d.module.lines().line_of(at))
+        };
+        let lw = line_of(w);
+        let suffix_from = end.map(|_| line_of(e_old));
+        let line_delta = suffix_from.map_or(0, |old_end| {
+            count_newlines(&new[w..e_new]) as isize - (old_end - lw) as isize
         });
         Stage::Intern.enter();
         let strings = table.spliced(lw, text, &tokens, suffix_from, line_delta)?;
@@ -271,17 +283,21 @@ impl FileAnalysis {
             });
         }
         let products = (cut_points, strings, Some(module));
-        Some(Self::finish(entry, products, scanner, cfg))
+        Some(Self::finish(entry, products, hit_donor, scanner, cfg))
     }
 
     /// Derives every downstream product (decoded layers, taint, YARA
     /// hits) from the products of the token stream — none for a file that
     /// is not Python. Everything below this line is a pure function of
     /// them plus the bytes, so splice ≡ full is a statement about
-    /// [`FileAnalysis::build_spliced`]'s window selection alone.
+    /// [`FileAnalysis::build_spliced`]'s window selection alone. The
+    /// surface hits are collected onto the donor's when there is one
+    /// ([`Scanner::collect_hits_onto`], which reads only what the window
+    /// can have changed); the layers' from scratch.
     fn finish(
         entry: &FileEntry,
         (cut_points, strings, module): (Vec<CutPoint>, StringTable, Option<Module>),
+        hit_donor: Option<HitDonor<'_>>,
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
     ) -> Self {
@@ -300,7 +316,7 @@ impl FileAnalysis {
             fold_layers(&mut layers, &strings, summary, cfg);
         }
         Stage::Hits.enter();
-        let yara_hits = scanner.map(|s| s.collect_hits(&bytes));
+        let yara_hits = scanner.map(|s| s.collect_hits_onto(&bytes, hit_donor));
         let layer_hits = scanner.map_or_else(Vec::new, |s| {
             layers.iter().map(|l| s.collect_hits(&l.data)).collect()
         });
@@ -392,17 +408,8 @@ impl FileAnalysis {
         // Changed byte region: [p, q_old) in the old content. The common
         // suffix is measured after the common prefix so the two cannot
         // overlap on repeated text.
-        let p = old
-            .iter()
-            .zip(new.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        let s = old[p..]
-            .iter()
-            .rev()
-            .zip(new[p..].iter().rev())
-            .take_while(|(a, b)| a == b)
-            .count();
+        let p = common_prefix(old, new);
+        let s = common_suffix(&old[p..], &new[p..]);
         let q_old = old.len() - s;
         let delta = new.len() as isize - old.len() as isize;
 
@@ -463,6 +470,29 @@ pub struct Spliced {
 
 fn count_newlines(bytes: &[u8]) -> usize {
     bytes.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// Bytes compared per step of the two scans below (each step one slice
+/// comparison, a `memcmp`).
+const CHUNK: usize = 64;
+
+/// The length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let equal = a.chunks_exact(CHUNK).zip(b.chunks_exact(CHUNK));
+    let skip = equal.take_while(|(x, y)| x == y).count() * CHUNK;
+    let rest = a[skip..].iter().zip(&b[skip..]);
+    skip + rest.take_while(|(x, y)| x == y).count()
+}
+
+/// The length of the longest common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let equal = a.rchunks_exact(CHUNK).zip(b.rchunks_exact(CHUNK));
+    let skip = equal.take_while(|(x, y)| x == y).count() * CHUNK;
+    let rest = a[..a.len() - skip]
+        .iter()
+        .rev()
+        .zip(b[..b.len() - skip].iter().rev());
+    skip + rest.take_while(|(x, y)| x == y).count()
 }
 
 /// Appends synthetic layers for constants the taint engine folded out

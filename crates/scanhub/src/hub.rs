@@ -276,6 +276,12 @@ impl ScanHub {
         // the worker's trace.
         let mut clock = StageClock::start(tel.histograms(), Stage::Cache);
         HubCounters::add(&c.submitted, 1);
+        // A file equal to the resident version of its name takes that
+        // version's digest; only the others are hashed.
+        if let Some(store) = &self.shared.artifacts {
+            let adopted = store.adopt_sibling_digests(request.files());
+            HubCounters::add(&c.digests_reused, adopted);
+        }
         let digest = self.shared.cache.as_ref().map(|_| request.digest());
         if let (Some(cache), Some(d)) = (&self.shared.cache, &digest) {
             let hit = cache.lock().expect("cache lock").get(d);
@@ -342,6 +348,13 @@ rule b64 { strings: $re = /[A-Za-z0-9+\/]{16,}/ condition: $re }
         )
     }
 
+    impl ScanHub {
+        /// The hub's artifact store.
+        pub(crate) fn store(&self) -> &ArtifactStore {
+            self.shared.artifacts.as_ref().expect("artifact cache on")
+        }
+    }
+
     pub(crate) fn request(code: &str) -> ScanRequest {
         ScanRequest::from_source("upload.py", code)
     }
@@ -384,6 +397,92 @@ rule b64 { strings: $re = /[A-Za-z0-9+\/]{16,}/ condition: $re }
         let b = hub.submit(request("x = 1\n")).wait();
         assert!(!a.from_cache && !b.from_cache);
         assert_eq!(hub.stats().cache_hits, 0);
+    }
+
+    /// A package of two Python modules and a metadata file, each entry
+    /// new, so no digest is known: `b.py` carries `marker`.
+    fn package(marker: &str) -> ScanRequest {
+        ScanRequest::from_files(vec![
+            crate::FileEntry::new("pkg/a.py", versioned_body("a").into_bytes()),
+            crate::FileEntry::new("pkg/b.py", versioned_body(marker).into_bytes()),
+            crate::FileEntry::new("PKG-INFO", b"Name: pkg\nVersion: 1\n".to_vec()),
+        ])
+    }
+
+    #[test]
+    fn an_identical_reupload_takes_every_digest_from_its_sibling() {
+        let hub = hub(HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        });
+        assert!(!hub.submit(package("v1")).wait().from_cache);
+        assert_eq!(hub.stats().digests_reused, 0, "nothing was resident");
+        let again = package("v1");
+        let verdict = hub.submit(again.clone()).wait();
+        assert!(verdict.from_cache, "the adopted digests key the verdict");
+        assert_eq!(hub.stats().digests_reused, 3, "one per sibling-equal file");
+        // An adopted digest is the one hashing computes.
+        let hashed = package("v1");
+        for (adopted, fresh) in again.files().iter().zip(hashed.files()) {
+            assert_eq!(adopted.digest(), fresh.digest());
+        }
+        assert_eq!(again.digest(), hashed.digest());
+    }
+
+    #[test]
+    fn a_same_length_edit_is_hashed() {
+        let hub = hub(HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        });
+        hub.submit(package("v1")).wait();
+        let bump = package("v2");
+        assert!(!hub.submit(bump.clone()).wait().from_cache);
+        // `a.py` and `PKG-INFO` are equal to their siblings; `b.py` has
+        // their length and other bytes.
+        assert_eq!(hub.stats().digests_reused, 2);
+        assert_eq!(bump.files()[1].digest(), package("v2").files()[1].digest());
+        assert_ne!(bump.files()[1].digest(), package("v1").files()[1].digest());
+    }
+
+    #[test]
+    fn an_evicted_sibling_is_hashed() {
+        let hub = hub(HubConfig {
+            workers: 1,
+            cache_capacity: 0,
+            artifact_cache_capacity: 1,
+            ..HubConfig::default()
+        });
+        let upload = |name: &str| ScanRequest::from_source(name, versioned_body(name));
+        hub.submit(upload("pkg/a.py")).wait();
+        hub.submit(upload("pkg/b.py")).wait();
+        hub.submit(upload("pkg/a.py")).wait();
+        assert_eq!(hub.stats().digests_reused, 0, "`b.py` evicted `a.py`");
+        hub.submit(upload("pkg/a.py")).wait();
+        assert_eq!(hub.stats().digests_reused, 1, "`a.py` is resident again");
+    }
+
+    #[test]
+    fn reused_digests_leave_every_verdict_alone() {
+        // Each hub reads fresh entries: clones would share their digests.
+        let run = |artifact_cache_capacity| {
+            let hub = hub(HubConfig {
+                workers: 1,
+                artifact_cache_capacity,
+                ..HubConfig::default()
+            });
+            let stream = ["v1", "v1", "v2", "v1", "v2", "v2"].map(package);
+            let verdicts: Vec<Verdict> = stream.into_iter().map(|r| hub.submit(r).wait()).collect();
+            (verdicts, hub.stats().digests_reused)
+        };
+        let ((warm, reused), (cold, none)) = (run(4096), run(0));
+        // `b.py`'s sibling is the last version a worker built: v1, then
+        // v2 for good (the second v1 is a verdict-cache hit).
+        assert_eq!((reused, none), (3 + 2 + 2 + 3 + 3, 0));
+        for (a, b) in warm.iter().zip(&cold) {
+            assert!(a.same_matches(b), "{a:?}\nvs\n{b:?}");
+            assert_eq!(a.from_cache, b.from_cache);
+        }
     }
 
     #[test]

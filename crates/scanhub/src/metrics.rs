@@ -124,6 +124,10 @@ hub_metrics! {
         completed: "scanhub_completed_total", "Packages fully processed", Always;
         /// Submissions answered from the verdict cache.
         cache_hits: "scanhub_cache_hits_total", "Verdict-cache hits", Always;
+        /// Submitted files whose digest was taken from the resident
+        /// artifact last published under their name, their bytes compared
+        /// equal to its bytes instead of hashed.
+        digests_reused: "scanhub_digests_reused_total", "Submitted file digests taken from a byte-equal resident sibling", Always;
         /// Total buffer bytes run through scanners (cache hits excluded).
         bytes_scanned: "scanhub_bytes_scanned_total", "Buffer bytes scanned", Always;
         /// File entries analyzed from scratch (lex + parse + string intern +
@@ -817,7 +821,7 @@ mod tests {
         let counters = rows
             .iter()
             .filter(|r| r.series.starts_with("scanhub_") && !r.gauge);
-        assert_eq!(counters.count(), 27);
+        assert_eq!(counters.count(), 28);
 
         // Book one distinct bit to every stage; a stage's field or
         // histogram is named like its variant, in snake case.

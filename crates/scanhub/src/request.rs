@@ -70,6 +70,19 @@ impl FileEntry {
         self.name.ends_with(".py")
     }
 
+    /// Whether the content digest has been computed (or adopted).
+    pub(crate) fn digest_known(&self) -> bool {
+        self.digest.get().is_some()
+    }
+
+    /// Takes `digest` as this entry's content digest, when it has none
+    /// yet: the digest of a resident artifact of the same name whose
+    /// bytes equal this entry's. Same name means same python-ness, so it
+    /// is the digest [`FileEntry::digest`] would compute.
+    pub(crate) fn adopt_digest(&self, digest: DigestKey) -> bool {
+        self.digest.set(digest).is_ok()
+    }
+
     /// Content digest keying the per-file artifact cache.
     ///
     /// The digest covers the bytes plus the python-ness of the entry

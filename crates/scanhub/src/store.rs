@@ -13,6 +13,10 @@
 //!   siblings, collect the evictions. A claim dropped unpublished (a
 //!   panic on a hostile file) only releases the claim. Both then notify,
 //!   so a waiter is served or claims the digest itself.
+//! * [`ArtifactStore::adopt_sibling_digests`], on the submit path: reads
+//!   the siblings of a request's files. It takes a poisoned lock as "no
+//!   sibling", not as a panic, so one worker's panic never reaches a
+//!   submitter.
 //!
 //! **Lock order: state → retro.** The retro-hunt index has its own lock
 //! (on `cold_ingest`, on a 2-thread Xeon, collecting a file's grams
@@ -206,6 +210,32 @@ impl ArtifactStore {
     pub fn with_retro<R>(&self, f: impl FnOnce(&RetroIndex) -> R) -> Option<R> {
         let retro = self.retro.as_ref()?;
         Some(f(&retro.lock().expect("retro index lock")))
+    }
+
+    /// Gives each of `files` with no digest yet the digest of the
+    /// resident artifact last published under its name, when their bytes
+    /// are equal — a length check and a `memcmp` in place of a SHA-256 —
+    /// and returns how many it gave. One lock acquisition, read with
+    /// [`crate::cache::LruCache::peek`] so recency is untouched; a
+    /// poisoned lock gives none, and every file is hashed as before.
+    pub fn adopt_sibling_digests(&self, files: &[FileEntry]) -> u64 {
+        if files.iter().all(FileEntry::digest_known) {
+            return 0;
+        }
+        let Ok(state) = self.state.lock() else {
+            return 0;
+        };
+        let mut adopted = 0;
+        for entry in files.iter().filter(|f| !f.digest_known()) {
+            let sibling = state.siblings.get(entry.name());
+            let Some(sibling) = sibling.and_then(|d| state.cache.peek(d)) else {
+                continue;
+            };
+            if sibling.bytes[..] == *entry.bytes() && entry.adopt_digest(sibling.digest) {
+                adopted += 1;
+            }
+        }
+        adopted
     }
 
     /// The resident artifact for `digest`, leaving its recency alone: a
@@ -461,6 +491,31 @@ mod tests {
         let built = Arc::new(FileAnalysis::build(entry, None, &ArtifactConfig::default()));
         claim.publish(&built, grams, &mut untimed());
         built
+    }
+
+    #[test]
+    fn a_poisoned_store_leaves_the_submit_path_hashing() {
+        let hub = hub(HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        });
+        let code = "import os\nos.system('id')\n";
+        let first = hub.submit(request(code)).wait();
+        let store = hub.store();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = store.lock();
+                panic!("a worker panics holding the store lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(store.state.lock().is_err(), "the lock is poisoned");
+        let again = request(code);
+        assert_eq!(store.adopt_sibling_digests(again.files()), 0);
+        // The submit path finds no sibling, hashes the file and answers
+        // from the verdict cache.
+        let verdict = hub.submit(again).wait();
+        assert!(verdict.from_cache && verdict.same_matches(&first));
     }
 
     #[test]

@@ -282,8 +282,9 @@ fn gather_artifacts(
             }
         });
         // Downstream-product accounting, the same on both paths: a
-        // spliced artifact recomputes layers, taint and regex hits from
-        // scratch (only lex/parse is incremental).
+        // spliced artifact recomputes its layers and taint from scratch,
+        // and its surface hits carry the donor's outside the edit, so
+        // only the regex work differs.
         if let Some(taint) = &built.taint {
             HubCounters::add(&c.taint_analyses, 1);
             HubCounters::add(&c.flows_found, taint.flows.len() as u64);
@@ -294,14 +295,12 @@ fn gather_artifacts(
             &c.layer_bytes_scanned,
             built.layers.iter().map(|l| l.data.len() as u64).sum(),
         );
-        // Regex work happens exactly once per unique file, at
-        // artifact-build time; cache hits pay none.
-        for hits in built.yara_hits.iter().chain(&built.layer_hits) {
-            HubCounters::add(
-                &c.regex_strings_evaluated,
-                hits.metrics.regex_strings_evaluated,
-            );
-            HubCounters::add(&c.regex_bytes_scanned, hits.metrics.regex_bytes_scanned);
+        // Regex work happens once per unique file, at artifact-build time
+        // — over the lines the edit touched, for a splice's line-local
+        // groups; cache hits pay none.
+        if let Some(work) = scanner.map(Scanner::take_work) {
+            HubCounters::add(&c.regex_strings_evaluated, work.regex_strings_evaluated);
+            HubCounters::add(&c.regex_bytes_scanned, work.regex_bytes_scanned);
         }
         if let Some(claim) = claim {
             claim.publish(&built, grams, clock);

@@ -8,7 +8,8 @@
 //! exhaustive rescan oracle.
 
 use proptest::prelude::*;
-use scanhub::{FileEntry, HubConfig, ScanHub, ScanRequest};
+use scanhub::{ArtifactConfig, FileAnalysis, FileEntry, HubConfig, ScanHub, ScanRequest};
+use yara_engine::Scanner;
 
 const YARA: &str = r#"
 rule shell { strings: $a = "os.system" condition: $a }
@@ -198,4 +199,162 @@ fn evicted_siblings_degrade_to_full_builds() {
         stats.incremental_relexes, 0,
         "no sibling survives a capacity-1 cache shared by 3 files"
     );
+}
+
+/// Strings whose hits a splice carries in each way: a text string with
+/// a newline in it, a `fullword` and a `wide` one (carried when the edit
+/// is out of their reach), a line-local regex (carried on the lines the
+/// edit leaves alone), and a `\s` and an anchored regex, which read the
+/// whole file on every build.
+const CARRY_YARA: &str = r#"
+rule pkg_info { strings: $nl = "Summary: \nHome-page:" condition: $nl }
+rule word { strings: $w = "spawn" fullword $c = "cmd" wide ascii condition: any of them }
+rule blob { strings: $b = /([A-Za-z0-9+\/]{4}){4,}={0,2}/ condition: $b }
+rule gap { strings: $s = /os\s+system/ condition: $s }
+rule head { strings: $h = /^import/ condition: $h }
+"#;
+
+/// A module holding a match of every string of [`CARRY_YARA`].
+const CARRY_BASE: &str = "import os\nMETA = \"\"\"Summary: \nHome-page: https://example.org\"\"\"\nA = 'spawn'\nB = 'respawn'\n\ndef run(cmd):\n    return call('os  system', cmd)\n\nBLOB = 'QUJDREVGR0hJSktMTU5PUA=='\nC = A + B\nprint(C)\nD = 'cmd /c'\nE = len(D)\nprint(E)\nF = 'padding'\nG = F * 2\n";
+
+/// Statements an edit inserts at a cut point or puts in place of the
+/// statement there.
+const CARRY_EDITS: [&str; 9] = [
+    "x = 'spawn'\n",
+    "y = 'spawned cmd'\n",
+    "z = 'QUJDREVGR0hJ'\n",
+    "w = 'os\\tsystem'\n",
+    "import sys\n",
+    "M = \"\"\"Summary: \nHome-page: x\"\"\"\n",
+    "v = 1\n",
+    "",
+    "def g():\n    return 'os system'\n",
+];
+
+/// A spliced artifact is a full build's on every product.
+fn assert_identical(spliced: &FileAnalysis, full: &FileAnalysis) {
+    assert_eq!(spliced.digest, full.digest);
+    assert_eq!(spliced.bytes, full.bytes);
+    assert_eq!(spliced.cut_points, full.cut_points, "cut points diverge");
+    assert_eq!(
+        spliced.module.as_ref().map(|m| m.get()),
+        full.module.as_ref().map(|m| m.get()),
+        "modules diverge"
+    );
+    assert_eq!(spliced.strings, full.strings, "string tables diverge");
+    assert_eq!(spliced.layers, full.layers, "decoded layers diverge");
+    assert_eq!(spliced.yara_hits, full.yara_hits, "surface hits diverge");
+    assert_eq!(spliced.layer_hits, full.layer_hits, "layer hits diverge");
+    assert_eq!(spliced.taint, full.taint, "taint summaries diverge");
+}
+
+/// The offsets at which `code`'s token stream may be cut.
+fn cuts(code: &str) -> Vec<usize> {
+    pysrc::cut_points(pysrc::lex(code).iter())
+        .map(|c| c.at)
+        .collect()
+}
+
+/// Random edits at cut points — an insertion, or a statement replaced —
+/// each spliced onto the artifact the previous one produced: every
+/// splice carries hits and must equal a full build.
+#[test]
+fn carried_hits_equal_a_full_build_over_random_cut_point_edits() {
+    let rules = yara_engine::compile(CARRY_YARA).expect("yara");
+    let scanner = Scanner::new(&rules);
+    let cfg = ArtifactConfig::default();
+    let build = |code: &str| {
+        let entry = FileEntry::new("pkg/mod.py", code.as_bytes().to_vec());
+        FileAnalysis::build(&entry, Some(&scanner), &cfg)
+    };
+    let full = build(CARRY_BASE);
+    assert_eq!(
+        scanner.scan(CARRY_BASE.as_bytes()).len(),
+        5,
+        "every rule matches"
+    );
+    let hits = full.yara_hits.as_ref().expect("hits");
+    assert_eq!(hits.hit_count(), 8, "one hit per string, three of `cmd`");
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 32) as usize % n
+    };
+    let (mut code, mut donor, mut engaged) = (CARRY_BASE.to_owned(), full, 0);
+    for round in 0..400 {
+        let at = cuts(&code);
+        let i = next(at.len() + 1);
+        let start = if i == 0 { 0 } else { at[i - 1] };
+        let end = if next(2) == 0 {
+            start
+        } else {
+            at.get(i).copied().unwrap_or(code.len())
+        };
+        let edit = CARRY_EDITS[next(CARRY_EDITS.len())];
+        let edited = format!("{}{edit}{}", &code[..start], &code[end..]);
+        if edited == code {
+            continue;
+        }
+        let entry = FileEntry::new("pkg/mod.py", edited.as_bytes().to_vec());
+        let full = FileAnalysis::build(&entry, Some(&scanner), &cfg);
+        let next_donor = match FileAnalysis::build_spliced(&entry, &donor, Some(&scanner), &cfg) {
+            Some(spliced) => {
+                assert_identical(&spliced.analysis, &full);
+                engaged += 1;
+                spliced.analysis
+            }
+            None => full,
+        };
+        (code, donor) = if round % 25 == 24 {
+            (CARRY_BASE.to_owned(), build(CARRY_BASE))
+        } else {
+            (edited, next_donor)
+        };
+    }
+    assert!(engaged >= 200, "only {engaged} of 400 edits spliced");
+}
+
+/// The regex work of a one-line splice, exactly: the edited line for the
+/// line-local group, the file for the two others, and every decoded
+/// layer for all three.
+#[test]
+fn a_one_line_splice_rescans_its_window_for_line_local_groups_only() {
+    let rules = yara_engine::compile(CARRY_YARA).expect("yara");
+    let scanner = Scanner::new(&rules);
+    let cfg = ArtifactConfig::default();
+    let old = FileEntry::new("pkg/mod.py", CARRY_BASE.as_bytes().to_vec());
+    let donor = FileAnalysis::build(&old, Some(&scanner), &cfg);
+    let new = CARRY_BASE.replace("E = len(D)", "E = len(D) + 1");
+    let entry = FileEntry::new("pkg/mod.py", new.as_bytes().to_vec());
+    scanner.take_work();
+    let spliced = FileAnalysis::build_spliced(&entry, &donor, Some(&scanner), &cfg)
+        .expect("a one-line edit splices");
+    let work = scanner.take_work();
+    let window = spliced.relexed_bytes;
+    assert_eq!(
+        window,
+        "E = len(D) + 1\n".len() as u64,
+        "one statement relexed"
+    );
+    let layers: u64 = spliced
+        .analysis
+        .layers
+        .iter()
+        .map(|l| l.data.len() as u64)
+        .sum();
+    assert!(layers > 0, "`BLOB` decodes");
+    let (local, other) = (1, 2);
+    assert_eq!(
+        work.regex_bytes_scanned,
+        window * local + new.len() as u64 * other + layers * (local + other)
+    );
+    let units = 1 + spliced.analysis.layers.len() as u64;
+    assert_eq!(work.regex_strings_evaluated, units * (local + other));
+    // The full build reads the file for every group.
+    FileAnalysis::build(&entry, Some(&scanner), &cfg);
+    let work = scanner.take_work();
+    let full = new.len() as u64 * (local + other) + layers * (local + other);
+    assert_eq!(work.regex_bytes_scanned, full);
 }

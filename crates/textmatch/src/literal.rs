@@ -38,6 +38,8 @@ const MAX_PREFIX: usize = 16;
 pub struct ScanInfo {
     anchored_start: bool,
     nullable: bool,
+    /// See [`crate::Regex::is_line_local`].
+    pub(crate) line_local: bool,
     first_bytes: Option<Box<[bool; 256]>>,
     first_byte_count: usize,
     prefix: Vec<u8>,
@@ -102,9 +104,17 @@ pub(crate) fn analyze(program: &Program) -> ScanInfo {
     let (table, nullable) = first_bytes(program);
     let first_byte_count = table.iter().filter(|&&b| b).count();
     let accelerate = !anchored_start && !nullable && first_byte_count <= MAX_USEFUL_FIRST_BYTES;
+    // No instruction consumes `\n` or asserts, and no match is empty.
+    let line_local = !nullable
+        && program.insts.iter().all(|inst| match inst {
+            Inst::Byte(set) => !set.matches(b'\n'),
+            Inst::Split(..) | Inst::Jmp(_) | Inst::Match => true,
+            Inst::AssertStart | Inst::AssertEnd | Inst::AssertWord(_) => false,
+        });
     ScanInfo {
         anchored_start,
         nullable,
+        line_local,
         first_bytes: accelerate.then(|| Box::new(table)),
         first_byte_count,
         prefix: if accelerate {

@@ -230,6 +230,16 @@ impl Regex {
         self.dfa.is_some()
     }
 
+    /// Whether every match lies within one line, whatever surrounds it:
+    /// the program consumes no `\n`, asserts nothing and cannot match
+    /// empty. Matches of such a regex in a haystack whose edges are line
+    /// starts (offset 0, the end, or just after a `\n`) are exactly the
+    /// matches a scan of the whole text finds there, so a caller may scan
+    /// only the lines that changed.
+    pub fn is_line_local(&self) -> bool {
+        self.scan.line_local
+    }
+
     /// The DFA prefab when both the program and the haystack qualify.
     fn dfa_for(&self, haystack: &[u8]) -> Option<&DfaPrefab> {
         if haystack.len() >= DFA_MIN_HAYSTACK {
@@ -807,6 +817,26 @@ mod tests {
 
     fn re(p: &str) -> Regex {
         Regex::new(p).unwrap_or_else(|e| panic!("compile {p:?}: {e}"))
+    }
+
+    #[test]
+    fn line_locality_needs_no_newline_no_assertion_and_no_empty_match() {
+        for p in [
+            r"([A-Za-z0-9+/]{4}){10,}={0,2}",
+            "a.*z",
+            r"\d{1,3}\.\d+",
+            "ab|c?d",
+        ] {
+            assert!(re(p).is_line_local(), "{p}");
+        }
+        for p in [
+            r"\s+", r"[^x]+", "a\nb", "^abc", "abc$", r"\bfoo", "a*", "(ab)?", "x|",
+        ] {
+            assert!(!re(p).is_line_local(), "{p}");
+        }
+        assert!(!Regex::new_nocase(r"a[\n]")
+            .expect("compile")
+            .is_line_local());
     }
 
     #[test]

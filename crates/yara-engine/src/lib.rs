@@ -57,4 +57,6 @@ pub use compiler::{compile, CompiledRule, CompiledRules};
 pub use error::CompileError;
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::parse;
-pub use scanner::{FileHits, Part, RuleMatch, ScanMetrics, ScanScratch, Scanner, StringMatch};
+pub use scanner::{
+    FileHits, HitDonor, Part, RuleMatch, ScanMetrics, ScanScratch, Scanner, StringMatch,
+};

@@ -15,6 +15,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use textmatch::{MatchKind, MultiLiteral, Regex, RegexCache};
 
@@ -39,19 +40,21 @@ pub struct RuleMatch {
     pub strings: Vec<StringMatch>,
 }
 
-/// Work counters for one scan pass.
+/// Regex work a scanner has done since its counters were last taken
+/// ([`Scanner::take_work`]).
 ///
 /// Regex strings dominate per-rule scan cost (plain-text strings ride the
 /// shared Aho–Corasick pass), so the counters track how much haystack the
 /// regex engine actually read; the scanhub service aggregates them across
-/// packages.
+/// packages. They are the scanner's, not the hits': a unit's
+/// [`FileHits`] are the same however much of it was read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanMetrics {
     /// Regex passes run: one per *distinct* `(pattern, nocase)`, however
     /// many definitions share it.
     pub regex_strings_evaluated: u64,
-    /// Haystack bytes handed to the regex engine (buffer length times
-    /// passes — each pass is one single-pass scan).
+    /// Haystack bytes handed to the regex engine: per pass, the unit's
+    /// length, or the lines a splice changed when the group is line-local.
     pub regex_bytes_scanned: u64,
 }
 
@@ -62,13 +65,27 @@ pub struct ScanMetrics {
 /// Offsets are unit-relative `u32`s (registry uploads are far below
 /// 4 GiB); slots are the scanner's dense string indices. The set is a
 /// pure function of `(ruleset, data)`, which is what makes it cacheable
-/// in a content-addressed artifact.
+/// in a content-addressed artifact, and equality compares nothing else.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileHits {
     /// `(dense string slot, ascending match offsets)`, sorted by slot.
     slots: Vec<(u32, Vec<u32>)>,
-    /// Work performed collecting these hits.
-    pub metrics: ScanMetrics,
+}
+
+/// A previous version of a scan unit, for [`Scanner::collect_hits_onto`]:
+/// its bytes, its hits, collected by a scanner over the same ruleset, and
+/// where the new unit differs from it.
+#[derive(Debug, Clone)]
+pub struct HitDonor<'d> {
+    /// The previous version's bytes. A splice reads at most the byte in
+    /// front of the window's old end.
+    pub old: &'d [u8],
+    /// The previous version's hits.
+    pub hits: &'d FileHits,
+    /// The new unit's bytes that may differ: in front of the window the
+    /// two versions are equal, and so are their last
+    /// `len - window.end` bytes.
+    pub window: Range<usize>,
 }
 
 impl FileHits {
@@ -168,6 +185,8 @@ pub struct Scanner<'r> {
     total_strings: usize,
     /// Regex string definitions, one group per distinct pattern.
     regex_groups: Vec<RegexGroup<'r>>,
+    /// The longest literal form, in bytes.
+    longest_form: usize,
     /// `(live slot, own slot)` for each string the live ruleset defines
     /// identically, sorted: `collect_hits` never scans for those.
     from_live: Vec<(u32, u32)>,
@@ -175,15 +194,30 @@ pub struct Scanner<'r> {
 }
 
 /// One pattern of [`Scanner::literals`]: an ascii or wide form of a text
-/// string.
+/// string. The forms are in slot order.
 #[derive(Debug)]
 struct Form {
     /// The string's dense slot.
     slot: u32,
+    /// The form's length in bytes.
+    len: usize,
     fullword: bool,
     /// The form's bytes when the matcher folds case and the string is
     /// case-sensitive: a match counts only if it equals them.
     exact: Option<Box<[u8]>>,
+}
+
+/// Which of a [`HitDonor`]'s hits in one string slot are the new unit's
+/// too, with no byte read.
+#[derive(Debug, Clone, Copy)]
+enum Carry {
+    /// None: the slot is not collected, or its regex reads the whole unit.
+    Nothing,
+    /// A text string whose longest form is this long: a hit whose bytes
+    /// and the byte on either side are all outside the window.
+    Literal(usize),
+    /// A line-local regex: a hit on a line the window does not touch.
+    Lines,
 }
 
 /// The state [`Scanner::collect_hits`] carries from one unit to the next.
@@ -192,6 +226,8 @@ struct Warm<'r> {
     scratch: ScanScratch,
     /// One per regex group, parallel to `Scanner::regex_groups`.
     regexes: Vec<RegexCache<'r>>,
+    /// Regex work since [`Scanner::take_work`].
+    work: ScanMetrics,
 }
 
 /// The regex string definitions compiled from one `(pattern, nocase)` —
@@ -204,6 +240,8 @@ struct RegexGroup<'r> {
     regex: &'r Regex,
     /// Dense string slot per member, declaration order.
     members: Vec<usize>,
+    /// [`Regex::is_line_local`]: a splice rescans only the changed lines.
+    line_local: bool,
 }
 
 /// Every string definition of `rules`, in dense slot order.
@@ -258,12 +296,14 @@ impl<'r> Scanner<'r> {
                 let exact = (fold && !mods.nocase).then(|| form.clone().into_boxed_slice());
                 forms.push(Form {
                     slot: slot as u32,
+                    len: form.len(),
                     fullword: mods.fullword,
                     exact,
                 });
                 patterns.push(form);
             }
         }
+        let longest_form = patterns.iter().map(Vec::len).max().unwrap_or(0);
         let kind = if fold {
             MatchKind::CaseInsensitive
         } else {
@@ -284,6 +324,7 @@ impl<'r> Scanner<'r> {
                             regex_groups.push(RegexGroup {
                                 regex,
                                 members: Vec::new(),
+                                line_local: regex.is_line_local(),
                             });
                             regex_groups.len() - 1
                         });
@@ -301,9 +342,32 @@ impl<'r> Scanner<'r> {
             warm: RefCell::new(Warm {
                 scratch: ScanScratch::new(),
                 regexes: regex_groups.iter().map(|g| g.regex.cache()).collect(),
+                work: ScanMetrics::default(),
             }),
             regex_groups,
+            longest_form,
         }
+    }
+
+    /// How a donor's hits in `slot` carry over a splice.
+    fn carry(&self, slot: usize) -> Carry {
+        let first = self.forms.partition_point(|f| (f.slot as usize) < slot);
+        let forms = self.forms[first..]
+            .iter()
+            .take_while(|f| f.slot as usize == slot);
+        if let Some(longest) = forms.map(|f| f.len).max() {
+            return Carry::Literal(longest);
+        }
+        let group = self.regex_groups.iter().find(|g| g.members.contains(&slot));
+        match group {
+            Some(group) if group.line_local => Carry::Lines,
+            _ => Carry::Nothing,
+        }
+    }
+
+    /// The regex work done since the last call, which resets it.
+    pub fn take_work(&self) -> ScanMetrics {
+        std::mem::take(&mut self.warm.borrow_mut().work)
     }
 
     /// True when [`Scanner::collect_hits`] scans for a string of rule `ri`.
@@ -332,51 +396,103 @@ impl<'r> Scanner<'r> {
     /// evaluate any routed rule subset against any combination of cached
     /// units without touching the bytes again.
     pub fn collect_hits(&self, data: &[u8]) -> FileHits {
+        self.collect_hits_onto(data, None)
+    }
+
+    /// [`Scanner::collect_hits`] of a unit that differs from `donor`'s
+    /// previous version only inside its window, reading only what the
+    /// edit can have changed; with no donor, the whole unit. The hits are
+    /// exactly those of a whole-unit scan:
+    ///
+    /// * A text string's donor hit carries over, moved by the length
+    ///   change when it lies behind the window, when its bytes and the
+    ///   byte on either side (what `fullword` reads) are all outside the
+    ///   window — measured with the string's longest form. The literal
+    ///   pass reads the window widened by the longest form plus one and
+    ///   keeps only the matches that do not carry over; `fullword` is
+    ///   checked against the whole unit.
+    /// * A line-local regex's matches lie within one line, so a group
+    ///   carries its hits on the lines the window does not touch and
+    ///   rescans only the lines it does. Any other group rescans the
+    ///   unit.
+    pub fn collect_hits_onto(&self, data: &[u8], donor: Option<HitDonor<'_>>) -> FileHits {
         let mut warm = self.warm.borrow_mut();
-        let Warm { scratch, regexes } = &mut *warm;
+        let Warm {
+            scratch,
+            regexes,
+            work,
+        } = &mut *warm;
         scratch.begin(self.total_strings);
-        self.literals.for_each_match(data, |m| {
+        let edit = donor.as_ref().map(|d| Edit::new(d, data));
+        if let (Some(d), Some(edit)) = (&donor, &edit) {
+            // The donor's hits outside the edit's reach, in place or moved.
+            for (slot, offsets) in &d.hits.slots {
+                let slot = *slot as usize;
+                let carry = self.carry(slot);
+                for &old in offsets {
+                    if let Some(at) = edit.carried(carry, old as usize) {
+                        scratch.push(slot, at);
+                    }
+                }
+            }
+        }
+        let reach = self.longest_form + 1;
+        let (a, b) = edit.as_ref().map_or((0, data.len()), |e| {
+            let w = e.window.start.saturating_sub(reach);
+            (w, (e.window.end + reach).min(data.len()))
+        });
+        self.literals.for_each_match(&data[a..b], |m| {
+            let (start, end) = (a + m.start, a + m.end);
             let form = &self.forms[m.pattern];
+            let slot = form.slot as usize;
+            let carried = edit
+                .as_ref()
+                .is_some_and(|e| e.carries(self.carry(slot), start));
             let exact = form
                 .exact
                 .as_ref()
-                .is_none_or(|e| e[..] == data[m.start..m.end]);
-            if exact && (!form.fullword || is_fullword(data, m.start, m.end)) {
-                scratch.push(form.slot as usize, m.start);
+                .is_none_or(|e| e[..] == data[start..end]);
+            if !carried && exact && (!form.fullword || is_fullword(data, start, end)) {
+                scratch.push(slot, start);
             }
             true
         });
-        let metrics = self.regex_pass(data, scratch, regexes);
+        self.regex_pass(data, edit.as_ref(), scratch, regexes, work);
         let hit = |slot: usize| scratch.get(slot).map(|offs| (slot, offs));
         let mut slots = Vec::with_capacity((0..self.total_strings).filter_map(hit).count());
-        slots.extend(
-            (0..self.total_strings)
-                .filter_map(hit)
-                .map(|(slot, offs)| (slot as u32, offs.iter().map(|&o| o as u32).collect())),
-        );
-        FileHits { slots, metrics }
+        slots.extend((0..self.total_strings).filter_map(hit).map(|(slot, offs)| {
+            let mut offsets: Vec<u32> = offs.iter().map(|&o| o as u32).collect();
+            if !offsets.is_sorted() {
+                offsets.sort_unstable();
+            }
+            (slot as u32, offsets)
+        }));
+        FileHits { slots }
     }
 
     /// Runs every regex group — one accelerated forward pass over `data`
-    /// each, on the group's kept machines — and records each match under
-    /// every member's slot.
+    /// each, or over the lines an edit touched for a line-local group,
+    /// on the group's kept machines — and records each match under every
+    /// member's slot.
     fn regex_pass(
         &self,
         data: &[u8],
+        edit: Option<&Edit>,
         scratch: &mut ScanScratch,
         regexes: &mut [RegexCache<'r>],
-    ) -> ScanMetrics {
-        let mut metrics = ScanMetrics::default();
+        work: &mut ScanMetrics,
+    ) {
         for (group, cache) in self.regex_groups.iter().zip(regexes) {
-            metrics.regex_strings_evaluated += 1;
-            metrics.regex_bytes_scanned += data.len() as u64;
-            group.regex.find_each(cache, data, |m| {
+            let lines = edit.filter(|_| group.line_local).map(|e| e.lines.clone());
+            let span = lines.unwrap_or(0..data.len());
+            work.regex_strings_evaluated += 1;
+            work.regex_bytes_scanned += span.len() as u64;
+            group.regex.find_each(cache, &data[span.clone()], |m| {
                 for &slot in &group.members {
-                    scratch.push(slot, m.start);
+                    scratch.push(slot, span.start + m.start);
                 }
             });
         }
-        metrics
     }
 
     /// Marks in `out` (resized to the rule count) every rule with at
@@ -587,6 +703,67 @@ pub(crate) fn cmp(lhs: i64, op: &str, rhs: i64) -> bool {
     }
 }
 
+/// A [`HitDonor`]'s edit as a splice reads it.
+struct Edit {
+    /// The new unit's bytes that may differ.
+    window: Range<usize>,
+    /// `window` widened to line starts — offset 0 or just after a `\n`
+    /// — of both versions, or to the end.
+    lines: Range<usize>,
+    /// The new unit's length minus the old one's.
+    delta: isize,
+}
+
+impl Edit {
+    fn new(donor: &HitDonor<'_>, data: &[u8]) -> Self {
+        let (window, old) = (donor.window.clone(), donor.old);
+        let line_start = |bytes: &[u8], at: usize| at == 0 || bytes[at - 1] == b'\n';
+        // The bytes in front of the window are both versions', so a line
+        // start there is one in both; the window's end is checked in each.
+        let lo = data[..window.start]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let old_end = old.len() - (data.len() - window.end);
+        let hi = if window.end == data.len()
+            || (line_start(data, window.end) && line_start(old, old_end))
+        {
+            window.end
+        } else {
+            let next = data[window.end..].iter().position(|&b| b == b'\n');
+            next.map_or(data.len(), |i| window.end + i + 1)
+        };
+        Edit {
+            window,
+            lines: lo..hi,
+            delta: data.len() as isize - old.len() as isize,
+        }
+    }
+
+    /// Whether a hit at new offset `at` under `carry` is a donor hit
+    /// carried over rather than one the window's rescan reports.
+    fn carries(&self, carry: Carry, at: usize) -> bool {
+        match carry {
+            Carry::Nothing => false,
+            Carry::Literal(len) => at + len < self.window.start || at > self.window.end,
+            Carry::Lines => at < self.lines.start || at >= self.lines.end,
+        }
+    }
+
+    /// The new offset of a donor hit at `old` when it carries over: one
+    /// in front of the window keeps its place, one behind the window's
+    /// old end moves by the length change.
+    fn carried(&self, carry: Carry, old: usize) -> Option<usize> {
+        let at = if old < self.window.start {
+            old
+        } else {
+            let moved = old.checked_add_signed(self.delta)?;
+            (moved >= self.window.end).then_some(moved)?
+        };
+        self.carries(carry, at).then_some(at)
+    }
+}
+
 fn is_fullword(data: &[u8], start: usize, end: usize) -> bool {
     let before_ok = start == 0 || !data[start - 1].is_ascii_alphanumeric();
     let after_ok = end >= data.len() || !data[end].is_ascii_alphanumeric();
@@ -603,9 +780,9 @@ mod tests {
     /// `nocase`, UTF-16LE for `wide`, `fullword` checked at the unit's
     /// edges), and the per-definition regex pass the grouped pass
     /// replaced — one `find_all` per regex string definition, in rule
-    /// order.
+    /// order — with the work that pass does.
     impl Scanner<'_> {
-        fn collect_hits_per_definition(&self, data: &[u8]) -> FileHits {
+        fn collect_hits_per_definition(&self, data: &[u8]) -> (FileHits, ScanMetrics) {
             let mut scratch = ScanScratch::new();
             scratch.begin(self.total_strings);
             for (slot, value) in definitions(self.rules).enumerate() {
@@ -652,12 +829,12 @@ mod tests {
                         .map(|offs| (slot as u32, offs.iter().map(|&o| o as u32).collect()))
                 })
                 .collect();
-            FileHits { slots, metrics }
+            (FileHits { slots }, metrics)
         }
     }
 
-    /// Each slot's offsets as a set: forms of one string reach their slot
-    /// in the matcher's stream order, the oracle's form by form.
+    /// Each slot's offsets as a set: the scanner sorts each slot, the
+    /// oracle's offsets reach it form by form.
     fn offset_sets(hits: &FileHits) -> Vec<(u32, Vec<u32>)> {
         let mut slots = hits.slots.clone();
         for (_, offsets) in &mut slots {
@@ -671,17 +848,19 @@ mod tests {
     /// offsets, and metrics that count groups on one side, definitions on
     /// the other.
     fn assert_grouped_equals_per_definition(scanner: &Scanner<'_>, data: &[u8]) {
+        scanner.take_work();
         let grouped = scanner.collect_hits(data);
-        let oracle = scanner.collect_hits_per_definition(data);
+        let (oracle, oracle_work) = scanner.collect_hits_per_definition(data);
         assert_eq!(offset_sets(&grouped), offset_sets(&oracle));
         let definitions: usize = scanner.regex_groups.iter().map(|g| g.members.len()).sum();
-        assert_eq!(oracle.metrics.regex_strings_evaluated, definitions as u64);
+        assert_eq!(oracle_work.regex_strings_evaluated, definitions as u64);
+        let work = scanner.take_work();
         assert_eq!(
-            grouped.metrics.regex_strings_evaluated,
+            work.regex_strings_evaluated,
             scanner.regex_groups.len() as u64
         );
         assert_eq!(
-            grouped.metrics.regex_bytes_scanned,
+            work.regex_bytes_scanned,
             (scanner.regex_groups.len() * data.len()) as u64
         );
     }
@@ -832,11 +1011,116 @@ rule d { strings: $x = /ab+c/ condition: #x >= 2 }
             proptest::prop_assert_eq!(folding, fold, "{}", src);
             proptest::prop_assert_eq!(
                 offset_sets(&scanner.collect_hits(&hay)),
-                offset_sets(&scanner.collect_hits_per_definition(&hay)),
+                offset_sets(&scanner.collect_hits_per_definition(&hay).0),
                 "{}",
                 src
             );
         }
+    }
+
+    /// Strings whose hits a splice carries in each way: text forms
+    /// (one with a newline, `fullword`, `wide`, `nocase`), line-local
+    /// regexes, and regexes that read the whole unit (`\s`, anchored).
+    const SPLICE_RULES: &str = r#"
+rule lit { strings: $a = "Summary: \nHome-page:" $b = "spawn" fullword $c = "cmd" wide ascii
+           $d = "EVAL" nocase $e = "ab" condition: any of them }
+rule rx { strings: $b64 = /([A-Za-z0-9+\/]{4}){3,}={0,2}/ $ip = /\d{1,3}\.\d{1,3}/
+          $ws = /a\s+b/ $anchored = /^import/ condition: any of them }
+"#;
+
+    /// An `ab`-dense haystack with lines, `fullword` neighbours, wide
+    /// text and base64-ish runs, and a random edit of it: `(old, new,
+    /// window)`, the window covering the edit and widened by `slack`.
+    fn edited_haystack(seed: u64) -> (Vec<u8>, Vec<u8>, Range<usize>) {
+        let mut state = seed | 1;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as usize % n
+        };
+        const PIECES: [&[u8]; 14] = [
+            b"ab",
+            b"a\n b",
+            b"\n",
+            b"spawn ",
+            b"xspawn",
+            b"c\0m\0d\0",
+            b"cmd",
+            b"Summary: \nHome-page:",
+            b"eVaL",
+            b"QUJD",
+            b"10.0",
+            b"import",
+            b"=",
+            b" ",
+        ];
+        let mut old = Vec::new();
+        for _ in 0..next(80) {
+            old.extend_from_slice(PIECES[next(PIECES.len())]);
+        }
+        let at = next(old.len() + 1);
+        let cut = next(12).min(old.len() - at);
+        let mut insert = Vec::new();
+        for _ in 0..next(4) {
+            insert.extend_from_slice(PIECES[next(PIECES.len())]);
+        }
+        let mut new = old[..at].to_vec();
+        new.extend_from_slice(&insert);
+        new.extend_from_slice(&old[at + cut..]);
+        let slack = next(6);
+        let start = at.saturating_sub(slack);
+        let end = (at + insert.len() + slack).min(new.len());
+        // The window may only grow where both versions agree.
+        let suffix = old.len() - (at + cut);
+        let end = end.min(new.len() - suffix).max(at + insert.len());
+        (old, new, start..end)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn hits_collected_onto_a_donor_equal_a_whole_unit_scan(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let compiled = compile(SPLICE_RULES).expect("compile");
+            let scanner = Scanner::new(&compiled);
+            let (old, new, window) = edited_haystack(seed);
+            let donor = scanner.collect_hits(&old);
+            let full = scanner.collect_hits(&new);
+            let donor = HitDonor { old: &old, hits: &donor, window };
+            proptest::prop_assert_eq!(scanner.collect_hits_onto(&new, Some(donor)), full);
+        }
+    }
+
+    #[test]
+    fn a_splice_reads_the_changed_lines_for_line_local_groups_only() {
+        let compiled = compile(SPLICE_RULES).expect("compile");
+        let scanner = Scanner::new(&compiled);
+        let lines: Vec<&str> = (0..40).map(|_| "x = 'QUJDREVG' + 10.0\n").collect();
+        let old = lines.concat();
+        let new = old
+            .replacen("10.0", "12.5", 1)
+            .replacen("QUJDREVG", "QUJDREVGSElK", 1);
+        let line = old.find('\n').expect("line") + 1;
+        let donor = scanner.collect_hits(old.as_bytes());
+        scanner.take_work();
+        let edit = HitDonor {
+            old: old.as_bytes(),
+            hits: &donor,
+            window: 0..line + 4,
+        };
+        let spliced = scanner.collect_hits_onto(new.as_bytes(), Some(edit));
+        assert_eq!(spliced, scanner.collect_hits(new.as_bytes()));
+        // `$b64` and `$ip` read the first line; `$ws` and `$anchored` the file.
+        let local: Vec<bool> = scanner.regex_groups.iter().map(|g| g.line_local).collect();
+        assert_eq!(local, [true, true, false, false]);
+        let work = scanner.take_work();
+        let whole = 4 * new.len() as u64;
+        assert_eq!(
+            work.regex_bytes_scanned - whole,
+            2 * (line + 4) as u64 + 2 * new.len() as u64
+        );
     }
 
     #[test]
@@ -1024,7 +1308,9 @@ rule url { strings: $re = /https?:\/\/[\w.\-\/]{4,}/ condition: $re }
         let data = b"curl http://1.2.3.4/payload from 10.0.0.1";
         assert_eq!(scanner.scan(data).len(), 2);
         // Two regex strings, each one full pass over the buffer.
-        let metrics = scanner.collect_hits(data).metrics;
+        scanner.take_work();
+        scanner.collect_hits(data);
+        let metrics = scanner.take_work();
         assert_eq!(metrics.regex_strings_evaluated, 2);
         assert_eq!(metrics.regex_bytes_scanned, 2 * data.len() as u64);
     }
@@ -1115,8 +1401,9 @@ rule word { strings: $w = "spawn" fullword condition: $w }
         let compiled = compile(UNION_RULES).expect("compile");
         let scanner = Scanner::new(&compiled);
         let hits = scanner.collect_hits(b"abbbc");
-        assert_eq!(hits.metrics.regex_strings_evaluated, 1);
-        assert_eq!(hits.metrics.regex_bytes_scanned, 5);
+        let work = scanner.take_work();
+        assert_eq!(work.regex_strings_evaluated, 1);
+        assert_eq!(work.regex_bytes_scanned, 5);
         assert!(!hits.is_empty());
         assert_eq!(hits.hit_count(), 1);
         assert!(hits.stored_bytes() > 0);

@@ -75,10 +75,12 @@ fn main() {
     let mut digests = Vec::new();
     for (label, pkg, expect) in &queue {
         // Sequential submit-then-wait: the verdict cache keys on content,
-        // so the re-upload is answered without a scan.
+        // so the re-upload is answered without a scan — and without
+        // hashing its files, each equal to the resident file of its name.
+        // The clone shares the digests the submit computes or adopts.
         let request = ScanRequest::from_package(pkg);
+        let verdict = hub.submit(request.clone()).wait();
         let digest = request.digest_hex();
-        let verdict = hub.submit(request).wait();
         let decision = if verdict.flagged() { "BLOCK" } else { "PASS" };
         let provenance = if verdict.from_cache { ", cached" } else { "" };
         println!(
@@ -134,6 +136,10 @@ fn main() {
     let stats = hub.stats();
     println!("{stats}");
     assert_eq!(stats.cache_hits, 1, "the re-upload must be a cache hit");
+    assert!(
+        stats.digests_reused > 0,
+        "the re-upload's files must take their siblings' digests"
+    );
 
     // Sunday: the stealer campaign is identified and rules are learned
     // from its quarantined variants. Instead of rescanning every upload

@@ -754,6 +754,56 @@ fn evaluating_cached_artifacts_allocates_only_the_verdict() {
     assert!(found.iter().all(|&n| n > 0), "{found:?} findings");
 }
 
+/// The submit path's sibling check allocates nothing. A one-worker hub
+/// with its verdict cache off scans every upload of the corpus and its
+/// mutants; each upload is then submitted twice more as new entries,
+/// once with no digest known, so each file is compared with the resident
+/// version of its name, and once with every digest hashed beforehand, so
+/// nothing is compared. The submitting thread makes the same allocations
+/// for both. (A verdict-cache hit would add the recency queue's growth.)
+#[test]
+fn the_submit_path_sibling_check_allocates_nothing() {
+    let _hub = HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let (yara, semgrep) = serving_rules();
+    let hub = ScanHub::new(
+        Some(yara.clone()),
+        Some(semgrep.clone()),
+        HubConfig {
+            workers: 1,
+            cache_capacity: 0,
+            telemetry: false,
+            ..HubConfig::default()
+        },
+    );
+    let uploads = || {
+        packages()
+            .iter()
+            .map(ScanRequest::from_package)
+            .collect::<Vec<_>>()
+    };
+    for request in uploads() {
+        hub.submit(request).wait();
+    }
+    let (compared, hashed) = (uploads(), uploads());
+    let before = hub.stats().digests_reused;
+    for (i, (compared, hashed)) in compared.into_iter().zip(hashed).enumerate() {
+        hashed.digest();
+        let (first, with_check) = counted(|| hub.submit(compared).wait());
+        let (second, without) = counted(|| hub.submit(hashed).wait());
+        assert!(first.same_matches(&second), "package {i}");
+        assert_eq!(
+            with_check,
+            without,
+            "package {i}: the sibling check made {} allocations",
+            with_check as i64 - without as i64
+        );
+    }
+    // Vacuity guard: files were compared and found equal.
+    let reused = hub.stats().digests_reused - before;
+    println!("the sibling check reused {reused} digests");
+    assert!(reused > 0);
+}
+
 /// The unique malware of the tiny corpus: RuleLLM's extraction input.
 fn unique_malware() -> Vec<Package> {
     let dataset = Dataset::generate(&CorpusConfig::tiny());

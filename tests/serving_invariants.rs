@@ -485,12 +485,13 @@ fn every_counter_reaches_both_exporters() {
 /// time, the `hub_metrics!` rows in table order (counters, gauges,
 /// matching tiers), then the occupancy gauges that are not `HubStats`
 /// fields.
-const EXPORT_ORDER: [&str; 44] = [
+const EXPORT_ORDER: [&str; 45] = [
     "scanhub_stage_duration_ns",
     "scanhub_scan_duration_ns",
     "scanhub_submitted_total",
     "scanhub_completed_total",
     "scanhub_cache_hits_total",
+    "scanhub_digests_reused_total",
     "scanhub_bytes_scanned_total",
     "scanhub_artifact_parses_total",
     "scanhub_artifact_cache_hits_total",
