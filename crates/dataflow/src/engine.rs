@@ -28,11 +28,15 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 use std::ops::{Bound, RangeBounds};
 
-use pysrc::{Expr, ExprId, ImportedName, Literal, Module, Run, Span, Stmt, Suite};
+use pysrc::{Expr, ExprId, ImportedName, Literal, Module, Run, Span, Stmt, Suite, Word};
 
 use crate::catalog::{is_startup_path, sink_of, source_of, SinkKind, SourceKind};
 use crate::fold;
 use crate::{FlowFinding, FlowStep, FoldedConst, TaintSummary};
+
+/// The operators the folder evaluates: concatenation and `%` formatting.
+const PLUS: Word = Word::of("+");
+const PERCENT: Word = Word::of("%");
 
 /// Bound on distinct taints carried per binding (dedup by source path
 /// keeps this small in practice; the cap defends against adversarial
@@ -507,11 +511,11 @@ impl<'m> Analyzer<'m> {
                 let r = self.eval(right, line);
                 self.merge(at, mid);
                 let cval = match (op, l.cval, r.cval) {
-                    ("+", Some(a), Some(b)) => self.fold(Some(a), |s, module| {
+                    (PLUS, Some(a), Some(b)) => self.fold(Some(a), |s, module| {
                         s.append(module, b, ..);
                         true
                     }),
-                    ("%", Some(fmt), Some(value)) => {
+                    (PERCENT, Some(fmt), Some(value)) => {
                         let at = fold::percent_at(fmt.get(module, &self.s.text));
                         self.fold(None, |s, module| {
                             let Some(at) = at else { return false };

@@ -173,7 +173,7 @@ mod tests {
                 .top_level()
                 .filter(|s| {
                     matches!(s, pysrc::Stmt::Block { keyword, body, .. }
-                        if (*keyword == "else" || *keyword == "except") && !body.is_empty())
+                        if matches!(keyword.as_str(), "else" | "except") && !body.is_empty())
                 })
                 .count();
             assert_eq!(clause_bodies, 2, "seed {seed}: {out}");

@@ -88,7 +88,7 @@ mod token;
 
 pub use ast::{
     Arg, Donor, Expr, ExprId, Header, ImportedName, LineIndex, Literal, Module, Run, Span, Stmt,
-    StmtId, Suite,
+    StmtId, Suite, Word,
 };
 #[doc(hidden)]
 pub use compat::{intern_strings, lex_spanned, render, SpannedToken, Token, TokenKind};

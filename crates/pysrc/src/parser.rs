@@ -3,7 +3,8 @@
 use std::cell::Cell;
 
 use crate::ast::{
-    Arg, Counts, Donor, Expr, ExprId, Header, ImportedName, Literal, Module, Nodes, Run, Span, Stmt,
+    Arg, Counts, Donor, Expr, ExprId, Header, ImportedName, Literal, Module, Nodes, Run, Span,
+    Stmt, Word,
 };
 use crate::lexer::lex;
 use crate::token::{Kind, Lexeme};
@@ -119,13 +120,11 @@ const MAX_BLOCK_DEPTH: usize = 128;
 /// or of anything that walks its tree.
 const MAX_EXPR_DEPTH: usize = 96;
 
-/// Keywords that open a [`Stmt::Block`].
-const BLOCK_KEYWORDS: [&str; 9] = [
-    "if", "elif", "else", "for", "while", "try", "except", "finally", "with",
-];
-
-/// Keywords kept as [`Expr::BinOp`] operators.
-const WORD_OPS: [&str; 5] = ["and", "or", "in", "is", "not"];
+/// The keyword of an unexpected indented block.
+const ANONYMOUS: Word = Word::of("");
+const ASYNC: Word = Word::of("async");
+const FOR: Word = Word::of("for");
+const WITH: Word = Word::of("with");
 
 /// The operator kinds the parser reads.
 const LPAR: Kind = Kind::op("(");
@@ -326,7 +325,7 @@ impl<'a> Parser<'a> {
             let at = self.reserve();
             let body = self.indented_body();
             self.b.nodes.stmts[at] = Stmt::Block {
-                keyword: "",
+                keyword: ANONYMOUS,
                 header: Span { start, end: start },
                 parsed: None,
                 body,
@@ -368,9 +367,9 @@ impl<'a> Parser<'a> {
                     self.bump();
                     return match self.peek_ident() {
                         Some("def") => self.def_stmt(start),
-                        Some("with") => self.block_stmt("with", start),
-                        Some("for") => self.block_stmt("for", start),
-                        _ => self.block_stmt("async", start),
+                        Some("with") => self.block_stmt(WITH, start),
+                        Some("for") => self.block_stmt(FOR, start),
+                        _ => self.block_stmt(ASYNC, start),
                     };
                 }
                 "pass" | "break" | "continue" => {
@@ -384,7 +383,8 @@ impl<'a> Parser<'a> {
                     return Stmt::Other { text, start };
                 }
                 _ => {
-                    if let Some(keyword) = BLOCK_KEYWORDS.iter().find(|k| **k == word) {
+                    // `async` was read above, so this finds `if` to `with`.
+                    if let Some(keyword) = Word::find(word, Word::BLOCK) {
                         return self.block_stmt(keyword, start);
                     }
                 }
@@ -609,7 +609,7 @@ impl<'a> Parser<'a> {
         Stmt::Return { value, start }
     }
 
-    fn block_stmt(&mut self, keyword: &'static str, start: u32) -> Stmt {
+    fn block_stmt(&mut self, keyword: Word, start: u32) -> Stmt {
         let after = self.bump().end; // keyword
         let rest = &self.tokens[self.pos..];
         let tokens = &rest[..header_len(rest)];
@@ -631,7 +631,7 @@ impl<'a> Parser<'a> {
     }
 
     /// The taint engine's reading of a block header (see [`Header`]).
-    fn header(&mut self, keyword: &str, tokens: &'a [Lexeme]) -> Option<Header> {
+    fn header(&mut self, keyword: Word, tokens: &'a [Lexeme]) -> Option<Header> {
         let text = self.text;
         let cut = |word: &str, i: &usize| {
             let t = tokens[*i];
@@ -641,11 +641,11 @@ impl<'a> Parser<'a> {
                 && tokens.get(i + 1).is_some_and(|t| !is_bracket(t.kind))
         };
         let (value, target) = match keyword {
-            "for" => {
+            FOR => {
                 let i = (0..tokens.len()).find(|i| cut("in", i))?;
                 (&tokens[i + 1..], Some(&tokens[..i]))
             }
-            "with" => match (0..tokens.len()).rev().find(|i| cut("as", i)) {
+            WITH => match (0..tokens.len()).rev().find(|i| cut("as", i)) {
                 Some(i) => (&tokens[..i], Some(&tokens[i + 1..])),
                 None => (tokens, None),
             },
@@ -794,34 +794,13 @@ impl<'a> Parser<'a> {
     // ---- expressions ----
 
     /// The binary operator the next token is, if it is one.
-    fn binary_op(&self) -> Option<&'static str> {
-        const BINARY: [Kind; 18] = [
-            PLUS,
-            MINUS,
-            STAR,
-            Kind::op("/"),
-            Kind::op("%"),
-            Kind::op("//"),
-            DOUBLE_STAR,
-            Kind::op("|"),
-            Kind::op("&"),
-            Kind::op("^"),
-            Kind::op("=="),
-            Kind::op("!="),
-            Kind::op("<"),
-            Kind::op(">"),
-            Kind::op("<="),
-            Kind::op(">="),
-            Kind::op(">>"),
-            Kind::op("<<"),
-        ];
+    fn binary_op(&self) -> Option<Word> {
         match self.peek() {
             Kind::IDENT => {
                 let word = self.peek_token().text(self.text);
-                WORD_OPS.iter().find(|op| **op == word).copied()
+                Word::find(word, Word::KEYWORD_OPS)
             }
-            op if BINARY.contains(&op) => op.op_text(),
-            _ => None,
+            kind => Word::find(kind.op_text()?, Word::GLYPHS),
         }
     }
 
@@ -840,7 +819,7 @@ impl<'a> Parser<'a> {
                     while let Some(op) = p.binary_op() {
                         p.bump();
                         text.push(' ');
-                        text.push_str(op);
+                        text.push_str(op.as_str());
                         text.push(' ');
                         let at = p.mark();
                         let right = p.unary();
@@ -1321,7 +1300,7 @@ mod tests {
             .map(|s| match s {
                 Stmt::Block { keyword, body, .. } => {
                     assert_eq!(m.suite(*body).count(), 1);
-                    *keyword
+                    keyword.as_str()
                 }
                 other => panic!("unexpected {other:?}"),
             })
@@ -1395,7 +1374,7 @@ mod tests {
         let shapes: Vec<(&str, String)> = m
             .top_level()
             .map(|s| match s {
-                Stmt::Block { keyword, .. } => (*keyword, s.to_text(&m)),
+                Stmt::Block { keyword, .. } => (keyword.as_str(), s.to_text(&m)),
                 Stmt::FunctionDef { .. } => ("def", s.to_text(&m)),
                 other => panic!("unexpected {other:?}"),
             })
@@ -1456,7 +1435,7 @@ mod tests {
         let Stmt::Assign { value, .. } = stmt else {
             panic!("{stmt:?}")
         };
-        assert!(matches!(m.expr(value), Expr::BinOp { op: "%", .. }));
+        assert!(matches!(m.expr(value), Expr::BinOp { op, .. } if op.as_str() == "%"));
     }
 
     #[test]

@@ -1004,7 +1004,7 @@ mod tests {
         let module = analyze(ANON_BASE).module.expect("python");
         let m = module.get();
         let block = m.stmt(m.body[2]);
-        assert!(matches!(block, Stmt::Block { keyword: "", .. }));
+        assert!(matches!(block, Stmt::Block { keyword, .. } if keyword.as_str().is_empty()));
         assert_eq!(m.line(block), 4);
         for edited in [
             ANON_BASE.replace("B = 'beta'", "B = 'beta-2'"),

@@ -23,6 +23,14 @@ pub type DigestKey = [u8; 32];
 /// Recency is tracked with a lazy queue: every access pushes a fresh
 /// `(tick, key)` entry and stale entries are skipped during eviction, so
 /// both `get` and `insert` are amortized O(1).
+///
+/// A method cut short by a panic leaves the cache consistent, so a lock
+/// around one is safe to recover from poison. The methods hash and compare
+/// 32-byte keys and clone values, and none of that can unwind: a failed
+/// allocation aborts. If one did unwind, every entry would still map its
+/// digest to the value inserted under it. The queue may then hold a stale
+/// entry, which eviction skips, or lack a fresh one, which leaves that
+/// entry unevicted past `capacity`. Neither makes a lookup wrong.
 #[derive(Debug)]
 pub struct LruCache<V: Clone> {
     capacity: usize,

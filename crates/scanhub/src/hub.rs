@@ -3,7 +3,7 @@
 //! request, artifacts per file), the prefilter index, the retro-hunt
 //! index and the hub's telemetry behind one submit/wait API.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use semgrep_engine::CompiledSemgrepRules;
@@ -95,6 +95,16 @@ pub(crate) struct Shared {
     pub telemetry: HubTelemetry,
 }
 
+impl Shared {
+    /// The verdict cache under its lock; `None` when it is off. A
+    /// poisoned lock is recovered: each section under it is one
+    /// [`VerdictCache`] call, which a panic leaves consistent.
+    pub fn verdicts(&self) -> Option<MutexGuard<'_, VerdictCache>> {
+        let cache = self.cache.as_ref()?;
+        Some(cache.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
 /// A streaming scan service over one compiled rule bundle.
 ///
 /// Workers are spawned at construction; [`ScanHub::submit`] enqueues
@@ -166,7 +176,8 @@ impl ScanHub {
     /// history: queries the retro index, then confirm-scans only the
     /// candidate digests, with the evaluator a worker scans requests
     /// with. `None` when the artifact cache or the retro index is
-    /// disabled. Confirm scans leave the artifacts' recency alone, so
+    /// disabled, or the index was retired by a panic under its lock.
+    /// Confirm scans leave the artifacts' recency alone, so
     /// screening history does not keep it resident. Per-rule hit sets
     /// and per-digest verdicts equal [`ScanHub::retro_rescan`]'s (pinned
     /// by the differential suite); only the candidate and scan counts
@@ -254,15 +265,22 @@ impl ScanHub {
 
     /// Number of verdicts currently cached.
     pub fn cached_verdicts(&self) -> usize {
-        self.shared
-            .cache
-            .as_ref()
-            .map_or(0, |c| c.lock().expect("cache lock").len())
+        self.shared.verdicts().map_or(0, |cache| cache.len())
     }
 
     /// Number of per-file artifacts currently cached.
     pub fn cached_artifacts(&self) -> usize {
         self.shared.artifacts.as_ref().map_or(0, ArtifactStore::len)
+    }
+
+    /// Poisons the artifact store's lock as a panic under it would, for
+    /// the tests that the hub serves on; nothing with the artifact cache
+    /// off.
+    #[doc(hidden)]
+    pub fn poison_artifact_store(&self) {
+        if let Some(store) = &self.shared.artifacts {
+            store.poison();
+        }
     }
 
     /// Submits one package; blocks while the queue is full.
@@ -283,8 +301,9 @@ impl ScanHub {
             HubCounters::add(&c.digests_reused, adopted);
         }
         let digest = self.shared.cache.as_ref().map(|_| request.digest());
-        if let (Some(cache), Some(d)) = (&self.shared.cache, &digest) {
-            let hit = cache.lock().expect("cache lock").get(d);
+        if let (Some(mut cache), Some(d)) = (self.shared.verdicts(), &digest) {
+            let hit = cache.get(d);
+            drop(cache);
             if let Some(mut verdict) = hit {
                 clock.lap(Stage::Complete);
                 verdict.from_cache = true;
@@ -385,6 +404,26 @@ rule b64 { strings: $re = /[A-Za-z0-9+\/]{16,}/ condition: $re }
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);
+    }
+
+    #[test]
+    fn a_poisoned_verdict_cache_serves_on() {
+        let hub = hub(HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        });
+        let code = "import os\nos.system('id')\n";
+        let first = hub.submit(request(code)).wait();
+        let cache = hub.shared.cache.as_ref().expect("verdict cache on");
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = cache.lock();
+            panic!("a panic under the verdict cache lock");
+        }));
+        assert!(cache.lock().is_err(), "the lock is poisoned");
+        let again = hub.submit(request(code)).wait();
+        assert!(again.from_cache && again.same_matches(&first));
+        assert!(!hub.submit(request("x = 1\n")).wait().from_cache);
+        assert_eq!(hub.cached_verdicts(), 2, "the worker cached its verdict");
     }
 
     #[test]

@@ -753,7 +753,7 @@ fn plan(
 
 /// [`crate::ScanHub::retro_hunt`]: plans per-digest confirm tasks from
 /// the retro index, then confirm-scans only those. `None` when the
-/// index is disabled.
+/// index is disabled or retired.
 pub(crate) fn hunt(
     store: &ArtifactStore,
     deployment: &RuleDeployment,

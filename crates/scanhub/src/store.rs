@@ -14,9 +14,37 @@
 //!   panic on a hostile file) only releases the claim. Both then notify,
 //!   so a waiter is served or claims the digest itself.
 //! * [`ArtifactStore::adopt_sibling_digests`], on the submit path: reads
-//!   the siblings of a request's files. It takes a poisoned lock as "no
-//!   sibling", not as a panic, so one worker's panic never reaches a
-//!   submitter.
+//!   the siblings of a request's files.
+//!
+//! **A poisoned state lock is recovered.** A panic under it costs the
+//! ticket it happened on and no later one, because every section leaves
+//! [`Resident`] consistent at every point it could unwind from. None of
+//! them runs parsing, scanning or any code of a rule; each is a few
+//! `HashMap`/`HashSet`/[`crate::cache::LruCache`] calls on 32-byte keys,
+//! `Arc` clones and a `String` copy, whose only failures (allocation,
+//! refcount overflow) abort instead of unwinding. Were one to unwind
+//! anyway, per section:
+//!
+//! * the lookups (`get_or_claim`'s hit, `peek`, `len`, `resident_bytes`,
+//!   `adopt_sibling_digests`) write nothing but the cache's recency,
+//!   which the cache keeps consistent itself (see `LruCache`);
+//! * `get_or_claim`'s claim inserts the digest into `building`, then
+//!   looks up the donor and returns the `BuildClaim` that releases it;
+//!   between the two are a map lookup, a `peek` and an `Arc` clone, none
+//!   of which unwinds;
+//! * `publish` releases the claim first, so from there on a panic leaves
+//!   the digest neither claimed nor resident, and the next caller builds
+//!   it; the sibling map is a hint, a stale name only costs a full build;
+//! * `abandon` releases the claim and nothing else.
+//!
+//! **A poisoned retro lock retires the index.** Its writers are not
+//! consistent at every point: `insert_collected` registers a digest
+//! before it posts the digest's grams, and `compact` rebuilds the
+//! postings before the gram table. A panic between would leave a digest
+//! that a hunt silently misses. So a publish skips a poisoned index,
+//! and [`ArtifactStore::with_retro`] reads none: hunts and the rescan
+//! answer `None`, as on a hub without an index, and verdicts and the
+//! artifact cache are untouched.
 //!
 //! **Lock order: state → retro.** The retro-hunt index has its own lock
 //! (on `cold_ingest`, on a 2-thread Xeon, collecting a file's grams
@@ -43,7 +71,8 @@
 //! finds what the rescan finds.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, PoisonError};
 
 use crate::artifact::FileAnalysis;
 use crate::cache::{ArtifactCache, DigestKey};
@@ -124,8 +153,10 @@ impl ArtifactStore {
         }
     }
 
+    /// The resident state, recovered if a panic poisoned its lock (see
+    /// the module doc for why that is sound).
     fn lock(&self) -> MutexGuard<'_, Resident> {
-        self.state.lock().expect("artifact store lock")
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the cached artifact for `entry`'s digest, or the build
@@ -151,7 +182,10 @@ impl ArtifactStore {
                     published: false,
                 });
             }
-            state = self.resolved.wait(state).expect("artifact store lock");
+            state = self
+                .resolved
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -181,10 +215,8 @@ impl ArtifactStore {
         // Index updates follow cache order: a second publisher cannot
         // reach the index between this cache insert and its index update,
         // so an eviction is never applied after the re-insert it precedes.
-        let retro = self
-            .retro
-            .as_ref()
-            .map(|r| r.lock().expect("retro index lock"));
+        // A poisoned index is retired (see the module doc): skip it.
+        let retro = self.retro.as_ref().and_then(|r| r.lock().ok());
         drop(guard);
         self.resolved.notify_all();
         if let Some(mut retro) = retro {
@@ -198,33 +230,27 @@ impl ArtifactStore {
     }
 
     fn abandon(&self, digest: &DigestKey) {
-        // A drop must not panic, so a poisoned lock is left alone: the
-        // woken waiters meet the poison themselves.
-        if let Ok(mut state) = self.state.lock() {
-            state.building.remove(digest);
-        }
+        self.lock().building.remove(digest);
         self.resolved.notify_all();
     }
 
-    /// `f` of the retro index under its lock; `None` when it is disabled.
+    /// `f` of the retro index under its lock; `None` when it is disabled,
+    /// or retired by a panic that poisoned its lock.
     pub fn with_retro<R>(&self, f: impl FnOnce(&RetroIndex) -> R) -> Option<R> {
-        let retro = self.retro.as_ref()?;
-        Some(f(&retro.lock().expect("retro index lock")))
+        let retro = self.retro.as_ref()?.lock().ok()?;
+        Some(f(&retro))
     }
 
     /// Gives each of `files` with no digest yet the digest of the
     /// resident artifact last published under its name, when their bytes
     /// are equal — a length check and a `memcmp` in place of a SHA-256 —
     /// and returns how many it gave. One lock acquisition, read with
-    /// [`crate::cache::LruCache::peek`] so recency is untouched; a
-    /// poisoned lock gives none, and every file is hashed as before.
+    /// [`crate::cache::LruCache::peek`] so recency is untouched.
     pub fn adopt_sibling_digests(&self, files: &[FileEntry]) -> u64 {
         if files.iter().all(FileEntry::digest_known) {
             return 0;
         }
-        let Ok(state) = self.state.lock() else {
-            return 0;
-        };
+        let state = self.lock();
         let mut adopted = 0;
         for entry in files.iter().filter(|f| !f.digest_known()) {
             let sibling = state.siblings.get(entry.name());
@@ -255,6 +281,14 @@ impl ArtifactStore {
         state.cache.values().map(|a| a.stored_bytes() as u64).sum()
     }
 
+    /// Panics while holding the state lock, and catches the panic.
+    pub fn poison(&self) {
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _held = self.lock();
+            panic!("a panic under the artifact store lock");
+        }));
+    }
+
     /// Retro-index `(indexed terms, live digests)`; zeros when disabled.
     pub fn retro_size(&self) -> (u64, u64) {
         let size = |r: &RetroIndex| (r.term_count() as u64, r.digest_count() as u64);
@@ -265,6 +299,7 @@ impl ArtifactStore {
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc, Barrier};
 
@@ -494,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn a_poisoned_store_leaves_the_submit_path_hashing() {
+    fn a_poisoned_store_serves_on() {
         let hub = hub(HubConfig {
             workers: 1,
             ..HubConfig::default()
@@ -502,20 +537,48 @@ mod tests {
         let code = "import os\nos.system('id')\n";
         let first = hub.submit(request(code)).wait();
         let store = hub.store();
-        std::thread::scope(|s| {
-            let poisoner = s.spawn(|| {
-                let _held = store.lock();
-                panic!("a worker panics holding the store lock");
-            });
-            assert!(poisoner.join().is_err());
-        });
+        store.poison();
         assert!(store.state.lock().is_err(), "the lock is poisoned");
+        // The submit path still takes the resident sibling's digest and
+        // answers from the verdict cache...
         let again = request(code);
-        assert_eq!(store.adopt_sibling_digests(again.files()), 0);
-        // The submit path finds no sibling, hashes the file and answers
-        // from the verdict cache.
+        assert_eq!(store.adopt_sibling_digests(again.files()), 1);
         let verdict = hub.submit(again).wait();
         assert!(verdict.from_cache && verdict.same_matches(&first));
+        // ...and a new version of the file is claimed, built and
+        // published.
+        let bumped = hub
+            .submit(request("import os\nos.system('whoami')\n"))
+            .wait();
+        assert!(!bumped.from_cache && bumped.flagged());
+        assert_eq!(hub.stats().artifact_parses, 2);
+        assert_eq!((store.len(), store.retro_size().1), (2, 2));
+    }
+
+    #[test]
+    fn a_poisoned_retro_index_retires() {
+        let hub = hub(HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        });
+        let first = hub.submit(request("import os\nos.system('id')\n")).wait();
+        let store = hub.store();
+        let retro = store.retro.as_ref().expect("retro index on");
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _held = retro.lock();
+            panic!("a panic under the retro index lock");
+        }));
+        let deployment = hub.deploy_rules(
+            Some(yara_engine::compile(YARA).expect("yara")),
+            Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
+        );
+        assert!(hub.retro_hunt(&deployment).is_none(), "no hunt on it");
+        assert!(hub.retro_rescan(&deployment).is_none());
+        assert_eq!(store.retro_size(), (0, 0));
+        // Publishing skips it; requests are served as before.
+        let other = hub.submit(request("x = 1\n")).wait();
+        assert!(!other.flagged() && first.flagged());
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

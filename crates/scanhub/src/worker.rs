@@ -189,11 +189,8 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
         }));
         match outcome {
             Ok(verdict) => {
-                if let (Some(cache), Some(d)) = (&shared.cache, &job.digest) {
-                    cache
-                        .lock()
-                        .expect("cache lock")
-                        .insert(*d, verdict.clone());
+                if let (Some(mut cache), Some(d)) = (shared.verdicts(), &job.digest) {
+                    cache.insert(*d, verdict.clone());
                 }
                 HubCounters::add(&shared.counters.completed, 1);
                 // The trace lands in the recorder *before* the ticket

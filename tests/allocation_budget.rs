@@ -5,9 +5,10 @@
 //! the YARA scanner, a whole artifact build, the Semgrep walk and
 //! RuleLLM's unit audit to. This binary installs its own counting
 //! `#[global_allocator]`; each thread counts into its own thread-locals,
-//! so tests running in parallel do not see each other's allocations. A `realloc` counts as one allocation, as
-//! in the benchmark's counter (`benchmark/src/alloc.rs`). Each allocation
-//! is also booked to the [`Stage`] its thread is in, so a budget can name
+//! so tests running in parallel do not see each other's allocations. A `realloc` counts as one allocation of
+//! its new size, as in the benchmark's counter (`benchmark/src/alloc.rs`).
+//! Each allocation and its bytes are also booked to the [`Stage`] its
+//! thread is in, so a budget can name
 //! the step of an artifact build that broke it, and to a process-wide
 //! ledger of the same stages, which is how a test reads what a hub's
 //! worker threads spent.
@@ -25,6 +26,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
+use std::thread::LocalKey;
 
 use corpus::{mutate_dataset, CorpusConfig, Dataset};
 use obfuscate::EvasionProfile;
@@ -42,7 +44,9 @@ thread_local! {
     // Const-initialised and without a destructor: touching it from inside
     // the allocator neither allocates nor registers anything.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     static BY_STAGE: [Cell<u64>; STAGES] = const { [const { Cell::new(0) }; STAGES] };
+    static BYTES_BY_STAGE: [Cell<u64>; STAGES] = const { [const { Cell::new(0) }; STAGES] };
 }
 
 /// Every thread's allocations, by stage.
@@ -52,11 +56,14 @@ static ALL_BY_STAGE: [AtomicU64; STAGES] = [const { AtomicU64::new(0) }; STAGES]
 /// into [`ALL_BY_STAGE`] while a test reads it.
 static HUB: Mutex<()> = Mutex::new(());
 
-fn record() {
+fn record(size: usize) {
+    let add = |cell: &Cell<u64>, n: u64| cell.set(cell.get() + n);
     // A thread being torn down has no slot left; its calls go uncounted.
-    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let _ = CALLS.try_with(|calls| add(calls, 1));
+    let _ = BYTES.try_with(|bytes| add(bytes, size as u64));
     let stage = Stage::current() as usize;
-    let _ = BY_STAGE.try_with(|ledger| ledger[stage].set(ledger[stage].get() + 1));
+    let _ = BY_STAGE.try_with(|ledger| add(&ledger[stage], 1));
+    let _ = BYTES_BY_STAGE.try_with(|ledger| add(&ledger[stage], size as u64));
     ALL_BY_STAGE[stage].fetch_add(1, Ordering::Relaxed);
 }
 
@@ -65,19 +72,19 @@ fn record() {
 // destructor-free thread-local and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         // SAFETY: the caller's obligations are passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         // SAFETY: the caller's obligations are passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
+        record(new_size);
         // SAFETY: the caller's obligations are passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -98,13 +105,32 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, CALLS.with(Cell::get) - before)
 }
 
+/// `f`'s result and the bytes this thread's allocations asked for while
+/// running it.
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
+}
+
 /// The allocations this thread made while running `f`, by stage.
 fn ledger(f: impl FnOnce()) -> [u64; STAGES] {
-    let read = || BY_STAGE.with(|ledger| ledger.each_ref().map(Cell::get));
-    let before = read();
+    ledgers(f).0
+}
+
+/// The allocations and the bytes this thread made while running `f`, by
+/// stage.
+fn ledgers(f: impl FnOnce()) -> ([u64; STAGES], [u64; STAGES]) {
+    let read = |stages: &'static LocalKey<[Cell<u64>; STAGES]>| {
+        stages.with(|ledger| ledger.each_ref().map(Cell::get))
+    };
+    let before = (read(&BY_STAGE), read(&BYTES_BY_STAGE));
     f();
-    let after = read();
-    std::array::from_fn(|i| after[i] - before[i])
+    let after = (read(&BY_STAGE), read(&BYTES_BY_STAGE));
+    (
+        std::array::from_fn(|i| after.0[i] - before.0[i]),
+        std::array::from_fn(|i| after.1[i] - before.1[i]),
+    )
 }
 
 /// Every package of the tiny corpus and its aggressive mutants.
@@ -243,6 +269,35 @@ fn a_parse_allocates_its_tree_not_its_text() {
     }
     println!("parse_module made {total} allocations");
     assert!(total <= BUDGET, "parse_module made {total} allocations");
+}
+
+/// A parse allocates exactly the module it returns: over every Python
+/// file, the bytes `parse_module` asks for are the module's
+/// `heap_bytes()` plus the header of its text's `Arc<str>` (two counts,
+/// the whole padded to a word). So the module part of the hub's
+/// `artifact_bytes_resident` gauge, which sums `heap_bytes()`, falls short
+/// of what was allocated only by that header; an array grown past its
+/// final length, or a buffer the parse frees, would break the equality.
+/// The first pass grows this thread's parse arrays.
+#[test]
+fn a_parse_allocates_exactly_the_bytes_its_module_books() {
+    let sources = python_sources();
+    for src in &sources {
+        pysrc::parse_module(src);
+    }
+    let word = std::mem::size_of::<usize>();
+    let mut total = 0u64;
+    for (i, src) in sources.iter().enumerate() {
+        let (module, bytes) = counted_bytes(|| pysrc::parse_module(src));
+        let arc = (2 * word + src.len()).next_multiple_of(word);
+        let booked = module.heap_bytes() - src.len() + arc;
+        assert_eq!(bytes, booked as u64, "file {i}, {} bytes", src.len());
+        total += bytes;
+    }
+    println!(
+        "parse_module allocated {total} bytes over {} files",
+        sources.len()
+    );
 }
 
 /// A warm `dataflow::analyze` allocates the summary it returns and
@@ -481,7 +536,11 @@ fn check_ledger(what: &str, spent: [u64; STAGES], budgets: &[(Stage, u64)]) {
 /// buffer, parse arrays and taint scratch are warmed first, as a worker's
 /// are, so neither lex allocates. Cold, the taint step allocates only the
 /// package's summaries; a splice re-runs it, and the decode and hits
-/// steps, over the whole file.
+/// steps, over the whole file. The `Parse` step's bytes are pinned
+/// exactly: 28 945 cold and 8 176 for the splice, mostly the modules'
+/// statement and expression arrays. They were 40 689 and 12 128 while a
+/// statement took 56 bytes and an expression 32, so a wider node fails
+/// here before the benchmark sees it.
 #[test]
 fn each_build_step_stays_within_its_allocation_budget() {
     let entries = upload_entries();
@@ -491,7 +550,7 @@ fn each_build_step_stays_within_its_allocation_budget() {
         FileAnalysis::build(entry, Some(&scanner), &config);
     }
     let package = ScanRequest::from_package(&packages()[0]);
-    let cold = ledger(|| {
+    let (cold, cold_bytes) = ledgers(|| {
         for entry in package.files() {
             FileAnalysis::build(entry, Some(&scanner), &config);
         }
@@ -521,7 +580,7 @@ fn each_build_step_stays_within_its_allocation_budget() {
     };
     let donor = FileAnalysis::build(&FileEntry::new("mod.py", code("")), Some(&scanner), &config);
     let bumped = FileEntry::new("mod.py", code(" + 'x'"));
-    let splice = ledger(|| {
+    let (splice, splice_bytes) = ledgers(|| {
         let spliced = FileAnalysis::build_spliced(&bumped, &donor, Some(&scanner), &config);
         assert!(spliced.is_some(), "the splice fell back");
     });
@@ -536,6 +595,18 @@ fn each_build_step_stays_within_its_allocation_budget() {
             (Stage::Hits, 5),
             (Stage::Assemble, 2),
         ],
+    );
+    let parse = |bytes: [u64; STAGES]| bytes[Stage::Parse as usize];
+    println!(
+        "the Parse step allocated {} bytes cold, {} in the splice",
+        parse(cold_bytes),
+        parse(splice_bytes)
+    );
+    assert_eq!(parse(cold_bytes), 28_945, "a cold package's Parse bytes");
+    assert_eq!(
+        parse(splice_bytes),
+        8_176,
+        "a one-line splice's Parse bytes"
     );
 }
 

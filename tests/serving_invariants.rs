@@ -4,7 +4,8 @@
 //! retro-hunt prunes without losing a hit — and finds
 //! the same at any worker count, without reordering the serving cache —
 //! resident artifacts hold nothing per
-//! token, and every counter reaches both exporters. Counts repeat to the
+//! token, a poisoned store lock costs no later verdict, and every counter
+//! reaches both exporters. Counts repeat to the
 //! bit, so nothing here reads a clock; how fast the same paths run is
 //! `benchmark/`'s question.
 
@@ -318,15 +319,45 @@ fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
     assert!(verdicts.iter().all(|v| *v == verdicts[0]), "verdicts moved");
 }
 
+/// A panic under the artifact store's lock costs the ticket it happened
+/// on and no later one. After the lock is poisoned, the releases that
+/// follow still splice onto their predecessors, and a package the hub
+/// has never seen gets the verdict a fresh hub gives it.
+#[test]
+fn a_poisoned_store_lock_costs_no_later_verdict() {
+    let (poisoned, fresh) = (hub(), hub());
+    let requests = release_stream();
+    ingest(&poisoned, &requests[..2]);
+    poisoned.poison_artifact_store();
+    ingest(&poisoned, &requests[2..]);
+    let stats = poisoned.stats();
+    assert_eq!(stats.incremental_relexes, (VERSIONS - 1) as u64);
+    assert_eq!(stats.splice_fallbacks, 0);
+    let new_package = ScanRequest::from_files(vec![
+        FileEntry::new(
+            "net/client.py",
+            b"import socket\ns = socket.socket()\n".to_vec(),
+        ),
+        FileEntry::new("net/run.py", b"import os\nos.system('id')\n".to_vec()),
+    ]);
+    let verdict = poisoned.submit(new_package.clone()).wait();
+    assert!(!verdict.from_cache && verdict.flagged());
+    assert!(verdict.same_matches(&fresh.submit(new_package).wait()));
+    assert_eq!(poisoned.stats().completed, VERSIONS as u64 + 1);
+    assert_eq!(poisoned.cached_artifacts(), FILES + VERSIONS + 1);
+}
+
 /// An artifact keeps what later requests read — bytes, module, string
 /// table, cut points, hits, taint — and nothing per token. Over the tiny
 /// corpus (171 distinct files, 993 859 bytes, 271 707 tokens) the hub
-/// books 6 719 830 bytes. The parsed modules are 5 594 829 of them, 5.6
+/// books 5 103 590 bytes. The parsed modules are 3 978 589 of them, 4.0
 /// per source byte: a copy of the text, its line index and the tree's
-/// arrays (30 065 statements of 56 bytes, 70 950 expressions of 32). The
-/// rest is 1 125 001, 1.13 per source byte; it was 18 510 393, 18.6 per
-/// source byte, while the token stream was kept. Four bytes per token
-/// kept beside either part would put it past its bound.
+/// arrays (30 065 statements of 40 bytes, 70 950 expressions of 16; they
+/// were 56 and 32, 5.6 per source byte, while a block keyword and an
+/// operator were `&'static str`s). The rest is 1 125 001, 1.13 per
+/// source byte; it was 18 510 393, 18.6 per source byte, while the token
+/// stream was kept. Four bytes per token kept beside either part would
+/// put it past its bound.
 #[test]
 fn resident_artifacts_stay_within_a_small_multiple_of_their_source() {
     let dataset = corpus::Dataset::generate(&corpus::CorpusConfig::tiny());
@@ -350,7 +381,7 @@ fn resident_artifacts_stay_within_a_small_multiple_of_their_source() {
     assert_eq!(hub.cached_artifacts(), seen.len(), "nothing was evicted");
     let resident = hub.stats().artifact_bytes_resident;
     assert!(
-        module_bytes < 6 * source_bytes,
+        2 * module_bytes < 9 * source_bytes,
         "{module_bytes} module bytes for {source_bytes} source bytes"
     );
     let rest = resident - module_bytes;
