@@ -45,8 +45,8 @@ pub struct HubConfig {
     /// analysis and the verdict stage (the A/B lever for the
     /// taint-robustness measurement).
     pub dataflow: bool,
-    /// Literal prefilter routing; disabling scans every rule (A/B lever
-    /// for the throughput benchmark and the equivalence property test).
+    /// YARA routing from cached hits; disabling evaluates every YARA rule
+    /// (A/B lever for the benchmark and the equivalence property test).
     pub prefilter: bool,
     /// Per-stage latency histograms and scan traces. When off, the scan
     /// path reads no clocks and records nothing; the cost per request is

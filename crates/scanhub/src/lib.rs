@@ -26,17 +26,15 @@
 //!    per array, not per statement — taint and the YARA byte scan
 //!    recompute over the whole file by design, which is what keeps an
 //!    artifact a pure function of `(ruleset, bytes)`.
-//! 2. **Global literal prefilter** ([`PrefilterIndex`]) — one
-//!    case-insensitive multi-literal matcher over the distinct
-//!    plain-text atoms of every compiled YARA rule (via
-//!    [`yara_engine::literal_atoms`]) and every Semgrep pattern (via
-//!    [`semgrep_engine::SemgrepRule::literal_atoms`]). Matcher passes
-//!    over each file's bytes and decoded layers route the package to
-//!    exactly the rules whose atoms occur; rules with an exhaustive atom
-//!    set that did not hit are *provably* non-matching and skip
-//!    condition evaluation. Prefiltered scanning is byte-identical to
-//!    exhaustive scanning (the property tests in `tests/properties.rs`
-//!    prove this on randomized corpora).
+//! 2. **Rule routing** ([`PrefilterIndex`]) — a YARA rule with an
+//!    exhaustive atom set ([`yara_engine::literal_atoms`]) whose
+//!    atom-backed strings have no hit in any file's or decoded layer's
+//!    cached hits is *provably* non-matching and skips condition
+//!    evaluation; routing reads no byte. Semgrep rules are not routed:
+//!    [`semgrep_engine::MatchSet`]'s anchor index already sends each
+//!    statement only to the patterns that can match it. Prefiltered
+//!    scanning is byte-identical to exhaustive scanning (the property
+//!    tests in `tests/properties.rs` prove this on randomized corpora).
 //! 3. **Decoded-layer scanning** — string literals above an
 //!    entropy/length threshold are base64/hex-decoded (recursively, to
 //!    a bounded depth) and YARA scans each decoded payload as its own

@@ -182,11 +182,12 @@ hub_metrics! {
         regex_bytes_scanned: "scanhub_regex_bytes_scanned_total", "Haystack bytes read by the regex engine", Always;
         /// Semgrep rule evaluations performed.
         semgrep_rules_evaluated: "scanhub_semgrep_rules_evaluated_total", "Semgrep rule evaluations", Always;
-        /// Semgrep rule evaluations avoided by the literal prefilter.
-        semgrep_rules_skipped: "scanhub_semgrep_rules_skipped_total", "Semgrep evaluations skipped by the prefilter", Always;
-        /// Packages whose Semgrep walk was skipped: no rule routed, or no
-        /// Python module to walk. (The hub never parses for Semgrep; the
-        /// artifact build parsed each module already.)
+        /// Always 0: every Semgrep rule is routed, and the walk's anchor
+        /// index does the filtering. Kept because the benchmark reads it.
+        semgrep_rules_skipped: "scanhub_semgrep_rules_skipped_total", "Semgrep evaluations skipped by the prefilter (always 0)", Always;
+        /// Packages whose Semgrep walk was skipped: no Python module to
+        /// walk (or no Semgrep rule). The hub never parses for Semgrep;
+        /// the artifact build parsed each module already.
         semgrep_parses_skipped: "scanhub_semgrep_parses_skipped_total", "Packages whose Semgrep walk was skipped entirely", Always;
         /// Python statements visited by the Semgrep matcher's single-pass
         /// module walks (one walk serves every routed rule).
@@ -439,7 +440,7 @@ stages! {
         /// and posting (under it). Nested **inside** `artifact` like
         /// `splice`, and excluded from the total the same way.
         retro_publish: RetroPublish in artifact,
-        /// Prefilter routing: YARA from cached hits, Semgrep over Python sources.
+        /// YARA routing from cached hits (reads no byte).
         prefilter: Prefilter,
         /// YARA condition evaluation over the surface hit sets.
         yara: Yara,
@@ -1099,9 +1100,9 @@ mod tests {
     #[test]
     fn matching_tier_counters_reach_hub_stats() {
         // The default test bundle has multi-byte literal atoms, so the
-        // prefilter and scanner multi-literal matchers run the Teddy
-        // tier; the counters are process-global, so assert deltas-or-
-        // better rather than exact values.
+        // scanner's multi-literal matcher runs the Teddy tier; the
+        // counters are process-global, so assert deltas-or-better rather
+        // than exact values.
         let before = hub(HubConfig::default()).stats().engine;
         let h = hub(HubConfig::default());
         let _ = h.submit(request("import os\nos.system('id')\n")).wait();

@@ -4,29 +4,34 @@
 //! cannot match unless one of its atom-backed strings has a hit, and each
 //! artifact caches every string's hits on its bytes and decoded layers,
 //! so [`yara_engine::HitGate`] routes it from those hits; a case-sensitive
-//! string whose atom occurs only in another case routes nothing. Semgrep
-//! rules are routed by one case-insensitive [`MultiLiteral`] (Teddy or
-//! Aho–Corasick) over their atoms
-//! ([`semgrep_engine::SemgrepRule::literal_atoms`]), run over the Python
-//! sources. Rules of either engine without an exhaustive atom set are
-//! routed always.
+//! string whose atom occurs only in another case routes nothing. A YARA
+//! rule without an exhaustive atom set is routed always. Routing reads no
+//! byte.
+//!
+//! Every Semgrep rule is routed always. The walk filters itself:
+//! [`semgrep_engine::MatchSet`] sends each statement only to the pattern
+//! leaves whose anchor identifiers it contains, so a second, byte-level
+//! filter in front of it would only read every Python byte again. The
+//! Semgrep atoms ([`semgrep_engine::SemgrepRule::literal_atoms`]) are
+//! still kept: [`PrefilterIndex::diff`] and retro-hunt candidacy read
+//! them.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use semgrep_engine::CompiledSemgrepRules;
-use textmatch::{MatchKind, MultiLiteral};
 use yara_engine::{CompiledRules, HitGate};
 
 use crate::artifact::FileAnalysis;
 use crate::retrohunt::TermProvenance;
 
 /// Which rules of each engine a package must be scanned with.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Routing {
     /// Per YARA rule (declaration order): must this rule be evaluated?
     pub yara: Vec<bool>,
-    /// Per Semgrep rule (file order): must this rule be evaluated?
+    /// Per Semgrep rule (file order): must this rule be evaluated? Every
+    /// rule is: the walk's anchor index is the Semgrep filter.
     pub semgrep: Vec<bool>,
 }
 
@@ -34,10 +39,7 @@ impl Routing {
     /// An empty routing, ready to be filled by
     /// [`PrefilterIndex::route_artifacts_into`] (workers keep one per thread).
     pub fn empty() -> Self {
-        Routing {
-            yara: Vec::new(),
-            semgrep: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Number of routed YARA rules.
@@ -50,13 +52,13 @@ impl Routing {
         self.semgrep.iter().filter(|&&b| b).count()
     }
 
-    /// Resizes to the given rule counts and clears every mark, reusing
-    /// the allocations.
-    fn reset(&mut self, yara_count: usize, semgrep_count: usize) {
+    /// Resizes to the given rule counts, every YARA mark set to `yara`
+    /// and every Semgrep rule marked, reusing the allocations.
+    fn reset(&mut self, yara: bool, yara_count: usize, semgrep_count: usize) {
         self.yara.clear();
-        self.yara.resize(yara_count, false);
+        self.yara.resize(yara_count, yara);
         self.semgrep.clear();
-        self.semgrep.resize(semgrep_count, false);
+        self.semgrep.resize(semgrep_count, true);
     }
 
     /// Marks one rule for evaluation.
@@ -68,19 +70,16 @@ impl Routing {
     }
 }
 
-/// Reusable per-worker scratch for [`PrefilterIndex::route_artifacts_into`]:
-/// generation-stamped per-atom seen marks, so repeated routing passes
-/// allocate nothing and never sweep the stamp array.
+/// The scratch [`PrefilterIndex::route_artifacts_into`] takes. Routing
+/// reads only cached hits and needs none; the type is kept because the
+/// benchmark names it.
 #[derive(Debug, Default)]
-pub struct PrefilterScratch {
-    generation: u64,
-    seen: Vec<u64>,
-}
+pub struct PrefilterScratch;
 
 impl PrefilterScratch {
-    /// Creates an empty scratch (sized lazily on first use).
+    /// Creates the (empty) scratch.
     pub fn new() -> Self {
-        Self::default()
+        PrefilterScratch
     }
 }
 
@@ -99,8 +98,9 @@ pub enum RuleEngine {
 impl RuleEngine {
     /// Whether this engine reads a scan unit of `provenance` in a file,
     /// Python or not: YARA reads every file's bytes and every decoded
-    /// layer, Semgrep only a Python file's bytes. Routing and retro-hunt
-    /// candidacy both follow it, which keeps their skips sound.
+    /// layer, Semgrep only a Python file's bytes (its module). Retro-hunt
+    /// candidacy follows it, which keeps its skips sound; routing reads
+    /// the cached YARA hits of every unit and routes every Semgrep rule.
     pub(crate) fn reads(self, provenance: TermProvenance, is_python: bool) -> bool {
         match self {
             RuleEngine::Yara => true,
@@ -186,12 +186,8 @@ impl RuleAtomInfo {
 pub struct PrefilterIndex {
     /// Routes YARA rules from an artifact's cached hits.
     gate: HitGate,
-    /// The Semgrep atoms, folded.
-    automaton: MultiLiteral,
-    /// Automaton pattern index → Semgrep rules gated on that atom.
-    routes: Vec<Vec<usize>>,
-    /// Rules that must always be evaluated (no exhaustive atom set).
-    always: Vec<RuleId>,
+    /// YARA rules that must always be evaluated (no exhaustive atom set).
+    always: Vec<usize>,
     /// Per-rule atom metadata, in ruleset order, for delta diffs.
     yara_info: Vec<RuleAtomInfo>,
     semgrep_info: Vec<RuleAtomInfo>,
@@ -210,25 +206,14 @@ impl PrefilterIndex {
             let atoms = rule.literal_atoms().filter(|atoms| !atoms.is_empty());
             RuleAtomInfo::new(&rule.id, atoms)
         });
-        let (yara_info, semgrep_info) = (yara_info.collect(), semgrep_info.collect::<Vec<_>>());
-        let mut routes: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (ri, info) in semgrep_info.iter().enumerate() {
-            for atom in &info.atoms {
-                routes.entry(atom).or_default().push(ri);
-            }
-        }
-        let (atoms, routes): (Vec<&str>, Vec<Vec<usize>>) = routes.into_iter().unzip();
-        let mut index = PrefilterIndex {
+        let yara_info: Vec<RuleAtomInfo> = yara_info.collect();
+        let always = (0..yara_info.len()).filter(|&i| !yara_info[i].exhaustive);
+        PrefilterIndex {
             gate: yara.map(HitGate::new).unwrap_or_default(),
-            automaton: MultiLiteral::new(&atoms, MatchKind::CaseInsensitive),
-            routes,
-            always: Vec::new(),
+            always: always.collect(),
             yara_info,
-            semgrep_info,
-        };
-        let always = index.infos().filter(|(_, info)| !info.exhaustive);
-        index.always = always.map(|(id, _)| id).collect();
-        index
+            semgrep_info: semgrep_info.collect(),
+        }
     }
 
     /// [`PrefilterIndex::build`]; `prior` is not read. The index holds no
@@ -280,23 +265,19 @@ impl PrefilterIndex {
     }
 
     /// Number of distinct folded atoms across the bundle's exhaustive
-    /// rules, both engines: what gates them, whether routing reads it
-    /// from cached YARA hits or the Semgrep automaton.
+    /// rules, both engines: what a deployment's diff and retro-hunt
+    /// candidacy read. Only the YARA atoms gate routing, through the
+    /// strings' cached hits.
     pub fn atom_count(&self) -> usize {
         self.atoms().collect::<BTreeSet<_>>().len()
     }
 
     /// Every rule's atom metadata, in delta order.
     fn infos(&self) -> impl Iterator<Item = (RuleId, &RuleAtomInfo)> {
-        let (yara, semgrep) = (self.yara_info.iter(), self.semgrep_info.iter());
-        let yara = yara
-            .enumerate()
-            .map(|(i, info)| ((RuleEngine::Yara, i), info));
-        yara.chain(
-            semgrep
-                .enumerate()
-                .map(|(i, info)| ((RuleEngine::Semgrep, i), info)),
-        )
+        let yara = self.yara_info.iter().enumerate();
+        let semgrep = self.semgrep_info.iter().enumerate();
+        let yara = yara.map(|(i, info)| ((RuleEngine::Yara, i), info));
+        yara.chain(semgrep.map(|(i, info)| ((RuleEngine::Semgrep, i), info)))
     }
 
     /// Every rule's folded atoms, with repeats.
@@ -305,71 +286,39 @@ impl PrefilterIndex {
             .flat_map(|(_, info)| info.atoms.iter().map(String::as_str))
     }
 
-    /// Number of rules that bypass the prefilter.
+    /// Number of rules that bypass the prefilter: the YARA rules without
+    /// an exhaustive atom set, and every Semgrep rule.
     pub fn always_on_count(&self) -> usize {
-        self.always.len()
+        self.always.len() + self.semgrep_info.len()
     }
 
     /// Routes one package from its per-file analysis artifacts.
     ///
     /// YARA rules are routed through the gate from every unit's cached
     /// hits (each file's bytes and each decoded layer, so an atom hidden
-    /// behind base64 still routes its rule); Semgrep rules by one
-    /// automaton pass over each unit `RuleEngine::reads` gives Semgrep,
-    /// a Python file's bytes. No other byte is read.
+    /// behind base64 still routes its rule); every Semgrep rule is
+    /// routed. No byte is read.
     pub fn route_artifacts_into(
         &self,
         artifacts: &[Arc<FileAnalysis>],
         routing: &mut Routing,
-        scratch: &mut PrefilterScratch,
+        _scratch: &mut PrefilterScratch,
     ) {
-        routing.reset(self.yara_info.len(), self.semgrep_info.len());
-        for id in &self.always {
-            routing.mark(*id);
+        routing.reset(false, self.yara_info.len(), self.semgrep_info.len());
+        for &i in &self.always {
+            routing.yara[i] = true;
         }
         for artifact in artifacts {
             for hits in artifact.yara_hits.iter().chain(&artifact.layer_hits) {
                 self.gate.mark(hits, &mut routing.yara);
             }
-            if RuleEngine::Semgrep.reads(TermProvenance::Surface, artifact.is_python) {
-                self.mark_semgrep(&artifact.bytes, &mut routing.semgrep, scratch);
-            }
         }
-    }
-
-    /// One streaming automaton pass over `text`, marking hit atoms'
-    /// Semgrep rules. The pass stops early once every atom has been seen
-    /// — at that point every route is already marked and the rest of the
-    /// text cannot change the routing.
-    fn mark_semgrep(&self, text: &[u8], routed: &mut [bool], scratch: &mut PrefilterScratch) {
-        if self.routes.is_empty() {
-            return;
-        }
-        scratch.generation += 1;
-        if scratch.seen.len() < self.routes.len() {
-            scratch.seen.resize(self.routes.len(), 0);
-        }
-        let mut unseen = self.routes.len();
-        self.automaton.for_each_match(text, |m| {
-            if scratch.seen[m.pattern] == scratch.generation {
-                return true;
-            }
-            scratch.seen[m.pattern] = scratch.generation;
-            unseen -= 1;
-            for &ri in &self.routes[m.pattern] {
-                routed[ri] = true;
-            }
-            unseen > 0
-        });
     }
 
     /// A routing that evaluates everything (prefilter disabled), written
     /// into a caller-owned routing.
     pub fn route_all_into(&self, routing: &mut Routing) {
-        routing.yara.clear();
-        routing.yara.resize(self.yara_info.len(), true);
-        routing.semgrep.clear();
-        routing.semgrep.resize(self.semgrep_info.len(), true);
+        routing.reset(true, self.yara_info.len(), self.semgrep_info.len());
     }
 }
 
@@ -425,10 +374,6 @@ mod tests {
 
     fn yara(src: &str) -> Router {
         Router::new(Some(src), None)
-    }
-
-    fn semgrep(src: &str) -> Router {
-        Router::new(None, Some(src))
     }
 
     #[test]
@@ -495,31 +440,6 @@ rule utf16 { strings: $w = "cmd" wide condition: $w }
     }
 
     #[test]
-    fn semgrep_any_of_semantics() {
-        let router = semgrep(
-            "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern-either:\n      - pattern: eval($X)\n      - pattern: exec($X)\n",
-        );
-        assert_eq!(router.route("m.py", b"exec(code)").semgrep, vec![true]);
-        assert_eq!(router.route("m.py", b"eval(code)").semgrep, vec![true]);
-        assert_eq!(router.route("m.py", b"print(code)").semgrep, vec![false]);
-    }
-
-    #[test]
-    fn a_non_python_file_routes_no_semgrep_rule() {
-        let router = Router::new(
-            Some("rule a { strings: $x = \"os.system\" condition: $x }"),
-            Some("rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: os.system($X)\n"),
-        );
-        // YARA reads every file, Semgrep only Python sources.
-        let routing = router.route("README.txt", b"os.system('x')");
-        assert_eq!(routing.yara, vec![true]);
-        assert_eq!(routing.semgrep, vec![false]);
-        let routing = router.route("setup.py", b"os.system('x')");
-        assert_eq!(routing.yara, vec![true]);
-        assert_eq!(routing.semgrep, vec![true]);
-    }
-
-    #[test]
     fn atoms_are_deduplicated_across_rules() {
         let router = yara(
             r#"
@@ -558,14 +478,6 @@ rule size { condition: filesize > 10 }
     }
 
     #[test]
-    fn empty_python_source_routes_no_semgrep_atom_rules() {
-        let router = semgrep(
-            "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: eval($X)\n",
-        );
-        assert_eq!(router.route("m.py", b"").semgrep, vec![false]);
-    }
-
-    #[test]
     fn route_all_covers_every_rule_even_dead_ones() {
         let router = yara("rule dead { condition: false }");
         let mut routing = Routing::empty();
@@ -598,29 +510,6 @@ rule b { strings: $x = "socket.socket" condition: $x }
             assert_eq!(routing.yara, fresh.yara);
             assert_eq!(routing.semgrep, fresh.semgrep);
         }
-    }
-
-    #[test]
-    fn early_exit_after_all_atoms_seen_routes_everything() {
-        let router = semgrep(
-            "rules:\n  - id: e\n    languages: [python]\n    message: m\n    pattern: eval($X)\n  - id: x\n    languages: [python]\n    message: m\n    pattern: exec($X)\n",
-        );
-        // Both atoms occur early; the trailing text is skipped but the
-        // routing is already complete.
-        let mut source = b"eval(a)\nexec(b)\n".to_vec();
-        source.extend(std::iter::repeat_n(b'z', 1 << 16));
-        source.extend_from_slice(b"\neval(c)\n");
-        assert_eq!(router.route("m.py", &source).semgrep, vec![true, true]);
-    }
-
-    #[test]
-    fn an_atom_at_the_end_of_a_source_is_found() {
-        let router = semgrep(
-            "rules:\n  - id: t\n    languages: [python]\n    message: m\n    pattern: eval($X)\n",
-        );
-        let mut source = vec![b'x'; 4096];
-        source.extend_from_slice(b"\neval(a)");
-        assert_eq!(router.route("m.py", &source).semgrep, vec![true]);
     }
 
     #[test]

@@ -1,14 +1,32 @@
 //! The bounded submission queue between [`crate::ScanHub::submit`] and
 //! the workers, and the [`Ticket`] a submitter redeems for its verdict.
+//!
+//! **A poisoned lock is recovered**, as the artifact store's is: no
+//! section runs a scan or rule code, and each leaves its state
+//! consistent at any point it could unwind from, so a panic under one
+//! costs no later ticket. Per section:
+//!
+//! * `push` and `pop` make one `VecDeque` push or pop, which completes
+//!   or leaves the deque as it was; `close` writes one `bool`;
+//! * `fulfill` writes one `Option`: a waiter sees no verdict or all of it;
+//! * a wait only reads the slot, to clone the `Verdict` or re-raise the
+//!   worker's panic, which poisons the ticket's lock and leaves the slot
+//!   as it was, so the next wait re-raises too.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::cache::DigestKey;
 use crate::metrics::Laps;
 use crate::request::ScanRequest;
 use crate::verdict::Verdict;
+
+/// A guard (or a wait's result) from a lock a panic may have poisoned;
+/// see the module doc for why the state under it is consistent.
+fn recover<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 pub(crate) struct Job {
     pub request: ScanRequest,
@@ -48,9 +66,9 @@ impl JobQueue {
 
     /// Enqueues `job`, blocking while the queue is full.
     pub fn push(&self, job: Job) {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = recover(self.state.lock());
         while state.jobs.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).expect("queue wait");
+            state = recover(self.not_full.wait(state));
         }
         state.jobs.push_back(job);
         drop(state);
@@ -60,7 +78,7 @@ impl JobQueue {
     /// The next job, blocking while the queue is empty; `None` once the
     /// queue is closed **and** drained.
     pub fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = recover(self.state.lock());
         let job = loop {
             if let Some(job) = state.jobs.pop_front() {
                 break job;
@@ -68,7 +86,7 @@ impl JobQueue {
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).expect("queue wait");
+            state = recover(self.not_empty.wait(state));
         };
         drop(state);
         self.not_full.notify_one();
@@ -78,7 +96,7 @@ impl JobQueue {
     /// Stops blocking anyone: workers drain what is queued and then see
     /// `None`.
     pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        recover(self.state.lock()).closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -98,7 +116,7 @@ impl TicketState {
     }
 
     pub fn fulfill(&self, outcome: Result<Verdict, String>) {
-        *self.slot.lock().expect("ticket lock") = Some(outcome);
+        *recover(self.slot.lock()) = Some(outcome);
         self.ready.notify_all();
     }
 }
@@ -156,23 +174,19 @@ impl Ticket {
     /// Blocks until the verdict is available or `deadline`, if any,
     /// passes. Without a deadline it reads no clock.
     fn wait_until(&self, deadline: Option<Instant>) -> Option<Verdict> {
-        let mut slot = self.state.slot.lock().expect("ticket lock");
+        let mut slot = recover(self.state.slot.lock());
         loop {
             match slot.as_ref() {
                 Some(Ok(v)) => return Some(v.clone()),
                 Some(Err(msg)) => panic!("{msg}"),
                 None => match deadline {
-                    None => slot = self.state.ready.wait(slot).expect("ticket wait"),
+                    None => slot = recover(self.state.ready.wait(slot)),
                     Some(deadline) => {
                         let remaining = deadline
                             .checked_duration_since(Instant::now())
                             .filter(|r| !r.is_zero())?;
-                        let (guard, _timed_out) = self
-                            .state
-                            .ready
-                            .wait_timeout(slot, remaining)
-                            .expect("ticket wait");
-                        slot = guard;
+                        let waited = self.state.ready.wait_timeout(slot, remaining);
+                        slot = recover(waited).0;
                     }
                 },
             }
@@ -235,6 +249,39 @@ mod tests {
     #[should_panic(expected = "scan worker panicked")]
     fn wait_timeout_propagates_worker_panics() {
         let _ = panicked_ticket().wait_timeout(Duration::ZERO);
+    }
+
+    /// Panics while holding `mutex`, which poisons it.
+    fn poison<T>(mutex: &Mutex<T>) {
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = mutex.lock();
+            panic!("poisoning the lock");
+        }));
+        assert!(panicked.is_err() && mutex.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_queue_and_ticket_locks_still_carry_a_job_to_its_verdict() {
+        let queue = JobQueue::new(1);
+        let (ticket, state) = Ticket::pending();
+        poison(&queue.state);
+        poison(&state.slot);
+        queue.push(Job {
+            request: request("print('queued')\n"),
+            digest: None,
+            ticket: state,
+            laps: None,
+        });
+        let job = queue.pop().expect("the pushed job");
+        let verdict = Verdict {
+            yara: vec!["sys".to_owned()],
+            ..Verdict::default()
+        };
+        job.ticket.fulfill(Ok(verdict.clone()));
+        assert_eq!(ticket.wait_timeout(Duration::ZERO), Some(verdict.clone()));
+        assert_eq!(ticket.wait(), verdict);
+        queue.close();
+        assert!(queue.pop().is_none(), "a closed, drained queue");
     }
 
     #[test]

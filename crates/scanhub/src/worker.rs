@@ -154,12 +154,11 @@ impl<'r> Evaluator<'r> {
 }
 
 /// Per-worker reusable scan state, beside the worker's [`Evaluator`].
-/// Every slot is either generation-stamped or cleared before use, so once
-/// warm a worker evaluating cached artifacts allocates only its verdict:
-/// one string per rule name and layer file, and the lists that hold them.
+/// Every slot is cleared before use, so once warm a worker evaluating
+/// cached artifacts allocates only its verdict: one string per rule name
+/// and layer file, and the lists that hold them.
 struct WorkerScratch {
     routing: Routing,
-    prefilter: PrefilterScratch,
     artifacts: Vec<Arc<FileAnalysis>>,
     grams: GramScratch,
 }
@@ -168,7 +167,6 @@ impl WorkerScratch {
     fn new() -> Self {
         WorkerScratch {
             routing: Routing::empty(),
-            prefilter: PrefilterScratch::new(),
             artifacts: Vec::new(),
             grams: GramScratch::default(),
         }
@@ -316,7 +314,6 @@ fn scan_job(
     let c = &shared.counters;
     let WorkerScratch {
         routing,
-        prefilter,
         artifacts,
         grams,
     } = scratch;
@@ -327,13 +324,13 @@ fn scan_job(
     gather_artifacts(shared, eval.scanner(), request, artifacts, grams, clock);
     clock.lap(Stage::Prefilter);
     // Phase 2: route the package from the artifacts. YARA rules are
-    // routed from each unit's cached hits; only the Python files' bytes
-    // are read again, by the Semgrep atom automaton, on every request,
-    // artifact-cache hits included (ROADMAP item 7).
+    // routed from each unit's cached hits, and every Semgrep rule is
+    // routed (the walk's anchor index filters it); no byte is read.
     if shared.prefilter {
+        let scratch = &mut PrefilterScratch::new();
         shared
             .index
-            .route_artifacts_into(artifacts, routing, prefilter);
+            .route_artifacts_into(artifacts, routing, scratch);
     } else {
         shared.index.route_all_into(routing);
     }
@@ -378,7 +375,6 @@ fn scan_job(
     if shared.semgrep.is_some() {
         let routed = routing.semgrep_routed();
         count(&c.semgrep_rules_evaluated, routed);
-        count(&c.semgrep_rules_skipped, routing.semgrep.len() - routed);
         let has_python = artifacts.iter().any(|a| a.module.is_some());
         if routed == 0 || !has_python {
             HubCounters::add(&c.semgrep_parses_skipped, 1);

@@ -192,8 +192,8 @@ fn every_stage_counts_exactly_the_phases_that_ran() {
     assert!(!cold.semgrep.is_empty() && !cold.flows.is_empty());
     // A one-line bump of the same file: a splice.
     let _ = submit("pkg/mod.py", &body("v2"));
-    // No rule's atom anywhere: the YARA, layer and Semgrep phases do
-    // not run.
+    // No YARA atom anywhere: the YARA and layer phases do not run. The
+    // Semgrep walk does (every Semgrep rule is routed) and finds nothing.
     let clean = submit("pkg/util.py", "def add(a, b):\n    return a + b\n");
     assert!(!clean.flagged());
     // An identical re-upload: a verdict-cache hit.
@@ -225,7 +225,7 @@ fn every_stage_counts_exactly_the_phases_that_ran() {
             ("prefilter", 3),
             ("yara", 2),
             ("layers", 2),
-            ("semgrep", 2),
+            ("semgrep", 3),
             ("dataflow", 3),
             ("verdict", 3),
             ("retro_query", 1),

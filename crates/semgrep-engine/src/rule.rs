@@ -61,7 +61,7 @@ impl PatternOp {
                 .iter()
                 .filter_map(Self::literal_atoms_of)
                 // Prefer the child whose weakest atom is longest — longer
-                // atoms are rarer, so the prefilter skips more packages.
+                // atoms are rarer, so a filter on them passes fewer sources.
                 .max_by_key(|atoms| atoms.iter().map(String::len).min().unwrap_or(0)),
             PatternOp::Either(children) => {
                 let mut out = Vec::new();

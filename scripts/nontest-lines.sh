@@ -4,12 +4,15 @@
 # A file's non-test lines are the lines before its first line that starts
 # with `#[cfg(test)]` (all of them when it has none). Modules that exist
 # only under test are skipped whole; they are listed in EXCLUDED below.
-# Prints one `<count> <file>` line per file, sorted by path, then the
-# total.
+# Prints one `<count> <file>` line per file, sorted, its path relative to
+# the repository root (the parent of this script's directory), then the
+# total. The counts do not depend on the directory it is run from.
 #
-# Usage, from the repository root: scripts/nontest-lines.sh <dir>...
+# Usage: scripts/nontest-lines.sh <dir>...
 #   e.g. scripts/nontest-lines.sh crates/scanhub/src
 set -euo pipefail
+
+root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 
 # Paths relative to the repository root.
 EXCLUDED=(
@@ -23,7 +26,7 @@ fi
 
 total=0
 while IFS= read -r file; do
-    rel=$(realpath --relative-to=. "$file")
+    rel=$(realpath --relative-to="$root" "$file")
     skip=0
     for excluded in "${EXCLUDED[@]}"; do
         [ "$rel" = "$excluded" ] && skip=1
