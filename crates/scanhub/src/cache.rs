@@ -97,13 +97,10 @@ impl<V: Clone> LruCache<V> {
     }
 
     /// Stores `value` under `digest`, evicting the least recently used
-    /// entry when full. Returns the digests evicted by this insert (empty
-    /// in the common path), so a derived index — the retro-hunt posting
-    /// store — can be kept in lockstep with cache residency.
-    pub fn insert(&mut self, digest: DigestKey, value: V) -> Vec<DigestKey> {
-        let mut evicted = Vec::new();
+    /// entry when full.
+    pub fn insert(&mut self, digest: DigestKey, value: V) {
         if self.capacity == 0 {
-            return evicted;
+            return;
         }
         self.tick += 1;
         let tick = self.tick;
@@ -116,11 +113,9 @@ impl<V: Clone> LruCache<V> {
             // Stale queue entry: the key was touched again later.
             if self.map.get(&key).is_some_and(|(_, s)| *s == stamp) {
                 self.map.remove(&key);
-                evicted.push(key);
             }
         }
         self.maybe_compact();
-        evicted
     }
 
     /// Drops stale recency entries once the queue outgrows the map 4×.
@@ -272,18 +267,15 @@ mod tests {
     #[test]
     fn insert_overwrite_at_capacity_evicts_nothing() {
         // Overwriting a digest that is already resident does not grow the
-        // map, so it must never push another *live* entry out — a derived
-        // index (retro-hunt postings) trusts the eviction report.
+        // map, so it must never push another *live* entry out.
         let mut cache = VerdictCache::new(3);
         cache.insert(key(b'a'), verdict("ra"));
         cache.insert(key(b'b'), verdict("rb"));
         cache.insert(key(b'c'), verdict("rc"));
         for round in 0..10 {
-            let evicted = cache.insert(key(b'b'), verdict("rb2"));
-            assert!(
-                evicted.is_empty(),
-                "overwrite evicted {evicted:?} (round {round})"
-            );
+            cache.insert(key(b'b'), verdict("rb2"));
+            let resident = [b'a', b'b', b'c'].map(|k| cache.peek(&key(k)).is_some());
+            assert_eq!(resident, [true; 3], "overwrite evicted (round {round})");
             assert_eq!(cache.len(), 3);
         }
         assert!(cache.get(&key(b'a')).is_some());
@@ -292,14 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_reports_exactly_the_evicted_digests() {
+    fn insert_evicts_exactly_the_least_recent_digest() {
         let mut cache = VerdictCache::new(2);
-        assert!(cache.insert(key(b'a'), verdict("ra")).is_empty());
-        assert!(cache.insert(key(b'b'), verdict("rb")).is_empty());
-        assert_eq!(cache.insert(key(b'c'), verdict("rc")), vec![key(b'a')]);
-        // Zero capacity stores nothing and therefore evicts nothing.
+        cache.insert(key(b'a'), verdict("ra"));
+        cache.insert(key(b'b'), verdict("rb"));
+        cache.insert(key(b'c'), verdict("rc"));
+        let resident = [b'a', b'b', b'c'].map(|k| cache.peek(&key(k)).is_some());
+        assert_eq!(resident, [false, true, true]);
+        // Zero capacity stores nothing.
         let mut none = VerdictCache::new(0);
-        assert!(none.insert(key(b'z'), verdict("rz")).is_empty());
+        none.insert(key(b'z'), verdict("rz"));
+        assert_eq!(none.len(), 0);
     }
 
     #[test]

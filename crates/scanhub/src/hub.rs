@@ -55,9 +55,10 @@ pub struct HubConfig {
     /// Flight-recorder ring size: the last N completed scan traces kept
     /// for after-the-fact explanation. 0 keeps histograms but no traces.
     pub trace_capacity: usize,
-    /// Maintain the retro-hunt atom→digest posting index alongside the
-    /// artifact cache, so deploying new rules confirm-scans only
-    /// candidate digests ([`ScanHub::retro_hunt`]). No effect when
+    /// Keep the retro-hunt atom→digest posting index beside the artifact
+    /// cache, so deploying new rules confirm-scans only candidate digests
+    /// ([`ScanHub::retro_hunt`]). Requests never touch it: each hunt and
+    /// rescan syncs it to the resident artifacts first. No effect when
     /// `artifact_cache_capacity` is 0.
     pub retro_index: bool,
 }
@@ -173,9 +174,9 @@ impl ScanHub {
     }
 
     /// Runs the deployment's changed rules over the cached package
-    /// history: queries the retro index, then confirm-scans only the
-    /// candidate digests, with the evaluator a worker scans requests
-    /// with. `None` when the artifact cache or the retro index is
+    /// history: syncs the retro index to the resident artifacts, queries
+    /// it, then confirm-scans only the candidate digests, with the
+    /// evaluator a worker scans requests with. `None` when the artifact cache or the retro index is
     /// disabled, or the index was retired by a panic under its lock.
     /// Confirm scans leave the artifacts' recency alone, so
     /// screening history does not keep it resident. Per-rule hit sets
@@ -190,11 +191,13 @@ impl ScanHub {
     }
 
     /// The exhaustive oracle: confirm-scans **every** resident digest
-    /// with every changed rule, no index consulted — the ground truth
-    /// that the differential suite and the benchmark check
-    /// [`ScanHub::retro_hunt`] against. Touches none of the retro
-    /// counters or histograms, and, like a hunt, leaves the artifact
-    /// cache's recency alone.
+    /// with every changed rule, no candidate query made — the ground
+    /// truth that the differential suite and the benchmark check
+    /// [`ScanHub::retro_hunt`] against. It reads the resident digests off
+    /// the retro index, synced first as for a hunt, so `None` when the
+    /// index is disabled or retired. Touches none of the retro counters
+    /// or histograms, and, like a hunt, leaves the artifact cache's
+    /// recency alone.
     pub fn retro_rescan(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
         retrohunt::rescan(self.shared.artifacts.as_ref()?, deployment)
     }

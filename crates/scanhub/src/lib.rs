@@ -61,9 +61,10 @@
 //!    requesters of the digest wait; a hit is one.
 //! 6. **Retro-hunt** ([`ScanHub::retro_hunt`]) — a rule deploy screens
 //!    the cached history with its changed rules only: an index from
-//!    folded content grams to digests, kept up on every artifact publish
-//!    and eviction, nominates candidates, and each is confirm-scanned by
-//!    the evaluator a worker scans requests with.
+//!    folded content grams to digests nominates candidates, and each is
+//!    confirm-scanned by the evaluator a worker scans requests with. No
+//!    request touches the index; each hunt first syncs it to the resident
+//!    artifacts, dropping the evicted digests and indexing the new ones.
 //!
 //! Throughput, cache-hit rates, artifact reuse and prefilter skip rate
 //! are exposed as [`HubStats`], which also carries per-stage latency

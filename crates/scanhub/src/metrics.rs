@@ -210,11 +210,14 @@ hub_metrics! {
         /// snapshot time like the retro-index gauges; 0 when the artifact
         /// cache is disabled.
         artifact_bytes_resident: "scanhub_artifact_bytes_resident", "Estimated heap bytes of all cache-resident file artifacts", NonZero;
-        /// Distinct terms currently held by the retro index (folded content
-        /// 3-grams realizing the atom posting lists); 0 when disabled.
-        retro_index_atoms: "scanhub_retro_index_atoms", "Distinct indexed retro-hunt terms (folded content 3-grams)", Hunted;
-        /// Content digests currently resident in the retro index.
-        retro_index_digests: "scanhub_retro_index_digests", "Content digests resident in the retro-hunt index", Hunted;
+        /// Distinct terms the retro index held (folded content 3-grams
+        /// realizing the atom posting lists) as of the last hunt or rescan,
+        /// which sync it to the resident artifacts; 0 before the first one,
+        /// and when disabled.
+        retro_index_atoms: "scanhub_retro_index_atoms", "Distinct indexed retro-hunt terms (folded content 3-grams) as of the last hunt or rescan", Hunted;
+        /// Content digests the retro index held as of the last hunt or
+        /// rescan: the artifacts resident then.
+        retro_index_digests: "scanhub_retro_index_digests", "Content digests in the retro-hunt index as of the last hunt or rescan", Hunted;
     }
     engine {
         teddy_scans: "textmatch_teddy_scans_total", "Multi-literal scans served by the Teddy prefilter tier";
@@ -435,11 +438,6 @@ stages! {
         /// `artifact` (a splice is one way a build resolves), so it is
         /// reported but never added to the disjoint-stage total.
         splice: Splice in artifact,
-        /// Retro-index maintenance for the artifacts this request published:
-        /// gram collection (outside the index lock) plus eviction removals
-        /// and posting (under it). Nested **inside** `artifact` like
-        /// `splice`, and excluded from the total the same way.
-        retro_publish: RetroPublish in artifact,
         /// YARA routing from cached hits (reads no byte).
         prefilter: Prefilter,
         /// YARA condition evaluation over the surface hit sets.
@@ -456,6 +454,10 @@ stages! {
         verdict: Verdict,
     }
     hub {
+        /// Bringing the retro index up to the resident artifacts before a
+        /// hunt queries it (one sample per hunt): the evicted digests
+        /// dropped, the new ones' grams collected and posted.
+        retro_sync: RetroSync,
         /// Retro-hunt index query (one sample per hunt).
         retro_query: RetroQuery,
         /// Retro-hunt confirm scans (one sample per digest scanned): cached

@@ -8,8 +8,9 @@
 //! free, but a naive deploy still confirm-scans every cached digest.
 //! This module adds the VirusTotal-retrohunt shape: a posting index
 //! from prefilter-atom evidence to the content digests whose artifacts
-//! carry it, maintained incrementally on artifact publish/evict, so a
-//! rule deploy touches only candidate digests.
+//! carry it, so a rule deploy touches only candidate digests. No request
+//! pays for it: each hunt first brings the index up to the resident
+//! artifacts, dropping the evicted digests and indexing the new ones.
 //!
 //! # Index shape
 //!
@@ -41,12 +42,13 @@
 //! the changed rules.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use semgrep_engine::CompiledSemgrepRules;
 use yara_engine::{CompiledRules, FileHits, Part};
 
 use crate::artifact::FileAnalysis;
-use crate::cache::DigestKey;
+use crate::cache::{ArtifactCache, DigestKey};
 use crate::metrics::{HubCounters, HubTelemetry, Stage, StageClock};
 use crate::prefilter::{ChangedRule, Routing, RuleDelta, RuleEngine};
 use crate::store::ArtifactStore;
@@ -96,32 +98,52 @@ struct List {
 /// A term's posting lists, indexed by `TermProvenance as usize`.
 type Term = [List; 2];
 
-/// Every posting list of an index, as chained fixed-size blocks in one
-/// vector: posting a slot writes one word, or pushes one block.
+/// Blocks per arena chunk: 64 KiB.
+const CHUNK_BLOCKS: usize = 2048;
+
+/// Every posting list of an index, as chained fixed-size blocks in
+/// fixed-size chunks: posting a slot writes one word, or takes one block.
+/// A full chunk is never copied; the arena grows by allocating the next.
 #[derive(Debug, Default)]
 struct Arena {
-    blocks: Vec<Block>,
+    /// `CHUNK_BLOCKS`-capacity runs of blocks: the full ones, the one
+    /// being filled, and any emptied by [`Arena::clear`].
+    chunks: Vec<Vec<Block>>,
+    /// Blocks taken; block `b` is `chunks[b / CHUNK_BLOCKS][b % CHUNK_BLOCKS]`.
+    len: u32,
 }
 
 impl Arena {
+    fn block(&self, b: u32) -> &Block {
+        &self.chunks[b as usize / CHUNK_BLOCKS][b as usize % CHUNK_BLOCKS]
+    }
+
+    fn block_mut(&mut self, b: u32) -> &mut Block {
+        &mut self.chunks[b as usize / CHUNK_BLOCKS][b as usize % CHUNK_BLOCKS]
+    }
+
     /// Appends `slot`, which exceeds every slot already in `list`.
     fn push(&mut self, list: &mut List, slot: u32) {
         let at = list.len as usize % BLOCK_SLOTS;
         if at == 0 {
-            let fresh = self.blocks.len() as u32;
-            let block = Block {
+            let fresh = self.len;
+            let chunk = fresh as usize / CHUNK_BLOCKS;
+            if chunk == self.chunks.len() {
+                self.chunks.push(Vec::with_capacity(CHUNK_BLOCKS));
+            }
+            self.chunks[chunk].push(Block {
                 slots: [0; BLOCK_SLOTS],
                 next: NIL,
-            };
-            self.blocks.push(block);
+            });
+            self.len += 1;
             if list.len == 0 {
                 list.head = fresh;
             } else {
-                self.blocks[list.tail as usize].next = fresh;
+                self.block_mut(list.tail).next = fresh;
             }
             list.tail = fresh;
         }
-        let block = &mut self.blocks[list.tail as usize];
+        let block = self.block_mut(list.tail);
         debug_assert!(at == 0 || block.slots[at - 1] < slot, "lists stay sorted");
         block.slots[at] = slot;
         list.len += 1;
@@ -131,11 +153,17 @@ impl Arena {
     fn slots(&self, list: List) -> impl Iterator<Item = u32> + '_ {
         let first = (list.len > 0).then_some(list.head);
         let chain = std::iter::successors(first, |&b| {
-            Some(self.blocks[b as usize].next).filter(|&next| next != NIL)
+            Some(self.block(b).next).filter(|&next| next != NIL)
         });
         chain
-            .flat_map(|b| self.blocks[b as usize].slots)
+            .flat_map(|b| self.block(b).slots)
             .take(list.len as usize)
+    }
+
+    /// Frees every block, keeping the chunks for the next pushes.
+    fn clear(&mut self) {
+        self.chunks.iter_mut().for_each(Vec::clear);
+        self.len = 0;
     }
 }
 
@@ -213,8 +241,9 @@ fn post(terms: &mut Vec<Term>, arena: &mut Arena, id: &mut u32, prov: TermProven
 }
 
 /// The inverted content index: folded 3-gram → digest slots, tagged by
-/// provenance. Maintained under the artifact store's retro lock; all
-/// mutation happens on the single-flight publish path and on eviction.
+/// provenance. Kept under the artifact store's retro lock and synced to
+/// the resident artifacts there, before each hunt or rescan reads it
+/// ([`RetroIndex::diff`], [`RetroIndex::sync`]).
 ///
 /// Slots are handed out in ascending order and never reused before a
 /// compaction, which renumbers the live ones densely in the same order,
@@ -237,8 +266,7 @@ pub(crate) struct RetroIndex {
     dead: usize,
 }
 
-/// Words of the per-worker presence bitmap: one bit per packed 3-gram
-/// (2 MiB).
+/// Words of the presence bitmap: one bit per packed 3-gram (2 MiB).
 const SEEN3_WORDS: usize = (1 << (8 * GRAM_LEN)) / 64;
 
 /// Sets bit `key`; true when it was clear.
@@ -278,16 +306,15 @@ impl GramSet {
     }
 }
 
-/// Per-worker gram collector: one rolling pass per scan unit folds each
-/// byte once and records a gram the first time its presence bit is
-/// found clear. The bitmap is all-zero between collections — cleared by
-/// walking the first-sighting lists, never by `fill` — so a publish
-/// allocates nothing once the lists have grown, and transient memory is
-/// the fixed bitmap plus at most min(unit bytes, 2^24) keys per list.
-#[derive(Debug, Default)]
+/// Gram collector: one rolling pass per scan unit folds each byte once
+/// and records a gram the first time its presence bit is found clear.
+/// The bitmap is zeroed when the scratch is made and all-zero between
+/// collections — cleared by walking the first-sighting lists, never by
+/// `fill` — so a collection allocates nothing once the lists have grown,
+/// and transient memory is the fixed bitmap plus at most min(unit bytes,
+/// 2^24) keys per list.
+#[derive(Debug)]
 pub(crate) struct GramScratch {
-    /// Empty until the first collection, so workers of an index-less
-    /// hub never pay for the bitmap.
     seen3: Vec<u64>,
     /// Identity of the collected artifact, posted with its grams.
     digest: DigestKey,
@@ -296,14 +323,24 @@ pub(crate) struct GramScratch {
     layer: GramSet,
 }
 
+impl Default for GramScratch {
+    /// A scratch with its 2 MiB bitmap zeroed (pages the first
+    /// collections touch become resident).
+    fn default() -> Self {
+        GramScratch {
+            seen3: vec![0; SEEN3_WORDS],
+            digest: DigestKey::default(),
+            is_python: false,
+            surface: GramSet::default(),
+            layer: GramSet::default(),
+        }
+    }
+}
+
 impl GramScratch {
     /// Collects the artifact's grams: `artifact.bytes` into the surface
-    /// set, the union over `artifact.layers` into the layer set. Takes
-    /// no lock.
+    /// set, the union over `artifact.layers` into the layer set.
     pub(crate) fn collect(&mut self, artifact: &FileAnalysis) {
-        if self.seen3.is_empty() {
-            self.seen3 = vec![0; SEEN3_WORDS];
-        }
         let seen3 = &mut self.seen3[..];
         self.digest = artifact.digest;
         self.is_python = artifact.is_python;
@@ -342,9 +379,8 @@ impl RetroIndex {
     }
 
     /// Indexes the artifact `grams` was collected from, posting each
-    /// distinct gram once. Idempotent: a digest already indexed (rebuilt
-    /// after an eviction whose removal has not reached the index yet)
-    /// is left untouched.
+    /// distinct gram once. Idempotent: a digest already indexed is left
+    /// untouched.
     pub(crate) fn insert_collected(&mut self, grams: &GramScratch) {
         if self.by_digest.contains_key(&grams.digest) {
             return;
@@ -373,24 +409,63 @@ impl RetroIndex {
         self.insert_collected(&grams);
     }
 
-    /// Drops a digest (cache eviction). The slot becomes a tombstone
-    /// filtered at query time; posting lists are swept in bulk once
-    /// tombstones outnumber live digests.
-    pub(crate) fn remove(&mut self, digest: &DigestKey) {
+    /// Drops a digest: its slot becomes a tombstone, filtered at query
+    /// time until a compaction sweeps it.
+    fn tombstone(&mut self, digest: &DigestKey) {
         let Some(slot) = self.by_digest.remove(digest) else {
             return;
         };
         self.slots[slot as usize] = None;
         self.dead += 1;
+    }
+
+    /// Sweeps the posting lists once tombstones outnumber live digests.
+    fn compact_if_due(&mut self) {
         if self.dead > self.by_digest.len().max(32) {
             self.compact();
         }
     }
 
+    /// What [`RetroIndex::sync`] needs to bring the index to `resident`:
+    /// the indexed digests no longer resident, and the resident artifacts
+    /// not yet indexed. Reads `resident` without touching its recency.
+    pub(crate) fn diff(
+        &self,
+        resident: &ArtifactCache,
+    ) -> (Vec<DigestKey>, Vec<Arc<FileAnalysis>>) {
+        let indexed = self.by_digest.keys();
+        let gone = indexed.filter(|d| resident.peek(d).is_none()).copied();
+        let fresh = resident
+            .values()
+            .filter(|a| !self.by_digest.contains_key(&a.digest));
+        (gone.collect(), fresh.cloned().collect())
+    }
+
+    /// Drops the `gone` digests, compacting at most once, then indexes the
+    /// `fresh` artifacts in digest order, collecting each one's grams
+    /// through `grams`.
+    pub(crate) fn sync(
+        &mut self,
+        gone: &[DigestKey],
+        mut fresh: Vec<Arc<FileAnalysis>>,
+        grams: &mut GramScratch,
+    ) {
+        for digest in gone {
+            self.tombstone(digest);
+        }
+        self.compact_if_due();
+        fresh.sort_unstable_by_key(|artifact| artifact.digest);
+        for artifact in &fresh {
+            grams.collect(artifact);
+            self.insert_collected(grams);
+        }
+    }
+
     /// Sweeps the tombstones: renumbers the live slots densely, in order,
-    /// and rewrites every list into a fresh arena without its dead slots.
-    /// A term left with no posting is dropped. The buffers keep their
-    /// capacity, so refilling them allocates nothing.
+    /// and rewrites every list without its dead slots into the emptied
+    /// arena. A term left with no posting is dropped. The arena, the slot
+    /// and term tables keep their capacity, so refilling them allocates
+    /// nothing.
     fn compact(&mut self) {
         let mut renumbered = vec![NIL; self.slots.len()];
         let live_slots = self.slots.iter().enumerate().filter(|(_, s)| s.is_some());
@@ -402,28 +477,39 @@ impl RetroIndex {
             *slot = renumbered[*slot as usize];
         }
 
-        let blocks = Vec::with_capacity(self.arena.blocks.capacity());
-        let old_arena = std::mem::replace(&mut self.arena, Arena { blocks });
-        let terms = Vec::with_capacity(self.terms.capacity());
-        let old_terms = std::mem::replace(&mut self.terms, terms);
+        // Every list's live postings, renumbered, list after list, and
+        // each term's two list lengths.
+        let mut live = Vec::new();
+        let lens: Vec<[usize; 2]> = self.terms[1..]
+            .iter()
+            .map(|lists| {
+                lists.map(|list| {
+                    let before = live.len();
+                    let slots = self.arena.slots(list).map(|s| renumbered[s as usize]);
+                    live.extend(slots.filter(|&s| s != NIL));
+                    live.len() - before
+                })
+            })
+            .collect();
+        self.arena.clear();
+        let mut postings = live.into_iter();
         // Old term → new term, 0 for a dropped one (and for term 0).
-        let mut term_ids = vec![0u32; old_terms.len()];
-        self.terms.push(Term::default());
-        for (old, lists) in old_terms.iter().enumerate().skip(1) {
+        let mut term_ids = vec![0u32; self.terms.len()];
+        let mut kept = 1;
+        for (old, lens) in lens.into_iter().enumerate() {
             let mut term = Term::default();
-            for (list, old_list) in term.iter_mut().zip(lists) {
-                for slot in old_arena.slots(*old_list) {
-                    match renumbered[slot as usize] {
-                        NIL => {}
-                        live => self.arena.push(list, live),
-                    }
+            for (list, len) in term.iter_mut().zip(lens) {
+                for slot in postings.by_ref().take(len) {
+                    self.arena.push(list, slot);
                 }
             }
             if term.iter().any(|list| list.len > 0) {
-                term_ids[old] = self.terms.len() as u32;
-                self.terms.push(term);
+                term_ids[old + 1] = kept as u32;
+                self.terms[kept] = term;
+                kept += 1;
             }
         }
+        self.terms.truncate(kept);
         let entries = self.triples.entries.len();
         self.triples.rehash(entries, |term| term_ids[term as usize]);
         self.dead = 0;
@@ -751,9 +837,10 @@ fn plan(
     (masks.into_iter().collect(), report)
 }
 
-/// [`crate::ScanHub::retro_hunt`]: plans per-digest confirm tasks from
-/// the retro index, then confirm-scans only those. `None` when the
-/// index is disabled or retired.
+/// [`crate::ScanHub::retro_hunt`]: syncs the retro index (the
+/// `retro_sync` lap), plans per-digest confirm tasks from it
+/// (`retro_query`), then confirm-scans only those. `None` when the index
+/// is disabled or retired.
 pub(crate) fn hunt(
     store: &ArtifactStore,
     deployment: &RuleDeployment,
@@ -763,8 +850,9 @@ pub(crate) fn hunt(
 ) -> Option<RetroReport> {
     // The caller's own tag is back as it was once this returns.
     let _tag = Stage::nested();
-    let mut clock = StageClock::start(telemetry.histograms(), Stage::RetroQuery);
-    let (tasks, report) = store.with_retro(|retro| plan(retro, deployment))?;
+    let mut clock = StageClock::start(telemetry.histograms(), Stage::RetroSync);
+    let query = |retro: &RetroIndex| plan(retro, deployment);
+    let (tasks, report) = store.with_retro(&mut clock, Stage::RetroQuery, query)?;
     HubCounters::add(&counters.retro_hunts, 1);
     clock.lap(Stage::Idle);
     let report = confirm_scan(deployment, live, tasks, report, store, &mut clock);
@@ -774,12 +862,13 @@ pub(crate) fn hunt(
     Some(report)
 }
 
-/// [`crate::ScanHub::retro_rescan`]: every indexed digest against every
-/// changed rule, no candidate query made, no clock read, no counter,
-/// histogram or artifact recency touched.
+/// [`crate::ScanHub::retro_rescan`]: every digest of the synced index
+/// against every changed rule, no candidate query made, no clock read,
+/// no counter, histogram or artifact recency touched.
 pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Option<RetroReport> {
     let _tag = Stage::nested();
-    let all = store.with_retro(RetroIndex::all_digests)?;
+    let mut untimed = StageClock::start(None, Stage::RetroSync);
+    let all = store.with_retro(&mut untimed, Stage::Idle, RetroIndex::all_digests)?;
     let changed = &deployment.delta.changed;
     let hits = |rule| RetroRuleHits::unconfirmed(rule, all.len());
     let report = RetroReport {
@@ -792,7 +881,6 @@ pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Opti
         .iter()
         .map(|&(d, _)| (d, deployment.routing(true)))
         .collect();
-    let mut untimed = StageClock::start(None, Stage::Idle);
     let report = confirm_scan(deployment, None, tasks, report, store, &mut untimed);
     Some(report)
 }
@@ -810,6 +898,15 @@ mod tests {
     fn analyze(name: &str, content: &[u8]) -> FileAnalysis {
         let entry = FileEntry::new(name, content.to_vec());
         FileAnalysis::build(&entry, None, &ArtifactConfig::default())
+    }
+
+    impl RetroIndex {
+        /// Drops a digest as a sync of one eviction does: a tombstone,
+        /// and a compaction when it is due.
+        fn remove(&mut self, digest: &DigestKey) {
+            self.tombstone(digest);
+            self.compact_if_due();
+        }
     }
 
     fn digests(hits: &[(DigestKey, bool)]) -> Vec<DigestKey> {
@@ -1231,10 +1328,7 @@ mod tests {
             index.remove(&file.digest);
         }
         assert_eq!((index.term_count(), index.digest_count()), (0, 0));
-        assert!(
-            index.slots.is_empty() && index.arena.blocks.is_empty(),
-            "compacted"
-        );
+        assert!(index.slots.is_empty() && index.arena.len == 0, "compacted");
         let buffers = |grams: &GramScratch, index: &RetroIndex| {
             let (surface, layer) = (&grams.surface, &grams.layer);
             [
@@ -1244,7 +1338,7 @@ mod tests {
                 buffer(&index.slots),
                 buffer(&index.terms),
                 buffer(&index.triples.entries),
-                buffer(&index.arena.blocks),
+                buffer(&index.arena.chunks),
             ]
         };
         for file in &files {

@@ -10,11 +10,13 @@
 //!   leaving with the splice donor; or wait and look again. Lookup and
 //!   election share the section, so nothing is published between them.
 //! * [`BuildClaim::publish`]: cache, release the claim, record and prune
-//!   siblings, collect the evictions. A claim dropped unpublished (a
-//!   panic on a hostile file) only releases the claim. Both then notify,
-//!   so a waiter is served or claims the digest itself.
+//!   siblings. A claim dropped unpublished (a panic on a hostile file)
+//!   only releases the claim. Both then notify, so a waiter is served or
+//!   claims the digest itself.
 //! * [`ArtifactStore::adopt_sibling_digests`], on the submit path: reads
 //!   the siblings of a request's files.
+//! * [`ArtifactStore::with_retro`], on a hunt or rescan: reads which
+//!   digests are resident, to sync the retro index.
 //!
 //! **A poisoned state lock is recovered.** A panic under it costs the
 //! ticket it happened on and no later one, because every section leaves
@@ -26,8 +28,8 @@
 //! anyway, per section:
 //!
 //! * the lookups (`get_or_claim`'s hit, `peek`, `len`, `resident_bytes`,
-//!   `adopt_sibling_digests`) write nothing but the cache's recency,
-//!   which the cache keeps consistent itself (see `LruCache`);
+//!   `adopt_sibling_digests`, the sync's) write nothing but the cache's
+//!   recency, which the cache keeps consistent itself (see `LruCache`);
 //! * `get_or_claim`'s claim inserts the digest into `building`, then
 //!   looks up the donor and returns the `BuildClaim` that releases it;
 //!   between the two are a map lookup, a `peek` and an `Arc` clone, none
@@ -37,23 +39,27 @@
 //!   it; the sibling map is a hint, a stale name only costs a full build;
 //! * `abandon` releases the claim and nothing else.
 //!
-//! **A poisoned retro lock retires the index.** Its writers are not
-//! consistent at every point: `insert_collected` registers a digest
+//! **A poisoned retro lock retires the index.** Its writer, the sync, is
+//! not consistent at every point: `insert_collected` registers a digest
 //! before it posts the digest's grams, and `compact` rebuilds the
 //! postings before the gram table. A panic between would leave a digest
-//! that a hunt silently misses. So a publish skips a poisoned index,
-//! and [`ArtifactStore::with_retro`] reads none: hunts and the rescan
-//! answer `None`, as on a hub without an index, and verdicts and the
-//! artifact cache are untouched.
+//! that a hunt silently misses. So [`ArtifactStore::with_retro`] reads
+//! no poisoned index: hunts and the rescan answer `None`, as on a hub
+//! without an index, and verdicts and the artifact cache are untouched.
 //!
-//! **Lock order: state → retro.** The retro-hunt index has its own lock
-//! (on `cold_ingest`, on a 2-thread Xeon, collecting a file's grams
-//! outside it takes ~22 µs and posting them under it ~12 µs). A publish
-//! takes it before it releases the state lock, so index updates apply in
-//! cache order, and posts after. Hunts and the rescan oracle read the index through
-//! [`ArtifactStore::with_retro`] and artifacts through
-//! [`ArtifactStore::peek`], never both at once. A hit takes 1 lock
-//! acquisition; a cold file 3: claim, publish, index.
+//! **No request touches the retro index.** The retro-hunt index has its
+//! own lock, which only [`ArtifactStore::with_retro`] and the gauges
+//! take. Before a hunt or rescan reads the index, the sync brings it to
+//! the resident set: under the retro lock it takes the state lock just
+//! long enough to list the indexed digests no longer resident and the
+//! resident artifacts not yet indexed (by `peek` and `values`, so
+//! recency is untouched), then drops the former, compacting at most
+//! once, and collects and posts the latter's grams in digest order
+//! through the store's one gram scratch. **Lock order: retro → state.**
+//! The sync is the only section holding both, and it takes the retro
+//! lock first, so no thread holds the state lock the workers need while
+//! it waits for a hunt's query. A hit takes 1 lock acquisition; a cold
+//! file 2: claim, publish.
 //!
 //! A woken waiter re-reads the cache rather than taking the builder's
 //! `Arc`, so "one analysis per unique digest" holds while the digest
@@ -65,10 +71,10 @@
 //! lock and wait. The test below replays every schedule of 2 workers ×
 //! 1–2 files (shared and distinct digests, and successive versions under
 //! one name) at capacity 1 and 2, with and without the index, of a failed
-//! build's abandoned claim, and of a hunt racing publishers, and asserts
-//! after each: no digest claimed while resident or under a live claim;
-//! no thread left blocked; the index holds exactly the residents; a hunt
-//! finds what the rescan finds.
+//! build's abandoned claim, and of one or two hunts racing publishers,
+//! and asserts after each: no digest claimed while resident or under a
+//! live claim; no thread left blocked; once synced, the index holds
+//! exactly the residents; a hunt finds what the rescan finds.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
@@ -80,6 +86,12 @@ use crate::metrics::{Stage, StageClock};
 use crate::request::FileEntry;
 use crate::retrohunt::{GramScratch, RetroIndex};
 use crate::sync::{Condvar, Mutex, MutexGuard};
+
+/// The retro index and the one scratch its syncs collect grams through.
+struct Retro {
+    index: RetroIndex,
+    grams: GramScratch,
+}
 
 struct Resident {
     cache: ArtifactCache,
@@ -95,7 +107,7 @@ pub(crate) struct ArtifactStore {
     state: Mutex<Resident>,
     /// Notified whenever a digest leaves `building`.
     resolved: Condvar,
-    retro: Option<Mutex<RetroIndex>>,
+    retro: Option<Mutex<Retro>>,
 }
 
 /// A claimed build: the holder is the unique builder of `entry`'s digest
@@ -111,23 +123,13 @@ pub(crate) struct BuildClaim<'a> {
 }
 
 impl BuildClaim<'_> {
-    /// Publishes a freshly built artifact, then indexes it. Its grams are
-    /// collected into the worker's `grams` before any lock is taken.
-    /// The collection and the index update are `clock`'s
-    /// `retro_publish` laps; the cache insert between them is the
-    /// [`Stage::Publish`] step.
-    pub fn publish(
-        mut self,
-        artifact: &Arc<FileAnalysis>,
-        grams: &mut GramScratch,
-        clock: &mut StageClock<'_>,
-    ) {
-        if self.store.retro.is_some() {
-            clock.lap(Stage::RetroPublish);
-            grams.collect(artifact);
-        }
+    /// Publishes a freshly built artifact: the [`Stage::Publish`] step of
+    /// `clock`, which then returns to the `artifact` stage. The retro
+    /// index is not touched; the next hunt indexes the artifact.
+    pub fn publish(mut self, artifact: &Arc<FileAnalysis>, clock: &mut StageClock<'_>) {
         clock.lap(Stage::Publish);
-        self.store.publish(self.entry, artifact, grams, clock);
+        self.store.publish(self.entry, artifact);
+        clock.lap(Stage::Artifact);
         self.published = true;
     }
 }
@@ -149,7 +151,12 @@ impl ArtifactStore {
                 siblings: HashMap::new(),
             }),
             resolved: Condvar::new(),
-            retro: retro_index.then(|| Mutex::new(RetroIndex::new())),
+            retro: retro_index.then(|| {
+                Mutex::new(Retro {
+                    index: RetroIndex::new(),
+                    grams: GramScratch::default(),
+                })
+            }),
         }
     }
 
@@ -189,44 +196,23 @@ impl ArtifactStore {
         }
     }
 
-    /// [`BuildClaim::publish`] from the cache insert on: caches the
-    /// artifact, records it as its name's sibling, takes the index lock,
-    /// wakes the waiters, then indexes it, and returns to the `artifact`
-    /// stage.
-    fn publish(
-        &self,
-        entry: &FileEntry,
-        artifact: &Arc<FileAnalysis>,
-        grams: &GramScratch,
-        clock: &mut StageClock<'_>,
-    ) {
+    /// [`BuildClaim::publish`]'s section: caches the artifact, records it
+    /// as its name's sibling, then wakes the waiters.
+    fn publish(&self, entry: &FileEntry, artifact: &Arc<FileAnalysis>) {
         let digest = entry.digest();
         let mut guard = self.lock();
         let state = &mut *guard;
         state.building.remove(&digest);
         state.siblings.insert(entry.name().to_owned(), digest);
-        let evicted = state.cache.insert(digest, Arc::clone(artifact));
+        state.cache.insert(digest, Arc::clone(artifact));
         // Once the registry outgrows the cache 4x (names whose digests
         // were long since evicted), keep only the mappings that still
         // point at a resident artifact.
         if state.siblings.len() > state.cache.capacity().saturating_mul(4).max(16) {
             state.siblings.retain(|_, d| state.cache.peek(d).is_some());
         }
-        // Index updates follow cache order: a second publisher cannot
-        // reach the index between this cache insert and its index update,
-        // so an eviction is never applied after the re-insert it precedes.
-        // A poisoned index is retired (see the module doc): skip it.
-        let retro = self.retro.as_ref().and_then(|r| r.lock().ok());
         drop(guard);
         self.resolved.notify_all();
-        if let Some(mut retro) = retro {
-            clock.lap(Stage::RetroPublish);
-            for digest in &evicted {
-                retro.remove(digest);
-            }
-            retro.insert_collected(grams);
-        }
-        clock.lap(Stage::Artifact);
     }
 
     fn abandon(&self, digest: &DigestKey) {
@@ -234,11 +220,28 @@ impl ArtifactStore {
         self.resolved.notify_all();
     }
 
-    /// `f` of the retro index under its lock; `None` when it is disabled,
-    /// or retired by a panic that poisoned its lock.
-    pub fn with_retro<R>(&self, f: impl FnOnce(&RetroIndex) -> R) -> Option<R> {
-        let retro = self.retro.as_ref()?.lock().ok()?;
-        Some(f(&retro))
+    /// `f` of the retro index under its lock, once the index is synced to
+    /// the resident artifacts; `None` when it is disabled, or retired by a
+    /// panic that poisoned its lock. The sync is one `clock` lap of the
+    /// stage the caller started it in; `f` runs in `next`.
+    ///
+    /// Under the retro lock, then the state lock, the sync takes the
+    /// indexed digests no longer resident and the resident artifacts not
+    /// yet indexed. It releases the state lock, drops the former and
+    /// indexes the latter: `f` sees exactly the artifacts resident when
+    /// the state lock was held.
+    pub fn with_retro<R>(
+        &self,
+        clock: &mut StageClock<'_>,
+        next: Stage,
+        f: impl FnOnce(&RetroIndex) -> R,
+    ) -> Option<R> {
+        let mut guard = self.retro.as_ref()?.lock().ok()?;
+        let retro = &mut *guard;
+        let (gone, fresh) = retro.index.diff(&self.lock().cache);
+        retro.index.sync(&gone, fresh, &mut retro.grams);
+        clock.lap(next);
+        Some(f(&retro.index))
     }
 
     /// Gives each of `files` with no digest yet the digest of the
@@ -289,10 +292,12 @@ impl ArtifactStore {
         }));
     }
 
-    /// Retro-index `(indexed terms, live digests)`; zeros when disabled.
+    /// Retro-index `(indexed terms, live digests)` as of its last sync;
+    /// zeros when disabled or retired.
     pub fn retro_size(&self) -> (u64, u64) {
-        let size = |r: &RetroIndex| (r.term_count() as u64, r.digest_count() as u64);
-        self.with_retro(size).unwrap_or((0, 0))
+        let retro = self.retro.as_ref().and_then(|r| r.lock().ok());
+        let size = |r: &Retro| (r.index.term_count() as u64, r.index.digest_count() as u64);
+        retro.map_or((0, 0), |r| size(&r))
     }
 }
 
@@ -309,28 +314,26 @@ mod tests {
     use crate::explore::explore;
     use crate::hub::tests::{hub, request, SEMGREP, YARA};
     use crate::metrics::{HubCounters, HubTelemetry, Stage, StageClock};
-    use crate::retrohunt::{self, GramScratch, RetroIndex, RuleDeployment};
+    use crate::retrohunt::{self, RetroIndex, RuleDeployment};
     use crate::{FileEntry, HubConfig, ScanRequest};
 
     fn untimed() -> StageClock<'static> {
         StageClock::start(None, Stage::Artifact)
     }
 
-    /// The explored files, kept tiny: posting grams is most of a
-    /// schedule's work. The hunted rule's atom is in 0 and 2. Files 0
+    /// The explored files, kept tiny: a hunt's sync posts their grams. The hunted rule's atom is in 0 and 2. Files 0
     /// and 1 are two versions of one file name, as are 2 and 3, so a
     /// worker uploading both claims the second with a splice donor.
     const FILES: [&str; 4] = ["a = 'curl'\n", "b = 1\n", "c = 'curl'\n", "d = 2\n"];
 
     /// What every schedule shares: the entries, their prebuilt artifacts
-    /// (a build is pure, so a worker publishes these), one gram scratch
-    /// per thread, and a deployment adding one rule on "curl".
+    /// (a build is pure, so a worker publishes these), and a deployment
+    /// adding one rule on "curl".
     struct Fixture {
         entries: Vec<FileEntry>,
         artifacts: Vec<Arc<FileAnalysis>>,
         /// Hex digests of the files carrying the atom.
         carriers: Vec<String>,
-        scratches: Vec<std::sync::Mutex<GramScratch>>,
         deployment: RuleDeployment,
         counters: HubCounters,
         telemetry: HubTelemetry,
@@ -355,7 +358,6 @@ mod tests {
                     .map(|i| digest::to_hex(&entries[i].digest()))
                     .to_vec(),
                 entries,
-                scratches: (0..3).map(|_| Default::default()).collect(),
                 deployment,
                 counters: HubCounters::default(),
                 telemetry: HubTelemetry::new(false, 0),
@@ -372,7 +374,7 @@ mod tests {
 
     /// One worker: get or claim each file in turn, then publish the
     /// claim, or drop it when `fails` (a build that panicked).
-    fn work(fixture: &Fixture, world: &World, me: usize, files: &[usize], fails: bool) {
+    fn work(fixture: &Fixture, world: &World, files: &[usize], fails: bool) {
         for &file in files {
             let entry = &fixture.entries[file];
             let digest = entry.digest();
@@ -400,12 +402,10 @@ mod tests {
                     if fails {
                         drop(claim);
                     } else {
-                        let grams = &mut fixture.scratches[me].lock().expect("scratch");
-                        claim.publish(&fixture.artifacts[file], grams, &mut untimed());
+                        claim.publish(&fixture.artifacts[file], &mut untimed());
                     }
                     // The claim ended in the section publish or abandon
-                    // ran. After it comes one switch point at most, the
-                    // index lock taken under the state lock, so no other
+                    // ran, and no switch point follows it, so no other
                     // claim section has run since.
                     world.claimed.lock().expect("ghost").remove(&digest);
                 }
@@ -420,14 +420,17 @@ mod tests {
     }
 
     /// The end state: no claim left and, with the index on, the index
-    /// equal to the residents and a hunt, the rescan and the truth naming
-    /// the same hits.
+    /// synced to exactly the residents and a hunt, the rescan and the
+    /// truth naming the same hits.
     fn check(fixture: &Fixture, world: &World) {
         let state = world.store.lock();
         assert!(state.building.is_empty(), "a claim outlived its worker");
         let mut resident: Vec<DigestKey> = state.cache.values().map(|a| a.digest).collect();
         drop(state);
-        let Some(all) = world.store.with_retro(RetroIndex::all_digests) else {
+        let all = world
+            .store
+            .with_retro(&mut untimed(), Stage::Idle, RetroIndex::all_digests);
+        let Some(all) = all else {
             return;
         };
         let mut indexed: Vec<DigestKey> = all.into_iter().map(|(d, _)| d).collect();
@@ -448,7 +451,7 @@ mod tests {
     /// runs one hunt.
     type Config = (&'static str, usize, bool, &'static [&'static str]);
 
-    const CONFIGS: [Config; 17] = [
+    const CONFIGS: [Config; 18] = [
         ("1 shared file", 1, true, &["0", "0"]),
         ("2 versions of a file, one each", 1, true, &["0", "1"]),
         ("2 shared versions", 1, true, &["01", "01"]),
@@ -471,6 +474,12 @@ mod tests {
         ("a hunt racing 3 publishes", 1, true, &["012", "hunt"]),
         ("a hunt racing 3 publishes", 2, true, &["012", "hunt"]),
         ("a hunt racing 2 workers", 1, true, &["0", "2", "hunt"]),
+        (
+            "2 hunts racing 3 publishes",
+            1,
+            true,
+            &["012", "hunt", "hunt"],
+        ),
     ];
 
     /// Explores every schedule of one configuration; returns their count.
@@ -489,7 +498,7 @@ mod tests {
                             .filter(u8::is_ascii_digit)
                             .map(|b| usize::from(b - b'0'))
                             .collect();
-                        work(fixture, world, me, &files, spec.ends_with('!'));
+                        work(fixture, world, &files, spec.ends_with('!'));
                     }
                 }
             })
@@ -518,14 +527,17 @@ mod tests {
         assert_eq!(again, counts[largest], "a count moved");
     }
 
-    fn build_and_publish(
-        claim: BuildClaim<'_>,
-        entry: &FileEntry,
-        grams: &mut GramScratch,
-    ) -> Arc<FileAnalysis> {
+    fn build_and_publish(claim: BuildClaim<'_>, entry: &FileEntry) -> Arc<FileAnalysis> {
         let built = Arc::new(FileAnalysis::build(entry, None, &ArtifactConfig::default()));
-        claim.publish(&built, grams, &mut untimed());
+        claim.publish(&built, &mut untimed());
         built
+    }
+
+    /// Syncs the store's retro index to its residents, then reads its
+    /// `(indexed terms, live digests)`.
+    fn synced_retro_size(store: &ArtifactStore) -> (u64, u64) {
+        store.with_retro(&mut untimed(), Stage::Idle, |_| ());
+        store.retro_size()
     }
 
     #[test]
@@ -552,7 +564,7 @@ mod tests {
             .wait();
         assert!(!bumped.from_cache && bumped.flagged());
         assert_eq!(hub.stats().artifact_parses, 2);
-        assert_eq!((store.len(), store.retro_size().1), (2, 2));
+        assert_eq!((store.len(), synced_retro_size(store).1), (2, 2));
     }
 
     #[test]
@@ -575,7 +587,7 @@ mod tests {
         assert!(hub.retro_hunt(&deployment).is_none(), "no hunt on it");
         assert!(hub.retro_rescan(&deployment).is_none());
         assert_eq!(store.retro_size(), (0, 0));
-        // Publishing skips it; requests are served as before.
+        // Publishing never touches it; requests are served as before.
         let other = hub.submit(request("x = 1\n")).wait();
         assert!(!other.flagged() && first.flagged());
         assert_eq!(store.len(), 2);
@@ -599,7 +611,7 @@ mod tests {
                 let Err(claim) = store.get_or_claim(&entry) else {
                     panic!("a digest nobody published was served");
                 };
-                build_and_publish(claim, &entry, &mut GramScratch::default())
+                build_and_publish(claim, &entry)
             });
             on_start.recv().expect("the waiter started");
             drop(abandoned);
@@ -613,7 +625,7 @@ mod tests {
             "the waiter's build, and only it"
         );
         assert_eq!(store.len(), 1);
-        assert_eq!(store.retro_size().1, 1, "indexed once, by the publisher");
+        assert_eq!(synced_retro_size(&store).1, 1, "indexed once");
     }
 
     #[test]
@@ -625,13 +637,12 @@ mod tests {
             .collect();
         let (claims, barrier) = (AtomicUsize::new(0), Barrier::new(2));
         let race = || -> Vec<Arc<FileAnalysis>> {
-            let mut grams = GramScratch::default();
             let mut seen = Vec::new();
             for entry in &entries {
                 barrier.wait();
                 seen.push(store.get_or_claim(entry).unwrap_or_else(|claim| {
                     claims.fetch_add(1, Ordering::Relaxed);
-                    build_and_publish(claim, entry, &mut grams)
+                    build_and_publish(claim, entry)
                 }));
             }
             seen

@@ -14,7 +14,6 @@ use crate::hub::Shared;
 use crate::metrics::{HubCounters, Stage, StageClock};
 use crate::prefilter::{PrefilterScratch, Routing};
 use crate::request::ScanRequest;
-use crate::retrohunt::GramScratch;
 use crate::verdict::{FlowRecord, LayerFinding, Verdict};
 
 /// One rule bundle's matchers and their reusable scratch, through which
@@ -160,7 +159,6 @@ impl<'r> Evaluator<'r> {
 struct WorkerScratch {
     routing: Routing,
     artifacts: Vec<Arc<FileAnalysis>>,
-    grams: GramScratch,
 }
 
 impl WorkerScratch {
@@ -168,7 +166,6 @@ impl WorkerScratch {
         WorkerScratch {
             routing: Routing::empty(),
             artifacts: Vec::new(),
-            grams: GramScratch::default(),
         }
     }
 }
@@ -223,17 +220,16 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
 /// Building runs the whole ruleset's string scan and the full parse up
 /// front — artifacts are pure functions of `(ruleset, bytes)`, so they
 /// cannot depend on per-request routing; a repeat pays nothing. Routing
-/// still gates condition evaluation and the Semgrep walk downstream.
+/// still gates YARA condition evaluation downstream; the Semgrep walk
+/// runs every rule, filtered per statement by its anchor index.
 ///
-/// Runs in the `artifact` stage, and laps splice attempts and the
-/// retro-index upkeep of the artifacts published here as the stages
+/// Runs in the `artifact` stage, and laps splice attempts as the stage
 /// nested inside it.
 fn gather_artifacts(
     shared: &Shared,
     scanner: Option<&Scanner<'_>>,
     request: &ScanRequest,
     out: &mut Vec<Arc<FileAnalysis>>,
-    grams: &mut GramScratch,
     clock: &mut StageClock<'_>,
 ) {
     let c = &shared.counters;
@@ -298,7 +294,7 @@ fn gather_artifacts(
             HubCounters::add(&c.regex_bytes_scanned, work.regex_bytes_scanned);
         }
         if let Some(claim) = claim {
-            claim.publish(&built, grams, clock);
+            claim.publish(&built, clock);
         }
         out.push(built);
     }
@@ -312,16 +308,12 @@ fn scan_job(
     clock: &mut StageClock<'_>,
 ) -> Verdict {
     let c = &shared.counters;
-    let WorkerScratch {
-        routing,
-        artifacts,
-        grams,
-    } = scratch;
+    let WorkerScratch { routing, artifacts } = scratch;
     // Phase 1: get-or-build every file's analysis artifact. This is the
     // only phase that lexes, parses, decodes or regex-scans; a warm
     // artifact cache makes a re-uploaded package version re-analyze only
     // its changed files.
-    gather_artifacts(shared, eval.scanner(), request, artifacts, grams, clock);
+    gather_artifacts(shared, eval.scanner(), request, artifacts, clock);
     clock.lap(Stage::Prefilter);
     // Phase 2: route the package from the artifacts. YARA rules are
     // routed from each unit's cached hits, and every Semgrep rule is

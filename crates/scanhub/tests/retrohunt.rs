@@ -197,7 +197,7 @@ proptest! {
         capacity in 3usize..9,
     ) {
         // A small artifact cache forces evictions mid-history; the
-        // retro index must shed exactly the evicted digests and the
+        // hunt's sync must shed exactly the evicted digests and the
         // differential must still hold over the resident survivors.
         let hub = live_hub(capacity);
         let family = &FAMILIES[family_idx];
@@ -206,12 +206,12 @@ proptest! {
         for req in planted_uploads() {
             hub.submit(req).wait();
         }
-        let digests = hub.stats().retro_index_digests;
-        prop_assert!(digests as usize <= capacity, "index outgrew the cache");
 
         let (yara, semgrep) = next_bundle();
         let deployment = hub.deploy_rules(Some(yara), Some(semgrep));
         let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+        let digests = hub.stats().retro_index_digests;
+        prop_assert!(digests as usize <= capacity, "index outgrew the cache");
         let oracle = hub.retro_rescan(&deployment).expect("oracle");
         prop_assert!(report.same_hits(&oracle), "diverged after evictions");
         prop_assert_eq!(report.digests_indexed, digests);

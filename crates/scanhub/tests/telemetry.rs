@@ -221,13 +221,13 @@ fn every_stage_counts_exactly_the_phases_that_ran() {
             ("cache", 4),
             ("artifact", 3),
             ("splice", 1),
-            ("retro_publish", 3),
             ("prefilter", 3),
             ("yara", 2),
             ("layers", 2),
             ("semgrep", 3),
             ("dataflow", 3),
             ("verdict", 3),
+            ("retro_sync", 1),
             ("retro_query", 1),
             ("retro_confirm", 2),
             ("scan", 4),

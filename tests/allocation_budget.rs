@@ -615,12 +615,14 @@ fn each_build_step_stays_within_its_allocation_budget() {
 /// a failure names the stage. A one-worker hub over the serving rules
 /// holds every upload of the corpus and its mutants; the deployment adds
 /// a YARA atom rule, a regex-only YARA rule (full candidacy) and a
-/// Semgrep rule to that bundle. The hunt books its index query to
-/// `RetroQuery`, each confirm scan to `RetroConfirm`, and the evaluator's
-/// construction and the report's assembly to `Idle`; the rescan queries
-/// no index. A second deployment adds one rule whose only string is the
-/// live bundle's base64 regex: its hunt reads the artifacts' cached hits,
-/// so its confirm scans allocate fewer than its byte-reading rescan's.
+/// Semgrep rule to that bundle. No upload touched the retro index, so
+/// the first hunt books indexing the whole history to `RetroSync`, its
+/// index query to `RetroQuery`, each confirm scan to `RetroConfirm`, and
+/// the evaluator's construction and the report's assembly to `Idle`; the
+/// rescan that follows finds the index synced and queries none. A second
+/// deployment adds one rule whose only string is the live bundle's
+/// base64 regex: its hunt reads the artifacts' cached hits, so its
+/// confirm scans allocate fewer than its byte-reading rescan's.
 #[test]
 fn a_retro_hunt_stays_within_its_allocation_budget() {
     let _hub = HUB.lock().unwrap_or_else(|e| e.into_inner());
@@ -668,10 +670,13 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     // scan kept its own evaluation path, per-rule digest sets and name
     // map, RetroQuery 648, RetroConfirm 1 023 and Idle 39. Idle was 68
     // while the scanner built a second, case-insensitive literal matcher.
+    // The RetroSync allocations were the uploads' while each publish
+    // indexed its artifact.
     check_ledger(
         "a retro-hunt",
         spent,
         &[
+            (Stage::RetroSync, 94),
             (Stage::RetroQuery, 648),
             (Stage::RetroConfirm, 212),
             (Stage::Idle, 65),

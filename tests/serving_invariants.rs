@@ -2,7 +2,9 @@
 //! small version-bump stream through `HubConfig::default()`: bumps
 //! splice, nothing is built twice, taint stays off the warm path, a
 //! retro-hunt prunes without losing a hit — and finds
-//! the same at any worker count, without reordering the serving cache —
+//! the same at any worker count, indexing exactly the residents it finds
+//! while no upload touches its index, without reordering the serving
+//! cache —
 //! resident artifacts hold nothing per
 //! token, a poisoned store lock costs no later verdict, and every counter
 //! reaches both exporters. Counts repeat to the
@@ -147,6 +149,55 @@ fn retro_hunt_equals_the_rescan_and_prunes() {
     );
 }
 
+/// Requests never touch the retro index; each hunt syncs it to the
+/// residents. A hub with room for four artifacts takes two releases and
+/// never hunts: its index is empty. A hunt then indexes exactly the
+/// residents, none of which carries the hunted atom. Two more releases
+/// evict some of them and leave the gauges alone; a second hunt indexes
+/// exactly the new residents, among them the one carrier. Hunt ≡ rescan
+/// both times.
+#[test]
+fn a_hunt_indexes_exactly_the_residents_and_no_upload_does() {
+    let hub = ScanHub::new(
+        Some(yara_engine::compile(YARA).expect("yara")),
+        Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
+        HubConfig {
+            artifact_cache_capacity: 4,
+            ..HubConfig::default()
+        },
+    );
+    let requests = release_stream();
+    let gauges = |hub: &ScanHub| {
+        let stats = hub.stats();
+        (stats.retro_index_atoms, stats.retro_index_digests)
+    };
+    ingest(&hub, &requests[..2]);
+    assert!(hub.stats().artifact_parses > 4, "the uploads evicted");
+    assert_eq!(gauges(&hub), (0, 0), "an upload touched the index");
+    let next = format!("{YARA}\nrule hunted {{ strings: $a = \"payload\" condition: $a }}\n");
+    let deployment = hub.deploy_rules(
+        Some(yara_engine::compile(&next).expect("next")),
+        Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
+    );
+    let hunt = || {
+        let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+        assert_eq!(report.digests_indexed, hub.cached_artifacts() as u64);
+        assert_eq!(gauges(&hub).1, report.digests_indexed);
+        let oracle = hub.retro_rescan(&deployment).expect("oracle");
+        assert!(report.same_hits(&oracle), "hunt diverged from rescan");
+        report
+    };
+    let first = hunt();
+    assert_eq!((first.digests_indexed, first.total_hits()), (4, 0));
+    let synced = gauges(&hub);
+    let parses = hub.stats().artifact_parses;
+    ingest(&hub, &requests[2..]);
+    assert!(hub.stats().artifact_parses > parses, "the uploads evicted");
+    assert_eq!(gauges(&hub), synced, "an upload touched the index");
+    let second = hunt();
+    assert_eq!((second.digests_indexed, second.total_hits()), (4, 1));
+}
+
 /// A hunt reads history; it does not serve it. Its confirm scans peek,
 /// so the digests a hunt scans are not kept alive over what requests
 /// served since. With room for two artifacts, `a.py` (the only carrier
@@ -228,15 +279,14 @@ rule address { strings: $ip = /\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}/ condition: $i
     assert_eq!(stats.regex_bytes_scanned, 2 * unit_bytes);
 }
 
-/// Each worker collects a published file's grams in its own scratch and
-/// posts them under the index lock, and every worker claims, waits and
-/// publishes through the store's one lock, so what a scan returns, what
-/// the index holds and what a hunt finds cannot depend on how many
-/// workers shared the stream:
-/// the tiny corpus through one worker, four and eight, then one generated
-/// rule the live bundle was built without. A second pass keeps only a
-/// sliver of the artifacts resident, so claims, waiters and the index
-/// run under constant eviction; which digests survive then depends on
+/// Every worker claims, waits and publishes through the store's one
+/// lock, and no request touches the retro index, which a hunt syncs to
+/// the residents it finds, so what a scan returns, what the index holds
+/// and what a hunt finds cannot depend on how many workers shared the
+/// stream: the tiny corpus through one worker, four and eight, then one
+/// generated rule the live bundle was built without. A second pass keeps
+/// only a sliver of the artifacts resident, so claims and waiters run
+/// under constant eviction; which digests survive then depends on
 /// scheduling, the verdicts and hunt ≡ rescan do not. The verdict cache
 /// is off so that every file entry goes through the artifact store.
 #[test]
@@ -277,15 +327,10 @@ fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
             if churn {
                 assert_eq!(hub.cached_artifacts(), artifact_cache_capacity, "evicting");
             }
-            // A publish takes the index lock before releasing the store
-            // lock, so concurrent publishers update the index in cache
-            // order: at a quiescent point it indexes exactly the residents.
-            let indexed = hub.stats().retro_index_digests;
-            assert_eq!(
-                indexed,
-                hub.cached_artifacts() as u64,
-                "index and cache diverged at {workers} workers, churn: {churn}"
-            );
+            // No request touches the index: it is empty until a hunt syncs
+            // it to the residents.
+            let stats = hub.stats();
+            assert_eq!((stats.retro_index_atoms, stats.retro_index_digests), (0, 0));
             let deployment = hub.deploy_rules(Some(yara.clone()), Some(semgrep.clone()));
             let changed: Vec<&str> = deployment
                 .delta
@@ -295,6 +340,11 @@ fn the_index_and_the_hunt_are_the_same_at_any_worker_count() {
                 .collect();
             assert_eq!(changed, [held_out.as_str()]);
             let report = hub.retro_hunt(&deployment).expect("retro index enabled");
+            assert_eq!(
+                report.digests_indexed,
+                hub.cached_artifacts() as u64,
+                "the synced index and the cache diverged at {workers} workers, churn: {churn}"
+            );
             let oracle = hub.retro_rescan(&deployment).expect("oracle");
             assert!(
                 report.same_hits(&oracle),
