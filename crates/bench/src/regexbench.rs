@@ -36,6 +36,9 @@ use textmatch::{AhoCorasick, Match, MatchKind, MultiLiteral, Regex};
 ///   wide; the DFA determinizes them into one state walk.
 /// * `unanchored-suffix` — no usable prefix literal and a match that
 ///   can start at every word byte: the Pike VM's worst case.
+/// * `base64-run` — the serving ruleset's base64 indicator. Its 64 first
+///   bytes cover most of a word-dense text, so no skip helps and the
+///   lazy DFA walks its transition table over every byte.
 pub const REGEX_CLASSES: &[(&str, &str, bool)] = &[
     ("literal-prefix", r"os\.system\([^)]{0,40}\)", false),
     (
@@ -53,6 +56,7 @@ pub const REGEX_CLASSES: &[(&str, &str, bool)] = &[
         r"[A-Za-z0-9_\-]{4,24}\.(exe|dll|scr|bat)",
         false,
     ),
+    ("base64-run", r"([A-Za-z0-9+/]{4}){10,}={0,2}", false),
 ];
 
 /// The IOC literal set for the `multi-literal` row: Teddy-eligible
@@ -140,6 +144,9 @@ pub fn class_buffer(len: usize, seed: u64) -> Vec<u8> {
         out.extend_from_slice(format!("drop = 'stage{i}_payload.exe'\n").as_bytes());
         out.extend_from_slice(b"import base64; base64.b64decode(s)\n");
         out.extend_from_slice(b"beacon = 'c2_beacon'\n");
+        out.extend_from_slice(
+            format!("blob = 'aW1wb3J0IHNvY2tldCxzdWJwcm9jZXNzLG9zO3M9c29ja2V0{i}A=='\n").as_bytes(),
+        );
     }
     // Near-miss tail: every class's bait, nothing ever matches.
     while out.len() < len {

@@ -29,4 +29,21 @@ fn class_suite_runs_on_teddy_and_the_lazy_dfa_with_no_fallbacks() {
     assert!(after.dfa_states_built > before.dfa_states_built);
     assert_eq!(after.dfa_cache_flushes, before.dfa_cache_flushes);
     assert_eq!(after.pikevm_fallbacks, before.pikevm_fallbacks);
+
+    // The serving base64 pattern on its own: one call, on the lazy DFA,
+    // with no flush and no fallback.
+    let (_, pattern, _) = regexbench::REGEX_CLASSES
+        .iter()
+        .find(|(class, ..)| *class == "base64-run")
+        .expect("the base64-run class is in the suite");
+    let re = textmatch::Regex::new(pattern).expect("the base64 pattern compiles");
+    let data = regexbench::class_buffer(64 << 10, 42);
+    let before = textmatch::engine_counters();
+    let found = re.find_all(&data);
+    let after = textmatch::engine_counters();
+    assert!(!found.is_empty(), "the buffer plants base64 runs");
+    assert_eq!(after.dfa_scans - before.dfa_scans, 1);
+    assert!(after.dfa_states_built > before.dfa_states_built);
+    assert_eq!(after.dfa_cache_flushes, before.dfa_cache_flushes);
+    assert_eq!(after.pikevm_fallbacks, before.pikevm_fallbacks);
 }

@@ -13,8 +13,22 @@
 //!   blocked `AssertEnd` continuations in the state and resolving them
 //!   once at end of input.
 //! * **Byte classes** — compile-time partition refinement over the
-//!   program's `ByteSet`s shrinks each state's transition table from 256
+//!   program's `ByteSet`s shrinks each state's transition row from 256
 //!   entries to one per distinguishable class.
+//! * **One table** — every state's row lives in one `Vec<u32>`, and a
+//!   state's id is *premultiplied*: it is the offset of its row, so the
+//!   transition on byte `b` is `table[id + class_of[b]]` — no multiply,
+//!   and no read of the state itself. A state keeps only its interning
+//!   key.
+//! * **Tagged transitions** — a stored transition whose target needs
+//!   attention carries [`TAG`]: a match state, a dead state, or the
+//!   interior start state when the literal skip applies. Unfilled entries
+//!   are `UNKNOWN`, which is tagged too. The inner loop of
+//!   [`LazyDfa::earliest_end`] takes untagged transitions and stops at
+//!   the first tagged one; the slow step determinizes or acts on it.
+//! * **Kept start states** — the interior and offset-0 start states are
+//!   kept across calls and cleared by a flush, so a call pays no closure
+//!   or lookup to begin.
 //! * **Bounded cache** — at most [`MAX_DFA_STATES`] states live at once;
 //!   overflow flushes and rebuilds (counted), and a scan that flushes
 //!   more than [`MAX_FLUSHES_PER_SCAN`] times gives up so the caller
@@ -26,12 +40,15 @@
 //!   where thread-set simulation burns the most time.
 //!
 //! Every transition re-seeds an interior start thread (unanchored
-//! search), and when the machine sits in the interior start state the
-//! literal acceleration from [`ScanInfo`] skips hopeless offsets exactly
-//! like the Pike VM does, so the DFA never loses to the accelerated
-//! baseline.
+//! search). When the machine arrives in the interior start state and
+//! [`ScanInfo`] has a literal prefix or a sparse first-byte set, the
+//! scan skips hopeless offsets exactly like the Pike VM does. A dense
+//! first-byte set (the base64 pattern's 64 bytes) gains nothing from a
+//! skip, so there the interior state's transitions stay untagged and the
+//! table walks through it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::literal::ScanInfo;
 use crate::nfa::{Inst, Program};
@@ -46,6 +63,12 @@ pub const MAX_FLUSHES_PER_SCAN: u32 = 4;
 /// the byte-class analysis stops being compile-time noise).
 const MAX_DFA_PROGRAM: usize = 4096;
 
+/// Set on a stored transition whose target is a match state, a dead
+/// state or the skipping interior start state. State ids stay far below
+/// it (`MAX_DFA_STATES` rows of at most 256 entries).
+const TAG: u32 = 1 << 31;
+
+/// An unfilled transition; tagged, so the inner loop stops at it.
 const UNKNOWN: u32 = u32::MAX;
 
 /// Outcome of a DFA existence scan.
@@ -118,10 +141,8 @@ struct State {
     /// sorted `AssertEnd` pcs blocked mid-closure, resolved at input end.
     /// The flag participates because two closures can share pcs yet
     /// differ on whether `Match` was reachable (e.g. `^` at offset 0 vs
-    /// interior).
-    key: Box<[u32]>,
-    /// Lazily filled transitions, one per byte class.
-    trans: Box<[u32]>,
+    /// interior). The state table's map holds the same allocation.
+    key: Arc<[u32]>,
 }
 
 impl State {
@@ -135,6 +156,13 @@ impl State {
 
     fn pending_end(&self) -> &[u32] {
         &self.key[2 + self.key[1] as usize..]
+    }
+
+    /// Truly dead (anchored pattern whose window passed): the re-seed
+    /// survives in every unanchored program, so an empty state means
+    /// nothing downstream can match.
+    fn dead(&self) -> bool {
+        !self.matched() && self.pcs().is_empty() && self.pending_end().is_empty()
     }
 }
 
@@ -253,8 +281,17 @@ impl Scratch {
 pub struct LazyDfa<'p> {
     program: &'p Program,
     prefab: &'p DfaPrefab,
+    /// Every state's transition row, `class_count` entries each, in the
+    /// order the states were built. A state's id is its row's offset;
+    /// an entry is a target id, tagged with [`TAG`] when the target
+    /// needs the slow step, or `UNKNOWN`.
+    table: Vec<u32>,
+    /// Interning keys, state `id` at `id / class_count`.
     states: Vec<State>,
-    map: HashMap<Box<[u32]>, u32>,
+    map: HashMap<Arc<[u32]>, u32>,
+    /// The interior and offset-0 start states' ids, `UNKNOWN` until
+    /// built and after a flush.
+    starts: [u32; 2],
     scratch: Scratch,
     /// This call's tally, booked and reset by [`LazyDfa::record_call`].
     states_built: u64,
@@ -270,8 +307,10 @@ impl<'p> LazyDfa<'p> {
         LazyDfa {
             program,
             prefab,
+            table: Vec::new(),
             states: Vec::new(),
             map: HashMap::new(),
+            starts: [UNKNOWN; 2],
             scratch: Scratch::new(program.insts.len()),
             states_built: 0,
             flushes: 0,
@@ -304,146 +343,165 @@ impl<'p> LazyDfa<'p> {
             return DfaOutcome::NoMatch;
         }
         self.flushes_this_scan = 0;
-        let mut interior = self.build_start(false);
-        let mut cur = if from == 0 {
-            self.build_start(true)
-        } else {
-            interior
-        };
-        if self.states[cur as usize].matched() {
-            return DfaOutcome::MatchEnd(from);
+        self.scan(hay, from, scan).unwrap_or_else(|| {
+            self.gave_up = true;
+            DfaOutcome::GaveUp
+        })
+    }
+
+    /// [`LazyDfa::earliest_end`]'s walk; `None` when the flush budget ran
+    /// out.
+    fn scan(&mut self, hay: &[u8], from: usize, scan: &ScanInfo) -> Option<DfaOutcome> {
+        let skip = scan.skips();
+        let mut s = self.start(from == 0)?;
+        // Built before any transition is stored, so a transition into
+        // the interior start state is tagged whenever it should be.
+        self.start(false)?;
+        if self.state(s).matched() {
+            return Some(DfaOutcome::MatchEnd(from));
         }
+        let class_of: &'p [u8; 256] = &self.prefab.class_of;
         let mut pos = from;
         loop {
-            if cur == interior {
+            if skip && s == self.starts[0] {
                 // No live thread has consumed anything: jump to the next
                 // offset where a match could begin (same hints the Pike
                 // VM uses). `None` means the tail cannot contain one.
                 match scan.next_candidate(hay, pos) {
                     Some(p) => pos = p,
-                    None => return DfaOutcome::NoMatch,
+                    None => return Some(DfaOutcome::NoMatch),
                 }
+            }
+            // Untagged transitions: no match, no dead end, no skip.
+            let table = &self.table[..];
+            let mut t = UNKNOWN;
+            while let Some(&b) = hay.get(pos) {
+                t = table[s as usize + usize::from(class_of[usize::from(b)])];
+                if t & TAG != 0 {
+                    break;
+                }
+                s = t;
+                pos += 1;
             }
             if pos == hay.len() {
                 break;
             }
-            let class = self.prefab.class_of[hay[pos] as usize];
-            let (next, flushed) = match self.next_state(cur, class) {
-                Some(v) => v,
-                None => {
-                    self.gave_up = true;
-                    return DfaOutcome::GaveUp;
-                }
+            s = if t == UNKNOWN {
+                self.determinize(s, hay[pos], skip)?
+            } else {
+                t & !TAG
             };
-            if flushed {
-                interior = self.build_start(false);
-            }
             pos += 1;
-            cur = next;
-            let st = &self.states[cur as usize];
+            let st = self.state(s);
             if st.matched() {
-                return DfaOutcome::MatchEnd(pos);
+                return Some(DfaOutcome::MatchEnd(pos));
             }
-            if st.pcs().is_empty() && st.pending_end().is_empty() {
-                // Truly dead (anchored pattern whose window passed): the
-                // re-seed survives in every unanchored program, so an
-                // empty state means nothing downstream can match.
-                return DfaOutcome::NoMatch;
+            if st.dead() {
+                return Some(DfaOutcome::NoMatch);
             }
         }
         // End of input: resolve the blocked `$` continuations.
-        if self.end_matches(cur, hay.is_empty()) {
+        Some(if self.end_matches(s, hay.is_empty()) {
             DfaOutcome::MatchEnd(hay.len())
         } else {
             DfaOutcome::NoMatch
-        }
+        })
     }
 
-    fn build_start(&mut self, at_start: bool) -> u32 {
-        self.scratch.begin();
-        self.scratch.close(self.program, 0, at_start);
-        let key = self.scratch.key();
-        match self.map.get(key) {
-            Some(&id) => id,
-            None => self.add_state(),
-        }
+    fn state(&self, id: u32) -> &State {
+        &self.states[id as usize / self.prefab.class_count]
     }
 
-    /// Transition `cur` on byte-class `class`, determinizing on demand.
-    /// Returns `None` when the flush budget is exhausted (thrashing).
-    fn next_state(&mut self, cur: u32, class: u8) -> Option<(u32, bool)> {
-        let cached = self.states[cur as usize].trans[class as usize];
-        if cached != UNKNOWN {
-            return Some((cached, false));
+    /// The kept start state — offset 0's when `at_start`, else the
+    /// interior one — built if a flush cleared it. `None` when building
+    /// it ran out of flush budget.
+    fn start(&mut self, at_start: bool) -> Option<u32> {
+        let slot = usize::from(at_start);
+        if self.starts[slot] == UNKNOWN {
+            self.scratch.begin();
+            self.scratch.close(self.program, 0, at_start);
+            self.starts[slot] = self.intern()?.0;
         }
-        let repr = self.repr_byte(class);
+        Some(self.starts[slot])
+    }
+
+    /// Determinizes `cur`'s transition on `byte`'s class and stores it,
+    /// tagged as [`LazyDfa::tagged`] says. Every member of a class moves
+    /// the same threads (no `ByteSet` tells them apart), so `byte` stands
+    /// for its class. Returns `None` when the flush budget is exhausted
+    /// (thrashing).
+    fn determinize(&mut self, cur: u32, byte: u8, skip: bool) -> Option<u32> {
         self.scratch.begin();
         // Byte moves from the current thread set...
-        for i in 0..self.states[cur as usize].pcs().len() {
-            let pc = self.states[cur as usize].pcs()[i];
-            let advances = match &self.program.insts[pc as usize] {
-                Inst::Byte(set) => set.matches(repr),
-                _ => false,
-            };
-            if advances {
-                self.scratch.close(self.program, pc + 1, false);
+        for &pc in self.states[cur as usize / self.prefab.class_count].pcs() {
+            if let Inst::Byte(set) = &self.program.insts[pc as usize] {
+                if set.matches(byte) {
+                    self.scratch.close(self.program, pc + 1, false);
+                }
             }
         }
         // ...plus the unanchored re-seed at the new position.
         self.scratch.close(self.program, 0, false);
-        let key = self.scratch.key();
-        let mut flushed = false;
-        let next = match self.map.get(key) {
-            Some(&id) => id,
-            None => {
-                if self.states.len() >= MAX_DFA_STATES {
-                    self.flushes_this_scan += 1;
-                    self.flushes += 1;
-                    if self.flushes_this_scan > MAX_FLUSHES_PER_SCAN {
-                        return None;
-                    }
-                    self.states.clear();
-                    self.map.clear();
-                    flushed = true;
-                }
-                self.add_state()
-            }
-        };
-        if !flushed {
-            self.states[cur as usize].trans[class as usize] = next;
+        let (next, flushed) = self.intern()?;
+        if flushed {
+            // `cur`'s row went with the flush; the interior start state
+            // comes back before the next transition is stored.
+            self.start(false)?;
+        } else {
+            let class = self.prefab.class_of[usize::from(byte)];
+            self.table[cur as usize + usize::from(class)] = self.tagged(next, skip);
         }
-        Some((next, flushed))
+        Some(next)
     }
 
-    /// A representative byte of `class` (all members of a class behave
-    /// identically against every ByteSet by construction).
-    fn repr_byte(&self, class: u8) -> u8 {
-        self.prefab
-            .class_of
-            .iter()
-            .position(|&c| c == class)
-            .unwrap_or(0) as u8
+    /// `id` as a stored transition: tagged when the state matches, is
+    /// dead, or is the interior start state and `skip` holds.
+    fn tagged(&self, id: u32, skip: bool) -> u32 {
+        debug_assert_ne!(self.starts[0], UNKNOWN, "interior start state unknown");
+        let st = self.state(id);
+        if st.matched() || st.dead() || (skip && id == self.starts[0]) {
+            id | TAG
+        } else {
+            id
+        }
     }
 
-    /// Adds the state whose key [`Scratch::key`] last built.
-    fn add_state(&mut self) -> u32 {
-        let key: Box<[u32]> = self.scratch.key.as_slice().into();
-        let id = self.states.len() as u32;
+    /// The state whose key [`Scratch::key`] builds from the closure, added
+    /// if new, and whether adding it flushed the cache. `None` when the
+    /// flush budget is exhausted.
+    fn intern(&mut self) -> Option<(u32, bool)> {
+        if let Some(&id) = self.map.get(self.scratch.key()) {
+            return Some((id, false));
+        }
+        let flushed = self.states.len() >= MAX_DFA_STATES;
+        if flushed {
+            self.flushes_this_scan += 1;
+            self.flushes += 1;
+            if self.flushes_this_scan > MAX_FLUSHES_PER_SCAN {
+                return None;
+            }
+            self.table.clear();
+            self.states.clear();
+            self.map.clear();
+            self.starts = [UNKNOWN; 2];
+        }
+        let key: Arc<[u32]> = self.scratch.key.as_slice().into();
+        let id = self.table.len() as u32;
+        self.table
+            .resize(self.table.len() + self.prefab.class_count, UNKNOWN);
         self.states.push(State {
-            key: key.clone(),
-            trans: vec![UNKNOWN; self.prefab.class_count].into_boxed_slice(),
+            key: Arc::clone(&key),
         });
         self.map.insert(key, id);
         self.states_built += 1;
-        id
+        Some((id, flushed))
     }
 
     /// Resolves the state's blocked `$` continuations at end of input;
     /// `at_start` is true only for an empty haystack scanned from 0.
     fn end_matches(&mut self, state: u32, at_start: bool) -> bool {
         self.scratch.begin();
-        for i in 0..self.states[state as usize].pending_end().len() {
-            let pc = self.states[state as usize].pending_end()[i];
+        for &pc in self.states[state as usize / self.prefab.class_count].pending_end() {
             self.scratch.close_at_end(self.program, pc + 1, at_start);
         }
         self.scratch.matched
@@ -575,6 +633,65 @@ mod tests {
         assert_ne!(
             prefab.class_of[b'a' as usize],
             prefab.class_of[b'0' as usize]
+        );
+    }
+
+    #[test]
+    fn a_thrashing_pattern_flushes_gives_up_and_keeps_its_table_bounded() {
+        // An `a` twelve bytes before a `c`: the DFA state is the window of
+        // the last twelve `a`/`b` bytes, 4 096 states, so a long run
+        // without a `c` outgrows the cache over and over.
+        let re = Regex::new("(a|b)*a(a|b){11}c").unwrap();
+        let prefab = analyze_dfa(re.program()).unwrap();
+        let bound = MAX_DFA_STATES * prefab.class_count;
+        let mut dfa = LazyDfa::new(re.program(), &prefab);
+        let mut cache = re.cache();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let (mut flushed, mut gave_up, mut matched, mut missed) = (0, 0, 0, 0);
+        for n in 0..120 {
+            let len = 64 + next() as usize % 6000;
+            let hay: Vec<u8> = (0..len)
+                .map(|_| match next() % 3000 {
+                    0 => b'c',
+                    r if r % 2 == 0 => b'a',
+                    _ => b'b',
+                })
+                .collect();
+            match dfa.earliest_end(&hay, 0, re.scan_info()) {
+                DfaOutcome::MatchEnd(end) => {
+                    assert!(re.is_match_pike(&hay[..end]), "haystack {n}");
+                    assert!(!re.is_match_pike(&hay[..end - 1]), "haystack {n}");
+                    matched += 1;
+                }
+                DfaOutcome::NoMatch => {
+                    assert!(!re.is_match_pike(&hay), "haystack {n}");
+                    missed += 1;
+                }
+                DfaOutcome::GaveUp => gave_up += 1,
+            }
+            flushed += u32::from(dfa.flushes > 0 && !dfa.gave_up);
+            assert!(
+                dfa.table.len() <= bound,
+                "haystack {n}: {}",
+                dfa.table.len()
+            );
+            assert_eq!(dfa.table.len(), dfa.states.len() * prefab.class_count);
+            dfa.record_call();
+            // The public path on a kept cache: the same kind of DFA gating
+            // the Pike VM, which takes over where the DFA gives up.
+            let mut spans = Vec::new();
+            re.find_each(&mut cache, &hay, |m| spans.push(m));
+            assert_eq!(spans, re.find_all_pike(&hay), "haystack {n}");
+        }
+        assert!(
+            flushed > 0 && gave_up > 0 && matched > 0 && missed > 0,
+            "{flushed} flushed, {gave_up} gave up, {matched} matched, {missed} missed"
         );
     }
 

@@ -25,6 +25,12 @@ use crate::nfa::{ByteSet, Inst, Program};
 /// every offset while costing a branch per byte).
 const MAX_USEFUL_FIRST_BYTES: usize = 224;
 
+/// How broad a first-byte set may be for the lazy DFA to skip between
+/// candidates: a broader set's bytes are common enough in text that a
+/// skip rarely jumps far, and each arrival in the interior start state
+/// would pay a call for it.
+const MAX_SKIP_FIRST_BYTES: usize = 16;
+
 /// Longest literal prefix worth extracting; seeds are confirmed by the VM
 /// anyway, so a bounded prefix keeps the substring search cache-friendly.
 const MAX_PREFIX: usize = 16;
@@ -79,6 +85,14 @@ impl ScanInfo {
             // A non-nullable pattern needs at least one byte.
             Some(table) => pos < haystack.len() && table[haystack[pos] as usize],
         }
+    }
+
+    /// Whether [`ScanInfo::next_candidate`] pays for itself in the lazy
+    /// DFA: there is a literal prefix, or a first-byte set of at most
+    /// `MAX_SKIP_FIRST_BYTES` bytes.
+    pub(crate) fn skips(&self) -> bool {
+        self.prefix.len() >= 2
+            || (self.first_bytes.is_some() && self.first_byte_count <= MAX_SKIP_FIRST_BYTES)
     }
 
     /// The next offset at or after `pos` where a match could begin, or
