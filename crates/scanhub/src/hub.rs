@@ -31,8 +31,9 @@ pub struct HubConfig {
     pub queue_capacity: usize,
     /// Verdict cache entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Per-file artifact cache entries; 0 disables the cache (every
-    /// request re-analyzes every file — the cold-path ablation lever).
+    /// Per-file artifact cache entries; at 0 nothing stays resident, so
+    /// every request re-analyzes every file (the cold-path ablation
+    /// lever), but builds still claim and publish through the store.
     pub artifact_cache_capacity: usize,
     /// Decoded-layer extraction depth; 0 turns decoding off (the A/B
     /// lever for the layered-robustness measurement). Verdicts are
@@ -57,9 +58,11 @@ pub struct HubConfig {
     pub trace_capacity: usize,
     /// Keep the retro-hunt atom→digest posting index beside the artifact
     /// cache, so deploying new rules confirm-scans only candidate digests
-    /// ([`ScanHub::retro_hunt`]). Requests never touch it: each hunt and
-    /// rescan syncs it to the resident artifacts first. No effect when
-    /// `artifact_cache_capacity` is 0.
+    /// ([`ScanHub::retro_hunt`]); without it hunts answer `None`. It also
+    /// decides whether `ScanHub::new` allocates the index's 2 MiB gram
+    /// bitmap (about 2.3 MB on its thread with it, 0.2 MB without); a lazy
+    /// bitmap would move it into the first hunt, +6 % allocated bytes per
+    /// package on the benchmark's `rule_deploy`.
     pub retro_index: bool,
 }
 
@@ -91,7 +94,7 @@ pub(crate) struct Shared {
     pub artifact_config: ArtifactConfig,
     pub queue: JobQueue,
     pub cache: Option<Mutex<VerdictCache>>,
-    pub artifacts: Option<ArtifactStore>,
+    pub artifacts: ArtifactStore,
     pub counters: HubCounters,
     pub telemetry: HubTelemetry,
 }
@@ -137,8 +140,7 @@ impl ScanHub {
             queue: JobQueue::new(config.queue_capacity),
             cache: (config.cache_capacity > 0)
                 .then(|| Mutex::new(VerdictCache::new(config.cache_capacity))),
-            artifacts: (config.artifact_cache_capacity > 0)
-                .then(|| ArtifactStore::new(config.artifact_cache_capacity, config.retro_index)),
+            artifacts: ArtifactStore::new(config.artifact_cache_capacity, config.retro_index),
             counters: HubCounters::default(),
             telemetry: HubTelemetry::new(config.telemetry, config.trace_capacity),
         });
@@ -176,30 +178,29 @@ impl ScanHub {
     /// Runs the deployment's changed rules over the cached package
     /// history: syncs the retro index to the resident artifacts, queries
     /// it, then confirm-scans only the candidate digests, with the
-    /// evaluator a worker scans requests with. `None` when the artifact cache or the retro index is
-    /// disabled, or the index was retired by a panic under its lock.
-    /// Confirm scans leave the artifacts' recency alone, so
-    /// screening history does not keep it resident. Per-rule hit sets
+    /// evaluator a worker scans requests with. `None` when the retro index
+    /// is disabled, or was retired by a panic under its lock. Confirm scans
+    /// leave the artifacts' recency alone, so screening history does not
+    /// keep it resident. Per-rule hit sets
     /// and per-digest verdicts equal [`ScanHub::retro_rescan`]'s (pinned
     /// by the differential suite); only the candidate and scan counts
     /// differ, which is the speedup.
     pub fn retro_hunt(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
         let shared = &self.shared;
-        let store = shared.artifacts.as_ref()?;
-        let live = shared.yara.as_ref();
+        let (store, live) = (&shared.artifacts, shared.yara.as_ref());
         retrohunt::hunt(store, deployment, live, &shared.counters, &shared.telemetry)
     }
 
     /// The exhaustive oracle: confirm-scans **every** resident digest
     /// with every changed rule, no candidate query made — the ground
     /// truth that the differential suite and the benchmark check
-    /// [`ScanHub::retro_hunt`] against. It reads the resident digests off
-    /// the retro index, synced first as for a hunt, so `None` when the
-    /// index is disabled or retired. Touches none of the retro counters
-    /// or histograms, and, like a hunt, leaves the artifact cache's
-    /// recency alone.
+    /// [`ScanHub::retro_hunt`] against. It lists the resident digests
+    /// from the artifact store, never from the retro index it checks, so
+    /// it answers (`Some`) on every hub, with or without an index. Touches
+    /// neither the index nor the retro counters or histograms, and, like
+    /// a hunt, leaves the artifact cache's recency alone.
     pub fn retro_rescan(&self, deployment: &RuleDeployment) -> Option<RetroReport> {
-        retrohunt::rescan(self.shared.artifacts.as_ref()?, deployment)
+        Some(retrohunt::rescan(&self.shared.artifacts, deployment))
     }
 
     /// A snapshot of the service counters plus per-stage latency
@@ -207,10 +208,9 @@ impl ScanHub {
     pub fn stats(&self) -> HubStats {
         let mut stats = self.shared.counters.snapshot();
         stats.latency = self.shared.telemetry.stages.latencies();
-        if let Some(store) = &self.shared.artifacts {
-            (stats.retro_index_atoms, stats.retro_index_digests) = store.retro_size();
-            stats.artifact_bytes_resident = store.resident_bytes();
-        }
+        let store = &self.shared.artifacts;
+        (stats.retro_index_atoms, stats.retro_index_digests) = store.retro_size();
+        stats.artifact_bytes_resident = store.resident_bytes();
         stats.engine = textmatch::engine_counters();
         stats
     }
@@ -273,17 +273,14 @@ impl ScanHub {
 
     /// Number of per-file artifacts currently cached.
     pub fn cached_artifacts(&self) -> usize {
-        self.shared.artifacts.as_ref().map_or(0, ArtifactStore::len)
+        self.shared.artifacts.len()
     }
 
     /// Poisons the artifact store's lock as a panic under it would, for
-    /// the tests that the hub serves on; nothing with the artifact cache
-    /// off.
+    /// the tests that the hub serves on.
     #[doc(hidden)]
     pub fn poison_artifact_store(&self) {
-        if let Some(store) = &self.shared.artifacts {
-            store.poison();
-        }
+        self.shared.artifacts.poison();
     }
 
     /// Submits one package; blocks while the queue is full.
@@ -299,10 +296,8 @@ impl ScanHub {
         HubCounters::add(&c.submitted, 1);
         // A file equal to the resident version of its name takes that
         // version's digest; only the others are hashed.
-        if let Some(store) = &self.shared.artifacts {
-            let adopted = store.adopt_sibling_digests(request.files());
-            HubCounters::add(&c.digests_reused, adopted);
-        }
+        let adopted = self.shared.artifacts.adopt_sibling_digests(request.files());
+        HubCounters::add(&c.digests_reused, adopted);
         let digest = self.shared.cache.as_ref().map(|_| request.digest());
         if let (Some(mut cache), Some(d)) = (self.shared.verdicts(), &digest) {
             let hit = cache.get(d);
@@ -373,7 +368,7 @@ rule b64 { strings: $re = /[A-Za-z0-9+\/]{16,}/ condition: $re }
     impl ScanHub {
         /// The hub's artifact store.
         pub(crate) fn store(&self) -> &ArtifactStore {
-            self.shared.artifacts.as_ref().expect("artifact cache on")
+            &self.shared.artifacts
         }
     }
 

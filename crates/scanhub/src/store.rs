@@ -15,8 +15,9 @@
 //!   claims the digest itself.
 //! * [`ArtifactStore::adopt_sibling_digests`], on the submit path: reads
 //!   the siblings of a request's files.
-//! * [`ArtifactStore::with_retro`], on a hunt or rescan: reads which
-//!   digests are resident, to sync the retro index.
+//! * [`ArtifactStore::with_retro`], on a hunt, and
+//!   [`ArtifactStore::residents`], on a rescan: read which digests are
+//!   resident, the one to sync the retro index, the other in its stead.
 //!
 //! **A poisoned state lock is recovered.** A panic under it costs the
 //! ticket it happened on and no later one, because every section leaves
@@ -27,9 +28,9 @@
 //! refcount overflow) abort instead of unwinding. Were one to unwind
 //! anyway, per section:
 //!
-//! * the lookups (`get_or_claim`'s hit, `peek`, `len`, `resident_bytes`,
-//!   `adopt_sibling_digests`, the sync's) write nothing but the cache's
-//!   recency, which the cache keeps consistent itself (see `LruCache`);
+//! * the lookups (`get_or_claim`'s hit, the read-only methods, the
+//!   sync's) write nothing but the cache's recency, which the cache keeps
+//!   consistent itself (see `LruCache`);
 //! * `get_or_claim`'s claim inserts the digest into `building`, then
 //!   looks up the donor and returns the `BuildClaim` that releases it;
 //!   between the two are a map lookup, a `peek` and an `Arc` clone, none
@@ -44,12 +45,12 @@
 //! before it posts the digest's grams, and `compact` rebuilds the
 //! postings before the gram table. A panic between would leave a digest
 //! that a hunt silently misses. So [`ArtifactStore::with_retro`] reads
-//! no poisoned index: hunts and the rescan answer `None`, as on a hub
-//! without an index, and verdicts and the artifact cache are untouched.
+//! no poisoned index: hunts answer `None`, as on a hub without an index,
+//! and verdicts, the artifact cache and the rescan are untouched.
 //!
 //! **No request touches the retro index.** The retro-hunt index has its
 //! own lock, which only [`ArtifactStore::with_retro`] and the gauges
-//! take. Before a hunt or rescan reads the index, the sync brings it to
+//! take. Before a hunt reads the index, the sync brings it to
 //! the resident set: under the retro lock it takes the state lock just
 //! long enough to list the indexed digests no longer resident and the
 //! resident artifacts not yet indexed (by `peek` and `values`, so
@@ -70,11 +71,11 @@
 //! `explore.rs`, which runs one thread at a time and switches at every
 //! lock and wait. The test below replays every schedule of 2 workers ×
 //! 1–2 files (shared and distinct digests, and successive versions under
-//! one name) at capacity 1 and 2, with and without the index, of a failed
-//! build's abandoned claim, and of one or two hunts racing publishers,
-//! and asserts after each: no digest claimed while resident or under a
-//! live claim; no thread left blocked; once synced, the index holds
-//! exactly the residents; a hunt finds what the rescan finds.
+//! one name) at capacity 0, 1 and 2, of a failed build's abandoned claim,
+//! and of one or two hunts racing publishers, and asserts after each: no
+//! digest claimed while resident or under a live claim; no thread left
+//! blocked; once synced, the index holds exactly the residents; a hunt
+//! finds what the rescan finds.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
@@ -273,6 +274,11 @@ impl ArtifactStore {
         self.lock().cache.peek(digest).cloned()
     }
 
+    /// The resident digests, in no order, leaving their recency alone.
+    pub fn residents(&self) -> Vec<DigestKey> {
+        self.lock().cache.values().map(|a| a.digest).collect()
+    }
+
     /// Number of resident artifacts.
     pub fn len(&self) -> usize {
         self.lock().cache.len()
@@ -419,71 +425,60 @@ mod tests {
             .expect("retro index enabled")
     }
 
-    /// The end state: no claim left and, with the index on, the index
-    /// synced to exactly the residents and a hunt, the rescan and the
-    /// truth naming the same hits.
+    /// The end state: no claim left, the index synced to exactly the
+    /// residents, and a hunt, the rescan and the truth naming the same
+    /// hits.
     fn check(fixture: &Fixture, world: &World) {
-        let state = world.store.lock();
-        assert!(state.building.is_empty(), "a claim outlived its worker");
-        let mut resident: Vec<DigestKey> = state.cache.values().map(|a| a.digest).collect();
-        drop(state);
+        assert!(
+            world.store.lock().building.is_empty(),
+            "a claim outlived its worker"
+        );
+        let mut resident = world.store.residents();
         let all = world
             .store
-            .with_retro(&mut untimed(), Stage::Idle, RetroIndex::all_digests);
-        let Some(all) = all else {
-            return;
-        };
+            .with_retro(&mut untimed(), Stage::Idle, RetroIndex::all_digests)
+            .expect("retro index enabled");
         let mut indexed: Vec<DigestKey> = all.into_iter().map(|(d, _)| d).collect();
         resident.sort_unstable();
         indexed.sort_unstable();
         assert_eq!(indexed, resident, "the index and the cache diverged");
-        let rescan = retrohunt::rescan(&world.store, &fixture.deployment).expect("index");
+        let rescan = retrohunt::rescan(&world.store, &fixture.deployment);
         assert!(hunt(fixture, world).same_hits(&rescan), "hunt ≠ rescan");
         let resident = resident.iter().map(digest::to_hex);
         let truth: Vec<String> = resident.filter(|d| fixture.carriers.contains(d)).collect();
         assert_eq!(rescan.rules[0].digests, truth);
     }
 
-    /// A configuration: its name, the cache capacity, whether the store
-    /// keeps the retro index, and one spec per thread. A spec is a
-    /// worker's files in order (`"01"`: file 0, then file 1), ending in
-    /// `!` when each of its builds fails, or `"hunt"` for a thread that
-    /// runs one hunt.
-    type Config = (&'static str, usize, bool, &'static [&'static str]);
+    /// A configuration: its name, the cache capacity, and one spec per
+    /// thread. A spec is a worker's files in order (`"01"`: file 0, then
+    /// file 1), ending in `!` when each of its builds fails, or `"hunt"`
+    /// for a thread that runs one hunt. Every store keeps the retro index:
+    /// no publish takes its lock, so a store without one explores the
+    /// same schedules.
+    type Config = (&'static str, usize, &'static [&'static str]);
 
-    const CONFIGS: [Config; 18] = [
-        ("1 shared file", 1, true, &["0", "0"]),
-        ("2 versions of a file, one each", 1, true, &["0", "1"]),
-        ("2 shared versions", 1, true, &["01", "01"]),
-        ("2 shared versions", 2, true, &["01", "01"]),
-        ("2 shared versions, no index", 1, false, &["01", "01"]),
-        ("2 shared versions, no index", 2, false, &["01", "01"]),
-        ("2 shared versions, crossed", 1, true, &["01", "10"]),
-        ("2 shared versions, crossed", 2, true, &["01", "10"]),
-        ("2 versions each of 2 files", 1, true, &["01", "23"]),
-        ("2 versions each of 2 files", 2, true, &["01", "23"]),
-        ("a failed build of a shared file", 1, true, &["0!", "0"]),
-        (
-            "a failed build of a shared file, no index",
-            1,
-            false,
-            &["0!", "0"],
-        ),
-        ("a failed build, then 2 versions", 1, true, &["0!", "01"]),
-        ("a failed build, 2 waiters", 1, true, &["0!", "0", "0"]),
-        ("a hunt racing 3 publishes", 1, true, &["012", "hunt"]),
-        ("a hunt racing 3 publishes", 2, true, &["012", "hunt"]),
-        ("a hunt racing 2 workers", 1, true, &["0", "2", "hunt"]),
-        (
-            "2 hunts racing 3 publishes",
-            1,
-            true,
-            &["012", "hunt", "hunt"],
-        ),
+    const CONFIGS: [Config; 17] = [
+        ("1 shared file", 0, &["0", "0"]),
+        ("1 shared file", 1, &["0", "0"]),
+        ("2 versions of a file, one each", 1, &["0", "1"]),
+        ("2 shared versions", 1, &["01", "01"]),
+        ("2 shared versions", 2, &["01", "01"]),
+        ("2 shared versions, crossed", 1, &["01", "10"]),
+        ("2 shared versions, crossed", 2, &["01", "10"]),
+        ("2 versions each of 2 files", 1, &["01", "23"]),
+        ("2 versions each of 2 files", 2, &["01", "23"]),
+        ("a failed build of a shared file", 1, &["0!", "0"]),
+        ("a failed build, then 2 versions", 0, &["0!", "01"]),
+        ("a failed build, then 2 versions", 1, &["0!", "01"]),
+        ("a failed build, 2 waiters", 1, &["0!", "0", "0"]),
+        ("a hunt racing 3 publishes", 1, &["012", "hunt"]),
+        ("a hunt racing 3 publishes", 2, &["012", "hunt"]),
+        ("a hunt racing 2 workers", 1, &["0", "2", "hunt"]),
+        ("2 hunts racing 3 publishes", 1, &["012", "hunt", "hunt"]),
     ];
 
     /// Explores every schedule of one configuration; returns their count.
-    fn explore_config(fixture: &Fixture, (name, capacity, retro, specs): Config) -> usize {
+    fn explore_config(fixture: &Fixture, (name, capacity, specs): Config) -> usize {
         let bodies: Vec<_> = (0..specs.len())
             .map(|me| {
                 move |world: &World| match specs[me] {
@@ -506,7 +501,7 @@ mod tests {
         let threads: Vec<&(dyn Fn(&World) + Sync)> = bodies.iter().map(|b| b as _).collect();
         let name = format!("{name}, capacity {capacity}");
         let setup = || World {
-            store: ArtifactStore::new(capacity, retro),
+            store: ArtifactStore::new(capacity, true),
             claimed: Default::default(),
         };
         let schedules = explore(&name, setup, &threads, |w| check(fixture, w));
@@ -573,24 +568,34 @@ mod tests {
             workers: 1,
             ..HubConfig::default()
         });
-        let first = hub.submit(request("import os\nos.system('id')\n")).wait();
+        let carrier = request("import os\nos.system('id')\n");
+        let first = hub.submit(carrier.clone()).wait();
         let store = hub.store();
         let retro = store.retro.as_ref().expect("retro index on");
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _held = retro.lock();
             panic!("a panic under the retro index lock");
         }));
+        let next =
+            format!("{YARA}\nrule sys_again {{ strings: $a = \"os.system\" condition: $a }}");
         let deployment = hub.deploy_rules(
-            Some(yara_engine::compile(YARA).expect("yara")),
+            Some(yara_engine::compile(&next).expect("yara")),
             Some(semgrep_engine::compile(SEMGREP).expect("semgrep")),
         );
         assert!(hub.retro_hunt(&deployment).is_none(), "no hunt on it");
-        assert!(hub.retro_rescan(&deployment).is_none());
         assert_eq!(store.retro_size(), (0, 0));
         // Publishing never touches it; requests are served as before.
         let other = hub.submit(request("x = 1\n")).wait();
         assert!(!other.flagged() && first.flagged());
         assert_eq!(store.len(), 2);
+        // The rescan reads the store, so it still answers and names the
+        // carrier among both residents.
+        let rescan = hub
+            .retro_rescan(&deployment)
+            .expect("the rescan reads the store");
+        assert_eq!(rescan.digests_indexed, 2);
+        let carriers = vec![digest::to_hex(&carrier.files()[0].digest())];
+        assert_eq!(rescan.rules[0].digests, carriers);
     }
 
     #[test]

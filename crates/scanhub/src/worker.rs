@@ -236,23 +236,19 @@ fn gather_artifacts(
     let cfg = &shared.artifact_config;
     out.clear();
     for entry in request.files() {
-        let claim = match &shared.artifacts {
-            None => None,
-            Some(store) => match store.get_or_claim(entry) {
-                Ok(artifact) => {
-                    HubCounters::add(&c.artifact_cache_hits, 1);
-                    out.push(artifact);
-                    continue;
-                }
-                Err(claim) => Some(claim),
-            },
+        let claim = match shared.artifacts.get_or_claim(entry) {
+            Ok(artifact) => {
+                HubCounters::add(&c.artifact_cache_hits, 1);
+                out.push(artifact);
+                continue;
+            }
+            Err(claim) => claim,
         };
         // Digest miss: before paying a full reparse, try to splice the
         // edit into the cache-resident previous version of the same file
         // (ISSUE 10). Non-Python siblings are not splice candidates and
         // count neither as relexes nor as fallbacks.
-        let donor = claim.as_ref().and_then(|claim| claim.donor.as_ref());
-        let spliced = donor.and_then(|sibling| {
+        let spliced = claim.donor.as_ref().and_then(|sibling| {
             clock.lap(Stage::Splice);
             let result = FileAnalysis::build_spliced(entry, sibling, scanner, cfg);
             clock.lap(Stage::Artifact);
@@ -293,9 +289,7 @@ fn gather_artifacts(
             HubCounters::add(&c.regex_strings_evaluated, work.regex_strings_evaluated);
             HubCounters::add(&c.regex_bytes_scanned, work.regex_bytes_scanned);
         }
-        if let Some(claim) = claim {
-            claim.publish(&built, clock);
-        }
+        claim.publish(&built, clock);
         out.push(built);
     }
 }

@@ -619,7 +619,8 @@ fn each_build_step_stays_within_its_allocation_budget() {
 /// the first hunt books indexing the whole history to `RetroSync`, its
 /// index query to `RetroQuery`, each confirm scan to `RetroConfirm`, and
 /// the evaluator's construction and the report's assembly to `Idle`; the
-/// rescan that follows finds the index synced and queries none. A second
+/// rescan that follows lists the residents from the store, reading no
+/// index, and queries none. A second
 /// deployment adds one rule whose only string is the live bundle's
 /// base64 regex: its hunt reads the artifacts' cached hits, so its
 /// confirm scans allocate fewer than its byte-reading rescan's.
@@ -753,6 +754,31 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     );
     assert_eq!(hunt.bytes_scanned, 0, "a reused string read bytes");
     assert!(rescan.bytes_scanned > 0);
+}
+
+/// The retro index's 2 MiB gram bitmap is allocated with the hub, on the
+/// constructing thread, and only when the hub keeps the index: a hub
+/// built with `retro_index: false` allocates under 1 MiB there, a default
+/// one at least the bitmap. A bitmap allocated at the first hunt instead
+/// would land in that hunt's allocations.
+#[test]
+fn the_gram_bitmap_is_allocated_with_the_hub_that_keeps_the_index() {
+    const BITMAP: u64 = 2 << 20;
+    let _hub = HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let (yara, semgrep) = serving_rules();
+    let construct = |retro_index| {
+        let rules = (Some(yara.clone()), Some(semgrep.clone()));
+        let config = HubConfig {
+            workers: 1,
+            retro_index,
+            ..HubConfig::default()
+        };
+        counted_bytes(|| ScanHub::new(rules.0, rules.1, config)).1
+    };
+    let (without, with) = (construct(false), construct(true));
+    println!("ScanHub::new allocated {with} bytes with the index, {without} without");
+    assert!(without < 1 << 20, "{without} bytes without the index");
+    assert!(with >= BITMAP, "{with} bytes with the index");
 }
 
 /// The allocations a list makes growing to `n` items one push at a time.
