@@ -12,7 +12,7 @@
 //! * malware families that combine behaviors; variants within a family
 //!   differ in identifiers, hosts and payloads (exercising clustering and
 //!   variant detection, §V-B);
-//! * byte-identical duplicates so SHA-256 dedup reproduces 3,200 → 1,633;
+//! * byte-identical duplicates so signature dedup reproduces 3,200 → 1,633;
 //! * legitimate packages with realistic bulk (utility modules, clients,
 //!   tests) including benign `subprocess`/`base64`/`requests` usage that
 //!   punishes over-general rules.

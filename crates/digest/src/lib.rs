@@ -5,7 +5,11 @@
 //! carry base64-obfuscated payloads. This crate provides the primitives
 //! both of those need:
 //!
-//! * [`sha256`] — package signatures for deduplication.
+//! * [`blake2b256`] / [`Blake2b256`] — BLAKE2b-256 (RFC 7693), the one
+//!   content hash: package signatures for deduplication and the scan
+//!   hub's cache keys.
+//! * [`sha256`] / [`Sha256`] — SHA-256 (FIPS 180-4), no longer used for
+//!   content keys.
 //! * [`fnv1a`] — cheap 64-bit hashing for embedding feature buckets.
 //! * [`base64`] — encode/decode used by the synthetic corpus to build (and
 //!   the analyzers to unwrap) obfuscated payloads.
@@ -15,8 +19,12 @@
 //! # Examples
 //!
 //! ```
-//! let sig = digest::sha256_hex(b"malware-package-contents");
-//! assert_eq!(sig.len(), 64);
+//! let key = digest::blake2b256(b"malware-package-contents");
+//! let mut hasher = digest::Blake2b256::new();
+//! hasher.update(b"malware-");
+//! hasher.update(b"package-contents");
+//! assert_eq!(hasher.finalize(), key);
+//! assert_eq!(digest::to_hex(&key).len(), 64);
 //!
 //! let enc = digest::base64::encode(b"import os");
 //! assert_eq!(digest::base64::decode(&enc).unwrap(), b"import os");
@@ -26,10 +34,22 @@
 #![warn(missing_docs)]
 
 pub mod base64;
+mod blake2b;
 mod entropy;
 mod fnv;
 mod sha256;
 
+pub use blake2b::{blake2b256, Blake2b256};
 pub use entropy::shannon_entropy;
 pub use fnv::fnv1a;
-pub use sha256::{sha256, sha256_hex, to_hex, Sha256};
+pub use sha256::{sha256, sha256_hex, Sha256};
+
+/// Renders a raw digest as 64 lowercase hex chars.
+pub fn to_hex(digest: &[u8; 32]) -> String {
+    let mut s = String::with_capacity(64);
+    for &b in digest {
+        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
+        s.push(char::from_digit((b & 0xF) as u32, 16).expect("nibble"));
+    }
+    s
+}

@@ -1,4 +1,7 @@
-//! SHA-256 (FIPS 180-4) — used for package content signatures.
+//! SHA-256 (FIPS 180-4). No content key uses it: package signatures and
+//! the scan hub's keys are [`crate::blake2b256`]. It remains because the
+//! benchmark's input tests name [`Sha256`]; it goes when the benchmark
+//! next changes.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -99,17 +102,7 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// Computes the SHA-256 digest and renders it as 64 lowercase hex chars.
 pub fn sha256_hex(data: &[u8]) -> String {
-    to_hex(&sha256(data))
-}
-
-/// Renders a raw digest as 64 lowercase hex chars.
-pub fn to_hex(digest: &[u8; 32]) -> String {
-    let mut s = String::with_capacity(64);
-    for &b in digest {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        s.push(char::from_digit((b & 0xF) as u32, 16).expect("nibble"));
-    }
-    s
+    crate::to_hex(&sha256(data))
 }
 
 fn compress(h: &mut [u32; 8], block: &[u8; 64]) {

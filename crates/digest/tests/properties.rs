@@ -36,6 +36,43 @@ proptest! {
     }
 
     #[test]
+    fn blake2b_is_deterministic_and_sensitive(
+        data in prop::collection::vec(any::<u8>(), 1..512),
+        at in any::<usize>(),
+        bit in 0u32..8,
+    ) {
+        let a = digest::blake2b256(&data);
+        prop_assert_eq!(digest::blake2b256(&data), a);
+        let mut mutated = data.clone();
+        mutated[at % data.len()] ^= 1 << bit;
+        prop_assert_ne!(digest::blake2b256(&mutated), a);
+    }
+
+    #[test]
+    fn blake2b_streamed_in_random_pieces_equals_one_shot(
+        data in prop::collection::vec(any::<u8>(), 0..1024),
+        whole_blocks in any::<bool>(),
+        cuts in prop::collection::vec(any::<usize>(), 0..8),
+    ) {
+        // Half the messages end on a block boundary, where the last full
+        // block must wait for `finalize`.
+        let mut data = data;
+        if whole_blocks {
+            data.truncate(data.len() / 128 * 128);
+        }
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut hasher = digest::Blake2b256::new();
+        let mut from = 0;
+        for cut in cuts {
+            hasher.update(&data[from..cut]);
+            from = cut;
+        }
+        hasher.update(&data[from..]);
+        prop_assert_eq!(hasher.finalize(), digest::blake2b256(&data));
+    }
+
+    #[test]
     fn entropy_bounds(data in prop::collection::vec(any::<u8>(), 0..512)) {
         let e = digest::shannon_entropy(&data);
         prop_assert!((0.0..=8.0).contains(&e), "{e}");

@@ -134,16 +134,23 @@ impl Package {
     /// scanning, plus the dedup signature).
     pub fn combined_source(&self) -> String {
         let mut out = String::new();
+        self.combined_pieces(|piece| out.push_str(piece));
+        out
+    }
+
+    /// Hands `piece` the pieces of [`Package::combined_source`] in order:
+    /// per file a header line naming its path, then its contents, ended
+    /// by a newline if they lack one.
+    fn combined_pieces(&self, mut piece: impl FnMut(&str)) {
         for f in &self.files {
-            out.push_str("# ==== file: ");
-            out.push_str(&f.path);
-            out.push('\n');
-            out.push_str(&f.contents);
+            piece("# ==== file: ");
+            piece(&f.path);
+            piece("\n");
+            piece(&f.contents);
             if !f.contents.ends_with('\n') {
-                out.push('\n');
+                piece("\n");
             }
         }
-        out
     }
 
     /// Content signature used for deduplication (§V-A reduces 3,200
@@ -151,8 +158,13 @@ impl Package {
     ///
     /// Only code content participates: GuardDog duplicates differ in
     /// name/version but share their payload.
+    ///
+    /// It is the BLAKE2b-256 of [`Package::combined_source`]'s bytes, fed
+    /// to the hasher piece by piece instead of built as one string.
     pub fn signature(&self) -> String {
-        digest::sha256_hex(self.combined_source().as_bytes())
+        let mut hasher = digest::Blake2b256::new();
+        self.combined_pieces(|piece| hasher.update(piece.as_bytes()));
+        digest::to_hex(&hasher.finalize())
     }
 
     /// Packs the package into a distribution [`Archive`].
@@ -258,6 +270,19 @@ mod tests {
         assert_eq!(a.signature(), b.signature());
         b.files[1].contents.push_str("x = 1\n");
         assert_ne!(a.signature(), b.signature());
+    }
+
+    #[test]
+    fn signature_hashes_the_combined_source() {
+        let mut pkg = sample();
+        pkg.files[1].contents = "import os".into();
+        assert!(pkg.files[0].contents.ends_with('\n'));
+        assert!(!pkg.files[1].contents.ends_with('\n'));
+        let combined = pkg.combined_source();
+        assert_eq!(
+            pkg.signature(),
+            digest::to_hex(&digest::blake2b256(combined.as_bytes()))
+        );
     }
 
     #[test]

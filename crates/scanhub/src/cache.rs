@@ -13,8 +13,8 @@ use std::sync::Arc;
 use crate::artifact::FileAnalysis;
 use crate::verdict::Verdict;
 
-/// A raw sha256 content digest — half the size of its hex rendering, and
-/// copying a key is a 32-byte memcpy instead of a heap allocation.
+/// A raw BLAKE2b-256 content digest — half the size of its hex rendering,
+/// and copying a key is a 32-byte memcpy instead of a heap allocation.
 pub type DigestKey = [u8; 32];
 
 /// A bounded least-recently-used map from content digest to a cheaply

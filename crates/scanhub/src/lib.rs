@@ -10,7 +10,7 @@
 //!    and each file's full analysis — tolerant-parsed module, interned
 //!    string-literal table, the token stream's cut points, base64/hex
 //!    **decoded layers**, and the ruleset's string-definition hits on
-//!    every layer — is computed once and cached in a sha256-keyed LRU. A
+//!    every layer — is computed once and cached in a BLAKE2b-keyed LRU. A
 //!    re-uploaded package version re-analyzes only its changed files;
 //!    unchanged files cost one cache lookup
 //!    ([`HubStats::artifact_cache_hits`]). A changed file whose previous
@@ -53,7 +53,7 @@
 //!    digest contract as parsing.
 //! 5. **Worker pool + digest caches** ([`ScanHub`]) — a bounded
 //!    submission queue provides backpressure; each worker owns reusable
-//!    scanner state; a sha256-keyed LRU serves byte-identical re-uploads
+//!    scanner state; a BLAKE2b-keyed LRU serves byte-identical re-uploads
 //!    without scanning at all. Per-file builds are coordinated by the
 //!    artifact store, one state (cache, digests being built,
 //!    splice-donor registry) behind one lock: a cold file is claimed

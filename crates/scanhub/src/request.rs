@@ -91,7 +91,7 @@ impl FileEntry {
     /// file shipped in two packages shares one artifact.
     pub fn digest(&self) -> DigestKey {
         *self.digest.get_or_init(|| {
-            let mut hasher = digest::Sha256::new();
+            let mut hasher = digest::Blake2b256::new();
             hasher.update(&[u8::from(self.is_python())]);
             hasher.update(&self.bytes);
             hasher.finalize()
@@ -198,14 +198,14 @@ impl ScanRequest {
             .map(|f| String::from_utf8_lossy(&f.bytes))
     }
 
-    /// Content digest keying the verdict cache: sha256 over every
+    /// Content digest keying the verdict cache: BLAKE2b-256 over every
     /// entry's length-prefixed name and its [`FileEntry::digest`], so
     /// concatenation boundaries cannot collide and each file's bytes are
     /// hashed once — the per-file digest is cached in the entry and keys
     /// the artifact cache next. Use [`ScanRequest::digest_hex`] for
     /// display.
     pub fn digest(&self) -> DigestKey {
-        let mut hasher = digest::Sha256::new();
+        let mut hasher = digest::Blake2b256::new();
         for f in &self.files {
             hasher.update(&(f.name.len() as u64).to_le_bytes());
             hasher.update(f.name.as_bytes());

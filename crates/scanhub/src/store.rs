@@ -247,9 +247,9 @@ impl ArtifactStore {
 
     /// Gives each of `files` with no digest yet the digest of the
     /// resident artifact last published under its name, when their bytes
-    /// are equal — a length check and a `memcmp` in place of a SHA-256 —
-    /// and returns how many it gave. One lock acquisition, read with
-    /// [`crate::cache::LruCache::peek`] so recency is untouched.
+    /// are equal — a length check and a `memcmp` in place of a BLAKE2b
+    /// hash — and returns how many it gave. One lock acquisition, read
+    /// with [`crate::cache::LruCache::peek`] so recency is untouched.
     pub fn adopt_sibling_digests(&self, files: &[FileEntry]) -> u64 {
         if files.iter().all(FileEntry::digest_known) {
             return 0;

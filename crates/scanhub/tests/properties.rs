@@ -307,7 +307,7 @@ proptest! {
         seed in any::<u64>(),
         profile_idx in 0usize..3,
     ) {
-        // A changed body must always be rescanned: the sha256 key of the
+        // A changed body must always be rescanned: the BLAKE2b key of the
         // verdict cache may only ever serve byte-identical re-uploads.
         let (yara, semgrep) = pools();
         let hub = ScanHub::new(

@@ -906,6 +906,41 @@ fn the_submit_path_sibling_check_allocates_nothing() {
     assert!(reused > 0);
 }
 
+/// Content hashing streams: a file digest and a request digest over every
+/// upload of the corpus and its mutants allocate nothing, and a package
+/// signature allocates only its 64-byte hex string, not the combined
+/// source it hashes.
+#[test]
+fn content_digests_allocate_only_the_signature_hex() {
+    let entries = upload_entries();
+    let ((), bytes) = counted_bytes(|| {
+        for entry in &entries {
+            entry.digest();
+        }
+    });
+    assert_eq!(bytes, 0, "FileEntry::digest over {} entries", entries.len());
+
+    let packages = packages();
+    let requests: Vec<ScanRequest> = packages.iter().map(ScanRequest::from_package).collect();
+    let ((), bytes) = counted_bytes(|| {
+        for request in &requests {
+            request.digest();
+        }
+    });
+    assert_eq!(
+        bytes,
+        0,
+        "ScanRequest::digest over {} requests",
+        requests.len()
+    );
+
+    for package in &packages {
+        let ((signature, bytes), calls) = counted(|| counted_bytes(|| package.signature()));
+        assert_eq!((calls, bytes), (1, 64), "{}", package.metadata().name);
+        assert_eq!(signature.len(), 64);
+    }
+}
+
 /// The unique malware of the tiny corpus: RuleLLM's extraction input.
 fn unique_malware() -> Vec<Package> {
     let dataset = Dataset::generate(&CorpusConfig::tiny());
