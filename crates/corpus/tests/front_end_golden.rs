@@ -94,6 +94,31 @@ fn parse_module_output_is_pinned() {
     assert_eq!(got, PARSE_DIGEST, "parse digest is now {got:#018x}");
 }
 
+/// A [`pysrc::LineCursor`] answers what the line index answers, over
+/// every Python file `fold` reads: at offsets that ascend (every 13th
+/// byte, then every statement in walk order, as the taint engine asks)
+/// and after each backwards step (the statements in reverse).
+#[test]
+fn a_line_cursor_answers_what_the_line_index_answers() {
+    fold(|src| {
+        let module = pysrc::parse_module(src);
+        let lines = module.lines();
+        let starts = || module.statements().iter().map(|s| s.start());
+        let ascending = (0..=src.len() as u32 + 1).step_by(13);
+        for offsets in [
+            ascending.collect::<Vec<_>>(),
+            starts().collect(),
+            starts().rev().collect(),
+        ] {
+            let mut cursor = lines.cursor();
+            for offset in offsets {
+                assert_eq!(cursor.line_of(offset), lines.line_of(offset), "{offset}");
+            }
+        }
+        String::new()
+    });
+}
+
 /// The `Debug` text of the owned-string tree `module` replaces:
 /// `Module { body: [Import { modules: [ImportedName { path: "os", alias:
 /// None }], line: 1 }, ..] }`. Names print as their text, import paths

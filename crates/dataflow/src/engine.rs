@@ -25,10 +25,13 @@
 use std::cell::Cell;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::ops::{Bound, RangeBounds};
 
-use pysrc::{Expr, ExprId, ImportedName, Literal, Module, Run, Span, Stmt, Suite, Word};
+use pysrc::{
+    Expr, ExprId, ImportedName, LineCursor, Literal, Module, Prehashed, Run, Span, Stmt, Suite,
+    Word,
+};
 
 use crate::catalog::{is_startup_path, sink_of, source_of, SinkKind, SourceKind};
 use crate::fold;
@@ -181,8 +184,9 @@ struct Scratch {
     names: String,
     ids: Vec<Entry>,
     /// A text's hash under `hasher` (keyed, so a file cannot pick names
-    /// that collide) → its newest entry.
-    by_hash: HashMap<u64, u32>,
+    /// that collide) → its newest entry. The key is a hash already, so
+    /// the map hashes it no further.
+    by_hash: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
     hasher: RandomState,
     /// Slots a `def` or `class` body overwrote, with their old values.
     undo: Vec<(u32, Slot)>,
@@ -211,21 +215,29 @@ struct Scratch {
 pub fn analyze(module: &Module) -> TaintSummary {
     let mut a = Analyzer {
         module,
+        lines: module.lines().cursor(),
         scopes: 0,
         s: SCRATCH.take(),
     };
     a.collect_global_aliases();
     a.walk(module.top_level());
     let summary = a.s.summary(module);
-    if a.s.heap_bytes() <= MAX_KEPT_SCRATCH {
-        a.s.clear();
-        SCRATCH.set(a.s);
-    }
+    a.s.clear();
+    keep(a.s);
     summary
+}
+
+/// Gives `s`, cleared, back to the thread, unless it grew too large.
+fn keep(s: Scratch) {
+    if s.heap_bytes() <= MAX_KEPT_SCRATCH {
+        SCRATCH.set(s);
+    }
 }
 
 struct Analyzer<'m> {
     module: &'m Module,
+    /// The lines of the statements walked, which come in source order.
+    lines: LineCursor<'m>,
     /// How many `def`/`class` bodies enclose the statement being walked.
     scopes: usize,
     s: Scratch,
@@ -240,7 +252,7 @@ impl<'m> Analyzer<'m> {
 
     fn stmt(&mut self, stmt: &'m Stmt) {
         let module = self.module;
-        let (src, line) = (module.source(), module.line(stmt) as u32);
+        let (src, line) = (module.source(), self.lines.line_of(stmt.start()) as u32);
         let base = self.s.stack.len();
         match *stmt {
             Stmt::Import { .. } | Stmt::FromImport { .. } => {
@@ -960,6 +972,67 @@ fn clip(buf: &mut String, from: usize) {
     }
 }
 
+/// Whether `named` holds for a name the engine can read or write through
+/// degraded text: a word [`ident_word`] reads off an `Expr::Other`
+/// rendering (the taints of an unparsed value), its [`leading_ident`] (an
+/// unparsed assignment target), the head of the callee path
+/// [`Expr::write_func_path`] writes for it (an unparsed callee, resolved
+/// as an import alias), or the [`leading_ident`] left of the `=` of a
+/// `Stmt::Other` (a constant killed). These are the names the engine
+/// finds in no source span, which a search of the source can miss:
+/// `ident_word` glues words across quoted runs, a bracketed literal is
+/// rendered without the spaces between its tokens, and the callee path
+/// drops whitespace. Reads through the buffers the thread keeps.
+pub(crate) fn degraded_names(module: &Module, mut named: impl FnMut(&str) -> bool) -> bool {
+    let mut s = SCRATCH.take();
+    let (mut glued, mut path) = (
+        std::mem::take(&mut s.buf),
+        s.paths.pop().unwrap_or_default(),
+    );
+    let mut in_expr = |expr: &Expr| {
+        let Expr::Other(text) = *expr else {
+            return false;
+        };
+        let text = module.owned(text);
+        let mut pos = 0;
+        while let Some(word) = ident_word(text, &mut pos, &mut glued) {
+            if named(word) {
+                return true;
+            }
+        }
+        // A callee path is written only for text of identifiers, dots,
+        // parentheses and whitespace: any other ASCII byte survives into
+        // the path and rules it out, so such text (most of it, a
+        // collection literal's) is not copied.
+        let pathlike = |b: u8| {
+            b.is_ascii_alphanumeric()
+                || b"_.()".contains(&b)
+                || !b.is_ascii()
+                || b.is_ascii_whitespace()
+        };
+        path.clear();
+        if text.bytes().all(pathlike) {
+            expr.write_func_path(module, &mut path);
+        }
+        let head = path.split_once('.').map_or(path.as_str(), |(head, _)| head);
+        named(leading_ident(text)) || named(head)
+    };
+    let found = module.expressions().iter().any(&mut in_expr)
+        || module.statements().iter().any(|stmt| match *stmt {
+            Stmt::Other { text, .. } => {
+                let text = module.owned(text);
+                text.find('=')
+                    .is_some_and(|eq| named(leading_ident(text[..eq].trim())))
+            }
+            _ => false,
+        });
+    s.buf = glued;
+    path.clear();
+    s.paths.push(path);
+    keep(s);
+    found
+}
+
 /// The names an import statement binds, each with the module a
 /// from-import reads it from; a star import binds none.
 fn imported<'m>(
@@ -981,7 +1054,7 @@ fn imported<'m>(
 
 /// The base identifier of an assignment target, read off the front of
 /// its rendering: `loot[t]` → `loot`, `obj.attr` → `obj`, `'s'` → empty.
-fn target_base<'m>(target: &'m Expr, module: &'m Module) -> &'m str {
+pub(crate) fn target_base<'m>(target: &'m Expr, module: &'m Module) -> &'m str {
     match *target {
         Expr::Name(s) | Expr::Num(s) => leading_ident(s.text(module.source())),
         Expr::Attribute { value: head, .. }

@@ -34,11 +34,39 @@
 //! cache in `scanhub` relies on. `docs/threat_model.md` records what
 //! escapes this scope.
 //!
+//! # Across a splice
+//!
+//! [`analyze_spliced`] is the analysis of a module spliced from a
+//! previous version ([`pysrc::parse_spliced`]'s donor) whose summary is
+//! known. When every top-level statement the edit removed or inserted
+//! binds a `Str`/`Num` literal to plain names (or is a literal), and the
+//! engine can read none of those names outside the edited window, it
+//! returns the donor's summary with the lines behind the window moved;
+//! otherwise it runs [`analyze`]. A restamped version constant is such an
+//! edit. The engine reads a name — a slot's taints, constant or import
+//! binding — at these sites only, and the check covers each:
+//!
+//! * a `Name` expression, evaluated or resolved as a callee, and an
+//!   import's binding: spans of the source text, covered by a search of
+//!   the text outside the window;
+//! * the words the engine's `ident_word` reads off an `Expr::Other`
+//!   rendering to carry its taints, which glue words across quoted runs
+//!   (`a'x'b` reads `ab`), and the rendering itself drops the spaces
+//!   between the tokens of a bracketed literal (`[a b]` renders `[ab]`);
+//! * the head of the callee path `Expr::write_func_path` writes for an
+//!   `Expr::Other` callee, which drops whitespace, resolved as an alias.
+//!
+//! The check also runs the readers that only write a slot — the leading
+//! identifier of an `Other` assignment target, and of the text left of
+//! the `=` of a `Stmt::Other` — since a degraded name is cheap to test.
+//!
 //! # Allocation
 //!
 //! A warm [`analyze`] allocates the [`TaintSummary`] it returns and
 //! nothing else: as many allocations as cloning the summary takes, none
-//! for a module without flows or folded constants. Everything the
+//! for a module without flows or folded constants. A carried summary
+//! costs exactly its clone, since the check reads through the buffers
+//! the thread keeps: a splice makes the same allocations either way. Everything the
 //! analysis builds lives in scratch its thread keeps between calls (freed
 //! instead once it grows past 4 MiB), holding ids and byte ranges: names
 //! interned to dense slots that a `def` body restores on exit, constants
@@ -65,9 +93,11 @@
 pub mod catalog;
 mod engine;
 mod fold;
+mod splice;
 
 pub use catalog::{SinkKind, SourceKind};
 pub use engine::analyze;
+pub use splice::analyze_spliced;
 
 /// One step in a source→sink chain: a source read, an assignment that
 /// carried the taint, or the sink call itself.

@@ -22,7 +22,8 @@
 //! A statement carries the offset of its first token, not a line. The
 //! module's [`LineIndex`] holds one entry per line start and maps an
 //! offset to its 1-based line by binary search, counting `\n` only, as
-//! the lexer does.
+//! the lexer does; a [`LineCursor`] answers ascending offsets by stepping
+//! forward instead.
 //!
 //! # A few arrays
 //!
@@ -211,8 +212,7 @@ impl LineIndex {
         let newlines = window.iter().filter(|&&b| b == b'\n').count();
         let mut starts = Vec::with_capacity(kept + newlines + old.len() - resumed);
         starts.extend_from_slice(&old[..kept]);
-        let line_ends = window.iter().enumerate().filter(|&(_, &b)| b == b'\n');
-        starts.extend(line_ends.map(|(i, _)| offset(window_start + i + 1)));
+        push_line_starts(window, window_start, &mut starts);
         starts.extend(old[resumed..].iter().map(|&start| moved(start, bytes)));
         LineIndex { starts }
     }
@@ -221,6 +221,71 @@ impl LineIndex {
     /// it ends).
     pub fn line_of(&self, offset: u32) -> usize {
         self.starts.partition_point(|&start| start <= offset)
+    }
+
+    /// A [`LineCursor`] over this index, standing at line 1.
+    pub fn cursor(&self) -> LineCursor<'_> {
+        LineCursor {
+            starts: &self.starts,
+            line: 1,
+        }
+    }
+}
+
+/// Pushes the offset behind each `\n` of `window`, which starts at byte
+/// `at` of its text. A block of 32 bytes is read as a mask of its `\n`s
+/// and only its set bits are visited: on lines of a few dozen bytes this
+/// measured faster than a byte-at-a-time scan or a `memchr` call per
+/// line.
+fn push_line_starts(window: &[u8], at: usize, starts: &mut Vec<u32>) {
+    const BLOCK: usize = 32;
+    let mut blocks = window.chunks_exact(BLOCK);
+    let mut base = at + 1;
+    for block in &mut blocks {
+        let newline = |(i, &b): (usize, &u8)| u32::from(b == b'\n') << i;
+        let mut mask = block
+            .iter()
+            .enumerate()
+            .map(newline)
+            .fold(0, |m, bit| m | bit);
+        while mask != 0 {
+            starts.push(offset(base + mask.trailing_zeros() as usize));
+            mask &= mask - 1;
+        }
+        base += BLOCK;
+    }
+    let tail = blocks.remainder().iter().enumerate();
+    starts.extend(
+        tail.filter(|&(_, &b)| b == b'\n')
+            .map(|(i, _)| offset(base + i)),
+    );
+}
+
+/// Offset → line lookups for a walk whose offsets ascend, such as a walk
+/// of a module's statements in source order: each lookup steps forward
+/// from the line the last one found, so a whole walk reads each line
+/// start once. An offset in front of that line is looked up by binary
+/// search instead. Either way a lookup answers what
+/// [`LineIndex::line_of`] answers.
+#[derive(Debug, Clone)]
+pub struct LineCursor<'a> {
+    starts: &'a [u32],
+    /// The line the last lookup found, 1-based.
+    line: usize,
+}
+
+impl LineCursor<'_> {
+    /// The 1-based line holding byte `offset`, as [`LineIndex::line_of`].
+    pub fn line_of(&mut self, offset: u32) -> usize {
+        let starts = self.starts;
+        if starts[self.line - 1] <= offset {
+            while starts.get(self.line).is_some_and(|&start| start <= offset) {
+                self.line += 1;
+            }
+        } else {
+            self.line = starts.partition_point(|&start| start <= offset);
+        }
+        self.line
     }
 }
 
@@ -586,6 +651,12 @@ impl Module {
     /// body, its body before its next sibling.
     pub fn statements(&self) -> &[Stmt] {
         &self.nodes.stmts
+    }
+
+    /// Every expression of the module, each after its operands: those of
+    /// one top-level statement before those of the next.
+    pub fn expressions(&self) -> &[Expr] {
+        &self.nodes.exprs
     }
 
     /// The top-level statements, in source order.
@@ -1283,6 +1354,38 @@ mod tests {
             [1, 1, 2, 2, 3, 4, 4]
         );
         assert_eq!(LineIndex::new("", None).line_of(0), 1);
+    }
+
+    #[test]
+    fn line_starts_are_found_across_blocks() {
+        // Newlines at the first and last byte of a block, adjacent ones,
+        // and a tail shorter than a block.
+        let text: String = (0..150)
+            .map(|i| {
+                if [0, 31, 32, 33, 63, 64, 100, 149].contains(&i) {
+                    '\n'
+                } else {
+                    'x'
+                }
+            })
+            .collect();
+        let naive: Vec<u32> = std::iter::once(0)
+            .chain(text.match_indices('\n').map(|(i, _)| i as u32 + 1))
+            .collect();
+        assert_eq!(LineIndex::new(&text, None).starts, naive);
+        let mut starts = Vec::new();
+        push_line_starts(&text.as_bytes()[33..], 33, &mut starts);
+        assert_eq!(starts, naive[4..]);
+    }
+
+    #[test]
+    fn a_line_cursor_answers_what_the_index_answers() {
+        let lines = LineIndex::new("a\r\nb\n\nc\n", None);
+        let mut cursor = lines.cursor();
+        for offset in [0, 2, 3, 3, 5, 6, 7, 99, 4, 0, 6, 1] {
+            assert_eq!(cursor.line_of(offset), lines.line_of(offset), "{offset}");
+        }
+        assert_eq!(LineIndex::new("", None).cursor().line_of(7), 1);
     }
 
     #[test]

@@ -87,14 +87,14 @@ mod strings;
 mod token;
 
 pub use ast::{
-    Arg, Donor, Expr, ExprId, Header, ImportedName, LineIndex, Literal, Module, Run, Span, Stmt,
-    StmtId, Suite, Word,
+    Arg, Donor, Expr, ExprId, Header, ImportedName, LineCursor, LineIndex, Literal, Module, Run,
+    Span, Stmt, StmtId, Suite, Word,
 };
 #[doc(hidden)]
 pub use compat::{intern_strings, lex_spanned, render, SpannedToken, Token, TokenKind};
 pub use lexer::{cut_points, lex, lex_window, CutPoint, Lexemes, WindowLex};
 pub use parser::{parse_module, parse_spliced, parse_tokens};
-pub use strings::{StringRef, StringTable};
+pub use strings::{Prehashed, StringRef, StringTable};
 pub use token::{is_keyword, Kind, Lexeme, KEYWORDS};
 
 /// Collects every call expression in the module, depth-first. Block

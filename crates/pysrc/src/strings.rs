@@ -116,9 +116,11 @@ pub(crate) struct Interner {
 }
 
 /// The hasher of a map whose `u64` keys are hashes already: a key is its
-/// own hash.
-#[derive(Default)]
-struct Prehashed(u64);
+/// own hash, so a lookup hashes nothing. Keys must come from a keyed hash
+/// (such as a [`std::collections::hash_map::RandomState`]'s) for the map
+/// to resist chosen collisions.
+#[derive(Debug, Default)]
+pub struct Prehashed(u64);
 
 impl Hasher for Prehashed {
     fn finish(&self) -> u64 {

@@ -165,20 +165,22 @@ impl FileAnalysis {
     pub fn build(entry: &FileEntry, scanner: Option<&Scanner<'_>>, cfg: &ArtifactConfig) -> Self {
         let _outer = Stage::nested();
         if !entry.is_python() {
-            return Self::finish(entry, Default::default(), None, scanner, cfg);
+            return Self::finish(entry, Default::default(), (None, None), scanner, cfg).0;
         }
         let text = String::from_utf8_lossy(entry.bytes());
         Self::assemble(entry, &text, None, 0..text.len(), scanner, cfg)
             .expect("a window that runs to the end of the file shifts nothing")
+            .0
     }
 
     /// The one artifact pipeline. Lexes bytes `window` of `text` — one
     /// lex, read by the parser, the interner and the cut-point scan, then
     /// handed back to the thread — and sets its statements, literals and
     /// cut points between those the `donor` has outside the window, which
-    /// starts and ends at a donor cut point or an end of the file. `None`
-    /// when the window cannot be joined to what follows it (the last two
-    /// cases of [`FileAnalysis::build_spliced`]).
+    /// starts and ends at a donor cut point or an end of the file, and
+    /// whether the donor's taint summary was carried. `None` when the
+    /// window cannot be joined to what follows it (the last two cases of
+    /// [`FileAnalysis::build_spliced`]).
     fn assemble(
         entry: &FileEntry,
         text: &str,
@@ -186,7 +188,7 @@ impl FileAnalysis {
         window: Range<usize>,
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
-    ) -> Option<Self> {
+    ) -> Option<(Self, bool)> {
         let no_strings = StringTable::default();
         let (module, table, cuts, old): (_, _, &[CutPoint], &[u8]) = match donor {
             Some(d) => (
@@ -197,6 +199,7 @@ impl FileAnalysis {
             ),
             None => (None, &no_strings, &[], &[]),
         };
+        let summary = donor.and_then(|d| d.taint.as_ref());
         let hit_donor = donor
             .and_then(|d| d.yara_hits.as_ref())
             .map(|hits| HitDonor {
@@ -283,7 +286,8 @@ impl FileAnalysis {
             });
         }
         let products = (cut_points, strings, Some(module));
-        Some(Self::finish(entry, products, hit_donor, scanner, cfg))
+        let donors = (hit_donor, donor.zip(summary));
+        Some(Self::finish(entry, products, donors, scanner, cfg))
     }
 
     /// Derives every downstream product (decoded layers, taint, YARA
@@ -293,23 +297,30 @@ impl FileAnalysis {
     /// [`FileAnalysis::build_spliced`]'s window selection alone. The
     /// surface hits are collected onto the donor's when there is one
     /// ([`Scanner::collect_hits_onto`], which reads only what the window
-    /// can have changed); the layers' from scratch.
+    /// can have changed), and the taint summary is carried from the
+    /// donor's when the engine cannot read the edit
+    /// ([`dataflow::analyze_spliced`], which says whether it was); the
+    /// layers are derived from scratch.
     fn finish(
         entry: &FileEntry,
         (cut_points, strings, module): (Vec<CutPoint>, StringTable, Option<Module>),
-        hit_donor: Option<HitDonor<'_>>,
+        (hit_donor, taint_donor): (
+            Option<HitDonor<'_>>,
+            Option<(Donor<'_>, &dataflow::TaintSummary)>,
+        ),
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
-    ) -> Self {
+    ) -> (Self, bool) {
         let bytes = entry.shared_bytes();
         Stage::Decode.enter();
         let mut layers = decode_layers(&strings, cfg);
-        let taint = match (&module, cfg.dataflow) {
+        let (taint, carried) = match (&module, cfg.dataflow) {
             (Some(m), true) => {
                 Stage::Taint.enter();
-                Some(dataflow::analyze(m))
+                let (summary, carried) = dataflow::analyze_spliced(m, taint_donor);
+                (Some(summary), carried)
             }
-            _ => None,
+            _ => (None, false),
         };
         if let Some(summary) = &taint {
             Stage::Decode.enter();
@@ -321,7 +332,7 @@ impl FileAnalysis {
             layers.iter().map(|l| s.collect_hits(&l.data)).collect()
         });
         Stage::Assemble.enter();
-        FileAnalysis {
+        let analysis = FileAnalysis {
             digest: entry.digest(),
             bytes,
             is_python: entry.is_python(),
@@ -332,7 +343,8 @@ impl FileAnalysis {
             yara_hits,
             layer_hits,
             taint,
-        }
+        };
+        (analysis, carried)
     }
 
     /// Approximate heap footprint, for cache accounting, the parsed
@@ -450,9 +462,12 @@ impl FileAnalysis {
             return None;
         }
 
+        let (analysis, taint_carried) =
+            Self::assemble(entry, new_text, Some(sibling), w..e_new, scanner, cfg)?;
         Some(Spliced {
             relexed_bytes: (e_new - w) as u64,
-            analysis: Self::assemble(entry, new_text, Some(sibling), w..e_new, scanner, cfg)?,
+            analysis,
+            taint_carried,
         })
     }
 }
@@ -466,6 +481,10 @@ pub struct Spliced {
     pub analysis: FileAnalysis,
     /// Bytes of the new content covered by the re-lexed window.
     pub relexed_bytes: u64,
+    /// Whether the taint summary is the sibling's, carried because the
+    /// engine cannot read the edit, rather than a fresh pass's (see
+    /// [`dataflow::analyze_spliced`]). Equal either way.
+    pub taint_carried: bool,
 }
 
 fn count_newlines(bytes: &[u8]) -> usize {

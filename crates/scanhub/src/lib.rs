@@ -23,8 +23,11 @@
 //!    literal occurrences and cut points likewise, into owned products:
 //!    no artifact keeps the version it was spliced from alive and none
 //!    keeps a token. A splice lexes and parses O(window) and allocates
-//!    per array, not per statement — taint and the YARA byte scan
-//!    recompute over the whole file by design, which is what keeps an
+//!    per array, not per statement. The YARA surface hits outside the
+//!    window carry over ([`yara_engine::Scanner::collect_hits_onto`]),
+//!    and so does the taint summary when the edit only binds literals to
+//!    names nothing else reads ([`dataflow::analyze_spliced`]); each
+//!    carries exactly what a full build computes, which is what keeps an
 //!    artifact a pure function of `(ruleset, bytes)`.
 //! 2. **Rule routing** ([`PrefilterIndex`]) — a YARA rule with an
 //!    exhaustive atom set ([`yara_engine::literal_atoms`]) whose
@@ -119,7 +122,9 @@ mod sync {
     pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
 }
 
-pub use artifact::{ArtifactConfig, DecodedLayer, FileAnalysis, LayerEncoding, LazyModule};
+pub use artifact::{
+    ArtifactConfig, DecodedLayer, FileAnalysis, LayerEncoding, LazyModule, Spliced,
+};
 pub use cache::DigestKey;
 pub use hub::{HubConfig, ScanHub};
 pub use metrics::{HubStats, LatencyStat, Stage, StageLatencies, StageNanos};

@@ -160,10 +160,15 @@ hub_metrics! {
         /// Bytes of decoded-layer content run through the YARA string scan
         /// at artifact-build time.
         layer_bytes_scanned: "scanhub_layer_bytes_scanned_total", "Decoded-layer bytes run through the YARA string scan", Always;
-        /// Taint analyses run at artifact-build time. Across a hub run this
-        /// equals the number of unique **Python** file digests — the
-        /// once-per-digest contract extends to the behavior engine.
+        /// Taint analyses run at artifact-build time: passes of the engine.
+        /// Across a hub run this plus `taint_carried` equals the number of
+        /// unique **Python** file digests — the once-per-digest contract
+        /// extends to the behavior engine.
         taint_analyses: "scanhub_taint_analyses_total", "Taint analyses run at artifact-build time", Always;
+        /// Taint summaries a splice carried from its sibling instead of
+        /// running the engine, because the edit only binds literals to
+        /// names nothing else reads ([`dataflow::analyze_spliced`]).
+        taint_carried: "scanhub_taint_carried_total", "Taint summaries a splice carried from its sibling", Spliced;
         /// Source→sink flows found by those analyses (per unique digest,
         /// not per request).
         flows_found: "scanhub_flows_found_total", "Source-to-sink taint flows found", Always;
@@ -824,7 +829,7 @@ mod tests {
         let counters = rows
             .iter()
             .filter(|r| r.series.starts_with("scanhub_") && !r.gauge);
-        assert_eq!(counters.count(), 28);
+        assert_eq!(counters.count(), 29);
 
         // Book one distinct bit to every stage; a stage's field or
         // histogram is named like its variant, in snake case.

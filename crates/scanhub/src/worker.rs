@@ -257,23 +257,30 @@ fn gather_artifacts(
             }
             result
         });
-        let built = Arc::new(match spliced {
+        let (built, carried) = match spliced {
             Some(spliced) => {
                 HubCounters::add(&c.incremental_relexes, 1);
                 HubCounters::add(&c.relexed_bytes, spliced.relexed_bytes);
-                spliced.analysis
+                (spliced.analysis, spliced.taint_carried)
             }
             None => {
                 HubCounters::add(&c.artifact_parses, 1);
-                FileAnalysis::build(entry, scanner, cfg)
+                (FileAnalysis::build(entry, scanner, cfg), false)
             }
-        });
-        // Downstream-product accounting, the same on both paths: a
-        // spliced artifact recomputes its layers and taint from scratch,
-        // and its surface hits carry the donor's outside the edit, so
-        // only the regex work differs.
+        };
+        let built = Arc::new(built);
+        // Downstream-product accounting, the same on both paths but for
+        // who paid: a spliced artifact decodes its layers from scratch,
+        // carries its donor's taint summary when the engine cannot read
+        // the edit, and carries its donor's surface hits outside the
+        // edit, so its regex work covers the edit only.
         if let Some(taint) = &built.taint {
-            HubCounters::add(&c.taint_analyses, 1);
+            let pass = if carried {
+                &c.taint_carried
+            } else {
+                &c.taint_analyses
+            };
+            HubCounters::add(pass, 1);
             HubCounters::add(&c.flows_found, taint.flows.len() as u64);
             HubCounters::add(&c.consts_folded, taint.folded.len() as u64);
         }

@@ -1,8 +1,9 @@
 //! Registry gatekeeping scenario: learn rules from a week of quarantined
 //! uploads, stand up a `scanhub` scan service over them, then screen the
 //! next wave of packages — including an unseen variant of a known family,
-//! a legitimate upload, and a re-upload served straight from the verdict
-//! cache. Every verdict is then explained from its flight-recorder
+//! a legitimate upload, a re-upload served straight from the verdict
+//! cache, and a patch release whose restamped version constant costs no
+//! taint pass. Every verdict is then explained from its flight-recorder
 //! trace, without re-running a single scan.
 //!
 //! ```text
@@ -11,6 +12,7 @@
 //! ```
 
 use corpus::{generate_legit_package, generate_malware_package, FAMILIES};
+use oss_registry::Package;
 use rulellm::{Pipeline, PipelineConfig};
 use scanhub::{HubConfig, ScanHub, ScanRequest};
 
@@ -60,17 +62,21 @@ fn main() {
     );
 
     // Saturday's upload queue: an unseen variant of each campaign, a
-    // legitimate package, and a re-upload of the same legitimate package
-    // (registry clients love retrying).
+    // legitimate package, a re-upload of the same legitimate package
+    // (registry clients love retrying), and its patch release, which only
+    // restamps the version constant in its `__init__.py`: that file
+    // splices onto the resident release and carries its taint summary.
     let unseen_beacon = generate_malware_package(beacon, 99, 7).0;
     let unseen_dropper = generate_malware_package(dropper, 99, 7).0;
     let legit = generate_legit_package(3, 7);
+    let patch = patch_release(&legit);
 
     let queue = [
         ("unseen beacon variant", &unseen_beacon, true),
         ("unseen dropper variant", &unseen_dropper, true),
         ("legitimate upload", &legit, false),
         ("legitimate re-upload", &legit, false),
+        ("legitimate patch release", &patch, false),
     ];
     let mut digests = Vec::new();
     for (label, pkg, expect) in &queue {
@@ -139,6 +145,10 @@ fn main() {
     assert!(
         stats.digests_reused > 0,
         "the re-upload's files must take their siblings' digests"
+    );
+    assert!(
+        stats.taint_carried > 0,
+        "the patch release's restamped file must carry its taint summary"
     );
 
     // Sunday: the stealer campaign is identified and rules are learned
@@ -217,4 +227,23 @@ fn rule_name(text: &str) -> Option<String> {
         .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
         .unwrap_or(rest.len());
     (end > 0).then(|| rest[..end].to_owned())
+}
+
+/// `package`'s next patch release: the version in its metadata and in
+/// the `__version__` constant of its `__init__.py` moves on by one, and
+/// nothing else changes.
+fn patch_release(package: &Package) -> Package {
+    let mut metadata = package.metadata().clone();
+    let (minor, patch) = metadata.version.rsplit_once('.').expect("x.y.z");
+    let next = format!("{minor}.{}", patch.parse::<u32>().expect("patch") + 1);
+    let stamp = |version: &str| format!("__version__ = '{version}'");
+    let (old, new) = (stamp(&metadata.version), stamp(&next));
+    let files = package.files().iter().cloned().map(|mut file| {
+        if file.path.ends_with("__init__.py") {
+            file.contents = file.contents.replace(&old, &new);
+        }
+        file
+    });
+    metadata.version = next;
+    Package::new(metadata, files.collect(), package.ecosystem())
 }

@@ -41,8 +41,22 @@ fn hub() -> ScanHub {
 
 /// `VERSIONS` releases of a `FILES`-module package: release `v > 0`
 /// rewrites one line of module `v - 1` and the change sticks, so
-/// successive releases differ in exactly one line of one file.
+/// successive releases differ in exactly one line of one file. The line
+/// is a shell call whose argument the release changes.
 fn release_stream() -> Vec<ScanRequest> {
+    stream(|marker| format!("os.system('{marker}')\n"))
+}
+
+/// [`release_stream`] with a version constant in place of the shell
+/// call's argument: each release restamps it, and a tainted shell call
+/// follows it.
+fn restamp_stream() -> Vec<ScanRequest> {
+    stream(|marker| format!("VERSION = '{marker}'\nos.system(input())\n"))
+}
+
+/// `VERSIONS` releases whose modules hold `edited(marker)` halfway down,
+/// each release changing one module's marker.
+fn stream(edited: fn(&str) -> String) -> Vec<ScanRequest> {
     let mut markers: Vec<String> = (0..FILES).map(|f| format!("base {f}")).collect();
     (0..VERSIONS)
         .map(|v| {
@@ -54,7 +68,7 @@ fn release_stream() -> Vec<ScanRequest> {
                     let mut code = String::from("import os\n");
                     for i in 0..LINES {
                         if i == LINES / 2 {
-                            code.push_str(&format!("os.system('{}')\n", markers[f]));
+                            code.push_str(&edited(&markers[f]));
                         } else {
                             code.push_str(&format!("slot_{i} = {i} * {f} + len('padding')\n"));
                         }
@@ -107,8 +121,10 @@ fn bumps_splice_and_nothing_is_built_twice() {
         cold.relexed_bytes
     );
     assert_eq!(cold.latency.splice.count, (VERSIONS - 1) as u64);
-    // Every file is Python: taint ran once per unique digest.
+    // Every file is Python: taint ran once per unique digest, since
+    // every bump edits a call the engine reads.
     assert_eq!(cold.taint_analyses, unique.len() as u64);
+    assert_eq!(cold.taint_carried, 0);
 
     // Byte-identical re-uploads build nothing, and neither does the last
     // release re-uploaded beside one new non-Python file (a different
@@ -123,6 +139,24 @@ fn bumps_splice_and_nothing_is_built_twice() {
     assert_eq!(warm.incremental_relexes, cold.incremental_relexes);
     assert_eq!(warm.splice_fallbacks, 0);
     assert_eq!(warm.taint_analyses, cold.taint_analyses);
+}
+
+/// A release that only restamps a version constant nothing else reads
+/// pays no taint pass: each splice carries its sibling's summary, flows
+/// and all, and only the full builds run the engine.
+#[test]
+fn restamped_versions_carry_their_taint_summaries() {
+    let hub = hub();
+    let requests = restamp_stream();
+    ingest(&hub, &requests);
+    let stats = hub.stats();
+    assert_eq!(stats.incremental_relexes, (VERSIONS - 1) as u64);
+    assert_eq!(stats.splice_fallbacks, 0);
+    assert_eq!(stats.taint_carried, stats.incremental_relexes);
+    assert_eq!(stats.taint_analyses, stats.artifact_parses);
+    assert_eq!(stats.taint_analyses, FILES as u64);
+    // One flow per unique digest, carried ones included.
+    assert_eq!(stats.flows_found, (FILES + VERSIONS - 1) as u64);
 }
 
 #[test]
@@ -566,7 +600,7 @@ fn every_counter_reaches_both_exporters() {
 /// time, the `hub_metrics!` rows in table order (counters, gauges,
 /// matching tiers), then the occupancy gauges that are not `HubStats`
 /// fields.
-const EXPORT_ORDER: [&str; 45] = [
+const EXPORT_ORDER: [&str; 46] = [
     "scanhub_stage_duration_ns",
     "scanhub_scan_duration_ns",
     "scanhub_submitted_total",
@@ -582,6 +616,7 @@ const EXPORT_ORDER: [&str; 45] = [
     "scanhub_layers_decoded_total",
     "scanhub_layer_bytes_scanned_total",
     "scanhub_taint_analyses_total",
+    "scanhub_taint_carried_total",
     "scanhub_flows_found_total",
     "scanhub_consts_folded_total",
     "scanhub_yara_rules_evaluated_total",
