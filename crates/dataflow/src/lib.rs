@@ -37,11 +37,13 @@
 //! # Across a splice
 //!
 //! [`analyze_spliced`] is the analysis of a module spliced from a
-//! previous version ([`pysrc::parse_spliced`]'s donor) whose summary is
-//! known. When every top-level statement the edit removed or inserted
-//! binds a `Str`/`Num` literal to plain names (or is a literal), and the
-//! engine can read none of those names outside the edited window, it
-//! returns the donor's summary with the lines behind the window moved;
+//! previous version whose summary is known, read through the splice's
+//! [`pysrc::Edit`]: its windows, the top-level statements it removed and
+//! inserted, and its line delta, all worked out once in `pysrc`. When
+//! every statement the edit removed or inserted binds a `Str`/`Num`
+//! literal to plain names (or is a literal), and the engine can read none
+//! of those names outside the windows, it returns the donor's summary
+//! with the lines behind the window moved ([`pysrc::Edit::moved_line`]);
 //! otherwise it runs [`analyze`]. A restamped version constant is such an
 //! edit. The engine reads a name — a slot's taints, constant or import
 //! binding — at these sites only, and the check covers each:

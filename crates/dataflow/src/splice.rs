@@ -6,9 +6,7 @@
 //! lets the taint summary ride along when the engine cannot read the
 //! edit, instead of walking the whole module again.
 
-use std::ops::Range;
-
-use pysrc::{Donor, Expr, ExprId, Module, Run, Stmt};
+use pysrc::{Edit, Expr, ExprId, Module, Run, Stmt};
 
 use crate::engine::{analyze, degraded_names, target_base};
 use crate::TaintSummary;
@@ -17,22 +15,17 @@ use crate::TaintSummary;
 /// the donor's summary when the edit is inert; with no donor it is
 /// [`analyze`]. Returns the summary and whether it was carried.
 ///
-/// `module` must be the donor's text with the bytes from
-/// [`Donor::window_start`] to [`Donor::suffix_from`] (to the end when
-/// `None`) replaced, both edges at column zero of a line that starts a
-/// top-level statement or ends the text, so each version's window holds
-/// whole top-level statements — the windows [`pysrc::parse_spliced`]
-/// splices. The summary must be the donor module's.
+/// The donor is the previous version's module, the [`Edit`] from it to
+/// `module` ([`pysrc::parse_spliced`]'s), and the donor module's summary.
+/// Both of the edit's windows hold whole top-level statements.
 ///
 /// The edit is inert, and the donor's summary is returned with every
-/// line at or behind the old window's end moved by the edit's line
-/// delta, when
+/// line behind the old window moved by the edit's line delta, when
 ///
-/// * every top-level statement of either window is a `Str` or `Num`
-///   expression statement, or an assignment of a `Str` or `Num` literal
-///   to plain `Name` targets — statements that read nothing, fold
-///   nothing and only bind constants to their names, eight at
-///   most; and
+/// * every top-level statement the edit removed or inserted is a `Str`
+///   or `Num` expression statement, or an assignment of a `Str` or `Num`
+///   literal to plain `Name` targets — statements that read nothing, fold
+///   nothing and only bind constants to their names, eight at most; and
 /// * no name so bound occurs in the text outside the window, nor equals a
 ///   name the engine reads off degraded text (see the crate docs), so no
 ///   statement outside the window can read what the windows bound.
@@ -43,9 +36,9 @@ use crate::TaintSummary;
 /// Otherwise the full pass runs.
 pub fn analyze_spliced(
     module: &Module,
-    donor: Option<(Donor<'_>, &TaintSummary)>,
+    donor: Option<(&Module, &Edit, &TaintSummary)>,
 ) -> (TaintSummary, bool) {
-    match donor.and_then(|(d, summary)| Some(shifted(summary, inert_edit(module, d)?))) {
+    match donor.and_then(|(old, edit, summary)| shifted(summary, inert_edit(old, module, edit)?)) {
         Some(summary) => (summary, true),
         None => (analyze(module), false),
     }
@@ -54,21 +47,9 @@ pub fn analyze_spliced(
 /// The most names an inert edit binds.
 const MAX_NAMES: usize = 8;
 
-/// Lines from `from` on move by `by`.
-#[derive(Debug, Clone, Copy)]
-struct Shift {
-    from: u32,
-    by: i32,
-}
-
-/// How the donor's lines move, when the edit between the donor and
-/// `module` is inert.
-fn inert_edit(module: &Module, d: Donor<'_>) -> Option<Shift> {
-    let (old, src) = (d.module, module.source());
-    let grown = src.len() as isize - old.source().len() as isize;
-    let e_old = d.suffix_from.unwrap_or(old.source().len());
-    let e_new = e_old.checked_add_signed(grown)?;
-    let edited = || window(old, d.window_start..e_old).chain(window(module, d.window_start..e_new));
+/// The `edit` from `old` to `module`, when it is inert.
+fn inert_edit<'e>(old: &Module, module: &Module, edit: &'e Edit) -> Option<&'e Edit> {
+    let edited = || statements(old, edit.removed).chain(statements(module, edit.inserted));
     if !edited().all(|(m, stmt)| inert(m, stmt)) {
         return None;
     }
@@ -80,7 +61,8 @@ fn inert_edit(module: &Module, d: Donor<'_>) -> Option<Shift> {
         bound_count += 1;
     }
     let names = &names[..bound_count];
-    let (front, back) = (src.get(..d.window_start)?, src.get(e_new..)?);
+    let src = module.source();
+    let (front, back) = (&src[..edit.start], &src[edit.new_end..]);
     if names
         .iter()
         .any(|name| front.contains(name) || back.contains(name))
@@ -88,26 +70,13 @@ fn inert_edit(module: &Module, d: Donor<'_>) -> Option<Shift> {
     {
         return None;
     }
-    if d.suffix_from.is_none() {
-        return Some(Shift { from: 0, by: 0 });
-    }
-    let line = |m: &Module, at: usize| Some(m.lines().line_of(u32::try_from(at).ok()?));
-    let (from, to) = (line(old, e_old)?, line(module, e_new)?);
-    Some(Shift {
-        from: u32::try_from(from).ok()?,
-        by: i32::try_from(to as i64 - from as i64).ok()?,
-    })
+    Some(edit)
 }
 
-/// The top-level statements of `m` that start in `bytes`, each with `m`.
-fn window(m: &Module, bytes: Range<usize>) -> impl Iterator<Item = (&Module, &Stmt)> {
-    let at = |offset: usize| {
-        m.body
-            .partition_point(|&id| (m.stmt(id).start() as usize) < offset)
-    };
-    m.body[at(bytes.start)..at(bytes.end)]
-        .iter()
-        .map(move |&id| (m, m.stmt(id)))
+/// The top-level statements of `m` at the `body` indices of `run`, each
+/// with `m`.
+fn statements(m: &Module, run: Run) -> impl Iterator<Item = (&Module, &Stmt)> {
+    m.body[run.range()].iter().map(move |&id| (m, m.stmt(id)))
 }
 
 /// Whether `stmt` only binds a literal, or is one.
@@ -131,17 +100,18 @@ fn bound<'m>(m: &'m Module, stmt: &Stmt) -> impl Iterator<Item = &'m str> {
     m.targets(targets).map(move |t| target_base(t, m))
 }
 
-/// A clone of `summary` with its lines moved by `shift`.
-fn shifted(summary: &TaintSummary, shift: Shift) -> TaintSummary {
+/// A clone of `summary` with its lines moved by the `edit`; `None` when
+/// a moved line does not fit.
+fn shifted(summary: &TaintSummary, edit: &Edit) -> Option<TaintSummary> {
     let mut out = summary.clone();
     let steps = out.flows.iter_mut().flat_map(|f| &mut f.steps);
     let lines = steps
         .map(|s| &mut s.line)
         .chain(out.folded.iter_mut().map(|c| &mut c.line));
-    for line in lines.filter(|line| **line >= shift.from) {
-        *line = line.wrapping_add_signed(shift.by);
+    for line in lines {
+        *line = edit.moved_line(*line)?;
     }
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -154,14 +124,13 @@ mod tests {
     fn splice(before: &str, removed: &str, inserted: &str, after: &str) -> (TaintSummary, bool) {
         let old = format!("{before}{removed}{after}");
         let new = format!("{before}{inserted}{after}");
-        let (donor, module) = (pysrc::parse_module(&old), pysrc::parse_module(&new));
-        let end = before.len() + removed.len();
-        let d = Donor {
-            module: &donor,
-            window_start: before.len(),
-            suffix_from: (end < old.len()).then_some(end),
-        };
-        let (summary, carried) = analyze_spliced(&module, Some((d, &analyze(&donor))));
+        let donor = pysrc::parse_module(&old);
+        let (w, end) = (before.len(), before.len() + removed.len());
+        let edit = Edit::new(&donor, &new, w, end).expect("edit");
+        let tokens = pysrc::lex_window(&new, w, edit.new_end, edit.first_line).tokens;
+        let (module, edit) = pysrc::parse_spliced(&new, &tokens, Some(&donor), edit);
+        assert_eq!(module, pysrc::parse_module(&new), "{new}");
+        let (summary, carried) = analyze_spliced(&module, Some((&donor, &edit, &analyze(&donor))));
         assert_eq!(summary, analyze(&module), "{new}");
         (summary, carried)
     }

@@ -62,6 +62,8 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::edit::Edit;
+
 /// A byte range `start..end` of a module's source text.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Span {
@@ -164,7 +166,8 @@ impl Run {
         self.start == self.end
     }
 
-    fn range(self) -> Range<usize> {
+    /// The indices of the entries the run covers.
+    pub fn range(self) -> Range<usize> {
         self.start as usize..self.end as usize
     }
 
@@ -184,36 +187,21 @@ pub struct LineIndex {
 }
 
 impl LineIndex {
-    /// Indexes `text`, reading only the window of a `donor` (a previous
-    /// version of `text` that differs from it only there, as in
-    /// [`crate::parse_spliced`]): the line starts in front of the window
-    /// are the donor's, those behind it the donor's moved by the change
-    /// in length. With no donor the window is the whole text. One
-    /// allocation, sized by a first count of the window's `\n`s.
-    pub(crate) fn new(text: &str, donor: Option<Donor<'_>>) -> LineIndex {
-        let first = [0];
-        // The donor's line starts, the window's first byte, and, when
-        // text follows the window, its end in the donor and in `text`.
-        let (old, window_start, window_ends) = match donor {
-            Some(d) => {
-                let unchanged = |e_old: usize| d.module.source.len() - e_old;
-                let ends = d.suffix_from.map(|e| (e, text.len() - unchanged(e)));
-                (&d.module.lines.starts[..], d.window_start, ends)
-            }
-            None => (&first[..], 0, None),
-        };
-        let behind = |at: usize| old.partition_point(|&start| start as usize <= at);
-        let kept = behind(window_start);
-        let (resumed, window_end, bytes) = match window_ends {
-            Some((e_old, e_new)) => (behind(e_old), e_new, e_new as isize - e_old as isize),
-            None => (old.len(), text.len(), 0),
-        };
-        let window = &text.as_bytes()[window_start..window_end];
-        let newlines = window.iter().filter(|&&b| b == b'\n').count();
-        let mut starts = Vec::with_capacity(kept + newlines + old.len() - resumed);
-        starts.extend_from_slice(&old[..kept]);
-        push_line_starts(window, window_start, &mut starts);
-        starts.extend(old[resumed..].iter().map(|&start| moved(start, bytes)));
+    /// Indexes `text`, reading only the new window of the `edit` from
+    /// `donor` (a previous version of `text`, as in
+    /// [`crate::parse_spliced`]; none for [`Edit::whole`]): the line
+    /// starts in front of the window are the donor's, those behind it the
+    /// donor's moved by the edit's byte delta. One allocation, sized by
+    /// the edit's line delta.
+    pub(crate) fn new(text: &str, donor: Option<&LineIndex>, edit: &Edit) -> LineIndex {
+        let old: &[u32] = donor.map_or(&[0], |d| &d.starts);
+        let lines = old.len().checked_add_signed(edit.line_delta).unwrap_or(0);
+        let mut starts = Vec::with_capacity(lines);
+        starts.extend_from_slice(&old[..edit.first_line]);
+        let window = &text.as_bytes()[edit.start..edit.new_end];
+        push_line_starts(window, edit.start, &mut starts);
+        let behind = old[edit.old_end_line..].iter();
+        starts.extend(behind.map(|&start| moved(start, edit.delta)));
         LineIndex { starts }
     }
 
@@ -473,22 +461,6 @@ impl Nodes {
     }
 }
 
-/// The statements a window's parse is set between: a previous version of
-/// the same file (see [`crate::parse_spliced`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Donor<'m> {
-    /// The previous version's module.
-    pub module: &'m Module,
-    /// The window's first byte. The donor's top-level statements that
-    /// start in front of it are kept as they are (the bytes in front of
-    /// the window did not move).
-    pub window_start: usize,
-    /// The donor byte the window ended at, when text follows it: the
-    /// donor's top-level statements from there on are kept, moved by the
-    /// difference in text length. `None` when the window runs to the end.
-    pub suffix_from: Option<usize>,
-}
-
 /// A parsed source file: its text, its line index and its statements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Module {
@@ -503,34 +475,18 @@ pub struct Module {
 
 impl Module {
     /// The module of `text` holding the top-level statements of `donor`
-    /// in front of the window, those of the window — its `parsed` nodes,
-    /// whose top-level statements begin at `starts` — then those of
+    /// in front of the `edit`'s window, those of the window — its `parsed`
+    /// nodes, whose top-level statements begin at `starts` — then those of
     /// `donor` behind it: three slice copies per array, each sized once.
     pub(crate) fn assemble(
         text: &str,
         (parsed, starts): (&Nodes, &[Counts]),
-        donor: Option<Donor<'_>>,
+        donor: Option<&Module>,
+        edit: &Edit,
     ) -> Module {
         let no_nodes = Nodes::default();
-        let (nodes, marks, kept, resumed, bytes) = match donor {
-            Some(d) => {
-                let m = d.module;
-                let before = |at: usize| {
-                    m.body
-                        .partition_point(|&id| (m.stmt(id).start() as usize) < at)
-                };
-                let resumed = d.suffix_from.map_or(m.body.len(), before);
-                let bytes = text.len() as isize - m.source.len() as isize;
-                (
-                    &m.nodes,
-                    &m.marks[..],
-                    before(d.window_start),
-                    resumed,
-                    bytes,
-                )
-            }
-            None => (&no_nodes, &[][..], 0, 0, 0),
-        };
+        let (nodes, marks) = donor.map_or((&no_nodes, &[][..]), |m| (&m.nodes, &m.marks[..]));
+        let (kept, resumed) = (edit.removed.start as usize, edit.removed.end as usize);
         let mark = |k: usize| marks.get(k).copied().unwrap_or_else(|| nodes.counts());
         let (front, back) = (mark(kept), mark(resumed));
         let into_window = Shift {
@@ -539,7 +495,7 @@ impl Module {
         };
         let behind = Shift {
             ids: front.plus(parsed.counts()).minus(back),
-            bytes,
+            bytes: edit.delta,
         };
         // Per array: the donor's entries in front of the window, the
         // window's, and the donor's behind it.
@@ -615,7 +571,7 @@ impl Module {
         };
         Module {
             source: Arc::from(text),
-            lines: LineIndex::new(text, donor),
+            lines: LineIndex::new(text, donor.map(|m| &m.lines), edit),
             body: marks.iter().map(|m| StmtId(m.stmts)).collect(),
             nodes,
             marks,
@@ -1345,15 +1301,20 @@ mod tests {
         ));
     }
 
+    /// The line index of `text` as a full parse builds it.
+    fn index(text: &str) -> LineIndex {
+        LineIndex::new(text, None, &Edit::whole(text))
+    }
+
     #[test]
     fn line_index_counts_newlines_only() {
-        let lines = LineIndex::new("a\r\nb\n\nc", None);
+        let lines = index("a\r\nb\n\nc");
         let at = |offset| lines.line_of(offset);
         assert_eq!(
             [at(0), at(2), at(3), at(4), at(5), at(6), at(99)],
             [1, 1, 2, 2, 3, 4, 4]
         );
-        assert_eq!(LineIndex::new("", None).line_of(0), 1);
+        assert_eq!(index("").line_of(0), 1);
     }
 
     #[test]
@@ -1372,7 +1333,7 @@ mod tests {
         let naive: Vec<u32> = std::iter::once(0)
             .chain(text.match_indices('\n').map(|(i, _)| i as u32 + 1))
             .collect();
-        assert_eq!(LineIndex::new(&text, None).starts, naive);
+        assert_eq!(index(&text).starts, naive);
         let mut starts = Vec::new();
         push_line_starts(&text.as_bytes()[33..], 33, &mut starts);
         assert_eq!(starts, naive[4..]);
@@ -1380,12 +1341,12 @@ mod tests {
 
     #[test]
     fn a_line_cursor_answers_what_the_index_answers() {
-        let lines = LineIndex::new("a\r\nb\n\nc\n", None);
+        let lines = index("a\r\nb\n\nc\n");
         let mut cursor = lines.cursor();
         for offset in [0, 2, 3, 3, 5, 6, 7, 99, 4, 0, 6, 1] {
             assert_eq!(cursor.line_of(offset), lines.line_of(offset), "{offset}");
         }
-        assert_eq!(LineIndex::new("", None).cursor().line_of(7), 1);
+        assert_eq!(index("").cursor().line_of(7), 1);
     }
 
     #[test]
@@ -1426,17 +1387,9 @@ mod tests {
             let before = donor.source().to_owned();
             let text = before.replace(old, new);
             let w = before.find(old).expect("edit");
-            let (e_old, e_new) = (w + old.len() + 1, w + new.len() + 1);
-            let tokens = lex_window(&text, w, e_new).tokens;
-            let spliced = parse_spliced(
-                &text,
-                &tokens,
-                Some(Donor {
-                    module: &donor,
-                    window_start: w,
-                    suffix_from: Some(e_old),
-                }),
-            );
+            let edit = Edit::new(&donor, &text, w, w + old.len() + 1).expect("edit");
+            let tokens = lex_window(&text, w, edit.new_end, edit.first_line).tokens;
+            let (spliced, _) = parse_spliced(&text, &tokens, Some(&donor), edit);
             assert_eq!(spliced, parse_module(&text), "{text}");
             donor = spliced;
         }

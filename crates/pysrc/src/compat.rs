@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn lex_window_over_the_whole_source_is_lex_spanned() {
         let src = "import os\n\ndef f(a):\n    return a\n\nx = f(1)\n";
-        let window = lex_window(src, 0, src.len()).tokens;
+        let window = lex_window(src, 0, src.len(), 1).tokens;
         assert_eq!(render(src, &window), lex_spanned(src));
         assert_eq!(render(src, &lex(src)), lex_spanned(src));
     }
@@ -191,7 +191,7 @@ mod tests {
     fn lex_window_rebases_spans_and_lines() {
         let src = "a = 1\nb = 2\nc = 3\n";
         let full = lex_spanned(src);
-        let w = lex_window(src, 6, 12);
+        let w = lex_window(src, 6, 12, 2);
         assert!(w.ends_at_statement_boundary);
         let tokens = render(src, &w.tokens);
         let expected: Vec<SpannedToken> = full

@@ -103,7 +103,7 @@ impl Drop for Lexemes {
 /// synthesized from leading whitespace; newlines inside `()`/`[]`/`{}` are
 /// suppressed. Each token carries the byte span it was lexed from.
 pub fn lex(source: &str) -> Lexemes {
-    lex_window(source, 0, source.len()).tokens
+    lex_window(source, 0, source.len(), 1).tokens
 }
 
 /// Result of re-lexing a byte window of a larger source (see
@@ -126,8 +126,9 @@ pub struct WindowLex {
 /// Re-lexes `source[start..end]` as if the lexer had just crossed a
 /// top-level statement boundary at `start`: fresh indentation stack,
 /// bracket depth zero, column zero. Spans are in `source`'s coordinates
-/// and line numbers count the newlines of `source[..start]`, so the
-/// tokens drop into the full source's coordinate system.
+/// and lines count from `first_line`, the caller's line of `start` (a
+/// splice's [`crate::Edit`] holds it): no byte in front of the window is
+/// read, and the tokens drop into the full source's coordinate system.
 ///
 /// The output equals the `[start..end)` slice of `lex(source)` **only
 /// if** `start` really is such a boundary (the full lexer's indent stack
@@ -141,17 +142,16 @@ pub struct WindowLex {
 /// # Panics
 ///
 /// Panics if `start..end` is out of bounds or not on `char` boundaries.
-pub fn lex_window(source: &str, start: usize, end: usize) -> WindowLex {
+pub fn lex_window(source: &str, start: usize, end: usize, first_line: usize) -> WindowLex {
     let _ = &source[start..end];
     let source = lexable(source, MAX_SOURCE);
     let (start, end) = (start.min(source.len()), end.min(source.len()));
-    let lines_before = count_newlines(&source.as_bytes()[..start]);
     let mut tokens = KEPT.try_with(Cell::take).unwrap_or_default();
     tokens.reserve_exact(reservation(end - start));
     let lexer = Lexer::new(
         &source.as_bytes()[start..end],
         start,
-        offset(lines_before).saturating_add(1),
+        offset(first_line),
         |t, _| tokens.push(t),
     );
     let boundary = lexer.run();
@@ -161,7 +161,7 @@ pub fn lex_window(source: &str, start: usize, end: usize) -> WindowLex {
     }
 }
 
-fn count_newlines(bytes: &[u8]) -> usize {
+pub(crate) fn count_newlines(bytes: &[u8]) -> usize {
     bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
@@ -920,7 +920,7 @@ mod tests {
                 .position(|t| t.start as usize == cut.at)
                 .expect("a token starts at every cut point");
             assert_eq!(
-                lex_window(src, cut.at, src.len()).tokens[..],
+                lex_window(src, cut.at, src.len(), full[from].line as usize).tokens[..],
                 full[from..],
                 "suffix relex diverged at offset {}",
                 cut.at
@@ -942,7 +942,7 @@ mod tests {
         let (start, stop) = (old[1], old[2]);
         assert_eq!(&v1[start.at..stop.at], "A = 'one'\n");
         let delta = v2.len() - v1.len();
-        let mut window = lex_window(v2, start.at, stop.at + delta).tokens;
+        let mut window = lex_window(v2, start.at, stop.at + delta, 3).tokens;
         assert_eq!(window.pop().map(|t| t.kind), Some(Kind::EOF));
         window.insert(0, Lexeme::stand_in(Kind::NEWLINE, start.newline_end - 1));
         window.push(Lexeme::stand_in(Kind::op("."), stop.at + delta));
@@ -959,7 +959,7 @@ mod tests {
 
     #[test]
     fn lex_window_reports_statement_boundaries() {
-        let clean = |w: &str| lex_window(w, 0, w.len()).ends_at_statement_boundary;
+        let clean = |w: &str| lex_window(w, 0, w.len(), 1).ends_at_statement_boundary;
         assert!(clean("x = 1\n"));
         assert!(clean("x = 1\ny = 2\n"));
         // Trailing blank and comment lines are still line starts.

@@ -13,11 +13,12 @@
 //!   parser, the string table, the splice and source-to-source rewriters
 //!   (the `obfuscate` crate) all read a kind and a span, and the text is
 //!   a slice of the source.
-//! * [`lex_window`] — relexes one byte range in full-source coordinates
-//!   (the whole source is the window at offset 0), the primitive every
-//!   artifact build runs on, and [`cut_points`] — the offsets of a
-//!   lexeme stream where such a window may start or stop, which is all of
-//!   the stream a later splice reads.
+//! * [`lex_window`] — relexes one byte range in full-source coordinates,
+//!   from a first line its caller gives (the whole source is the window
+//!   at offset 0, line 1), the primitive every artifact build runs on;
+//!   [`cut_points`] — where such a window may start or stop, which is all
+//!   of the stream a later splice reads; and [`Edit`] — one splice's
+//!   windows, deltas and statements, worked out once for every product.
 //! * [`parse_tokens`] — the parser's front door: a tolerant, lightweight
 //!   parser producing a statement/expression tree sufficient for pattern
 //!   matching, over a [`Lexeme`] slice it borrows, so a caller that
@@ -81,17 +82,19 @@
 mod ast;
 #[doc(hidden)]
 pub mod compat;
+mod edit;
 mod lexer;
 mod parser;
 mod strings;
 mod token;
 
 pub use ast::{
-    Arg, Donor, Expr, ExprId, Header, ImportedName, LineCursor, LineIndex, Literal, Module, Run,
-    Span, Stmt, StmtId, Suite, Word,
+    Arg, Expr, ExprId, Header, ImportedName, LineCursor, LineIndex, Literal, Module, Run, Span,
+    Stmt, StmtId, Suite, Word,
 };
 #[doc(hidden)]
 pub use compat::{intern_strings, lex_spanned, render, SpannedToken, Token, TokenKind};
+pub use edit::Edit;
 pub use lexer::{cut_points, lex, lex_window, CutPoint, Lexemes, WindowLex};
 pub use parser::{parse_module, parse_spliced, parse_tokens};
 pub use strings::{Prehashed, StringRef, StringTable};

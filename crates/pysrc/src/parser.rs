@@ -3,9 +3,9 @@
 use std::cell::Cell;
 
 use crate::ast::{
-    Arg, Counts, Donor, Expr, ExprId, Header, ImportedName, Literal, Module, Nodes, Run, Span,
-    Stmt, Word,
+    Arg, Counts, Expr, ExprId, Header, ImportedName, Literal, Module, Nodes, Run, Span, Stmt, Word,
 };
+use crate::edit::Edit;
 use crate::lexer::lex;
 use crate::token::{Kind, Lexeme};
 
@@ -26,32 +26,39 @@ pub fn parse_module(source: &str) -> Module {
 /// them and pays no second lex. Same tolerance guarantees as
 /// [`parse_module`]. A stream that does not end in [`Kind::EOF`] is
 /// read as if one followed at the last token. [`parse_spliced`] with no
-/// donor.
+/// donor and the whole text as its window.
 pub fn parse_tokens(text: &str, tokens: &[Lexeme]) -> Module {
-    parse_spliced(text, tokens, None)
+    parse_spliced(text, tokens, None, Edit::whole(text)).0
 }
 
-/// Parses `tokens`, lexed from a window of `text` in `text`'s
-/// coordinates, and sets their top-level statements between the
-/// `donor`'s outside the window: the module a full parse of `text` would
-/// build, when the donor is a previous version of the file that differs
-/// from `text` only inside the window.
+/// Parses `tokens`, lexed from the `edit`'s new window of `text`, and
+/// sets their top-level statements between the `donor`'s outside it: the
+/// module a full parse of `text` builds when the edit is [`Edit::new`]'s
+/// from the donor. Returns it with the edit, now holding the statements
+/// it inserted.
 ///
 /// The tree is built in arrays kept per thread between parses, then copied
 /// out once per array at its final length, between the donor's slices
 /// (see [`crate::Module`]). A parse therefore allocates the module's copy
 /// of `text`, its [`crate::LineIndex`], and one buffer per non-empty
 /// array; owned literal values and `Other` renderings share one of them.
-pub fn parse_spliced(text: &str, tokens: &[Lexeme], donor: Option<Donor<'_>>) -> Module {
+pub fn parse_spliced(
+    text: &str,
+    tokens: &[Lexeme],
+    donor: Option<&Module>,
+    mut edit: Edit,
+) -> (Module, Edit) {
     let mut p = Parser::new(text, tokens);
     p.b = SCRATCH.take();
     p.statements(/*stop_at_dedent=*/ false);
-    let module = Module::assemble(text, (&p.b.nodes, &p.b.marks), donor);
+    let first = edit.removed.range().start;
+    edit.inserted = Run::new(first, first + p.b.marks.len());
+    let module = Module::assemble(text, (&p.b.nodes, &p.b.marks), donor, &edit);
     p.b.clear();
     if p.b.heap_bytes() <= MAX_KEPT_SCRATCH {
         SCRATCH.set(p.b);
     }
-    module
+    (module, edit)
 }
 
 /// What a parse builds its tree in: the tree's arrays, plus the stacks

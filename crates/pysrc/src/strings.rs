@@ -12,6 +12,7 @@ use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
+use crate::edit::Edit;
 use crate::token::{Kind, Lexeme};
 
 /// One occurrence of a string literal in a source file.
@@ -59,33 +60,25 @@ impl StringTable {
         interner.table
     }
 
-    /// The table of a file that differs from this table's file by one
-    /// edit whose relexed `window`, lexed from `source`, replaces the
-    /// donor's lines `before_line..suffix_from_line` (to the end of the
-    /// file when `None`), moving what follows by `line_delta` lines: the
-    /// table [`StringTable::of`] builds from the edited file's whole
-    /// stream.
+    /// The table of a file that differs from this table's file by the
+    /// `edit`, whose new `window` is lexed from `source`: the table
+    /// [`StringTable::of`] builds from the edited file's whole stream.
     ///
-    /// Both bounds must be lines that begin at a token-stream cut point
-    /// (see [`crate::CutPoint`]): nothing before column zero of such a
-    /// line belongs to a later token, so `refs`' monotone lines split
-    /// exactly where the token stream does, and re-interning donor
+    /// The window's edges begin lines at a token-stream cut point (see
+    /// [`crate::CutPoint`]) or end the file: nothing before column zero of
+    /// such a line belongs to a later token, so `refs`' monotone lines
+    /// split exactly where the token stream does, and re-interning donor
     /// occurrences before the window, the window's literals, then donor
-    /// occurrences after it meets every literal in token order.
-    ///
-    /// `None` when a shifted line does not fit a [`StringRef`].
-    pub fn spliced(
-        &self,
-        before_line: usize,
-        source: &str,
-        window: &[Lexeme],
-        suffix_from_line: Option<usize>,
-        line_delta: isize,
-    ) -> Option<StringTable> {
-        let line_delta = i32::try_from(line_delta).ok()?;
+    /// occurrences after it meets every literal in token order. `None`
+    /// when a moved line does not fit ([`crate::Edit::moved_line`]).
+    pub fn spliced(&self, source: &str, window: &[Lexeme], edit: &Edit) -> Option<StringTable> {
         let first_at = |line: usize| self.refs.partition_point(|r| (r.line as usize) < line);
-        let kept = first_at(before_line);
-        let resumed = suffix_from_line.map_or(self.refs.len(), first_at);
+        let kept = first_at(edit.first_line);
+        let resumed = if edit.to_end {
+            self.refs.len()
+        } else {
+            first_at(edit.old_end_line)
+        };
         let mut interner = Interner::default();
         interner.table.refs.reserve(self.refs.len());
         for r in &self.refs[..kept] {
@@ -93,8 +86,7 @@ impl StringTable {
         }
         interner.push_tokens(source, window);
         for r in &self.refs[resumed..] {
-            let line = r.line.checked_add_signed(line_delta)?;
-            interner.push(&self.literals[r.literal as usize], line);
+            interner.push(&self.literals[r.literal as usize], edit.moved_line(r.line)?);
         }
         Some(interner.table)
     }
@@ -185,14 +177,14 @@ mod tests {
         let tokens = crate::lex(src);
         let table = StringTable::of(src, &tokens);
         assert_eq!(intern_strings(&lex_spanned(src)), table, "{src:?}");
-        let spliced = StringTable::default().spliced(1, src, &tokens, None, 0);
+        let spliced = StringTable::default().spliced(src, &tokens, &Edit::whole(src));
         assert_eq!(spliced.as_ref(), Some(&table), "{src:?}");
         table
     }
 
     /// Replaces lines `range` of `old` with `with` and checks the
     /// spliced table against the edited source's own.
-    fn splice(old: &str, range: std::ops::Range<usize>, to_eof: bool, with: &str) -> StringTable {
+    fn splice(old: &str, range: std::ops::Range<usize>, with: &str) -> StringTable {
         let line_start = |line: usize| {
             old.split_inclusive('\n')
                 .take(line - 1)
@@ -201,17 +193,9 @@ mod tests {
         };
         let (w, e_old) = (line_start(range.start), line_start(range.end));
         let new = format!("{}{with}{}", &old[..w], &old[e_old..]);
-        let window = crate::lex_window(&new, w, w + with.len()).tokens;
-        let delta = with.matches('\n').count() as isize - range.len() as isize;
-        let spliced = table(old)
-            .spliced(
-                range.start,
-                &new,
-                &window,
-                (!to_eof).then_some(range.end),
-                delta,
-            )
-            .expect("lines fit");
+        let edit = Edit::new(&crate::parse_module(old), &new, w, e_old).expect("edit");
+        let window = crate::lex_window(&new, w, edit.new_end, edit.first_line).tokens;
+        let spliced = table(old).spliced(&new, &window, &edit).expect("lines fit");
         assert_eq!(spliced, table(&new), "{new:?}");
         spliced
     }
@@ -221,33 +205,15 @@ mod tests {
         let old = "a = 'x'\nb = 'only-here'\nc = 'late'\nd = 'x'\ne = 'late'\n";
         // A literal that occurred only inside the old window disappears,
         // and one first seen in the suffix keeps its first-seen index.
-        let t = splice(old, 2..3, false, "b = 'new'\nb2 = 'late'\n");
+        let t = splice(old, 2..3, "b = 'new'\nb2 = 'late'\n");
         assert_eq!(t.literals, ["x", "new", "late"]);
         // The window relexes to nothing: 'late' moves up to index 1.
-        let t = splice(old, 2..3, false, "");
+        let t = splice(old, 2..3, "");
         assert_eq!(t.literals, ["x", "late"]);
         assert_eq!(t.refs.last().map(|r| r.line), Some(4));
         // No prefix, and no suffix.
-        assert_eq!(splice(old, 1..2, false, "z = 'late'\n").literals[0], "late");
-        assert_eq!(splice(old, 4..6, true, "f = f'{a}'\n").literals.len(), 3);
-    }
-
-    #[test]
-    fn spliced_table_refuses_a_line_that_does_not_fit() {
-        let t = table("a = 'x'\nb = 'y'\n");
-        assert!(t.spliced(1, "", &[], Some(2), i32::MAX as isize).is_some());
-        assert!(t
-            .spliced(1, "", &[], Some(2), i32::MAX as isize + 1)
-            .is_none());
-        let far = StringTable {
-            refs: vec![StringRef {
-                literal: 0,
-                line: u32::MAX,
-            }],
-            ..t.clone()
-        };
-        assert!(far.spliced(1, "", &[], Some(2), 1).is_none());
-        assert!(t.spliced(1, "", &[], Some(2), -3).is_none());
+        assert_eq!(splice(old, 1..2, "z = 'late'\n").literals[0], "late");
+        assert_eq!(splice(old, 4..6, "f = f'{a}'\n").literals.len(), 3);
     }
 
     /// Escaped and non-ASCII literals are decoded once each into the

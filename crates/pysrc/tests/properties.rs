@@ -73,7 +73,7 @@ proptest! {
         let cuts: Vec<pysrc::CutPoint> = pysrc::cut_points(pysrc::lex(&src).iter()).collect();
         for cut in cuts {
             let from = full.iter().position(|t| t.start == cut.at).expect("a token at the cut");
-            let suffix = pysrc::lex_window(&src, cut.at, src.len()).tokens;
+            let suffix = pysrc::lex_window(&src, cut.at, src.len(), full[from].token.line).tokens;
             let suffix = pysrc::render(&src, &suffix);
             prop_assert_eq!(&suffix[..], &full[from..], "diverged at {}", cut.at);
         }

@@ -27,10 +27,9 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
-use pysrc::{CutPoint, Donor, Kind, Lexeme, Module, StringTable};
+use pysrc::{CutPoint, Edit, Kind, Lexeme, Module, StringTable};
 use yara_engine::{FileHits, HitDonor, Scanner};
 
 use crate::cache::DigestKey;
@@ -165,57 +164,42 @@ impl FileAnalysis {
     pub fn build(entry: &FileEntry, scanner: Option<&Scanner<'_>>, cfg: &ArtifactConfig) -> Self {
         let _outer = Stage::nested();
         if !entry.is_python() {
-            return Self::finish(entry, Default::default(), (None, None), scanner, cfg).0;
+            let nothing = Edit::whole("");
+            return Self::finish(entry, Default::default(), None, &nothing, scanner, cfg).0;
         }
         let text = String::from_utf8_lossy(entry.bytes());
-        Self::assemble(entry, &text, None, 0..text.len(), scanner, cfg)
+        Self::assemble(entry, &text, None, Edit::whole(&text), scanner, cfg)
             .expect("a window that runs to the end of the file shifts nothing")
             .0
     }
 
-    /// The one artifact pipeline. Lexes bytes `window` of `text` — one
-    /// lex, read by the parser, the interner and the cut-point scan, then
-    /// handed back to the thread — and sets its statements, literals and
-    /// cut points between those the `donor` has outside the window, which
-    /// starts and ends at a donor cut point or an end of the file, and
-    /// whether the donor's taint summary was carried. `None` when the
+    /// The one artifact pipeline. Lexes the `edit`'s new window of `text`
+    /// — one lex, read by the parser, the interner and the cut-point scan,
+    /// then handed back to the thread — and sets its statements, literals
+    /// and cut points between those the `donor` has outside the window,
+    /// which starts and ends at a donor cut point or an end of the file,
+    /// and whether the donor's taint summary was carried. `None` when the
     /// window cannot be joined to what follows it (the last two cases of
     /// [`FileAnalysis::build_spliced`]).
     fn assemble(
         entry: &FileEntry,
         text: &str,
         donor: Option<&FileAnalysis>,
-        window: Range<usize>,
+        edit: Edit,
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
     ) -> Option<(Self, bool)> {
         let no_strings = StringTable::default();
-        let (module, table, cuts, old): (_, _, &[CutPoint], &[u8]) = match donor {
-            Some(d) => (
-                Some(d.module.as_ref()?.get()),
-                &d.strings,
-                &d.cut_points,
-                &d.bytes,
-            ),
-            None => (None, &no_strings, &[], &[]),
+        let (module, table, cuts): (_, _, &[CutPoint]) = match donor {
+            Some(d) => (Some(d.module.as_ref()?.get()), &d.strings, &d.cut_points),
+            None => (None, &no_strings, &[]),
         };
-        let summary = donor.and_then(|d| d.taint.as_ref());
-        let hit_donor = donor
-            .and_then(|d| d.yara_hits.as_ref())
-            .map(|hits| HitDonor {
-                old,
-                hits,
-                window: window.clone(),
-            });
-        // Both versions have the same bytes behind the window. Each of
-        // its edges is at a donor cut point or at an end of the file.
-        let (new, w, e_new) = (text.as_bytes(), window.start, window.end);
-        let e_old = old.len() - (new.len() - e_new);
+        // Each edge of the window is a donor cut point or an end of the file.
         let cut_at = |offset| cuts.binary_search_by_key(&offset, |c| c.at).ok();
-        let (start, end) = (cut_at(w), cut_at(e_old));
+        let (start, end) = (cut_at(edit.start), cut_at(edit.old_end));
 
         Stage::Lex.enter();
-        let lexed = pysrc::lex_window(text, w, e_new);
+        let lexed = pysrc::lex_window(text, edit.start, edit.new_end, edit.first_line);
         let mut tokens = lexed.tokens;
         if end.is_some() {
             if !lexed.ends_at_statement_boundary {
@@ -240,37 +224,21 @@ impl FileAnalysis {
         // tree is the donor's slice in front of it, the window's nodes and
         // the donor's slice behind it, rebased. Nothing follows a window
         // that runs to EOF.
-        let delta = new.len() as isize - old.len() as isize;
-        let donor = module.map(|module| Donor {
-            module,
-            window_start: w,
-            suffix_from: end.map(|_| e_old),
-        });
         Stage::Parse.enter();
-        let module = pysrc::parse_spliced(text, &tokens, donor);
+        let (module, edit) = pysrc::parse_spliced(text, &tokens, module, edit);
 
         // The donor's literal occurrences outside the window carry over,
-        // those behind it moved by the edit's net line count, and so do its
+        // those behind it moved by the edit's line delta, and so do its
         // cut points, moved by the byte delta. Inside it the window's
         // tokens are read between stand-ins for their two neighbours in
         // the full stream — the NEWLINE the window starts behind and the
         // column-zero token it stops at — so the cut points at both
-        // junctions come out as a full lex would set them. The window's
-        // lines are counted; the donor's are its line index's.
-        let line_of = |at: usize| {
-            let at = u32::try_from(at).unwrap_or(u32::MAX);
-            donor.map_or(1, |d| d.module.lines().line_of(at))
-        };
-        let lw = line_of(w);
-        let suffix_from = end.map(|_| line_of(e_old));
-        let line_delta = suffix_from.map_or(0, |old_end| {
-            count_newlines(&new[w..e_new]) as isize - (old_end - lw) as isize
-        });
+        // junctions come out as a full lex would set them.
         Stage::Intern.enter();
-        let strings = table.spliced(lw, text, &tokens, suffix_from, line_delta)?;
+        let strings = table.spliced(text, &tokens, &edit)?;
         Stage::Assemble.enter();
         let behind = start.map(|i| Lexeme::stand_in(Kind::NEWLINE, cuts[i].newline_end - 1));
-        let stop = end.map(|_| Lexeme::stand_in(Kind::op("."), e_new));
+        let stop = end.map(|_| Lexeme::stand_in(Kind::op("."), edit.new_end));
         let mut cut_points = Vec::with_capacity(cuts.len());
         cut_points.extend_from_slice(&cuts[..start.unwrap_or(0)]);
         cut_points.extend(pysrc::cut_points(
@@ -281,33 +249,30 @@ impl FileAnalysis {
         drop(tokens);
         for c in end.map_or(&[][..], |i| &cuts[i + 1..]) {
             cut_points.push(CutPoint {
-                newline_end: c.newline_end.checked_add_signed(delta)?,
-                at: c.at.checked_add_signed(delta)?,
+                newline_end: c.newline_end.checked_add_signed(edit.delta)?,
+                at: c.at.checked_add_signed(edit.delta)?,
             });
         }
         let products = (cut_points, strings, Some(module));
-        let donors = (hit_donor, donor.zip(summary));
-        Some(Self::finish(entry, products, donors, scanner, cfg))
+        Some(Self::finish(entry, products, donor, &edit, scanner, cfg))
     }
 
     /// Derives every downstream product (decoded layers, taint, YARA
     /// hits) from the products of the token stream — none for a file that
     /// is not Python. Everything below this line is a pure function of
     /// them plus the bytes, so splice ≡ full is a statement about
-    /// [`FileAnalysis::build_spliced`]'s window selection alone. The
-    /// surface hits are collected onto the donor's when there is one
-    /// ([`Scanner::collect_hits_onto`], which reads only what the window
-    /// can have changed), and the taint summary is carried from the
-    /// donor's when the engine cannot read the edit
+    /// [`FileAnalysis::build_spliced`]'s window selection alone. With a
+    /// `donor`, the `edit` from it, the surface hits are collected onto
+    /// the donor's ([`Scanner::collect_hits_onto`], which reads only what
+    /// the window can have changed), and the taint summary is carried
+    /// from the donor's when the engine cannot read the edit
     /// ([`dataflow::analyze_spliced`], which says whether it was); the
     /// layers are derived from scratch.
     fn finish(
         entry: &FileEntry,
         (cut_points, strings, module): (Vec<CutPoint>, StringTable, Option<Module>),
-        (hit_donor, taint_donor): (
-            Option<HitDonor<'_>>,
-            Option<(Donor<'_>, &dataflow::TaintSummary)>,
-        ),
+        donor: Option<&FileAnalysis>,
+        edit: &Edit,
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
     ) -> (Self, bool) {
@@ -317,6 +282,8 @@ impl FileAnalysis {
         let (taint, carried) = match (&module, cfg.dataflow) {
             (Some(m), true) => {
                 Stage::Taint.enter();
+                let taint_donor =
+                    donor.and_then(|d| Some((d.module.as_ref()?.get(), edit, d.taint.as_ref()?)));
                 let (summary, carried) = dataflow::analyze_spliced(m, taint_donor);
                 (Some(summary), carried)
             }
@@ -327,6 +294,13 @@ impl FileAnalysis {
             fold_layers(&mut layers, &strings, summary, cfg);
         }
         Stage::Hits.enter();
+        let hit_donor = donor.and_then(|d| {
+            Some(HitDonor {
+                old: &d.bytes,
+                hits: d.yara_hits.as_ref()?,
+                window: edit.start..edit.new_end,
+            })
+        });
         let yara_hits = scanner.map(|s| s.collect_hits_onto(&bytes, hit_donor));
         let layer_hits = scanner.map_or_else(Vec::new, |s| {
             layers.iter().map(|l| s.collect_hits(&l.data)).collect()
@@ -408,9 +382,10 @@ impl FileAnalysis {
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
     ) -> Option<Spliced> {
-        if !entry.is_python() || !sibling.is_python || sibling.module.is_none() {
+        if !entry.is_python() || !sibling.is_python {
             return None;
         }
+        let module = sibling.module.as_ref()?.get();
         let _outer = Stage::nested();
         let bytes = entry.shared_bytes();
         let new_text = std::str::from_utf8(&bytes).ok()?;
@@ -423,7 +398,6 @@ impl FileAnalysis {
         let p = common_prefix(old, new);
         let s = common_suffix(&old[p..], &new[p..]);
         let q_old = old.len() - s;
-        let delta = new.len() as isize - old.len() as isize;
 
         // The window is the smallest region delimited by the sibling's
         // cut points that covers the edit. Offset 0 is always a valid
@@ -447,25 +421,26 @@ impl FileAnalysis {
         let end = Some(cuts.partition_point(|c| c.at < q_old)).filter(|&i| i < cuts.len());
         let w = start.map_or(0, |i| cuts[i].at);
         let e_old = end.map_or(old.len(), |i| cuts[i].at);
-        let e_new = e_old.checked_add_signed(delta)?;
+        let edit = Edit::new(module, new_text, w, e_old)?;
 
         // Profitability gate: relexing more than half the file gains
         // nothing over a full build.
-        if e_new < w || (e_new - w) * 2 > new.len() {
+        let relexed = edit.new_end - w;
+        if relexed * 2 > new.len() {
             return None;
         }
         // A mid-file window must end exactly at a line start, or the
         // suffix's first line would really be a continuation of the
         // window's last. The old cut point guarantees `old[e_old-1]` is a
         // newline, but an edit ending exactly at `q_old` can replace it.
-        if end.is_some() && e_new > w && new[e_new - 1] != b'\n' {
+        if !edit.to_end && relexed > 0 && new[edit.new_end - 1] != b'\n' {
             return None;
         }
 
         let (analysis, taint_carried) =
-            Self::assemble(entry, new_text, Some(sibling), w..e_new, scanner, cfg)?;
+            Self::assemble(entry, new_text, Some(sibling), edit, scanner, cfg)?;
         Some(Spliced {
-            relexed_bytes: (e_new - w) as u64,
+            relexed_bytes: relexed as u64,
             analysis,
             taint_carried,
         })
@@ -485,10 +460,6 @@ pub struct Spliced {
     /// engine cannot read the edit, rather than a fresh pass's (see
     /// [`dataflow::analyze_spliced`]). Equal either way.
     pub taint_carried: bool,
-}
-
-fn count_newlines(bytes: &[u8]) -> usize {
-    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
 /// Bytes compared per step of the two scans below (each step one slice
@@ -966,6 +937,17 @@ mod tests {
         // Whole-line deletion: the suffix shifts up by one line.
         let deleted = SPLICE_BASE.replace("B = 'beta'\n", "");
         assert!(splice_vs_full(SPLICE_BASE, &deleted, None));
+    }
+
+    /// An insertion whose first statement only binds a literal and whose
+    /// last one opens a flow: the taint carry reads every statement the
+    /// edit inserted, so the spliced summary holds the new flow.
+    #[test]
+    fn splice_reads_every_statement_an_edit_inserts() {
+        let flow = "Z = 'z'\nos.system(input())\n";
+        let inserted = SPLICE_BASE.replace("D = 'delta'\n", &format!("{flow}D = 'delta'\n"));
+        assert!(splice_vs_full(SPLICE_BASE, &inserted, None));
+        assert_eq!(analyze(&inserted).taint.expect("taint").flows.len(), 1);
     }
 
     #[test]

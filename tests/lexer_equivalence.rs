@@ -84,8 +84,9 @@ fn check(src: &str) -> Result<usize, String> {
     }
     let ends = cuts.iter().skip(1).map(|c| c.at).chain([src.len()]);
     for (cut, end) in cuts.iter().zip(ends) {
+        let line = src[..cut.at].matches('\n').count() + 1;
         for end in [end, src.len()] {
-            let window = pysrc::lex_window(src, cut.at, end);
+            let window = pysrc::lex_window(src, cut.at, end, line);
             let want = oracles::lexer::lex_window(src, cut.at, end);
             same(&pysrc::render(src, &window.tokens), &want.tokens)
                 .map_err(|e| format!("window {}..{end}: {e}", cut.at))?;
@@ -94,7 +95,8 @@ fn check(src: &str) -> Result<usize, String> {
             }
         }
         let from = reference.iter().position(|t| t.start == cut.at);
-        let suffix = pysrc::render(src, &pysrc::lex_window(src, cut.at, src.len()).tokens);
+        let suffix = pysrc::lex_window(src, cut.at, src.len(), line).tokens;
+        let suffix = pysrc::render(src, &suffix);
         if from.map(|i| &reference[i..]) != Some(&suffix[..]) {
             return Err(format!("the relex from {} is not the lex's suffix", cut.at));
         }
