@@ -498,7 +498,9 @@ impl Module {
             bytes: edit.delta,
         };
         // Per array: the donor's entries in front of the window, the
-        // window's, and the donor's behind it.
+        // window's, and the donor's behind it, copied as three slices; then
+        // the window's and those behind it are shifted in place, unless
+        // their shift is zero (the window of a full build).
         fn splice<T: Copy>(
             (donor, window): (&[T], &[T]),
             (front, back): (u32, u32),
@@ -508,8 +510,14 @@ impl Module {
             let (front, behind) = (&donor[..front as usize], &donor[back as usize..]);
             let mut out = Vec::with_capacity(front.len() + window.len() + behind.len());
             out.extend_from_slice(front);
-            out.extend(window.iter().map(|&x| rebase(x, shifts.0)));
-            out.extend(behind.iter().map(|&x| rebase(x, shifts.1)));
+            out.extend_from_slice(window);
+            out.extend_from_slice(behind);
+            let (into, behind) = out[front.len()..].split_at_mut(window.len());
+            for (moved, shift) in [(into, shifts.0), (behind, shifts.1)] {
+                if !shift.is_zero() {
+                    moved.iter_mut().for_each(|x| *x = rebase(*x, shift));
+                }
+            }
             out
         }
         let shifts = (&into_window, &behind);
@@ -609,6 +617,17 @@ impl Module {
         &self.nodes.stmts
     }
 
+    /// The statements of the top-level statements `top` (a run of `body`
+    /// indices, such as an [`Edit`]'s `inserted`) in walk order, their
+    /// bodies' included.
+    pub fn statements_in(&self, top: Run) -> &[Stmt] {
+        let first = |k: u32| {
+            let id = self.body.get(k as usize);
+            id.map_or(self.nodes.stmts.len(), |id| id.0 as usize)
+        };
+        &self.nodes.stmts[first(top.start)..first(top.end)]
+    }
+
     /// Every expression of the module, each after its operands: those of
     /// one top-level statement before those of the next.
     pub fn expressions(&self) -> &[Expr] {
@@ -701,6 +720,10 @@ struct Shift {
 }
 
 impl Shift {
+    fn is_zero(&self) -> bool {
+        self.ids == Counts::default() && self.bytes == 0
+    }
+
     fn expr(&self, id: ExprId) -> ExprId {
         ExprId(id.0.wrapping_add(self.ids.exprs))
     }
@@ -1368,6 +1391,14 @@ mod tests {
         assert_eq!(walked.len(), 7);
         let top: Vec<&Stmt> = m.body.iter().map(|&id| m.stmt(id)).collect();
         assert_eq!(m.top_level().collect::<Vec<_>>(), top);
+        // `def f` holds four statements, `class C` two, `y = 2` one.
+        let lens = [(0, 1, 4), (1, 3, 3), (2, 2, 0), (0, 3, 7)];
+        for (start, end, len) in lens {
+            let stmts = m.statements_in(Run::new(start, end));
+            assert_eq!(stmts.len(), len, "{start}..{end}");
+            let first = m.body.get(start).map_or(7, |id| id.0 as usize);
+            assert_eq!(stmts, &m.statements()[first..first + len]);
+        }
     }
 
     /// A window parsed between a donor's statements is the full parse of

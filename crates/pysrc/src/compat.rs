@@ -163,15 +163,15 @@ impl<'src> Render<'src> {
 /// The [`StringTable`] of a rendered token stream: what
 /// [`StringTable::of`] builds from the lexemes it was rendered from.
 pub fn intern_strings(tokens: &[SpannedToken<'_>]) -> StringTable {
-    let mut interner = Interner::default();
-    for t in tokens {
-        if let TokenKind::Str { value, prefix } = t.kind() {
-            if !prefix.contains('f') {
-                interner.push(value, offset(t.token.line));
+    Interner::build(|interner| {
+        for t in tokens {
+            if let TokenKind::Str { value, prefix } = t.kind() {
+                if !prefix.contains('f') {
+                    interner.push(value, offset(t.token.line));
+                }
             }
         }
-    }
-    interner.table
+    })
 }
 
 #[cfg(test)]

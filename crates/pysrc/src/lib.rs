@@ -33,7 +33,8 @@
 //!   the token stream, the literal view that per-file analysis artifacts
 //!   carry for decoded-layer extraction; [`StringTable::spliced`] derives
 //!   an edited file's table from its predecessor's and the relexed window
-//!   (from the empty table and the whole stream it is `StringTable::of`).
+//!   (from the empty table and the whole stream it is `StringTable::of`),
+//!   hashing only the window's literals.
 //!
 //! # The tree borrows by span
 //!
@@ -60,9 +61,11 @@
 //! final length. A parse allocates per array — the text copy, one
 //! [`LineIndex`] and a handful of buffers — not per node, and
 //! [`parse_spliced`] sets a relexed window's statements between a
-//! previous version's by copying slices of its arrays. The interner
-//! decodes each decoded literal into a buffer it reuses and copies each
-//! distinct value into the string table.
+//! previous version's by copying slices of its arrays. The string table
+//! holds its distinct values back to back in one buffer: the interner,
+//! which its thread keeps, decodes each value straight into place, keeps
+//! it only when it is new, and the table is copied out at its final
+//! length — three allocations per table, not one per literal.
 //!
 //! The token shape lexemes replaced is the hidden `compat` module,
 //! re-exported at the crate root for the repository benchmark and the

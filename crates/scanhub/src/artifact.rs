@@ -30,6 +30,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pysrc::{CutPoint, Edit, Kind, Lexeme, Module, StringTable};
+use semgrep_engine::{FileMatches, MatchScratch, MatchSet, SemgrepMetrics};
 use yara_engine::{FileHits, HitDonor, Scanner};
 
 use crate::cache::DigestKey;
@@ -137,6 +138,12 @@ pub struct FileAnalysis {
     /// in the artifact. `None` for non-Python files or when
     /// [`ArtifactConfig::dataflow`] is off.
     pub taint: Option<dataflow::TaintSummary>,
+    /// The module's Semgrep leaf matches and the rules they fire, under
+    /// the hub's ruleset: what a request reads of the file for Semgrep.
+    /// Recorded by [`FileAnalysis::record_matches`] once the artifact is
+    /// built, before the hub publishes it; `None` until then, for
+    /// non-Python files, and in a hub with no Semgrep rules.
+    pub semgrep: Option<FileMatches>,
 }
 
 /// A file's parsed module, built by [`pysrc::parse_spliced`] when the
@@ -168,17 +175,18 @@ impl FileAnalysis {
             return Self::finish(entry, Default::default(), None, &nothing, scanner, cfg).0;
         }
         let text = String::from_utf8_lossy(entry.bytes());
-        Self::assemble(entry, &text, None, Edit::whole(&text), scanner, cfg)
-            .expect("a window that runs to the end of the file shifts nothing")
-            .0
+        let (analysis, ..) = Self::assemble(entry, &text, None, Edit::whole(&text), scanner, cfg)
+            .expect("a window that runs to the end of the file shifts nothing");
+        analysis
     }
 
     /// The one artifact pipeline. Lexes the `edit`'s new window of `text`
     /// — one lex, read by the parser, the interner and the cut-point scan,
     /// then handed back to the thread — and sets its statements, literals
     /// and cut points between those the `donor` has outside the window,
-    /// which starts and ends at a donor cut point or an end of the file,
-    /// and whether the donor's taint summary was carried. `None` when the
+    /// which starts and ends at a donor cut point or an end of the file;
+    /// with whether the donor's taint summary was carried, and the edit
+    /// with the statements it inserted. `None` when the
     /// window cannot be joined to what follows it (the last two cases of
     /// [`FileAnalysis::build_spliced`]).
     fn assemble(
@@ -188,7 +196,7 @@ impl FileAnalysis {
         edit: Edit,
         scanner: Option<&Scanner<'_>>,
         cfg: &ArtifactConfig,
-    ) -> Option<(Self, bool)> {
+    ) -> Option<(Self, bool, Edit)> {
         let no_strings = StringTable::default();
         let (module, table, cuts): (_, _, &[CutPoint]) = match donor {
             Some(d) => (Some(d.module.as_ref()?.get()), &d.strings, &d.cut_points),
@@ -254,7 +262,8 @@ impl FileAnalysis {
             });
         }
         let products = (cut_points, strings, Some(module));
-        Some(Self::finish(entry, products, donor, &edit, scanner, cfg))
+        let (analysis, carried) = Self::finish(entry, products, donor, &edit, scanner, cfg);
+        Some((analysis, carried, edit))
     }
 
     /// Derives every downstream product (decoded layers, taint, YARA
@@ -317,23 +326,43 @@ impl FileAnalysis {
             yara_hits,
             layer_hits,
             taint,
+            semgrep: None,
         };
         (analysis, carried)
     }
 
+    /// Records the module's Semgrep product under `matcher` into
+    /// [`FileAnalysis::semgrep`] ([`MatchSet::file_matches`]): carried from
+    /// the product of the artifact this one was `spliced_from`, across the
+    /// splice's edit, when that artifact has one, and from a walk of every
+    /// statement otherwise. Returns the walk's counts and whether a
+    /// product was carried. A file with no module records nothing.
+    pub fn record_matches(
+        &mut self,
+        matcher: &MatchSet<'_>,
+        spliced_from: Option<(&FileAnalysis, &Edit)>,
+        scratch: &mut MatchScratch,
+    ) -> (SemgrepMetrics, bool) {
+        let Some(module) = &self.module else {
+            return (SemgrepMetrics::default(), false);
+        };
+        let _outer = Stage::nested();
+        Stage::Matches.enter();
+        let donor = spliced_from.and_then(|(d, edit)| Some((d.semgrep.as_ref()?, edit)));
+        let (matches, metrics) = matcher.file_matches(module.get(), donor, scratch);
+        self.semgrep = Some(matches);
+        (metrics, donor.is_some())
+    }
+
     /// Approximate heap footprint, for cache accounting, the parsed
-    /// module's arrays included at their capacity.
+    /// module's arrays, the string table's buffers and the Semgrep
+    /// product included at their capacity.
     pub fn stored_bytes(&self) -> usize {
         self.bytes.len()
             + self.module.as_ref().map_or(0, |m| m.get().heap_bytes())
             + self.layers.iter().map(|l| l.data.len() + 16).sum::<usize>()
-            + self
-                .strings
-                .literals
-                .iter()
-                .map(|s| s.len() + 24)
-                .sum::<usize>()
-            + self.strings.refs.len() * 8
+            + self.strings.heap_bytes()
+            + self.semgrep.as_ref().map_or(0, FileMatches::heap_bytes)
             + std::mem::size_of_val(self.cut_points.as_slice())
             + self
                 .yara_hits
@@ -437,12 +466,13 @@ impl FileAnalysis {
             return None;
         }
 
-        let (analysis, taint_carried) =
+        let (analysis, taint_carried, edit) =
             Self::assemble(entry, new_text, Some(sibling), edit, scanner, cfg)?;
         Some(Spliced {
             relexed_bytes: relexed as u64,
             analysis,
             taint_carried,
+            edit,
         })
     }
 }
@@ -460,6 +490,9 @@ pub struct Spliced {
     /// engine cannot read the edit, rather than a fresh pass's (see
     /// [`dataflow::analyze_spliced`]). Equal either way.
     pub taint_carried: bool,
+    /// The edit from the sibling, with the statements it inserted: what
+    /// [`FileAnalysis::record_matches`] carries the sibling's matches by.
+    pub edit: Edit,
 }
 
 /// Bytes compared per step of the two scans below (each step one slice
@@ -502,7 +535,7 @@ fn fold_layers(
             break;
         }
         let data = fc.text.as_bytes().to_vec();
-        if layers.iter().any(|l| l.data == data) || strings.literals.contains(&fc.text) {
+        if layers.iter().any(|l| l.data == data) || strings.literals().any(|l| l == fc.text) {
             continue;
         }
         if let Some((encoding, decoded)) = decode_candidate(&fc.text) {
@@ -535,18 +568,17 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
     // One pass over the refs for first-occurrence lines: a search per
     // literal would be O(literals × refs), quadratic on
     // attacker-controlled input.
-    let mut first_lines = vec![0u32; strings.literals.len()];
-    for r in strings.refs.iter().rev() {
+    let mut first_lines = vec![0u32; strings.len()];
+    for r in strings.refs().iter().rev() {
         first_lines[r.literal as usize] = r.line;
     }
     // (text to examine, depth it would decode at, anchor line): surface
     // literals are examined where the table holds them, and only what a
     // decode produced is owned.
     let mut pending: Vec<(Cow<'_, str>, u8, u32)> = strings
-        .literals
-        .iter()
+        .literals()
         .zip(first_lines)
-        .map(|(lit, line)| (Cow::Borrowed(lit.as_str()), 1, line))
+        .map(|(lit, line)| (Cow::Borrowed(lit), 1, line))
         .collect();
     while let Some((text, depth, line)) = pending.pop() {
         if layers.len() >= MAX_LAYERS {
@@ -564,8 +596,8 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
                 // own literals (attackers double-encode); a bare blob
                 // may simply be encoded a second time.
                 let inner_strings = StringTable::of(inner, &pysrc::lex(inner));
-                for lit in inner_strings.literals {
-                    pending.push((Cow::Owned(lit), depth + 1, line));
+                for lit in inner_strings.literals() {
+                    pending.push((Cow::Owned(lit.to_owned()), depth + 1, line));
                 }
                 pending.push((Cow::Owned(inner.to_owned()), depth + 1, line));
             }
@@ -648,8 +680,45 @@ mod tests {
         FileEntry::new(name, code.as_bytes().to_vec())
     }
 
+    /// The Semgrep rules the tests' artifacts record their matches under:
+    /// a call, an import, and a `print` that a call anywhere in the file
+    /// unfires.
+    const SEMGREP: &str = "rules:
+  - id: sys
+    languages: [python]
+    message: m
+    pattern: os.system($X)
+  - id: printed
+    languages: [python]
+    message: m
+    patterns:
+      - pattern: print($X)
+      - pattern-not: os.system($Y)
+  - id: b64
+    languages: [python]
+    message: m
+    pattern: import base64
+";
+
+    /// `a` with its Semgrep matches recorded, carried when it was
+    /// `spliced_from` an artifact with matches (checked).
+    fn with_matches(
+        mut a: FileAnalysis,
+        spliced_from: Option<(&FileAnalysis, &Edit)>,
+    ) -> FileAnalysis {
+        static RULES: std::sync::OnceLock<semgrep_engine::CompiledSemgrepRules> =
+            std::sync::OnceLock::new();
+        let rules = RULES.get_or_init(|| semgrep_engine::compile(SEMGREP).expect("rules"));
+        let set = MatchSet::new(rules);
+        let (_, carried) = a.record_matches(&set, spliced_from, &mut MatchScratch::new());
+        let donor_matches = spliced_from.is_some_and(|(d, _)| d.semgrep.is_some());
+        assert_eq!(carried, donor_matches && a.module.is_some());
+        a
+    }
+
     fn analyze(code: &str) -> FileAnalysis {
-        FileAnalysis::build(&entry("mod.py", code), None, &ArtifactConfig::default())
+        let built = FileAnalysis::build(&entry("mod.py", code), None, &ArtifactConfig::default());
+        with_matches(built, None)
     }
 
     #[test]
@@ -659,7 +728,7 @@ mod tests {
         assert_eq!(a.cut_points.len(), 2, "one per statement after the first");
         let module = a.module.as_ref().expect("parsed module");
         assert_eq!(module.get().body.len(), 3);
-        assert!(a.strings.literals.contains(&"bexlum.top".to_owned()));
+        assert!(a.strings.literals().any(|l| l == "bexlum.top"));
         assert!(a.yara_hits.is_none(), "no scanner supplied");
     }
 
@@ -870,6 +939,7 @@ mod tests {
         assert_eq!(a.yara_hits, b.yara_hits, "surface hits diverge");
         assert_eq!(a.layer_hits, b.layer_hits, "layer hits diverge");
         assert_eq!(a.taint, b.taint, "taint summaries diverge");
+        assert_eq!(a.semgrep, b.semgrep, "Semgrep matches diverge");
     }
 
     /// Attempts a splice of `new_code` onto `sibling` and — when the
@@ -883,12 +953,14 @@ mod tests {
     ) -> (FileAnalysis, bool) {
         let cfg = ArtifactConfig::default();
         let new_entry = entry("mod.py", new_code);
-        let full = FileAnalysis::build(&new_entry, scanner, &cfg);
+        let full = with_matches(FileAnalysis::build(&new_entry, scanner, &cfg), None);
         match FileAnalysis::build_spliced(&new_entry, sibling, scanner, &cfg) {
             Some(spliced) => {
-                assert_identical(&spliced.analysis, &full);
+                let edit = spliced.edit;
+                let analysis = with_matches(spliced.analysis, Some((sibling, &edit)));
+                assert_identical(&analysis, &full);
                 assert!(spliced.relexed_bytes <= new_code.len() as u64);
-                (spliced.analysis, true)
+                (analysis, true)
             }
             None => (full, false),
         }
@@ -901,7 +973,7 @@ mod tests {
             scanner,
             &ArtifactConfig::default(),
         );
-        splice_onto(&sibling, new_code, scanner).1
+        splice_onto(&with_matches(sibling, None), new_code, scanner).1
     }
 
     /// The spliced artifact of an edit that must engage.
@@ -1100,7 +1172,7 @@ mod tests {
             SPLICE_BASE,
             &SPLICE_BASE.replace("print(H)\n", "print(H, 1)\nZ = 'omega'\n"),
         );
-        assert_eq!(a.strings.literals.last().map(String::as_str), Some("omega"));
+        assert_eq!(a.strings.literals().last(), Some("omega"));
     }
 
     #[test]
@@ -1135,7 +1207,7 @@ mod tests {
     #[test]
     fn spliced_string_table_keeps_first_seen_order() {
         assert_eq!(
-            analyze(SPLICE_BASE).strings.literals,
+            analyze(SPLICE_BASE).strings.literals().collect::<Vec<_>>(),
             ["alpha", "beta", "echo hi", "delta"]
         );
         // 'beta' occurred only inside the old window; 'delta' is first
@@ -1144,9 +1216,10 @@ mod tests {
             SPLICE_BASE,
             &SPLICE_BASE.replace("B = 'beta'", "B = 'delta' + 'b'"),
         );
-        assert_eq!(a.strings.literals, ["alpha", "delta", "b", "echo hi"]);
+        let values = |a: &FileAnalysis| a.strings.literals().map(str::to_owned).collect::<Vec<_>>();
+        assert_eq!(values(&a), ["alpha", "delta", "b", "echo hi"]);
         let a = spliced(SPLICE_BASE, &SPLICE_BASE.replace("B = 'beta'", "B = 2"));
-        assert_eq!(a.strings.literals, ["alpha", "echo hi", "delta"]);
+        assert_eq!(values(&a), ["alpha", "echo hi", "delta"]);
     }
 
     /// Fifty one-line releases, each spliced onto the artifact the

@@ -9,8 +9,9 @@
 //!    is a list of file entries (name + one shared copy of the bytes),
 //!    and each file's full analysis — tolerant-parsed module, interned
 //!    string-literal table, the token stream's cut points, base64/hex
-//!    **decoded layers**, and the ruleset's string-definition hits on
-//!    every layer — is computed once and cached in a BLAKE2b-keyed LRU. A
+//!    **decoded layers**, the ruleset's string-definition hits on every
+//!    layer, and the Semgrep leaf matches with the rules they fire — is
+//!    computed once and cached in a BLAKE2b-keyed LRU. A
 //!    re-uploaded package version re-analyzes only its changed files;
 //!    unchanged files cost one cache lookup
 //!    ([`HubStats::artifact_cache_hits`]). A changed file whose previous
@@ -26,7 +27,9 @@
 //!    per array, not per statement. The YARA surface hits outside the
 //!    window carry over ([`yara_engine::Scanner::collect_hits_onto`]),
 //!    and so does the taint summary when the edit only binds literals to
-//!    names nothing else reads ([`dataflow::analyze_spliced`]); each
+//!    names nothing else reads ([`dataflow::analyze_spliced`]), and the
+//!    Semgrep leaf matches outside the window, so that only the inserted
+//!    statements are walked ([`FileAnalysis::record_matches`]); each
 //!    carries exactly what a full build computes, which is what keeps an
 //!    artifact a pure function of `(ruleset, bytes)`.
 //! 2. **Rule routing** ([`PrefilterIndex`]) — a YARA rule with an
@@ -34,8 +37,10 @@
 //!    atom-backed strings have no hit in any file's or decoded layer's
 //!    cached hits is *provably* non-matching and skips condition
 //!    evaluation; routing reads no byte. Semgrep rules are not routed:
-//!    [`semgrep_engine::MatchSet`]'s anchor index already sends each
-//!    statement only to the patterns that can match it. Prefiltered
+//!    [`semgrep_engine::MatchSet`]'s anchor index already sent each
+//!    statement only to the patterns that can match it when the file's
+//!    matches were recorded, and a request only ORs the rules its files
+//!    fired. Prefiltered
 //!    scanning is byte-identical to exhaustive scanning (the property
 //!    tests in `tests/properties.rs` prove this on randomized corpora).
 //! 3. **Decoded-layer scanning** — string literals above an

@@ -169,6 +169,11 @@ hub_metrics! {
         /// running the engine, because the edit only binds literals to
         /// names nothing else reads ([`dataflow::analyze_spliced`]).
         taint_carried: "scanhub_taint_carried_total", "Taint summaries a splice carried from its sibling", Spliced;
+        /// Semgrep products a splice carried from its sibling: the leaf
+        /// matches outside the edit moved, only the inserted statements
+        /// walked ([`semgrep_engine::MatchSet::file_matches`]). Across a hub
+        /// run with Semgrep rules this equals `incremental_relexes`.
+        semgrep_carried: "scanhub_semgrep_carried_total", "Semgrep matches a splice carried from its sibling", Spliced;
         /// Source→sink flows found by those analyses (per unique digest,
         /// not per request).
         flows_found: "scanhub_flows_found_total", "Source-to-sink taint flows found", Always;
@@ -185,18 +190,22 @@ hub_metrics! {
         /// Haystack bytes read by the regex engine (each evaluation is one
         /// single-pass scan, so this is buffer length times evaluations).
         regex_bytes_scanned: "scanhub_regex_bytes_scanned_total", "Haystack bytes read by the regex engine", Always;
-        /// Semgrep rule evaluations performed.
-        semgrep_rules_evaluated: "scanhub_semgrep_rules_evaluated_total", "Semgrep rule evaluations", Always;
+        /// Semgrep rules a request read the files' fired rules for: the
+        /// routed rules of each request with a Python module.
+        semgrep_rules_evaluated: "scanhub_semgrep_rules_evaluated_total", "Semgrep rules read from the files' recorded matches", Always;
         /// Always 0: every Semgrep rule is routed, and the walk's anchor
         /// index does the filtering. Kept because the benchmark reads it.
         semgrep_rules_skipped: "scanhub_semgrep_rules_skipped_total", "Semgrep evaluations skipped by the prefilter (always 0)", Always;
-        /// Packages whose Semgrep walk was skipped: no Python module to
-        /// walk (or no Semgrep rule). The hub never parses for Semgrep;
-        /// the artifact build parsed each module already.
-        semgrep_parses_skipped: "scanhub_semgrep_parses_skipped_total", "Packages whose Semgrep walk was skipped entirely", Always;
-        /// Python statements visited by the Semgrep matcher's single-pass
-        /// module walks (one walk serves every routed rule).
-        semgrep_stmts_visited: "scanhub_semgrep_stmts_visited_total", "Python statements visited by Semgrep module walks", Always;
+        /// Packages whose Semgrep step was skipped: no Python module (or no
+        /// routed Semgrep rule) whose recorded matches to read. The hub
+        /// never parses for Semgrep; the artifact build parsed each module
+        /// already.
+        semgrep_parses_skipped: "scanhub_semgrep_parses_skipped_total", "Packages whose Semgrep step was skipped entirely", Always;
+        /// Python statements the Semgrep matcher visited recording built
+        /// artifacts' matches: every statement of a full build's module,
+        /// the inserted ones of a splice's (one walk serves every rule). A
+        /// request visits none.
+        semgrep_stmts_visited: "scanhub_semgrep_stmts_visited_total", "Python statements visited recording artifacts' Semgrep matches", Always;
         /// Retro-hunt deployments executed ([`crate::ScanHub::retro_hunt`]).
         retro_hunts: "scanhub_retro_hunts_total", "Retro-hunt deployments executed", Hunted;
         /// Digests the retro index nominated as candidates, summed over all
@@ -450,7 +459,7 @@ stages! {
         /// Decoded-layer YARA evaluation (per-layer condition checks; the
         /// decode itself is artifact work).
         layers: Layers,
-        /// Semgrep matchset walk over the cached modules.
+        /// Semgrep: an OR over the rules the files' recorded matches fire.
         semgrep: Semgrep,
         /// Taint-flow aggregation over the cached per-file summaries (the
         /// analysis itself is artifact work, done once per digest).
@@ -487,6 +496,8 @@ stages! {
         Hits,
         /// Cut points and the artifact itself.
         Assemble,
+        /// Recording a built artifact's Semgrep matches.
+        Matches,
         /// Publishing an artifact to the store: the cache insert, the
         /// claim's release and the sibling registry.
         Publish,
@@ -829,7 +840,7 @@ mod tests {
         let counters = rows
             .iter()
             .filter(|r| r.series.starts_with("scanhub_") && !r.gauge);
-        assert_eq!(counters.count(), 29);
+        assert_eq!(counters.count(), 30);
 
         // Book one distinct bit to every stage; a stage's field or
         // histogram is named like its variant, in snake case.

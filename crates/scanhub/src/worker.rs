@@ -6,7 +6,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use pysrc::Module;
-use semgrep_engine::{CompiledSemgrepRules, MatchScratch, MatchSet};
+use semgrep_engine::{CompiledSemgrepRules, FileMatches, MatchScratch, MatchSet};
 use yara_engine::{CompiledRules, FileHits, Part, ScanScratch, Scanner};
 
 use crate::artifact::{DecodedLayer, FileAnalysis};
@@ -48,11 +48,6 @@ impl<'r> Evaluator<'r> {
             marks: Vec::new(),
             matched: Vec::new(),
         }
-    }
-
-    /// The bundle's YARA scanner.
-    pub(crate) fn scanner(&self) -> Option<&Scanner<'r>> {
-        self.scanner.as_ref()
     }
 
     /// True when a YARA rule `mask` enables has a string no cache holds.
@@ -123,8 +118,32 @@ impl<'r> Evaluator<'r> {
         });
     }
 
+    /// Pushes the id of each rule `mask` enables that fires on any of
+    /// `files`, the recorded matches of a package's modules, once: the
+    /// package's Semgrep verdict, read without a walk.
+    pub(crate) fn fired<'f>(
+        &mut self,
+        files: impl IntoIterator<Item = &'f FileMatches>,
+        mask: &[bool],
+        out: &mut Vec<String>,
+    ) {
+        let Some(matcher) = &self.matcher else {
+            return;
+        };
+        let matched = &mut self.matched;
+        matched.clear();
+        matched.resize(mask.len(), false);
+        for ri in files.into_iter().flat_map(FileMatches::fired) {
+            let ri = *ri as usize;
+            if mask[ri] && !std::mem::replace(&mut matched[ri], true) {
+                out.push(matcher.rules().rules[ri].id.clone());
+            }
+        }
+    }
+
     /// One Semgrep walk per module of `modules` with the rules `mask`
-    /// enables, pushing the id of each rule that matches any of them once.
+    /// enables, pushing the id of each rule that matches any of them once:
+    /// how a retro-hunt's confirm scan runs rules no artifact recorded.
     /// Returns the statements visited.
     pub(crate) fn semgrep<'m>(
         &mut self,
@@ -217,23 +236,24 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
 /// Fetches or builds the per-file artifacts for one request, leaving
 /// them in `out` (request order).
 ///
-/// Building runs the whole ruleset's string scan and the full parse up
-/// front — artifacts are pure functions of `(ruleset, bytes)`, so they
-/// cannot depend on per-request routing; a repeat pays nothing. Routing
-/// still gates YARA condition evaluation downstream; the Semgrep walk
-/// runs every rule, filtered per statement by its anchor index.
+/// Building runs the whole ruleset's string scan, the full parse and the
+/// Semgrep match recording up front — artifacts are pure functions of
+/// `(ruleset, bytes)`, so they cannot depend on per-request routing; a
+/// repeat pays nothing. Routing still gates YARA condition evaluation
+/// downstream, and masks the Semgrep rules the files fired.
 ///
 /// Runs in the `artifact` stage, and laps splice attempts as the stage
 /// nested inside it.
 fn gather_artifacts(
     shared: &Shared,
-    scanner: Option<&Scanner<'_>>,
+    eval: &mut Evaluator<'_>,
     request: &ScanRequest,
     out: &mut Vec<Arc<FileAnalysis>>,
     clock: &mut StageClock<'_>,
 ) {
     let c = &shared.counters;
     let cfg = &shared.artifact_config;
+    let scanner = eval.scanner.as_ref();
     out.clear();
     for entry in request.files() {
         let claim = match shared.artifacts.get_or_claim(entry) {
@@ -257,17 +277,25 @@ fn gather_artifacts(
             }
             result
         });
-        let (built, carried) = match spliced {
+        let (mut built, carried, edit) = match spliced {
             Some(spliced) => {
                 HubCounters::add(&c.incremental_relexes, 1);
                 HubCounters::add(&c.relexed_bytes, spliced.relexed_bytes);
-                (spliced.analysis, spliced.taint_carried)
+                (spliced.analysis, spliced.taint_carried, Some(spliced.edit))
             }
             None => {
                 HubCounters::add(&c.artifact_parses, 1);
-                (FileAnalysis::build(entry, scanner, cfg), false)
+                (FileAnalysis::build(entry, scanner, cfg), false, None)
             }
         };
+        // The file's Semgrep matches, recorded before it is published: a
+        // splice carries its sibling's outside the edit.
+        if let Some(matcher) = &eval.matcher {
+            let spliced_from = claim.donor.as_deref().zip(edit.as_ref());
+            let (walk, carried) = built.record_matches(matcher, spliced_from, &mut eval.semgrep);
+            HubCounters::add(&c.semgrep_stmts_visited, walk.stmts_visited);
+            HubCounters::add(&c.semgrep_carried, u64::from(carried));
+        }
         let built = Arc::new(built);
         // Downstream-product accounting, the same on both paths but for
         // who paid: a spliced artifact decodes its layers from scratch,
@@ -314,11 +342,12 @@ fn scan_job(
     // only phase that lexes, parses, decodes or regex-scans; a warm
     // artifact cache makes a re-uploaded package version re-analyze only
     // its changed files.
-    gather_artifacts(shared, eval.scanner(), request, artifacts, clock);
+    gather_artifacts(shared, eval, request, artifacts, clock);
     clock.lap(Stage::Prefilter);
     // Phase 2: route the package from the artifacts. YARA rules are
     // routed from each unit's cached hits, and every Semgrep rule is
-    // routed (the walk's anchor index filters it); no byte is read.
+    // routed (the files' recorded matches say which fired); no byte is
+    // read.
     if shared.prefilter {
         let scratch = &mut PrefilterScratch::new();
         shared
@@ -362,8 +391,10 @@ fn scan_job(
             clock.lap(Stage::Semgrep);
         }
     }
-    // Phase 4: Semgrep — one anchored walk per cached module; nothing on
-    // this path parses Python or pattern text.
+    // Phase 4: Semgrep — an OR over the routed rules each Python file
+    // fired, which its artifact recorded when it was built (a splice's
+    // carried from its sibling). No tree is walked on this path, and
+    // nothing parses Python or pattern text.
     Stage::Semgrep.enter();
     if shared.semgrep.is_some() {
         let routed = routing.semgrep_routed();
@@ -372,10 +403,8 @@ fn scan_job(
         if routed == 0 || !has_python {
             HubCounters::add(&c.semgrep_parses_skipped, 1);
         } else {
-            let modules = artifacts.iter().filter_map(|a| a.module.as_ref());
-            let modules = modules.map(|module| module.get());
-            let stmts_visited = eval.semgrep(modules, &routing.semgrep, &mut verdict.semgrep);
-            HubCounters::add(&c.semgrep_stmts_visited, stmts_visited);
+            let files = artifacts.iter().filter_map(|a| a.semgrep.as_ref());
+            eval.fired(files, &routing.semgrep, &mut verdict.semgrep);
             clock.lap(Stage::Dataflow);
         }
     }

@@ -50,7 +50,7 @@ pub mod yaml;
 
 pub use error::SemgrepError;
 pub use matcher::Finding;
-pub use matchset::{MatchScratch, MatchSet, SemgrepMetrics};
+pub use matchset::{FileMatches, MatchScratch, MatchSet, SemgrepMetrics};
 pub use rule::{compile, CompiledSemgrepRules, PatternOp, SemgrepRule, Severity};
 
 /// What the `oracles` crate's reparse-per-call matcher reads, so that it

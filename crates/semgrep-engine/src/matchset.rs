@@ -17,10 +17,15 @@
 //! inline undo log, so a warm [`MatchSet::match_rules`] allocates nothing
 //! and a warm [`MatchSet::match_module_set`] only its findings' rule ids
 //! and messages (`tests/allocation_budget.rs` pins the count).
+//!
+//! A leaf matches one statement, so a file's leaf matches are a product
+//! of the file that a later version can carry: [`MatchSet::file_matches`]
+//! records them with the rules they fire ([`FileMatches`]), and across a
+//! splice walks only the statements the edit inserted.
 
 use std::collections::HashMap;
 
-use pysrc::{Expr, Module, Stmt};
+use pysrc::{Edit, Expr, Module, Stmt};
 
 use crate::matcher::{expr_root, pattern_stmt, stmt_matches, Anchor, CompiledOp, Finding, Trees};
 use crate::rule::CompiledSemgrepRules;
@@ -33,6 +38,36 @@ pub struct SemgrepMetrics {
     /// Pattern-leaf structural match attempts actually performed (after
     /// anchor dispatch and routing filtered the rest).
     pub leaf_tests: u64,
+}
+
+/// A file's Semgrep product under one [`MatchSet`] (or one built from the
+/// same rules, which numbers its leaves alike): every line each pattern
+/// leaf matched on, and the rules whose trees those matches fire, every
+/// rule included. What a request reads of a file is [`FileMatches::fired`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FileMatches {
+    /// Each leaf match as `(leaf, line)`, sorted and distinct.
+    leaves: Vec<(u32, u32)>,
+    /// The indices of the rules that fire, ascending.
+    fired: Vec<u32>,
+}
+
+impl FileMatches {
+    /// The file-order indices of the rules whose trees fire on the file.
+    pub fn fired(&self) -> &[u32] {
+        &self.fired
+    }
+
+    /// Every leaf match as `(leaf index, 1-based line)`, sorted.
+    pub fn leaf_lines(&self) -> &[(u32, u32)] {
+        &self.leaves
+    }
+
+    /// The heap the product holds, each list at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.leaves.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.fired.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 /// One dispatchable pre-parsed leaf: its statement and the module that
@@ -101,6 +136,9 @@ pub struct MatchScratch {
     tried: Vec<u64>,
     /// The lines of the rule tree being evaluated (see `eval_tree`).
     lines: Vec<usize>,
+    /// The [`FileMatches`] being gathered, before they are copied out.
+    leaf_matches: Vec<(u32, u32)>,
+    fired: Vec<u32>,
 }
 
 impl MatchScratch {
@@ -124,6 +162,15 @@ impl MatchScratch {
         } else {
             &[]
         }
+    }
+
+    /// Notes that `leaf` matched on `line` in this scan.
+    fn record(&mut self, leaf: usize, line: usize) {
+        if self.line_stamps[leaf] != self.scan_gen {
+            self.line_stamps[leaf] = self.scan_gen;
+            self.leaf_lines[leaf].clear();
+        }
+        self.leaf_lines[leaf].push(line);
     }
 }
 
@@ -246,17 +293,86 @@ impl<'r> MatchSet<'r> {
         module: &Module,
         include: impl Fn(usize) -> bool,
         scratch: &mut MatchScratch,
-        mut matched: impl FnMut(usize, &[usize]),
+        matched: impl FnMut(usize, &[usize]),
     ) -> SemgrepMetrics {
         scratch.begin(self.leaves.len());
         let mut metrics = SemgrepMetrics::default();
+        self.walk(module, module.statements(), &include, scratch, &mut metrics);
+        self.eval_trees(include, scratch, matched);
+        metrics
+    }
+
+    /// The matches of every rule on `module`, recorded as the file's
+    /// product. With a `donor` — the product of the file `module` was
+    /// spliced from, and the splice's edit — only the statements the edit
+    /// inserted are walked: a leaf matches one statement, so the donor's
+    /// leaf matches outside the old window, whose statements the splice
+    /// copied, are carried, those behind it moved by the edit's lines.
+    /// The rule trees are evaluated over the whole file either way: a
+    /// `pattern-not` holds or fails for the file as a whole, so a rule
+    /// can fire or stop firing on a line the edit did not touch. Equal to
+    /// the product of a walk over every statement; a moved line that does
+    /// not fit a `u32` walks every statement.
+    pub fn file_matches(
+        &self,
+        module: &Module,
+        donor: Option<(&FileMatches, &Edit)>,
+        scratch: &mut MatchScratch,
+    ) -> (FileMatches, SemgrepMetrics) {
+        scratch.begin(self.leaves.len());
+        let carried = donor.and_then(|(donor, edit)| {
+            let window =
+                |line: usize| line >= edit.first_line && (edit.to_end || line < edit.old_end_line);
+            for &(leaf, line) in &donor.leaves {
+                if !window(line as usize) {
+                    scratch.record(leaf as usize, edit.moved_line(line)? as usize);
+                }
+            }
+            Some(module.statements_in(edit.inserted))
+        });
+        let stmts = carried.unwrap_or_else(|| {
+            scratch.begin(self.leaves.len());
+            module.statements()
+        });
+        let mut metrics = SemgrepMetrics::default();
+        let all = |_: usize| true;
+        self.walk(module, stmts, &all, scratch, &mut metrics);
+        let mut leaves = std::mem::take(&mut scratch.leaf_matches);
+        leaves.clear();
+        for leaf in 0..self.leaves.len() {
+            let at = |&line: &usize| (leaf as u32, u32::try_from(line).unwrap_or(u32::MAX));
+            leaves.extend(scratch.lines(leaf).iter().map(at));
+        }
+        leaves.sort_unstable();
+        leaves.dedup();
+        let mut fired = std::mem::take(&mut scratch.fired);
+        fired.clear();
+        self.eval_trees(all, scratch, |ri, _| fired.push(ri as u32));
+        let matches = FileMatches {
+            leaves: leaves.to_vec(),
+            fired: fired.to_vec(),
+        };
+        (scratch.leaf_matches, scratch.fired) = (leaves, fired);
+        (matches, metrics)
+    }
+
+    /// Tests each of `stmts`, statements of `module`, against the leaves
+    /// its anchors select, noting each leaf's lines in `scratch`.
+    fn walk(
+        &self,
+        module: &Module,
+        stmts: &[Stmt],
+        include: &impl Fn(usize) -> bool,
+        scratch: &mut MatchScratch,
+        metrics: &mut SemgrepMetrics,
+    ) {
         let src = module.source();
-        for stmt in module.statements() {
+        for stmt in stmts {
             metrics.stmts_visited += 1;
             scratch.stmt_gen += 1;
             let mut try_leaves = |ids: &[u32], scratch: &mut MatchScratch| {
                 for &id in ids {
-                    self.try_leaf(id, module, stmt, &include, scratch, &mut metrics);
+                    self.try_leaf(id, module, stmt, include, scratch, metrics);
                 }
             };
             try_leaves(&self.always, scratch);
@@ -283,6 +399,17 @@ impl<'r> MatchSet<'r> {
                 });
             }
         }
+    }
+
+    /// Evaluates the tree of every rule `include` selects over the leaf
+    /// lines in `scratch`, handing each matching rule's index and lines
+    /// (ascending, distinct) to `matched`, in rule order.
+    fn eval_trees(
+        &self,
+        include: impl Fn(usize) -> bool,
+        scratch: &mut MatchScratch,
+        mut matched: impl FnMut(usize, &[usize]),
+    ) {
         let mut lines = std::mem::take(&mut scratch.lines);
         for (ri, tree) in self.trees.iter().enumerate().filter(|(ri, _)| include(*ri)) {
             lines.clear();
@@ -294,7 +421,6 @@ impl<'r> MatchSet<'r> {
             }
         }
         scratch.lines = lines;
-        metrics
     }
 
     fn try_leaf(
@@ -323,11 +449,7 @@ impl<'r> MatchSet<'r> {
             target: module,
         };
         if stmt_matches(entry.stmt, stmt, trees) {
-            if scratch.line_stamps[li] != scratch.scan_gen {
-                scratch.line_stamps[li] = scratch.scan_gen;
-                scratch.leaf_lines[li].clear();
-            }
-            scratch.leaf_lines[li].push(module.line(stmt));
+            scratch.record(li, module.line(stmt));
         }
     }
 }
@@ -413,5 +535,66 @@ mod tests {
         let (findings, metrics) = set.match_module_set(&module, |_| true, &mut scratch);
         assert_eq!(findings.len(), 1);
         assert_eq!(metrics.leaf_tests, 1);
+    }
+
+    /// `new`, spliced onto `old` by replacing `old[start..old_end]`: the
+    /// donor module, the spliced one (checked against `new`'s full parse)
+    /// and the edit.
+    fn spliced(old: &str, new: &str, start: usize, old_end: usize) -> (Module, Module, Edit) {
+        let donor = pysrc::parse_module(old);
+        let edit = Edit::new(&donor, new, start, old_end).expect("the window fits");
+        let tokens = pysrc::lex_window(new, start, edit.new_end, edit.first_line).tokens;
+        let (module, edit) = pysrc::parse_spliced(new, &tokens, Some(&donor), edit);
+        assert_eq!(module, pysrc::parse_module(new), "{new:?}");
+        (donor, module, edit)
+    }
+
+    /// A product carried across an edit is the product of a walk over the
+    /// edited file: a `pattern-not` an inserted line trips unfires a rule
+    /// whose match the edit did not touch, and a window that runs to an
+    /// end with no newline drops its last line's matches.
+    #[test]
+    fn carried_matches_equal_a_fresh_walk() {
+        let rules = compile(
+            "rules:\n  - id: sys\n    languages: [python]\n    message: m\n    patterns:\n      - pattern: os.system($X)\n      - pattern-not: safe($Y)\n",
+        )
+        .expect("compile");
+        let set = MatchSet::new(&rules);
+        let mut scratch = MatchScratch::new();
+        let cases = [
+            (
+                "import os\nos.system(a)\nx = 1\n",
+                "import os\nos.system(a)\nsafe(b)\nx = 1\n",
+                23,
+                23,
+                0,
+            ),
+            (
+                "import os\nos.system(a)\nsafe(b)\nx = 1\n",
+                "import os\nos.system(a)\nx = 1\n",
+                23,
+                31,
+                1,
+            ),
+            ("import os\nos.system(a)", "import os\nx = 2", 10, 22, 0),
+            (
+                "x = 1\nos.system(a)\n",
+                "import os\n\nx = 1\nos.system(a)\n",
+                0,
+                6,
+                1,
+            ),
+        ];
+        for (old, new, start, old_end, fired) in cases {
+            let (donor, module, edit) = spliced(old, new, start, old_end);
+            let (before, _) = set.file_matches(&donor, None, &mut scratch);
+            let (fresh, walked) = set.file_matches(&module, None, &mut scratch);
+            let carry = Some((&before, &edit));
+            let (carried, visited) = set.file_matches(&module, carry, &mut scratch);
+            assert_eq!(carried, fresh, "{new:?}");
+            assert_eq!(fresh.fired().len(), fired, "{new:?}");
+            assert_eq!(visited.stmts_visited, edit.inserted.len() as u64, "{new:?}");
+            assert_eq!(walked.stmts_visited, module.statements().len() as u64);
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! next wave of packages — including an unseen variant of a known family,
 //! a legitimate upload, a re-upload served straight from the verdict
 //! cache, and a patch release whose restamped version constant costs no
-//! taint pass. Every verdict is then explained from its flight-recorder
+//! taint pass and no Semgrep walk of the unchanged statements. Every verdict is then explained from its flight-recorder
 //! trace, without re-running a single scan.
 //!
 //! ```text
@@ -52,9 +52,9 @@ fn main() {
         output.semgrep.len(),
     );
 
-    // Stand up the scan service over the learned ruleset.
-    let compiled = yara_engine::compile(&output.yara_ruleset()).expect("rules compile");
-    let hub = ScanHub::new(Some(compiled), None, HubConfig::default());
+    // Stand up the scan service over the learned ruleset, both engines.
+    let (compiled, semgrep) = eval::experiments::compile_output(&output);
+    let hub = ScanHub::new(Some(compiled), Some(semgrep.clone()), HubConfig::default());
     println!(
         "scanhub up: {} distinct rule atoms, {} always-on rules\n",
         hub.prefilter_index().atom_count(),
@@ -65,7 +65,8 @@ fn main() {
     // legitimate package, a re-upload of the same legitimate package
     // (registry clients love retrying), and its patch release, which only
     // restamps the version constant in its `__init__.py`: that file
-    // splices onto the resident release and carries its taint summary.
+    // splices onto the resident release and carries its taint summary and
+    // its Semgrep matches.
     let unseen_beacon = generate_malware_package(beacon, 99, 7).0;
     let unseen_dropper = generate_malware_package(dropper, 99, 7).0;
     let legit = generate_legit_package(3, 7);
@@ -150,6 +151,10 @@ fn main() {
         stats.taint_carried > 0,
         "the patch release's restamped file must carry its taint summary"
     );
+    assert!(
+        stats.semgrep_carried > 0,
+        "the patch release's restamped file must carry its Semgrep matches"
+    );
 
     // Sunday: the stealer campaign is identified and rules are learned
     // from its quarantined variants. Instead of rescanning every upload
@@ -181,7 +186,7 @@ fn main() {
     }
     let deployment = hub.deploy_rules(
         Some(yara_engine::compile(&combined).expect("combined rules compile")),
-        None,
+        Some(semgrep),
     );
     println!(
         "delta: {} new/changed rules, {} unchanged (never re-hunted)",

@@ -600,7 +600,7 @@ fn every_counter_reaches_both_exporters() {
 /// time, the `hub_metrics!` rows in table order (counters, gauges,
 /// matching tiers), then the occupancy gauges that are not `HubStats`
 /// fields.
-const EXPORT_ORDER: [&str; 46] = [
+const EXPORT_ORDER: [&str; 47] = [
     "scanhub_stage_duration_ns",
     "scanhub_scan_duration_ns",
     "scanhub_submitted_total",
@@ -617,6 +617,7 @@ const EXPORT_ORDER: [&str; 46] = [
     "scanhub_layer_bytes_scanned_total",
     "scanhub_taint_analyses_total",
     "scanhub_taint_carried_total",
+    "scanhub_semgrep_carried_total",
     "scanhub_flows_found_total",
     "scanhub_consts_folded_total",
     "scanhub_yara_rules_evaluated_total",

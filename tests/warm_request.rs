@@ -1,12 +1,12 @@
 //! A request whose every file is an artifact hit runs no matcher over
 //! file bytes.
 //!
-//! A file's artifact caches its YARA string hits and its parsed module.
-//! Routing reads only those hits, and every Semgrep rule is routed (the
-//! walk's anchor index is the Semgrep filter), so a package submitted
-//! again to a hub with its verdict cache off is served from the cache
-//! alone: the same verdict, one artifact hit, and no `textmatch` counter
-//! moves.
+//! A file's artifact caches its YARA string hits, its parsed module and
+//! the Semgrep rules its module fires. Routing reads only those hits, and
+//! every Semgrep rule is routed (the recorded matches say which fired),
+//! so a package submitted again to a hub with its verdict cache off is
+//! served from the cache alone: the same verdict, one artifact hit, no
+//! `textmatch` counter moves and no Semgrep statement is visited.
 //!
 //! The counters are process-global, so this file holds exactly one test:
 //! an integration-test file is its own process.
@@ -46,6 +46,8 @@ fn a_request_served_from_cached_artifacts_reads_no_byte() {
         "the cold build scans the file's bytes"
     );
     assert!(!first.yara.is_empty() && !first.semgrep.is_empty());
+    let walked = hub.stats().semgrep_stmts_visited;
+    assert_eq!(walked, 3, "the cold build walks the module once");
 
     let second = submit();
     assert_eq!(second, first);
@@ -54,5 +56,10 @@ fn a_request_served_from_cached_artifacts_reads_no_byte() {
         engine_counters(),
         cold,
         "a request over cached artifacts ran a matcher"
+    );
+    assert_eq!(
+        hub.stats().semgrep_stmts_visited,
+        walked,
+        "a request over cached artifacts walked a module"
     );
 }
