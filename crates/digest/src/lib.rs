@@ -53,3 +53,39 @@ pub fn to_hex(digest: &[u8; 32]) -> String {
     }
     s
 }
+
+/// Parses 64 hex digits (either case) back into the raw digest that
+/// [`to_hex`] renders; `None` for any other length or a non-hex digit.
+/// Allocates nothing.
+pub fn from_hex(hex: &str) -> Option<[u8; 32]> {
+    let hex = hex.as_bytes();
+    if hex.len() != 64 {
+        return None;
+    }
+    let nibble = |c: u8| (c as char).to_digit(16).map(|d| d as u8);
+    let mut digest = [0u8; 32];
+    for (byte, pair) in digest.iter_mut().zip(hex.chunks_exact(2)) {
+        *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
+    }
+    Some(digest)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hex_round_trips_and_rejects_malformed_input() {
+        let key = blake2b256(b"import os");
+        assert_eq!(from_hex(&to_hex(&key)), Some(key));
+        assert_eq!(from_hex(&to_hex(&key).to_uppercase()), Some(key));
+        let hex = to_hex(&key);
+        assert_eq!(from_hex(&hex[..62]), None, "too short");
+        assert_eq!(from_hex(&format!("{hex}00")), None, "too long");
+        assert_eq!(from_hex(""), None);
+        assert_eq!(from_hex(&format!("{}zz", &hex[..62])), None, "not hex");
+        assert_eq!(from_hex(&format!("+{}", &hex[..63])), None, "a sign");
+        // 64 bytes, but a non-ASCII char's bytes are no hex digits.
+        assert_eq!(from_hex(&format!("é{}", &hex[..62])), None);
+    }
+}

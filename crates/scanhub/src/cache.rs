@@ -39,8 +39,10 @@ pub struct LruCache<V: Clone> {
     recency: VecDeque<(u64, DigestKey)>,
 }
 
-/// The request-level verdict cache.
-pub type VerdictCache = LruCache<Verdict>;
+/// The request-level verdict cache; values are shared handles, so a hit
+/// costs one `Arc` clone, and the cache, the ticket and the trace of a
+/// scan hold one verdict between them.
+pub type VerdictCache = LruCache<Arc<Verdict>>;
 
 /// The per-file artifact cache; values are shared handles, so a hit
 /// costs one `Arc` clone and cached artifacts are safely consumed by
@@ -132,11 +134,11 @@ impl<V: Clone> LruCache<V> {
 mod tests {
     use super::*;
 
-    fn verdict(tag: &str) -> Verdict {
-        Verdict {
+    fn verdict(tag: &str) -> Arc<Verdict> {
+        Arc::new(Verdict {
             yara: vec![tag.to_owned()],
             ..Verdict::default()
-        }
+        })
     }
 
     /// A recognizable test key: the name byte repeated.
@@ -149,7 +151,7 @@ mod tests {
         let mut cache = VerdictCache::new(4);
         cache.insert(key(b'a'), verdict("ra"));
         assert_eq!(
-            cache.get(&key(b'a')).map(|v| v.yara),
+            cache.get(&key(b'a')).map(|v| v.yara.clone()),
             Some(vec!["ra".to_owned()])
         );
         assert!(cache.get(&key(b'b')).is_none());
@@ -177,7 +179,7 @@ mod tests {
         cache.insert(key(b'a'), verdict("r3"));
         cache.insert(key(b'c'), verdict("r4"));
         assert_eq!(
-            cache.get(&key(b'a')).map(|v| v.yara),
+            cache.get(&key(b'a')).map(|v| v.yara.clone()),
             Some(vec!["r3".to_owned()])
         );
         assert!(cache.get(&key(b'b')).is_none());
@@ -223,7 +225,7 @@ mod tests {
         cache.insert(key(b'D'), verdict("new"));
         assert_eq!(cache.len(), 3);
         assert_eq!(
-            cache.get(&key(b'D')).map(|v| v.yara),
+            cache.get(&key(b'D')).map(|v| v.yara.clone()),
             Some(vec!["new".to_owned()])
         );
         // Under capacity pressure the true LRU (`x`) goes first...
@@ -356,7 +358,7 @@ mod tests {
         let req = crate::ScanRequest::from_source("mod.py", "src = 1\n");
         cache.insert(req.digest(), verdict("hit"));
         assert_eq!(
-            cache.get(&req.digest()).map(|v| v.yara),
+            cache.get(&req.digest()).map(|v| v.yara.clone()),
             Some(vec!["hit".to_owned()])
         );
     }

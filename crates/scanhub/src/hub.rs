@@ -17,7 +17,7 @@ use crate::queue::{Job, JobQueue, Ticket};
 use crate::request::ScanRequest;
 use crate::retrohunt::{self, RetroReport, RuleDeployment};
 use crate::store::ArtifactStore;
-use crate::trace::ScanTrace;
+use crate::trace::{ScanTrace, TraceRecord};
 use crate::verdict::Verdict;
 use crate::worker::worker_loop;
 
@@ -220,9 +220,11 @@ impl ScanHub {
         self.shared.telemetry.enabled
     }
 
-    /// The flight recorder's current contents, oldest first.
+    /// The flight recorder's current contents, oldest first. Each trace is
+    /// built from its record here, not when the scan completed.
     pub fn traces(&self) -> Vec<ScanTrace> {
-        self.shared.telemetry.recorder.snapshot()
+        let records = self.shared.telemetry.recorder.snapshot();
+        records.iter().map(TraceRecord::trace).collect()
     }
 
     /// Total traces ever recorded (the ring keeps only the newest
@@ -235,16 +237,20 @@ impl ScanHub {
     /// ([`ScanRequest::digest_hex`]) — how a gatekeeper explains a
     /// verdict after the fact. Traces carry digests only when the
     /// verdict cache is enabled (the hub never hashes solely to trace).
+    /// An argument that is not 64 hex digits finds nothing.
     pub fn trace_for_digest(&self, digest_hex: &str) -> Option<ScanTrace> {
-        self.shared
-            .telemetry
-            .recorder
-            .find(|t| t.digest.as_deref() == Some(digest_hex))
+        let key = digest::from_hex(digest_hex)?;
+        let recorder = &self.shared.telemetry.recorder;
+        let record = recorder.find(|r| r.digest == Some(key))?;
+        Some(record.trace())
     }
 
-    /// The slowest scan still in the flight recorder.
+    /// The slowest scan still in the flight recorder; only its trace is
+    /// built.
     pub fn worst_trace(&self) -> Option<ScanTrace> {
-        self.traces().into_iter().max_by_key(|t| t.wall_ns)
+        let recorder = &self.shared.telemetry.recorder;
+        let record = recorder.max_by_key(|r| r.wall_ns)?;
+        Some(record.trace())
     }
 
     /// Renders every hub metric — counters, gauges and stage histograms
@@ -302,13 +308,12 @@ impl ScanHub {
         if let (Some(mut cache), Some(d)) = (self.shared.verdicts(), &digest) {
             let hit = cache.get(d);
             drop(cache);
-            if let Some(mut verdict) = hit {
+            if let Some(verdict) = hit {
                 clock.lap(Stage::Complete);
-                verdict.from_cache = true;
                 HubCounters::add(&c.cache_hits, 1);
                 HubCounters::add(&c.completed, 1);
-                tel.complete(clock.stop(), None, Some(d), &request, &verdict);
-                return Ticket::ready(verdict);
+                tel.complete(clock.stop(), None, Some(d), &request, &verdict, true);
+                return Ticket::cached(verdict);
             }
             clock.lap(Stage::Queue);
         } else {
@@ -402,6 +407,50 @@ rule b64 { strings: $re = /[A-Za-z0-9+\/]{16,}/ condition: $re }
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);
+    }
+
+    #[test]
+    fn only_a_hit_says_from_cache_and_the_cached_handle_never_does() {
+        let hub = hub(HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        });
+        let code = "import os\nos.system('id')\n";
+        let first = hub.submit(request(code)).wait();
+        let ticket = hub.submit(request(code));
+        let hit = (ticket.wait(), ticket.wait());
+        assert!(!first.from_cache, "the first caller's copy");
+        assert!(hit.0.from_cache && hit.1.from_cache, "every wait on a hit");
+        assert_eq!(hit.0, hit.1);
+        assert!(hit.0.same_matches(&first));
+        let key = request(code).digest();
+        let cache = hub.shared.verdicts().expect("verdict cache on");
+        let cached = cache.peek(&key).expect("the worker cached its verdict");
+        assert!(!cached.from_cache, "the cached handle");
+        assert!(cached.same_matches(&first));
+    }
+
+    #[test]
+    fn trace_for_digest_reads_only_well_formed_digests() {
+        let hub = hub(HubConfig::default());
+        let req = request("import os\nos.system('id')\n");
+        let hex = req.digest_hex();
+        hub.submit(req).wait();
+        let trace = hub.trace_for_digest(&hex).expect("the scan's trace");
+        assert_eq!(trace.digest.as_deref(), Some(hex.as_str()));
+        let upper = hub.trace_for_digest(&hex.to_uppercase());
+        assert_eq!(upper.map(|t| t.seq), Some(trace.seq), "either case");
+        for bad in [
+            "",
+            &hex[..63],
+            &hex[..62],
+            &format!("{hex}0"),
+            &format!("{}g", &hex[..63]),
+            &format!("é{}", &hex[..62]),
+            &"0".repeat(64),
+        ] {
+            assert!(hub.trace_for_digest(bad).is_none(), "{bad:?}");
+        }
     }
 
     #[test]

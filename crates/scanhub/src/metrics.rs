@@ -22,6 +22,7 @@
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use telemetry::{FlightRecorder, Histogram, HistogramSnapshot, Sample, Series};
@@ -29,7 +30,7 @@ use textmatch::EngineCounters;
 
 use crate::cache::DigestKey;
 use crate::request::ScanRequest;
-use crate::trace::{fired_from_verdict, ScanTrace};
+use crate::trace::TraceRecord;
 use crate::verdict::Verdict;
 
 /// When `Display` prints a row: always, or only once the feature it
@@ -612,7 +613,7 @@ impl<'h> StageClock<'h> {
 pub(crate) struct HubTelemetry {
     /// Whether stages are timed and traces recorded; counters always run.
     pub enabled: bool,
-    pub recorder: FlightRecorder<ScanTrace>,
+    pub recorder: FlightRecorder<TraceRecord>,
     pub stages: StageHistograms,
 }
 
@@ -633,37 +634,39 @@ impl HubTelemetry {
 
     /// Closes out one request — a worker's scan, or with `worker: None` a
     /// verdict-cache hit answered on the submit path: stage laps and wall
-    /// time (submit entry to now) into the histograms, then its trace
+    /// time (submit entry to now) into the histograms, then its record
     /// into the flight recorder. No-op — no clock read — when `laps` is
-    /// `None` (telemetry off). The trace's `seq` is assigned under the
+    /// `None` (telemetry off). The record's `seq` is assigned under the
     /// ring lock so ring order and sequence order agree across racing
-    /// workers, and when the ring is disabled (`trace_capacity: 0`) the
-    /// trace — fired-rule expansion included — is never materialized at
-    /// all.
+    /// workers. A record is scalars and a clone of the `verdict` handle,
+    /// so recording copies no finding: the [`crate::ScanTrace`], hex
+    /// digest and fired-rule list, is built only when the hub is asked
+    /// for it ([`TraceRecord::trace`]). `from_cache` says whether this
+    /// request was a hit, which the shared verdict does not.
     pub fn complete(
         &self,
         laps: Option<Laps>,
         worker: Option<usize>,
         digest: Option<&DigestKey>,
         request: &ScanRequest,
-        verdict: &Verdict,
+        verdict: &Arc<Verdict>,
+        from_cache: bool,
     ) {
         let Some(laps) = laps else {
             return;
         };
         let wall_ns = laps.started.elapsed().as_nanos() as u64;
         self.stages.record(&laps.nanos, wall_ns);
-        self.recorder.record_with(|seq| ScanTrace {
+        self.recorder.record_with(|seq| TraceRecord {
             seq,
             worker,
-            digest: digest.map(digest::to_hex),
+            digest: digest.copied(),
             files: request.files().len(),
             bytes: request.scan_len() as u64,
-            from_cache: verdict.from_cache,
-            flagged: verdict.flagged(),
+            from_cache,
             stages: laps.nanos,
             wall_ns,
-            fired: fired_from_verdict(verdict),
+            verdict: Arc::clone(verdict),
         });
     }
 

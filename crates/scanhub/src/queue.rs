@@ -12,6 +12,8 @@
 //! * a wait only reads the slot, to clone the `Verdict` or re-raise the
 //!   worker's panic, which poisons the ticket's lock and leaves the slot
 //!   as it was, so the next wait re-raises too.
+//!
+//! A verdict-cache hit's ticket holds the cached handle and no lock.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
@@ -103,19 +105,14 @@ impl JobQueue {
 }
 
 pub(crate) struct TicketState {
-    slot: Mutex<Option<Result<Verdict, String>>>,
+    slot: Mutex<Option<Result<Arc<Verdict>, String>>>,
     ready: Condvar,
 }
 
 impl TicketState {
-    fn new(outcome: Option<Result<Verdict, String>>) -> Arc<Self> {
-        Arc::new(TicketState {
-            slot: Mutex::new(outcome),
-            ready: Condvar::new(),
-        })
-    }
-
-    pub fn fulfill(&self, outcome: Result<Verdict, String>) {
+    /// Hands the worker's verdict — the handle the verdict cache and the
+    /// flight recorder hold too — or its panic message to every waiter.
+    pub fn fulfill(&self, outcome: Result<Arc<Verdict>, String>) {
         *recover(self.slot.lock()) = Some(outcome);
         self.ready.notify_all();
     }
@@ -124,29 +121,43 @@ impl TicketState {
 /// A claim on one submitted package's verdict.
 #[must_use = "a ticket must be waited on to observe the verdict"]
 pub struct Ticket {
-    state: Arc<TicketState>,
+    claim: Claim,
+}
+
+enum Claim {
+    /// A verdict-cache hit, answered on the submit path: the cached
+    /// handle itself, with no lock to wait on and nothing allocated.
+    Cached(Arc<Verdict>),
+    /// A queued job, which a worker fulfills through the shared state.
+    Pending(Arc<TicketState>),
 }
 
 impl Ticket {
     /// A ticket that already holds its verdict (a verdict-cache hit).
-    pub(crate) fn ready(verdict: Verdict) -> Self {
+    pub(crate) fn cached(verdict: Arc<Verdict>) -> Self {
         Ticket {
-            state: TicketState::new(Some(Ok(verdict))),
+            claim: Claim::Cached(verdict),
         }
     }
 
     /// A ticket a worker will fulfill through the returned state.
     pub(crate) fn pending() -> (Self, Arc<TicketState>) {
-        let state = TicketState::new(None);
+        let state = Arc::new(TicketState {
+            slot: Mutex::new(None),
+            ready: Condvar::new(),
+        });
         (
             Ticket {
-                state: Arc::clone(&state),
+                claim: Claim::Pending(Arc::clone(&state)),
             },
             state,
         )
     }
 
     /// Blocks until the verdict is available.
+    ///
+    /// Each wait returns its own copy of the shared verdict, so a ticket
+    /// can be waited on again.
     ///
     /// # Panics
     ///
@@ -172,20 +183,31 @@ impl Ticket {
     }
 
     /// Blocks until the verdict is available or `deadline`, if any,
-    /// passes. Without a deadline it reads no clock.
+    /// passes, and copies it out for the caller. Without a deadline it
+    /// reads no clock. Only a hit's copy says `from_cache`: the shared
+    /// verdict is the one its first scan produced.
     fn wait_until(&self, deadline: Option<Instant>) -> Option<Verdict> {
-        let mut slot = recover(self.state.slot.lock());
+        let state = match &self.claim {
+            Claim::Cached(verdict) => {
+                return Some(Verdict {
+                    from_cache: true,
+                    ..Verdict::clone(verdict)
+                })
+            }
+            Claim::Pending(state) => state,
+        };
+        let mut slot = recover(state.slot.lock());
         loop {
             match slot.as_ref() {
-                Some(Ok(v)) => return Some(v.clone()),
+                Some(Ok(v)) => return Some(Verdict::clone(v)),
                 Some(Err(msg)) => panic!("{msg}"),
                 None => match deadline {
-                    None => slot = recover(self.state.ready.wait(slot)),
+                    None => slot = recover(state.ready.wait(slot)),
                     Some(deadline) => {
                         let remaining = deadline
                             .checked_duration_since(Instant::now())
                             .filter(|r| !r.is_zero())?;
-                        let waited = self.state.ready.wait_timeout(slot, remaining);
+                        let waited = state.ready.wait_timeout(slot, remaining);
                         slot = recover(waited).0;
                     }
                 },
@@ -277,7 +299,7 @@ mod tests {
             yara: vec!["sys".to_owned()],
             ..Verdict::default()
         };
-        job.ticket.fulfill(Ok(verdict.clone()));
+        job.ticket.fulfill(Ok(Arc::new(verdict.clone())));
         assert_eq!(ticket.wait_timeout(Duration::ZERO), Some(verdict.clone()));
         assert_eq!(ticket.wait(), verdict);
         queue.close();

@@ -4,14 +4,22 @@
 //! Each completed scan (including verdict-cache hits) leaves a
 //! [`ScanTrace`]: per-stage wall time, request size and digest, which
 //! worker served it, and every rule that fired with its evidence
-//! provenance. The hub keeps the last N traces in a bounded
+//! provenance. The hub keeps the last N scans in a bounded
 //! [`telemetry::FlightRecorder`], so "where did this scan's 4ms go?"
 //! and "why was this upload blocked?" are answerable without
 //! re-running the scan.
+//!
+//! What the ring holds is a [`TraceRecord`]: the scan's scalars, its raw
+//! digest and a handle on the very verdict the cache and the ticket
+//! share, so recording a scan copies no finding. The public
+//! [`ScanTrace`], its hex digest and its fired-rule list, is built from
+//! a record only when the hub is asked for it.
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
+use crate::cache::DigestKey;
 use crate::metrics::{fmt_ns, StageNanos};
 use crate::verdict::Verdict;
 
@@ -48,8 +56,8 @@ pub struct FiredRule {
     pub engine: FiredEngine,
     /// Where the evidence came from: surface bytes, the parsed module,
     /// or a decoded layer's file/encoding/depth/line. Borrowed for the
-    /// two static cases — traces are built on the scan hot path, and
-    /// dozens of rules can fire per request.
+    /// two static cases, so building a trace formats only the layer and
+    /// flow provenances; dozens of rules can fire per request.
     pub provenance: Cow<'static, str>,
 }
 
@@ -79,6 +87,44 @@ pub struct ScanTrace {
     pub wall_ns: u64,
     /// Every rule that fired, with evidence provenance.
     pub fired: Vec<FiredRule>,
+}
+
+/// One completed scan as the flight recorder holds it: scalars and the
+/// shared verdict, from which [`TraceRecord::trace`] builds the public
+/// [`ScanTrace`] when it is read.
+#[derive(Debug, Clone)]
+pub(crate) struct TraceRecord {
+    pub seq: u64,
+    pub worker: Option<usize>,
+    pub digest: Option<DigestKey>,
+    pub files: usize,
+    pub bytes: u64,
+    /// Whether this request was a verdict-cache hit. The shared verdict
+    /// cannot say: the handle a hit reads is the one its first scan
+    /// cached, `from_cache: false`.
+    pub from_cache: bool,
+    pub stages: StageNanos,
+    pub wall_ns: u64,
+    pub verdict: Arc<Verdict>,
+}
+
+impl TraceRecord {
+    /// The public trace: the record's scalars, its digest in hex and the
+    /// verdict's fired rules.
+    pub fn trace(&self) -> ScanTrace {
+        ScanTrace {
+            seq: self.seq,
+            worker: self.worker,
+            digest: self.digest.as_ref().map(digest::to_hex),
+            files: self.files,
+            bytes: self.bytes,
+            from_cache: self.from_cache,
+            flagged: self.verdict.flagged(),
+            stages: self.stages,
+            wall_ns: self.wall_ns,
+            fired: fired_from_verdict(&self.verdict),
+        }
+    }
 }
 
 /// Expands a verdict into fired-rule records with provenance.
@@ -255,5 +301,31 @@ mod tests {
         assert!(text.contains("BLOCK"));
         assert!(text.contains("c2 [yara-layer] <- dropper.py:7"));
         assert!(text.contains("other"), "unattributed wall time is shown");
+    }
+
+    #[test]
+    fn a_trace_is_built_from_its_record_on_read() {
+        let record = TraceRecord {
+            seq: 5,
+            worker: None,
+            digest: Some([0xab; 32]),
+            files: 2,
+            bytes: 4096,
+            from_cache: true,
+            stages: StageNanos {
+                cache: 1_000,
+                ..StageNanos::default()
+            },
+            wall_ns: 2_000,
+            verdict: Arc::new(verdict()),
+        };
+        let trace = record.trace();
+        assert_eq!(trace.fired, fired_from_verdict(&record.verdict));
+        assert_eq!(trace.digest.as_deref(), Some("ab".repeat(32).as_str()));
+        assert!(trace.from_cache && !record.verdict.from_cache);
+        assert!(trace.flagged);
+        assert_eq!((trace.seq, trace.worker), (5, None));
+        assert_eq!((trace.files, trace.bytes), (2, 4096));
+        assert_eq!((trace.stages, trace.wall_ns), (record.stages, 2_000));
     }
 }

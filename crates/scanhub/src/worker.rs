@@ -203,8 +203,10 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
         }));
         match outcome {
             Ok(verdict) => {
+                // One verdict behind the cache, the trace and the ticket.
+                let verdict = Arc::new(verdict);
                 if let (Some(mut cache), Some(d)) = (shared.verdicts(), &job.digest) {
-                    cache.insert(*d, verdict.clone());
+                    cache.insert(*d, Arc::clone(&verdict));
                 }
                 HubCounters::add(&shared.counters.completed, 1);
                 // The trace lands in the recorder *before* the ticket
@@ -216,6 +218,7 @@ pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
                     job.digest.as_ref(),
                     &job.request,
                     &verdict,
+                    false,
                 );
                 job.ticket.fulfill(Ok(verdict));
             }

@@ -102,6 +102,18 @@ impl<T: Clone> FlightRecorder<T> {
             .cloned()
     }
 
+    /// The record with the greatest `key`, the newest of equals; only it
+    /// is cloned.
+    pub fn max_by_key<K: Ord>(&self, mut key: impl FnMut(&T) -> K) -> Option<T> {
+        self.inner
+            .lock()
+            .expect("recorder lock")
+            .ring
+            .iter()
+            .max_by_key(|t| key(t))
+            .cloned()
+    }
+
     /// The most recent record matching `pred` (newest first).
     pub fn find(&self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
         self.inner
@@ -132,6 +144,16 @@ mod tests {
         assert_eq!(rec.find(|&v| v % 2 == 0), Some(6));
         assert_eq!(rec.find(|&v| v < 6), Some(5), "newest match wins");
         assert_eq!(rec.find(|&v| v > 100), None);
+    }
+
+    #[test]
+    fn max_by_key_picks_the_newest_of_equal_keys() {
+        let rec = FlightRecorder::new(4);
+        for pair in [(0, 3), (1, 9), (2, 9), (3, 1), (4, 2)] {
+            rec.record(pair);
+        }
+        assert_eq!(rec.max_by_key(|&(_, key)| key), Some((2, 9)));
+        assert_eq!(FlightRecorder::<u8>::new(4).max_by_key(|&v| v), None);
     }
 
     #[test]

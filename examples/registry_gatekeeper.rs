@@ -99,24 +99,31 @@ fn main() {
         digests.push((*label, digest, verdict));
     }
 
-    // One more Saturday upload: a campaign nobody has rules for yet.
-    // It sails through today — but its analysis artifact (and its
-    // content's posting lists in the retro index) stay resident.
+    // One more Saturday upload: a campaign nobody has rules for yet, a
+    // stealer that harvests sensitive data and exfiltrates it over DNS.
+    // No live rule matches it, so it sails through today — but its
+    // analysis artifacts (and their posting lists in the retro index)
+    // stay resident.
     let stealer = FAMILIES
         .iter()
-        .find(|f| f.stem == "envgrab")
+        .find(|f| f.stem == "dnspipe")
         .expect("family");
-    let missed = generate_malware_package(stealer, 0, 7).0;
-    let missed_verdict = hub.submit(ScanRequest::from_package(&missed)).wait();
+    let stealer_upload = generate_malware_package(stealer, 0, 7).0;
+    let missed = ScanRequest::from_package(&stealer_upload);
+    let missed_verdict = hub.submit(missed.clone()).wait();
     println!(
         "{:<24} ({:<14}) -> {}",
         "unknown stealer",
-        missed.metadata().name,
+        stealer_upload.metadata().name,
         if missed_verdict.flagged() {
             "BLOCK"
         } else {
             "PASS (no rules for it yet)"
         },
+    );
+    assert!(
+        !missed_verdict.flagged(),
+        "no live rule may know the stealer yet: {missed_verdict:?}"
     );
 
     // Every verdict is explainable after the fact from the flight
@@ -169,18 +176,8 @@ fn main() {
     let mut update_config = PipelineConfig::full();
     update_config.cluster_k = Some(1);
     let update = Pipeline::new(update_config).run(&stealer_refs);
-    // Both runs emit the same deterministic generic-metadata rule; keep
-    // the live copy so the combined bundle compiles and diffs cleanly.
-    let live_names: std::collections::HashSet<String> = output
-        .yara
-        .iter()
-        .filter_map(|r| rule_name(&r.text))
-        .collect();
     let mut combined = output.yara_ruleset();
     for rule in &update.yara {
-        if rule_name(&rule.text).is_some_and(|n| live_names.contains(&n)) {
-            continue;
-        }
         combined.push_str(&rule.text);
         combined.push('\n');
     }
@@ -210,9 +207,21 @@ fn main() {
             rule.digests.len(),
         );
     }
+    // Every retroactive find is a file of the stealer upload that passed
+    // on Saturday.
+    let stealer_files: Vec<String> = missed
+        .files()
+        .iter()
+        .map(|f| digest::to_hex(&f.digest()))
+        .collect();
+    let found: Vec<&String> = report.rules.iter().flat_map(|r| &r.digests).collect();
     assert!(
-        report.total_hits() > 0,
+        !found.is_empty(),
         "the stealer upload screened on Saturday must be found in history"
+    );
+    assert!(
+        found.iter().all(|d| stealer_files.contains(d)),
+        "the hunt flagged a digest that is no file of the stealer upload"
     );
     println!();
 
@@ -223,15 +232,6 @@ fn main() {
         println!("{}", hub.export_json().to_string_pretty());
     }
     println!("gatekeeper verdicts all correct.");
-}
-
-/// The identifier following `rule` in a YARA rule's source text.
-fn rule_name(text: &str) -> Option<String> {
-    let rest = text.trim_start().strip_prefix("rule")?.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-        .unwrap_or(rest.len());
-    (end > 0).then(|| rest[..end].to_owned())
 }
 
 /// `package`'s next patch release: the version in its metadata and in

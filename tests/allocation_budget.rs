@@ -32,7 +32,9 @@ use corpus::{mutate_dataset, CorpusConfig, Dataset};
 use obfuscate::EvasionProfile;
 use oss_registry::Package;
 use pysrc::TokenKind;
-use scanhub::{ArtifactConfig, FileAnalysis, FileEntry, HubConfig, ScanHub, ScanRequest, Stage};
+use scanhub::{
+    ArtifactConfig, FileAnalysis, FileEntry, HubConfig, ScanHub, ScanRequest, Stage, Verdict,
+};
 use semgrep_engine::{CompiledSemgrepRules, MatchScratch, MatchSet};
 use yara_engine::{CompiledRules, Scanner, StringValue};
 
@@ -922,6 +924,115 @@ fn evaluating_cached_artifacts_allocates_only_the_verdict() {
     assert_eq!(after.artifact_parses, before.artifact_parses);
     // Vacuity guard: every list was filled somewhere.
     assert!(found.iter().all(|&n| n > 0), "{found:?} findings");
+}
+
+/// The allocations of every hub thread, by stage, as of now.
+fn all_by_stage() -> [u64; STAGES] {
+    ALL_BY_STAGE.each_ref().map(|n| n.load(Ordering::Relaxed))
+}
+
+/// Submits `request` and waits for it on this thread, checking that the
+/// wait makes exactly what cloning its verdict makes; returns the verdict
+/// and what every thread booked, by stage, from submit to verdict.
+fn submit_and_wait(hub: &ScanHub, request: &ScanRequest, i: usize) -> (Verdict, [u64; STAGES]) {
+    let start = all_by_stage();
+    let ticket = hub.submit(request.clone());
+    let (verdict, wait) = counted(|| ticket.wait());
+    let spent = all_by_stage();
+    let (_, clone) = counted(|| verdict.clone());
+    assert_eq!(
+        wait, clone,
+        "package {i}: the wait made {wait} allocations, a clone of its verdict {clone}"
+    );
+    (verdict, std::array::from_fn(|k| spent[k] - start[k]))
+}
+
+/// Completing a scan allocates one shared handle. A one-worker hub with
+/// telemetry on and its verdict cache off scans every upload of the corpus
+/// and its mutants twice, cold and then with every file an artifact hit.
+/// Each scan's `Complete` stage makes exactly one allocation, the handle
+/// on its verdict: the flight recorder keeps that handle, not a trace, and
+/// the ticket hands it to the waiter. Each `wait` makes exactly what a
+/// separately counted `Verdict::clone` makes.
+#[test]
+fn completing_a_scan_allocates_only_the_shared_verdict_handle() {
+    let _hub = HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let (yara, semgrep) = serving_rules();
+    let hub = ScanHub::new(
+        Some(yara.clone()),
+        Some(semgrep.clone()),
+        HubConfig {
+            workers: 1,
+            cache_capacity: 0,
+            ..HubConfig::default()
+        },
+    );
+    assert!(hub.telemetry_enabled());
+    let requests: Vec<ScanRequest> = packages().iter().map(ScanRequest::from_package).collect();
+    let mut flagged = 0;
+    for pass in 0..2 {
+        for (i, request) in requests.iter().enumerate() {
+            let (verdict, spent) = submit_and_wait(&hub, request, i);
+            let complete = spent[Stage::Complete as usize];
+            assert_eq!(
+                complete, 1,
+                "pass {pass}, package {i}: `Complete` made {complete}"
+            );
+            flagged += usize::from(verdict.flagged());
+        }
+    }
+    let scans = 2 * requests.len() as u64;
+    assert_eq!(hub.stats().completed, scans);
+    assert_eq!(hub.traces_recorded(), scans);
+    // Vacuity guard: some verdicts had findings to copy.
+    assert!(flagged > 0);
+}
+
+/// A verdict-cache hit shares the cached verdict. A one-worker hub with
+/// telemetry and its verdict cache on scans every upload of the corpus and
+/// its mutants, then submits each again, every one a hit, pass after pass.
+/// A hit's `Cache` and `Complete` stages allocate only the growth of the
+/// cache's recency queue, one push per hit: at most one allocation per
+/// hit while the queue grows toward its bound (4 entries per cached
+/// verdict, 4 passes), none after. Each `wait` on a hit makes exactly
+/// what a separately counted `Verdict::clone` makes.
+#[test]
+fn a_verdict_cache_hit_allocates_nothing_but_its_copy() {
+    let _hub = HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let (yara, semgrep) = serving_rules();
+    let hub = ScanHub::new(
+        Some(yara.clone()),
+        Some(semgrep.clone()),
+        HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        },
+    );
+    let requests: Vec<ScanRequest> = packages().iter().map(ScanRequest::from_package).collect();
+    for request in &requests {
+        hub.submit(request.clone()).wait();
+    }
+    let before = hub.stats().cache_hits;
+    let (mut growth, mut flagged) = (0, 0);
+    for pass in 0..5 {
+        for (i, request) in requests.iter().enumerate() {
+            let (verdict, spent) = submit_and_wait(&hub, request, i);
+            assert!(verdict.from_cache, "pass {pass}, package {i}: not a hit");
+            let made = spent[Stage::Cache as usize] + spent[Stage::Complete as usize];
+            let bound = u64::from(pass < 4);
+            assert!(
+                made <= bound,
+                "pass {pass}, package {i}: a hit made {made} allocations in `Cache` and `Complete`"
+            );
+            growth += made;
+            flagged += usize::from(verdict.flagged());
+        }
+    }
+    println!("the recency queue grew {growth} times");
+    let hits = 5 * requests.len() as u64;
+    assert_eq!(hub.stats().cache_hits - before, hits);
+    // Vacuity guard: some hits had findings to copy.
+    assert!(flagged > 0);
 }
 
 /// The submit path's sibling check allocates nothing. A one-worker hub
