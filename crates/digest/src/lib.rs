@@ -10,7 +10,8 @@
 //!   hub's cache keys.
 //! * [`sha256`] / [`Sha256`] — SHA-256 (FIPS 180-4), no longer used for
 //!   content keys.
-//! * [`fnv1a`] — cheap 64-bit hashing for embedding feature buckets.
+//! * [`fnv1a`] / [`Fnv1a`] — cheap 64-bit hashing for embedding feature
+//!   buckets, one-shot or streamed over a feature's parts.
 //! * [`base64`] — encode/decode used by the synthetic corpus to build (and
 //!   the analyzers to unwrap) obfuscated payloads.
 //! * [`shannon_entropy`] — string randomness score used by the score-based
@@ -41,7 +42,7 @@ mod sha256;
 
 pub use blake2b::{blake2b256, Blake2b256};
 pub use entropy::shannon_entropy;
-pub use fnv::fnv1a;
+pub use fnv::{fnv1a, Fnv1a};
 pub use sha256::{sha256, sha256_hex, Sha256};
 
 /// Renders a raw digest as 64 lowercase hex chars.

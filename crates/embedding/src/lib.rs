@@ -25,6 +25,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
+use std::slice::Chunks;
+
+use digest::Fnv1a;
 use pysrc::Kind;
 
 /// Embedding dimensionality. 128 keeps K-Means over thousands of snippets
@@ -84,44 +88,50 @@ impl Embedder {
         self.dim
     }
 
-    /// Tokenizes `source` into the normalized token texts used as
-    /// features. String literals longer than 24 bytes collapse to a
-    /// `<str>` marker so that payload bytes don't dominate similarity.
-    pub fn tokenize(&self, source: &str) -> Vec<String> {
+    /// Tokenizes `source` into the features the embedding hashes, each
+    /// borrowing `source`: the token text, a string literal's `'value'`
+    /// (owned only when the literal's value had to be decoded), or the
+    /// `<str>` marker a literal longer than 24 bytes collapses to, so that
+    /// payload bytes don't dominate similarity.
+    pub fn tokenize<'s>(&self, source: &'s str) -> Vec<Feature<'s>> {
         let tokens = pysrc::lex(source);
         let mut features = Vec::with_capacity(tokens.len());
         features.extend(tokens.iter().filter_map(|t| match t.kind {
-            Kind::IDENT | Kind::NUMBER => Some(t.text(source).to_owned()),
+            Kind::IDENT | Kind::NUMBER => Some(Feature::Text(t.text(source))),
             Kind::STR => {
                 let value = t.value(source);
                 Some(if value.len() > 24 {
-                    "<str>".to_owned()
+                    Feature::LongStr
                 } else {
-                    format!("'{value}'")
+                    Feature::Str(value)
                 })
             }
-            op => op.op_text().map(str::to_owned),
+            op => op.op_text().map(Feature::Text),
         }));
         features
     }
 
-    /// Splits tokens into fixed-length segments (paper step 1).
-    pub fn split_segments<'a>(&self, tokens: &'a [String]) -> Vec<&'a [String]> {
-        if tokens.is_empty() {
-            return Vec::new();
-        }
-        tokens.chunks(self.segment_tokens).collect()
+    /// Splits features into fixed-length segments (paper step 1).
+    pub fn split_segments<'f, 's>(&self, features: &'f [Feature<'s>]) -> Chunks<'f, Feature<'s>> {
+        features.chunks(self.segment_tokens)
     }
 
-    /// Embeds one token segment into a unit-norm vector (paper step 2).
-    pub fn embed_segment(&self, tokens: &[String]) -> Vec<f32> {
+    /// Embeds one feature segment into a unit-norm vector (paper step 2):
+    /// each feature hashed with weight 1, then each adjacent pair, joined
+    /// by `\u{1}`, with weight ½.
+    pub fn embed_segment(&self, features: &[Feature<'_>]) -> Vec<f32> {
         let mut v = vec![0f32; self.dim];
-        for token in tokens {
-            bump(&mut v, token.as_bytes(), 1.0);
+        for feature in features {
+            let mut h = Fnv1a::new();
+            feature.hash_into(&mut h);
+            bump(&mut v, h.finish(), 1.0);
         }
-        for pair in tokens.windows(2) {
-            let joined = format!("{}\u{1}{}", pair[0], pair[1]);
-            bump(&mut v, joined.as_bytes(), 0.5);
+        for pair in features.windows(2) {
+            let mut h = Fnv1a::new();
+            pair[0].hash_into(&mut h);
+            h.update("\u{1}".as_bytes());
+            pair[1].hash_into(&mut h);
+            bump(&mut v, h.finish(), 0.5);
         }
         normalize(&mut v);
         v
@@ -129,10 +139,9 @@ impl Embedder {
 
     /// Embeds a whole source unit (paper step 3: combine segments).
     pub fn embed_source(&self, source: &str) -> SourceEmbedding {
-        let tokens = self.tokenize(source);
+        let features = self.tokenize(source);
         let segments: Vec<Vec<f32>> = self
-            .split_segments(&tokens)
-            .into_iter()
+            .split_segments(&features)
             .map(|seg| self.embed_segment(seg))
             .collect();
         let mut mean = vec![0f32; self.dim];
@@ -151,8 +160,34 @@ impl Embedder {
     }
 }
 
-fn bump(v: &mut [f32], feature: &[u8], weight: f32) {
-    let h = digest::fnv1a(feature);
+/// One token of a source as the embedding sees it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Feature<'s> {
+    /// An identifier, number or operator, as written.
+    Text(&'s str),
+    /// A string literal of at most 24 bytes, read as its value in quotes:
+    /// `'value'`.
+    Str(Cow<'s, str>),
+    /// A longer string literal, read as `<str>`.
+    LongStr,
+}
+
+impl Feature<'_> {
+    /// Feeds the feature's text to `h` in parts.
+    fn hash_into(&self, h: &mut Fnv1a) {
+        match self {
+            Feature::Text(text) => h.update(text.as_bytes()),
+            Feature::Str(value) => {
+                h.update(b"'");
+                h.update(value.as_bytes());
+                h.update(b"'");
+            }
+            Feature::LongStr => h.update(b"<str>"),
+        }
+    }
+}
+
+fn bump(v: &mut [f32], h: u64, weight: f32) {
     let idx = (h % v.len() as u64) as usize;
     // Signed hashing halves collision bias.
     let sign = if (h >> 63) == 0 { 1.0 } else { -1.0 };
@@ -203,6 +238,15 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
 
+    /// A feature's text, as the bytes its hash reads.
+    fn text(feature: &Feature<'_>) -> String {
+        match feature {
+            Feature::Text(text) => text.to_string(),
+            Feature::Str(value) => format!("'{value}'"),
+            Feature::LongStr => "<str>".to_owned(),
+        }
+    }
+
     #[test]
     fn deterministic() {
         let e = Embedder::default();
@@ -242,11 +286,39 @@ mod tests {
         let e = Embedder::new(32, 10);
         let source = "a = 1\n".repeat(50);
         let tokens = e.tokenize(&source);
-        let segs = e.split_segments(&tokens);
+        let segs: Vec<_> = e.split_segments(&tokens).collect();
         assert!(segs.len() > 1);
         assert!(segs.iter().all(|s| s.len() <= 10));
         let total: usize = segs.iter().map(|s| s.len()).sum();
         assert_eq!(total, tokens.len());
+    }
+
+    #[test]
+    fn features_borrow_the_source_unless_a_literal_is_decoded() {
+        let e = Embedder::default();
+        let src = "x = 'plain' + 'tab\\t' + 'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa'\n";
+        let features = e.tokenize(src);
+        let texts: Vec<String> = features.iter().map(text).collect();
+        assert_eq!(texts, ["x", "=", "'plain'", "+", "'tab\t'", "+", "<str>"]);
+        assert!(matches!(features[2], Feature::Str(Cow::Borrowed(_))));
+        assert!(matches!(features[4], Feature::Str(Cow::Owned(_))));
+    }
+
+    #[test]
+    fn a_feature_hashes_its_text_and_a_pair_hashes_both_joined() {
+        let e = Embedder::default();
+        let features = e.tokenize("os.system('id') + 'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa'\n");
+        let mut expected = vec![0f32; DIM];
+        let texts: Vec<String> = features.iter().map(text).collect();
+        for text in &texts {
+            bump(&mut expected, digest::fnv1a(text.as_bytes()), 1.0);
+        }
+        for pair in texts.windows(2) {
+            let joined = format!("{}\u{1}{}", pair[0], pair[1]);
+            bump(&mut expected, digest::fnv1a(joined.as_bytes()), 0.5);
+        }
+        normalize(&mut expected);
+        assert_eq!(e.embed_segment(&features), expected);
     }
 
     #[test]

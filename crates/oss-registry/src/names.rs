@@ -56,54 +56,81 @@ pub const POPULAR_PACKAGES: &[&str] = &[
     "torch",
 ];
 
-/// Damerau-free Levenshtein edit distance between two names.
+/// Names up to this many chars keep their DP rows on the stack.
+const STACK_CHARS: usize = 64;
+
+/// Damerau-free Levenshtein edit distance between two names, in chars.
+///
+/// Walks both names' chars in place and keeps two DP rows of `b`'s
+/// length, on the stack unless `b` is longer than 64 chars.
 pub fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    let n = b.chars().count();
     if a.is_empty() {
-        return b.len();
+        return n;
     }
-    if b.is_empty() {
-        return a.len();
+    if n == 0 {
+        return a.chars().count();
     }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
+    let mut stack = [0usize; 2 * (STACK_CHARS + 1)];
+    let mut heap = Vec::new();
+    let rows = if n <= STACK_CHARS {
+        &mut stack[..2 * (n + 1)]
+    } else {
+        heap.resize(2 * (n + 1), 0);
+        &mut heap[..]
+    };
+    let (mut prev, mut cur) = rows.split_at_mut(n + 1);
+    for (j, cell) in prev.iter_mut().enumerate() {
+        *cell = j;
+    }
+    for (i, ca) in a.chars().enumerate() {
         cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
+        for (j, cb) in b.chars().enumerate() {
             let cost = usize::from(ca != cb);
             cur[j + 1] = (prev[j + 1] + 1).min(cur[j] + 1).min(prev[j] + cost);
         }
         std::mem::swap(&mut prev, &mut cur);
     }
-    prev[b.len()]
+    prev[n]
 }
 
 /// Returns the popular package `name` squats on, if any.
 ///
 /// A name typosquats when it is within edit distance 1–2 of a popular
 /// package (distance 0 means it *is* the popular package) or differs only
-/// by a separator (`python-requests` vs `requests`).
+/// by a separator (`python-requests` vs `requests`). The distance is
+/// worked out only for popular names whose length in chars is within 2
+/// of `name`'s, as no other can be that close. A call allocates once: its
+/// lowered name.
 pub fn is_typosquat(name: &str) -> Option<&'static str> {
     let lowered = name.to_ascii_lowercase();
-    for popular in POPULAR_PACKAGES {
-        if lowered == *popular {
-            return None;
-        }
+    if POPULAR_PACKAGES.contains(&lowered.as_str()) {
+        return None;
     }
+    let chars = lowered.chars().count();
     for popular in POPULAR_PACKAGES {
-        let d = edit_distance(&lowered, popular);
-        // Distance thresholds scale with name length: very short names
-        // produce too many accidental near-misses.
-        if (d == 1 && popular.len() >= 4) || (d == 2 && popular.len() >= 6) {
-            return Some(popular);
+        if chars.abs_diff(popular.chars().count()) <= 2 {
+            let d = edit_distance(&lowered, popular);
+            // Distance thresholds scale with name length: very short names
+            // produce too many accidental near-misses.
+            if (d == 1 && popular.len() >= 4) || (d == 2 && popular.len() >= 6) {
+                return Some(popular);
+            }
         }
         // Prefix/suffix decoration: `requests-py`, `python-requests`.
         if lowered.len() > popular.len() + 2
-            && (lowered.starts_with(&format!("{popular}-"))
-                || lowered.ends_with(&format!("-{popular}"))
-                || lowered.starts_with(&format!("python-{popular}"))
-                || lowered.ends_with(&format!("{popular}-python")))
+            && (lowered
+                .strip_prefix(popular)
+                .is_some_and(|rest| rest.starts_with('-'))
+                || lowered
+                    .strip_suffix(popular)
+                    .is_some_and(|rest| rest.ends_with('-'))
+                || lowered
+                    .strip_prefix("python-")
+                    .is_some_and(|rest| rest.starts_with(popular))
+                || lowered
+                    .strip_suffix("-python")
+                    .is_some_and(|rest| rest.ends_with(popular)))
         {
             return Some(popular);
         }

@@ -35,69 +35,85 @@ pub struct BasicUnit {
 /// Splits Python source into basic units per §IV-A.
 ///
 /// Top-level statements before the first block boundary form a leading
-/// module unit. Indented continuation lines stay with their block.
+/// module unit. Indented continuation lines stay with their block. A unit
+/// is a range of the source's lines, each followed by `\n` in its `code`,
+/// which is built once, at its length: a call allocates its line list,
+/// one `code` per unit, and the unit list.
 pub fn split_basic_units(source: &str) -> Vec<BasicUnit> {
     let lines: Vec<&str> = source.lines().collect();
     let mut units = Vec::new();
-    let mut current = String::new();
-    let mut current_start = 1usize;
+    // The open unit is `lines[start..i]`, `len` bytes of code. It has text
+    // when some line is not blank, and only decorators when every line is
+    // blank or starts with `@`.
+    let (mut start, mut len) = (0, 0);
+    let (mut has_text, mut only_decorators) = (false, true);
     for (i, line) in lines.iter().enumerate() {
         let is_boundary = BOUNDARY_PREFIXES.iter().any(|p| line.starts_with(p));
         // A `def`/`class` immediately following decorator lines belongs to
         // the same unit as its decorators.
-        let decorator_continuation = (line.starts_with("def ") || line.starts_with("class "))
-            && !current.trim().is_empty()
-            && current
-                .lines()
-                .all(|l| l.trim().is_empty() || l.starts_with('@'));
-        if is_boundary && !decorator_continuation && !current.trim().is_empty() {
-            push_unit(&mut units, &current, current_start);
-            current = String::new();
-            current_start = i + 1;
+        let decorator_continuation =
+            (line.starts_with("def ") || line.starts_with("class ")) && has_text && only_decorators;
+        if is_boundary && !decorator_continuation && has_text {
+            push_unit(&mut units, &lines[start..i], len, start + 1);
+            (start, len) = (i, 0);
+            (has_text, only_decorators) = (false, true);
         }
-        if current.is_empty() {
-            current_start = i + 1;
-        }
-        current.push_str(line);
-        current.push('\n');
+        let blank = line.trim().is_empty();
+        len += line.len() + 1;
+        has_text |= !blank;
+        only_decorators &= blank || line.starts_with('@');
     }
-    if !current.trim().is_empty() {
-        push_unit(&mut units, &current, current_start);
+    if has_text {
+        push_unit(&mut units, &lines[start..], len, start + 1);
     }
     units
 }
 
-/// Pushes a unit, splitting blocks that exceed [`MAX_UNIT_CHARS`].
-fn push_unit(units: &mut Vec<BasicUnit>, code: &str, start_line: usize) {
-    if code.len() <= MAX_UNIT_CHARS {
+/// Pushes the unit of `lines` (`len` bytes of code, first line
+/// `start_line`), splitting blocks that exceed [`MAX_UNIT_CHARS`].
+fn push_unit(units: &mut Vec<BasicUnit>, lines: &[&str], len: usize, start_line: usize) {
+    if len <= MAX_UNIT_CHARS {
         units.push(BasicUnit {
-            code: code.to_owned(),
+            code: join(lines, len, |line| line),
             start_line,
         });
         return;
     }
-    // Oversized block: split at line boundaries below the cap.
-    let mut piece = String::new();
-    let mut piece_start = start_line;
-    for (offset, line) in code.lines().enumerate() {
-        let line_no = start_line + offset;
-        if piece.len() + line.len() + 1 > MAX_UNIT_CHARS && !piece.is_empty() {
-            units.push(BasicUnit {
-                code: piece.clone(),
-                start_line: piece_start,
-            });
-            piece.clear();
-            piece_start = line_no;
-        }
-        piece.push_str(line);
-        piece.push('\n');
+    // Oversized block: split at line boundaries below the cap. The pieces
+    // read the block's lines as `str::lines` reads its code, so a line
+    // that still ends in `\r` (from a `\r\r\n` ending) loses it.
+    fn reread(line: &str) -> &str {
+        line.strip_suffix('\r').unwrap_or(line)
     }
-    if !piece.trim().is_empty() {
+    let (mut first, mut piece_len, mut has_text) = (0, 0, false);
+    for (i, line) in lines.iter().copied().map(reread).enumerate() {
+        if piece_len + line.len() + 1 > MAX_UNIT_CHARS && piece_len > 0 {
+            units.push(BasicUnit {
+                code: join(&lines[first..i], piece_len, reread),
+                start_line: start_line + first,
+            });
+            (first, piece_len, has_text) = (i, 0, false);
+        }
+        piece_len += line.len() + 1;
+        has_text |= !line.trim().is_empty();
+    }
+    if has_text {
         units.push(BasicUnit {
-            code: piece,
-            start_line: piece_start,
+            code: join(&lines[first..], piece_len, reread),
+            start_line: start_line + first,
         });
     }
+}
+
+/// `lines`, each read through `line` and followed by `\n`: `len` bytes.
+fn join<'a>(lines: &[&'a str], len: usize, line: impl Fn(&'a str) -> &'a str) -> String {
+    let mut code = String::with_capacity(len);
+    for l in lines {
+        code.push_str(line(l));
+        code.push('\n');
+    }
+    debug_assert_eq!(code.len(), len);
+    code
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! Allocation counts repeat to the bit where timings do not, so they are
 //! what a tier-1 test can hold the lexer, the parser, the taint engine,
 //! the YARA scanner, a whole artifact build, the Semgrep walk and
-//! RuleLLM's unit audit to. This binary installs its own counting
+//! RuleLLM's splitter, embedder, unit and typosquat audits and whole run
+//! to. This binary installs its own counting
 //! `#[global_allocator]`; each thread counts into its own thread-locals,
 //! so tests running in parallel do not see each other's allocations. A `realloc` counts as one allocation of
 //! its new size, as in the benchmark's counter (`benchmark/src/alloc.rs`).
@@ -18,7 +19,8 @@
 //! the file set of the front-end golden digests, and those of
 //! `FileAnalysis::build` and the YARA scanner over every file of every
 //! upload, `PKG-INFO` included, and the unit audit's over every basic unit
-//! of their Python files. RuleLLM's extraction runs over the tiny corpus's
+//! of their Python files. The typosquat audit's runs over their package
+//! names. RuleLLM's extraction and whole run go over the tiny corpus's
 //! unique malware, as the pipeline does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -1129,14 +1131,16 @@ fn unique_malware() -> Vec<Package> {
 
 /// RuleLLM's knowledge extraction (metadata, code, basic units, the unit
 /// audit, embeddings, grouping) over the tiny corpus's unique malware
-/// stays within the 17 914 allocations it was measured at, this thread's
+/// stays within the 4 902 allocations it was measured at, this thread's
 /// IOC regex caches and token buffer warmed by a first pass. It made
-/// 17 945 while each embedding's lex allocated its token vector, and
-/// 191 559 while each unit's audit built a fresh Pike VM and lazy DFA per
-/// IOC regex and the splitter ran a fresh Pike VM per line.
+/// 17 914 while the splitter grew and copied a `String` per unit and the
+/// embedder allocated per token and bigram, 17 945 while each embedding's
+/// lex allocated its token vector, and 191 559 while each unit's audit
+/// built a fresh Pike VM and lazy DFA per IOC regex and the splitter ran a
+/// fresh Pike VM per line.
 #[test]
 fn rulellm_extraction_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 17_914;
+    const BUDGET: u64 = 4_902;
     let packages = unique_malware();
     let packages: Vec<&Package> = packages.iter().collect();
     rulellm::extract_knowledge(&packages, None);
@@ -1149,6 +1153,151 @@ fn rulellm_extraction_stays_within_its_allocation_budget() {
     assert!(
         total <= BUDGET,
         "extract_knowledge made {total} allocations"
+    );
+}
+
+/// `Pipeline::run` over the tiny corpus's unique malware (extraction,
+/// the unit and metadata audits, prompting, alignment and deployment)
+/// stays within the 8 759 allocations it was measured at, this thread's
+/// IOC regex caches and token buffer warmed by a first run. It made 37 775
+/// while the typosquat audit allocated per popular name, the splitter per
+/// line and the embedder per token and bigram.
+#[test]
+fn a_pipeline_run_stays_within_its_allocation_budget() {
+    const BUDGET: u64 = 8_759;
+    let packages = unique_malware();
+    let packages: Vec<&Package> = packages.iter().collect();
+    let run = || rulellm::Pipeline::new(rulellm::PipelineConfig::full()).run(&packages);
+    run();
+    let (output, total) = counted(run);
+    println!(
+        "Pipeline::run made {total} allocations over {} packages: {} YARA and {} Semgrep rules",
+        packages.len(),
+        output.yara.len(),
+        output.semgrep.len()
+    );
+    assert!(total <= BUDGET, "Pipeline::run made {total} allocations");
+}
+
+/// Every package name of the tiny corpus and its aggressive mutants.
+fn package_names() -> Vec<String> {
+    packages()
+        .iter()
+        .map(|p| p.metadata().name.clone())
+        .collect()
+}
+
+/// The typosquat audit allocates one buffer per call, its lowered name:
+/// the edit distance walks both names in place and keeps its two rows on
+/// the stack, and the decorated names are matched in place. Over these
+/// names it made 37 856 allocations while each distance collected both
+/// names' chars and allocated two rows, and each decoration test built its
+/// string.
+#[test]
+fn a_typosquat_audit_allocates_its_lowered_name_only() {
+    let names = package_names();
+    let (mut total, mut squats) = (0u64, 0usize);
+    for name in &names {
+        let (verdict, calls) = counted(|| oss_registry::is_typosquat(name));
+        assert_eq!(calls, 1, "{name:?}");
+        total += calls;
+        squats += usize::from(verdict.is_some());
+    }
+    println!(
+        "is_typosquat made {total} allocations over {} names, {squats} squats",
+        names.len()
+    );
+    // Vacuity guard: the corpus has typosquatting packages.
+    assert!(squats > 0, "{} names, no squat", names.len());
+}
+
+/// Every Python file of the tiny corpus and its aggressive mutants, then
+/// each wrapped into one `def`, so that every file over 4 000 bytes is an
+/// oversized unit the splitter cuts into pieces.
+fn splitter_inputs() -> Vec<String> {
+    let sources = python_sources();
+    let wrapped: Vec<String> = sources
+        .iter()
+        .map(|src| {
+            let mut out = String::from("def wrapped():\n");
+            for line in src.lines() {
+                out.push_str("    ");
+                out.push_str(line);
+                out.push('\n');
+            }
+            out
+        })
+        .collect();
+    sources.into_iter().chain(wrapped).collect()
+}
+
+/// The splitter allocates its line list, each unit's `code` once at its
+/// length, and the unit list: nothing per line. Over these inputs it made
+/// 56 460 allocations while each unit grew a `String` line by line and
+/// then copied it.
+#[test]
+fn a_split_allocates_one_string_per_unit() {
+    let (mut total, mut units) = (0u64, 0usize);
+    for src in splitter_inputs() {
+        let (split, calls) = counted(|| rulellm::split_basic_units(&src));
+        let lines = src.lines().count();
+        assert_eq!(
+            calls,
+            split.len() as u64 + list_growth(lines) + list_growth(split.len()),
+            "{} units of {lines} lines in {src:?}",
+            split.len()
+        );
+        total += calls;
+        units += split.len();
+    }
+    println!("split_basic_units made {total} allocations for {units} units");
+}
+
+/// An embedding allocates its feature list, one vector per segment, the
+/// segment list and the mean, plus each string literal value that had to
+/// be decoded: features borrow the source, and a feature's and a bigram's
+/// hashes stream over their parts. This thread's token buffer is warmed
+/// first. Over these files it made 1 231 796 allocations while each feature
+/// was a `String` and each bigram a `format!`.
+#[test]
+fn an_embedding_allocates_per_segment_not_per_token() {
+    let embedder = embedding::Embedder::default();
+    let sources = python_sources();
+    for src in &sources {
+        pysrc::lex(src);
+    }
+    let (mut total, mut decoded_total, mut segments_total) = (0u64, 0u64, 0u64);
+    for src in &sources {
+        // Read before the embedding lexes: the token list is the thread's.
+        let (features, decoded) = {
+            let tokens = pysrc::lex(src);
+            let decoded = tokens
+                .iter()
+                .filter(|t| matches!(t.value(src), Cow::Owned(_)))
+                .count();
+            (u64::from(!tokens.is_empty()), decoded as u64)
+        };
+        let (embedding, calls) = counted(|| embedder.embed_source(src));
+        let segments = embedding.segments.len() as u64;
+        assert_eq!(
+            calls,
+            features + decoded + segments + u64::from(segments > 0) + 1,
+            "{segments} segments, {decoded} decoded literals in {src:?}"
+        );
+        total += calls;
+        decoded_total += decoded;
+        segments_total += segments;
+    }
+    println!(
+        "embed_source made {total} allocations over {} files: {segments_total} segments, \
+         {decoded_total} decoded literals",
+        sources.len()
+    );
+    // Vacuity guard: some file spans several segments, and some literal
+    // is decoded.
+    assert!(
+        segments_total > sources.len() as u64 && decoded_total > 0,
+        "{segments_total} segments, {decoded_total} decoded"
     );
 }
 
