@@ -1053,15 +1053,13 @@ fn imported<'m>(
 }
 
 /// The base identifier of an assignment target, read off the front of
-/// its rendering: `loot[t]` → `loot`, `obj.attr` → `obj`, `'s'` → empty.
+/// its leftmost leaf ([`Module::head`]): `loot[t]` → `loot`, `obj.attr` →
+/// `obj`, `'s'` → empty.
 pub(crate) fn target_base<'m>(target: &'m Expr, module: &'m Module) -> &'m str {
-    match *target {
+    match *module.head(target) {
         Expr::Name(s) | Expr::Num(s) => leading_ident(s.text(module.source())),
-        Expr::Attribute { value: head, .. }
-        | Expr::Call { func: head, .. }
-        | Expr::BinOp { left: head, .. } => target_base(module.expr(head), module),
-        Expr::Str(_) => "",
         Expr::Other(text) => leading_ident(module.owned(text)),
+        _ => "",
     }
 }
 

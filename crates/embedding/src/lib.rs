@@ -92,20 +92,15 @@ impl Embedder {
     /// borrowing `source`: the token text, a string literal's `'value'`
     /// (owned only when the literal's value had to be decoded), or the
     /// `<str>` marker a literal longer than 24 bytes collapses to, so that
-    /// payload bytes don't dominate similarity.
+    /// payload bytes don't dominate similarity; such a literal's value is
+    /// measured, never decoded.
     pub fn tokenize<'s>(&self, source: &'s str) -> Vec<Feature<'s>> {
         let tokens = pysrc::lex(source);
         let mut features = Vec::with_capacity(tokens.len());
         features.extend(tokens.iter().filter_map(|t| match t.kind {
             Kind::IDENT | Kind::NUMBER => Some(Feature::Text(t.text(source))),
-            Kind::STR => {
-                let value = t.value(source);
-                Some(if value.len() > 24 {
-                    Feature::LongStr
-                } else {
-                    Feature::Str(value)
-                })
-            }
+            Kind::STR if t.value_len(source) > 24 => Some(Feature::LongStr),
+            Kind::STR => Some(Feature::Str(t.value(source))),
             op => op.op_text().map(Feature::Text),
         }));
         features

@@ -59,7 +59,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use crate::edit::Edit;
@@ -611,6 +611,47 @@ impl Module {
         self.nodes.expr(id)
     }
 
+    /// Hands `f` the expression `root` of this module and every one nested
+    /// in it, in pre-order: a node before its operands, a callee before its
+    /// arguments, a left operand before the right. Stops at the first
+    /// `Break` from `f` and returns it; allocates nothing.
+    pub fn walk<'m>(
+        &'m self,
+        root: ExprId,
+        f: &mut impl FnMut(&'m Expr) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let expr = self.expr(root);
+        f(expr)?;
+        match *expr {
+            Expr::Call { func, args } => {
+                self.walk(func, f)?;
+                for arg in self.args(args) {
+                    self.walk(arg.value, f)?;
+                }
+            }
+            Expr::Attribute { value, .. } => self.walk(value, f)?,
+            Expr::BinOp { left, right, .. } => {
+                self.walk(left, f)?;
+                self.walk(right, f)?;
+            }
+            _ => {}
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The leftmost leaf of `expr`, an expression of this module: the
+    /// end of the chain of attribute objects, callees and left operands,
+    /// `os` in `os.path.join(a) + b`.
+    pub fn head<'m>(&'m self, mut expr: &'m Expr) -> &'m Expr {
+        while let Expr::Attribute { value: head, .. }
+        | Expr::Call { func: head, .. }
+        | Expr::BinOp { left: head, .. } = *expr
+        {
+            expr = self.expr(head);
+        }
+        expr
+    }
+
     /// Every statement of the module in walk order: each one before its
     /// body, its body before its next sibling.
     pub fn statements(&self) -> &[Stmt] {
@@ -966,6 +1007,17 @@ impl Stmt {
             Stmt::FunctionDef { body, .. }
             | Stmt::ClassDef { body, .. }
             | Stmt::Block { body, .. } => Some(*body),
+            _ => None,
+        }
+    }
+
+    /// The one expression the statement evaluates outside a block
+    /// header: an expression statement's, an assignment's value or a
+    /// returned value; [`Module::walk`] from it is what rules reach.
+    pub fn root(&self) -> Option<ExprId> {
+        match *self {
+            Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => Some(value),
+            Stmt::Return { value, .. } => value,
             _ => None,
         }
     }

@@ -28,7 +28,11 @@
 //!   convenience over it for callers that hold only source text, and
 //!   [`parse_spliced`] parses a relexed window between the statements of
 //!   a previous version of the file.
-//! * Call/import/string collectors used by the analyzers.
+//! * The tree's shape: [`Stmt::root`], the expression a statement
+//!   evaluates outside a block header, and [`Module::walk`], its
+//!   subexpressions in pre-order. They decide what every rule reaches: the
+//!   call and string collectors, the Semgrep matcher and its anchor index
+//!   read them, so the index is sound because it shares them.
 //! * [`StringTable::of`] — a deduplicated string-literal table built from
 //!   the token stream, the literal view that per-file analysis artifacts
 //!   carry for decoded-layer extraction; [`StringTable::spliced`] derives
@@ -82,6 +86,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::ops::ControlFlow;
+
 mod ast;
 #[doc(hidden)]
 pub mod compat;
@@ -103,63 +109,33 @@ pub use parser::{parse_module, parse_spliced, parse_tokens};
 pub use strings::{Prehashed, StringRef, StringTable};
 pub use token::{is_keyword, Kind, Lexeme, KEYWORDS};
 
-/// Collects every call expression in the module, depth-first. Block
-/// headers are not descended into: only the taint engine reads them.
+/// Collects every call expression that [`Module::walk`] reaches from a
+/// statement's [`Stmt::root`], outermost first: what every rule reaches.
 pub fn collect_calls(module: &Module) -> Vec<&Expr> {
     let mut out = Vec::new();
-    for stmt in module.statements() {
-        if let Some(root) = expr_root(stmt) {
-            walk(module, module.expr(root), &mut |e| {
-                if matches!(e, Expr::Call { .. }) {
-                    out.push(e);
-                }
-            });
-        }
+    for root in module.statements().iter().filter_map(Stmt::root) {
+        let _ = module.walk(root, &mut |e| {
+            if matches!(e, Expr::Call { .. }) {
+                out.push(e);
+            }
+            ControlFlow::Continue(())
+        });
     }
     out
 }
 
-/// The expression a statement evaluates outside any block header: an
-/// expression statement's, an assignment's value or a returned value.
-fn expr_root(stmt: &Stmt) -> Option<ExprId> {
-    match *stmt {
-        Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => Some(value),
-        Stmt::Return { value, .. } => value,
-        _ => None,
-    }
-}
-
-/// Every expression of `expr` that `collect_calls` and `collect_strings`
-/// recurse into, parents before their operands, handed to `f`.
-fn walk<'m>(module: &'m Module, expr: &'m Expr, f: &mut impl FnMut(&'m Expr)) {
-    f(expr);
-    match *expr {
-        Expr::Call { func, args } => {
-            walk(module, module.expr(func), f);
-            for arg in module.args(args) {
-                walk(module, module.expr(arg.value), f);
-            }
-        }
-        Expr::Attribute { value, .. } => walk(module, module.expr(value), f),
-        Expr::BinOp { left, right, .. } => {
-            walk(module, module.expr(left), f);
-            walk(module, module.expr(right), f);
-        }
-        _ => {}
-    }
-}
-
-/// Collects every string literal in the module (recursing into calls,
-/// not into block headers) with its statement's line.
+/// Collects every string literal that [`collect_calls`]' walk reaches,
+/// with its statement's line.
 pub fn collect_strings(module: &Module) -> Vec<(&str, usize)> {
     let mut out = Vec::new();
     for stmt in module.statements() {
-        if let Some(root) = expr_root(stmt) {
+        if let Some(root) = stmt.root() {
             let line = module.line(stmt);
-            walk(module, module.expr(root), &mut |e| {
+            let _ = module.walk(root, &mut |e| {
                 if let Expr::Str(s) = *e {
                     out.push((s.text(module), line));
                 }
+                ControlFlow::Continue(())
             });
         }
     }

@@ -218,22 +218,32 @@ impl Lexeme {
     /// and owned unless it is empty. Empty for a token that is not a
     /// string.
     pub fn value(self, source: &str) -> Cow<'_, str> {
-        if self.kind != Kind::STR {
-            return Cow::Borrowed("");
-        }
-        if !self.is_decoded() {
+        if self.kind == Kind::STR && !self.is_decoded() {
             return Cow::Borrowed(self.verbatim(source));
         }
-        let mut len = 0;
-        self.body(source).scan(self.body_start(), |piece| {
-            len += piece.len_utf8();
-        });
-        if len == 0 {
-            return Cow::Borrowed("");
+        match self.value_len(source) {
+            0 => Cow::Borrowed(""),
+            len => {
+                let mut value = String::with_capacity(len);
+                self.push_value(source, &mut value);
+                Cow::Owned(value)
+            }
         }
-        let mut value = String::with_capacity(len);
-        self.push_value(source, &mut value);
-        Cow::Owned(value)
+    }
+
+    /// The length in bytes of [`Lexeme::value`], counted without
+    /// decoding it.
+    pub fn value_len(self, source: &str) -> usize {
+        if self.kind != Kind::STR {
+            return 0;
+        }
+        if !self.is_decoded() {
+            return self.verbatim(source).len();
+        }
+        let mut len = 0;
+        self.body(source)
+            .scan(self.body_start(), |piece| len += piece.len_utf8());
+        len
     }
 
     /// Appends [`Lexeme::value`] to `out`, allocating nothing else.

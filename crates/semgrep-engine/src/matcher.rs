@@ -16,6 +16,8 @@
 //! encoding; the last two are also what the reparse-per-call oracle in
 //! the `oracles` crate runs, through [`crate::internals`].
 
+use std::ops::ControlFlow;
+
 use pysrc::{Arg, Expr, Module, Stmt};
 
 use crate::rule::{PatternOp, Severity};
@@ -118,7 +120,8 @@ pub fn pattern_stmt(pattern: &Module) -> Option<&Stmt> {
 
 /// The dispatch anchor of a pattern (see [`Anchor`]). Soundness
 /// contract: whenever [`stmt_matches`]`(pattern, target)` holds, the
-/// anchor fact holds for `target`.
+/// anchor fact holds for `target`; for an identifier, because the index
+/// and the matcher walk the same [`Stmt::root`] with [`Module::walk`].
 fn anchor_of(pattern: &Module) -> Anchor {
     let Some(stmt) = pattern_stmt(pattern) else {
         return Anchor::Dead;
@@ -205,15 +208,6 @@ fn is_ellipsis(m: &Module, expr: &Expr) -> bool {
     matches!(*expr, Expr::Other(t) if m.owned(t) == "...")
 }
 
-/// The expression root a statement exposes to expression patterns.
-pub(crate) fn expr_root<'a>(m: &'a Module, stmt: &Stmt) -> Option<&'a Expr> {
-    match *stmt {
-        Stmt::Expr { value, .. } | Stmt::Assign { value, .. } => Some(m.expr(value)),
-        Stmt::Return { value: Some(v), .. } => Some(m.expr(v)),
-        _ => None,
-    }
-}
-
 /// The modules a pattern statement and a target statement belong to.
 #[derive(Clone, Copy)]
 pub struct Trees<'s> {
@@ -231,13 +225,18 @@ pub fn stmt_matches(pattern: &Stmt, target: &Stmt, trees: Trees<'_>) -> bool {
     match (*pattern, *target) {
         (Stmt::Expr { value: pv, .. }, _) => {
             // An expression pattern matches any statement containing a
-            // matching sub-expression.
+            // matching sub-expression, tried outermost first.
             let (pv, mut bindings) = (pm.expr(pv), Bindings::default());
-            expr_root(tm, target).is_some_and(|root| {
-                any_subexpr(tm, root, &mut |te| {
+            target.root().is_some_and(|root| {
+                tm.walk(root, &mut |te| {
                     bindings.undo(0);
-                    expr_matches(pv, te, trees, &mut bindings)
+                    if expr_matches(pv, te, trees, &mut bindings) {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
                 })
+                .is_break()
             })
         }
         (
@@ -252,10 +251,15 @@ pub fn stmt_matches(pattern: &Stmt, target: &Stmt, trees: Trees<'_>) -> bool {
                 ..
             },
         ) => {
-            // Targets compare as rendered; one whose rendering starts
-            // with a metavariable matches any.
+            // Targets compare as rendered; one whose leftmost leaf
+            // starts with a metavariable matches any.
+            let metavar_head = |p| match *pm.head(p) {
+                Expr::Name(n) => is_metavar(n.text(ps)),
+                Expr::Other(t) => is_metavar(pm.owned(t)),
+                _ => false,
+            };
             let target_ok = pm.targets(pt).all(|p| {
-                is_metavar(head_text(pm, p)) || {
+                metavar_head(p) || {
                     let p = p.to_text(pm);
                     tm.targets(tt).any(|t| t.to_text(tm) == p)
                 }
@@ -297,33 +301,6 @@ pub fn stmt_matches(pattern: &Stmt, target: &Stmt, trees: Trees<'_>) -> bool {
             let pt = pm.owned(pt);
             !pt.is_empty() && target.to_text(tm).contains(pt)
         }
-        _ => false,
-    }
-}
-
-/// The text an expression's rendering starts with: its leftmost leaf's.
-fn head_text<'s>(m: &'s Module, expr: &Expr) -> &'s str {
-    match *expr {
-        Expr::Name(s) | Expr::Num(s) => s.text(m.source()),
-        Expr::Attribute { value: head, .. }
-        | Expr::Call { func: head, .. }
-        | Expr::BinOp { left: head, .. } => head_text(m, m.expr(head)),
-        Expr::Str(_) => "'",
-        Expr::Other(text) => m.owned(text),
-    }
-}
-
-/// Whether `f` holds for `expr` or any expression nested in it, tried
-/// outermost first.
-fn any_subexpr<'a>(m: &'a Module, expr: &'a Expr, f: &mut impl FnMut(&'a Expr) -> bool) -> bool {
-    if f(expr) {
-        return true;
-    }
-    let mut any = |id| any_subexpr(m, m.expr(id), f);
-    match *expr {
-        Expr::Call { func, args } => any(func) || m.args(args).iter().any(|a| any(a.value)),
-        Expr::Attribute { value, .. } => any(value),
-        Expr::BinOp { left, right, .. } => any(left) || any(right),
         _ => false,
     }
 }

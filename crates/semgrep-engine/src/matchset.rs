@@ -24,10 +24,11 @@
 //! splice walks only the statements the edit inserted.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use pysrc::{Edit, Expr, Module, Stmt};
 
-use crate::matcher::{expr_root, pattern_stmt, stmt_matches, Anchor, CompiledOp, Finding, Trees};
+use crate::matcher::{pattern_stmt, stmt_matches, Anchor, CompiledOp, Finding, Trees};
 use crate::rule::CompiledSemgrepRules;
 
 /// Work counters for one [`MatchSet::match_module_set`] pass.
@@ -391,11 +392,17 @@ impl<'r> MatchSet<'r> {
                 }
                 _ => {}
             }
-            if let Some(root) = expr_root(module, stmt) {
-                walk_idents(module, root, &mut |ident| {
-                    if let Some(ids) = self.ident_index.get(ident) {
-                        try_leaves(ids, scratch);
+            // The identifiers of the expressions `stmt_matches` tries,
+            // reached by the same walk: bare names and attribute names,
+            // callee heads among them.
+            if let Some(root) = stmt.root() {
+                let _ = module.walk(root, &mut |e| {
+                    if let Expr::Name(ident) | Expr::Attribute { attr: ident, .. } = *e {
+                        if let Some(ids) = self.ident_index.get(ident.text(src)) {
+                            try_leaves(ids, scratch);
+                        }
                     }
+                    ControlFlow::Continue(())
                 });
             }
         }
@@ -490,30 +497,6 @@ fn eval_tree(node: &Node, scratch: &MatchScratch, out: &mut Vec<usize>) {
         // A top-level bare `pattern-not` (degenerate, but the LLM can
         // produce it): matches nothing on its own.
         Node::Not(_) => {}
-    }
-}
-
-/// Yields every identifier a statement's expressions expose: bare names,
-/// attribute names, callee heads — the facts [`Anchor::Ident`] keys on.
-fn walk_idents<'a>(m: &'a Module, expr: &Expr, f: &mut impl FnMut(&'a str)) {
-    let src = m.source();
-    match *expr {
-        Expr::Name(n) => f(n.text(src)),
-        Expr::Attribute { value, attr } => {
-            f(attr.text(src));
-            walk_idents(m, m.expr(value), f);
-        }
-        Expr::Call { func, args } => {
-            walk_idents(m, m.expr(func), f);
-            for a in m.args(args) {
-                walk_idents(m, m.expr(a.value), f);
-            }
-        }
-        Expr::BinOp { left, right, .. } => {
-            walk_idents(m, m.expr(left), f);
-            walk_idents(m, m.expr(right), f);
-        }
-        Expr::Str(_) | Expr::Num(_) | Expr::Other(_) => {}
     }
 }
 
