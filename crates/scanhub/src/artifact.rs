@@ -25,7 +25,7 @@
 //! decoded layer as its own unit, with findings tagged by layer so
 //! verdicts stay explainable.
 
-use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -534,8 +534,8 @@ fn fold_layers(
         if layers.len() >= MAX_LAYERS {
             break;
         }
-        let data = fc.text.as_bytes().to_vec();
-        if layers.iter().any(|l| l.data == data) || strings.literals().any(|l| l == fc.text) {
+        let text = fc.text.as_bytes();
+        if layers.iter().any(|l| l.data == text) || strings.literals().any(|l| l == fc.text) {
             continue;
         }
         if let Some((encoding, decoded)) = decode_candidate(&fc.text) {
@@ -553,38 +553,103 @@ fn fold_layers(
             encoding: LayerEncoding::Folded,
             depth: 1,
             line: fc.line,
-            data,
+            data: text.to_vec(),
         });
     }
 }
 
+/// A scratch that grew past this many bytes is freed after its decode
+/// rather than kept, as the lexer's buffer, the parser's arrays and the
+/// taint scratch are: one hostile file must not pin its memory.
+const MAX_KEPT_SCRATCH: usize = 4 << 20;
+
+thread_local! {
+    /// This thread's decode scratch, between builds.
+    static DECODE: Cell<DecodeScratch> = Cell::default();
+}
+
+/// What [`decode_layers`] works in, kept per thread, so that a warm decode
+/// allocates only the layers it finds and the tables of the payloads it
+/// lexes.
+#[derive(Debug, Default)]
+struct DecodeScratch {
+    /// The texts still to examine, the next one last: first every literal
+    /// of the file's table, at its id.
+    pending: Vec<Pending>,
+    /// The texts decoding produced to examine — a payload's literals,
+    /// then the payload — back to back.
+    text: String,
+}
+
+impl DecodeScratch {
+    fn heap_bytes(&self) -> usize {
+        self.pending.capacity() * std::mem::size_of::<Pending>() + self.text.capacity()
+    }
+
+    /// Queues `text`, copied onto the scratch's text.
+    fn push_text(&mut self, text: &str, depth: u8, line: u32) {
+        let start = self.text.len() as u32;
+        self.text.push_str(text);
+        let kept = Text::Kept(start, self.text.len() as u32);
+        self.pending.push(Pending {
+            text: kept,
+            depth,
+            line,
+        });
+    }
+}
+
+/// One text [`decode_layers`] will examine: where it is, the depth it
+/// would decode at, and the line of the surface literal it descends from.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    text: Text,
+    depth: u8,
+    line: u32,
+}
+
+/// Where a [`Pending`] text is.
+#[derive(Debug, Clone, Copy)]
+enum Text {
+    /// A literal of the file's table, by id.
+    Literal(u32),
+    /// A range of [`DecodeScratch::text`].
+    Kept(u32, u32),
+}
+
 /// Extracts decoded layers from a file's interned literals, recursing
-/// into layers that themselves contain encoded literals.
+/// into layers that themselves contain encoded literals. Surface literals
+/// are examined where the table holds them, and what a decode produced in
+/// the scratch its thread keeps.
 fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLayer> {
     let mut layers: Vec<DecodedLayer> = Vec::new();
     if cfg.max_decode_depth == 0 {
         return layers;
     }
+    let mut s = DECODE.take();
+    s.text.clear();
+    s.pending.clear();
+    s.pending
+        .extend((0..strings.len() as u32).map(|id| Pending {
+            text: Text::Literal(id),
+            depth: 1,
+            line: 0,
+        }));
     // One pass over the refs for first-occurrence lines: a search per
     // literal would be O(literals × refs), quadratic on
     // attacker-controlled input.
-    let mut first_lines = vec![0u32; strings.len()];
     for r in strings.refs().iter().rev() {
-        first_lines[r.literal as usize] = r.line;
+        s.pending[r.literal as usize].line = r.line;
     }
-    // (text to examine, depth it would decode at, anchor line): surface
-    // literals are examined where the table holds them, and only what a
-    // decode produced is owned.
-    let mut pending: Vec<(Cow<'_, str>, u8, u32)> = strings
-        .literals()
-        .zip(first_lines)
-        .map(|(lit, line)| (Cow::Borrowed(lit), 1, line))
-        .collect();
-    while let Some((text, depth, line)) = pending.pop() {
+    while let Some(Pending { text, depth, line }) = s.pending.pop() {
         if layers.len() >= MAX_LAYERS {
             break;
         }
-        let Some((encoding, data)) = decode_candidate(&text) else {
+        let text = match text {
+            Text::Literal(id) => strings.literal(id as usize),
+            Text::Kept(start, end) => &s.text[start as usize..end as usize],
+        };
+        let Some((encoding, data)) = decode_candidate(text) else {
             continue;
         };
         if layers.iter().any(|l| l.data == data) {
@@ -597,9 +662,9 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
                 // may simply be encoded a second time.
                 let inner_strings = StringTable::of(inner, &pysrc::lex(inner));
                 for lit in inner_strings.literals() {
-                    pending.push((Cow::Owned(lit.to_owned()), depth + 1, line));
+                    s.push_text(lit, depth + 1, line);
                 }
-                pending.push((Cow::Owned(inner.to_owned()), depth + 1, line));
+                s.push_text(inner, depth + 1, line);
             }
         }
         layers.push(DecodedLayer {
@@ -608,6 +673,9 @@ fn decode_layers(strings: &StringTable, cfg: &ArtifactConfig) -> Vec<DecodedLaye
             line,
             data,
         });
+    }
+    if s.heap_bytes() <= MAX_KEPT_SCRATCH {
+        DECODE.set(s);
     }
     layers
 }

@@ -60,14 +60,6 @@ impl Routing {
         self.semgrep.clear();
         self.semgrep.resize(semgrep_count, true);
     }
-
-    /// Marks one rule for evaluation.
-    pub(crate) fn mark(&mut self, (engine, i): RuleId) {
-        match engine {
-            RuleEngine::Yara => self.yara[i] = true,
-            RuleEngine::Semgrep => self.semgrep[i] = true,
-        }
-    }
 }
 
 /// The scratch [`PrefilterIndex::route_artifacts_into`] takes. Routing

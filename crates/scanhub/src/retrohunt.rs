@@ -32,7 +32,7 @@
 //! # Verdict semantics
 //!
 //! [`crate::ScanHub::retro_hunt`] confirm-scans each candidate digest
-//! with exactly the changed rules, masked per digest by a [`Routing`],
+//! with exactly the changed rules, masked per digest by a row of [`Tasks`],
 //! through the evaluator a hub worker scans requests with (surface bytes
 //! at offset zero, each decoded layer as its own unit, Semgrep over the
 //! cached module), and normalizes each flagged digest's [`Verdict`].
@@ -50,7 +50,7 @@ use yara_engine::{CompiledRules, FileHits, Part};
 use crate::artifact::FileAnalysis;
 use crate::cache::{ArtifactCache, DigestKey};
 use crate::metrics::{HubCounters, HubTelemetry, Stage, StageClock};
-use crate::prefilter::{ChangedRule, Routing, RuleDelta, RuleEngine};
+use crate::prefilter::{ChangedRule, RuleDelta, RuleEngine};
 use crate::store::ArtifactStore;
 use crate::verdict::Verdict;
 use crate::worker::Evaluator;
@@ -601,13 +601,25 @@ impl RuleDeployment {
         self.delta.changed.is_empty()
     }
 
-    /// A mask over the subset rulesets with every rule set to `on`.
-    fn routing(&self, on: bool) -> Routing {
-        Routing {
-            yara: vec![on; self.yara.as_ref().map_or(0, |r| r.rules.len())],
-            semgrep: vec![on; self.semgrep.as_ref().map_or(0, |r| r.rules.len())],
-        }
+    /// The number of changed YARA rules, and of changed rules: a mask
+    /// row's YARA part and its width.
+    fn widths(&self) -> (usize, usize) {
+        let yara = self.yara.as_ref().map_or(0, |r| r.rules.len());
+        let semgrep = self.semgrep.as_ref().map_or(0, |r| r.rules.len());
+        (yara, yara + semgrep)
     }
+}
+
+/// A hunt's confirm scans: each digest to scan with the row of `masks`
+/// that says which changed rules to evaluate on it.
+#[derive(Debug)]
+struct Tasks {
+    /// `(digest, row)`, in digest order.
+    digests: Vec<(DigestKey, u32)>,
+    /// The rows back to back, each over the deployment's changed rules
+    /// ([`RuleDeployment::widths`]): its YARA subset, then its Semgrep
+    /// subset.
+    masks: Vec<bool>,
 }
 
 /// Hits for one changed rule across the package history.
@@ -696,29 +708,31 @@ impl RetroReport {
 fn confirm_scan(
     deployment: &RuleDeployment,
     live: Option<&CompiledRules>,
-    mut tasks: Vec<(DigestKey, Routing)>,
+    tasks: Tasks,
     mut report: RetroReport,
     store: &ArtifactStore,
     clock: &mut StageClock<'_>,
 ) -> RetroReport {
-    tasks.sort_unstable_by_key(|(digest, _)| *digest);
     let (yara, semgrep) = (deployment.yara.as_ref(), deployment.semgrep.as_ref());
     let mut eval = Evaluator::new(yara, semgrep, live);
-    for (digest, mask) in &tasks {
+    let (yara_width, width) = deployment.widths();
+    for &(digest, row) in &tasks.digests {
+        let row = row as usize * width;
+        let (yara_mask, semgrep_mask) = tasks.masks[row..row + width].split_at(yara_width);
         // A digest evicted between index query and confirm is simply
         // gone from the history — nothing to report on it. A peek: the
         // hunt must not keep its candidates alive in the serving cache.
-        let Some(artifact) = store.peek(digest) else {
+        let Some(artifact) = store.peek(&digest) else {
             continue;
         };
         clock.lap(Stage::RetroConfirm);
         report.confirm_scans += 1;
         let mut verdict = Verdict::default();
-        if mask.yara.contains(&true) {
+        if yara_mask.contains(&true) {
             // A unit's hits: its cached live ones, translated, plus the
             // residual strings' when an enabled rule has one. Layer
             // findings are labelled once the verdict is flagged.
-            let read = eval.reads_bytes(&mask.yara);
+            let read = eval.reads_bytes(yara_mask);
             if read {
                 let layers = artifact.layers.iter().map(|l| l.data.len());
                 report.bytes_scanned += (artifact.bytes.len() + layers.sum::<usize>()) as u64;
@@ -726,20 +740,20 @@ fn confirm_scan(
             let own = read.then(|| eval.collect_hits(&artifact.bytes));
             let hits = unit_hits(live.and(artifact.yara_hits.as_ref()), own.as_ref());
             let len = artifact.bytes.len();
-            eval.surface(hits, len, &mask.yara, &mut verdict.yara);
+            eval.surface(hits, len, yara_mask, &mut verdict.yara);
             for (i, layer) in artifact.layers.iter().enumerate() {
                 let own = read.then(|| eval.collect_hits(&layer.data));
                 let hits = unit_hits(live.and(artifact.layer_hits.get(i)), own.as_ref());
-                eval.layer(layer, hits, "", &mask.yara, &mut verdict.layers);
+                eval.layer(layer, hits, "", yara_mask, &mut verdict.layers);
             }
         }
         let module = artifact.module.as_ref().map(|m| m.get());
-        let module = module.filter(|_| mask.semgrep.contains(&true));
-        eval.semgrep(module, &mask.semgrep, &mut verdict.semgrep);
+        let module = module.filter(|_| semgrep_mask.contains(&true));
+        eval.semgrep(module, semgrep_mask, &mut verdict.semgrep);
         verdict.normalize();
         // Only a flagged verdict renders its digest.
         let hex = verdict.flagged().then(|| {
-            let hex = digest::to_hex(digest);
+            let hex = digest::to_hex(&digest);
             for finding in &mut verdict.layers {
                 finding.file.clone_from(&hex);
             }
@@ -780,23 +794,21 @@ fn unit_hits<'h>(
 
 /// Per-digest confirm tasks for the deployment's changed rules, from the
 /// index's candidates, and the report they will complete.
-fn plan(
-    retro: &RetroIndex,
-    deployment: &RuleDeployment,
-) -> (Vec<(DigestKey, Routing)>, RetroReport) {
+fn plan(retro: &RetroIndex, deployment: &RuleDeployment) -> (Tasks, RetroReport) {
     let changed = &deployment.delta.changed;
-    let mut masks: HashMap<DigestKey, Routing> = HashMap::new();
     let mut report = RetroReport {
         rules: Vec::with_capacity(changed.len()),
         digests_indexed: retro.digest_count() as u64,
         ..RetroReport::default()
     };
+    let (yara_width, width) = deployment.widths();
+    // Every candidacy, `(digest, the rule's column in a mask row)`.
+    let mut marks: Vec<(DigestKey, u32)> = Vec::new();
     // Per engine, the position of the next changed rule in its subset
     // ruleset, which holds them in delta order.
-    let mut next = [0usize; 2];
-    let unmarked = || deployment.routing(false);
+    let mut next = [0, yara_width];
     for rule in changed {
-        let id = (rule.engine, next[rule.engine as usize]);
+        let column = next[rule.engine as usize] as u32;
         next[rule.engine as usize] += 1;
         // Candidates: the union over the rule's atoms (any-of semantics)
         // and the units its engine reads. An exhaustive rule without atoms
@@ -819,23 +831,36 @@ fn plan(
                 }
             }
         }
-        let list: Vec<(DigestKey, bool)> = match gated {
-            Some(acc) => acc.into_iter().collect(),
+        let before = marks.len();
+        match gated {
+            Some(acc) => marks.extend(acc.into_keys().map(|digest| (digest, column))),
             None => {
                 report.full_candidacy_rules += 1;
                 // Every unit an engine reads lies in a file whose bytes it reads.
-                let mut all = retro.all_digests();
-                all.retain(|&(_, python)| rule.engine.reads(TermProvenance::Surface, python));
-                all
+                let all = retro.all_digests().into_iter();
+                let read =
+                    all.filter(|&(_, python)| rule.engine.reads(TermProvenance::Surface, python));
+                marks.extend(read.map(|(digest, _)| (digest, column)));
             }
-        };
-        let hits = RetroRuleHits::unconfirmed(rule, list.len());
+        }
+        let hits = RetroRuleHits::unconfirmed(rule, marks.len() - before);
         report.rules.push(hits);
-        for (digest, _) in list {
-            masks.entry(digest).or_insert_with(unmarked).mark(id);
+    }
+    // One row per candidate digest, its rules' columns set.
+    marks.sort_unstable();
+    let per_digest = || marks.chunk_by(|a, b| a.0 == b.0);
+    let rows = per_digest().count();
+    let mut tasks = Tasks {
+        digests: Vec::with_capacity(rows),
+        masks: vec![false; rows * width],
+    };
+    for (row, marks) in per_digest().enumerate() {
+        tasks.digests.push((marks[0].0, row as u32));
+        for &(_, column) in marks {
+            tasks.masks[row * width + column as usize] = true;
         }
     }
-    (masks.into_iter().collect(), report)
+    (tasks, report)
 }
 
 /// [`crate::ScanHub::retro_hunt`]: syncs the retro index (the
@@ -879,7 +904,13 @@ pub(crate) fn rescan(store: &ArtifactStore, deployment: &RuleDeployment) -> Retr
         full_candidacy_rules: changed.len() as u64,
         ..RetroReport::default()
     };
-    let tasks = all.iter().map(|&d| (d, deployment.routing(true))).collect();
+    // Every digest shares the one row that enables every rule.
+    let mut digests: Vec<(DigestKey, u32)> = all.iter().map(|&d| (d, 0)).collect();
+    digests.sort_unstable();
+    let tasks = Tasks {
+        digests,
+        masks: vec![true; deployment.widths().1],
+    };
     confirm_scan(deployment, None, tasks, report, store, &mut untimed)
 }
 

@@ -66,10 +66,18 @@ pub struct ScanMetrics {
 /// 4 GiB); slots are the scanner's dense string indices. The set is a
 /// pure function of `(ruleset, data)`, which is what makes it cacheable
 /// in a content-addressed artifact, and equality compares nothing else.
+///
+/// It is two arrays, each allocated once at its exact length: per string
+/// slot that hit, ascending, `(slot, end of its run)`, and every slot's
+/// ascending match offsets, run after run. A unit with no hit holds no
+/// allocation, and one with hits holds two: `8 + 4n` bytes per slot with
+/// `n` hits, which is what [`FileHits::stored_bytes`] books.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileHits {
-    /// `(dense string slot, ascending match offsets)`, sorted by slot.
-    slots: Vec<(u32, Vec<u32>)>,
+    /// `(dense string slot, end of its run in offsets)`, sorted by slot.
+    slots: Vec<(u32, u32)>,
+    /// Each slot's ascending match offsets, in slot order.
+    offsets: Vec<u32>,
 }
 
 /// A previous version of a scan unit, for [`Scanner::collect_hits_onto`]:
@@ -89,6 +97,31 @@ pub struct HitDonor<'d> {
 }
 
 impl FileHits {
+    /// The hits `scratch` holds for slots `0..slots`, each slot's run
+    /// sorted.
+    fn gather(scratch: &ScanScratch, slots: usize) -> Self {
+        let hit = |slot: usize| scratch.get(slot).map(|offs| (slot, offs));
+        let (runs, total) = (0..slots)
+            .filter_map(hit)
+            .fold((0, 0), |(runs, total), (_, offs)| {
+                (runs + 1, total + offs.len())
+            });
+        let mut hits = FileHits {
+            slots: Vec::with_capacity(runs),
+            offsets: Vec::with_capacity(total),
+        };
+        for (slot, offs) in (0..slots).filter_map(hit) {
+            let start = hits.offsets.len();
+            hits.offsets.extend(offs.iter().map(|&o| o as u32));
+            let run = &mut hits.offsets[start..];
+            if !run.is_sorted() {
+                run.sort_unstable();
+            }
+            hits.slots.push((slot as u32, hits.offsets.len() as u32));
+        }
+        hits
+    }
+
     /// True when no string definition matched this unit.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
@@ -96,12 +129,26 @@ impl FileHits {
 
     /// Total match offsets recorded across all string definitions.
     pub fn hit_count(&self) -> usize {
-        self.slots.iter().map(|(_, offs)| offs.len()).sum()
+        self.offsets.len()
     }
 
-    /// Approximate heap footprint, for cache accounting.
+    /// Heap footprint, for cache accounting: exactly the bytes the two
+    /// arrays were allocated with.
     pub fn stored_bytes(&self) -> usize {
-        self.slots.iter().map(|(_, offs)| 8 + 4 * offs.len()).sum()
+        std::mem::size_of_val(self.slots.as_slice())
+            + std::mem::size_of_val(self.offsets.as_slice())
+    }
+
+    /// Each slot with at least one hit, ascending, and its offsets.
+    fn runs(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        (0..self.slots.len()).map(|i| self.run(i))
+    }
+
+    /// The `i`th slot with a hit, and its offsets.
+    fn run(&self, i: usize) -> (usize, &[u32]) {
+        let start = i.checked_sub(1).map_or(0, |p| self.slots[p].1 as usize);
+        let (slot, end) = self.slots[i];
+        (slot as usize, &self.offsets[start..end as usize])
     }
 
     /// The dense string slots with at least one hit, ascending.
@@ -426,8 +473,7 @@ impl<'r> Scanner<'r> {
         let edit = donor.as_ref().map(|d| Edit::new(d, data));
         if let (Some(d), Some(edit)) = (&donor, &edit) {
             // The donor's hits outside the edit's reach, in place or moved.
-            for (slot, offsets) in &d.hits.slots {
-                let slot = *slot as usize;
+            for (slot, offsets) in d.hits.runs() {
                 let carry = self.carry(slot);
                 for &old in offsets {
                     if let Some(at) = edit.carried(carry, old as usize) {
@@ -458,16 +504,7 @@ impl<'r> Scanner<'r> {
             true
         });
         self.regex_pass(data, edit.as_ref(), scratch, regexes, work);
-        let hit = |slot: usize| scratch.get(slot).map(|offs| (slot, offs));
-        let mut slots = Vec::with_capacity((0..self.total_strings).filter_map(hit).count());
-        slots.extend((0..self.total_strings).filter_map(hit).map(|(slot, offs)| {
-            let mut offsets: Vec<u32> = offs.iter().map(|&o| o as u32).collect();
-            if !offsets.is_sorted() {
-                offsets.sort_unstable();
-            }
-            (slot as u32, offsets)
-        }));
-        FileHits { slots }
+        FileHits::gather(scratch, self.total_strings)
     }
 
     /// Runs every regex group — one accelerated forward pass over `data`
@@ -530,11 +567,11 @@ impl<'r> Scanner<'r> {
     /// the slots its strings translate to.
     pub fn for_each_hit<'h>(&self, part: Part<'h>, mut f: impl FnMut(usize, &'h [u32])) {
         match part {
-            Part::Own(_, hits) => hits.slots.iter().for_each(|(s, offs)| f(*s as usize, offs)),
+            Part::Own(_, hits) => hits.runs().for_each(|(slot, offs)| f(slot, offs)),
             Part::Live(_, hits) => {
                 for &(live, own) in &self.from_live {
                     if let Ok(i) = hits.slots.binary_search_by_key(&live, |(s, _)| *s) {
-                        f(own as usize, &hits.slots[i].1);
+                        f(own as usize, hits.run(i).1);
                     }
                 }
             }
@@ -822,26 +859,19 @@ mod tests {
                     }
                 }
             }
-            let slots = (0..self.total_strings)
-                .filter_map(|slot| {
-                    scratch
-                        .get(slot)
-                        .map(|offs| (slot as u32, offs.iter().map(|&o| o as u32).collect()))
-                })
-                .collect();
-            (FileHits { slots }, metrics)
+            (FileHits::gather(&scratch, self.total_strings), metrics)
         }
     }
 
-    /// Each slot's offsets as a set: the scanner sorts each slot, the
-    /// oracle's offsets reach it form by form.
-    fn offset_sets(hits: &FileHits) -> Vec<(u32, Vec<u32>)> {
-        let mut slots = hits.slots.clone();
-        for (_, offsets) in &mut slots {
-            offsets.sort_unstable();
+    /// Each slot's offsets as a set: a slot's run may repeat an offset
+    /// the oracle reaches once per form.
+    fn offset_sets(hits: &FileHits) -> Vec<(usize, Vec<u32>)> {
+        let runs = hits.runs().map(|(slot, offsets)| {
+            let mut offsets = offsets.to_vec();
             offsets.dedup();
-        }
-        slots
+            (slot, offsets)
+        });
+        runs.collect()
     }
 
     /// Asserts grouped ≡ per-definition on `data`: identical slots and

