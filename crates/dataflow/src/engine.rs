@@ -666,6 +666,7 @@ impl<'m> Analyzer<'m> {
             move |s: &mut Scratch, module: &Module| {
                 let Some(arg) = arg0.cval else { return false };
                 let mut bytes = std::mem::take(&mut s.bytes);
+                bytes.clear();
                 let ok = decode(arg.get(module, &s.text), &mut bytes);
                 if ok {
                     fold::push_lossy(&bytes, &mut s.text);
@@ -676,7 +677,7 @@ impl<'m> Analyzer<'m> {
         };
         let cval = match path {
             "base64.b64decode" => self.fold(None, decoded(fold::b64decode)),
-            "bytes.fromhex" => self.fold(None, decoded(fold::fromhex)),
+            "bytes.fromhex" => self.fold(None, decoded(digest::hex::decode_into)),
             "chr" => self.fold(None, |s, module| {
                 let arg = arg0.cval.map_or("", |arg| arg.get(module, &s.text));
                 fold::chr(arg).map(|c| s.text.push(c)).is_some()

@@ -14,6 +14,9 @@
 //!   buckets, one-shot or streamed over a feature's parts.
 //! * [`base64`] — encode/decode used by the synthetic corpus to build (and
 //!   the analyzers to unwrap) obfuscated payloads.
+//! * [`hex`] — [`to_hex`]/[`from_hex`] for digests, and
+//!   [`hex::decode_into`], the one `bytes.fromhex(...)` decoder: the
+//!   artifact builder's hex layers and the dataflow folder both call it.
 //! * [`shannon_entropy`] — string randomness score used by the score-based
 //!   baseline (information-entropy component, §V-A).
 //!
@@ -38,38 +41,14 @@ pub mod base64;
 mod blake2b;
 mod entropy;
 mod fnv;
+pub mod hex;
 mod sha256;
 
 pub use blake2b::{blake2b256, Blake2b256};
 pub use entropy::shannon_entropy;
 pub use fnv::{fnv1a, Fnv1a};
+pub use hex::{from_hex, to_hex};
 pub use sha256::{sha256, sha256_hex, Sha256};
-
-/// Renders a raw digest as 64 lowercase hex chars.
-pub fn to_hex(digest: &[u8; 32]) -> String {
-    let mut s = String::with_capacity(64);
-    for &b in digest {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        s.push(char::from_digit((b & 0xF) as u32, 16).expect("nibble"));
-    }
-    s
-}
-
-/// Parses 64 hex digits (either case) back into the raw digest that
-/// [`to_hex`] renders; `None` for any other length or a non-hex digit.
-/// Allocates nothing.
-pub fn from_hex(hex: &str) -> Option<[u8; 32]> {
-    let hex = hex.as_bytes();
-    if hex.len() != 64 {
-        return None;
-    }
-    let nibble = |c: u8| (c as char).to_digit(16).map(|d| d as u8);
-    let mut digest = [0u8; 32];
-    for (byte, pair) in digest.iter_mut().zip(hex.chunks_exact(2)) {
-        *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
-    }
-    Some(digest)
-}
 
 #[cfg(test)]
 mod tests {

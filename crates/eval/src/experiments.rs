@@ -396,7 +396,8 @@ pub struct VariantReport {
 }
 
 /// §V-B: per code group, generate YARA rules from two packages and test
-/// them on the group's remaining (unseen) variants.
+/// them on the group's remaining (unseen) variants, scanned through
+/// [`scan_all`] like every other experiment's packages.
 pub fn variant_detection(dataset: &Dataset, seed: u64) -> VariantReport {
     let unique = dataset.unique_malware();
     let packages: Vec<&oss_registry::Package> = unique.iter().map(|m| &m.package).collect();
@@ -421,28 +422,21 @@ pub fn variant_detection(dataset: &Dataset, seed: u64) -> VariantReport {
         config.cluster_k = Some(1);
         config.generate_metadata_rules = false;
         let output = Pipeline::new(config).run(&seeds);
-        if output.yara.is_empty() {
-            rates.push(0.0);
-            total_variants += group.len() - 2;
-            continue;
-        }
-        let compiled =
-            yara_engine::compile(&output.yara_ruleset()).expect("aligned ruleset compiles");
-        let scanner = yara_engine::Scanner::new(&compiled);
-        let mut group_hits = 0usize;
-        let mut group_total = 0usize;
-        for &i in group.iter().skip(2) {
-            group_total += 1;
-            let t = crate::scan::target_from_package(packages[i], 0, true, None);
-            if scanner.is_match(&t.request.concat_buffer()) {
-                group_hits += 1;
-            }
-        }
-        total_variants += group_total;
+        // No rule generated is no rule to scan with: nothing is detected.
+        let compiled = (!output.yara.is_empty()).then(|| {
+            yara_engine::compile(&output.yara_ruleset()).expect("aligned ruleset compiles")
+        });
+        let held_out: Vec<ScanTarget> = group
+            .iter()
+            .skip(2)
+            .enumerate()
+            .map(|(n, &i)| crate::scan::target_from_package(packages[i], n, true, None))
+            .collect();
+        let matches = scan_all(compiled.as_ref(), None, &held_out);
+        let group_hits = matches.iter().filter(|m| !m.yara.is_empty()).count();
+        total_variants += held_out.len();
         detected += group_hits;
-        if group_total > 0 {
-            rates.push(group_hits as f64 / group_total as f64);
-        }
+        rates.push(group_hits as f64 / held_out.len() as f64);
     }
     let overall_rate = if total_variants == 0 {
         0.0

@@ -17,6 +17,8 @@ use std::sync::OnceLock;
 
 use textmatch::{Regex, RegexCache};
 
+use crate::generate::unescape;
+
 /// Which Table II audit row an indicator belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndicatorKind {
@@ -118,24 +120,7 @@ impl Analysis {
                     "Anti-debug/Anti-analysis" => IndicatorKind::AntiDebug,
                     _ => IndicatorKind::Metadata,
                 };
-                let mut text = String::with_capacity(value.len());
-                let mut chars = value.chars();
-                while let Some(c) = chars.next() {
-                    if c == '\\' {
-                        match chars.next() {
-                            Some('n') => text.push('\n'),
-                            Some('t') => text.push('\t'),
-                            Some('\\') => text.push('\\'),
-                            Some(other) => {
-                                text.push('\\');
-                                text.push(other);
-                            }
-                            None => text.push('\\'),
-                        }
-                    } else {
-                        text.push(c);
-                    }
-                }
+                let text = unescape(value);
                 analysis.indicators.push(Indicator {
                     text,
                     kind,

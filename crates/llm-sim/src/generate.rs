@@ -233,6 +233,32 @@ fn yara_escape(text: &str) -> String {
         .replace('\r', "\\r")
 }
 
+/// Undoes [`yara_escape`] and [`Analysis::to_text`]'s escapes, left to
+/// right: `\\`, `\"`, `\n`, `\t` and `\r` each become the char they
+/// stand for; any other backslash stays as written.
+pub(crate) fn unescape(escaped: &str) -> String {
+    let mut text = String::with_capacity(escaped.len());
+    let mut chars = escaped.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            text.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => text.push('\n'),
+            Some('t') => text.push('\t'),
+            Some('r') => text.push('\r'),
+            Some(c @ ('\\' | '"')) => text.push(c),
+            Some(other) => {
+                text.push('\\');
+                text.push(other);
+            }
+            None => text.push('\\'),
+        }
+    }
+    text
+}
+
 fn regex_escape_slashes(pattern: &str) -> String {
     pattern.replace('/', "\\/")
 }
@@ -407,14 +433,7 @@ pub fn extract_yara_strings(input: &str) -> Vec<(String, bool)> {
         let rhs = rhs.trim();
         if let Some(stripped) = rhs.strip_prefix('"') {
             if let Some(end) = stripped.rfind('"') {
-                out.push((
-                    stripped[..end]
-                        .replace("\\n", "\n")
-                        .replace("\\t", "\t")
-                        .replace("\\\"", "\"")
-                        .replace("\\\\", "\\"),
-                    false,
-                ));
+                out.push((unescape(&stripped[..end]), false));
             }
         } else if let Some(stripped) = rhs.strip_prefix('/') {
             if let Some(end) = stripped.rfind('/') {
@@ -642,6 +661,29 @@ mod tests {
         assert_eq!(strings.len(), 2);
         assert_eq!(strings[0], ("os.system".to_owned(), false));
         assert_eq!(strings[1], ("https?://x".to_owned(), true));
+    }
+
+    #[test]
+    fn yara_text_strings_round_trip_through_their_escapes() {
+        // Texts over every char `yara_escape` rewrites and the letters
+        // its escapes end in, so a backslash before `n` or `t` comes up.
+        const CHARS: [char; 9] = ['\\', '"', '\t', '\r', '\n', 'n', 't', 'r', ' '];
+        let mut rng = StdRng::seed_from_u64(58);
+        for _ in 0..2000 {
+            let len = rng.gen_range(0..10);
+            let text: String = (0..len)
+                .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+                .collect();
+            let rule = format!(
+                "rule r {{\n  strings:\n    $a = \"{}\"\n  condition: $a\n}}",
+                yara_escape(&text)
+            );
+            assert_eq!(
+                extract_yara_strings(&rule),
+                [(text.clone(), false)],
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

@@ -275,15 +275,33 @@ impl Pipeline {
         if inputs.is_empty() {
             return None;
         }
-        let prompt = Prompt::craft(format, &inputs, None);
+        let craft = Prompt::craft(format, &inputs, None);
+        let refine = self.config.use_refine;
+        self.round(knowledge, format, craft, refine, &members, Some(gid), stats)
+    }
+
+    /// One craft → refine (when `refine`) → align round, booked in
+    /// `stats`: the rule in `format` (the crafting prompt's) that survives
+    /// alignment, credited to `members` of `group`.
+    #[allow(clippy::too_many_arguments)]
+    fn round(
+        &mut self,
+        knowledge: &crate::extraction::PackageGroups,
+        format: RuleFormat,
+        craft: Prompt,
+        refine: bool,
+        members: &[usize],
+        group: Option<usize>,
+        stats: &mut PipelineStats,
+    ) -> Option<GeneratedRule> {
         stats.crafted += 1;
-        let reply = self.llm.complete(&prompt);
+        let reply = self.llm.complete(&craft);
         let (analysis, mut rule) = llm_sim::split_reply(&reply);
         if rule.contains("__no_indicators_extracted__") || rule.contains("__no_pattern_extracted__")
         {
             return None;
         }
-        if self.config.use_refine {
+        if refine {
             let refine_prompt = Prompt::refine(format, &analysis, &rule);
             stats.refined += 1;
             let refined_reply = self.llm.complete(&refine_prompt);
@@ -298,25 +316,20 @@ impl Pipeline {
             self.config.max_fix_attempts,
         );
         stats.fix_attempts += outcome.attempts;
-        match outcome.rule {
-            Some(text) => {
-                stats.aligned_ok += 1;
-                let provenance: Vec<usize> = members
-                    .iter()
-                    .map(|&m| knowledge.packages[m].index)
-                    .collect();
-                Some(GeneratedRule {
-                    text,
-                    format,
-                    provenance,
-                    group: Some(gid),
-                })
-            }
-            None => {
-                stats.dropped += 1;
-                None
-            }
-        }
+        let Some(text) = outcome.rule else {
+            stats.dropped += 1;
+            return None;
+        };
+        stats.aligned_ok += 1;
+        Some(GeneratedRule {
+            text,
+            format,
+            provenance: members
+                .iter()
+                .map(|&m| knowledge.packages[m].index)
+                .collect(),
+            group,
+        })
     }
 
     /// Metadata-audit rules: packages sharing a metadata red-flag profile
@@ -348,43 +361,11 @@ impl Pipeline {
         // Deterministic processing order (HashMap iteration is not).
         let mut profiles: Vec<(Vec<String>, Vec<usize>)> = by_profile.into_iter().collect();
         profiles.sort();
+        let format = RuleFormat::Yara;
         for (_, members) in profiles {
-            let sample = members[0];
-            let e = &knowledge.packages[sample];
-            let prompt = Prompt::craft(
-                RuleFormat::Yara,
-                &[String::new()],
-                Some(e.metadata_json.clone()),
-            );
-            stats.crafted += 1;
-            let reply = self.llm.complete(&prompt);
-            let (analysis, rule) = llm_sim::split_reply(&reply);
-            if rule.contains("__no_indicators_extracted__") {
-                continue;
-            }
-            let outcome = align_rule(
-                &mut self.llm,
-                RuleFormat::Yara,
-                &analysis,
-                rule,
-                self.config.max_fix_attempts,
-            );
-            stats.fix_attempts += outcome.attempts;
-            match outcome.rule {
-                Some(text) => {
-                    stats.aligned_ok += 1;
-                    yara.push(GeneratedRule {
-                        text,
-                        format: RuleFormat::Yara,
-                        provenance: members
-                            .iter()
-                            .map(|&m| knowledge.packages[m].index)
-                            .collect(),
-                        group: None,
-                    });
-                }
-                None => stats.dropped += 1,
-            }
+            let metadata = knowledge.packages[members[0]].metadata_json.clone();
+            let craft = Prompt::craft(format, &[String::new()], Some(metadata));
+            yara.extend(self.round(knowledge, format, craft, false, &members, None, stats));
         }
     }
 }

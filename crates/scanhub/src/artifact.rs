@@ -698,7 +698,8 @@ fn decode_candidate(text: &str) -> Option<(LayerEncoding, Vec<u8>)> {
         return None;
     }
     if looks_hex(t) {
-        return decode_hex(t).map(|d| (LayerEncoding::Hex, d));
+        let mut decoded = Vec::with_capacity(t.len() / 2);
+        return digest::hex::decode_into(t, &mut decoded).then_some((LayerEncoding::Hex, decoded));
     }
     if looks_base64(t) {
         return digest::base64::decode(t)
@@ -714,17 +715,6 @@ fn looks_hex(t: &str) -> bool {
         && t.bytes().all(|b| b.is_ascii_hexdigit())
         // Require at least one letter so long decimal ids don't decode.
         && t.bytes().any(|b| b.is_ascii_alphabetic())
-}
-
-fn decode_hex(t: &str) -> Option<Vec<u8>> {
-    t.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
-            Some((hi * 16 + lo) as u8)
-        })
-        .collect()
 }
 
 fn looks_base64(t: &str) -> bool {
@@ -838,6 +828,16 @@ mod tests {
         assert_eq!(a.layers.len(), 1);
         assert_eq!(a.layers[0].encoding, LayerEncoding::Hex);
         assert_eq!(a.layers[0].data, b"os.system('id')");
+    }
+
+    #[test]
+    fn a_hex_literal_with_an_internal_space_is_not_a_layer() {
+        // `bytes.fromhex` would take it, but the shape test wants an
+        // unbroken run of digits, and a space is no base64 either.
+        let a = analyze("cmd = '6f732e73797374656d 28276964272900'\n");
+        assert!(a.layers.is_empty(), "unexpected layers: {:?}", a.layers);
+        let unbroken = analyze("cmd = '6f732e73797374656d28276964272900'\n");
+        assert_eq!(unbroken.layers.len(), 1, "the same digits unbroken decode");
     }
 
     #[test]

@@ -170,6 +170,8 @@ impl ScanHub {
         yara: Option<CompiledRules>,
         semgrep: Option<CompiledSemgrepRules>,
     ) -> RuleDeployment {
+        let _tag = Stage::nested();
+        Stage::Deploy.enter();
         let new_index = PrefilterIndex::build(yara.as_ref(), semgrep.as_ref());
         let delta = self.shared.index.diff(&new_index);
         RuleDeployment::build(delta, yara.as_ref(), semgrep.as_ref())

@@ -504,6 +504,9 @@ stages! {
         Publish,
         /// The verdict-cache insert, the trace and the ticket.
         Complete,
+        /// [`crate::ScanHub::deploy_rules`]: the new prefilter index, its
+        /// diff against the live one and the changed rules' subsets.
+        Deploy,
     }
     wall {
         /// End-to-end submit-to-verdict wall time.

@@ -883,6 +883,38 @@ rule hunt_regex { strings: $r = /[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/
     assert!(rescan.bytes_scanned > 0);
 }
 
+/// A rule deployment books every allocation it makes — the new bundle's
+/// prefilter index, its diff and the changed rules' subset rulesets — to
+/// its own `Deploy` step, none to `Idle`, and leaves the caller's tag as
+/// it found it.
+#[test]
+fn a_rule_deployment_books_its_allocations_to_deploy() {
+    let (live_yara, live_semgrep) = serving_rules();
+    let hub = ScanHub::new(
+        Some(live_yara.clone()),
+        Some(live_semgrep.clone()),
+        HubConfig {
+            workers: 1,
+            ..HubConfig::default()
+        },
+    );
+    let mut yara = live_yara.clone();
+    let added =
+        yara_engine::compile(r#"rule deploy_atom { strings: $a = "subprocess" condition: $a }"#)
+            .expect("the new rule compiles");
+    yara.rules.extend(added.rules);
+    let semgrep = live_semgrep.clone();
+    let mut deployment = None;
+    let spent = ledger(|| deployment = Some(hub.deploy_rules(Some(yara), Some(semgrep))));
+    let deployment = deployment.expect("deployed");
+    assert_eq!(deployment.delta.changed.len(), 1);
+    let deploy = spent[Stage::Deploy as usize];
+    assert!(deploy > 0, "a deployment allocated nothing");
+    assert_eq!(spent[Stage::Idle as usize], 0);
+    assert_eq!(spent.iter().sum::<u64>(), deploy, "{spent:?}");
+    assert_eq!(Stage::current(), Stage::Idle);
+}
+
 /// The retro index's 2 MiB gram bitmap is allocated with the hub, on the
 /// constructing thread, and only when the hub keeps the index: a hub
 /// built with `retro_index: false` allocates under 1 MiB there, a default
