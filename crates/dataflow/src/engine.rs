@@ -27,6 +27,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::ops::{Bound, RangeBounds};
+use std::sync::Arc;
 
 use pysrc::{
     Expr, ExprId, ImportedName, LineCursor, Literal, Module, Prehashed, Run, Span, Stmt, Suite,
@@ -956,7 +957,7 @@ impl Scratch {
         });
         TaintSummary {
             folded: folded.collect(),
-            flows: self.flows.drain(..).collect(),
+            flows: self.flows.drain(..).map(Arc::new).collect(),
         }
     }
 }
@@ -1123,7 +1124,8 @@ mod tests {
     use super::*;
 
     fn flows(src: &str) -> Vec<FlowFinding> {
-        analyze(&pysrc::parse_module(src)).flows
+        let flows = analyze(&pysrc::parse_module(src)).flows;
+        flows.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
     fn labels(src: &str) -> Vec<String> {

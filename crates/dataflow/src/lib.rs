@@ -65,10 +65,12 @@
 //! # Allocation
 //!
 //! A warm [`analyze`] allocates the [`TaintSummary`] it returns and
-//! nothing else: as many allocations as cloning the summary takes, none
-//! for a module without flows or folded constants. A carried summary
-//! costs exactly its clone, since the check reads through the buffers
-//! the thread keeps: a splice makes the same allocations either way. Everything the
+//! nothing else: as many allocations as a deep copy of the summary
+//! takes (its lists, and each flow copied into a handle of its own),
+//! none for a module without flows or folded constants. A carried
+//! summary costs its clone, which shares every flow, plus a copy of each
+//! flow whose lines the edit moves, since the check reads through the
+//! buffers the thread keeps. Everything the
 //! analysis builds lives in scratch its thread keeps between calls (freed
 //! instead once it grows past 4 MiB), holding ids and byte ranges: names
 //! interned to dense slots that a `def` body restores on exit, constants
@@ -100,6 +102,8 @@ mod splice;
 pub use catalog::{SinkKind, SourceKind};
 pub use engine::analyze;
 pub use splice::analyze_spliced;
+
+use std::sync::Arc;
 
 /// One step in a source→sink chain: a source read, an assignment that
 /// carried the taint, or the sink call itself.
@@ -137,16 +141,21 @@ pub struct FoldedConst {
 
 /// The per-module analysis result: flows plus recovered constants,
 /// both sorted and deduplicated.
+///
+/// Each flow is shared: a scan verdict's flow records hold the handles
+/// of the summary they came from, so reporting a flow copies none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaintSummary {
     /// Source→sink flows, sorted by (label, source, sink).
-    pub flows: Vec<FlowFinding>,
+    pub flows: Vec<Arc<FlowFinding>>,
     /// Folded constants, sorted by (line, text).
     pub folded: Vec<FoldedConst>,
 }
 
 impl TaintSummary {
-    /// Heap bytes held by the summary (for cache accounting).
+    /// Heap bytes held by the summary (for cache accounting). Each flow
+    /// counts at its own size, shared or not; the reference counts of its
+    /// handle are not counted.
     pub fn stored_bytes(&self) -> usize {
         let flows: usize = self
             .flows

@@ -6,6 +6,8 @@
 //! lets the taint summary ride along when the engine cannot read the
 //! edit, instead of walking the whole module again.
 
+use std::sync::Arc;
+
 use pysrc::{Edit, Expr, ExprId, Module, Run, Stmt};
 
 use crate::engine::{analyze, degraded_names, target_base};
@@ -101,15 +103,23 @@ fn bound<'m>(m: &'m Module, stmt: &Stmt) -> impl Iterator<Item = &'m str> {
 }
 
 /// A clone of `summary` with its lines moved by the `edit`; `None` when
-/// a moved line does not fit.
+/// a moved line does not fit. The clone shares the donor's flows, and a
+/// flow is copied only when one of its lines moves.
 fn shifted(summary: &TaintSummary, edit: &Edit) -> Option<TaintSummary> {
     let mut out = summary.clone();
-    let steps = out.flows.iter_mut().flat_map(|f| &mut f.steps);
-    let lines = steps
-        .map(|s| &mut s.line)
-        .chain(out.folded.iter_mut().map(|c| &mut c.line));
-    for line in lines {
-        *line = edit.moved_line(*line)?;
+    for flow in &mut out.flows {
+        if flow
+            .steps
+            .iter()
+            .any(|s| edit.moved_line(s.line) != Some(s.line))
+        {
+            for step in &mut Arc::make_mut(flow).steps {
+                step.line = edit.moved_line(step.line)?;
+            }
+        }
+    }
+    for c in &mut out.folded {
+        c.line = edit.moved_line(c.line)?;
     }
     Some(out)
 }

@@ -301,7 +301,7 @@ pub fn per_rule_stats(
             RuleFormat::Semgrep => &m.semgrep,
         };
         for rule in fired {
-            if let Some(&i) = index.get(rule.as_str()) {
+            if let Some(&i) = index.get(&**rule) {
                 if t.is_malicious {
                     stats[i].malware_hits += 1;
                 } else {

@@ -11,7 +11,9 @@
 //! [`scan_taint_verdicts`] to measure taint flows).
 
 use corpus::Dataset;
-use scanhub::{HubConfig, ScanHub, ScanRequest, Verdict};
+use std::sync::Arc;
+
+use scanhub::{Findings, HubConfig, ScanHub, ScanRequest, Verdict};
 use semgrep_engine::CompiledSemgrepRules;
 use yara_engine::CompiledRules;
 
@@ -30,13 +32,13 @@ pub struct ScanTarget {
     pub family: Option<usize>,
 }
 
-/// Match results for one target.
+/// Match results for one target: the verdict's own lists, shared.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TargetMatches {
     /// Names of YARA rules that fired, sorted.
-    pub yara: Vec<String>,
+    pub yara: Findings<Arc<str>>,
     /// Ids of Semgrep rules that fired, sorted.
-    pub semgrep: Vec<String>,
+    pub semgrep: Findings<Arc<str>>,
 }
 
 impl TargetMatches {
@@ -227,9 +229,7 @@ mod tests {
         .expect("compile");
         let results = scan_all(Some(&rules), None, &targets);
         // Every request carries a PKG-INFO entry, so every target matches.
-        assert!(results
-            .iter()
-            .all(|r| r.yara == vec!["meta_marker".to_owned()]));
+        assert!(results.iter().all(|r| r.yara.names() == ["meta_marker"]));
     }
 
     #[test]
@@ -257,7 +257,7 @@ rule b64re { strings: $re = /[A-Za-z0-9+\/]{24,}/ condition: $re }
                 .collect();
             direct.sort();
             direct.dedup();
-            assert_eq!(r.yara, direct, "target {}", t.index);
+            assert_eq!(r.yara.names(), direct, "target {}", t.index);
         }
     }
 

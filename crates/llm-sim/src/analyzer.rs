@@ -76,8 +76,10 @@ pub struct Analysis {
 impl Analysis {
     /// Renders the analysis as the text block embedded in LLM replies.
     ///
-    /// Indicator text is newline-escaped so the line-oriented format
-    /// round-trips indicators that contain control characters.
+    /// Indicator text is escaped (`\\`, `\n`, `\t`, `\r`) so the
+    /// line-oriented format round-trips indicators that contain control
+    /// characters: a bare `\r` at a line's end would be read as part of
+    /// the line break.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("summary: {}\n", self.summary));
@@ -89,7 +91,8 @@ impl Analysis {
                 ind.text
                     .replace('\\', "\\\\")
                     .replace('\n', "\\n")
-                    .replace('\t', "\\t"),
+                    .replace('\t', "\\t")
+                    .replace('\r', "\\r"),
             ));
         }
         out
@@ -103,14 +106,19 @@ impl Analysis {
             if let Some(rest) = line.strip_prefix("summary: ") {
                 analysis.summary = rest.to_owned();
             } else if let Some(rest) = line.strip_prefix("indicator [") {
-                let Some((label, value)) = rest
-                    .split_once("]: ")
-                    .or_else(|| rest.split_once("] (regex): "))
-                else {
+                // No label holds a `]`: the first one closes it, and the
+                // marker, if any, follows it. The value is the rest of the
+                // line, whatever it holds.
+                let Some((label, tail)) = rest.split_once(']') else {
                     continue;
                 };
-                let is_regex = rest.contains("] (regex): ");
-                let label = label.trim_end_matches(" (regex)");
+                let (is_regex, value) = match tail.strip_prefix(" (regex): ") {
+                    Some(value) => (true, value),
+                    None => match tail.strip_prefix(": ") {
+                        Some(value) => (false, value),
+                        None => continue,
+                    },
+                };
                 let kind = match label {
                     "IOC" => IndicatorKind::Ioc,
                     "File Operation" => IndicatorKind::File,
@@ -464,6 +472,27 @@ mod tests {
             assert_eq!(x.text, y.text);
             assert_eq!(x.kind, y.kind);
         }
+    }
+
+    #[test]
+    fn analysis_text_roundtrips_carriage_returns_and_bracketed_values() {
+        let indicator = |text: &str, kind, is_regex| Indicator {
+            text: text.to_owned(),
+            kind,
+            is_regex,
+        };
+        let a = Analysis {
+            indicators: vec![
+                indicator("abc\r", IndicatorKind::Network, false),
+                indicator("a\rb\r\n", IndicatorKind::File, false),
+                indicator("[0-9]: x", IndicatorKind::Ioc, true),
+                indicator("[0-9]: x", IndicatorKind::Ioc, false),
+                indicator("y] (regex): z", IndicatorKind::Privilege, false),
+                indicator("\\r", IndicatorKind::Encryption, true),
+            ],
+            summary: "beacon".to_owned(),
+        };
+        assert_eq!(Analysis::from_text(&a.to_text()), a);
     }
 
     #[test]

@@ -133,10 +133,11 @@ impl<V: Clone> LruCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verdict::Findings;
 
     fn verdict(tag: &str) -> Arc<Verdict> {
         Arc::new(Verdict {
-            yara: vec![tag.to_owned()],
+            yara: Findings::from(vec![tag.into()]),
             ..Verdict::default()
         })
     }
@@ -151,8 +152,8 @@ mod tests {
         let mut cache = VerdictCache::new(4);
         cache.insert(key(b'a'), verdict("ra"));
         assert_eq!(
-            cache.get(&key(b'a')).map(|v| v.yara.clone()),
-            Some(vec!["ra".to_owned()])
+            cache.get(&key(b'a')).map(|v| v.yara.to_vec()),
+            Some(vec![Arc::from("ra")])
         );
         assert!(cache.get(&key(b'b')).is_none());
     }
@@ -179,8 +180,8 @@ mod tests {
         cache.insert(key(b'a'), verdict("r3"));
         cache.insert(key(b'c'), verdict("r4"));
         assert_eq!(
-            cache.get(&key(b'a')).map(|v| v.yara.clone()),
-            Some(vec!["r3".to_owned()])
+            cache.get(&key(b'a')).map(|v| v.yara.to_vec()),
+            Some(vec![Arc::from("r3")])
         );
         assert!(cache.get(&key(b'b')).is_none());
     }
@@ -225,8 +226,8 @@ mod tests {
         cache.insert(key(b'D'), verdict("new"));
         assert_eq!(cache.len(), 3);
         assert_eq!(
-            cache.get(&key(b'D')).map(|v| v.yara.clone()),
-            Some(vec!["new".to_owned()])
+            cache.get(&key(b'D')).map(|v| v.yara.to_vec()),
+            Some(vec![Arc::from("new")])
         );
         // Under capacity pressure the true LRU (`x`) goes first...
         cache.insert(key(b'z'), verdict("rz"));
@@ -358,8 +359,8 @@ mod tests {
         let req = crate::ScanRequest::from_source("mod.py", "src = 1\n");
         cache.insert(req.digest(), verdict("hit"));
         assert_eq!(
-            cache.get(&req.digest()).map(|v| v.yara.clone()),
-            Some(vec!["hit".to_owned()])
+            cache.get(&req.digest()).map(|v| v.yara.to_vec()),
+            Some(vec![Arc::from("hit")])
         );
     }
 

@@ -19,7 +19,7 @@ use crate::retrohunt::{self, RetroReport, RuleDeployment};
 use crate::store::ArtifactStore;
 use crate::trace::{ScanTrace, TraceRecord};
 use crate::verdict::Verdict;
-use crate::worker::worker_loop;
+use crate::worker::{worker_loop, RuleNames};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -89,6 +89,7 @@ impl Default for HubConfig {
 pub(crate) struct Shared {
     pub yara: Option<CompiledRules>,
     pub semgrep: Option<CompiledSemgrepRules>,
+    pub names: RuleNames,
     pub index: PrefilterIndex,
     pub prefilter: bool,
     pub artifact_config: ArtifactConfig,
@@ -116,7 +117,7 @@ impl Shared {
 /// [`Ticket`] redeemable for the [`Verdict`]. Dropping the hub drains the
 /// queue and joins the workers.
 pub struct ScanHub {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -128,9 +129,11 @@ impl ScanHub {
         config: HubConfig,
     ) -> Self {
         let index = PrefilterIndex::build(yara.as_ref(), semgrep.as_ref());
+        let names = RuleNames::new(yara.as_ref(), semgrep.as_ref());
         let shared = Arc::new(Shared {
             yara,
             semgrep,
+            names,
             index,
             prefilter: config.prefilter,
             artifact_config: ArtifactConfig {

@@ -96,7 +96,7 @@
 //! let verdict = hub
 //!     .submit(ScanRequest::from_source("mod.py", "os.system('id')"))
 //!     .wait();
-//! assert_eq!(verdict.yara, vec!["sys".to_owned()]);
+//! assert_eq!(verdict.yara.names(), ["sys"]);
 //! # Ok::<(), yara_engine::CompileError>(())
 //! ```
 
@@ -140,4 +140,4 @@ pub use queue::Ticket;
 pub use request::{FileEntry, ScanRequest};
 pub use retrohunt::{RetroReport, RetroRuleHits, RuleDeployment, TermProvenance};
 pub use trace::{FiredEngine, FiredRule, ScanTrace};
-pub use verdict::{FlowRecord, LayerFinding, Verdict};
+pub use verdict::{Findings, FlowRecord, LayerFinding, Verdict};

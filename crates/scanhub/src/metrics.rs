@@ -465,7 +465,8 @@ stages! {
         /// Taint-flow aggregation over the cached per-file summaries (the
         /// analysis itself is artifact work, done once per digest).
         dataflow: Dataflow,
-        /// Verdict assembly (sort, dedup, normalize).
+        /// Verdict assembly: each finding list sorted, deduplicated and
+        /// frozen into one shared allocation.
         verdict: Verdict,
     }
     hub {

@@ -9,11 +9,13 @@
 //! * `push` and `pop` make one `VecDeque` push or pop, which completes
 //!   or leaves the deque as it was; `close` writes one `bool`;
 //! * `fulfill` writes one `Option`: a waiter sees no verdict or all of it;
-//! * a wait only reads the slot, to clone the `Verdict` or re-raise the
-//!   worker's panic, which poisons the ticket's lock and leaves the slot
-//!   as it was, so the next wait re-raises too.
+//! * a wait only reads the slot, to copy the `Verdict` out or re-raise
+//!   the worker's panic, which poisons the ticket's lock and leaves the
+//!   slot as it was, so the next wait re-raises too.
 //!
-//! A verdict-cache hit's ticket holds the cached handle and no lock.
+//! A verdict-cache hit's ticket holds the cached handle and no lock. A
+//! wait allocates nothing: the verdict's finding lists are shared, so the
+//! copy it returns bumps their reference counts.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
@@ -157,7 +159,8 @@ impl Ticket {
     /// Blocks until the verdict is available.
     ///
     /// Each wait returns its own copy of the shared verdict, so a ticket
-    /// can be waited on again.
+    /// can be waited on again. The copy shares the verdict's finding
+    /// lists: it allocates nothing.
     ///
     /// # Panics
     ///
@@ -183,9 +186,10 @@ impl Ticket {
     }
 
     /// Blocks until the verdict is available or `deadline`, if any,
-    /// passes, and copies it out for the caller. Without a deadline it
-    /// reads no clock. Only a hit's copy says `from_cache`: the shared
-    /// verdict is the one its first scan produced.
+    /// passes, and copies it out for the caller, sharing its lists.
+    /// Without a deadline it reads no clock. Only a hit's copy says
+    /// `from_cache`: the shared verdict is the one its first scan
+    /// produced.
     fn wait_until(&self, deadline: Option<Instant>) -> Option<Verdict> {
         let state = match &self.claim {
             Claim::Cached(verdict) => {
@@ -296,7 +300,7 @@ mod tests {
         });
         let job = queue.pop().expect("the pushed job");
         let verdict = Verdict {
-            yara: vec!["sys".to_owned()],
+            yara: crate::Findings::from(vec!["sys".into()]),
             ..Verdict::default()
         };
         job.ticket.fulfill(Ok(Arc::new(verdict.clone())));
@@ -375,7 +379,7 @@ mod tests {
                     let verdicts = hub.scan_ordered(codes.iter().map(|c| request(c)));
                     for (i, v) in verdicts.iter().enumerate() {
                         assert_eq!(
-                            v.yara.contains(&"sys".to_owned()),
+                            v.yara.names().contains(&"sys"),
                             (i + client) % 2 == 0,
                             "client {client} index {i} out of order"
                         );

@@ -17,11 +17,12 @@ use crate::cache::DigestKey;
 /// One file of a package upload: a name and a single shared copy of its
 /// bytes.
 ///
-/// Bytes are reference-counted so cloning a request (queueing, caching,
-/// artifact building) never copies file content.
+/// Name and bytes are reference-counted so cloning a request (queueing,
+/// caching, artifact building) never copies file content, and a verdict's
+/// findings name their file with the entry's own handle.
 #[derive(Debug, Clone)]
 pub struct FileEntry {
-    name: String,
+    name: Arc<str>,
     bytes: Arc<Vec<u8>>,
     /// Lazily computed content digest, shared across clones. The bytes
     /// are immutable once the entry exists, so the first hash serves
@@ -40,7 +41,7 @@ impl Eq for FileEntry {}
 
 impl FileEntry {
     /// Creates an entry from a file name and its raw bytes.
-    pub fn new(name: impl Into<String>, bytes: Vec<u8>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, bytes: Vec<u8>) -> Self {
         FileEntry {
             name: name.into(),
             bytes: Arc::new(bytes),
@@ -50,6 +51,12 @@ impl FileEntry {
 
     /// The file name (registry-relative path).
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The shared handle to the name, which findings and the artifact
+    /// store's sibling map hold instead of copies.
+    pub(crate) fn name_handle(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -112,12 +119,12 @@ impl ScanRequest {
     }
 
     /// A single-file Python request (tests, ad-hoc snippets).
-    pub fn from_source(name: impl Into<String>, code: impl Into<String>) -> Self {
+    pub fn from_source(name: impl Into<Arc<str>>, code: impl Into<String>) -> Self {
         ScanRequest::from_files(vec![FileEntry::new(name, code.into().into_bytes())])
     }
 
     /// A single-file opaque request (no Python analysis).
-    pub fn from_bytes(name: impl Into<String>, bytes: Vec<u8>) -> Self {
+    pub fn from_bytes(name: impl Into<Arc<str>>, bytes: Vec<u8>) -> Self {
         ScanRequest::from_files(vec![FileEntry::new(name, bytes)])
     }
 
@@ -128,7 +135,7 @@ impl ScanRequest {
         let mut files: Vec<FileEntry> = pkg
             .files()
             .iter()
-            .map(|f| FileEntry::new(f.path.clone(), f.contents.clone().into_bytes()))
+            .map(|f| FileEntry::new(f.path.as_str(), f.contents.clone().into_bytes()))
             .collect();
         files.push(FileEntry::new(
             "PKG-INFO",

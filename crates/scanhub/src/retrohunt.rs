@@ -52,8 +52,8 @@ use crate::cache::{ArtifactCache, DigestKey};
 use crate::metrics::{HubCounters, HubTelemetry, Stage, StageClock};
 use crate::prefilter::{ChangedRule, RuleDelta, RuleEngine};
 use crate::store::ArtifactStore;
-use crate::verdict::Verdict;
-use crate::worker::Evaluator;
+use crate::verdict::{FindingLists, Verdict};
+use crate::worker::{Evaluator, RuleNames};
 
 /// Width of the indexed content grams. Three bytes keeps the posting
 /// map small enough to live beside the artifact cache while still
@@ -573,6 +573,9 @@ pub struct RuleDeployment {
     /// Subset compiled ruleset of the changed Semgrep rules, in
     /// `delta.changed` order.
     pub(crate) semgrep: Option<CompiledSemgrepRules>,
+    /// The subset rulesets' names, which every hunt and rescan of this
+    /// deployment shares.
+    pub(crate) names: RuleNames,
 }
 
 impl RuleDeployment {
@@ -589,9 +592,12 @@ impl RuleDeployment {
         }
         let yara = yara.and_then(|all| subset(&delta, RuleEngine::Yara, &all.rules));
         let semgrep = semgrep.and_then(|all| subset(&delta, RuleEngine::Semgrep, &all.rules));
+        let yara = yara.map(|rules| CompiledRules { rules });
+        let semgrep = semgrep.map(|rules| CompiledSemgrepRules { rules });
         RuleDeployment {
-            yara: yara.map(|rules| CompiledRules { rules }),
-            semgrep: semgrep.map(|rules| CompiledSemgrepRules { rules }),
+            names: RuleNames::new(yara.as_ref(), semgrep.as_ref()),
+            yara,
+            semgrep,
             delta,
         }
     }
@@ -714,7 +720,10 @@ fn confirm_scan(
     clock: &mut StageClock<'_>,
 ) -> RetroReport {
     let (yara, semgrep) = (deployment.yara.as_ref(), deployment.semgrep.as_ref());
-    let mut eval = Evaluator::new(yara, semgrep, live);
+    let mut eval = Evaluator::new(yara, semgrep, &deployment.names, live);
+    // Layer findings are collected unnamed and labelled with the digest
+    // once the verdict is flagged.
+    let (mut findings, unnamed) = (FindingLists::default(), Arc::<str>::default());
     let (yara_width, width) = deployment.widths();
     for &(digest, row) in &tasks.digests {
         let row = row as usize * width;
@@ -727,7 +736,6 @@ fn confirm_scan(
         };
         clock.lap(Stage::RetroConfirm);
         report.confirm_scans += 1;
-        let mut verdict = Verdict::default();
         if yara_mask.contains(&true) {
             // A unit's hits: its cached live ones, translated, plus the
             // residual strings' when an enabled rule has one. Layer
@@ -740,38 +748,40 @@ fn confirm_scan(
             let own = read.then(|| eval.collect_hits(&artifact.bytes));
             let hits = unit_hits(live.and(artifact.yara_hits.as_ref()), own.as_ref());
             let len = artifact.bytes.len();
-            eval.surface(hits, len, yara_mask, &mut verdict.yara);
+            eval.surface(hits, len, yara_mask, &mut findings.yara);
             for (i, layer) in artifact.layers.iter().enumerate() {
                 let own = read.then(|| eval.collect_hits(&layer.data));
                 let hits = unit_hits(live.and(artifact.layer_hits.get(i)), own.as_ref());
-                eval.layer(layer, hits, "", yara_mask, &mut verdict.layers);
+                eval.layer(layer, hits, &unnamed, yara_mask, &mut findings.layers);
             }
         }
         let module = artifact.module.as_ref().map(|m| m.get());
         let module = module.filter(|_| semgrep_mask.contains(&true));
-        eval.semgrep(module, semgrep_mask, &mut verdict.semgrep);
-        verdict.normalize();
-        // Only a flagged verdict renders its digest.
-        let hex = verdict.flagged().then(|| {
+        eval.semgrep(module, semgrep_mask, &mut findings.semgrep);
+        // Only a flagged verdict renders its digest, and only one with
+        // layer findings shares it with them.
+        let flagged = (!findings.is_empty()).then(|| {
             let hex = digest::to_hex(&digest);
-            for finding in &mut verdict.layers {
-                finding.file.clone_from(&hex);
+            if !findings.layers.is_empty() {
+                let file = Arc::<str>::from(hex.as_str());
+                for finding in &mut findings.layers {
+                    finding.file = Arc::clone(&file);
+                }
             }
-            hex
+            (hex, findings.freeze())
         });
         clock.lap(Stage::Idle);
-        if let Some(hex) = hex {
-            report.verdicts.push((hex, verdict));
+        if let Some(flagged) = flagged {
+            report.verdicts.push(flagged);
         }
     }
     // Digest order is hex order, so each rule's digests come out sorted.
     for hits in &mut report.rules {
+        let rule = hits.rule.as_str();
+        let named = |names: &[Arc<str>]| names.binary_search_by(|n| (**n).cmp(rule)).is_ok();
         let fired = |v: &Verdict| match hits.engine {
-            RuleEngine::Yara => {
-                v.yara.binary_search(&hits.rule).is_ok()
-                    || v.layers.iter().any(|l| l.rule == hits.rule)
-            }
-            RuleEngine::Semgrep => v.semgrep.binary_search(&hits.rule).is_ok(),
+            RuleEngine::Yara => named(&v.yara) || v.layers.iter().any(|l| &*l.rule == rule),
+            RuleEngine::Semgrep => named(&v.semgrep),
         };
         let flagged = report.verdicts.iter().filter(|(_, v)| fired(v));
         hits.digests = flagged.map(|(hex, _)| hex.clone()).collect();

@@ -101,7 +101,7 @@ struct Resident {
     /// File name (registry-relative path) → digest last published under
     /// it. Names are a hint, never an identity: a stale or evicted
     /// mapping only costs a full build. Pruned on publish.
-    siblings: HashMap<String, DigestKey>,
+    siblings: HashMap<Arc<str>, DigestKey>,
 }
 
 pub(crate) struct ArtifactStore {
@@ -204,7 +204,9 @@ impl ArtifactStore {
         let mut guard = self.lock();
         let state = &mut *guard;
         state.building.remove(&digest);
-        state.siblings.insert(entry.name().to_owned(), digest);
+        state
+            .siblings
+            .insert(Arc::clone(entry.name_handle()), digest);
         state.cache.insert(digest, Arc::clone(artifact));
         // Once the registry outgrows the cache 4x (names whose digests
         // were long since evicted), keep only the mappings that still

@@ -132,21 +132,21 @@ pub(crate) fn fired_from_verdict(verdict: &Verdict) -> Vec<FiredRule> {
     let mut fired = Vec::with_capacity(verdict.total());
     for rule in &verdict.yara {
         fired.push(FiredRule {
-            rule: rule.clone(),
+            rule: rule.to_string(),
             engine: FiredEngine::Yara,
             provenance: Cow::Borrowed("surface bytes"),
         });
     }
     for rule in &verdict.semgrep {
         fired.push(FiredRule {
-            rule: rule.clone(),
+            rule: rule.to_string(),
             engine: FiredEngine::Semgrep,
             provenance: Cow::Borrowed("parsed module"),
         });
     }
     for layer in &verdict.layers {
         fired.push(FiredRule {
-            rule: layer.rule.clone(),
+            rule: layer.rule.to_string(),
             engine: FiredEngine::YaraLayer,
             provenance: Cow::Owned(format!(
                 "{}:{} {:?} depth {}",
@@ -232,22 +232,22 @@ impl fmt::Display for ScanTrace {
 mod tests {
     use super::*;
     use crate::artifact::LayerEncoding;
-    use crate::verdict::{FlowRecord, LayerFinding};
+    use crate::verdict::{Findings, FlowRecord, LayerFinding};
 
     fn verdict() -> Verdict {
         Verdict {
-            yara: vec!["sys".into()],
-            semgrep: vec!["sys-call".into()],
-            layers: vec![LayerFinding {
+            yara: Findings::from(vec!["sys".into()]),
+            semgrep: Findings::from(vec!["sys-call".into()]),
+            layers: Findings::from(vec![LayerFinding {
                 rule: "c2".into(),
                 file: "dropper.py".into(),
                 encoding: LayerEncoding::Base64,
                 depth: 1,
                 line: 7,
-            }],
-            flows: vec![FlowRecord {
+            }]),
+            flows: Findings::from(vec![FlowRecord {
                 file: "dropper.py".into(),
-                flow: dataflow::FlowFinding {
+                flow: Arc::new(dataflow::FlowFinding {
                     label: "flow:net-fetch->proc-exec".into(),
                     source: "requests.get".into(),
                     sink: "os.system".into(),
@@ -255,8 +255,8 @@ mod tests {
                         line: 3,
                         note: "cmd = requests.get(...)".into(),
                     }],
-                },
-            }],
+                }),
+            }]),
             from_cache: false,
         }
     }

@@ -14,16 +14,47 @@ use crate::hub::Shared;
 use crate::metrics::{HubCounters, Stage, StageClock};
 use crate::prefilter::{PrefilterScratch, Routing};
 use crate::request::ScanRequest;
-use crate::verdict::{FlowRecord, LayerFinding, Verdict};
+use crate::verdict::{FindingLists, FlowRecord, LayerFinding, Verdict};
+
+/// A rule bundle's names as shared handles, built once with the bundle
+/// (the hub's live one, or a deployment's changed rules): every finding
+/// of one of its rules holds its handle, so reporting a finding copies no
+/// text.
+#[derive(Debug)]
+pub(crate) struct RuleNames {
+    /// Per YARA rule, in bundle order: its name.
+    yara: Vec<Arc<str>>,
+    /// Per Semgrep rule, in bundle order: its id.
+    semgrep: Vec<Arc<str>>,
+}
+
+impl RuleNames {
+    pub(crate) fn new(
+        yara: Option<&CompiledRules>,
+        semgrep: Option<&CompiledSemgrepRules>,
+    ) -> Self {
+        let yara = yara.map_or(&[][..], |bundle| &bundle.rules);
+        let semgrep = semgrep.map_or(&[][..], |bundle| &bundle.rules);
+        RuleNames {
+            yara: yara
+                .iter()
+                .map(|r| Arc::from(r.rule.name.as_str()))
+                .collect(),
+            semgrep: semgrep.iter().map(|r| Arc::from(r.id.as_str())).collect(),
+        }
+    }
+}
 
 /// One rule bundle's matchers and their reusable scratch, through which
 /// requests and retro-hunt confirm scans alike evaluate rules over cached
 /// artifacts. Each step evaluates only the rules its mask enables, and
 /// finds nothing if the bundle lacks its engine. Built once per worker
-/// or hunt, not per package; nothing here parses pattern text.
+/// or hunt, not per package; nothing here parses pattern text. A finding
+/// names its rule with the bundle's [`RuleNames`] handle.
 pub(crate) struct Evaluator<'r> {
     scanner: Option<Scanner<'r>>,
     matcher: Option<MatchSet<'r>>,
+    names: &'r RuleNames,
     yara: ScanScratch,
     semgrep: MatchScratch,
     /// Per YARA rule: has the layer being evaluated a hit for it?
@@ -33,16 +64,19 @@ pub(crate) struct Evaluator<'r> {
 }
 
 impl<'r> Evaluator<'r> {
-    /// An evaluator for `yara` + `semgrep` that reads the hits of strings
-    /// `live` defines from the artifacts' cache ([`Scanner::reusing`]).
+    /// An evaluator for `yara` + `semgrep`, whose names are `names`, that
+    /// reads the hits of strings `live` defines from the artifacts' cache
+    /// ([`Scanner::reusing`]).
     pub(crate) fn new(
         yara: Option<&'r CompiledRules>,
         semgrep: Option<&'r CompiledSemgrepRules>,
+        names: &'r RuleNames,
         live: Option<&CompiledRules>,
     ) -> Self {
         Evaluator {
             scanner: yara.map(|rules| Scanner::reusing(rules, live)),
             matcher: semgrep.map(MatchSet::new),
+            names,
             yara: ScanScratch::new(),
             semgrep: MatchScratch::new(),
             marks: Vec::new(),
@@ -70,12 +104,13 @@ impl<'r> Evaluator<'r> {
         parts: impl IntoIterator<Item = impl Into<Part<'h>>>,
         len: usize,
         mask: &[bool],
-        out: &mut Vec<String>,
+        out: &mut Vec<Arc<str>>,
     ) {
         let Some(scanner) = &self.scanner else {
             return;
         };
-        let found = |_, rule: &str| out.push(rule.to_owned());
+        let names = &self.names.yara;
+        let found = |ri: usize, _: &str| out.push(Arc::clone(&names[ri]));
         scanner.eval_rules(parts, len as i64, |ri| mask[ri], &mut self.yara, found);
     }
 
@@ -86,7 +121,7 @@ impl<'r> Evaluator<'r> {
         &mut self,
         layer: &DecodedLayer,
         parts: impl IntoIterator<Item = impl Into<Part<'h>>> + Clone,
-        file: &str,
+        file: &Arc<str>,
         mask: &[bool],
         out: &mut Vec<LayerFinding>,
     ) {
@@ -105,12 +140,12 @@ impl<'r> Evaluator<'r> {
         // the changed strings they translate to.
         let marks = &mut self.marks;
         scanner.mark_rules(parts.clone(), marks);
-        let len = layer.data.len() as i64;
+        let (len, names) = (layer.data.len() as i64, &self.names.yara);
         let include = |ri: usize| mask[ri] && marks[ri];
-        scanner.eval_rules(parts, len, include, &mut self.yara, |_, rule| {
+        scanner.eval_rules(parts, len, include, &mut self.yara, |ri, _| {
             out.push(LayerFinding {
-                rule: rule.to_owned(),
-                file: file.to_owned(),
+                rule: Arc::clone(&names[ri]),
+                file: Arc::clone(file),
                 encoding: layer.encoding,
                 depth: layer.depth,
                 line: layer.line,
@@ -125,18 +160,18 @@ impl<'r> Evaluator<'r> {
         &mut self,
         files: impl IntoIterator<Item = &'f FileMatches>,
         mask: &[bool],
-        out: &mut Vec<String>,
+        out: &mut Vec<Arc<str>>,
     ) {
-        let Some(matcher) = &self.matcher else {
+        if self.matcher.is_none() {
             return;
-        };
+        }
         let matched = &mut self.matched;
         matched.clear();
         matched.resize(mask.len(), false);
         for ri in files.into_iter().flat_map(FileMatches::fired) {
             let ri = *ri as usize;
             if mask[ri] && !std::mem::replace(&mut matched[ri], true) {
-                out.push(matcher.rules().rules[ri].id.clone());
+                out.push(Arc::clone(&self.names.semgrep[ri]));
             }
         }
     }
@@ -149,17 +184,17 @@ impl<'r> Evaluator<'r> {
         &mut self,
         modules: impl IntoIterator<Item = &'m Module>,
         mask: &[bool],
-        out: &mut Vec<String>,
+        out: &mut Vec<Arc<str>>,
     ) -> u64 {
         let Some(matcher) = &self.matcher else {
             return 0;
         };
-        let (scratch, matched) = (&mut self.semgrep, &mut self.matched);
+        let (scratch, matched, ids) = (&mut self.semgrep, &mut self.matched, &self.names.semgrep);
         matched.clear();
         matched.resize(mask.len(), false);
         let mut found = |ri: usize, _: &[usize]| {
             if !std::mem::replace(&mut matched[ri], true) {
-                out.push(matcher.rules().rules[ri].id.clone());
+                out.push(Arc::clone(&ids[ri]));
             }
         };
         let (include, mut stmts_visited) = (|ri: usize| mask[ri], 0);
@@ -172,12 +207,15 @@ impl<'r> Evaluator<'r> {
 }
 
 /// Per-worker reusable scan state, beside the worker's [`Evaluator`].
-/// Every slot is cleared before use, so once warm a worker evaluating
-/// cached artifacts allocates only its verdict: one string per rule name
-/// and layer file, and the lists that hold them.
+/// Every slot is cleared before use, and findings are collected as
+/// handles (rule names from the evaluator, file names from the request,
+/// flows from the artifacts' summaries), so once warm a worker evaluating
+/// cached artifacts allocates only its verdict: one shared list per kind
+/// of finding it holds.
 struct WorkerScratch {
     routing: Routing,
     artifacts: Vec<Arc<FileAnalysis>>,
+    findings: FindingLists,
 }
 
 impl WorkerScratch {
@@ -185,12 +223,14 @@ impl WorkerScratch {
         WorkerScratch {
             routing: Routing::empty(),
             artifacts: Vec::new(),
+            findings: FindingLists::default(),
         }
     }
 }
 
 pub(crate) fn worker_loop(shared: &Shared, worker_id: usize) {
-    let mut eval = Evaluator::new(shared.yara.as_ref(), shared.semgrep.as_ref(), None);
+    let (yara, semgrep) = (shared.yara.as_ref(), shared.semgrep.as_ref());
+    let mut eval = Evaluator::new(yara, semgrep, &shared.names, None);
     let mut scratch = WorkerScratch::new();
     let histograms = shared.telemetry.histograms();
     while let Some(job) = shared.queue.pop() {
@@ -340,7 +380,13 @@ fn scan_job(
     clock: &mut StageClock<'_>,
 ) -> Verdict {
     let c = &shared.counters;
-    let WorkerScratch { routing, artifacts } = scratch;
+    let WorkerScratch {
+        routing,
+        artifacts,
+        findings,
+    } = scratch;
+    // A scan that panicked left what it had found behind.
+    findings.clear();
     // Phase 1: get-or-build every file's analysis artifact. This is the
     // only phase that lexes, parses, decodes or regex-scans; a warm
     // artifact cache makes a re-uploaded package version re-analyze only
@@ -363,7 +409,6 @@ fn scan_job(
     let total_len = request.scan_len();
     HubCounters::add(&c.bytes_scanned, total_len as u64);
 
-    let mut verdict = Verdict::default();
     // Phase 3: YARA — evaluate routed conditions over the union of the
     // files' cached hit sets (no byte is re-scanned), then each decoded
     // layer as its own unit, tagging layer findings by provenance.
@@ -383,12 +428,12 @@ fn scan_job(
                 (base, a.yara_hits.as_ref().expect("scanner built hits"))
             });
             let mask = &routing.yara;
-            eval.surface(parts, total_len, mask, &mut verdict.yara);
+            eval.surface(parts, total_len, mask, &mut findings.yara);
             clock.lap(Stage::Layers);
             for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
-                let file = entry.name();
+                let file = entry.name_handle();
                 for (layer, hits) in artifact.layers.iter().zip(&artifact.layer_hits) {
-                    eval.layer(layer, [(0, hits)], file, mask, &mut verdict.layers);
+                    eval.layer(layer, [(0, hits)], file, mask, &mut findings.layers);
                 }
             }
             clock.lap(Stage::Semgrep);
@@ -407,15 +452,14 @@ fn scan_job(
             HubCounters::add(&c.semgrep_parses_skipped, 1);
         } else {
             let files = artifacts.iter().filter_map(|a| a.semgrep.as_ref());
-            eval.fired(files, &routing.semgrep, &mut verdict.semgrep);
+            eval.fired(files, &routing.semgrep, &mut findings.semgrep);
             clock.lap(Stage::Dataflow);
         }
     }
     // Phase 5: behavior engine — aggregate the cached per-file taint
     // summaries into file-stamped flow records. The analysis itself is
     // artifact work (exactly once per unique digest); this stage only
-    // copies flows out, so its warm cost is proportional to findings,
-    // not file content.
+    // shares the summaries' flows, so it copies nothing.
     Stage::Dataflow.enter();
     if shared.artifact_config.dataflow {
         for (entry, artifact) in request.files().iter().zip(artifacts.iter()) {
@@ -423,9 +467,9 @@ fn scan_job(
                 continue;
             };
             for flow in &summary.flows {
-                verdict.flows.push(FlowRecord {
-                    file: entry.name().to_owned(),
-                    flow: flow.clone(),
+                findings.flows.push(FlowRecord {
+                    file: Arc::clone(entry.name_handle()),
+                    flow: Arc::clone(flow),
                 });
             }
         }
@@ -434,7 +478,7 @@ fn scan_job(
     // Drop the artifact handles so cache eviction can actually free.
     Stage::Verdict.enter();
     artifacts.clear();
-    verdict.normalize();
+    let verdict = findings.freeze();
     clock.lap(Stage::Complete);
     verdict
 }
@@ -445,17 +489,36 @@ fn count(counter: &AtomicU64, n: usize) {
 
 #[cfg(test)]
 mod tests {
+    use super::{scan_job, Evaluator, WorkerScratch};
     use crate::hub::tests::{hub, request, versioned_body};
+    use crate::metrics::{Stage, StageClock};
     use crate::{FileEntry, HubConfig, ScanHub, ScanRequest, Verdict};
 
     #[test]
     fn verdicts_match_both_engines() {
         let hub = hub(HubConfig::default());
         let v = hub.submit(request("import os\nos.system('id')\n")).wait();
-        assert_eq!(v.yara, vec!["sys".to_owned()]);
-        assert_eq!(v.semgrep, vec!["sys-call".to_owned()]);
+        assert_eq!(v.yara.names(), ["sys"]);
+        assert_eq!(v.semgrep.names(), ["sys-call"]);
         assert!(!v.from_cache);
         assert!(v.flagged());
+    }
+
+    #[test]
+    fn a_scan_reports_no_finding_an_unwound_scan_left_behind() {
+        let hub = hub(HubConfig::default());
+        let shared = &hub.shared;
+        let (yara, semgrep) = (shared.yara.as_ref(), shared.semgrep.as_ref());
+        let mut eval = Evaluator::new(yara, semgrep, &shared.names, None);
+        let mut scratch = WorkerScratch::new();
+        // What a scan that panicked after its YARA step leaves in the
+        // worker's lists.
+        scratch.findings.yara.push("sys".into());
+        let mut clock = StageClock::resume(None, None, Stage::Artifact);
+        let clean = request("print('hi')\n");
+        let v = scan_job(shared, &mut eval, &mut scratch, &clean, &mut clock);
+        Stage::Idle.enter();
+        assert!(!v.flagged(), "{v:?}");
     }
 
     #[test]
@@ -478,10 +541,7 @@ mod tests {
         // payload must be caught, not masked by the sibling's hits.
         let v2_code = versioned_body("v2: os.system(x)");
         let v2 = hub.submit(request(&v2_code)).wait();
-        assert!(
-            v2.yara.contains(&"sys".to_owned()),
-            "splice hid a planted IOC"
-        );
+        assert!(v2.yara.names().contains(&"sys"), "splice hid a planted IOC");
         let stats = hub.stats();
         assert_eq!(stats.incremental_relexes, 1, "one-line bump must splice");
         assert_eq!(stats.splice_fallbacks, 0);
@@ -542,15 +602,15 @@ mod tests {
             .submit(ScanRequest::from_source("dropper.py", code))
             .wait();
         // Surface: the b64 regex rule sees the encoded blob itself.
-        assert_eq!(v.yara, vec!["b64".to_owned()]);
+        assert_eq!(v.yara.names(), ["b64"]);
         // Layer: the decoded payload trips the os.system rule, tagged
         // with file, encoding, depth and source line.
         let layer = v
             .layers
             .iter()
-            .find(|l| l.rule == "sys")
+            .find(|l| &*l.rule == "sys")
             .expect("layer finding");
-        assert_eq!(layer.file, "dropper.py");
+        assert_eq!(&*layer.file, "dropper.py");
         assert_eq!(layer.encoding, crate::LayerEncoding::Base64);
         assert_eq!(layer.depth, 1);
         assert_eq!(layer.line, 2);
@@ -586,11 +646,11 @@ rule missing { strings: $a = "never-present-atom" condition: not $a }
             .submit(ScanRequest::from_source("dropper.py", code))
             .wait();
         // Surface: only the negation rule holds (its atom is absent).
-        assert_eq!(v.yara, vec!["missing".to_owned()]);
+        assert_eq!(v.yara.names(), ["missing"]);
         // Layers: exactly the rule with evidence in the decoded unit.
-        assert!(v.layers.iter().any(|l| l.rule == "sys"));
+        assert!(v.layers.iter().any(|l| &*l.rule == "sys"));
         assert!(
-            v.layers.iter().all(|l| l.rule == "sys"),
+            v.layers.iter().all(|l| &*l.rule == "sys"),
             "stringless/negated rules fired on a decoded layer: {:?}",
             v.layers
         );
@@ -627,11 +687,11 @@ rule missing { strings: $a = "never-present-atom" condition: not $a }
                 "import os, socket\nsocket.socket()\nos.system('id')\n",
             ))
             .wait();
-        assert_eq!(v.yara, vec!["net".to_owned(), "sys".to_owned()]);
-        let mut sorted = v.yara.clone();
+        assert_eq!(v.yara.names(), ["net", "sys"]);
+        let mut sorted = v.yara.to_vec();
         sorted.sort();
         sorted.dedup();
-        assert_eq!(v.yara, sorted);
+        assert_eq!(*v.yara, *sorted);
     }
 
     #[test]
@@ -696,7 +756,7 @@ rule missing { strings: $a = "never-present-atom" condition: not $a }
         });
         let code = "payload = 'aW1wb3J0IG9zO2V4ZWMoKQzz12345'\n";
         let v = hub.submit(request(code)).wait();
-        assert_eq!(v.yara, vec!["b64".to_owned()]);
+        assert_eq!(v.yara.names(), ["b64"]);
         let stats = hub.stats();
         // The b64 rule's regex ran at least once over the full buffer
         // (at artifact-build time — cache hits would pay nothing).
@@ -766,7 +826,7 @@ rule missing { strings: $a = "never-present-atom" condition: not $a }
                 FileEntry::new("mod.py", b"import os\nos.system('x')\n".to_vec()),
             ]))
             .wait();
-        assert_eq!(v.semgrep, vec!["sys-call".to_owned()]);
+        assert_eq!(v.semgrep.names(), ["sys-call"]);
     }
 
     #[test]
@@ -792,7 +852,7 @@ rule missing { strings: $a = "never-present-atom" condition: not $a }
                 FileEntry::new("b.py", b"y = 'marker_two'\n".to_vec()),
             ]))
             .wait();
-        assert_eq!(v.yara, vec!["pair".to_owned()]);
+        assert_eq!(v.yara.names(), ["pair"]);
         // Either file alone must not satisfy the condition.
         let half = hub
             .submit(ScanRequest::from_files(vec![FileEntry::new(

@@ -4,6 +4,7 @@
 //! exactly one analysis per unique file digest.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use corpus::FAMILIES;
 use obfuscate::{EvasionProfile, Obfuscator};
@@ -71,16 +72,17 @@ fn exhaustive(
     request: &ScanRequest,
 ) -> Verdict {
     let scanner = yara_engine::Scanner::new(yara);
+    let mut yara: Vec<Arc<str>> = scanner
+        .scan(&request.concat_buffer())
+        .into_iter()
+        .map(|h| h.rule.into())
+        .collect();
+    yara.sort();
+    yara.dedup();
     let mut verdict = Verdict {
-        yara: scanner
-            .scan(&request.concat_buffer())
-            .into_iter()
-            .map(|h| h.rule)
-            .collect(),
+        yara: yara.into(),
         ..Verdict::default()
     };
-    verdict.yara.sort();
-    verdict.yara.dedup();
     let mut ids = HashSet::new();
     for src in request.python_sources() {
         let module = pysrc::parse_module(&src);
@@ -90,8 +92,9 @@ fn exhaustive(
             }
         }
     }
-    verdict.semgrep = ids.into_iter().collect();
-    verdict.semgrep.sort();
+    let mut semgrep: Vec<Arc<str>> = ids.into_iter().map(Arc::from).collect();
+    semgrep.sort();
+    verdict.semgrep = semgrep.into();
     verdict
 }
 

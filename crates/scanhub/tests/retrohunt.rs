@@ -323,14 +323,14 @@ fn confirmed_verdicts_match_a_fresh_full_scan_of_each_file() {
         let mut want_yara: Vec<&str> = full
             .yara
             .iter()
-            .map(String::as_str)
+            .map(|r| &**r)
             .filter(|r| changed.contains(&(RuleEngine::Yara, (*r).to_owned())))
             .collect();
         want_yara.sort_unstable();
         let mut want_semgrep: Vec<&str> = full
             .semgrep
             .iter()
-            .map(String::as_str)
+            .map(|r| &**r)
             .filter(|r| changed.contains(&(RuleEngine::Semgrep, (*r).to_owned())))
             .collect();
         want_semgrep.sort_unstable();
@@ -342,14 +342,13 @@ fn confirmed_verdicts_match_a_fresh_full_scan_of_each_file() {
         let mut want_layers: Vec<_> = full
             .layers
             .iter()
-            .filter(|l| changed.contains(&(RuleEngine::Yara, l.rule.clone())))
+            .filter(|l| changed.contains(&(RuleEngine::Yara, l.rule.to_string())))
             .map(layer_key)
             .collect();
         want_layers.sort();
         match verdicts.get(hex.as_str()) {
             Some(v) => {
-                let got_yara: Vec<&str> = v.yara.iter().map(String::as_str).collect();
-                let got_semgrep: Vec<&str> = v.semgrep.iter().map(String::as_str).collect();
+                let (got_yara, got_semgrep) = (v.yara.names(), v.semgrep.names());
                 let mut got_layers: Vec<_> = v.layers.iter().map(layer_key).collect();
                 got_layers.sort();
                 assert_eq!(got_yara, want_yara, "yara diverged on {}", file.name());
@@ -545,9 +544,9 @@ fn a_hunt_reading_cached_hits_equals_the_byte_reading_rescan() {
     // The stringless rule fires on surfaces only: the planted layer holds
     // hits of live strings, none of them a changed rule's.
     let layered = report.verdicts.iter().flat_map(|(_, v)| &v.layers);
-    assert!(layered.clone().all(|l| l.rule != "stringless"));
+    assert!(layered.clone().all(|l| &*l.rule != "stringless"));
     assert!(
-        layered.clone().any(|l| l.rule == "mixed"),
+        layered.clone().any(|l| &*l.rule == "mixed"),
         "no layer reused a hit"
     );
     assert!(

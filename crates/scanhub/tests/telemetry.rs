@@ -90,7 +90,7 @@ proptest! {
                     .filter(|f| f.engine == FiredEngine::Yara)
                     .map(|f| f.rule.as_str())
                     .collect();
-                prop_assert_eq!(&yara, &verdict.yara.iter().map(String::as_str).collect::<Vec<_>>());
+                prop_assert_eq!(&yara, &verdict.yara.names());
                 let semgrep: Vec<&str> = trace
                     .fired
                     .iter()
@@ -99,7 +99,7 @@ proptest! {
                     .collect();
                 prop_assert_eq!(
                     &semgrep,
-                    &verdict.semgrep.iter().map(String::as_str).collect::<Vec<_>>()
+                    &verdict.semgrep.names()
                 );
                 let layer_count = trace
                     .fired

@@ -294,8 +294,8 @@ fn scanhub_decoded_layer_smoke() {
     let seeing = layered.submit(ScanRequest::from_package(&mutant)).wait();
     assert!(seeing.flagged(), "decoded-layer scan missed the payload");
     let finding = &seeing.layers[0];
-    assert_eq!(finding.rule, "c2");
-    assert_eq!(finding.file, "innocent/net.py");
+    assert_eq!(&*finding.rule, "c2");
+    assert_eq!(&*finding.file, "innocent/net.py");
     assert!(finding.depth >= 1);
     // Surface verdicts agree between the two configurations.
     assert_eq!(seeing.yara, blind.yara);

@@ -303,7 +303,7 @@ rule address { strings: $ip = /\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}/ condition: $i
     for (i, (code, rules)) in files.iter().zip(expected).enumerate() {
         let entry = FileEntry::new(format!("pkg/mod_{i}.py"), code.clone().into_bytes());
         let verdict = hub.submit(ScanRequest::from_files(vec![entry])).wait();
-        assert_eq!(verdict.yara, rules, "file {i}");
+        assert_eq!(verdict.yara.names(), rules, "file {i}");
     }
     let stats = hub.stats();
     assert!(stats.layers_decoded >= 2, "both blobs decode to a layer");
